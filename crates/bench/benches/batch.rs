@@ -6,6 +6,14 @@
 //! (source-fragment, target-fragment) pair and reuses the interior
 //! segment relations of each chain across the whole batch.
 //!
+//! A third row, `general-cyclic/query-batch`, runs the batch path where
+//! it has the most to share: a general graph in four center-grown
+//! fragments, a cyclic fragmentation graph with fat borders, ~10 chains
+//! per query. Its time is reported; its *gate* is a count that repeats
+//! exactly on any runner — Dijkstra sweeps per query once the segment
+//! memos are warm, which must not exceed one per fragment an endpoint
+//! lies in (the bench exits non-zero otherwise).
+//!
 //! Emits a committed perf snapshot to `BENCH_batch.json` (repo root).
 //!
 //! ```text
@@ -16,9 +24,10 @@ use discset::{Backend, Fragmenter, QueryRequest, System, TcEngine};
 use ds_bench::harness::{render, write_json, Bench};
 use ds_closure::executor::ExecutionMode;
 use ds_closure::EngineConfig;
+use ds_fragment::center::CenterConfig;
 use ds_fragment::CrossingPolicy;
-use ds_gen::{generate_transportation, TransportationConfig};
-use ds_graph::NodeId;
+use ds_gen::{generate_general, generate_transportation, GeneralConfig, TransportationConfig};
+use ds_graph::{NodeId, ScratchDijkstra};
 
 /// A workload whose requests concentrate on few fragment pairs — the
 /// shape batching is designed for (many point-to-point queries between
@@ -28,6 +37,71 @@ fn workload(nodes: usize, queries: usize) -> Vec<QueryRequest> {
     (0..queries as u32)
         .map(|i| QueryRequest::new(NodeId(i * 7 % 20), NodeId(n - 1 - (i * 11 % 20))))
         .collect()
+}
+
+/// Time warm `query_batch` on the cyclic general workload and count its
+/// sweeps. Returns the report line, or the gate's failure.
+fn general_cyclic(group: &mut Bench) -> Result<String, String> {
+    let nodes = 300;
+    let g = generate_general(
+        &GeneralConfig {
+            nodes,
+            target_edges: 900,
+            c2: 0.15,
+            ..GeneralConfig::default()
+        },
+        1,
+    );
+    let sys = System::builder()
+        .graph(&g)
+        .fragmenter(Fragmenter::Center(CenterConfig {
+            fragments: 4,
+            ..CenterConfig::default()
+        }))
+        .config(EngineConfig {
+            max_chains: 8,
+            max_chain_len: 5,
+            ..EngineConfig::default()
+        })
+        .build()
+        .expect("system deploys");
+    let snapshot = sys.snapshot();
+    assert!(!snapshot.fragmentation().fragmentation_graph().is_acyclic());
+    let n = nodes as u32;
+    let requests: Vec<QueryRequest> = (0..64u32)
+        .map(|i| QueryRequest::new(NodeId(i * 37 % n), NodeId((i * 101 + 13) % n)))
+        .collect();
+    let mut scratch = ScratchDijkstra::new();
+    let cold = snapshot.query_batch(&requests, &mut scratch);
+    let cold_sweeps = scratch.stats().sweeps;
+    group.run("general-cyclic/query-batch", || {
+        snapshot.query_batch(&requests, &mut scratch).answers.len()
+    });
+    let before = scratch.stats().sweeps;
+    let warm = snapshot.query_batch(&requests, &mut scratch);
+    let sweeps = (scratch.stats().sweeps - before) as f64 / requests.len() as f64;
+    let chains: usize = warm.answers.iter().map(|a| a.stats.chains_evaluated).sum();
+    let planner = snapshot.planner();
+    let endpoint_sites: usize = requests
+        .iter()
+        .map(|r| planner.fragments_of(r.source).len() + planner.fragments_of(r.target).len())
+        .sum();
+    let bound = endpoint_sites as f64 / requests.len() as f64;
+    group.record("general-cyclic/sweeps-per-query", &[sweeps]);
+    let line = format!(
+        "general-cyclic: {:.1} chains per query; {sweeps:.2} sweeps per query warm \
+         (bound {bound:.2}: one per fragment an endpoint lies in), {:.1} cold; \
+         segments computed {} cold, {} warm ({} read from the memos)",
+        chains as f64 / requests.len() as f64,
+        cold_sweeps as f64 / requests.len() as f64,
+        cold.stats.segments_computed,
+        warm.stats.segments_computed,
+        warm.stats.segments_reused,
+    );
+    if sweeps > bound {
+        return Err(format!("GATE FAILED — {line}"));
+    }
+    Ok(line)
 }
 
 fn main() {
@@ -87,6 +161,8 @@ fn main() {
         ));
     }
 
+    let cyclic = general_cyclic(&mut group);
+
     println!("{}", render(group.results()));
     for line in &amortization {
         println!("{line}");
@@ -94,4 +170,11 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batch.json");
     write_json(path, group.results()).expect("write perf snapshot");
     println!("\nwrote {path}");
+    match cyclic {
+        Ok(line) => println!("{line}"),
+        Err(failure) => {
+            eprintln!("{failure}");
+            std::process::exit(1);
+        }
+    }
 }

@@ -10,21 +10,25 @@
 //! timed through one trait-driven code path. Two speed-up measures are
 //! reported:
 //!
-//! * the *ideal* speed-up `Σ site busy / max site busy` — what a
-//!   PRISMA-style machine with free threads would get from phase one
-//!   (deterministic, noise-free); and
+//! * the *ideal* speed-up `Σ site busy / max site busy` of a query
+//!   evaluated on its own, every site of its chain working and nothing
+//!   memoized — what a PRISMA-style machine with free threads would get
+//!   from phase one (deterministic, noise-free; taken from the reference
+//!   evaluation `executor::run_chain`, since the engines evaluate a
+//!   chain's interior sites only once per epoch); and
 //! * the measured wall-clock ratio sequential/parallel (noisy on a shared
 //!   host, reported for reference).
 
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use discset::{Backend, Fragmenter, System, TcEngine};
 use ds_closure::baseline;
 use ds_closure::engine::EngineConfig;
-use ds_closure::executor::ExecutionMode;
+use ds_closure::executor::{run_chain, ExecutionMode};
 use ds_fragment::CrossingPolicy;
 use ds_gen::{generate_transportation, TransportationConfig};
-use ds_graph::NodeId;
+use ds_graph::{NodeId, ScratchDijkstra};
 
 /// One row of the speed-up experiment.
 #[derive(Clone, Debug)]
@@ -109,6 +113,12 @@ fn one_row(clusters: usize, nodes_per_cluster: usize, seed: u64) -> SpeedupRow {
         })
         .collect();
 
+    let snapshot = variants[0].snapshot();
+    let augmented: Vec<_> = (0..snapshot.site_count())
+        .map(|f| Arc::clone(snapshot.augmented_handle(f)))
+        .collect();
+    let mut scratch = ScratchDijkstra::new();
+
     let mut centralized_us = 0.0;
     let mut backend_us = [0.0f64; 3];
     let mut ideal = 0.0;
@@ -127,14 +137,22 @@ fn one_row(clusters: usize, nodes_per_cluster: usize, seed: u64) -> SpeedupRow {
                 "{} answer must match baseline",
                 sys.backend_name()
             );
-            if k == 0 {
-                // Ideal phase-one speedup from the sequential run's
-                // deterministic site accounting.
-                let max = a.stats.max_site_busy.as_secs_f64();
-                if max > 0.0 {
-                    ideal += a.stats.total_site_busy.as_secs_f64() / max;
-                }
+        }
+
+        let (mut total, mut max) = (Duration::ZERO, Duration::ZERO);
+        let plan = snapshot
+            .planner()
+            .plan(x, y)
+            .expect("endpoints are in fragments");
+        for chain in &plan.chains {
+            let (_, runs) = run_chain(&augmented, chain, ExecutionMode::Sequential, &mut scratch);
+            for r in &runs {
+                total += r.busy;
+                max = max.max(r.busy);
             }
+        }
+        if max > Duration::ZERO {
+            ideal += total.as_secs_f64() / max.as_secs_f64();
         }
     }
     let n = queries.len() as f64;

@@ -16,29 +16,37 @@
 //! * [`build_parts`] — the one build path (complementary info, augmented
 //!   site graphs, planner) that both backends deploy from;
 //! * [`BatchPlanner`] — chain planning amortized across a batch: the
-//!   expensive chain enumeration runs once per (source-fragment,
-//!   target-fragment) pair instead of once per query;
-//! * [`run_batch`] — the batch driver: besides reusing plans, it caches
-//!   the *interior* segment relations of each fragment chain (those
-//!   depend only on the disconnection sets, not on the query endpoints),
-//!   so a batch of k queries along one chain of length L costs
-//!   `L - 2 + 2k` site subqueries instead of `L·k`.
+//!   expensive chain enumeration runs once per (source-fragments,
+//!   target-fragments) pair instead of once per query;
+//! * [`run_batch`] — the batch driver, and through it the one routine
+//!   that evaluates a query over its chains. Per query it does only what
+//!   depends on the query: one sweep from `x` per distinct start
+//!   fragment and one sweep from `y` (over the transposed site graph)
+//!   per distinct end fragment, shared by every chain through them, then
+//!   one vector fold per chain. The interior relations of the chains
+//!   mention no endpoint; they are read from the per-site, per-epoch
+//!   [`SiteMemo`] and evaluated only when a slot is still empty. A
+//!   query over chains with `s` distinct start and `e` distinct end
+//!   fragments costs `s + e` site subqueries once the memo is warm,
+//!   however many chains it has and however long they are.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use ds_fragment::{FragmentId, Fragmentation};
-use ds_graph::{Cost, CsrGraph, Edge, NodeId};
+use ds_graph::{Cost, CsrGraph, Edge, NodeId, INFINITE_COST};
 use ds_obs::{ChainEval, EvalTrace, TraceId};
-use ds_relation::{PathTuple, Relation};
 
 use crate::assemble;
 use crate::complementary::{ComplementaryInfo, PrecomputeStats};
 use crate::engine::{EngineConfig, QueryAnswer, QueryStats, Route};
 use crate::error::ClosureError;
-use crate::local::augmented_graph;
-use crate::planner::{ChainPlan, Planner, QueryPlan};
+use crate::local::{augmented_graph, SegmentMatrix};
+use crate::memo::SiteMemo;
+use crate::planner::{Planner, SiteQueryRef};
 use crate::snapshot::EngineSnapshot;
 use crate::updates::{UpdateBatchReport, UpdateReport};
 
@@ -73,7 +81,8 @@ pub struct BatchStats {
     pub plans_reused: usize,
     /// Segment relations evaluated at a site.
     pub segments_computed: usize,
-    /// Segment relations served from the interior cache (no site work).
+    /// Interior segment relations read from the sites' memos (no site
+    /// work).
     pub segments_reused: usize,
 }
 
@@ -94,7 +103,8 @@ impl BatchStats {
 /// Result of a batch: one [`QueryAnswer`] per request, in request order,
 /// plus the batch-level amortization stats. Per-answer [`QueryStats`]
 /// count only the site work actually performed *for that query* — work
-/// served from the batch caches shows up in [`BatchStats`] instead.
+/// served from the plan cache or the segment memos shows up in
+/// [`BatchStats`] instead.
 #[derive(Clone, Debug)]
 pub struct BatchAnswer {
     pub answers: Vec<QueryAnswer>,
@@ -344,21 +354,25 @@ pub(crate) fn validate_insert(
     Ok(())
 }
 
-/// Chain planning with per-(source-fragments, target-fragments) caching.
-///
-/// [`Planner::plan`] does two things: enumerate the fragment chains
-/// (expensive — graph search over the fragmentation graph, possibly
-/// multi-chain on cyclic fragmentations) and instantiate site subqueries
-/// for the concrete endpoints (cheap). The chain enumeration depends only
-/// on the endpoints' fragment sets, so a batch caches it here.
-pub struct BatchPlanner<'a> {
-    planner: &'a Planner,
-    cache: HashMap<(Vec<FragmentId>, Vec<FragmentId>), CachedChains>,
+/// The fragment chains connecting two endpoint fragment sets.
+#[derive(Clone, Debug)]
+pub struct ChainSet {
+    pub chains: Vec<Vec<FragmentId>>,
+    /// True when multi-chain enumeration was needed (cyclic
+    /// fragmentation graph).
+    pub enumerated: bool,
 }
 
-struct CachedChains {
-    chains: Vec<Vec<FragmentId>>,
-    enumerated: bool,
+/// Chain planning with per-(source-fragments, target-fragments) caching.
+///
+/// The fragment chains of a query depend only on its endpoints' fragment
+/// sets, and enumerating them is the expensive half of planning (graph
+/// search over the fragmentation graph, possibly multi-chain on cyclic
+/// fragmentations), so a batch caches them here, keyed by the planner's
+/// [`Planner::membership_class`] ids.
+pub struct BatchPlanner<'a> {
+    planner: &'a Planner,
+    cache: HashMap<(u32, u32), ChainSet>,
 }
 
 impl<'a> BatchPlanner<'a> {
@@ -369,54 +383,48 @@ impl<'a> BatchPlanner<'a> {
         }
     }
 
-    /// Plan `x -> y`. The boolean reports whether the chain set was
-    /// served from cache (plan reuse).
-    pub fn plan(&mut self, x: NodeId, y: NodeId) -> Result<(QueryPlan, bool), ClosureError> {
-        let fx = self.planner.fragments_of(x);
+    /// The chains for `x -> y`. The boolean reports whether the chain set
+    /// was served from cache (plan reuse).
+    pub fn chains(&mut self, x: NodeId, y: NodeId) -> Result<(&ChainSet, bool), ClosureError> {
+        let (fx, fy) = (self.planner.fragments_of(x), self.planner.fragments_of(y));
         if fx.is_empty() {
             return Err(ClosureError::NodeNotInAnyFragment(x));
         }
-        let fy = self.planner.fragments_of(y);
         if fy.is_empty() {
             return Err(ClosureError::NodeNotInAnyFragment(y));
         }
-        let key = (fx, fy);
-        let reused = self.cache.contains_key(&key);
-        if !reused {
-            let (chains, enumerated) = self.planner.chain_sets(&key.0, &key.1);
-            self.cache
-                .insert(key.clone(), CachedChains { chains, enumerated });
-        }
-        let cached = &self.cache[&key];
-        let chains = cached
-            .chains
-            .iter()
-            .filter_map(|c| self.planner.instantiate_chain(c, x, y))
-            .collect();
-        Ok((
-            QueryPlan {
-                chains,
-                enumerated: cached.enumerated,
-            },
-            reused,
-        ))
+        let key = (
+            self.planner.membership_class(x),
+            self.planner.membership_class(y),
+        );
+        Ok(match self.cache.entry(key) {
+            Entry::Occupied(e) => (e.into_mut(), true),
+            Entry::Vacant(v) => {
+                let (chains, enumerated) = self.planner.chain_sets(fx, fy);
+                (v.insert(ChainSet { chains, enumerated }), false)
+            }
+        })
     }
 }
 
-/// How a backend evaluates site subqueries for the shared batch driver.
+/// How a backend evaluates site subqueries for the shared evaluator.
 ///
-/// `positions` indexes into `chain.queries`; implementations return the
-/// segment relations in the same order and add the site accounting (site
-/// queries run, tuples produced, busy time) to `stats`. The inline
-/// backend runs them on the calling thread (or one thread each); the
-/// machine backend turns each position into a request message.
+/// The inline backend runs them on the calling thread (or one thread
+/// each); the machine backend turns each into a request message.
 pub trait SiteEvaluator {
-    fn eval_positions(
+    /// Evaluate independent site subqueries, returning their results in
+    /// the same order and adding the site accounting (site queries run,
+    /// tuples produced, busy time) to `stats`. `None` means a site could
+    /// not answer: the query is abandoned and nothing is memoized.
+    fn eval_sites(
         &mut self,
-        chain: &ChainPlan,
-        positions: &[usize],
+        queries: &[SiteQueryRef<'_>],
         stats: &mut QueryStats,
-    ) -> Vec<Relation<PathTuple>>;
+    ) -> Option<Vec<SegmentMatrix>>;
+
+    /// The interior-segment memo of `site`, valid for the graph that
+    /// site currently evaluates on.
+    fn memo(&self, site: FragmentId) -> &SiteMemo;
 
     /// Called by [`run_batch_traced`] before each request's evaluation
     /// with that request's trace id, so message-passing backends can
@@ -427,12 +435,9 @@ pub trait SiteEvaluator {
 
 /// The batch driver shared by every backend.
 ///
-/// Per request: plan through the [`BatchPlanner`] (chain enumeration once
-/// per fragment-pair), then evaluate each chain. For chains of length
-/// ≥ 3 the interior subqueries — `DS(f_{i-1}, f_i) -> DS(f_i, f_{i+1})`,
-/// which do not mention the query endpoints — are evaluated once per
-/// distinct fragment chain and reused across the whole batch; only the
-/// first and last site subqueries are endpoint-specific.
+/// Per request: look the chain set up through the [`BatchPlanner`] (chain
+/// enumeration once per fragment-set pair), then evaluate it with the
+/// shared routine described in the module documentation.
 pub fn run_batch<E: SiteEvaluator>(
     planner: &Planner,
     eval: &mut E,
@@ -444,10 +449,10 @@ pub fn run_batch<E: SiteEvaluator>(
 /// [`run_batch`] with request tracing: `traces[i]` is request `i`'s
 /// [`TraceId`] (an empty slice means untraced — the [`run_batch`] fast
 /// path), and when `sink` is given, one [`EvalTrace`] per request is
-/// appended to it carrying the request's total evaluation time and
-/// per-chain segment times. Before each traced request the driver calls
-/// [`SiteEvaluator::begin_query`] so the backend can stamp the id into
-/// its protocol messages. The untraced path takes no timestamps and
+/// appended to it carrying the request's total evaluation time and the
+/// assembly time of each chain. Before each traced request the driver
+/// calls [`SiteEvaluator::begin_query`] so the backend can stamp the id
+/// into its protocol messages. The untraced path takes no timestamps and
 /// performs no extra work beyond one branch per request.
 pub fn run_batch_traced<E: SiteEvaluator>(
     planner: &Planner,
@@ -461,17 +466,10 @@ pub fn run_batch_traced<E: SiteEvaluator>(
         answers: bounded
             .answers
             .into_iter()
-            .map(|a| match a {
-                Some(a) => a,
-                // Without deadlines no request can be cancelled; keep
-                // this arm total anyway (an unreachable unanswered slot
-                // degrades to "unreachable", never to a panic).
-                None => QueryAnswer {
-                    cost: None,
-                    best_chain: None,
-                    stats: QueryStats::default(),
-                },
-            })
+            // Without deadlines no request can be cancelled; keep this
+            // total anyway (an unanswered slot degrades to "unreachable",
+            // never to a panic).
+            .map(|a| a.unwrap_or_else(QueryAnswer::unreachable))
             .collect(),
         stats: bounded.stats,
     }
@@ -488,14 +486,12 @@ pub struct BoundedBatchAnswer {
 /// [`run_batch_traced`] with cooperative cancellation: `deadlines[i]`
 /// is request `i`'s absolute deadline (an empty slice, or `None` at a
 /// position, means unbounded). The driver checks the clock between
-/// requests and — inside a request — between fragment chains, so even
-/// a pathological multi-chain evaluation is abandoned at the next
-/// chain boundary rather than running to completion. A cancelled
-/// request yields `None`; work already performed for it (plans,
-/// interior segments) stays in the batch caches and keeps benefiting
-/// the remaining requests. The serve tier threads each job's
-/// admission-stamped deadline through here and resolves `None` slots
-/// with [`ClosureError::DeadlineExceeded`].
+/// requests and — inside a request — before the site subqueries are
+/// dispatched and between fragment chains. A cancelled request yields
+/// `None`; work already performed for it (plans, memoized interior
+/// segments) keeps benefiting the remaining requests. The serve tier
+/// threads each job's admission-stamped deadline through here and
+/// resolves `None` slots with [`ClosureError::DeadlineExceeded`].
 pub fn run_batch_bounded<E: SiteEvaluator>(
     planner: &Planner,
     eval: &mut E,
@@ -505,7 +501,6 @@ pub fn run_batch_bounded<E: SiteEvaluator>(
     deadlines: &[Option<Instant>],
 ) -> BoundedBatchAnswer {
     let mut bp = BatchPlanner::new(planner);
-    let mut interiors: HashMap<Vec<FragmentId>, Vec<Relation<PathTuple>>> = HashMap::new();
     let mut stats = BatchStats {
         queries: requests.len(),
         ..BatchStats::default()
@@ -523,10 +518,8 @@ pub fn run_batch_bounded<E: SiteEvaluator>(
         let t0 = sink.as_ref().map(|_| Instant::now());
         let deadline = deadlines.get(i).copied().flatten();
         answers.push(one_query(
-            planner,
             eval,
             &mut bp,
-            &mut interiors,
             &mut stats,
             req,
             et.as_mut(),
@@ -540,116 +533,297 @@ pub fn run_batch_bounded<E: SiteEvaluator>(
     BoundedBatchAnswer { answers, stats }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn one_query<E: SiteEvaluator>(
-    planner: &Planner,
     eval: &mut E,
     bp: &mut BatchPlanner<'_>,
-    interiors: &mut HashMap<Vec<FragmentId>, Vec<Relation<PathTuple>>>,
     bstats: &mut BatchStats,
     req: &QueryRequest,
-    mut tr: Option<&mut EvalTrace>,
+    tr: Option<&mut EvalTrace>,
     deadline: Option<Instant>,
 ) -> Option<QueryAnswer> {
     let (x, y) = (req.source, req.target);
     if x == y {
         return Some(QueryAnswer {
             cost: Some(0),
-            best_chain: planner.fragments_of(x).first().map(|&f| vec![f]),
+            best_chain: bp.planner.fragments_of(x).first().map(|&f| vec![f]),
             stats: QueryStats::default(),
         });
     }
     // Cooperative cancellation, checked before the (possibly expensive)
-    // chain enumeration and again at every chain boundary below: a
-    // request whose deadline has passed is abandoned, not evaluated.
-    if deadline.is_some_and(|d| Instant::now() >= d) {
+    // chain enumeration and again inside the evaluation: a request whose
+    // deadline has passed is abandoned, not evaluated.
+    if expired(deadline) {
         return None;
     }
-    let plan = match bp.plan(x, y) {
-        Ok((plan, reused)) => {
-            if reused {
-                bstats.plans_reused += 1;
-            } else {
-                bstats.plans_computed += 1;
-            }
-            plan
-        }
-        // Endpoint in no fragment: unreachable, like shortest_path.
-        Err(_) => {
-            return Some(QueryAnswer {
-                cost: None,
-                best_chain: None,
-                stats: QueryStats::default(),
-            })
-        }
+    let planner = bp.planner;
+    // Endpoint in no fragment: unreachable, like shortest_path.
+    let Ok((set, reused)) = bp.chains(x, y) else {
+        return Some(QueryAnswer::unreachable());
     };
-    let mut qstats = QueryStats {
-        enumerated: plan.enumerated,
+    if reused {
+        bstats.plans_reused += 1;
+    } else {
+        bstats.plans_computed += 1;
+    }
+    let mut stats = QueryStats {
+        enumerated: set.enumerated,
         ..QueryStats::default()
     };
-    let mut best: Option<(Cost, Vec<FragmentId>)> = None;
-    for (chain_idx, chain) in plan.chains.iter().enumerate() {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
+    let mut on = Evaluation {
+        planner,
+        qstats: &mut stats,
+        bstats,
+        trace: tr,
+        deadline,
+    };
+    let best = evaluate_chains(eval, &set.chains, (x, y), &mut on, false)?;
+    Some(QueryAnswer {
+        cost: best.as_ref().map(|b| b.cost),
+        best_chain: best.map(|b| set.chains[b.chain].clone()),
+        stats,
+    })
+}
+
+/// `(cost, fragment chain, waypoints)` of a cheapest route.
+pub(crate) type RoutePlan = (Cost, Vec<FragmentId>, Vec<NodeId>);
+
+/// The cheapest route's cost, fragment chain and waypoints
+/// `x, w1, …, wk, y` — `wi` is the node of `DS(chain[i-1], chain[i])` the
+/// path crosses (the paper's border cities), so leg `i` of the waypoints
+/// runs at site `chain[i]`; neighbouring waypoints coincide when an
+/// endpoint is itself a border node. Errs when an endpoint is in no
+/// fragment; `Ok(None)` when `y` is unreachable.
+pub(crate) fn best_route<E: SiteEvaluator>(
+    planner: &Planner,
+    eval: &mut E,
+    (x, y): (NodeId, NodeId),
+) -> Result<Option<RoutePlan>, ClosureError> {
+    let mut bp = BatchPlanner::new(planner);
+    let (set, _) = bp.chains(x, y)?;
+    let mut on = Evaluation {
+        planner,
+        qstats: &mut QueryStats::default(),
+        bstats: &mut BatchStats::default(),
+        trace: None,
+        deadline: None,
+    };
+    let best = evaluate_chains(eval, &set.chains, (x, y), &mut on, true)
+        .expect("no deadline, no cancellation");
+    Ok(best.map(|b| (b.cost, set.chains[b.chain].clone(), b.waypoints)))
+}
+
+fn expired(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
+}
+
+/// What one evaluation reads besides the chains, and where it accounts.
+struct Evaluation<'a> {
+    planner: &'a Planner,
+    qstats: &'a mut QueryStats,
+    bstats: &'a mut BatchStats,
+    trace: Option<&'a mut EvalTrace>,
+    deadline: Option<Instant>,
+}
+
+/// The cheapest chain of one evaluation.
+struct BestChain {
+    cost: Cost,
+    /// Index into the evaluated chain set.
+    chain: usize,
+    /// `x, w1, …, wk, y`; empty unless asked for.
+    waypoints: Vec<NodeId>,
+}
+
+/// The endpoint subqueries of one query at one site, merged into one:
+/// every chain that starts (or ends) at `site` reads its own junction's
+/// costs out of the single sweep from `x` (or from `y`).
+struct EndpointSweep<'a> {
+    site: FragmentId,
+    /// Per adjacent fragment a chain continues to (or arrives from): where
+    /// in `nodes` the disconnection set shared with it sits.
+    legs: Vec<(FragmentId, Range<usize>)>,
+    nodes: Vec<NodeId>,
+    /// Costs between the query endpoint and each of `nodes`, once swept.
+    costs: &'a [Cost],
+}
+
+impl EndpointSweep<'_> {
+    fn at(sweeps: &mut Vec<Self>, site: FragmentId) -> &mut Self {
+        let i = sweeps
+            .iter()
+            .position(|s| s.site == site)
+            .unwrap_or_else(|| {
+                sweeps.push(EndpointSweep {
+                    site,
+                    legs: Vec::new(),
+                    nodes: Vec::new(),
+                    costs: &[],
+                });
+                sweeps.len() - 1
+            });
+        &mut sweeps[i]
+    }
+
+    fn add_leg(&mut self, other: FragmentId, nodes: &[NodeId]) {
+        if self.legs.iter().all(|(f, _)| *f != other) {
+            let start = self.nodes.len();
+            self.nodes.extend_from_slice(nodes);
+            self.legs.push((other, start..self.nodes.len()));
+        }
+    }
+
+    fn leg(sweeps: &[Self], site: FragmentId, other: FragmentId) -> &[Cost] {
+        let sweep = sweeps
+            .iter()
+            .find(|s| s.site == site)
+            .expect("every chain end was given a sweep");
+        let (_, range) = sweep
+            .legs
+            .iter()
+            .find(|(f, _)| *f == other)
+            .expect("every chain end was given a leg");
+        &sweep.costs[range.clone()]
+    }
+}
+
+/// Evaluate one query over its fragment chains: the one place a best
+/// chain is chosen. `None` is a deadline cancellation; `Some(None)` means
+/// no chain connects `x` to `y`. Among equally cheap chains the first in
+/// `chains` wins.
+fn evaluate_chains<E: SiteEvaluator>(
+    eval: &mut E,
+    chains: &[Vec<FragmentId>],
+    (x, y): (NodeId, NodeId),
+    on: &mut Evaluation<'_>,
+    want_waypoints: bool,
+) -> Option<Option<BestChain>> {
+    let planner = on.planner;
+    // What depends on the query: one sweep per distinct first fragment,
+    // one per distinct last fragment. What does not: the interior
+    // relations, looked up in (and on first use evaluated into) the memos.
+    let (mut starts, mut ends) = (Vec::new(), Vec::new());
+    let mut fills: Vec<[FragmentId; 3]> = Vec::new();
+    for c in chains {
+        let (first, last) = (c[0], c[c.len() - 1]);
+        if c.len() == 1 {
+            // Both endpoints in one fragment: the "junction" is `y`
+            // itself, filed under the fragment's own id.
+            EndpointSweep::at(&mut starts, first).add_leg(first, &[y]);
+            continue;
+        }
+        let before_last = c[c.len() - 2];
+        EndpointSweep::at(&mut starts, first).add_leg(c[1], planner.ds_between(first, c[1]));
+        EndpointSweep::at(&mut ends, last)
+            .add_leg(before_last, planner.ds_between(before_last, last));
+        for w in c.windows(3) {
+            let slot = [w[0], w[1], w[2]];
+            if eval.memo(w[1]).get(w[0], w[2]).is_some() || fills.contains(&slot) {
+                on.bstats.segments_reused += 1;
+            } else {
+                fills.push(slot);
+            }
+        }
+    }
+    let (xs, ys) = ([x], [y]);
+    let from_x = starts.iter().map(|s| SiteQueryRef {
+        site: s.site,
+        sources: &xs,
+        targets: &s.nodes,
+    });
+    let to_y = ends.iter().map(|s| SiteQueryRef {
+        site: s.site,
+        sources: &s.nodes,
+        targets: &ys,
+    });
+    let interior = fills.iter().map(|&[prev, site, next]| SiteQueryRef {
+        site,
+        sources: planner.ds_between(prev, site),
+        targets: planner.ds_between(site, next),
+    });
+    let queries: Vec<SiteQueryRef<'_>> = from_x.chain(to_y).chain(interior).collect();
+    if expired(on.deadline) {
+        return None;
+    }
+    let Some(mut results) = eval.eval_sites(&queries, on.qstats) else {
+        return Some(None);
+    };
+    on.bstats.segments_computed += queries.len();
+    let endpoints = starts.len() + ends.len();
+    for (&[prev, site, next], m) in fills.iter().zip(results.drain(endpoints..)) {
+        eval.memo(site).fill(prev, next, m);
+    }
+    for (sweep, m) in starts.iter_mut().chain(&mut ends).zip(&results) {
+        sweep.costs = m.costs();
+    }
+
+    let mut interiors: Vec<&SegmentMatrix> = Vec::new();
+    // A chain's cost if below `bound`, and on request its junctions.
+    let mut fold = |c: &[FragmentId], bound: Cost, junctions: Option<&mut Vec<usize>>| {
+        if c.len() == 1 {
+            let cost = EndpointSweep::leg(&starts, c[0], c[0])[0];
+            return (cost < bound).then_some(cost);
+        }
+        interiors.clear();
+        interiors.extend(c.windows(3).map(|w| {
+            eval.memo(w[1])
+                .get(w[0], w[2])
+                .expect("filled before the fold")
+        }));
+        assemble::fold_chain(
+            EndpointSweep::leg(&starts, c[0], c[1]),
+            &interiors,
+            EndpointSweep::leg(&ends, c[c.len() - 1], c[c.len() - 2]),
+            bound,
+            junctions,
+        )
+    };
+    let mut best: Option<(Cost, usize)> = None;
+    for (i, c) in chains.iter().enumerate() {
+        if expired(on.deadline) {
             return None;
         }
-        let chain_t0 = tr.as_ref().map(|_| std::time::Instant::now());
-        qstats.chains_evaluated += 1;
-        let l = chain.queries.len();
-        let cost = if l <= 2 {
-            // No interior: every subquery mentions an endpoint.
-            let positions: Vec<usize> = (0..l).collect();
-            let segs = eval.eval_positions(chain, &positions, &mut qstats);
-            bstats.segments_computed += segs.len();
-            assemble::chain_cost(&segs, x, y)
-        } else {
-            // The interior segments are assembled by reference from the
-            // batch cache — evaluated at most once per fragment chain,
-            // never cloned per query.
-            if !interiors.contains_key(&chain.fragments) {
-                let positions: Vec<usize> = (1..l - 1).collect();
-                let segs = eval.eval_positions(chain, &positions, &mut qstats);
-                bstats.segments_computed += segs.len();
-                interiors.insert(chain.fragments.clone(), segs);
-            } else {
-                bstats.segments_reused += l - 2;
-            }
-            let interior = &interiors[&chain.fragments];
-            let ends = eval.eval_positions(chain, &[0, l - 1], &mut qstats);
-            bstats.segments_computed += ends.len();
-            let mut segments: Vec<&Relation<PathTuple>> = Vec::with_capacity(l);
-            segments.push(&ends[0]);
-            segments.extend(interior.iter());
-            segments.push(&ends[1]);
-            assemble::chain_cost_refs(&segments, x, y)
-        };
-        if let (Some(tr), Some(t0)) = (tr.as_deref_mut(), chain_t0) {
+        let t0 = on.trace.as_ref().map(|_| Instant::now());
+        on.qstats.chains_evaluated += 1;
+        // Only a chain strictly cheaper than the best so far replaces it.
+        let bound = best.map_or(INFINITE_COST, |(b, _)| b);
+        if let Some(cost) = fold(c, bound, None) {
+            best = Some((cost, i));
+        }
+        if let (Some(tr), Some(t0)) = (on.trace.as_deref_mut(), t0) {
             tr.chains.push(ChainEval {
-                chain: chain_idx as u32,
+                chain: i as u32,
                 ns: t0.elapsed().as_nanos() as u64,
             });
         }
-        if let Some(cost) = cost {
-            if best.as_ref().is_none_or(|(b, _)| cost < *b) {
-                best = Some((cost, chain.fragments.clone()));
-            }
-        }
     }
-    let (cost, best_chain) = match best {
-        Some((c, ch)) => (Some(c), Some(ch)),
-        None => (None, None),
-    };
-    Some(QueryAnswer {
-        cost,
-        best_chain,
-        stats: qstats,
-    })
+    Some(best.map(|(cost, chain)| {
+        let mut waypoints = Vec::new();
+        if want_waypoints {
+            let c = &chains[chain];
+            let mut junctions = Vec::new();
+            fold(c, INFINITE_COST, Some(&mut junctions));
+            waypoints.push(x);
+            waypoints.extend(
+                c.windows(2)
+                    .zip(&junctions)
+                    .map(|(w, &j)| planner.ds_between(w[0], w[1])[j]),
+            );
+            waypoints.push(y);
+        }
+        BestChain {
+            cost,
+            chain,
+            waypoints,
+        }
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::SiteQuery;
-    use ds_graph::Edge;
+    use crate::executor::{run_chain, ExecutionMode};
+    use crate::local::forward_matrix;
+    use ds_graph::{Edge, ScratchDijkstra};
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -675,42 +849,103 @@ mod tests {
         )
     }
 
-    /// Counts evaluations; answers with the local border matrix over the
-    /// fragments' (symmetric) unit path graphs.
+    /// Ring 0-1-…-7-0 in four fragments, each sharing one node with the
+    /// next: every cross-ring query has a chain each way round.
+    fn four_fragment_ring() -> Fragmentation {
+        Fragmentation::new(
+            8,
+            vec![
+                edges(&[(0, 1)]),
+                edges(&[(1, 2), (2, 3)]),
+                edges(&[(3, 4), (4, 5)]),
+                edges(&[(5, 6), (6, 7), (7, 0)]),
+            ],
+            vec![vec![], vec![], vec![], vec![]],
+        )
+    }
+
+    /// A backend of plain forward sweeps over the fragments' own graphs
+    /// (no shortcuts) that counts the subqueries it is asked for and can
+    /// be told to fail.
     struct CountingEval {
-        augmented: Vec<CsrGraph>,
+        augmented: Vec<Arc<CsrGraph>>,
+        memos: Vec<SiteMemo>,
         evaluated: usize,
+        down: bool,
     }
 
     impl SiteEvaluator for CountingEval {
-        fn eval_positions(
+        fn eval_sites(
             &mut self,
-            chain: &ChainPlan,
-            positions: &[usize],
+            queries: &[SiteQueryRef<'_>],
             stats: &mut QueryStats,
-        ) -> Vec<Relation<PathTuple>> {
-            positions
-                .iter()
-                .map(|&p| {
-                    let q: &SiteQuery = &chain.queries[p];
-                    self.evaluated += 1;
-                    stats.site_queries += 1;
-                    crate::local::border_matrix(&self.augmented[q.site], &q.sources, &q.targets)
-                })
-                .collect()
+        ) -> Option<Vec<SegmentMatrix>> {
+            if self.down {
+                return None;
+            }
+            let mut scratch = ScratchDijkstra::new();
+            Some(
+                queries
+                    .iter()
+                    .map(|q| {
+                        self.evaluated += 1;
+                        stats.site_queries += 1;
+                        forward_matrix(&self.augmented[q.site], q.sources, q.targets, &mut scratch)
+                    })
+                    .collect(),
+            )
+        }
+
+        fn memo(&self, site: FragmentId) -> &SiteMemo {
+            &self.memos[site]
         }
     }
 
-    fn counting_eval(frag: &Fragmentation) -> CountingEval {
-        let augmented = frag
-            .fragments()
-            .iter()
-            .map(|f| augmented_graph(frag.node_count(), f.edges(), true, &[]))
-            .collect();
+    fn counting_eval(frag: &Fragmentation, symmetric: bool) -> CountingEval {
+        let fg = frag.fragmentation_graph();
         CountingEval {
-            augmented,
+            augmented: frag
+                .fragments()
+                .iter()
+                .map(|f| {
+                    Arc::new(augmented_graph(
+                        frag.node_count(),
+                        f.edges(),
+                        symmetric,
+                        &[],
+                    ))
+                })
+                .collect(),
+            memos: (0..frag.fragment_count())
+                .map(|f| SiteMemo::new(fg.neighbors(f)))
+                .collect(),
             evaluated: 0,
+            down: false,
         }
+    }
+
+    /// The reference evaluation: every chain as planned, swept forward
+    /// source by source, folded by hash joins.
+    fn reference_cost(
+        planner: &Planner,
+        eval: &CountingEval,
+        x: NodeId,
+        y: NodeId,
+    ) -> Option<Cost> {
+        let mut scratch = ScratchDijkstra::new();
+        let plan = planner.plan(x, y).unwrap();
+        plan.chains
+            .iter()
+            .filter_map(|chain| {
+                let (segments, _) = run_chain(
+                    &eval.augmented,
+                    chain,
+                    ExecutionMode::Sequential,
+                    &mut scratch,
+                );
+                assemble::chain_cost_refs(&segments.iter().collect::<Vec<_>>(), x, y)
+            })
+            .min()
     }
 
     #[test]
@@ -718,19 +953,24 @@ mod tests {
         let frag = three_fragment_path();
         let planner = Planner::new(&frag, 16, 8, None);
         let mut bp = BatchPlanner::new(&planner);
-        let (_, reused1) = bp.plan(n(0), n(6)).unwrap();
+        let (set, reused1) = bp.chains(n(0), n(6)).unwrap();
+        assert_eq!(set.chains, vec![vec![0, 1, 2]]);
         assert!(!reused1, "first plan computes");
-        let (_, reused2) = bp.plan(n(1), n(5)).unwrap();
+        let (_, reused2) = bp.chains(n(1), n(5)).unwrap();
         assert!(reused2, "same fragment pair reuses the chain set");
-        let (_, reused3) = bp.plan(n(0), n(1)).unwrap();
+        let (_, reused3) = bp.chains(n(0), n(1)).unwrap();
         assert!(!reused3, "different fragment pair computes");
+        assert_eq!(
+            bp.chains(n(0), n(9)).unwrap_err(),
+            ClosureError::NodeNotInAnyFragment(n(9))
+        );
     }
 
     #[test]
-    fn batch_reuses_interior_segments() {
+    fn interior_segments_are_evaluated_once_and_outlive_the_batch() {
         let frag = three_fragment_path();
         let planner = Planner::new(&frag, 16, 8, None);
-        let mut eval = counting_eval(&frag);
+        let mut eval = counting_eval(&frag, true);
         // Three cross-chain queries share the one interior subquery of the
         // length-3 chain: 1 interior + 2 endpoints x 3 queries = 7 evals,
         // not 9.
@@ -739,23 +979,113 @@ mod tests {
             .map(|&(a, b)| (n(a), n(b)).into())
             .collect();
         let batch = run_batch(&planner, &mut eval, &requests);
-        assert_eq!(batch.answers.len(), 3);
-        for (i, a) in batch.answers.iter().enumerate() {
-            assert!(a.cost.is_some(), "query {i} reachable");
-        }
-        assert_eq!(batch.answers[0].cost, Some(6), "0->6 over the unit path");
+        assert_eq!(batch.costs(), vec![Some(6), Some(4), Some(5)]);
         assert_eq!(eval.evaluated, 7, "interior segment computed once");
+        assert_eq!(batch.answers[0].stats.site_queries, 3);
+        assert_eq!(batch.answers[1].stats.site_queries, 2);
         assert_eq!(batch.stats.plans_computed, 1);
         assert_eq!(batch.stats.plans_reused, 2);
+        assert_eq!(batch.stats.segments_computed, 7);
         assert_eq!(batch.stats.segments_reused, 2);
         assert!(batch.stats.amortization() > 0.3);
+        // The memo belongs to the sites, not to the batch: a later batch
+        // pays for its two endpoint sweeps only.
+        let again = run_batch(&planner, &mut eval, &requests[..1]);
+        assert_eq!(again.costs(), vec![Some(6)]);
+        assert_eq!(eval.evaluated, 9);
+        assert_eq!(again.stats.segments_computed, 2);
+        assert_eq!(again.stats.segments_reused, 1);
+    }
+
+    #[test]
+    fn endpoint_sweeps_are_shared_by_every_chain_through_the_site() {
+        for symmetric in [true, false] {
+            let frag = four_fragment_ring();
+            let planner = Planner::new(&frag, 16, 8, None);
+            let mut eval = counting_eval(&frag, symmetric);
+            // 1 is in fragments 0 and 1, 4 in fragment 2 only: chains
+            // [0,1,2], [0,3,2], [1,2] and [1,0,3,2].
+            let req = [QueryRequest::new(n(1), n(4))];
+            let first = run_batch(&planner, &mut eval, &req);
+            let a = &first.answers[0];
+            assert_eq!(a.stats.chains_evaluated, 4);
+            assert!(a.stats.enumerated);
+            assert_eq!(a.cost, reference_cost(&planner, &eval, n(1), n(4)));
+            assert_eq!(a.cost, Some(3));
+            assert_eq!(a.best_chain, Some(vec![0, 1, 2]), "first cheapest chain");
+            // Two sweeps from x (sites 0 and 1), one from y (site 2),
+            // three distinct interior slots — [0,3,2] and [1,0,3,2] cross
+            // site 3 the same way.
+            assert_eq!(eval.evaluated, 6);
+            assert_eq!(a.stats.site_queries, 6);
+            assert_eq!(first.stats.segments_computed, 6);
+            assert_eq!(first.stats.segments_reused, 1);
+            // Warm: only what depends on the query is evaluated.
+            let warm = run_batch(&planner, &mut eval, &req);
+            assert_eq!(warm.answers[0].cost, a.cost);
+            assert_eq!(warm.answers[0].stats.site_queries, 3);
+            assert_eq!(warm.stats.segments_reused, 4);
+            // Every pair, against the reference, both ways.
+            let all: Vec<QueryRequest> = (0..8)
+                .flat_map(|x| (0..8).map(move |y| QueryRequest::new(n(x), n(y))))
+                .collect();
+            let batch = run_batch(&planner, &mut eval, &all);
+            for (r, a) in all.iter().zip(&batch.answers) {
+                let want = if r.source == r.target {
+                    Some(0)
+                } else {
+                    reference_cost(&planner, &eval, r.source, r.target)
+                };
+                assert_eq!(a.cost, want, "symmetric={symmetric} {r:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn route_waypoints_are_the_junctions_of_the_best_chain() {
+        let frag = three_fragment_path();
+        let planner = Planner::new(&frag, 16, 8, None);
+        let mut eval = counting_eval(&frag, true);
+        let (cost, chain, waypoints) = best_route(&planner, &mut eval, (n(0), n(6)))
+            .unwrap()
+            .unwrap();
+        assert_eq!((cost, chain), (6, vec![0, 1, 2]));
+        assert_eq!(waypoints, vec![n(0), n(2), n(4), n(6)]);
+        // An endpoint on a border is its own junction: one waypoint per
+        // site boundary all the same, so legs and sites stay aligned.
+        let (_, chain, waypoints) = best_route(&planner, &mut eval, (n(2), n(5)))
+            .unwrap()
+            .unwrap();
+        assert_eq!(chain, vec![0, 1, 2]);
+        assert_eq!(waypoints, vec![n(2), n(2), n(4), n(5)]);
+        let (_, chain, waypoints) = best_route(&planner, &mut eval, (n(0), n(1)))
+            .unwrap()
+            .unwrap();
+        assert_eq!((chain, waypoints), (vec![0], vec![n(0), n(1)]));
+        assert!(best_route(&planner, &mut eval, (n(0), n(9))).is_err());
+    }
+
+    #[test]
+    fn a_failed_site_round_answers_unreachable_and_memoizes_nothing() {
+        let frag = three_fragment_path();
+        let planner = Planner::new(&frag, 16, 8, None);
+        let mut eval = counting_eval(&frag, true);
+        eval.down = true;
+        let batch = run_batch(&planner, &mut eval, &[QueryRequest::new(n(0), n(6))]);
+        assert_eq!(batch.answers[0].cost, None);
+        assert_eq!(batch.stats.segments_computed, 0);
+        assert_eq!(eval.memos[1].filled(), 0);
+        eval.down = false;
+        let batch = run_batch(&planner, &mut eval, &[QueryRequest::new(n(0), n(6))]);
+        assert_eq!(batch.answers[0].cost, Some(6));
+        assert_eq!(eval.memos[1].filled(), 1);
     }
 
     #[test]
     fn batch_same_node_and_unknown_node() {
         let frag = Fragmentation::new(3, vec![edges(&[(0, 1)])], vec![vec![]]);
         let planner = Planner::new(&frag, 16, 8, None);
-        let mut eval = counting_eval(&frag);
+        let mut eval = counting_eval(&frag, true);
         let requests = vec![QueryRequest::new(n(1), n(1)), QueryRequest::new(n(0), n(2))];
         let batch = run_batch(&planner, &mut eval, &requests);
         assert_eq!(batch.answers[0].cost, Some(0));
@@ -766,6 +1096,25 @@ mod tests {
     }
 
     #[test]
+    fn an_expired_deadline_cancels_before_any_site_work() {
+        let frag = three_fragment_path();
+        let planner = Planner::new(&frag, 16, 8, None);
+        let mut eval = counting_eval(&frag, true);
+        let requests = vec![QueryRequest::new(n(0), n(6)), QueryRequest::new(n(1), n(5))];
+        let bounded = run_batch_bounded(
+            &planner,
+            &mut eval,
+            &requests,
+            &[],
+            None,
+            &[Some(Instant::now()), None],
+        );
+        assert!(bounded.answers[0].is_none(), "deadline already passed");
+        assert_eq!(bounded.answers[1].as_ref().unwrap().cost, Some(4));
+        assert_eq!(eval.evaluated, 3, "only the second request was evaluated");
+    }
+
+    #[test]
     fn traced_batch_matches_untraced_and_times_chains() {
         let frag = three_fragment_path();
         let planner = Planner::new(&frag, 16, 8, None);
@@ -773,12 +1122,12 @@ mod tests {
             .iter()
             .map(|&(a, b)| (n(a), n(b)).into())
             .collect();
-        let plain = run_batch(&planner, &mut counting_eval(&frag), &requests);
+        let plain = run_batch(&planner, &mut counting_eval(&frag, true), &requests);
         let traces: Vec<TraceId> = (1..=3).map(TraceId).collect();
         let mut sink = Vec::new();
         let traced = run_batch_traced(
             &planner,
-            &mut counting_eval(&frag),
+            &mut counting_eval(&frag, true),
             &requests,
             &traces,
             Some(&mut sink),
@@ -802,13 +1151,15 @@ mod tests {
             seen: Vec<TraceId>,
         }
         impl SiteEvaluator for SpyEval {
-            fn eval_positions(
+            fn eval_sites(
                 &mut self,
-                chain: &ChainPlan,
-                positions: &[usize],
+                queries: &[SiteQueryRef<'_>],
                 stats: &mut QueryStats,
-            ) -> Vec<Relation<PathTuple>> {
-                self.inner.eval_positions(chain, positions, stats)
+            ) -> Option<Vec<SegmentMatrix>> {
+                self.inner.eval_sites(queries, stats)
+            }
+            fn memo(&self, site: FragmentId) -> &SiteMemo {
+                self.inner.memo(site)
             }
             fn begin_query(&mut self, trace: TraceId) {
                 self.seen.push(trace);
@@ -818,7 +1169,7 @@ mod tests {
         let planner = Planner::new(&frag, 16, 8, None);
         let requests = vec![QueryRequest::new(n(0), n(6)), QueryRequest::new(n(1), n(4))];
         let mut eval = SpyEval {
-            inner: counting_eval(&frag),
+            inner: counting_eval(&frag, true),
             seen: Vec::new(),
         };
         run_batch_traced(

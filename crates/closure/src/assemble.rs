@@ -1,25 +1,91 @@
 //! Final assembly: "a sequence of binary joins between a number of very
 //! small relations" (§2.1).
 //!
-//! Phase one leaves one small `(entry, exit, cost)` relation per site on
-//! the chain. The answer is the min-plus fold of those relations; the
-//! junction nodes that achieve the minimum are recovered with a dynamic
-//! program over the same relations (for route reconstruction).
+//! Phase one leaves one small relation per site on the chain. A query has
+//! a single source, so the min-plus fold of those relations is a row
+//! vector (the costs from `x` to the first junction) carried through each
+//! interior relation's matrix and met with the column vector of costs
+//! from the last junction to `y` — [`fold_chain`], which can also report
+//! the junction nodes that achieve the minimum (for route
+//! reconstruction).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 
-use ds_graph::{Cost, NodeId};
+use ds_graph::{Cost, NodeId, INFINITE_COST};
 use ds_relation::join::compose_min_plus;
 use ds_relation::{PathTuple, Relation};
 
-/// Fold the chain's segment relations into an end-to-end relation and
-/// read the `(x, y)` cost.
-pub fn chain_cost(segments: &[Relation<PathTuple>], x: NodeId, y: NodeId) -> Option<Cost> {
-    chain_cost_refs(&segments.iter().collect::<Vec<_>>(), x, y)
+use crate::local::SegmentMatrix;
+
+/// Fold one chain for one `(x, y)`: `start[j]` is the cost from `x` to
+/// the `j`-th node of the first junction, each interior relation maps the
+/// costs at one junction to the next, and `end[j]` is the cost from the
+/// `j`-th node of the last junction to `y`. Returns the cheapest total
+/// if it is below `bound` — costs only grow along a chain, so a partial
+/// path already at `bound` is dropped where it stands, and a caller that
+/// passes the best cost found so far pays little for the chains that
+/// cannot beat it. [`INFINITE_COST`] bounds nothing.
+///
+/// With `junctions`, also reports which node of each junction (by
+/// position in its disconnection set, first junction first) the cheapest
+/// path crosses; among equally cheap crossings the lowest position wins.
+pub fn fold_chain(
+    start: &[Cost],
+    interiors: &[&SegmentMatrix],
+    end: &[Cost],
+    bound: Cost,
+    junctions: Option<&mut Vec<usize>>,
+) -> Option<Cost> {
+    let mut at = Cow::Borrowed(start);
+    // Per interior and exit position: the entry position that reached it
+    // cheapest. Only kept when the crossing is asked for.
+    let mut entered: Vec<Vec<usize>> = Vec::new();
+    for m in interiors {
+        debug_assert_eq!(m.rows(), at.len());
+        let mut next = vec![INFINITE_COST; m.cols()];
+        let mut from = vec![0; if junctions.is_some() { m.cols() } else { 0 }];
+        for (i, &so_far) in at.iter().enumerate() {
+            if so_far >= bound {
+                continue;
+            }
+            for (j, &step) in m.row(i).iter().enumerate() {
+                // Both terms are at most INFINITE_COST: the sum cannot wrap.
+                if so_far + step < next[j] {
+                    next[j] = so_far + step;
+                    if let Some(f) = from.get_mut(j) {
+                        *f = i;
+                    }
+                }
+            }
+        }
+        entered.push(from);
+        at = Cow::Owned(next);
+    }
+    debug_assert_eq!(at.len(), end.len());
+    let (mut best, mut exit) = (bound, 0);
+    for (j, (&so_far, &rest)) in at.iter().zip(end).enumerate() {
+        if so_far + rest < best {
+            (best, exit) = (so_far + rest, j);
+        }
+    }
+    if best >= bound {
+        return None;
+    }
+    if let Some(out) = junctions {
+        out.clear();
+        out.push(exit);
+        for from in entered.iter().rev() {
+            exit = from[exit];
+            out.push(exit);
+        }
+        out.reverse();
+    }
+    Some(best)
 }
 
-/// [`chain_cost`] over borrowed segments — lets batch evaluation fold
-/// cached interior relations without cloning them per query.
+/// Fold the chain's segment relations by hash joins into an end-to-end
+/// relation and read the `(x, y)` cost — the reference for
+/// [`fold_chain`].
 pub fn chain_cost_refs(segments: &[&Relation<PathTuple>], x: NodeId, y: NodeId) -> Option<Cost> {
     let mut acc = (*segments.first()?).clone();
     for seg in &segments[1..] {
@@ -31,62 +97,11 @@ pub fn chain_cost_refs(segments: &[&Relation<PathTuple>], x: NodeId, y: NodeId) 
     acc.cost_of(x, y)
 }
 
-/// Recover the cheapest junction sequence `x, w1, …, wk, y` through the
-/// segment relations, with its total cost. The `wi` are the disconnection
-/// set nodes the optimal path crosses — the paper's border cities.
-pub fn best_waypoints(
-    segments: &[Relation<PathTuple>],
-    x: NodeId,
-    y: NodeId,
-) -> Option<(Cost, Vec<NodeId>)> {
-    // DP layer: node -> (cost from x, waypoints so far including node).
-    let mut layer: HashMap<NodeId, (Cost, Vec<NodeId>)> = HashMap::new();
-    for t in segments.first()?.rows() {
-        if t.src != x {
-            continue;
-        }
-        let entry = layer.entry(t.dst).or_insert((t.cost, vec![x, t.dst]));
-        if t.cost < entry.0 {
-            *entry = (t.cost, vec![x, t.dst]);
-        }
-    }
-    for seg in &segments[1..] {
-        let mut next: HashMap<NodeId, (Cost, Vec<NodeId>)> = HashMap::new();
-        for t in seg.rows() {
-            let Some((c0, path0)) = layer.get(&t.src) else {
-                continue;
-            };
-            let cand = c0 + t.cost;
-            match next.get_mut(&t.dst) {
-                Some(best) if best.0 <= cand => {}
-                slot => {
-                    let mut path = path0.clone();
-                    path.push(t.dst);
-                    match slot {
-                        Some(best) => *best = (cand, path),
-                        None => {
-                            next.insert(t.dst, (cand, path));
-                        }
-                    }
-                }
-            }
-        }
-        layer = next;
-        if layer.is_empty() {
-            return None;
-        }
-    }
-    let (cost, mut waypoints) = layer.remove(&y)?;
-    // The first segment's source and subsequent layers append dst, so the
-    // final node is y already; dedup consecutive repeats (x may equal a
-    // border node when the query starts on a border).
-    waypoints.dedup();
-    Some((cost, waypoints))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::local::{augmented_graph, forward_matrix};
+    use ds_graph::{Edge, ScratchDijkstra};
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -101,13 +116,19 @@ mod tests {
         )
     }
 
-    #[test]
-    fn single_segment_chain() {
-        let s = seg("s", &[(0, 9, 4)]);
-        assert_eq!(chain_cost(std::slice::from_ref(&s), n(0), n(9)), Some(4));
-        let (c, w) = best_waypoints(&[s], n(0), n(9)).unwrap();
-        assert_eq!(c, 4);
-        assert_eq!(w, vec![n(0), n(9)]);
+    /// The dense form of a relation given as direct edges.
+    fn matrix(rows: &[(u32, u32, u64)], sources: &[u32], targets: &[u32]) -> SegmentMatrix {
+        let edges: Vec<Edge> = rows
+            .iter()
+            .map(|&(s, d, c)| Edge::new(n(s), n(d), c))
+            .collect();
+        let ids = |v: &[u32]| v.iter().map(|&i| n(i)).collect::<Vec<_>>();
+        forward_matrix(
+            &augmented_graph(10, &edges, false, &[]),
+            &ids(sources),
+            &ids(targets),
+            &mut ScratchDijkstra::new(),
+        )
     }
 
     #[test]
@@ -115,46 +136,85 @@ mod tests {
         // Junctions 5 and 6; route via 6 is cheaper in total.
         let s1 = seg("s1", &[(0, 5, 1), (0, 6, 2)]);
         let s2 = seg("s2", &[(5, 9, 10), (6, 9, 3)]);
-        assert_eq!(chain_cost(&[s1.clone(), s2.clone()], n(0), n(9)), Some(5));
-        let (c, w) = best_waypoints(&[s1, s2], n(0), n(9)).unwrap();
-        assert_eq!(c, 5);
-        assert_eq!(w, vec![n(0), n(6), n(9)]);
+        assert_eq!(chain_cost_refs(&[&s1, &s2], n(0), n(9)), Some(5));
+        let mut junctions = Vec::new();
+        assert_eq!(
+            fold_chain(&[1, 2], &[], &[10, 3], INFINITE_COST, Some(&mut junctions)),
+            Some(5)
+        );
+        assert_eq!(junctions, vec![1], "crosses the second junction node");
     }
 
     #[test]
     fn broken_chain_is_none() {
         let s1 = seg("s1", &[(0, 5, 1)]);
         let s2 = seg("s2", &[(6, 9, 1)]); // junction mismatch
-        assert_eq!(chain_cost(&[s1.clone(), s2.clone()], n(0), n(9)), None);
-        assert_eq!(best_waypoints(&[s1, s2], n(0), n(9)), None);
+        assert_eq!(chain_cost_refs(&[&s1, &s2], n(0), n(9)), None);
+        // The same chain densely, over the junction [5, 6].
+        assert_eq!(
+            fold_chain(
+                &[1, INFINITE_COST],
+                &[],
+                &[INFINITE_COST, 1],
+                INFINITE_COST,
+                None
+            ),
+            None
+        );
     }
 
     #[test]
-    fn waypoints_match_chain_cost_on_three_segments() {
-        let s1 = seg("s1", &[(0, 1, 2), (0, 2, 1)]);
-        let s2 = seg("s2", &[(1, 3, 1), (2, 3, 5), (2, 4, 1)]);
-        let s3 = seg("s3", &[(3, 9, 1), (4, 9, 4)]);
-        let segs = [s1, s2, s3];
-        let cost = chain_cost(&segs, n(0), n(9)).unwrap();
-        let (wcost, w) = best_waypoints(&segs, n(0), n(9)).unwrap();
-        assert_eq!(cost, wcost);
-        assert_eq!(cost, 4); // 0-1 (2), 1-3 (1), 3-9 (1)
-        assert_eq!(w, vec![n(0), n(1), n(3), n(9)]);
+    fn fold_matches_the_join_on_three_segments() {
+        let rows1 = [(0, 1, 2), (0, 2, 1)];
+        let rows2 = [(1, 3, 1), (2, 3, 5), (2, 4, 1)];
+        let rows3 = [(3, 9, 1), (4, 9, 4)];
+        let (s1, s2, s3) = (seg("s1", &rows1), seg("s2", &rows2), seg("s3", &rows3));
+        let joined = chain_cost_refs(&[&s1, &s2, &s3], n(0), n(9));
+        assert_eq!(joined, Some(4)); // 0-1 (2), 1-3 (1), 3-9 (1)
+        let start = matrix(&rows1, &[0], &[1, 2]);
+        let interior = matrix(&rows2, &[1, 2], &[3, 4]);
+        let end = matrix(&rows3, &[3, 4], &[9]);
+        let mut junctions = Vec::new();
+        assert_eq!(
+            fold_chain(
+                start.costs(),
+                &[&interior],
+                end.costs(),
+                INFINITE_COST,
+                Some(&mut junctions)
+            ),
+            joined
+        );
+        assert_eq!(junctions, vec![0, 0], "via node 1, then node 3");
+        let fold = |bound| fold_chain(start.costs(), &[&interior], end.costs(), bound, None);
+        assert_eq!(
+            fold(INFINITE_COST),
+            joined,
+            "asking for the crossing changes no cost"
+        );
+        assert_eq!(fold(5), joined, "a bound above the cost changes nothing");
+        assert_eq!(fold(4), None, "the cost must be strictly below the bound");
+    }
+
+    #[test]
+    fn equal_crossings_take_the_lowest_position() {
+        let mut junctions = Vec::new();
+        assert_eq!(
+            fold_chain(
+                &[2, 1, 2],
+                &[],
+                &[1, 2, 1],
+                INFINITE_COST,
+                Some(&mut junctions)
+            ),
+            Some(3)
+        );
+        assert_eq!(junctions, vec![0]);
     }
 
     #[test]
     fn empty_segment_list() {
-        assert_eq!(chain_cost(&[], n(0), n(1)), None);
-        assert_eq!(best_waypoints(&[], n(0), n(1)), None);
-    }
-
-    #[test]
-    fn source_on_border_dedups_waypoints() {
-        // x itself is the junction node.
-        let s1 = seg("s1", &[(5, 5, 0)]);
-        let s2 = seg("s2", &[(5, 9, 2)]);
-        let (c, w) = best_waypoints(&[s1, s2], n(5), n(9)).unwrap();
-        assert_eq!(c, 2);
-        assert_eq!(w, vec![n(5), n(9)]);
+        assert_eq!(chain_cost_refs(&[], n(0), n(1)), None);
+        assert_eq!(fold_chain(&[], &[], &[], INFINITE_COST, None), None);
     }
 }

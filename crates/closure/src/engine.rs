@@ -92,6 +92,27 @@ pub struct QueryAnswer {
     pub stats: QueryStats,
 }
 
+impl QueryAnswer {
+    /// The answer for a pair no chain connects.
+    pub fn unreachable() -> Self {
+        QueryAnswer {
+            cost: None,
+            best_chain: None,
+            stats: QueryStats::default(),
+        }
+    }
+}
+
+impl QueryStats {
+    /// Account one site subquery performed for this query.
+    pub fn record_site_run(&mut self, tuples: usize, busy: Duration) {
+        self.site_queries += 1;
+        self.tuples_shipped += tuples;
+        self.total_site_busy += busy;
+        self.max_site_busy = self.max_site_busy.max(busy);
+    }
+}
+
 /// A fully reconstructed route.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Route {

@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 use ds_graph::{CsrGraph, ScratchDijkstra};
 use ds_relation::{PathTuple, Relation};
 
-use crate::local::border_matrix_with;
-use crate::planner::{ChainPlan, SiteQuery};
+use crate::local::{forward_matrix, SegmentMatrix};
+use crate::planner::{ChainPlan, SiteQuery, SiteQueryRef};
 
 /// Sequential or site-parallel phase one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -39,61 +39,71 @@ pub struct SiteRun {
     pub tuples: usize,
 }
 
-/// Evaluate every subquery of a chain. Returns the segment relations (in
-/// chain order) and per-site accounting.
+/// Run independent site subqueries with `kernel`, returning each one's
+/// result and accounting in order.
 ///
 /// Sequential mode runs every subquery on `scratch`, so a caller that
-/// keeps one scratch across chains/queries performs no per-subquery O(V)
+/// keeps one scratch across queries performs no per-subquery O(V)
 /// allocations. Parallel mode gives each site thread its own fresh
 /// scratch (stamped arrays cannot be shared across threads — exactly as
 /// each real site owns its memory).
+pub(crate) fn run_sites<K>(
+    queries: &[SiteQueryRef<'_>],
+    mode: ExecutionMode,
+    scratch: &mut ScratchDijkstra,
+    kernel: K,
+) -> Vec<(SegmentMatrix, SiteRun)>
+where
+    K: Fn(&SiteQueryRef<'_>, &mut ScratchDijkstra) -> SegmentMatrix + Sync,
+{
+    let run_one = |q: &SiteQueryRef<'_>, scratch: &mut ScratchDijkstra| {
+        let start = Instant::now();
+        let m = kernel(q, scratch);
+        let run = SiteRun {
+            site: q.site,
+            busy: start.elapsed(),
+            tuples: m.tuples(),
+        };
+        (m, run)
+    };
+    match mode {
+        ExecutionMode::Sequential => queries.iter().map(|q| run_one(q, scratch)).collect(),
+        ExecutionMode::Parallel => std::thread::scope(|s| {
+            let run_one = &run_one;
+            let handles: Vec<_> = queries
+                .iter()
+                .map(|q| s.spawn(move || run_one(q, &mut ScratchDijkstra::new())))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("site thread panicked"))
+                .collect()
+        }),
+    }
+}
+
+/// Evaluate every subquery of a chain exactly as planned — one forward
+/// sweep per source node, nothing shared between chains. Returns the
+/// segment relations (in chain order) and per-site accounting.
+///
+/// This is the reference phase one: the engine's evaluator
+/// ([`crate::api::run_batch`]) answers the same queries with fewer
+/// sweeps and is tested against this plus
+/// [`crate::assemble::chain_cost_refs`].
 pub fn run_chain(
     augmented: &[Arc<CsrGraph>],
     chain: &ChainPlan,
     mode: ExecutionMode,
     scratch: &mut ScratchDijkstra,
 ) -> (Vec<Relation<PathTuple>>, Vec<SiteRun>) {
-    match mode {
-        ExecutionMode::Sequential => chain
-            .queries
-            .iter()
-            .map(|q| run_one(augmented, q, scratch))
-            .unzip(),
-        ExecutionMode::Parallel => {
-            let results: Vec<(Relation<PathTuple>, SiteRun)> = std::thread::scope(|s| {
-                let handles: Vec<_> = chain
-                    .queries
-                    .iter()
-                    .map(|q| {
-                        s.spawn(move || {
-                            let mut local = ScratchDijkstra::new();
-                            run_one(augmented, q, &mut local)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("site thread panicked"))
-                    .collect()
-            });
-            results.into_iter().unzip()
-        }
-    }
-}
-
-fn run_one(
-    augmented: &[Arc<CsrGraph>],
-    q: &SiteQuery,
-    scratch: &mut ScratchDijkstra,
-) -> (Relation<PathTuple>, SiteRun) {
-    let start = Instant::now();
-    let rel = border_matrix_with(&augmented[q.site], &q.sources, &q.targets, scratch);
-    let run = SiteRun {
-        site: q.site,
-        busy: start.elapsed(),
-        tuples: rel.len(),
-    };
-    (rel, run)
+    let queries: Vec<SiteQueryRef<'_>> = chain.queries.iter().map(SiteQuery::as_ref).collect();
+    run_sites(&queries, mode, scratch, |q, scratch| {
+        forward_matrix(&augmented[q.site], q.sources, q.targets, scratch)
+    })
+    .into_iter()
+    .zip(&queries)
+    .map(|((m, run), q)| (m.to_relation(q.sources, q.targets), run))
+    .unzip()
 }
 
 #[cfg(test)]

@@ -12,7 +12,9 @@
 //! 3. **Evaluate locally**, one independent subquery per fragment on the
 //!    chain, with *no communication*: each site computes a very small
 //!    border-to-border distance relation on its fragment augmented with
-//!    its complementary shortcuts — [`local`], [`executor`].
+//!    its complementary shortcuts — [`local`], [`executor`]. The
+//!    subqueries of the chains' interior sites mention no query endpoint
+//!    and are evaluated once per epoch — [`memo`].
 //! 4. **Assemble**: fold the small relations with min-plus joins and read
 //!    off the answer — [`assemble`].
 //!
@@ -52,6 +54,7 @@ pub mod engine;
 pub mod error;
 pub mod executor;
 pub mod local;
+pub mod memo;
 pub mod phe;
 pub mod planner;
 pub mod snapshot;

@@ -10,10 +10,10 @@
 //! `x → DS(f0,f1)` at site f0, `DS(fi-1,fi) → DS(fi,fi+1)` at the
 //! intermediate sites, and `DS(fk-1,fk) → y` at site fk.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use ds_fragment::{FragmentId, Fragmentation, FragmentationGraph};
-use ds_graph::{BitSet, NodeId};
+use ds_graph::NodeId;
 
 use crate::error::ClosureError;
 
@@ -26,6 +26,27 @@ pub struct SiteQuery {
     pub sources: Vec<NodeId>,
     /// Exit nodes (the downstream disconnection set, or the query target).
     pub targets: Vec<NodeId>,
+}
+
+impl SiteQuery {
+    /// The same subquery with its node lists borrowed.
+    pub fn as_ref(&self) -> SiteQueryRef<'_> {
+        SiteQueryRef {
+            site: self.site,
+            sources: &self.sources,
+            targets: &self.targets,
+        }
+    }
+}
+
+/// A site subquery over borrowed node lists — what the evaluator hands a
+/// backend, so the planner's disconnection sets are never copied per
+/// query.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SiteQueryRef<'a> {
+    pub site: FragmentId,
+    pub sources: &'a [NodeId],
+    pub targets: &'a [NodeId],
 }
 
 /// A chain of fragments with its site subqueries.
@@ -47,7 +68,11 @@ pub struct QueryPlan {
 /// Planner over a fixed fragmentation.
 #[derive(Clone, Debug)]
 pub struct Planner {
-    membership: Vec<BitSet>,
+    /// Per node, the index into `classes` of its fragment set.
+    class_of: Vec<u32>,
+    /// The distinct fragment sets nodes belong to, each ascending;
+    /// `classes[0]` is the empty set (a node in no fragment).
+    classes: Vec<Vec<FragmentId>>,
     frag_graph: FragmentationGraph,
     ds: BTreeMap<(FragmentId, FragmentId), Vec<NodeId>>,
     max_chains: usize,
@@ -65,8 +90,26 @@ impl Planner {
         max_chain_len: usize,
         hub: Option<FragmentId>,
     ) -> Self {
+        let mut members: Vec<Vec<FragmentId>> = vec![Vec::new(); frag.node_count()];
+        for f in frag.fragments() {
+            for &v in f.nodes() {
+                members[v.index()].push(f.id());
+            }
+        }
+        let mut classes = vec![Vec::new()];
+        let mut index: HashMap<Vec<FragmentId>, u32> = HashMap::from([(Vec::new(), 0)]);
+        let class_of = members
+            .into_iter()
+            .map(|set| {
+                *index.entry(set).or_insert_with_key(|set| {
+                    classes.push(set.clone());
+                    (classes.len() - 1) as u32
+                })
+            })
+            .collect();
         Planner {
-            membership: frag.node_membership(),
+            class_of,
+            classes,
             frag_graph: frag.fragmentation_graph(),
             ds: frag.disconnection_sets(),
             max_chains,
@@ -75,14 +118,17 @@ impl Planner {
         }
     }
 
-    /// Fragments containing a node.
-    pub fn fragments_of(&self, v: NodeId) -> Vec<FragmentId> {
-        self.membership
-            .iter()
-            .enumerate()
-            .filter(|(_, bs)| bs.contains(v.index()))
-            .map(|(f, _)| f)
-            .collect()
+    /// Fragments containing a node, ascending.
+    pub fn fragments_of(&self, v: NodeId) -> &[FragmentId] {
+        &self.classes[self.membership_class(v) as usize]
+    }
+
+    /// An id for the fragment *set* of `v`: two nodes get the same id
+    /// exactly when [`Planner::fragments_of`] agrees on them, so chain
+    /// sets — which depend only on the endpoints' fragment sets — can be
+    /// cached under a pair of ids.
+    pub fn membership_class(&self, v: NodeId) -> u32 {
+        self.class_of.get(v.index()).copied().unwrap_or(0)
     }
 
     /// The disconnection set between two fragments (empty if none).
@@ -106,7 +152,7 @@ impl Planner {
         if fy.is_empty() {
             return Err(ClosureError::NodeNotInAnyFragment(y));
         }
-        let (fragment_chains, enumerated) = self.chain_sets(&fx, &fy);
+        let (fragment_chains, enumerated) = self.chain_sets(fx, fy);
         let chains = fragment_chains
             .into_iter()
             .filter_map(|c| self.instantiate_chain(&c, x, y))
@@ -123,7 +169,8 @@ impl Planner {
     /// every query with those endpoints' fragments (see
     /// [`crate::api::BatchPlanner`]). The second return value reports
     /// whether multi-chain enumeration was needed (cyclic fragmentation
-    /// graph).
+    /// graph). A chain with an empty junction disconnection set cannot
+    /// carry a path and is left out.
     pub fn chain_sets(&self, fx: &[FragmentId], fy: &[FragmentId]) -> (Vec<Vec<FragmentId>>, bool) {
         let mut fragment_chains: BTreeSet<Vec<FragmentId>> = BTreeSet::new();
         let mut enumerated = false;
@@ -154,7 +201,14 @@ impl Planner {
                 }
             }
         }
-        (fragment_chains.into_iter().collect(), enumerated)
+        let usable = |c: &Vec<FragmentId>| {
+            c.windows(2)
+                .all(|w| !self.ds_between(w[0], w[1]).is_empty())
+        };
+        (
+            fragment_chains.into_iter().filter(usable).collect(),
+            enumerated,
+        )
     }
 
     /// Turn a fragment chain into site subqueries. Returns `None` when a

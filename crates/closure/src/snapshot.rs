@@ -23,8 +23,9 @@
 //!
 //! ## Structural sharing
 //!
-//! Every per-site component — each augmented graph, each real-hop set,
-//! and (inside [`ComplementaryInfo`]) each shortcut table — lives behind
+//! Every per-site component — each augmented graph, each segment memo,
+//! each real-hop set, and (inside [`ComplementaryInfo`]) each shortcut
+//! table — lives behind
 //! its own `Arc`, as do the whole-graph pieces (global graph,
 //! fragmentation, planner). Cloning a snapshot therefore costs O(sites)
 //! refcount bumps, not a deep copy: that is what makes the serve
@@ -39,20 +40,19 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use ds_fragment::{FragmentId, Fragmentation};
-use ds_graph::{Cost, CsrGraph, NodeId, ReachIndex, ScratchDijkstra};
-use ds_relation::{PathTuple, Relation};
+use ds_graph::{CsrGraph, NodeId, ReachIndex, ScratchDijkstra};
 
 use crate::api::{
-    build_parts, run_batch, BatchAnswer, EngineParts, NetworkUpdate, QueryRequest, RealHopSet,
-    SiteEvaluator,
+    best_route, build_parts, run_batch, BatchAnswer, EngineParts, NetworkUpdate, QueryRequest,
+    RealHopSet, SiteEvaluator,
 };
-use crate::assemble;
 use crate::complementary::{ComplementaryInfo, PrecomputeStats};
 use crate::engine::{EngineConfig, QueryAnswer, QueryStats, Route};
 use crate::error::ClosureError;
-use crate::executor::run_chain;
-use crate::local::augmented_graph;
-use crate::planner::{ChainPlan, Planner};
+use crate::executor::{run_sites, ExecutionMode};
+use crate::local::{border_matrix_with, SegmentMatrix, SiteGraph};
+use crate::memo::SiteMemo;
+use crate::planner::{Planner, SiteQueryRef};
 use crate::updates::{ConnectivityEffect, UpdateReport};
 
 /// The immutable, shareable state of a deployed engine: the global
@@ -71,8 +71,14 @@ pub struct EngineSnapshot {
     symmetric: bool,
     cfg: EngineConfig,
     comp: ComplementaryInfo,
-    /// Per site, behind its own `Arc`: the site's augmented local graph.
-    augmented: Vec<Arc<CsrGraph>>,
+    /// Per site, behind its own `Arc`: the site's augmented local graph
+    /// (and, on directed networks, its lazily built transpose).
+    augmented: Vec<Arc<SiteGraph>>,
+    /// Per site, behind its own `Arc`: the interior segment relations
+    /// evaluated so far on that site's augmented graph. Always replaced
+    /// together with `augmented[f]`, so a memo never outlives the graph
+    /// it was computed on.
+    memos: Vec<Arc<SiteMemo>>,
     /// Per site, behind its own `Arc`: the real (non-shortcut) hops
     /// available locally, with costs — used to tell shortcut hops apart
     /// during route expansion.
@@ -149,7 +155,12 @@ impl EngineSnapshot {
             symmetric,
             cfg,
             comp: parts.comp,
-            augmented: parts.augmented,
+            augmented: parts
+                .augmented
+                .into_iter()
+                .map(|g| Arc::new(SiteGraph::new(g, symmetric)))
+                .collect(),
+            memos: fresh_memos(&parts.planner),
             real_hops: parts.real_hops,
             planner: parts.planner,
             reach,
@@ -183,7 +194,7 @@ impl EngineSnapshot {
         let mut augmented = Vec::with_capacity(frag.fragment_count());
         let mut real_hops = Vec::with_capacity(frag.fragment_count());
         for f in frag.fragments() {
-            augmented.push(Arc::new(augmented_graph(
+            augmented.push(Arc::new(SiteGraph::build(
                 n,
                 f.edges(),
                 symmetric,
@@ -199,6 +210,7 @@ impl EngineSnapshot {
             cfg,
             comp,
             augmented,
+            memos: fresh_memos(&planner),
             real_hops,
             planner,
             reach,
@@ -208,7 +220,8 @@ impl EngineSnapshot {
 
     /// A deep copy that shares **nothing** with `self`: every component —
     /// global graph, fragmentation, planner, per-site augmented graphs,
-    /// real-hop sets and shortcut tables — gets a fresh allocation.
+    /// segment memos, real-hop sets and shortcut tables — gets a fresh
+    /// allocation.
     ///
     /// This is exactly what a per-epoch publication cost before
     /// structural sharing; the serve bench uses it as the baseline of the
@@ -225,8 +238,14 @@ impl EngineSnapshot {
             augmented: self
                 .augmented
                 .iter()
-                .map(|g| Arc::new((**g).clone()))
+                .map(|g| {
+                    Arc::new(SiteGraph::new(
+                        Arc::new((**g.forward()).clone()),
+                        self.symmetric,
+                    ))
+                })
                 .collect(),
+            memos: self.memos.iter().map(|m| Arc::new((**m).clone())).collect(),
             real_hops: self
                 .real_hops
                 .iter()
@@ -281,7 +300,22 @@ impl EngineSnapshot {
     /// whose handles are `Arc::ptr_eq` physically share that site's
     /// graph — the structural-sharing contract across epochs.
     pub fn augmented_handle(&self, f: FragmentId) -> &Arc<CsrGraph> {
-        &self.augmented[f]
+        self.augmented[f].forward()
+    }
+
+    /// The shared handle behind site `f`'s segment memo: the interior
+    /// chain relations evaluated so far on that site's augmented graph.
+    /// It is replaced (by an empty one) exactly when the augmented graph
+    /// is, and `Arc::ptr_eq` across epochs otherwise — so what one epoch
+    /// evaluated, every later epoch that did not touch the site reads.
+    pub fn memo_handle(&self, f: FragmentId) -> &Arc<SiteMemo> {
+        &self.memos[f]
+    }
+
+    /// Heap bytes held by the segment memos' evaluated slots, over all
+    /// sites (shared memos counted in every epoch that holds them).
+    pub fn segment_memo_bytes(&self) -> usize {
+        self.memos.iter().map(|m| m.memory_bytes()).sum()
     }
 
     /// The shared handle behind site `f`'s real-hop set.
@@ -339,8 +373,8 @@ impl EngineSnapshot {
 
     // --- queries (&self + caller-owned scratch) ------------------------
 
-    /// Shortest-path cost from `x` to `y` on `scratch`. Nodes outside
-    /// every fragment yield an unreachable answer; see
+    /// Shortest-path cost from `x` to `y` on `scratch` — a batch of one.
+    /// Nodes outside every fragment yield an unreachable answer; see
     /// [`EngineSnapshot::try_shortest_path`] for the strict variant.
     pub fn shortest_path(
         &self,
@@ -348,12 +382,10 @@ impl EngineSnapshot {
         y: NodeId,
         scratch: &mut ScratchDijkstra,
     ) -> QueryAnswer {
-        self.try_shortest_path(x, y, scratch)
-            .unwrap_or(QueryAnswer {
-                cost: None,
-                best_chain: None,
-                stats: QueryStats::default(),
-            })
+        self.query_batch(&[QueryRequest::new(x, y)], scratch)
+            .answers
+            .pop()
+            .expect("one answer per request")
     }
 
     /// Shortest-path cost, erring when an endpoint is in no fragment.
@@ -363,43 +395,14 @@ impl EngineSnapshot {
         y: NodeId,
         scratch: &mut ScratchDijkstra,
     ) -> Result<QueryAnswer, ClosureError> {
-        if x == y {
-            return Ok(QueryAnswer {
-                cost: Some(0),
-                best_chain: self.planner.fragments_of(x).first().map(|&f| vec![f]),
-                stats: QueryStats::default(),
-            });
-        }
-        let plan = self.planner.plan(x, y)?;
-        let mut stats = QueryStats {
-            enumerated: plan.enumerated,
-            ..QueryStats::default()
-        };
-        let mut best: Option<(Cost, Vec<FragmentId>)> = None;
-        for chain in &plan.chains {
-            let (segments, runs) = run_chain(&self.augmented, chain, self.cfg.mode, scratch);
-            stats.chains_evaluated += 1;
-            stats.site_queries += runs.len();
-            for r in &runs {
-                stats.tuples_shipped += r.tuples;
-                stats.total_site_busy += r.busy;
-                stats.max_site_busy = stats.max_site_busy.max(r.busy);
-            }
-            if let Some(cost) = assemble::chain_cost(&segments, x, y) {
-                if best.as_ref().is_none_or(|(b, _)| cost < *b) {
-                    best = Some((cost, chain.fragments.clone()));
+        if x != y {
+            for v in [x, y] {
+                if self.planner.fragments_of(v).is_empty() {
+                    return Err(ClosureError::NodeNotInAnyFragment(v));
                 }
             }
         }
-        let (cost, best_chain) = match best {
-            Some((c, ch)) => (Some(c), Some(ch)),
-            None => (None, None),
-        };
-        Ok(QueryAnswer {
-            cost,
-            best_chain,
-            stats,
-        })
+        Ok(self.shortest_path(x, y, scratch))
     }
 
     /// Connection query — "is `x` connected to `y`?".
@@ -421,19 +424,23 @@ impl EngineSnapshot {
     }
 
     /// Answer many shortest-path requests on `scratch`, amortizing chain
-    /// planning and interior segment evaluation across the batch (see
-    /// [`run_batch`]).
+    /// planning across the batch and reading interior segments from this
+    /// epoch's memos (see [`run_batch`]).
     pub fn query_batch(
         &self,
         requests: &[QueryRequest],
         scratch: &mut ScratchDijkstra,
     ) -> BatchAnswer {
-        let mut eval = InlineEval {
+        run_batch(&self.planner, &mut self.inline(scratch), requests)
+    }
+
+    fn inline<'a>(&'a self, scratch: &'a mut ScratchDijkstra) -> InlineEval<'a> {
+        InlineEval {
             augmented: &self.augmented,
+            memos: &self.memos,
             mode: self.cfg.mode,
             scratch,
-        };
-        run_batch(&self.planner, &mut eval, requests)
+        }
     }
 
     /// [`EngineSnapshot::query_batch`] with request tracing: `traces[i]`
@@ -448,18 +455,15 @@ impl EngineSnapshot {
         traces: &[ds_obs::TraceId],
         sink: &mut Vec<ds_obs::EvalTrace>,
     ) -> BatchAnswer {
-        let mut eval = InlineEval {
-            augmented: &self.augmented,
-            mode: self.cfg.mode,
-            scratch,
-        };
+        let mut eval = self.inline(scratch);
         crate::api::run_batch_traced(&self.planner, &mut eval, requests, traces, Some(sink))
     }
 
     /// [`EngineSnapshot::query_batch_traced`] with cooperative
     /// cancellation: `deadlines[i]` is request `i`'s absolute deadline
-    /// (empty slice or `None` = unbounded), checked between requests
-    /// and between fragment chains. A request that blows its deadline
+    /// (empty slice or `None` = unbounded), checked between requests,
+    /// before a request's sweeps and between its chains. A request that
+    /// blows its deadline
     /// mid-evaluation comes back as `None` instead of an answer; the
     /// serve tier resolves those with
     /// [`ClosureError::DeadlineExceeded`]. Tracing is optional: pass an
@@ -472,11 +476,7 @@ impl EngineSnapshot {
         sink: Option<&mut Vec<ds_obs::EvalTrace>>,
         deadlines: &[Option<std::time::Instant>],
     ) -> crate::api::BoundedBatchAnswer {
-        let mut eval = InlineEval {
-            augmented: &self.augmented,
-            mode: self.cfg.mode,
-            scratch,
-        };
+        let mut eval = self.inline(scratch);
         crate::api::run_batch_bounded(&self.planner, &mut eval, requests, traces, sink, deadlines)
     }
 
@@ -504,17 +504,9 @@ impl EngineSnapshot {
                 waypoints: vec![x],
             }));
         }
-        let plan = self.planner.plan(x, y)?;
-        let mut best: Option<(Cost, Vec<NodeId>, Vec<FragmentId>)> = None;
-        for chain in &plan.chains {
-            let (segments, _) = run_chain(&self.augmented, chain, self.cfg.mode, scratch);
-            if let Some((cost, waypoints)) = assemble::best_waypoints(&segments, x, y) {
-                if best.as_ref().is_none_or(|(b, _, _)| cost < *b) {
-                    best = Some((cost, waypoints, chain.fragments.clone()));
-                }
-            }
-        }
-        let Some((cost, waypoints, chain)) = best else {
+        let Some((cost, chain, mut waypoints)) =
+            best_route(&self.planner, &mut self.inline(scratch), (x, y))?
+        else {
             return Ok(None);
         };
 
@@ -527,6 +519,8 @@ impl EngineSnapshot {
             let expanded = self.expand_leg(chain[k], leg[0], leg[1], scratch);
             nodes.extend_from_slice(&expanded[1..]);
         }
+        // An endpoint that is itself a border node was its own junction.
+        waypoints.dedup();
         Ok(Some(Route {
             cost,
             nodes,
@@ -547,7 +541,7 @@ impl EngineSnapshot {
         if a == b {
             return vec![a];
         }
-        scratch.sweep_to_targets(&self.augmented[site], &[(a, 0)], &[b]);
+        scratch.sweep_to_targets(self.augmented[site].forward(), &[(a, 0)], &[b]);
         let local = scratch
             .path_to(b)
             .expect("assembly proved this leg reachable at this site");
@@ -635,14 +629,15 @@ impl EngineSnapshot {
             m.shortcut_sites.iter().copied().collect();
         sites.insert(owner);
         for &f in &sites {
-            // A fresh Arc per touched site; untouched sites keep sharing
-            // their augmented graph with the pre-update snapshot.
-            self.augmented[f] = Arc::new(augmented_graph(
+            // A fresh graph and an empty memo per touched site; untouched
+            // sites keep sharing both with the pre-update snapshot.
+            self.augmented[f] = Arc::new(SiteGraph::build(
                 self.graph.node_count(),
                 self.frag.fragment(f).edges(),
                 self.symmetric,
                 self.comp.shortcuts(f),
             ));
+            self.memos[f] = Arc::new(SiteMemo::for_site(&self.planner, f));
         }
         self.real_hops[owner] = Arc::new(real_hop_set(
             self.frag.fragment(owner).edges(),
@@ -669,37 +664,44 @@ fn real_hop_set(edges: &[ds_graph::Edge], symmetric: bool) -> RealHopSet {
     hops
 }
 
+fn fresh_memos(planner: &Planner) -> Vec<Arc<SiteMemo>> {
+    (0..planner.fragmentation_graph().fragment_count())
+        .map(|f| Arc::new(SiteMemo::for_site(planner, f)))
+        .collect()
+}
+
 /// Site evaluation for snapshot-backed (and inline-engine) batches:
 /// subqueries run on the calling thread or one scoped thread each, per
 /// [`EngineConfig::mode`], against the caller's scratch.
 struct InlineEval<'a> {
-    augmented: &'a [Arc<CsrGraph>],
-    mode: crate::executor::ExecutionMode,
+    augmented: &'a [Arc<SiteGraph>],
+    memos: &'a [Arc<SiteMemo>],
+    mode: ExecutionMode,
     scratch: &'a mut ScratchDijkstra,
 }
 
 impl SiteEvaluator for InlineEval<'_> {
-    fn eval_positions(
+    fn eval_sites(
         &mut self,
-        chain: &ChainPlan,
-        positions: &[usize],
+        queries: &[SiteQueryRef<'_>],
         stats: &mut QueryStats,
-    ) -> Vec<Relation<PathTuple>> {
-        let sub = ChainPlan {
-            fragments: positions.iter().map(|&p| chain.queries[p].site).collect(),
-            queries: positions
-                .iter()
-                .map(|&p| chain.queries[p].clone())
+    ) -> Option<Vec<SegmentMatrix>> {
+        let augmented = self.augmented;
+        let runs = run_sites(queries, self.mode, self.scratch, |q, scratch| {
+            border_matrix_with(&augmented[q.site], q.sources, q.targets, scratch)
+        });
+        Some(
+            runs.into_iter()
+                .map(|(m, run)| {
+                    stats.record_site_run(run.tuples, run.busy);
+                    m
+                })
                 .collect(),
-        };
-        let (segments, runs) = run_chain(self.augmented, &sub, self.mode, self.scratch);
-        for r in &runs {
-            stats.site_queries += 1;
-            stats.tuples_shipped += r.tuples;
-            stats.total_site_busy += r.busy;
-            stats.max_site_busy = stats.max_site_busy.max(r.busy);
-        }
-        segments
+        )
+    }
+
+    fn memo(&self, site: FragmentId) -> &SiteMemo {
+        &self.memos[site]
     }
 }
 
@@ -722,6 +724,7 @@ mod tests {
     use crate::baseline;
     use ds_fragment::linear::{linear_sweep, LinearConfig};
     use ds_gen::deterministic::grid;
+    use ds_graph::Cost;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -930,37 +933,157 @@ mod tests {
         assert_eq!(scratch.stats().sweeps, sweeps, "rebuilt index: no sweeps");
     }
 
+    /// A general graph in four center-grown fragments whose fragmentation
+    /// graph has a cycle: queries have several chains each.
+    fn cyclic_snapshot() -> (CsrGraph, EngineSnapshot, Vec<QueryRequest>) {
+        use ds_fragment::center::{center_based, CenterConfig};
+        use ds_gen::{generate_general, GeneralConfig};
+        let g = generate_general(
+            &GeneralConfig {
+                nodes: 80,
+                target_edges: 240,
+                ..Default::default()
+            },
+            5,
+        );
+        let frag = center_based(
+            &g.edge_list(),
+            &CenterConfig {
+                fragments: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+        .fragmentation;
+        assert!(!frag.fragmentation_graph().is_acyclic());
+        let csr = g.closure_graph();
+        let snap = EngineSnapshot::build(csr.clone(), frag, true, EngineConfig::default()).unwrap();
+        let requests = (0..64u32)
+            .map(|i| QueryRequest::new(n((i * 7) % 80), n((i * 13 + 5) % 80)))
+            .collect();
+        (csr, snap, requests)
+    }
+
+    #[test]
+    fn warm_queries_sweep_once_per_endpoint_site() {
+        let (csr, snap, requests) = cyclic_snapshot();
+        let mut scratch = ScratchDijkstra::new();
+        let cold = snap.query_batch(&requests, &mut scratch);
+        let cold_sweeps = scratch.stats().sweeps;
+        assert!(cold.answers.iter().any(|a| a.stats.chains_evaluated > 2));
+        assert!(snap.segment_memo_bytes() > 0);
+
+        let warm = snap.query_batch(&requests, &mut scratch);
+        let warm_sweeps = scratch.stats().sweeps - cold_sweeps;
+        assert!(warm_sweeps < cold_sweeps, "the cold batch filled the memos");
+        assert_eq!(warm.stats.segments_computed as u64, warm_sweeps);
+        for (r, a) in requests.iter().zip(&warm.answers) {
+            assert_eq!(
+                a.cost,
+                baseline::shortest_path_cost(&csr, r.source, r.target),
+                "{r:?}"
+            );
+            // One sweep from x per fragment x is in, one from y per
+            // fragment y is in — whatever the number of chains.
+            let endpoint_sites = snap.planner().fragments_of(r.source).len()
+                + snap.planner().fragments_of(r.target).len();
+            assert!(
+                a.stats.site_queries <= endpoint_sites,
+                "{r:?}: {} site queries over {} chains",
+                a.stats.site_queries,
+                a.stats.chains_evaluated
+            );
+        }
+        let site_queries: usize = warm.answers.iter().map(|a| a.stats.site_queries).sum();
+        assert_eq!(site_queries as u64, warm_sweeps);
+    }
+
+    /// Two readers released together onto a snapshot whose memos are all
+    /// empty evaluate the same slots concurrently: both get the oracle's
+    /// answers, and the memos end up as one reader alone leaves them.
+    #[test]
+    fn readers_racing_to_fill_the_memos_agree() {
+        let (csr, snap, requests) = cyclic_snapshot();
+        let alone = snap.unshared_clone();
+        alone.query_batch(&requests, &mut ScratchDijkstra::new());
+        let barrier = std::sync::Barrier::new(2);
+        let costs: Vec<Vec<Option<Cost>>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut scratch = ScratchDijkstra::new();
+                        barrier.wait();
+                        snap.query_batch(&requests, &mut scratch).costs()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let want: Vec<Option<Cost>> = requests
+            .iter()
+            .map(|r| baseline::shortest_path_cost(&csr, r.source, r.target))
+            .collect();
+        assert_eq!(costs[0], want);
+        assert_eq!(costs[1], want);
+        for f in 0..snap.site_count() {
+            assert_eq!(snap.memo_handle(f).filled(), alone.memo_handle(f).filled());
+        }
+        assert_eq!(snap.segment_memo_bytes(), alone.segment_memo_bytes());
+    }
+
     #[test]
     fn maintained_clone_leaves_the_original_untouched() {
         let (_, snap) = snapshot();
         let mut scratch = ScratchDijkstra::new();
         let before = snap.shortest_path(n(0), n(39), &mut scratch).cost.unwrap();
+        let filled: Vec<usize> = (0..4).map(|f| snap.memo_handle(f).filled()).collect();
+        assert_eq!(filled, [0, 1, 1, 0], "0 -> 39 crosses sites 1 and 2");
         let mut successor = snap.clone();
-        let f0 = snap.fragmentation().fragment(0).clone();
-        let (a, b) = (f0.nodes()[0], *f0.nodes().last().unwrap());
-        successor
-            .maintain(
+        let f3 = snap.fragmentation().fragment(3).clone();
+        let (a, b) = (f3.nodes()[0], *f3.nodes().last().unwrap());
+        let cow = successor
+            .maintain_cow(
                 &NetworkUpdate::Insert {
                     edge: ds_graph::Edge::new(a, b, 1),
-                    owner: 0,
+                    owner: 3,
                 },
                 &mut scratch,
             )
             .unwrap();
-        // Copy-on-write: the published (old) snapshot still answers the
-        // pre-update network; the successor reflects the insert.
+        // Copy-on-write, memos included: a touched site starts the new
+        // epoch with a new graph and an empty memo, an untouched site
+        // hands the successor the memo the predecessor filled.
+        assert!(cow.touched_sites.contains(&3));
+        assert!(!cow.touched_sites.contains(&1), "{:?}", cow.touched_sites);
+        for (f, &filled) in filled.iter().enumerate() {
+            let shared = Arc::ptr_eq(snap.memo_handle(f), successor.memo_handle(f));
+            assert_eq!(shared, !cow.touched_sites.contains(&f), "site {f}");
+            if !shared {
+                assert_eq!(successor.memo_handle(f).filled(), 0, "site {f}");
+            }
+            assert_eq!(snap.memo_handle(f).filled(), filled, "site {f}");
+        }
+        // The published (old) snapshot still answers the pre-update
+        // network — from its own memos, no interior subquery re-run; the
+        // successor reflects the insert.
+        let again = snap.shortest_path(n(0), n(39), &mut scratch);
+        assert_eq!(again.cost, Some(before));
+        assert_eq!(again.stats.site_queries, 2);
         assert_eq!(
-            snap.shortest_path(n(0), n(39), &mut scratch).cost,
-            Some(before)
+            Some(before),
+            baseline::shortest_path_cost(snap.graph(), n(0), n(39))
         );
-        let after = successor
-            .shortest_path(n(0), n(39), &mut scratch)
-            .cost
-            .unwrap();
-        assert!(after <= before);
+        let after = successor.shortest_path(n(0), n(39), &mut scratch);
+        assert!(after.cost.unwrap() <= before);
         assert_eq!(
-            Some(after),
+            after.cost,
             baseline::shortest_path_cost(successor.graph(), n(0), n(39))
         );
+        let refilled = cow
+            .touched_sites
+            .iter()
+            .filter(|&&f| f == 1 || f == 2)
+            .count();
+        assert_eq!(after.stats.site_queries, 2 + refilled);
     }
 }

@@ -51,19 +51,20 @@ use std::time::Duration;
 
 use ds_closure::api::{build_parts, run_batch, run_batch_traced, SiteEvaluator};
 use ds_closure::complementary::ComplementaryInfo;
-use ds_closure::planner::{ChainPlan, Planner};
+use ds_closure::local::SegmentMatrix;
+use ds_closure::memo::SiteMemo;
+use ds_closure::planner::{Planner, SiteQueryRef};
 use ds_closure::updates::maintain;
 use ds_closure::ConnectivityEffect;
 use ds_closure::{
     BatchAnswer, ClosureError, EngineConfig, EngineSnapshot, NetworkUpdate, PrecomputeStats,
     QueryAnswer, QueryRequest, QueryStats, Route, TcEngine, UpdateReport,
 };
-use ds_fragment::Fragmentation;
+use ds_fragment::{FragmentId, Fragmentation};
 use ds_graph::{CsrGraph, NodeId, ReachIndex, ScratchDijkstra};
 use ds_obs::{
     EvalTrace, Observability, RequestTrace, SpanRecord, Stage, TraceId, TraceOutcome, Tracer,
 };
-use ds_relation::{PathTuple, Relation};
 
 pub use ds_fault::{FaultPlan, FaultPoint};
 use protocol::{EdgeChange, SiteDelta, SiteRequest, SiteResponse};
@@ -126,6 +127,11 @@ pub struct Machine {
     retired: Vec<JoinHandle<()>>,
     options: MachineOptions,
     planner: Arc<Planner>,
+    /// Per site, the interior chain relations its current augmented
+    /// graph has already been asked for — kept at the coordinator, so a
+    /// memoized segment costs no message at all. A site's memo is
+    /// replaced by an empty one whenever an update ships it a delta.
+    memos: Vec<SiteMemo>,
     stats: MachineStats,
     next_tag: u64,
     /// Coordinator-side scratch kernel for update repair sweeps.
@@ -193,6 +199,9 @@ impl Machine {
         } = spawn_sites(inits, &options.fault);
         let site_count = senders.len();
         let reach = cfg.reach_index.then(|| Arc::new(ReachIndex::build(&graph)));
+        let memos = (0..site_count)
+            .map(|f| SiteMemo::for_site(&parts.planner, f))
+            .collect();
         Ok(Machine {
             graph: Arc::new(graph),
             frag: Arc::new(frag),
@@ -206,6 +215,7 @@ impl Machine {
             retired: Vec::new(),
             options,
             planner: parts.planner,
+            memos,
             stats: MachineStats::new(site_count),
             next_tag: 0,
             scratch: ScratchDijkstra::new(),
@@ -283,6 +293,7 @@ impl Machine {
         let mut failed: BTreeSet<usize> = BTreeSet::new();
         let Machine {
             ref planner,
+            ref memos,
             ref senders,
             ref responses,
             ref options,
@@ -291,6 +302,7 @@ impl Machine {
             ..
         } = *self;
         let mut eval = ChannelEval {
+            memos,
             senders,
             responses,
             recv_timeout: options.site_recv_timeout,
@@ -409,19 +421,21 @@ fn spawn_sites(inits: Vec<SiteInit>, fault: &Option<Arc<FaultPlan>>) -> SpawnedS
     }
 }
 
-/// Site evaluation over the message channels: all requested subqueries of
-/// a chain are dispatched before any response is read — the sites
+/// Site evaluation over the message channels: all subqueries a request
+/// needs are dispatched before any response is read — the sites
 /// genuinely work concurrently.
 ///
 /// Failure handling: a send error (the site's request channel is closed
 /// because its thread died) or a response timeout marks the suspect
-/// site(s) in `failed` and stops evaluating — the remaining segments come
-/// back empty and the coordinator discards the whole batch, redeploys the
-/// failed sites and reports [`ClosureError::SiteUnavailable`]. Responses
+/// site(s) in `failed` and stops evaluating — the round yields `None`
+/// (so nothing of it is memoized) and the coordinator discards the whole
+/// batch, redeploys the failed sites and reports
+/// [`ClosureError::SiteUnavailable`]. Responses
 /// whose tag matches no pending subquery are late answers from a
 /// previously failed round (a slow-not-dead site that was replaced) and
 /// are dropped.
 struct ChannelEval<'a> {
+    memos: &'a [SiteMemo],
     senders: &'a [mpsc::Sender<SiteRequest>],
     responses: &'a mpsc::Receiver<SiteResponse>,
     recv_timeout: Duration,
@@ -444,87 +458,83 @@ struct TraceCtx<'a> {
 }
 
 impl SiteEvaluator for ChannelEval<'_> {
-    fn eval_positions(
+    fn eval_sites(
         &mut self,
-        chain: &ChainPlan,
-        positions: &[usize],
+        queries: &[SiteQueryRef<'_>],
         qstats: &mut QueryStats,
-    ) -> Vec<Relation<PathTuple>> {
-        let mut segments: Vec<Option<Relation<PathTuple>>> = vec![None; positions.len()];
+    ) -> Option<Vec<SegmentMatrix>> {
         // Once any site has failed the batch is doomed: skip dispatching.
-        if self.failed.is_empty() {
-            // Dispatch phase: one message per site subquery.
-            let mut pending: HashMap<u64, (usize, usize)> = HashMap::with_capacity(positions.len());
-            for (slot, &pos) in positions.iter().enumerate() {
-                let q = &chain.queries[pos];
-                let tag = *self.next_tag;
-                *self.next_tag += 1;
-                let req = SiteRequest::SubQuery {
-                    tag,
-                    trace: self.current_trace,
-                    sources: q.sources.clone(),
-                    targets: q.targets.clone(),
-                };
-                if self.senders[q.site].send(req).is_err() {
-                    self.failed.insert(q.site);
-                    break;
-                }
-                self.stats.messages_sent += 1;
-                pending.insert(tag, (slot, q.site));
+        if !self.failed.is_empty() {
+            return None;
+        }
+        let mut results: Vec<Option<SegmentMatrix>> = vec![None; queries.len()];
+        // Dispatch phase: one message per site subquery.
+        let mut pending: HashMap<u64, (usize, usize)> = HashMap::with_capacity(queries.len());
+        for (slot, q) in queries.iter().enumerate() {
+            let tag = *self.next_tag;
+            *self.next_tag += 1;
+            let req = SiteRequest::SubQuery {
+                tag,
+                trace: self.current_trace,
+                sources: q.sources.to_vec(),
+                targets: q.targets.to_vec(),
+            };
+            if self.senders[q.site].send(req).is_err() {
+                self.failed.insert(q.site);
+                break;
             }
-            // Collect phase: the final joins' communication.
-            while !pending.is_empty() && self.failed.is_empty() {
-                match self.responses.recv_timeout(self.recv_timeout) {
-                    Ok(SiteResponse::SubQuery(resp)) => {
-                        let Some((slot, _)) = pending.remove(&resp.tag) else {
-                            self.stats.stale_responses += 1;
-                            continue;
-                        };
-                        self.stats.messages_received += 1;
-                        self.stats.tuples_shipped += resp.rows.len();
-                        let s = &mut self.stats.sites[resp.site];
-                        s.subqueries += 1;
-                        s.busy += resp.busy;
-                        s.tuples_produced += resp.rows.len();
-                        qstats.site_queries += 1;
-                        qstats.tuples_shipped += resp.rows.len();
-                        qstats.total_site_busy += resp.busy;
-                        qstats.max_site_busy = qstats.max_site_busy.max(resp.busy);
-                        if let Some(ctx) = &mut self.trace_ctx {
-                            if resp.trace.is_traced() {
-                                let busy_ns = resp.busy.as_nanos() as u64;
-                                let now = ctx.tracer.now_ns();
-                                ctx.spans.push(SpanRecord {
-                                    trace: resp.trace,
-                                    stage: Stage::SitePhaseOne {
-                                        site: resp.site as u32,
-                                    },
-                                    start_ns: now.saturating_sub(busy_ns),
-                                    dur_ns: busy_ns,
-                                });
-                            }
-                        }
-                        segments[slot] = Some(Relation::from_rows("segment", resp.rows));
-                    }
-                    Ok(SiteResponse::DeltaApplied { .. }) => {
-                        // Late ack from a failed update round.
+            self.stats.messages_sent += 1;
+            pending.insert(tag, (slot, q.site));
+        }
+        // Collect phase: the final joins' communication.
+        while !pending.is_empty() && self.failed.is_empty() {
+            match self.responses.recv_timeout(self.recv_timeout) {
+                Ok(SiteResponse::SubQuery(resp)) => {
+                    let Some((slot, _)) = pending.remove(&resp.tag) else {
                         self.stats.stale_responses += 1;
+                        continue;
+                    };
+                    let tuples = resp.matrix.tuples();
+                    self.stats.messages_received += 1;
+                    self.stats.tuples_shipped += tuples;
+                    let s = &mut self.stats.sites[resp.site];
+                    s.subqueries += 1;
+                    s.busy += resp.busy;
+                    s.tuples_produced += tuples;
+                    qstats.record_site_run(tuples, resp.busy);
+                    if let Some(ctx) = &mut self.trace_ctx {
+                        if resp.trace.is_traced() {
+                            let busy_ns = resp.busy.as_nanos() as u64;
+                            let now = ctx.tracer.now_ns();
+                            ctx.spans.push(SpanRecord {
+                                trace: resp.trace,
+                                stage: Stage::SitePhaseOne {
+                                    site: resp.site as u32,
+                                },
+                                start_ns: now.saturating_sub(busy_ns),
+                                dur_ns: busy_ns,
+                            });
+                        }
                     }
-                    Err(_) => {
-                        // Timed out: every site still owing an answer is
-                        // suspect. (The channel cannot disconnect — the
-                        // coordinator retains a sender clone.)
-                        self.failed.extend(pending.values().map(|&(_, site)| site));
-                    }
+                    results[slot] = Some(resp.matrix);
+                }
+                Ok(SiteResponse::DeltaApplied { .. }) => {
+                    // Late ack from a failed update round.
+                    self.stats.stale_responses += 1;
+                }
+                Err(_) => {
+                    // Timed out: every site still owing an answer is
+                    // suspect. (The channel cannot disconnect — the
+                    // coordinator retains a sender clone.)
+                    self.failed.extend(pending.values().map(|&(_, site)| site));
                 }
             }
         }
-        // On failure the missing segments come back empty; the batch's
-        // answers are discarded by the coordinator.
-        segments
-            .into_iter()
-            .map(|s| s.unwrap_or_else(|| Relation::from_rows("segment", Vec::new())))
-            .collect()
+        results.into_iter().collect()
+    }
+
+    fn memo(&self, site: FragmentId) -> &SiteMemo {
+        &self.memos[site]
     }
 
     fn begin_query(&mut self, trace: TraceId) {
@@ -639,6 +649,9 @@ impl TcEngine for Machine {
         };
         let mut targets: BTreeSet<usize> = m.shortcut_sites.iter().copied().collect();
         targets.insert(owner);
+        for &f in &targets {
+            self.memos[f] = SiteMemo::for_site(&self.planner, f);
+        }
         let mut failed: BTreeSet<usize> = BTreeSet::new();
         let mut pending: HashMap<u64, usize> = HashMap::with_capacity(targets.len());
         for &f in &targets {

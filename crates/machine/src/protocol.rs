@@ -11,9 +11,9 @@
 
 use std::time::Duration;
 
+use ds_closure::local::SegmentMatrix;
 use ds_graph::{Edge, NodeId};
 use ds_obs::TraceId;
-use ds_relation::PathTuple;
 
 /// Coordinator → site.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -81,7 +81,9 @@ pub struct SubQueryResult {
     pub tag: u64,
     /// The request trace id from the triggering [`SiteRequest::SubQuery`].
     pub trace: TraceId,
-    pub rows: Vec<PathTuple>,
+    /// Costs from each requested source to each requested target, in
+    /// request order.
+    pub matrix: SegmentMatrix,
     /// Processing time at the site (the workload-balance measure of
     /// §2.2).
     pub busy: Duration,

@@ -10,9 +10,9 @@
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
-use ds_closure::local::{augmented_graph, border_matrix_with};
+use ds_closure::local::{border_matrix_with, SiteGraph};
 use ds_fault::{FaultPlan, FaultPoint};
-use ds_graph::{CsrGraph, Edge, ScratchDijkstra};
+use ds_graph::{Edge, ScratchDijkstra};
 
 use crate::protocol::{EdgeChange, SiteDelta, SiteRequest, SiteResponse, SubQueryResult};
 
@@ -31,8 +31,8 @@ pub struct SiteInit {
 }
 
 impl SiteInit {
-    fn augmented(&self) -> CsrGraph {
-        augmented_graph(
+    fn augmented(&self) -> SiteGraph {
+        SiteGraph::build(
             self.node_count,
             &self.frag_edges,
             self.symmetric,
@@ -84,12 +84,12 @@ pub fn run_site(
                 targets,
             } => {
                 let start = Instant::now();
-                let rel = border_matrix_with(&augmented, &sources, &targets, &mut scratch);
+                let matrix = border_matrix_with(&augmented, &sources, &targets, &mut scratch);
                 let resp = SiteResponse::SubQuery(SubQueryResult {
                     site: state.site,
                     tag,
                     trace,
-                    rows: rel.rows().to_vec(),
+                    matrix,
                     busy: start.elapsed(),
                 });
                 if responses.send(resp).is_err() {
@@ -156,8 +156,7 @@ mod tests {
         let resp = expect_rows(resp_rx.recv().unwrap());
         assert_eq!(resp.site, 7);
         assert_eq!(resp.tag, 42);
-        assert_eq!(resp.rows.len(), 1);
-        assert_eq!(resp.rows[0].cost, 2);
+        assert_eq!(resp.matrix.costs(), &[2]);
         req_tx.send(SiteRequest::Shutdown).unwrap();
         h.join().unwrap();
     }
@@ -193,7 +192,7 @@ mod tests {
             })
             .unwrap();
         let resp = expect_rows(resp_rx.recv().unwrap());
-        assert!(resp.rows.is_empty(), "edge removed, no path");
+        assert_eq!(resp.matrix.tuples(), 0, "edge removed, no path");
         // Ship a shortcut table instead: reachability returns.
         req_tx
             .send(SiteRequest::Delta(SiteDelta {
@@ -212,7 +211,7 @@ mod tests {
             })
             .unwrap();
         let resp = expect_rows(resp_rx.recv().unwrap());
-        assert_eq!(resp.rows[0].cost, 9);
+        assert_eq!(resp.matrix.costs(), &[9]);
         req_tx.send(SiteRequest::Shutdown).unwrap();
         h.join().unwrap();
     }

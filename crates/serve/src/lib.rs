@@ -59,9 +59,10 @@
 //!   identical requests (single-flight), sorts the distinct cache misses
 //!   by fragment pair and feeds them to the shared batch kernel
 //!   (`ds_closure::api::run_batch`), which plans each fragment pair once
-//!   and evaluates interior chain segments once per chain. Queue depth
-//!   converts directly into amortization — the busier the server, the
-//!   cheaper the average query.
+//!   and reads interior chain segments from the snapshot's per-site
+//!   memos — evaluated once per epoch, shared by all workers. Queue
+//!   depth converts directly into amortization — the busier the server,
+//!   the cheaper the average query.
 //! * **Load shedding.** The bounded queue never blocks producers: at
 //!   capacity, [`Server::submit`] / [`Server::try_query_batch`] return
 //!   [`Overloaded`] with a retry-after hint and the blocking wrappers
@@ -825,6 +826,15 @@ mod tests {
         assert!(snap_metrics.counter("serve_cache_hits").unwrap_or(0) >= 1);
         assert_eq!(snap_metrics.counter("serve_updates"), Some(1));
         assert_eq!(snap_metrics.gauge("serve_epoch"), Some(1));
+        // The update touched fragment 0's side of the chain only: the
+        // published epoch still holds the interior segments the reads
+        // before it evaluated at the far sites, and says how much.
+        let memo_bytes = server.snapshot().segment_memo_bytes() as u64;
+        assert!(memo_bytes > 0);
+        assert_eq!(
+            snap_metrics.gauge("serve_segment_memo_bytes"),
+            Some(memo_bytes)
+        );
         assert_eq!(snap_metrics.counter("serve_reach_fast_path"), Some(1));
         let hist = snap_metrics
             .histogram("request_latency_ns")

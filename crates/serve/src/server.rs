@@ -646,6 +646,7 @@ struct ObsHandles {
     checkpoints: Counter,
     epoch: Gauge,
     queue_depth: Gauge,
+    segment_memo_bytes: Gauge,
 }
 
 impl ObsHandles {
@@ -673,6 +674,7 @@ impl ObsHandles {
             checkpoints: r.counter("serve_checkpoints"),
             epoch: r.gauge("serve_epoch"),
             queue_depth: r.gauge("serve_queue_depth"),
+            segment_memo_bytes: r.gauge("serve_segment_memo_bytes"),
             obs,
         }
     }
@@ -1427,9 +1429,10 @@ fn process_batch(
 
     // Group the remaining misses by fragment pair. The sharing itself
     // is order-independent (the batch kernel caches chain plans per
-    // fragment pair and interior segments per chain for the whole
-    // call); the sort makes same-pair queries evaluate back-to-back
-    // while their interior relations are CPU-cache-hot, and makes a
+    // fragment pair for the whole call and reads interior segments
+    // from the snapshot's per-site memos); the sort makes same-pair
+    // queries evaluate back-to-back while their interior relations are
+    // CPU-cache-hot, and makes a
     // batch's evaluation order independent of client arrival
     // interleaving.
     let planner = snap.planner();
@@ -1452,7 +1455,7 @@ fn process_batch(
             }
         }
     }
-    let keys: Vec<(Vec<FragmentId>, Vec<FragmentId>)> = miss
+    let keys: Vec<(&[FragmentId], &[FragmentId])> = miss
         .iter()
         .map(|&i| {
             let r = &distinct[i as usize];
@@ -1792,6 +1795,11 @@ fn writer_loop(
             h.publications.add((applied > 0) as u64);
             h.epoch.set(epoch);
             if applied > 0 {
+                // What the epoch just published holds in evaluated chain
+                // segments: the memos of the sites this batch left
+                // untouched (the touched ones start empty).
+                h.segment_memo_bytes
+                    .set(working.segment_memo_bytes() as u64);
                 // One writer trace per publication: maintenance and
                 // publication spans land in the trace ring (never in the
                 // request latency histogram — that is reads only).

@@ -59,8 +59,9 @@ fn main() {
         );
         assert!(sys.connected(a, b));
 
-        // Batch evaluation: chain planning (and the interior segment
-        // relations) are computed once per fragment pair and shared.
+        // Batch evaluation: chain planning is computed once per fragment
+        // pair and shared; the interior segment relations were evaluated
+        // (once per epoch) by the query above and are read back.
         let requests: Vec<QueryRequest> = (0..8u32)
             .map(|i| QueryRequest::new(NodeId(i), NodeId(47 - i)))
             .collect();

@@ -199,9 +199,11 @@ fn stats_accumulate_across_updates() {
 }
 
 #[test]
-fn batch_saves_messages_over_single_queries() {
-    // The communication argument for query_batch: interior segments are
-    // shipped once per chain, not once per query.
+fn interior_segments_are_shipped_once_however_queries_arrive() {
+    // The communication argument: a chain's interior segments mention no
+    // query endpoint, so the coordinator asks a site for each of them
+    // once — whether the queries arrive one by one or as a batch — and
+    // every query after that costs its two endpoint messages.
     let (csr, frag) = setup(4, 5);
     let n = csr.node_count() as u32;
     let requests: Vec<QueryRequest> = (0..12u32)
@@ -218,6 +220,7 @@ fn batch_saves_messages_over_single_queries() {
     let mut batched = Machine::deploy(csr.clone(), frag, true).unwrap();
     let batch = batched.query_batch(&requests);
     let batched_sent = batched.stats().messages_sent;
+    let mut unshared = 0;
     for (req, ans) in requests.iter().zip(&batch.answers) {
         assert_eq!(
             ans.cost,
@@ -226,12 +229,24 @@ fn batch_saves_messages_over_single_queries() {
             req.source,
             req.target
         );
+        // One message per site of the answering chain is the least a
+        // query costs when nothing is shared.
+        unshared += ans.best_chain.as_ref().unwrap().len();
     }
+    assert_eq!(batched_sent, singles_sent);
     assert!(
-        batched_sent < singles_sent,
-        "batch must ship fewer messages: {batched_sent} vs {singles_sent}"
+        batched_sent < unshared,
+        "memoized segments must save messages: {batched_sent} vs {unshared}"
     );
     assert!(batch.stats.plans_reused > 0, "{:?}", batch.stats);
     assert!(batch.stats.segments_reused > 0, "{:?}", batch.stats);
+    // Asked again, the same queries ship their endpoint subqueries only.
+    let again = batched.query_batch(&requests);
+    assert_eq!(again.costs(), batch.costs());
+    assert!(again.stats.segments_computed < batch.stats.segments_computed);
+    assert_eq!(
+        batched.stats().messages_sent - batched_sent,
+        again.stats.segments_computed
+    );
     batched.shutdown();
 }

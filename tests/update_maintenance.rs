@@ -296,13 +296,27 @@ fn batch_stats_amortization_exact_counts() {
             s.amortization()
         );
 
-        // A single query shares nothing: amortization is exactly 0.
+        // The interior segment outlives the batch that evaluated it: a
+        // later single query plans afresh but sweeps its two endpoints
+        // only — amortization 1 / (1 + 2 + 1).
         let single = sys.query_batch(&[QueryRequest::new(n(0), n(6))]);
         assert_eq!(single.stats.plans_computed, 1, "{name}");
         assert_eq!(single.stats.plans_reused, 0, "{name}");
-        assert_eq!(single.stats.segments_computed, 3, "{name}");
-        assert_eq!(single.stats.segments_reused, 0, "{name}");
-        assert_eq!(single.stats.amortization(), 0.0, "{name}");
+        assert_eq!(single.stats.segments_computed, 2, "{name}");
+        assert_eq!(single.stats.segments_reused, 1, "{name}");
+        assert_eq!(single.stats.amortization(), 0.25, "{name}");
+
+        // An update to the middle fragment empties that site's memo; the
+        // next query evaluates the interior segment again.
+        sys.update(&NetworkUpdate::Insert {
+            edge: Edge::new(n(2), n(4), 5),
+            owner: 1,
+        })
+        .unwrap();
+        let after = sys.query_batch(&[QueryRequest::new(n(0), n(6))]);
+        assert_eq!(after.answers[0].cost, Some(6), "{name}");
+        assert_eq!(after.stats.segments_computed, 3, "{name}");
+        assert_eq!(after.stats.segments_reused, 0, "{name}");
 
         // An empty batch divides nothing by nothing and reports 0.
         let empty = sys.query_batch(&[]);
