@@ -1,7 +1,6 @@
 //! `query_batch` amortization across execution backends.
 //!
-//! Compares, on both `TcEngine` backends (inline and site-threads),
-//! answering a workload of shortest-path requests one query at a time vs
+//! Compares, on both backends (inline and site-threads), answering a workload of shortest-path requests one query at a time vs
 //! through `query_batch`, which enumerates fragment chains once per
 //! (source-fragment, target-fragment) pair and reuses the interior
 //! segment relations of each chain across the whole batch.
@@ -22,7 +21,6 @@
 
 use discset::{Backend, Fragmenter, QueryRequest, System, TcEngine};
 use ds_bench::harness::{render, write_json, Bench};
-use ds_closure::executor::ExecutionMode;
 use ds_closure::EngineConfig;
 use ds_fragment::center::CenterConfig;
 use ds_fragment::CrossingPolicy;
@@ -129,10 +127,6 @@ fn main() {
             .graph(&g)
             .fragmenter(fragmenter.clone())
             .backend(backend)
-            .config(EngineConfig {
-                mode: ExecutionMode::Sequential,
-                ..EngineConfig::default()
-            })
             .build()
             .expect("system deploys");
         let name = sys.backend_name();

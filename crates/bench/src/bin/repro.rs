@@ -86,7 +86,6 @@ fn main() {
                     f1(r.centralized_us),
                     f1(r.ds_sequential_us),
                     f1(r.ds_parallel_us),
-                    f1(r.machine_us),
                     f2(r.ideal_speedup),
                     r.queries.to_string(),
                 ]
@@ -100,7 +99,6 @@ fn main() {
                     "central us",
                     "DS seq us",
                     "DS par us",
-                    "machine us",
                     "ideal x",
                     "queries"
                 ],

@@ -3,12 +3,11 @@
 //!
 //! We fragment chain transportation graphs by their ground-truth clusters
 //! (the "good fragmentation") and time end-to-end shortest-path queries
-//! four ways: the centralized baseline (global Dijkstra) plus every
-//! `TcEngine` backend — the disconnection set approach on one processor,
-//! with one thread per site subquery, and on the message-passing machine
-//! simulation. All backends are deployed through the `System` facade and
-//! timed through one trait-driven code path. Two speed-up measures are
-//! reported:
+//! three ways: the centralized baseline (global Dijkstra) plus both
+//! backends — the disconnection set approach on one processor, and with
+//! one thread per site subquery. Both are deployed through the `System`
+//! facade and timed through one trait-driven code path. Two speed-up
+//! measures are reported:
 //!
 //! * the *ideal* speed-up `Σ site busy / max site busy` of a query
 //!   evaluated on its own, every site of its chain working and nothing
@@ -24,7 +23,6 @@ use std::time::{Duration, Instant};
 
 use discset::{Backend, Fragmenter, System, TcEngine};
 use ds_closure::baseline;
-use ds_closure::engine::EngineConfig;
 use ds_closure::executor::{run_chain, ExecutionMode};
 use ds_fragment::CrossingPolicy;
 use ds_gen::{generate_transportation, TransportationConfig};
@@ -41,8 +39,6 @@ pub struct SpeedupRow {
     pub ds_sequential_us: f64,
     /// Mean disconnection-set query time, parallel phase one (µs).
     pub ds_parallel_us: f64,
-    /// Mean query time on the persistent-thread machine simulation (µs).
-    pub machine_us: f64,
     /// Mean ideal speed-up from site accounting (Σ busy / max busy).
     pub ideal_speedup: f64,
     /// Queries timed.
@@ -80,27 +76,19 @@ fn one_row(clusters: usize, nodes_per_cluster: usize, seed: u64) -> SpeedupRow {
     };
     let csr = g.closure_graph();
 
-    // Every backend variant, deployed through the System facade. The
-    // timing loop below drives them all through `&mut dyn TcEngine`.
-    let mut variants: Vec<System> = [
-        (Backend::Inline, ExecutionMode::Sequential),
-        (Backend::Inline, ExecutionMode::Parallel),
-        (Backend::SiteThreads, ExecutionMode::Sequential),
-    ]
-    .into_iter()
-    .map(|(backend, mode)| {
-        System::builder()
-            .graph(&g)
-            .fragmenter(fragmenter.clone())
-            .backend(backend)
-            .config(EngineConfig {
-                mode,
-                ..EngineConfig::default()
-            })
-            .build()
-            .expect("system deploys")
-    })
-    .collect();
+    // Both backends, deployed through the System facade and timed by
+    // the one loop below.
+    let mut variants: Vec<System> = [Backend::Inline, Backend::SiteThreads]
+        .into_iter()
+        .map(|backend| {
+            System::builder()
+                .graph(&g)
+                .fragmenter(fragmenter.clone())
+                .backend(backend)
+                .build()
+                .expect("system deploys")
+        })
+        .collect();
 
     // End-to-end queries: first cluster -> last cluster.
     let m = nodes_per_cluster as u32;
@@ -120,7 +108,7 @@ fn one_row(clusters: usize, nodes_per_cluster: usize, seed: u64) -> SpeedupRow {
     let mut scratch = ScratchDijkstra::new();
 
     let mut centralized_us = 0.0;
-    let mut backend_us = [0.0f64; 3];
+    let mut backend_us = [0.0f64; 2];
     let mut ideal = 0.0;
     for &(x, y) in &queries {
         let t = Instant::now();
@@ -161,7 +149,6 @@ fn one_row(clusters: usize, nodes_per_cluster: usize, seed: u64) -> SpeedupRow {
         centralized_us: centralized_us / n,
         ds_sequential_us: backend_us[0] / n,
         ds_parallel_us: backend_us[1] / n,
-        machine_us: backend_us[2] / n,
         ideal_speedup: ideal / n,
         queries: queries.len(),
     }

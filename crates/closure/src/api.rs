@@ -1,20 +1,16 @@
-//! The backend-polymorphic query surface of the disconnection set
-//! approach.
+//! The query surface of the disconnection set approach.
 //!
-//! The paper's phase-one independence means the *same* pipeline —
-//! complementary information, chain planning, fragment-local evaluation,
-//! min-plus assembly — can execute on very different substrates: inside
-//! the calling process ([`crate::engine::DisconnectionSetEngine`]) or on a
-//! simulated shared-nothing machine with one thread per site
-//! (`ds_machine::Machine`). [`TcEngine`] captures that shared surface so
-//! examples, tests and benchmarks drive every backend through one code
-//! path, and so backends can be swapped declaratively (see the umbrella
-//! crate's `System` builder).
+//! The paper's phase one needs "neither communication nor
+//! synchronization" (§2.1), so *where* a fragment's subquery runs — on the
+//! calling thread or on a thread of its own — is a placement laid over one
+//! evaluator ([`crate::executor::ExecutionMode`]), not a second engine.
+//! [`TcEngine`] is the surface examples, tests and benchmarks drive that
+//! evaluator through, whatever the placement and whether they hold the
+//! engine ([`crate::engine::DisconnectionSetEngine`]) or the umbrella
+//! crate's `System` facade.
 //!
-//! The module also hosts the pieces both backends share:
+//! The module also hosts the evaluator's pieces:
 //!
-//! * [`build_parts`] — the one build path (complementary info, augmented
-//!   site graphs, planner) that both backends deploy from;
 //! * [`BatchPlanner`] — chain planning amortized across a batch: the
 //!   expensive chain enumeration runs once per (source-fragments,
 //!   target-fragments) pair instead of once per query;
@@ -33,7 +29,6 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 
 use ds_fragment::{FragmentId, Fragmentation};
@@ -41,10 +36,10 @@ use ds_graph::{Cost, CsrGraph, Edge, NodeId, INFINITE_COST};
 use ds_obs::{ChainEval, EvalTrace, TraceId};
 
 use crate::assemble;
-use crate::complementary::{ComplementaryInfo, PrecomputeStats};
-use crate::engine::{EngineConfig, QueryAnswer, QueryStats, Route};
+use crate::complementary::PrecomputeStats;
+use crate::engine::{QueryAnswer, QueryStats, Route};
 use crate::error::ClosureError;
-use crate::local::{augmented_graph, SegmentMatrix};
+use crate::local::SegmentMatrix;
 use crate::memo::SiteMemo;
 use crate::planner::{Planner, SiteQueryRef};
 use crate::snapshot::EngineSnapshot;
@@ -134,14 +129,14 @@ pub enum NetworkUpdate {
     },
 }
 
-/// The transitive closure query surface every execution backend offers.
+/// The transitive closure query surface, whatever the placement of the
+/// site subqueries.
 ///
 /// Implementations answer exactly like the centralized baseline
 /// (`crate::baseline`) on the default complementary scope — that is the
 /// paper's correctness contract, and `tests/properties.rs` asserts it for
-/// every backend. Methods take `&mut self` because message-passing
-/// backends mutate coordinator state (correlation tags, accounting) even
-/// on reads.
+/// every backend. Methods take `&mut self` because an engine owns the
+/// scratch kernel its reads run on.
 pub trait TcEngine {
     /// Short backend identifier ("inline", "site-threads", …).
     fn backend_name(&self) -> &'static str;
@@ -161,8 +156,9 @@ pub trait TcEngine {
         x == y || self.shortest_path(x, y).cost.is_some()
     }
 
-    /// Reconstruct the full cheapest route. Backends that do not retain
-    /// shortcut paths return [`ClosureError::RoutesNotEnabled`].
+    /// Reconstruct the full cheapest route. Engines built without stored
+    /// shortcut paths (`EngineConfig::store_paths`) return
+    /// [`ClosureError::RoutesNotEnabled`].
     fn route(&mut self, x: NodeId, y: NodeId) -> Result<Option<Route>, ClosureError>;
 
     /// Apply a network update, keeping answers exact afterwards.
@@ -205,85 +201,11 @@ pub trait TcEngine {
 /// to tell shortcut hops apart during route expansion.
 pub type RealHopSet = HashSet<(NodeId, NodeId, Cost)>;
 
-/// The shared pre-processing outcome both backends deploy from: the
-/// paper's complementary information, the per-site augmented graphs, the
-/// real (non-shortcut) hops per site, and the chain planner.
-///
-/// Every per-site component lives behind its own [`Arc`] (as do the
-/// per-site shortcut tables inside [`ComplementaryInfo`]), so a snapshot
-/// built from these parts clones in O(sites) and an updated successor
-/// shares every untouched site's data with its predecessor.
-#[derive(Clone, Debug)]
-pub struct EngineParts {
-    pub comp: ComplementaryInfo,
-    pub augmented: Vec<Arc<CsrGraph>>,
-    /// Per site: the real hops available locally.
-    pub real_hops: Vec<Arc<RealHopSet>>,
-    pub planner: Arc<Planner>,
-}
-
-/// Run the build path shared by every backend: validate, compute
-/// complementary information (the paper's pre-processing phase), build
-/// the per-site augmented graphs and the planner. The local-sweep phase
-/// runs on [`EngineConfig::precompute_threads`] OS threads.
-pub fn build_parts(
-    graph: &CsrGraph,
-    frag: &Fragmentation,
-    symmetric: bool,
-    cfg: &EngineConfig,
-) -> Result<EngineParts, ClosureError> {
-    if graph.node_count() != frag.node_count() {
-        return Err(ClosureError::NodeCountMismatch {
-            graph: graph.node_count(),
-            fragmentation: frag.node_count(),
-        });
-    }
-    let comp = ComplementaryInfo::compute_with_threads(
-        graph,
-        frag,
-        cfg.scope,
-        cfg.store_paths,
-        cfg.precompute_threads,
-    );
-    let n = graph.node_count();
-    let mut augmented = Vec::with_capacity(frag.fragment_count());
-    let mut real_hops = Vec::with_capacity(frag.fragment_count());
-    for f in frag.fragments() {
-        augmented.push(Arc::new(augmented_graph(
-            n,
-            f.edges(),
-            symmetric,
-            comp.shortcuts(f.id()),
-        )));
-        let mut hops = HashSet::with_capacity(f.edges().len() * 2);
-        for e in f.edges() {
-            hops.insert((e.src, e.dst, e.cost));
-            if symmetric {
-                hops.insert((e.dst, e.src, e.cost));
-            }
-        }
-        real_hops.push(Arc::new(hops));
-    }
-    let planner = Arc::new(Planner::new(
-        frag,
-        cfg.max_chains,
-        cfg.max_chain_len,
-        cfg.hub,
-    ));
-    Ok(EngineParts {
-        comp,
-        augmented,
-        real_hops,
-        planner,
-    })
-}
-
 /// Validate a [`NetworkUpdate`] against `frag` and apply its structural
-/// half, shared by every backend: mutate the owner fragment and return
-/// the rebuilt global closure graph (`None` when a removal matched
-/// nothing). Backends follow up through `crate::updates::maintain` —
-/// the inline engine patches its shortcut tables and augmented graphs,
-/// the machine ships `Delta` messages to the touched sites.
+/// half: mutate the owner fragment and return the rebuilt global closure
+/// graph (`None` when a removal matched nothing). `crate::updates::maintain`
+/// follows up by patching the shortcut tables; the snapshot then rebuilds
+/// the touched sites' augmented graphs.
 ///
 /// Update maintenance assumes the partition invariant the fragmenters
 /// guarantee (see `Fragmentation::validate`): the closure graph equals
@@ -407,33 +329,26 @@ impl<'a> BatchPlanner<'a> {
     }
 }
 
-/// How a backend evaluates site subqueries for the shared evaluator.
-///
-/// The inline backend runs them on the calling thread (or one thread
-/// each); the machine backend turns each into a request message.
+/// Where the evaluator's site subqueries run: the snapshot runs them on
+/// the calling thread or one scoped thread each
+/// ([`crate::executor::ExecutionMode`]); the evaluator's own tests count
+/// them.
 pub trait SiteEvaluator {
     /// Evaluate independent site subqueries, returning their results in
     /// the same order and adding the site accounting (site queries run,
-    /// tuples produced, busy time) to `stats`. `None` means a site could
-    /// not answer: the query is abandoned and nothing is memoized.
+    /// tuples produced, busy time) to `stats`.
     fn eval_sites(
         &mut self,
         queries: &[SiteQueryRef<'_>],
         stats: &mut QueryStats,
-    ) -> Option<Vec<SegmentMatrix>>;
+    ) -> Vec<SegmentMatrix>;
 
     /// The interior-segment memo of `site`, valid for the graph that
     /// site currently evaluates on.
     fn memo(&self, site: FragmentId) -> &SiteMemo;
-
-    /// Called by [`run_batch_traced`] before each request's evaluation
-    /// with that request's trace id, so message-passing backends can
-    /// stamp the id into their protocol traffic. The default is a no-op;
-    /// untraced batches never call it.
-    fn begin_query(&mut self, _trace: TraceId) {}
 }
 
-/// The batch driver shared by every backend.
+/// The batch driver.
 ///
 /// Per request: look the chain set up through the [`BatchPlanner`] (chain
 /// enumeration once per fragment-set pair), then evaluate it with the
@@ -450,9 +365,7 @@ pub fn run_batch<E: SiteEvaluator>(
 /// [`TraceId`] (an empty slice means untraced — the [`run_batch`] fast
 /// path), and when `sink` is given, one [`EvalTrace`] per request is
 /// appended to it carrying the request's total evaluation time and the
-/// assembly time of each chain. Before each traced request the driver
-/// calls [`SiteEvaluator::begin_query`] so the backend can stamp the id
-/// into its protocol messages. The untraced path takes no timestamps and
+/// assembly time of each chain. The untraced path takes no timestamps and
 /// performs no extra work beyond one branch per request.
 pub fn run_batch_traced<E: SiteEvaluator>(
     planner: &Planner,
@@ -508,9 +421,6 @@ pub fn run_batch_bounded<E: SiteEvaluator>(
     let mut answers = Vec::with_capacity(requests.len());
     for (i, req) in requests.iter().enumerate() {
         let trace = traces.get(i).copied().unwrap_or(TraceId::NONE);
-        if !traces.is_empty() {
-            eval.begin_query(trace);
-        }
         let mut et = sink.as_ref().map(|_| EvalTrace {
             trace,
             ..EvalTrace::default()
@@ -744,9 +654,7 @@ fn evaluate_chains<E: SiteEvaluator>(
     if expired(on.deadline) {
         return None;
     }
-    let Some(mut results) = eval.eval_sites(&queries, on.qstats) else {
-        return Some(None);
-    };
+    let mut results = eval.eval_sites(&queries, on.qstats);
     on.bstats.segments_computed += queries.len();
     let endpoints = starts.len() + ends.len();
     for (&[prev, site, next], m) in fills.iter().zip(results.drain(endpoints..)) {
@@ -822,8 +730,9 @@ fn evaluate_chains<E: SiteEvaluator>(
 mod tests {
     use super::*;
     use crate::executor::{run_chain, ExecutionMode};
-    use crate::local::forward_matrix;
-    use ds_graph::{Edge, ScratchDijkstra};
+    use crate::local::{augmented_graph, forward_matrix};
+    use ds_graph::ScratchDijkstra;
+    use std::sync::Arc;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -864,14 +773,12 @@ mod tests {
         )
     }
 
-    /// A backend of plain forward sweeps over the fragments' own graphs
-    /// (no shortcuts) that counts the subqueries it is asked for and can
-    /// be told to fail.
+    /// Plain forward sweeps over the fragments' own graphs (no shortcuts),
+    /// counting the subqueries asked for.
     struct CountingEval {
         augmented: Vec<Arc<CsrGraph>>,
         memos: Vec<SiteMemo>,
         evaluated: usize,
-        down: bool,
     }
 
     impl SiteEvaluator for CountingEval {
@@ -879,21 +786,16 @@ mod tests {
             &mut self,
             queries: &[SiteQueryRef<'_>],
             stats: &mut QueryStats,
-        ) -> Option<Vec<SegmentMatrix>> {
-            if self.down {
-                return None;
-            }
+        ) -> Vec<SegmentMatrix> {
             let mut scratch = ScratchDijkstra::new();
-            Some(
-                queries
-                    .iter()
-                    .map(|q| {
-                        self.evaluated += 1;
-                        stats.site_queries += 1;
-                        forward_matrix(&self.augmented[q.site], q.sources, q.targets, &mut scratch)
-                    })
-                    .collect(),
-            )
+            queries
+                .iter()
+                .map(|q| {
+                    self.evaluated += 1;
+                    stats.site_queries += 1;
+                    forward_matrix(&self.augmented[q.site], q.sources, q.targets, &mut scratch)
+                })
+                .collect()
         }
 
         fn memo(&self, site: FragmentId) -> &SiteMemo {
@@ -920,7 +822,6 @@ mod tests {
                 .map(|f| SiteMemo::new(fg.neighbors(f)))
                 .collect(),
             evaluated: 0,
-            down: false,
         }
     }
 
@@ -1066,22 +967,6 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_site_round_answers_unreachable_and_memoizes_nothing() {
-        let frag = three_fragment_path();
-        let planner = Planner::new(&frag, 16, 8, None);
-        let mut eval = counting_eval(&frag, true);
-        eval.down = true;
-        let batch = run_batch(&planner, &mut eval, &[QueryRequest::new(n(0), n(6))]);
-        assert_eq!(batch.answers[0].cost, None);
-        assert_eq!(batch.stats.segments_computed, 0);
-        assert_eq!(eval.memos[1].filled(), 0);
-        eval.down = false;
-        let batch = run_batch(&planner, &mut eval, &[QueryRequest::new(n(0), n(6))]);
-        assert_eq!(batch.answers[0].cost, Some(6));
-        assert_eq!(eval.memos[1].filled(), 1);
-    }
-
-    #[test]
     fn batch_same_node_and_unknown_node() {
         let frag = Fragmentation::new(3, vec![edges(&[(0, 1)])], vec![vec![]]);
         let planner = Planner::new(&frag, 16, 8, None);
@@ -1142,57 +1027,5 @@ mod tests {
         assert!(!sink[0].chains.is_empty());
         assert!(sink[2].chains.is_empty());
         assert!(sink[0].eval_ns >= sink[0].chains.iter().map(|c| c.ns).sum::<u64>());
-    }
-
-    #[test]
-    fn begin_query_sees_each_trace_in_order() {
-        struct SpyEval {
-            inner: CountingEval,
-            seen: Vec<TraceId>,
-        }
-        impl SiteEvaluator for SpyEval {
-            fn eval_sites(
-                &mut self,
-                queries: &[SiteQueryRef<'_>],
-                stats: &mut QueryStats,
-            ) -> Option<Vec<SegmentMatrix>> {
-                self.inner.eval_sites(queries, stats)
-            }
-            fn memo(&self, site: FragmentId) -> &SiteMemo {
-                self.inner.memo(site)
-            }
-            fn begin_query(&mut self, trace: TraceId) {
-                self.seen.push(trace);
-            }
-        }
-        let frag = three_fragment_path();
-        let planner = Planner::new(&frag, 16, 8, None);
-        let requests = vec![QueryRequest::new(n(0), n(6)), QueryRequest::new(n(1), n(4))];
-        let mut eval = SpyEval {
-            inner: counting_eval(&frag, true),
-            seen: Vec::new(),
-        };
-        run_batch_traced(
-            &planner,
-            &mut eval,
-            &requests,
-            &[TraceId(9), TraceId(10)],
-            None,
-        );
-        assert_eq!(eval.seen, vec![TraceId(9), TraceId(10)]);
-        // Untraced batches never call begin_query.
-        eval.seen.clear();
-        run_batch(&planner, &mut eval, &requests);
-        assert!(eval.seen.is_empty());
-    }
-
-    #[test]
-    fn build_parts_rejects_node_count_mismatch() {
-        let frag = three_fragment_path();
-        let graph = CsrGraph::from_edges(9, &edges(&[(0, 1)]));
-        assert!(matches!(
-            build_parts(&graph, &frag, true, &EngineConfig::default()),
-            Err(ClosureError::NodeCountMismatch { .. })
-        ));
     }
 }

@@ -29,7 +29,9 @@ pub struct EngineConfig {
     /// Chain enumeration caps for cyclic fragmentation graphs.
     pub max_chains: usize,
     pub max_chain_len: usize,
-    /// Phase-one execution mode.
+    /// Where phase one's site subqueries run: on the calling thread, or
+    /// one scoped thread each (what the facade calls the site-threads
+    /// backend). The engine's `backend_name` is derived from it.
     pub mode: ExecutionMode,
     /// Parallel Hierarchical Evaluation: the mandatory hub fragment, if
     /// the fragmentation was built with one (see [`crate::phe`]).
@@ -149,8 +151,6 @@ impl DisconnectionSetEngine {
         symmetric: bool,
         cfg: EngineConfig,
     ) -> Result<Self, ClosureError> {
-        // The build path is shared with every other backend (the machine
-        // simulation deploys from the same parts).
         Ok(DisconnectionSetEngine {
             snap: EngineSnapshot::build(graph, frag, symmetric, cfg)?,
             scratch: ScratchDijkstra::new(),
@@ -276,7 +276,7 @@ impl DisconnectionSetEngine {
 
 impl TcEngine for DisconnectionSetEngine {
     fn backend_name(&self) -> &'static str {
-        "inline"
+        self.snap.config().mode.backend_name()
     }
 
     fn site_count(&self) -> usize {
@@ -432,12 +432,11 @@ mod tests {
     }
 
     /// The trait-level snapshot is the engine's own immutable half: same
-    /// tables, same answers, attributed to the inline backend.
+    /// tables, same answers.
     #[test]
     fn snapshot_through_the_trait_answers_identically() {
         let (_, engine) = grid_engine(EngineConfig::default());
         let snap = TcEngine::snapshot(&engine);
-        assert_eq!(snap.source_backend(), "inline");
         assert_eq!(snap.precompute_stats(), TcEngine::precompute_stats(&engine));
         let mut scratch = ScratchDijkstra::new();
         for (x, y) in [(0u32, 39u32), (5, 33), (12, 12)] {
@@ -456,6 +455,8 @@ mod tests {
             mode: ExecutionMode::Parallel,
             ..EngineConfig::default()
         });
+        assert_eq!(seq_engine.backend_name(), "inline");
+        assert_eq!(par_engine.backend_name(), "site-threads");
         for (x, y) in [(0u32, 39u32), (5, 33), (12, 27), (39, 0)] {
             assert_eq!(
                 seq_engine.shortest_path(n(x), n(y)).cost,

@@ -21,10 +21,6 @@ pub enum ClosureError {
     /// The request was not answered; the worker has been respawned and a
     /// retry will be served normally.
     WorkerFailed,
-    /// A machine site thread died (or timed out) while this operation
-    /// needed it. The coordinator redeploys the site from its retained
-    /// fragment/table state; a retry will be served normally.
-    SiteUnavailable { site: usize },
     /// The request sat in the serve queue past its deadline and was shed
     /// without evaluation; `waited` is how long it had been queued.
     DeadlineExceeded { waited: Duration },
@@ -66,9 +62,6 @@ impl fmt::Display for ClosureError {
             }
             ClosureError::WorkerFailed => {
                 write!(f, "serve worker panicked while evaluating this batch")
-            }
-            ClosureError::SiteUnavailable { site } => {
-                write!(f, "site {site} is unavailable (thread dead or timed out)")
             }
             ClosureError::DeadlineExceeded { waited } => {
                 write!(f, "request shed after waiting {waited:?} past its deadline")
@@ -112,9 +105,6 @@ mod tests {
             .to_string()
             .contains("store_paths"));
         assert!(ClosureError::WorkerFailed.to_string().contains("worker"));
-        assert!(ClosureError::SiteUnavailable { site: 2 }
-            .to_string()
-            .contains('2'));
         assert!(ClosureError::DeadlineExceeded {
             waited: Duration::from_millis(5)
         }

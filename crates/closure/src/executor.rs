@@ -1,5 +1,5 @@
-//! Phase-one execution: run the chain's site subqueries, sequentially or
-//! with one OS thread per site.
+//! Phase-one execution: run a round of site subqueries, sequentially or
+//! with one OS thread per site — the one site-thread placement there is.
 //!
 //! "Note that neither communication nor synchronization is required
 //! during the first phase of the computation … Only at the end of the
@@ -28,6 +28,17 @@ pub enum ExecutionMode {
     Parallel,
 }
 
+impl ExecutionMode {
+    /// The backend name engines, the `System` facade and the serve stats
+    /// report for this placement: `"inline"` or `"site-threads"`.
+    pub fn backend_name(self) -> &'static str {
+        match self {
+            ExecutionMode::Sequential => "inline",
+            ExecutionMode::Parallel => "site-threads",
+        }
+    }
+}
+
 /// Accounting for one site's subquery.
 #[derive(Clone, Debug)]
 pub struct SiteRun {
@@ -44,9 +55,12 @@ pub struct SiteRun {
 ///
 /// Sequential mode runs every subquery on `scratch`, so a caller that
 /// keeps one scratch across queries performs no per-subquery O(V)
-/// allocations. Parallel mode gives each site thread its own fresh
-/// scratch (stamped arrays cannot be shared across threads — exactly as
-/// each real site owns its memory).
+/// allocations. Parallel mode runs the first subquery there too and gives
+/// every other one a scoped thread with its own fresh scratch (stamped
+/// arrays cannot be shared across threads — exactly as each real site
+/// owns its memory), re-raising a site's panic in the caller with the
+/// site's own payload. So a round of one subquery (every same-fragment
+/// query) spawns nothing, whatever the mode.
 pub(crate) fn run_sites<K>(
     queries: &[SiteQueryRef<'_>],
     mode: ExecutionMode,
@@ -66,20 +80,26 @@ where
         };
         (m, run)
     };
-    match mode {
-        ExecutionMode::Sequential => queries.iter().map(|q| run_one(q, scratch)).collect(),
-        ExecutionMode::Parallel => std::thread::scope(|s| {
-            let run_one = &run_one;
-            let handles: Vec<_> = queries
-                .iter()
-                .map(|q| s.spawn(move || run_one(q, &mut ScratchDijkstra::new())))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("site thread panicked"))
-                .collect()
-        }),
+    if mode == ExecutionMode::Sequential {
+        return queries.iter().map(|q| run_one(q, scratch)).collect();
     }
+    let Some((first, rest)) = queries.split_first() else {
+        return Vec::new();
+    };
+    std::thread::scope(|s| {
+        let run_one = &run_one;
+        let handles: Vec<_> = rest
+            .iter()
+            .map(|q| s.spawn(move || run_one(q, &mut ScratchDijkstra::new())))
+            .collect();
+        let mut runs = Vec::with_capacity(queries.len());
+        runs.push(run_one(first, scratch));
+        runs.extend(handles.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        }));
+        runs
+    })
 }
 
 /// Evaluate every subquery of a chain exactly as planned — one forward
@@ -151,6 +171,44 @@ mod tests {
         assert_eq!(seq_runs[1].tuples, 1);
         assert_eq!(seq_runs[0].site, 0);
         assert_eq!(par_runs[1].site, 1);
+    }
+
+    #[test]
+    fn a_round_of_one_subquery_runs_on_the_callers_scratch() {
+        let (aug, chain) = setup();
+        let queries: Vec<SiteQueryRef<'_>> = chain.queries.iter().map(SiteQuery::as_ref).collect();
+        let kernel = |q: &SiteQueryRef<'_>, scratch: &mut ScratchDijkstra| {
+            forward_matrix(&aug[q.site], q.sources, q.targets, scratch)
+        };
+        let mut scratch = ScratchDijkstra::new();
+        run_sites(&queries[..1], ExecutionMode::Parallel, &mut scratch, kernel);
+        assert_eq!(scratch.stats().sweeps, 1, "no thread, no fresh scratch");
+        run_sites(&queries, ExecutionMode::Parallel, &mut scratch, kernel);
+        assert_eq!(
+            scratch.stats().sweeps,
+            2,
+            "two sites: the second on a thread"
+        );
+    }
+
+    #[test]
+    fn a_site_panic_reaches_the_caller_with_its_own_payload() {
+        let (aug, chain) = setup();
+        let queries: Vec<SiteQueryRef<'_>> = chain.queries.iter().map(SiteQuery::as_ref).collect();
+        let caught = std::panic::catch_unwind(|| {
+            run_sites(
+                &queries,
+                ExecutionMode::Parallel,
+                &mut ScratchDijkstra::new(),
+                |q, scratch| {
+                    assert_eq!(q.site, 0, "site {} kernel failed", q.site);
+                    forward_matrix(&aug[q.site], q.sources, q.targets, scratch)
+                },
+            )
+        });
+        let payload = caught.expect_err("the site thread's panic propagates");
+        let message = payload.downcast_ref::<String>().expect("formatted panic");
+        assert!(message.contains("site 1 kernel failed"), "{message}");
     }
 
     #[test]

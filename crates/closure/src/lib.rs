@@ -23,12 +23,13 @@
 //! [`phe`] implements the Parallel Hierarchical Evaluation extension
 //! (ref [12]) for fragmentation graphs too complex to enumerate.
 //!
-//! [`api`] defines [`TcEngine`], the backend-polymorphic query surface
-//! (single queries, routes, updates, and the amortized
-//! [`TcEngine::query_batch`]) that both this crate's engine and
-//! `ds_machine::Machine` implement, plus the build path and batch driver
-//! the backends share. The umbrella crate's `System` builder deploys
-//! either backend behind it.
+//! [`api`] defines [`TcEngine`], the query surface (single queries,
+//! routes, updates, and the amortized [`TcEngine::query_batch`]) this
+//! crate's engine and the umbrella crate's `System` facade implement,
+//! plus the batch driver behind it. Running each site subquery on a
+//! thread of its own is a placement of that one evaluator
+//! ([`executor::ExecutionMode`]), which the facade spells
+//! `Backend::SiteThreads`.
 //!
 //! ```
 //! use ds_closure::engine::{DisconnectionSetEngine, EngineConfig};

@@ -43,8 +43,7 @@ use ds_fragment::{FragmentId, Fragmentation};
 use ds_graph::{CsrGraph, NodeId, ReachIndex, ScratchDijkstra};
 
 use crate::api::{
-    best_route, build_parts, run_batch, BatchAnswer, EngineParts, NetworkUpdate, QueryRequest,
-    RealHopSet, SiteEvaluator,
+    best_route, run_batch, BatchAnswer, NetworkUpdate, QueryRequest, RealHopSet, SiteEvaluator,
 };
 use crate::complementary::{ComplementaryInfo, PrecomputeStats};
 use crate::engine::{EngineConfig, QueryAnswer, QueryStats, Route};
@@ -93,10 +92,6 @@ pub struct EngineSnapshot {
     /// epochs like every other component: a kept index costs one
     /// refcount bump per publication.
     reach: Option<Arc<ReachIndex>>,
-    /// Which backend's build path produced this snapshot ("inline",
-    /// "site-threads") — reported by `ds_serve::ServeStats` so operators
-    /// can see what they are serving.
-    source_backend: &'static str,
 }
 
 /// What one [`EngineSnapshot::maintain_cow`] call replaced: the update
@@ -124,88 +119,51 @@ pub struct CowMaintenance {
 }
 
 impl EngineSnapshot {
-    /// Build a snapshot from scratch: runs the shared build path
-    /// ([`build_parts`]) and assembles the per-site real-hop sets.
+    /// Build a snapshot from scratch: validate, compute the complementary
+    /// information (the paper's pre-processing phase; its local-sweep
+    /// phase runs on [`EngineConfig::precompute_threads`] OS threads), then
+    /// the per-site augmented graphs and real-hop sets, the planner and
+    /// the reachability index.
     pub fn build(
         graph: CsrGraph,
         frag: Fragmentation,
         symmetric: bool,
         cfg: EngineConfig,
     ) -> Result<Self, ClosureError> {
-        let parts = build_parts(&graph, &frag, symmetric, &cfg)?;
-        Ok(Self::from_parts(
-            graph, frag, symmetric, cfg, parts, "inline",
-        ))
-    }
-
-    /// Wrap an already-built [`EngineParts`] (the shared pre-processing
-    /// outcome both backends deploy from) into a snapshot.
-    pub fn from_parts(
-        graph: CsrGraph,
-        frag: Fragmentation,
-        symmetric: bool,
-        cfg: EngineConfig,
-        parts: EngineParts,
-        source_backend: &'static str,
-    ) -> Self {
-        let reach = cfg.reach_index.then(|| Arc::new(ReachIndex::build(&graph)));
-        EngineSnapshot {
-            graph: Arc::new(graph),
-            frag: Arc::new(frag),
-            symmetric,
-            cfg,
-            comp: parts.comp,
-            augmented: parts
-                .augmented
-                .into_iter()
-                .map(|g| Arc::new(SiteGraph::new(g, symmetric)))
-                .collect(),
-            memos: fresh_memos(&parts.planner),
-            real_hops: parts.real_hops,
-            planner: parts.planner,
-            reach,
-            source_backend,
+        if graph.node_count() != frag.node_count() {
+            return Err(ClosureError::NodeCountMismatch {
+                graph: graph.node_count(),
+                fragmentation: frag.node_count(),
+            });
         }
-    }
-
-    /// Assemble a snapshot from retained coordinator state (graph,
-    /// fragmentation, complementary tables, planner), rebuilding the
-    /// augmented graphs and real-hop sets. This is how the machine
-    /// backend — whose sites own their augmented graphs — produces a
-    /// snapshot without re-running the precompute. The coordinator hands
-    /// over `Arc` handles, so the whole-graph pieces are shared with the
-    /// machine rather than copied.
-    ///
-    /// `reach` is the caller's reachability index over `graph`, shared
-    /// rather than rebuilt when it has one; pass `None` to build it here
-    /// (gated on [`EngineConfig::reach_index`]).
-    #[allow(clippy::too_many_arguments)] // mirrors the retained coordinator state
-    pub fn assemble(
-        graph: Arc<CsrGraph>,
-        frag: Arc<Fragmentation>,
-        symmetric: bool,
-        cfg: EngineConfig,
-        comp: ComplementaryInfo,
-        planner: Arc<Planner>,
-        reach: Option<Arc<ReachIndex>>,
-        source_backend: &'static str,
-    ) -> Self {
-        let n = graph.node_count();
+        let comp = ComplementaryInfo::compute_with_threads(
+            &graph,
+            &frag,
+            cfg.scope,
+            cfg.store_paths,
+            cfg.precompute_threads,
+        );
         let mut augmented = Vec::with_capacity(frag.fragment_count());
         let mut real_hops = Vec::with_capacity(frag.fragment_count());
         for f in frag.fragments() {
             augmented.push(Arc::new(SiteGraph::build(
-                n,
+                graph.node_count(),
                 f.edges(),
                 symmetric,
                 comp.shortcuts(f.id()),
             )));
             real_hops.push(Arc::new(real_hop_set(f.edges(), symmetric)));
         }
-        let reach = reach.or_else(|| cfg.reach_index.then(|| Arc::new(ReachIndex::build(&graph))));
-        EngineSnapshot {
-            graph,
-            frag,
+        let planner = Arc::new(Planner::new(
+            &frag,
+            cfg.max_chains,
+            cfg.max_chain_len,
+            cfg.hub,
+        ));
+        let reach = cfg.reach_index.then(|| Arc::new(ReachIndex::build(&graph)));
+        Ok(EngineSnapshot {
+            graph: Arc::new(graph),
+            frag: Arc::new(frag),
             symmetric,
             cfg,
             comp,
@@ -214,8 +172,7 @@ impl EngineSnapshot {
             real_hops,
             planner,
             reach,
-            source_backend,
-        }
+        })
     }
 
     /// A deep copy that shares **nothing** with `self`: every component —
@@ -253,7 +210,6 @@ impl EngineSnapshot {
                 .collect(),
             planner: Arc::new((*self.planner).clone()),
             reach: self.reach.as_ref().map(|r| Arc::new((**r).clone())),
-            source_backend: self.source_backend,
         }
     }
 
@@ -366,11 +322,6 @@ impl EngineSnapshot {
         self.comp.precompute_stats()
     }
 
-    /// Which backend's build path produced this snapshot.
-    pub fn source_backend(&self) -> &'static str {
-        self.source_backend
-    }
-
     // --- queries (&self + caller-owned scratch) ------------------------
 
     /// Shortest-path cost from `x` to `y` on `scratch` — a batch of one.
@@ -431,11 +382,11 @@ impl EngineSnapshot {
         requests: &[QueryRequest],
         scratch: &mut ScratchDijkstra,
     ) -> BatchAnswer {
-        run_batch(&self.planner, &mut self.inline(scratch), requests)
+        run_batch(&self.planner, &mut self.evaluator(scratch), requests)
     }
 
-    fn inline<'a>(&'a self, scratch: &'a mut ScratchDijkstra) -> InlineEval<'a> {
-        InlineEval {
+    fn evaluator<'a>(&'a self, scratch: &'a mut ScratchDijkstra) -> SnapshotEval<'a> {
+        SnapshotEval {
             augmented: &self.augmented,
             memos: &self.memos,
             mode: self.cfg.mode,
@@ -455,7 +406,7 @@ impl EngineSnapshot {
         traces: &[ds_obs::TraceId],
         sink: &mut Vec<ds_obs::EvalTrace>,
     ) -> BatchAnswer {
-        let mut eval = self.inline(scratch);
+        let mut eval = self.evaluator(scratch);
         crate::api::run_batch_traced(&self.planner, &mut eval, requests, traces, Some(sink))
     }
 
@@ -476,7 +427,7 @@ impl EngineSnapshot {
         sink: Option<&mut Vec<ds_obs::EvalTrace>>,
         deadlines: &[Option<std::time::Instant>],
     ) -> crate::api::BoundedBatchAnswer {
-        let mut eval = self.inline(scratch);
+        let mut eval = self.evaluator(scratch);
         crate::api::run_batch_bounded(&self.planner, &mut eval, requests, traces, sink, deadlines)
     }
 
@@ -505,7 +456,7 @@ impl EngineSnapshot {
             }));
         }
         let Some((cost, chain, mut waypoints)) =
-            best_route(&self.planner, &mut self.inline(scratch), (x, y))?
+            best_route(&self.planner, &mut self.evaluator(scratch), (x, y))?
         else {
             return Ok(None);
         };
@@ -586,7 +537,7 @@ impl EngineSnapshot {
 
     /// [`EngineSnapshot::maintain`] with the copy-on-write outcome made
     /// explicit: which sites' components were detached from the previous
-    /// epoch (and must be shipped / re-cached), and which remain shared.
+    /// epoch, and which remain shared.
     pub fn maintain_cow(
         &mut self,
         update: &NetworkUpdate,
@@ -670,34 +621,32 @@ fn fresh_memos(planner: &Planner) -> Vec<Arc<SiteMemo>> {
         .collect()
 }
 
-/// Site evaluation for snapshot-backed (and inline-engine) batches:
-/// subqueries run on the calling thread or one scoped thread each, per
-/// [`EngineConfig::mode`], against the caller's scratch.
-struct InlineEval<'a> {
+/// Site evaluation over a snapshot: subqueries run on the calling thread
+/// or one scoped thread each, per [`EngineConfig::mode`], against the
+/// caller's scratch.
+struct SnapshotEval<'a> {
     augmented: &'a [Arc<SiteGraph>],
     memos: &'a [Arc<SiteMemo>],
     mode: ExecutionMode,
     scratch: &'a mut ScratchDijkstra,
 }
 
-impl SiteEvaluator for InlineEval<'_> {
+impl SiteEvaluator for SnapshotEval<'_> {
     fn eval_sites(
         &mut self,
         queries: &[SiteQueryRef<'_>],
         stats: &mut QueryStats,
-    ) -> Option<Vec<SegmentMatrix>> {
+    ) -> Vec<SegmentMatrix> {
         let augmented = self.augmented;
         let runs = run_sites(queries, self.mode, self.scratch, |q, scratch| {
             border_matrix_with(&augmented[q.site], q.sources, q.targets, scratch)
         });
-        Some(
-            runs.into_iter()
-                .map(|(m, run)| {
-                    stats.record_site_run(run.tuples, run.busy);
-                    m
-                })
-                .collect(),
-        )
+        runs.into_iter()
+            .map(|(m, run)| {
+                stats.record_site_run(run.tuples, run.busy);
+                m
+            })
+            .collect()
     }
 
     fn memo(&self, site: FragmentId) -> &SiteMemo {
@@ -711,7 +660,6 @@ impl SiteEvaluator for InlineEval<'_> {
 /// invariant, rather than as a confusing trait-bound error in `ds_serve`.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<EngineParts>();
     assert_send_sync::<ComplementaryInfo>();
     assert_send_sync::<Fragmentation>();
     assert_send_sync::<EngineSnapshot>();
@@ -777,47 +725,6 @@ mod tests {
                 );
                 assert_eq!(*got, want, "thread {t} query {i}");
             }
-        }
-    }
-
-    #[test]
-    fn assemble_equals_from_parts() {
-        let g = grid(8, 3);
-        let frag = linear_sweep(
-            &g.edge_list(),
-            &LinearConfig {
-                fragments: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .fragmentation;
-        let cfg = EngineConfig::default();
-        let built =
-            EngineSnapshot::build(g.closure_graph(), frag.clone(), true, cfg.clone()).unwrap();
-        let assembled = EngineSnapshot::assemble(
-            Arc::new(g.closure_graph()),
-            Arc::new(frag),
-            true,
-            cfg,
-            built.complementary().clone(),
-            Arc::clone(built.planner_handle()),
-            None,
-            "site-threads",
-        );
-        assert_eq!(assembled.source_backend(), "site-threads");
-        assert!(
-            assembled.reach_index().is_some(),
-            "assemble builds the index when the caller has none"
-        );
-        let mut s1 = ScratchDijkstra::new();
-        let mut s2 = ScratchDijkstra::new();
-        for (x, y) in [(0u32, 23u32), (5, 17), (12, 12), (23, 0)] {
-            assert_eq!(
-                built.shortest_path(n(x), n(y), &mut s1).cost,
-                assembled.shortest_path(n(x), n(y), &mut s2).cost,
-                "query {x}->{y}"
-            );
         }
     }
 

@@ -39,11 +39,9 @@
 //!   tuples must then be *dropped*, not re-costed, which is the
 //!   recompute's job.
 //!
-//! [`maintain`] is the shared maintenance path: both backends (the inline
-//! engine and the message-passing machine) drive their updates through
-//! it, so both produce identical [`UpdateReport`] accounting; the machine
-//! additionally turns the returned touched-site set into `Delta` messages
-//! (see `ds_machine::protocol`).
+//! [`maintain`] is the one maintenance path: the engine and the serve
+//! writer both reach it through `EngineSnapshot::maintain_cow`, so every
+//! surface produces identical [`UpdateReport`] accounting.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -67,8 +65,7 @@ pub enum FallbackReason {
     Disconnected,
 }
 
-/// Outcome of one update, with the accounting both backends populate
-/// through the shared [`maintain`] path.
+/// Outcome of one update, as accounted by [`maintain`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UpdateReport {
     /// Shortcut tuples whose cost improved (insert maintenance).
@@ -81,9 +78,10 @@ pub struct UpdateReport {
     /// (invariant: `full_recompute == fallback_reason.is_some()`).
     pub fallback_reason: Option<FallbackReason>,
     /// Sites whose state (fragment edges or shortcut table) changed —
-    /// the sites a message-passing backend must ship a delta to.
+    /// the sites a distributed deployment would have to ship a delta to.
     pub sites_touched: usize,
-    /// Shortcut tuples shipped to refresh the touched sites' tables.
+    /// Shortcut tuples in the touched sites' refreshed tables: the
+    /// update's communication volume in the paper's accounting.
     pub tuples_shipped: usize,
 }
 
@@ -137,8 +135,7 @@ impl UpdateBatchReport {
 /// How one update could have affected the *reachability* relation —
 /// the structural facts a reachability-index owner needs to decide
 /// keep-vs-rebuild without recomputing anything. [`maintain`] reports
-/// them; the owners (`EngineSnapshot::maintain_cow`, the machine
-/// coordinator) apply the rules:
+/// them; the owner (`EngineSnapshot::maintain_cow`) applies the rules:
 ///
 /// * `Unchanged` — keep the index as-is;
 /// * `Inserted` — keep iff the index already answers `src` reaches
@@ -160,9 +157,8 @@ pub enum ConnectivityEffect {
     Removed { parallel_remains: bool },
 }
 
-/// What a backend must do after [`maintain`] returns: refresh the listed
-/// sites. The inline engine rebuilds their augmented graphs; the machine
-/// ships them `Delta` messages.
+/// What the snapshot must do after [`maintain`] returns: rebuild the
+/// listed sites' augmented graphs.
 #[derive(Clone, Debug)]
 pub struct Maintenance {
     pub report: UpdateReport,
@@ -214,12 +210,10 @@ impl Maintenance {
     }
 }
 
-/// The shared maintenance path: validate and apply the structural change,
-/// then keep `comp` exact — incrementally when possible, by full
-/// recompute otherwise. Both backends call this with their retained
-/// state (including a persistent `scratch` that the deletion repair
-/// sweeps reuse); they differ only in how they act on the returned
-/// touched sites.
+/// The maintenance path: validate and apply the structural change, then
+/// keep `comp` exact — incrementally when possible, by full recompute
+/// otherwise. The caller passes its retained state, including a
+/// persistent `scratch` that the deletion repair sweeps reuse.
 ///
 /// `graph` and `frag` are owned through [`Arc`] handles: a caller whose
 /// state is shared with published snapshots (the serve writer's working

@@ -2,8 +2,7 @@
 //! poison-tolerant lock helpers the supervisors rely on.
 //!
 //! Every threaded tier of the workspace — the serve worker pool, the
-//! serve writer, the machine's site threads, the bulk materialize pool —
-//! carries an `Option<Arc<FaultPlan>>` and calls [`fire`] at a small set
+//! serve writer, the bulk materialize pool — carries an `Option<Arc<FaultPlan>>` and calls [`fire`] at a small set
 //! of named [`FaultPoint`]s. With no plan armed (`None`, the production
 //! configuration) a hook is a single branch on an `Option` — no
 //! atomics, no locks, nothing to configure out with `cfg`. With a plan
@@ -49,7 +48,7 @@ pub fn wait_unpoisoned<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGu
 }
 
 /// A named hook location. The variants carry the component index so a
-/// plan can target "worker 2" or "site 0" specifically; the occurrence
+/// plan can target "worker 2" or "fragment 0" specifically; the occurrence
 /// counter is kept per distinct `FaultPoint` value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
@@ -57,8 +56,6 @@ pub enum FaultPoint {
     ServeWorker { worker: usize },
     /// The serve writer about to publish an epoch.
     ServeWriter,
-    /// A machine site thread about to process one request message.
-    MachineSite { site: usize },
     /// A bulk materialize worker about to run one fragment round.
     BulkWorker { fragment: usize },
     /// The durable store about to append a group-committed WAL batch.
@@ -269,8 +266,6 @@ pub fn fire_disk(plan: &Option<Arc<FaultPlan>>, point: FaultPoint) -> Option<Dis
 pub struct FaultUniverse {
     /// Serve workers in the pool.
     pub workers: usize,
-    /// Machine site threads.
-    pub sites: usize,
     /// Bulk materialize fragments.
     pub fragments: usize,
 }
@@ -281,9 +276,6 @@ pub struct FaultUniverse {
 pub enum FaultScenario {
     /// Panic serve worker `worker` at its `job`th micro-batch.
     WorkerPanic { worker: usize, job: u64 },
-    /// Kill machine site `site` while it processes its `message`th
-    /// request.
-    SiteKill { site: usize, message: u64 },
     /// Kill the serve writer at its `publication`th publication.
     WriterKill { publication: u64 },
     /// Delay every component's early occurrences by `millis` ms.
@@ -301,21 +293,17 @@ fn splitmix(state: &mut u64) -> u64 {
 
 impl FaultScenario {
     /// Derive the scenario for `seed`. Consecutive seeds rotate through
-    /// the scenario kinds, so any sweep of ≥ 4 seeds covers all of them.
+    /// the scenario kinds, so any sweep of ≥ 3 seeds covers all of them.
     pub fn from_seed(seed: u64, universe: &FaultUniverse) -> FaultScenario {
         let mut s = seed.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(1);
         let r0 = splitmix(&mut s);
         let r1 = splitmix(&mut s);
-        match seed % 4 {
+        match seed % 3 {
             0 => FaultScenario::WorkerPanic {
                 worker: (r0 as usize) % universe.workers.max(1),
                 job: 1 + r1 % 4,
             },
-            1 if universe.sites > 0 => FaultScenario::SiteKill {
-                site: (r0 as usize) % universe.sites,
-                message: 1 + r1 % 4,
-            },
-            1 | 2 => FaultScenario::WriterKill {
+            1 => FaultScenario::WriterKill {
                 publication: 1 + r1 % 3,
             },
             _ => FaultScenario::DelayStorm {
@@ -330,9 +318,6 @@ impl FaultScenario {
             FaultScenario::WorkerPanic { worker, job } => {
                 FaultPlan::new().panic_at(FaultPoint::ServeWorker { worker }, job)
             }
-            FaultScenario::SiteKill { site, message } => {
-                FaultPlan::new().panic_at(FaultPoint::MachineSite { site }, message)
-            }
             FaultScenario::WriterKill { publication } => {
                 FaultPlan::new().panic_at(FaultPoint::ServeWriter, publication)
             }
@@ -343,9 +328,6 @@ impl FaultScenario {
                     plan = plan
                         .delay_at(FaultPoint::ServeWorker { worker }, 1, d)
                         .delay_at(FaultPoint::ServeWorker { worker }, 3, d);
-                }
-                for site in 0..universe.sites {
-                    plan = plan.delay_at(FaultPoint::MachineSite { site }, 1, d);
                 }
                 plan
             }
@@ -419,27 +401,22 @@ mod tests {
     fn seed_sweep_covers_every_scenario_kind() {
         let u = FaultUniverse {
             workers: 4,
-            sites: 3,
             fragments: 3,
         };
-        let mut kinds = [false; 4];
-        for seed in 0..8 {
+        let mut kinds = [false; 3];
+        for seed in 0..6 {
             match FaultScenario::from_seed(seed, &u) {
                 FaultScenario::WorkerPanic { worker, job } => {
                     assert!(worker < u.workers && job >= 1);
                     kinds[0] = true;
                 }
-                FaultScenario::SiteKill { site, message } => {
-                    assert!(site < u.sites && message >= 1);
-                    kinds[1] = true;
-                }
                 FaultScenario::WriterKill { publication } => {
                     assert!(publication >= 1);
-                    kinds[2] = true;
+                    kinds[1] = true;
                 }
                 FaultScenario::DelayStorm { millis } => {
                     assert!(millis >= 1);
-                    kinds[3] = true;
+                    kinds[2] = true;
                 }
             }
             // Deterministic: the same seed derives the same scenario.
@@ -455,7 +432,6 @@ mod tests {
     fn scenario_plans_are_armed() {
         let u = FaultUniverse {
             workers: 2,
-            sites: 2,
             fragments: 2,
         };
         for seed in 0..8 {

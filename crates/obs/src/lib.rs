@@ -13,8 +13,7 @@
 //!   atomic [`LatencyHistogram`]s, exported point-in-time as JSON or
 //!   Prometheus text via [`MetricsSnapshot`];
 //! * [`Tracer`] — [`TraceId`]s minted at serve admission and threaded
-//!   through micro-batches, `run_batch`, the machine protocol, and
-//!   writer publication, yielding per-request [`RequestTrace`] span
+//!   through micro-batches, `run_batch` and writer publication, yielding per-request [`RequestTrace`] span
 //!   sets plus a ring-buffered [`SlowQueryLog`];
 //! * [`WorkloadRecorder`] — a sharded, bounded sketch of per-vertex-pair
 //!   and per-fragment-pair query frequencies sampled from the serve hot
@@ -108,7 +107,7 @@ impl Observability {
     }
 
     /// A default-configured bundle, ready to hand to
-    /// `ServeConfig`/`MachineOptions`/`MaterializeConfig`.
+    /// `ServeConfig`/`MaterializeConfig`.
     pub fn armed() -> Arc<Self> {
         Arc::new(Self::new(ObsConfig::default()))
     }
@@ -154,9 +153,49 @@ impl Observability {
     }
 }
 
+/// Imbalance of a set of busy times: max over mean of the non-idle
+/// entries, 1.0 for a perfectly balanced (or fully idle) set — the
+/// workload-balance goal of §2.2 made measurable. The one definition
+/// behind the serve tier's per-worker report and bulk materialization's
+/// per-fragment report.
+pub fn balance_ratio(busies: &[Duration]) -> f64 {
+    let busies: Vec<f64> = busies
+        .iter()
+        .map(Duration::as_secs_f64)
+        .filter(|&b| b > 0.0)
+        .collect();
+    if busies.is_empty() {
+        return 1.0;
+    }
+    let max = busies.iter().cloned().fold(0.0, f64::max);
+    let mean = busies.iter().sum::<f64>() / busies.len() as f64;
+    max / mean
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn balance_ratio_of_equal_busy_times_is_one() {
+        let busies = [Duration::from_millis(10); 2];
+        assert!((balance_ratio(&busies) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn balance_ratio_detects_skew() {
+        let busies = [Duration::from_millis(30), Duration::from_millis(10)];
+        assert!(balance_ratio(&busies) > 1.4);
+    }
+
+    #[test]
+    fn empty_or_idle_set_is_balanced() {
+        assert_eq!(balance_ratio(&[]), 1.0);
+        assert_eq!(balance_ratio(&[Duration::ZERO; 3]), 1.0);
+        // Idle entries are left out of the mean, not averaged in.
+        let one_busy = [Duration::from_millis(10), Duration::ZERO];
+        assert_eq!(balance_ratio(&one_busy), 1.0);
+    }
 
     #[test]
     fn record_request_feeds_all_three_instruments() {

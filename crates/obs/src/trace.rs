@@ -4,9 +4,8 @@
 //! adaptive p999) latency threshold.
 //!
 //! A [`TraceId`] is a plain `u64` so it can ride inside micro-batch
-//! jobs and machine protocol messages without allocation; `TraceId::NONE`
-//! (zero) marks untraced requests and costs the carrying structs
-//! nothing. Spans are recorded as offsets from the [`Tracer`]'s birth
+//! jobs without allocation; `TraceId::NONE` (zero) marks untraced
+//! requests and costs the carrying structs nothing. Spans are recorded as offsets from the [`Tracer`]'s birth
 //! instant, so records from different threads land on one time axis.
 
 use std::collections::VecDeque;
@@ -62,9 +61,6 @@ pub enum Stage {
     Evaluation,
     /// Evaluation time of one disconnection-set chain.
     ChainSegment { chain: u32 },
-    /// One site's busy time answering a phase-one sub-query (machine
-    /// backend; from the protocol reply).
-    SitePhaseOne { site: u32 },
     /// The serve writer applying an update batch to its working copy.
     WriterApply,
     /// The serve writer publishing the new epoch.
@@ -81,7 +77,6 @@ impl fmt::Display for Stage {
             Stage::ReachIndex => write!(f, "reach-index"),
             Stage::Evaluation => write!(f, "evaluation"),
             Stage::ChainSegment { chain } => write!(f, "chain-{chain}"),
-            Stage::SitePhaseOne { site } => write!(f, "site-{site}-phase1"),
             Stage::WriterApply => write!(f, "writer-apply"),
             Stage::Publication => write!(f, "publication"),
         }

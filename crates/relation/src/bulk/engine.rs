@@ -178,9 +178,8 @@ pub struct MaterializeStats {
 impl MaterializeStats {
     /// Mirror the run's headline numbers into `registry` as
     /// `materialize_*` gauges — the registry-backed view of this
-    /// struct, same convention as `MachineStats::mirror_into`. Gauges
-    /// (not counters) because the struct owns the truth: a later run
-    /// overwrites, never accumulates.
+    /// struct. Gauges (not counters) because the struct owns the truth:
+    /// a later run overwrites, never accumulates.
     pub fn mirror_into(&self, registry: &ds_obs::MetricsRegistry) {
         registry
             .gauge("materialize_fragments")
@@ -203,19 +202,11 @@ impl MaterializeStats {
             .set(self.tc.tuples_generated as u64);
     }
 
-    /// Max over mean per-fragment busy time — 1.0 is a perfectly
-    /// balanced run (same measure as the machine/serve stats).
+    /// Max over mean busy time of the fragments that worked — 1.0 is a
+    /// perfectly balanced run ([`ds_obs::balance_ratio`], the measure the
+    /// serve stats report per worker).
     pub fn balance_ratio(&self) -> f64 {
-        let total: f64 = self.busy.iter().map(Duration::as_secs_f64).sum();
-        if self.busy.is_empty() || total == 0.0 {
-            return 1.0;
-        }
-        let max = self
-            .busy
-            .iter()
-            .map(Duration::as_secs_f64)
-            .fold(0.0, f64::max);
-        max / (total / self.busy.len() as f64)
+        ds_obs::balance_ratio(&self.busy)
     }
 }
 

@@ -14,8 +14,7 @@
 //! the throughput lever of distributed graph querying.
 //!
 //! Architecture (std-only — no third-party dependencies; threads are
-//! hand-rolled like the site threads of `ds_machine`, whose stats
-//! conventions — the balance ratio — this crate reuses):
+//! hand-rolled):
 //!
 //! ```text
 //!  clients ──► bounded job queue ──► worker pool (one scratch each)
@@ -99,7 +98,8 @@
 //!   latency from the shared fixed-bucket [`LatencyHistogram`]
 //!   (promoted to `ds_obs`), per-worker busy time and scratch reuse,
 //!   batch amortization and cache hit/miss counters, queue pressure,
-//!   and which backend/strategy built the tables being served. Arming
+//!   and which backend placement and precompute strategy is being
+//!   served. Arming
 //!   [`ServeConfig::obs`] additionally mints a trace id per admitted
 //!   request, files span sets (queue wait, evaluation, per-chain
 //!   segment time, cache/coalesce/reach-index markers) into a trace

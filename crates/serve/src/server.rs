@@ -341,7 +341,8 @@ pub struct ServeStats {
     pub scratch: ScratchStats,
     /// Request latency (submit → reply) percentiles.
     pub latency: LatencySummary,
-    /// Which backend's build path produced the tables being served.
+    /// The served snapshot's site-subquery placement, by its backend
+    /// name (`EngineConfig::mode`: "inline" or "site-threads").
     pub backend: &'static str,
     /// Which precompute strategy built (or last rebuilt) those tables.
     pub strategy: PrecomputeStrategy,
@@ -396,9 +397,9 @@ impl ServeStats {
     }
 
     /// Worker imbalance: max busy over mean busy (1.0 = balanced);
-    /// the same measure the machine backend reports per site.
+    /// the same measure bulk materialization reports per fragment.
     pub fn balance_ratio(&self) -> f64 {
-        ds_machine::stats::balance_ratio(&self.busy)
+        ds_obs::balance_ratio(&self.busy)
     }
 
     /// Fraction of requests answered without their own evaluation.
@@ -423,7 +424,7 @@ impl ServeStats {
 }
 
 impl std::fmt::Display for ServeStats {
-    /// One-line summary, like `MaterializeStats` and `MachineStats`:
+    /// One-line summary, like `MaterializeStats`:
     /// `epoch 2 (4 workers, inline): 150 requests (120 evaluated, 20
     /// coalesced, 10 cached), 2 updates, p50 8.1us p99 40.2us, balance
     /// 1.10`, with degrade/restart/shed markers appended only when
@@ -1081,7 +1082,7 @@ impl Server {
             writer_busy: Duration::ZERO,
             scratch: ScratchStats::default(),
             latency: LatencySummary::default(),
-            backend: snap.source_backend(),
+            backend: snap.config().mode.backend_name(),
             strategy: snap.precompute_stats().strategy,
             worker_restarts: self.shared.worker_restarts.load(Ordering::SeqCst),
             writer_restarts: self.shared.writer_restarts.load(Ordering::SeqCst),

@@ -1,9 +1,8 @@
 //! Observability quickstart: arm one `ds_obs` bundle on a `System` and
-//! watch it collect across all three tiers — machine-backed engine
-//! queries, the serve pool, and bulk materialization — then read the
-//! results four ways: per-request span breakdowns, the slow-query log,
-//! the workload recorder's hot pairs, and the registry's Prometheus /
-//! JSON exports.
+//! watch it collect across the serve pool and bulk materialization,
+//! then read the results four ways: per-request span breakdowns, the
+//! slow-query log, the workload recorder's hot pairs, and the registry's
+//! Prometheus / JSON exports.
 //!
 //! ```text
 //! cargo run --release --example observe
@@ -12,11 +11,11 @@
 use discset::fragment::CrossingPolicy;
 use discset::gen::{generate_transportation, TransportationConfig};
 use discset::graph::{Edge, NodeId};
-use discset::{Backend, Fragmenter, NetworkUpdate, Observability, System, TcEngine};
+use discset::{Fragmenter, NetworkUpdate, Observability, System};
 
 fn main() {
-    // A 6-country transportation network, one site thread per country,
-    // with one armed observability bundle shared by every tier.
+    // A 6-country transportation network with one armed observability
+    // bundle shared by every tier.
     let clusters = 6usize;
     let g = generate_transportation(
         &TransportationConfig {
@@ -32,29 +31,23 @@ fn main() {
         .clone()
         .expect("transportation graphs are clustered");
     let obs = Observability::armed();
-    let mut sys = System::builder()
+    let sys = System::builder()
         .graph(&g)
         .fragmenter(Fragmenter::ByLabels {
             labels,
             parts: clusters,
             policy: CrossingPolicy::LowerBlock,
         })
-        .backend(Backend::SiteThreads)
         .observability(obs.clone())
         .build()
         .expect("valid network");
     let nodes = g.nodes as u32;
 
-    // Tier 1 — machine: direct engine queries. Each leaves a trace with
-    // per-site phase-one spans and per-chain evaluation segments.
-    for (x, y) in [(0, nodes - 1), (7, nodes - 12), (3, 3)] {
-        sys.shortest_path(NodeId(x), NodeId(y));
-    }
-
-    // Tier 2 — serve: a worker pool inherits the same bundle through
-    // the facade. A hot route dominates (the workload recorder will
-    // surface it), one update publishes an epoch, one `connected` probe
-    // rides the reachability index.
+    // Serve: a worker pool inherits the bundle through the facade; each
+    // request leaves a trace with queue-wait, evaluation and per-chain
+    // spans. A hot route dominates (the workload recorder will surface
+    // it), one update publishes an epoch, one `connected` probe rides the
+    // reachability index.
     let server = sys.serve(2);
     let hot = (NodeId(0), NodeId(nodes - 1));
     for i in 0..40u32 {
@@ -76,7 +69,7 @@ fn main() {
     server.connected(hot.0, hot.1).expect("healthy pool");
     server.shutdown();
 
-    // Tier 3 — bulk: materialize the full closure; its stats land as
+    // Bulk: materialize the full closure; its stats land as
     // `materialize_*` gauges in the same registry.
     sys.materialize().expect("closure converges");
 

@@ -1,9 +1,9 @@
-//! Demonstrate the parallel evaluation on every execution backend and
+//! Demonstrate the parallel evaluation on both execution backends and
 //! the phase-one independence the paper's speed-up rests on.
 //!
-//! All backends — sequential inline, thread-per-subquery inline, and the
-//! PRISMA/DB-style message-passing machine — are deployed through the
-//! `System` builder and timed through the one `TcEngine` code path.
+//! Both backends — every site subquery on the calling thread, or one
+//! thread each — are deployed through the `System` builder and timed
+//! through the one `TcEngine` code path.
 //!
 //! ```text
 //! cargo run --release --example parallel_speedup
@@ -12,8 +12,6 @@
 use std::time::Instant;
 
 use discset::closure::baseline;
-use discset::closure::engine::EngineConfig;
-use discset::closure::executor::ExecutionMode;
 use discset::fragment::CrossingPolicy;
 use discset::gen::{generate_transportation, TransportationConfig};
 use discset::graph::NodeId;
@@ -43,30 +41,14 @@ fn main() {
         println!("{clusters} fragments: query {x}->{y}, cost {want:?}");
 
         // One deployment per backend; the query loop never changes.
-        let variants: [(&str, Backend, ExecutionMode); 3] = [
-            (
-                "inline sequential",
-                Backend::Inline,
-                ExecutionMode::Sequential,
-            ),
-            ("inline parallel", Backend::Inline, ExecutionMode::Parallel),
-            (
-                "site threads",
-                Backend::SiteThreads,
-                ExecutionMode::Sequential,
-            ),
-        ];
-        for (name, backend, mode) in variants {
+        for backend in [Backend::Inline, Backend::SiteThreads] {
             let mut sys = System::builder()
                 .graph(&g)
                 .fragmenter(fragmenter.clone())
                 .backend(backend)
-                .config(EngineConfig {
-                    mode,
-                    ..EngineConfig::default()
-                })
                 .build()
                 .expect("system deploys");
+            let name = sys.backend_name();
 
             let t = Instant::now();
             let a = sys.shortest_path(x, y);

@@ -23,7 +23,7 @@ fn main() {
 
     // Pick generator output x fragmenter x backend declaratively; the
     // returned System implements TcEngine, so the query code below is
-    // identical for the in-process engine and the site-thread machine.
+    // identical whether site subqueries run inline or on site threads.
     for backend in [Backend::Inline, Backend::SiteThreads] {
         let mut sys = System::builder()
             .graph(&network)

@@ -8,7 +8,7 @@
 //! system alone"), multi-chain planning on a cyclic fragmentation graph
 //! (two routes over the Alps), full route reconstruction — and backend
 //! swapping through the `System` builder: the same queries run unchanged
-//! on the in-process engine and the one-thread-per-country machine.
+//! with every country's subquery on a thread of its own.
 //!
 //! ```text
 //! cargo run --example railway
@@ -210,10 +210,10 @@ fn main() {
     );
     assert_eq!(a.cost, baseline::shortest_path_cost(&graph, ffm, ver));
 
-    // The same railway network on the message-passing backend: one
-    // thread per national railway system, identical answers. Only the
-    // builder line changes.
-    let mut machine_sys = System::builder()
+    // The same railway network on the site-threads backend: one thread
+    // per national railway system a query crosses, identical answers.
+    // Only the builder line changes.
+    let mut threaded = System::builder()
         .network(CITIES.len(), connections)
         .fragmenter(Fragmenter::ByLabels {
             labels,
@@ -223,10 +223,10 @@ fn main() {
         .backend(Backend::SiteThreads)
         .build()
         .expect("network is non-empty");
-    let m = machine_sys.shortest_path(ams, mil);
+    let m = threaded.shortest_path(ams, mil);
     println!(
         "\nsite-threads backend ({} national computer systems): Amsterdam -> Milan {} km",
-        machine_sys.site_count(),
+        threaded.site_count(),
         m.cost.expect("connected")
     );
     assert_eq!(m.cost, Some(route.cost), "backends must agree");

@@ -2,15 +2,14 @@
 //!
 //! The highest-level entry point is [`System`]: a builder that picks
 //! graph × fragmenter × execution backend and yields one [`TcEngine`] —
-//! the backend-polymorphic query surface (`shortest_path`, `connected`,
-//! `route`, `update`, `query_batch`) both execution substrates implement.
+//! the query surface (`shortest_path`, `connected`, `route`, `update`,
+//! `query_batch`), the same on either backend.
 
 pub use ds_closure as closure;
 pub use ds_durability as durability;
 pub use ds_fragment as fragment;
 pub use ds_gen as gen;
 pub use ds_graph as graph;
-pub use ds_machine as machine;
 pub use ds_obs as obs;
 pub use ds_relation as relation;
 pub use ds_serve as serve;

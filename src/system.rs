@@ -1,9 +1,10 @@
 //! The `System` facade: pick generator output × fragmenter × execution
 //! backend declaratively, get back one [`TcEngine`].
 //!
-//! The paper's phase-one independence means the same disconnection-set
-//! pipeline runs identically whether sites are simulated in-process or as
-//! message-passing threads. `System` makes that a one-liner:
+//! The paper's phase one needs "neither communication nor
+//! synchronization" (§2.1), so the one evaluator answers identically
+//! whether a query's site subqueries run on the calling thread or on a
+//! thread each. `System` makes that choice a one-liner:
 //!
 //! ```
 //! use discset::fragment::linear::LinearConfig;
@@ -28,6 +29,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use ds_closure::api::{BatchAnswer, NetworkUpdate, QueryRequest, TcEngine};
+use ds_closure::executor::ExecutionMode;
 use ds_closure::{
     ClosureError, DisconnectionSetEngine, EngineConfig, PrecomputeStats, QueryAnswer, Route,
     UpdateBatchReport, UpdateReport,
@@ -40,29 +42,45 @@ use ds_fragment::{semantic, CrossingPolicy, FragError, Fragmentation};
 use ds_gen::output::expand_connections;
 use ds_gen::GeneratedGraph;
 use ds_graph::{Coord, CsrGraph, Edge, EdgeList};
-use ds_machine::{Machine, MachineOptions};
 use ds_obs::{MetricsSnapshot, Observability};
 use ds_relation::bulk::{MaterializeConfig, MaterializeEngine, MaterializeError, MaterializeStats};
 use ds_relation::{PathTuple, Relation};
 
-/// Which execution substrate evaluates phase one.
+/// Where phase one's site subqueries run — the facade's spelling of
+/// [`EngineConfig::mode`]. Both values run the same evaluator over the
+/// same tables; they differ only in placement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// `DisconnectionSetEngine` — sites simulated inside the calling
-    /// process (sequentially or with scoped threads, per
-    /// [`EngineConfig::mode`]).
+    /// Every site subquery on the calling thread
+    /// ([`ExecutionMode::Sequential`]).
     Inline,
-    /// `Machine` — one OS thread per site, message-passing coordinator
-    /// (the PRISMA/DB stand-in). Route reconstruction is unavailable.
+    /// One scoped OS thread per site subquery of a query
+    /// ([`ExecutionMode::Parallel`]) — the paper's
+    /// one-fragment-per-processor model.
     SiteThreads,
+}
+
+impl From<Backend> for ExecutionMode {
+    fn from(backend: Backend) -> Self {
+        match backend {
+            Backend::Inline => ExecutionMode::Sequential,
+            Backend::SiteThreads => ExecutionMode::Parallel,
+        }
+    }
+}
+
+impl From<ExecutionMode> for Backend {
+    fn from(mode: ExecutionMode) -> Self {
+        match mode {
+            ExecutionMode::Sequential => Backend::Inline,
+            ExecutionMode::Parallel => Backend::SiteThreads,
+        }
+    }
 }
 
 impl fmt::Display for Backend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Backend::Inline => "inline",
-            Backend::SiteThreads => "site-threads",
-        })
+        f.write_str(ExecutionMode::from(*self).backend_name())
     }
 }
 
@@ -160,7 +178,7 @@ pub struct SystemBuilder {
     symmetric: bool,
     has_graph: bool,
     fragmenter: Option<Fragmenter>,
-    backend: Backend,
+    backend: Option<Backend>,
     config: EngineConfig,
     obs: Option<Arc<Observability>>,
     durable: Option<PathBuf>,
@@ -175,7 +193,7 @@ impl SystemBuilder {
             symmetric: true,
             has_graph: false,
             fragmenter: None,
-            backend: Backend::Inline,
+            backend: None,
             config: EngineConfig::default(),
             obs: None,
             durable: None,
@@ -223,14 +241,18 @@ impl SystemBuilder {
         self
     }
 
-    /// Choose the execution backend (default [`Backend::Inline`]).
+    /// Choose the execution backend. It is the built engine's
+    /// [`EngineConfig::mode`]: set here, it replaces whatever mode
+    /// [`SystemBuilder::config`] carries, in either call order; left
+    /// unset, that mode decides (default [`Backend::Inline`]).
     pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+        self.backend = Some(backend);
         self
     }
 
     /// Engine tuning: complementary scope, stored paths, chain caps,
-    /// phase-one execution mode, PHE hub.
+    /// PHE hub, and — unless [`SystemBuilder::backend`] names one — the
+    /// phase-one execution mode.
     pub fn config(mut self, config: EngineConfig) -> Self {
         self.config = config;
         self
@@ -238,8 +260,7 @@ impl SystemBuilder {
 
     /// Arm an observability bundle (`ds_obs`): one shared metrics
     /// registry, request tracer, slow-query log and workload recorder
-    /// across every tier this system touches. The machine backend (if
-    /// chosen) traces and mirrors immediately; [`System::serve`] /
+    /// across every tier this system touches: [`System::serve`] /
     /// [`System::serve_with`] and [`System::materialize_with`] inherit
     /// the bundle unless their config carries its own. Read the
     /// aggregate through [`System::observe`]. Disarmed (the default)
@@ -259,7 +280,7 @@ impl SystemBuilder {
         self
     }
 
-    /// Fragment the relation and deploy the chosen backend.
+    /// Fragment the relation and build the engine.
     pub fn build(mut self) -> Result<System, SystemError> {
         if !self.has_graph {
             return Err(SystemError::MissingGraph);
@@ -288,27 +309,11 @@ impl SystemBuilder {
             Fragmenter::Prebuilt(frag) => frag,
         };
         let graph = self.closure_graph();
-        let engine: Box<dyn TcEngine> = match self.backend {
-            Backend::Inline => Box::new(DisconnectionSetEngine::build(
-                graph,
-                frag,
-                self.symmetric,
-                self.config,
-            )?),
-            Backend::SiteThreads => Box::new(Machine::deploy_with_options(
-                graph,
-                frag,
-                self.symmetric,
-                self.config,
-                MachineOptions {
-                    obs: self.obs.clone(),
-                    ..MachineOptions::default()
-                },
-            )?),
-        };
+        if let Some(backend) = self.backend {
+            self.config.mode = backend.into();
+        }
+        let engine = DisconnectionSetEngine::build(graph, frag, self.symmetric, self.config)?;
         Ok(System {
-            backend: self.backend,
-            symmetric: self.symmetric,
             engine,
             obs: self.obs,
             durable: self.durable,
@@ -338,12 +343,10 @@ impl SystemBuilder {
     }
 }
 
-/// A deployed query system: a fragmented relation behind one execution
-/// backend, driven through [`TcEngine`].
+/// A deployed query system: a fragmented relation behind the one
+/// evaluator, driven through [`TcEngine`].
 pub struct System {
-    backend: Backend,
-    symmetric: bool,
-    engine: Box<dyn TcEngine>,
+    engine: DisconnectionSetEngine,
     obs: Option<Arc<Observability>>,
     /// Durable-store directory [`System::serve`] continues logging to.
     durable: Option<PathBuf>,
@@ -361,42 +364,41 @@ impl System {
     /// Reopen a durable system from disk: rebuild the newest valid
     /// checkpoint under `path`, replay the surviving write-ahead-log
     /// suffix (truncating at the first torn or corrupt record), and
-    /// return a ready-to-serve inline system whose [`System::serve`]
-    /// continues appending to the same log at the recovered epoch.
+    /// return a ready-to-serve system whose [`System::serve`] continues
+    /// appending to the same log at the recovered epoch.
     ///
     /// The precompute is rebuilt during recovery — checkpoints store
-    /// only the fragmented relation and engine configuration.
+    /// only the fragmented relation and engine configuration, backend
+    /// included.
     pub fn open(path: impl Into<PathBuf>) -> Result<System, SystemError> {
         let path = path.into();
         let recovered = recover(&path)?;
-        let symmetric = recovered.snapshot.is_symmetric();
         Ok(System {
-            backend: Backend::Inline,
-            symmetric,
-            engine: Box::new(DisconnectionSetEngine::from_snapshot(recovered.snapshot)),
+            engine: DisconnectionSetEngine::from_snapshot(recovered.snapshot),
             obs: None,
             durable: Some(path),
             serve_epoch: recovered.epoch,
         })
     }
 
-    /// The backend this system deployed.
+    /// The backend this system runs on (its engine's
+    /// [`EngineConfig::mode`]).
     pub fn backend(&self) -> Backend {
-        self.backend
+        self.engine.snapshot().config().mode.into()
     }
 
     /// Borrow the underlying engine.
-    pub fn engine(&self) -> &dyn TcEngine {
-        &*self.engine
+    pub fn engine(&self) -> &DisconnectionSetEngine {
+        &self.engine
     }
 
     /// Mutably borrow the underlying engine.
-    pub fn engine_mut(&mut self) -> &mut dyn TcEngine {
-        &mut *self.engine
+    pub fn engine_mut(&mut self) -> &mut DisconnectionSetEngine {
+        &mut self.engine
     }
 
     /// Take the engine out of the facade.
-    pub fn into_engine(self) -> Box<dyn TcEngine> {
+    pub fn into_engine(self) -> DisconnectionSetEngine {
         self.engine
     }
 
@@ -451,7 +453,7 @@ impl System {
             }
         }
         Ok(ds_serve::Server::try_start_at(
-            self.engine.snapshot(),
+            self.engine.snapshot().clone(),
             self.serve_epoch,
             config,
         )?)
@@ -484,8 +486,12 @@ impl System {
         if config.obs.is_none() {
             config.obs = self.obs.clone();
         }
-        MaterializeEngine::from_fragmentation(self.engine.fragmentation(), self.symmetric, config)
-            .materialize()
+        MaterializeEngine::from_fragmentation(
+            self.engine.fragmentation(),
+            self.engine.is_symmetric(),
+            config,
+        )
+        .materialize()
     }
 
     /// The observability bundle this system was built with, if any.
@@ -494,8 +500,8 @@ impl System {
     }
 
     /// A point-in-time snapshot of every metric the system's
-    /// observability bundle has accumulated — machine-tier gauges,
-    /// serve-tier counters and the request latency histogram, plus
+    /// observability bundle has accumulated — serve-tier counters and
+    /// the request latency histogram, bulk materialization gauges, plus
     /// anything custom registered on the same bundle. Returns an empty
     /// snapshot when the system was built without
     /// [`SystemBuilder::observability`].
@@ -510,7 +516,7 @@ impl System {
 impl fmt::Debug for System {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("System")
-            .field("backend", &self.backend)
+            .field("backend", &self.backend())
             .field("sites", &self.engine.site_count())
             .finish()
     }
@@ -530,12 +536,12 @@ impl TcEngine for System {
     }
 
     fn shortest_path(&mut self, x: ds_graph::NodeId, y: ds_graph::NodeId) -> QueryAnswer {
-        self.engine.shortest_path(x, y)
+        TcEngine::shortest_path(&mut self.engine, x, y)
     }
 
-    /// Forwarded to the backend rather than the trait default, so the
-    /// backend's reachability fast path (SCC/chain index, no Dijkstra
-    /// sweep) answers instead of a full shortest-path computation.
+    /// Forwarded to the engine rather than the trait default, so the
+    /// reachability fast path (SCC/chain index, no Dijkstra sweep)
+    /// answers instead of a full shortest-path computation.
     fn connected(&mut self, x: ds_graph::NodeId, y: ds_graph::NodeId) -> bool {
         self.engine.connected(x, y)
     }
@@ -545,7 +551,7 @@ impl TcEngine for System {
         x: ds_graph::NodeId,
         y: ds_graph::NodeId,
     ) -> Result<Option<Route>, ClosureError> {
-        self.engine.route(x, y)
+        TcEngine::route(&mut self.engine, x, y)
     }
 
     fn update(&mut self, update: &NetworkUpdate) -> Result<UpdateReport, ClosureError> {
@@ -557,7 +563,7 @@ impl TcEngine for System {
     }
 
     fn snapshot(&self) -> ds_closure::EngineSnapshot {
-        self.engine.snapshot()
+        self.engine.snapshot().clone()
     }
 
     fn update_batch(
@@ -600,6 +606,23 @@ mod tests {
         let mut threads = linear_system(Backend::SiteThreads);
         assert_eq!(inline.backend_name(), "inline");
         assert_eq!(threads.backend_name(), "site-threads");
+        assert_eq!(threads.backend(), Backend::SiteThreads);
+        assert_eq!(threads.snapshot().config().mode, ExecutionMode::Parallel);
+        // The backend *is* the engine's mode: naming the mode alone
+        // picks the backend.
+        let by_mode = System::builder()
+            .graph(&grid(10, 3))
+            .fragmenter(Fragmenter::Linear(LinearConfig {
+                fragments: 3,
+                ..Default::default()
+            }))
+            .config(EngineConfig {
+                mode: ExecutionMode::Parallel,
+                ..EngineConfig::default()
+            })
+            .build()
+            .unwrap();
+        assert_eq!(by_mode.backend(), Backend::SiteThreads);
         for (x, y) in [(0u32, 29u32), (5, 17), (12, 12), (29, 0)] {
             assert_eq!(
                 inline.shortest_path(n(x), n(y)).cost,
@@ -629,6 +652,8 @@ mod tests {
                 })
                 .build()
                 .unwrap();
+            // A named backend outranks the mode the config carries.
+            assert_eq!(par.backend(), backend);
             for (x, y) in [(0u32, 29u32), (5, 17), (12, 12), (29, 0)] {
                 assert_eq!(
                     par.shortest_path(n(x), n(y)).cost,
@@ -761,11 +786,11 @@ mod tests {
     }
 
     /// One armed bundle handed to the builder collects metrics from the
-    /// machine backend, the serve tier and bulk materialization, all
-    /// readable through `System::observe()`. A disarmed system answers
-    /// identically and observes nothing.
+    /// serve tier and bulk materialization, all readable through
+    /// `System::observe()`. A disarmed system answers identically and
+    /// observes nothing.
     #[test]
-    fn one_observability_bundle_spans_all_three_tiers() {
+    fn one_observability_bundle_spans_the_serve_and_bulk_tiers() {
         let obs = Observability::armed();
         let mut sys = System::builder()
             .graph(&grid(10, 3))
@@ -779,7 +804,6 @@ mod tests {
             .unwrap();
         let mut plain = linear_system(Backend::SiteThreads);
 
-        // Machine tier: direct engine queries trace and mirror.
         for (x, y) in [(0u32, 29u32), (5, 17)] {
             assert_eq!(
                 sys.shortest_path(n(x), n(y)).cost,
@@ -795,7 +819,6 @@ mod tests {
         sys.materialize().unwrap();
 
         let snap = sys.observe();
-        assert_eq!(snap.gauge("machine_queries"), Some(2), "{snap:?}");
         assert_eq!(snap.counter("serve_requests"), Some(1), "{snap:?}");
         assert!(snap.gauge("materialize_result_tuples").unwrap() > 0);
         assert!(!obs.tracer().recent(16).is_empty());
@@ -840,7 +863,8 @@ mod tests {
 
     /// Build a durable system, serve updates through it, kill the
     /// server, and reopen from disk: the reopened system answers
-    /// identically and continues at the recovered epoch.
+    /// identically, on the backend it was built with, and continues at
+    /// the recovered epoch.
     #[test]
     fn durable_system_reopens_after_restart() {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -858,6 +882,7 @@ mod tests {
                 fragments: 3,
                 ..Default::default()
             }))
+            .backend(Backend::SiteThreads)
             .durable(&dir)
             .build()
             .unwrap();
@@ -876,6 +901,8 @@ mod tests {
         }
 
         let mut reopened = System::open(&dir).expect("recover");
+        assert_eq!(reopened.backend(), Backend::SiteThreads);
+        assert_eq!(reopened.backend_name(), "site-threads");
         assert_eq!(reopened.shortest_path(a, b).cost, Some(1));
         let server = reopened.serve(2);
         assert_eq!(

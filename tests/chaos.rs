@@ -1,6 +1,6 @@
 //! Chaos property suite: deterministic seed-driven fault sweeps over
-//! the three supervised tiers (serve pool, machine sites, bulk
-//! materialization pool).
+//! the supervised tiers (serve pool and writer, bulk materialization
+//! pool, durable store).
 //!
 //! Every scenario is derived from a seed by [`FaultScenario::from_seed`]
 //! and armed through the same `ds_fault` hooks production code carries
@@ -33,11 +33,10 @@ use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use discset::closure::{baseline, ClosureError, EngineConfig, TcEngine};
+use discset::closure::{baseline, ClosureError};
 use discset::fragment::linear::{linear_sweep, LinearConfig};
 use discset::gen::deterministic::grid;
 use discset::graph::{Edge, NodeId};
-use discset::machine::{Machine, MachineOptions};
 use discset::relation::bulk::{MaterializeConfig, MaterializeEngine, MaterializeError};
 use discset::relation::tc;
 use discset::serve::{
@@ -92,7 +91,6 @@ fn n(i: u64, nodes: u64) -> NodeId {
 fn serve_chaos(seed: u64, obs: Arc<Observability>) {
     let universe = FaultUniverse {
         workers: 1,
-        sites: 0, // no machine in this scenario: seed%4==1 falls back to WriterKill
         fragments: 0,
     };
     let scenario = FaultScenario::from_seed(seed, &universe);
@@ -235,7 +233,6 @@ fn serve_chaos(seed: u64, obs: Arc<Observability>) {
             assert_eq!(stats.worker_restarts, 0, "seed {seed}");
             assert!(!stats.degraded, "seed {seed}");
         }
-        FaultScenario::SiteKill { .. } => unreachable!("universe has no sites"),
     }
 }
 
@@ -244,8 +241,8 @@ fn serve_chaos_seed_sweep() {
     // One armed bundle across the whole sweep: the aggregate metrics
     // profile what the chaos run exercised (restarts, sheds, epochs).
     let obs = Observability::armed();
-    // ≥ 4 consecutive seeds covers every scenario kind (worker panic,
-    // writer kill, delay storm — seed%4==1 maps to WriterKill here).
+    // ≥ 3 consecutive seeds covers every scenario kind (worker panic,
+    // writer kill, delay storm).
     for seed in 0..8u64 {
         let o = Arc::clone(&obs);
         with_watchdog(format!("serve seed {seed}"), 120, move || {
@@ -259,128 +256,6 @@ fn serve_chaos_seed_sweep() {
     let out = std::path::Path::new("target").join("chaos_metrics.json");
     if let Err(e) = std::fs::write(&out, snap.to_json()) {
         eprintln!("could not write {}: {e}", out.display());
-    }
-}
-
-// -------------------------------------------------------------- machine
-
-/// One machine-tier scenario: 3 site threads over the fragmented grid,
-/// a short dead-site timeout, 16 queries, then an update, then a
-/// post-recovery exactness sweep. Odd seeds only: seed%4 ∈ {1, 3} maps
-/// to SiteKill / DelayStorm, the two scenarios with machine components.
-fn machine_chaos(seed: u64) {
-    let universe = FaultUniverse {
-        workers: 0,
-        sites: 3,
-        fragments: 0,
-    };
-    let scenario = FaultScenario::from_seed(seed, &universe);
-    let plan = Arc::new(scenario.plan(&universe));
-
-    let g = grid(9, 4);
-    let nodes = g.nodes as u64;
-    let oracle = g.closure_graph();
-    let frag = linear_sweep(
-        &g.edge_list(),
-        &LinearConfig {
-            fragments: 3,
-            ..Default::default()
-        },
-    )
-    .expect("grid sweep")
-    .fragmentation;
-    let mut m = Machine::deploy_with_options(
-        g.closure_graph(),
-        frag,
-        true,
-        EngineConfig::default(),
-        MachineOptions {
-            site_recv_timeout: Duration::from_millis(300),
-            fault: Some(plan.clone()),
-            ..Default::default()
-        },
-    )
-    .expect("valid deployment");
-
-    let mut rng = seed ^ 0x51735;
-    let mut site_failures = 0u32;
-    for op in 0..16u32 {
-        let (x, y) = (n(splitmix(&mut rng), nodes), n(splitmix(&mut rng), nodes));
-        match m.try_shortest_path(x, y) {
-            Ok(answer) => assert_eq!(
-                answer.cost,
-                baseline::shortest_path_cost(&oracle, x, y),
-                "seed {seed}: op {op} ({x:?} -> {y:?}) diverged from the oracle"
-            ),
-            Err(ClosureError::SiteUnavailable { site }) => {
-                assert!(site < 3, "seed {seed}: phantom site {site}");
-                site_failures += 1;
-            }
-            Err(e) => panic!("seed {seed}: unexpected query error {e}"),
-        }
-    }
-
-    // One update through the possibly-wounded machine. Even when it
-    // reports SiteUnavailable the update IS applied — failed sites are
-    // redeployed from the coordinator's post-maintenance state.
-    let f0 = m.fragmentation().fragment(0).clone();
-    let (a, b) = (
-        f0.nodes()[0],
-        *f0.nodes().last().expect("non-empty fragment"),
-    );
-    match m.update(&NetworkUpdate::Insert {
-        edge: Edge::new(a, b, 1),
-        owner: 0,
-    }) {
-        Ok(_) => {}
-        Err(ClosureError::SiteUnavailable { .. }) => site_failures += 1,
-        Err(e) => panic!("seed {seed}: unexpected update error {e}"),
-    }
-    let updated = m.snapshot().graph().clone();
-
-    // Post-recovery: the plan's one-shot rules are spent, so every
-    // query must now succeed and agree with the post-update oracle.
-    for op in 0..8u32 {
-        let (x, y) = (n(splitmix(&mut rng), nodes), n(splitmix(&mut rng), nodes));
-        let answer = m
-            .try_shortest_path(x, y)
-            .unwrap_or_else(|e| panic!("seed {seed}: post-recovery query failed: {e}"));
-        assert_eq!(
-            answer.cost,
-            baseline::shortest_path_cost(&updated, x, y),
-            "seed {seed}: post-recovery op {op} ({x:?} -> {y:?}) diverged"
-        );
-    }
-
-    match scenario {
-        FaultScenario::SiteKill { .. } => {
-            assert!(plan.exhausted(), "seed {seed}: fault never fired");
-            assert!(
-                site_failures >= 1,
-                "seed {seed}: no SiteUnavailable observed"
-            );
-            assert!(
-                m.stats().site_restarts >= 1,
-                "seed {seed}: dead site was never redeployed"
-            );
-        }
-        FaultScenario::DelayStorm { .. } => {
-            // ≤ 10 ms per delayed message, well under the 300 ms dead-site
-            // timeout: slowness alone must never trip failover.
-            assert_eq!(site_failures, 0, "seed {seed}: delays tripped failover");
-            assert_eq!(m.stats().site_restarts, 0, "seed {seed}");
-        }
-        other => unreachable!("odd seeds with sites never map to {other:?}"),
-    }
-}
-
-#[test]
-fn machine_chaos_seed_sweep() {
-    // Odd seeds alternate SiteKill (1 mod 4) and DelayStorm (3 mod 4).
-    for seed in [1u64, 3, 5, 7, 9, 11] {
-        with_watchdog(format!("machine seed {seed}"), 120, move || {
-            machine_chaos(seed)
-        });
     }
 }
 

@@ -148,17 +148,15 @@ fn directed_networks_match_forward_dijkstra_both_ways() {
                 for (&(x, y), &want) in pairs.iter().zip(&want) {
                     let ctx = format!("seed {seed}, {}, {x}->{y}", sys.backend_name());
                     assert_eq!(sys.shortest_path(x, y).cost, want, "{ctx}");
-                    if backend == Backend::Inline {
-                        let route = sys.route(x, y).unwrap();
-                        assert_eq!(route.as_ref().map(|r| r.cost), want, "{ctx}: route");
-                        if let Some(r) = route {
-                            assert_eq!(
-                                (r.nodes.first(), r.nodes.last()),
-                                (Some(&x), Some(&y)),
-                                "{ctx}"
-                            );
-                            assert_real_path(&csr, &r.nodes, r.cost, &ctx);
-                        }
+                    let route = sys.route(x, y).unwrap();
+                    assert_eq!(route.as_ref().map(|r| r.cost), want, "{ctx}: route");
+                    if let Some(r) = route {
+                        assert_eq!(
+                            (r.nodes.first(), r.nodes.last()),
+                            (Some(&x), Some(&y)),
+                            "{ctx}"
+                        );
+                        assert_real_path(&csr, &r.nodes, r.cost, &ctx);
                     }
                 }
             }

@@ -3,12 +3,11 @@
 //! baseline. This is the paper's correctness contract: the disconnection
 //! set approach computes the *same* transitive closure, just fragmented.
 //!
-//! All backends are driven through the `System` facade and the
-//! backend-polymorphic `TcEngine` trait — one code path per experiment.
+//! Both backends are driven through the `System` facade and the
+//! `TcEngine` trait — one code path per experiment.
 
 use discset::closure::baseline;
 use discset::closure::engine::{DisconnectionSetEngine, EngineConfig};
-use discset::closure::executor::ExecutionMode;
 use discset::fragment::bond_energy::{bond_energy, BondEnergyConfig, SplitRule};
 use discset::fragment::center::{center_based, CenterConfig, CenterSelection, Growth};
 use discset::fragment::linear::{linear_sweep, LinearConfig};
@@ -102,32 +101,21 @@ fn fragmenters(g: &GeneratedGraph) -> Vec<(&'static str, Fragmentation)> {
     out
 }
 
-/// Every backend variant an experiment should cover, deployed through the
-/// `System` facade from one fragmentation.
-fn backends(g: &GeneratedGraph, frag: &Fragmentation) -> Vec<(&'static str, System)> {
-    let mut out = Vec::new();
-    for (name, backend, mode) in [
-        ("inline-seq", Backend::Inline, ExecutionMode::Sequential),
-        ("inline-par", Backend::Inline, ExecutionMode::Parallel),
-        (
-            "site-threads",
-            Backend::SiteThreads,
-            ExecutionMode::Sequential,
-        ),
-    ] {
-        let sys = System::builder()
-            .graph(g)
-            .fragmenter(Fragmenter::Prebuilt(frag.clone()))
-            .backend(backend)
-            .config(EngineConfig {
-                mode,
-                ..EngineConfig::default()
-            })
-            .build()
-            .unwrap();
-        out.push((name, sys));
-    }
-    out
+/// Both backends, deployed through the `System` facade from one
+/// fragmentation.
+fn backends(g: &GeneratedGraph, frag: &Fragmentation) -> Vec<(Backend, System)> {
+    [Backend::Inline, Backend::SiteThreads]
+        .into_iter()
+        .map(|backend| {
+            let sys = System::builder()
+                .graph(g)
+                .fragmenter(Fragmenter::Prebuilt(frag.clone()))
+                .backend(backend)
+                .build()
+                .unwrap();
+            (backend, sys)
+        })
+        .collect()
 }
 
 fn check_graph(g: &GeneratedGraph, label: &str) {
@@ -139,13 +127,27 @@ fn check_graph(g: &GeneratedGraph, label: &str) {
     for (name, frag) in fragmenters(g) {
         frag.validate(&g.connections)
             .unwrap_or_else(|e| panic!("{label}/{name}: {e}"));
+        // "These joins will have relatively small operands (since the
+        // disconnection sets are small)" (§2.1): what a query ships for
+        // its final joins is bounded by the disconnection sets alone — a
+        // DS x DS relation per interior site, a 1 x DS row per endpoint
+        // sweep, one tuple per same-fragment chain — never by fragment
+        // sizes.
+        let ds: usize = frag.disconnection_sets().values().map(|v| v.len()).sum();
+        let small = ds * ds + 4 * ds + frag.fragment_count();
         for (backend, mut sys) in backends(g, &frag) {
             for &(x, y) in &queries {
-                let got = sys.shortest_path(x, y).cost;
+                let answer = sys.shortest_path(x, y);
+                let got = answer.cost;
                 let want = baseline::shortest_path_cost(&csr, x, y);
                 assert_eq!(
                     got, want,
                     "{label}/{name}/{backend}: query {x}->{y} mismatch"
+                );
+                assert!(
+                    answer.stats.tuples_shipped <= small,
+                    "{label}/{name}/{backend}: {x}->{y} shipped {} tuples, DS total {ds}",
+                    answer.stats.tuples_shipped
                 );
                 assert_eq!(sys.connected(x, y), want.is_some() || x == y);
             }

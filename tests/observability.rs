@@ -26,7 +26,7 @@ use discset::gen::deterministic::grid;
 use discset::graph::{Edge, NodeId};
 use discset::obs::{Stage, TraceOutcome};
 use discset::serve::{FaultScenario, FaultUniverse, ServeConfig, ServeError, Server};
-use discset::{Backend, Fragmenter, NetworkUpdate, Observability, System, TcEngine};
+use discset::{Backend, Fragmenter, NetworkUpdate, Observability, System};
 
 /// SplitMix64 — the traffic is as reproducible as the fault plan.
 fn splitmix(state: &mut u64) -> u64 {
@@ -120,7 +120,6 @@ fn is_resolution(stage: &Stage) -> bool {
 fn span_sets_are_complete_across_backends_and_fault_seeds() {
     let universe = FaultUniverse {
         workers: 1,
-        sites: 0,
         fragments: 0,
     };
     let nodes = grid(9, 4).nodes as u64;
@@ -200,7 +199,6 @@ fn span_sets_are_complete_across_backends_and_fault_seeds() {
 fn disarmed_server_is_an_exact_oracle_for_the_armed_one() {
     let universe = FaultUniverse {
         workers: 1,
-        sites: 0,
         fragments: 0,
     };
     let nodes = grid(9, 4).nodes as u64;
@@ -225,39 +223,4 @@ fn disarmed_server_is_an_exact_oracle_for_the_armed_one() {
             );
         }
     }
-}
-
-/// The machine backend traces direct engine queries through the same
-/// bundle the facade hands to the serve tier: one `Answered` trace per
-/// query, with `Evaluation` + per-site spans, regardless of which tier
-/// the request entered through.
-#[test]
-fn machine_backend_traces_direct_queries_through_the_facade() {
-    let obs = Observability::armed();
-    let mut sys = System::builder()
-        .graph(&grid(9, 4))
-        .fragmenter(Fragmenter::Linear(LinearConfig {
-            fragments: 3,
-            ..Default::default()
-        }))
-        .backend(Backend::SiteThreads)
-        .observability(Arc::clone(&obs))
-        .build()
-        .expect("valid grid system");
-    for (x, y) in [(0u32, 35u32), (7, 22), (35, 0)] {
-        sys.shortest_path(NodeId(x), NodeId(y));
-    }
-    let traces = obs.tracer().recent(8);
-    assert_eq!(traces.len(), 3);
-    for t in &traces {
-        assert_eq!(t.outcome, TraceOutcome::Answered, "{t}");
-        assert!(t.span(Stage::Evaluation).is_some(), "{t}");
-        assert!(
-            t.spans
-                .iter()
-                .any(|s| matches!(s.stage, Stage::SitePhaseOne { .. })),
-            "{t}"
-        );
-    }
-    assert_eq!(sys.observe().gauge("machine_queries"), Some(3));
 }
