@@ -439,23 +439,16 @@ fn general_workload(seed: u64) -> Workload {
 }
 
 /// Approximate deep heap size of a snapshot's shareable components (the
-/// bytes a *full* per-epoch copy duplicates): CSR storage for the global
-/// and per-site augmented graphs, the per-site shortcut tables and
+/// bytes a *full* per-epoch copy duplicates): what
+/// `EngineSnapshot::memory_bytes` accounts for, plus the per-site
 /// real-hop sets. Rough by design — it contextualizes the clone timings
 /// as a bytes-per-epoch figure, it is not an allocator audit.
 fn approx_snapshot_bytes(snap: &EngineSnapshot) -> usize {
-    // CSR ≈ one 8-byte offset per node + ~16 bytes per directed edge.
-    let csr = |nodes: usize, edges: usize| nodes * 8 + edges * 16;
-    let mut bytes = csr(snap.graph().node_count(), snap.graph().edge_count());
-    for f in 0..snap.site_count() {
-        let aug = snap.augmented_handle(f);
-        bytes += csr(aug.node_count(), aug.edge_count());
-        // HashSet entry (NodeId, NodeId, Cost) ≈ 16 bytes × ~2 load slack.
-        bytes += snap.real_hops_handle(f).len() * 32;
-        // Shortcut Edge = (u32, u32, u64).
-        bytes += snap.complementary().shortcuts(f).len() * 16;
-    }
-    bytes
+    // HashSet entry (NodeId, NodeId, Cost) ≈ 16 bytes × ~2 load slack.
+    let real_hops: usize = (0..snap.site_count())
+        .map(|f| snap.real_hops_handle(f).len() * 32)
+        .sum();
+    snap.memory_bytes().total() + real_hops
 }
 
 /// Measure the per-epoch publication cost on a transportation working

@@ -16,15 +16,22 @@
 //!   target-fragments) pair instead of once per query;
 //! * [`run_batch`] — the batch driver, and through it the one routine
 //!   that evaluates a query over its chains. Per query it does only what
-//!   depends on the query: one sweep from `x` per distinct start
-//!   fragment and one sweep from `y` (over the transposed site graph)
-//!   per distinct end fragment, shared by every chain through them, then
-//!   one vector fold per chain. The interior relations of the chains
-//!   mention no endpoint; they are read from the per-site, per-epoch
-//!   [`SiteMemo`] and evaluated only when a slot is still empty. A
-//!   query over chains with `s` distinct start and `e` distinct end
-//!   fragments costs `s + e` site subqueries once the memo is warm,
-//!   however many chains it has and however long they are.
+//!   depends on the query: one subquery from `x` per distinct start
+//!   fragment and one to `y` per distinct end fragment, shared by every
+//!   chain through them, then one vector fold per chain. The interior
+//!   relations of the chains mention no endpoint; they are read from the
+//!   per-site, per-epoch [`SiteMemo`] and evaluated only when a slot is
+//!   still empty. A query over chains with `s` distinct start and `e`
+//!   distinct end fragments costs `s + e` site subqueries once the memo
+//!   is warm, however many chains it has and however long they are.
+//!
+//! What a subquery costs is the site's business
+//! ([`crate::local::border_matrix_with`]): over a snapshot it is a
+//! product of the endpoint's memoized access set with rows of the site's
+//! border matrix — no Dijkstra sweep once the access set is filled,
+//! except the bounded local one a pair of non-border nodes of one
+//! fragment needs. The evaluator here neither knows nor cares; its own
+//! tests run it over plain forward sweeps.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -171,7 +178,7 @@ pub trait TcEngine {
     fn precompute_stats(&self) -> PrecomputeStats;
 
     /// An immutable, `Send + Sync` snapshot of this engine's current
-    /// state (tables, augmented graphs, planner), ready to be shared
+    /// state (tables, per-site evaluation state, planner), ready to be shared
     /// across reader threads — the input to the `ds_serve` worker pool.
     /// The snapshot is independent of the engine: later updates to either
     /// side do not affect the other.
@@ -205,7 +212,7 @@ pub type RealHopSet = HashSet<(NodeId, NodeId, Cost)>;
 /// half: mutate the owner fragment and return the rebuilt global closure
 /// graph (`None` when a removal matched nothing). `crate::updates::maintain`
 /// follows up by patching the shortcut tables; the snapshot then rebuilds
-/// the touched sites' augmented graphs.
+/// the touched sites' evaluation state.
 ///
 /// Update maintenance assumes the partition invariant the fragmenters
 /// guarantee (see `Fragmentation::validate`): the closure graph equals
@@ -546,7 +553,7 @@ struct BestChain {
 
 /// The endpoint subqueries of one query at one site, merged into one:
 /// every chain that starts (or ends) at `site` reads its own junction's
-/// costs out of the single sweep from `x` (or from `y`).
+/// costs out of the single subquery from `x` (or to `y`).
 struct EndpointSweep<'a> {
     site: FragmentId,
     /// Per adjacent fragment a chain continues to (or arrives from): where
@@ -608,8 +615,8 @@ fn evaluate_chains<E: SiteEvaluator>(
     want_waypoints: bool,
 ) -> Option<Option<BestChain>> {
     let planner = on.planner;
-    // What depends on the query: one sweep per distinct first fragment,
-    // one per distinct last fragment. What does not: the interior
+    // What depends on the query: one subquery per distinct first
+    // fragment, one per distinct last fragment. What does not: the interior
     // relations, looked up in (and on first use evaluated into) the memos.
     let (mut starts, mut ends) = (Vec::new(), Vec::new());
     let mut fills: Vec<[FragmentId; 3]> = Vec::new();

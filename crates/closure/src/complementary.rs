@@ -736,6 +736,13 @@ impl ComplementaryInfo {
         self.pair_count
     }
 
+    /// Heap bytes held by the shortcut tables (the stored paths, when
+    /// kept, are not counted).
+    pub fn table_bytes(&self) -> usize {
+        let tuples: usize = self.shortcuts.iter().map(|t| t.capacity()).sum();
+        tuples * std::mem::size_of::<Edge>()
+    }
+
     /// Per-phase timing of the precompute that built these tables.
     pub fn precompute_stats(&self) -> PrecomputeStats {
         self.stats

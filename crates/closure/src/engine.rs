@@ -1,8 +1,8 @@
 //! The disconnection set engine: precompute once, query many times.
 //!
 //! Since the snapshot split (see [`crate::snapshot`]) the engine is a
-//! thin pairing of the immutable [`EngineSnapshot`] — tables, augmented
-//! graphs, planner — with one persistent [`ScratchDijkstra`]: exactly the
+//! thin pairing of the immutable [`EngineSnapshot`] — tables, per-site
+//! evaluation state, planner — with one persistent [`ScratchDijkstra`]: exactly the
 //! single-threaded special case of the serve subsystem's
 //! one-snapshot-many-scratches architecture.
 
@@ -140,7 +140,7 @@ pub struct DisconnectionSetEngine {
 
 impl DisconnectionSetEngine {
     /// Build the engine: computes complementary information (the paper's
-    /// pre-processing phase) and the per-site augmented graphs.
+    /// pre-processing phase) and the per-site evaluation state.
     ///
     /// `symmetric` declares that each fragment tuple stands for both
     /// travel directions (transportation networks); `graph` must be the
@@ -386,8 +386,10 @@ mod tests {
     }
 
     /// The steady-state `query_batch` path performs zero O(V) heap
-    /// allocations: the engine's persistent scratch grows once (on the
-    /// first batch) and is only reused from then on.
+    /// allocations: the engine's persistent scratch grows while the first
+    /// batch fills the endpoints' access sets (at most once per site — a
+    /// site sweeps its own fragment, not the network); from then on only
+    /// a request inside one fragment sweeps at all.
     #[test]
     fn query_batch_steady_state_is_allocation_free() {
         use crate::api::QueryRequest;
@@ -398,15 +400,20 @@ mod tests {
         assert_eq!(engine.scratch_stats(), ds_graph::ScratchStats::default());
         let first = engine.query_batch(&requests);
         let warm = engine.scratch_stats();
-        assert_eq!(warm.grows, 1, "arrays grow exactly once, on first use");
+        assert!(
+            (1..=engine.snapshot().site_count() as u64).contains(&warm.grows),
+            "arrays grow to the largest fragment swept: {warm:?}"
+        );
         assert!(warm.sweeps > 0);
         let second = engine.query_batch(&requests);
         let steady = engine.scratch_stats();
         assert_eq!(steady.grows, warm.grows, "steady state: no allocations");
-        assert!(
-            steady.sweeps > warm.sweeps,
-            "batches really use the scratch"
-        );
+        let planner = engine.snapshot().planner();
+        let inside_one_fragment = requests
+            .iter()
+            .filter(|r| planner.fragments_of(r.source) == planner.fragments_of(r.target))
+            .count() as u64;
+        assert!(steady.sweeps - warm.sweeps <= inside_one_fragment);
         assert_eq!(first.costs(), second.costs());
     }
 

@@ -5,7 +5,15 @@
 //! during the first phase of the computation … Only at the end of the
 //! computation, communication is required for computing the final joins"
 //! (§2.1). The parallel mode exploits exactly that independence: every
-//! [`SiteQuery`] reads only its own site's augmented graph.
+//! [`SiteQuery`] reads only its own site's state.
+//!
+//! [`run_sites`] is the placement the engine's evaluator runs its
+//! subqueries through, whatever kernel answers them. [`run_chain`] is the
+//! *reference* phase one: every subquery of one chain as planned, by
+//! forward Dijkstra sweeps over the sites' augmented graphs — the
+//! definition the engine's border-matrix kernel
+//! ([`crate::local::border_matrix_with`]) is tested against, and what
+//! the benchmark's layer probes time as `graph.sweep_chain`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -103,12 +111,14 @@ where
 }
 
 /// Evaluate every subquery of a chain exactly as planned — one forward
-/// sweep per source node, nothing shared between chains. Returns the
-/// segment relations (in chain order) and per-site accounting.
+/// sweep of the site's augmented graph
+/// ([`crate::EngineSnapshot::augmented_handle`]) per source node, nothing
+/// shared between chains. Returns the segment relations (in chain order)
+/// and per-site accounting.
 ///
 /// This is the reference phase one: the engine's evaluator
-/// ([`crate::api::run_batch`]) answers the same queries with fewer
-/// sweeps and is tested against this plus
+/// ([`crate::api::run_batch`]) answers the same queries without
+/// sweeping those graphs and is tested against this plus
 /// [`crate::assemble::chain_cost_refs`].
 pub fn run_chain(
     augmented: &[Arc<CsrGraph>],

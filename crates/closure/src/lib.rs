@@ -12,9 +12,12 @@
 //! 3. **Evaluate locally**, one independent subquery per fragment on the
 //!    chain, with *no communication*: each site computes a very small
 //!    border-to-border distance relation on its fragment augmented with
-//!    its complementary shortcuts — [`local`], [`executor`]. The
-//!    subqueries of the chains' interior sites mention no query endpoint
-//!    and are evaluated once per epoch — [`memo`].
+//!    its complementary shortcuts — algebraically, from a dense border
+//!    matrix and per-node access sets rather than by sweeping the
+//!    augmented graph ([`local`]; [`executor`] places the subqueries and
+//!    keeps the sweeping reference). The subqueries of the chains'
+//!    interior sites mention no query endpoint and are evaluated once
+//!    per epoch — [`memo`].
 //! 4. **Assemble**: fold the small relations with min-plus joins and read
 //!    off the answer — [`assemble`].
 //!
@@ -69,5 +72,5 @@ pub use complementary::{
 };
 pub use engine::{DisconnectionSetEngine, EngineConfig, QueryAnswer, QueryStats, Route};
 pub use error::ClosureError;
-pub use snapshot::{CowMaintenance, EngineSnapshot};
+pub use snapshot::{CowMaintenance, EngineSnapshot, SnapshotBytes};
 pub use updates::{ConnectivityEffect, FallbackReason, UpdateBatchReport, UpdateReport};

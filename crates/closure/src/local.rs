@@ -1,21 +1,65 @@
 //! Local subquery evaluation: the per-site work of phase one.
 //!
-//! Each site evaluates its recursive subquery on its fragment *augmented*
-//! with the complementary shortcuts stored at that site ("including all
-//! complementary information about disconnection sets stored at that
-//! fragment", §2.1). The disconnection sets act as the selection — the
+//! Each site evaluates its recursive subquery on its fragment "including
+//! all complementary information about disconnection sets stored at that
+//! fragment" (§2.1). The disconnection sets act as the selection — the
 //! "keyhole" of §2.2: evaluation starts only from the entry border set
-//! and only the exit border set is reported.
+//! and only the exit border set is reported. The output of one subquery
+//! is a *very small relation* of `(entry, exit, cost)` tuples, held
+//! densely as a [`SegmentMatrix`] over the entry and exit node lists,
+//! ready for the final joins.
 //!
-//! The output of one subquery is a *very small relation* of
-//! `(entry, exit, cost)` tuples, held densely as a [`SegmentMatrix`] over
-//! the entry and exit node lists, ready for the final joins. It costs one
-//! Dijkstra sweep per node of the *smaller* of the two lists: a site keeps
-//! its graph's transpose ([`SiteGraph`]) so it can sweep from the exits.
+//! ## What a site holds
+//!
+//! The subquery's answer is the shortest distance over the site's
+//! *augmented* graph — fragment edges plus one shortcut edge per stored
+//! border pair ([`augmented_graph`]). A [`Site`] answers it without ever
+//! laying that clique of shortcuts over the fragment:
+//!
+//! * the fragment's own graph, in local node ids, without shortcuts (and
+//!   its transpose on directed networks only);
+//! * the site's border nodes — as the fragmentation defines them, so a
+//!   lone border is still a border — with the complementary distances as
+//!   a dense row-major matrix `D` (diagonal 0, [`INFINITE_COST`] where no
+//!   tuple is stored);
+//! * per fragment node, filled on first use, its *access set*: the
+//!   borders it reaches over local edges without crossing another border,
+//!   with those local costs, less the entries another entry dominates
+//!   through `D` — forward, and on directed networks also backward.
+//!
+//! [`border_matrix_with`] then evaluates every subquery algebraically:
+//! `access(s) ⊗ D ⊗ access⁻¹(t)` in the min-plus sense, a border's access
+//! set being itself at cost 0 — so border → border is a lookup `D[a][b]`,
+//! endpoint → disconnection set a product of a short vector with rows of
+//! `D`. Only a pair of two non-border nodes can also be joined by a path
+//! that touches no border at all; that one case adds a local sweep,
+//! bounded by the value found through the borders.
+//!
+//! ## Why it is exact
+//!
+//! Shortcut edges join borders only. So a path of the augmented graph
+//! from `s` either touches no border — then it is a path of the fragment
+//! that avoids them, which the bounded sweep finds — or it reaches its
+//! first border `b` over local edges (cost at least `access(s)[b]`),
+//! leaves its last border `b'` likewise, and in between costs at least
+//! `D[b][b']`, provided `D` is the shortest-distance closure of the
+//! augmented graph on the borders. A table that stores every ordered
+//! border pair is that closure as stored (the tuples are global
+//! distances, which no walk through the site can beat). A table with a
+//! pair missing — the [`crate::ComplementaryScope::PerDisconnectionSet`]
+//! scope stores pairs within one disconnection set only; an insertion can
+//! reconnect borders whose tuple a disconnecting deletion dropped — is
+//! closed once, when the site is built, by sweeping the site's augmented
+//! graph from the borders whose row is incomplete. Dropping a dominated
+//! access entry loses nothing because the closure obeys the triangle
+//! inequality.
+//!
+//! [`forward_matrix`] — plain sweeps over the augmented graph — stays as
+//! the reference the kernel is tested against.
 
 use std::sync::{Arc, OnceLock};
 
-use ds_graph::{dijkstra, Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
+use ds_graph::{Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
 use ds_relation::{PathTuple, Relation};
 
 /// A site's augmented local graph: fragment edges (symmetric expansion if
@@ -37,52 +81,266 @@ pub fn augmented_graph(
     CsrGraph::from_edges(node_count, &edges)
 }
 
-/// A site's augmented graph together with its transpose, so a subquery
-/// can be swept from whichever side has fewer nodes. The transpose is
-/// built on first use; on a symmetric network the augmented graph is its
-/// own transpose (fragment tuples stand for both directions and the
-/// shortcut distances are equal both ways) and none is ever built.
-#[derive(Clone, Debug)]
-pub struct SiteGraph {
-    forward: Arc<CsrGraph>,
-    symmetric: bool,
-    reverse: OnceLock<CsrGraph>,
+/// `(position in the site's border list, local cost)`.
+type AccessEntry = (u32, Cost);
+
+/// `border_index` of a node that is no border.
+const NOT_A_BORDER: u32 = u32::MAX;
+
+/// Heap bytes of a site, by what they hold.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SiteBytes {
+    /// The fragment's own graph(s), its node list, the (empty) access-set
+    /// slots and, once something asked for it, the augmented graph.
+    pub graph: usize,
+    /// The border list and the dense border matrix.
+    pub border_matrix: usize,
+    /// The access sets filled so far.
+    pub access_sets: usize,
 }
 
-impl SiteGraph {
-    /// Build a site's augmented graph (see [`augmented_graph`]).
+/// One site's evaluation state for one epoch (see the module docs).
+/// Every array is sized by the fragment, not by the network.
+#[derive(Clone, Debug)]
+pub struct Site {
+    /// The fragment's nodes, ascending; a node's position is its local id.
+    nodes: Vec<NodeId>,
+    /// The fragment's edges over local ids, no shortcuts.
+    local: CsrGraph,
+    /// `local` reversed — directed networks only; a symmetric fragment is
+    /// its own transpose.
+    transpose: Option<CsrGraph>,
+    /// Local ids of the border nodes, ascending (hence ascending globally).
+    borders: Vec<NodeId>,
+    /// Per local node, its position in `borders`, or [`NOT_A_BORDER`].
+    border_index: Vec<u32>,
+    /// `D`, row-major over `borders`.
+    dist: Vec<Cost>,
+    /// `own[i] = (i, 0)`: the access set of border `i` is `own[i..=i]`.
+    own: Vec<AccessEntry>,
+    /// Per local node, the borders it reaches first.
+    entries: Vec<OnceLock<Box<[AccessEntry]>>>,
+    /// Per local node, the borders that reach it last — directed networks
+    /// only; on a symmetric one these are `entries`.
+    exits: Vec<OnceLock<Box<[AccessEntry]>>>,
+    /// The augmented graph over global ids, for whoever still sweeps it
+    /// (route expansion, the reference evaluator, benches).
+    augmented: OnceLock<Arc<CsrGraph>>,
+}
+
+impl Site {
+    /// Build the site of a fragment with node set `nodes` (ascending) and
+    /// tuples `fragment_edges`, whose border nodes are those `is_border`
+    /// accepts and whose complementary table is `shortcuts`. `scratch` is
+    /// swept only when the table leaves a border pair out (see the module
+    /// docs).
     pub fn build(
-        node_count: usize,
+        nodes: &[NodeId],
         fragment_edges: &[Edge],
         symmetric: bool,
+        is_border: impl Fn(NodeId) -> bool,
         shortcuts: &[Edge],
+        scratch: &mut ScratchDijkstra,
     ) -> Self {
-        let forward = augmented_graph(node_count, fragment_edges, symmetric, shortcuts);
-        SiteGraph::new(Arc::new(forward), symmetric)
+        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]));
+        let local_of = |v: NodeId| {
+            let i = nodes.binary_search(&v).expect("edge endpoint in fragment");
+            NodeId::from_index(i)
+        };
+        let mut edges = Vec::with_capacity(fragment_edges.len() * 2);
+        for e in fragment_edges {
+            let e = Edge::new(local_of(e.src), local_of(e.dst), e.cost);
+            edges.push(e);
+            if symmetric && !e.is_loop() {
+                edges.push(e.reversed());
+            }
+        }
+        let local = CsrGraph::from_edges(nodes.len(), &edges);
+        let transpose = (!symmetric).then(|| local.reversed());
+
+        let mut border_index = vec![NOT_A_BORDER; nodes.len()];
+        let mut borders = Vec::new();
+        for (i, &v) in nodes.iter().enumerate() {
+            if is_border(v) {
+                border_index[i] = borders.len() as u32;
+                borders.push(NodeId::from_index(i));
+            }
+        }
+        let nb = borders.len();
+        let mut dist = vec![INFINITE_COST; nb * nb];
+        for i in 0..nb {
+            dist[i * nb + i] = 0;
+        }
+        // Tables are written row by row in border order, so a tuple's
+        // endpoints are mostly where the previous tuple's were, or one on.
+        let border_nodes: Vec<NodeId> = borders.iter().map(|b| nodes[b.index()]).collect();
+        let index_of = |v: NodeId, hint: usize| {
+            (hint..hint + 3)
+                .find(|&i| border_nodes.get(i) == Some(&v))
+                .unwrap_or_else(|| {
+                    border_nodes
+                        .binary_search(&v)
+                        .expect("shortcut joins borders")
+                })
+        };
+        let (mut row, mut col) = (0, 0);
+        for e in shortcuts {
+            row = index_of(e.src, row);
+            col = index_of(e.dst, col);
+            let slot = &mut dist[row * nb + col];
+            *slot = e.cost.min(*slot);
+        }
+        let mut site = Site {
+            nodes: nodes.to_vec(),
+            transpose,
+            own: (0..nb as u32).map(|i| (i, 0)).collect(),
+            entries: vec![OnceLock::new(); nodes.len()],
+            exits: vec![OnceLock::new(); if symmetric { 0 } else { nodes.len() }],
+            augmented: OnceLock::new(),
+            local,
+            borders,
+            border_index,
+            dist,
+        };
+        site.close(scratch);
+        site
     }
 
-    /// Wrap an already built augmented graph.
-    pub fn new(forward: Arc<CsrGraph>, symmetric: bool) -> Self {
-        debug_assert!(!symmetric || forward.is_symmetric());
-        SiteGraph {
-            forward,
-            symmetric,
-            reverse: OnceLock::new(),
+    /// Make `D` the shortest-distance closure of the augmented graph on
+    /// the borders: rows that store every pair already are; the others
+    /// are swept over the fragment's graph plus the stored pairs.
+    fn close(&mut self, scratch: &mut ScratchDijkstra) {
+        let nb = self.borders.len();
+        let incomplete: Vec<usize> = (0..nb)
+            .filter(|i| self.dist[i * nb..(i + 1) * nb].contains(&INFINITE_COST))
+            .collect();
+        if incomplete.is_empty() {
+            return;
+        }
+        let mut edges: Vec<Edge> = self.local.edges().collect();
+        for (i, &a) in self.borders.iter().enumerate() {
+            for (&b, &cost) in self.borders.iter().zip(&self.dist[i * nb..(i + 1) * nb]) {
+                if a != b && cost < INFINITE_COST {
+                    edges.push(Edge::new(a, b, cost));
+                }
+            }
+        }
+        let augmented = CsrGraph::from_edges(self.nodes.len(), &edges);
+        for i in incomplete {
+            scratch.sweep_to_targets(&augmented, &[(self.borders[i], 0)], &self.borders);
+            for (j, &b) in self.borders.iter().enumerate() {
+                self.dist[i * nb + j] = scratch.cost(b).unwrap_or(INFINITE_COST);
+            }
         }
     }
 
-    /// The augmented graph.
-    pub fn forward(&self) -> &Arc<CsrGraph> {
-        &self.forward
+    /// The site's border nodes (global ids, ascending).
+    pub fn border_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.borders.iter().map(|b| self.nodes[b.index()])
     }
 
-    /// The augmented graph with every edge reversed.
-    pub fn reverse(&self) -> &CsrGraph {
-        if self.symmetric {
-            &self.forward
-        } else {
-            self.reverse.get_or_init(|| self.forward.reversed())
+    /// The site's augmented graph, built by `build` if nothing asked for
+    /// it before. Every snapshot sharing this site describes the same
+    /// fragment and table, so whichever builds first builds for all.
+    pub(crate) fn augmented_or_build(&self, build: impl FnOnce() -> CsrGraph) -> &Arc<CsrGraph> {
+        self.augmented.get_or_init(|| Arc::new(build()))
+    }
+
+    /// Whether the augmented graph was ever asked for.
+    pub fn augmented_is_built(&self) -> bool {
+        self.augmented.get().is_some()
+    }
+
+    /// A deep copy sharing nothing with `self`, the augmented graph (if
+    /// built) included.
+    pub(crate) fn unshared_clone(&self) -> Self {
+        let mut site = self.clone();
+        if let Some(g) = site.augmented.get_mut() {
+            *g = Arc::new((**g).clone());
         }
+        site
+    }
+
+    /// Heap bytes held, by component.
+    pub fn memory_bytes(&self) -> SiteBytes {
+        use std::mem::{size_of, size_of_val};
+        let slots = [&self.entries, &self.exits];
+        let filled = slots
+            .iter()
+            .flat_map(|s| s.iter().filter_map(OnceLock::get));
+        SiteBytes {
+            graph: self.local.memory_bytes()
+                + self.transpose.as_ref().map_or(0, CsrGraph::memory_bytes)
+                + self.augmented.get().map_or(0, |g| g.memory_bytes())
+                + self.nodes.len() * (size_of::<NodeId>() + size_of::<u32>())
+                + slots.iter().map(|s| size_of_val(&s[..])).sum::<usize>(),
+            border_matrix: self.dist.len() * size_of::<Cost>()
+                + self.borders.len() * (size_of::<NodeId>() + size_of::<AccessEntry>()),
+            access_sets: filled.map(|set| size_of_val(&**set)).sum(),
+        }
+    }
+
+    /// The access set of `v`: entering the site at `v` (`forward`) or
+    /// leaving it there. The second value is `v`'s local id when `v` is
+    /// no border — the only nodes a border-free path can join.
+    fn access(
+        &self,
+        v: NodeId,
+        forward: bool,
+        scratch: &mut ScratchDijkstra,
+    ) -> (&[AccessEntry], Option<NodeId>) {
+        let local = self
+            .nodes
+            .binary_search(&v)
+            .expect("a site is asked about its own fragment's nodes");
+        let b = self.border_index[local];
+        if b != NOT_A_BORDER {
+            return (&self.own[b as usize..=b as usize], None);
+        }
+        let forward = forward || self.transpose.is_none();
+        let slots = if forward { &self.entries } else { &self.exits };
+        let local_id = NodeId::from_index(local);
+        let set = slots[local].get_or_init(|| self.sweep_access(local_id, forward, scratch));
+        (set, Some(local_id))
+    }
+
+    /// One absorbing sweep from `v` over the fragment's graph (its
+    /// transpose when leaving): the borders reached without crossing
+    /// another, cheapest first, each kept only if no kept one already
+    /// offers it at most as cheaply through `D`.
+    fn sweep_access(
+        &self,
+        v: NodeId,
+        forward: bool,
+        scratch: &mut ScratchDijkstra,
+    ) -> Box<[AccessEntry]> {
+        if self.borders.is_empty() {
+            return Box::default();
+        }
+        let g = match &self.transpose {
+            Some(t) if !forward => t,
+            _ => &self.local,
+        };
+        scratch.sweep_to_targets_absorbing(g, &[(v, 0)], &self.borders);
+        let mut reached: Vec<AccessEntry> = self
+            .borders
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &b)| Some((i as u32, scratch.cost(b)?)))
+            .collect();
+        reached.sort_unstable_by_key(|&(i, cost)| (cost, i));
+        let nb = self.borders.len();
+        let mut kept: Vec<AccessEntry> = Vec::new();
+        for (b, cost) in reached {
+            let through = |k: u32| {
+                let (from, to) = if forward { (k, b) } else { (b, k) };
+                self.dist[from as usize * nb + to as usize]
+            };
+            if !kept.iter().any(|&(k, c)| c + through(k) <= cost) {
+                kept.push((b, cost));
+            }
+        }
+        kept.into_boxed_slice()
     }
 }
 
@@ -149,6 +407,10 @@ impl SegmentMatrix {
 /// source. Sweeps early-exit once every target is settled and reuse the
 /// caller's stamped arrays, so the steady state performs no O(V)
 /// allocations.
+///
+/// Over a site's augmented graph this is the reference evaluation of a
+/// subquery: what [`crate::executor::run_chain`] runs and what
+/// [`border_matrix_with`] must equal.
 pub fn forward_matrix(
     g: &CsrGraph,
     sources: &[NodeId],
@@ -171,38 +433,52 @@ pub fn forward_matrix(
     }
 }
 
-/// [`forward_matrix`] from the narrow side: when there are fewer targets
-/// than sources the sweeps run from the targets over the site's
-/// transposed graph, so the subquery costs `min(|sources|, |targets|)`
-/// sweeps. The last subquery of a chain (`DS -> y`) is one sweep from
-/// `y` instead of one per border node.
+/// One site subquery, evaluated from what the [`Site`] holds (see the
+/// module docs): the `(s, t)` entry is the cheapest
+/// `access(s)[b] + D[b][b'] + access⁻¹(t)[b']`, met — for two non-border
+/// nodes only — with the border-free local path, which one sweep bounded
+/// by that value looks for. `scratch` is otherwise swept only to fill an
+/// access set nothing asked for before. Every node must belong to the
+/// site's fragment.
 pub fn border_matrix_with(
-    site: &SiteGraph,
+    site: &Site,
     sources: &[NodeId],
     targets: &[NodeId],
     scratch: &mut ScratchDijkstra,
 ) -> SegmentMatrix {
-    if targets.len() >= sources.len() {
-        return forward_matrix(site.forward(), sources, targets, scratch);
-    }
-    let (rows, cols) = (sources.len(), targets.len());
-    let mut costs = vec![INFINITE_COST; rows * cols];
-    for (j, &v) in targets.iter().enumerate() {
-        scratch.sweep_to_targets(site.reverse(), &[(v, 0)], sources);
-        for (i, &u) in sources.iter().enumerate() {
-            if let Some(c) = scratch.cost(u) {
-                costs[i * cols + j] = c;
+    let nb = site.borders.len();
+    let is_border = |v: NodeId| site.border_index[v.index()] != NOT_A_BORDER;
+    let exits: Vec<_> = targets
+        .iter()
+        .map(|&t| site.access(t, false, scratch))
+        .collect();
+    let mut costs = Vec::with_capacity(sources.len() * targets.len());
+    for &s in sources {
+        let (entry, s_inner) = site.access(s, true, scratch);
+        for &(exit, t_inner) in &exits {
+            let mut best = INFINITE_COST;
+            for &(b, reach) in entry {
+                let row = &site.dist[b as usize * nb..][..nb];
+                for &(b2, leave) in exit {
+                    // Three terms of at most INFINITE_COST: no wrap.
+                    best = best.min(reach + row[b2 as usize] + leave);
+                }
             }
+            if let (Some(s), Some(t)) = (s_inner, t_inner) {
+                if let Some(direct) =
+                    scratch.sweep_point_bounded(&site.local, s, t, best, is_border)
+                {
+                    best = direct;
+                }
+            }
+            costs.push(best);
         }
     }
-    SegmentMatrix { rows, cols, costs }
-}
-
-/// Point evaluation within a single fragment (the same-fragment fast
-/// path: "queries about the shortest path of two cities in Holland can be
-/// answered by the Dutch railway computer system alone", §2.1).
-pub fn point_query(aug: &CsrGraph, src: NodeId, dst: NodeId) -> Option<Cost> {
-    dijkstra::point_to_point(aug, src, dst)
+    SegmentMatrix {
+        rows: sources.len(),
+        cols: targets.len(),
+        costs,
+    }
 }
 
 #[cfg(test)]
@@ -213,35 +489,44 @@ mod tests {
         NodeId(i)
     }
 
+    fn reach(g: &CsrGraph, u: u32, v: u32) -> Cost {
+        forward_matrix(g, &[n(u)], &[n(v)], &mut ScratchDijkstra::new()).costs()[0]
+    }
+
     #[test]
     fn augmented_graph_merges_fragment_and_shortcuts() {
         let frag = vec![Edge::new(n(0), n(1), 2)];
         let shortcuts = vec![Edge::new(n(1), n(2), 7)];
         let aug = augmented_graph(3, &frag, true, &shortcuts);
         assert_eq!(aug.edge_count(), 3); // 0->1, 1->0, shortcut 1->2
-        assert_eq!(point_query(&aug, n(0), n(2)), Some(9));
+        assert_eq!(reach(&aug, 0, 2), 9);
+        assert_eq!(reach(&aug, 2, 0), INFINITE_COST, "shortcuts are directed");
+    }
+
+    #[test]
+    fn symmetric_expansion_only_when_asked() {
+        let frag = vec![Edge::unit(n(0), n(1))];
         assert_eq!(
-            point_query(&aug, n(2), n(0)),
-            None,
-            "shortcuts are directed"
+            reach(&augmented_graph(2, &frag, false, &[]), 1, 0),
+            INFINITE_COST
         );
+        assert_eq!(reach(&augmented_graph(2, &frag, true, &[]), 1, 0), 1);
     }
 
     /// Diamond fragment: 0->1 (1), 0->2 (5), 1->3 (1), 2->3 (1).
-    fn diamond() -> CsrGraph {
-        let frag = vec![
+    fn diamond_edges() -> Vec<Edge> {
+        vec![
             Edge::new(n(0), n(1), 1),
             Edge::new(n(0), n(2), 5),
             Edge::new(n(1), n(3), 1),
             Edge::new(n(2), n(3), 1),
-        ];
-        augmented_graph(4, &frag, false, &[])
+        ]
     }
 
     #[test]
     fn forward_matrix_shape() {
         let m = forward_matrix(
-            &diamond(),
+            &augmented_graph(4, &diamond_edges(), false, &[]),
             &[n(0), n(1)],
             &[n(3)],
             &mut ScratchDijkstra::new(),
@@ -263,46 +548,171 @@ mod tests {
         assert_eq!(rel.cost_of(n(0), n(1)), Some(1));
     }
 
-    #[test]
-    fn narrow_side_sweeps_agree_with_forward_sweeps_on_a_directed_graph() {
-        let site = SiteGraph::new(Arc::new(diamond()), false);
-        let mut scratch = ScratchDijkstra::new();
-        let all = [n(0), n(1), n(2), n(3)];
-        for targets in [&all[3..], &all[1..3], &all[..]] {
-            let before = scratch.stats().sweeps;
-            let narrow = border_matrix_with(&site, &all, targets, &mut scratch);
-            assert_eq!(
-                scratch.stats().sweeps - before,
-                targets.len() as u64,
-                "one sweep per node of the smaller side"
-            );
-            assert_eq!(
-                narrow,
-                forward_matrix(site.forward(), &all, targets, &mut scratch),
-                "targets {targets:?}"
-            );
-        }
-        // 3 -> 0 does not exist forwards: the reverse sweep must not
-        // invent it.
-        let m = border_matrix_with(&site, &[n(3), n(1)], &[n(0)], &mut scratch);
-        assert_eq!(m.costs(), &[INFINITE_COST, INFINITE_COST]);
+    /// A fragment over global nodes 10..=16 of a 20-node network:
+    /// 10 -2- 11 -2- 12 -2- 13, 11 -1- 14 -1- 12, 15 -3- 16, with borders
+    /// 10, 13, 15 and a table that brings 13 back to 10 from outside.
+    fn sample(symmetric: bool, shortcuts: &[Edge]) -> (Site, CsrGraph, Vec<NodeId>) {
+        let nodes: Vec<NodeId> = (10..=16).map(n).collect();
+        let edges = vec![
+            Edge::new(n(10), n(11), 2),
+            Edge::new(n(11), n(12), 2),
+            Edge::new(n(12), n(13), 2),
+            Edge::new(n(11), n(14), 1),
+            Edge::new(n(14), n(12), 1),
+            Edge::new(n(15), n(16), 3),
+        ];
+        let is_border = |v: NodeId| [n(10), n(13), n(15)].contains(&v);
+        let site = Site::build(
+            &nodes,
+            &edges,
+            symmetric,
+            is_border,
+            shortcuts,
+            &mut ScratchDijkstra::new(),
+        );
+        (
+            site,
+            augmented_graph(20, &edges, symmetric, shortcuts),
+            nodes,
+        )
     }
 
+    fn every_pair(v: &[(u32, u32, Cost)], both_ways: bool) -> Vec<Edge> {
+        v.iter()
+            .flat_map(|&(a, b, c)| {
+                let e = Edge::new(n(a), n(b), c);
+                [Some(e), both_ways.then(|| e.reversed())]
+            })
+            .flatten()
+            .collect()
+    }
+
+    /// Every subquery shape over every node list the fragment has, against
+    /// sweeps of the augmented graph.
+    fn assert_kernel_is_exact(site: &Site, aug: &CsrGraph, nodes: &[NodeId], label: &str) {
+        let mut scratch = ScratchDijkstra::new();
+        let borders: Vec<NodeId> = site.border_nodes().collect();
+        let lists: Vec<&[NodeId]> = nodes
+            .iter()
+            .map(std::slice::from_ref)
+            .chain([&borders[..], &borders[..1], nodes])
+            .collect();
+        for sources in &lists {
+            for targets in &lists {
+                assert_eq!(
+                    border_matrix_with(site, sources, targets, &mut scratch),
+                    forward_matrix(aug, sources, targets, &mut scratch),
+                    "{label}: {sources:?} -> {targets:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_kernel_equals_sweeps_of_the_augmented_graph() {
+        // A complete table (every ordered border pair), the cheap way
+        // from 13 back to 10 leading outside the fragment.
+        let complete = [(10, 13, 6), (10, 15, 9), (13, 15, 4)];
+        let (site, aug, nodes) = sample(true, &every_pair(&complete, true));
+        assert_kernel_is_exact(&site, &aug, &nodes, "symmetric");
+        assert_eq!(site.dist[3..6], [6, 0, 4]);
+        // Directed, borders only partly connected: 15 reaches nothing.
+        let one_way = [(13, 10, 1), (13, 15, 4), (10, 13, 6), (10, 15, 10)];
+        let (site, aug, nodes) = sample(false, &every_pair(&one_way, false));
+        assert_kernel_is_exact(&site, &aug, &nodes, "directed");
+        // No table at all: the fragment's own paths are all there is.
+        for symmetric in [true, false] {
+            let (site, aug, nodes) = sample(symmetric, &[]);
+            assert_kernel_is_exact(&site, &aug, &nodes, "no shortcuts");
+        }
+    }
+
+    #[test]
+    fn a_table_with_a_pair_missing_is_closed_when_the_site_is_built() {
+        // Only 13 <-> 15 stored: 10 <-> 13 runs through the fragment
+        // (cost 6), and 10 <-> 15 composes the two.
+        let (site, aug, nodes) = sample(true, &every_pair(&[(13, 15, 4)], true));
+        assert_eq!(site.dist, [0, 6, 10, 6, 0, 4, 10, 4, 0]);
+        assert_kernel_is_exact(&site, &aug, &nodes, "closed");
+        assert!(!site.augmented_is_built(), "closing builds nothing lasting");
+    }
+
+    #[test]
+    fn access_sets_fill_once_and_drop_dominated_borders() {
+        let complete = [(10, 13, 6), (10, 15, 9), (13, 15, 4)];
+        let (site, _, _) = sample(true, &every_pair(&complete, true));
+        let mut scratch = ScratchDijkstra::new();
+        assert_eq!(site.memory_bytes().access_sets, 0);
+        // 11 reaches border 10 at 2 and border 13 at 4: neither is
+        // cheaper through the other (2 + 6, 4 + 6).
+        let (set, inner) = site.access(n(11), true, &mut scratch);
+        assert_eq!((set, inner), (&[(0, 2), (1, 4)][..], Some(n(1))));
+        assert_eq!(scratch.stats().sweeps, 1);
+        assert_eq!(site.access(n(11), true, &mut scratch).0, set);
+        assert_eq!(scratch.stats().sweeps, 1, "filled once");
+        assert_eq!(
+            site.memory_bytes().access_sets,
+            2 * std::mem::size_of::<AccessEntry>()
+        );
+        // A border is its own access set, at no sweep.
+        assert_eq!(
+            site.access(n(13), true, &mut scratch),
+            (&[(1, 0)][..], None)
+        );
+        assert_eq!(scratch.stats().sweeps, 1);
+        // With 13 -> 10 stored at cost 1, reaching 10 from 12 locally
+        // (cost 4) is no better than through 13 (2 + 1): dropped.
+        let cheap = [(13, 10, 1), (10, 13, 6)];
+        let (site, _, _) = sample(false, &every_pair(&cheap, false));
+        assert!(site.transpose.is_some());
+        // Directed: 12 reaches only 13 going forward; going backward (who
+        // reaches 12 last) it is 10 alone.
+        assert_eq!(site.access(n(12), true, &mut scratch).0, &[(1, 2)]);
+        assert_eq!(site.access(n(12), false, &mut scratch).0, &[(0, 4)]);
+        assert_eq!(
+            site.memory_bytes().access_sets,
+            2 * std::mem::size_of::<AccessEntry>(),
+            "one entering, one leaving"
+        );
+        let (site, _, _) = sample(true, &every_pair(&[(13, 10, 1)], true));
+        assert_eq!(site.access(n(12), true, &mut scratch).0, &[(1, 2)]);
+    }
+
+    /// A symmetric fragment is its own transpose and its border matrix
+    /// its own too: a node leaves the site by the borders it enters by,
+    /// so no transposed graph and no second family of access sets exist.
     #[test]
     fn symmetric_site_is_its_own_transpose() {
-        let frag = vec![Edge::unit(n(0), n(1)), Edge::unit(n(1), n(2))];
-        let site = SiteGraph::new(Arc::new(augmented_graph(3, &frag, true, &[])), true);
-        assert!(std::ptr::eq(site.reverse(), &**site.forward()));
-        let m = border_matrix_with(&site, &[n(0), n(1)], &[n(2)], &mut ScratchDijkstra::new());
-        assert_eq!(m.costs(), &[2, 1]);
+        let complete = [(10, 13, 6), (10, 15, 9), (13, 15, 4)];
+        let (site, _, _) = sample(true, &every_pair(&complete, true));
+        assert!(site.transpose.is_none() && site.exits.is_empty());
+        let mut scratch = ScratchDijkstra::new();
+        let entering = site.access(n(12), true, &mut scratch).0;
+        assert!(std::ptr::eq(
+            entering,
+            site.access(n(12), false, &mut scratch).0
+        ));
+        assert_eq!(scratch.stats().sweeps, 1);
+        let (directed, _, _) = sample(false, &every_pair(&complete, true));
+        assert!(directed.transpose.is_some());
+        assert_eq!(directed.exits.len(), directed.entries.len());
     }
 
     #[test]
-    fn symmetric_expansion_only_when_asked() {
-        let frag = vec![Edge::unit(n(0), n(1))];
-        let asym = augmented_graph(2, &frag, false, &[]);
-        assert_eq!(point_query(&asym, n(1), n(0)), None);
-        let sym = augmented_graph(2, &frag, true, &[]);
-        assert_eq!(point_query(&sym, n(1), n(0)), Some(1));
+    fn a_warm_subquery_sweeps_only_for_a_border_free_pair() {
+        let complete = [(10, 13, 6), (10, 15, 9), (13, 15, 4)];
+        let (site, _, nodes) = sample(true, &every_pair(&complete, true));
+        let mut scratch = ScratchDijkstra::new();
+        let borders: Vec<NodeId> = site.border_nodes().collect();
+        border_matrix_with(&site, &nodes, &borders, &mut scratch);
+        let warm = scratch.stats().sweeps;
+        assert_eq!(warm, 4, "one fill per non-border node");
+        border_matrix_with(&site, &nodes, &borders, &mut scratch);
+        border_matrix_with(&site, &borders, &nodes, &mut scratch);
+        border_matrix_with(&site, &[n(10)], &[n(14)], &mut scratch);
+        assert_eq!(scratch.stats().sweeps, warm, "lookups only");
+        let m = border_matrix_with(&site, &[n(11)], &[n(12)], &mut scratch);
+        assert_eq!(m.costs(), &[2]);
+        assert_eq!(scratch.stats().sweeps, warm + 1, "two non-border nodes");
     }
 }

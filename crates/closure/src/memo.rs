@@ -2,16 +2,19 @@
 //!
 //! The subquery an intermediate site runs for a chain,
 //! `DS(prev, site) -> DS(site, next)`, mentions neither query endpoint:
-//! it depends only on the site's augmented graph. A [`SiteMemo`] holds
-//! those relations for one site, one slot per ordered pair of
-//! neighbouring fragments, filled the first time a query's chain crosses
-//! the site that way.
+//! it depends only on the site's fragment and complementary table — it
+//! is a gather from the site's border matrix
+//! ([`crate::local::border_matrix_with`] over two lists of borders). A
+//! [`SiteMemo`] keeps those relations for one site in the shape the fold
+//! reads, one slot per ordered pair of neighbouring fragments, filled the
+//! first time a query's chain crosses the site that way.
 //!
-//! A memo is valid for exactly one augmented graph, so it is stored (and
-//! replaced) together with it: the maintenance that gives a touched site
-//! a new graph gives it a new, empty memo, and every untouched site keeps
-//! sharing its filled memo with the previous epoch — and with every
-//! reader thread, which is why filling goes through [`OnceLock`].
+//! A memo is valid for exactly one [`crate::local::Site`], so it is
+//! stored (and replaced) together with it: the maintenance that gives a
+//! touched site new evaluation state gives it a new, empty memo, and
+//! every untouched site keeps sharing its filled memo with the previous
+//! epoch — and with every reader thread, which is why filling goes
+//! through [`OnceLock`].
 
 use std::sync::OnceLock;
 

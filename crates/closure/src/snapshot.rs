@@ -3,9 +3,10 @@
 //!
 //! The paper's phase-one independence is a statement about *data*: query
 //! evaluation only ever reads the precomputed complementary information,
-//! the per-site augmented graphs and the planner. The mutable pieces of
-//! an engine — the Dijkstra scratch, batch buffers — are per-*execution*
-//! state, not per-*engine* state. [`EngineSnapshot`] makes that split
+//! the per-site evaluation state ([`Site`]: the fragment's own graph, the
+//! dense border matrix, the access sets) and the planner. The mutable
+//! pieces of an engine — the Dijkstra scratch, batch buffers — are
+//! per-*execution* state, not per-*engine* state. [`EngineSnapshot`] makes that split
 //! explicit:
 //!
 //! * a snapshot is `Send + Sync` and can be shared across any number of
@@ -23,23 +24,34 @@
 //!
 //! ## Structural sharing
 //!
-//! Every per-site component — each augmented graph, each segment memo,
-//! each real-hop set, and (inside [`ComplementaryInfo`]) each shortcut
-//! table — lives behind
-//! its own `Arc`, as do the whole-graph pieces (global graph,
-//! fragmentation, planner). Cloning a snapshot therefore costs O(sites)
-//! refcount bumps, not a deep copy: that is what makes the serve
+//! Every per-site component — each [`Site`] (own graph, border matrix,
+//! access sets, and the augmented graph once something asked for it),
+//! each segment memo, each real-hop set, and (inside
+//! [`ComplementaryInfo`]) each shortcut table — lives behind its own
+//! `Arc`, as do the whole-graph pieces (global graph, fragmentation,
+//! planner). Cloning a snapshot therefore costs O(sites) refcount
+//! bumps, not a deep copy: that is what makes the serve
 //! writer's per-epoch publication cheap. [`EngineSnapshot::maintain`]
 //! preserves the sharing — it replaces exactly the Arcs of the sites an
 //! update touched (via fresh allocations or [`std::sync::Arc::make_mut`])
 //! and leaves every other site pointer-shared with the previous epoch.
 //! `tests/properties.rs` asserts `Arc::ptr_eq` for untouched sites across
 //! consecutive epochs on both fragmenter families.
+//!
+//! ## No augmented graph on the build or publication path
+//!
+//! A site answers its subqueries from the border matrix and the access
+//! sets ([`crate::local`]), so neither [`EngineSnapshot::build`] nor
+//! [`EngineSnapshot::maintain_cow`] lays the shortcut clique over a
+//! fragment. [`EngineSnapshot::augmented_handle`] hands the augmented
+//! graph out to those who sweep it — route expansion, the reference
+//! evaluator [`crate::executor::run_chain`], benches — and builds it on
+//! first use, inside the `Arc`-shared site.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use ds_fragment::{FragmentId, Fragmentation};
+use ds_fragment::{Fragment, FragmentId, Fragmentation};
 use ds_graph::{CsrGraph, NodeId, ReachIndex, ScratchDijkstra};
 
 use crate::api::{
@@ -49,14 +61,14 @@ use crate::complementary::{ComplementaryInfo, PrecomputeStats};
 use crate::engine::{EngineConfig, QueryAnswer, QueryStats, Route};
 use crate::error::ClosureError;
 use crate::executor::{run_sites, ExecutionMode};
-use crate::local::{border_matrix_with, SegmentMatrix, SiteGraph};
+use crate::local::{augmented_graph, border_matrix_with, SegmentMatrix, Site};
 use crate::memo::SiteMemo;
 use crate::planner::{Planner, SiteQueryRef};
 use crate::updates::{ConnectivityEffect, UpdateReport};
 
 /// The immutable, shareable state of a deployed engine: the global
 /// closure graph, the fragmentation, the complementary tables, the
-/// per-site augmented graphs and the chain planner.
+/// per-site evaluation state and the chain planner.
 ///
 /// A snapshot answers queries through `&self` methods that borrow a
 /// caller-owned scratch kernel; it never locks and never allocates
@@ -70,13 +82,14 @@ pub struct EngineSnapshot {
     symmetric: bool,
     cfg: EngineConfig,
     comp: ComplementaryInfo,
-    /// Per site, behind its own `Arc`: the site's augmented local graph
-    /// (and, on directed networks, its lazily built transpose).
-    augmented: Vec<Arc<SiteGraph>>,
+    /// Per site, behind its own `Arc`: what the site evaluates its
+    /// subqueries from — the fragment's own graph, the border matrix and
+    /// the access sets filled so far (see [`crate::local`]).
+    sites: Vec<Arc<Site>>,
     /// Per site, behind its own `Arc`: the interior segment relations
-    /// evaluated so far on that site's augmented graph. Always replaced
-    /// together with `augmented[f]`, so a memo never outlives the graph
-    /// it was computed on.
+    /// evaluated so far at that site. Always replaced together with
+    /// `sites[f]`, so a memo never outlives the fragment and table it was
+    /// computed from.
     memos: Vec<Arc<SiteMemo>>,
     /// Per site, behind its own `Arc`: the real (non-shortcut) hops
     /// available locally, with costs — used to tell shortcut hops apart
@@ -102,10 +115,10 @@ pub struct EngineSnapshot {
 pub struct CowMaintenance {
     pub report: UpdateReport,
     /// The fragment whose edge set changed (`None` for a no-op removal):
-    /// its augmented graph and real-hop set were replaced.
+    /// its [`Site`] and real-hop set were replaced.
     pub owner: Option<FragmentId>,
-    /// Sites whose shortcut table (and hence augmented graph) was
-    /// replaced — every site after a fallback full recompute.
+    /// Sites whose shortcut table (and hence [`Site`]) was replaced —
+    /// every site after a fallback full recompute.
     pub shortcut_sites: Vec<FragmentId>,
     /// Union of `owner` and `shortcut_sites`, sorted: the sites whose
     /// components are *not* shared with the pre-update snapshot. Every
@@ -118,11 +131,53 @@ pub struct CowMaintenance {
     pub reach_kept: bool,
 }
 
+/// What [`EngineSnapshot::memory_bytes`] reports: heap bytes per
+/// component of one epoch.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SnapshotBytes {
+    /// The global closure graph.
+    pub graph: usize,
+    /// The complementary shortcut tables.
+    pub complementary: usize,
+    /// Per site: the fragment's own graph (and transpose), node list,
+    /// access-set slots and — once asked for — the augmented graph.
+    pub site_graphs: usize,
+    /// Per site: the border list and the dense border matrix.
+    pub border_matrices: usize,
+    /// Per site: the access sets filled so far.
+    pub access_sets: usize,
+    /// Per site: the interior segment relations evaluated so far.
+    pub segment_memos: usize,
+    /// The reachability index, when present.
+    pub reach_index: usize,
+}
+
+impl SnapshotBytes {
+    /// Every component with its name, in declaration order.
+    pub fn components(&self) -> [(&'static str, usize); 7] {
+        [
+            ("graph", self.graph),
+            ("complementary", self.complementary),
+            ("site_graphs", self.site_graphs),
+            ("border_matrices", self.border_matrices),
+            ("access_sets", self.access_sets),
+            ("segment_memos", self.segment_memos),
+            ("reach_index", self.reach_index),
+        ]
+    }
+
+    /// All components together.
+    pub fn total(&self) -> usize {
+        self.components().iter().map(|&(_, bytes)| bytes).sum()
+    }
+}
+
 impl EngineSnapshot {
     /// Build a snapshot from scratch: validate, compute the complementary
     /// information (the paper's pre-processing phase; its local-sweep
     /// phase runs on [`EngineConfig::precompute_threads`] OS threads), then
-    /// the per-site augmented graphs and real-hop sets, the planner and
+    /// the planner, the per-site evaluation state (each border matrix
+    /// scattered from the site's shortcut table) and real-hop sets, and
     /// the reachability index.
     pub fn build(
         graph: CsrGraph,
@@ -143,23 +198,25 @@ impl EngineSnapshot {
             cfg.store_paths,
             cfg.precompute_threads,
         );
-        let mut augmented = Vec::with_capacity(frag.fragment_count());
-        let mut real_hops = Vec::with_capacity(frag.fragment_count());
-        for f in frag.fragments() {
-            augmented.push(Arc::new(SiteGraph::build(
-                graph.node_count(),
-                f.edges(),
-                symmetric,
-                comp.shortcuts(f.id()),
-            )));
-            real_hops.push(Arc::new(real_hop_set(f.edges(), symmetric)));
-        }
         let planner = Arc::new(Planner::new(
             &frag,
             cfg.max_chains,
             cfg.max_chain_len,
             cfg.hub,
         ));
+        let mut scratch = ScratchDijkstra::new();
+        let mut sites = Vec::with_capacity(frag.fragment_count());
+        let mut real_hops = Vec::with_capacity(frag.fragment_count());
+        for f in frag.fragments() {
+            sites.push(Arc::new(build_site(
+                &planner,
+                f,
+                symmetric,
+                &comp,
+                &mut scratch,
+            )));
+            real_hops.push(Arc::new(real_hop_set(f.edges(), symmetric)));
+        }
         let reach = cfg.reach_index.then(|| Arc::new(ReachIndex::build(&graph)));
         Ok(EngineSnapshot {
             graph: Arc::new(graph),
@@ -167,7 +224,7 @@ impl EngineSnapshot {
             symmetric,
             cfg,
             comp,
-            augmented,
+            sites,
             memos: fresh_memos(&planner),
             real_hops,
             planner,
@@ -176,7 +233,7 @@ impl EngineSnapshot {
     }
 
     /// A deep copy that shares **nothing** with `self`: every component —
-    /// global graph, fragmentation, planner, per-site augmented graphs,
+    /// global graph, fragmentation, planner, per-site evaluation state,
     /// segment memos, real-hop sets and shortcut tables — gets a fresh
     /// allocation.
     ///
@@ -192,15 +249,10 @@ impl EngineSnapshot {
             symmetric: self.symmetric,
             cfg: self.cfg.clone(),
             comp: self.comp.unshared_clone(),
-            augmented: self
-                .augmented
+            sites: self
+                .sites
                 .iter()
-                .map(|g| {
-                    Arc::new(SiteGraph::new(
-                        Arc::new((**g.forward()).clone()),
-                        self.symmetric,
-                    ))
-                })
+                .map(|s| Arc::new(s.unshared_clone()))
                 .collect(),
             memos: self.memos.iter().map(|m| Arc::new((**m).clone())).collect(),
             real_hops: self
@@ -252,18 +304,37 @@ impl EngineSnapshot {
 
     // --- structural-sharing handles ------------------------------------
 
-    /// The shared handle behind site `f`'s augmented graph. Two snapshots
-    /// whose handles are `Arc::ptr_eq` physically share that site's
-    /// graph — the structural-sharing contract across epochs.
+    /// The shared handle behind site `f`'s evaluation state: its own
+    /// graph, border matrix and access sets. Two snapshots whose handles
+    /// are `Arc::ptr_eq` physically share all of it — the
+    /// structural-sharing contract across epochs.
+    pub fn site_handle(&self, f: FragmentId) -> &Arc<Site> {
+        &self.sites[f]
+    }
+
+    /// The shared handle behind site `f`'s augmented graph (fragment
+    /// edges plus one edge per stored shortcut, over global node ids).
+    /// Queries do not sweep it, so it is built on the first call — by
+    /// route expansion, by the reference evaluator
+    /// ([`crate::executor::run_chain`]) or by a bench — inside the shared
+    /// [`Site`]: untouched sites keep returning the same `Arc` across
+    /// epochs.
     pub fn augmented_handle(&self, f: FragmentId) -> &Arc<CsrGraph> {
-        self.augmented[f].forward()
+        self.sites[f].augmented_or_build(|| {
+            augmented_graph(
+                self.graph.node_count(),
+                self.frag.fragment(f).edges(),
+                self.symmetric,
+                self.comp.shortcuts(f),
+            )
+        })
     }
 
     /// The shared handle behind site `f`'s segment memo: the interior
-    /// chain relations evaluated so far on that site's augmented graph.
-    /// It is replaced (by an empty one) exactly when the augmented graph
-    /// is, and `Arc::ptr_eq` across epochs otherwise — so what one epoch
-    /// evaluated, every later epoch that did not touch the site reads.
+    /// chain relations evaluated so far at that site. It is replaced (by
+    /// an empty one) exactly when the [`Site`] is, and `Arc::ptr_eq`
+    /// across epochs otherwise — so what one epoch evaluated, every
+    /// later epoch that did not touch the site reads.
     pub fn memo_handle(&self, f: FragmentId) -> &Arc<SiteMemo> {
         &self.memos[f]
     }
@@ -272,6 +343,26 @@ impl EngineSnapshot {
     /// sites (shared memos counted in every epoch that holds them).
     pub fn segment_memo_bytes(&self) -> usize {
         self.memos.iter().map(|m| m.memory_bytes()).sum()
+    }
+
+    /// Heap bytes this epoch holds, by component — "how much memory does
+    /// epoch N hold". Components shared with another epoch are counted
+    /// in every epoch that holds them.
+    pub fn memory_bytes(&self) -> SnapshotBytes {
+        let mut bytes = SnapshotBytes {
+            graph: self.graph.memory_bytes(),
+            complementary: self.comp.table_bytes(),
+            segment_memos: self.segment_memo_bytes(),
+            reach_index: self.reach.as_ref().map_or(0, |r| r.memory_bytes()),
+            ..SnapshotBytes::default()
+        };
+        for site in &self.sites {
+            let s = site.memory_bytes();
+            bytes.site_graphs += s.graph;
+            bytes.border_matrices += s.border_matrix;
+            bytes.access_sets += s.access_sets;
+        }
+        bytes
     }
 
     /// The shared handle behind site `f`'s real-hop set.
@@ -387,7 +478,7 @@ impl EngineSnapshot {
 
     fn evaluator<'a>(&'a self, scratch: &'a mut ScratchDijkstra) -> SnapshotEval<'a> {
         SnapshotEval {
-            augmented: &self.augmented,
+            sites: &self.sites,
             memos: &self.memos,
             mode: self.cfg.mode,
             scratch,
@@ -492,7 +583,7 @@ impl EngineSnapshot {
         if a == b {
             return vec![a];
         }
-        scratch.sweep_to_targets(self.augmented[site].forward(), &[(a, 0)], &[b]);
+        scratch.sweep_to_targets(self.augmented_handle(site), &[(a, 0)], &[b]);
         let local = scratch
             .path_to(b)
             .expect("assembly proved this leg reachable at this site");
@@ -517,7 +608,7 @@ impl EngineSnapshot {
 
     /// Apply a network update in place, keeping answers exact afterwards:
     /// runs the shared maintenance path ([`crate::updates::maintain`]),
-    /// then refreshes the touched sites' augmented graphs and the owner's
+    /// then rebuilds the touched sites' evaluation state and the owner's
     /// real-hop set. See [`EngineSnapshot::maintain_cow`] for the variant
     /// that also reports *which* sites were touched.
     ///
@@ -580,13 +671,15 @@ impl EngineSnapshot {
             m.shortcut_sites.iter().copied().collect();
         sites.insert(owner);
         for &f in &sites {
-            // A fresh graph and an empty memo per touched site; untouched
-            // sites keep sharing both with the pre-update snapshot.
-            self.augmented[f] = Arc::new(SiteGraph::build(
-                self.graph.node_count(),
-                self.frag.fragment(f).edges(),
+            // Fresh evaluation state and an empty memo per touched site;
+            // untouched sites keep sharing both with the pre-update
+            // snapshot.
+            self.sites[f] = Arc::new(build_site(
+                &self.planner,
+                self.frag.fragment(f),
                 self.symmetric,
-                self.comp.shortcuts(f),
+                &self.comp,
+                scratch,
             ));
             self.memos[f] = Arc::new(SiteMemo::for_site(&self.planner, f));
         }
@@ -615,6 +708,26 @@ fn real_hop_set(edges: &[ds_graph::Edge], symmetric: bool) -> RealHopSet {
     hops
 }
 
+/// The evaluation state of fragment `f`: its border nodes are the nodes
+/// the fragmentation shares with another fragment, whether or not the
+/// table mentions them.
+fn build_site(
+    planner: &Planner,
+    f: &Fragment,
+    symmetric: bool,
+    comp: &ComplementaryInfo,
+    scratch: &mut ScratchDijkstra,
+) -> Site {
+    Site::build(
+        f.nodes(),
+        f.edges(),
+        symmetric,
+        |v| planner.fragments_of(v).len() >= 2,
+        comp.shortcuts(f.id()),
+        scratch,
+    )
+}
+
 fn fresh_memos(planner: &Planner) -> Vec<Arc<SiteMemo>> {
     (0..planner.fragmentation_graph().fragment_count())
         .map(|f| Arc::new(SiteMemo::for_site(planner, f)))
@@ -625,7 +738,7 @@ fn fresh_memos(planner: &Planner) -> Vec<Arc<SiteMemo>> {
 /// or one scoped thread each, per [`EngineConfig::mode`], against the
 /// caller's scratch.
 struct SnapshotEval<'a> {
-    augmented: &'a [Arc<SiteGraph>],
+    sites: &'a [Arc<Site>],
     memos: &'a [Arc<SiteMemo>],
     mode: ExecutionMode,
     scratch: &'a mut ScratchDijkstra,
@@ -637,9 +750,9 @@ impl SiteEvaluator for SnapshotEval<'_> {
         queries: &[SiteQueryRef<'_>],
         stats: &mut QueryStats,
     ) -> Vec<SegmentMatrix> {
-        let augmented = self.augmented;
+        let sites = self.sites;
         let runs = run_sites(queries, self.mode, self.scratch, |q, scratch| {
-            border_matrix_with(&augmented[q.site], q.sources, q.targets, scratch)
+            border_matrix_with(&sites[q.site], q.sources, q.targets, scratch)
         });
         runs.into_iter()
             .map(|(m, run)| {
@@ -871,29 +984,52 @@ mod tests {
         (csr, snap, requests)
     }
 
+    /// Once the memos and the endpoints' access sets are filled, a query
+    /// is lookups: no sweep at all when its endpoints lie in different
+    /// fragments, at most one — bounded, over the fragment's own edges —
+    /// for two non-border nodes of one fragment.
     #[test]
-    fn warm_queries_sweep_once_per_endpoint_site() {
+    fn warm_queries_sweep_only_inside_one_fragment() {
         let (csr, snap, requests) = cyclic_snapshot();
         let mut scratch = ScratchDijkstra::new();
         let cold = snap.query_batch(&requests, &mut scratch);
-        let cold_sweeps = scratch.stats().sweeps;
+        assert!(
+            scratch.stats().sweeps > 0,
+            "the cold batch fills access sets"
+        );
         assert!(cold.answers.iter().any(|a| a.stats.chains_evaluated > 2));
         assert!(snap.segment_memo_bytes() > 0);
+        assert!(snap.memory_bytes().access_sets > 0);
 
-        let warm = snap.query_batch(&requests, &mut scratch);
-        let warm_sweeps = scratch.stats().sweeps - cold_sweeps;
-        assert!(warm_sweeps < cold_sweeps, "the cold batch filled the memos");
-        assert_eq!(warm.stats.segments_computed as u64, warm_sweeps);
-        for (r, a) in requests.iter().zip(&warm.answers) {
+        let planner = snap.planner();
+        let inside_one_fragment = |r: &QueryRequest| {
+            let (fx, fy) = (
+                planner.fragments_of(r.source),
+                planner.fragments_of(r.target),
+            );
+            r.source != r.target && fx.len() == 1 && fx == fy
+        };
+        assert!(requests.iter().any(inside_one_fragment));
+        assert!(!requests.iter().all(inside_one_fragment));
+        let mut before = scratch.stats().sweeps;
+        for r in &requests {
+            let a = snap.shortest_path(r.source, r.target, &mut scratch);
             assert_eq!(
                 a.cost,
                 baseline::shortest_path_cost(&csr, r.source, r.target),
                 "{r:?}"
             );
-            // One sweep from x per fragment x is in, one from y per
-            // fragment y is in — whatever the number of chains.
-            let endpoint_sites = snap.planner().fragments_of(r.source).len()
-                + snap.planner().fragments_of(r.target).len();
+            let swept = scratch.stats().sweeps - before;
+            before += swept;
+            assert!(
+                swept <= u64::from(inside_one_fragment(r)),
+                "{r:?}: {swept} sweeps warm"
+            );
+            // A subquery answered by lookup is still a subquery: one from
+            // x per fragment x is in, one to y per fragment y is in —
+            // whatever the number of chains.
+            let endpoint_sites =
+                planner.fragments_of(r.source).len() + planner.fragments_of(r.target).len();
             assert!(
                 a.stats.site_queries <= endpoint_sites,
                 "{r:?}: {} site queries over {} chains",
@@ -901,8 +1037,75 @@ mod tests {
                 a.stats.chains_evaluated
             );
         }
+        let warm = snap.query_batch(&requests, &mut scratch);
+        assert_eq!(warm.costs(), cold.costs());
         let site_queries: usize = warm.answers.iter().map(|a| a.stats.site_queries).sum();
-        assert_eq!(site_queries as u64, warm_sweeps);
+        assert_eq!(warm.stats.segments_computed, site_queries);
+        let same: Vec<_> = requests.iter().filter(|r| inside_one_fragment(r)).collect();
+        assert!(scratch.stats().sweeps - before <= same.len() as u64);
+    }
+
+    /// Nothing on the build, publication or query path lays the shortcut
+    /// clique over a fragment: a site's augmented graph exists only once
+    /// somebody asks for it — route expansion, or `augmented_handle`.
+    #[test]
+    fn the_augmented_graph_is_built_only_on_demand() {
+        let g = grid(10, 4);
+        let frag = linear_sweep(
+            &g.edge_list(),
+            &LinearConfig {
+                fragments: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+        .fragmentation;
+        let cfg = EngineConfig {
+            store_paths: true,
+            ..Default::default()
+        };
+        let mut snap = EngineSnapshot::build(g.closure_graph(), frag, true, cfg).unwrap();
+        let built = |snap: &EngineSnapshot| -> Vec<bool> {
+            (0..snap.site_count())
+                .map(|f| snap.site_handle(f).augmented_is_built())
+                .collect()
+        };
+        assert_eq!(built(&snap), [false; 4], "after build");
+        let mut scratch = ScratchDijkstra::new();
+        let f3 = snap.fragmentation().fragment(3).clone();
+        let (a, b) = (f3.nodes()[0], *f3.nodes().last().unwrap());
+        let insert = NetworkUpdate::Insert {
+            edge: ds_graph::Edge::new(a, b, 1),
+            owner: 3,
+        };
+        let cow = snap.maintain_cow(&insert, &mut scratch).unwrap();
+        assert!(cow.touched_sites.contains(&3));
+        assert_eq!(built(&snap), [false; 4], "after a maintained update");
+        let requests: Vec<QueryRequest> = (0..40u32)
+            .map(|i| QueryRequest::new(n(i), n((i * 7 + 3) % 40)))
+            .collect();
+        let batch = snap.query_batch(&requests, &mut scratch);
+        assert!(batch.stats.segments_computed > 0);
+        assert_eq!(built(&snap), [false; 4], "after a query_batch");
+
+        // A route expands its legs over the augmented graphs of the sites
+        // on its chain, and of those only.
+        let route = snap.route(n(0), n(39), &mut scratch).unwrap().unwrap();
+        assert_eq!(
+            Some(route.cost),
+            baseline::shortest_path_cost(snap.graph(), n(0), n(39))
+        );
+        let on_chain: Vec<bool> = (0..4).map(|f| route.chain.contains(&f)).collect();
+        assert_eq!(built(&snap), on_chain, "after route");
+        // The handle builds the rest — once, for every epoch sharing the
+        // site.
+        let successor = snap.clone();
+        for f in 0..4 {
+            let aug = snap.augmented_handle(f);
+            assert!(aug.edge_count() > snap.fragmentation().fragment(f).edges().len());
+            assert!(Arc::ptr_eq(aug, successor.augmented_handle(f)));
+        }
+        assert_eq!(built(&successor), [true; 4]);
     }
 
     /// Two readers released together onto a snapshot whose memos are all
@@ -958,8 +1161,8 @@ mod tests {
             )
             .unwrap();
         // Copy-on-write, memos included: a touched site starts the new
-        // epoch with a new graph and an empty memo, an untouched site
-        // hands the successor the memo the predecessor filled.
+        // epoch with new evaluation state and an empty memo, an untouched
+        // site hands the successor the memo the predecessor filled.
         assert!(cow.touched_sites.contains(&3));
         assert!(!cow.touched_sites.contains(&1), "{:?}", cow.touched_sites);
         for (f, &filled) in filled.iter().enumerate() {

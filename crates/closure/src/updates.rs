@@ -158,7 +158,7 @@ pub enum ConnectivityEffect {
 }
 
 /// What the snapshot must do after [`maintain`] returns: rebuild the
-/// listed sites' augmented graphs.
+/// listed sites' evaluation state.
 #[derive(Clone, Debug)]
 pub struct Maintenance {
     pub report: UpdateReport,

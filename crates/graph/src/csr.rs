@@ -134,6 +134,14 @@ impl CsrGraph {
         self.targets.len()
     }
 
+    /// Heap bytes held (offsets, targets, costs and coordinates).
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.offsets.len() * size_of::<u32>()
+            + self.targets.len() * (size_of::<NodeId>() + size_of::<Cost>())
+            + self.coords.as_ref().map_or(0, |c| c.len()) * size_of::<Coord>()
+    }
+
     /// Out-degree of `v` — the paper's `grade(v)` for symmetric graphs.
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {

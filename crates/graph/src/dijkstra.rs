@@ -231,6 +231,54 @@ impl ScratchDijkstra {
         }
     }
 
+    /// Point-to-point sweep that keeps clear of `blocked` nodes and gives
+    /// up at `bound`: the cost of the cheapest path from `src` to `dst`
+    /// that enters no blocked node, if that cost is below `bound`.
+    /// Blocked nodes are never relaxed into (`src` itself is exempt), and
+    /// the sweep stops as soon as `dst` settles or the frontier reaches
+    /// `bound` — so a caller that already holds an upper bound pays only
+    /// for the region that could beat it.
+    pub fn sweep_point_bounded(
+        &mut self,
+        g: &CsrGraph,
+        src: NodeId,
+        dst: NodeId,
+        bound: Cost,
+        blocked: impl Fn(NodeId) -> bool,
+    ) -> Option<Cost> {
+        self.prepare(g.node_count());
+        let gen = self.generation;
+        self.stamp[src.index()] = gen;
+        self.dist[src.index()] = 0;
+        self.parent[src.index()] = u32::MAX;
+        self.heap.push(Reverse((0, src.0)));
+        while let Some(Reverse((d, v))) = self.heap.pop() {
+            if d >= bound {
+                return None; // nothing left on the heap is cheaper
+            }
+            if v == dst.0 {
+                return Some(d);
+            }
+            if d > self.dist[v as usize] {
+                continue; // stale heap entry
+            }
+            for (t, w) in g.neighbors(NodeId(v)) {
+                let ti = t.index();
+                let nd = d + w;
+                if nd >= bound || blocked(t) {
+                    continue;
+                }
+                if self.stamp[ti] != gen || nd < self.dist[ti] {
+                    self.stamp[ti] = gen;
+                    self.dist[ti] = nd;
+                    self.parent[ti] = v;
+                    self.heap.push(Reverse((nd, t.0)));
+                }
+            }
+        }
+        None
+    }
+
     /// Cost to `v` in the latest sweep, or `None` if unreached.
     pub fn cost(&self, v: NodeId) -> Option<Cost> {
         let i = v.index();
@@ -492,6 +540,50 @@ mod tests {
         assert_eq!(scratch.cost(NodeId(2)), None);
         // The previous generation's entries are invisible now.
         assert_eq!(scratch.cost(NodeId(1)), Some(1));
+    }
+
+    #[test]
+    fn bounded_point_sweep_avoids_blocked_nodes_and_respects_the_bound() {
+        let g = diamond();
+        let mut scratch = ScratchDijkstra::new();
+        let open = |_: NodeId| false;
+        // 0-1-2-3 costs 4; a bound at or below that finds nothing.
+        assert_eq!(
+            scratch.sweep_point_bounded(&g, NodeId(0), NodeId(3), INFINITE_COST, open),
+            Some(4)
+        );
+        assert_eq!(
+            scratch.sweep_point_bounded(&g, NodeId(0), NodeId(3), 5, open),
+            Some(4)
+        );
+        assert_eq!(
+            scratch.sweep_point_bounded(&g, NodeId(0), NodeId(3), 4, open),
+            None
+        );
+        // Without node 2 the only way is 0-1-3 (8); without 1 it is 0-2-3 (5).
+        let not = |b: u32| move |v: NodeId| v == NodeId(b);
+        assert_eq!(
+            scratch.sweep_point_bounded(&g, NodeId(0), NodeId(3), INFINITE_COST, not(2)),
+            Some(8)
+        );
+        assert_eq!(
+            scratch.sweep_point_bounded(&g, NodeId(0), NodeId(3), INFINITE_COST, not(1)),
+            Some(5)
+        );
+        // The source is exempt, a blocked destination is never entered.
+        assert_eq!(
+            scratch.sweep_point_bounded(&g, NodeId(1), NodeId(3), INFINITE_COST, not(1)),
+            Some(3)
+        );
+        assert_eq!(
+            scratch.sweep_point_bounded(&g, NodeId(0), NodeId(3), INFINITE_COST, not(3)),
+            None
+        );
+        assert_eq!(
+            scratch.sweep_point_bounded(&g, NodeId(2), NodeId(2), INFINITE_COST, open),
+            Some(0)
+        );
+        assert_eq!(scratch.stats().sweeps, 8);
     }
 
     #[test]

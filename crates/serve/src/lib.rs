@@ -31,8 +31,8 @@
 //! ```
 //!
 //! * **Snapshot epochs.** The immutable [`EngineSnapshot`] (tables,
-//!   augmented graphs, planner — `Send + Sync` by construction, asserted
-//!   at compile time in `ds_closure`) is shared via `Arc` and swapped
+//!   per-site evaluation state, planner — `Send + Sync` by construction,
+//!   asserted at compile time in `ds_closure`) is shared via `Arc` and swapped
 //!   atomically by the single writer. Readers pin the epoch for the
 //!   duration of a micro-batch: every answer is consistent with some
 //!   published version, and says which ([`ServedBatch::epoch`]).
@@ -789,6 +789,9 @@ mod tests {
             answers.push(server.query(n(0), n(39)).unwrap().answer.cost);
             answers.push(server.query(n(i), n(30 + i)).unwrap().answer.cost);
         }
+        // The reads filled access sets at the sites their endpoints lie in.
+        let read_epoch = server.snapshot();
+        assert!(read_epoch.site_handle(0).memory_bytes().access_sets > 0);
         // One update so the writer trace and epoch gauge move too.
         let f0 = server.snapshot().fragmentation().fragment(0).clone();
         let (a, b) = (f0.nodes()[0], *f0.nodes().last().unwrap());
@@ -835,6 +838,22 @@ mod tests {
             snap_metrics.gauge("serve_segment_memo_bytes"),
             Some(memo_bytes)
         );
+        // Likewise the access sets: site 0 was rebuilt and starts with
+        // none, the far sites keep theirs, and the gauge says how much.
+        let held = server.snapshot().memory_bytes();
+        assert_eq!(
+            server.snapshot().site_handle(0).memory_bytes().access_sets,
+            0
+        );
+        assert!(held.access_sets > 0);
+        assert!(held.access_sets < read_epoch.memory_bytes().access_sets);
+        for (component, bytes) in held.components() {
+            let gauge = match component {
+                "segment_memos" => continue, // checked above, under its own name
+                c => format!("serve_snapshot_{c}_bytes"),
+            };
+            assert_eq!(snap_metrics.gauge(&gauge), Some(bytes as u64), "{gauge}");
+        }
         assert_eq!(snap_metrics.counter("serve_reach_fast_path"), Some(1));
         let hist = snap_metrics
             .histogram("request_latency_ns")

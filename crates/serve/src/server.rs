@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use ds_closure::api::{BatchStats, NetworkUpdate, QueryRequest};
 use ds_closure::complementary::PrecomputeStrategy;
-use ds_closure::snapshot::EngineSnapshot;
+use ds_closure::snapshot::{EngineSnapshot, SnapshotBytes};
 use ds_closure::updates::UpdateReport;
 use ds_closure::{ClosureError, QueryAnswer};
 use ds_durability::{DurabilityConfig, DurabilityError, DurableStore};
@@ -647,7 +647,18 @@ struct ObsHandles {
     checkpoints: Counter,
     epoch: Gauge,
     queue_depth: Gauge,
-    segment_memo_bytes: Gauge,
+    /// One gauge per component of `EngineSnapshot::memory_bytes`, in
+    /// `SnapshotBytes::components` order.
+    snapshot_bytes: Vec<Gauge>,
+}
+
+/// The gauge a snapshot memory component is published under.
+fn snapshot_gauge_name(component: &str) -> String {
+    match component {
+        // Published under this name since before the breakdown existed.
+        "segment_memos" => "serve_segment_memo_bytes".to_string(),
+        other => format!("serve_snapshot_{other}_bytes"),
+    }
 }
 
 impl ObsHandles {
@@ -675,7 +686,11 @@ impl ObsHandles {
             checkpoints: r.counter("serve_checkpoints"),
             epoch: r.gauge("serve_epoch"),
             queue_depth: r.gauge("serve_queue_depth"),
-            segment_memo_bytes: r.gauge("serve_segment_memo_bytes"),
+            snapshot_bytes: SnapshotBytes::default()
+                .components()
+                .iter()
+                .map(|(component, _)| r.gauge(&snapshot_gauge_name(component)))
+                .collect(),
             obs,
         }
     }
@@ -1796,11 +1811,13 @@ fn writer_loop(
             h.publications.add((applied > 0) as u64);
             h.epoch.set(epoch);
             if applied > 0 {
-                // What the epoch just published holds in evaluated chain
-                // segments: the memos of the sites this batch left
-                // untouched (the touched ones start empty).
-                h.segment_memo_bytes
-                    .set(working.segment_memo_bytes() as u64);
+                // What the epoch just published holds, by component. The
+                // memos and access sets are those of the sites this batch
+                // left untouched (the touched ones start empty).
+                let held = working.memory_bytes().components();
+                for (gauge, (_, bytes)) in h.snapshot_bytes.iter().zip(held) {
+                    gauge.set(bytes as u64);
+                }
                 // One writer trace per publication: maintenance and
                 // publication spans land in the trace ring (never in the
                 // request latency histogram — that is reads only).

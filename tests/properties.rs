@@ -996,8 +996,13 @@ fn untouched_sites_stay_arc_shared_across_epochs() {
                 let sites = prev.site_count();
                 for f in 0..sites {
                     let touched = m.touched_sites.contains(&f);
+                    // The site's own graph, border matrix and access sets
+                    // — and the augmented graph built on demand inside it.
+                    let shared_site = Arc::ptr_eq(prev.site_handle(f), next.site_handle(f));
                     let shared_aug =
                         Arc::ptr_eq(prev.augmented_handle(f), next.augmented_handle(f));
+                    assert_eq!(shared_site, shared_aug, "{label}: site {f}");
+                    assert_eq!(shared_site, !touched, "{label}: site {f}");
                     let shared_hops =
                         Arc::ptr_eq(prev.real_hops_handle(f), next.real_hops_handle(f));
                     let shared_table = Arc::ptr_eq(
@@ -1041,6 +1046,263 @@ fn untouched_sites_stay_arc_shared_across_epochs() {
             assert!(applied >= 10, "{label}: not enough applicable updates");
         }
     }
+}
+
+/// The site kernel against its reference, shape by shape and end to end.
+///
+/// For {symmetric, one-way} networks × {a hand-made chain of fragments,
+/// an acyclic linear sweep, a cyclic center growth} × both complementary
+/// scopes, before and after a maintained insert and a maintained delete:
+///
+/// * every subquery a site can be asked — each fragment node alone, each
+///   of the site's disconnection sets, all its borders, in every
+///   source/target combination — reads from `border_matrix_with` exactly
+///   what `forward_matrix` sweeps out of the site's augmented graph;
+/// * whole answers equal the reference evaluation (`run_chain` +
+///   `chain_cost_refs` over every planned chain) and, wherever the scope
+///   is exact, the centralized Dijkstra;
+/// * two readers released together onto empty access sets agree with
+///   each other and with a reader that had the snapshot to itself.
+///
+/// The hand-made network pins the corner cases: a fragment with a single
+/// border node, a zero-cost edge, an island no other node reaches.
+#[test]
+fn site_kernel_equals_sweeps_of_the_augmented_graph() {
+    use discset::closure::assemble::chain_cost_refs;
+    use discset::closure::executor::{run_chain, ExecutionMode};
+    use discset::closure::local::{border_matrix_with, forward_matrix};
+    use discset::closure::{ComplementaryScope, EngineSnapshot};
+    use discset::fragment::Fragmentation;
+    use discset::gen::output::expand_connections;
+    use discset::graph::{Cost, ScratchDijkstra};
+    use discset::NetworkUpdate;
+    use std::sync::Arc;
+
+    /// 0 -2- 1 -0- 2 | 2 -1- 3 -2- 4, 2 -5- 4 | 4 -1- 5 -1- 6 -4- 7, 4 -1- 7,
+    /// and an island 8 -3- 9 in the first fragment.
+    fn chain_of_three() -> (usize, Fragmentation) {
+        let e = |a: u32, b: u32, c: u64| Edge::new(NodeId(a), NodeId(b), c);
+        let sets = vec![
+            vec![e(0, 1, 2), e(1, 2, 0), e(8, 9, 3)],
+            vec![e(2, 3, 1), e(3, 4, 2), e(2, 4, 5)],
+            vec![e(4, 5, 1), e(5, 6, 1), e(6, 7, 4), e(4, 7, 1)],
+        ];
+        (10, Fragmentation::new(10, sets, vec![vec![]; 3]))
+    }
+
+    /// Everything one snapshot must satisfy; returns its answers.
+    fn check(snap: &EngineSnapshot, exact: bool, label: &str) -> Vec<Option<Cost>> {
+        let mut scratch = ScratchDijkstra::new();
+        let planner = snap.planner();
+        let frag = snap.fragmentation();
+        for f in frag.fragments() {
+            let site = snap.site_handle(f.id());
+            let borders: Vec<NodeId> = site.border_nodes().collect();
+            let mut lists: Vec<&[NodeId]> = f.nodes().iter().map(std::slice::from_ref).collect();
+            lists.push(&borders);
+            lists.extend(
+                planner
+                    .fragmentation_graph()
+                    .neighbors(f.id())
+                    .iter()
+                    .map(|&g| planner.ds_between(f.id(), g)),
+            );
+            let augmented = snap.augmented_handle(f.id());
+            for sources in &lists {
+                for targets in &lists {
+                    assert_eq!(
+                        border_matrix_with(site, sources, targets, &mut scratch),
+                        forward_matrix(augmented, sources, targets, &mut scratch),
+                        "{label}: site {} {sources:?} -> {targets:?}",
+                        f.id()
+                    );
+                }
+            }
+        }
+        let augmented: Vec<_> = (0..snap.site_count())
+            .map(|f| Arc::clone(snap.augmented_handle(f)))
+            .collect();
+        let n = frag.node_count() as u32;
+        let mut answers = Vec::new();
+        for x in 0..n {
+            for y in [(x + 1) % n, (x * 7 + 3) % n, n - 1 - x] {
+                let (x, y) = (NodeId(x), NodeId(y));
+                let got = snap.shortest_path(x, y, &mut scratch).cost;
+                let reference = if x == y {
+                    Some(0)
+                } else {
+                    planner.plan(x, y).ok().and_then(|plan| {
+                        plan.chains
+                            .iter()
+                            .filter_map(|chain| {
+                                let (segments, _) = run_chain(
+                                    &augmented,
+                                    chain,
+                                    ExecutionMode::Sequential,
+                                    &mut scratch,
+                                );
+                                chain_cost_refs(&segments.iter().collect::<Vec<_>>(), x, y)
+                            })
+                            .min()
+                    })
+                };
+                assert_eq!(got, reference, "{label}: {x}->{y} against run_chain");
+                if exact {
+                    let want = baseline::shortest_path_cost(snap.graph(), x, y);
+                    assert_eq!(got, want, "{label}: {x}->{y} against Dijkstra");
+                }
+                answers.push(got);
+            }
+        }
+        answers
+    }
+
+    let (mut cyclic, mut single_border, mut unreachable, mut closed) = (0, 0, 0, 0);
+    for symmetric in [true, false] {
+        let mut rng = StdRng::seed_from_u64(0x517E ^ symmetric as u64);
+        let mut g = generate_general(
+            &GeneralConfig {
+                nodes: 30,
+                target_edges: 80,
+                ..Default::default()
+            },
+            11,
+        );
+        g.connections[0].cost = 0;
+        if !symmetric {
+            // One-way: kept, reversed, or kept with a costlier way back.
+            g.symmetric = false;
+            g.connections = g
+                .connections
+                .iter()
+                .flat_map(|e| match rng.gen_index(4) {
+                    0 => vec![e.reversed()],
+                    1 => vec![*e, Edge::new(e.dst, e.src, e.cost + 3)],
+                    _ => vec![*e],
+                })
+                .collect();
+        }
+        let el = g.edge_list();
+        let linear = LinearConfig {
+            fragments: 4,
+            ..Default::default()
+        };
+        let center = CenterConfig {
+            fragments: 4,
+            ..Default::default()
+        };
+        let networks = [
+            ("chain of three", chain_of_three()),
+            (
+                "linear",
+                (g.nodes, linear_sweep(&el, &linear).unwrap().fragmentation),
+            ),
+            (
+                "center",
+                (g.nodes, center_based(&el, &center).unwrap().fragmentation),
+            ),
+        ];
+        for (family, (n, frag)) in networks {
+            let acyclic = frag.fragmentation_graph().is_acyclic();
+            cyclic += !acyclic as usize;
+            let connections: Vec<Edge> = frag
+                .fragments()
+                .iter()
+                .flat_map(|f| f.edges().iter().copied())
+                .collect();
+            let csr = CsrGraph::from_edges(n, &expand_connections(&connections, symmetric));
+            for scope in [
+                ComplementaryScope::PerFragmentBorder,
+                ComplementaryScope::PerDisconnectionSet,
+            ] {
+                let label = format!("symmetric={symmetric} {family} {scope:?}");
+                let exact = acyclic || scope == ComplementaryScope::PerFragmentBorder;
+                let cfg = EngineConfig {
+                    scope,
+                    ..EngineConfig::default()
+                };
+                let mut snap =
+                    EngineSnapshot::build(csr.clone(), frag.clone(), symmetric, cfg).unwrap();
+                for f in 0..snap.site_count() {
+                    let site = snap.site_handle(f);
+                    let borders = site.border_nodes().count();
+                    single_border += (borders == 1) as usize;
+                    // A stored table that leaves a border pair out was
+                    // closed when the site was built.
+                    let stored = snap.complementary().shortcuts(f).len();
+                    closed += (stored < borders * borders.saturating_sub(1)) as usize;
+                }
+
+                // Two readers race to fill the access sets (and memos) a
+                // third fills alone.
+                let requests: Vec<QueryRequest> = (0..n as u32)
+                    .map(|x| QueryRequest::new(NodeId(x), NodeId((x * 7 + 3) % n as u32)))
+                    .collect();
+                let alone = snap.unshared_clone();
+                let want = alone
+                    .query_batch(&requests, &mut ScratchDijkstra::new())
+                    .costs();
+                let barrier = std::sync::Barrier::new(2);
+                let raced: Vec<Vec<Option<Cost>>> = std::thread::scope(|s| {
+                    let readers: Vec<_> = (0..2)
+                        .map(|_| {
+                            s.spawn(|| {
+                                let mut scratch = ScratchDijkstra::new();
+                                barrier.wait();
+                                snap.query_batch(&requests, &mut scratch).costs()
+                            })
+                        })
+                        .collect();
+                    readers.into_iter().map(|h| h.join().unwrap()).collect()
+                });
+                assert_eq!(raced[0], want, "{label}: first reader");
+                assert_eq!(raced[1], want, "{label}: second reader");
+                let (raced, solo) = (snap.memory_bytes(), alone.memory_bytes());
+                assert_eq!(raced.access_sets, solo.access_sets, "{label}");
+                assert_eq!(raced.segment_memos, solo.segment_memos, "{label}");
+                assert!(raced.access_sets > 0, "{label}");
+
+                let before = check(&snap, exact, &label);
+                unreachable += before.iter().filter(|c| c.is_none()).count();
+
+                // A maintained insert between two nodes of one fragment
+                // the network already connects, then a maintained delete.
+                let mut scratch = ScratchDijkstra::new();
+                let (owner, a, b) = (0..200)
+                    .find_map(|_| {
+                        let owner = rng.gen_index(snap.site_count());
+                        let nodes = snap.fragmentation().fragment(owner).nodes();
+                        let a = nodes[rng.gen_index(nodes.len())];
+                        let b = nodes[rng.gen_index(nodes.len())];
+                        let joined = baseline::shortest_path_cost(snap.graph(), a, b);
+                        (a != b && joined.is_some_and(|c| c > 1)).then_some((owner, a, b))
+                    })
+                    .expect("some fragment holds a connected pair");
+                let insert = NetworkUpdate::Insert {
+                    edge: Edge::new(a, b, 1),
+                    owner,
+                };
+                snap.maintain(&insert, &mut scratch).unwrap();
+                check(&snap, exact, &format!("{label} after {insert:?}"));
+                assert_eq!(snap.shortest_path(a, b, &mut scratch).cost, Some(1));
+
+                let owner = rng.gen_index(snap.site_count());
+                let edges = snap.fragmentation().fragment(owner).edges();
+                let gone = edges[rng.gen_index(edges.len())];
+                let remove = NetworkUpdate::Remove {
+                    src: gone.src,
+                    dst: gone.dst,
+                    owner,
+                };
+                snap.maintain(&remove, &mut scratch).unwrap();
+                check(&snap, exact, &format!("{label} after {remove:?}"));
+            }
+        }
+    }
+    assert!(cyclic > 0, "a cyclic fragmentation graph was covered");
+    assert!(single_border > 0, "a site with a single border node");
+    assert!(unreachable > 0, "an unreachable pair");
+    assert!(closed > 0, "a table that leaves a border pair out");
 }
 
 /// Complementary shortcut costs obey the triangle inequality with the
