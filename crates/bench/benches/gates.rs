@@ -1,0 +1,456 @@
+//! The one bench of the workspace: the checks that `BENCHMARK.json`
+//! cannot make, because they are exact counts or ratios of two arms of
+//! one run. Timings, throughput and per-layer costs are the
+//! benchmark's (`examples/benchmark`); nothing here reports an absolute
+//! time.
+//!
+//! Exits non-zero if (see `ds_bench::gates` for the checks themselves)
+//!
+//! * **warm sweeps** — on a cyclic, fat-bordered general graph a warm
+//!   request runs a Dijkstra sweep when its endpoints lie in different
+//!   fragments, or more than one for two non-border nodes of one
+//!   fragment;
+//! * **reach index** — `connected` through the SCC/chain index sweeps at
+//!   all, or is less than 5x faster than the shortest-path arm it
+//!   replaced, on any seed;
+//! * **publication** — the structurally shared per-epoch clone is less
+//!   than 5x cheaper than `EngineSnapshot::unshared_clone` after one
+//!   update's worth of touched sites, on any seed;
+//! * **wal** — a pure write path (16 closed-loop updaters) with fsync'd
+//!   group commits keeps less than 0.7x the throughput of the same run
+//!   without a log, best of three interleaved rounds, on any seed.
+//!
+//! `obs-armed-over-disarmed` (a 95/5 read/write mix with a live `ds_obs`
+//! bundle over the same mix without) is reported, not gated.
+//!
+//! Writes `BENCH_gates.json` (repo root): one row per count or ratio,
+//! min / median / max over the seeds, plus the runner's `nproc`.
+//!
+//! ```text
+//! cargo bench -p ds-bench --bench gates
+//! ```
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use ds_bench::gates::{no_sweeps, ratio_floor, warm_sweeps, worst_ratio, Pair, SweepCount};
+use ds_bench::harness::{write_json, Bench};
+use ds_closure::api::{NetworkUpdate, QueryRequest};
+use ds_closure::{EngineConfig, EngineSnapshot};
+use ds_fragment::center::{center_based, CenterConfig};
+use ds_fragment::{semantic, CrossingPolicy, Fragmentation};
+use ds_gen::{
+    generate_general, generate_scale, generate_transportation, GeneralConfig, ScaleConfig,
+    TransportationConfig,
+};
+use ds_graph::{Edge, NodeId, ScratchDijkstra};
+use ds_obs::Observability;
+use ds_serve::{DurabilityConfig, ServeConfig, Server};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Generator seeds every paired measurement is repeated on; a floor is
+/// held against the worst of them.
+const SEEDS: [u64; 3] = [1, 2, 3];
+const FLOOR_REACH_INDEX: f64 = 5.0;
+const FLOOR_PUBLICATION: f64 = 5.0;
+const FLOOR_WAL: f64 = 0.7;
+/// Closed-loop clients of the serve pairs, over `WORKERS` pool workers,
+/// each thinking `THINK` between its `OPS_PER_CLIENT` operations.
+const CLIENTS: usize = 16;
+const WORKERS: usize = 4;
+const OPS_PER_CLIENT: usize = 120;
+const THINK: Duration = Duration::from_micros(600);
+/// Interleaved rounds per seed of a serve pair (best of each arm).
+const ROUNDS: usize = 3;
+
+/// Warm sweeps per request on the cyclic general graph: center-grown
+/// fragments, fat borders, ~9 chains per query.
+fn sweep_counts() -> Vec<SweepCount> {
+    let nodes = 300u32;
+    let g = generate_general(
+        &GeneralConfig {
+            nodes: nodes as usize,
+            target_edges: 900,
+            c2: 0.15,
+            ..GeneralConfig::default()
+        },
+        1,
+    );
+    let frag = center_based(
+        &g.edge_list(),
+        &CenterConfig {
+            fragments: 4,
+            ..CenterConfig::default()
+        },
+    )
+    .expect("center-based fragmentation")
+    .fragmentation;
+    let config = EngineConfig {
+        max_chains: 8,
+        max_chain_len: 5,
+        ..EngineConfig::default()
+    };
+    let snapshot =
+        EngineSnapshot::build(g.closure_graph(), frag, true, config).expect("snapshot builds");
+    assert!(!snapshot.fragmentation().fragmentation_graph().is_acyclic());
+    let requests: Vec<QueryRequest> = (0..64u32)
+        .map(|i| QueryRequest::new(NodeId(i * 37 % nodes), NodeId((i * 101 + 13) % nodes)))
+        .collect();
+    let mut scratch = ScratchDijkstra::new();
+    snapshot.query_batch(&requests, &mut scratch); // fills memos and access sets
+    let planner = snapshot.planner();
+    requests
+        .iter()
+        .map(|r| {
+            let (fx, fy) = (
+                planner.fragments_of(r.source),
+                planner.fragments_of(r.target),
+            );
+            let before = scratch.stats().sweeps;
+            snapshot.shortest_path(r.source, r.target, &mut scratch);
+            SweepCount {
+                request: format!("{} -> {}", r.source, r.target),
+                sweeps: scratch.stats().sweeps - before,
+                inside_one_fragment: r.source != r.target && fx.len() == 1 && fx == fy,
+            }
+        })
+        .collect()
+}
+
+/// `connected` through the reach index against the shortest-path arm, on
+/// a 20k-node graph in one fragment (no borders: the Dijkstra arm is
+/// exactly one global sweep). Returns the index arm's sweep count and
+/// the per-seed (Dijkstra over index) pairs.
+fn reach_index(bench: &mut Bench) -> (u64, Vec<Pair>) {
+    let cfg = ScaleConfig {
+        nodes: 20_000,
+        out_degree: 2,
+    };
+    let mut index_sweeps = 0;
+    let pairs = SEEDS
+        .iter()
+        .map(|&seed| {
+            let graph = generate_scale(&cfg, seed);
+            let edges: Vec<Edge> = graph.edges().collect();
+            let all: Vec<NodeId> = graph.nodes().collect();
+            let frag = Fragmentation::new(graph.node_count(), vec![edges], vec![all]);
+            let snap = EngineSnapshot::build(graph, frag, false, EngineConfig::default())
+                .expect("snapshot builds");
+            let queries: Vec<(NodeId, NodeId)> = (0..64usize)
+                .map(|i| {
+                    (
+                        NodeId(((i * 7919 + 3) % cfg.nodes) as u32),
+                        NodeId(((i * 104_729 + 11) % cfg.nodes) as u32),
+                    )
+                })
+                .collect();
+            let mut scratch = ScratchDijkstra::new();
+            let index_ns = bench
+                .run(&format!("reach/index/seed-{seed}"), || {
+                    let hits = queries
+                        .iter()
+                        .filter(|&&(x, y)| snap.connected(x, y, &mut scratch));
+                    hits.count()
+                })
+                .median_ns;
+            index_sweeps += scratch.stats().sweeps;
+            let dijkstra_ns = bench
+                .run(&format!("reach/dijkstra/seed-{seed}"), || {
+                    let hits = queries.iter().filter(|&&(x, y)| {
+                        x == y || snap.shortest_path(x, y, &mut scratch).cost.is_some()
+                    });
+                    hits.count()
+                })
+                .median_ns;
+            Pair {
+                seed,
+                numerator_ns: dijkstra_ns,
+                denominator_ns: index_ns,
+            }
+        })
+        .collect();
+    (index_sweeps, pairs)
+}
+
+/// The transportation deployment the publication and serve pairs run
+/// on: ten 40-node clusters fragmented by country, hot routes from the
+/// first cluster to the last, and per client one interior connection
+/// whose delete and re-insert both stay incremental.
+struct Deployment {
+    seed: u64,
+    snapshot: EngineSnapshot,
+    nodes: usize,
+    hot: Vec<QueryRequest>,
+    toggles: Vec<[NetworkUpdate; 2]>,
+}
+
+fn deployment(seed: u64) -> Deployment {
+    let clusters = 10usize;
+    let g = generate_transportation(
+        &TransportationConfig {
+            clusters,
+            nodes_per_cluster: 40,
+            target_edges_per_cluster: 150,
+            ..TransportationConfig::default()
+        },
+        seed,
+    );
+    let labels = g
+        .cluster_of
+        .clone()
+        .expect("transportation graphs are labelled");
+    let frag = semantic::by_labels(
+        g.nodes,
+        &g.connections,
+        &labels,
+        clusters,
+        CrossingPolicy::LowerBlock,
+    )
+    .expect("label fragmentation");
+    let snapshot = EngineSnapshot::build(g.closure_graph(), frag, true, EngineConfig::default())
+        .expect("snapshot builds");
+    let mut rng = StdRng::seed_from_u64(0x407E5 ^ seed);
+    let hot = (0..6)
+        .map(|_| {
+            QueryRequest::new(
+                NodeId(rng.gen_index(40) as u32),
+                NodeId((g.nodes - 40 + rng.gen_index(40)) as u32),
+            )
+        })
+        .collect();
+    // One connection per client, each probed on a private copy: not
+    // between two borders (a disconnection-set crossing falls back by
+    // design), no parallel twin, and its removal stays incremental.
+    let frag = snapshot.fragmentation();
+    let border = |v: NodeId| frag.fragments_of_node(v).len() >= 2;
+    let mut scratch = ScratchDijkstra::new();
+    let mut toggles = Vec::new();
+    for f in frag.fragments() {
+        for e in f.edges() {
+            let twins = f
+                .edges()
+                .iter()
+                .filter(|x| (x.src, x.dst) == (e.src, e.dst) || (x.src, x.dst) == (e.dst, e.src));
+            if toggles.len() == CLIENTS || (border(e.src) && border(e.dst)) || twins.count() != 1 {
+                continue;
+            }
+            let owner = f.id();
+            let remove = NetworkUpdate::Remove {
+                src: e.src,
+                dst: e.dst,
+                owner,
+            };
+            let probed = snapshot.clone().maintain(&remove, &mut scratch);
+            if probed.is_ok_and(|report| !report.full_recompute) {
+                toggles.push([remove, NetworkUpdate::Insert { edge: *e, owner }]);
+            }
+        }
+    }
+    assert_eq!(toggles.len(), CLIENTS, "seed {seed}: too few safe updates");
+    Deployment {
+        seed,
+        snapshot,
+        nodes: g.nodes,
+        hot,
+        toggles,
+    }
+}
+
+/// Shared publication against the deep copy it replaced, on a working
+/// snapshot one update past its published predecessor (which pins the
+/// sharing, as in the serve writer).
+fn publication(bench: &mut Bench, d: &Deployment) -> Pair {
+    let published = Arc::new(d.snapshot.clone());
+    let mut working = (*published).clone();
+    let mut scratch = ScratchDijkstra::new();
+    for update in &d.toggles[0] {
+        working.maintain(update, &mut scratch).expect("safe update");
+    }
+    let seed = d.seed;
+    let shared_ns = bench
+        .run(&format!("publication/shared/seed-{seed}"), || {
+            Arc::new(working.clone())
+        })
+        .median_ns;
+    let full_ns = bench
+        .run(&format!("publication/unshared/seed-{seed}"), || {
+            Arc::new(working.unshared_clone())
+        })
+        .median_ns;
+    Pair {
+        seed,
+        numerator_ns: full_ns,
+        denominator_ns: shared_ns,
+    }
+}
+
+/// Serve `CLIENTS` closed-loop connections to completion — each issuing
+/// `OPS_PER_CLIENT` operations, a write (its private toggle) with
+/// probability `write_permille`/1000, else a read (70 % a hot route, the
+/// rest uniform) — and return the wall time of the serving alone.
+fn closed_loop(
+    d: &Deployment,
+    write_permille: usize,
+    obs: Option<Arc<Observability>>,
+    durability: Option<DurabilityConfig>,
+) -> Duration {
+    let server = Server::start(
+        d.snapshot.clone(),
+        ServeConfig {
+            workers: WORKERS,
+            queue_capacity: 4096,
+            batch_max: 128,
+            obs,
+            durability,
+            ..ServeConfig::default()
+        },
+    );
+    let started = Instant::now();
+    std::thread::scope(|s| {
+        for (client, toggle) in d.toggles.iter().enumerate() {
+            let server = &server;
+            s.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(0xC11E27 ^ (client as u64) << 3 ^ d.seed << 17);
+                let mut writes = 0;
+                for _ in 0..OPS_PER_CLIENT {
+                    if rng.gen_index(1000) < write_permille {
+                        let _ = server.update(&toggle[writes % 2]);
+                        writes += 1;
+                    } else {
+                        let r = if rng.gen_index(100) < 70 {
+                            d.hot[rng.gen_index(d.hot.len())]
+                        } else {
+                            let mut any = || NodeId(rng.gen_index(d.nodes) as u32);
+                            QueryRequest::new(any(), any())
+                        };
+                        server.query(r.source, r.target).expect("healthy pool");
+                    }
+                    std::thread::sleep(THINK);
+                }
+            });
+        }
+    });
+    started.elapsed()
+}
+
+/// Best-of-`ROUNDS` wall time of two arms run back-to-back each round,
+/// so slow drift hits both alike: `(first, second)` in nanoseconds.
+fn interleaved(mut arm: impl FnMut(usize, usize) -> Duration) -> (f64, f64) {
+    let mut best = [f64::INFINITY; 2];
+    for round in 0..ROUNDS {
+        for (which, best) in best.iter_mut().enumerate() {
+            *best = best.min(arm(which, round).as_nanos() as f64);
+        }
+    }
+    (best[0], best[1])
+}
+
+/// The pure write path without a log over the same with fsync'd group
+/// commits (throughput on/off = time off/on).
+fn wal(d: &Deployment) -> Pair {
+    let (off_ns, on_ns) = interleaved(|which, round| {
+        let dir = std::env::temp_dir().join(format!(
+            "discset-gates-wal-{}-{}-{round}",
+            std::process::id(),
+            d.seed
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durability = (which == 1).then(|| DurabilityConfig::at(&dir));
+        let took = closed_loop(d, 1000, None, durability);
+        let _ = std::fs::remove_dir_all(&dir);
+        took
+    });
+    Pair {
+        seed: d.seed,
+        numerator_ns: off_ns,
+        denominator_ns: on_ns,
+    }
+}
+
+/// The 95/5 mix traced by a live bundle over the same mix disarmed.
+fn obs(d: &Deployment) -> Pair {
+    let bundle = Observability::armed();
+    closed_loop(d, 50, None, None); // warm-up, discarded
+    let (disarmed_ns, armed_ns) =
+        interleaved(|which, _| closed_loop(d, 50, (which == 1).then(|| bundle.clone()), None));
+    Pair {
+        seed: d.seed,
+        numerator_ns: armed_ns,
+        denominator_ns: disarmed_ns,
+    }
+}
+
+/// The rows of `BENCH_gates.json` and the checks that failed.
+struct Report {
+    rows: Bench,
+    failures: Vec<String>,
+}
+
+impl Report {
+    fn check(&mut self, gate: Result<(), String>) {
+        self.failures.extend(gate.err());
+    }
+
+    /// Record one row of per-seed ratios, print it, and hold its worst
+    /// seed to `floor` (`None`: reported only).
+    fn ratio_row(&mut self, name: &str, pairs: &[Pair], floor: Option<f64>) {
+        let ratios: Vec<f64> = pairs.iter().map(Pair::ratio).collect();
+        self.rows.record(name, &ratios);
+        let worst = worst_ratio(pairs);
+        println!("{name}: {ratios:.2?} by seed, worst {worst:.2}, floor {floor:?}");
+        if let Some(floor) = floor {
+            self.check(ratio_floor(name, pairs, floor));
+        }
+    }
+}
+
+fn main() {
+    let mut bench = Bench::new("gates").sample_size(10);
+    let mut report = Report {
+        rows: Bench::new("gates"),
+        failures: Vec::new(),
+    };
+
+    let counts = sweep_counts();
+    let swept: u64 = counts.iter().map(|c| c.sweeps).sum();
+    let inside = counts.iter().filter(|c| c.inside_one_fragment).count();
+    let per_query = swept as f64 / counts.len() as f64;
+    report.rows.record("warm-sweeps-per-query", &[per_query]);
+    println!(
+        "warm-sweeps-per-query: {swept} sweeps over {} requests ({inside} inside one fragment)",
+        counts.len()
+    );
+    report.check(warm_sweeps(&counts));
+
+    let (index_sweeps, reach) = reach_index(&mut bench);
+    let sweeps_row = "reach-index-sweeps";
+    report.rows.record(sweeps_row, &[index_sweeps as f64]);
+    report.check(no_sweeps(sweeps_row, index_sweeps));
+    report.ratio_row("reach-dijkstra-over-index", &reach, Some(FLOOR_REACH_INDEX));
+
+    let deployments: Vec<Deployment> = SEEDS.iter().map(|&s| deployment(s)).collect();
+    let published: Vec<Pair> = deployments
+        .iter()
+        .map(|d| publication(&mut bench, d))
+        .collect();
+    let floor = Some(FLOOR_PUBLICATION);
+    report.ratio_row("publication-unshared-over-shared", &published, floor);
+    let logged: Vec<Pair> = deployments.iter().map(wal).collect();
+    report.ratio_row("wal-on-over-wal-off-throughput", &logged, Some(FLOOR_WAL));
+    let traced: Vec<Pair> = deployments.iter().map(obs).collect();
+    report.ratio_row("obs-armed-over-disarmed", &traced, None);
+
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    report.rows.record("nproc", &[nproc as f64]);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gates.json");
+    write_json(path, report.rows.results()).expect("write snapshot");
+    println!("wrote {path}");
+
+    for failure in &report.failures {
+        eprintln!("GATE FAILED — {failure}");
+    }
+    if !report.failures.is_empty() {
+        std::process::exit(1);
+    }
+}

@@ -1,0 +1,136 @@
+//! The checks `benches/gates.rs` fails on, as pure functions from
+//! measured rows to `Result<(), String>` — so each can be (and, in the
+//! tests below, is) shown to fail on a doctored input. They are the
+//! checks no `BENCHMARK.json` end-to-end metric bounds: exact counts,
+//! and ratios of two arms timed in the same run on the same machine.
+
+/// Dijkstra sweeps one warm request ran.
+#[derive(Clone, Debug)]
+pub struct SweepCount {
+    /// The request, for the failure message.
+    pub request: String,
+    pub sweeps: u64,
+    /// Both endpoints are non-border nodes of one fragment: the one
+    /// shape that may still sweep (once, over that fragment's own edges,
+    /// for the path that touches no border).
+    pub inside_one_fragment: bool,
+}
+
+/// A warm request sweeps at most once when its endpoints are non-border
+/// nodes of one fragment, and not at all otherwise.
+pub fn warm_sweeps(rows: &[SweepCount]) -> Result<(), String> {
+    if rows.is_empty() {
+        return Err("warm sweeps: no request measured".to_string());
+    }
+    for row in rows {
+        let allowed = u64::from(row.inside_one_fragment);
+        if row.sweeps > allowed {
+            return Err(format!(
+                "warm sweeps: {} ran {} sweeps, {allowed} allowed",
+                row.request, row.sweeps
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// `what` must not have swept at all.
+pub fn no_sweeps(what: &str, sweeps: u64) -> Result<(), String> {
+    match sweeps {
+        0 => Ok(()),
+        n => Err(format!("{what}: ran {n} Dijkstra sweeps, none allowed")),
+    }
+}
+
+/// Two arms of one paired measurement (same run, same seed, same
+/// machine); the gate is on `numerator_ns / denominator_ns`.
+#[derive(Clone, Copy, Debug)]
+pub struct Pair {
+    pub seed: u64,
+    pub numerator_ns: f64,
+    pub denominator_ns: f64,
+}
+
+impl Pair {
+    pub fn ratio(&self) -> f64 {
+        self.numerator_ns / self.denominator_ns
+    }
+}
+
+/// The smallest ratio over the pairs (the conservative bound a floor is
+/// held against); infinite when there are none.
+pub fn worst_ratio(pairs: &[Pair]) -> f64 {
+    pairs.iter().map(Pair::ratio).fold(f64::INFINITY, f64::min)
+}
+
+/// Every pair's ratio is at least `floor`.
+pub fn ratio_floor(what: &str, pairs: &[Pair], floor: f64) -> Result<(), String> {
+    if pairs.is_empty() {
+        return Err(format!("{what}: no pair measured"));
+    }
+    match pairs
+        .iter()
+        .find(|p| p.ratio().is_nan() || p.ratio() < floor)
+    {
+        None => Ok(()),
+        Some(p) => Err(format!(
+            "{what}: {:.2}x on seed {} ({:.0} ns over {:.0} ns), floor {floor}x",
+            p.ratio(),
+            p.seed,
+            p.numerator_ns,
+            p.denominator_ns
+        )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sweep(sweeps: u64, inside_one_fragment: bool) -> SweepCount {
+        SweepCount {
+            request: "3 -> 9".to_string(),
+            sweeps,
+            inside_one_fragment,
+        }
+    }
+
+    #[test]
+    fn warm_sweeps_passes_the_bound_and_fails_one_sweep_over() {
+        let measured = [sweep(0, false), sweep(1, true), sweep(0, true)];
+        assert_eq!(warm_sweeps(&measured), Ok(()));
+        // One sweep across fragments, or a second one inside a fragment.
+        let across = warm_sweeps(&[sweep(0, false), sweep(1, false)]);
+        assert!(across.is_err_and(|e| e.contains("ran 1 sweeps, 0 allowed")));
+        assert!(warm_sweeps(&[sweep(2, true)]).is_err());
+        assert!(warm_sweeps(&[]).is_err(), "measuring nothing is not a pass");
+    }
+
+    #[test]
+    fn no_sweeps_fails_on_the_first_sweep() {
+        assert_eq!(no_sweeps("connected/index", 0), Ok(()));
+        let failure = no_sweeps("connected/index", 1);
+        assert!(failure.is_err_and(|e| e.contains("connected/index")));
+    }
+
+    #[test]
+    fn ratio_floor_holds_the_worst_pair_to_the_floor() {
+        let pair = |seed, numerator_ns| Pair {
+            seed,
+            numerator_ns,
+            denominator_ns: 100.0,
+        };
+        let measured = [pair(1, 900.0), pair(2, 510.0)];
+        assert_eq!(worst_ratio(&measured), 5.1);
+        assert_eq!(ratio_floor("publication", &measured, 5.0), Ok(()));
+        // The same rows with one seed doctored below the floor.
+        let doctored = [pair(1, 900.0), pair(2, 490.0)];
+        let failure = ratio_floor("publication", &doctored, 5.0);
+        assert!(failure.is_err_and(|e| e.contains("4.90x on seed 2")));
+        // A ratio below one is still a ratio (wal-on over wal-off).
+        assert_eq!(ratio_floor("wal", &[pair(1, 75.0)], 0.7), Ok(()));
+        assert!(ratio_floor("wal", &[pair(1, 65.0)], 0.7).is_err());
+        assert!(ratio_floor("wal", &[], 0.7).is_err());
+        assert!(ratio_floor("wal", &[pair(1, f64::NAN)], 0.7).is_err());
+    }
+}

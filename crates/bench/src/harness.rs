@@ -1,7 +1,7 @@
 //! A dependency-free micro-benchmark harness.
 //!
 //! The build environment is offline, so Criterion is unavailable; this
-//! module provides the small subset the workspace's benches need:
+//! module provides the small subset the workspace's one bench needs:
 //! warmup, automatic iteration calibration, repeated samples, robust
 //! (median-based) reporting, and a JSON snapshot writer so perf results
 //! can be committed and diffed across PRs.
@@ -189,7 +189,7 @@ pub fn to_json(results: &[BenchResult]) -> String {
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
             "  {{\"group\": \"{}\", \"name\": \"{}\", \"iters\": {}, \"samples\": {}, \
-             \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}}}{}\n",
+             \"median_ns\": {:.3}, \"mean_ns\": {:.3}, \"min_ns\": {:.3}, \"max_ns\": {:.3}}}{}\n",
             json_escape(&r.group),
             json_escape(&r.name),
             r.iters,

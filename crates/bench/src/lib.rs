@@ -19,8 +19,14 @@
 //! Run them with `cargo run --release -p ds-bench --bin repro -- <id>|all`.
 //! The drivers return structured rows (so integration tests can assert the
 //! paper's *shape* claims) and the binary renders them as tables.
+//!
+//! Performance is measured by `BENCHMARK.json` + `examples/benchmark`;
+//! what it cannot bound — exact counts and same-run ratios — is held by
+//! the one bench here, `cargo bench -p ds-bench --bench gates`, whose
+//! checks are the pure functions of [`gates`].
 
 pub mod experiments;
+pub mod gates;
 pub mod harness;
 pub mod table;
 

@@ -238,8 +238,8 @@ impl EngineSnapshot {
     /// allocation.
     ///
     /// This is exactly what a per-epoch publication cost before
-    /// structural sharing; the serve bench uses it as the baseline of the
-    /// publication-cost measurement. It is also the right tool to detach
+    /// structural sharing; the gates bench uses it as the baseline of the
+    /// publication-cost ratio. It is also the right tool to detach
     /// a snapshot from a long-lived shared lineage (e.g. to archive one
     /// epoch without pinning another epoch's memory).
     pub fn unshared_clone(&self) -> Self {

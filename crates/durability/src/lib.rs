@@ -927,9 +927,24 @@ impl DurableStore {
     /// Records with `lsn > after` in the durable log — the redo suffix a
     /// respawned writer replays to reconverge its working copy with the
     /// durable state (appended-but-unpublished updates).
+    ///
+    /// A writer that died between the write and its acknowledgement (at
+    /// the sync hook, say) left whole records on the segment that this
+    /// store never counted; the redo makes them effective, so the store
+    /// adopts them and the log continues *after* them instead of reusing
+    /// their LSNs.
     pub fn read_suffix(&mut self, after: u64) -> Result<Vec<WalRecord>, DurabilityError> {
         self.repair_tail()?;
         let scan = scan_wal(&self.cfg.dir)?;
+        if let (Some(last), Some((_, path, valid))) = (scan.records.last(), &scan.tail) {
+            if last.lsn >= self.next_lsn && *path == self.wal_path {
+                self.records_since_ckpt += last.lsn + 1 - self.next_lsn;
+                self.bytes_since_ckpt += valid.saturating_sub(self.wal_len);
+                self.next_lsn = last.lsn + 1;
+                self.wal_len = *valid;
+                self.needs_repair = scan.truncated;
+            }
+        }
         Ok(scan.records.into_iter().filter(|r| r.lsn > after).collect())
     }
 }

@@ -241,8 +241,7 @@ impl FaultPlan {
 }
 
 /// Fire a hook against an optionally armed plan. The disarmed path is a
-/// single `Option` branch — this is the production fast path and is what
-/// the serve bench's fault-overhead row measures.
+/// single `Option` branch — this is the production fast path.
 #[inline]
 pub fn fire(plan: &Option<Arc<FaultPlan>>, point: FaultPoint) -> bool {
     match plan {

@@ -4,14 +4,16 @@
 //!
 //! Like `ds_fault`, this crate is std-only and follows the same
 //! arming idiom: each tier carries an `Option<Arc<Observability>>`.
-//! Disarmed (`None`, the production default) every hook is a single
-//! `Option` branch; armed, the hot-path cost is one relaxed atomic op
-//! per metric bump. The three instruments share one [`Observability`]
-//! bundle:
+//! Disarmed (`None`, the production default) the tracing, slow-query
+//! and workload hooks are a single `Option` branch; a metric bump is
+//! one relaxed atomic op either way. The three instruments share one
+//! [`Observability`] bundle:
 //!
 //! * [`MetricsRegistry`] — named lock-free [`Counter`]s, [`Gauge`]s and
 //!   atomic [`LatencyHistogram`]s, exported point-in-time as JSON or
-//!   Prometheus text via [`MetricsSnapshot`];
+//!   Prometheus text via [`MetricsSnapshot`]. The handles work the same
+//!   freestanding, so a tier counts each event once, on one cell,
+//!   armed or not — arming only decides whether a registry exports it;
 //! * [`Tracer`] — [`TraceId`]s minted at serve admission and threaded
 //!   through micro-batches, `run_batch` and writer publication, yielding per-request [`RequestTrace`] span
 //!   sets plus a ring-buffered [`SlowQueryLog`];
@@ -74,22 +76,20 @@ impl Default for ObsConfig {
 /// The shared observability bundle one system (or test) arms across
 /// its tiers: registry + tracer + slow-query log + workload recorder.
 ///
-/// The request-latency histogram is registered as
-/// `request_latency_ns`; [`Observability::record_request`] feeds it,
-/// the slow-query log, and the trace ring in one call.
+/// The bundle counts nothing itself: a tier mints its metrics from
+/// [`Observability::registry`] and counts on them whether or not a
+/// bundle is armed; what arming adds is the tracer, the slow-query log
+/// and the workload recorder.
 #[derive(Debug)]
 pub struct Observability {
     registry: MetricsRegistry,
     tracer: Tracer,
     slow: SlowQueryLog,
     workload: WorkloadRecorder,
-    latency: HistogramHandle,
 }
 
 impl Observability {
     pub fn new(cfg: ObsConfig) -> Self {
-        let registry = MetricsRegistry::new();
-        let latency = registry.histogram("request_latency_ns");
         Observability {
             tracer: Tracer::new(cfg.trace_ring),
             slow: SlowQueryLog::new(
@@ -101,8 +101,7 @@ impl Observability {
                 cfg.workload_per_shard_cap,
                 cfg.workload_sample_every,
             ),
-            registry,
-            latency,
+            registry: MetricsRegistry::new(),
         }
     }
 
@@ -133,17 +132,13 @@ impl Observability {
         &self.workload
     }
 
-    /// The shared end-to-end request latency histogram
-    /// (`request_latency_ns`).
-    pub fn latency(&self) -> &HistogramHandle {
-        &self.latency
-    }
-
-    /// File one finished request: records its latency, runs it past
-    /// the slow-query log, and retains the trace in the ring.
-    pub fn record_request(&self, trace: RequestTrace) {
-        self.latency.record(trace.total_ns);
-        self.slow.observe(&trace, &self.latency);
+    /// File one finished request: runs it past the slow-query log and
+    /// retains the trace in the ring. `latency` is the histogram the
+    /// caller recorded the request's latency on (once — filing a trace
+    /// records no sample); the slow log's adaptive threshold reads its
+    /// p999.
+    pub fn record_request(&self, trace: RequestTrace, latency: &HistogramHandle) {
+        self.slow.observe(&trace, latency);
         self.tracer.finish(trace);
     }
 
@@ -198,31 +193,36 @@ mod tests {
     }
 
     #[test]
-    fn record_request_feeds_all_three_instruments() {
+    fn record_request_feeds_the_slow_log_and_the_ring_but_no_sample() {
         let obs = Observability::with_config(ObsConfig {
             slow_threshold: Some(Duration::from_micros(10)),
             ..ObsConfig::default()
         });
+        let latency = obs.registry().histogram_cell("request_latency_ns");
+        latency.record(50_000);
         let t = obs.tracer().mint();
-        obs.record_request(RequestTrace {
-            trace: t,
-            source: 1,
-            target: 2,
-            epoch: 0,
-            total_ns: 50_000, // 50us: over the 10us slow threshold
-            outcome: TraceOutcome::Answered,
-            spans: vec![SpanRecord {
+        obs.record_request(
+            RequestTrace {
                 trace: t,
-                stage: Stage::Evaluation,
-                start_ns: 0,
-                dur_ns: 50_000,
-            }],
-        });
+                source: 1,
+                target: 2,
+                epoch: 0,
+                total_ns: 50_000, // 50us: over the 10us slow threshold
+                outcome: TraceOutcome::Answered,
+                spans: vec![SpanRecord {
+                    trace: t,
+                    stage: Stage::Evaluation,
+                    start_ns: 0,
+                    dur_ns: 50_000,
+                }],
+            },
+            &latency,
+        );
         assert_eq!(obs.tracer().len(), 1);
         assert_eq!(obs.slow_queries().len(), 1);
         let snap = obs.snapshot();
         let lat = snap.histogram("request_latency_ns").expect("registered");
-        assert_eq!(lat.count(), 1);
+        assert_eq!(lat.count(), 1, "filing the trace recorded no second sample");
         assert_eq!(lat.max_ns(), 50_000);
     }
 

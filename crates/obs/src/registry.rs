@@ -2,26 +2,44 @@
 //! histograms, with point-in-time snapshot export as JSON and
 //! Prometheus text exposition.
 //!
-//! The hot-path contract mirrors the `ds_fault` hook idiom: a metric
-//! handle is an `Arc` around one or more atomics, so bumping it is a
-//! single relaxed atomic op; when a tier runs without observability it
-//! carries `Option<Arc<Observability>>::None` and pays one `Option`
-//! branch. Handles are clonable and detachable — a [`Counter`] works
-//! identically whether or not it was minted through a registry, which
-//! lets components keep exact internal stats on the same type they
-//! export.
+//! The hot-path contract: a metric handle is an `Arc` around atomics,
+//! so bumping it is a single relaxed atomic op. Handles are clonable
+//! and detachable — a [`Counter`] works identically whether or not it
+//! was minted through a registry, which lets a component count each
+//! event once, on the very cell it exports. Counters and histograms
+//! are sharded by thread, so a pool whose workers all count the same
+//! events does not pass one cache line around.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::histogram::LatencyHistogram;
 
+/// Shards per counter and per histogram, each on cache lines of its own.
+const SHARDS: usize = 8;
+
+/// The shard this thread counts on: threads take shards round-robin in
+/// the order they first count, so the workers of a small pool land on
+/// different ones. Sharing a shard is only slower, never wrong.
+#[inline]
+fn shard() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
+    }
+    SHARD.with(|s| *s)
+}
+
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct CounterShard(AtomicU64);
+
 /// A monotonically increasing counter. Cloning shares the underlying
-/// atomic; all operations are `Relaxed` — counters are statistics, not
+/// atomics; all operations are `Relaxed` — counters are statistics, not
 /// synchronization.
 #[derive(Clone, Debug, Default)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter(Arc<[CounterShard; SHARDS]>);
 
 impl Counter {
     /// A freestanding counter, not attached to any registry.
@@ -31,19 +49,19 @@ impl Counter {
 
     #[inline]
     pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
     #[inline]
     pub fn add(&self, n: u64) {
         if n != 0 {
-            self.0.fetch_add(n, Ordering::Relaxed);
+            self.0[shard()].0.fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    #[inline]
+    /// The sum over the shards.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -70,11 +88,18 @@ impl Gauge {
 }
 
 /// Concurrent power-of-two-bucket histogram: the atomic twin of
-/// [`LatencyHistogram`]. `record` is three relaxed atomic ops plus a
-/// `fetch_max`; [`HistogramHandle::snapshot`] folds it back into the
-/// plain mergeable form for quantile read-out.
+/// [`LatencyHistogram`], sharded by recording thread. `record` is two
+/// relaxed atomic adds plus a `fetch_max` on the thread's shard;
+/// [`HistogramHandle::snapshot`] folds the shards back into the plain
+/// mergeable form for quantile read-out.
 #[derive(Debug)]
 pub struct AtomicHistogram {
+    shards: [HistogramShard; SHARDS],
+}
+
+#[derive(Debug)]
+#[repr(align(64))]
+struct HistogramShard {
     buckets: [AtomicU64; 64],
     sum_ns: AtomicU64,
     max_ns: AtomicU64,
@@ -83,29 +108,37 @@ pub struct AtomicHistogram {
 impl Default for AtomicHistogram {
     fn default() -> Self {
         AtomicHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
+            shards: std::array::from_fn(|_| HistogramShard {
+                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+                sum_ns: AtomicU64::new(0),
+                max_ns: AtomicU64::new(0),
+            }),
         }
     }
 }
 
 impl AtomicHistogram {
     #[inline]
-    fn record(&self, ns: u64) {
+    fn record_n(&self, ns: u64, n: u64) {
+        let shard = &self.shards[shard()];
         let idx = 63 - ns.max(1).leading_zeros() as usize;
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        shard.buckets[idx].fetch_add(n, Ordering::Relaxed);
+        shard
+            .sum_ns
+            .fetch_add(ns.saturating_mul(n), Ordering::Relaxed);
+        shard.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> LatencyHistogram {
-        let buckets = std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
-        LatencyHistogram::from_parts(
-            buckets,
-            self.sum_ns.load(Ordering::Relaxed),
-            self.max_ns.load(Ordering::Relaxed),
-        )
+        let mut merged = LatencyHistogram::new();
+        for shard in &self.shards {
+            merged.merge(&LatencyHistogram::from_parts(
+                std::array::from_fn(|i| shard.buckets[i].load(Ordering::Relaxed)),
+                shard.sum_ns.load(Ordering::Relaxed),
+                shard.max_ns.load(Ordering::Relaxed),
+            ));
+        }
+        merged
     }
 }
 
@@ -122,7 +155,14 @@ impl HistogramHandle {
     /// Record one nanosecond sample.
     #[inline]
     pub fn record(&self, ns: u64) {
-        self.0.record(ns);
+        self.0.record_n(ns, 1);
+    }
+
+    /// Record `n` samples of the same value (the requests of one job
+    /// share its latency) for the price of one.
+    #[inline]
+    pub fn record_n(&self, ns: u64, n: u64) {
+        self.0.record_n(ns, n);
     }
 
     /// Fold the atomics into a plain [`LatencyHistogram`] for quantile
@@ -133,18 +173,26 @@ impl HistogramHandle {
     }
 }
 
+/// A counter or histogram name holds the shared get-or-create cell
+/// (index 0) plus one cell per component that minted its own; the
+/// export is their sum / merge.
 #[derive(Clone, Debug)]
 enum Metric {
-    Counter(Counter),
+    Counter(Vec<Counter>),
     Gauge(Gauge),
-    Histogram(HistogramHandle),
+    Histogram(Vec<HistogramHandle>),
 }
 
 /// Name → metric map. Registration is get-or-create: asking twice for
 /// the same name returns handles on the same atomic, which is how
-/// several workers share one counter. Registration takes a lock;
-/// components therefore mint handles once at startup and bump the
-/// lock-free handles on the hot path.
+/// several workers share one counter. A component that must also read
+/// back *its own* total (one serve tier among several sharing a bundle)
+/// mints a cell instead ([`Self::counter_cell`],
+/// [`Self::histogram_cell`]): it counts on that cell alone and the
+/// export shows the sum over every cell of the name, so one increment
+/// serves both views. Registration takes a lock; components therefore
+/// mint handles once at startup and bump the lock-free handles on the
+/// hot path.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     metrics: Mutex<BTreeMap<String, Metric>>,
@@ -166,11 +214,25 @@ impl MetricsRegistry {
     pub fn counter(&self, name: &str) -> Counter {
         match lock(&self.metrics)
             .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter::new()))
+            .or_insert_with(|| Metric::Counter(vec![Counter::new()]))
         {
-            Metric::Counter(c) => c.clone(),
+            Metric::Counter(cells) => cells[0].clone(),
             _ => Counter::new(),
         }
+    }
+
+    /// A fresh counter cell exported under `name`, summed with every
+    /// other cell of that name (kind mismatch → detached, as for
+    /// [`Self::counter`]). Cells live as long as the registry.
+    pub fn counter_cell(&self, name: &str) -> Counter {
+        let cell = Counter::new();
+        if let Metric::Counter(cells) = lock(&self.metrics)
+            .entry(name.to_string())
+            .or_insert_with(|| Metric::Counter(vec![Counter::new()]))
+        {
+            cells.push(cell.clone());
+        }
+        cell
     }
 
     /// Get or create the gauge named `name` (kind mismatch → detached,
@@ -190,11 +252,24 @@ impl MetricsRegistry {
     pub fn histogram(&self, name: &str) -> HistogramHandle {
         match lock(&self.metrics)
             .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(HistogramHandle::new()))
+            .or_insert_with(|| Metric::Histogram(vec![HistogramHandle::new()]))
         {
-            Metric::Histogram(h) => h.clone(),
+            Metric::Histogram(cells) => cells[0].clone(),
             _ => HistogramHandle::new(),
         }
+    }
+
+    /// A fresh histogram cell exported under `name`, merged with every
+    /// other cell of that name (see [`Self::counter_cell`]).
+    pub fn histogram_cell(&self, name: &str) -> HistogramHandle {
+        let cell = HistogramHandle::new();
+        if let Metric::Histogram(cells) = lock(&self.metrics)
+            .entry(name.to_string())
+            .or_insert_with(|| Metric::Histogram(vec![HistogramHandle::new()]))
+        {
+            cells.push(cell.clone());
+        }
+        cell
     }
 
     /// Point-in-time copy of every registered metric.
@@ -202,9 +277,17 @@ impl MetricsRegistry {
         let mut snap = MetricsSnapshot::default();
         for (name, metric) in lock(&self.metrics).iter() {
             match metric {
-                Metric::Counter(c) => snap.counters.push((name.clone(), c.get())),
+                Metric::Counter(cells) => snap
+                    .counters
+                    .push((name.clone(), cells.iter().map(Counter::get).sum())),
                 Metric::Gauge(g) => snap.gauges.push((name.clone(), g.get())),
-                Metric::Histogram(h) => snap.histograms.push((name.clone(), h.snapshot())),
+                Metric::Histogram(cells) => {
+                    let mut merged = LatencyHistogram::new();
+                    for cell in cells {
+                        merged.merge(&cell.snapshot());
+                    }
+                    snap.histograms.push((name.clone(), merged));
+                }
             }
         }
         snap
@@ -354,6 +437,31 @@ mod tests {
         let h = reg.histogram("lat");
         h.record(1000);
         assert_eq!(reg.histogram("lat").snapshot().count(), 1);
+    }
+
+    #[test]
+    fn cells_count_apart_and_export_their_sum() {
+        let reg = MetricsRegistry::new();
+        let (a, b) = (reg.counter_cell("jobs"), reg.counter_cell("jobs"));
+        a.add(2);
+        b.add(5);
+        assert_eq!((a.get(), b.get()), (2, 5), "each cell is its owner's total");
+        reg.counter("jobs").inc(); // the shared handle is one more cell
+        let (ha, hb) = (reg.histogram_cell("lat"), reg.histogram_cell("lat"));
+        ha.record_n(1_000, 3);
+        hb.record(9_000);
+        assert_eq!(ha.snapshot().count(), 3);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("jobs"), Some(8));
+        let lat = snap.histogram("lat").expect("registered");
+        assert_eq!(
+            (lat.count(), lat.sum_ns(), lat.max_ns()),
+            (4, 12_000, 9_000)
+        );
+        // A cell under a name of another kind is detached, never a panic.
+        reg.gauge("g").set(1);
+        reg.counter_cell("g").inc();
+        assert_eq!(reg.snapshot().counter("g"), None);
     }
 
     #[test]

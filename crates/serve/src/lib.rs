@@ -41,7 +41,7 @@
 //!   publication clone is O(sites) refcount bumps and each epoch
 //!   physically shares every untouched site's tables with its
 //!   predecessor (`ds_closure::snapshot` documents the sharing
-//!   contract; the serve bench gates it at ≥ 5x cheaper than a full
+//!   contract; the gates bench holds it at ≥ 5x cheaper than a full
 //!   copy).
 //! * **Per-epoch answer cache.** Identical queries repeated across
 //!   micro-batches within one epoch are answered from a sharded,
@@ -94,18 +94,18 @@
 //!   `ClosureError::DurabilityFailed` without applying anything; a
 //!   respawned writer redoes any logged-but-unpublished suffix so the
 //!   live state always reconverges with the durable one.
-//! * **Observability.** [`ServeStats`] reports throughput, p50/p99
-//!   latency from the shared fixed-bucket [`LatencyHistogram`]
-//!   (promoted to `ds_obs`), per-worker busy time and scratch reuse,
-//!   batch amortization and cache hit/miss counters, queue pressure,
-//!   and which backend placement and precompute strategy is being
-//!   served. Arming
-//!   [`ServeConfig::obs`] additionally mints a trace id per admitted
-//!   request, files span sets (queue wait, evaluation, per-chain
-//!   segment time, cache/coalesce/reach-index markers) into a trace
-//!   ring and slow-query log, samples query frequencies into the
-//!   workload recorder, and mirrors every counter into the
-//!   `ds_obs::MetricsRegistry` for JSON/Prometheus export.
+//! * **Observability.** Every event is counted once, on one `ds_obs`
+//!   cell, armed or not. [`ServeStats`] reads those cells: throughput,
+//!   p50/p99 latency from the fixed-bucket [`LatencyHistogram`], cache
+//!   hit/miss, restart, shed and WAL counts — next to per-worker busy
+//!   time and scratch reuse, batch amortization, queue pressure, and
+//!   which backend placement and precompute strategy is being served.
+//!   Arming [`ServeConfig::obs`] exports the same cells through the
+//!   `ds_obs::MetricsRegistry` (JSON/Prometheus) and additionally mints
+//!   a trace id per admitted request, files span sets (queue wait,
+//!   evaluation, per-chain segment time, cache/coalesce/reach-index
+//!   markers) into a trace ring and slow-query log, and samples query
+//!   frequencies into the workload recorder.
 //!
 //! ```
 //! use ds_closure::{EngineConfig, EngineSnapshot};
@@ -130,13 +130,6 @@
 mod cache;
 mod queue;
 pub mod server;
-
-/// The fixed-bucket latency histogram was promoted to `ds_obs` (where
-/// the whole observability stack shares it); this module keeps the old
-/// `ds_serve::histogram::LatencyHistogram` path working.
-pub mod histogram {
-    pub use ds_obs::LatencyHistogram;
-}
 
 pub use ds_closure::snapshot::EngineSnapshot;
 pub use ds_durability::{recover, DurabilityConfig, DurabilityError, DurableStore, Recovered};

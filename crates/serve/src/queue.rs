@@ -6,8 +6,9 @@
 //! Producers never block: [`BoundedQueue::try_push`] **rejects** when the
 //! queue is at capacity (load shedding) and the caller decides whether to
 //! back off and retry or propagate the rejection to its client with a
-//! retry-after hint. The queue keeps the shedding accounting — current
-//! depth, high-water mark, rejection count — that `ServeStats` reports.
+//! retry-after hint. The queue keeps what only it can know — current
+//! depth and high-water mark — for `ServeStats`; rejections are counted
+//! by the caller that sheds, beside every other serve event.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -21,7 +22,6 @@ struct Inner<T> {
     /// deterministically filling the queue; see `pause`).
     paused: bool,
     high_water: usize,
-    rejections: u64,
 }
 
 /// Why a [`BoundedQueue::try_push`] was refused.
@@ -49,7 +49,6 @@ impl<T> BoundedQueue<T> {
                 closed: false,
                 paused: false,
                 high_water: 0,
-                rejections: 0,
             }),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
@@ -57,15 +56,13 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Enqueue without ever blocking: at capacity the item is returned as
-    /// [`PushError::Full`] (counted as a rejection), after close as
-    /// [`PushError::Closed`].
+    /// [`PushError::Full`], after close as [`PushError::Closed`].
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         let mut inner = lock_unpoisoned(&self.inner);
         if inner.closed {
             return Err(PushError::Closed(item));
         }
         if inner.items.len() >= self.capacity {
-            inner.rejections += 1;
             return Err(PushError::Full(item));
         }
         inner.items.push_back(item);
@@ -119,11 +116,6 @@ impl<T> BoundedQueue<T> {
     /// The deepest the queue has ever been.
     pub fn high_water(&self) -> usize {
         lock_unpoisoned(&self.inner).high_water
-    }
-
-    /// Pushes refused because the queue was at capacity.
-    pub fn rejections(&self) -> u64 {
-        lock_unpoisoned(&self.inner).rejections
     }
 
     pub fn capacity(&self) -> usize {
@@ -196,8 +188,7 @@ mod tests {
     }
 
     /// A full queue sheds instead of blocking: the producer gets the item
-    /// back immediately, the rejection is counted, and the depth stats
-    /// reflect the pressure.
+    /// back immediately and the depth stats reflect the pressure.
     #[test]
     fn full_queue_sheds_and_counts() {
         let q = BoundedQueue::new(2);
@@ -209,7 +200,6 @@ mod tests {
         }
         assert_eq!(q.depth(), 2);
         assert_eq!(q.high_water(), 2);
-        assert_eq!(q.rejections(), 1);
         assert_eq!(q.capacity(), 2);
         // Space freed: the next push is admitted again.
         assert_eq!(q.pop_batch(1), vec![0]);
@@ -217,7 +207,6 @@ mod tests {
         let mut rest = q.pop_batch(4);
         rest.sort();
         assert_eq!(rest, vec![1, 2]);
-        assert_eq!(q.rejections(), 1, "admitted pushes are not rejections");
     }
 
     #[test]

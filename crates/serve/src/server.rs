@@ -19,8 +19,8 @@ use ds_fault::{lock_unpoisoned, FaultPlan, FaultPoint};
 use ds_fragment::FragmentId;
 use ds_graph::{NodeId, ScratchDijkstra, ScratchStats};
 use ds_obs::{
-    Counter, EvalTrace, Gauge, LatencyHistogram, Observability, RequestTrace, SpanRecord, Stage,
-    TraceId, TraceOutcome,
+    Counter, EvalTrace, Gauge, HistogramHandle, MetricsRegistry, Observability, RequestTrace,
+    SpanRecord, Stage, TraceId, TraceOutcome,
 };
 
 use crate::cache::AnswerCache;
@@ -73,17 +73,21 @@ pub struct ServeConfig {
     /// process death. `None` (the default) keeps the tier memory-only.
     pub durability: Option<DurabilityConfig>,
     /// Armed fault-injection plan (tests only; `None` in production).
-    /// The hooks are a single `Option` branch when disarmed — the serve
-    /// bench's fault-overhead row measures exactly this.
+    /// Disarmed, each hook is a single `Option` branch: one per job at
+    /// the worker, one per write batch at the writer.
     pub fault: Option<Arc<FaultPlan>>,
-    /// Observability bundle (`ds_obs`). When armed, every admission
-    /// mints a [`TraceId`], workers file per-request span sets (queue
-    /// wait, evaluation, per-chain segment time, cache/coalesce/
-    /// reach-index markers) into the trace ring and slow-query log,
-    /// the hot path samples the workload recorder, and every `ServeStats`
-    /// counter is mirrored into the metrics registry. `None` (the
-    /// default) reduces every hook to one `Option` branch — the serve
-    /// bench's `obs-disarmed` row gates exactly this.
+    /// Observability bundle (`ds_obs`). The serve tier counts every
+    /// event once, on one `ds_obs` cell, whether or not this is set
+    /// ([`ServeStats`] reads those cells); arming *exports* the same
+    /// cells through the bundle's registry and adds what costs per
+    /// request: every admission mints a [`TraceId`], workers file
+    /// per-request span sets (queue wait, evaluation, per-chain segment
+    /// time, cache/coalesce/reach-index markers) into the trace ring and
+    /// slow-query log, the hot path samples the workload recorder, and
+    /// each publication walks the snapshot for the `serve_snapshot_*_bytes`
+    /// gauges. `None` (the default) reduces each of those to one
+    /// `Option` branch; `BENCH_gates.json` reports the armed-over-disarmed
+    /// ratio of one paired run.
     pub obs: Option<Arc<Observability>>,
 }
 
@@ -280,7 +284,13 @@ pub struct LatencySummary {
     pub max_us: f64,
 }
 
-/// A point-in-time report of the serving subsystem.
+/// A point-in-time report of this server. Every event count is read
+/// from the cell the event is incremented on — the cell an armed
+/// [`ServeConfig::obs`] registry exports under `serve_<field>` (summed
+/// there over every server sharing the bundle) — so the two views
+/// cannot disagree; queue pressure comes from the queue, epoch and
+/// index freshness from the published snapshot, busy time and kernel
+/// reuse from the per-worker logs.
 #[derive(Clone, Debug)]
 pub struct ServeStats {
     /// Reader workers in the pool.
@@ -544,38 +554,26 @@ impl Published {
     }
 }
 
+/// What a worker accounts for that no registry metric holds: its own
+/// evaluation time, the batch kernel's amortization report and its
+/// scratch kernel's reuse counters. Everything countable lives in
+/// [`Metrics`].
 #[derive(Default)]
 struct WorkerLog {
-    jobs: u64,
-    requests: u64,
-    batches: u64,
-    evaluated: u64,
-    coalesced: u64,
-    cache_hits: u64,
-    cache_misses: u64,
     busy: Duration,
     batch: BatchStats,
-    hist: LatencyHistogram,
     scratch: ScratchStats,
-}
-
-#[derive(Default)]
-struct WriterLog {
-    updates: u64,
-    publications: u64,
-    busy: Duration,
 }
 
 struct Shared {
     queue: BoundedQueue<QueryJob>,
     published: Published,
-    /// `connected` calls the reachability index answered directly.
-    reach_fast_path: AtomicU64,
+    /// Every event count, once (see [`Metrics`]).
+    metrics: Metrics,
     /// The per-epoch answer cache, shared by every worker; `None` when
     /// disabled by [`ServeConfig::answer_cache`].
     cache: Option<AnswerCache>,
     worker_logs: Vec<Mutex<WorkerLog>>,
-    writer_log: Mutex<WriterLog>,
     batch_max: usize,
     retry_after: Duration,
     /// See [`ServeConfig::deadline`].
@@ -593,39 +591,47 @@ struct Shared {
     /// so the live state reconverges with what [`ds_durability::recover`]
     /// would rebuild.
     published_lsn: AtomicU64,
-    /// Records appended to the WAL.
-    wal_records: AtomicU64,
-    /// WAL group commits (one fsync each).
-    wal_commits: AtomicU64,
-    /// Failed WAL appends/syncs and failed checkpoint writes.
-    wal_failures: AtomicU64,
-    /// Checkpoints durably written.
-    checkpoints: AtomicU64,
-    /// Workers respawned after a panic.
-    worker_restarts: AtomicU64,
-    /// Writers respawned after a panic (working copy rebuilt from the
-    /// last published snapshot).
-    writer_restarts: AtomicU64,
-    /// Jobs shed past their deadline.
-    deadline_shed: AtomicU64,
-    /// Requests abandoned mid-evaluation at a deadline check inside the
-    /// chain loop.
-    deadline_cancelled: AtomicU64,
     /// Set when the writer is *permanently* down: read-only degraded
     /// mode. A writer panic respawns and never sets this; only an
     /// injected non-unwind failure (`FaultAction::Fail`) does.
     degraded: AtomicBool,
-    /// Armed observability plus pre-created metric handles (`None` =
-    /// disarmed: every hook is one `Option` branch).
-    obs: Option<ObsHandles>,
+    /// The armed bundle's tracer, slow-query log and workload recorder
+    /// (`None` = disarmed: each of those hooks is one `Option` branch).
+    /// Counting does not depend on it.
+    obs: Option<Arc<Observability>>,
     started: Instant,
 }
 
-/// The armed observability bundle with its metric handles created once
-/// at server start, so the hot path pays one relaxed atomic op per
-/// event and never touches the registry lock.
-struct ObsHandles {
-    obs: Arc<Observability>,
+impl Shared {
+    /// Publish `snapshot` as `epoch` — the one place a publication is
+    /// made and counted, for the writer and the WAL redo alike.
+    fn publish(&self, epoch: u64, snapshot: EngineSnapshot) {
+        if self.obs.is_some() {
+            // What the epoch holds, by component (the memos and access
+            // sets are those of the sites left untouched; the touched
+            // ones start empty). A walk of the snapshot, so sampled only
+            // where a registry can show it.
+            let held = snapshot.memory_bytes().components();
+            for (gauge, (_, bytes)) in self.metrics.snapshot_bytes.iter().zip(held) {
+                gauge.set(bytes as u64);
+            }
+        }
+        self.published.publish(epoch, Arc::new(snapshot));
+        self.metrics.publications.inc();
+        self.metrics.epoch.set(epoch);
+    }
+}
+
+/// Every event the serve tier counts, each on one `ds_obs` cell with
+/// one increment site. [`Server::stats`] reads these cells; when
+/// [`ServeConfig::obs`] is armed the bundle's registry exports the very
+/// same cells (summed with those of any other server sharing the
+/// bundle), and when it is not they are freestanding — the hot path is
+/// the same relaxed atomic op either way. Relaxed is enough: a count
+/// publishes no other data, and a client that reads `stats()` after its
+/// reply sees its batch counted because the worker counts before it
+/// sends and the reply channel orders the two.
+struct Metrics {
     requests: Counter,
     jobs: Counter,
     batches: Counter,
@@ -636,15 +642,18 @@ struct ObsHandles {
     reach_fast_path: Counter,
     queue_rejections: Counter,
     deadline_shed: Counter,
+    deadline_cancelled: Counter,
     worker_restarts: Counter,
     writer_restarts: Counter,
     updates: Counter,
     publications: Counter,
-    deadline_cancelled: Counter,
     wal_records: Counter,
     wal_commits: Counter,
     wal_failures: Counter,
     checkpoints: Counter,
+    writer_busy_ns: Counter,
+    /// Submit → reply, one sample per answered request.
+    request_latency: HistogramHandle,
     epoch: Gauge,
     queue_depth: Gauge,
     /// One gauge per component of `EngineSnapshot::memory_bytes`, in
@@ -661,29 +670,35 @@ fn snapshot_gauge_name(component: &str) -> String {
     }
 }
 
-impl ObsHandles {
-    fn new(obs: Arc<Observability>) -> Self {
-        let r = obs.registry();
-        ObsHandles {
-            requests: r.counter("serve_requests"),
-            jobs: r.counter("serve_jobs"),
-            batches: r.counter("serve_batches"),
-            evaluated: r.counter("serve_evaluated"),
-            coalesced: r.counter("serve_coalesced"),
-            cache_hits: r.counter("serve_cache_hits"),
-            cache_misses: r.counter("serve_cache_misses"),
-            reach_fast_path: r.counter("serve_reach_fast_path"),
-            queue_rejections: r.counter("serve_queue_rejections"),
-            deadline_shed: r.counter("serve_deadline_shed"),
-            worker_restarts: r.counter("serve_worker_restarts"),
-            writer_restarts: r.counter("serve_writer_restarts"),
-            updates: r.counter("serve_updates"),
-            publications: r.counter("serve_publications"),
-            deadline_cancelled: r.counter("serve_deadline_cancelled"),
-            wal_records: r.counter("serve_wal_records"),
-            wal_commits: r.counter("serve_wal_commits"),
-            wal_failures: r.counter("serve_wal_failures"),
-            checkpoints: r.counter("serve_checkpoints"),
+impl Metrics {
+    /// Mint the cells once at server start, from the armed bundle's
+    /// registry or — disarmed — from a registry nobody keeps, which
+    /// leaves them freestanding.
+    fn new(obs: Option<&Observability>, epoch: u64) -> Self {
+        let detached = MetricsRegistry::new();
+        let r = obs.map_or(&detached, Observability::registry);
+        let metrics = Metrics {
+            requests: r.counter_cell("serve_requests"),
+            jobs: r.counter_cell("serve_jobs"),
+            batches: r.counter_cell("serve_batches"),
+            evaluated: r.counter_cell("serve_evaluated"),
+            coalesced: r.counter_cell("serve_coalesced"),
+            cache_hits: r.counter_cell("serve_cache_hits"),
+            cache_misses: r.counter_cell("serve_cache_misses"),
+            reach_fast_path: r.counter_cell("serve_reach_fast_path"),
+            queue_rejections: r.counter_cell("serve_queue_rejections"),
+            deadline_shed: r.counter_cell("serve_deadline_shed"),
+            deadline_cancelled: r.counter_cell("serve_deadline_cancelled"),
+            worker_restarts: r.counter_cell("serve_worker_restarts"),
+            writer_restarts: r.counter_cell("serve_writer_restarts"),
+            updates: r.counter_cell("serve_updates"),
+            publications: r.counter_cell("serve_publications"),
+            wal_records: r.counter_cell("serve_wal_records"),
+            wal_commits: r.counter_cell("serve_wal_commits"),
+            wal_failures: r.counter_cell("serve_wal_failures"),
+            checkpoints: r.counter_cell("serve_checkpoints"),
+            writer_busy_ns: r.counter_cell("serve_writer_busy_ns"),
+            request_latency: r.histogram_cell("request_latency_ns"),
             epoch: r.gauge("serve_epoch"),
             queue_depth: r.gauge("serve_queue_depth"),
             snapshot_bytes: SnapshotBytes::default()
@@ -691,8 +706,9 @@ impl ObsHandles {
                 .iter()
                 .map(|(component, _)| r.gauge(&snapshot_gauge_name(component)))
                 .collect(),
-            obs,
-        }
+        };
+        metrics.epoch.set(epoch);
+        metrics
     }
 }
 
@@ -752,14 +768,13 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity.max(workers)),
             published: Published::new(epoch, initial),
-            reach_fast_path: AtomicU64::new(0),
+            metrics: Metrics::new(config.obs.as_deref(), epoch),
             cache: config
                 .answer_cache
                 .then(|| AnswerCache::new(config.answer_cache_entries)),
             worker_logs: (0..workers)
                 .map(|_| Mutex::new(WorkerLog::default()))
                 .collect(),
-            writer_log: Mutex::new(WriterLog::default()),
             batch_max: config.batch_max.max(1),
             retry_after: config.retry_after,
             deadline: config.deadline,
@@ -767,16 +782,8 @@ impl Server {
             fault: config.fault.clone(),
             store: store.map(Mutex::new),
             published_lsn: AtomicU64::new(initial_lsn),
-            wal_records: AtomicU64::new(0),
-            wal_commits: AtomicU64::new(0),
-            wal_failures: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            worker_restarts: AtomicU64::new(0),
-            writer_restarts: AtomicU64::new(0),
-            deadline_shed: AtomicU64::new(0),
-            deadline_cancelled: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
-            obs: config.obs.clone().map(ObsHandles::new),
+            obs: config.obs.clone(),
             started: Instant::now(),
         });
         let mut handles = Vec::with_capacity(workers + 1);
@@ -813,12 +820,7 @@ impl Server {
                     }));
                     match outcome {
                         Ok(()) => return,
-                        Err(_) => {
-                            shared.writer_restarts.fetch_add(1, Ordering::SeqCst);
-                            if let Some(h) = &shared.obs {
-                                h.writer_restarts.inc();
-                            }
-                        }
+                        Err(_) => shared.metrics.writer_restarts.inc(),
                     }
                 }
             }));
@@ -857,14 +859,14 @@ impl Server {
         let (epoch, snap) = self.shared.published.current();
         if let Some(reach) = snap.reach_index() {
             if x.index() < reach.node_count() && y.index() < reach.node_count() {
-                self.shared.reach_fast_path.fetch_add(1, Ordering::Relaxed);
+                self.shared.metrics.reach_fast_path.inc();
                 let connected = reach.reaches(x, y);
-                if let Some(h) = &self.shared.obs {
-                    h.reach_fast_path.inc();
-                    let tracer = h.obs.tracer();
+                if let Some(obs) = &self.shared.obs {
+                    // One marker span, no latency sample: nothing was
+                    // queued.
+                    let tracer = obs.tracer();
                     let trace = tracer.mint();
-                    let now = tracer.now_ns();
-                    h.obs.record_request(RequestTrace {
+                    tracer.finish(RequestTrace {
                         trace,
                         source: x.index() as u64,
                         target: y.index() as u64,
@@ -878,11 +880,11 @@ impl Server {
                         spans: vec![SpanRecord {
                             trace,
                             stage: Stage::ReachIndex,
-                            start_ns: now,
+                            start_ns: tracer.now_ns(),
                             dur_ns: 0,
                         }],
                     });
-                    let w = h.obs.workload();
+                    let w = obs.workload();
                     if w.should_sample() {
                         w.record_vertex_pair(x.index() as u64, y.index() as u64);
                     }
@@ -910,7 +912,7 @@ impl Server {
             return Ok(PendingBatch { rx });
         }
         let traces: Vec<TraceId> = match &self.shared.obs {
-            Some(h) => requests.iter().map(|_| h.obs.tracer().mint()).collect(),
+            Some(obs) => requests.iter().map(|_| obs.tracer().mint()).collect(),
             None => Vec::new(),
         };
         let job = QueryJob {
@@ -922,14 +924,14 @@ impl Server {
         match self.shared.queue.try_push(job) {
             Ok(()) => Ok(PendingBatch { rx }),
             Err(PushError::Full(job)) => {
-                if let Some(h) = &self.shared.obs {
-                    h.queue_rejections.inc();
+                self.shared.metrics.queue_rejections.inc();
+                if let Some(obs) = &self.shared.obs {
                     // Shed admissions still close their traces (outcome
                     // only — nothing ran, so there are no spans and no
                     // latency sample).
                     let epoch = self.epoch();
                     for (r, &trace) in job.requests.iter().zip(&job.traces) {
-                        h.obs.tracer().finish(RequestTrace {
+                        obs.tracer().finish(RequestTrace {
                             trace,
                             source: r.source.index() as u64,
                             target: r.target.index() as u64,
@@ -1038,13 +1040,13 @@ impl Server {
                 // The update died with the writer; leave a Failed trace
                 // so the loss is visible in the ring, not just the
                 // caller's error.
-                if let Some(h) = &self.shared.obs {
-                    let tracer = h.obs.tracer();
+                if let Some(obs) = &self.shared.obs {
+                    let tracer = obs.tracer();
                     tracer.finish(RequestTrace {
                         trace: tracer.mint(),
                         source: 0,
                         target: 0,
-                        epoch: self.shared.published.epoch.load(Ordering::Acquire),
+                        epoch: self.epoch(),
                         total_ns: 0,
                         outcome: TraceOutcome::Failed,
                         spans: Vec::new(),
@@ -1070,74 +1072,65 @@ impl Server {
         self.shared.published.current().1
     }
 
-    /// Aggregate serving statistics up to now.
+    /// Serving statistics up to now: every count read from the cell it
+    /// is incremented on, the rest from the queue, the published
+    /// snapshot and the per-worker logs.
     pub fn stats(&self) -> ServeStats {
-        let (epoch, snap) = self.shared.published.current();
-        let mut stats = ServeStats {
-            workers: self.shared.worker_logs.len(),
+        let shared = &*self.shared;
+        let m = &shared.metrics;
+        let (epoch, snap) = shared.published.current();
+        let mut busy = Vec::with_capacity(shared.worker_logs.len());
+        let mut batch = BatchStats::default();
+        let mut scratch = ScratchStats::default();
+        for log in &shared.worker_logs {
+            let log = lock_unpoisoned(log);
+            busy.push(log.busy);
+            scratch.merge(log.scratch);
+            add_batch_stats(&mut batch, &log.batch);
+        }
+        let hist = m.request_latency.snapshot();
+        ServeStats {
+            workers: shared.worker_logs.len(),
             epoch,
-            updates: 0,
-            publications: 0,
-            jobs: 0,
-            requests: 0,
-            batches: 0,
-            evaluated: 0,
-            coalesced: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            reach_fast_path: self.shared.reach_fast_path.load(Ordering::Relaxed),
+            updates: m.updates.get(),
+            publications: m.publications.get(),
+            jobs: m.jobs.get(),
+            requests: m.requests.get(),
+            batches: m.batches.get(),
+            evaluated: m.evaluated.get(),
+            coalesced: m.coalesced.get(),
+            cache_hits: m.cache_hits.get(),
+            cache_misses: m.cache_misses.get(),
+            reach_fast_path: m.reach_fast_path.get(),
             reach_index_fresh: snap.reach_index().is_some(),
-            batch: BatchStats::default(),
-            queue_depth: self.shared.queue.depth(),
-            queue_high_water: self.shared.queue.high_water(),
-            queue_capacity: self.shared.queue.capacity(),
-            queue_rejections: self.shared.queue.rejections(),
-            elapsed: self.shared.started.elapsed(),
-            busy: Vec::with_capacity(self.shared.worker_logs.len()),
-            writer_busy: Duration::ZERO,
-            scratch: ScratchStats::default(),
-            latency: LatencySummary::default(),
+            batch,
+            queue_depth: shared.queue.depth(),
+            queue_high_water: shared.queue.high_water(),
+            queue_capacity: shared.queue.capacity(),
+            queue_rejections: m.queue_rejections.get(),
+            elapsed: shared.started.elapsed(),
+            busy,
+            writer_busy: Duration::from_nanos(m.writer_busy_ns.get()),
+            scratch,
+            latency: LatencySummary {
+                count: hist.count(),
+                mean_us: hist.mean_ns() / 1e3,
+                p50_us: hist.quantile_ns(0.5) as f64 / 1e3,
+                p99_us: hist.quantile_ns(0.99) as f64 / 1e3,
+                max_us: hist.max_ns() as f64 / 1e3,
+            },
             backend: snap.config().mode.backend_name(),
             strategy: snap.precompute_stats().strategy,
-            worker_restarts: self.shared.worker_restarts.load(Ordering::SeqCst),
-            writer_restarts: self.shared.writer_restarts.load(Ordering::SeqCst),
-            deadline_shed: self.shared.deadline_shed.load(Ordering::SeqCst),
-            deadline_cancelled: self.shared.deadline_cancelled.load(Ordering::SeqCst),
-            wal_records: self.shared.wal_records.load(Ordering::SeqCst),
-            wal_commits: self.shared.wal_commits.load(Ordering::SeqCst),
-            wal_failures: self.shared.wal_failures.load(Ordering::SeqCst),
-            checkpoints: self.shared.checkpoints.load(Ordering::SeqCst),
-            degraded: self.shared.degraded.load(Ordering::SeqCst),
-        };
-        let mut hist = LatencyHistogram::new();
-        for log in &self.shared.worker_logs {
-            let log = lock_unpoisoned(log);
-            stats.jobs += log.jobs;
-            stats.requests += log.requests;
-            stats.batches += log.batches;
-            stats.evaluated += log.evaluated;
-            stats.coalesced += log.coalesced;
-            stats.cache_hits += log.cache_hits;
-            stats.cache_misses += log.cache_misses;
-            stats.busy.push(log.busy);
-            stats.scratch.merge(log.scratch);
-            add_batch_stats(&mut stats.batch, &log.batch);
-            hist.merge(&log.hist);
+            worker_restarts: m.worker_restarts.get(),
+            writer_restarts: m.writer_restarts.get(),
+            deadline_shed: m.deadline_shed.get(),
+            deadline_cancelled: m.deadline_cancelled.get(),
+            wal_records: m.wal_records.get(),
+            wal_commits: m.wal_commits.get(),
+            wal_failures: m.wal_failures.get(),
+            checkpoints: m.checkpoints.get(),
+            degraded: shared.degraded.load(Ordering::SeqCst),
         }
-        {
-            let w = lock_unpoisoned(&self.shared.writer_log);
-            stats.updates = w.updates;
-            stats.publications = w.publications;
-            stats.writer_busy = w.busy;
-        }
-        stats.latency = LatencySummary {
-            count: hist.count(),
-            mean_us: hist.mean_ns() / 1e3,
-            p50_us: hist.quantile_ns(0.5) as f64 / 1e3,
-            p99_us: hist.quantile_ns(0.99) as f64 / 1e3,
-            max_us: hist.max_ns() as f64 / 1e3,
-        };
-        stats
     }
 
     /// Stop accepting work, drain the queue, join every thread and
@@ -1212,12 +1205,7 @@ fn supervised_worker(shared: &Shared, id: usize) {
     loop {
         match catch_unwind(AssertUnwindSafe(|| worker_loop(shared, id))) {
             Ok(()) => return, // queue closed and drained: clean exit
-            Err(_) => {
-                shared.worker_restarts.fetch_add(1, Ordering::SeqCst);
-                if let Some(h) = &shared.obs {
-                    h.worker_restarts.inc();
-                }
-            }
+            Err(_) => shared.metrics.worker_restarts.inc(),
         }
     }
 }
@@ -1256,11 +1244,8 @@ fn worker_loop(shared: &Shared, id: usize) {
                 for job in jobs {
                     let waited = job.submitted.elapsed();
                     if waited > deadline {
-                        shared.deadline_shed.fetch_add(1, Ordering::SeqCst);
-                        if let Some(h) = &shared.obs {
-                            h.deadline_shed.inc();
-                            close_failed_traces(h, &job, Some(waited));
-                        }
+                        shared.metrics.deadline_shed.inc();
+                        close_failed_traces(shared, &job, Some(waited));
                         let _ = job
                             .reply
                             .send(Err(ClosureError::DeadlineExceeded { waited }));
@@ -1292,19 +1277,14 @@ fn worker_loop(shared: &Shared, id: usize) {
             Ok(false) => {}
             failed => {
                 for job in &jobs {
-                    if let Some(h) = &shared.obs {
-                        close_failed_traces(h, job, None);
-                    }
+                    close_failed_traces(shared, job, None);
                     let _ = job.reply.send(Err(ClosureError::WorkerFailed));
                 }
                 // Reset state exactly as a thread respawn would.
                 scratch = ScratchDijkstra::new();
                 cached = None;
                 if failed.is_err() {
-                    shared.worker_restarts.fetch_add(1, Ordering::SeqCst);
-                    if let Some(h) = &shared.obs {
-                        h.worker_restarts.inc();
-                    }
+                    shared.metrics.worker_restarts.inc();
                 }
             }
         }
@@ -1313,9 +1293,13 @@ fn worker_loop(shared: &Shared, id: usize) {
 
 /// Close every trace of a job that resolved to a typed failure instead
 /// of an answer (deadline shed when `waited` is given, worker panic
-/// otherwise). Outcome-only: failed requests leave no latency sample.
-fn close_failed_traces(h: &ObsHandles, job: &QueryJob, waited: Option<Duration>) {
-    let tracer = h.obs.tracer();
+/// otherwise), stamped — like an admission shed — with the epoch
+/// published when it failed. Outcome-only: failed requests leave no
+/// latency sample. No-op disarmed.
+fn close_failed_traces(shared: &Shared, job: &QueryJob, waited: Option<Duration>) {
+    let Some(obs) = &shared.obs else { return };
+    let tracer = obs.tracer();
+    let epoch = shared.published.epoch.load(Ordering::Acquire);
     for (r, &trace) in job.requests.iter().zip(&job.traces) {
         let wait_ns = waited.map_or(0, |w| w.as_nanos() as u64);
         let spans = match waited {
@@ -1331,7 +1315,7 @@ fn close_failed_traces(h: &ObsHandles, job: &QueryJob, waited: Option<Duration>)
             trace,
             source: r.source.index() as u64,
             target: r.target.index() as u64,
-            epoch: 0,
+            epoch,
             total_ns: wait_ns,
             outcome: TraceOutcome::Failed,
             spans,
@@ -1354,7 +1338,7 @@ fn process_batch(
     let obs = shared.obs.as_ref();
     // Tracing context: the batch start on the tracer clock, and each
     // job's queue wait (admission → drain) — the QueueWait span.
-    let batch_start_ns = obs.map_or(0, |h| h.obs.tracer().now_ns());
+    let batch_start_ns = obs.map_or(0, |o| o.tracer().now_ns());
     let waits: Vec<u64> = match obs {
         Some(_) => jobs
             .iter()
@@ -1456,8 +1440,8 @@ fn process_batch(
     // hot duplicates are exactly the signal), one vertex pair and one
     // fragment pair each. `should_sample` is a single relaxed
     // fetch_add.
-    if let Some(h) = obs {
-        let w = h.obs.workload();
+    if let Some(o) = obs {
+        let w = o.workload();
         for job in jobs {
             for r in &job.requests {
                 if w.should_sample() {
@@ -1544,43 +1528,37 @@ fn process_batch(
     };
     let busy = t0.elapsed();
 
-    // Log before fanning out: a blocking client that reads `stats()`
+    // Count before fanning out: a blocking client that reads `stats()`
     // right after its reply must already see this batch accounted for.
     // Latency is submit → reply (well, the instant before the send),
     // recorded per request so percentiles weight by traffic.
+    let m = &shared.metrics;
+    m.jobs.add(jobs.len() as u64);
+    m.requests.add(total_requests as u64);
+    m.batches.inc();
+    m.evaluated.add(sorted.len() as u64);
+    m.coalesced.add(coalesced);
+    m.cache_hits.add(cache_hits);
+    m.cache_misses.add(cache_misses);
+    for (job, js) in jobs.iter().zip(&slots) {
+        m.request_latency
+            .record_n(job.submitted.elapsed().as_nanos() as u64, js.len() as u64);
+    }
     {
         let mut log = lock_unpoisoned(&shared.worker_logs[id]);
-        log.jobs += jobs.len() as u64;
-        log.requests += total_requests as u64;
-        log.batches += 1;
-        log.evaluated += sorted.len() as u64;
-        log.coalesced += coalesced;
-        log.cache_hits += cache_hits;
-        log.cache_misses += cache_misses;
         log.busy += busy;
         add_batch_stats(&mut log.batch, &batch_stats);
-        for (job, js) in jobs.iter().zip(&slots) {
-            let ns = job.submitted.elapsed().as_nanos() as u64;
-            for _ in 0..js.len() {
-                log.hist.record(ns);
-            }
-        }
         log.scratch = scratch.stats();
     }
 
-    // Registry mirror + per-request trace assembly (armed only; the
-    // whole block is one `Option` branch when disarmed). Runs before
-    // the fan-out for the same reason the log does: a client that
-    // inspects the trace ring right after its reply sees its own trace.
-    if let Some(h) = obs {
-        h.jobs.add(jobs.len() as u64);
-        h.requests.add(total_requests as u64);
-        h.batches.inc();
-        h.evaluated.add(sorted.len() as u64);
-        h.coalesced.add(coalesced);
-        h.cache_hits.add(cache_hits);
-        h.cache_misses.add(cache_misses);
-        h.queue_depth.set(shared.queue.depth() as u64);
+    // Per-request trace assembly (armed only; the whole block is one
+    // `Option` branch when disarmed). Runs before the fan-out for the
+    // same reason the counting does: a client that inspects the trace
+    // ring right after its reply sees its own trace.
+    if let Some(o) = obs {
+        // A sample of the queue lock, taken only where a registry can
+        // show it (`ServeStats::queue_depth` asks the queue itself).
+        m.queue_depth.set(shared.queue.depth() as u64);
         for (ji, (job, js)) in jobs.iter().zip(&slots).enumerate() {
             for (ri, &slot) in js.iter().enumerate() {
                 let slot = slot as usize;
@@ -1628,7 +1606,7 @@ fn process_batch(
                         dur_ns: 0,
                     });
                 }
-                h.obs.record_request(RequestTrace {
+                let filed = RequestTrace {
                     trace,
                     source: r.source.index() as u64,
                     target: r.target.index() as u64,
@@ -1641,7 +1619,8 @@ fn process_batch(
                         None => TraceOutcome::Shed,
                     },
                     spans,
-                });
+                };
+                o.record_request(filed, &m.request_latency);
             }
         }
     }
@@ -1656,10 +1635,7 @@ fn process_batch(
             .any(|&slot| answers_by_slot[slot as usize].is_none())
         {
             let waited = job.submitted.elapsed();
-            shared.deadline_cancelled.fetch_add(1, Ordering::SeqCst);
-            if let Some(h) = obs {
-                h.deadline_cancelled.inc();
-            }
+            m.deadline_cancelled.inc();
             let _ = job
                 .reply
                 .send(Err(ClosureError::DeadlineExceeded { waited }));
@@ -1676,6 +1652,58 @@ fn process_batch(
     }
 }
 
+/// Apply `updates` in order to `working` and, if any was effective,
+/// publish the result once. The writer's batches and the WAL redo both
+/// go through here, so an applied update and a publication are each
+/// counted at one site. Returns the per-update maintenance outcomes and
+/// the time the publication took.
+fn apply_and_publish(
+    shared: &Shared,
+    working: &mut EngineSnapshot,
+    scratch: &mut ScratchDijkstra,
+    epoch: &mut u64,
+    updates: &[NetworkUpdate],
+) -> (Vec<Result<UpdateReport, ClosureError>>, Duration) {
+    let mut applied = 0u64;
+    let outcomes: Vec<_> = updates
+        .iter()
+        .map(|update| {
+            let outcome = working.maintain(update, scratch);
+            // Validation precedes mutation in the maintenance path, so
+            // the working copy is unchanged on Err and exact on Ok. A
+            // structural no-op (e.g. removing a connection that does not
+            // exist) touches nothing and is answered at the current
+            // epoch for free; every effective Ok advances the epoch.
+            if matches!(&outcome, Ok(r) if r.sites_touched > 0 || r.full_recompute) {
+                applied += 1;
+            }
+            outcome
+        })
+        .collect();
+    let publish_t = Instant::now();
+    if applied > 0 {
+        *epoch += applied;
+        // One reachability-index rebuild per publication, not per
+        // update: every update this batch that could have changed
+        // reachability dropped the working copy's index; rebuilding
+        // here amortizes the linear cost across the whole batch and
+        // publishes the epoch with `connected` already sweep-free.
+        working.ensure_reach();
+        // Copy-on-write publication: readers on the previous Arc
+        // finish undisturbed; new micro-batches pick up this epoch.
+        // The clone is O(sites) — every component of the working
+        // snapshot is Arc-shared, and the maintenance above already
+        // detached exactly the sites it touched, so this publication
+        // shares everything else with the previous epoch. Publishing
+        // also implicitly drops the per-epoch answer cache: entries
+        // are keyed by epoch and lazily cleared on first contact
+        // with the new one.
+        shared.publish(*epoch, working.clone());
+        shared.metrics.updates.add(applied);
+    }
+    (outcomes, publish_t.elapsed())
+}
+
 /// The single writer: drain pending updates (bounded), apply the shared
 /// incremental maintenance to a private working copy, publish the
 /// successor snapshot once, acknowledge every updater with the epoch at
@@ -1686,6 +1714,7 @@ fn writer_loop(
     rx: &mpsc::Receiver<WriteJob>,
     write_batch_max: usize,
 ) {
+    let m = &shared.metrics;
     let mut scratch = ScratchDijkstra::new();
     // Resume from the *published* epoch: on first entry that is 0, and
     // after a supervisor respawn (whose working copy was rebuilt from
@@ -1713,6 +1742,7 @@ fn writer_loop(
             }
             return;
         }
+        let updates: Vec<NetworkUpdate> = jobs.iter().map(|j| j.update).collect();
         // Append-before-apply: the whole folded batch goes to the
         // write-ahead log as one group commit (one buffered write, one
         // fsync) before any update touches the working copy. A refused
@@ -1723,75 +1753,26 @@ fn writer_loop(
         // the supervisor respawns the writer and redoes any durable
         // suffix, see `redo_wal_suffix`.)
         let wal_range = match &shared.store {
-            Some(store) => {
-                let updates: Vec<NetworkUpdate> = jobs.iter().map(|j| j.update).collect();
-                let mut store = lock_unpoisoned(store);
-                match store.append_batch(epoch, &updates) {
-                    Ok(first) => {
-                        let n = updates.len() as u64;
-                        shared.wal_records.fetch_add(n, Ordering::SeqCst);
-                        shared.wal_commits.fetch_add(1, Ordering::SeqCst);
-                        if let Some(h) = &shared.obs {
-                            h.wal_records.add(n);
-                            h.wal_commits.inc();
-                        }
-                        Some(first + n - 1)
-                    }
-                    Err(_) => {
-                        shared.wal_failures.fetch_add(1, Ordering::SeqCst);
-                        if let Some(h) = &shared.obs {
-                            h.wal_failures.inc();
-                        }
-                        for job in jobs {
-                            let _ = job.reply.send(Err(ClosureError::DurabilityFailed));
-                        }
-                        continue;
-                    }
+            Some(store) => match lock_unpoisoned(store).append_batch(epoch, &updates) {
+                Ok(first) => {
+                    let n = updates.len() as u64;
+                    m.wal_records.add(n);
+                    m.wal_commits.inc();
+                    Some(first + n - 1)
                 }
-            }
+                Err(_) => {
+                    m.wal_failures.inc();
+                    for job in jobs {
+                        let _ = job.reply.send(Err(ClosureError::DurabilityFailed));
+                    }
+                    continue;
+                }
+            },
             None => None,
         };
-        let mut outcomes = Vec::with_capacity(jobs.len());
-        let mut applied = 0u64;
-        for job in jobs {
-            match working.maintain(&job.update, &mut scratch) {
-                Ok(report) if report.sites_touched == 0 && !report.full_recompute => {
-                    // Structural no-op (e.g. removing a connection that
-                    // does not exist): nothing changed, so nothing to
-                    // publish — answer at the current epoch for free.
-                    outcomes.push((job.reply, Ok(report)));
-                }
-                Ok(report) => {
-                    // Validation precedes mutation in the maintenance
-                    // path, so the working copy is unchanged on Err and
-                    // exact on Ok; every effective Ok advances the epoch.
-                    epoch += 1;
-                    applied += 1;
-                    outcomes.push((job.reply, Ok(report)));
-                }
-                Err(e) => outcomes.push((job.reply, Err(e))),
-            }
-        }
-        let apply_ns = t0.elapsed().as_nanos() as u64;
-        let publish_t = Instant::now();
-        if applied > 0 {
-            // One reachability-index rebuild per publication, not per
-            // update: every update this batch that could have changed
-            // reachability dropped the working copy's index; rebuilding
-            // here amortizes the linear cost across the whole batch and
-            // publishes the epoch with `connected` already sweep-free.
-            working.ensure_reach();
-            // Copy-on-write publication: readers on the previous Arc
-            // finish undisturbed; new micro-batches pick up this epoch.
-            // The clone is O(sites) — every component of the working
-            // snapshot is Arc-shared, and the maintenance above already
-            // detached exactly the sites it touched, so this publication
-            // shares everything else with the previous epoch. Publishing
-            // also implicitly drops the per-epoch answer cache: entries
-            // are keyed by epoch and lazily cleared on first contact
-            // with the new one.
-            shared.published.publish(epoch, Arc::new(working.clone()));
-        }
+        let before = epoch;
+        let (outcomes, publish) =
+            apply_and_publish(shared, &mut working, &mut scratch, &mut epoch, &updates);
         if let Some(last) = wal_range {
             // The published state now reflects every logged record up to
             // `last` (no-ops and per-update errors included — replay
@@ -1800,57 +1781,42 @@ fn writer_loop(
             shared.published_lsn.store(last, Ordering::SeqCst);
         }
         let busy = t0.elapsed();
-        {
-            let mut log = lock_unpoisoned(&shared.writer_log);
-            log.updates += applied;
-            log.publications += (applied > 0) as u64;
-            log.busy += busy;
+        m.writer_busy_ns.add(busy.as_nanos() as u64);
+        if let (Some(obs), true) = (&shared.obs, epoch > before) {
+            // One writer trace per publication: maintenance and
+            // publication spans land in the trace ring (never in the
+            // request latency histogram — that is reads only).
+            let tracer = obs.tracer();
+            let trace = tracer.mint();
+            let (busy_ns, publish_ns) = (busy.as_nanos() as u64, publish.as_nanos() as u64);
+            let end_ns = tracer.now_ns();
+            tracer.finish(RequestTrace {
+                trace,
+                source: 0,
+                target: 0,
+                epoch,
+                total_ns: busy_ns,
+                outcome: TraceOutcome::Applied,
+                spans: vec![
+                    SpanRecord {
+                        trace,
+                        stage: Stage::WriterApply,
+                        start_ns: end_ns.saturating_sub(busy_ns),
+                        dur_ns: busy_ns.saturating_sub(publish_ns),
+                    },
+                    SpanRecord {
+                        trace,
+                        stage: Stage::Publication,
+                        start_ns: end_ns.saturating_sub(publish_ns),
+                        dur_ns: publish_ns,
+                    },
+                ],
+            });
         }
-        if let Some(h) = &shared.obs {
-            h.updates.add(applied);
-            h.publications.add((applied > 0) as u64);
-            h.epoch.set(epoch);
-            if applied > 0 {
-                // What the epoch just published holds, by component. The
-                // memos and access sets are those of the sites this batch
-                // left untouched (the touched ones start empty).
-                let held = working.memory_bytes().components();
-                for (gauge, (_, bytes)) in h.snapshot_bytes.iter().zip(held) {
-                    gauge.set(bytes as u64);
-                }
-                // One writer trace per publication: maintenance and
-                // publication spans land in the trace ring (never in the
-                // request latency histogram — that is reads only).
-                let tracer = h.obs.tracer();
-                let trace = tracer.mint();
-                let publish_ns = publish_t.elapsed().as_nanos() as u64;
-                let end_ns = tracer.now_ns();
-                tracer.finish(RequestTrace {
-                    trace,
-                    source: 0,
-                    target: 0,
-                    epoch,
-                    total_ns: busy.as_nanos() as u64,
-                    outcome: TraceOutcome::Applied,
-                    spans: vec![
-                        SpanRecord {
-                            trace,
-                            stage: Stage::WriterApply,
-                            start_ns: end_ns.saturating_sub(apply_ns + publish_ns),
-                            dur_ns: apply_ns,
-                        },
-                        SpanRecord {
-                            trace,
-                            stage: Stage::Publication,
-                            start_ns: end_ns.saturating_sub(publish_ns),
-                            dur_ns: publish_ns,
-                        },
-                    ],
-                });
-            }
-        }
-        for (reply, outcome) in outcomes {
-            let _ = reply.send(outcome.map(|report| ServedUpdate { report, epoch }));
+        for (job, outcome) in jobs.into_iter().zip(outcomes) {
+            let _ = job
+                .reply
+                .send(outcome.map(|report| ServedUpdate { report, epoch }));
         }
         // Checkpoint *after* acknowledging the batch: a failed (or
         // fault-killed) checkpoint must never take acknowledged updates
@@ -1861,18 +1827,8 @@ fn writer_loop(
             let mut store = lock_unpoisoned(store);
             if store.should_checkpoint() {
                 match store.checkpoint(&working, epoch) {
-                    Ok(()) => {
-                        shared.checkpoints.fetch_add(1, Ordering::SeqCst);
-                        if let Some(h) = &shared.obs {
-                            h.checkpoints.inc();
-                        }
-                    }
-                    Err(_) => {
-                        shared.wal_failures.fetch_add(1, Ordering::SeqCst);
-                        if let Some(h) = &shared.obs {
-                            h.wal_failures.inc();
-                        }
-                    }
+                    Ok(()) => m.checkpoints.inc(),
+                    Err(_) => m.wal_failures.inc(),
                 }
             }
         }
@@ -1889,41 +1845,27 @@ fn writer_loop(
 /// or the suffix is empty (every clean start).
 fn redo_wal_suffix(shared: &Shared) {
     let Some(store) = &shared.store else { return };
-    let mut store = lock_unpoisoned(store);
     let after = shared.published_lsn.load(Ordering::SeqCst);
-    let suffix = match store.read_suffix(after) {
+    let suffix = match lock_unpoisoned(store).read_suffix(after) {
         Ok(suffix) => suffix,
         Err(_) => {
-            shared.wal_failures.fetch_add(1, Ordering::SeqCst);
+            shared.metrics.wal_failures.inc();
             return;
         }
     };
-    if suffix.is_empty() {
-        return;
-    }
-    let mut working = (*shared.published.current().1).clone();
-    let mut scratch = ScratchDijkstra::new();
-    let mut epoch = shared.published.epoch.load(Ordering::Acquire);
-    let mut applied = 0u64;
-    let mut last = after;
-    for rec in &suffix {
-        // Mirror the writer's apply loop: effective updates bump the
-        // epoch, per-update errors are skipped (their callers already
-        // saw the error).
-        if let Ok(report) = working.maintain(&rec.update, &mut scratch) {
-            if report.sites_touched > 0 || report.full_recompute {
-                epoch += 1;
-                applied += 1;
-            }
-        }
-        last = rec.lsn;
-    }
-    if applied > 0 {
-        working.ensure_reach();
-        shared.published.publish(epoch, Arc::new(working));
-    }
-    shared.published_lsn.store(last, Ordering::SeqCst);
-    let mut log = lock_unpoisoned(&shared.writer_log);
-    log.updates += applied;
-    log.publications += (applied > 0) as u64;
+    let Some(last) = suffix.last() else { return };
+    let (mut epoch, published) = shared.published.current();
+    let mut working = (*published).clone();
+    // The writer's own apply step: effective updates bump the epoch,
+    // per-update errors are skipped (their callers already saw the
+    // error).
+    let updates: Vec<NetworkUpdate> = suffix.iter().map(|rec| rec.update).collect();
+    apply_and_publish(
+        shared,
+        &mut working,
+        &mut ScratchDijkstra::new(),
+        &mut epoch,
+        &updates,
+    );
+    shared.published_lsn.store(last.lsn, Ordering::SeqCst);
 }

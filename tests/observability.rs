@@ -14,8 +14,13 @@
 //!   untraced, even while workers and the writer are being killed.
 //! - **Observer effect is nil**: a disarmed server fed the identical
 //!   operation sequence under an identical fault plan returns
-//!   answer-for-answer identical results — arming observability must
-//!   never change what the system computes.
+//!   answer-for-answer identical results and count-for-count identical
+//!   [`ServeStats`] — arming observability must never change what the
+//!   system computes or what it reports about itself.
+//! - **One count**: `Server::stats()` and the armed registry read the
+//!   same cells, so they agree field by field — after a mixed run, and
+//!   after a writer death whose logged-but-unpublished updates the
+//!   respawn redoes from the WAL.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -25,8 +30,14 @@ use discset::fragment::linear::LinearConfig;
 use discset::gen::deterministic::grid;
 use discset::graph::{Edge, NodeId};
 use discset::obs::{Stage, TraceOutcome};
-use discset::serve::{FaultScenario, FaultUniverse, ServeConfig, ServeError, Server};
-use discset::{Backend, Fragmenter, NetworkUpdate, Observability, System};
+use discset::serve::{
+    DurabilityConfig, FaultPlan, FaultPoint, FaultScenario, FaultUniverse, ServeConfig, ServeError,
+    Server,
+};
+use discset::{
+    Backend, Fragmenter, MetricsSnapshot, NetworkUpdate, Observability, QueryRequest, ServeStats,
+    System,
+};
 
 /// SplitMix64 — the traffic is as reproducible as the fault plan.
 fn splitmix(state: &mut u64) -> u64 {
@@ -107,6 +118,44 @@ fn system(backend: Backend) -> System {
         .expect("valid grid system")
 }
 
+/// Every event count of [`ServeStats`], under the name the registry
+/// exports it by.
+fn counts(stats: &ServeStats) -> [(&'static str, u64); 19] {
+    [
+        ("serve_requests", stats.requests),
+        ("serve_jobs", stats.jobs),
+        ("serve_batches", stats.batches),
+        ("serve_evaluated", stats.evaluated),
+        ("serve_coalesced", stats.coalesced),
+        ("serve_cache_hits", stats.cache_hits),
+        ("serve_cache_misses", stats.cache_misses),
+        ("serve_reach_fast_path", stats.reach_fast_path),
+        ("serve_queue_rejections", stats.queue_rejections),
+        ("serve_deadline_shed", stats.deadline_shed),
+        ("serve_deadline_cancelled", stats.deadline_cancelled),
+        ("serve_updates", stats.updates),
+        ("serve_publications", stats.publications),
+        ("serve_wal_records", stats.wal_records),
+        ("serve_wal_commits", stats.wal_commits),
+        ("serve_wal_failures", stats.wal_failures),
+        ("serve_checkpoints", stats.checkpoints),
+        ("serve_worker_restarts", stats.worker_restarts),
+        ("serve_writer_restarts", stats.writer_restarts),
+    ]
+}
+
+fn assert_stats_match_registry(stats: &ServeStats, registry: &MetricsSnapshot, when: &str) {
+    for (name, value) in counts(stats) {
+        assert_eq!(registry.counter(name), Some(value), "{when}: {name}");
+    }
+    assert_eq!(registry.gauge("serve_epoch"), Some(stats.epoch), "{when}");
+    assert_eq!(
+        registry.histogram("request_latency_ns").map(|h| h.count()),
+        Some(stats.latency.count),
+        "{when}: latency samples"
+    );
+}
+
 /// Stages that resolve a read request; every answered trace must carry
 /// exactly one.
 fn is_resolution(stage: &Stage) -> bool {
@@ -124,19 +173,37 @@ fn span_sets_are_complete_across_backends_and_fault_seeds() {
     };
     let nodes = grid(9, 4).nodes as u64;
     for backend in [Backend::Inline, Backend::SiteThreads] {
-        for seed in 0..6u64 {
-            let scenario = FaultScenario::from_seed(seed, &universe);
+        // Seeds 0..6 rotate the seed-derived scenarios, whose worker
+        // panics all land before the first update; seed 6 is a worker
+        // panic after it (job 15 is op 15, the update is op 9), so a
+        // request also fails at an epoch other than the one served from
+        // at start.
+        for seed in 0..7u64 {
+            let plan = match seed {
+                6 => FaultPlan::new().panic_at(FaultPoint::ServeWorker { worker: 0 }, 15),
+                _ => FaultScenario::from_seed(seed, &universe).plan(&universe),
+            };
             let obs = Observability::armed();
             let sys = system(backend);
             let mut cfg = ServeConfig::with_workers(1);
-            cfg.fault = Some(Arc::new(scenario.plan(&universe)));
+            cfg.fault = Some(Arc::new(plan));
             cfg.obs = Some(Arc::clone(&obs));
             let server = sys.serve_with(cfg);
             let results = run_ops(&server, seed, nodes);
             server.shutdown();
 
+            // Traffic is sequential, so a failed op's trace must carry
+            // the epoch published when it failed: the last one an
+            // update was acknowledged at before it.
+            let mut published = 0u64;
+            let mut failed_at: Vec<u64> = Vec::new();
             let mut expect: BTreeMap<&str, usize> = BTreeMap::new();
             for r in &results {
+                match r {
+                    OpResult::Applied(epoch) => published = *epoch,
+                    OpResult::QueryErr(_) | OpResult::UpdateErr(_) => failed_at.push(published),
+                    OpResult::Answer(_) => {}
+                }
                 *expect
                     .entry(match r {
                         OpResult::Answer(_) => "answered",
@@ -149,6 +216,7 @@ fn span_sets_are_complete_across_backends_and_fault_seeds() {
 
             let traces = obs.tracer().recent(usize::MAX);
             let mut got: BTreeMap<&str, usize> = BTreeMap::new();
+            let mut failed_epochs: Vec<u64> = Vec::new();
             for t in &traces {
                 match t.outcome {
                     TraceOutcome::Answered | TraceOutcome::Unreachable => {
@@ -181,12 +249,18 @@ fn span_sets_are_complete_across_backends_and_fault_seeds() {
                     }
                     TraceOutcome::Failed | TraceOutcome::Shed => {
                         *got.entry("failed").or_default() += 1;
+                        failed_epochs.push(t.epoch);
                     }
                 }
             }
             assert_eq!(
                 got, expect,
                 "{backend:?} seed {seed}: trace outcomes diverge from observed op results"
+            );
+            assert_eq!(
+                failed_epochs, failed_at,
+                "{backend:?} seed {seed}: a failed trace is stamped with an epoch other than \
+                 the one published when it failed"
             );
         }
     }
@@ -214,13 +288,81 @@ fn disarmed_server_is_an_exact_oracle_for_the_armed_one() {
                     cfg.obs = Some(Observability::armed());
                 }
                 let server = sys.serve_with(cfg);
-                runs.push(run_ops(&server, seed, nodes));
-                server.shutdown();
+                let results = run_ops(&server, seed, nodes);
+                let stats = server.shutdown();
+                runs.push((results, counts(&stats), stats.epoch, stats.latency.count));
             }
             assert_eq!(
                 runs[0], runs[1],
-                "{backend:?} seed {seed}: arming observability changed the answers"
+                "{backend:?} seed {seed}: arming observability changed the answers or the stats"
             );
         }
     }
+}
+
+/// `ServeStats` and the registry are two views of one set of cells: they
+/// agree on every count after a mixed run, and still do after a writer
+/// dies between its WAL append and the publication — the respawn redoes
+/// the logged update, and that update and its publication are counted
+/// where every other one is.
+#[test]
+fn stats_and_registry_agree_field_by_field() {
+    let dir = std::env::temp_dir().join(format!("discset-obs-agree-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let nodes = grid(9, 4).nodes as u64;
+    let obs = Observability::armed();
+    // The fourth group commit reaches the disk, then the writer dies at
+    // the sync hook: logged, never applied, never published.
+    let plan = Arc::new(FaultPlan::new().panic_at(FaultPoint::WalSync, 4));
+    let mut cfg = ServeConfig::with_workers(2);
+    cfg.durability = Some(DurabilityConfig::at(&dir));
+    cfg.fault = Some(Arc::clone(&plan));
+    cfg.obs = Some(Arc::clone(&obs));
+    let server = system(Backend::Inline).serve_with(cfg);
+
+    let f0 = server.snapshot().fragmentation().fragment(0).clone();
+    let insert = |i: usize| NetworkUpdate::Insert {
+        edge: Edge::new(f0.nodes()[0], f0.nodes()[2 + i], 1),
+        owner: 0,
+    };
+    // Mixed run: a repeated pair (cache hits), one job carrying a
+    // duplicate (coalescing), scattered pairs, `connected` through the
+    // reach index, three updates.
+    let mut rng = 0xA61EEu64;
+    for round in 0..3 {
+        for _ in 0..10 {
+            let (x, y) = (n(splitmix(&mut rng), nodes), n(splitmix(&mut rng), nodes));
+            server.query(x, y).expect("healthy pool");
+            server
+                .query(n(0, nodes), n(35, nodes))
+                .expect("healthy pool");
+        }
+        let twice = QueryRequest::new(n(1, nodes), n(34, nodes));
+        server.query_batch(&[twice, twice]).expect("healthy pool");
+        assert!(server.connected(n(0, nodes), n(35, nodes)).expect("index"));
+        server.update(&insert(round)).expect("valid insert");
+    }
+    let stats = server.stats();
+    assert!(stats.cache_hits > 0 && stats.coalesced > 0 && stats.reach_fast_path == 3);
+    assert_eq!((stats.updates, stats.wal_commits), (3, 3));
+    assert_stats_match_registry(&stats, &obs.snapshot(), "after the mixed run");
+
+    // The doomed update is refused to its caller but durable; the next
+    // one queues behind the respawn, whose redo publishes the doomed one.
+    assert!(matches!(
+        server.update(&insert(3)),
+        Err(ClosureError::WriterRestarted)
+    ));
+    assert!(plan.exhausted());
+    assert_eq!(server.update(&insert(4)).expect("respawned").epoch, 5);
+    let stats = server.stats();
+    assert_eq!((stats.updates, stats.publications), (5, 5));
+    assert_eq!(stats.writer_restarts, 1);
+    assert_stats_match_registry(&stats, &obs.snapshot(), "after the writer respawn");
+
+    // And the log the redo continued is the state a cold start rebuilds.
+    let stats = server.shutdown();
+    let recovered = discset::recover(&dir).expect("recover");
+    assert_eq!(recovered.epoch, stats.epoch);
+    std::fs::remove_dir_all(&dir).ok();
 }
