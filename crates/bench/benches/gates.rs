@@ -16,6 +16,13 @@
 //! * **publication** — the structurally shared per-epoch clone is less
 //!   than 5x cheaper than `EngineSnapshot::unshared_clone` after one
 //!   update's worth of touched sites, on any seed;
+//! * **materialize** — the full closure of the benchmark's transportation
+//!   graph (12 clusters of 100 nodes) runs anything but one sweep of the
+//!   whole graph per border node and one fragment sweep per other
+//!   non-isolated node, in two phases; or is less than 2x faster than
+//!   one `ScratchDijkstra` sweep of the whole graph per source writing
+//!   the same relation, both on one thread, on any seed — "thin
+//!   disconnection sets pay";
 //! * **wal** — a pure write path (16 closed-loop updaters) with fsync'd
 //!   group commits keeps less than 0.7x the throughput of the same run
 //!   without a log, best of three interleaved rounds, on any seed.
@@ -33,7 +40,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ds_bench::gates::{no_sweeps, ratio_floor, warm_sweeps, worst_ratio, Pair, SweepCount};
+use ds_bench::gates::{
+    closure_sweeps, no_sweeps, ratio_floor, warm_sweeps, worst_ratio, ClosureSweeps, Pair,
+    SweepCount,
+};
 use ds_bench::harness::{write_json, Bench};
 use ds_closure::api::{NetworkUpdate, QueryRequest};
 use ds_closure::{EngineConfig, EngineSnapshot};
@@ -45,6 +55,8 @@ use ds_gen::{
 };
 use ds_graph::{Edge, NodeId, ScratchDijkstra};
 use ds_obs::Observability;
+use ds_relation::bulk::{MaterializeConfig, MaterializeEngine};
+use ds_relation::PathTuple;
 use ds_serve::{DurabilityConfig, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,6 +67,7 @@ const SEEDS: [u64; 3] = [1, 2, 3];
 const FLOOR_REACH_INDEX: f64 = 5.0;
 const FLOOR_PUBLICATION: f64 = 5.0;
 const FLOOR_WAL: f64 = 0.7;
+const FLOOR_MATERIALIZE: f64 = 2.0;
 /// Closed-loop clients of the serve pairs, over `WORKERS` pool workers,
 /// each thinking `THINK` between its `OPS_PER_CLIENT` operations.
 const CLIENTS: usize = 16;
@@ -171,6 +184,83 @@ fn reach_index(bench: &mut Bench) -> (u64, Vec<Pair>) {
         })
         .collect();
     (index_sweeps, pairs)
+}
+
+/// The full closure of the benchmark's transportation graph by the
+/// disconnection set approach against one sweep of the whole graph per
+/// source, both on one thread and both writing the sorted relation (the
+/// two are compared once, outside the timing). Returns what each seed's
+/// run swept and the per-seed (Dijkstra over bulk) pairs.
+fn materialize(bench: &mut Bench) -> (Vec<ClosureSweeps>, Vec<Pair>) {
+    let clusters = 12usize;
+    let measured = SEEDS.iter().map(|&seed| {
+        let g = generate_transportation(
+            &TransportationConfig {
+                clusters,
+                nodes_per_cluster: 100,
+                target_edges_per_cluster: 400,
+                ..TransportationConfig::default()
+            },
+            seed,
+        );
+        let labels = g.cluster_of.clone().expect("labelled");
+        let policy = CrossingPolicy::LowerBlock;
+        let frag = semantic::by_labels(g.nodes, &g.connections, &labels, clusters, policy)
+            .expect("label fragmentation");
+        let engine =
+            MaterializeEngine::from_fragmentation(&frag, true, MaterializeConfig::with_threads(1));
+        let partition = engine.partition();
+        let union = partition.union_graph();
+        let mut scratch = ScratchDijkstra::new();
+        let per_source = |scratch: &mut ScratchDijkstra| {
+            let mut rows = Vec::new();
+            for s in union.nodes() {
+                scratch.sweep(&union, &[(s, 0)]);
+                // Paths have an edge: (s, s) is the cheapest way out and back.
+                let back = union
+                    .neighbors(s)
+                    .filter_map(|(x, c)| Some(scratch.cost(x)? + c));
+                let back = back.min();
+                rows.extend(union.nodes().filter_map(|d| {
+                    let cost = if d == s { back } else { scratch.cost(d) };
+                    Some(PathTuple::new(s, d, cost?))
+                }));
+            }
+            rows
+        };
+
+        let (closure, stats) = engine.materialize().expect("no fault plan");
+        assert_eq!(closure.rows(), per_source(&mut scratch), "seed {seed}");
+        let borders = union
+            .nodes()
+            .filter(|&v| partition.fragments_of(v).len() >= 2);
+        let counts = ClosureSweeps {
+            what: format!("materialize/seed-{seed}"),
+            nodes: g.nodes,
+            borders: borders.count(),
+            isolated: union.nodes().filter(|&v| union.out_degree(v) == 0).count(),
+            phases: stats.rounds,
+            network_sweeps: stats.network_sweeps,
+            fragment_sweeps: stats.fragment_sweeps,
+        };
+        let bulk_ns = bench
+            .run(&format!("materialize/bulk/seed-{seed}"), || {
+                engine.materialize()
+            })
+            .median_ns;
+        let dijkstra_ns = bench
+            .run(&format!("materialize/dijkstra/seed-{seed}"), || {
+                per_source(&mut scratch)
+            })
+            .median_ns;
+        let pair = Pair {
+            seed,
+            numerator_ns: dijkstra_ns,
+            denominator_ns: bulk_ns,
+        };
+        (counts, pair)
+    });
+    measured.unzip()
 }
 
 /// The transportation deployment the publication and serve pairs run
@@ -428,6 +518,19 @@ fn main() {
     report.rows.record(sweeps_row, &[index_sweeps as f64]);
     report.check(no_sweeps(sweeps_row, index_sweeps));
     report.ratio_row("reach-dijkstra-over-index", &reach, Some(FLOOR_REACH_INDEX));
+
+    let (closures, materialized) = materialize(&mut bench);
+    let sweeps: Vec<f64> = closures
+        .iter()
+        .map(|c| (c.network_sweeps + c.fragment_sweeps) as f64)
+        .collect();
+    report.rows.record("materialize-sweeps", &sweeps);
+    for run in &closures {
+        println!("{run:?}");
+        report.check(closure_sweeps(run));
+    }
+    let floor = Some(FLOOR_MATERIALIZE);
+    report.ratio_row("materialize-dijkstra-over-bulk", &materialized, floor);
 
     let deployments: Vec<Deployment> = SEEDS.iter().map(|&s| deployment(s)).collect();
     let published: Vec<Pair> = deployments

@@ -1,70 +1,68 @@
-//! The parallel fragmented materialization engine.
+//! The disconnection-set materializer: fragment sweeps joined through
+//! border rows.
 //!
-//! One semi-naive fixpoint worker per fragment, rounds of delta exchange
-//! between them, a final cross-fragment assembly:
+//! A node in two or more fragments is a *border*; every other node has
+//! one home fragment `F`, and a path from it that uses an edge outside
+//! `F` crosses a border of `F` first. So for an interior source `s`
 //!
-//! 1. **Seed.** Every fragment seeds its own edge relation (optionally
-//!    source-restricted — the paper's keyhole selection).
-//! 2. **Local fixpoint.** Each active worker drains its inbox and runs
-//!    semi-naive iteration over its *local* edges (a prebuilt adjacency
-//!    index, probed every inner round) until no local delta remains.
-//! 3. **Exchange.** Newly improved tuples whose endpoint lies on the
-//!    fragment's border are shipped — via the disconnection-set
-//!    selection of [`super::exchange::ExchangeRouter`] — exactly to the
-//!    fragments that share that endpoint; interior tuples never leave.
-//! 4. Repeat from 2 until no inbox holds anything: the global fixpoint.
-//! 5. **Assembly.** Per-fragment result maps are merged with min-cost
-//!    aggregation — "effectively a sequence of binary joins between a
-//!    number of very small relations" (§2.1).
+//! ```text
+//! row(s)[d] = min( local_F(s, d),  min over borders b of  local_F(s, b) + row(b)[d] )
+//! ```
 //!
-//! Workers run on a std-only pool (jobs queue + result channel, the
-//! `ds_serve` queue/worker idiom); with one thread the same rounds run
-//! inline, so the algorithm — and its output, tuple-identical to
-//! [`crate::tc::seminaive_closure`] — is independent of the thread
-//! count.
+//! where `local_F` is one Dijkstra sweep over `F`'s own edges and
+//! `row(b)` one sweep of the union graph from `b`. A run is two flat
+//! task lists, each pulled off one atomic counter by scoped workers that
+//! own their scratch:
+//!
+//! 1. **Border rows.** One union-graph sweep per border that is a
+//!    requested source or belongs to a joined fragment; the dense row is
+//!    kept for phase 2.
+//! 2. **Sources**, in per-fragment blocks. A fragment is *joined* when it
+//!    has more requested interior sources than borders that are not
+//!    requested themselves — only then do the border rows save sweeps.
+//!    A joined source is one fragment sweep plus a min-plus fold over
+//!    its access relation `(s, b, local_F(s, b))`, pruned to the
+//!    non-dominated borders; the sources of any other fragment sweep the
+//!    union graph directly.
+//!
+//! When no fragment folds a border row the two lists run as one phase.
+//! Every step is label-setting: there is no fixpoint, no exchange round
+//! and nothing kept between runs, and the output — rows written in
+//! `(src, dst)` order, assembled by concatenation — is tuple-identical to
+//! [`crate::tc::seminaive_closure`] whatever the thread count.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use ds_fault::{lock_unpoisoned, wait_unpoisoned, FaultPlan, FaultPoint};
+use ds_fault::{FaultPlan, FaultPoint};
 use ds_fragment::Fragmentation;
-use ds_graph::{BitSet, Cost, NodeId, INFINITE_COST};
+use ds_graph::{Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
 
-use super::exchange::ExchangeRouter;
 use super::partition::FragmentPartition;
 use crate::relation::Relation;
 use crate::stats::TcStats;
 use crate::tuple::PathTuple;
 
-/// Default for [`MaterializeConfig::dense_limit`]: up to 2 MiB of
-/// distance table per fragment.
-pub const DEFAULT_DENSE_LIMIT: usize = 512;
+/// Sources (or border rows) per task: small enough that the workers
+/// finish together, large enough that pulling a task costs nothing.
+const BLOCK: usize = 8;
 
 /// Tuning knobs for one materialization run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MaterializeConfig {
-    /// Worker threads. `0` (the default) sizes the pool to
-    /// `min(fragments, available_parallelism)`; `1` runs the identical
-    /// round structure inline, without spawning.
+    /// Worker threads. `0` (the default) means `available_parallelism`;
+    /// a phase never uses more workers than it has tasks, and `1` runs
+    /// the same loop inline, without spawning.
     pub threads: usize,
     /// Restrict the closure to paths starting in this set (the §2.1
     /// keyhole selection). `None` materializes the full closure.
+    /// Duplicates, ids outside the graph and nodes in no fragment are
+    /// ignored; `Some(vec![])` is the empty relation.
     pub sources: Option<Vec<NodeId>>,
-    /// Safety valve on exchange rounds; `0` means unbounded (the
-    /// fixpoint is guaranteed to terminate on finite relations).
-    pub max_rounds: usize,
-    /// Up to this many graph nodes, each worker keeps its result in a
-    /// dense n×n distance matrix (one array slot per pair — no hashing
-    /// on the hottest operation) at n² × 8 bytes per fragment; above
-    /// it, a hash map keyed by packed pairs. `0` forces the sparse map.
-    pub dense_limit: usize,
-    /// Deterministic fault plan fired once per fragment round
+    /// Deterministic fault plan fired once per fragment task
     /// ([`FaultPoint::BulkWorker`]). `None` (the default) reduces the
     /// hook to a single branch.
     pub fault: Option<Arc<FaultPlan>>,
@@ -74,19 +72,6 @@ pub struct MaterializeConfig {
     /// ([`MaterializeStats::mirror_into`]). `None` (the default) skips
     /// the mirror entirely.
     pub obs: Option<Arc<ds_obs::Observability>>,
-}
-
-impl Default for MaterializeConfig {
-    fn default() -> Self {
-        MaterializeConfig {
-            threads: 0,
-            sources: None,
-            max_rounds: 0,
-            dense_limit: DEFAULT_DENSE_LIMIT,
-            fault: None,
-            obs: None,
-        }
-    }
 }
 
 impl MaterializeConfig {
@@ -100,25 +85,15 @@ impl MaterializeConfig {
 }
 
 /// Errors of one materialization run.
-///
-/// Returned, never panicked: in pool mode a panic would unwind the
-/// coordinator inside `std::thread::scope` while workers block on the
-/// job-queue condvar — the error path instead closes the queue first, so
-/// every worker observes the shutdown and joins cleanly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MaterializeError {
-    /// The exchange rounds hit [`MaterializeConfig::max_rounds`] without
-    /// reaching the global fixpoint.
-    RoundLimit {
-        /// The configured round budget that was exhausted.
-        max_rounds: usize,
-    },
     /// A worker panicked (or an injected fault killed it) while running
-    /// this fragment's round. The run is aborted, the queue closed, and
-    /// every surviving worker joined — the panic never crosses into the
-    /// caller, and the engine stays usable for a fresh run.
+    /// a task of this fragment. The task counter is stopped, every
+    /// worker joined, and the run aborted — the panic never crosses into
+    /// the caller, and the engine, which keeps nothing between runs,
+    /// stays usable.
     WorkerPanicked {
-        /// The fragment whose round was being evaluated.
+        /// The fragment whose task was being evaluated.
         fragment: usize,
     },
 }
@@ -126,10 +101,6 @@ pub enum MaterializeError {
 impl fmt::Display for MaterializeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MaterializeError::RoundLimit { max_rounds } => write!(
-                f,
-                "materialization exceeded max_rounds = {max_rounds} without reaching the fixpoint"
-            ),
             MaterializeError::WorkerPanicked { fragment } => write!(
                 f,
                 "materialization worker panicked on fragment {fragment}; the run was aborted"
@@ -140,38 +111,35 @@ impl fmt::Display for MaterializeError {
 
 impl std::error::Error for MaterializeError {}
 
-/// Per-exchange-round accounting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RoundStats {
-    /// Fragments with a non-empty inbox this round.
-    pub active_fragments: usize,
-    /// Delta tuples admitted (new or improved) across all fragments.
-    pub improved: usize,
-    /// Tuple copies shipped to other fragments after the round.
-    pub exchanged: usize,
-}
-
-/// What one materialization run did: rounds, exchange volume, selection
-/// effectiveness, per-fragment load and the aggregate [`TcStats`].
+/// What one materialization run did.
 #[derive(Clone, Debug, Default)]
 pub struct MaterializeStats {
     /// Fragments in the partition.
     pub fragments: usize,
     /// Worker threads actually used.
     pub threads: usize,
-    /// Exchange rounds until the global fixpoint.
+    /// Phases run: 2 when some fragment was joined through its borders
+    /// (border rows, then sources), 1 when none was, 0 for an empty run.
     pub rounds: usize,
-    /// Per-round delta sizes and exchange tuple volume.
-    pub per_round: Vec<RoundStats>,
-    /// Total tuple copies shipped between fragments.
+    /// Sweeps of the union graph: one per border row and one per source
+    /// of a fragment that was not joined.
+    pub network_sweeps: usize,
+    /// Sweeps of one fragment's own edges: one per joined source.
+    pub fragment_sweeps: usize,
+    /// `(source, border, cost)` access tuples folded with a border row —
+    /// §2.1's "very small relations", after dominated borders are
+    /// dropped.
     pub exchanged_tuples: usize,
-    /// Improved tuples the disconnection-set selection kept local
-    /// (interior endpoint — never offered to the exchange).
+    /// Result tuples `(s, d)`, `d ≠ s`, of joined sources whose cost the
+    /// fragment sweep alone decided.
     pub kept_local: usize,
-    /// Busy time per fragment worker.
+    /// Busy time per worker thread; [`MaterializeStats::balance_ratio`]
+    /// says whether the threads finished together.
     pub busy: Vec<Duration>,
-    /// Aggregate closure counters (max per-fragment fixpoint depth,
-    /// generated tuples, per-round deltas, exchange totals).
+    /// Aggregate closure counters: `tuples_generated` is arcs scanned by
+    /// the sweeps plus candidates offered by the folds, `iterations`
+    /// repeats `rounds`, `delta_sizes` holds the result tuples written
+    /// per phase.
     pub tc: TcStats,
 }
 
@@ -181,28 +149,22 @@ impl MaterializeStats {
     /// struct. Gauges (not counters) because the struct owns the truth:
     /// a later run overwrites, never accumulates.
     pub fn mirror_into(&self, registry: &ds_obs::MetricsRegistry) {
-        registry
-            .gauge("materialize_fragments")
-            .set(self.fragments as u64);
-        registry
-            .gauge("materialize_threads")
-            .set(self.threads as u64);
-        registry.gauge("materialize_rounds").set(self.rounds as u64);
-        registry
-            .gauge("materialize_exchanged_tuples")
-            .set(self.exchanged_tuples as u64);
-        registry
-            .gauge("materialize_kept_local")
-            .set(self.kept_local as u64);
-        registry
-            .gauge("materialize_result_tuples")
-            .set(self.tc.result_tuples as u64);
-        registry
-            .gauge("materialize_generated_tuples")
-            .set(self.tc.tuples_generated as u64);
+        for (name, value) in [
+            ("materialize_fragments", self.fragments),
+            ("materialize_threads", self.threads),
+            ("materialize_rounds", self.rounds),
+            ("materialize_network_sweeps", self.network_sweeps),
+            ("materialize_fragment_sweeps", self.fragment_sweeps),
+            ("materialize_exchanged_tuples", self.exchanged_tuples),
+            ("materialize_kept_local", self.kept_local),
+            ("materialize_result_tuples", self.tc.result_tuples),
+            ("materialize_generated_tuples", self.tc.tuples_generated),
+        ] {
+            registry.gauge(name).set(value as u64);
+        }
     }
 
-    /// Max over mean busy time of the fragments that worked — 1.0 is a
+    /// Max over mean busy time of the worker threads — 1.0 is a
     /// perfectly balanced run ([`ds_obs::balance_ratio`], the measure the
     /// serve stats report per worker).
     pub fn balance_ratio(&self) -> f64 {
@@ -211,15 +173,17 @@ impl MaterializeStats {
 }
 
 impl fmt::Display for MaterializeStats {
-    /// One-line summary, e.g. `4 fragments / 2 threads: 3 rounds, 87
-    /// exchanged (412 kept local), balance 1.31; 9 iters, ...`.
+    /// One-line summary, e.g. `4 fragments / 2 threads: 2 rounds, 9 + 84
+    /// sweeps, 87 exchanged (412 kept local), balance 1.03; 2 iters, ...`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} fragments / {} threads: {} rounds, {} exchanged ({} kept local), balance {:.2}; {}",
+            "{} fragments / {} threads: {} rounds, {} + {} sweeps, {} exchanged ({} kept local), balance {:.2}; {}",
             self.fragments,
             self.threads,
             self.rounds,
+            self.network_sweeps,
+            self.fragment_sweeps,
             self.exchanged_tuples,
             self.kept_local,
             self.balance_ratio(),
@@ -228,255 +192,205 @@ impl fmt::Display for MaterializeStats {
     }
 }
 
-/// Multiply-shift hasher for packed `(src, dst)` keys — the maps on the
-/// materialization hot path hash one `u64` per operation, so the default
-/// hasher's keyed stream setup is pure overhead here.
-#[derive(Clone, Copy, Default)]
-struct PairHasher(u64);
-
-impl Hasher for PairHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback (FNV-style) for non-u64 keys; unused on the hot path.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        let mut h = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        self.0 = h;
-    }
+/// One fragment's own edges over dense local ids (the layout
+/// `ds_closure::local::Site` keeps), so a fragment sweep touches arrays
+/// the size of the fragment.
+struct LocalGraph {
+    /// Sorted global ids; the position is the local id.
+    nodes: Vec<NodeId>,
+    graph: CsrGraph,
+    /// Local ids of the fragment's borders.
+    borders: Vec<u32>,
 }
 
-type PairMap = HashMap<u64, Cost, BuildHasherDefault<PairHasher>>;
-
-#[inline]
-fn pair_key(src: NodeId, dst: NodeId) -> u64 {
-    (u64::from(src.0) << 32) | u64::from(dst.0)
-}
-
-#[inline]
-fn improves(best: &mut PairMap, key: u64, cost: Cost) -> bool {
-    match best.entry(key) {
-        Entry::Occupied(mut e) => {
-            if cost < *e.get() {
-                e.insert(cost);
-                true
-            } else {
-                false
-            }
+impl LocalGraph {
+    /// `local_id` is scratch shared across fragments: only the entries
+    /// of this fragment's nodes are written and read.
+    fn build(partition: &FragmentPartition, fragment: usize, local_id: &mut [u32]) -> Self {
+        let tuples = partition.relation(fragment).rows();
+        let mut nodes: Vec<NodeId> = tuples.iter().flat_map(|t| [t.src, t.dst]).collect();
+        nodes.extend_from_slice(partition.borders(fragment));
+        nodes.sort_unstable();
+        nodes.dedup();
+        for (i, v) in nodes.iter().enumerate() {
+            local_id[v.index()] = i as u32;
         }
-        Entry::Vacant(e) => {
-            e.insert(cost);
-            true
+        let local = |v: NodeId| NodeId(local_id[v.index()]);
+        let edges: Vec<Edge> = tuples
+            .iter()
+            .map(|t| Edge::new(local(t.src), local(t.dst), t.cost))
+            .collect();
+        LocalGraph {
+            graph: CsrGraph::from_edges(nodes.len(), &edges),
+            borders: partition
+                .borders(fragment)
+                .iter()
+                .map(|&b| local(b).0)
+                .collect(),
+            nodes,
         }
     }
 }
 
-/// Prebuilt CSR adjacency over one fragment's edge relation — the
-/// reusable build table every inner semi-naive iteration probes.
-struct Adjacency {
-    offsets: Vec<u32>,
-    targets: Vec<(NodeId, Cost)>,
+/// What a run sweeps, decided from the counts alone.
+struct Plan {
+    /// Requested sources by node id.
+    requested: Vec<bool>,
+    /// Requested interior sources per home fragment, ascending.
+    sources: Vec<Vec<NodeId>>,
+    /// Fragments whose sources are joined through their border rows.
+    joined: Vec<bool>,
+    /// Borders swept over the union graph in phase 1, ascending: the
+    /// requested ones and those of the joined fragments.
+    rows: Vec<NodeId>,
 }
 
-impl Adjacency {
-    fn build(rel: &Relation<PathTuple>, node_count: usize) -> Self {
-        let mut counts = vec![0u32; node_count + 1];
-        for t in rel.rows() {
-            counts[t.src.index() + 1] += 1;
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let mut targets = vec![(NodeId(0), 0); rel.len()];
-        for t in rel.rows() {
-            let slot = cursor[t.src.index()] as usize;
-            targets[slot] = (t.dst, t.cost);
-            cursor[t.src.index()] += 1;
-        }
-        Adjacency { offsets, targets }
-    }
-
-    #[inline]
-    fn out(&self, v: NodeId) -> &[(NodeId, Cost)] {
-        &self.targets[self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize]
-    }
-}
-
-/// One worker's accumulated result: the best known cost per (src, dst)
-/// pair. The representation is the engine's hottest data structure —
-/// every candidate tuple does one `improves` check against it.
-enum BestTable {
-    /// n×n distance matrix, `INFINITE_COST` = absent: one array slot
-    /// per check. Used when the graph is small enough
-    /// ([`MaterializeConfig::dense_limit`]).
-    Dense { n: usize, costs: Vec<Cost> },
-    /// Hash map on packed pair keys for large graphs.
-    Sparse(PairMap),
-}
-
-impl BestTable {
-    fn new(node_count: usize, dense_limit: usize) -> Self {
-        if node_count <= dense_limit {
-            BestTable::Dense {
-                n: node_count,
-                costs: vec![INFINITE_COST; node_count * node_count],
-            }
-        } else {
-            BestTable::Sparse(PairMap::default())
-        }
-    }
-
-    #[inline]
-    fn improves(&mut self, src: NodeId, dst: NodeId, cost: Cost) -> bool {
-        match self {
-            BestTable::Dense { n, costs } => {
-                let slot = &mut costs[src.index() * *n + dst.index()];
-                if cost < *slot {
-                    *slot = cost;
-                    true
-                } else {
-                    false
-                }
-            }
-            BestTable::Sparse(map) => improves(map, pair_key(src, dst), cost),
-        }
-    }
-
-    /// Visit every stored pair. The dense walk is src-major, dst-minor —
-    /// i.e. already in [`PathTuple`] sort order.
-    fn for_each(&self, mut f: impl FnMut(NodeId, NodeId, Cost)) {
-        match self {
-            BestTable::Dense { n, costs } => {
-                for (i, &c) in costs.iter().enumerate() {
-                    if c < INFINITE_COST {
-                        f(NodeId((i / n) as u32), NodeId((i % n) as u32), c);
+impl Plan {
+    fn new(partition: &FragmentPartition, sources: Option<&[NodeId]>) -> Self {
+        let n = partition.node_count();
+        let requested = match sources {
+            None => vec![true; n],
+            Some(list) => {
+                let mut requested = vec![false; n];
+                for s in list {
+                    if let Some(slot) = requested.get_mut(s.index()) {
+                        *slot = true;
                     }
                 }
+                requested
             }
-            BestTable::Sparse(map) => {
-                for (&k, &c) in map.iter() {
-                    f(NodeId((k >> 32) as u32), NodeId(k as u32), c);
-                }
+        };
+        let nodes = || (0..n).map(NodeId::from_index);
+        let mut sources = vec![Vec::new(); partition.fragment_count()];
+        for v in nodes().filter(|v| requested[v.index()]) {
+            if let [home] = partition.fragments_of(v) {
+                sources[*home].push(v);
             }
+        }
+        // Joining costs one sweep per border not requested anyway and
+        // saves one per source, so it pays exactly when k > extra — which
+        // also holds the border rows to fewer than the requested sources.
+        let joined: Vec<bool> = sources
+            .iter()
+            .enumerate()
+            .map(|(f, sources)| {
+                let extra = partition
+                    .borders(f)
+                    .iter()
+                    .filter(|b| !requested[b.index()]);
+                sources.len() > extra.count()
+            })
+            .collect();
+        let rows = nodes()
+            .filter(|&v| {
+                let homes = partition.fragments_of(v);
+                homes.len() >= 2 && (requested[v.index()] || homes.iter().any(|&f| joined[f]))
+            })
+            .collect();
+        Plan {
+            requested,
+            sources,
+            joined,
+            rows,
         }
     }
 }
 
-/// Mutable per-fragment run state, moved through the job queue.
-struct FragmentRun {
-    best: BestTable,
+/// One unit of work pulled off the phase's counter.
+enum Task<'a> {
+    /// Sweep the union graph from each border and keep its dense row.
+    Rows(&'a [NodeId]),
+    /// One block of a fragment's requested interior sources.
+    Sources {
+        fragment: usize,
+        joined: bool,
+        sources: &'a [NodeId],
+    },
 }
 
-/// Counters one worker reports per round.
+/// A border's distances to every node of the union graph.
+struct BorderRow {
+    node: NodeId,
+    /// `INFINITE_COST` marks unreached; `dist[node]` is 0.
+    dist: Vec<Cost>,
+    /// Finite entries of `dist`.
+    reached: usize,
+}
+
+/// The border rows of a run, filled by phase 1 and read by phase 2.
+struct RowTable {
+    rows: Vec<BorderRow>,
+    /// Index into `rows` per node id (meaningful for row nodes only).
+    row_of: Vec<u32>,
+}
+
+/// What one task produced: its sources' rows in `(src, dst)` order, the
+/// border rows it swept, and its share of the counters.
 #[derive(Default)]
-struct RoundCounters {
+struct TaskOutput {
+    tuples: Vec<PathTuple>,
+    rows: Vec<BorderRow>,
+    network_sweeps: usize,
+    fragment_sweeps: usize,
     generated: usize,
-    improved: usize,
+    exchanged: usize,
     kept_local: usize,
-    inner_iters: usize,
-    busy: Duration,
 }
 
-struct Job {
-    fid: usize,
-    state: FragmentRun,
-    inbox: Vec<PathTuple>,
-    seed_round: bool,
-}
-
-struct RoundResult {
-    fid: usize,
-    state: FragmentRun,
-    outgoing: Vec<PathTuple>,
-    counters: RoundCounters,
-}
-
-/// Unbounded FIFO job queue (`Mutex` + `Condvar`, the `ds_serve` worker
-/// idiom): `pop` blocks until a job arrives or the queue closes.
-struct JobQueue {
-    inner: Mutex<(VecDeque<Job>, bool)>,
-    not_empty: Condvar,
-}
-
-impl JobQueue {
-    fn new() -> Self {
-        JobQueue {
-            inner: Mutex::new((VecDeque::new(), false)),
-            not_empty: Condvar::new(),
+impl TaskOutput {
+    /// Append `src`'s row. Paths have length ≥ 1, so the `(src, src)`
+    /// tuple is the cheapest closed walk `cycle`, not `dist[src] = 0`.
+    fn emit(&mut self, src: NodeId, dist: &[Cost], cycle: Cost) {
+        self.tuples.reserve(dist.len());
+        for (d, &c) in dist.iter().enumerate() {
+            let c = if d == src.index() { cycle } else { c };
+            if c < INFINITE_COST {
+                self.tuples
+                    .push(PathTuple::new(src, NodeId::from_index(d), c));
+            }
         }
     }
+}
 
-    fn push(&self, job: Job) {
-        let mut inner = lock_unpoisoned(&self.inner);
-        inner.0.push_back(job);
-        drop(inner);
-        self.not_empty.notify_one();
-    }
-
-    fn pop(&self) -> Option<Job> {
-        let mut inner = lock_unpoisoned(&self.inner);
-        loop {
-            if let Some(job) = inner.0.pop_front() {
-                return Some(job);
-            }
-            if inner.1 {
-                return None;
-            }
-            inner = wait_unpoisoned(&self.not_empty, inner);
-        }
-    }
-
-    fn close(&self) {
-        lock_unpoisoned(&self.inner).1 = true;
-        self.not_empty.notify_all();
-    }
+/// What a worker owns for the length of a phase.
+struct Scratch {
+    dijkstra: ScratchDijkstra,
+    /// The row being built, by global node id.
+    acc: Vec<Cost>,
+    /// The source's access relation: `(local cost, border row index)`.
+    access: Vec<(Cost, u32)>,
 }
 
 /// Bulk materialization of the transitive closure over a fragmented
-/// relation: per-fragment semi-naive fixpoints in parallel, with
-/// disconnection-set-selected delta exchange. Reusable: each
-/// [`MaterializeEngine::materialize`] call is an independent run over
-/// the same prebuilt partition and adjacency indexes.
+/// relation by the disconnection set approach: border rows over the
+/// union graph, fragment sweeps joined through them. Built from the
+/// [`FragmentPartition`] alone; each [`MaterializeEngine::materialize`]
+/// call is an independent run over the same prebuilt graphs.
 pub struct MaterializeEngine {
     partition: FragmentPartition,
-    router: ExchangeRouter,
-    adjacency: Vec<Adjacency>,
-    border_mask: Vec<BitSet>,
+    /// All fragments' edges over global ids.
+    graph: CsrGraph,
+    /// In-edges of `graph`; `None` when the relation is symmetric and
+    /// `graph` is its own transpose.
+    transpose: Option<CsrGraph>,
+    locals: Vec<LocalGraph>,
     config: MaterializeConfig,
 }
 
 impl MaterializeEngine {
     /// Build from an already-partitioned relation.
     pub fn new(partition: FragmentPartition, config: MaterializeConfig) -> Self {
-        let router = ExchangeRouter::new(&partition);
-        let adjacency = partition
-            .relations()
-            .iter()
-            .map(|rel| Adjacency::build(rel, partition.node_count()))
-            .collect();
-        let border_mask = (0..partition.fragment_count())
-            .map(|fid| {
-                let mut bs = BitSet::new(partition.node_count());
-                for &v in partition.borders(fid) {
-                    bs.insert(v.index());
-                }
-                bs
-            })
+        let graph = partition.union_graph();
+        let transpose = (!partition.is_symmetric()).then(|| graph.reversed());
+        let mut local_id = vec![0u32; partition.node_count()];
+        let locals = (0..partition.fragment_count())
+            .map(|f| LocalGraph::build(&partition, f, &mut local_id))
             .collect();
         MaterializeEngine {
             partition,
-            router,
-            adjacency,
-            border_mask,
+            graph,
+            transpose,
+            locals,
             config,
         }
     }
@@ -501,425 +415,327 @@ impl MaterializeEngine {
         &self.config
     }
 
-    fn effective_threads(&self) -> usize {
-        let hw = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let requested = if self.config.threads == 0 {
-            hw
-        } else {
-            self.config.threads
-        };
-        requested.clamp(1, self.partition.fragment_count().max(1))
-    }
-
     /// Materialize the closure: the min-cost path relation (sorted,
     /// tuple-identical to [`crate::tc::seminaive_closure`] over the
-    /// union relation) plus run statistics.
+    /// union relation, restricted to [`MaterializeConfig::sources`]) plus
+    /// run statistics.
     ///
-    /// Errors with [`MaterializeError::RoundLimit`] when
-    /// [`MaterializeConfig::max_rounds`] trips before the global
-    /// fixpoint; in pool mode all worker threads have joined by then.
+    /// Errors with [`MaterializeError::WorkerPanicked`] when a task
+    /// panics or an injected fault kills it; every worker has joined by
+    /// then.
     pub fn materialize(&self) -> Result<(Relation<PathTuple>, MaterializeStats), MaterializeError> {
-        let fragments = self.partition.fragment_count();
-        let threads = self.effective_threads();
+        let plan = Plan::new(&self.partition, self.config.sources.as_deref());
         let mut stats = MaterializeStats {
-            fragments,
-            threads,
-            busy: vec![Duration::ZERO; fragments],
+            fragments: self.partition.fragment_count(),
             ..Default::default()
         };
-        if fragments == 0 {
-            return Ok((Relation::empty("tc"), stats));
-        }
 
-        // Seed every fragment's inbox with its own (source-restricted)
-        // edge tuples.
-        let source_set: Option<HashSet<NodeId>> = self
-            .config
+        let row_tasks = plan.rows.chunks(BLOCK).map(Task::Rows);
+        let source_tasks = plan
             .sources
-            .as_ref()
-            .map(|s| s.iter().copied().collect());
-        let mut inboxes: Vec<Vec<PathTuple>> = self
-            .partition
-            .relations()
             .iter()
-            .map(|rel| match &source_set {
-                Some(set) => rel
-                    .rows()
-                    .iter()
-                    .filter(|t| set.contains(&t.src))
-                    .copied()
-                    .collect(),
-                None => rel.rows().to_vec(),
-            })
-            .collect();
-
-        let mut states: Vec<FragmentRun> = (0..fragments)
-            .map(|_| FragmentRun {
-                best: BestTable::new(self.partition.node_count(), self.config.dense_limit),
-            })
-            .collect();
-        let mut inner_totals = vec![0usize; fragments];
-
-        if threads <= 1 {
-            self.drive_inline(&mut states, &mut inboxes, &mut inner_totals, &mut stats)?;
+            .enumerate()
+            .flat_map(|(fragment, list)| {
+                let joined = plan.joined[fragment];
+                list.chunks(BLOCK).map(move |sources| Task::Sources {
+                    fragment,
+                    joined,
+                    sources,
+                })
+            });
+        // The sources wait for the border rows only if one of them folds
+        // a row; otherwise everything is one flat list.
+        let folds =
+            (0..stats.fragments).any(|f| plan.joined[f] && !self.partition.borders(f).is_empty());
+        let phases: Vec<Vec<Task>> = if folds {
+            vec![row_tasks.collect(), source_tasks.collect()]
         } else {
-            self.drive_pool(
-                threads,
-                &mut states,
-                &mut inboxes,
-                &mut inner_totals,
-                &mut stats,
-            )?;
-        }
-
-        // Final assembly: merge the per-fragment result tables with
-        // min-cost aggregation.
-        let n = self.partition.node_count();
-        let rows: Vec<PathTuple> = if n <= self.config.dense_limit {
-            let mut global = vec![INFINITE_COST; n * n];
-            for state in &states {
-                state.best.for_each(|src, dst, c| {
-                    let slot = &mut global[src.index() * n + dst.index()];
-                    if c < *slot {
-                        *slot = c;
-                    }
-                });
-            }
-            // Src-major, dst-minor walk: already in sort order.
-            let mut rows = Vec::new();
-            for (i, &c) in global.iter().enumerate() {
-                if c < INFINITE_COST {
-                    rows.push(PathTuple::new(
-                        NodeId((i / n) as u32),
-                        NodeId((i % n) as u32),
-                        c,
-                    ));
-                }
-            }
-            rows
-        } else {
-            let mut global: PairMap = PairMap::default();
-            for state in &states {
-                state
-                    .best
-                    .for_each(|src, dst, c| match global.entry(pair_key(src, dst)) {
-                        Entry::Occupied(mut e) => {
-                            if c < *e.get() {
-                                e.insert(c);
-                            }
-                        }
-                        Entry::Vacant(e) => {
-                            e.insert(c);
-                        }
-                    });
-            }
-            let mut rows: Vec<PathTuple> = global
-                .into_iter()
-                .map(|(k, c)| PathTuple::new(NodeId((k >> 32) as u32), NodeId(k as u32), c))
-                .collect();
-            rows.sort_unstable();
-            rows
+            vec![row_tasks.chain(source_tasks).collect()]
         };
 
-        stats.tc.iterations = inner_totals.iter().copied().max().unwrap_or(0);
+        let mut table = RowTable {
+            rows: Vec::with_capacity(plan.rows.len()),
+            row_of: vec![0; self.partition.node_count()],
+        };
+        let mut outputs: Vec<TaskOutput> = Vec::new();
+        for tasks in phases.iter().filter(|tasks| !tasks.is_empty()) {
+            let done = self.run_phase(tasks, &plan, &table, &mut stats.busy)?;
+            stats.rounds += 1;
+            stats
+                .tc
+                .delta_sizes
+                .push(done.iter().map(|out| out.tuples.len()).sum());
+            for mut out in done {
+                for row in out.rows.drain(..) {
+                    table.row_of[row.node.index()] = table.rows.len() as u32;
+                    table.rows.push(row);
+                }
+                outputs.push(out);
+            }
+        }
+
+        // Every source's row is one run of one task's output: order the
+        // runs by source and concatenate.
+        let mut runs: Vec<&[PathTuple]> = outputs
+            .iter()
+            .flat_map(|out| out.tuples.chunk_by(|a, b| a.src == b.src))
+            .collect();
+        runs.sort_unstable_by_key(|run| run[0].src);
+        let mut rows = Vec::with_capacity(runs.iter().map(|run| run.len()).sum());
+        for run in runs {
+            rows.extend_from_slice(run);
+        }
+
+        for out in &outputs {
+            stats.network_sweeps += out.network_sweeps;
+            stats.fragment_sweeps += out.fragment_sweeps;
+            stats.exchanged_tuples += out.exchanged;
+            stats.kept_local += out.kept_local;
+            stats.tc.tuples_generated += out.generated;
+        }
+        stats.threads = stats.busy.len().max(1);
+        stats.tc.iterations = stats.rounds;
         stats.tc.result_tuples = rows.len();
-        stats.tc.exchange_rounds = stats.rounds;
-        stats.tc.exchanged_tuples = stats.exchanged_tuples;
         if let Some(obs) = &self.config.obs {
             stats.mirror_into(obs.registry());
         }
         Ok((Relation::from_rows("tc", rows), stats))
     }
 
-    /// Round loop without threads — identical structure to the pool
-    /// (outgoing deltas are routed only after every active fragment has
-    /// finished the round).
-    fn drive_inline(
+    /// Run one flat task list: workers pull indexes off one counter until
+    /// it runs out or a task fails, which stops the counter. Outputs come
+    /// back in task order; `busy[i]` grows by worker `i`'s time.
+    fn run_phase(
         &self,
-        states: &mut [FragmentRun],
-        inboxes: &mut [Vec<PathTuple>],
-        inner_totals: &mut [usize],
-        stats: &mut MaterializeStats,
-    ) -> Result<(), MaterializeError> {
-        loop {
-            let active: Vec<usize> = (0..states.len())
-                .filter(|&i| !inboxes[i].is_empty())
-                .collect();
-            if active.is_empty() {
-                break;
-            }
-            self.check_round_guard(stats.rounds)?;
-            let seed_round = stats.rounds == 0;
-            let mut round = RoundStats {
-                active_fragments: active.len(),
-                ..Default::default()
+        tasks: &[Task],
+        plan: &Plan,
+        table: &RowTable,
+        busy: &mut Vec<Duration>,
+    ) -> Result<Vec<TaskOutput>, MaterializeError> {
+        let threads = match self.config.threads {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            t => t,
+        };
+        let workers = threads.min(tasks.len());
+        let next = AtomicUsize::new(0);
+        let failed = AtomicUsize::new(usize::MAX);
+        // Workers meet at a gate before they start: the scheduler puts a
+        // thread woken from a wait on an idle core at once, where a newly
+        // created one can sit behind its sibling until the next balancing
+        // tick — longer than a whole phase.
+        let gate = Barrier::new(workers);
+        let worker = || {
+            gate.wait();
+            let start = Instant::now();
+            let mut scratch = Scratch {
+                dijkstra: ScratchDijkstra::new(),
+                acc: vec![INFINITE_COST; self.partition.node_count()],
+                access: Vec::new(),
             };
-            let mut pending: Vec<(usize, Vec<PathTuple>)> = Vec::with_capacity(active.len());
-            for &fid in &active {
-                let inbox = std::mem::take(&mut inboxes[fid]);
-                // Same isolation as the pool: a panic (real or injected)
-                // aborts the run as a typed error instead of unwinding
-                // through the caller.
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(task) = tasks.get(i) else { break };
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let injected = ds_fault::fire(
-                        &self.config.fault,
-                        FaultPoint::BulkWorker { fragment: fid },
-                    );
-                    (!injected).then(|| self.run_round(fid, &mut states[fid], inbox, seed_round))
+                    self.run_task(task, plan, table, &mut scratch)
                 }));
                 match outcome {
-                    Ok(Some((outgoing, counters))) => {
-                        self.absorb_counters(fid, &counters, inner_totals, stats, &mut round);
-                        pending.push((fid, outgoing));
-                    }
+                    Ok(Some(out)) => done.push((i, out)),
                     Ok(None) | Err(_) => {
-                        return Err(MaterializeError::WorkerPanicked { fragment: fid });
+                        next.store(tasks.len(), Ordering::Relaxed);
+                        let fragment = match *task {
+                            Task::Rows(borders) => self.partition.fragments_of(borders[0])[0],
+                            Task::Sources { fragment, .. } => fragment,
+                        };
+                        failed.fetch_min(fragment, Ordering::Relaxed);
+                        break;
                     }
                 }
             }
-            for (fid, outgoing) in pending {
-                round.exchanged += self.router.route(fid, &outgoing, inboxes);
-            }
-            self.finish_round(round, stats);
+            (done, start.elapsed())
+        };
+        // The caller is worker 0, so one thread spawns nothing.
+        let results = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+            let mut results = vec![worker()];
+            results.extend(
+                spawned
+                    .into_iter()
+                    .map(|handle| handle.join().expect("a worker catches its tasks' panics")),
+            );
+            results
+        });
+        let fragment = failed.into_inner();
+        if fragment != usize::MAX {
+            return Err(MaterializeError::WorkerPanicked { fragment });
         }
-        Ok(())
+        if busy.len() < results.len() {
+            busy.resize(results.len(), Duration::ZERO);
+        }
+        let mut done = Vec::with_capacity(tasks.len());
+        for (slot, (outputs, elapsed)) in busy.iter_mut().zip(results) {
+            *slot += elapsed;
+            done.extend(outputs);
+        }
+        done.sort_unstable_by_key(|&(i, _)| i);
+        Ok(done.into_iter().map(|(_, out)| out).collect())
     }
 
-    /// Round loop over the worker pool: per-fragment state moves through
-    /// the job queue, results come back over a channel, and the
-    /// coordinator routes each fragment's outgoing deltas as they
-    /// arrive (deliveries always land in the *next* round's inbox).
-    fn drive_pool(
+    /// `None` when an injected fault kills the task.
+    fn run_task(
         &self,
-        threads: usize,
-        states: &mut Vec<FragmentRun>,
-        inboxes: &mut [Vec<PathTuple>],
-        inner_totals: &mut [usize],
-        stats: &mut MaterializeStats,
-    ) -> Result<(), MaterializeError> {
-        let queue = JobQueue::new();
-        // `Err(fid)` is the panic marker: the worker caught an unwind (or
-        // an injected kill) while evaluating fragment `fid` and stays
-        // alive for the next job; the coordinator aborts the run.
-        let (tx, rx) = mpsc::channel::<Result<RoundResult, usize>>();
-        let mut slots: Vec<Option<FragmentRun>> = states.drain(..).map(Some).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                let queue = &queue;
-                scope.spawn(move || {
-                    while let Some(mut job) = queue.pop() {
-                        let fid = job.fid;
-                        let inbox = std::mem::take(&mut job.inbox);
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            let injected = ds_fault::fire(
-                                &self.config.fault,
-                                FaultPoint::BulkWorker { fragment: fid },
-                            );
-                            (!injected)
-                                .then(|| self.run_round(fid, &mut job.state, inbox, job.seed_round))
-                        }));
-                        let msg = match outcome {
-                            Ok(Some((outgoing, counters))) => Ok(RoundResult {
-                                fid,
-                                state: job.state,
-                                outgoing,
-                                counters,
-                            }),
-                            Ok(None) | Err(_) => Err(fid),
-                        };
-                        if tx.send(msg).is_err() {
-                            break;
-                        }
+        task: &Task,
+        plan: &Plan,
+        table: &RowTable,
+        scratch: &mut Scratch,
+    ) -> Option<TaskOutput> {
+        let mut out = TaskOutput::default();
+        match *task {
+            Task::Rows(borders) => {
+                for &b in borders {
+                    let mut dist = vec![INFINITE_COST; self.partition.node_count()];
+                    let (cycle, reached) =
+                        self.network_row(b, &mut scratch.dijkstra, &mut dist, &mut out);
+                    if plan.requested[b.index()] {
+                        out.emit(b, &dist, cycle);
                     }
-                });
-            }
-
-            let outcome = loop {
-                let active: Vec<usize> = (0..slots.len())
-                    .filter(|&i| !inboxes[i].is_empty())
-                    .collect();
-                if active.is_empty() {
-                    break Ok(());
-                }
-                // The guard must *return* through the queue shutdown
-                // below, never panic: unwinding here would leave the
-                // workers blocked on the queue condvar and the scope
-                // join would hang.
-                if let Err(e) = self.check_round_guard(stats.rounds) {
-                    break Err(e);
-                }
-                let seed_round = stats.rounds == 0;
-                let mut round = RoundStats {
-                    active_fragments: active.len(),
-                    ..Default::default()
-                };
-                for &fid in &active {
-                    queue.push(Job {
-                        fid,
-                        state: slots[fid].take().expect("state checked in"),
-                        inbox: std::mem::take(&mut inboxes[fid]),
-                        seed_round,
+                    out.rows.push(BorderRow {
+                        node: b,
+                        dist,
+                        reached,
                     });
                 }
-                let mut failure = None;
-                for _ in 0..active.len() {
-                    // The coordinator retains a sender clone, so the
-                    // channel cannot disconnect while it still expects
-                    // results.
-                    let msg = match rx.recv() {
-                        Ok(m) => m,
-                        Err(_) => unreachable!("coordinator holds a sender"),
+            }
+            Task::Sources {
+                fragment,
+                joined,
+                sources,
+            } => {
+                if ds_fault::fire(&self.config.fault, FaultPoint::BulkWorker { fragment }) {
+                    return None;
+                }
+                for &s in sources {
+                    let cycle = if joined {
+                        self.joined_row(fragment, s, table, scratch, &mut out)
+                    } else {
+                        let Scratch { dijkstra, acc, .. } = scratch;
+                        self.network_row(s, dijkstra, acc, &mut out).0
                     };
-                    match msg {
-                        Ok(result) => {
-                            self.absorb_counters(
-                                result.fid,
-                                &result.counters,
-                                inner_totals,
-                                stats,
-                                &mut round,
-                            );
-                            round.exchanged +=
-                                self.router.route(result.fid, &result.outgoing, inboxes);
-                            slots[result.fid] = Some(result.state);
-                        }
-                        Err(fragment) => {
-                            failure = Some(MaterializeError::WorkerPanicked { fragment });
-                            break;
-                        }
-                    }
+                    out.emit(s, &scratch.acc, cycle);
                 }
-                if let Some(e) = failure {
-                    break Err(e);
-                }
-                self.finish_round(round, stats);
-            };
-            // Wake every parked worker; leaving the scope then joins
-            // them — on the fixpoint and the round-limit path alike.
-            queue.close();
-            outcome
-        })?;
-
-        states.extend(slots.into_iter().map(|s| s.expect("all rounds completed")));
-        Ok(())
-    }
-
-    fn check_round_guard(&self, rounds: usize) -> Result<(), MaterializeError> {
-        if self.config.max_rounds != 0 && rounds >= self.config.max_rounds {
-            return Err(MaterializeError::RoundLimit {
-                max_rounds: self.config.max_rounds,
-            });
-        }
-        Ok(())
-    }
-
-    fn absorb_counters(
-        &self,
-        fid: usize,
-        counters: &RoundCounters,
-        inner_totals: &mut [usize],
-        stats: &mut MaterializeStats,
-        round: &mut RoundStats,
-    ) {
-        inner_totals[fid] += counters.inner_iters;
-        stats.busy[fid] += counters.busy;
-        stats.kept_local += counters.kept_local;
-        stats.tc.tuples_generated += counters.generated;
-        // Every inner iteration probes the prebuilt adjacency index
-        // instead of rebuilding a join table.
-        stats.tc.index_reuses += counters.inner_iters;
-        round.improved += counters.improved;
-    }
-
-    fn finish_round(&self, round: RoundStats, stats: &mut MaterializeStats) {
-        stats.rounds += 1;
-        stats.exchanged_tuples += round.exchanged;
-        stats.tc.delta_sizes.push(round.improved);
-        stats.per_round.push(round);
-    }
-
-    /// One fragment's round: drain the inbox, run the local semi-naive
-    /// fixpoint, collect border-crossing improvements (deduplicated to
-    /// the cheapest per endpoint pair). On the seed round the inbox
-    /// holds the fragment's own edges, so admitted border-ending seeds
-    /// are offered to the exchange too; on later rounds inbox tuples
-    /// were already shipped to every fragment sharing their endpoint by
-    /// the sender, so only locally *derived* tuples are offered.
-    fn run_round(
-        &self,
-        fid: usize,
-        state: &mut FragmentRun,
-        inbox: Vec<PathTuple>,
-        seed_round: bool,
-    ) -> (Vec<PathTuple>, RoundCounters) {
-        let start = Instant::now();
-        let adjacency = &self.adjacency[fid];
-        let border = &self.border_mask[fid];
-        let mut counters = RoundCounters::default();
-        let mut outgoing: PairMap = PairMap::default();
-
-        let offer = |outgoing: &mut PairMap, key: u64, dst: NodeId, cost: Cost| {
-            if border.contains(dst.index()) {
-                match outgoing.entry(key) {
-                    Entry::Occupied(mut e) => {
-                        if cost < *e.get() {
-                            e.insert(cost);
-                        }
-                    }
-                    Entry::Vacant(e) => {
-                        e.insert(cost);
-                    }
-                }
-                true
-            } else {
-                false
             }
+        }
+        Some(out)
+    }
+
+    /// The cheapest closed walk through `s`, given the distances from
+    /// `s` (`dist[s] = 0`): the cheapest in-edge `(x → s, c)` at
+    /// `dist[x] + c`, a self-loop included. Not below `INFINITE_COST`
+    /// when there is none.
+    fn closed_walk(&self, s: NodeId, dist: &[Cost]) -> Cost {
+        self.transpose
+            .as_ref()
+            .unwrap_or(&self.graph)
+            .neighbors(s)
+            .map(|(x, c)| dist[x.index()] + c)
+            .min()
+            .unwrap_or(INFINITE_COST)
+    }
+
+    /// Sweep the union graph from `s` into `dist`; returns the closed
+    /// walk through `s` and the number of nodes reached.
+    fn network_row(
+        &self,
+        s: NodeId,
+        dijkstra: &mut ScratchDijkstra,
+        dist: &mut [Cost],
+        out: &mut TaskOutput,
+    ) -> (Cost, usize) {
+        dijkstra.sweep(&self.graph, &[(s, 0)]);
+        out.network_sweeps += 1;
+        let mut reached = 0;
+        for (v, slot) in dist.iter_mut().enumerate() {
+            let v = NodeId::from_index(v);
+            *slot = INFINITE_COST;
+            if let Some(c) = dijkstra.cost(v) {
+                *slot = c;
+                reached += 1;
+                out.generated += self.graph.out_degree(v);
+            }
+        }
+        (self.closed_walk(s, dist), reached)
+    }
+
+    /// Build interior source `s`'s row in `scratch.acc` from one sweep of
+    /// its fragment and a fold over its non-dominated reached borders;
+    /// returns the closed walk through `s`.
+    fn joined_row(
+        &self,
+        fragment: usize,
+        s: NodeId,
+        table: &RowTable,
+        scratch: &mut Scratch,
+        out: &mut TaskOutput,
+    ) -> Cost {
+        let local = &self.locals[fragment];
+        let Scratch {
+            dijkstra,
+            acc,
+            access,
+        } = scratch;
+        acc.fill(INFINITE_COST);
+        // In the fragment by seed only: no edge, so no tuple.
+        let Ok(at) = local.nodes.binary_search(&s) else {
+            return INFINITE_COST;
         };
-
-        if seed_round {
-            counters.generated += inbox.len();
-        }
-        let mut delta: Vec<PathTuple> = Vec::with_capacity(inbox.len());
-        for t in inbox {
-            if state.best.improves(t.src, t.dst, t.cost) {
-                counters.improved += 1;
-                if seed_round && !offer(&mut outgoing, pair_key(t.src, t.dst), t.dst, t.cost) {
-                    counters.kept_local += 1;
-                }
-                delta.push(t);
+        dijkstra.sweep(&local.graph, &[(NodeId::from_index(at), 0)]);
+        out.fragment_sweeps += 1;
+        let swept = |lv: usize| dijkstra.cost(NodeId::from_index(lv));
+        for (lv, v) in local.nodes.iter().enumerate() {
+            if let Some(c) = swept(lv) {
+                acc[v.index()] = c;
+                out.generated += local.graph.out_degree(NodeId::from_index(lv));
             }
         }
 
-        while !delta.is_empty() {
-            counters.inner_iters += 1;
-            let mut next = Vec::new();
-            for t in &delta {
-                for &(dst, cost) in adjacency.out(t.dst) {
-                    counters.generated += 1;
-                    let total = t.cost + cost;
-                    if state.best.improves(t.src, dst, total) {
-                        counters.improved += 1;
-                        let key = pair_key(t.src, dst);
-                        if !offer(&mut outgoing, key, dst, total) {
-                            counters.kept_local += 1;
-                        }
-                        next.push(PathTuple::new(t.src, dst, total));
-                    }
-                }
+        // The access relation, cheapest first; border b is dominated when
+        // a kept b' reaches it no dearer than the fragment does, since
+        // then every path through b is matched by one through b'.
+        access.clear();
+        access.extend(local.borders.iter().filter_map(|&lb| {
+            let row = table.row_of[local.nodes[lb as usize].index()];
+            swept(lb as usize).map(|c| (c, row))
+        }));
+        access.sort_unstable();
+        let mut kept = 0;
+        for i in 0..access.len() {
+            let (c, row) = access[i];
+            let b = table.rows[row as usize].node.index();
+            let dominated = access[..kept]
+                .iter()
+                .any(|&(kc, krow)| kc + table.rows[krow as usize].dist[b] <= c);
+            if !dominated {
+                access[kept] = (c, row);
+                kept += 1;
             }
-            delta = next;
         }
+        access.truncate(kept);
 
-        let outgoing: Vec<PathTuple> = outgoing
-            .into_iter()
-            .map(|(k, c)| PathTuple::new(NodeId((k >> 32) as u32), NodeId(k as u32), c))
-            .collect();
-        counters.busy = start.elapsed();
-        (outgoing, counters)
+        for &(c, row) in access.iter() {
+            let row = &table.rows[row as usize];
+            for (a, &d) in acc.iter_mut().zip(&row.dist) {
+                *a = (*a).min(c + d);
+            }
+            out.generated += row.reached;
+        }
+        out.exchanged += access.len();
+        out.kept_local += local
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|&(lv, &v)| v != s && swept(lv) == Some(acc[v.index()]))
+            .count();
+        self.closed_walk(s, acc)
     }
 }
 
@@ -927,7 +743,6 @@ impl MaterializeEngine {
 mod tests {
     use super::*;
     use crate::tc;
-    use ds_graph::Edge;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -952,6 +767,13 @@ mod tests {
         )
     }
 
+    fn with_sources(sources: &[u32]) -> MaterializeConfig {
+        MaterializeConfig {
+            sources: Some(sources.iter().map(|&s| n(s)).collect()),
+            ..Default::default()
+        }
+    }
+
     fn assert_matches_seminaive(
         frag: &Fragmentation,
         symmetric: bool,
@@ -971,11 +793,14 @@ mod tests {
     #[test]
     fn split_path_matches_sequential_seminaive() {
         let stats = assert_matches_seminaive(&path_split(), true, MaterializeConfig::default());
-        assert!(stats.rounds >= 2, "cross-fragment paths need an exchange");
-        assert!(stats.exchanged_tuples > 0);
-        assert_eq!(stats.per_round.len(), stats.rounds);
+        assert_eq!(stats.rounds, 2, "border rows, then the joined sources");
+        assert_eq!((stats.network_sweeps, stats.fragment_sweeps), (1, 4));
+        assert_eq!(stats.exchanged_tuples, 4, "every source reaches border 2");
         assert_eq!(stats.tc.delta_sizes.len(), stats.rounds);
-        assert!(stats.kept_local > 0, "interior tuples stay local");
+        assert_eq!(stats.tc.delta_sizes.iter().sum::<usize>(), 25);
+        // Each interior source reaches its own fragment's two other
+        // nodes at the local cost.
+        assert_eq!(stats.kept_local, 8);
     }
 
     #[test]
@@ -983,42 +808,143 @@ mod tests {
         assert_matches_seminaive(&path_split(), false, MaterializeConfig::default());
     }
 
+    /// An interior source whose fragment-local costs lose to a detour
+    /// through the neighbouring fragment: the fold must overwrite what
+    /// the fragment sweep found, and `kept_local` must not count it.
     #[test]
     fn cross_fragment_detour_improves_a_local_path() {
-        // Direct edge 0-1 costs 10 inside fragment 0; the detour through
-        // fragment 1 (0-2-1) costs 2, so the exchange must improve an
-        // already-derived local tuple.
+        // Inside fragment 0 source 4 reaches border 0 at 1, border 1 at 9
+        // and node 5 behind it at 10; through fragment 1 (0-2-1) border 1
+        // costs 3 and node 5 costs 4.
         let frag = Fragmentation::new(
-            3,
-            vec![edges(&[(0, 1, 10)]), edges(&[(0, 2, 1), (2, 1, 1)])],
+            6,
+            vec![
+                edges(&[(4, 0, 1), (4, 1, 9), (1, 5, 1)]),
+                edges(&[(0, 2, 1), (2, 1, 1)]),
+            ],
             vec![vec![], vec![]],
         );
         let stats = assert_matches_seminaive(&frag, true, MaterializeConfig::default());
-        assert!(stats.exchanged_tuples > 0);
+        assert_eq!((stats.network_sweeps, stats.fragment_sweeps), (2, 3));
+        assert_eq!(stats.kept_local, 4, "4 -> 0, 5 -> 1, 2 -> 0 and 2 -> 1");
+        // Border 1 is dominated for source 4 (border 0 reaches it at 2,
+        // the fragment at 9 - 1 = 8), border 0 for source 5; source 2
+        // folds both.
+        assert_eq!(stats.exchanged_tuples, 4);
         let engine =
             MaterializeEngine::from_fragmentation(&frag, true, MaterializeConfig::default());
         let (closure, _) = engine.materialize().unwrap();
-        assert_eq!(closure.cost_of(n(0), n(1)), Some(2), "detour wins");
+        assert_eq!(closure.cost_of(n(4), n(1)), Some(3), "4-0-2-1 beats 4-1");
+        assert_eq!(closure.cost_of(n(4), n(5)), Some(4));
+        assert_eq!(closure.cost_of(n(5), n(4)), Some(4));
     }
 
     #[test]
     fn source_restriction_is_the_keyhole() {
-        let config = MaterializeConfig {
-            sources: Some(vec![n(0)]),
-            ..Default::default()
-        };
-        let stats = assert_matches_seminaive(&path_split(), true, config);
+        let stats = assert_matches_seminaive(&path_split(), true, with_sources(&[0]));
         assert!(stats.tc.result_tuples > 0);
-        let engine = MaterializeEngine::from_fragmentation(
-            &path_split(),
-            true,
-            MaterializeConfig {
-                sources: Some(vec![n(0)]),
-                ..Default::default()
-            },
-        );
+        let engine = MaterializeEngine::from_fragmentation(&path_split(), true, with_sources(&[0]));
         let (closure, _) = engine.materialize().unwrap();
         assert!(closure.rows().iter().all(|t| t.src == n(0)));
+    }
+
+    /// A fragment is joined exactly when it has more requested interior
+    /// sources than unrequested borders: at `k = extra` its sources
+    /// sweep the union graph (one phase, no border row), at
+    /// `k = extra + 1` the border row is swept and folded.
+    #[test]
+    fn a_fragment_is_joined_only_when_that_saves_sweeps() {
+        let at_extra = assert_matches_seminaive(&path_split(), true, with_sources(&[0]));
+        assert_eq!(
+            (at_extra.network_sweeps, at_extra.fragment_sweeps),
+            (1, 0),
+            "k = 1, extra = 1: swept directly"
+        );
+        assert_eq!((at_extra.rounds, at_extra.exchanged_tuples), (1, 0));
+
+        let above = assert_matches_seminaive(&path_split(), true, with_sources(&[0, 1]));
+        assert_eq!(
+            (above.network_sweeps, above.fragment_sweeps),
+            (1, 2),
+            "k = 2, extra = 1: joined through border 2"
+        );
+        assert_eq!((above.rounds, above.exchanged_tuples), (2, 2));
+
+        // A requested border costs nothing extra: k = 1 > extra = 0.
+        let with_border = assert_matches_seminaive(&path_split(), true, with_sources(&[0, 2]));
+        assert_eq!(
+            (with_border.network_sweeps, with_border.fragment_sweeps),
+            (1, 1)
+        );
+    }
+
+    /// Paths have length ≥ 1: `(s, s)` is the cheapest closed walk
+    /// through `s`, which on a directed relation is found through the
+    /// in-edges; a source with no out-edge yields nothing.
+    #[test]
+    fn self_tuples_are_closed_walks() {
+        // A directed 3-cycle split over two fragments, a self-loop on 3,
+        // a zero-cost edge 3 -> 4, and the sink 4.
+        let frag = Fragmentation::new(
+            5,
+            vec![
+                edges(&[(0, 1, 2), (1, 2, 3)]),
+                edges(&[(2, 0, 4), (2, 3, 1), (3, 3, 7), (3, 4, 0)]),
+            ],
+            vec![vec![], vec![]],
+        );
+        for threads in [1, 2] {
+            assert_matches_seminaive(&frag, false, MaterializeConfig::with_threads(threads));
+        }
+        let engine =
+            MaterializeEngine::from_fragmentation(&frag, false, MaterializeConfig::default());
+        let (closure, _) = engine.materialize().unwrap();
+        for v in 0..3 {
+            assert_eq!(closure.cost_of(n(v), n(v)), Some(9), "the 3-cycle");
+        }
+        assert_eq!(closure.cost_of(n(3), n(3)), Some(7), "the self-loop");
+        assert_eq!(closure.cost_of(n(3), n(4)), Some(0), "the zero-cost edge");
+        assert!(closure.rows().iter().all(|t| t.src != n(4)), "the sink");
+        // The same relation expanded symmetrically: 3-4-3 costs 0.
+        assert_matches_seminaive(&frag, true, MaterializeConfig::default());
+        let engine =
+            MaterializeEngine::from_fragmentation(&frag, true, MaterializeConfig::default());
+        let (closure, _) = engine.materialize().unwrap();
+        assert_eq!(closure.cost_of(n(3), n(3)), Some(0));
+        assert_eq!(closure.cost_of(n(4), n(4)), Some(0));
+    }
+
+    /// `sources` is indexed, not hashed: duplicates, ids outside the
+    /// graph and nodes in no fragment give what `seminaive_closure`
+    /// gives — dedup, ignore, no tuples — and never a panic.
+    #[test]
+    fn odd_source_lists_match_seminaive() {
+        // Node 5 is in no fragment; node 6 sits in fragment 1 by seed
+        // only, with no edge.
+        let frag = Fragmentation::new(
+            7,
+            vec![
+                edges(&[(0, 1, 1), (1, 2, 1)]),
+                edges(&[(2, 3, 1), (3, 4, 1)]),
+            ],
+            vec![vec![], vec![n(6)]],
+        );
+        for sources in [
+            vec![1, 1, 3, 1],
+            vec![0, 7, 1_000_000, u32::MAX],
+            vec![5],
+            vec![5, 6, 3, 4],
+            vec![],
+        ] {
+            for symmetric in [true, false] {
+                assert_matches_seminaive(&frag, symmetric, with_sources(&sources));
+            }
+        }
+        let engine = MaterializeEngine::from_fragmentation(&frag, true, with_sources(&[]));
+        let (closure, stats) = engine.materialize().unwrap();
+        assert!(closure.is_empty());
+        assert_eq!((stats.rounds, stats.network_sweeps), (0, 0));
+        assert_matches_seminaive(&frag, true, MaterializeConfig::default());
     }
 
     #[test]
@@ -1027,6 +953,7 @@ mod tests {
         let stats = assert_matches_seminaive(&frag, true, MaterializeConfig::default());
         assert_eq!(stats.exchanged_tuples, 0);
         assert_eq!(stats.rounds, 1);
+        assert_eq!((stats.network_sweeps, stats.fragment_sweeps), (0, 3));
     }
 
     #[test]
@@ -1044,28 +971,8 @@ mod tests {
         let pooled = assert_matches_seminaive(&frag, true, MaterializeConfig::with_threads(3));
         assert_eq!(single.threads, 1);
         assert_eq!(pooled.threads, 3);
-        assert_eq!(single.tc.result_tuples, pooled.tc.result_tuples);
-    }
-
-    #[test]
-    fn sparse_table_matches_dense_table() {
-        let frag = Fragmentation::new(
-            6,
-            vec![
-                edges(&[(0, 1, 2), (1, 2, 7), (0, 2, 4)]),
-                edges(&[(2, 3, 1), (3, 4, 3)]),
-                edges(&[(4, 5, 2), (5, 0, 9)]),
-            ],
-            vec![vec![], vec![], vec![]],
-        );
-        let sparse = MaterializeConfig {
-            dense_limit: 0,
-            ..Default::default()
-        };
-        let stats = assert_matches_seminaive(&frag, true, sparse);
-        assert!(stats.exchanged_tuples > 0);
-        let dense = assert_matches_seminaive(&frag, true, MaterializeConfig::default());
-        assert_eq!(stats.tc.result_tuples, dense.tc.result_tuples);
+        assert_eq!(pooled.busy.len(), 3, "busy time is per worker thread");
+        assert_eq!(single.tc, pooled.tc, "the counters are the plan's");
     }
 
     #[test]
@@ -1088,65 +995,16 @@ mod tests {
         let (_, stats) = engine.materialize().unwrap();
         let line = stats.to_string();
         assert!(line.contains("rounds"), "{line}");
+        assert!(line.contains("1 + 4 sweeps"), "{line}");
         assert!(line.contains("exchanged"), "{line}");
         assert!(!line.contains('\n'));
         assert!(stats.balance_ratio() >= 1.0);
     }
 
-    #[test]
-    fn round_guard_trips_as_an_error() {
-        let engine = MaterializeEngine::from_fragmentation(
-            &path_split(),
-            true,
-            MaterializeConfig {
-                max_rounds: 1,
-                ..Default::default()
-            },
-        );
-        let err = engine.materialize().unwrap_err();
-        assert_eq!(err, MaterializeError::RoundLimit { max_rounds: 1 });
-        assert!(err.to_string().contains("max_rounds = 1"), "{err}");
-    }
-
-    /// Pool mode: the round limit must come back as an error with every
-    /// worker joined — a panicking guard used to unwind the coordinator
-    /// inside `thread::scope` while workers stayed parked on the queue
-    /// condvar. `materialize` returning at all (rather than hanging on
-    /// the scope join) plus a clean re-run proves the shutdown.
-    #[test]
-    fn round_guard_joins_pool_workers_cleanly() {
-        let engine = MaterializeEngine::from_fragmentation(
-            &path_split(),
-            true,
-            MaterializeConfig {
-                threads: 2,
-                max_rounds: 1,
-                ..Default::default()
-            },
-        );
-        assert_eq!(
-            engine.materialize().unwrap_err(),
-            MaterializeError::RoundLimit { max_rounds: 1 }
-        );
-        // The engine stays usable: a fresh run with an adequate budget
-        // converges on the same pool configuration.
-        let engine = MaterializeEngine::from_fragmentation(
-            &path_split(),
-            true,
-            MaterializeConfig {
-                threads: 2,
-                ..Default::default()
-            },
-        );
-        let (closure, stats) = engine.materialize().unwrap();
-        assert!(!closure.is_empty());
-        assert!(stats.rounds >= 2);
-    }
-
-    /// Pool mode: a worker panic mid-round must come back as a typed
-    /// error with every thread joined (returning at all proves the scope
-    /// join did not hang), and a fault-free run on a fresh engine over
-    /// the same partition still converges.
+    /// A worker panic mid-task must come back as a typed error with
+    /// every thread joined (returning at all proves the scope join did
+    /// not hang), and a fault-free run on a fresh engine over the same
+    /// partition still gives the closure.
     #[test]
     fn pool_worker_panic_is_a_typed_error_with_clean_joins() {
         let plan = FaultPlan::new().panic_at(FaultPoint::BulkWorker { fragment: 0 }, 1);
@@ -1183,8 +1041,27 @@ mod tests {
         let err = engine.materialize().unwrap_err();
         assert_eq!(err, MaterializeError::WorkerPanicked { fragment: 1 });
         assert!(err.to_string().contains("fragment 1"), "{err}");
-        // The rule is one-shot: a retry on the same engine converges.
+        // The rule is one-shot: a retry on the same engine succeeds.
         let (closure, _) = engine.materialize().unwrap();
         assert!(!closure.is_empty());
+    }
+
+    /// The fault point fires in the unjoined branch too: once per
+    /// fragment task, whatever the plan.
+    #[test]
+    fn directly_swept_fragments_fire_the_fault_point() {
+        let plan = FaultPlan::new().fail_at(FaultPoint::BulkWorker { fragment: 0 }, 1);
+        let engine = MaterializeEngine::from_fragmentation(
+            &path_split(),
+            true,
+            MaterializeConfig {
+                fault: Some(Arc::new(plan)),
+                ..with_sources(&[0])
+            },
+        );
+        assert_eq!(
+            engine.materialize().unwrap_err(),
+            MaterializeError::WorkerPanicked { fragment: 0 }
+        );
     }
 }

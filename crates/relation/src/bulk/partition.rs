@@ -5,21 +5,23 @@
 //! edge partition; this module lifts it into per-fragment *relations*
 //! (symmetric expansion included, both directions staying with the owner
 //! fragment so the partition property is preserved on the expanded
-//! relation) and precomputes the border structure the exchange needs:
-//! which fragments contain each node, and each fragment's border node
-//! set (the union of its disconnection sets with every neighbour).
+//! relation) and precomputes the border structure the materializer
+//! joins through: which fragments contain each node, and each fragment's
+//! border node set (the union of its disconnection sets with every
+//! neighbour).
 
 use ds_fragment::{FragmentId, Fragmentation};
-use ds_graph::NodeId;
+use ds_graph::{CsrGraph, Edge, NodeId};
 
 use crate::relation::Relation;
 use crate::tuple::PathTuple;
 
 /// The edge relation split per fragment, plus the shared-node structure
-/// driving the delta exchange.
+/// the materializer joins fragment sweeps through.
 #[derive(Clone, Debug)]
 pub struct FragmentPartition {
     node_count: usize,
+    symmetric: bool,
     relations: Vec<Relation<PathTuple>>,
     /// Sorted border nodes per fragment (nodes shared with ≥ 1 other
     /// fragment — the union of the fragment's disconnection sets).
@@ -69,6 +71,7 @@ impl FragmentPartition {
 
         FragmentPartition {
             node_count: frag.node_count(),
+            symmetric,
             relations,
             borders,
             members,
@@ -78,6 +81,12 @@ impl FragmentPartition {
     /// Number of nodes in the underlying graph.
     pub fn node_count(&self) -> usize {
         self.node_count
+    }
+
+    /// Whether every connection tuple was expanded in both directions,
+    /// i.e. the union relation equals its own transpose.
+    pub fn is_symmetric(&self) -> bool {
+        self.symmetric
     }
 
     /// Number of fragments.
@@ -106,7 +115,7 @@ impl FragmentPartition {
     }
 
     /// Whether `v` sits on fragment `id`'s border (shared with another
-    /// fragment) — the test behind the disconnection-set selection.
+    /// fragment).
     pub fn is_border(&self, id: FragmentId, v: NodeId) -> bool {
         self.borders[id].binary_search(&v).is_ok()
     }
@@ -120,6 +129,14 @@ impl FragmentPartition {
             rows.extend_from_slice(rel.rows());
         }
         Relation::from_rows("R", rows)
+    }
+
+    /// [`FragmentPartition::union_relation`] as a graph: every fragment's
+    /// edges over the global node ids.
+    pub fn union_graph(&self) -> CsrGraph {
+        let tuples = self.relations.iter().flat_map(Relation::rows);
+        let edges: Vec<Edge> = tuples.map(|&t| Edge::from(t)).collect();
+        CsrGraph::from_edges(self.node_count, &edges)
     }
 }
 
@@ -151,8 +168,11 @@ mod tests {
         assert_eq!(p.relation(0).len(), 4, "2 connections x 2 directions");
         assert_eq!(p.relation(1).len(), 4);
         assert_eq!(p.union_relation().len(), 8);
+        assert_eq!(p.union_graph().edge_count(), 8);
+        assert!(p.is_symmetric());
         let directed = FragmentPartition::new(&path_split(), false);
         assert_eq!(directed.relation(0).len(), 2);
+        assert!(!directed.is_symmetric());
     }
 
     #[test]

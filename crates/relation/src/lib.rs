@@ -14,10 +14,9 @@
 //! * [`tc`] — naive and semi-naive transitive closure as join programs,
 //!   with iteration and tuple statistics (the measures behind the paper's
 //!   speed-up arguments);
-//! * [`bulk`] — the parallel fragmented materialization subsystem:
-//!   per-fragment semi-naive fixpoint workers exchanging
-//!   disconnection-set-selected deltas in rounds until the global
-//!   fixpoint.
+//! * [`bulk`] — materialization by the disconnection set approach: one
+//!   sweep of the whole graph per border node, one sweep of its own
+//!   fragment per interior source, joined through the border rows.
 //!
 //! ```
 //! use ds_relation::tuple::PathTuple;

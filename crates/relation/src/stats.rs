@@ -4,9 +4,9 @@
 //! the number of iterations to the fixpoint ("given by the maximum
 //! diameter of the graph", §2.1) and the size of intermediate results
 //! ("the size of intermediate results depends on the connectivity",
-//! §2.2). The delta-size trajectory and the exchange counters added for
-//! the bulk engine extend the same measurement frame to the fragmented
-//! parallel strategy.
+//! §2.2). The bulk materializer reports the same frame — its phases as
+//! iterations, arcs scanned plus fold candidates as generated tuples —
+//! inside [`crate::bulk::MaterializeStats`].
 
 use std::fmt;
 
@@ -19,20 +19,14 @@ pub struct TcStats {
     pub tuples_generated: usize,
     /// Tuples in the final result.
     pub result_tuples: usize,
-    /// Tuples admitted per iteration — the Δ trajectory for the
-    /// delta-driven strategies (semi-naive, bulk), the join-output sizes
-    /// for naive/smart. `delta_sizes.len() == iterations`.
+    /// Tuples admitted per iteration — the Δ trajectory for semi-naive,
+    /// the join-output sizes for naive/smart, the result tuples written
+    /// per phase for bulk. `delta_sizes.len() == iterations`.
     pub delta_sizes: Vec<usize>,
     /// Times a prebuilt hash-join build table was probed again instead of
     /// being rebuilt from the full relation (see
     /// [`crate::join::JoinIndex`]).
     pub index_reuses: usize,
-    /// Bulk engine only: delta-exchange barriers until the global
-    /// fixpoint (zero for the single-relation strategies).
-    pub exchange_rounds: usize,
-    /// Bulk engine only: border-crossing delta tuples shipped between
-    /// fragments, after the disconnection-set selection.
-    pub exchanged_tuples: usize,
 }
 
 impl TcStats {
@@ -51,15 +45,12 @@ impl TcStats {
             *mine += *theirs;
         }
         self.index_reuses += other.index_reuses;
-        self.exchange_rounds = self.exchange_rounds.max(other.exchange_rounds);
-        self.exchanged_tuples += other.exchanged_tuples;
     }
 }
 
 impl fmt::Display for TcStats {
     /// One-line summary for examples and benches, e.g.
-    /// `7 iters, 1532 generated -> 420 tuples, 6 index reuses, 3 rounds /
-    /// 87 tuples exchanged`.
+    /// `7 iters, 1532 generated -> 420 tuples, 6 index reuses`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -68,13 +59,6 @@ impl fmt::Display for TcStats {
         )?;
         if self.index_reuses > 0 {
             write!(f, ", {} index reuses", self.index_reuses)?;
-        }
-        if self.exchange_rounds > 0 {
-            write!(
-                f,
-                ", {} rounds / {} tuples exchanged",
-                self.exchange_rounds, self.exchanged_tuples
-            )?;
         }
         Ok(())
     }
@@ -92,7 +76,6 @@ mod tests {
             result_tuples: 5,
             delta_sizes: vec![4, 1],
             index_reuses: 2,
-            ..TcStats::default()
         };
         let b = TcStats {
             iterations: 7,
@@ -100,8 +83,6 @@ mod tests {
             result_tuples: 2,
             delta_sizes: vec![1, 1, 1],
             index_reuses: 6,
-            exchange_rounds: 2,
-            exchanged_tuples: 9,
         };
         a.absorb(&b);
         assert_eq!(
@@ -112,8 +93,6 @@ mod tests {
                 result_tuples: 7,
                 delta_sizes: vec![5, 2, 1],
                 index_reuses: 8,
-                exchange_rounds: 2,
-                exchanged_tuples: 9,
             }
         );
     }
@@ -127,18 +106,15 @@ mod tests {
             ..TcStats::default()
         };
         assert_eq!(plain.to_string(), "2 iters, 12 generated -> 6 tuples");
-        let bulk = TcStats {
+        let indexed = TcStats {
             iterations: 4,
             tuples_generated: 40,
             result_tuples: 20,
             delta_sizes: vec![10, 6, 3, 1],
             index_reuses: 3,
-            exchange_rounds: 2,
-            exchanged_tuples: 7,
         };
-        let line = bulk.to_string();
-        assert!(line.contains("3 index reuses"), "{line}");
-        assert!(line.contains("2 rounds / 7 tuples exchanged"), "{line}");
+        let line = indexed.to_string();
+        assert!(line.ends_with("3 index reuses"), "{line}");
         assert!(!line.contains('\n'));
     }
 }

@@ -48,21 +48,22 @@ fn main() {
 
     // Bulk-materialize the closure through the facade.
     let t0 = Instant::now();
-    let (closure, stats) = sys.materialize().expect("fixpoint converges");
+    let (closure, stats) = sys.materialize().expect("no worker panics");
     let bulk_time = t0.elapsed();
-    println!("\nfragmented-parallel materialization:");
+    println!("\nmaterialization by the disconnection set approach:");
     println!("  {stats}");
     println!("  {} tuples in {bulk_time:?}", closure.len());
-    for (i, r) in stats.per_round.iter().enumerate() {
-        println!(
-            "  round {i}: {} active fragments, {} delta tuples, {} exchanged",
-            r.active_fragments, r.improved, r.exchanged
-        );
-    }
     println!(
-        "  disconnection-set selection kept {} of {} improvements local",
+        "  {} phases: {} sweeps of the whole graph (one per border), {} sweeps of one fragment",
+        stats.rounds, stats.network_sweeps, stats.fragment_sweeps
+    );
+    println!(
+        "  {} access tuples joined with a border row ({:.1} per fragment sweep); \
+         the fragment sweep alone decided {} of {} tuples",
+        stats.exchanged_tuples,
+        stats.exchanged_tuples as f64 / stats.fragment_sweeps.max(1) as f64,
         stats.kept_local,
-        stats.kept_local + stats.exchanged_tuples
+        closure.len()
     );
 
     // Sequential baseline on the identical union relation.
@@ -83,7 +84,7 @@ fn main() {
             sources: Some(sources.clone()),
             ..Default::default()
         })
-        .expect("fixpoint converges");
+        .expect("no worker panics");
     println!(
         "\nkeyhole slice from {} sources: {} tuples ({})",
         sources.len(),

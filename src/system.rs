@@ -460,25 +460,25 @@ impl System {
     }
 
     /// Materialize the full transitive closure of this system's
-    /// fragmented relation as one bulk operation: per-fragment
-    /// semi-naive fixpoint workers in parallel, exchanging
-    /// disconnection-set-selected deltas in rounds (see
-    /// `ds_relation::bulk`, re-exported as `discset::relation::bulk`).
+    /// fragmented relation as one bulk operation, by the disconnection
+    /// set approach: one sweep of the whole graph per border node, one
+    /// sweep of its own fragment per interior source, joined through the
+    /// border rows on scoped worker threads (see `ds_relation::bulk`,
+    /// re-exported as `discset::relation::bulk`).
     ///
     /// The result is tuple-identical to running the sequential
     /// semi-naive closure on the whole relation: every minimum-cost
     /// `(src, dst, cost)` path tuple, sorted.
     ///
-    /// Errors with [`MaterializeError::RoundLimit`] if the round safety
-    /// valve ([`MaterializeConfig::max_rounds`]) trips before the
-    /// fixpoint.
+    /// The only error is [`MaterializeError::WorkerPanicked`]: a worker
+    /// panicked (or an injected fault killed it); every thread has
+    /// joined, and a retry starts from nothing.
     pub fn materialize(&self) -> Result<(Relation<PathTuple>, MaterializeStats), MaterializeError> {
         self.materialize_with(MaterializeConfig::default())
     }
 
-    /// [`System::materialize`] with control over worker threads, a
-    /// source restriction (the paper's keyhole selection) and the
-    /// round safety valve.
+    /// [`System::materialize`] with control over worker threads and a
+    /// source restriction (the paper's keyhole selection).
     pub fn materialize_with(
         &self,
         mut config: MaterializeConfig,

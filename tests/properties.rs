@@ -1386,9 +1386,11 @@ fn seminaive_equals_naive() {
 }
 
 /// Closure-strategy equivalence: naive iteration, semi-naive iteration,
-/// smart squaring and the fragmented-parallel bulk engine all
-/// materialize the *identical* relation — tuple for tuple — across
-/// generators × {linear, center} fragmenters × thread counts. And the
+/// smart squaring and the disconnection-set bulk engine all materialize
+/// the *identical* relation — tuple for tuple — across generators ×
+/// {linear, center} fragmenters × {symmetric, directed} × {full, keyhole
+/// of 1, keyhole of ~n/3} × thread counts, so both plan branches (joined
+/// through the borders / swept directly) run on every combination. And the
 /// materialized tuples are true distances: on sampled pairs they equal
 /// the per-query engine's `query_batch` answers.
 #[test]
@@ -1445,27 +1447,66 @@ fn all_closure_strategies_materialize_the_same_relation() {
         ];
         for (family, frag) in fragmentations {
             let label = format!("seed {seed} {family}");
-            let partition = FragmentPartition::new(&frag, g.symmetric);
-            let union = partition.union_relation();
-            let (seminaive, _) = tc::seminaive_closure(&union, None);
-            let (naive, _) = tc::naive_closure(&union, None);
-            let (smart, _) = tc::smart_closure(&union);
-            assert_eq!(seminaive.rows(), naive.rows(), "{label}: naive");
-            assert_eq!(seminaive.rows(), smart.rows(), "{label}: smart");
-            for threads in [1usize, 3] {
-                let engine = MaterializeEngine::new(
-                    partition.clone(),
-                    MaterializeConfig::with_threads(threads),
-                );
-                let (bulk, stats) = engine.materialize().unwrap();
-                assert_eq!(
-                    bulk.rows(),
-                    seminaive.rows(),
-                    "{label}: bulk with {threads} threads"
-                );
-                assert_eq!(stats.tc.result_tuples, seminaive.len(), "{label}");
-                assert_eq!(stats.per_round.len(), stats.rounds, "{label}");
+            // Full closure, a keyhole of one source (every fragment
+            // swept directly) and one of ~n/3 (some fragments joined
+            // through their borders, some not).
+            let mut rng = StdRng::seed_from_u64(0xB01C ^ seed);
+            let mut pick = |k: usize| -> Option<Vec<NodeId>> {
+                Some(
+                    (0..k)
+                        .map(|_| NodeId(rng.gen_index(g.nodes) as u32))
+                        .collect(),
+                )
+            };
+            let selections = [None, pick(1), pick(g.nodes / 3)];
+            let mut seminaive = None;
+            for symmetric in [true, false] {
+                let partition = FragmentPartition::new(&frag, symmetric);
+                let union = partition.union_relation();
+                for sources in &selections {
+                    let label = format!(
+                        "{label} symmetric={symmetric} sources={:?}",
+                        sources.as_ref().map(Vec::len)
+                    );
+                    let (expected, _) = tc::seminaive_closure(&union, sources.as_deref());
+                    if sources.is_none() {
+                        let (naive, _) = tc::naive_closure(&union, None);
+                        let (smart, _) = tc::smart_closure(&union);
+                        assert_eq!(expected.rows(), naive.rows(), "{label}: naive");
+                        assert_eq!(expected.rows(), smart.rows(), "{label}: smart");
+                    }
+                    for threads in [1usize, 2, 3] {
+                        let engine = MaterializeEngine::new(
+                            partition.clone(),
+                            MaterializeConfig {
+                                threads,
+                                sources: sources.clone(),
+                                ..Default::default()
+                            },
+                        );
+                        let (bulk, stats) = engine.materialize().unwrap();
+                        assert_eq!(
+                            bulk.rows(),
+                            expected.rows(),
+                            "{label}: bulk with {threads} threads"
+                        );
+                        assert_eq!(stats.tc.result_tuples, expected.len(), "{label}");
+                        assert!(stats.rounds <= 2, "{label}: {stats}");
+                        match sources.as_ref().map(Vec::len) {
+                            None => assert!(stats.fragment_sweeps > 0, "{label}: {stats}"),
+                            Some(1) => assert!(
+                                stats.network_sweeps + stats.fragment_sweeps <= 1,
+                                "{label}: {stats}"
+                            ),
+                            Some(_) => {}
+                        }
+                    }
+                    if sources.is_none() && symmetric == g.symmetric {
+                        seminaive = Some(expected);
+                    }
+                }
             }
+            let seminaive = seminaive.expect("the generator's own orientation ran");
 
             // Oracle: the materialized tuples are the per-query engine's
             // distances on sampled distinct pairs.
