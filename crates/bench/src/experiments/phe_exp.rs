@@ -1,4 +1,4 @@
-//! Parallel Hierarchical Evaluation (§5 / ref [12]): on a cyclic
+//! Parallel Hierarchical Evaluation (§5 / ref \[12\]): on a cyclic
 //! fragmentation graph, compare plain chain enumeration against routing
 //! through a mandatory high-speed-network hub.
 

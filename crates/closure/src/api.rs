@@ -14,7 +14,8 @@
 //! * [`BatchPlanner`] — chain planning amortized across a batch: the
 //!   expensive chain enumeration runs once per (source-fragments,
 //!   target-fragments) pair instead of once per query;
-//! * [`run_batch`] — the batch driver, and through it the one routine
+//! * [`run_batch_bounded`] — the batch driver ([`run_batch`] is the same
+//!   call without deadlines or tracing), and through it the one routine
 //!   that evaluates a query over its chains. Per query it does only what
 //!   depends on the query: one subquery from `x` per distinct start
 //!   fragment and one to `y` per distinct end fragment, shared by every
@@ -34,7 +35,7 @@
 //! tests run it over plain forward sweeps.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -204,10 +205,6 @@ pub trait TcEngine {
     fn query_batch(&mut self, requests: &[QueryRequest]) -> BatchAnswer;
 }
 
-/// The real (non-shortcut) hops available at one site, with costs — used
-/// to tell shortcut hops apart during route expansion.
-pub type RealHopSet = HashSet<(NodeId, NodeId, Cost)>;
-
 /// Validate a [`NetworkUpdate`] against `frag` and apply its structural
 /// half: mutate the owner fragment and return the rebuilt global closure
 /// graph (`None` when a removal matched nothing). `crate::updates::maintain`
@@ -355,33 +352,14 @@ pub trait SiteEvaluator {
     fn memo(&self, site: FragmentId) -> &SiteMemo;
 }
 
-/// The batch driver.
-///
-/// Per request: look the chain set up through the [`BatchPlanner`] (chain
-/// enumeration once per fragment-set pair), then evaluate it with the
-/// shared routine described in the module documentation.
+/// The batch driver without deadlines or tracing: every request is
+/// answered. See [`run_batch_bounded`], which it runs.
 pub fn run_batch<E: SiteEvaluator>(
     planner: &Planner,
     eval: &mut E,
     requests: &[QueryRequest],
 ) -> BatchAnswer {
-    run_batch_traced(planner, eval, requests, &[], None)
-}
-
-/// [`run_batch`] with request tracing: `traces[i]` is request `i`'s
-/// [`TraceId`] (an empty slice means untraced — the [`run_batch`] fast
-/// path), and when `sink` is given, one [`EvalTrace`] per request is
-/// appended to it carrying the request's total evaluation time and the
-/// assembly time of each chain. The untraced path takes no timestamps and
-/// performs no extra work beyond one branch per request.
-pub fn run_batch_traced<E: SiteEvaluator>(
-    planner: &Planner,
-    eval: &mut E,
-    requests: &[QueryRequest],
-    traces: &[TraceId],
-    sink: Option<&mut Vec<EvalTrace>>,
-) -> BatchAnswer {
-    let bounded = run_batch_bounded(planner, eval, requests, traces, sink, &[]);
+    let bounded = run_batch_bounded(planner, eval, requests, &[], None, &[]);
     BatchAnswer {
         answers: bounded
             .answers
@@ -403,15 +381,27 @@ pub struct BoundedBatchAnswer {
     pub stats: BatchStats,
 }
 
-/// [`run_batch_traced`] with cooperative cancellation: `deadlines[i]`
-/// is request `i`'s absolute deadline (an empty slice, or `None` at a
-/// position, means unbounded). The driver checks the clock between
-/// requests and — inside a request — before the site subqueries are
-/// dispatched and between fragment chains. A cancelled request yields
-/// `None`; work already performed for it (plans, memoized interior
-/// segments) keeps benefiting the remaining requests. The serve tier
-/// threads each job's admission-stamped deadline through here and
-/// resolves `None` slots with [`ClosureError::DeadlineExceeded`].
+/// The batch driver.
+///
+/// Per request: look the chain set up through the [`BatchPlanner`] (chain
+/// enumeration once per fragment-set pair), then evaluate it with the
+/// shared routine described in the module documentation.
+///
+/// *Tracing:* `traces[i]` is request `i`'s [`TraceId`] (an empty slice
+/// means untraced), and when `sink` is given, one [`EvalTrace`] per
+/// request is appended to it carrying the request's total evaluation time
+/// and the assembly time of each chain. The untraced path takes no
+/// timestamps and performs no extra work beyond one branch per request.
+///
+/// *Cooperative cancellation:* `deadlines[i]` is request `i`'s absolute
+/// deadline (an empty slice, or `None` at a position, means unbounded).
+/// The driver checks the clock between requests and — inside a request —
+/// before the site subqueries are dispatched and between fragment chains.
+/// A cancelled request yields `None`; work already performed for it
+/// (plans, memoized interior segments) keeps benefiting the remaining
+/// requests. The serve tier threads each job's admission-stamped deadline
+/// through here and resolves `None` slots with
+/// [`ClosureError::DeadlineExceeded`].
 pub fn run_batch_bounded<E: SiteEvaluator>(
     planner: &Planner,
     eval: &mut E,
@@ -816,14 +806,7 @@ mod tests {
             augmented: frag
                 .fragments()
                 .iter()
-                .map(|f| {
-                    Arc::new(augmented_graph(
-                        frag.node_count(),
-                        f.edges(),
-                        symmetric,
-                        &[],
-                    ))
-                })
+                .map(|f| Arc::new(augmented_graph(frag.node_count(), f.edges(), symmetric, [])))
                 .collect(),
             memos: (0..frag.fragment_count())
                 .map(|f| SiteMemo::new(fg.neighbors(f)))
@@ -1017,14 +1000,18 @@ mod tests {
         let plain = run_batch(&planner, &mut counting_eval(&frag, true), &requests);
         let traces: Vec<TraceId> = (1..=3).map(TraceId).collect();
         let mut sink = Vec::new();
-        let traced = run_batch_traced(
+        let traced = run_batch_bounded(
             &planner,
             &mut counting_eval(&frag, true),
             &requests,
             &traces,
             Some(&mut sink),
+            &[],
         );
-        assert_eq!(plain.costs(), traced.costs(), "tracing changes no answer");
+        let traced: Vec<Option<Cost>> = (traced.answers.iter())
+            .map(|a| a.as_ref().expect("no deadline, no cancellation").cost)
+            .collect();
+        assert_eq!(plain.costs(), traced, "tracing changes no answer");
         assert_eq!(sink.len(), 3, "one EvalTrace per request");
         for (i, et) in sink.iter().enumerate() {
             assert_eq!(et.trace, traces[i]);

@@ -124,7 +124,7 @@ mod tests {
             .collect();
         let ids = |v: &[u32]| v.iter().map(|&i| n(i)).collect::<Vec<_>>();
         forward_matrix(
-            &augmented_graph(10, &edges, false, &[]),
+            &augmented_graph(10, &edges, false, []),
             &ids(sources),
             &ids(targets),
             &mut ScratchDijkstra::new(),

@@ -58,6 +58,19 @@
 //!   border pairs of the fragment closes that hole). This is the default,
 //!   and the extra storage is measured in the `ablation-crossing`
 //!   experiments.
+//!
+//! ## One dense table per site
+//!
+//! What a site stores is a [`BorderTable`]: its fragment's border nodes
+//! and a row-major cost matrix over them (diagonal 0, `INFINITE_COST`
+//! where there is no tuple) — the form a site evaluates its subqueries
+//! from, so [`crate::local::Site`] reads the same allocation in place.
+//! The tuple view ([`ComplementaryInfo::shortcuts`]) is derived from it.
+//! Because the slot of a pair exists whether or not a tuple does, insert
+//! maintenance can *add* a tuple: a pair a disconnecting deletion dropped
+//! (or a one-way network never joined) and a later insertion reconnects
+//! is written at every site holding both borders, so each site keeps
+//! exactly the tuples a from-scratch precompute would give it.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -233,20 +246,130 @@ impl PathData {
     }
 }
 
-/// The precomputed shortcut tables, per site.
+/// One site's complementary information in its only stored form: the
+/// fragment's border nodes — as the fragmentation defines them, so a lone
+/// border has a 1x1 table and a fragment without borders an empty one —
+/// and the global shortest distances between them as a dense matrix.
+/// [`ComplementaryInfo`] fills it, update maintenance rewrites its
+/// entries, and the site ([`crate::local::Site`]) evaluates its
+/// subqueries from the very same allocation.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BorderTable {
+    /// The border nodes (global ids), ascending.
+    borders: Vec<NodeId>,
+    /// Row-major over `borders`: diagonal 0, [`INFINITE_COST`] where no
+    /// tuple is stored.
+    costs: Vec<Cost>,
+    /// Row-major like `costs`: the pairs the scope stores a tuple for.
+    /// Empty when that is every pair — always on
+    /// [`ComplementaryScope::PerFragmentBorder`]. An entry outside the
+    /// scope stays `INFINITE_COST` for good: whatever maintenance wrote
+    /// there would have to be kept a global distance by every later
+    /// deletion repair, which only looks at stored tuples.
+    in_scope: Vec<bool>,
+}
+
+impl BorderTable {
+    /// The table, no tuple stored yet, of a site whose scope is the pairs
+    /// within each of `groups` (each ascending): one group of all its
+    /// borders covers every pair; several — one per adjacent
+    /// disconnection set — leave the cross-set pairs out.
+    fn for_groups(groups: &[Vec<NodeId>]) -> Self {
+        let borders: Vec<NodeId> = match groups {
+            [all] => all.clone(),
+            _ => (groups.iter().flatten().copied())
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect(),
+        };
+        let nb = borders.len();
+        let mut costs = vec![INFINITE_COST; nb * nb];
+        for i in 0..nb {
+            costs[i * nb + i] = 0;
+        }
+        BorderTable {
+            borders,
+            costs,
+            in_scope: vec![false; if groups.len() > 1 { nb * nb } else { 0 }],
+        }
+    }
+
+    /// Store `cost` for the pair of the `i`-th and `j`-th border — which
+    /// is what puts the pair in scope, connected or not.
+    fn store(&mut self, i: usize, j: usize, cost: Cost) {
+        let slot = i * self.borders.len() + j;
+        self.costs[slot] = cost;
+        if let Some(covered) = self.in_scope.get_mut(slot) {
+            *covered = true;
+        }
+    }
+
+    /// A table over `borders` (ascending) holding exactly `tuples`.
+    #[cfg(test)]
+    pub(crate) fn from_edges(borders: Vec<NodeId>, tuples: &[Edge]) -> Self {
+        let mut table = BorderTable::for_groups(&[borders]);
+        for e in tuples {
+            let at = |v| position(&table.borders, v);
+            table.store(at(&e.src), at(&e.dst), e.cost);
+        }
+        table
+    }
+
+    /// The border nodes (global ids), ascending.
+    pub fn borders(&self) -> &[NodeId] {
+        &self.borders
+    }
+
+    /// The whole matrix, row-major.
+    pub fn costs(&self) -> &[Cost] {
+        &self.costs
+    }
+
+    /// The distances from the `i`-th border.
+    pub fn row(&self, i: usize) -> &[Cost] {
+        let nb = self.borders.len();
+        &self.costs[i * nb..(i + 1) * nb]
+    }
+
+    /// The stored tuples as shortcut edges, in (row, column) order.
+    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        self.borders.iter().enumerate().flat_map(move |(i, &u)| {
+            (self.borders.iter().zip(self.row(i)).enumerate())
+                .filter(move |&(j, (_, &cost))| j != i && cost < INFINITE_COST)
+                .map(move |(_, (&v, &cost))| Edge::new(u, v, cost))
+        })
+    }
+
+    /// Number of stored tuples.
+    pub fn pair_count(&self) -> usize {
+        self.edges().count()
+    }
+
+    /// Heap bytes held.
+    pub fn memory_bytes(&self) -> usize {
+        self.borders.capacity() * std::mem::size_of::<NodeId>()
+            + self.costs.capacity() * std::mem::size_of::<Cost>()
+            + self.in_scope.capacity()
+    }
+
+    fn covers(&self, slot: usize) -> bool {
+        self.in_scope.get(slot).copied().unwrap_or(true)
+    }
+}
+
+/// The precomputed complementary information: one [`BorderTable`] per
+/// site.
 ///
-/// Every per-site table lives behind its own [`Arc`], so cloning the
-/// whole structure (the serve writer's per-epoch copy-on-write
-/// publication) costs one refcount bump per site, and update
-/// maintenance — which goes through [`Arc::make_mut`] — detaches only
-/// the tables it actually changes. Untouched sites stay pointer-shared
-/// with every previous epoch (asserted by the structural-sharing
-/// property in `tests/properties.rs`).
+/// Every table lives behind its own [`Arc`], which the site's evaluation
+/// state holds too. Cloning the whole structure (the serve writer's
+/// per-epoch copy-on-write publication) costs one refcount bump per site,
+/// and update maintenance — which goes through [`Arc::make_mut`] —
+/// detaches only the tables it actually changes. Untouched sites stay
+/// pointer-shared with every previous epoch (asserted by the
+/// structural-sharing property in `tests/properties.rs`).
 #[derive(Clone, Debug)]
 pub struct ComplementaryInfo {
-    /// `shortcuts[f]` — directed shortcut edges `(u, v, global_dist)`
-    /// stored at site `f`, each table behind its own `Arc`.
-    shortcuts: Vec<Arc<Vec<Edge>>>,
+    tables: Vec<Arc<BorderTable>>,
     /// Concrete global paths backing each shortcut (for route
     /// reconstruction), when requested. One shared block: path lookups
     /// are read-mostly, and maintenance detaches it at most once per
@@ -254,9 +377,6 @@ pub struct ComplementaryInfo {
     paths: Option<Arc<PathData>>,
     /// Number of distinct border nodes.
     border_count: usize,
-    /// Total shortcut tuples stored (the paper's "pre-computed
-    /// information" volume).
-    pair_count: usize,
     stats: PrecomputeStats,
 }
 
@@ -428,6 +548,38 @@ fn close_skeleton(
     (dist_matrix, via_matrix)
 }
 
+/// Where `v` sits in the ascending border list `borders`.
+fn position(borders: &[NodeId], v: &NodeId) -> usize {
+    borders.binary_search(v).expect("a border of the list")
+}
+
+/// The assemble phase of either strategy: per site, the table over the
+/// union of its border groups, each ordered pair of each group filled
+/// from `dist`, which is asked by position in `all_borders` (sorted).
+fn assemble_tables(
+    site_groups: &[Vec<Vec<NodeId>>],
+    all_borders: &[NodeId],
+    dist: impl Fn(usize, usize) -> Cost,
+) -> Vec<Arc<BorderTable>> {
+    let tables = site_groups.iter().map(|groups| {
+        let mut table = BorderTable::for_groups(groups);
+        for group in groups {
+            // Per member: where it sits in the table, and in `all_borders`.
+            let at: Vec<(usize, usize)> = group
+                .iter()
+                .map(|v| (position(&table.borders, v), position(all_borders, v)))
+                .collect();
+            for &(i, gi) in &at {
+                for &(j, gj) in at.iter().filter(|&&(j, _)| j != i) {
+                    table.store(i, j, dist(gi, gj));
+                }
+            }
+        }
+        Arc::new(table)
+    });
+    tables.collect()
+}
+
 impl ComplementaryInfo {
     /// Precompute the complementary information for a fragmentation over
     /// `graph` (the directed closure graph) with the skeleton-overlay
@@ -442,74 +594,16 @@ impl ComplementaryInfo {
         scope: ComplementaryScope,
         store_paths: bool,
     ) -> Self {
-        Self::compute_with_threads(graph, frag, scope, store_paths, 1)
-    }
-
-    /// Like [`ComplementaryInfo::compute`], but runs the per-fragment
-    /// local sweeps on `threads` OS threads. The local-sweep phase
-    /// parallelizes embarrassingly (fragments are independent) — the same
-    /// observation that makes phase one of query processing
-    /// communication-free. Results are identical to the sequential run.
-    pub fn compute_with_threads(
-        graph: &CsrGraph,
-        frag: &Fragmentation,
-        scope: ComplementaryScope,
-        store_paths: bool,
-        threads: usize,
-    ) -> Self {
-        let per_site_borders = site_border_sets(frag, scope);
-        let borders: Vec<NodeId> = per_site_borders
-            .iter()
-            .flat_map(|sets| sets.iter().flatten().copied())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
+        let (per_site_borders, borders) = site_border_sets(frag, scope);
 
         // Phase 1: fragment-local border sweeps.
         let t0 = Instant::now();
-        let frag_ids: Vec<usize> = (0..frag.fragment_count()).collect();
-        let mut sweeps: Vec<LocalSweepOut> = if threads <= 1 || frag_ids.len() < 2 {
-            let mut scratch = ScratchDijkstra::new();
-            frag_ids
-                .iter()
-                .map(|&f| {
-                    local_sweeps_for_fragment(graph, frag, f, &borders, store_paths, &mut scratch)
-                })
-                .collect()
-        } else {
-            let chunk = frag_ids.len().div_ceil(threads);
-            let results: Vec<Vec<LocalSweepOut>> = std::thread::scope(|s| {
-                let handles: Vec<_> = frag_ids
-                    .chunks(chunk)
-                    .map(|ids| {
-                        let borders = &borders;
-                        s.spawn(move || {
-                            let mut scratch = ScratchDijkstra::new();
-                            ids.iter()
-                                .map(|&f| {
-                                    local_sweeps_for_fragment(
-                                        graph,
-                                        frag,
-                                        f,
-                                        borders,
-                                        store_paths,
-                                        &mut scratch,
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("precompute thread panicked"))
-                    .collect()
-            });
-            results.into_iter().flatten().collect()
-        };
+        let mut scratch = ScratchDijkstra::new();
         let mut skel_edges: Vec<SkelEdge> = Vec::new();
         let mut frag_trees: Vec<FragTrees> = Vec::new();
-        for (f, out) in sweeps.iter_mut().enumerate() {
+        for f in 0..frag.fragment_count() {
+            let mut out =
+                local_sweeps_for_fragment(graph, frag, f, &borders, store_paths, &mut scratch);
             skel_edges.append(&mut out.edges);
             if store_paths {
                 frag_trees.push(out.trees.take().unwrap_or_else(|| FragTrees {
@@ -517,7 +611,6 @@ impl ComplementaryInfo {
                     borders: Vec::new(),
                     parents: Vec::new(),
                 }));
-                debug_assert_eq!(frag_trees.len(), f + 1);
             }
         }
         // Every fragment containing both endpoints realizes a direct
@@ -534,10 +627,7 @@ impl ComplementaryInfo {
         let mut target_sets: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); borders.len()];
         for groups in &per_site_borders {
             for group in groups {
-                let idx: Vec<u32> = group
-                    .iter()
-                    .map(|v| borders.binary_search(v).expect("group node is a border") as u32)
-                    .collect();
+                let idx: Vec<u32> = group.iter().map(|v| position(&borders, v) as u32).collect();
                 for &u in &idx {
                     for &v in &idx {
                         if u != v {
@@ -557,34 +647,7 @@ impl ComplementaryInfo {
 
         // Phase 3: assemble the per-site tables from the closed skeleton.
         let t2 = Instant::now();
-        let mut shortcuts: Vec<Vec<Edge>> = vec![Vec::new(); frag.fragment_count()];
-        let mut pair_count = 0usize;
-        for (site, groups) in per_site_borders.iter().enumerate() {
-            // Pairs can repeat across groups only when a site has several
-            // (the per-DS scope); the default fragment scope has one group
-            // per site and skips the dedup set entirely.
-            let mut seen: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-            let dedup = groups.len() > 1;
-            for group in groups {
-                let idx: Vec<usize> = group
-                    .iter()
-                    .map(|v| borders.binary_search(v).expect("group node is a border"))
-                    .collect();
-                for (ui, &u) in group.iter().enumerate() {
-                    let row = &dist_matrix[idx[ui]];
-                    for (vi, &v) in group.iter().enumerate() {
-                        if u == v || (dedup && !seen.insert((u, v))) {
-                            continue;
-                        }
-                        let cost = row[idx[vi]];
-                        if cost < INFINITE_COST {
-                            shortcuts[site].push(Edge::new(u, v, cost));
-                            pair_count += 1;
-                        }
-                    }
-                }
-            }
-        }
+        let tables = assemble_tables(&per_site_borders, &borders, |u, v| dist_matrix[u][v]);
         let assemble_ns = t2.elapsed().as_nanos() as u64;
 
         let border_count = borders.len();
@@ -598,10 +661,9 @@ impl ComplementaryInfo {
             }))
         });
         ComplementaryInfo {
-            shortcuts: shortcuts.into_iter().map(Arc::new).collect(),
+            tables,
             paths,
             border_count,
-            pair_count,
             stats: PrecomputeStats {
                 strategy: PrecomputeStrategy::Skeleton,
                 local_sweeps_ns,
@@ -613,25 +675,17 @@ impl ComplementaryInfo {
 
     /// The reference precompute: one whole-graph Dijkstra per border
     /// node, paths materialized eagerly. Produces tables identical to
-    /// [`ComplementaryInfo::compute`]; kept for equivalence tests and as
-    /// the baseline of the `precompute` bench.
+    /// [`ComplementaryInfo::compute`]; kept for equivalence tests.
     pub fn compute_global_sweep(
         graph: &CsrGraph,
         frag: &Fragmentation,
         scope: ComplementaryScope,
         store_paths: bool,
     ) -> Self {
-        let per_site_borders = site_border_sets(frag, scope);
-        let border_list: Vec<NodeId> = per_site_borders
-            .iter()
-            .flat_map(|sets| sets.iter().flatten().copied())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
+        let (per_site_borders, border_list) = site_border_sets(frag, scope);
 
         // One global Dijkstra per border node, reused across all sets the
-        // node appears in. Keyed by the sorted border list (binary
-        // search), not a hash map — the list is already sorted.
+        // node appears in.
         let t0 = Instant::now();
         let dist_from: Vec<dijkstra::ShortestPaths> = border_list
             .iter()
@@ -640,38 +694,25 @@ impl ComplementaryInfo {
         let local_sweeps_ns = t0.elapsed().as_nanos() as u64;
 
         let t2 = Instant::now();
-        let mut shortcuts: Vec<Vec<Edge>> = vec![Vec::new(); frag.fragment_count()];
-        let mut paths: Option<HashMap<(NodeId, NodeId), Vec<NodeId>>> =
-            store_paths.then(HashMap::new);
-        let mut pair_count = 0usize;
-        for (site, groups) in per_site_borders.iter().enumerate() {
-            let mut seen: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-            for group in groups {
-                for &u in group {
-                    let sp = &dist_from[border_list.binary_search(&u).expect("border")];
-                    for &v in group {
-                        if u == v || !seen.insert((u, v)) {
-                            continue;
-                        }
-                        if let Some(cost) = sp.cost(v) {
-                            shortcuts[site].push(Edge::new(u, v, cost));
-                            pair_count += 1;
-                            if let Some(p) = paths.as_mut() {
-                                p.entry((u, v))
-                                    .or_insert_with(|| sp.path_to(v).expect("cost is finite"));
-                            }
-                        }
-                    }
-                }
+        let tables = assemble_tables(&per_site_borders, &border_list, |u, v| {
+            dist_from[u].cost(border_list[v]).unwrap_or(INFINITE_COST)
+        });
+        let paths = store_paths.then(|| {
+            let mut paths = HashMap::new();
+            for e in tables.iter().flat_map(|t| t.edges()) {
+                paths.entry((e.src, e.dst)).or_insert_with(|| {
+                    let from = position(&border_list, &e.src);
+                    dist_from[from].path_to(e.dst).expect("cost is finite")
+                });
             }
-        }
+            Arc::new(PathData::Eager(paths))
+        });
         let assemble_ns = t2.elapsed().as_nanos() as u64;
 
         ComplementaryInfo {
-            shortcuts: shortcuts.into_iter().map(Arc::new).collect(),
-            paths: paths.map(|p| Arc::new(PathData::Eager(p))),
+            tables,
+            paths,
             border_count: border_list.len(),
-            pair_count,
             stats: PrecomputeStats {
                 strategy: PrecomputeStrategy::GlobalSweep,
                 local_sweeps_ns,
@@ -681,17 +722,18 @@ impl ComplementaryInfo {
         }
     }
 
-    /// Shortcut edges stored at site `f`.
-    pub fn shortcuts(&self, f: usize) -> &[Edge] {
-        &self.shortcuts[f]
+    /// Site `f`'s table, behind the handle its [`crate::local::Site`]
+    /// holds as well. Two `ComplementaryInfo` values that return
+    /// `Arc::ptr_eq` handles for a site physically share that site's
+    /// table (structural sharing across snapshot epochs).
+    pub fn table(&self, f: usize) -> &Arc<BorderTable> {
+        &self.tables[f]
     }
 
-    /// The shared handle behind site `f`'s shortcut table. Two
-    /// `ComplementaryInfo` values that return `Arc::ptr_eq` handles for a
-    /// site physically share that site's table (structural sharing across
-    /// snapshot epochs).
-    pub fn shortcuts_handle(&self, f: usize) -> &Arc<Vec<Edge>> {
-        &self.shortcuts[f]
+    /// The tuples stored at site `f` as shortcut edges
+    /// `(u, v, global_dist)`, in (row, column) order of its table.
+    pub fn shortcuts(&self, f: usize) -> impl Iterator<Item = Edge> + '_ {
+        self.tables[f].edges()
     }
 
     /// A deep copy that shares nothing with `self`: every per-site table
@@ -701,14 +743,13 @@ impl ComplementaryInfo {
     /// detach a snapshot from a shared lineage entirely.
     pub fn unshared_clone(&self) -> Self {
         ComplementaryInfo {
-            shortcuts: self
-                .shortcuts
+            tables: self
+                .tables
                 .iter()
                 .map(|t| Arc::new((**t).clone()))
                 .collect(),
             paths: self.paths.as_ref().map(|p| Arc::new((**p).clone())),
             border_count: self.border_count,
-            pair_count: self.pair_count,
             stats: self.stats,
         }
     }
@@ -731,16 +772,16 @@ impl ComplementaryInfo {
         self.border_count
     }
 
-    /// Total shortcut tuples across all sites (storage cost measure).
+    /// Total shortcut tuples across all sites (the paper's "pre-computed
+    /// information" volume): the finite off-diagonal entries.
     pub fn pair_count(&self) -> usize {
-        self.pair_count
+        self.tables.iter().map(|t| t.pair_count()).sum()
     }
 
-    /// Heap bytes held by the shortcut tables (the stored paths, when
-    /// kept, are not counted).
+    /// Heap bytes held by the tables (the stored paths, when kept, are
+    /// not counted).
     pub fn table_bytes(&self) -> usize {
-        let tuples: usize = self.shortcuts.iter().map(|t| t.capacity()).sum();
-        tuples * std::mem::size_of::<Edge>()
+        self.tables.iter().map(|t| t.memory_bytes()).sum()
     }
 
     /// Per-phase timing of the precompute that built these tables.
@@ -748,27 +789,39 @@ impl ComplementaryInfo {
         self.stats
     }
 
-    /// Apply a refinement to every shortcut tuple: `f` returns the new
-    /// cost (plus, when paths are stored, the new concrete path) or `None`
-    /// to keep the current tuple. Returns per-site counts of tuples that
-    /// changed. Used by incremental insert maintenance
-    /// (`dist' = min(dist, dist(a,u) + c + dist(v,b))`).
+    /// Apply a refinement to every ordered border pair the scope covers,
+    /// stored or not: `f(u, v, cost)` (`INFINITE_COST` = no tuple yet)
+    /// returns the new cost (plus, when paths are stored, the new
+    /// concrete path) or `None` to keep the entry. Returns per-site
+    /// counts of entries that changed. Used by incremental insert
+    /// maintenance (`dist' = min(dist, dist(a,u) + c + dist(v,b))`) — a
+    /// pair the new connection joins for the first time gets its tuple at
+    /// every site holding both borders.
     ///
-    /// Sites with no changed tuple keep their shared table untouched —
+    /// Sites with no changed entry keep their shared table untouched —
     /// `Arc::make_mut` detaches only the tables this refinement writes.
     pub fn refine(
         &mut self,
-        f: impl Fn(&Edge) -> Option<(u64, Option<Vec<NodeId>>)>,
+        f: impl Fn(NodeId, NodeId, Cost) -> Option<(Cost, Option<Vec<NodeId>>)>,
     ) -> Vec<usize> {
-        let mut changed = vec![0usize; self.shortcuts.len()];
+        let mut changed = vec![0usize; self.tables.len()];
         let mut updates: Vec<(usize, Cost, Option<Vec<NodeId>>)> = Vec::new();
         for (site, changed_slot) in changed.iter_mut().enumerate() {
+            let table = &self.tables[site];
+            let nb = table.borders.len();
             updates.clear();
-            for (i, e) in self.shortcuts[site].iter().enumerate() {
-                if let Some((new_cost, new_path)) = f(e) {
-                    debug_assert!(new_cost <= e.cost, "insertions only shorten paths");
-                    if new_cost != e.cost {
-                        updates.push((i, new_cost, new_path));
+            for (i, &u) in table.borders.iter().enumerate() {
+                for (j, &v) in table.borders.iter().enumerate() {
+                    let slot = i * nb + j;
+                    if i == j || !table.covers(slot) {
+                        continue;
+                    }
+                    let cost = table.costs[slot];
+                    if let Some((new_cost, new_path)) = f(u, v, cost) {
+                        debug_assert!(new_cost <= cost, "insertions only shorten paths");
+                        if new_cost != cost {
+                            updates.push((slot, new_cost, new_path));
+                        }
                     }
                 }
             }
@@ -776,88 +829,68 @@ impl ComplementaryInfo {
                 continue;
             }
             *changed_slot = updates.len();
-            let table = Arc::make_mut(&mut self.shortcuts[site]);
-            for (i, new_cost, new_path) in updates.drain(..) {
+            let table = Arc::make_mut(&mut self.tables[site]);
+            for (slot, new_cost, new_path) in updates.drain(..) {
                 if let (Some(data), Some(p)) = (self.paths.as_mut(), new_path) {
-                    Arc::make_mut(data).set(table[i].src, table[i].dst, p);
+                    Arc::make_mut(data).set(table.borders[slot / nb], table.borders[slot % nb], p);
                 }
-                table[i].cost = new_cost;
+                table.costs[slot] = new_cost;
             }
         }
         changed
     }
 
-    /// Re-derive every shortcut rooted at one of `sources` from the
+    /// Re-derive every tuple rooted at one of `sources` from the
     /// post-update `graph` (deletion repair: distances may have grown).
     ///
-    /// The tuples are grouped by source in **one pass** over every site's
-    /// table up front, so each source's repair sweep then visits only its
-    /// own tuples — previously every source rescanned every site's full
-    /// tuple set, which grew quadratically with the border count on the
-    /// per-DS scope. One scratch sweep per source; sources iterate in
-    /// sorted order and the sweep state is reused. Returns per-site
-    /// counts of tuples changed, or the first border pair that became
-    /// unreachable — the caller must then fall back to a full recompute.
-    /// All table writes are deferred until every sweep succeeded, so on
-    /// `Err` the tables are untouched and untouched sites keep their
-    /// shared (`Arc`) tables in every case.
+    /// One scratch sweep per source, read by that source's row at every
+    /// site holding it; sources iterate in sorted order and the sweep
+    /// state is reused. Returns per-site counts of tuples changed, or the
+    /// first border pair that became unreachable — the caller must then
+    /// fall back to a full recompute. All table writes are deferred until
+    /// every sweep succeeded, so on `Err` the tables are untouched and
+    /// untouched sites keep their shared (`Arc`) tables in every case.
     pub fn repair_sources(
         &mut self,
         graph: &CsrGraph,
         sources: &BTreeSet<NodeId>,
         scratch: &mut ScratchDijkstra,
     ) -> Result<Vec<usize>, (NodeId, NodeId)> {
-        let mut changed = vec![0usize; self.shortcuts.len()];
-        if sources.is_empty() {
-            return Ok(changed);
-        }
-        // One pass over all tables: positions of affected tuples, grouped
-        // by their source.
-        let mut by_source: HashMap<NodeId, Vec<(u32, u32)>> = HashMap::new();
-        for (site, tuples) in self.shortcuts.iter().enumerate() {
-            for (i, e) in tuples.iter().enumerate() {
-                if sources.contains(&e.src) {
-                    by_source
-                        .entry(e.src)
-                        .or_default()
-                        .push((site as u32, i as u32));
-                }
-            }
-        }
+        let mut changed = vec![0usize; self.tables.len()];
         let store = self.paths.is_some();
-        let mut cost_changes: Vec<(u32, u32, Cost)> = Vec::new();
+        let mut cost_changes: Vec<(usize, usize, Cost)> = Vec::new();
         let mut path_changes: Vec<(NodeId, NodeId, Vec<NodeId>)> = Vec::new();
         // The same (u, v) route backs every site storing that pair; one
         // replacement path per pair is enough.
         let mut path_seen: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
         for &s in sources {
-            let Some(positions) = by_source.get(&s) else {
-                continue; // an affected source with no stored shortcut
-            };
             scratch.sweep(graph, &[(s, 0)]);
-            for &(site, i) in positions {
-                let e = &self.shortcuts[site as usize][i as usize];
-                let Some(cost) = scratch.cost(e.dst) else {
-                    return Err((s, e.dst));
+            for (site, table) in self.tables.iter().enumerate() {
+                let Ok(i) = table.borders.binary_search(&s) else {
+                    continue;
                 };
-                if cost != e.cost {
-                    cost_changes.push((site, i, cost));
-                }
-                if store && path_seen.insert((e.src, e.dst)) {
-                    // Even when the cost is unchanged, the stored path may
-                    // have used the deleted connection (it was *a* shortest
-                    // path); replace it with a currently valid one.
-                    path_changes.push((
-                        e.src,
-                        e.dst,
-                        scratch.path_to(e.dst).expect("cost is finite"),
-                    ));
+                for (j, (&dst, &old)) in table.borders.iter().zip(table.row(i)).enumerate() {
+                    if j == i || old == INFINITE_COST {
+                        continue;
+                    }
+                    let Some(cost) = scratch.cost(dst) else {
+                        return Err((s, dst));
+                    };
+                    if cost != old {
+                        cost_changes.push((site, i * table.borders.len() + j, cost));
+                    }
+                    if store && path_seen.insert((s, dst)) {
+                        // Even when the cost is unchanged, the stored path may
+                        // have used the deleted connection (it was *a* shortest
+                        // path); replace it with a currently valid one.
+                        path_changes.push((s, dst, scratch.path_to(dst).expect("cost is finite")));
+                    }
                 }
             }
         }
-        for (site, i, cost) in cost_changes {
-            Arc::make_mut(&mut self.shortcuts[site as usize])[i as usize].cost = cost;
-            changed[site as usize] += 1;
+        for (site, slot, cost) in cost_changes {
+            Arc::make_mut(&mut self.tables[site]).costs[slot] = cost;
+            changed[site] += 1;
         }
         if let Some(data) = self.paths.as_mut() {
             if !path_changes.is_empty() {
@@ -873,8 +906,12 @@ impl ComplementaryInfo {
 
 /// For each site, the groups of border nodes whose pairs get shortcuts:
 /// one group per adjacent DS (paper scope) or a single group of all the
-/// fragment's border nodes (fragment scope).
-fn site_border_sets(frag: &Fragmentation, scope: ComplementaryScope) -> Vec<Vec<Vec<NodeId>>> {
+/// fragment's border nodes (fragment scope) — and all border nodes,
+/// ascending.
+fn site_border_sets(
+    frag: &Fragmentation,
+    scope: ComplementaryScope,
+) -> (Vec<Vec<Vec<NodeId>>>, Vec<NodeId>) {
     let n = frag.fragment_count();
     let mut out: Vec<Vec<Vec<NodeId>>> = vec![Vec::new(); n];
     let ds = frag.disconnection_sets();
@@ -898,7 +935,8 @@ fn site_border_sets(frag: &Fragmentation, scope: ComplementaryScope) -> Vec<Vec<
             }
         }
     }
-    out
+    let all: BTreeSet<NodeId> = ds.into_values().flatten().collect();
+    (out, all.into_iter().collect())
 }
 
 #[cfg(test)]
@@ -931,7 +969,8 @@ mod tests {
             ComplementaryInfo::compute(&g, &frag, ComplementaryScope::PerDisconnectionSet, false);
         assert_eq!(comp.border_count(), 1);
         assert_eq!(comp.pair_count(), 0, "a singleton DS has no pairs");
-        assert!(comp.shortcuts(0).is_empty());
+        assert_eq!(comp.shortcuts(0).count(), 0);
+        assert_eq!(comp.table(0).borders(), [NodeId(2)], "still a border");
     }
 
     #[test]
@@ -958,9 +997,8 @@ mod tests {
         assert_eq!(comp.border_count(), 2);
         // Pairs (0,3) and (3,0) at both sites.
         assert_eq!(comp.pair_count(), 4);
-        let s0 = comp.shortcuts(0);
-        let shortcut = s0
-            .iter()
+        let shortcut = comp
+            .shortcuts(0)
             .find(|e| e.src == NodeId(0) && e.dst == NodeId(3))
             .unwrap();
         assert_eq!(shortcut.cost, 3, "global distance around the cycle");
@@ -1003,7 +1041,6 @@ mod tests {
             ComplementaryInfo::compute(&g, &frag, ComplementaryScope::PerFragmentBorder, false);
         let has_cross = |c: &ComplementaryInfo| {
             c.shortcuts(0)
-                .iter()
                 .any(|e| e.src == NodeId(2) && e.dst == NodeId(4))
         };
         assert!(per_border.pair_count() >= per_ds.pair_count());
@@ -1011,33 +1048,6 @@ mod tests {
             has_cross(&per_border),
             "fragment scope covers cross-DS border pairs"
         );
-    }
-
-    #[test]
-    fn parallel_precompute_matches_sequential() {
-        let g = ds_gen::generate_transportation(&ds_gen::TransportationConfig::table1(), 3);
-        let frag = ds_fragment::semantic::by_labels(
-            g.nodes,
-            &g.connections,
-            g.cluster_of.as_ref().unwrap(),
-            4,
-            ds_fragment::CrossingPolicy::LowerBlock,
-        )
-        .unwrap();
-        let csr = g.closure_graph();
-        let seq =
-            ComplementaryInfo::compute(&csr, &frag, ComplementaryScope::PerFragmentBorder, false);
-        let par = ComplementaryInfo::compute_with_threads(
-            &csr,
-            &frag,
-            ComplementaryScope::PerFragmentBorder,
-            false,
-            4,
-        );
-        assert_eq!(seq.pair_count(), par.pair_count());
-        for f in 0..frag.fragment_count() {
-            assert_eq!(seq.shortcuts(f), par.shortcuts(f), "site {f}");
-        }
     }
 
     #[test]
@@ -1061,7 +1071,7 @@ mod tests {
             assert_eq!(skel.border_count(), glob.border_count(), "{scope:?}");
             assert_eq!(skel.pair_count(), glob.pair_count(), "{scope:?}");
             for f in 0..frag.fragment_count() {
-                assert_eq!(skel.shortcuts(f), glob.shortcuts(f), "{scope:?} site {f}");
+                assert_eq!(skel.table(f), glob.table(f), "{scope:?} site {f}");
                 // Stitched paths are real paths of the right cost.
                 for e in skel.shortcuts(f) {
                     let p = skel.path(e.src, e.dst).expect("path stored");

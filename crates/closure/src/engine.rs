@@ -36,19 +36,6 @@ pub struct EngineConfig {
     /// Parallel Hierarchical Evaluation: the mandatory hub fragment, if
     /// the fragmentation was built with one (see [`crate::phe`]).
     pub hub: Option<FragmentId>,
-    /// OS threads for the precompute's fragment-local sweep phase (and
-    /// for fallback full recomputes during update maintenance). `1` (the
-    /// default) runs sequentially; larger values engage
-    /// [`crate::complementary::ComplementaryInfo::compute_with_threads`]
-    /// — results are identical either way.
-    pub precompute_threads: usize,
-    /// Maintain an SCC/chain reachability index (`ds_graph::ReachIndex`)
-    /// so `connected` queries bypass the shortest-path machinery
-    /// entirely. On (the default) the index is built at deploy time,
-    /// kept across updates that provably cannot change reachability and
-    /// rebuilt (linear time) otherwise; off, `connected` always takes
-    /// the Dijkstra-grade fallback path.
-    pub reach_index: bool,
 }
 
 impl Default for EngineConfig {
@@ -60,8 +47,6 @@ impl Default for EngineConfig {
             max_chain_len: 16,
             mode: ExecutionMode::Sequential,
             hub: None,
-            precompute_threads: 1,
-            reach_index: true,
         }
     }
 }
@@ -239,9 +224,10 @@ impl DisconnectionSetEngine {
     ///
     /// Both endpoints must already belong to the owner fragment —
     /// inserting within a region never changes the fragmentation's node
-    /// sets, so disconnection sets (and the set of shortcut *pairs*) stay
-    /// fixed and only shortcut *costs* can improve. Growing a fragment's
-    /// node set is a re-fragmentation concern, out of scope for an
+    /// sets, so disconnection sets (and with them the border pairs each
+    /// site's table has a slot for) stay fixed; only costs can improve,
+    /// a missing tuple counting as infinite. Growing a fragment's node
+    /// set is a re-fragmentation concern, out of scope for an
     /// engine-level update.
     pub fn insert_connection(
         &mut self,

@@ -7,7 +7,7 @@
 //! (§2.1). The parallel mode exploits exactly that independence: every
 //! [`SiteQuery`] reads only its own site's state.
 //!
-//! [`run_sites`] is the placement the engine's evaluator runs its
+//! `run_sites` is the placement the engine's evaluator runs its
 //! subqueries through, whatever kernel answers them. [`run_chain`] is the
 //! *reference* phase one: every subquery of one chain as planned, by
 //! forward Dijkstra sweeps over the sites' augmented graphs — the

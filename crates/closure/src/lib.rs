@@ -24,7 +24,7 @@
 //! [`engine::DisconnectionSetEngine`] packages the pipeline; [`baseline`]
 //! holds the centralized algorithms the engine is validated against, and
 //! [`phe`] implements the Parallel Hierarchical Evaluation extension
-//! (ref [12]) for fragmentation graphs too complex to enumerate.
+//! (ref \[12\]) for fragmentation graphs too complex to enumerate.
 //!
 //! [`api`] defines [`TcEngine`], the query surface (single queries,
 //! routes, updates, and the amortized [`TcEngine::query_batch`]) this
@@ -64,11 +64,9 @@ pub mod planner;
 pub mod snapshot;
 pub mod updates;
 
-pub use api::{
-    BatchAnswer, BatchStats, BoundedBatchAnswer, NetworkUpdate, QueryRequest, RealHopSet, TcEngine,
-};
+pub use api::{BatchAnswer, BatchStats, BoundedBatchAnswer, NetworkUpdate, QueryRequest, TcEngine};
 pub use complementary::{
-    ComplementaryInfo, ComplementaryScope, PrecomputeStats, PrecomputeStrategy,
+    BorderTable, ComplementaryInfo, ComplementaryScope, PrecomputeStats, PrecomputeStrategy,
 };
 pub use engine::{DisconnectionSetEngine, EngineConfig, QueryAnswer, QueryStats, Route};
 pub use error::ClosureError;

@@ -18,10 +18,12 @@
 //!
 //! * the fragment's own graph, in local node ids, without shortcuts (and
 //!   its transpose on directed networks only);
-//! * the site's border nodes — as the fragmentation defines them, so a
-//!   lone border is still a border — with the complementary distances as
-//!   a dense row-major matrix `D` (diagonal 0, [`INFINITE_COST`] where no
-//!   tuple is stored);
+//! * the site's complementary table ([`BorderTable`]) — its border nodes
+//!   as the fragmentation defines them, so a lone border is still a
+//!   border, with the complementary distances as a dense row-major
+//!   matrix `D` (diagonal 0, [`INFINITE_COST`] where no tuple is stored)
+//!   — behind the very `Arc` [`crate::ComplementaryInfo`] keeps it in:
+//!   the numbers are stored once;
 //! * per fragment node, filled on first use, its *access set*: the
 //!   borders it reaches over local edges without crossing another border,
 //!   with those local costs, less the entries another entry dominates
@@ -59,8 +61,12 @@
 
 use std::sync::{Arc, OnceLock};
 
+use ds_fragment::FragmentId;
 use ds_graph::{Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
 use ds_relation::{PathTuple, Relation};
+
+use crate::complementary::BorderTable;
+use crate::memo::SiteMemo;
 
 /// A site's augmented local graph: fragment edges (symmetric expansion if
 /// the network is symmetric) plus the site's complementary shortcuts.
@@ -68,16 +74,16 @@ pub fn augmented_graph(
     node_count: usize,
     fragment_edges: &[Edge],
     symmetric: bool,
-    shortcuts: &[Edge],
+    shortcuts: impl IntoIterator<Item = Edge>,
 ) -> CsrGraph {
-    let mut edges = Vec::with_capacity(fragment_edges.len() * 2 + shortcuts.len());
+    let mut edges = Vec::with_capacity(fragment_edges.len() * 2);
     for e in fragment_edges {
         edges.push(*e);
         if symmetric && !e.is_loop() {
             edges.push(e.reversed());
         }
     }
-    edges.extend_from_slice(shortcuts);
+    edges.extend(shortcuts);
     CsrGraph::from_edges(node_count, &edges)
 }
 
@@ -93,10 +99,15 @@ pub struct SiteBytes {
     /// The fragment's own graph(s), its node list, the (empty) access-set
     /// slots and, once something asked for it, the augmented graph.
     pub graph: usize,
-    /// The border list and the dense border matrix.
+    /// The border index and — only where the stored table had to be
+    /// closed — the site's own copy of the matrix. The table itself is
+    /// [`BorderTable::memory_bytes`], held once for site and
+    /// [`crate::ComplementaryInfo`].
     pub border_matrix: usize,
     /// The access sets filled so far.
     pub access_sets: usize,
+    /// The interior segment relations evaluated so far.
+    pub segment_memo: usize,
 }
 
 /// One site's evaluation state for one epoch (see the module docs).
@@ -114,8 +125,11 @@ pub struct Site {
     borders: Vec<NodeId>,
     /// Per local node, its position in `borders`, or [`NOT_A_BORDER`].
     border_index: Vec<u32>,
-    /// `D`, row-major over `borders`.
-    dist: Vec<Cost>,
+    /// The complementary table, shared with `ComplementaryInfo`: `D` as
+    /// stored.
+    table: Arc<BorderTable>,
+    /// `D` closed, where the stored table is not its own closure.
+    closed: Option<Vec<Cost>>,
     /// `own[i] = (i, 0)`: the access set of border `i` is `own[i..=i]`.
     own: Vec<AccessEntry>,
     /// Per local node, the borders it reaches first.
@@ -126,20 +140,22 @@ pub struct Site {
     /// The augmented graph over global ids, for whoever still sweeps it
     /// (route expansion, the reference evaluator, benches).
     augmented: OnceLock<Arc<CsrGraph>>,
+    /// The interior segment relations evaluated so far at this site.
+    memo: SiteMemo,
 }
 
 impl Site {
     /// Build the site of a fragment with node set `nodes` (ascending) and
-    /// tuples `fragment_edges`, whose border nodes are those `is_border`
-    /// accepts and whose complementary table is `shortcuts`. `scratch` is
-    /// swept only when the table leaves a border pair out (see the module
-    /// docs).
+    /// tuples `fragment_edges`, adjacent to the fragments `neighbors`,
+    /// whose border nodes and complementary distances are `table`.
+    /// `scratch` is swept only when the table leaves a border pair out
+    /// (see the module docs).
     pub fn build(
         nodes: &[NodeId],
         fragment_edges: &[Edge],
         symmetric: bool,
-        is_border: impl Fn(NodeId) -> bool,
-        shortcuts: &[Edge],
+        table: Arc<BorderTable>,
+        neighbors: &[FragmentId],
         scratch: &mut ScratchDijkstra,
     ) -> Self {
         debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]));
@@ -159,84 +175,59 @@ impl Site {
         let transpose = (!symmetric).then(|| local.reversed());
 
         let mut border_index = vec![NOT_A_BORDER; nodes.len()];
-        let mut borders = Vec::new();
-        for (i, &v) in nodes.iter().enumerate() {
-            if is_border(v) {
-                border_index[i] = borders.len() as u32;
-                borders.push(NodeId::from_index(i));
-            }
+        let borders: Vec<NodeId> = table.borders().iter().map(|&b| local_of(b)).collect();
+        for (i, b) in borders.iter().enumerate() {
+            border_index[b.index()] = i as u32;
         }
-        let nb = borders.len();
-        let mut dist = vec![INFINITE_COST; nb * nb];
-        for i in 0..nb {
-            dist[i * nb + i] = 0;
-        }
-        // Tables are written row by row in border order, so a tuple's
-        // endpoints are mostly where the previous tuple's were, or one on.
-        let border_nodes: Vec<NodeId> = borders.iter().map(|b| nodes[b.index()]).collect();
-        let index_of = |v: NodeId, hint: usize| {
-            (hint..hint + 3)
-                .find(|&i| border_nodes.get(i) == Some(&v))
-                .unwrap_or_else(|| {
-                    border_nodes
-                        .binary_search(&v)
-                        .expect("shortcut joins borders")
-                })
-        };
-        let (mut row, mut col) = (0, 0);
-        for e in shortcuts {
-            row = index_of(e.src, row);
-            col = index_of(e.dst, col);
-            let slot = &mut dist[row * nb + col];
-            *slot = e.cost.min(*slot);
-        }
-        let mut site = Site {
+        Site {
             nodes: nodes.to_vec(),
             transpose,
-            own: (0..nb as u32).map(|i| (i, 0)).collect(),
+            closed: closed_matrix(&local, &borders, &table, scratch),
+            own: (0..borders.len() as u32).map(|i| (i, 0)).collect(),
             entries: vec![OnceLock::new(); nodes.len()],
             exits: vec![OnceLock::new(); if symmetric { 0 } else { nodes.len() }],
             augmented: OnceLock::new(),
+            memo: SiteMemo::new(neighbors),
             local,
             borders,
             border_index,
-            dist,
-        };
-        site.close(scratch);
-        site
+            table,
+        }
     }
 
-    /// Make `D` the shortest-distance closure of the augmented graph on
-    /// the borders: rows that store every pair already are; the others
-    /// are swept over the fragment's graph plus the stored pairs.
-    fn close(&mut self, scratch: &mut ScratchDijkstra) {
-        let nb = self.borders.len();
-        let incomplete: Vec<usize> = (0..nb)
-            .filter(|i| self.dist[i * nb..(i + 1) * nb].contains(&INFINITE_COST))
-            .collect();
-        if incomplete.is_empty() {
-            return;
-        }
-        let mut edges: Vec<Edge> = self.local.edges().collect();
-        for (i, &a) in self.borders.iter().enumerate() {
-            for (&b, &cost) in self.borders.iter().zip(&self.dist[i * nb..(i + 1) * nb]) {
-                if a != b && cost < INFINITE_COST {
-                    edges.push(Edge::new(a, b, cost));
-                }
-            }
-        }
-        let augmented = CsrGraph::from_edges(self.nodes.len(), &edges);
-        for i in incomplete {
-            scratch.sweep_to_targets(&augmented, &[(self.borders[i], 0)], &self.borders);
-            for (j, &b) in self.borders.iter().enumerate() {
-                self.dist[i * nb + j] = scratch.cost(b).unwrap_or(INFINITE_COST);
-            }
-        }
+    /// `D`: the shortest-distance closure of the augmented graph on the
+    /// borders, row-major.
+    fn dist(&self) -> &[Cost] {
+        self.closed.as_deref().unwrap_or(self.table.costs())
+    }
+
+    /// The complementary table this site evaluates from — the same `Arc`
+    /// [`crate::ComplementaryInfo::table`] returns for the site.
+    pub fn table(&self) -> &Arc<BorderTable> {
+        &self.table
+    }
+
+    /// The interior segment relations evaluated so far at this site.
+    /// They are valid for exactly this fragment and table, so they live
+    /// (and are replaced) with the site.
+    pub fn memo(&self) -> &SiteMemo {
+        &self.memo
+    }
+
+    /// Whether the fragment itself connects `p -> q` at `cost` — what
+    /// tells a real hop of a path over the augmented graph from a
+    /// shortcut hop.
+    pub fn has_edge(&self, p: NodeId, q: NodeId, cost: Cost) -> bool {
+        let local = |v| self.nodes.binary_search(&v).map(NodeId::from_index);
+        let (Ok(p), Ok(q)) = (local(p), local(q)) else {
+            return false;
+        };
+        self.local.neighbors(p).any(|hop| hop == (q, cost))
     }
 
     /// The site's border nodes (global ids, ascending).
     pub fn border_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.borders.iter().map(|b| self.nodes[b.index()])
+        self.table.borders().iter().copied()
     }
 
     /// The site's augmented graph, built by `build` if nothing asked for
@@ -252,9 +243,12 @@ impl Site {
     }
 
     /// A deep copy sharing nothing with `self`, the augmented graph (if
-    /// built) included.
-    pub(crate) fn unshared_clone(&self) -> Self {
-        let mut site = self.clone();
+    /// built) included, over `table` — the caller's copy of this site's.
+    pub(crate) fn unshared_clone(&self, table: Arc<BorderTable>) -> Self {
+        let mut site = Site {
+            table,
+            ..self.clone()
+        };
         if let Some(g) = site.augmented.get_mut() {
             *g = Arc::new((**g).clone());
         }
@@ -274,9 +268,13 @@ impl Site {
                 + self.augmented.get().map_or(0, |g| g.memory_bytes())
                 + self.nodes.len() * (size_of::<NodeId>() + size_of::<u32>())
                 + slots.iter().map(|s| size_of_val(&s[..])).sum::<usize>(),
-            border_matrix: self.dist.len() * size_of::<Cost>()
+            border_matrix: self
+                .closed
+                .as_ref()
+                .map_or(0, |d| d.len() * size_of::<Cost>())
                 + self.borders.len() * (size_of::<NodeId>() + size_of::<AccessEntry>()),
             access_sets: filled.map(|set| size_of_val(&**set)).sum(),
+            segment_memo: self.memo.memory_bytes(),
         }
     }
 
@@ -329,12 +327,12 @@ impl Site {
             .filter_map(|(i, &b)| Some((i as u32, scratch.cost(b)?)))
             .collect();
         reached.sort_unstable_by_key(|&(i, cost)| (cost, i));
-        let nb = self.borders.len();
+        let (nb, dist) = (self.borders.len(), self.dist());
         let mut kept: Vec<AccessEntry> = Vec::new();
         for (b, cost) in reached {
             let through = |k: u32| {
                 let (from, to) = if forward { (k, b) } else { (b, k) };
-                self.dist[from as usize * nb + to as usize]
+                dist[from as usize * nb + to as usize]
             };
             if !kept.iter().any(|&(k, c)| c + through(k) <= cost) {
                 kept.push((b, cost));
@@ -342,6 +340,43 @@ impl Site {
         }
         kept.into_boxed_slice()
     }
+}
+
+/// The shortest-distance closure of a site's augmented graph on its
+/// borders, where `table` is not that as stored: rows that hold every
+/// pair are; the others are swept over the fragment's graph plus the
+/// stored pairs. `None` when nothing was swept or the sweeps found
+/// nothing — the site then reads the table in place.
+fn closed_matrix(
+    local: &CsrGraph,
+    borders: &[NodeId],
+    table: &BorderTable,
+    scratch: &mut ScratchDijkstra,
+) -> Option<Vec<Cost>> {
+    let nb = borders.len();
+    let incomplete: Vec<usize> = (0..nb)
+        .filter(|&i| table.row(i).contains(&INFINITE_COST))
+        .collect();
+    if incomplete.is_empty() {
+        return None;
+    }
+    let mut edges: Vec<Edge> = local.edges().collect();
+    for (i, &a) in borders.iter().enumerate() {
+        for (&b, &cost) in borders.iter().zip(table.row(i)) {
+            if a != b && cost < INFINITE_COST {
+                edges.push(Edge::new(a, b, cost));
+            }
+        }
+    }
+    let augmented = CsrGraph::from_edges(local.node_count(), &edges);
+    let mut closed = table.costs().to_vec();
+    for i in incomplete {
+        scratch.sweep_to_targets(&augmented, &[(borders[i], 0)], borders);
+        for (j, &b) in borders.iter().enumerate() {
+            closed[i * nb + j] = scratch.cost(b).unwrap_or(INFINITE_COST);
+        }
+    }
+    (closed != table.costs()).then_some(closed)
 }
 
 /// The result of one site subquery in dense form: the local shortest
@@ -446,7 +481,7 @@ pub fn border_matrix_with(
     targets: &[NodeId],
     scratch: &mut ScratchDijkstra,
 ) -> SegmentMatrix {
-    let nb = site.borders.len();
+    let (nb, dist) = (site.borders.len(), site.dist());
     let is_border = |v: NodeId| site.border_index[v.index()] != NOT_A_BORDER;
     let exits: Vec<_> = targets
         .iter()
@@ -458,7 +493,7 @@ pub fn border_matrix_with(
         for &(exit, t_inner) in &exits {
             let mut best = INFINITE_COST;
             for &(b, reach) in entry {
-                let row = &site.dist[b as usize * nb..][..nb];
+                let row = &dist[b as usize * nb..][..nb];
                 for &(b2, leave) in exit {
                     // Three terms of at most INFINITE_COST: no wrap.
                     best = best.min(reach + row[b2 as usize] + leave);
@@ -497,7 +532,7 @@ mod tests {
     fn augmented_graph_merges_fragment_and_shortcuts() {
         let frag = vec![Edge::new(n(0), n(1), 2)];
         let shortcuts = vec![Edge::new(n(1), n(2), 7)];
-        let aug = augmented_graph(3, &frag, true, &shortcuts);
+        let aug = augmented_graph(3, &frag, true, shortcuts);
         assert_eq!(aug.edge_count(), 3); // 0->1, 1->0, shortcut 1->2
         assert_eq!(reach(&aug, 0, 2), 9);
         assert_eq!(reach(&aug, 2, 0), INFINITE_COST, "shortcuts are directed");
@@ -507,10 +542,10 @@ mod tests {
     fn symmetric_expansion_only_when_asked() {
         let frag = vec![Edge::unit(n(0), n(1))];
         assert_eq!(
-            reach(&augmented_graph(2, &frag, false, &[]), 1, 0),
+            reach(&augmented_graph(2, &frag, false, []), 1, 0),
             INFINITE_COST
         );
-        assert_eq!(reach(&augmented_graph(2, &frag, true, &[]), 1, 0), 1);
+        assert_eq!(reach(&augmented_graph(2, &frag, true, []), 1, 0), 1);
     }
 
     /// Diamond fragment: 0->1 (1), 0->2 (5), 1->3 (1), 2->3 (1).
@@ -526,7 +561,7 @@ mod tests {
     #[test]
     fn forward_matrix_shape() {
         let m = forward_matrix(
-            &augmented_graph(4, &diamond_edges(), false, &[]),
+            &augmented_graph(4, &diamond_edges(), false, []),
             &[n(0), n(1)],
             &[n(3)],
             &mut ScratchDijkstra::new(),
@@ -539,7 +574,7 @@ mod tests {
     #[test]
     fn unreachable_pairs_are_infinite_and_not_tuples() {
         let frag = vec![Edge::unit(n(0), n(1))];
-        let aug = augmented_graph(3, &frag, false, &[]);
+        let aug = augmented_graph(3, &frag, false, []);
         let m = forward_matrix(&aug, &[n(0)], &[n(1), n(2)], &mut ScratchDijkstra::new());
         assert_eq!(m.row(0), &[1, INFINITE_COST]);
         assert_eq!(m.tuples(), 1);
@@ -561,18 +596,18 @@ mod tests {
             Edge::new(n(14), n(12), 1),
             Edge::new(n(15), n(16), 3),
         ];
-        let is_border = |v: NodeId| [n(10), n(13), n(15)].contains(&v);
+        let table = BorderTable::from_edges(vec![n(10), n(13), n(15)], shortcuts);
         let site = Site::build(
             &nodes,
             &edges,
             symmetric,
-            is_border,
-            shortcuts,
+            Arc::new(table),
+            &[],
             &mut ScratchDijkstra::new(),
         );
         (
             site,
-            augmented_graph(20, &edges, symmetric, shortcuts),
+            augmented_graph(20, &edges, symmetric, shortcuts.iter().copied()),
             nodes,
         )
     }
@@ -615,11 +650,20 @@ mod tests {
         let complete = [(10, 13, 6), (10, 15, 9), (13, 15, 4)];
         let (site, aug, nodes) = sample(true, &every_pair(&complete, true));
         assert_kernel_is_exact(&site, &aug, &nodes, "symmetric");
-        assert_eq!(site.dist[3..6], [6, 0, 4]);
+        assert_eq!(site.dist()[3..6], [6, 0, 4]);
+        assert!(site.closed.is_none(), "a complete table is read in place");
         // Directed, borders only partly connected: 15 reaches nothing.
         let one_way = [(13, 10, 1), (13, 15, 4), (10, 13, 6), (10, 15, 10)];
         let (site, aug, nodes) = sample(false, &every_pair(&one_way, false));
         assert_kernel_is_exact(&site, &aug, &nodes, "directed");
+        assert!(
+            site.closed.is_none(),
+            "sweeps that find nothing leave no copy"
+        );
+        // A shortcut is no edge of the fragment, and a one-way edge has
+        // no way back.
+        assert!(site.has_edge(n(10), n(11), 2) && !site.has_edge(n(11), n(10), 2));
+        assert!(!site.has_edge(n(10), n(13), 6) && !site.has_edge(n(10), n(11), 3));
         // No table at all: the fragment's own paths are all there is.
         for symmetric in [true, false] {
             let (site, aug, nodes) = sample(symmetric, &[]);
@@ -632,7 +676,12 @@ mod tests {
         // Only 13 <-> 15 stored: 10 <-> 13 runs through the fragment
         // (cost 6), and 10 <-> 15 composes the two.
         let (site, aug, nodes) = sample(true, &every_pair(&[(13, 15, 4)], true));
-        assert_eq!(site.dist, [0, 6, 10, 6, 0, 4, 10, 4, 0]);
+        assert_eq!(site.dist(), [0, 6, 10, 6, 0, 4, 10, 4, 0]);
+        assert_eq!(
+            site.table.costs()[1],
+            INFINITE_COST,
+            "the stored table is as it was"
+        );
         assert_kernel_is_exact(&site, &aug, &nodes, "closed");
         assert!(!site.augmented_is_built(), "closing builds nothing lasting");
     }

@@ -9,19 +9,18 @@
 //! reads, one slot per ordered pair of neighbouring fragments, filled the
 //! first time a query's chain crosses the site that way.
 //!
-//! A memo is valid for exactly one [`crate::local::Site`], so it is
-//! stored (and replaced) together with it: the maintenance that gives a
-//! touched site new evaluation state gives it a new, empty memo, and
-//! every untouched site keeps sharing its filled memo with the previous
-//! epoch — and with every reader thread, which is why filling goes
-//! through [`OnceLock`].
+//! A memo is valid for exactly one [`crate::local::Site`], so it is a
+//! field of it ([`crate::local::Site::memo`]): the maintenance that gives
+//! a touched site new evaluation state thereby gives it an empty memo,
+//! and every untouched site keeps sharing its filled memo with the
+//! previous epoch — and with every reader thread, which is why filling
+//! goes through [`OnceLock`].
 
 use std::sync::OnceLock;
 
 use ds_fragment::FragmentId;
 
 use crate::local::SegmentMatrix;
-use crate::planner::Planner;
 
 /// The interior segment relations of one site for one epoch.
 #[derive(Clone, Debug)]
@@ -34,11 +33,6 @@ pub struct SiteMemo {
 }
 
 impl SiteMemo {
-    /// An empty memo for `site` of the planner's fragmentation.
-    pub fn for_site(planner: &Planner, site: FragmentId) -> Self {
-        SiteMemo::new(planner.fragmentation_graph().neighbors(site))
-    }
-
     /// An empty memo for a site adjacent to `neighbors`.
     pub fn new(neighbors: &[FragmentId]) -> Self {
         let mut neighbors = neighbors.to_vec();
@@ -92,7 +86,7 @@ mod tests {
     use ds_graph::{Edge, NodeId, ScratchDijkstra};
 
     fn matrix(cost: u64) -> SegmentMatrix {
-        let g = augmented_graph(2, &[Edge::new(NodeId(0), NodeId(1), cost)], false, &[]);
+        let g = augmented_graph(2, &[Edge::new(NodeId(0), NodeId(1), cost)], false, []);
         forward_matrix(&g, &[NodeId(0)], &[NodeId(1)], &mut ScratchDijkstra::new())
     }
 

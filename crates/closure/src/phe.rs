@@ -1,5 +1,5 @@
 //! Parallel Hierarchical Evaluation (PHE) — the extension the paper
-//! points to for complex fragmentation graphs (§5, ref [12]):
+//! points to for complex fragmentation graphs (§5, ref \[12\]):
 //!
 //! "It introduces the concept of a 'high-speed network'; this is a
 //! separate fragment that mandatorily has to be traversed when going to a

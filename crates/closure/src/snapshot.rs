@@ -24,19 +24,22 @@
 //!
 //! ## Structural sharing
 //!
-//! Every per-site component — each [`Site`] (own graph, border matrix,
-//! access sets, and the augmented graph once something asked for it),
-//! each segment memo, each real-hop set, and (inside
-//! [`ComplementaryInfo`]) each shortcut table — lives behind its own
-//! `Arc`, as do the whole-graph pieces (global graph, fragmentation,
-//! planner). Cloning a snapshot therefore costs O(sites) refcount
-//! bumps, not a deep copy: that is what makes the serve
-//! writer's per-epoch publication cheap. [`EngineSnapshot::maintain`]
-//! preserves the sharing — it replaces exactly the Arcs of the sites an
-//! update touched (via fresh allocations or [`std::sync::Arc::make_mut`])
-//! and leaves every other site pointer-shared with the previous epoch.
-//! `tests/properties.rs` asserts `Arc::ptr_eq` for untouched sites across
-//! consecutive epochs on both fragmenter families.
+//! A site is one thing: everything an epoch holds per fragment — its own
+//! graph, the access sets and interior segment relations evaluated so
+//! far, the augmented graph once something asked for it — is one
+//! [`Site`] behind one `Arc`, and the site's complementary table
+//! ([`crate::complementary::BorderTable`]) is one allocation that the
+//! `Site` and [`ComplementaryInfo`] both point to. The whole-graph pieces
+//! (global graph, fragmentation, planner, reachability index) have an
+//! `Arc` each. Cloning a snapshot therefore costs O(sites) refcount
+//! bumps, not a deep copy: that is what makes the serve writer's
+//! per-epoch publication cheap. [`EngineSnapshot::maintain`] preserves
+//! the sharing — it replaces exactly one `Arc<Site>` per site an update
+//! touched (and, through [`std::sync::Arc::make_mut`], the table of a
+//! site whose entries changed) and leaves every other site
+//! pointer-shared with the previous epoch. `tests/properties.rs` asserts
+//! `Arc::ptr_eq` for untouched sites across consecutive epochs on both
+//! fragmenter families.
 //!
 //! ## No augmented graph on the build or publication path
 //!
@@ -48,15 +51,12 @@
 //! evaluator [`crate::executor::run_chain`], benches — and builds it on
 //! first use, inside the `Arc`-shared site.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use ds_fragment::{Fragment, FragmentId, Fragmentation};
 use ds_graph::{CsrGraph, NodeId, ReachIndex, ScratchDijkstra};
 
-use crate::api::{
-    best_route, run_batch, BatchAnswer, NetworkUpdate, QueryRequest, RealHopSet, SiteEvaluator,
-};
+use crate::api::{best_route, run_batch, BatchAnswer, NetworkUpdate, QueryRequest, SiteEvaluator};
 use crate::complementary::{ComplementaryInfo, PrecomputeStats};
 use crate::engine::{EngineConfig, QueryAnswer, QueryStats, Route};
 use crate::error::ClosureError;
@@ -82,25 +82,16 @@ pub struct EngineSnapshot {
     symmetric: bool,
     cfg: EngineConfig,
     comp: ComplementaryInfo,
-    /// Per site, behind its own `Arc`: what the site evaluates its
-    /// subqueries from — the fragment's own graph, the border matrix and
-    /// the access sets filled so far (see [`crate::local`]).
+    /// Per site, behind its own `Arc`: everything valid for exactly this
+    /// fragment and this complementary table — the fragment's own graph,
+    /// the table (the `Arc` `comp` holds), the access sets and interior
+    /// segment relations evaluated so far (see [`crate::local`]).
     sites: Vec<Arc<Site>>,
-    /// Per site, behind its own `Arc`: the interior segment relations
-    /// evaluated so far at that site. Always replaced together with
-    /// `sites[f]`, so a memo never outlives the fragment and table it was
-    /// computed from.
-    memos: Vec<Arc<SiteMemo>>,
-    /// Per site, behind its own `Arc`: the real (non-shortcut) hops
-    /// available locally, with costs — used to tell shortcut hops apart
-    /// during route expansion.
-    real_hops: Vec<Arc<RealHopSet>>,
     planner: Arc<Planner>,
     /// SCC/chain reachability index over the global closure graph, the
-    /// fast path behind [`EngineSnapshot::connected`]. `None` when
-    /// [`EngineConfig::reach_index`] is off, or when the last update
-    /// could have changed reachability (*stale*) — `connected` then
-    /// falls back to the shortest-path machinery until
+    /// fast path behind [`EngineSnapshot::connected`]. `None` when the
+    /// last update could have changed reachability (*stale*) —
+    /// `connected` then falls back to the shortest-path machinery until
     /// [`EngineSnapshot::ensure_reach`] rebuilds it. Arc-shared across
     /// epochs like every other component: a kept index costs one
     /// refcount bump per publication.
@@ -115,19 +106,19 @@ pub struct EngineSnapshot {
 pub struct CowMaintenance {
     pub report: UpdateReport,
     /// The fragment whose edge set changed (`None` for a no-op removal):
-    /// its [`Site`] and real-hop set were replaced.
+    /// its [`Site`] was replaced, over the same table unless it is in
+    /// `shortcut_sites` too.
     pub owner: Option<FragmentId>,
-    /// Sites whose shortcut table (and hence [`Site`]) was replaced —
-    /// every site after a fallback full recompute.
+    /// Sites whose complementary table (and hence [`Site`]) was replaced
+    /// — every site after a fallback full recompute.
     pub shortcut_sites: Vec<FragmentId>,
     /// Union of `owner` and `shortcut_sites`, sorted: the sites whose
-    /// components are *not* shared with the pre-update snapshot. Every
+    /// [`Site`] is *not* shared with the pre-update snapshot. Every
     /// other site remains `Arc::ptr_eq` with it.
     pub touched_sites: Vec<FragmentId>,
-    /// Whether the reachability index survived this update (`true` also
-    /// when the index is disabled — there was nothing to invalidate).
-    /// `false` means the index was dropped as stale; `connected` falls
-    /// back until [`EngineSnapshot::ensure_reach`] rebuilds it.
+    /// Whether the reachability index survived this update. `false`
+    /// means the index was dropped as stale; `connected` falls back
+    /// until [`EngineSnapshot::ensure_reach`] rebuilds it.
     pub reach_kept: bool,
 }
 
@@ -137,12 +128,15 @@ pub struct CowMaintenance {
 pub struct SnapshotBytes {
     /// The global closure graph.
     pub graph: usize,
-    /// The complementary shortcut tables.
+    /// The complementary tables: per site the border list and the dense
+    /// border matrix, counted once although the site and
+    /// [`ComplementaryInfo`] both point to it.
     pub complementary: usize,
     /// Per site: the fragment's own graph (and transpose), node list,
     /// access-set slots and — once asked for — the augmented graph.
     pub site_graphs: usize,
-    /// Per site: the border list and the dense border matrix.
+    /// Per site: the border index, and the site's own closed copy of the
+    /// matrix where the stored table left a border pair out.
     pub border_matrices: usize,
     /// Per site: the access sets filled so far.
     pub access_sets: usize,
@@ -174,10 +168,8 @@ impl SnapshotBytes {
 
 impl EngineSnapshot {
     /// Build a snapshot from scratch: validate, compute the complementary
-    /// information (the paper's pre-processing phase; its local-sweep
-    /// phase runs on [`EngineConfig::precompute_threads`] OS threads), then
-    /// the planner, the per-site evaluation state (each border matrix
-    /// scattered from the site's shortcut table) and real-hop sets, and
+    /// information (the paper's pre-processing phase), then the planner,
+    /// the per-site evaluation state (each over its table, in place) and
     /// the reachability index.
     pub fn build(
         graph: CsrGraph,
@@ -191,13 +183,7 @@ impl EngineSnapshot {
                 fragmentation: frag.node_count(),
             });
         }
-        let comp = ComplementaryInfo::compute_with_threads(
-            &graph,
-            &frag,
-            cfg.scope,
-            cfg.store_paths,
-            cfg.precompute_threads,
-        );
+        let comp = ComplementaryInfo::compute(&graph, &frag, cfg.scope, cfg.store_paths);
         let planner = Arc::new(Planner::new(
             &frag,
             cfg.max_chains,
@@ -205,19 +191,10 @@ impl EngineSnapshot {
             cfg.hub,
         ));
         let mut scratch = ScratchDijkstra::new();
-        let mut sites = Vec::with_capacity(frag.fragment_count());
-        let mut real_hops = Vec::with_capacity(frag.fragment_count());
-        for f in frag.fragments() {
-            sites.push(Arc::new(build_site(
-                &planner,
-                f,
-                symmetric,
-                &comp,
-                &mut scratch,
-            )));
-            real_hops.push(Arc::new(real_hop_set(f.edges(), symmetric)));
-        }
-        let reach = cfg.reach_index.then(|| Arc::new(ReachIndex::build(&graph)));
+        let sites = (frag.fragments().iter())
+            .map(|f| Arc::new(build_site(&planner, f, symmetric, &comp, &mut scratch)))
+            .collect();
+        let reach = Some(Arc::new(ReachIndex::build(&graph)));
         Ok(EngineSnapshot {
             graph: Arc::new(graph),
             frag: Arc::new(frag),
@@ -225,17 +202,16 @@ impl EngineSnapshot {
             cfg,
             comp,
             sites,
-            memos: fresh_memos(&planner),
-            real_hops,
             planner,
             reach,
         })
     }
 
     /// A deep copy that shares **nothing** with `self`: every component —
-    /// global graph, fragmentation, planner, per-site evaluation state,
-    /// segment memos, real-hop sets and shortcut tables — gets a fresh
-    /// allocation.
+    /// global graph, fragmentation, planner, every site and its
+    /// complementary table — gets a fresh allocation (a site and the
+    /// copy's [`ComplementaryInfo`] share the copied table, as they do
+    /// here).
     ///
     /// This is exactly what a per-epoch publication cost before
     /// structural sharing; the gates bench uses it as the baseline of the
@@ -243,23 +219,17 @@ impl EngineSnapshot {
     /// a snapshot from a long-lived shared lineage (e.g. to archive one
     /// epoch without pinning another epoch's memory).
     pub fn unshared_clone(&self) -> Self {
+        let comp = self.comp.unshared_clone();
+        let sites = (self.sites.iter().enumerate())
+            .map(|(f, s)| Arc::new(s.unshared_clone(Arc::clone(comp.table(f)))))
+            .collect();
         EngineSnapshot {
             graph: Arc::new((*self.graph).clone()),
             frag: Arc::new((*self.frag).clone()),
             symmetric: self.symmetric,
             cfg: self.cfg.clone(),
-            comp: self.comp.unshared_clone(),
-            sites: self
-                .sites
-                .iter()
-                .map(|s| Arc::new(s.unshared_clone()))
-                .collect(),
-            memos: self.memos.iter().map(|m| Arc::new((**m).clone())).collect(),
-            real_hops: self
-                .real_hops
-                .iter()
-                .map(|h| Arc::new((**h).clone()))
-                .collect(),
+            comp,
+            sites,
             planner: Arc::new((*self.planner).clone()),
             reach: self.reach.as_ref().map(|r| Arc::new((**r).clone())),
         }
@@ -304,10 +274,10 @@ impl EngineSnapshot {
 
     // --- structural-sharing handles ------------------------------------
 
-    /// The shared handle behind site `f`'s evaluation state: its own
-    /// graph, border matrix and access sets. Two snapshots whose handles
-    /// are `Arc::ptr_eq` physically share all of it — the
-    /// structural-sharing contract across epochs.
+    /// The shared handle behind site `f`: its own graph, complementary
+    /// table, access sets and segment memo ([`Site::memo`]). Two
+    /// snapshots whose handles are `Arc::ptr_eq` physically share all of
+    /// it — the structural-sharing contract across epochs.
     pub fn site_handle(&self, f: FragmentId) -> &Arc<Site> {
         &self.sites[f]
     }
@@ -330,21 +300,6 @@ impl EngineSnapshot {
         })
     }
 
-    /// The shared handle behind site `f`'s segment memo: the interior
-    /// chain relations evaluated so far at that site. It is replaced (by
-    /// an empty one) exactly when the [`Site`] is, and `Arc::ptr_eq`
-    /// across epochs otherwise — so what one epoch evaluated, every
-    /// later epoch that did not touch the site reads.
-    pub fn memo_handle(&self, f: FragmentId) -> &Arc<SiteMemo> {
-        &self.memos[f]
-    }
-
-    /// Heap bytes held by the segment memos' evaluated slots, over all
-    /// sites (shared memos counted in every epoch that holds them).
-    pub fn segment_memo_bytes(&self) -> usize {
-        self.memos.iter().map(|m| m.memory_bytes()).sum()
-    }
-
     /// Heap bytes this epoch holds, by component — "how much memory does
     /// epoch N hold". Components shared with another epoch are counted
     /// in every epoch that holds them.
@@ -352,7 +307,6 @@ impl EngineSnapshot {
         let mut bytes = SnapshotBytes {
             graph: self.graph.memory_bytes(),
             complementary: self.comp.table_bytes(),
-            segment_memos: self.segment_memo_bytes(),
             reach_index: self.reach.as_ref().map_or(0, |r| r.memory_bytes()),
             ..SnapshotBytes::default()
         };
@@ -361,13 +315,9 @@ impl EngineSnapshot {
             bytes.site_graphs += s.graph;
             bytes.border_matrices += s.border_matrix;
             bytes.access_sets += s.access_sets;
+            bytes.segment_memos += s.segment_memo;
         }
         bytes
-    }
-
-    /// The shared handle behind site `f`'s real-hop set.
-    pub fn real_hops_handle(&self, f: FragmentId) -> &Arc<RealHopSet> {
-        &self.real_hops[f]
     }
 
     /// The shared handle behind the global closure graph.
@@ -380,10 +330,10 @@ impl EngineSnapshot {
         &self.planner
     }
 
-    /// The reachability index, when present and fresh. `None` means
+    /// The reachability index, when fresh. `None` means
     /// [`EngineSnapshot::connected`] currently falls back to the
-    /// shortest-path machinery (index disabled, or stale after an
-    /// update that could have changed reachability).
+    /// shortest-path machinery (the index is stale after an update that
+    /// could have changed reachability).
     pub fn reach_index(&self) -> Option<&ReachIndex> {
         self.reach.as_deref()
     }
@@ -395,16 +345,14 @@ impl EngineSnapshot {
         self.reach.as_ref()
     }
 
-    /// Rebuild the reachability index if it is enabled but stale
-    /// (linear in the graph). Owners call this eagerly after updates —
-    /// the inline engine per update, the serve writer once per write
-    /// batch before publishing — so readers never pay the rebuild.
-    /// Returns whether a fresh index is now present.
-    pub fn ensure_reach(&mut self) -> bool {
-        if self.cfg.reach_index && self.reach.is_none() {
+    /// Rebuild the reachability index if it is stale (linear in the
+    /// graph). Owners call this eagerly after updates — the inline
+    /// engine per update, the serve writer once per write batch before
+    /// publishing — so readers never pay the rebuild.
+    pub fn ensure_reach(&mut self) {
+        if self.reach.is_none() {
             self.reach = Some(Arc::new(ReachIndex::build(&self.graph)));
         }
-        self.reach.is_some()
     }
 
     /// Per-phase timing of the precompute that built (or last rebuilt)
@@ -452,7 +400,7 @@ impl EngineSnapshot {
     /// Answered by the SCC/chain reachability index when it is present
     /// and fresh — one component comparison plus at most one binary
     /// search, no Dijkstra sweep, `scratch` untouched. Falls back to
-    /// the shortest-path machinery when the index is disabled or stale.
+    /// the shortest-path machinery when the index is stale.
     pub fn connected(&self, x: NodeId, y: NodeId, scratch: &mut ScratchDijkstra) -> bool {
         if x == y {
             return true;
@@ -467,7 +415,7 @@ impl EngineSnapshot {
 
     /// Answer many shortest-path requests on `scratch`, amortizing chain
     /// planning across the batch and reading interior segments from this
-    /// epoch's memos (see [`run_batch`]).
+    /// epoch's memos (see [`crate::api::run_batch_bounded`]).
     pub fn query_batch(
         &self,
         requests: &[QueryRequest],
@@ -479,37 +427,22 @@ impl EngineSnapshot {
     fn evaluator<'a>(&'a self, scratch: &'a mut ScratchDijkstra) -> SnapshotEval<'a> {
         SnapshotEval {
             sites: &self.sites,
-            memos: &self.memos,
             mode: self.cfg.mode,
             scratch,
         }
     }
 
-    /// [`EngineSnapshot::query_batch`] with request tracing: `traces[i]`
-    /// is request `i`'s id, and per-request evaluation timings (total
-    /// plus per-chain segments) are appended to `sink`. Answers are
-    /// identical to the untraced path; the serve workers call this when
-    /// observability is armed.
-    pub fn query_batch_traced(
-        &self,
-        requests: &[QueryRequest],
-        scratch: &mut ScratchDijkstra,
-        traces: &[ds_obs::TraceId],
-        sink: &mut Vec<ds_obs::EvalTrace>,
-    ) -> BatchAnswer {
-        let mut eval = self.evaluator(scratch);
-        crate::api::run_batch_traced(&self.planner, &mut eval, requests, traces, Some(sink))
-    }
-
-    /// [`EngineSnapshot::query_batch_traced`] with cooperative
-    /// cancellation: `deadlines[i]` is request `i`'s absolute deadline
-    /// (empty slice or `None` = unbounded), checked between requests,
-    /// before a request's sweeps and between its chains. A request that
-    /// blows its deadline
-    /// mid-evaluation comes back as `None` instead of an answer; the
-    /// serve tier resolves those with
-    /// [`ClosureError::DeadlineExceeded`]. Tracing is optional: pass an
-    /// empty `traces` slice and `None` for `sink` on the untraced path.
+    /// [`EngineSnapshot::query_batch`] with request tracing and
+    /// cooperative cancellation. `traces[i]` is request `i`'s id, and
+    /// per-request evaluation timings (total plus per-chain segments) are
+    /// appended to `sink`; pass an empty slice and `None` on the untraced
+    /// path. `deadlines[i]` is request `i`'s absolute deadline (empty
+    /// slice or `None` = unbounded), checked between requests, before a
+    /// request's sweeps and between its chains. A request that blows its
+    /// deadline mid-evaluation comes back as `None` instead of an answer;
+    /// the serve tier resolves those with
+    /// [`ClosureError::DeadlineExceeded`]. Answers are otherwise
+    /// identical to [`EngineSnapshot::query_batch`].
     pub fn query_batch_bounded(
         &self,
         requests: &[QueryRequest],
@@ -591,7 +524,7 @@ impl EngineSnapshot {
         for hop in local.windows(2) {
             let (p, q) = (hop[0], hop[1]);
             let hop_cost = scratch.cost(q).expect("on path") - scratch.cost(p).expect("on path");
-            if self.real_hops[site].contains(&(p, q, hop_cost)) {
+            if self.sites[site].has_edge(p, q, hop_cost) {
                 out.push(q);
             } else {
                 let shortcut = self
@@ -608,9 +541,9 @@ impl EngineSnapshot {
 
     /// Apply a network update in place, keeping answers exact afterwards:
     /// runs the shared maintenance path ([`crate::updates::maintain`]),
-    /// then rebuilds the touched sites' evaluation state and the owner's
-    /// real-hop set. See [`EngineSnapshot::maintain_cow`] for the variant
-    /// that also reports *which* sites were touched.
+    /// then rebuilds the touched sites. See
+    /// [`EngineSnapshot::maintain_cow`] for the variant that also reports
+    /// *which* sites were touched.
     ///
     /// A snapshot shared behind an `Arc` cannot (and must not) be
     /// maintained through the `Arc` — clone it first (O(sites): every
@@ -627,8 +560,8 @@ impl EngineSnapshot {
     }
 
     /// [`EngineSnapshot::maintain`] with the copy-on-write outcome made
-    /// explicit: which sites' components were detached from the previous
-    /// epoch, and which remain shared.
+    /// explicit: which sites were detached from the previous epoch, and
+    /// which remain shared.
     pub fn maintain_cow(
         &mut self,
         update: &NetworkUpdate,
@@ -657,23 +590,13 @@ impl EngineSnapshot {
         if !keep {
             self.reach = None;
         }
-        let reach_kept = keep || !self.cfg.reach_index;
-        let Some(owner) = m.owner else {
-            return Ok(CowMaintenance {
-                report: m.report,
-                owner: None,
-                shortcut_sites: Vec::new(),
-                touched_sites: Vec::new(),
-                reach_kept,
-            });
-        };
-        let mut sites: std::collections::BTreeSet<FragmentId> =
-            m.shortcut_sites.iter().copied().collect();
-        sites.insert(owner);
+        // Nothing at all after a no-op removal.
+        let sites: std::collections::BTreeSet<FragmentId> =
+            m.shortcut_sites.iter().copied().chain(m.owner).collect();
         for &f in &sites {
-            // Fresh evaluation state and an empty memo per touched site;
-            // untouched sites keep sharing both with the pre-update
-            // snapshot.
+            // A touched site starts over — new graph or new table, no
+            // access set, an empty memo; every other site stays the
+            // `Arc` the pre-update snapshot holds.
             self.sites[f] = Arc::new(build_site(
                 &self.planner,
                 self.frag.fragment(f),
@@ -681,36 +604,18 @@ impl EngineSnapshot {
                 &self.comp,
                 scratch,
             ));
-            self.memos[f] = Arc::new(SiteMemo::for_site(&self.planner, f));
         }
-        self.real_hops[owner] = Arc::new(real_hop_set(
-            self.frag.fragment(owner).edges(),
-            self.symmetric,
-        ));
         Ok(CowMaintenance {
             report: m.report,
-            owner: Some(owner),
+            owner: m.owner,
             shortcut_sites: m.shortcut_sites,
             touched_sites: sites.into_iter().collect(),
-            reach_kept,
+            reach_kept: keep,
         })
     }
 }
 
-fn real_hop_set(edges: &[ds_graph::Edge], symmetric: bool) -> RealHopSet {
-    let mut hops = HashSet::with_capacity(edges.len() * 2);
-    for e in edges {
-        hops.insert((e.src, e.dst, e.cost));
-        if symmetric && !e.is_loop() {
-            hops.insert((e.dst, e.src, e.cost));
-        }
-    }
-    hops
-}
-
-/// The evaluation state of fragment `f`: its border nodes are the nodes
-/// the fragmentation shares with another fragment, whether or not the
-/// table mentions them.
+/// The site of fragment `f`, over the table `comp` holds for it.
 fn build_site(
     planner: &Planner,
     f: &Fragment,
@@ -722,16 +627,10 @@ fn build_site(
         f.nodes(),
         f.edges(),
         symmetric,
-        |v| planner.fragments_of(v).len() >= 2,
-        comp.shortcuts(f.id()),
+        Arc::clone(comp.table(f.id())),
+        planner.fragmentation_graph().neighbors(f.id()),
         scratch,
     )
-}
-
-fn fresh_memos(planner: &Planner) -> Vec<Arc<SiteMemo>> {
-    (0..planner.fragmentation_graph().fragment_count())
-        .map(|f| Arc::new(SiteMemo::for_site(planner, f)))
-        .collect()
 }
 
 /// Site evaluation over a snapshot: subqueries run on the calling thread
@@ -739,7 +638,6 @@ fn fresh_memos(planner: &Planner) -> Vec<Arc<SiteMemo>> {
 /// caller's scratch.
 struct SnapshotEval<'a> {
     sites: &'a [Arc<Site>],
-    memos: &'a [Arc<SiteMemo>],
     mode: ExecutionMode,
     scratch: &'a mut ScratchDijkstra,
 }
@@ -763,7 +661,7 @@ impl SiteEvaluator for SnapshotEval<'_> {
     }
 
     fn memo(&self, site: FragmentId) -> &SiteMemo {
-        &self.memos[site]
+        self.sites[site].memo()
     }
 }
 
@@ -862,28 +760,24 @@ mod tests {
         );
     }
 
+    /// An update that could have changed reachability leaves the index
+    /// stale until its owner rebuilds it; `connected` meanwhile answers
+    /// through the shortest-path machinery.
     #[test]
-    fn index_disabled_falls_back_and_stays_correct() {
-        let g = grid(10, 4);
-        let frag = linear_sweep(
-            &g.edge_list(),
-            &LinearConfig {
-                fragments: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .fragmentation;
-        let cfg = EngineConfig {
-            reach_index: false,
-            ..Default::default()
-        };
-        let mut snap = EngineSnapshot::build(g.closure_graph(), frag, true, cfg).unwrap();
-        assert!(snap.reach_index().is_none());
-        assert!(!snap.ensure_reach(), "disabled index never rebuilds");
+    fn a_stale_index_falls_back_and_stays_correct() {
+        let (_, mut snap) = snapshot();
         let mut scratch = ScratchDijkstra::new();
+        let e = snap.fragmentation().fragment(0).edges()[0];
+        let remove = NetworkUpdate::Remove {
+            src: e.src,
+            dst: e.dst,
+            owner: 0,
+        };
+        assert!(!snap.maintain_cow(&remove, &mut scratch).unwrap().reach_kept);
+        assert!(snap.reach_index().is_none());
+        let before = scratch.stats().sweeps;
         assert!(snap.connected(n(0), n(39), &mut scratch));
-        assert!(scratch.stats().sweeps > 0, "fallback path sweeps");
+        assert!(scratch.stats().sweeps > before, "fallback path sweeps");
     }
 
     #[test]
@@ -939,7 +833,8 @@ mod tests {
                 "fallback connected({x}, {y})"
             );
         }
-        assert!(snap.ensure_reach(), "rebuild on demand");
+        snap.ensure_reach();
+        assert!(snap.reach_index().is_some(), "rebuild on demand");
         let sweeps = scratch.stats().sweeps;
         for x in 0..40u32 {
             for y in 0..40u32 {
@@ -998,7 +893,7 @@ mod tests {
             "the cold batch fills access sets"
         );
         assert!(cold.answers.iter().any(|a| a.stats.chains_evaluated > 2));
-        assert!(snap.segment_memo_bytes() > 0);
+        assert!(snap.memory_bytes().segment_memos > 0);
         assert!(snap.memory_bytes().access_sets > 0);
 
         let planner = snap.planner();
@@ -1136,9 +1031,41 @@ mod tests {
         assert_eq!(costs[0], want);
         assert_eq!(costs[1], want);
         for f in 0..snap.site_count() {
-            assert_eq!(snap.memo_handle(f).filled(), alone.memo_handle(f).filled());
+            assert_eq!(
+                snap.site_handle(f).memo().filled(),
+                alone.site_handle(f).memo().filled()
+            );
         }
-        assert_eq!(snap.segment_memo_bytes(), alone.segment_memo_bytes());
+        assert_eq!(
+            snap.memory_bytes().segment_memos,
+            alone.memory_bytes().segment_memos
+        );
+    }
+
+    /// A site's table is one allocation that the site and the
+    /// complementary information both point to: the breakdown counts it
+    /// once, under `complementary`, and `border_matrices` holds no second
+    /// copy of a matrix the site reads in place.
+    #[test]
+    fn memory_bytes_count_a_shared_table_once() {
+        let (_, snap, requests) = cyclic_snapshot();
+        snap.query_batch(&requests, &mut ScratchDijkstra::new());
+        let bytes = snap.memory_bytes();
+        let mut walked = snap.graph().memory_bytes() + snap.reach_index().unwrap().memory_bytes();
+        let mut border_index = 0;
+        for f in 0..snap.site_count() {
+            let (site, table) = (snap.site_handle(f), snap.complementary().table(f));
+            assert!(Arc::ptr_eq(site.table(), table), "site {f}: one allocation");
+            let s = site.memory_bytes();
+            walked += table.memory_bytes();
+            walked += s.graph + s.border_matrix + s.access_sets + s.segment_memo;
+            border_index += table.borders().len()
+                * (std::mem::size_of::<NodeId>() + std::mem::size_of::<(u32, Cost)>());
+        }
+        assert_eq!(bytes.total(), walked);
+        assert_eq!(bytes.complementary, snap.complementary().table_bytes());
+        assert_eq!(bytes.border_matrices, border_index);
+        assert!(bytes.segment_memos > 0 && bytes.complementary > bytes.border_matrices);
     }
 
     #[test]
@@ -1146,7 +1073,8 @@ mod tests {
         let (_, snap) = snapshot();
         let mut scratch = ScratchDijkstra::new();
         let before = snap.shortest_path(n(0), n(39), &mut scratch).cost.unwrap();
-        let filled: Vec<usize> = (0..4).map(|f| snap.memo_handle(f).filled()).collect();
+        let memo = |snap: &EngineSnapshot, f| snap.site_handle(f).memo().filled();
+        let filled: Vec<usize> = (0..4).map(|f| memo(&snap, f)).collect();
         assert_eq!(filled, [0, 1, 1, 0], "0 -> 39 crosses sites 1 and 2");
         let mut successor = snap.clone();
         let f3 = snap.fragmentation().fragment(3).clone();
@@ -1161,17 +1089,17 @@ mod tests {
             )
             .unwrap();
         // Copy-on-write, memos included: a touched site starts the new
-        // epoch with new evaluation state and an empty memo, an untouched
-        // site hands the successor the memo the predecessor filled.
+        // epoch as a new site with an empty memo, an untouched site is
+        // the very site — memo and all — the predecessor filled.
         assert!(cow.touched_sites.contains(&3));
         assert!(!cow.touched_sites.contains(&1), "{:?}", cow.touched_sites);
         for (f, &filled) in filled.iter().enumerate() {
-            let shared = Arc::ptr_eq(snap.memo_handle(f), successor.memo_handle(f));
+            let shared = Arc::ptr_eq(snap.site_handle(f), successor.site_handle(f));
             assert_eq!(shared, !cow.touched_sites.contains(&f), "site {f}");
             if !shared {
-                assert_eq!(successor.memo_handle(f).filled(), 0, "site {f}");
+                assert_eq!(memo(&successor, f), 0, "site {f}");
             }
-            assert_eq!(snap.memo_handle(f).filled(), filled, "site {f}");
+            assert_eq!(memo(&snap, f), filled, "site {f}");
         }
         // The published (old) snapshot still answers the pre-update
         // network — from its own memos, no interior subquery re-run; the

@@ -11,10 +11,14 @@
 //! * **Insertions** add a connection, which can only *decrease* global
 //!   distances, and any improved shortest path uses the new edge; so two
 //!   Dijkstra runs — one on the reverse graph from the new edge's source,
-//!   one forward from its target — refresh every shortcut:
-//!   `dist'(a,b) = min(dist(a,b), dist(a,u) + c + dist(v,b))`. Stored
-//!   shortcut paths are patched from the same two sweeps
-//!   (`path(a,u) ++ path(v,b)`), so inserts never recompute in full.
+//!   one forward from its target — refresh every entry of every site's
+//!   table: `dist'(a,b) = min(dist(a,b), dist(a,u) + c + dist(v,b))`,
+//!   "no tuple" counting as infinite — so a border pair the new
+//!   connection joins for the first time (a disconnecting deletion had
+//!   dropped its tuple, or a one-way network never had one) gets its
+//!   tuple at every site holding both borders. Stored shortcut paths are
+//!   patched from the same two sweeps (`path(a,u) ++ path(v,b)`), so
+//!   inserts never recompute in full.
 //! * **Deletions** can increase distances, which per-pair minima cannot
 //!   repair locally — but only for shortcuts whose shortest path *used*
 //!   the deleted edge. The **deletion repair rule**: a shortcut `(a, b)`
@@ -68,7 +72,8 @@ pub enum FallbackReason {
 /// Outcome of one update, as accounted by [`maintain`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UpdateReport {
-    /// Shortcut tuples whose cost improved (insert maintenance).
+    /// Shortcut tuples whose cost improved, or that the insert added
+    /// (insert maintenance).
     pub shortcuts_improved: usize,
     /// Shortcut tuples whose cost was repaired upward (deletion repair).
     pub shortcuts_repaired: usize,
@@ -190,10 +195,7 @@ impl Maintenance {
     ) -> Self {
         let mut touched: BTreeSet<FragmentId> = shortcut_sites.iter().copied().collect();
         touched.insert(owner);
-        let tuples_shipped = shortcut_sites
-            .iter()
-            .map(|&f| comp.shortcuts(f).len())
-            .sum();
+        let tuples_shipped = tuples_at(comp, &shortcut_sites);
         Maintenance {
             report: UpdateReport {
                 shortcuts_improved: improved,
@@ -323,10 +325,11 @@ pub fn maintain(
     }
 }
 
-/// Lower every shortcut `(a, b)` to
-/// `min(cost, dist(a, u) + c + dist(v, b))` after inserting `u -> v` with
-/// cost `c` — exact because improved paths must use the new edge. When
-/// paths are stored, the improved path is spliced from the same sweeps.
+/// Lower every table entry `(a, b)` — a missing tuple counting as
+/// infinite — to `min(cost, dist(a, u) + c + dist(v, b))` after inserting
+/// `u -> v` with cost `c`: exact because improved paths must use the new
+/// edge. When paths are stored, the improved path is spliced from the
+/// same sweeps.
 fn improve(
     comp: &mut ComplementaryInfo,
     graph: &CsrGraph,
@@ -338,20 +341,20 @@ fn improve(
     let to_u = dijkstra::single_source(rev, u);
     let from_v = dijkstra::single_source(graph, v);
     let store = comp.has_paths();
-    comp.refine(|e| {
-        let (Some(a_u), Some(v_b)) = (to_u.cost(e.src), from_v.cost(e.dst)) else {
+    comp.refine(|a, b, cost| {
+        let (Some(a_u), Some(v_b)) = (to_u.cost(a), from_v.cost(b)) else {
             return None;
         };
         let cand = a_u + c + v_b;
-        if cand >= e.cost {
+        if cand >= cost {
             return None;
         }
         let path = store.then(|| {
             // `to_u` runs on the reversed graph, so its path u..a reads
             // backwards; flip it to a..u and append v..b.
-            let mut p = to_u.path_to(e.src).expect("cost is finite");
+            let mut p = to_u.path_to(a).expect("cost is finite");
             p.reverse();
-            p.extend(from_v.path_to(e.dst).expect("cost is finite"));
+            p.extend(from_v.path_to(b).expect("cost is finite"));
             p
         });
         Some((cand, path))
@@ -387,6 +390,11 @@ fn affected_sources(
     out
 }
 
+/// Tuples stored at `sites`: what shipping their tables would carry.
+fn tuples_at(comp: &ComplementaryInfo, sites: &[FragmentId]) -> usize {
+    sites.iter().map(|&f| comp.table(f).pair_count()).sum()
+}
+
 fn nonzero_sites(per_site: &[usize]) -> Vec<FragmentId> {
     per_site
         .iter()
@@ -408,18 +416,9 @@ fn full_recompute(
     owner: FragmentId,
     reason: FallbackReason,
 ) -> Maintenance {
-    *comp = ComplementaryInfo::compute_with_threads(
-        graph,
-        frag,
-        cfg.scope,
-        cfg.store_paths,
-        cfg.precompute_threads,
-    );
+    *comp = ComplementaryInfo::compute(graph, frag, cfg.scope, cfg.store_paths);
     let shortcut_sites: Vec<FragmentId> = (0..frag.fragment_count()).collect();
-    let tuples_shipped = shortcut_sites
-        .iter()
-        .map(|&f| comp.shortcuts(f).len())
-        .sum();
+    let tuples_shipped = tuples_at(comp, &shortcut_sites);
     Maintenance {
         report: UpdateReport {
             shortcuts_improved: 0,

@@ -369,8 +369,10 @@ fn encode_checkpoint(snapshot: &EngineSnapshot, lsn: u64, epoch: u64) -> Vec<u8>
             put_u64(&mut payload, 0);
         }
     }
-    put_u64(&mut payload, cfg.precompute_threads as u64);
-    payload.push(u8::from(cfg.reach_index));
+    // Two slots `DSCKPT01` reserves (once `precompute_threads` and
+    // `reach_index`): written as 1 / true, skipped when read.
+    put_u64(&mut payload, 1);
+    payload.push(1);
     put_u64(&mut payload, frag.node_count() as u64);
     put_u64(&mut payload, frag.fragment_count() as u64);
     for f in frag.fragments() {
@@ -420,8 +422,9 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<CheckpointImage> {
     } else {
         None
     };
-    let precompute_threads = usize::try_from(c.u64()?).ok()?;
-    let reach_index = c.u8()? != 0;
+    // The two reserved slots (see `encode_checkpoint`).
+    c.u64()?;
+    c.u8()?;
     let node_count = usize::try_from(c.u64()?).ok()?;
     let fragment_count = usize::try_from(c.u64()?).ok()?;
     // The payload is checksummed, so these counts are trusted sizes —
@@ -457,8 +460,6 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<CheckpointImage> {
             max_chain_len,
             mode,
             hub,
-            precompute_threads,
-            reach_index,
         },
         node_count,
         fragments,

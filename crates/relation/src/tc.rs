@@ -132,7 +132,7 @@ pub fn naive_closure(
 }
 
 /// "Smart" min-cost transitive closure by repeated squaring
-/// (the logarithmic strategy of the paper's ref [16], Ioannidis &
+/// (the logarithmic strategy of the paper's ref \[16\], Ioannidis &
 /// Ramakrishnan): each round composes the accumulated path relation with
 /// *itself*, so path lengths double per round and the fixpoint arrives
 /// after ⌈log₂ diameter⌉ + 1 rounds instead of `diameter`.

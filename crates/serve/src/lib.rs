@@ -36,10 +36,10 @@
 //!   atomically by the single writer. Readers pin the epoch for the
 //!   duration of a micro-batch: every answer is consistent with some
 //!   published version, and says which ([`ServedBatch::epoch`]).
-//! * **O(touched sites) publication.** Every per-site component of a
-//!   snapshot sits behind its own `Arc`, so the writer's per-epoch
-//!   publication clone is O(sites) refcount bumps and each epoch
-//!   physically shares every untouched site's tables with its
+//! * **O(touched sites) publication.** A snapshot holds one `Arc<Site>`
+//!   per fragment, so the writer's per-epoch publication clone is
+//!   O(sites) refcount bumps and each epoch physically shares every
+//!   untouched site — graph, table, access sets, memo — with its
 //!   predecessor (`ds_closure::snapshot` documents the sharing
 //!   contract; the gates bench holds it at ≥ 5x cheaper than a full
 //!   copy).
@@ -57,8 +57,8 @@
 //!   [`ServeConfig::batch_max`]) in one lock acquisition, coalesces
 //!   identical requests (single-flight), sorts the distinct cache misses
 //!   by fragment pair and feeds them to the shared batch kernel
-//!   (`ds_closure::api::run_batch`), which plans each fragment pair once
-//!   and reads interior chain segments from the snapshot's per-site
+//!   (`ds_closure::api::run_batch_bounded`), which plans each fragment
+//!   pair once and reads interior chain segments from the sites'
 //!   memos — evaluated once per epoch, shared by all workers. Queue
 //!   depth converts directly into amortization — the busier the server,
 //!   the cheaper the average query.
@@ -825,7 +825,7 @@ mod tests {
         // The update touched fragment 0's side of the chain only: the
         // published epoch still holds the interior segments the reads
         // before it evaluated at the far sites, and says how much.
-        let memo_bytes = server.snapshot().segment_memo_bytes() as u64;
+        let memo_bytes = server.snapshot().memory_bytes().segment_memos as u64;
         assert!(memo_bytes > 0);
         assert_eq!(
             snap_metrics.gauge("serve_segment_memo_bytes"),

@@ -623,62 +623,20 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(by_mode.backend(), Backend::SiteThreads);
+        // A named backend outranks the mode the config carries.
+        let named = System::builder()
+            .graph(&grid(10, 3))
+            .fragmenter(Fragmenter::Linear(LinearConfig::default()))
+            .backend(Backend::SiteThreads)
+            .config(EngineConfig::default())
+            .build()
+            .unwrap();
+        assert_eq!(named.backend(), Backend::SiteThreads);
         for (x, y) in [(0u32, 29u32), (5, 17), (12, 12), (29, 0)] {
             assert_eq!(
                 inline.shortest_path(n(x), n(y)).cost,
                 threads.shortest_path(n(x), n(y)).cost,
                 "query {x}->{y}"
-            );
-        }
-    }
-
-    /// The `precompute_threads` knob engages the threaded local-sweep
-    /// path through the facade; tables (and therefore answers) are
-    /// identical to the sequential build on both backends.
-    #[test]
-    fn precompute_threads_knob_engages_parallel_build() {
-        for backend in [Backend::Inline, Backend::SiteThreads] {
-            let mut seq = linear_system(backend);
-            let mut par = System::builder()
-                .graph(&grid(10, 3))
-                .fragmenter(Fragmenter::Linear(LinearConfig {
-                    fragments: 3,
-                    ..Default::default()
-                }))
-                .backend(backend)
-                .config(EngineConfig {
-                    precompute_threads: 4,
-                    ..EngineConfig::default()
-                })
-                .build()
-                .unwrap();
-            // A named backend outranks the mode the config carries.
-            assert_eq!(par.backend(), backend);
-            for (x, y) in [(0u32, 29u32), (5, 17), (12, 12), (29, 0)] {
-                assert_eq!(
-                    par.shortest_path(n(x), n(y)).cost,
-                    seq.shortest_path(n(x), n(y)).cost,
-                    "{backend:?} query {x}->{y}"
-                );
-            }
-            // The knob also covers maintenance-time full recomputes:
-            // updates keep answering exactly.
-            let f0 = par.fragmentation().fragment(0).clone();
-            let (a, b) = (f0.nodes()[0], *f0.nodes().last().unwrap());
-            par.update(&NetworkUpdate::Insert {
-                edge: ds_graph::Edge::new(a, b, 1),
-                owner: 0,
-            })
-            .unwrap();
-            seq.update(&NetworkUpdate::Insert {
-                edge: ds_graph::Edge::new(a, b, 1),
-                owner: 0,
-            })
-            .unwrap();
-            assert_eq!(
-                par.shortest_path(n(0), n(29)).cost,
-                seq.shortest_path(n(0), n(29)).cost,
-                "{backend:?} after update"
             );
         }
     }

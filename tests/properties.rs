@@ -261,16 +261,50 @@ fn all_backends_match_baseline_on_random_workloads() {
     }
 }
 
+/// The network the update-stream properties run on: a general graph on
+/// even seeds, a clustered transportation graph on odd ones.
+fn update_network(seed: u64) -> discset::gen::GeneratedGraph {
+    if seed.is_multiple_of(2) {
+        generate_general(
+            &GeneralConfig {
+                nodes: 26,
+                target_edges: 60,
+                ..Default::default()
+            },
+            seed,
+        )
+    } else {
+        generate_transportation(
+            &TransportationConfig {
+                clusters: 3,
+                nodes_per_cluster: 9,
+                target_edges_per_cluster: 22,
+                ..TransportationConfig::default()
+            },
+            seed,
+        )
+    }
+}
+
 /// Draw a random in-fragment update against the engine's *current*
 /// fragmentation: mostly inserts between random fragment nodes, plus
-/// deletions of random fragment edges.
+/// deletions of random fragment edges — one time in six of a *bridge*
+/// (nothing else joins its endpoints), whose re-insertion is then the
+/// next update drawn: `pending` carries it from one call to the next.
+/// Deleting a bridge drops border pairs from the complementary tables;
+/// putting it back must restore them at every site.
 fn arb_update(
     rng: &mut StdRng,
     frag: &discset::fragment::Fragmentation,
+    pending: &mut Option<discset::NetworkUpdate>,
 ) -> Option<discset::NetworkUpdate> {
     use discset::NetworkUpdate;
+    if let Some(reinsert) = pending.take() {
+        return Some(reinsert);
+    }
     let owner = rng.gen_index(frag.fragment_count());
-    if rng.gen_index(5) < 3 {
+    let kind = rng.gen_index(6);
+    if kind < 3 {
         let nodes = frag.fragment(owner).nodes();
         if nodes.len() < 2 {
             return None;
@@ -278,22 +312,43 @@ fn arb_update(
         let a = nodes[rng.gen_index(nodes.len())];
         let b = nodes[rng.gen_index(nodes.len())];
         let cost = 1 + rng.gen_index(30) as u64;
-        Some(NetworkUpdate::Insert {
+        return Some(NetworkUpdate::Insert {
             edge: Edge::new(a, b, cost),
             owner,
-        })
-    } else {
-        let edges = frag.fragment(owner).edges();
-        if edges.is_empty() {
-            return None;
-        }
-        let e = edges[rng.gen_index(edges.len())];
-        Some(NetworkUpdate::Remove {
-            src: e.src,
-            dst: e.dst,
-            owner,
-        })
+        });
     }
+    let edges = frag.fragment(owner).edges();
+    if edges.is_empty() {
+        return None;
+    }
+    let from = rng.gen_index(edges.len());
+    let is_bridge = |e: &Edge| {
+        // The network without what `Remove` takes out of `owner`.
+        let rest: Vec<Edge> = (frag.fragments().iter())
+            .flat_map(|f| f.edges().iter().map(move |x| (f.id(), *x)))
+            .filter(|(f, x)| *f != owner || !x.connects(e.src, e.dst, true))
+            .map(|(_, x)| x)
+            .collect();
+        let csr = closure_graph(frag.node_count(), &rest);
+        baseline::shortest_path_cost(&csr, e.src, e.dst).is_none()
+    };
+    let bridge = (kind == 3)
+        .then(|| {
+            edges[from..]
+                .iter()
+                .chain(&edges[..from])
+                .find(|e| is_bridge(e))
+        })
+        .flatten();
+    if let Some(&edge) = bridge {
+        *pending = Some(NetworkUpdate::Insert { edge, owner });
+    }
+    let e = bridge.unwrap_or(&edges[from]);
+    Some(NetworkUpdate::Remove {
+        src: e.src,
+        dst: e.dst,
+        owner,
+    })
 }
 
 /// Update-equivalence: an engine maintained through ≥ 20 random mixed
@@ -304,27 +359,10 @@ fn arb_update(
 fn maintained_engine_equals_rebuilt_from_scratch() {
     use discset::gen::output::expand_connections;
     let mut case = 0u64;
+    // Bridges deleted and put back, per fragmenter family.
+    let mut bridges = [0usize; 3];
     for seed in 0..6u64 {
-        let g = if seed % 2 == 0 {
-            generate_general(
-                &GeneralConfig {
-                    nodes: 26,
-                    target_edges: 60,
-                    ..Default::default()
-                },
-                seed,
-            )
-        } else {
-            generate_transportation(
-                &TransportationConfig {
-                    clusters: 3,
-                    nodes_per_cluster: 9,
-                    target_edges_per_cluster: 22,
-                    ..TransportationConfig::default()
-                },
-                seed,
-            )
-        };
+        let g = update_network(seed);
         let mut fragmenters = vec![
             Fragmenter::Linear(LinearConfig {
                 fragments: 3,
@@ -342,7 +380,7 @@ fn maintained_engine_equals_rebuilt_from_scratch() {
                 policy: discset::fragment::CrossingPolicy::LowerBlock,
             });
         }
-        for fragmenter in fragmenters {
+        for (family, fragmenter) in fragmenters.into_iter().enumerate() {
             for backend in [Backend::Inline, Backend::SiteThreads] {
                 case += 1;
                 let mut rng = StdRng::seed_from_u64(0xA11CE ^ case);
@@ -352,14 +390,16 @@ fn maintained_engine_equals_rebuilt_from_scratch() {
                     .backend(backend)
                     .build()
                     .unwrap();
-                let mut applied = 0;
+                let (mut applied, mut pending) = (0, None);
                 for _ in 0..300 {
                     if applied >= 20 {
                         break;
                     }
-                    let Some(update) = arb_update(&mut rng, sys.fragmentation()) else {
+                    let Some(update) = arb_update(&mut rng, sys.fragmentation(), &mut pending)
+                    else {
                         continue;
                     };
+                    bridges[family] += pending.is_some() as usize;
                     let report = sys.update(&update).unwrap();
                     assert_eq!(
                         report.full_recompute,
@@ -385,6 +425,17 @@ fn maintained_engine_equals_rebuilt_from_scratch() {
                     .backend(Backend::Inline)
                     .build()
                     .unwrap();
+                // Each site holds exactly the tuples a precompute on the
+                // final network gives it.
+                let (kept, rebuilt) =
+                    (sys.engine().complementary(), fresh.engine().complementary());
+                for f in 0..sys.fragmentation().fragment_count() {
+                    assert_eq!(
+                        kept.table(f),
+                        rebuilt.table(f),
+                        "seed {seed} case {case}: site {f}'s table"
+                    );
+                }
                 for _ in 0..40 {
                     let x = NodeId(rng.gen_index(g.nodes) as u32);
                     let y = NodeId(rng.gen_index(g.nodes) as u32);
@@ -409,6 +460,10 @@ fn maintained_engine_equals_rebuilt_from_scratch() {
             }
         }
     }
+    assert!(
+        bridges[0] > 0 && bridges[1] > 0,
+        "a bridge deleted and put back under linear and center fragmenters: {bridges:?}"
+    );
 }
 
 /// Reachability-index equivalence: `connected` answered through the
@@ -426,26 +481,7 @@ fn reachability_index_equals_dijkstra_connected() {
 
     let mut case = 0u64;
     for seed in 0..6u64 {
-        let g = if seed % 2 == 0 {
-            generate_general(
-                &GeneralConfig {
-                    nodes: 26,
-                    target_edges: 60,
-                    ..Default::default()
-                },
-                seed,
-            )
-        } else {
-            generate_transportation(
-                &TransportationConfig {
-                    clusters: 3,
-                    nodes_per_cluster: 9,
-                    target_edges_per_cluster: 22,
-                    ..TransportationConfig::default()
-                },
-                seed,
-            )
-        };
+        let g = update_network(seed);
         for fragmenter in [
             Fragmenter::Linear(LinearConfig {
                 fragments: 3,
@@ -465,12 +501,13 @@ fn reachability_index_equals_dijkstra_connected() {
                     .backend(backend)
                     .build()
                     .unwrap();
-                let mut applied = 0;
+                let (mut applied, mut pending) = (0, None);
                 for _ in 0..300 {
                     if applied >= 20 {
                         break;
                     }
-                    let Some(update) = arb_update(&mut rng, sys.fragmentation()) else {
+                    let Some(update) = arb_update(&mut rng, sys.fragmentation(), &mut pending)
+                    else {
                         continue;
                     };
                     sys.update(&update).unwrap();
@@ -598,8 +635,8 @@ fn skeleton_precompute_equals_global_sweep() {
             );
             for f in 0..frag.fragment_count() {
                 assert_eq!(
-                    skel.shortcuts(f),
-                    glob.shortcuts(f),
+                    skel.table(f),
+                    glob.table(f),
                     "{label} {scope:?}: site {f} table"
                 );
             }
@@ -726,26 +763,7 @@ fn concurrent_readers_match_their_epoch_oracle() {
 
     let mut case = 0u64;
     for seed in 0..2u64 {
-        let g = if seed % 2 == 0 {
-            generate_general(
-                &GeneralConfig {
-                    nodes: 26,
-                    target_edges: 60,
-                    ..Default::default()
-                },
-                seed,
-            )
-        } else {
-            generate_transportation(
-                &TransportationConfig {
-                    clusters: 3,
-                    nodes_per_cluster: 9,
-                    target_edges_per_cluster: 22,
-                    ..TransportationConfig::default()
-                },
-                seed,
-            )
-        };
+        let g = update_network(seed);
         for fragmenter in [
             Fragmenter::Linear(LinearConfig {
                 fragments: 3,
@@ -778,11 +796,12 @@ fn concurrent_readers_match_their_epoch_oracle() {
             );
             let mut updates = Vec::with_capacity(UPDATES);
             let mut oracles = vec![graph_sim.clone()];
+            let mut pending = None;
             for _ in 0..400 {
                 if updates.len() >= UPDATES {
                     break;
                 }
-                let Some(u) = arb_update(&mut rng, &frag_sim) else {
+                let Some(u) = arb_update(&mut rng, &frag_sim, &mut pending) else {
                     continue;
                 };
                 match apply_update(&graph_sim, &mut frag_sim, true, &u) {
@@ -907,11 +926,12 @@ fn concurrent_readers_match_their_epoch_oracle() {
 }
 
 /// Structural sharing across snapshot epochs: after maintaining a cloned
-/// successor snapshot, every site *not* touched by the update still
-/// shares — `Arc::ptr_eq` — its augmented graph, real-hop set and
-/// shortcut table with the predecessor epoch, on both fragmenter
-/// families (linear sweep and center growth). This is the invariant that
-/// makes the serve writer's per-epoch publication O(touched sites).
+/// successor snapshot, a site is the predecessor epoch's very site —
+/// `Arc::ptr_eq`: graph, table, access sets, memo — exactly when the
+/// update did not touch it, on both fragmenter families (linear sweep and
+/// center growth); and a touched site carries a new table exactly when
+/// its entries changed. This is the invariant that makes the serve
+/// writer's per-epoch publication O(touched sites).
 #[test]
 fn untouched_sites_stay_arc_shared_across_epochs() {
     use discset::closure::snapshot::EngineSnapshot;
@@ -920,26 +940,7 @@ fn untouched_sites_stay_arc_shared_across_epochs() {
 
     let mut scratch = ScratchDijkstra::new();
     for seed in 0..6u64 {
-        let g = if seed % 2 == 0 {
-            generate_general(
-                &GeneralConfig {
-                    nodes: 26,
-                    target_edges: 60,
-                    ..Default::default()
-                },
-                seed,
-            )
-        } else {
-            generate_transportation(
-                &TransportationConfig {
-                    clusters: 3,
-                    nodes_per_cluster: 9,
-                    target_edges_per_cluster: 22,
-                    ..TransportationConfig::default()
-                },
-                seed,
-            )
-        };
+        let g = update_network(seed);
         let el = g.edge_list();
         let fragmentations = [
             (
@@ -974,12 +975,12 @@ fn untouched_sites_stay_arc_shared_across_epochs() {
                     .unwrap();
             let mut rng = StdRng::seed_from_u64(0x5AA6 ^ seed << 4);
             let mut prev = base;
-            let mut applied = 0;
+            let (mut applied, mut pending) = (0, None);
             for _ in 0..200 {
                 if applied >= 10 {
                     break;
                 }
-                let Some(update) = arb_update(&mut rng, prev.fragmentation()) else {
+                let Some(update) = arb_update(&mut rng, prev.fragmentation(), &mut pending) else {
                     continue;
                 };
                 // The successor epoch, exactly as the serve writer makes
@@ -993,52 +994,23 @@ fn untouched_sites_stay_arc_shared_across_epochs() {
                     continue; // structural no-op: nothing to check
                 }
                 applied += 1;
-                let sites = prev.site_count();
-                for f in 0..sites {
-                    let touched = m.touched_sites.contains(&f);
-                    // The site's own graph, border matrix and access sets
-                    // — and the augmented graph built on demand inside it.
-                    let shared_site = Arc::ptr_eq(prev.site_handle(f), next.site_handle(f));
-                    let shared_aug =
-                        Arc::ptr_eq(prev.augmented_handle(f), next.augmented_handle(f));
-                    assert_eq!(shared_site, shared_aug, "{label}: site {f}");
-                    assert_eq!(shared_site, !touched, "{label}: site {f}");
-                    let shared_hops =
-                        Arc::ptr_eq(prev.real_hops_handle(f), next.real_hops_handle(f));
-                    let shared_table = Arc::ptr_eq(
-                        prev.complementary().shortcuts_handle(f),
-                        next.complementary().shortcuts_handle(f),
+                for f in 0..prev.site_count() {
+                    assert_eq!(
+                        Arc::ptr_eq(prev.site_handle(f), next.site_handle(f)),
+                        !m.touched_sites.contains(&f),
+                        "{label}: site {f} after {update:?} (touched {:?})",
+                        m.touched_sites
                     );
-                    if !touched {
-                        assert!(
-                            shared_aug && shared_hops && shared_table,
-                            "{label}: untouched site {f} must stay shared after \
-                             {update:?} (aug {shared_aug}, hops {shared_hops}, \
-                             table {shared_table}; touched {:?})",
-                            m.touched_sites
-                        );
-                    }
-                }
-                // Regression: a touched site's replaced components must
-                // NOT be shared — the owner's augmented graph and
-                // real-hop set are always rebuilt, and every site whose
-                // shortcut table changed carries a fresh table.
-                let owner = m.owner.unwrap();
-                assert!(
-                    !Arc::ptr_eq(prev.augmented_handle(owner), next.augmented_handle(owner)),
-                    "{label}: owner {owner}'s augmented graph must be rebuilt"
-                );
-                assert!(
-                    !Arc::ptr_eq(prev.real_hops_handle(owner), next.real_hops_handle(owner)),
-                    "{label}: owner {owner}'s real hops must be rebuilt"
-                );
-                for &f in &m.shortcut_sites {
-                    assert!(
-                        !Arc::ptr_eq(
-                            prev.complementary().shortcuts_handle(f),
-                            next.complementary().shortcuts_handle(f),
-                        ),
-                        "{label}: site {f}'s shortcut table changed and must be detached"
+                    // The table is one allocation for the site and the
+                    // complementary information, detached only where an
+                    // entry changed: an owner-only site is rebuilt over
+                    // the table it had.
+                    let table = next.complementary().table(f);
+                    assert!(Arc::ptr_eq(next.site_handle(f).table(), table));
+                    assert_eq!(
+                        Arc::ptr_eq(prev.complementary().table(f), table),
+                        !m.shortcut_sites.contains(&f),
+                        "{label}: site {f}'s table after {update:?}"
                     );
                 }
                 prev = next;
@@ -1229,7 +1201,7 @@ fn site_kernel_equals_sweeps_of_the_augmented_graph() {
                     single_border += (borders == 1) as usize;
                     // A stored table that leaves a border pair out was
                     // closed when the site was built.
-                    let stored = snap.complementary().shortcuts(f).len();
+                    let stored = snap.complementary().table(f).pair_count();
                     closed += (stored < borders * borders.saturating_sub(1)) as usize;
                 }
 
