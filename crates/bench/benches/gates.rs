@@ -104,8 +104,7 @@ fn sweep_counts() -> Vec<SweepCount> {
         max_chain_len: 5,
         ..EngineConfig::default()
     };
-    let snapshot =
-        EngineSnapshot::build(g.closure_graph(), frag, true, config).expect("snapshot builds");
+    let snapshot = EngineSnapshot::build(frag, true, config);
     assert!(!snapshot.fragmentation().fragmentation_graph().is_acyclic());
     let requests: Vec<QueryRequest> = (0..64u32)
         .map(|i| QueryRequest::new(NodeId(i * 37 % nodes), NodeId((i * 101 + 13) % nodes)))
@@ -148,8 +147,7 @@ fn reach_index(bench: &mut Bench) -> (u64, Vec<Pair>) {
             let edges: Vec<Edge> = graph.edges().collect();
             let all: Vec<NodeId> = graph.nodes().collect();
             let frag = Fragmentation::new(graph.node_count(), vec![edges], vec![all]);
-            let snap = EngineSnapshot::build(graph, frag, false, EngineConfig::default())
-                .expect("snapshot builds");
+            let snap = EngineSnapshot::build(frag, false, EngineConfig::default());
             let queries: Vec<(NodeId, NodeId)> = (0..64usize)
                 .map(|i| {
                     (
@@ -298,8 +296,7 @@ fn deployment(seed: u64) -> Deployment {
         CrossingPolicy::LowerBlock,
     )
     .expect("label fragmentation");
-    let snapshot = EngineSnapshot::build(g.closure_graph(), frag, true, EngineConfig::default())
-        .expect("snapshot builds");
+    let snapshot = EngineSnapshot::build(frag, true, EngineConfig::default());
     let mut rng = StdRng::seed_from_u64(0x407E5 ^ seed);
     let hot = (0..6)
         .map(|_| {

@@ -4,13 +4,13 @@
 
 use ds_closure::baseline;
 use ds_closure::complementary::{ComplementaryInfo, ComplementaryScope};
-use ds_closure::engine::{DisconnectionSetEngine, EngineConfig};
+use ds_closure::{EngineConfig, EngineSnapshot};
 use ds_fragment::bond_energy::{bond_energy, BondEnergyConfig};
 use ds_fragment::center::{center_based, CenterConfig, Growth};
 use ds_fragment::linear::{linear_sweep, LinearConfig};
 use ds_fragment::{CrossingPolicy, Fragmentation};
 use ds_gen::{generate_transportation, TransportationConfig};
-use ds_graph::NodeId;
+use ds_graph::{NodeId, ScratchDijkstra};
 
 use super::tables::bea_transportation;
 use super::{average_row, AveragedRow};
@@ -104,20 +104,20 @@ pub fn complementary_scope(seed: u64) -> Vec<ScopeRow> {
     .into_iter()
     .map(|scope| {
         let comp = ComplementaryInfo::compute(&csr, &frag, scope, false);
-        let engine = DisconnectionSetEngine::build(
-            csr.clone(),
+        let engine = EngineSnapshot::build(
             frag.clone(),
             true,
             EngineConfig {
                 scope,
                 ..EngineConfig::default()
             },
-        )
-        .expect("engine builds");
+        );
+        let mut scratch = ScratchDijkstra::new();
         let correct = queries
             .iter()
             .filter(|&&(x, y)| {
-                engine.shortest_path(x, y).cost == baseline::shortest_path_cost(&csr, x, y)
+                engine.shortest_path(x, y, &mut scratch).cost
+                    == baseline::shortest_path_cost(&csr, x, y)
             })
             .count();
         ScopeRow {

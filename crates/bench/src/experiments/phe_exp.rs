@@ -3,11 +3,11 @@
 //! through a mandatory high-speed-network hub.
 
 use ds_closure::baseline;
-use ds_closure::engine::{DisconnectionSetEngine, EngineConfig};
 use ds_closure::phe::hub_fragmentation;
+use ds_closure::{EngineConfig, EngineSnapshot};
 use ds_fragment::{semantic, CrossingPolicy};
 use ds_gen::{generate_transportation, ClusterTopology, TransportationConfig};
-use ds_graph::NodeId;
+use ds_graph::{NodeId, ScratchDijkstra};
 
 /// One row of the PHE experiment.
 #[derive(Clone, Debug)]
@@ -51,9 +51,7 @@ pub fn phe(clusters: usize, nodes_per_cluster: usize, seed: u64) -> Vec<PheRow> 
         CrossingPolicy::LowerBlock,
     )
     .expect("non-empty");
-    let plain_engine =
-        DisconnectionSetEngine::build(csr.clone(), plain, true, EngineConfig::default())
-            .expect("engine builds");
+    let plain_engine = EngineSnapshot::build(plain, true, EngineConfig::default());
     rows.push(run_mode(
         "chain enumeration (ring)",
         &plain_engine,
@@ -64,16 +62,14 @@ pub fn phe(clusters: usize, nodes_per_cluster: usize, seed: u64) -> Vec<PheRow> 
     // PHE: hub fragmentation, star-shaped fragmentation graph.
     let (hub_frag, hub) =
         hub_fragmentation(g.nodes, &g.connections, &labels, clusters).expect("non-empty");
-    let hub_engine = DisconnectionSetEngine::build(
-        csr.clone(),
+    let hub_engine = EngineSnapshot::build(
         hub_frag,
         true,
         EngineConfig {
             hub: Some(hub),
             ..EngineConfig::default()
         },
-    )
-    .expect("engine builds");
+    );
     rows.push(run_mode("PHE hub routing", &hub_engine, &csr, &queries));
 
     rows
@@ -81,15 +77,16 @@ pub fn phe(clusters: usize, nodes_per_cluster: usize, seed: u64) -> Vec<PheRow> 
 
 fn run_mode(
     label: &str,
-    engine: &DisconnectionSetEngine,
+    engine: &EngineSnapshot,
     csr: &ds_graph::CsrGraph,
     queries: &[(NodeId, NodeId)],
 ) -> PheRow {
+    let mut scratch = ScratchDijkstra::new();
     let mut chains = 0.0;
     let mut site_queries = 0.0;
     let mut correct = 0;
     for &(x, y) in queries {
-        let a = engine.shortest_path(x, y);
+        let a = engine.shortest_path(x, y, &mut scratch);
         chains += a.stats.chains_evaluated as f64;
         site_queries += a.stats.site_queries as f64;
         if a.cost == baseline::shortest_path_cost(csr, x, y) {

@@ -4,12 +4,14 @@
 //! synchronization" (§2.1), so *where* a fragment's subquery runs — on the
 //! calling thread or on a thread of its own — is a placement laid over one
 //! evaluator ([`crate::executor::ExecutionMode`]), not a second engine.
-//! [`TcEngine`] is the surface examples, tests and benchmarks drive that
-//! evaluator through, whatever the placement and whether they hold the
-//! engine ([`crate::engine::DisconnectionSetEngine`]) or the umbrella
-//! crate's `System` facade.
+//! [`TcEngine`] is the surface examples and benchmarks drive that
+//! evaluator through, whatever the placement; the umbrella crate's
+//! `System` facade — an [`EngineSnapshot`] plus the scratch kernel its
+//! reads run on — is its one implementor.
 //!
-//! The module also hosts the evaluator's pieces:
+//! The module also hosts the structural edit rule, [`apply_edit`] — the
+//! one place a [`NetworkUpdate`] changes the fragmented relation that
+//! everything else is derived from — and the evaluator's pieces:
 //!
 //! * [`BatchPlanner`] — chain planning amortized across a batch: the
 //!   expensive chain enumeration runs once per (source-fragments,
@@ -40,7 +42,7 @@ use std::ops::Range;
 use std::time::Instant;
 
 use ds_fragment::{FragmentId, Fragmentation};
-use ds_graph::{Cost, CsrGraph, Edge, NodeId, INFINITE_COST};
+use ds_graph::{Cost, Edge, NodeId, INFINITE_COST};
 use ds_obs::{ChainEval, EvalTrace, TraceId};
 
 use crate::assemble;
@@ -124,9 +126,13 @@ impl BatchAnswer {
 /// A network change, expressed backend-independently.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetworkUpdate {
-    /// Insert a connection into fragment `owner` (both endpoints must
-    /// already belong to it; see
-    /// [`crate::engine::DisconnectionSetEngine::insert_connection`]).
+    /// Insert a connection into fragment `owner`, plus the reverse
+    /// direction on symmetric networks. Both endpoints must already
+    /// belong to the owner: inserting within a region never changes the
+    /// fragmentation's node sets, so the disconnection sets (and with
+    /// them the border pairs each site's table has a slot for) stay
+    /// fixed and only costs can improve, a missing tuple counting as
+    /// infinite.
     Insert { edge: Edge, owner: FragmentId },
     /// Remove every connection `src -> dst` (and the reverse on symmetric
     /// networks) from fragment `owner`.
@@ -143,8 +149,8 @@ pub enum NetworkUpdate {
 /// Implementations answer exactly like the centralized baseline
 /// (`crate::baseline`) on the default complementary scope — that is the
 /// paper's correctness contract, and `tests/properties.rs` asserts it for
-/// every backend. Methods take `&mut self` because an engine owns the
-/// scratch kernel its reads run on.
+/// every backend. Methods take `&mut self` because the implementor owns
+/// the scratch kernel its reads run on.
 pub trait TcEngine {
     /// Short backend identifier ("inline", "site-threads", …).
     fn backend_name(&self) -> &'static str;
@@ -160,9 +166,7 @@ pub trait TcEngine {
     fn shortest_path(&mut self, x: NodeId, y: NodeId) -> QueryAnswer;
 
     /// Connection query — "is `x` connected to `y`?".
-    fn connected(&mut self, x: NodeId, y: NodeId) -> bool {
-        x == y || self.shortest_path(x, y).cost.is_some()
-    }
+    fn connected(&mut self, x: NodeId, y: NodeId) -> bool;
 
     /// Reconstruct the full cheapest route. Engines built without stored
     /// shortcut paths (`EngineConfig::store_paths`) return
@@ -205,76 +209,56 @@ pub trait TcEngine {
     fn query_batch(&mut self, requests: &[QueryRequest]) -> BatchAnswer;
 }
 
-/// Validate a [`NetworkUpdate`] against `frag` and apply its structural
-/// half: mutate the owner fragment and return the rebuilt global closure
-/// graph (`None` when a removal matched nothing). `crate::updates::maintain`
-/// follows up by patching the shortcut tables; the snapshot then rebuilds
-/// the touched sites' evaluation state.
-///
-/// Update maintenance assumes the partition invariant the fragmenters
-/// guarantee (see `Fragmentation::validate`): the closure graph equals
-/// the symmetric expansion of the fragment-edge union. Removals rebuild
-/// the graph from that union, so a caller that paired a `Prebuilt`
-/// fragmentation with a *different* connection relation would see the
-/// first removal re-derive the graph from the fragments.
-pub fn apply_update(
-    graph: &CsrGraph,
+/// The structural edit rule — the one place a [`NetworkUpdate`] changes
+/// the fragmented relation. Validates (the owner must exist, and an
+/// insert's endpoints must already belong to it), edits the owner
+/// fragment, and says whether the edge set changed: `false` only for a
+/// removal that matched nothing. That verdict is the *effective update*
+/// rule: an epoch is one effective update, whether it is counted by the
+/// serve writer (through `crate::updates::maintain`, which reports a
+/// no-op exactly when this returns `false`) or by `ds_durability::recover`
+/// folding a log into a checkpoint's relation. Everything derived — the
+/// closure graph ([`Fragmentation::closure_graph`]), the complementary
+/// tables, the sites — follows from the edited relation.
+pub fn apply_edit(
     frag: &mut Fragmentation,
     symmetric: bool,
     update: &NetworkUpdate,
-) -> Result<Option<CsrGraph>, ClosureError> {
+) -> Result<bool, ClosureError> {
+    validate(frag, update)?;
     match *update {
         NetworkUpdate::Insert { edge, owner } => {
-            validate_insert(frag, edge, owner)?;
             frag.fragment_mut(owner).add_edge(edge);
-            let mut edges: Vec<Edge> = graph.edges().collect();
-            edges.push(edge);
-            if symmetric && !edge.is_loop() {
-                edges.push(edge.reversed());
-            }
-            Ok(Some(CsrGraph::from_edges(graph.node_count(), &edges)))
+            Ok(true)
         }
         NetworkUpdate::Remove { src, dst, owner } => {
-            if owner >= frag.fragment_count() {
-                return Err(ClosureError::NodeNotInAnyFragment(src));
-            }
             let matches = |e: &Edge| e.connects(src, dst, symmetric);
-            if frag.fragment_mut(owner).remove_edges_matching(matches) == 0 {
-                return Ok(None);
-            }
-            // Rebuild from the fragment union rather than filtering the old
-            // graph: another fragment may own an identical (src, dst) tuple
-            // that must survive the removal.
-            let mut kept = Vec::with_capacity(graph.edge_count());
-            for f in frag.fragments() {
-                for e in f.edges() {
-                    kept.push(*e);
-                    if symmetric && !e.is_loop() {
-                        kept.push(e.reversed());
-                    }
-                }
-            }
-            Ok(Some(CsrGraph::from_edges(graph.node_count(), &kept)))
+            Ok(frag.fragment_mut(owner).remove_edges_matching(matches) > 0)
         }
     }
 }
 
-/// The insert half of [`apply_update`]'s validation: `owner` must exist
-/// and both endpoints must already belong to it. One definition, used
-/// both here and by `crate::updates::maintain` *before* it detaches a
-/// shared fragmentation (`Arc::make_mut`), so an invalid update can
-/// never clone anything and the two checks can never diverge.
-pub(crate) fn validate_insert(
-    frag: &Fragmentation,
-    edge: Edge,
-    owner: FragmentId,
-) -> Result<(), ClosureError> {
-    if owner >= frag.fragment_count() {
-        return Err(ClosureError::NodeNotInAnyFragment(edge.src));
-    }
-    for v in [edge.src, edge.dst] {
-        if !frag.fragment(owner).contains_node(v) {
-            return Err(ClosureError::NodeNotInAnyFragment(v));
+/// What [`apply_edit`] refuses: an owner that does not exist, or an
+/// insert with an endpoint outside the owner (growing a fragment's node
+/// set would move the disconnection sets — a re-fragmentation, not an
+/// update). Separate so `crate::updates::maintain` can refuse an update
+/// *before* it detaches a shared fragmentation (`Arc::make_mut`).
+pub(crate) fn validate(frag: &Fragmentation, update: &NetworkUpdate) -> Result<(), ClosureError> {
+    match *update {
+        NetworkUpdate::Insert { edge, owner } => {
+            if owner >= frag.fragment_count() {
+                return Err(ClosureError::NodeNotInAnyFragment(edge.src));
+            }
+            for v in [edge.src, edge.dst] {
+                if !frag.fragment(owner).contains_node(v) {
+                    return Err(ClosureError::NodeNotInAnyFragment(v));
+                }
+            }
+        }
+        NetworkUpdate::Remove { src, owner, .. } => {
+            if owner >= frag.fragment_count() {
+                return Err(ClosureError::NodeNotInAnyFragment(src));
+            }
         }
     }
     Ok(())
@@ -728,7 +712,7 @@ mod tests {
     use super::*;
     use crate::executor::{run_chain, ExecutionMode};
     use crate::local::{augmented_graph, forward_matrix};
-    use ds_graph::ScratchDijkstra;
+    use ds_graph::{CsrGraph, ScratchDijkstra};
     use std::sync::Arc;
 
     fn n(i: u32) -> NodeId {

@@ -5,11 +5,9 @@ use std::time::Duration;
 
 use ds_graph::NodeId;
 
-/// Errors raised when building or querying the engine.
+/// Errors raised when querying or updating the engine.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ClosureError {
-    /// The fragmentation's node universe differs from the graph's.
-    NodeCountMismatch { graph: usize, fragmentation: usize },
     /// A query endpoint belongs to no fragment (should not happen for
     /// fragmentations produced by this workspace's algorithms, which seed
     /// every node somewhere).
@@ -44,13 +42,6 @@ pub enum ClosureError {
 impl fmt::Display for ClosureError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ClosureError::NodeCountMismatch {
-                graph,
-                fragmentation,
-            } => write!(
-                f,
-                "graph has {graph} nodes but the fragmentation covers {fragmentation}"
-            ),
             ClosureError::NodeNotInAnyFragment(v) => {
                 write!(f, "node {v} belongs to no fragment")
             }
@@ -93,11 +84,6 @@ mod tests {
 
     #[test]
     fn display() {
-        let e = ClosureError::NodeCountMismatch {
-            graph: 5,
-            fragmentation: 4,
-        };
-        assert!(e.to_string().contains('5'));
         assert!(ClosureError::NodeNotInAnyFragment(NodeId(3))
             .to_string()
             .contains('3'));

@@ -21,32 +21,35 @@
 //! 4. **Assemble**: fold the small relations with min-plus joins and read
 //!    off the answer — [`assemble`].
 //!
-//! [`engine::DisconnectionSetEngine`] packages the pipeline; [`baseline`]
-//! holds the centralized algorithms the engine is validated against, and
-//! [`phe`] implements the Parallel Hierarchical Evaluation extension
-//! (ref \[12\]) for fragmentation graphs too complex to enumerate.
+//! [`EngineSnapshot`] is the pipeline, built from the fragmented relation
+//! alone — the closure graph, the tables, the sites and the planner are
+//! all derived from it — and queried through `&self` plus a scratch
+//! kernel the caller owns; [`baseline`] holds the centralized algorithms
+//! it is validated against, and [`phe`] implements the Parallel
+//! Hierarchical Evaluation extension (ref \[12\]) for fragmentation
+//! graphs too complex to enumerate.
 //!
-//! [`api`] defines [`TcEngine`], the query surface (single queries,
-//! routes, updates, and the amortized [`TcEngine::query_batch`]) this
-//! crate's engine and the umbrella crate's `System` facade implement,
-//! plus the batch driver behind it. Running each site subquery on a
-//! thread of its own is a placement of that one evaluator
-//! ([`executor::ExecutionMode`]), which the facade spells
+//! [`api`] holds the structural edit rule ([`api::apply_edit`]: the one
+//! place an update changes the relation), the batch driver, and
+//! [`TcEngine`], the query surface (single queries, routes, updates, and
+//! the amortized [`TcEngine::query_batch`]) the umbrella crate's `System`
+//! facade implements over a snapshot and a scratch of its own. Running
+//! each site subquery on a thread of its own is a placement of the one
+//! evaluator ([`executor::ExecutionMode`]), which the facade spells
 //! `Backend::SiteThreads`.
 //!
 //! ```
-//! use ds_closure::engine::{DisconnectionSetEngine, EngineConfig};
+//! use ds_closure::{EngineConfig, EngineSnapshot};
 //! use ds_fragment::linear::{linear_sweep, LinearConfig};
 //! use ds_gen::deterministic::grid;
-//! use ds_graph::NodeId;
+//! use ds_graph::{NodeId, ScratchDijkstra};
 //!
 //! let g = grid(10, 3);
 //! let frag = linear_sweep(&g.edge_list(), &LinearConfig { fragments: 3, ..Default::default() })
 //!     .unwrap()
 //!     .fragmentation;
-//! let engine = DisconnectionSetEngine::build(
-//!     g.closure_graph(), frag, true, EngineConfig::default()).unwrap();
-//! let answer = engine.shortest_path(NodeId(0), NodeId(29));
+//! let engine = EngineSnapshot::build(frag, true, EngineConfig::default());
+//! let answer = engine.shortest_path(NodeId(0), NodeId(29), &mut ScratchDijkstra::new());
 //! assert_eq!(answer.cost, Some(11)); // corner to corner of the grid
 //! ```
 
@@ -68,7 +71,7 @@ pub use api::{BatchAnswer, BatchStats, BoundedBatchAnswer, NetworkUpdate, QueryR
 pub use complementary::{
     BorderTable, ComplementaryInfo, ComplementaryScope, PrecomputeStats, PrecomputeStrategy,
 };
-pub use engine::{DisconnectionSetEngine, EngineConfig, QueryAnswer, QueryStats, Route};
+pub use engine::{EngineConfig, QueryAnswer, QueryStats, Route};
 pub use error::ClosureError;
 pub use snapshot::{CowMaintenance, EngineSnapshot, SnapshotBytes};
 pub use updates::{ConnectivityEffect, FallbackReason, UpdateBatchReport, UpdateReport};

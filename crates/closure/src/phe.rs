@@ -61,8 +61,10 @@ pub fn hub_fragmentation(
 mod tests {
     use super::*;
     use crate::baseline;
-    use crate::engine::{DisconnectionSetEngine, EngineConfig};
+    use crate::engine::EngineConfig;
+    use crate::snapshot::EngineSnapshot;
     use ds_gen::{generate_transportation, ClusterTopology, TransportationConfig};
+    use ds_graph::ScratchDijkstra;
 
     #[test]
     fn hub_fragmentation_is_a_star() {
@@ -98,18 +100,17 @@ mod tests {
         let labels = g.cluster_of.clone().unwrap();
         let (frag, hub) = hub_fragmentation(g.nodes, &g.connections, &labels, 4).unwrap();
         let csr = g.closure_graph();
-        let engine = DisconnectionSetEngine::build(
-            csr.clone(),
+        let engine = EngineSnapshot::build(
             frag,
             true,
             EngineConfig {
                 hub: Some(hub),
                 ..EngineConfig::default()
             },
-        )
-        .unwrap();
+        );
+        let mut scratch = ScratchDijkstra::new();
         for (x, y) in [(0u32, 40u32), (3, 25), (13, 47), (30, 2), (45, 20)] {
-            let got = engine.shortest_path(NodeId(x), NodeId(y));
+            let got = engine.shortest_path(NodeId(x), NodeId(y), &mut scratch);
             let want = baseline::shortest_path_cost(&csr, NodeId(x), NodeId(y));
             assert_eq!(got.cost, want, "query {x}->{y}");
             if let Some(chain) = &got.best_chain {

@@ -1,13 +1,19 @@
-//! The immutable half of an engine: everything queries read, nothing
-//! they write.
+//! The engine: everything queries read, nothing they write, derived
+//! from the fragmented relation alone.
+//!
+//! The paper's data model is one thing — a relation partitioned into
+//! fragments — and everything else is derived from it:
+//! [`EngineSnapshot::build`] takes the [`Fragmentation`], the symmetry
+//! flag and the [`EngineConfig`] (exactly what a durable checkpoint
+//! stores) and derives the closure graph, the complementary information,
+//! the sites, the planner and the reachability index.
 //!
 //! The paper's phase-one independence is a statement about *data*: query
 //! evaluation only ever reads the precomputed complementary information,
 //! the per-site evaluation state ([`Site`]: the fragment's own graph, the
 //! dense border matrix, the access sets) and the planner. The mutable
-//! pieces of an engine — the Dijkstra scratch, batch buffers — are
-//! per-*execution* state, not per-*engine* state. [`EngineSnapshot`] makes that split
-//! explicit:
+//! pieces — the Dijkstra scratch, batch buffers — are per-*execution*
+//! state, not engine state, so the caller owns them:
 //!
 //! * a snapshot is `Send + Sync` and can be shared across any number of
 //!   reader threads behind an `Arc` (the `ds_serve` crate does exactly
@@ -15,12 +21,9 @@
 //! * every query method takes `&self` plus a caller-owned
 //!   [`ScratchDijkstra`], so concurrent readers never contend;
 //! * updates go through [`EngineSnapshot::maintain`], which mutates in
-//!   place — an exclusive owner (the inline engine, the serve writer
+//!   place — an exclusive owner (the `System` facade, the serve writer
 //!   thread working on a private clone) applies the incremental
 //!   maintenance of [`crate::updates`] and republishes.
-//!
-//! [`crate::engine::DisconnectionSetEngine`] is now a thin wrapper:
-//! one snapshot plus one persistent scratch.
 //!
 //! ## Structural sharing
 //!
@@ -66,9 +69,9 @@ use crate::memo::SiteMemo;
 use crate::planner::{Planner, SiteQueryRef};
 use crate::updates::{ConnectivityEffect, UpdateReport};
 
-/// The immutable, shareable state of a deployed engine: the global
-/// closure graph, the fragmentation, the complementary tables, the
-/// per-site evaluation state and the chain planner.
+/// The deployed engine — immutable and shareable: the fragmentation and,
+/// derived from it, the global closure graph, the complementary tables,
+/// the per-site evaluation state and the chain planner.
 ///
 /// A snapshot answers queries through `&self` methods that borrow a
 /// caller-owned scratch kernel; it never locks and never allocates
@@ -167,22 +170,15 @@ impl SnapshotBytes {
 }
 
 impl EngineSnapshot {
-    /// Build a snapshot from scratch: validate, compute the complementary
-    /// information (the paper's pre-processing phase), then the planner,
-    /// the per-site evaluation state (each over its table, in place) and
-    /// the reachability index.
-    pub fn build(
-        graph: CsrGraph,
-        frag: Fragmentation,
-        symmetric: bool,
-        cfg: EngineConfig,
-    ) -> Result<Self, ClosureError> {
-        if graph.node_count() != frag.node_count() {
-            return Err(ClosureError::NodeCountMismatch {
-                graph: graph.node_count(),
-                fragmentation: frag.node_count(),
-            });
-        }
+    /// Build the engine from its only input, the fragmented relation:
+    /// derive the closure graph ([`Fragmentation::closure_graph`];
+    /// `symmetric` declares that each fragment tuple stands for both
+    /// travel directions), compute the complementary information (the
+    /// paper's pre-processing phase), then the planner, the per-site
+    /// evaluation state (each over its table, in place) and the
+    /// reachability index.
+    pub fn build(frag: Fragmentation, symmetric: bool, cfg: EngineConfig) -> Self {
+        let graph = frag.closure_graph(symmetric);
         let comp = ComplementaryInfo::compute(&graph, &frag, cfg.scope, cfg.store_paths);
         let planner = Arc::new(Planner::new(
             &frag,
@@ -195,7 +191,7 @@ impl EngineSnapshot {
             .map(|f| Arc::new(build_site(&planner, f, symmetric, &comp, &mut scratch)))
             .collect();
         let reach = Some(Arc::new(ReachIndex::build(&graph)));
-        Ok(EngineSnapshot {
+        EngineSnapshot {
             graph: Arc::new(graph),
             frag: Arc::new(frag),
             symmetric,
@@ -204,7 +200,7 @@ impl EngineSnapshot {
             sites,
             planner,
             reach,
-        })
+        }
     }
 
     /// A deep copy that shares **nothing** with `self`: every component —
@@ -346,8 +342,8 @@ impl EngineSnapshot {
     }
 
     /// Rebuild the reachability index if it is stale (linear in the
-    /// graph). Owners call this eagerly after updates — the inline
-    /// engine per update, the serve writer once per write batch before
+    /// graph). Owners call this eagerly after updates — the `System`
+    /// facade per update, the serve writer once per write batch before
     /// publishing — so readers never pay the rebuild.
     pub fn ensure_reach(&mut self) {
         if self.reach.is_none() {
@@ -364,8 +360,7 @@ impl EngineSnapshot {
     // --- queries (&self + caller-owned scratch) ------------------------
 
     /// Shortest-path cost from `x` to `y` on `scratch` — a batch of one.
-    /// Nodes outside every fragment yield an unreachable answer; see
-    /// [`EngineSnapshot::try_shortest_path`] for the strict variant.
+    /// Nodes outside every fragment yield an unreachable answer.
     pub fn shortest_path(
         &self,
         x: NodeId,
@@ -376,23 +371,6 @@ impl EngineSnapshot {
             .answers
             .pop()
             .expect("one answer per request")
-    }
-
-    /// Shortest-path cost, erring when an endpoint is in no fragment.
-    pub fn try_shortest_path(
-        &self,
-        x: NodeId,
-        y: NodeId,
-        scratch: &mut ScratchDijkstra,
-    ) -> Result<QueryAnswer, ClosureError> {
-        if x != y {
-            for v in [x, y] {
-                if self.planner.fragments_of(v).is_empty() {
-                    return Err(ClosureError::NodeNotInAnyFragment(v));
-                }
-            }
-        }
-        Ok(self.shortest_path(x, y, scratch))
     }
 
     /// Connection query — "is `x` connected to `y`?".
@@ -678,7 +656,7 @@ const _: () = {
 };
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::baseline;
     use ds_fragment::linear::{linear_sweep, LinearConfig};
@@ -689,20 +667,25 @@ mod tests {
         NodeId(i)
     }
 
-    fn snapshot() -> (ds_gen::GeneratedGraph, EngineSnapshot) {
-        let g = grid(10, 4);
-        let frag = linear_sweep(
-            &g.edge_list(),
-            &LinearConfig {
-                fragments: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .fragmentation;
-        let snap =
-            EngineSnapshot::build(g.closure_graph(), frag, true, EngineConfig::default()).unwrap();
+    /// The fixture this crate's engine tests share: a `w` x `h` grid in
+    /// four linear-sweep fragments.
+    pub(crate) fn grid_snapshot(
+        w: usize,
+        h: usize,
+        cfg: EngineConfig,
+    ) -> (ds_gen::GeneratedGraph, EngineSnapshot) {
+        let g = grid(w, h);
+        let sweep = LinearConfig {
+            fragments: 4,
+            ..Default::default()
+        };
+        let frag = linear_sweep(&g.edge_list(), &sweep).unwrap().fragmentation;
+        let snap = EngineSnapshot::build(frag, true, cfg);
         (g, snap)
+    }
+
+    fn snapshot() -> (ds_gen::GeneratedGraph, EngineSnapshot) {
+        grid_snapshot(10, 4, EngineConfig::default())
     }
 
     #[test]
@@ -872,7 +855,7 @@ mod tests {
         .fragmentation;
         assert!(!frag.fragmentation_graph().is_acyclic());
         let csr = g.closure_graph();
-        let snap = EngineSnapshot::build(csr.clone(), frag, true, EngineConfig::default()).unwrap();
+        let snap = EngineSnapshot::build(frag, true, EngineConfig::default());
         let requests = (0..64u32)
             .map(|i| QueryRequest::new(n((i * 7) % 80), n((i * 13 + 5) % 80)))
             .collect();
@@ -945,21 +928,11 @@ mod tests {
     /// somebody asks for it — route expansion, or `augmented_handle`.
     #[test]
     fn the_augmented_graph_is_built_only_on_demand() {
-        let g = grid(10, 4);
-        let frag = linear_sweep(
-            &g.edge_list(),
-            &LinearConfig {
-                fragments: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .fragmentation;
         let cfg = EngineConfig {
             store_paths: true,
             ..Default::default()
         };
-        let mut snap = EngineSnapshot::build(g.closure_graph(), frag, true, cfg).unwrap();
+        let (_, mut snap) = grid_snapshot(10, 4, cfg);
         let built = |snap: &EngineSnapshot| -> Vec<bool> {
             (0..snap.site_count())
                 .map(|f| snap.site_handle(f).augmented_is_built())

@@ -43,17 +43,20 @@
 //!   tuples must then be *dropped*, not re-costed, which is the
 //!   recompute's job.
 //!
-//! [`maintain`] is the one maintenance path: the engine and the serve
-//! writer both reach it through `EngineSnapshot::maintain_cow`, so every
-//! surface produces identical [`UpdateReport`] accounting.
+//! [`maintain`] is the one maintenance path: the `System` facade and the
+//! serve writer both reach it through `EngineSnapshot::maintain_cow`, so
+//! every surface produces identical [`UpdateReport`] accounting. It is
+//! built on the structural edit rule [`crate::api::apply_edit`] and
+//! reports a no-op exactly when that rule says the edge set did not
+//! change ([`UpdateReport::effective`]).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use ds_fragment::{FragmentId, Fragmentation};
-use ds_graph::{dijkstra, Cost, CsrGraph, Edge, NodeId, ScratchDijkstra};
+use ds_graph::{dijkstra, Cost, CsrGraph, NodeId, ScratchDijkstra};
 
-use crate::api::{apply_update, validate_insert, NetworkUpdate};
+use crate::api::{apply_edit, validate, NetworkUpdate};
 use crate::complementary::ComplementaryInfo;
 use crate::engine::EngineConfig;
 use crate::error::ClosureError;
@@ -91,6 +94,14 @@ pub struct UpdateReport {
 }
 
 impl UpdateReport {
+    /// Whether the update changed the network — [`crate::api::apply_edit`]
+    /// said the edge set changed. [`maintain`] then touches at least the
+    /// owner's site, and reports [`UpdateReport::noop`] otherwise; one
+    /// effective update is one epoch.
+    pub fn effective(&self) -> bool {
+        self.sites_touched > 0
+    }
+
     /// A report for an update that changed nothing (no-op removal).
     pub fn noop() -> Self {
         UpdateReport {
@@ -212,15 +223,16 @@ impl Maintenance {
     }
 }
 
-/// The maintenance path: validate and apply the structural change, then
-/// keep `comp` exact — incrementally when possible, by full recompute
-/// otherwise. The caller passes its retained state, including a
-/// persistent `scratch` that the deletion repair sweeps reuse.
+/// The maintenance path: apply the structural edit
+/// ([`crate::api::apply_edit`]), derive the closure graph of the edited
+/// relation, then keep `comp` exact — incrementally when possible, by
+/// full recompute otherwise. The caller passes its retained state,
+/// including a persistent `scratch` that the deletion repair sweeps reuse.
 ///
 /// `graph` and `frag` are owned through [`Arc`] handles: a caller whose
 /// state is shared with published snapshots (the serve writer's working
 /// copy) pays a copy only for the pieces an update actually replaces —
-/// the rebuilt global graph gets a fresh `Arc`, the fragmentation is
+/// the derived global graph gets a fresh `Arc`, the fragmentation is
 /// detached via [`Arc::make_mut`] once per shared epoch, and `comp`
 /// detaches per-site tables internally the same way.
 pub fn maintain(
@@ -232,14 +244,29 @@ pub fn maintain(
     update: &NetworkUpdate,
     scratch: &mut ScratchDijkstra,
 ) -> Result<Maintenance, ClosureError> {
+    // Refused against the shared fragmentation, before anything is
+    // detached: an invalid update clones nothing.
+    validate(frag, update)?;
+    // What the deletion repair rule needs of the relation as it was: the
+    // connections about to go, as directed edges of the global closure
+    // graph (deduplicated — parallel edges of equal cost need one sweep,
+    // not two).
+    let removed: BTreeSet<(NodeId, NodeId, Cost)> = match *update {
+        NetworkUpdate::Insert { .. } => BTreeSet::new(),
+        NetworkUpdate::Remove { src, dst, owner } => (frag.fragment(owner).edges().iter())
+            .filter(|e| e.connects(src, dst, symmetric))
+            .flat_map(|e| {
+                let back = (symmetric && !e.is_loop()).then_some((e.dst, e.src, e.cost));
+                std::iter::once((e.src, e.dst, e.cost)).chain(back)
+            })
+            .collect(),
+    };
+    if !apply_edit(Arc::make_mut(frag), symmetric, update)? {
+        return Ok(Maintenance::noop());
+    }
+    let before = std::mem::replace(graph, Arc::new(frag.closure_graph(symmetric)));
     match *update {
         NetworkUpdate::Insert { edge, owner } => {
-            // Validation runs against the shared fragmentation before
-            // anything is detached, so an invalid update clones nothing.
-            validate_insert(frag, edge, owner)?;
-            let new_graph = apply_update(graph, Arc::make_mut(frag), symmetric, update)?
-                .expect("insertions always change the graph");
-            *graph = Arc::new(new_graph);
             let rev = graph.reversed();
             let mut per_site = improve(comp, graph, &rev, edge.src, edge.dst, edge.cost);
             if symmetric && !edge.is_loop() {
@@ -258,47 +285,13 @@ pub fn maintain(
             Ok(m)
         }
         NetworkUpdate::Remove { src, dst, owner } => {
-            if owner >= frag.fragment_count() {
-                return Err(ClosureError::NodeNotInAnyFragment(src));
-            }
-            let matches = |e: &Edge| e.connects(src, dst, symmetric);
-            if !frag.fragment(owner).edges().iter().any(&matches) {
-                return Ok(Maintenance::noop());
-            }
-            // The removed connections as directed edges of the global
-            // closure graph (deduplicated — parallel edges of equal cost
-            // need one sweep, not two).
-            let removed: BTreeSet<(NodeId, NodeId, Cost)> = frag
-                .fragment(owner)
-                .edges()
-                .iter()
-                .filter(|e| matches(e))
-                .flat_map(|e| {
-                    let mut dirs = vec![(e.src, e.dst, e.cost)];
-                    if symmetric && !e.is_loop() {
-                        dirs.push((e.dst, e.src, e.cost));
-                    }
-                    dirs
-                })
-                .collect();
-            let crossing = is_border(frag, src) && is_border(frag, dst);
-            // Affected-set detection runs on the *pre-deletion* graph: the
-            // repair rule compares against the stored (old) distances.
-            let affected = if crossing {
-                BTreeSet::new()
-            } else {
-                affected_sources(graph, comp, frag.fragment_count(), &removed)
-            };
-            let new_graph = apply_update(graph, Arc::make_mut(frag), symmetric, update)?
-                .expect("matched edges exist");
-            *graph = Arc::new(new_graph);
             // Reachability fact: does the post-update graph still carry
             // every removed direction through a parallel connection?
             let still = |a: NodeId, b: NodeId| graph.out_targets(a).contains(&b);
             let connectivity = ConnectivityEffect::Removed {
                 parallel_remains: still(src, dst) && (!symmetric || src == dst || still(dst, src)),
             };
-            let mut m = if crossing {
+            let mut m = if is_border(frag, src) && is_border(frag, dst) {
                 full_recompute(
                     graph,
                     frag,
@@ -308,6 +301,10 @@ pub fn maintain(
                     FallbackReason::DisconnectionSetCrossing,
                 )
             } else {
+                // Affected-set detection runs on the *pre-deletion* graph:
+                // the repair rule compares against the stored (old)
+                // distances.
+                let affected = affected_sources(&before, comp, frag.fragment_count(), &removed);
                 match comp.repair_sources(graph, &affected, scratch) {
                     Ok(per_site) => {
                         let repaired = per_site.iter().sum();
@@ -438,38 +435,43 @@ fn full_recompute(
 mod tests {
     use super::*;
     use crate::baseline;
-    use crate::engine::DisconnectionSetEngine;
-    use ds_fragment::linear::{linear_sweep, LinearConfig};
-    use ds_gen::deterministic::grid;
+    use crate::snapshot::tests::grid_snapshot;
+    use crate::snapshot::EngineSnapshot;
+    use ds_graph::Edge;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
     }
 
-    fn build() -> (ds_gen::GeneratedGraph, DisconnectionSetEngine) {
-        let g = grid(8, 4);
-        let frag = linear_sweep(
-            &g.edge_list(),
-            &LinearConfig {
-                fragments: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .fragmentation;
-        let e =
-            DisconnectionSetEngine::build(g.closure_graph(), frag, true, EngineConfig::default())
-                .unwrap();
-        (g, e)
+    fn build_with(cfg: EngineConfig) -> (EngineSnapshot, ScratchDijkstra) {
+        (grid_snapshot(8, 4, cfg).1, ScratchDijkstra::new())
     }
 
-    fn check_all(engine: &DisconnectionSetEngine) {
-        let csr = engine.graph().clone();
+    fn build() -> (EngineSnapshot, ScratchDijkstra) {
+        build_with(EngineConfig::default())
+    }
+
+    fn insert(edge: Edge, owner: FragmentId) -> NetworkUpdate {
+        NetworkUpdate::Insert { edge, owner }
+    }
+
+    fn remove(src: NodeId, dst: NodeId, owner: FragmentId) -> NetworkUpdate {
+        NetworkUpdate::Remove { src, dst, owner }
+    }
+
+    /// The first and last node of fragment 0: an in-fragment pair no grid
+    /// edge joins.
+    fn far_pair(engine: &EngineSnapshot) -> (NodeId, NodeId) {
+        let nodes = engine.fragmentation().fragment(0).nodes();
+        (nodes[0], *nodes.last().unwrap())
+    }
+
+    fn check_all(engine: &EngineSnapshot, scratch: &mut ScratchDijkstra) {
         for x in (0..32).step_by(5) {
             for y in (0..32).step_by(7) {
                 assert_eq!(
-                    engine.shortest_path(n(x), n(y)).cost,
-                    baseline::shortest_path_cost(&csr, n(x), n(y)),
+                    engine.shortest_path(n(x), n(y), scratch).cost,
+                    baseline::shortest_path_cost(engine.graph(), n(x), n(y)),
                     "{x}->{y} after update"
                 );
             }
@@ -482,30 +484,38 @@ mod tests {
             report.fallback_reason.is_some(),
             "{report:?}"
         );
+        assert!(report.effective(), "{report:?}");
     }
 
     #[test]
     fn insert_within_fragment_stays_exact() {
-        let (_, mut engine) = build();
-        // Find an in-fragment non-adjacent pair and add a zero-ish cost
-        // shortcut between them.
-        let f0 = engine.fragmentation().fragment(0).clone();
-        let (a, b) = (f0.nodes()[0], *f0.nodes().last().unwrap());
-        let report = engine.insert_connection(Edge::new(a, b, 1), 0).unwrap();
+        let (mut engine, mut scratch) = build();
+        // An in-fragment non-adjacent pair gets a cheap shortcut.
+        let (a, b) = far_pair(&engine);
+        let report = engine
+            .maintain(&insert(Edge::new(a, b, 1), 0), &mut scratch)
+            .unwrap();
         assert!(!report.full_recompute);
         consistent(&report);
-        check_all(&engine);
+        check_all(&engine, &mut scratch);
     }
 
     #[test]
     fn insert_improves_cross_fragment_queries() {
-        let (_, mut engine) = build();
-        let before = engine.shortest_path(n(0), n(31)).cost.unwrap();
+        let (mut engine, mut scratch) = build();
+        let before = engine
+            .shortest_path(n(0), n(31), &mut scratch)
+            .cost
+            .unwrap();
         // A cheap diagonal inside fragment 0 shortens cross-grid routes.
-        let f0 = engine.fragmentation().fragment(0).clone();
-        let (a, b) = (f0.nodes()[0], *f0.nodes().last().unwrap());
-        let report = engine.insert_connection(Edge::new(a, b, 1), 0).unwrap();
-        let after = engine.shortest_path(n(0), n(31)).cost.unwrap();
+        let (a, b) = far_pair(&engine);
+        let report = engine
+            .maintain(&insert(Edge::new(a, b, 1), 0), &mut scratch)
+            .unwrap();
+        let after = engine
+            .shortest_path(n(0), n(31), &mut scratch)
+            .cost
+            .unwrap();
         assert!(after <= before, "insertion cannot lengthen paths");
         if after < before {
             assert!(
@@ -515,22 +525,22 @@ mod tests {
             assert!(report.sites_touched >= 1);
             assert!(report.tuples_shipped > 0);
         }
-        check_all(&engine);
+        check_all(&engine, &mut scratch);
     }
 
     #[test]
     fn insert_endpoint_outside_owner_rejected() {
-        let (_, mut engine) = build();
+        let (mut engine, mut scratch) = build();
         // Node 31 (last column) is not in fragment 0.
         let err = engine
-            .insert_connection(Edge::new(n(0), n(31), 1), 0)
+            .maintain(&insert(Edge::new(n(0), n(31), 1), 0), &mut scratch)
             .unwrap_err();
         assert!(matches!(err, crate::ClosureError::NodeNotInAnyFragment(_)));
     }
 
     #[test]
     fn remove_interior_edge_repairs_incrementally() {
-        let (_, mut engine) = build();
+        let (mut engine, mut scratch) = build();
         // Pick a fragment-0 edge with at least one non-border endpoint:
         // its deletion stays within the repair rule's regime (the grid is
         // 2-edge-connected, so nothing disconnects either).
@@ -543,40 +553,46 @@ mod tests {
                 frag.fragments_of_node(e.src).len() < 2 || frag.fragments_of_node(e.dst).len() < 2
             })
             .expect("grid fragment has interior edges");
-        let report = engine.remove_connection(e.src, e.dst, 0).unwrap();
+        let report = engine
+            .maintain(&remove(e.src, e.dst, 0), &mut scratch)
+            .unwrap();
         assert!(!report.full_recompute, "{report:?}");
         assert_eq!(report.fallback_reason, None);
         consistent(&report);
-        check_all(&engine);
+        check_all(&engine, &mut scratch);
     }
 
     #[test]
     fn remove_connection_stays_exact() {
-        let (_, mut engine) = build();
+        let (mut engine, mut scratch) = build();
         // Remove a real in-fragment connection (whichever comes first —
         // incremental or fallback, answers must stay exact).
-        let f0 = engine.fragmentation().fragment(0).clone();
-        let e = f0.edges()[0];
-        let report = engine.remove_connection(e.src, e.dst, 0).unwrap();
+        let e = engine.fragmentation().fragment(0).edges()[0];
+        let report = engine
+            .maintain(&remove(e.src, e.dst, 0), &mut scratch)
+            .unwrap();
         consistent(&report);
-        check_all(&engine);
+        check_all(&engine, &mut scratch);
     }
 
     #[test]
     fn remove_missing_connection_is_noop() {
-        let (_, mut engine) = build();
-        let before = engine.shortest_path(n(0), n(31)).cost;
-        let report = engine.remove_connection(n(0), n(0), 0).unwrap();
+        let (mut engine, mut scratch) = build();
+        let before = engine.shortest_path(n(0), n(31), &mut scratch).cost;
+        let report = engine
+            .maintain(&remove(n(0), n(0), 0), &mut scratch)
+            .unwrap();
         assert_eq!(report, UpdateReport::noop());
-        assert_eq!(engine.shortest_path(n(0), n(31)).cost, before);
+        assert!(!report.effective());
+        assert_eq!(engine.shortest_path(n(0), n(31), &mut scratch).cost, before);
     }
 
-    fn routes_real(engine: &DisconnectionSetEngine, x: NodeId, y: NodeId) {
-        let csr = engine.graph().clone();
-        let route = engine.route(x, y).unwrap().unwrap();
+    fn routes_real(engine: &EngineSnapshot, scratch: &mut ScratchDijkstra, x: NodeId, y: NodeId) {
+        let csr = engine.graph();
+        let route = engine.route(x, y, scratch).unwrap().unwrap();
         assert_eq!(
             Some(route.cost),
-            baseline::shortest_path_cost(&csr, x, y),
+            baseline::shortest_path_cost(csr, x, y),
             "route cost {x}->{y}"
         );
         let mut total = 0;
@@ -593,61 +609,37 @@ mod tests {
 
     #[test]
     fn updates_with_stored_paths_keep_routes_real() {
-        let g = grid(8, 4);
-        let frag = linear_sweep(
-            &g.edge_list(),
-            &LinearConfig {
-                fragments: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .fragmentation;
-        let mut engine = DisconnectionSetEngine::build(
-            g.closure_graph(),
-            frag,
-            true,
-            EngineConfig {
-                store_paths: true,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        let f0 = engine.fragmentation().fragment(0).clone();
-        let (a, b) = (f0.nodes()[0], *f0.nodes().last().unwrap());
-        let report = engine.insert_connection(Edge::new(a, b, 1), 0).unwrap();
+        let (mut engine, mut scratch) = build_with(EngineConfig {
+            store_paths: true,
+            ..EngineConfig::default()
+        });
+        let (a, b) = far_pair(&engine);
+        let report = engine
+            .maintain(&insert(Edge::new(a, b, 1), 0), &mut scratch)
+            .unwrap();
         assert!(
             !report.full_recompute,
             "insert maintenance patches stored paths incrementally"
         );
-        routes_real(&engine, n(0), n(31));
+        routes_real(&engine, &mut scratch, n(0), n(31));
 
         // Now delete the shortcut edge again: stored paths that used it
         // must be repaired too.
-        let report = engine.remove_connection(a, b, 0).unwrap();
+        let report = engine.maintain(&remove(a, b, 0), &mut scratch).unwrap();
         consistent(&report);
-        routes_real(&engine, n(0), n(31));
-        check_all(&engine);
+        routes_real(&engine, &mut scratch, n(0), n(31));
+        check_all(&engine, &mut scratch);
     }
 
     #[test]
     fn update_batch_report_aggregates() {
-        let (_, mut engine) = build();
-        use crate::api::TcEngine;
-        let f0 = engine.fragmentation().fragment(0).clone();
-        let (a, b) = (f0.nodes()[0], *f0.nodes().last().unwrap());
-        let updates = vec![
-            NetworkUpdate::Insert {
-                edge: Edge::new(a, b, 1),
-                owner: 0,
-            },
-            NetworkUpdate::Remove {
-                src: a,
-                dst: b,
-                owner: 0,
-            },
-        ];
-        let batch = engine.update_batch(&updates).unwrap();
+        let (mut engine, mut scratch) = build();
+        let (a, b) = far_pair(&engine);
+        let reports = [insert(Edge::new(a, b, 1), 0), remove(a, b, 0)]
+            .iter()
+            .map(|u| engine.maintain(u, &mut scratch).unwrap())
+            .collect();
+        let batch = UpdateBatchReport { reports };
         assert_eq!(batch.reports.len(), 2);
         assert!(batch.incremental_fraction() >= 0.0);
         assert_eq!(
@@ -658,6 +650,6 @@ mod tests {
                 .map(|r| r.tuples_shipped)
                 .sum::<usize>()
         );
-        check_all(&engine);
+        check_all(&engine, &mut scratch);
     }
 }

@@ -10,27 +10,34 @@
 //! * **Log records are tiny and self-verifying.** Each record frames one
 //!   [`NetworkUpdate`] as `[len u32][crc32 u32][payload]`, where the
 //!   payload carries a strictly increasing LSN, the serve epoch at
-//!   append time (informational — replay recomputes effectiveness) and
+//!   append time (informational — recovery recomputes effectiveness) and
 //!   the update tuple itself, all hand-encoded little-endian. No serde,
 //!   no external crates; the CRC32 (IEEE) table lives in this crate.
 //! * **Group commit.** The serve writer already folds queued updates
 //!   into one micro-batch per wake-up; [`DurableStore::append_batch`]
-//!   writes the whole batch as one buffered write and (by default) one
-//!   `fdatasync`, so the fsync cost amortizes across exactly the batch
-//!   the writer was going to fold anyway.
+//!   writes the whole batch as one buffered write and one `fdatasync`,
+//!   so the fsync cost amortizes across exactly the batch the writer was
+//!   going to fold anyway.
 //! * **Checkpoints are images of the *inputs*, not the tables.** A
 //!   checkpoint stores the fragmentation (per-fragment edge + node
 //!   lists), the [`EngineConfig`] and the symmetry flag — everything
-//!   [`EngineSnapshot::build`] needs. The complementary tables, augmented
-//!   graphs and reachability index are **rebuilt on load**, which keeps
+//!   [`EngineSnapshot::build`] takes. The closure graph, complementary
+//!   tables and reachability index are **derived on load**, which keeps
 //!   checkpoints proportional to the relation, not the precompute.
-//! * **Recovery = newest valid checkpoint + WAL suffix.** [`recover`]
-//!   scans checkpoints newest-first (a torn or corrupt checkpoint is
-//!   skipped — predecessors are pruned only after a successor is fully
-//!   durable, so one is always intact), rebuilds the snapshot, then
-//!   replays every WAL record with `lsn > checkpoint.lsn` in order,
-//!   stopping at the first torn or corrupt frame. Garbage bytes are a
-//!   truncation point, never a panic.
+//! * **Recovery = newest valid checkpoint + the WAL suffix folded into
+//!   its edge set, then one build.** [`recover`] scans checkpoints
+//!   newest-first (a torn or corrupt checkpoint is skipped — predecessors
+//!   are pruned only after a successor is fully durable, so one is always
+//!   intact), applies every WAL record with `lsn > checkpoint.lsn` to the
+//!   image's fragmentation in order with the engine's own structural edit
+//!   rule ([`apply_edit`] — one epoch per record that changed the edge
+//!   set), stopping at the first torn or corrupt frame, and builds the
+//!   engine once from the result. Garbage bytes are a truncation point,
+//!   never a panic.
+//! * **A directory and the state served over it cannot diverge
+//!   silently.** [`DurableStore::attach`] on an existing directory folds
+//!   it the same way and refuses a snapshot that is not what the
+//!   directory recovers to ([`DurabilityError::Diverged`]).
 //!
 //! Fault injection: every write path fires a `ds_fault` disk hook
 //! ([`FaultPoint::WalAppend`], [`FaultPoint::WalSync`],
@@ -47,12 +54,12 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
-use ds_closure::api::NetworkUpdate;
+use ds_closure::api::{apply_edit, NetworkUpdate};
 use ds_closure::executor::ExecutionMode;
-use ds_closure::{ClosureError, ComplementaryScope, EngineConfig, EngineSnapshot};
+use ds_closure::{ComplementaryScope, EngineConfig, EngineSnapshot};
 use ds_fault::{fire_disk, DiskFault, FaultPlan, FaultPoint};
 use ds_fragment::{FragmentId, Fragmentation};
-use ds_graph::{CsrGraph, Edge, NodeId, ScratchDijkstra};
+use ds_graph::{Edge, NodeId};
 
 // ------------------------------------------------------------------ crc
 
@@ -101,9 +108,11 @@ pub enum DurabilityError {
     /// empty directory, a WAL-only directory (records with no base
     /// state), or every checkpoint failed its checksum.
     NoCheckpoint { dir: PathBuf },
-    /// The checkpointed inputs no longer build an engine (should not
-    /// happen for states this crate wrote itself).
-    Engine(ClosureError),
+    /// [`DurableStore::attach`] was handed a snapshot that is not the
+    /// state `dir` recovers to: continuing the log from it would serve
+    /// answers a later [`recover`] contradicts. `detail` names the first
+    /// difference (symmetry, epoch, or a fragment's connections).
+    Diverged { dir: PathBuf, detail: String },
 }
 
 impl fmt::Display for DurabilityError {
@@ -121,18 +130,16 @@ impl fmt::Display for DurabilityError {
                 "no valid checkpoint in {}: nothing to recover from",
                 dir.display()
             ),
-            DurabilityError::Engine(e) => write!(f, "recovered state failed to build: {e}"),
+            DurabilityError::Diverged { dir, detail } => write!(
+                f,
+                "snapshot is not the state {} recovers to: {detail}",
+                dir.display()
+            ),
         }
     }
 }
 
 impl std::error::Error for DurabilityError {}
-
-impl From<ClosureError> for DurabilityError {
-    fn from(e: ClosureError) -> Self {
-        DurabilityError::Engine(e)
-    }
-}
 
 fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> DurabilityError {
     DurabilityError::Io {
@@ -210,7 +217,7 @@ const MAX_RECORD_LEN: u32 = 1 << 16;
 
 /// One durable log entry: an update, its log sequence number, and the
 /// serve epoch that was current when it was appended (informational —
-/// replay recomputes which updates are effective).
+/// recovery works out again which updates are effective).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WalRecord {
     pub lsn: u64,
@@ -333,18 +340,25 @@ fn mode_from(tag: u8) -> Option<ExecutionMode> {
     }
 }
 
-/// The decoded inputs of a checkpoint: everything needed to rebuild a
-/// snapshot (precompute runs on load).
+/// The engine's inputs as a directory holds them — everything
+/// [`EngineSnapshot::build`] takes (precompute runs on load): a decoded
+/// checkpoint, and after [`CheckpointImage::fold`] that checkpoint with
+/// the log past it applied. Fragment nodes are stored explicitly, so
+/// seed-only members (nodes with no incident fragment edge — e.g. after
+/// removals) survive the round trip.
 struct CheckpointImage {
+    /// The LSN the checkpoint covers through.
     lsn: u64,
+    /// Checkpoint epoch, plus one per folded record that changed the edge
+    /// set.
     epoch: u64,
     symmetric: bool,
     cfg: EngineConfig,
-    node_count: usize,
-    /// Per fragment: (edges, nodes). Nodes are stored explicitly so
-    /// seed-only members (nodes with no incident fragment edge — e.g.
-    /// after removals) survive the round trip.
-    fragments: Vec<(Vec<Edge>, Vec<NodeId>)>,
+    frag: Fragmentation,
+    /// The last folded record's LSN (`lsn` before any), and how many
+    /// records were folded.
+    last_lsn: u64,
+    replayed: usize,
 }
 
 fn encode_checkpoint(snapshot: &EngineSnapshot, lsn: u64, epoch: u64) -> Vec<u8> {
@@ -429,7 +443,8 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<CheckpointImage> {
     let fragment_count = usize::try_from(c.u64()?).ok()?;
     // The payload is checksummed, so these counts are trusted sizes —
     // but still bounds-check every element read.
-    let mut fragments = Vec::with_capacity(fragment_count.min(1 << 16));
+    let mut edge_sets = Vec::with_capacity(fragment_count.min(1 << 16));
+    let mut seeds = Vec::with_capacity(fragment_count.min(1 << 16));
     for _ in 0..fragment_count {
         let n_nodes = usize::try_from(c.u64()?).ok()?;
         let mut nodes = Vec::with_capacity(n_nodes.min(1 << 20));
@@ -444,7 +459,8 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<CheckpointImage> {
             let cost = c.u64()?;
             edges.push(Edge::new(src, dst, cost));
         }
-        fragments.push((edges, nodes));
+        edge_sets.push(edges);
+        seeds.push(nodes);
     }
     if !c.done() {
         return None;
@@ -461,35 +477,62 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<CheckpointImage> {
             mode,
             hub,
         },
-        node_count,
-        fragments,
+        frag: Fragmentation::new(node_count, edge_sets, seeds),
+        last_lsn: lsn,
+        replayed: 0,
     })
 }
 
+/// The newest checkpoint of `dir` that decodes, if any.
+fn newest_image(dir: &Path) -> Option<CheckpointImage> {
+    (checkpoint_paths(dir).into_iter().rev())
+        .find_map(|(_, path)| decode_checkpoint(&fs::read(path).ok()?))
+}
+
 impl CheckpointImage {
-    /// Rebuild the snapshot: fragmentation from the stored lists, the
-    /// global closure graph from the fragment union (the same rule the
-    /// update path uses), precompute via [`EngineSnapshot::build`].
-    fn build_snapshot(self) -> Result<EngineSnapshot, DurabilityError> {
-        let (edge_sets, seeds): (Vec<Vec<Edge>>, Vec<Vec<NodeId>>) =
-            self.fragments.into_iter().unzip();
-        let mut expanded = Vec::new();
-        for set in &edge_sets {
-            for e in set {
-                expanded.push(*e);
-                if self.symmetric && !e.is_loop() {
-                    expanded.push(e.reversed());
-                }
+    /// Apply every record past this image's LSN to its fragmentation, in
+    /// order, by the structural edit rule the live writer applies. A
+    /// record the rule refuses changes nothing and bumps no epoch — the
+    /// writer acknowledged it as an error without applying anything.
+    fn fold(mut self, records: &[WalRecord]) -> Self {
+        for rec in records.iter().filter(|rec| rec.lsn > self.lsn) {
+            if apply_edit(&mut self.frag, self.symmetric, &rec.update) == Ok(true) {
+                self.epoch += 1;
             }
+            self.last_lsn = rec.lsn;
+            self.replayed += 1;
         }
-        let graph = CsrGraph::from_edges(self.node_count, &expanded);
-        let frag = Fragmentation::new(self.node_count, edge_sets, seeds);
-        Ok(EngineSnapshot::build(
-            graph,
-            frag,
-            self.symmetric,
-            self.cfg,
-        )?)
+        self
+    }
+
+    /// The first way `snapshot` (served at `epoch`) differs from this
+    /// state, if it does: the symmetry flag, the epoch, or a fragment's
+    /// connections (as a multiset — order is not state).
+    fn difference(&self, snapshot: &EngineSnapshot, epoch: u64) -> Option<String> {
+        if self.symmetric != snapshot.is_symmetric() {
+            return Some("the symmetry flags differ".to_string());
+        }
+        if self.epoch != epoch {
+            return Some(format!(
+                "the directory is at epoch {}, the snapshot at epoch {epoch}",
+                self.epoch
+            ));
+        }
+        let edge_sets = |frag: &Fragmentation| -> Vec<Vec<Edge>> {
+            let sorted = |f: &ds_fragment::Fragment| {
+                let mut edges = f.edges().to_vec();
+                edges.sort_unstable();
+                edges
+            };
+            frag.fragments().iter().map(sorted).collect()
+        };
+        let (ours, theirs) = (edge_sets(&self.frag), edge_sets(snapshot.fragmentation()));
+        if ours.len() != theirs.len() {
+            return Some(format!("the directory holds {} fragments", ours.len()));
+        }
+        (ours.iter().zip(&theirs))
+            .position(|(a, b)| a != b)
+            .map(|f| format!("fragment {f} holds different connections"))
     }
 }
 
@@ -541,19 +584,18 @@ struct WalScan {
     truncated: bool,
     /// Segment where scanning stopped (last segment when clean) plus the
     /// number of valid bytes in it — the repair point for appends.
-    tail: Option<(u64, PathBuf, u64)>,
+    tail: Option<(PathBuf, u64)>,
     /// Segments lexically after the stop point (unreachable once the
     /// prefix is truncated).
     orphans: Vec<PathBuf>,
 }
 
 fn scan_wal(dir: &Path) -> Result<WalScan, DurabilityError> {
-    let segments = wal_paths(dir);
     let mut records: Vec<WalRecord> = Vec::new();
     let mut truncated = false;
     let mut tail = None;
     let mut orphans = Vec::new();
-    for (i, (start, path)) in segments.iter().enumerate() {
+    for (_, path) in &wal_paths(dir) {
         if truncated {
             orphans.push(path.clone());
             continue;
@@ -581,11 +623,7 @@ fn scan_wal(dir: &Path) -> Result<WalScan, DurabilityError> {
                 }
             }
         }
-        tail = Some((*start, path.clone(), pos as u64));
-        if truncated && i + 1 < segments.len() {
-            // Later segments are beyond the torn point.
-            continue;
-        }
+        tail = Some((path.clone(), pos as u64));
     }
     Ok(WalScan {
         records,
@@ -595,6 +633,15 @@ fn scan_wal(dir: &Path) -> Result<WalScan, DurabilityError> {
     })
 }
 
+fn open_segment(path: &Path) -> Result<File, DurabilityError> {
+    OpenOptions::new()
+        .create(true)
+        .read(true)
+        .append(true)
+        .open(path)
+        .map_err(|e| io_err("open segment", path, e))
+}
+
 // --------------------------------------------------------------- config
 
 /// Where and how eagerly to persist. Obtain via [`DurabilityConfig::at`].
@@ -602,16 +649,10 @@ fn scan_wal(dir: &Path) -> Result<WalScan, DurabilityError> {
 pub struct DurabilityConfig {
     /// Directory holding checkpoints and WAL segments.
     pub dir: PathBuf,
-    /// Checkpoint after this many appended records (0 disables the
-    /// count trigger).
+    /// Checkpoint after this many appended records (0 = never on its
+    /// own). A record is at most 49 bytes, so the default bounds the log
+    /// a recovery folds at about 200 KB.
     pub checkpoint_updates: u64,
-    /// Checkpoint after this many appended WAL bytes (0 disables the
-    /// bytes trigger).
-    pub checkpoint_bytes: u64,
-    /// `fdatasync` the WAL after every group commit. On (the default)
-    /// an acknowledged update survives an OS crash; off, only a process
-    /// crash.
-    pub fsync: bool,
 }
 
 impl DurabilityConfig {
@@ -619,8 +660,6 @@ impl DurabilityConfig {
         DurabilityConfig {
             dir: dir.into(),
             checkpoint_updates: 4096,
-            checkpoint_bytes: 4 << 20,
-            fsync: true,
         }
     }
 }
@@ -634,7 +673,7 @@ impl DurabilityConfig {
 /// Single-writer by construction (owned by the serve writer thread); the
 /// snapshot handed to [`DurableStore::attach`] must be the state the
 /// directory recovers to — [`recover`] / `System::open` produce exactly
-/// that.
+/// that — and `attach` checks it.
 #[derive(Debug)]
 pub struct DurableStore {
     cfg: DurabilityConfig,
@@ -648,7 +687,6 @@ pub struct DurableStore {
     next_lsn: u64,
     last_ckpt_lsn: u64,
     records_since_ckpt: u64,
-    bytes_since_ckpt: u64,
     fault: Option<Arc<FaultPlan>>,
     buf: Vec<u8>,
 }
@@ -659,9 +697,11 @@ impl DurableStore {
     ///
     /// * Fresh directory: writes the initial checkpoint (LSN 0) so a
     ///   later [`recover`] always has a base state, and starts segment 1.
-    /// * Existing directory: repairs any torn WAL tail and continues
-    ///   appending after the last durable record. The caller's snapshot
-    ///   must be the recovered state of that directory.
+    /// * Existing directory: `snapshot` at `epoch` must be the state the
+    ///   directory recovers to — same symmetry, same epoch, the same
+    ///   connections in every fragment — or the attach is refused with
+    ///   [`DurabilityError::Diverged`]. Then repairs any torn WAL tail
+    ///   and continues appending after the last durable record.
     pub fn attach(
         cfg: DurabilityConfig,
         snapshot: &EngineSnapshot,
@@ -669,86 +709,60 @@ impl DurableStore {
         fault: Option<Arc<FaultPlan>>,
     ) -> Result<Self, DurabilityError> {
         fs::create_dir_all(&cfg.dir).map_err(|e| io_err("create dir", &cfg.dir, e))?;
-        let have_ckpt = checkpoint_paths(&cfg.dir)
-            .iter()
-            .rev()
-            .any(|(_, p)| fs::read(p).is_ok_and(|b| decode_checkpoint(&b).is_some()));
         let scan = scan_wal(&cfg.dir)?;
         let last_lsn = scan.records.last().map_or(0, |r| r.lsn);
-        let mut store = if have_ckpt {
-            // Continue the existing log: repair the tail, keep appending.
-            let (_start, path, valid) = match scan.tail {
-                Some(t) => t,
-                None => {
-                    // Checkpoint but no segment: start a fresh one.
-                    let start = last_lsn + 1;
-                    let path = segment_path(&cfg.dir, start);
-                    (start, path, 0)
-                }
-            };
-            let wal = OpenOptions::new()
-                .create(true)
-                .read(true)
-                .append(true)
-                .open(&path)
-                .map_err(|e| io_err("open segment", &path, e))?;
-            let disk_len = wal.metadata().map_err(|e| io_err("stat", &path, e))?.len();
-            let newest_ckpt = checkpoint_paths(&cfg.dir)
-                .iter()
-                .rev()
-                .find_map(|(lsn, p)| {
-                    fs::read(p)
-                        .ok()
-                        .and_then(|b| decode_checkpoint(&b).map(|_| *lsn))
-                })
-                .unwrap_or(0);
-            for orphan in &scan.orphans {
-                let _ = fs::remove_file(orphan);
-            }
-            DurableStore {
-                cfg,
-                wal,
-                wal_path: path,
-                wal_len: valid,
-                needs_repair: scan.truncated || disk_len != valid,
-                next_lsn: last_lsn.max(newest_ckpt) + 1,
-                last_ckpt_lsn: newest_ckpt,
-                records_since_ckpt: last_lsn.saturating_sub(newest_ckpt),
-                bytes_since_ckpt: 0,
-                fault,
-                buf: Vec::with_capacity(4096),
-            }
-        } else {
+        let Some(image) = newest_image(&cfg.dir) else {
             // No base state on disk (fresh dir, or stray segments with
             // no checkpoint): the caller's snapshot is authoritative —
             // checkpoint it, then start a fresh segment beyond any
             // stray record so LSNs never collide.
-            let base_lsn = last_lsn;
-            let path = segment_path(&cfg.dir, base_lsn + 1);
-            let wal = OpenOptions::new()
-                .create(true)
-                .read(true)
-                .append(true)
-                .open(&path)
-                .map_err(|e| io_err("open segment", &path, e))?;
+            let path = segment_path(&cfg.dir, last_lsn + 1);
             let mut store = DurableStore {
+                wal: open_segment(&path)?,
                 cfg,
-                wal,
                 wal_path: path,
                 wal_len: 0,
                 needs_repair: false,
-                next_lsn: base_lsn + 1,
-                last_ckpt_lsn: base_lsn,
+                next_lsn: last_lsn + 1,
+                last_ckpt_lsn: last_lsn,
                 records_since_ckpt: 0,
-                bytes_since_ckpt: 0,
                 fault,
                 buf: Vec::with_capacity(4096),
             };
             store.checkpoint(snapshot, epoch)?;
-            store
+            return Ok(store);
         };
-        store.buf.clear();
-        Ok(store)
+        let folded = image.fold(&scan.records);
+        if let Some(detail) = folded.difference(snapshot, epoch) {
+            return Err(DurabilityError::Diverged {
+                dir: cfg.dir,
+                detail,
+            });
+        }
+        // Continue the existing log: repair the tail, keep appending
+        // (into a fresh segment when the checkpoint has none after it).
+        let newest_ckpt = folded.lsn;
+        let (path, valid) = match scan.tail {
+            Some(tail) => tail,
+            None => (segment_path(&cfg.dir, last_lsn + 1), 0),
+        };
+        let wal = open_segment(&path)?;
+        let disk_len = wal.metadata().map_err(|e| io_err("stat", &path, e))?.len();
+        for orphan in &scan.orphans {
+            let _ = fs::remove_file(orphan);
+        }
+        Ok(DurableStore {
+            cfg,
+            wal,
+            wal_path: path,
+            wal_len: valid,
+            needs_repair: scan.truncated || disk_len != valid,
+            next_lsn: last_lsn.max(newest_ckpt) + 1,
+            last_ckpt_lsn: newest_ckpt,
+            records_since_ckpt: last_lsn.saturating_sub(newest_ckpt),
+            fault,
+            buf: Vec::with_capacity(4096),
+        })
     }
 
     /// The LSN of the last durably appended record (0 before any).
@@ -761,14 +775,14 @@ impl DurableStore {
         self.last_ckpt_lsn
     }
 
-    /// Whether a checkpoint threshold has tripped.
+    /// Whether the checkpoint threshold has tripped.
     pub fn should_checkpoint(&self) -> bool {
-        (self.cfg.checkpoint_updates > 0 && self.records_since_ckpt >= self.cfg.checkpoint_updates)
-            || (self.cfg.checkpoint_bytes > 0 && self.bytes_since_ckpt >= self.cfg.checkpoint_bytes)
+        self.cfg.checkpoint_updates > 0 && self.records_since_ckpt >= self.cfg.checkpoint_updates
     }
 
     /// Group-commit `updates` (stamped with the serve epoch current at
-    /// append time): one buffered write, one optional `fdatasync`.
+    /// append time): one buffered write, one `fdatasync` — an
+    /// acknowledged update survives an OS crash.
     /// Returns the LSN of the first record.
     ///
     /// On failure — injected or real, including a torn write — nothing
@@ -818,23 +832,20 @@ impl DurableStore {
             self.needs_repair = true;
             return Err(io_err("append", &self.wal_path, e));
         }
-        if self.cfg.fsync {
-            if fire_disk(&self.fault, FaultPoint::WalSync).is_some() {
-                // Sync failed: durability of the written bytes is
-                // unknown. Refuse the acknowledgement and repair before
-                // the next append.
-                self.needs_repair = true;
-                return Err(injected_err("sync", &self.wal_path));
-            }
-            if let Err(e) = self.wal.sync_data() {
-                self.needs_repair = true;
-                return Err(io_err("sync", &self.wal_path, e));
-            }
+        if fire_disk(&self.fault, FaultPoint::WalSync).is_some() {
+            // Sync failed: durability of the written bytes is unknown.
+            // Refuse the acknowledgement and repair before the next
+            // append.
+            self.needs_repair = true;
+            return Err(injected_err("sync", &self.wal_path));
+        }
+        if let Err(e) = self.wal.sync_data() {
+            self.needs_repair = true;
+            return Err(io_err("sync", &self.wal_path, e));
         }
         self.wal_len += self.buf.len() as u64;
         self.next_lsn += updates.len() as u64;
         self.records_since_ckpt += updates.len() as u64;
-        self.bytes_since_ckpt += self.buf.len() as u64;
         Ok(first)
     }
 
@@ -891,19 +902,13 @@ impl DurableStore {
         // superseded checkpoints and fully-covered segments.
         let new_start = self.next_lsn;
         let new_path = segment_path(&self.cfg.dir, new_start);
-        let wal = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(&new_path)
-            .map_err(|e| io_err("open segment", &new_path, e))?;
+        let wal = open_segment(&new_path)?;
         let old_path = std::mem::replace(&mut self.wal_path, new_path);
         self.wal = wal;
         self.wal_len = 0;
         self.needs_repair = false;
         self.last_ckpt_lsn = lsn;
         self.records_since_ckpt = 0;
-        self.bytes_since_ckpt = 0;
         for (stamp, p) in checkpoint_paths(&self.cfg.dir) {
             if stamp < lsn {
                 let _ = fs::remove_file(p);
@@ -937,10 +942,9 @@ impl DurableStore {
     pub fn read_suffix(&mut self, after: u64) -> Result<Vec<WalRecord>, DurabilityError> {
         self.repair_tail()?;
         let scan = scan_wal(&self.cfg.dir)?;
-        if let (Some(last), Some((_, path, valid))) = (scan.records.last(), &scan.tail) {
+        if let (Some(last), Some((path, valid))) = (scan.records.last(), &scan.tail) {
             if last.lsn >= self.next_lsn && *path == self.wal_path {
                 self.records_since_ckpt += last.lsn + 1 - self.next_lsn;
-                self.bytes_since_ckpt += valid.saturating_sub(self.wal_len);
                 self.next_lsn = last.lsn + 1;
                 self.wal_len = *valid;
                 self.needs_repair = scan.truncated;
@@ -973,54 +977,24 @@ pub struct Recovered {
 }
 
 /// Rebuild the newest consistent state from `dir`: newest valid
-/// checkpoint, then the contiguous WAL suffix, stopping at the first
-/// torn or corrupt record. Never panics on garbage bytes; a directory
-/// with no valid checkpoint (empty, WAL-only, or all images corrupt) is
+/// checkpoint, the contiguous WAL suffix (stopping at the first torn or
+/// corrupt record) folded into its relation, then one engine build.
+/// Never panics on garbage bytes; a directory with no valid checkpoint
+/// (empty, WAL-only, or all images corrupt) is
 /// [`DurabilityError::NoCheckpoint`].
 pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, DurabilityError> {
     let dir = dir.as_ref();
-    let mut image = None;
-    for (_, path) in checkpoint_paths(dir).into_iter().rev() {
-        if let Ok(bytes) = fs::read(&path) {
-            if let Some(img) = decode_checkpoint(&bytes) {
-                image = Some(img);
-                break;
-            }
-        }
-    }
-    let image = image.ok_or_else(|| DurabilityError::NoCheckpoint {
+    let image = newest_image(dir).ok_or_else(|| DurabilityError::NoCheckpoint {
         dir: dir.to_path_buf(),
     })?;
-    let checkpoint_lsn = image.lsn;
-    let mut epoch = image.epoch;
-    let mut snapshot = image.build_snapshot()?;
-
     let scan = scan_wal(dir)?;
-    let mut scratch = ScratchDijkstra::new();
-    let mut replayed = 0usize;
-    let mut last_lsn = checkpoint_lsn;
-    for rec in &scan.records {
-        if rec.lsn <= checkpoint_lsn {
-            continue;
-        }
-        // Replay mirrors the writer: apply, bump the epoch only when the
-        // update was effective, and ignore per-update errors (the writer
-        // acknowledged those as errors without applying anything).
-        if let Ok(report) = snapshot.maintain(&rec.update, &mut scratch) {
-            if report.sites_touched > 0 || report.full_recompute {
-                epoch += 1;
-            }
-        }
-        last_lsn = rec.lsn;
-        replayed += 1;
-    }
-    snapshot.ensure_reach();
+    let folded = image.fold(&scan.records);
     Ok(Recovered {
-        snapshot,
-        epoch,
-        checkpoint_lsn,
-        last_lsn,
-        replayed,
+        snapshot: EngineSnapshot::build(folded.frag, folded.symmetric, folded.cfg),
+        epoch: folded.epoch,
+        checkpoint_lsn: folded.lsn,
+        last_lsn: folded.last_lsn,
+        replayed: folded.replayed,
         truncated: scan.truncated,
     })
 }
@@ -1030,6 +1004,7 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, DurabilityError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ds_graph::ScratchDijkstra;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -1058,14 +1033,8 @@ mod tests {
         };
         let f0 = edges(&[(0, 1), (1, 2)]);
         let f1 = edges(&[(2, 3), (3, 4), (4, 5)]);
-        let mut expanded = Vec::new();
-        for e in f0.iter().chain(f1.iter()) {
-            expanded.push(*e);
-            expanded.push(e.reversed());
-        }
-        let graph = CsrGraph::from_edges(6, &expanded);
         let frag = Fragmentation::new(6, vec![f0, f1], vec![vec![], vec![]]);
-        EngineSnapshot::build(graph, frag, true, EngineConfig::default()).expect("valid state")
+        EngineSnapshot::build(frag, true, EngineConfig::default())
     }
 
     #[test]
@@ -1125,7 +1094,7 @@ mod tests {
         let img = decode_checkpoint(&bytes).expect("valid image");
         assert_eq!(img.lsn, 42);
         assert_eq!(img.epoch, 7);
-        let rebuilt = img.build_snapshot().expect("rebuild");
+        let rebuilt = EngineSnapshot::build(img.frag, img.symmetric, img.cfg);
         assert_eq!(rebuilt.graph().node_count(), snap.graph().node_count());
         assert_eq!(rebuilt.graph().edge_count(), snap.graph().edge_count());
         for (x, y) in [(0u32, 5u32), (1, 4), (5, 0)] {
@@ -1194,6 +1163,20 @@ mod tests {
         assert_eq!(store2.append_batch(2, &[ins]).expect("append"), 4);
         let rec2 = recover(&dir).expect("recover again");
         assert_eq!(rec2.replayed, 4);
+        drop(store2);
+
+        // Only the state the directory recovers to may continue its log:
+        // a stale epoch, and the right epoch over the wrong connections,
+        // are both refused.
+        for (stale, epoch) in [(&snap, 0), (&rec.snapshot, rec2.epoch)] {
+            let refused = DurableStore::attach(DurabilityConfig::at(&dir), stale, epoch, None);
+            assert!(
+                matches!(refused, Err(DurabilityError::Diverged { .. })),
+                "epoch {epoch}: {refused:?}"
+            );
+        }
+        DurableStore::attach(DurabilityConfig::at(&dir), &rec2.snapshot, rec2.epoch, None)
+            .expect("the recovered state attaches");
         let _ = fs::remove_dir_all(&dir);
     }
 

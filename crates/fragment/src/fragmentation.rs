@@ -187,6 +187,22 @@ impl Fragmentation {
         &mut self.fragments[id]
     }
 
+    /// The directed closure graph of the fragment union: every tuple of
+    /// every fragment, plus its reverse on `symmetric` networks (loops
+    /// once) — the global counterpart of [`Fragment::local_graph`].
+    /// Parallel tuples owned by different fragments stay parallel edges.
+    pub fn closure_graph(&self, symmetric: bool) -> CsrGraph {
+        let tuples: usize = self.fragments.iter().map(Fragment::edge_count).sum();
+        let mut edges = Vec::with_capacity(tuples * if symmetric { 2 } else { 1 });
+        for e in self.fragments.iter().flat_map(Fragment::edges) {
+            edges.push(*e);
+            if symmetric && !e.is_loop() {
+                edges.push(e.reversed());
+            }
+        }
+        CsrGraph::from_edges(self.node_count, &edges)
+    }
+
     /// Verify the partition invariant against the original relation:
     /// every input edge appears in exactly one fragment (as a multiset).
     pub fn validate(&self, original: &[Edge]) -> Result<(), FragError> {
@@ -396,6 +412,21 @@ mod tests {
         let fg = path_split().fragmentation_graph();
         assert_eq!(fg.fragment_count(), 2);
         assert!(fg.is_acyclic());
+    }
+
+    #[test]
+    fn closure_graph_is_the_expanded_fragment_union() {
+        let mut frag = path_split();
+        assert_eq!(frag.closure_graph(false).edge_count(), 4);
+        assert_eq!(frag.closure_graph(true).edge_count(), 8);
+        // A loop has no reverse; a tuple two fragments own stays parallel.
+        frag.fragment_mut(0)
+            .add_edge(Edge::unit(NodeId(1), NodeId(1)));
+        frag.fragment_mut(0)
+            .add_edge(Edge::unit(NodeId(2), NodeId(3)));
+        let g = frag.closure_graph(true);
+        assert_eq!((g.node_count(), g.edge_count()), (5, 11));
+        assert_eq!(g.out_targets(NodeId(2)), [NodeId(1), NodeId(3), NodeId(3)]);
     }
 
     #[test]

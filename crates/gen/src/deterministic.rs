@@ -166,11 +166,15 @@ mod tests {
     }
 
     #[test]
-    fn two_triangles_bridge_has_articulation_bridge() {
-        let g = two_triangles_bridge();
-        let csr = g.closure_graph();
-        let aps = ds_graph::articulation::articulation_points(&csr);
-        assert!(aps.contains(&NodeId(2)));
-        assert!(aps.contains(&NodeId(3)));
+    fn two_triangles_bridge_is_one_component_held_by_its_bridge() {
+        let mut g = two_triangles_bridge();
+        assert_eq!(traverse::weak_components(&g.closure_graph()).1, 1);
+        // Without the 2-3 connection the triangles fall apart.
+        g.connections
+            .retain(|e| !e.connects(NodeId(2), NodeId(3), true));
+        let (component, count) = traverse::weak_components(&g.closure_graph());
+        assert_eq!(count, 2);
+        assert_eq!(component[..3], [component[0]; 3]);
+        assert_eq!(component[3..], [component[3]; 3]);
     }
 }

@@ -6,7 +6,7 @@
 //! fragmentation algorithms), traversals, shortest paths, a bit-matrix
 //! representation with Warshall-style closure, union–find, and the
 //! structural measures the paper relies on (diameter, eccentricity,
-//! articulation points).
+//! weak components).
 //!
 //! The paper models a connection network as a relation `R(src, dst, cost)`
 //! whose tuples are directed edges, possibly weighted (§2.1 of Houtsma,
@@ -28,7 +28,6 @@
 //! assert_eq!(dist.cost(NodeId(2)), Some(5));
 //! ```
 
-pub mod articulation;
 pub mod bitset;
 pub mod csr;
 pub mod dijkstra;

@@ -40,38 +40,15 @@ pub use workload::{HotPair, WorkloadRecorder};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Tuning for an [`Observability`] bundle. `Default` is sized for
-/// tests and examples; long-running servers may want larger rings.
-#[derive(Clone, Debug)]
-pub struct ObsConfig {
-    /// Finished request traces retained by the [`Tracer`] ring.
-    pub trace_ring: usize,
-    /// Entries retained by the [`SlowQueryLog`] ring.
-    pub slow_ring: usize,
-    /// Fixed slow-query threshold; `None` (default) tracks the
-    /// interpolated p999 of the request-latency histogram adaptively.
-    pub slow_threshold: Option<Duration>,
-    /// Record every Nth request into the [`WorkloadRecorder`] (1 =
-    /// every request).
-    pub workload_sample_every: u64,
-    /// Shards per workload sketch (lock-contention knob).
-    pub workload_shards: usize,
-    /// Distinct pairs per workload shard before new pairs are dropped.
-    pub workload_per_shard_cap: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            trace_ring: 1024,
-            slow_ring: 128,
-            slow_threshold: None,
-            workload_sample_every: 1,
-            workload_shards: 16,
-            workload_per_shard_cap: 4096,
-        }
-    }
-}
+/// Finished request traces the [`Tracer`] ring retains.
+const TRACE_RING: usize = 1024;
+/// Entries the [`SlowQueryLog`] ring retains. Its threshold is adaptive:
+/// the interpolated p999 of the request-latency histogram.
+const SLOW_RING: usize = 128;
+/// Shards per [`WorkloadRecorder`] sketch, and distinct pairs per shard
+/// before new pairs are dropped. Every request is sampled.
+const WORKLOAD_SHARDS: usize = 16;
+const WORKLOAD_PER_SHARD_CAP: usize = 4096;
 
 /// The shared observability bundle one system (or test) arms across
 /// its tiers: registry + tracer + slow-query log + workload recorder.
@@ -89,31 +66,14 @@ pub struct Observability {
 }
 
 impl Observability {
-    pub fn new(cfg: ObsConfig) -> Self {
-        Observability {
-            tracer: Tracer::new(cfg.trace_ring),
-            slow: SlowQueryLog::new(
-                cfg.slow_ring,
-                cfg.slow_threshold.map(|d| d.as_nanos() as u64),
-            ),
-            workload: WorkloadRecorder::new(
-                cfg.workload_shards,
-                cfg.workload_per_shard_cap,
-                cfg.workload_sample_every,
-            ),
-            registry: MetricsRegistry::new(),
-        }
-    }
-
-    /// A default-configured bundle, ready to hand to
-    /// `ServeConfig`/`MaterializeConfig`.
+    /// A bundle, ready to hand to `ServeConfig`/`MaterializeConfig`.
     pub fn armed() -> Arc<Self> {
-        Arc::new(Self::new(ObsConfig::default()))
-    }
-
-    /// A bundle with explicit tuning.
-    pub fn with_config(cfg: ObsConfig) -> Arc<Self> {
-        Arc::new(Self::new(cfg))
+        Arc::new(Observability {
+            tracer: Tracer::new(TRACE_RING),
+            slow: SlowQueryLog::new(SLOW_RING, None),
+            workload: WorkloadRecorder::new(WORKLOAD_SHARDS, WORKLOAD_PER_SHARD_CAP, 1),
+            registry: MetricsRegistry::new(),
+        })
     }
 
     pub fn registry(&self) -> &MetricsRegistry {
@@ -194,10 +154,10 @@ mod tests {
 
     #[test]
     fn record_request_feeds_the_slow_log_and_the_ring_but_no_sample() {
-        let obs = Observability::with_config(ObsConfig {
-            slow_threshold: Some(Duration::from_micros(10)),
-            ..ObsConfig::default()
-        });
+        let obs = Observability {
+            slow: SlowQueryLog::new(SLOW_RING, Some(10_000)),
+            ..Arc::into_inner(Observability::armed()).expect("sole owner")
+        };
         let latency = obs.registry().histogram_cell("request_latency_ns");
         latency.record(50_000);
         let t = obs.tracer().mint();

@@ -243,8 +243,8 @@ const ADAPTIVE_RECOMPUTE_EVERY: u64 = 64;
 
 /// Ring-buffered log of requests slower than a latency threshold.
 ///
-/// With a fixed threshold (`ObsConfig::slow_threshold`), every request
-/// at or above it is logged. With the adaptive default, the threshold
+/// With a fixed threshold, every request at or above it is logged. With
+/// the adaptive one (what an `Observability` bundle arms), the threshold
 /// tracks the interpolated p999 of the request-latency histogram,
 /// recomputed every `ADAPTIVE_RECOMPUTE_EVERY` requests; until the
 /// first recomputation nothing is logged (no stable tail estimate yet).

@@ -20,7 +20,7 @@ pub struct TcStats {
     /// Tuples in the final result.
     pub result_tuples: usize,
     /// Tuples admitted per iteration — the Δ trajectory for semi-naive,
-    /// the join-output sizes for naive/smart, the result tuples written
+    /// the join-output sizes for naive, the result tuples written
     /// per phase for bulk. `delta_sizes.len() == iterations`.
     pub delta_sizes: Vec<usize>,
     /// Times a prebuilt hash-join build table was probed again instead of

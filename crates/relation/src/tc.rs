@@ -22,7 +22,7 @@ use std::collections::HashMap;
 
 use ds_graph::{Cost, NodeId};
 
-use crate::join::{hash_join, JoinIndex};
+use crate::join::JoinIndex;
 use crate::relation::Relation;
 use crate::stats::TcStats;
 use crate::tuple::PathTuple;
@@ -122,40 +122,6 @@ pub fn naive_closure(
         let next = total
             .union(&Relation::from_rows("naive", joined))
             .min_cost();
-        if next.rows() == total.rows() {
-            break;
-        }
-        total = next;
-    }
-    stats.result_tuples = total.len();
-    (total, stats)
-}
-
-/// "Smart" min-cost transitive closure by repeated squaring
-/// (the logarithmic strategy of the paper's ref \[16\], Ioannidis &
-/// Ramakrishnan): each round composes the accumulated path relation with
-/// *itself*, so path lengths double per round and the fixpoint arrives
-/// after ⌈log₂ diameter⌉ + 1 rounds instead of `diameter`.
-///
-/// The price is fatter intermediate joins (paths ⋈ paths instead of
-/// delta ⋈ edges) — the classic iterations-vs-work trade-off, measured in
-/// the `kernels` bench.
-pub fn smart_closure(edges: &Relation<PathTuple>) -> (Relation<PathTuple>, TcStats) {
-    let mut stats = TcStats::default();
-    let mut total = edges.min_cost();
-    stats.tuples_generated += total.len();
-    loop {
-        stats.iterations += 1;
-        let squared = hash_join(
-            &total,
-            &total,
-            |l| l.dst,
-            |r| r.src,
-            |l, r| PathTuple::new(l.src, r.dst, l.cost + r.cost),
-        );
-        stats.tuples_generated += squared.len();
-        stats.delta_sizes.push(squared.len());
-        let next = total.union(&squared).min_cost();
         if next.rows() == total.rows() {
             break;
         }
@@ -275,38 +241,6 @@ mod tests {
         assert!(tc.rows().iter().all(|t| t.src == n(2)));
         let (tc_naive, _) = naive_closure(&edges, Some(&[n(2)]));
         assert_eq!(tc.rows(), tc_naive.rows());
-    }
-
-    #[test]
-    fn smart_matches_seminaive_with_fewer_iterations() {
-        let edges = path_edges(16);
-        let (semi, semi_stats) = seminaive_closure(&edges, None);
-        let (smart, smart_stats) = smart_closure(&edges);
-        assert_eq!(semi.rows(), smart.rows());
-        // 16-hop diameter: semi-naive needs ~16 rounds, squaring ~5.
-        assert!(
-            smart_stats.iterations < semi_stats.iterations / 2,
-            "smart {} vs semi-naive {}",
-            smart_stats.iterations,
-            semi_stats.iterations
-        );
-    }
-
-    #[test]
-    fn smart_handles_cycles_and_costs() {
-        let edges = Relation::from_rows(
-            "edge",
-            vec![
-                PathTuple::new(n(0), n(1), 2),
-                PathTuple::new(n(1), n(2), 2),
-                PathTuple::new(n(2), n(0), 1),
-                PathTuple::new(n(0), n(2), 10),
-            ],
-        );
-        let (smart, _) = smart_closure(&edges);
-        let (semi, _) = seminaive_closure(&edges, None);
-        assert_eq!(smart.rows(), semi.rows());
-        assert_eq!(smart.cost_of(n(0), n(2)), Some(4));
     }
 
     #[test]

@@ -86,11 +86,13 @@
 //! * **Durability.** With [`ServeConfig::durability`] set, the writer
 //!   appends every folded update batch to `ds_durability`'s checksummed
 //!   write-ahead log **before** applying it (group commit: one buffered
-//!   write + one fsync per batch) and checkpoints on configurable
-//!   thresholds, so a process death is recoverable:
-//!   [`ds_durability::recover`] rebuilds the newest checkpoint plus the
-//!   surviving WAL suffix, and [`Server::try_start_at`] resumes serving
-//!   from it. A refused append fails its batch with the typed
+//!   write + one fsync per batch) and checkpoints every
+//!   `checkpoint_updates` records, so a process death is recoverable:
+//!   [`ds_durability::recover`] folds the surviving WAL suffix into the
+//!   newest checkpoint's relation and builds once, and
+//!   [`Server::try_start_at`] resumes serving from it (and refuses any
+//!   other state over that directory). A refused append fails its batch
+//!   with the typed
 //!   `ClosureError::DurabilityFailed` without applying anything; a
 //!   respawned writer redoes any logged-but-unpublished suffix so the
 //!   live state always reconverges with the durable one.
@@ -118,7 +120,7 @@
 //! let frag = linear_sweep(&g.edge_list(), &LinearConfig { fragments: 3, ..Default::default() })
 //!     .unwrap()
 //!     .fragmentation;
-//! let snap = EngineSnapshot::build(g.closure_graph(), frag, true, EngineConfig::default()).unwrap();
+//! let snap = EngineSnapshot::build(frag, true, EngineConfig::default());
 //! let server = Server::start(snap, ServeConfig::with_workers(2));
 //! let served = server.query(NodeId(0), NodeId(29)).unwrap();
 //! assert_eq!(served.answer.cost, Some(11));
@@ -178,9 +180,10 @@ mod tests {
         )
         .unwrap()
         .fragmentation;
-        let snap =
-            EngineSnapshot::build(g.closure_graph(), frag, true, EngineConfig::default()).unwrap();
-        (g, snap)
+        (
+            g,
+            EngineSnapshot::build(frag, true, EngineConfig::default()),
+        )
     }
 
     #[test]

@@ -26,6 +26,16 @@ use ds_obs::{
 use crate::cache::AnswerCache;
 use crate::queue::{BoundedQueue, PushError};
 
+/// Most pending updates the writer folds into one publication (and one
+/// WAL group commit).
+const WRITE_BATCH_MAX: usize = 16;
+
+/// Most answers the cache holds per epoch: bounds memory on read-only
+/// deployments, whose epoch never advances and would otherwise accumulate
+/// every distinct pair ever queried; once full, further inserts are
+/// dropped until the next epoch.
+const ANSWER_CACHE_ENTRIES: usize = 65_536;
+
 /// Serving configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -38,18 +48,12 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Most jobs one worker folds into a single micro-batch.
     pub batch_max: usize,
-    /// Most pending updates the writer folds into one publication.
-    pub write_batch_max: usize,
     /// Per-epoch answer cache: identical queries repeated within one
     /// snapshot epoch are served from a lock-light shared map instead of
     /// re-evaluated; the cache is dropped wholesale whenever the writer
-    /// publishes a new epoch. Hit/miss counters land in [`ServeStats`].
+    /// publishes a new epoch (and holds at most 65,536 answers per
+    /// epoch). Hit/miss counters land in [`ServeStats`].
     pub answer_cache: bool,
-    /// Most answers the cache holds per epoch (bounds memory on
-    /// read-only deployments, whose epoch never advances and would
-    /// otherwise accumulate every distinct pair ever queried; once full,
-    /// further inserts are dropped until the next epoch).
-    pub answer_cache_entries: usize,
     /// The retry-after hint handed to shed producers (and the back-off
     /// the blocking convenience wrappers sleep between admission
     /// attempts).
@@ -68,7 +72,7 @@ pub struct ServeConfig {
     /// Durable storage (`ds_durability`): when set, the writer appends
     /// every folded update batch to the write-ahead log **before**
     /// applying it (one buffered write + one fsync per group commit) and
-    /// checkpoints on the configured thresholds, so
+    /// checkpoints on the configured record count, so
     /// [`ds_durability::recover`] can rebuild the served state after a
     /// process death. `None` (the default) keeps the tier memory-only.
     pub durability: Option<DurabilityConfig>,
@@ -97,9 +101,7 @@ impl Default for ServeConfig {
             workers: 4,
             queue_capacity: 1024,
             batch_max: 64,
-            write_batch_max: 16,
             answer_cache: true,
-            answer_cache_entries: 65_536,
             retry_after: Duration::from_micros(200),
             deadline: None,
             max_admission_retries: 16,
@@ -734,11 +736,10 @@ impl Server {
     /// With [`ServeConfig::durability`] set, this attaches (or creates)
     /// the durable store first and **panics** if that fails — use
     /// [`Server::try_start_at`] to handle the error. A fresh directory
-    /// gets an initial checkpoint of `snapshot`; an existing one must be
-    /// the directory `snapshot` was recovered from
-    /// ([`ds_durability::recover`] / `System::open` produce exactly
-    /// that), in which case prefer [`Server::try_start_at`] with the
-    /// recovered epoch.
+    /// gets an initial checkpoint of `snapshot`; an existing one accepts
+    /// only the state it recovers to ([`ds_durability::recover`] /
+    /// `System::open` produce exactly that), at its recovered epoch —
+    /// so over a directory with history use [`Server::try_start_at`].
     pub fn start(snapshot: EngineSnapshot, config: ServeConfig) -> Server {
         match Server::try_start_at(snapshot, 0, config) {
             Ok(server) => server,
@@ -748,7 +749,9 @@ impl Server {
 
     /// [`Server::start`] resuming at a given published epoch (the one
     /// [`ds_durability::Recovered::epoch`] reports), with durable-store
-    /// attachment failures surfaced instead of panicking.
+    /// attachment failures surfaced instead of panicking — among them
+    /// [`DurabilityError::Diverged`]: over an existing directory,
+    /// `snapshot` at `epoch` must be the state that directory recovers to.
     pub fn try_start_at(
         snapshot: EngineSnapshot,
         epoch: u64,
@@ -771,7 +774,7 @@ impl Server {
             metrics: Metrics::new(config.obs.as_deref(), epoch),
             cache: config
                 .answer_cache
-                .then(|| AnswerCache::new(config.answer_cache_entries)),
+                .then(|| AnswerCache::new(ANSWER_CACHE_ENTRIES)),
             worker_logs: (0..workers)
                 .map(|_| Mutex::new(WorkerLog::default()))
                 .collect(),
@@ -794,7 +797,6 @@ impl Server {
         let (write_tx, write_rx) = mpsc::channel::<WriteJob>();
         {
             let shared = Arc::clone(&shared);
-            let max = config.write_batch_max.max(1);
             handles.push(std::thread::spawn(move || {
                 // Writer supervisor: a panicking writer loses only its
                 // private working copy, so the respawn rebuilds one from
@@ -816,7 +818,7 @@ impl Server {
                     redo_wal_suffix(&shared);
                     let working = (*shared.published.current().1).clone();
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        writer_loop(&shared, working, &write_rx, max)
+                        writer_loop(&shared, working, &write_rx)
                     }));
                     match outcome {
                         Ok(()) => return,
@@ -1673,8 +1675,9 @@ fn apply_and_publish(
             // the working copy is unchanged on Err and exact on Ok. A
             // structural no-op (e.g. removing a connection that does not
             // exist) touches nothing and is answered at the current
-            // epoch for free; every effective Ok advances the epoch.
-            if matches!(&outcome, Ok(r) if r.sites_touched > 0 || r.full_recompute) {
+            // epoch for free; every effective Ok advances the epoch — the
+            // count `ds_durability::recover` arrives at from the log.
+            if matches!(&outcome, Ok(r) if r.effective()) {
                 applied += 1;
             }
             outcome
@@ -1708,12 +1711,7 @@ fn apply_and_publish(
 /// incremental maintenance to a private working copy, publish the
 /// successor snapshot once, acknowledge every updater with the epoch at
 /// which its change became visible.
-fn writer_loop(
-    shared: &Shared,
-    mut working: EngineSnapshot,
-    rx: &mpsc::Receiver<WriteJob>,
-    write_batch_max: usize,
-) {
+fn writer_loop(shared: &Shared, mut working: EngineSnapshot, rx: &mpsc::Receiver<WriteJob>) {
     let m = &shared.metrics;
     let mut scratch = ScratchDijkstra::new();
     // Resume from the *published* epoch: on first entry that is 0, and
@@ -1724,7 +1722,7 @@ fn writer_loop(
     while let Ok(first) = rx.recv() {
         let t0 = Instant::now();
         let mut jobs = vec![first];
-        while jobs.len() < write_batch_max {
+        while jobs.len() < WRITE_BATCH_MAX {
             match rx.try_recv() {
                 Ok(job) => jobs.push(job),
                 Err(_) => break,
@@ -1822,7 +1820,7 @@ fn writer_loop(
         // fault-killed) checkpoint must never take acknowledged updates
         // down with it. Failure here is non-fatal to durability — the
         // previous checkpoint plus the full log still recover; the
-        // thresholds stay tripped so the next batch retries.
+        // threshold stays tripped so the next batch retries.
         if let Some(store) = &shared.store {
             let mut store = lock_unpoisoned(store);
             if store.should_checkpoint() {

@@ -31,17 +31,15 @@ use std::sync::Arc;
 use ds_closure::api::{BatchAnswer, NetworkUpdate, QueryRequest, TcEngine};
 use ds_closure::executor::ExecutionMode;
 use ds_closure::{
-    ClosureError, DisconnectionSetEngine, EngineConfig, PrecomputeStats, QueryAnswer, Route,
-    UpdateBatchReport, UpdateReport,
+    ClosureError, EngineConfig, EngineSnapshot, PrecomputeStats, QueryAnswer, Route, UpdateReport,
 };
 use ds_durability::{recover, DurabilityConfig, DurabilityError};
 use ds_fragment::bond_energy::{bond_energy, BondEnergyConfig};
 use ds_fragment::center::{center_based, CenterConfig};
 use ds_fragment::linear::{linear_sweep, LinearConfig};
 use ds_fragment::{semantic, CrossingPolicy, FragError, Fragmentation};
-use ds_gen::output::expand_connections;
 use ds_gen::GeneratedGraph;
-use ds_graph::{Coord, CsrGraph, Edge, EdgeList};
+use ds_graph::{Coord, Edge, EdgeList, NodeId, ScratchDijkstra};
 use ds_obs::{MetricsSnapshot, Observability};
 use ds_relation::bulk::{MaterializeConfig, MaterializeEngine, MaterializeError, MaterializeStats};
 use ds_relation::{PathTuple, Relation};
@@ -99,7 +97,9 @@ pub enum Fragmenter {
         parts: usize,
         policy: CrossingPolicy,
     },
-    /// Use an existing fragmentation as-is.
+    /// Use an existing fragmentation as-is. The fragmentation *is* the
+    /// relation the engine is built from: of the builder's network only
+    /// the node count is read (and must agree with it).
     Prebuilt(Fragmentation),
 }
 
@@ -112,10 +112,11 @@ pub enum SystemError {
     MissingFragmenter,
     /// The coordinate table length does not match the node count.
     CoordinateCountMismatch { coords: usize, nodes: usize },
+    /// A [`Fragmenter::Prebuilt`] fragmentation covers a different node
+    /// universe than the supplied network.
+    PrebuiltNodeCount { fragmentation: usize, nodes: usize },
     /// The fragmenter failed on this graph.
     Fragmentation(FragError),
-    /// Engine construction failed.
-    Closure(ClosureError),
     /// The durable store could not be recovered or attached
     /// (`ds_durability`); the string is the underlying error's display.
     Durability(String),
@@ -142,8 +143,16 @@ impl fmt::Display for SystemError {
                     "coordinate table covers {coords} nodes but the graph has {nodes}"
                 )
             }
+            SystemError::PrebuiltNodeCount {
+                fragmentation,
+                nodes,
+            } => {
+                write!(
+                    f,
+                    "prebuilt fragmentation covers {fragmentation} nodes but the network has {nodes}"
+                )
+            }
             SystemError::Fragmentation(e) => write!(f, "fragmentation failed: {e}"),
-            SystemError::Closure(e) => write!(f, "engine construction failed: {e}"),
             SystemError::Durability(e) => write!(f, "durable store failed: {e}"),
         }
     }
@@ -154,12 +163,6 @@ impl std::error::Error for SystemError {}
 impl From<FragError> for SystemError {
     fn from(e: FragError) -> Self {
         SystemError::Fragmentation(e)
-    }
-}
-
-impl From<ClosureError> for SystemError {
-    fn from(e: ClosureError) -> Self {
-        SystemError::Closure(e)
     }
 }
 
@@ -308,13 +311,18 @@ impl SystemBuilder {
             } => semantic::by_labels(self.nodes, &self.connections, &labels, parts, policy)?,
             Fragmenter::Prebuilt(frag) => frag,
         };
-        let graph = self.closure_graph();
+        if frag.node_count() != self.nodes {
+            return Err(SystemError::PrebuiltNodeCount {
+                fragmentation: frag.node_count(),
+                nodes: self.nodes,
+            });
+        }
         if let Some(backend) = self.backend {
             self.config.mode = backend.into();
         }
-        let engine = DisconnectionSetEngine::build(graph, frag, self.symmetric, self.config)?;
         Ok(System {
-            engine,
+            engine: EngineSnapshot::build(frag, self.symmetric, self.config),
+            scratch: ScratchDijkstra::new(),
             obs: self.obs,
             durable: self.durable,
             serve_epoch: 0,
@@ -328,25 +336,16 @@ impl SystemBuilder {
             None => el,
         }
     }
-
-    fn closure_graph(&self) -> CsrGraph {
-        let g = CsrGraph::from_edges(
-            self.nodes,
-            &expand_connections(&self.connections, self.symmetric),
-        );
-        match &self.coords {
-            Some(c) => g
-                .with_coords(c.clone())
-                .expect("coords validated against node count"),
-            None => g,
-        }
-    }
 }
 
-/// A deployed query system: a fragmented relation behind the one
-/// evaluator, driven through [`TcEngine`].
+/// A deployed query system: the engine built from a fragmented relation
+/// plus the scratch kernel its reads and update repairs run on, driven
+/// through [`TcEngine`].
 pub struct System {
-    engine: DisconnectionSetEngine,
+    engine: EngineSnapshot,
+    /// Persists across calls, so single queries, batches and updates are
+    /// allocation-free in the steady state.
+    scratch: ScratchDijkstra,
     obs: Option<Arc<Observability>>,
     /// Durable-store directory [`System::serve`] continues logging to.
     durable: Option<PathBuf>,
@@ -361,20 +360,21 @@ impl System {
         SystemBuilder::new()
     }
 
-    /// Reopen a durable system from disk: rebuild the newest valid
-    /// checkpoint under `path`, replay the surviving write-ahead-log
-    /// suffix (truncating at the first torn or corrupt record), and
-    /// return a ready-to-serve system whose [`System::serve`] continues
-    /// appending to the same log at the recovered epoch.
+    /// Reopen a durable system from disk: take the newest valid
+    /// checkpoint under `path`, fold the surviving write-ahead-log
+    /// suffix into its relation (truncating at the first torn or corrupt
+    /// record), build the engine once, and return a ready-to-serve
+    /// system whose [`System::serve`] continues appending to the same
+    /// log at the recovered epoch.
     ///
-    /// The precompute is rebuilt during recovery — checkpoints store
-    /// only the fragmented relation and engine configuration, backend
-    /// included.
+    /// The precompute runs during recovery — checkpoints store only the
+    /// fragmented relation and engine configuration, backend included.
     pub fn open(path: impl Into<PathBuf>) -> Result<System, SystemError> {
         let path = path.into();
         let recovered = recover(&path)?;
         Ok(System {
-            engine: DisconnectionSetEngine::from_snapshot(recovered.snapshot),
+            engine: recovered.snapshot,
+            scratch: ScratchDijkstra::new(),
             obs: None,
             durable: Some(path),
             serve_epoch: recovered.epoch,
@@ -384,22 +384,13 @@ impl System {
     /// The backend this system runs on (its engine's
     /// [`EngineConfig::mode`]).
     pub fn backend(&self) -> Backend {
-        self.engine.snapshot().config().mode.into()
+        self.engine.config().mode.into()
     }
 
-    /// Borrow the underlying engine.
-    pub fn engine(&self) -> &DisconnectionSetEngine {
+    /// Borrow the engine ([`TcEngine::snapshot`] hands out an owned,
+    /// `Arc`-shared copy instead).
+    pub fn engine(&self) -> &EngineSnapshot {
         &self.engine
-    }
-
-    /// Mutably borrow the underlying engine.
-    pub fn engine_mut(&mut self) -> &mut DisconnectionSetEngine {
-        &mut self.engine
-    }
-
-    /// Take the engine out of the facade.
-    pub fn into_engine(self) -> DisconnectionSetEngine {
-        self.engine
     }
 
     /// Spawn a concurrent query-serving subsystem over a snapshot of the
@@ -411,7 +402,11 @@ impl System {
     ///
     /// The server is independent of this `System` from the moment it
     /// starts: updates applied through either side do not affect the
-    /// other.
+    /// other. Over a durable directory that has consequences: once the
+    /// server has logged an update — or this system has applied one of
+    /// its own — this system is no longer the state the directory
+    /// recovers to, and serving from it again is refused; reopen with
+    /// [`System::open`].
     pub fn serve(&self, workers: usize) -> ds_serve::Server {
         self.serve_with(ds_serve::ServeConfig::with_workers(workers))
     }
@@ -429,8 +424,9 @@ impl System {
     /// # Panics
     ///
     /// Panics if the durable store cannot be attached (unreadable or
-    /// unwritable directory). Use [`System::try_serve_with`] to handle
-    /// that case.
+    /// unwritable directory, or a directory that recovers to a different
+    /// state than this system holds). Use [`System::try_serve_with`] to
+    /// handle that case.
     pub fn serve_with(&self, config: ds_serve::ServeConfig) -> ds_serve::Server {
         match self.try_serve_with(config) {
             Ok(server) => server,
@@ -453,7 +449,7 @@ impl System {
             }
         }
         Ok(ds_serve::Server::try_start_at(
-            self.engine.snapshot().clone(),
+            self.engine.clone(),
             self.serve_epoch,
             config,
         )?)
@@ -524,7 +520,7 @@ impl fmt::Debug for System {
 
 impl TcEngine for System {
     fn backend_name(&self) -> &'static str {
-        self.engine.backend_name()
+        self.engine.config().mode.backend_name()
     }
 
     fn site_count(&self) -> usize {
@@ -535,46 +531,39 @@ impl TcEngine for System {
         self.engine.fragmentation()
     }
 
-    fn shortest_path(&mut self, x: ds_graph::NodeId, y: ds_graph::NodeId) -> QueryAnswer {
-        TcEngine::shortest_path(&mut self.engine, x, y)
+    fn shortest_path(&mut self, x: NodeId, y: NodeId) -> QueryAnswer {
+        self.engine.shortest_path(x, y, &mut self.scratch)
     }
 
-    /// Forwarded to the engine rather than the trait default, so the
-    /// reachability fast path (SCC/chain index, no Dijkstra sweep)
-    /// answers instead of a full shortest-path computation.
-    fn connected(&mut self, x: ds_graph::NodeId, y: ds_graph::NodeId) -> bool {
-        self.engine.connected(x, y)
+    /// Answered by the engine's reachability index when it is fresh
+    /// (SCC/chain, no Dijkstra sweep).
+    fn connected(&mut self, x: NodeId, y: NodeId) -> bool {
+        self.engine.connected(x, y, &mut self.scratch)
     }
 
-    fn route(
-        &mut self,
-        x: ds_graph::NodeId,
-        y: ds_graph::NodeId,
-    ) -> Result<Option<Route>, ClosureError> {
-        TcEngine::route(&mut self.engine, x, y)
+    fn route(&mut self, x: NodeId, y: NodeId) -> Result<Option<Route>, ClosureError> {
+        self.engine.route(x, y, &mut self.scratch)
     }
 
     fn update(&mut self, update: &NetworkUpdate) -> Result<UpdateReport, ClosureError> {
-        self.engine.update(update)
+        let report = self.engine.maintain(update, &mut self.scratch)?;
+        // Eager per-update rebuild: there is no publication boundary to
+        // amortize across here, and a fresh index keeps `connected`
+        // sweep-free immediately after the update.
+        self.engine.ensure_reach();
+        Ok(report)
     }
 
     fn precompute_stats(&self) -> PrecomputeStats {
         self.engine.precompute_stats()
     }
 
-    fn snapshot(&self) -> ds_closure::EngineSnapshot {
-        self.engine.snapshot().clone()
-    }
-
-    fn update_batch(
-        &mut self,
-        updates: &[NetworkUpdate],
-    ) -> Result<UpdateBatchReport, ClosureError> {
-        self.engine.update_batch(updates)
+    fn snapshot(&self) -> EngineSnapshot {
+        self.engine.clone()
     }
 
     fn query_batch(&mut self, requests: &[QueryRequest]) -> BatchAnswer {
-        self.engine.query_batch(requests)
+        self.engine.query_batch(requests, &mut self.scratch)
     }
 }
 
@@ -819,20 +808,20 @@ mod tests {
         );
     }
 
+    /// A fresh directory name (the durable store creates it).
+    fn tmpdir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("discset-system-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
     /// Build a durable system, serve updates through it, kill the
     /// server, and reopen from disk: the reopened system answers
     /// identically, on the backend it was built with, and continues at
     /// the recovered epoch.
     #[test]
     fn durable_system_reopens_after_restart() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "discset-system-durable-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tmpdir("durable");
 
         let sys = System::builder()
             .graph(&grid(10, 3))
@@ -871,6 +860,80 @@ mod tests {
         assert_eq!(server.query(a, b).unwrap().answer.cost, Some(1));
         server.shutdown();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A durable directory and the state served over it cannot diverge
+    /// silently: a system the log has moved past — because a server it
+    /// started logged an update, or because it applied one inline that
+    /// the log never saw — is refused with a typed error, and a system
+    /// recovered from the directory attaches and resumes at its epoch.
+    #[test]
+    fn a_system_the_log_has_moved_past_cannot_serve_over_it() {
+        let dir = tmpdir("diverged");
+
+        let sys = System::builder()
+            .graph(&grid(10, 3))
+            .fragmenter(Fragmenter::Linear(LinearConfig {
+                fragments: 3,
+                ..Default::default()
+            }))
+            .durable(&dir)
+            .build()
+            .unwrap();
+        let f0 = sys.fragmentation().fragment(0).clone();
+        let (a, b) = (f0.nodes()[0], *f0.nodes().last().unwrap());
+        let insert = |cost| NetworkUpdate::Insert {
+            edge: ds_graph::Edge::new(a, b, cost),
+            owner: 0,
+        };
+        let refused = |sys: &System, why: &str| match sys
+            .try_serve_with(ds_serve::ServeConfig::with_workers(2))
+        {
+            Err(SystemError::Durability(e)) => assert!(e.contains(why), "{e}"),
+            other => panic!("expected a refusal naming {why:?}, got {other:?}"),
+        };
+
+        let server = sys.serve(2);
+        server.update(&insert(2)).unwrap();
+        server.shutdown();
+        // The directory holds an acknowledged edge this system never saw.
+        refused(&sys, "epoch");
+
+        let mut reopened = System::open(&dir).expect("recover");
+        assert_eq!(reopened.shortest_path(a, b).cost, Some(2));
+        let server = reopened.serve(2);
+        assert_eq!(server.epoch(), 1, "resumes at the recovered epoch");
+        assert_eq!(server.query(a, b).unwrap().answer.cost, Some(2));
+        server.shutdown();
+        // Still the directory's state: attaches again.
+        reopened.serve(2).shutdown();
+
+        // An inline update the log never saw: same epoch, other edges.
+        reopened.update(&insert(1)).unwrap();
+        refused(&reopened, "fragment 0");
+        assert_eq!(
+            System::open(&dir).unwrap().shortest_path(a, b).cost,
+            Some(2),
+            "the directory still recovers to what it acknowledged"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_prebuilt_fragmentation_over_another_node_count_is_refused() {
+        let frag = linear_system(Backend::Inline).fragmentation().clone();
+        let err = System::builder()
+            .graph(&grid(4, 4))
+            .fragmenter(Fragmenter::Prebuilt(frag))
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SystemError::PrebuiltNodeCount {
+                fragmentation: 30,
+                nodes: 16
+            }
+        );
     }
 
     #[test]

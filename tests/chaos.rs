@@ -333,8 +333,7 @@ fn bulk_chaos_seed_sweep() {
 /// inserts, plus at most the ONE ambiguous in-flight insert a writer
 /// panic may or may not have durably logged.
 fn durable_chaos(seed: u64, dir: &std::path::Path) {
-    use discset::closure::DisconnectionSetEngine;
-    use discset::graph::CsrGraph;
+    use discset::graph::{CsrGraph, ScratchDijkstra};
     use discset::serve::DurabilityConfig;
 
     const UPDATES: u64 = 18;
@@ -417,7 +416,7 @@ fn durable_chaos(seed: u64, dir: &std::path::Path) {
 
     // Cold recovery of the directory the dead server left behind.
     let rec = discset::recover(dir).unwrap_or_else(|e| panic!("seed {seed}: recover failed: {e}"));
-    let recovered = DisconnectionSetEngine::from_snapshot(rec.snapshot.clone());
+    let mut scratch = ScratchDijkstra::new();
 
     // Oracle(s) over the surviving prefix: symmetric closure of the
     // original grid plus the acked inserts — and, when one op is
@@ -442,7 +441,7 @@ fn durable_chaos(seed: u64, dir: &std::path::Path) {
     let mut matches_with = with.is_some();
     for probe in 0..60u32 {
         let (x, y) = (n(splitmix(&mut rng), nodes), n(splitmix(&mut rng), nodes));
-        let got = recovered.shortest_path(x, y).cost;
+        let got = rec.snapshot.shortest_path(x, y, &mut scratch).cost;
         if got != baseline::shortest_path_cost(&without, x, y) {
             matches_without = false;
         }

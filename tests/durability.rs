@@ -17,14 +17,25 @@
 //!   typed [`DurabilityError::NoCheckpoint`] (never a panic, never an
 //!   empty-but-"recovered" state); a checkpoint-only directory recovers
 //!   the checkpoint image with nothing replayed.
+//!
+//! And one property of recovery itself, over random update streams:
+//! folding the log into the checkpoint's relation and building once lands
+//! on the state the live server maintained its way to — same epoch, same
+//! complementary tables, entry for entry.
 
-use discset::closure::{baseline, DisconnectionSetEngine};
+mod common;
+
+use common::{arb_update_or_dud, stream_case, update_network};
+use discset::closure::{baseline, EngineConfig};
 use discset::durability::{checkpoint_paths, wal_paths};
+use discset::fragment::center::CenterConfig;
 use discset::fragment::linear::LinearConfig;
 use discset::gen::deterministic::grid;
-use discset::graph::{CsrGraph, Edge, NodeId};
+use discset::graph::{CsrGraph, Edge, NodeId, ScratchDijkstra};
 use discset::serve::{DurabilityConfig, ServeConfig};
 use discset::{DurabilityError, Fragmenter, NetworkUpdate, System};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -130,13 +141,13 @@ fn assert_prefix(
 ) {
     let rec = discset::recover(dir).unwrap_or_else(|e| panic!("{what}: recover failed: {e}"));
     assert_eq!(rec.replayed, prefix, "{what}: wrong surviving prefix");
-    let engine = DisconnectionSetEngine::from_snapshot(rec.snapshot);
     let expect = oracle(g, edges, prefix);
+    let mut scratch = ScratchDijkstra::new();
     for x in 0..g.nodes as u32 {
         for y in 0..g.nodes as u32 {
             let (x, y) = (NodeId(x), NodeId(y));
             assert_eq!(
-                engine.shortest_path(x, y).cost,
+                rec.snapshot.shortest_path(x, y, &mut scratch).cost,
                 baseline::shortest_path_cost(&expect, x, y),
                 "{what}: {x:?} -> {y:?} diverged from the prefix-{prefix} oracle"
             );
@@ -236,4 +247,98 @@ fn empty_checkpoint_only_and_wal_only_directories() {
     }
     std::fs::remove_dir_all(&wal_only).ok();
     std::fs::remove_dir_all(&base).ok();
+}
+
+/// Recovery folds inputs where the live writer maintained tables: after
+/// a seeded stream of updates through a durable server — bridges deleted
+/// and put back, removals that match nothing, inserts the server refuses,
+/// on symmetric and one-way networks under both complementary scopes,
+/// across several checkpoints — `recover` arrives at the server's epoch,
+/// replays exactly the records past the newest checkpoint, and every
+/// site's table equals the live snapshot's entry for entry.
+#[test]
+fn recovery_lands_on_the_state_the_live_server_maintained() {
+    const UPDATES: u64 = 30;
+    let (mut effective, mut refused) = (0, 0);
+    for seed in 0..8u64 {
+        let (symmetric, scope) = stream_case(seed);
+        let label = format!("seed {seed} symmetric={symmetric} {scope:?}");
+        let fragmenter = if seed % 2 == 0 {
+            Fragmenter::Linear(LinearConfig {
+                fragments: 3,
+                ..Default::default()
+            })
+        } else {
+            Fragmenter::Center(CenterConfig {
+                fragments: 3,
+                ..Default::default()
+            })
+        };
+        let dir = tmpdir("stream");
+        let sys = System::builder()
+            .graph(&update_network(seed))
+            .symmetric(symmetric)
+            .fragmenter(fragmenter)
+            .config(EngineConfig {
+                scope,
+                ..EngineConfig::default()
+            })
+            .build()
+            .expect("valid system");
+        let server = sys.serve_with(ServeConfig {
+            durability: Some(DurabilityConfig {
+                checkpoint_updates: 7,
+                ..DurabilityConfig::at(&dir)
+            }),
+            ..ServeConfig::with_workers(1)
+        });
+        let mut rng = StdRng::seed_from_u64(0xD0_5EED ^ seed);
+        let (mut logged, mut pending) = (0, None);
+        while logged < UPDATES {
+            let live = server.snapshot();
+            let Some(u) =
+                arb_update_or_dud(&mut rng, live.fragmentation(), symmetric, &mut pending)
+            else {
+                continue;
+            };
+            // Every update is logged before it is applied, refused ones
+            // and no-ops included.
+            match server.update(&u) {
+                Ok(served) => effective += served.report.effective() as usize,
+                Err(_) => refused += 1,
+            }
+            logged += 1;
+        }
+        let (epoch, live) = (server.epoch(), server.snapshot());
+        let stats = server.shutdown();
+        assert_eq!(stats.wal_records, UPDATES, "{label}");
+        assert!(stats.checkpoints >= 3, "{label}: {stats}");
+
+        let (ckpt_lsn, _) = checkpoint_paths(&dir).pop().expect("a checkpoint");
+        let rec = discset::recover(&dir).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(rec.epoch, epoch, "{label}: epoch");
+        assert_eq!(
+            (rec.checkpoint_lsn, rec.last_lsn, rec.replayed as u64),
+            (ckpt_lsn, UPDATES, UPDATES - ckpt_lsn),
+            "{label}: the records past the checkpoint"
+        );
+        assert!(!rec.truncated, "{label}");
+        for f in 0..live.site_count() {
+            assert_eq!(
+                rec.snapshot.complementary().table(f),
+                live.complementary().table(f),
+                "{label}: site {f}'s table"
+            );
+            assert_eq!(
+                rec.snapshot.fragmentation().fragment(f).edges(),
+                live.fragmentation().fragment(f).edges(),
+                "{label}: fragment {f}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    assert!(
+        effective > 100 && refused > 10,
+        "{effective} effective updates, {refused} refused"
+    );
 }

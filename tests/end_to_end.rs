@@ -7,7 +7,7 @@
 //! `TcEngine` trait — one code path per experiment.
 
 use discset::closure::baseline;
-use discset::closure::engine::{DisconnectionSetEngine, EngineConfig};
+use discset::closure::{EngineConfig, EngineSnapshot};
 use discset::fragment::bond_energy::{bond_energy, BondEnergyConfig, SplitRule};
 use discset::fragment::center::{center_based, CenterConfig, CenterSelection, Growth};
 use discset::fragment::linear::{linear_sweep, LinearConfig};
@@ -15,7 +15,7 @@ use discset::fragment::{semantic, CrossingPolicy, Fragmentation};
 use discset::gen::{
     generate_general, generate_transportation, GeneralConfig, GeneratedGraph, TransportationConfig,
 };
-use discset::graph::NodeId;
+use discset::graph::{NodeId, ScratchDijkstra};
 use discset::{Backend, Fragmenter, QueryRequest, System, TcEngine};
 
 fn fragmenters(g: &GeneratedGraph) -> Vec<(&'static str, Fragmentation)> {
@@ -301,12 +301,13 @@ fn full_closure_equivalence_small_graph() {
     )
     .unwrap()
     .fragmentation;
-    let engine =
-        DisconnectionSetEngine::build(csr.clone(), frag, true, EngineConfig::default()).unwrap();
+    let engine = EngineSnapshot::build(frag, true, EngineConfig::default());
+    let mut scratch = ScratchDijkstra::new();
     for x in csr.nodes() {
         for y in csr.nodes() {
             let want = discset::graph::matrix::fw_cost(&fw, x, y);
-            assert_eq!(engine.shortest_path(x, y).cost, want, "{x}->{y}");
+            let got = engine.shortest_path(x, y, &mut scratch).cost;
+            assert_eq!(got, want, "{x}->{y}");
         }
     }
 }
@@ -338,19 +339,18 @@ fn per_ds_scope_never_underestimates() {
         )
         .unwrap();
         let csr = g.closure_graph();
-        let engine = DisconnectionSetEngine::build(
-            csr.clone(),
+        let engine = EngineSnapshot::build(
             frag,
             true,
             EngineConfig {
                 scope: ComplementaryScope::PerDisconnectionSet,
                 ..EngineConfig::default()
             },
-        )
-        .unwrap();
+        );
+        let mut scratch = ScratchDijkstra::new();
         for i in 0..16u32 {
             let (x, y) = (NodeId(i * 3 % 48), NodeId((i * 5 + 20) % 48));
-            let got = engine.shortest_path(x, y).cost;
+            let got = engine.shortest_path(x, y, &mut scratch).cost;
             let want = baseline::shortest_path_cost(&csr, x, y);
             match (got, want) {
                 (Some(g_cost), Some(w_cost)) => {
