@@ -129,18 +129,23 @@
 //! assert_eq!(stats.requests, 1);
 //! ```
 
+mod batch;
 mod cache;
+mod handoff;
 mod queue;
 pub mod server;
+mod stats;
+mod writer;
 
 pub use ds_closure::snapshot::EngineSnapshot;
 pub use ds_durability::{recover, DurabilityConfig, DurabilityError, DurableStore, Recovered};
 pub use ds_fault::{FaultPlan, FaultPoint, FaultScenario, FaultUniverse};
 pub use ds_obs::LatencyHistogram;
+pub use handoff::PendingBatch;
 pub use server::{
-    Backoff, LatencySummary, Overloaded, PendingBatch, ServeConfig, ServeError, ServeStats,
-    ServedAnswer, ServedBatch, ServedUpdate, Server,
+    Backoff, Overloaded, ServeConfig, ServeError, ServedAnswer, ServedBatch, ServedUpdate, Server,
 };
+pub use stats::{LatencySummary, ServeStats};
 
 #[cfg(test)]
 mod tests {

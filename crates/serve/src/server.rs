@@ -2,7 +2,6 @@
 //! per-worker scratch, a micro-batching dispatcher, and one writer
 //! thread driving incremental update maintenance.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -10,25 +9,20 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ds_closure::api::{BatchStats, NetworkUpdate, QueryRequest};
-use ds_closure::complementary::PrecomputeStrategy;
-use ds_closure::snapshot::{EngineSnapshot, SnapshotBytes};
+use ds_closure::snapshot::EngineSnapshot;
 use ds_closure::updates::UpdateReport;
 use ds_closure::{ClosureError, QueryAnswer};
 use ds_durability::{DurabilityConfig, DurabilityError, DurableStore};
 use ds_fault::{lock_unpoisoned, FaultPlan, FaultPoint};
-use ds_fragment::FragmentId;
 use ds_graph::{NodeId, ScratchDijkstra, ScratchStats};
-use ds_obs::{
-    Counter, EvalTrace, Gauge, HistogramHandle, MetricsRegistry, Observability, RequestTrace,
-    SpanRecord, Stage, TraceId, TraceOutcome,
-};
+use ds_obs::{Observability, RequestTrace, SpanRecord, Stage, TraceId, TraceOutcome};
 
+use crate::batch::{close_failed_traces, process_batch};
 use crate::cache::AnswerCache;
+use crate::handoff::PendingBatch;
 use crate::queue::{BoundedQueue, PushError};
-
-/// Most pending updates the writer folds into one publication (and one
-/// WAL group commit).
-const WRITE_BATCH_MAX: usize = 16;
+use crate::stats::{add_batch_stats, LatencySummary, Metrics, ServeStats};
+use crate::writer::{redo_wal_suffix, writer_loop, WriteJob};
 
 /// Most answers the cache holds per epoch: bounds memory on read-only
 /// deployments, whose epoch never advances and would otherwise accumulate
@@ -254,254 +248,13 @@ fn next_backoff_seed() -> u64 {
     SEED.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
 }
 
-/// An admitted (but not yet answered) job: the handle
-/// [`Server::submit`] returns. [`PendingBatch::wait`] blocks until the
-/// worker pool replies.
-#[derive(Debug)]
-pub struct PendingBatch {
-    rx: mpsc::Receiver<Result<ServedBatch, ClosureError>>,
-}
-
-impl PendingBatch {
-    /// Block until the pool resolves this job — with the answers, or
-    /// with the typed error the supervisor attached (worker panic,
-    /// deadline shed). Never hangs: if the worker holding the job died
-    /// without replying, the dropped channel reports
-    /// [`ClosureError::WorkerFailed`].
-    pub fn wait(self) -> Result<ServedBatch, ClosureError> {
-        match self.rx.recv() {
-            Ok(outcome) => outcome,
-            Err(mpsc::RecvError) => Err(ClosureError::WorkerFailed),
-        }
-    }
-}
-
-/// Latency percentiles over every request served so far.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LatencySummary {
-    pub count: u64,
-    pub mean_us: f64,
-    pub p50_us: f64,
-    pub p99_us: f64,
-    pub max_us: f64,
-}
-
-/// A point-in-time report of this server. Every event count is read
-/// from the cell the event is incremented on — the cell an armed
-/// [`ServeConfig::obs`] registry exports under `serve_<field>` (summed
-/// there over every server sharing the bundle) — so the two views
-/// cannot disagree; queue pressure comes from the queue, epoch and
-/// index freshness from the published snapshot, busy time and kernel
-/// reuse from the per-worker logs.
-#[derive(Clone, Debug)]
-pub struct ServeStats {
-    /// Reader workers in the pool.
-    pub workers: usize,
-    /// Current published epoch (updates applied since start).
-    pub epoch: u64,
-    /// Updates applied by the writer thread.
-    pub updates: u64,
-    /// Snapshot publications (≤ `updates`: the writer folds pending
-    /// updates into one copy-on-write publication).
-    pub publications: u64,
-    /// Jobs answered.
-    pub jobs: u64,
-    /// Requests answered (a job carries ≥ 1 request).
-    pub requests: u64,
-    /// Micro-batches evaluated.
-    pub batches: u64,
-    /// Distinct requests actually evaluated.
-    pub evaluated: u64,
-    /// Requests answered by coalescing onto an identical batch-mate
-    /// (single-flight within a micro-batch).
-    pub coalesced: u64,
-    /// Distinct requests answered from the per-epoch answer cache
-    /// (`requests == evaluated + coalesced + cache_hits`).
-    pub cache_hits: u64,
-    /// Distinct requests probed against the cache without a usable entry
-    /// (they were then evaluated). 0 when the cache is disabled.
-    pub cache_misses: u64,
-    /// `connected` calls answered by the published snapshot's SCC/chain
-    /// reachability index — no queue, no worker, no Dijkstra sweep.
-    pub reach_fast_path: u64,
-    /// Whether the published snapshot currently carries a fresh
-    /// reachability index (false = disabled, or the writer has not yet
-    /// republished after an invalidating update).
-    pub reach_index_fresh: bool,
-    /// Aggregated plan/segment amortization across every micro-batch.
-    pub batch: BatchStats,
-    /// Jobs waiting in the submission queue right now.
-    pub queue_depth: usize,
-    /// The deepest the submission queue has ever been.
-    pub queue_high_water: usize,
-    /// The configured queue capacity (the shedding threshold).
-    pub queue_capacity: usize,
-    /// Submissions shed because the queue was at capacity (each rejected
-    /// admission attempt counts once; a blocking wrapper that backs off
-    /// and retries can count several times for one job).
-    pub queue_rejections: u64,
-    /// Wall time since the server started.
-    pub elapsed: Duration,
-    /// Per-worker evaluation time (index = worker id).
-    pub busy: Vec<Duration>,
-    /// Writer-thread time spent on maintenance + publication. Since
-    /// structural sharing, publication itself is O(sites) refcount bumps;
-    /// the dominant cost is the incremental maintenance, which detaches
-    /// only the touched sites' tables from the published epoch.
-    pub writer_busy: Duration,
-    /// Merged per-worker scratch-kernel reuse counters.
-    pub scratch: ScratchStats,
-    /// Request latency (submit → reply) percentiles.
-    pub latency: LatencySummary,
-    /// The served snapshot's site-subquery placement, by its backend
-    /// name (`EngineConfig::mode`: "inline" or "site-threads").
-    pub backend: &'static str,
-    /// Which precompute strategy built (or last rebuilt) those tables.
-    pub strategy: PrecomputeStrategy,
-    /// Times a worker was respawned by its supervisor after a panic.
-    /// Every request of the doomed micro-batch resolved to
-    /// [`ClosureError::WorkerFailed`] first — nothing hangs.
-    pub worker_restarts: u64,
-    /// Times the writer thread was respawned by its supervisor after a
-    /// panic: the working copy is rebuilt from the last published
-    /// snapshot and the write channel stays armed, so updates keep
-    /// flowing. The in-flight updates of the doomed batch resolved to
-    /// [`ClosureError::WriterRestarted`] (not applied — retry) first.
-    pub writer_restarts: u64,
-    /// Jobs shed at the worker because they sat queued past
-    /// [`ServeConfig::deadline`] (each resolved to
-    /// [`ClosureError::DeadlineExceeded`]).
-    pub deadline_shed: u64,
-    /// Requests abandoned *mid-evaluation* because the chain loop
-    /// noticed the admission-stamped deadline had passed (each resolved
-    /// to [`ClosureError::DeadlineExceeded`]). Distinct from
-    /// [`ServeStats::deadline_shed`], which counts queue-time sheds that
-    /// never started evaluating.
-    pub deadline_cancelled: u64,
-    /// Update records durably appended to the write-ahead log (0 when
-    /// durability is off).
-    pub wal_records: u64,
-    /// WAL group commits: one buffered write + one fsync each,
-    /// amortized across the writer's folded update batch
-    /// (`wal_records / wal_commits` = achieved group-commit factor).
-    pub wal_commits: u64,
-    /// WAL appends or checkpoint writes that failed (I/O error, torn
-    /// write, injected disk fault). Each failed append refused its whole
-    /// batch with [`ClosureError::DurabilityFailed`] without applying
-    /// anything; each failed checkpoint left the previous checkpoint +
-    /// full log authoritative.
-    pub wal_failures: u64,
-    /// Checkpoints durably written (each prunes the log behind it).
-    pub checkpoints: u64,
-    /// `true` once the writer thread died: the server is read-only.
-    /// Reads keep serving the last published epoch; updates are refused
-    /// with [`ClosureError::WriterDown`].
-    pub degraded: bool,
-}
-
-impl ServeStats {
-    /// Aggregate request throughput since start.
-    pub fn throughput_qps(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            return 0.0;
-        }
-        self.requests as f64 / self.elapsed.as_secs_f64()
-    }
-
-    /// Worker imbalance: max busy over mean busy (1.0 = balanced);
-    /// the same measure bulk materialization reports per fragment.
-    pub fn balance_ratio(&self) -> f64 {
-        ds_obs::balance_ratio(&self.busy)
-    }
-
-    /// Fraction of requests answered without their own evaluation.
-    pub fn coalesced_fraction(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.coalesced as f64 / self.requests as f64
-        }
-    }
-
-    /// Fraction of cache probes that hit (0.0 when the cache is off or
-    /// never probed).
-    pub fn cache_hit_fraction(&self) -> f64 {
-        let probes = self.cache_hits + self.cache_misses;
-        if probes == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / probes as f64
-        }
-    }
-}
-
-impl std::fmt::Display for ServeStats {
-    /// One-line summary, like `MaterializeStats`:
-    /// `epoch 2 (4 workers, inline): 150 requests (120 evaluated, 20
-    /// coalesced, 10 cached), 2 updates, p50 8.1us p99 40.2us, balance
-    /// 1.10`, with degrade/restart/shed markers appended only when
-    /// non-zero.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "epoch {} ({} workers, {}): {} requests ({} evaluated, {} coalesced, \
-             {} cached), {} updates, p50 {:.1}us p99 {:.1}us, balance {:.2}",
-            self.epoch,
-            self.workers,
-            self.backend,
-            self.requests,
-            self.evaluated,
-            self.coalesced,
-            self.cache_hits,
-            self.updates,
-            self.latency.p50_us,
-            self.latency.p99_us,
-            self.balance_ratio(),
-        )?;
-        if self.queue_rejections > 0 {
-            write!(f, ", {} shed", self.queue_rejections)?;
-        }
-        if self.deadline_shed > 0 {
-            write!(f, ", {} past deadline", self.deadline_shed)?;
-        }
-        if self.deadline_cancelled > 0 {
-            write!(f, ", {} cancelled mid-eval", self.deadline_cancelled)?;
-        }
-        if self.wal_commits > 0 {
-            write!(
-                f,
-                ", wal {} records/{} commits/{} checkpoints",
-                self.wal_records, self.wal_commits, self.checkpoints
-            )?;
-        }
-        if self.wal_failures > 0 {
-            write!(f, ", {} wal failures", self.wal_failures)?;
-        }
-        if self.worker_restarts > 0 {
-            write!(f, ", {} worker restarts", self.worker_restarts)?;
-        }
-        if self.writer_restarts > 0 {
-            write!(f, ", {} writer restarts", self.writer_restarts)?;
-        }
-        if self.degraded {
-            write!(f, ", DEGRADED (read-only)")?;
-        }
-        Ok(())
-    }
-}
-
-struct QueryJob {
-    requests: Vec<QueryRequest>,
+pub(crate) struct QueryJob {
+    pub(crate) requests: Vec<QueryRequest>,
     /// One trace id per request, minted at admission; empty when
     /// observability is disarmed.
-    traces: Vec<TraceId>,
-    reply: mpsc::Sender<Result<ServedBatch, ClosureError>>,
-    submitted: Instant,
-}
-
-struct WriteJob {
-    update: NetworkUpdate,
-    reply: mpsc::Sender<Result<ServedUpdate, ClosureError>>,
+    pub(crate) traces: Vec<TraceId>,
+    pub(crate) reply: mpsc::Sender<Result<ServedBatch, ClosureError>>,
+    pub(crate) submitted: Instant,
 }
 
 /// The publication slot: an epoch-stamped `Arc<EngineSnapshot>` behind a
@@ -509,9 +262,9 @@ struct WriteJob {
 /// with one relaxed load. The mutex is touched only when the epoch
 /// actually changed (publication is writer-rate, not query-rate), so the
 /// steady-state query path never blocks on it.
-struct Published {
-    epoch: AtomicU64,
-    slot: Mutex<(u64, Arc<EngineSnapshot>)>,
+pub(crate) struct Published {
+    pub(crate) epoch: AtomicU64,
+    pub(crate) slot: Mutex<(u64, Arc<EngineSnapshot>)>,
 }
 
 impl Published {
@@ -527,7 +280,7 @@ impl Published {
     /// version. Costs one atomic load when already fresh; workers clear
     /// the cache before blocking idle (see `worker_loop`), so only
     /// workers with work in hand keep an epoch alive.
-    fn pin<'a>(
+    pub(crate) fn pin<'a>(
         &self,
         cached: &'a mut Option<(u64, Arc<EngineSnapshot>)>,
     ) -> &'a (u64, Arc<EngineSnapshot>) {
@@ -543,7 +296,7 @@ impl Published {
         }
     }
 
-    fn current(&self) -> (u64, Arc<EngineSnapshot>) {
+    pub(crate) fn current(&self) -> (u64, Arc<EngineSnapshot>) {
         let slot = lock_unpoisoned(&self.slot);
         (slot.0, Arc::clone(&slot.1))
     }
@@ -561,53 +314,53 @@ impl Published {
 /// scratch kernel's reuse counters. Everything countable lives in
 /// [`Metrics`].
 #[derive(Default)]
-struct WorkerLog {
-    busy: Duration,
-    batch: BatchStats,
-    scratch: ScratchStats,
+pub(crate) struct WorkerLog {
+    pub(crate) busy: Duration,
+    pub(crate) batch: BatchStats,
+    pub(crate) scratch: ScratchStats,
 }
 
-struct Shared {
-    queue: BoundedQueue<QueryJob>,
-    published: Published,
+pub(crate) struct Shared {
+    pub(crate) queue: BoundedQueue<QueryJob>,
+    pub(crate) published: Published,
     /// Every event count, once (see [`Metrics`]).
-    metrics: Metrics,
+    pub(crate) metrics: Metrics,
     /// The per-epoch answer cache, shared by every worker; `None` when
     /// disabled by [`ServeConfig::answer_cache`].
-    cache: Option<AnswerCache>,
-    worker_logs: Vec<Mutex<WorkerLog>>,
-    batch_max: usize,
-    retry_after: Duration,
+    pub(crate) cache: Option<AnswerCache>,
+    pub(crate) worker_logs: Vec<Mutex<WorkerLog>>,
+    pub(crate) batch_max: usize,
+    pub(crate) retry_after: Duration,
     /// See [`ServeConfig::deadline`].
-    deadline: Option<Duration>,
+    pub(crate) deadline: Option<Duration>,
     /// See [`ServeConfig::max_admission_retries`].
-    max_admission_retries: u32,
+    pub(crate) max_admission_retries: u32,
     /// Armed fault-injection plan (`None` in production).
-    fault: Option<Arc<FaultPlan>>,
+    pub(crate) fault: Option<Arc<FaultPlan>>,
     /// The durable store (when durability is on). Logically owned by the
     /// writer thread — the mutex exists so the supervisor can reach it
     /// across a writer respawn; it is never contended.
-    store: Option<Mutex<DurableStore>>,
+    pub(crate) store: Option<Mutex<DurableStore>>,
     /// The LSN through which the *published* state incorporates the
     /// durable log. A respawned writer redoes the WAL suffix beyond this
     /// so the live state reconverges with what [`ds_durability::recover`]
     /// would rebuild.
-    published_lsn: AtomicU64,
+    pub(crate) published_lsn: AtomicU64,
     /// Set when the writer is *permanently* down: read-only degraded
     /// mode. A writer panic respawns and never sets this; only an
     /// injected non-unwind failure (`FaultAction::Fail`) does.
-    degraded: AtomicBool,
+    pub(crate) degraded: AtomicBool,
     /// The armed bundle's tracer, slow-query log and workload recorder
     /// (`None` = disarmed: each of those hooks is one `Option` branch).
     /// Counting does not depend on it.
-    obs: Option<Arc<Observability>>,
-    started: Instant,
+    pub(crate) obs: Option<Arc<Observability>>,
+    pub(crate) started: Instant,
 }
 
 impl Shared {
     /// Publish `snapshot` as `epoch` — the one place a publication is
     /// made and counted, for the writer and the WAL redo alike.
-    fn publish(&self, epoch: u64, snapshot: EngineSnapshot) {
+    pub(crate) fn publish(&self, epoch: u64, snapshot: EngineSnapshot) {
         if self.obs.is_some() {
             // What the epoch holds, by component (the memos and access
             // sets are those of the sites left untouched; the touched
@@ -621,96 +374,6 @@ impl Shared {
         self.published.publish(epoch, Arc::new(snapshot));
         self.metrics.publications.inc();
         self.metrics.epoch.set(epoch);
-    }
-}
-
-/// Every event the serve tier counts, each on one `ds_obs` cell with
-/// one increment site. [`Server::stats`] reads these cells; when
-/// [`ServeConfig::obs`] is armed the bundle's registry exports the very
-/// same cells (summed with those of any other server sharing the
-/// bundle), and when it is not they are freestanding — the hot path is
-/// the same relaxed atomic op either way. Relaxed is enough: a count
-/// publishes no other data, and a client that reads `stats()` after its
-/// reply sees its batch counted because the worker counts before it
-/// sends and the reply channel orders the two.
-struct Metrics {
-    requests: Counter,
-    jobs: Counter,
-    batches: Counter,
-    evaluated: Counter,
-    coalesced: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    reach_fast_path: Counter,
-    queue_rejections: Counter,
-    deadline_shed: Counter,
-    deadline_cancelled: Counter,
-    worker_restarts: Counter,
-    writer_restarts: Counter,
-    updates: Counter,
-    publications: Counter,
-    wal_records: Counter,
-    wal_commits: Counter,
-    wal_failures: Counter,
-    checkpoints: Counter,
-    writer_busy_ns: Counter,
-    /// Submit → reply, one sample per answered request.
-    request_latency: HistogramHandle,
-    epoch: Gauge,
-    queue_depth: Gauge,
-    /// One gauge per component of `EngineSnapshot::memory_bytes`, in
-    /// `SnapshotBytes::components` order.
-    snapshot_bytes: Vec<Gauge>,
-}
-
-/// The gauge a snapshot memory component is published under.
-fn snapshot_gauge_name(component: &str) -> String {
-    match component {
-        // Published under this name since before the breakdown existed.
-        "segment_memos" => "serve_segment_memo_bytes".to_string(),
-        other => format!("serve_snapshot_{other}_bytes"),
-    }
-}
-
-impl Metrics {
-    /// Mint the cells once at server start, from the armed bundle's
-    /// registry or — disarmed — from a registry nobody keeps, which
-    /// leaves them freestanding.
-    fn new(obs: Option<&Observability>, epoch: u64) -> Self {
-        let detached = MetricsRegistry::new();
-        let r = obs.map_or(&detached, Observability::registry);
-        let metrics = Metrics {
-            requests: r.counter_cell("serve_requests"),
-            jobs: r.counter_cell("serve_jobs"),
-            batches: r.counter_cell("serve_batches"),
-            evaluated: r.counter_cell("serve_evaluated"),
-            coalesced: r.counter_cell("serve_coalesced"),
-            cache_hits: r.counter_cell("serve_cache_hits"),
-            cache_misses: r.counter_cell("serve_cache_misses"),
-            reach_fast_path: r.counter_cell("serve_reach_fast_path"),
-            queue_rejections: r.counter_cell("serve_queue_rejections"),
-            deadline_shed: r.counter_cell("serve_deadline_shed"),
-            deadline_cancelled: r.counter_cell("serve_deadline_cancelled"),
-            worker_restarts: r.counter_cell("serve_worker_restarts"),
-            writer_restarts: r.counter_cell("serve_writer_restarts"),
-            updates: r.counter_cell("serve_updates"),
-            publications: r.counter_cell("serve_publications"),
-            wal_records: r.counter_cell("serve_wal_records"),
-            wal_commits: r.counter_cell("serve_wal_commits"),
-            wal_failures: r.counter_cell("serve_wal_failures"),
-            checkpoints: r.counter_cell("serve_checkpoints"),
-            writer_busy_ns: r.counter_cell("serve_writer_busy_ns"),
-            request_latency: r.histogram_cell("request_latency_ns"),
-            epoch: r.gauge("serve_epoch"),
-            queue_depth: r.gauge("serve_queue_depth"),
-            snapshot_bytes: SnapshotBytes::default()
-                .components()
-                .iter()
-                .map(|(component, _)| r.gauge(&snapshot_gauge_name(component)))
-                .collect(),
-        };
-        metrics.epoch.set(epoch);
-        metrics
     }
 }
 
@@ -1189,14 +852,6 @@ const _: () = {
     assert_send_sync::<Shared>();
 };
 
-fn add_batch_stats(into: &mut BatchStats, from: &BatchStats) {
-    into.queries += from.queries;
-    into.plans_computed += from.plans_computed;
-    into.plans_reused += from.plans_reused;
-    into.segments_computed += from.segments_computed;
-    into.segments_reused += from.segments_reused;
-}
-
 /// The supervisor wrapping one reader worker: respawn the worker body
 /// after any panic that escapes the per-batch isolation inside, so the
 /// pool never shrinks. In-flight jobs of the doomed batch resolve
@@ -1291,579 +946,4 @@ fn worker_loop(shared: &Shared, id: usize) {
             }
         }
     }
-}
-
-/// Close every trace of a job that resolved to a typed failure instead
-/// of an answer (deadline shed when `waited` is given, worker panic
-/// otherwise), stamped — like an admission shed — with the epoch
-/// published when it failed. Outcome-only: failed requests leave no
-/// latency sample. No-op disarmed.
-fn close_failed_traces(shared: &Shared, job: &QueryJob, waited: Option<Duration>) {
-    let Some(obs) = &shared.obs else { return };
-    let tracer = obs.tracer();
-    let epoch = shared.published.epoch.load(Ordering::Acquire);
-    for (r, &trace) in job.requests.iter().zip(&job.traces) {
-        let wait_ns = waited.map_or(0, |w| w.as_nanos() as u64);
-        let spans = match waited {
-            Some(_) => vec![SpanRecord {
-                trace,
-                stage: Stage::QueueWait,
-                start_ns: tracer.now_ns().saturating_sub(wait_ns),
-                dur_ns: wait_ns,
-            }],
-            None => Vec::new(),
-        };
-        tracer.finish(RequestTrace {
-            trace,
-            source: r.source.index() as u64,
-            target: r.target.index() as u64,
-            epoch,
-            total_ns: wait_ns,
-            outcome: TraceOutcome::Failed,
-            spans,
-        });
-    }
-}
-
-/// The isolated per-batch evaluation: pin a snapshot epoch, coalesce
-/// identical requests, group the distinct ones by fragment pair,
-/// evaluate through the shared batch kernel, fan the answers back out
-/// per job.
-fn process_batch(
-    shared: &Shared,
-    id: usize,
-    jobs: &[QueryJob],
-    scratch: &mut ScratchDijkstra,
-    cached: &mut Option<(u64, Arc<EngineSnapshot>)>,
-) {
-    let t0 = Instant::now();
-    let obs = shared.obs.as_ref();
-    // Tracing context: the batch start on the tracer clock, and each
-    // job's queue wait (admission → drain) — the QueueWait span.
-    let batch_start_ns = obs.map_or(0, |o| o.tracer().now_ns());
-    let waits: Vec<u64> = match obs {
-        Some(_) => jobs
-            .iter()
-            .map(|j| j.submitted.elapsed().as_nanos() as u64)
-            .collect(),
-        None => Vec::new(),
-    };
-    let (epoch, snap) = {
-        let pair = shared.published.pin(cached);
-        (pair.0, &pair.1)
-    };
-
-    // Coalesce: identical (source, target) pairs across the whole
-    // micro-batch are evaluated once (single-flight). The first
-    // occurrence's trace id becomes the slot's *primary* trace — the
-    // one the evaluation spans are attributed to; later occurrences
-    // get a `Coalesced` marker span.
-    let mut distinct: Vec<QueryRequest> = Vec::new();
-    let mut distinct_traces: Vec<TraceId> = Vec::new();
-    // Per distinct slot, the *latest* admission time among the jobs
-    // sharing it (tracked only when a deadline is configured): the
-    // in-evaluation deadline check keeps evaluating while any
-    // interested job is still within its deadline.
-    let mut slot_submitted: Vec<Instant> = Vec::new();
-    let mut index: HashMap<(NodeId, NodeId), u32> = HashMap::new();
-    let mut slots: Vec<Vec<u32>> = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let mut js = Vec::with_capacity(job.requests.len());
-        for (ri, r) in job.requests.iter().enumerate() {
-            let slot = match index.get(&(r.source, r.target)) {
-                Some(&slot) => {
-                    if shared.deadline.is_some() {
-                        let s = &mut slot_submitted[slot as usize];
-                        *s = (*s).max(job.submitted);
-                    }
-                    slot
-                }
-                None => {
-                    let slot = distinct.len() as u32;
-                    index.insert((r.source, r.target), slot);
-                    distinct.push(*r);
-                    distinct_traces.push(job.traces.get(ri).copied().unwrap_or(TraceId::NONE));
-                    if shared.deadline.is_some() {
-                        slot_submitted.push(job.submitted);
-                    }
-                    slot
-                }
-            };
-            js.push(slot);
-        }
-        slots.push(js);
-    }
-    let total_requests: usize = slots.iter().map(Vec::len).sum();
-    let coalesced = (total_requests - distinct.len()) as u64;
-
-    // Probe the per-epoch answer cache: a distinct request already
-    // answered at this epoch (by any worker, in any earlier
-    // micro-batch) skips evaluation entirely. The cache key includes
-    // the pinned epoch, so a hit is exactly as consistent as an
-    // evaluated answer.
-    let mut answers_by_slot: Vec<Option<QueryAnswer>> = vec![None; distinct.len()];
-    let mut miss: Vec<u32> = Vec::with_capacity(distinct.len());
-    let mut cache_hits = 0u64;
-    if let Some(cache) = &shared.cache {
-        for (i, r) in distinct.iter().enumerate() {
-            match cache.get(epoch, (r.source, r.target)) {
-                Some(a) => {
-                    answers_by_slot[i] = Some(a);
-                    cache_hits += 1;
-                }
-                None => miss.push(i as u32),
-            }
-        }
-    } else {
-        miss.extend(0..distinct.len() as u32);
-    }
-    let cache_misses = if shared.cache.is_some() {
-        miss.len() as u64
-    } else {
-        0
-    };
-    // Which slots the cache answered (set before evaluation fills the
-    // rest) — those requests get a `CacheHit` span.
-    let cached_slots: Vec<bool> = match obs {
-        Some(_) => answers_by_slot.iter().map(Option::is_some).collect(),
-        None => Vec::new(),
-    };
-
-    // Group the remaining misses by fragment pair. The sharing itself
-    // is order-independent (the batch kernel caches chain plans per
-    // fragment pair for the whole call and reads interior segments
-    // from the snapshot's per-site memos); the sort makes same-pair
-    // queries evaluate back-to-back while their interior relations are
-    // CPU-cache-hot, and makes a
-    // batch's evaluation order independent of client arrival
-    // interleaving.
-    let planner = snap.planner();
-    // Workload recorder: sampled per *request* (not per distinct slot —
-    // hot duplicates are exactly the signal), one vertex pair and one
-    // fragment pair each. `should_sample` is a single relaxed
-    // fetch_add.
-    if let Some(o) = obs {
-        let w = o.workload();
-        for job in jobs {
-            for r in &job.requests {
-                if w.should_sample() {
-                    w.record_vertex_pair(r.source.index() as u64, r.target.index() as u64);
-                    let fs = planner.fragments_of(r.source);
-                    let ft = planner.fragments_of(r.target);
-                    if let (Some(&a), Some(&b)) = (fs.first(), ft.first()) {
-                        w.record_fragment_pair(a as u64, b as u64);
-                    }
-                }
-            }
-        }
-    }
-    let keys: Vec<(&[FragmentId], &[FragmentId])> = miss
-        .iter()
-        .map(|&i| {
-            let r = &distinct[i as usize];
-            (
-                planner.fragments_of(r.source),
-                planner.fragments_of(r.target),
-            )
-        })
-        .collect();
-    let mut order: Vec<u32> = (0..miss.len() as u32).collect();
-    order.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
-    let sorted: Vec<QueryRequest> = order
-        .iter()
-        .map(|&k| distinct[miss[k as usize] as usize])
-        .collect();
-
-    // `eval_traces[j]` carries the per-chain timing of `sorted[j]`;
-    // `slot_eval` maps a distinct slot back to that index.
-    let mut eval_traces: Vec<EvalTrace> = Vec::new();
-    let mut slot_eval: Vec<Option<u32>> = match obs {
-        Some(_) => vec![None; distinct.len()],
-        None => Vec::new(),
-    };
-    let batch_stats = if sorted.is_empty() {
-        BatchStats::default()
-    } else {
-        // Each sorted request carries its slot's absolute deadline so
-        // the batch kernel can abandon a pathological evaluation at
-        // the next chain boundary (cooperative cancellation).
-        let sorted_deadlines: Vec<Option<Instant>> = match shared.deadline {
-            None => Vec::new(),
-            Some(d) => order
-                .iter()
-                .map(|&k| Some(slot_submitted[miss[k as usize] as usize] + d))
-                .collect(),
-        };
-        let batch = match obs {
-            Some(_) => {
-                let sorted_traces: Vec<TraceId> = order
-                    .iter()
-                    .map(|&k| distinct_traces[miss[k as usize] as usize])
-                    .collect();
-                snap.query_batch_bounded(
-                    &sorted,
-                    scratch,
-                    &sorted_traces,
-                    Some(&mut eval_traces),
-                    &sorted_deadlines,
-                )
-            }
-            None => snap.query_batch_bounded(&sorted, scratch, &[], None, &sorted_deadlines),
-        };
-        for (j, (&k, a)) in order.iter().zip(batch.answers).enumerate() {
-            let slot = miss[k as usize] as usize;
-            if obs.is_some() {
-                slot_eval[slot] = Some(j as u32);
-            }
-            // A `None` answer is a request cancelled mid-evaluation at
-            // its deadline: leave the slot unanswered (the fan-out
-            // resolves it with `DeadlineExceeded`) and cache nothing.
-            if let Some(a) = a {
-                if let Some(cache) = &shared.cache {
-                    let r = &distinct[slot];
-                    cache.insert(epoch, (r.source, r.target), a.clone());
-                }
-                answers_by_slot[slot] = Some(a);
-            }
-        }
-        batch.stats
-    };
-    let busy = t0.elapsed();
-
-    // Count before fanning out: a blocking client that reads `stats()`
-    // right after its reply must already see this batch accounted for.
-    // Latency is submit → reply (well, the instant before the send),
-    // recorded per request so percentiles weight by traffic.
-    let m = &shared.metrics;
-    m.jobs.add(jobs.len() as u64);
-    m.requests.add(total_requests as u64);
-    m.batches.inc();
-    m.evaluated.add(sorted.len() as u64);
-    m.coalesced.add(coalesced);
-    m.cache_hits.add(cache_hits);
-    m.cache_misses.add(cache_misses);
-    for (job, js) in jobs.iter().zip(&slots) {
-        m.request_latency
-            .record_n(job.submitted.elapsed().as_nanos() as u64, js.len() as u64);
-    }
-    {
-        let mut log = lock_unpoisoned(&shared.worker_logs[id]);
-        log.busy += busy;
-        add_batch_stats(&mut log.batch, &batch_stats);
-        log.scratch = scratch.stats();
-    }
-
-    // Per-request trace assembly (armed only; the whole block is one
-    // `Option` branch when disarmed). Runs before the fan-out for the
-    // same reason the counting does: a client that inspects the trace
-    // ring right after its reply sees its own trace.
-    if let Some(o) = obs {
-        // A sample of the queue lock, taken only where a registry can
-        // show it (`ServeStats::queue_depth` asks the queue itself).
-        m.queue_depth.set(shared.queue.depth() as u64);
-        for (ji, (job, js)) in jobs.iter().zip(&slots).enumerate() {
-            for (ri, &slot) in js.iter().enumerate() {
-                let slot = slot as usize;
-                let trace = job.traces.get(ri).copied().unwrap_or(TraceId::NONE);
-                let r = &job.requests[ri];
-                let wait_ns = waits[ji];
-                let mut spans = vec![SpanRecord {
-                    trace,
-                    stage: Stage::QueueWait,
-                    start_ns: batch_start_ns.saturating_sub(wait_ns),
-                    dur_ns: wait_ns,
-                }];
-                if cached_slots[slot] {
-                    spans.push(SpanRecord {
-                        trace,
-                        stage: Stage::CacheHit,
-                        start_ns: batch_start_ns,
-                        dur_ns: 0,
-                    });
-                } else if distinct_traces[slot] == trace {
-                    // The slot's primary request carries the evaluation
-                    // and per-chain segment spans.
-                    if let Some(j) = slot_eval[slot] {
-                        let et = &eval_traces[j as usize];
-                        spans.push(SpanRecord {
-                            trace,
-                            stage: Stage::Evaluation,
-                            start_ns: batch_start_ns,
-                            dur_ns: et.eval_ns,
-                        });
-                        for c in &et.chains {
-                            spans.push(SpanRecord {
-                                trace,
-                                stage: Stage::ChainSegment { chain: c.chain },
-                                start_ns: batch_start_ns,
-                                dur_ns: c.ns,
-                            });
-                        }
-                    }
-                } else {
-                    spans.push(SpanRecord {
-                        trace,
-                        stage: Stage::Coalesced,
-                        start_ns: batch_start_ns,
-                        dur_ns: 0,
-                    });
-                }
-                let filed = RequestTrace {
-                    trace,
-                    source: r.source.index() as u64,
-                    target: r.target.index() as u64,
-                    epoch,
-                    total_ns: job.submitted.elapsed().as_nanos() as u64,
-                    outcome: match &answers_by_slot[slot] {
-                        Some(a) if a.cost.is_some() => TraceOutcome::Answered,
-                        Some(_) => TraceOutcome::Unreachable,
-                        // Cancelled mid-evaluation at the deadline.
-                        None => TraceOutcome::Shed,
-                    },
-                    spans,
-                };
-                o.record_request(filed, &m.request_latency);
-            }
-        }
-    }
-
-    for (job, js) in jobs.iter().zip(&slots) {
-        // A job touching any slot cancelled mid-evaluation resolves
-        // with `DeadlineExceeded` — distinct from the queue-time shed
-        // in `worker_loop`, and counted separately
-        // ([`ServeStats::deadline_cancelled`]).
-        if js
-            .iter()
-            .any(|&slot| answers_by_slot[slot as usize].is_none())
-        {
-            let waited = job.submitted.elapsed();
-            m.deadline_cancelled.inc();
-            let _ = job
-                .reply
-                .send(Err(ClosureError::DeadlineExceeded { waited }));
-            continue;
-        }
-        let answers: Vec<QueryAnswer> = js
-            .iter()
-            .map(|&slot| match &answers_by_slot[slot as usize] {
-                Some(a) => a.clone(),
-                None => unreachable!("cancelled jobs resolved above"),
-            })
-            .collect();
-        let _ = job.reply.send(Ok(ServedBatch { answers, epoch }));
-    }
-}
-
-/// Apply `updates` in order to `working` and, if any was effective,
-/// publish the result once. The writer's batches and the WAL redo both
-/// go through here, so an applied update and a publication are each
-/// counted at one site. Returns the per-update maintenance outcomes and
-/// the time the publication took.
-fn apply_and_publish(
-    shared: &Shared,
-    working: &mut EngineSnapshot,
-    scratch: &mut ScratchDijkstra,
-    epoch: &mut u64,
-    updates: &[NetworkUpdate],
-) -> (Vec<Result<UpdateReport, ClosureError>>, Duration) {
-    let mut applied = 0u64;
-    let outcomes: Vec<_> = updates
-        .iter()
-        .map(|update| {
-            let outcome = working.maintain(update, scratch);
-            // Validation precedes mutation in the maintenance path, so
-            // the working copy is unchanged on Err and exact on Ok. A
-            // structural no-op (e.g. removing a connection that does not
-            // exist) touches nothing and is answered at the current
-            // epoch for free; every effective Ok advances the epoch — the
-            // count `ds_durability::recover` arrives at from the log.
-            if matches!(&outcome, Ok(r) if r.effective()) {
-                applied += 1;
-            }
-            outcome
-        })
-        .collect();
-    let publish_t = Instant::now();
-    if applied > 0 {
-        *epoch += applied;
-        // One reachability-index rebuild per publication, not per
-        // update: every update this batch that could have changed
-        // reachability dropped the working copy's index; rebuilding
-        // here amortizes the linear cost across the whole batch and
-        // publishes the epoch with `connected` already sweep-free.
-        working.ensure_reach();
-        // Copy-on-write publication: readers on the previous Arc
-        // finish undisturbed; new micro-batches pick up this epoch.
-        // The clone is O(sites) — every component of the working
-        // snapshot is Arc-shared, and the maintenance above already
-        // detached exactly the sites it touched, so this publication
-        // shares everything else with the previous epoch. Publishing
-        // also implicitly drops the per-epoch answer cache: entries
-        // are keyed by epoch and lazily cleared on first contact
-        // with the new one.
-        shared.publish(*epoch, working.clone());
-        shared.metrics.updates.add(applied);
-    }
-    (outcomes, publish_t.elapsed())
-}
-
-/// The single writer: drain pending updates (bounded), apply the shared
-/// incremental maintenance to a private working copy, publish the
-/// successor snapshot once, acknowledge every updater with the epoch at
-/// which its change became visible.
-fn writer_loop(shared: &Shared, mut working: EngineSnapshot, rx: &mpsc::Receiver<WriteJob>) {
-    let m = &shared.metrics;
-    let mut scratch = ScratchDijkstra::new();
-    // Resume from the *published* epoch: on first entry that is 0, and
-    // after a supervisor respawn (whose working copy was rebuilt from
-    // the published snapshot) it is wherever the last publication left
-    // the readers — epochs never repeat or rewind across writer deaths.
-    let mut epoch = shared.published.epoch.load(Ordering::Acquire);
-    while let Ok(first) = rx.recv() {
-        let t0 = Instant::now();
-        let mut jobs = vec![first];
-        while jobs.len() < WRITE_BATCH_MAX {
-            match rx.try_recv() {
-                Ok(job) => jobs.push(job),
-                Err(_) => break,
-            }
-        }
-        // Fault hook, one firing per publication attempt: `Panic`
-        // unwinds (writer death — the supervisor wrapper in
-        // `Server::start` flips degraded mode and every waiter resolves
-        // through its dropped reply sender); `Fail` refuses this batch
-        // with a typed error and degrades without unwinding.
-        if ds_fault::fire(&shared.fault, FaultPoint::ServeWriter) {
-            shared.degraded.store(true, Ordering::SeqCst);
-            for job in jobs {
-                let _ = job.reply.send(Err(ClosureError::WriterDown));
-            }
-            return;
-        }
-        let updates: Vec<NetworkUpdate> = jobs.iter().map(|j| j.update).collect();
-        // Append-before-apply: the whole folded batch goes to the
-        // write-ahead log as one group commit (one buffered write, one
-        // fsync) before any update touches the working copy. A refused
-        // append — I/O error, torn write, injected disk fault — fails
-        // every job of the batch with a typed error and applies nothing:
-        // the durable log never lags the acknowledged state. (An
-        // injected `Panic` at a disk fault point unwinds here instead —
-        // the supervisor respawns the writer and redoes any durable
-        // suffix, see `redo_wal_suffix`.)
-        let wal_range = match &shared.store {
-            Some(store) => match lock_unpoisoned(store).append_batch(epoch, &updates) {
-                Ok(first) => {
-                    let n = updates.len() as u64;
-                    m.wal_records.add(n);
-                    m.wal_commits.inc();
-                    Some(first + n - 1)
-                }
-                Err(_) => {
-                    m.wal_failures.inc();
-                    for job in jobs {
-                        let _ = job.reply.send(Err(ClosureError::DurabilityFailed));
-                    }
-                    continue;
-                }
-            },
-            None => None,
-        };
-        let before = epoch;
-        let (outcomes, publish) =
-            apply_and_publish(shared, &mut working, &mut scratch, &mut epoch, &updates);
-        if let Some(last) = wal_range {
-            // The published state now reflects every logged record up to
-            // `last` (no-ops and per-update errors included — replay
-            // treats them identically): a respawn redoes nothing before
-            // this point.
-            shared.published_lsn.store(last, Ordering::SeqCst);
-        }
-        let busy = t0.elapsed();
-        m.writer_busy_ns.add(busy.as_nanos() as u64);
-        if let (Some(obs), true) = (&shared.obs, epoch > before) {
-            // One writer trace per publication: maintenance and
-            // publication spans land in the trace ring (never in the
-            // request latency histogram — that is reads only).
-            let tracer = obs.tracer();
-            let trace = tracer.mint();
-            let (busy_ns, publish_ns) = (busy.as_nanos() as u64, publish.as_nanos() as u64);
-            let end_ns = tracer.now_ns();
-            tracer.finish(RequestTrace {
-                trace,
-                source: 0,
-                target: 0,
-                epoch,
-                total_ns: busy_ns,
-                outcome: TraceOutcome::Applied,
-                spans: vec![
-                    SpanRecord {
-                        trace,
-                        stage: Stage::WriterApply,
-                        start_ns: end_ns.saturating_sub(busy_ns),
-                        dur_ns: busy_ns.saturating_sub(publish_ns),
-                    },
-                    SpanRecord {
-                        trace,
-                        stage: Stage::Publication,
-                        start_ns: end_ns.saturating_sub(publish_ns),
-                        dur_ns: publish_ns,
-                    },
-                ],
-            });
-        }
-        for (job, outcome) in jobs.into_iter().zip(outcomes) {
-            let _ = job
-                .reply
-                .send(outcome.map(|report| ServedUpdate { report, epoch }));
-        }
-        // Checkpoint *after* acknowledging the batch: a failed (or
-        // fault-killed) checkpoint must never take acknowledged updates
-        // down with it. Failure here is non-fatal to durability — the
-        // previous checkpoint plus the full log still recover; the
-        // threshold stays tripped so the next batch retries.
-        if let Some(store) = &shared.store {
-            let mut store = lock_unpoisoned(store);
-            if store.should_checkpoint() {
-                match store.checkpoint(&working, epoch) {
-                    Ok(()) => m.checkpoints.inc(),
-                    Err(_) => m.wal_failures.inc(),
-                }
-            }
-        }
-    }
-}
-
-/// Reconverge the published state with the durable log after a writer
-/// death: replay every WAL record beyond [`Shared::published_lsn`] onto a
-/// copy of the published snapshot and publish the result. These are
-/// records the doomed writer group-committed but never applied/published
-/// — their callers were told [`ClosureError::WriterRestarted`], yet the
-/// records are durable, so a later [`ds_durability::recover`] *will*
-/// replay them; the live state must agree. No-op when durability is off
-/// or the suffix is empty (every clean start).
-fn redo_wal_suffix(shared: &Shared) {
-    let Some(store) = &shared.store else { return };
-    let after = shared.published_lsn.load(Ordering::SeqCst);
-    let suffix = match lock_unpoisoned(store).read_suffix(after) {
-        Ok(suffix) => suffix,
-        Err(_) => {
-            shared.metrics.wal_failures.inc();
-            return;
-        }
-    };
-    let Some(last) = suffix.last() else { return };
-    let (mut epoch, published) = shared.published.current();
-    let mut working = (*published).clone();
-    // The writer's own apply step: effective updates bump the epoch,
-    // per-update errors are skipped (their callers already saw the
-    // error).
-    let updates: Vec<NetworkUpdate> = suffix.iter().map(|rec| rec.update).collect();
-    apply_and_publish(
-        shared,
-        &mut working,
-        &mut ScratchDijkstra::new(),
-        &mut epoch,
-        &updates,
-    );
-    shared.published_lsn.store(last.lsn, Ordering::SeqCst);
 }
