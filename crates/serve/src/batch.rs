@@ -363,9 +363,7 @@ pub(crate) fn process_batch(
         {
             let waited = job.submitted.elapsed();
             m.deadline_cancelled.inc();
-            let _ = job
-                .reply
-                .send(Err(ClosureError::DeadlineExceeded { waited }));
+            shared.reply(&job.reply, Err(ClosureError::DeadlineExceeded { waited }));
             continue;
         }
         let answers: Vec<QueryAnswer> = js
@@ -375,6 +373,6 @@ pub(crate) fn process_batch(
                 None => unreachable!("cancelled jobs resolved above"),
             })
             .collect();
-        let _ = job.reply.send(Ok(ServedBatch { answers, epoch }));
+        shared.reply(&job.reply, Ok(ServedBatch { answers, epoch }));
     }
 }

@@ -53,6 +53,14 @@
 //!   state (the Dijkstra scratch, batch buffers) is worker-owned; the
 //!   publication slot is consulted with one atomic load per micro-batch
 //!   and its mutex touched only when the epoch actually moved.
+//! * **A hand-off wakes only sleepers.** A request crosses to a worker
+//!   through the bounded queue and comes back through a one-shot reply
+//!   slot (one allocation; updates wait on the same type). Both touch
+//!   their condition variable — a `futex` system call — only when the
+//!   other side is actually parked, so with the pool busy a request
+//!   costs two short mutex sections and no system call.
+//!   [`ServeStats::handoff_wakes`] and [`ServeStats::reply_parks`]
+//!   count the times somebody was asleep.
 //! * **Micro-batching.** A worker drains everything pending (bounded by
 //!   [`ServeConfig::batch_max`]) in one lock acquisition, coalesces
 //!   identical requests (single-flight), sorts the distinct cache misses
@@ -159,6 +167,26 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
+    }
+
+    /// Run `f` on its own thread under a wall-clock watchdog, as the
+    /// chaos suite (`tests/chaos.rs`) does: a scenario still running
+    /// after `secs` fails as a hang instead of wedging the run, and a
+    /// panic inside it is propagated.
+    pub(crate) fn with_watchdog<F: FnOnce() + Send + 'static>(name: &str, secs: u64, f: F) {
+        use std::time::{Duration, Instant};
+        let handle = std::thread::spawn(f);
+        let deadline = Instant::now() + Duration::from_secs(secs);
+        while !handle.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "{name}: hang detected — still running after the {secs}s watchdog"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        if let Err(payload) = handle.join() {
+            std::panic::resume_unwind(payload);
+        }
     }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -378,6 +406,102 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.queue_high_water, 0, "empty jobs never enqueue");
         server.shutdown();
+    }
+
+    /// The two hand-off counters tell an idle pool from a busy one: an
+    /// admission that finds a worker asleep counts one wake, admissions
+    /// past a pool that cannot take them count none, and no more replies
+    /// wake a waiter than there were jobs.
+    #[test]
+    fn handoff_counters_tell_an_idle_pool_from_a_busy_one() {
+        let (_, snap) = snapshot();
+        let server = Server::start(snap, ServeConfig::with_workers(1));
+        while server.parked_workers() < 1 {
+            std::thread::yield_now();
+        }
+        server.query(n(0), n(39)).unwrap();
+        assert_eq!(server.stats().handoff_wakes, 1, "the worker was asleep");
+        while server.parked_workers() < 1 {
+            std::thread::yield_now();
+        }
+        server.pause_workers();
+        let pending: Vec<_> = (0..5u32)
+            .map(|i| server.submit(&[QueryRequest::new(n(i), n(39))]).unwrap())
+            .collect();
+        assert_eq!(server.stats().handoff_wakes, 1, "nobody to wake");
+        server.unpause_workers();
+        for p in pending {
+            assert!(p.wait().unwrap().answers[0].cost.is_some());
+        }
+        let stats = server.shutdown();
+        assert_eq!((stats.jobs, stats.handoff_wakes), (6, 1));
+        assert!(stats.reply_parks <= stats.jobs);
+        assert!(stats.to_string().contains("1 worker wakes/6 jobs"));
+    }
+
+    /// A client that drops its handle before the reply costs the worker
+    /// nothing: the reply goes nowhere and the pool serves on.
+    #[test]
+    fn an_abandoned_job_leaves_the_worker_alive() {
+        let (_, snap) = snapshot();
+        let server = Server::start(snap, ServeConfig::with_workers(1));
+        server.pause_workers();
+        drop(server.submit(&[QueryRequest::new(n(0), n(39))]).unwrap());
+        server.unpause_workers();
+        assert!(server.query(n(1), n(38)).unwrap().answer.cost.is_some());
+        let stats = server.shutdown();
+        assert_eq!(stats.requests, 2, "the abandoned job was still served");
+        assert_eq!(stats.worker_restarts, 0);
+    }
+
+    /// Two clients, 100k round trips through one queue and 100k reply
+    /// slots: every reply reaches the waiter that asked (the eight pairs
+    /// in play all cost differently, so an answer names its request),
+    /// nothing hangs, and every request admitted is a request served.
+    #[test]
+    fn two_client_hammer_delivers_every_reply_to_its_own_waiter() {
+        const ROUND_TRIPS: u32 = 50_000;
+        let (g, snap) = snapshot();
+        let csr = g.closure_graph();
+        // Client 0 asks short routes, client 1 long ones.
+        let targets = [[1u32, 2, 3, 4], [39, 38, 37, 36]];
+        let costs = targets.map(|ts| ts.map(|y| baseline::shortest_path_cost(&csr, n(0), n(y))));
+        let mut distinct: Vec<_> = costs.iter().flatten().collect();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 8, "{costs:?}");
+        with_watchdog("serve hammer", 300, move || {
+            let server = Server::start(snap, ServeConfig::with_workers(2));
+            std::thread::scope(|s| {
+                for t in 0..2 {
+                    let server = &server;
+                    s.spawn(move || {
+                        for i in 0..ROUND_TRIPS as usize {
+                            let served = server
+                                .submit(&[QueryRequest::new(n(0), n(targets[t][i % 4]))])
+                                .expect("two clients cannot fill the queue")
+                                .wait()
+                                .expect("healthy pool");
+                            assert_eq!(served.answers.len(), 1);
+                            assert_eq!(
+                                served.answers[0].cost,
+                                costs[t][i % 4],
+                                "client {t} trip {i}"
+                            );
+                        }
+                    });
+                }
+            });
+            let stats = server.shutdown();
+            assert_eq!(stats.requests, 2 * ROUND_TRIPS as u64);
+            assert_eq!(stats.jobs, stats.requests);
+            assert_eq!(stats.latency.count, stats.requests);
+            assert_eq!(
+                stats.evaluated + stats.coalesced + stats.cache_hits,
+                stats.requests
+            );
+            assert!(stats.handoff_wakes <= stats.jobs && stats.reply_parks <= stats.jobs);
+        });
     }
 
     /// The per-epoch answer cache serves repeated queries across

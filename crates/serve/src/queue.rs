@@ -9,9 +9,16 @@
 //! retry-after hint. The queue keeps what only it can know — current
 //! depth and high-water mark — for `ServeStats`; rejections are counted
 //! by the caller that sheds, beside every other serve event.
+//!
+//! Nobody is woken who is not asleep: the queue counts the consumers
+//! parked in [`BoundedQueue::pop_batch`] under its mutex, and a push or a
+//! pop reaches for the condition variable only when that count is
+//! non-zero (`Condvar::notify_one` is a `futex` system call on Linux
+//! whether or not anyone waits). With the pool busy a request crosses
+//! the queue on the mutex alone.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use ds_fault::{lock_unpoisoned, wait_unpoisoned};
 
@@ -22,6 +29,8 @@ struct Inner<T> {
     /// deterministically filling the queue; see `pause`).
     paused: bool,
     high_water: usize,
+    /// Consumers parked on `not_empty` right now.
+    waiting: usize,
 }
 
 /// Why a [`BoundedQueue::try_push`] was refused.
@@ -49,6 +58,7 @@ impl<T> BoundedQueue<T> {
                 closed: false,
                 paused: false,
                 high_water: 0,
+                waiting: 0,
             }),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
@@ -56,8 +66,10 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Enqueue without ever blocking: at capacity the item is returned as
-    /// [`PushError::Full`], after close as [`PushError::Closed`].
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
+    /// [`PushError::Full`], after close as [`PushError::Closed`]. `Ok`
+    /// says whether the push had to wake a parked consumer (`false`: the
+    /// pool was busy, or paused, and finds the item on its next pop).
+    pub fn try_push(&self, item: T) -> Result<bool, PushError<T>> {
         let mut inner = lock_unpoisoned(&self.inner);
         if inner.closed {
             return Err(PushError::Closed(item));
@@ -67,24 +79,36 @@ impl<T> BoundedQueue<T> {
         }
         inner.items.push_back(item);
         inner.high_water = inner.high_water.max(inner.items.len());
+        let wake = inner.waiting > 0 && !inner.paused;
         drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
+        if wake {
+            self.not_empty.notify_one();
+        }
+        Ok(wake)
+    }
+
+    /// Take up to `max` items off the front and, if some remain while
+    /// another consumer is parked, pass the wake-up on to it.
+    fn drain(&self, mut inner: MutexGuard<'_, Inner<T>>, max: usize) -> Vec<T> {
+        let take = inner.items.len().min(max.max(1));
+        let batch: Vec<T> = inner.items.drain(..take).collect();
+        let wake = inner.waiting > 0 && !inner.items.is_empty();
+        drop(inner);
+        if wake {
+            self.not_empty.notify_one();
+        }
+        batch
     }
 
     /// Non-blocking dequeue of up to `max` items: `None` when nothing is
     /// pending right now (the consumer can release resources before
     /// falling back to the blocking [`BoundedQueue::pop_batch`]).
     pub fn try_pop_batch(&self, max: usize) -> Option<Vec<T>> {
-        let mut inner = lock_unpoisoned(&self.inner);
+        let inner = lock_unpoisoned(&self.inner);
         if inner.paused || inner.items.is_empty() {
             return None;
         }
-        let take = inner.items.len().min(max.max(1));
-        let batch: Vec<T> = inner.items.drain(..take).collect();
-        drop(inner);
-        self.not_empty.notify_one();
-        Some(batch)
+        Some(self.drain(inner, max))
     }
 
     /// Dequeue up to `max` items in one lock acquisition, blocking while
@@ -94,17 +118,14 @@ impl<T> BoundedQueue<T> {
         let mut inner = lock_unpoisoned(&self.inner);
         loop {
             if !inner.paused && !inner.items.is_empty() {
-                let take = inner.items.len().min(max.max(1));
-                let batch: Vec<T> = inner.items.drain(..take).collect();
-                drop(inner);
-                // Wake another consumer, in case items remain.
-                self.not_empty.notify_one();
-                return batch;
+                return self.drain(inner, max);
             }
             if inner.closed && !inner.paused {
                 return Vec::new();
             }
+            inner.waiting += 1;
             inner = wait_unpoisoned(&self.not_empty, inner);
+            inner.waiting -= 1;
         }
     }
 
@@ -127,6 +148,13 @@ impl<T> BoundedQueue<T> {
     #[cfg(test)]
     pub fn pause(&self) {
         lock_unpoisoned(&self.inner).paused = true;
+    }
+
+    /// Test hook: consumers parked in `pop_batch` right now, so a test
+    /// can wait for the interleaving it is about instead of sleeping.
+    #[cfg(test)]
+    pub fn waiting(&self) -> usize {
+        lock_unpoisoned(&self.inner).waiting
     }
 
     /// Test hook: release paused consumers.
@@ -232,6 +260,116 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.unpause();
         assert_eq!(consumer.join().unwrap(), vec![1]);
+    }
+
+    fn until_parked<T>(q: &BoundedQueue<T>, consumers: usize) {
+        while q.waiting() < consumers {
+            std::thread::yield_now();
+        }
+    }
+
+    /// A push wakes a consumer only if one is asleep, and says so.
+    #[test]
+    fn a_push_wakes_only_a_parked_consumer() {
+        let q = Arc::new(BoundedQueue::<u32>::new(4));
+        assert!(!q.try_push(1).ok().unwrap(), "nobody parked: no wake");
+        assert_eq!(q.pop_batch(4), vec![1]);
+        let qc = Arc::clone(&q);
+        let consumer = std::thread::spawn(move || qc.pop_batch(4));
+        until_parked(&q, 1);
+        assert!(q.try_push(7).ok().unwrap(), "the first push wakes it");
+        assert_eq!(consumer.join().unwrap(), vec![7]);
+        assert_eq!(q.waiting(), 0);
+    }
+
+    /// Paused consumers cannot take an item, so pushes leave them asleep;
+    /// lifting the pause is what wakes them.
+    #[test]
+    fn pushes_past_paused_consumers_wake_nobody() {
+        let q = Arc::new(BoundedQueue::<u32>::new(16));
+        q.pause();
+        let qc = Arc::clone(&q);
+        let consumer = std::thread::spawn(move || qc.pop_batch(16));
+        until_parked(&q, 1);
+        let wakes = (0..10u32).filter(|&i| q.try_push(i).ok().unwrap()).count();
+        assert_eq!(wakes, 0);
+        assert_eq!(q.waiting(), 1, "still parked behind the pause");
+        q.unpause();
+        assert_eq!(consumer.join().unwrap(), (0..10).collect::<Vec<_>>());
+    }
+
+    /// `close` reaches every parked consumer, not just one.
+    #[test]
+    fn close_releases_every_parked_consumer() {
+        let q = Arc::new(BoundedQueue::<u32>::new(4));
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let qc = Arc::clone(&q);
+                std::thread::spawn(move || qc.pop_batch(4))
+            })
+            .collect();
+        until_parked(&q, 2);
+        q.close();
+        for c in consumers {
+            assert!(c.join().unwrap().is_empty(), "the exit signal");
+        }
+        assert_eq!(q.waiting(), 0);
+    }
+
+    /// 4 producers x 2 consumers x 50k items: no wake-up is lost (the
+    /// watchdog would catch the hang) and every item is consumed exactly
+    /// once.
+    #[test]
+    fn many_producers_and_consumers_lose_and_repeat_nothing() {
+        const PRODUCERS: u32 = 4;
+        const PER_PRODUCER: u32 = 50_000;
+        crate::tests::with_watchdog("queue hammer", 120, || {
+            let q = Arc::new(BoundedQueue::<u32>::new(64));
+            let consumers: Vec<_> = (0..2)
+                .map(|_| {
+                    let q = Arc::clone(&q);
+                    std::thread::spawn(move || {
+                        let mut seen = Vec::new();
+                        loop {
+                            let batch = q.pop_batch(8);
+                            if batch.is_empty() {
+                                return seen;
+                            }
+                            seen.extend(batch);
+                        }
+                    })
+                })
+                .collect();
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let q = Arc::clone(&q);
+                    std::thread::spawn(move || {
+                        for i in 0..PER_PRODUCER {
+                            let mut item = p * PER_PRODUCER + i;
+                            while let Err(PushError::Full(back)) = q.try_push(item) {
+                                item = back;
+                                std::thread::yield_now();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for p in producers {
+                p.join().unwrap();
+            }
+            q.close();
+            let mut seen: Vec<u32> = consumers
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect();
+            seen.sort_unstable();
+            assert!(
+                seen.iter().copied().eq(0..PRODUCERS * PER_PRODUCER),
+                "{} items consumed, first out of place at {:?}",
+                seen.len(),
+                seen.iter().zip(0u32..).find(|(a, b)| *a != b)
+            );
+        });
     }
 
     /// Closing overrides a pause: a consumer blocked behind the test

@@ -19,7 +19,7 @@ use ds_obs::{Observability, RequestTrace, SpanRecord, Stage, TraceId, TraceOutco
 
 use crate::batch::{close_failed_traces, process_batch};
 use crate::cache::AnswerCache;
-use crate::handoff::PendingBatch;
+use crate::handoff::{reply_slot, PendingBatch, ReplySender};
 use crate::queue::{BoundedQueue, PushError};
 use crate::stats::{add_batch_stats, LatencySummary, Metrics, ServeStats};
 use crate::writer::{redo_wal_suffix, writer_loop, WriteJob};
@@ -253,7 +253,7 @@ pub(crate) struct QueryJob {
     /// One trace id per request, minted at admission; empty when
     /// observability is disarmed.
     pub(crate) traces: Vec<TraceId>,
-    pub(crate) reply: mpsc::Sender<Result<ServedBatch, ClosureError>>,
+    pub(crate) reply: ReplySender<Result<ServedBatch, ClosureError>>,
     pub(crate) submitted: Instant,
 }
 
@@ -358,6 +358,12 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Resolve a request: fill its reply slot, counting on
+    /// [`Metrics::reply_parks`] a waiter that had to be woken.
+    pub(crate) fn reply<T>(&self, to: &ReplySender<T>, value: T) {
+        to.send(value, &self.metrics.reply_parks);
+    }
+
     /// Publish `snapshot` as `epoch` — the one place a publication is
     /// made and counted, for the writer and the WAL redo alike.
     pub(crate) fn publish(&self, epoch: u64, snapshot: EngineSnapshot) {
@@ -566,16 +572,15 @@ impl Server {
     /// enqueued; retry after the hinted back-off. All answers of one job
     /// come from the same snapshot epoch.
     pub fn submit(&self, requests: &[QueryRequest]) -> Result<PendingBatch, Overloaded> {
-        let (tx, rx) = mpsc::channel();
         if requests.is_empty() {
             // Nothing to evaluate: answer inline instead of spending a
             // queue slot (and never shed a job that carries no work).
-            let _ = tx.send(Ok(ServedBatch {
+            return Ok(PendingBatch::ready(Ok(ServedBatch {
                 answers: Vec::new(),
                 epoch: self.epoch(),
-            }));
-            return Ok(PendingBatch { rx });
+            })));
         }
+        let (tx, rx) = reply_slot();
         let traces: Vec<TraceId> = match &self.shared.obs {
             Some(obs) => requests.iter().map(|_| obs.tracer().mint()).collect(),
             None => Vec::new(),
@@ -587,7 +592,12 @@ impl Server {
             submitted: Instant::now(),
         };
         match self.shared.queue.try_push(job) {
-            Ok(()) => Ok(PendingBatch { rx }),
+            Ok(woke) => {
+                if woke {
+                    self.shared.metrics.handoff_wakes.inc();
+                }
+                Ok(PendingBatch::queued(rx))
+            }
             Err(PushError::Full(job)) => {
                 self.shared.metrics.queue_rejections.inc();
                 if let Some(obs) = &self.shared.obs {
@@ -611,13 +621,10 @@ impl Server {
                     retry_after: self.shared.retry_after,
                 })
             }
-            Err(PushError::Closed(job)) => {
-                // Only reachable during shutdown (which requires owning
-                // the server, so no client can still hold `&self` —
-                // except through a leaked Arc). Resolve instead of hang.
-                let _ = job.reply.send(Err(ClosureError::WorkerFailed));
-                Ok(PendingBatch { rx })
-            }
+            // Only reachable during shutdown (which requires owning
+            // the server, so no client can still hold `&self` — except
+            // through a leaked Arc). Resolve instead of hang.
+            Err(PushError::Closed(_)) => Ok(PendingBatch::ready(Err(ClosureError::WorkerFailed))),
         }
     }
 
@@ -684,7 +691,7 @@ impl Server {
             // Shutdown already took the writer handle.
             None => return Err(ClosureError::WriterDown),
         };
-        let (reply, rx) = mpsc::channel();
+        let (reply, rx) = reply_slot();
         if tx
             .send(WriteJob {
                 update: *update,
@@ -694,14 +701,14 @@ impl Server {
         {
             return Err(ClosureError::WriterDown);
         }
-        // A dead writer drops every queued job's reply sender — recv()
-        // then errors instead of hanging. Which error depends on what
-        // killed it: a panic was respawned by the supervisor (this
-        // update was NOT applied — the typed error says retry), while a
-        // permanent death already flipped degraded mode.
-        match rx.recv() {
-            Ok(outcome) => outcome,
-            Err(mpsc::RecvError) => {
+        // A dead writer drops every queued job's reply sender — the wait
+        // then comes back empty instead of hanging. Which error depends
+        // on what killed it: a panic was respawned by the supervisor
+        // (this update was NOT applied — the typed error says retry),
+        // while a permanent death already flipped degraded mode.
+        match rx.wait() {
+            Some(outcome) => outcome,
+            None => {
                 // The update died with the writer; leave a Failed trace
                 // so the loss is visible in the ring, not just the
                 // caller's error.
@@ -773,6 +780,8 @@ impl Server {
             queue_high_water: shared.queue.high_water(),
             queue_capacity: shared.queue.capacity(),
             queue_rejections: m.queue_rejections.get(),
+            handoff_wakes: m.handoff_wakes.get(),
+            reply_parks: m.reply_parks.get(),
             elapsed: shared.started.elapsed(),
             busy,
             writer_busy: Duration::from_nanos(m.writer_busy_ns.get()),
@@ -812,6 +821,12 @@ impl Server {
     #[cfg(test)]
     pub(crate) fn pause_workers(&self) {
         self.shared.queue.pause();
+    }
+
+    /// Test hook: workers parked on the empty queue right now.
+    #[cfg(test)]
+    pub(crate) fn parked_workers(&self) -> usize {
+        self.shared.queue.waiting()
     }
 
     /// Test hook: release a paused worker pool.
@@ -903,9 +918,7 @@ fn worker_loop(shared: &Shared, id: usize) {
                     if waited > deadline {
                         shared.metrics.deadline_shed.inc();
                         close_failed_traces(shared, &job, Some(waited));
-                        let _ = job
-                            .reply
-                            .send(Err(ClosureError::DeadlineExceeded { waited }));
+                        shared.reply(&job.reply, Err(ClosureError::DeadlineExceeded { waited }));
                     } else {
                         live.push(job);
                     }
@@ -935,7 +948,7 @@ fn worker_loop(shared: &Shared, id: usize) {
             failed => {
                 for job in &jobs {
                     close_failed_traces(shared, job, None);
-                    let _ = job.reply.send(Err(ClosureError::WorkerFailed));
+                    shared.reply(&job.reply, Err(ClosureError::WorkerFailed));
                 }
                 // Reset state exactly as a thread respawn would.
                 scratch = ScratchDijkstra::new();

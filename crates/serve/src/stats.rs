@@ -75,6 +75,15 @@ pub struct ServeStats {
     pub queue_high_water: usize,
     /// The configured queue capacity (the shedding threshold).
     pub queue_capacity: usize,
+    /// Admissions that had to wake a parked worker (a `futex` call each;
+    /// the others found the pool busy and cost the queue's mutex alone).
+    /// Read beside `jobs`: near `jobs` the workers idle between
+    /// requests, near 0 the pool is saturated.
+    pub handoff_wakes: u64,
+    /// Replies — to reads and to updates — that had to wake their waiter
+    /// because it had parked before the reply arrived; the others were
+    /// already there when the client looked.
+    pub reply_parks: u64,
     /// Submissions shed because the queue was at capacity (each rejected
     /// admission attempt counts once; a blocking wrapper that backs off
     /// and retries can count several times for one job).
@@ -178,8 +187,8 @@ impl std::fmt::Display for ServeStats {
     /// One-line summary, like `MaterializeStats`:
     /// `epoch 2 (4 workers, inline): 150 requests (120 evaluated, 20
     /// coalesced, 10 cached), 2 updates, p50 8.1us p99 40.2us, balance
-    /// 1.10`, with degrade/restart/shed markers appended only when
-    /// non-zero.
+    /// 1.10, 140 worker wakes/150 jobs, 145 reply parks`, with
+    /// degrade/restart/shed markers appended only when non-zero.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -196,6 +205,11 @@ impl std::fmt::Display for ServeStats {
             self.latency.p50_us,
             self.latency.p99_us,
             self.balance_ratio(),
+        )?;
+        write!(
+            f,
+            ", {} worker wakes/{} jobs, {} reply parks",
+            self.handoff_wakes, self.jobs, self.reply_parks
         )?;
         if self.queue_rejections > 0 {
             write!(f, ", {} shed", self.queue_rejections)?;
@@ -237,7 +251,11 @@ impl std::fmt::Display for ServeStats {
 /// the same relaxed atomic op either way. Relaxed is enough: a count
 /// publishes no other data, and a client that reads `stats()` after its
 /// reply sees its batch counted because the worker counts before it
-/// sends and the reply channel orders the two.
+/// fills the reply slot and the slot's mutex — released by the worker
+/// after the fill, taken by the client to read it — orders the two.
+/// The two hand-off counters are incremented on the slow paths only (a
+/// push or a reply that has to make the `futex` call), so the hot path
+/// gains no atomic from them.
 pub(crate) struct Metrics {
     pub(crate) requests: Counter,
     pub(crate) jobs: Counter,
@@ -248,6 +266,8 @@ pub(crate) struct Metrics {
     pub(crate) cache_misses: Counter,
     pub(crate) reach_fast_path: Counter,
     pub(crate) queue_rejections: Counter,
+    pub(crate) handoff_wakes: Counter,
+    pub(crate) reply_parks: Counter,
     pub(crate) deadline_shed: Counter,
     pub(crate) deadline_cancelled: Counter,
     pub(crate) worker_restarts: Counter,
@@ -294,6 +314,8 @@ impl Metrics {
             cache_misses: r.counter_cell("serve_cache_misses"),
             reach_fast_path: r.counter_cell("serve_reach_fast_path"),
             queue_rejections: r.counter_cell("serve_queue_rejections"),
+            handoff_wakes: r.counter_cell("serve_handoff_wakes"),
+            reply_parks: r.counter_cell("serve_reply_parks"),
             deadline_shed: r.counter_cell("serve_deadline_shed"),
             deadline_cancelled: r.counter_cell("serve_deadline_cancelled"),
             worker_restarts: r.counter_cell("serve_worker_restarts"),

@@ -14,6 +14,7 @@ use ds_fault::{lock_unpoisoned, FaultPoint};
 use ds_graph::ScratchDijkstra;
 use ds_obs::{RequestTrace, SpanRecord, Stage, TraceOutcome};
 
+use crate::handoff::ReplySender;
 use crate::server::{ServedUpdate, Shared};
 
 /// Most pending updates the writer folds into one publication (and one
@@ -22,7 +23,7 @@ const WRITE_BATCH_MAX: usize = 16;
 
 pub(crate) struct WriteJob {
     pub update: NetworkUpdate,
-    pub reply: mpsc::Sender<Result<ServedUpdate, ClosureError>>,
+    pub reply: ReplySender<Result<ServedUpdate, ClosureError>>,
 }
 
 /// Apply `updates` in order to `working` and, if any was effective,
@@ -111,7 +112,7 @@ pub(crate) fn writer_loop(
         if ds_fault::fire(&shared.fault, FaultPoint::ServeWriter) {
             shared.degraded.store(true, Ordering::SeqCst);
             for job in jobs {
-                let _ = job.reply.send(Err(ClosureError::WriterDown));
+                shared.reply(&job.reply, Err(ClosureError::WriterDown));
             }
             return;
         }
@@ -136,7 +137,7 @@ pub(crate) fn writer_loop(
                 Err(_) => {
                     m.wal_failures.inc();
                     for job in jobs {
-                        let _ = job.reply.send(Err(ClosureError::DurabilityFailed));
+                        shared.reply(&job.reply, Err(ClosureError::DurabilityFailed));
                     }
                     continue;
                 }
@@ -187,9 +188,10 @@ pub(crate) fn writer_loop(
             });
         }
         for (job, outcome) in jobs.into_iter().zip(outcomes) {
-            let _ = job
-                .reply
-                .send(outcome.map(|report| ServedUpdate { report, epoch }));
+            shared.reply(
+                &job.reply,
+                outcome.map(|report| ServedUpdate { report, epoch }),
+            );
         }
         // Checkpoint *after* acknowledging the batch: a failed (or
         // fault-killed) checkpoint must never take acknowledged updates

@@ -145,7 +145,15 @@ fn counts(stats: &ServeStats) -> [(&'static str, u64); 19] {
 }
 
 fn assert_stats_match_registry(stats: &ServeStats, registry: &MetricsSnapshot, when: &str) {
-    for (name, value) in counts(stats) {
+    // The two hand-off counters depend on who got to the queue or the
+    // reply slot first, so they stay out of `counts` (which armed and
+    // disarmed twins must agree on) — but the two views still read them
+    // from the same cells.
+    let handoff = [
+        ("serve_handoff_wakes", stats.handoff_wakes),
+        ("serve_reply_parks", stats.reply_parks),
+    ];
+    for (name, value) in counts(stats).into_iter().chain(handoff) {
         assert_eq!(registry.counter(name), Some(value), "{when}: {name}");
     }
     assert_eq!(registry.gauge("serve_epoch"), Some(stats.epoch), "{when}");
