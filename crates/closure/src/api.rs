@@ -13,39 +13,42 @@
 //! one place a [`NetworkUpdate`] changes the fragmented relation that
 //! everything else is derived from — and the evaluator's pieces:
 //!
-//! * [`BatchPlanner`] — chain planning amortized across a batch: the
-//!   expensive chain enumeration runs once per (source-fragments,
-//!   target-fragments) pair instead of once per query;
 //! * [`run_batch_bounded`] — the batch driver ([`run_batch`] is the same
 //!   call without deadlines or tracing), and through it the one routine
-//!   that evaluates a query over its chains. Per query it does only what
-//!   depends on the query: one subquery from `x` per distinct start
-//!   fragment and one to `y` per distinct end fragment, shared by every
-//!   chain through them, then one vector fold per chain. The interior
-//!   relations of the chains mention no endpoint; they are read from the
-//!   per-site, per-epoch [`SiteMemo`] and evaluated only when a slot is
-//!   still empty. A query over chains with `s` distinct start and `e`
-//!   distinct end fragments costs `s + e` site subqueries once the memo
-//!   is warm, however many chains it has and however long they are.
+//!   that evaluates a query over its chains. The chains themselves are
+//!   the planner's, enumerated once per pair of endpoint fragment sets
+//!   for the life of the fragmentation ([`Planner::chain_set`]). Per
+//!   query it does only what depends on the query: one subquery from `x`
+//!   per distinct start fragment and one to `y` per distinct end
+//!   fragment, shared by every chain through them, then one vector fold
+//!   per chain. The interior relations of the chains mention no
+//!   endpoint; they are read from the per-site, per-epoch [`SiteMemo`]
+//!   and evaluated only when a slot is still empty. A query over chains
+//!   with `s` distinct start and `e` distinct end fragments costs `s + e`
+//!   site subqueries once the memo is warm, however many chains it has
+//!   and however long they are.
 //!
 //! What a subquery costs is the site's business
 //! ([`crate::local::border_matrix_with`]): over a snapshot it is a
 //! product of the endpoint's memoized access set with rows of the site's
-//! border matrix — no Dijkstra sweep once the access set is filled,
-//! except the bounded local one a pair of non-border nodes of one
-//! fragment needs. The evaluator here neither knows nor cares; its own
-//! tests run it over plain forward sweeps.
+//! border matrix, plus one read of a memoized border-free row for a pair
+//! of non-border nodes of one fragment — no Dijkstra sweep once those are
+//! filled. The evaluator here neither knows nor cares; its own tests run
+//! it over plain forward sweeps. Nor does it allocate once warm: every
+//! vector an evaluation fills is kept by its thread from one query to
+//! the next, so a warm query costs lookups, folds and the answer it
+//! returns.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 use ds_fragment::{FragmentId, Fragmentation};
 use ds_graph::{Cost, Edge, NodeId, INFINITE_COST};
 use ds_obs::{ChainEval, EvalTrace, TraceId};
 
-use crate::assemble;
+use crate::assemble::{self, FoldBuffers};
 use crate::complementary::PrecomputeStats;
 use crate::engine::{QueryAnswer, QueryStats, Route};
 use crate::error::ClosureError;
@@ -79,10 +82,11 @@ impl From<(NodeId, NodeId)> for QueryRequest {
 pub struct BatchStats {
     /// Requests in the batch.
     pub queries: usize,
-    /// Chain enumerations actually performed — one per distinct
-    /// (source-fragments, target-fragments) pair.
+    /// Queries whose chain set this batch enumerated: the first query
+    /// between nodes of a pair of fragment sets fills the planner's slot
+    /// for it ([`Planner::chain_set`]), in whichever batch asks first.
     pub plans_computed: usize,
-    /// Queries that reused a previously enumerated chain set.
+    /// Queries that read a chain set enumerated before.
     pub plans_reused: usize,
     /// Segment relations evaluated at a site.
     pub segments_computed: usize,
@@ -108,8 +112,8 @@ impl BatchStats {
 /// Result of a batch: one [`QueryAnswer`] per request, in request order,
 /// plus the batch-level amortization stats. Per-answer [`QueryStats`]
 /// count only the site work actually performed *for that query* — work
-/// served from the plan cache or the segment memos shows up in
-/// [`BatchStats`] instead.
+/// served from the planner's chain table or the segment memos shows up
+/// in [`BatchStats`] instead.
 #[derive(Clone, Debug)]
 pub struct BatchAnswer {
     pub answers: Vec<QueryAnswer>,
@@ -264,72 +268,21 @@ pub(crate) fn validate(frag: &Fragmentation, update: &NetworkUpdate) -> Result<(
     Ok(())
 }
 
-/// The fragment chains connecting two endpoint fragment sets.
-#[derive(Clone, Debug)]
-pub struct ChainSet {
-    pub chains: Vec<Vec<FragmentId>>,
-    /// True when multi-chain enumeration was needed (cyclic
-    /// fragmentation graph).
-    pub enumerated: bool,
-}
-
-/// Chain planning with per-(source-fragments, target-fragments) caching.
-///
-/// The fragment chains of a query depend only on its endpoints' fragment
-/// sets, and enumerating them is the expensive half of planning (graph
-/// search over the fragmentation graph, possibly multi-chain on cyclic
-/// fragmentations), so a batch caches them here, keyed by the planner's
-/// [`Planner::membership_class`] ids.
-pub struct BatchPlanner<'a> {
-    planner: &'a Planner,
-    cache: HashMap<(u32, u32), ChainSet>,
-}
-
-impl<'a> BatchPlanner<'a> {
-    pub fn new(planner: &'a Planner) -> Self {
-        BatchPlanner {
-            planner,
-            cache: HashMap::new(),
-        }
-    }
-
-    /// The chains for `x -> y`. The boolean reports whether the chain set
-    /// was served from cache (plan reuse).
-    pub fn chains(&mut self, x: NodeId, y: NodeId) -> Result<(&ChainSet, bool), ClosureError> {
-        let (fx, fy) = (self.planner.fragments_of(x), self.planner.fragments_of(y));
-        if fx.is_empty() {
-            return Err(ClosureError::NodeNotInAnyFragment(x));
-        }
-        if fy.is_empty() {
-            return Err(ClosureError::NodeNotInAnyFragment(y));
-        }
-        let key = (
-            self.planner.membership_class(x),
-            self.planner.membership_class(y),
-        );
-        Ok(match self.cache.entry(key) {
-            Entry::Occupied(e) => (e.into_mut(), true),
-            Entry::Vacant(v) => {
-                let (chains, enumerated) = self.planner.chain_sets(fx, fy);
-                (v.insert(ChainSet { chains, enumerated }), false)
-            }
-        })
-    }
-}
-
 /// Where the evaluator's site subqueries run: the snapshot runs them on
 /// the calling thread or one scoped thread each
 /// ([`crate::executor::ExecutionMode`]); the evaluator's own tests count
 /// them.
 pub trait SiteEvaluator {
-    /// Evaluate independent site subqueries, returning their results in
-    /// the same order and adding the site accounting (site queries run,
-    /// tuples produced, busy time) to `stats`.
-    fn eval_sites(
+    /// Evaluate independent site subqueries, appending each one's costs —
+    /// row-major over its sources and targets — to `out` in order, and
+    /// adding the site accounting (site queries run, tuples produced,
+    /// busy time) to `stats`.
+    fn eval_sites<'q>(
         &mut self,
-        queries: &[SiteQueryRef<'_>],
+        queries: impl Iterator<Item = SiteQueryRef<'q>>,
+        out: &mut Vec<Cost>,
         stats: &mut QueryStats,
-    ) -> Vec<SegmentMatrix>;
+    );
 
     /// The interior-segment memo of `site`, valid for the graph that
     /// site currently evaluates on.
@@ -367,9 +320,11 @@ pub struct BoundedBatchAnswer {
 
 /// The batch driver.
 ///
-/// Per request: look the chain set up through the [`BatchPlanner`] (chain
-/// enumeration once per fragment-set pair), then evaluate it with the
-/// shared routine described in the module documentation.
+/// Per request: look the chain set up in the planner's table
+/// ([`Planner::chain_set`]; enumerated once per fragment-set pair for the
+/// life of the fragmentation), then evaluate it with the shared routine
+/// described in the module documentation, over the calling thread's
+/// working vectors.
 ///
 /// *Tracing:* `traces[i]` is request `i`'s [`TraceId`] (an empty slice
 /// means untraced), and when `sink` is given, one [`EvalTrace`] per
@@ -394,89 +349,76 @@ pub fn run_batch_bounded<E: SiteEvaluator>(
     mut sink: Option<&mut Vec<EvalTrace>>,
     deadlines: &[Option<Instant>],
 ) -> BoundedBatchAnswer {
-    let mut bp = BatchPlanner::new(planner);
     let mut stats = BatchStats {
         queries: requests.len(),
         ..BatchStats::default()
     };
     let mut answers = Vec::with_capacity(requests.len());
-    for (i, req) in requests.iter().enumerate() {
-        let trace = traces.get(i).copied().unwrap_or(TraceId::NONE);
-        let mut et = sink.as_ref().map(|_| EvalTrace {
-            trace,
-            ..EvalTrace::default()
-        });
-        let t0 = sink.as_ref().map(|_| Instant::now());
-        let deadline = deadlines.get(i).copied().flatten();
-        answers.push(one_query(
-            eval,
-            &mut bp,
-            &mut stats,
-            req,
-            et.as_mut(),
-            deadline,
-        ));
-        if let (Some(sink), Some(mut et), Some(t0)) = (sink.as_deref_mut(), et, t0) {
-            et.eval_ns = t0.elapsed().as_nanos() as u64;
-            sink.push(et);
+    BUFFERS.with_borrow_mut(|buf| {
+        for (i, req) in requests.iter().enumerate() {
+            let trace = traces.get(i).copied().unwrap_or(TraceId::NONE);
+            let mut et = sink.as_ref().map(|_| EvalTrace {
+                trace,
+                ..EvalTrace::default()
+            });
+            let t0 = sink.as_ref().map(|_| Instant::now());
+            let mut on = Evaluation {
+                planner,
+                qstats: &mut QueryStats::default(),
+                bstats: &mut stats,
+                trace: et.as_mut(),
+                deadline: deadlines.get(i).copied().flatten(),
+            };
+            answers.push(one_query(eval, req, &mut on, buf));
+            if let (Some(sink), Some(mut et), Some(t0)) = (sink.as_deref_mut(), et, t0) {
+                et.eval_ns = t0.elapsed().as_nanos() as u64;
+                sink.push(et);
+            }
         }
-    }
+    });
     BoundedBatchAnswer { answers, stats }
 }
 
 fn one_query<E: SiteEvaluator>(
     eval: &mut E,
-    bp: &mut BatchPlanner<'_>,
-    bstats: &mut BatchStats,
     req: &QueryRequest,
-    tr: Option<&mut EvalTrace>,
-    deadline: Option<Instant>,
+    on: &mut Evaluation<'_>,
+    buf: &mut Buffers,
 ) -> Option<QueryAnswer> {
     let (x, y) = (req.source, req.target);
     if x == y {
         return Some(QueryAnswer {
             cost: Some(0),
-            best_chain: bp.planner.fragments_of(x).first().map(|&f| vec![f]),
+            best_chain: on.planner.fragments_of(x).first().map(|&f| Arc::from([f])),
             stats: QueryStats::default(),
         });
     }
-    // Cooperative cancellation, checked before the (possibly expensive)
-    // chain enumeration and again inside the evaluation: a request whose
-    // deadline has passed is abandoned, not evaluated.
-    if expired(deadline) {
+    // Cooperative cancellation, checked before planning and again inside
+    // the evaluation: a request whose deadline has passed is abandoned,
+    // not evaluated.
+    if expired(on.deadline) {
         return None;
     }
-    let planner = bp.planner;
     // Endpoint in no fragment: unreachable, like shortest_path.
-    let Ok((set, reused)) = bp.chains(x, y) else {
+    let Ok((set, filled)) = on.planner.chain_set(x, y) else {
         return Some(QueryAnswer::unreachable());
     };
-    if reused {
-        bstats.plans_reused += 1;
+    if filled {
+        on.bstats.plans_computed += 1;
     } else {
-        bstats.plans_computed += 1;
+        on.bstats.plans_reused += 1;
     }
-    let mut stats = QueryStats {
-        enumerated: set.enumerated,
-        ..QueryStats::default()
-    };
-    let mut on = Evaluation {
-        planner,
-        qstats: &mut stats,
-        bstats,
-        trace: tr,
-        deadline,
-    };
-    let best = evaluate_chains(eval, &set.chains, (x, y), &mut on, false)?;
+    on.qstats.enumerated = set.enumerated;
+    let best = evaluate_chains(eval, &set.chains, (x, y), on, buf, false)?;
     Some(QueryAnswer {
         cost: best.as_ref().map(|b| b.cost),
-        best_chain: best.map(|b| set.chains[b.chain].clone()),
-        stats,
+        best_chain: best.map(|b| Arc::clone(&set.chains[b.chain])),
+        stats: std::mem::take(on.qstats),
     })
 }
 
 /// `(cost, fragment chain, waypoints)` of a cheapest route.
-pub(crate) type RoutePlan = (Cost, Vec<FragmentId>, Vec<NodeId>);
+pub(crate) type RoutePlan = (Cost, Arc<[FragmentId]>, Vec<NodeId>);
 
 /// The cheapest route's cost, fragment chain and waypoints
 /// `x, w1, …, wk, y` — `wi` is the node of `DS(chain[i-1], chain[i])` the
@@ -489,8 +431,7 @@ pub(crate) fn best_route<E: SiteEvaluator>(
     eval: &mut E,
     (x, y): (NodeId, NodeId),
 ) -> Result<Option<RoutePlan>, ClosureError> {
-    let mut bp = BatchPlanner::new(planner);
-    let (set, _) = bp.chains(x, y)?;
+    let (set, _) = planner.chain_set(x, y)?;
     let mut on = Evaluation {
         planner,
         qstats: &mut QueryStats::default(),
@@ -498,9 +439,10 @@ pub(crate) fn best_route<E: SiteEvaluator>(
         trace: None,
         deadline: None,
     };
-    let best = evaluate_chains(eval, &set.chains, (x, y), &mut on, true)
+    let best = BUFFERS
+        .with_borrow_mut(|buf| evaluate_chains(eval, &set.chains, (x, y), &mut on, buf, true))
         .expect("no deadline, no cancellation");
-    Ok(best.map(|b| (b.cost, set.chains[b.chain].clone(), b.waypoints)))
+    Ok(best.map(|b| (b.cost, Arc::clone(&set.chains[b.chain]), b.waypoints)))
 }
 
 fn expired(deadline: Option<Instant>) -> bool {
@@ -525,56 +467,53 @@ struct BestChain {
     waypoints: Vec<NodeId>,
 }
 
-/// The endpoint subqueries of one query at one site, merged into one:
-/// every chain that starts (or ends) at `site` reads its own junction's
-/// costs out of the single subquery from `x` (or to `y`).
-struct EndpointSweep<'a> {
-    site: FragmentId,
-    /// Per adjacent fragment a chain continues to (or arrives from): where
-    /// in `nodes` the disconnection set shared with it sits.
-    legs: Vec<(FragmentId, Range<usize>)>,
-    nodes: Vec<NodeId>,
-    /// Costs between the query endpoint and each of `nodes`, once swept.
-    costs: &'a [Cost],
+thread_local! {
+    /// The evaluator's working vectors, one set per thread: a batch call
+    /// borrows them for its queries, so they grow to the largest query a
+    /// thread has evaluated and a warm query allocates nothing.
+    static BUFFERS: RefCell<Buffers> = RefCell::new(Buffers::default());
 }
 
-impl EndpointSweep<'_> {
-    fn at(sweeps: &mut Vec<Self>, site: FragmentId) -> &mut Self {
-        let i = sweeps
-            .iter()
-            .position(|s| s.site == site)
-            .unwrap_or_else(|| {
-                sweeps.push(EndpointSweep {
-                    site,
-                    legs: Vec::new(),
-                    nodes: Vec::new(),
-                    costs: &[],
-                });
-                sweeps.len() - 1
-            });
-        &mut sweeps[i]
-    }
+/// Everything one query's evaluation fills, cleared at its start (see
+/// [`BUFFERS`]).
+#[derive(Debug, Default)]
+struct Buffers {
+    /// The chain ends through each endpoint site, deduplicated.
+    legs: Vec<Leg>,
+    /// Interior memo slots still empty, `[prev, site, next]`.
+    fills: Vec<[FragmentId; 3]>,
+    /// The subqueries' node lists, back to back: `x`, `y`, then each
+    /// subquery's own.
+    nodes: Vec<NodeId>,
+    /// The subqueries, over ranges of `nodes`: one per endpoint site,
+    /// then one per fill.
+    jobs: Vec<Job>,
+    /// The subqueries' costs, back to back in `jobs` order.
+    costs: Vec<Cost>,
+    fold: FoldBuffers,
+}
 
-    fn add_leg(&mut self, other: FragmentId, nodes: &[NodeId]) {
-        if self.legs.iter().all(|(f, _)| *f != other) {
-            let start = self.nodes.len();
-            self.nodes.extend_from_slice(nodes);
-            self.legs.push((other, start..self.nodes.len()));
-        }
-    }
+/// One end of the chains through an endpoint site: the costs between the
+/// query endpoint and the disconnection set shared with `other` — or, for
+/// a chain of one fragment, between `x` and `y`, filed under
+/// `other == site`. Every leg at one site and end is read out of a
+/// single subquery from `x` (or to `y`).
+#[derive(Debug)]
+struct Leg {
+    /// A chain's first fragment (costs from `x`) or its last (to `y`).
+    from_x: bool,
+    site: FragmentId,
+    other: FragmentId,
+    /// Where the leg's costs sit in `Buffers::costs`.
+    costs: Range<usize>,
+}
 
-    fn leg(sweeps: &[Self], site: FragmentId, other: FragmentId) -> &[Cost] {
-        let sweep = sweeps
-            .iter()
-            .find(|s| s.site == site)
-            .expect("every chain end was given a sweep");
-        let (_, range) = sweep
-            .legs
-            .iter()
-            .find(|(f, _)| *f == other)
-            .expect("every chain end was given a leg");
-        &sweep.costs[range.clone()]
-    }
+/// One site subquery over ranges of `Buffers::nodes`.
+#[derive(Debug)]
+struct Job {
+    site: FragmentId,
+    sources: Range<usize>,
+    targets: Range<usize>,
 }
 
 /// Evaluate one query over its fragment chains: the one place a best
@@ -583,29 +522,46 @@ impl EndpointSweep<'_> {
 /// `chains` wins.
 fn evaluate_chains<E: SiteEvaluator>(
     eval: &mut E,
-    chains: &[Vec<FragmentId>],
+    chains: &[Arc<[FragmentId]>],
     (x, y): (NodeId, NodeId),
     on: &mut Evaluation<'_>,
+    buf: &mut Buffers,
     want_waypoints: bool,
 ) -> Option<Option<BestChain>> {
     let planner = on.planner;
+    let Buffers {
+        legs,
+        fills,
+        nodes,
+        jobs,
+        costs,
+        fold: fold_buf,
+    } = buf;
+    legs.clear();
+    fills.clear();
     // What depends on the query: one subquery per distinct first
     // fragment, one per distinct last fragment. What does not: the interior
     // relations, looked up in (and on first use evaluated into) the memos.
-    let (mut starts, mut ends) = (Vec::new(), Vec::new());
-    let mut fills: Vec<[FragmentId; 3]> = Vec::new();
+    let mut add_leg = |from_x, site, other| {
+        if !(legs.iter()).any(|l| (l.from_x, l.site, l.other) == (from_x, site, other)) {
+            legs.push(Leg {
+                from_x,
+                site,
+                other,
+                costs: 0..0,
+            });
+        }
+    };
     for c in chains {
         let (first, last) = (c[0], c[c.len() - 1]);
         if c.len() == 1 {
             // Both endpoints in one fragment: the "junction" is `y`
             // itself, filed under the fragment's own id.
-            EndpointSweep::at(&mut starts, first).add_leg(first, &[y]);
+            add_leg(true, first, first);
             continue;
         }
-        let before_last = c[c.len() - 2];
-        EndpointSweep::at(&mut starts, first).add_leg(c[1], planner.ds_between(first, c[1]));
-        EndpointSweep::at(&mut ends, last)
-            .add_leg(before_last, planner.ds_between(before_last, last));
+        add_leg(true, first, c[1]);
+        add_leg(false, last, c[c.len() - 2]);
         for w in c.windows(3) {
             let slot = [w[0], w[1], w[2]];
             if eval.memo(w[1]).get(w[0], w[2]).is_some() || fills.contains(&slot) {
@@ -615,55 +571,96 @@ fn evaluate_chains<E: SiteEvaluator>(
             }
         }
     }
-    let (xs, ys) = ([x], [y]);
-    let from_x = starts.iter().map(|s| SiteQueryRef {
-        site: s.site,
-        sources: &xs,
-        targets: &s.nodes,
-    });
-    let to_y = ends.iter().map(|s| SiteQueryRef {
-        site: s.site,
-        sources: &s.nodes,
-        targets: &ys,
-    });
-    let interior = fills.iter().map(|&[prev, site, next]| SiteQueryRef {
-        site,
-        sources: planner.ds_between(prev, site),
-        targets: planner.ds_between(site, next),
-    });
-    let queries: Vec<SiteQueryRef<'_>> = from_x.chain(to_y).chain(interior).collect();
+    // One subquery per site and end, over every leg there; a leg's costs
+    // are its nodes' stretch of the subquery's single row (or column).
+    nodes.clear();
+    nodes.extend([x, y]);
+    jobs.clear();
+    let mut evaluated = 0;
+    for i in 0..legs.len() {
+        let (from_x, site) = (legs[i].from_x, legs[i].site);
+        let same_job = |l: &Leg| (l.from_x, l.site) == (from_x, site);
+        if legs[..i].iter().any(same_job) {
+            continue;
+        }
+        let start = nodes.len();
+        for leg in legs[i..].iter_mut().filter(|l| same_job(l)) {
+            let at = evaluated + nodes.len() - start;
+            if leg.other == site {
+                nodes.push(y);
+            } else {
+                nodes.extend_from_slice(planner.ds_between(site, leg.other));
+            }
+            leg.costs = at..evaluated + nodes.len() - start;
+        }
+        let (sources, targets) = if from_x {
+            (0..1, start..nodes.len())
+        } else {
+            (start..nodes.len(), 1..2)
+        };
+        evaluated += nodes.len() - start;
+        jobs.push(Job {
+            site,
+            sources,
+            targets,
+        });
+    }
+    for &[prev, site, next] in fills.iter() {
+        let start = nodes.len();
+        nodes.extend_from_slice(planner.ds_between(prev, site));
+        let mid = nodes.len();
+        nodes.extend_from_slice(planner.ds_between(site, next));
+        jobs.push(Job {
+            site,
+            sources: start..mid,
+            targets: mid..nodes.len(),
+        });
+    }
     if expired(on.deadline) {
         return None;
     }
-    let mut results = eval.eval_sites(&queries, on.qstats);
-    on.bstats.segments_computed += queries.len();
-    let endpoints = starts.len() + ends.len();
-    for (&[prev, site, next], m) in fills.iter().zip(results.drain(endpoints..)) {
-        eval.memo(site).fill(prev, next, m);
-    }
-    for (sweep, m) in starts.iter_mut().chain(&mut ends).zip(&results) {
-        sweep.costs = m.costs();
+    costs.clear();
+    let queries = jobs.iter().map(|j| SiteQueryRef {
+        site: j.site,
+        sources: &nodes[j.sources.clone()],
+        targets: &nodes[j.targets.clone()],
+    });
+    eval.eval_sites(queries, costs, on.qstats);
+    on.bstats.segments_computed += jobs.len();
+    let mut rest = &costs[evaluated..];
+    for (&[prev, site, next], job) in fills.iter().zip(&jobs[jobs.len() - fills.len()..]) {
+        let (rows, cols) = (job.sources.len(), job.targets.len());
+        let (m, later) = rest.split_at(rows * cols);
+        rest = later;
+        eval.memo(site)
+            .fill(prev, next, SegmentMatrix::new(rows, cols, m.to_vec()));
     }
 
-    let mut interiors: Vec<&SegmentMatrix> = Vec::new();
+    let eval: &E = eval;
+    let memo = move |w: &[FragmentId]| {
+        eval.memo(w[1])
+            .get(w[0], w[2])
+            .expect("filled before the fold")
+    };
+    let leg = |from_x, site, other| {
+        let leg = (legs.iter())
+            .find(|l| (l.from_x, l.site, l.other) == (from_x, site, other))
+            .expect("every chain end was given a leg");
+        leg.costs.clone()
+    };
     // A chain's cost if below `bound`, and on request its junctions.
     let mut fold = |c: &[FragmentId], bound: Cost, junctions: Option<&mut Vec<usize>>| {
         if c.len() == 1 {
-            let cost = EndpointSweep::leg(&starts, c[0], c[0])[0];
+            let cost = costs[leg(true, c[0], c[0]).start];
             return (cost < bound).then_some(cost);
         }
-        interiors.clear();
-        interiors.extend(c.windows(3).map(|w| {
-            eval.memo(w[1])
-                .get(w[0], w[2])
-                .expect("filled before the fold")
-        }));
         assemble::fold_chain(
-            EndpointSweep::leg(&starts, c[0], c[1]),
-            &interiors,
-            EndpointSweep::leg(&ends, c[c.len() - 1], c[c.len() - 2]),
+            &costs[leg(true, c[0], c[1])],
+            c.windows(3).map(memo),
+            &costs[leg(false, c[c.len() - 1], c[c.len() - 2])],
             bound,
             junctions,
+            fold_buf,
         )
     };
     let mut best: Option<(Cost, usize)> = None;
@@ -712,8 +709,8 @@ mod tests {
     use super::*;
     use crate::executor::{run_chain, ExecutionMode};
     use crate::local::{augmented_graph, forward_matrix};
+    use crate::planner::tests::{four_fragment_ring, three_fragment_path};
     use ds_graph::{CsrGraph, ScratchDijkstra};
-    use std::sync::Arc;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -726,34 +723,6 @@ mod tests {
             .collect()
     }
 
-    /// Path 0-1-2-3-4-5-6 in three fragments sharing nodes 2 and 4.
-    fn three_fragment_path() -> Fragmentation {
-        Fragmentation::new(
-            7,
-            vec![
-                edges(&[(0, 1), (1, 2)]),
-                edges(&[(2, 3), (3, 4)]),
-                edges(&[(4, 5), (5, 6)]),
-            ],
-            vec![vec![], vec![], vec![]],
-        )
-    }
-
-    /// Ring 0-1-…-7-0 in four fragments, each sharing one node with the
-    /// next: every cross-ring query has a chain each way round.
-    fn four_fragment_ring() -> Fragmentation {
-        Fragmentation::new(
-            8,
-            vec![
-                edges(&[(0, 1)]),
-                edges(&[(1, 2), (2, 3)]),
-                edges(&[(3, 4), (4, 5)]),
-                edges(&[(5, 6), (6, 7), (7, 0)]),
-            ],
-            vec![vec![], vec![], vec![], vec![]],
-        )
-    }
-
     /// Plain forward sweeps over the fragments' own graphs (no shortcuts),
     /// counting the subqueries asked for.
     struct CountingEval {
@@ -763,20 +732,19 @@ mod tests {
     }
 
     impl SiteEvaluator for CountingEval {
-        fn eval_sites(
+        fn eval_sites<'q>(
             &mut self,
-            queries: &[SiteQueryRef<'_>],
+            queries: impl Iterator<Item = SiteQueryRef<'q>>,
+            out: &mut Vec<Cost>,
             stats: &mut QueryStats,
-        ) -> Vec<SegmentMatrix> {
+        ) {
             let mut scratch = ScratchDijkstra::new();
-            queries
-                .iter()
-                .map(|q| {
-                    self.evaluated += 1;
-                    stats.site_queries += 1;
-                    forward_matrix(&self.augmented[q.site], q.sources, q.targets, &mut scratch)
-                })
-                .collect()
+            for q in queries {
+                self.evaluated += 1;
+                stats.site_queries += 1;
+                let m = forward_matrix(&self.augmented[q.site], q.sources, q.targets, &mut scratch);
+                out.extend_from_slice(m.costs());
+            }
         }
 
         fn memo(&self, site: FragmentId) -> &SiteMemo {
@@ -823,22 +791,42 @@ mod tests {
             .min()
     }
 
+    /// Chain sets are the planner's: enumerated once per pair of
+    /// endpoint fragment sets, they outlive the batch that enumerated
+    /// them, as the interior segments do.
     #[test]
     fn batch_planner_caches_chain_sets() {
         let frag = three_fragment_path();
         let planner = Planner::new(&frag, 16, 8, None);
-        let mut bp = BatchPlanner::new(&planner);
-        let (set, reused1) = bp.chains(n(0), n(6)).unwrap();
-        assert_eq!(set.chains, vec![vec![0, 1, 2]]);
-        assert!(!reused1, "first plan computes");
-        let (_, reused2) = bp.chains(n(1), n(5)).unwrap();
-        assert!(reused2, "same fragment pair reuses the chain set");
-        let (_, reused3) = bp.chains(n(0), n(1)).unwrap();
-        assert!(!reused3, "different fragment pair computes");
+        let (set, filled) = planner.chain_set(n(0), n(6)).unwrap();
+        assert_eq!(set.chains, vec![Arc::from([0, 1, 2])]);
+        assert!(filled, "first plan computes");
+        let (again, filled) = planner.chain_set(n(1), n(5)).unwrap();
+        assert!(!filled, "same fragment pair reuses the chain set");
+        assert!(std::ptr::eq(set, again), "the very same set");
+        let (_, filled) = planner.chain_set(n(0), n(1)).unwrap();
+        assert!(filled, "different fragment pair computes");
         assert_eq!(
-            bp.chains(n(0), n(9)).unwrap_err(),
+            planner.chain_set(n(0), n(9)).unwrap_err(),
             ClosureError::NodeNotInAnyFragment(n(9))
         );
+        // A batch reads the table: nothing left to plan for these pairs.
+        let mut eval = counting_eval(&frag, true);
+        let requests = [QueryRequest::new(n(0), n(5)), QueryRequest::new(n(6), n(0))];
+        let batch = run_batch(&planner, &mut eval, &requests);
+        assert_eq!(
+            (batch.stats.plans_computed, batch.stats.plans_reused),
+            (1, 1)
+        );
+        let batch = run_batch(&planner, &mut eval, &requests);
+        assert_eq!(
+            (batch.stats.plans_computed, batch.stats.plans_reused),
+            (0, 2)
+        );
+        assert_eq!(planner.plans_filled(), 3);
+        // An answer's chain is the table's, shared by pointer.
+        let best = batch.answers[0].best_chain.as_ref().unwrap();
+        assert!(Arc::ptr_eq(best, &set.chains[0]));
     }
 
     #[test]
@@ -887,7 +875,11 @@ mod tests {
             assert!(a.stats.enumerated);
             assert_eq!(a.cost, reference_cost(&planner, &eval, n(1), n(4)));
             assert_eq!(a.cost, Some(3));
-            assert_eq!(a.best_chain, Some(vec![0, 1, 2]), "first cheapest chain");
+            assert_eq!(
+                a.best_chain.as_deref(),
+                Some(&[0, 1, 2][..]),
+                "first cheapest chain"
+            );
             // Two sweeps from x (sites 0 and 1), one from y (site 2),
             // three distinct interior slots — [0,3,2] and [1,0,3,2] cross
             // site 3 the same way.
@@ -924,19 +916,19 @@ mod tests {
         let (cost, chain, waypoints) = best_route(&planner, &mut eval, (n(0), n(6)))
             .unwrap()
             .unwrap();
-        assert_eq!((cost, chain), (6, vec![0, 1, 2]));
+        assert_eq!((cost, &chain[..]), (6, &[0, 1, 2][..]));
         assert_eq!(waypoints, vec![n(0), n(2), n(4), n(6)]);
         // An endpoint on a border is its own junction: one waypoint per
         // site boundary all the same, so legs and sites stay aligned.
         let (_, chain, waypoints) = best_route(&planner, &mut eval, (n(2), n(5)))
             .unwrap()
             .unwrap();
-        assert_eq!(chain, vec![0, 1, 2]);
+        assert_eq!(&chain[..], [0, 1, 2]);
         assert_eq!(waypoints, vec![n(2), n(2), n(4), n(5)]);
         let (_, chain, waypoints) = best_route(&planner, &mut eval, (n(0), n(1)))
             .unwrap()
             .unwrap();
-        assert_eq!((chain, waypoints), (vec![0], vec![n(0), n(1)]));
+        assert_eq!((&chain[..], waypoints), (&[0][..], vec![n(0), n(1)]));
         assert!(best_route(&planner, &mut eval, (n(0), n(9))).is_err());
     }
 

@@ -9,13 +9,26 @@
 //! the junction nodes that achieve the minimum (for route
 //! reconstruction).
 
-use std::borrow::Cow;
-
 use ds_graph::{Cost, NodeId, INFINITE_COST};
 use ds_relation::join::compose_min_plus;
 use ds_relation::{PathTuple, Relation};
 
 use crate::local::SegmentMatrix;
+
+/// The working vectors of [`fold_chain`], kept by the caller: once they
+/// have grown to the widest junction folded, a fold allocates nothing.
+#[derive(Debug, Default)]
+pub struct FoldBuffers {
+    /// Costs from `x` to each node of the current junction.
+    at: Vec<Cost>,
+    /// The same at the next junction, while it is being relaxed.
+    next: Vec<Cost>,
+    /// Per interior and exit position, back to back: the entry position
+    /// that reached it cheapest. Only kept when the crossing is asked for.
+    entered: Vec<usize>,
+    /// Where each interior's positions start in `entered`.
+    blocks: Vec<usize>,
+}
 
 /// Fold one chain for one `(x, y)`: `start[j]` is the cost from `x` to
 /// the `j`-th node of the first junction, each interior relation maps the
@@ -29,53 +42,69 @@ use crate::local::SegmentMatrix;
 /// With `junctions`, also reports which node of each junction (by
 /// position in its disconnection set, first junction first) the cheapest
 /// path crosses; among equally cheap crossings the lowest position wins.
-pub fn fold_chain(
+pub fn fold_chain<'m>(
     start: &[Cost],
-    interiors: &[&SegmentMatrix],
+    interiors: impl IntoIterator<Item = &'m SegmentMatrix>,
     end: &[Cost],
     bound: Cost,
     junctions: Option<&mut Vec<usize>>,
+    buf: &mut FoldBuffers,
 ) -> Option<Cost> {
-    let mut at = Cow::Borrowed(start);
-    // Per interior and exit position: the entry position that reached it
-    // cheapest. Only kept when the crossing is asked for.
-    let mut entered: Vec<Vec<usize>> = Vec::new();
+    let FoldBuffers {
+        at,
+        next,
+        entered,
+        blocks,
+    } = buf;
+    entered.clear();
+    blocks.clear();
+    // Until the first interior is folded, the costs at the junction are
+    // `start` itself.
+    let mut folded = false;
     for m in interiors {
-        debug_assert_eq!(m.rows(), at.len());
-        let mut next = vec![INFINITE_COST; m.cols()];
-        let mut from = vec![0; if junctions.is_some() { m.cols() } else { 0 }];
-        for (i, &so_far) in at.iter().enumerate() {
-            if so_far >= bound {
+        let so_far: &[Cost] = if folded { at } else { start };
+        debug_assert_eq!(m.rows(), so_far.len());
+        next.clear();
+        next.resize(m.cols(), INFINITE_COST);
+        let from = entered.len();
+        if junctions.is_some() {
+            blocks.push(from);
+            entered.resize(from + m.cols(), 0);
+        }
+        for (i, &cost) in so_far.iter().enumerate() {
+            if cost >= bound {
                 continue;
             }
             for (j, &step) in m.row(i).iter().enumerate() {
                 // Both terms are at most INFINITE_COST: the sum cannot wrap.
-                if so_far + step < next[j] {
-                    next[j] = so_far + step;
-                    if let Some(f) = from.get_mut(j) {
+                if cost + step < next[j] {
+                    next[j] = cost + step;
+                    if let Some(f) = entered.get_mut(from + j) {
                         *f = i;
                     }
                 }
             }
         }
-        entered.push(from);
-        at = Cow::Owned(next);
+        std::mem::swap(at, next);
+        folded = true;
     }
-    debug_assert_eq!(at.len(), end.len());
+    let so_far: &[Cost] = if folded { at } else { start };
+    debug_assert_eq!(so_far.len(), end.len());
     let (mut best, mut exit) = (bound, 0);
-    for (j, (&so_far, &rest)) in at.iter().zip(end).enumerate() {
-        if so_far + rest < best {
-            (best, exit) = (so_far + rest, j);
+    for (j, (&cost, &rest)) in so_far.iter().zip(end).enumerate() {
+        if cost + rest < best {
+            (best, exit) = (cost + rest, j);
         }
     }
     if best >= bound {
         return None;
     }
     if let Some(out) = junctions {
+        // Walk the crossings back from the exit, last interior first.
         out.clear();
         out.push(exit);
-        for from in entered.iter().rev() {
-            exit = from[exit];
+        for &from in blocks.iter().rev() {
+            exit = entered[from + exit];
             out.push(exit);
         }
         out.reverse();
@@ -133,13 +162,21 @@ mod tests {
 
     #[test]
     fn two_segment_chain_picks_cheaper_junction() {
+        let mut buf = FoldBuffers::default();
         // Junctions 5 and 6; route via 6 is cheaper in total.
         let s1 = seg("s1", &[(0, 5, 1), (0, 6, 2)]);
         let s2 = seg("s2", &[(5, 9, 10), (6, 9, 3)]);
         assert_eq!(chain_cost_refs(&[&s1, &s2], n(0), n(9)), Some(5));
         let mut junctions = Vec::new();
         assert_eq!(
-            fold_chain(&[1, 2], &[], &[10, 3], INFINITE_COST, Some(&mut junctions)),
+            fold_chain(
+                &[1, 2],
+                [],
+                &[10, 3],
+                INFINITE_COST,
+                Some(&mut junctions),
+                &mut buf
+            ),
             Some(5)
         );
         assert_eq!(junctions, vec![1], "crosses the second junction node");
@@ -154,10 +191,11 @@ mod tests {
         assert_eq!(
             fold_chain(
                 &[1, INFINITE_COST],
-                &[],
+                [],
                 &[INFINITE_COST, 1],
                 INFINITE_COST,
-                None
+                None,
+                &mut FoldBuffers::default()
             ),
             None
         );
@@ -174,19 +212,29 @@ mod tests {
         let start = matrix(&rows1, &[0], &[1, 2]);
         let interior = matrix(&rows2, &[1, 2], &[3, 4]);
         let end = matrix(&rows3, &[3, 4], &[9]);
-        let mut junctions = Vec::new();
+        let (mut junctions, mut buf) = (Vec::new(), FoldBuffers::default());
         assert_eq!(
             fold_chain(
                 start.costs(),
-                &[&interior],
+                [&interior],
                 end.costs(),
                 INFINITE_COST,
-                Some(&mut junctions)
+                Some(&mut junctions),
+                &mut buf
             ),
             joined
         );
         assert_eq!(junctions, vec![0, 0], "via node 1, then node 3");
-        let fold = |bound| fold_chain(start.costs(), &[&interior], end.costs(), bound, None);
+        let mut fold = |bound| {
+            fold_chain(
+                start.costs(),
+                [&interior],
+                end.costs(),
+                bound,
+                None,
+                &mut buf,
+            )
+        };
         assert_eq!(
             fold(INFINITE_COST),
             joined,
@@ -197,15 +245,45 @@ mod tests {
     }
 
     #[test]
+    fn junctions_walk_back_through_every_interior() {
+        let rows1 = [(0, 1, 1), (0, 2, 5)];
+        let rows2 = [(1, 3, 5), (1, 4, 1), (2, 3, 1), (2, 4, 9)];
+        let rows3 = [(3, 5, 1), (4, 5, 1), (3, 6, 1), (4, 6, 7)];
+        let rows4 = [(5, 9, 10), (6, 9, 1)];
+        let segs = [&rows1[..], &rows2, &rows3, &rows4].map(|r| seg("s", r));
+        let joined = chain_cost_refs(&segs.each_ref(), n(0), n(9));
+        assert_eq!(joined, Some(8));
+        let start = matrix(&rows1, &[0], &[1, 2]);
+        let second = matrix(&rows2, &[1, 2], &[3, 4]);
+        let third = matrix(&rows3, &[3, 4], &[5, 6]);
+        let end = matrix(&rows4, &[5, 6], &[9]);
+        let (mut junctions, mut buf) = (Vec::new(), FoldBuffers::default());
+        for _ in 0..2 {
+            let cost = fold_chain(
+                start.costs(),
+                [&second, &third],
+                end.costs(),
+                INFINITE_COST,
+                Some(&mut junctions),
+                &mut buf,
+            );
+            assert_eq!(cost, joined);
+            // 0-1-3-6-9 and 0-2-3-6-9 both cost 8: node 1 comes first.
+            assert_eq!(junctions, vec![0, 0, 1], "via 1, 3 and 6");
+        }
+    }
+
+    #[test]
     fn equal_crossings_take_the_lowest_position() {
         let mut junctions = Vec::new();
         assert_eq!(
             fold_chain(
                 &[2, 1, 2],
-                &[],
+                [],
                 &[1, 2, 1],
                 INFINITE_COST,
-                Some(&mut junctions)
+                Some(&mut junctions),
+                &mut FoldBuffers::default()
             ),
             Some(3)
         );
@@ -215,6 +293,10 @@ mod tests {
     #[test]
     fn empty_segment_list() {
         assert_eq!(chain_cost_refs(&[], n(0), n(1)), None);
-        assert_eq!(fold_chain(&[], &[], &[], INFINITE_COST, None), None);
+        let mut buf = FoldBuffers::default();
+        assert_eq!(
+            fold_chain(&[], [], &[], INFINITE_COST, None, &mut buf),
+            None
+        );
     }
 }

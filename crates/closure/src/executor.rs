@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ds_graph::{CsrGraph, ScratchDijkstra};
+use ds_graph::{Cost, CsrGraph, ScratchDijkstra, INFINITE_COST};
 use ds_relation::{PathTuple, Relation};
 
 use crate::local::{forward_matrix, SegmentMatrix};
@@ -58,55 +58,80 @@ pub struct SiteRun {
     pub tuples: usize,
 }
 
-/// Run independent site subqueries with `kernel`, returning each one's
-/// result and accounting in order.
+/// Run independent site subqueries with `kernel`, which appends a
+/// subquery's costs (row-major over its sources and targets) to the
+/// buffer it is handed. Every subquery's costs land in `out`, in order,
+/// and its accounting goes to `record`, in the same order.
 ///
-/// Sequential mode runs every subquery on `scratch`, so a caller that
-/// keeps one scratch across queries performs no per-subquery O(V)
-/// allocations. Parallel mode runs the first subquery there too and gives
-/// every other one a scoped thread with its own fresh scratch (stamped
-/// arrays cannot be shared across threads — exactly as each real site
-/// owns its memory), re-raising a site's panic in the caller with the
-/// site's own payload. So a round of one subquery (every same-fragment
-/// query) spawns nothing, whatever the mode.
-pub(crate) fn run_sites<K>(
-    queries: &[SiteQueryRef<'_>],
+/// Sequential mode runs every subquery on `scratch` straight into `out`,
+/// so a caller that keeps one scratch and one buffer across queries
+/// performs no per-subquery allocation; it reads the clock once per
+/// subquery plus once, a subquery's busy time ending where the next
+/// one's begins. Parallel mode runs the first subquery there too and
+/// gives every other one a scoped thread with its own fresh scratch and
+/// buffer (stamped arrays cannot be shared across threads — exactly as
+/// each real site owns its memory), re-raising a site's panic in the
+/// caller with the site's own payload. So a round of one subquery (every
+/// same-fragment query) spawns nothing, whatever the mode.
+pub(crate) fn run_sites<'q, K>(
+    queries: impl Iterator<Item = SiteQueryRef<'q>>,
     mode: ExecutionMode,
     scratch: &mut ScratchDijkstra,
+    out: &mut Vec<Cost>,
+    mut record: impl FnMut(SiteRun),
     kernel: K,
-) -> Vec<(SegmentMatrix, SiteRun)>
-where
-    K: Fn(&SiteQueryRef<'_>, &mut ScratchDijkstra) -> SegmentMatrix + Sync,
+) where
+    K: Fn(&SiteQueryRef<'_>, &mut ScratchDijkstra, &mut Vec<Cost>) + Sync,
 {
-    let run_one = |q: &SiteQueryRef<'_>, scratch: &mut ScratchDijkstra| {
-        let start = Instant::now();
-        let m = kernel(q, scratch);
+    // One subquery begun at `start`: its accounting, and when it ended.
+    let run_one = |q: &SiteQueryRef<'_>,
+                   scratch: &mut ScratchDijkstra,
+                   out: &mut Vec<Cost>,
+                   start: Instant| {
+        let from = out.len();
+        kernel(q, scratch, out);
+        let end = Instant::now();
         let run = SiteRun {
             site: q.site,
-            busy: start.elapsed(),
-            tuples: m.tuples(),
+            busy: end - start,
+            tuples: out[from..].iter().filter(|&&c| c < INFINITE_COST).count(),
         };
-        (m, run)
+        (run, end)
     };
     if mode == ExecutionMode::Sequential {
-        return queries.iter().map(|q| run_one(q, scratch)).collect();
+        let mut start = Instant::now();
+        for q in queries {
+            let (run, end) = run_one(&q, scratch, out, start);
+            record(run);
+            start = end;
+        }
+        return;
     }
+    let queries: Vec<SiteQueryRef<'q>> = queries.collect();
     let Some((first, rest)) = queries.split_first() else {
-        return Vec::new();
+        return;
     };
     std::thread::scope(|s| {
         let run_one = &run_one;
         let handles: Vec<_> = rest
             .iter()
-            .map(|q| s.spawn(move || run_one(q, &mut ScratchDijkstra::new())))
+            .map(|q| {
+                s.spawn(move || {
+                    let mut costs = Vec::new();
+                    let start = Instant::now();
+                    let (run, _) = run_one(q, &mut ScratchDijkstra::new(), &mut costs, start);
+                    (costs, run)
+                })
+            })
             .collect();
-        let mut runs = Vec::with_capacity(queries.len());
-        runs.push(run_one(first, scratch));
-        runs.extend(handles.into_iter().map(|h| {
-            h.join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-        }));
-        runs
+        record(run_one(first, scratch, out, Instant::now()).0);
+        for h in handles {
+            let (costs, run) = h
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            out.extend_from_slice(&costs);
+            record(run);
+        }
     })
 }
 
@@ -126,14 +151,29 @@ pub fn run_chain(
     mode: ExecutionMode,
     scratch: &mut ScratchDijkstra,
 ) -> (Vec<Relation<PathTuple>>, Vec<SiteRun>) {
-    let queries: Vec<SiteQueryRef<'_>> = chain.queries.iter().map(SiteQuery::as_ref).collect();
-    run_sites(&queries, mode, scratch, |q, scratch| {
-        forward_matrix(&augmented[q.site], q.sources, q.targets, scratch)
-    })
-    .into_iter()
-    .zip(&queries)
-    .map(|((m, run), q)| (m.to_relation(q.sources, q.targets), run))
-    .unzip()
+    let queries = chain.queries.iter().map(SiteQuery::as_ref);
+    let (mut costs, mut runs) = (Vec::new(), Vec::new());
+    run_sites(
+        queries.clone(),
+        mode,
+        scratch,
+        &mut costs,
+        |run| runs.push(run),
+        |q, scratch, out| {
+            let m = forward_matrix(&augmented[q.site], q.sources, q.targets, scratch);
+            out.extend_from_slice(m.costs());
+        },
+    );
+    let mut rest = &costs[..];
+    let segments = queries
+        .map(|q| {
+            let (rows, cols) = (q.sources.len(), q.targets.len());
+            let (mine, later) = rest.split_at(rows * cols);
+            rest = later;
+            SegmentMatrix::new(rows, cols, mine.to_vec()).to_relation(q.sources, q.targets)
+        })
+        .collect();
+    (segments, runs)
 }
 
 #[cfg(test)]
@@ -186,33 +226,56 @@ mod tests {
     #[test]
     fn a_round_of_one_subquery_runs_on_the_callers_scratch() {
         let (aug, chain) = setup();
-        let queries: Vec<SiteQueryRef<'_>> = chain.queries.iter().map(SiteQuery::as_ref).collect();
-        let kernel = |q: &SiteQueryRef<'_>, scratch: &mut ScratchDijkstra| {
-            forward_matrix(&aug[q.site], q.sources, q.targets, scratch)
+        let queries = || chain.queries.iter().map(SiteQuery::as_ref);
+        let kernel = |q: &SiteQueryRef<'_>, scratch: &mut ScratchDijkstra, out: &mut Vec<Cost>| {
+            out.extend_from_slice(
+                forward_matrix(&aug[q.site], q.sources, q.targets, scratch).costs(),
+            )
         };
-        let mut scratch = ScratchDijkstra::new();
-        run_sites(&queries[..1], ExecutionMode::Parallel, &mut scratch, kernel);
+        let (mut scratch, mut out, mut runs) = (ScratchDijkstra::new(), Vec::new(), Vec::new());
+        let mode = ExecutionMode::Parallel;
+        run_sites(
+            queries().take(1),
+            mode,
+            &mut scratch,
+            &mut out,
+            |r| runs.push(r),
+            kernel,
+        );
         assert_eq!(scratch.stats().sweeps, 1, "no thread, no fresh scratch");
-        run_sites(&queries, ExecutionMode::Parallel, &mut scratch, kernel);
+        run_sites(
+            queries(),
+            mode,
+            &mut scratch,
+            &mut out,
+            |r| runs.push(r),
+            kernel,
+        );
         assert_eq!(
             scratch.stats().sweeps,
             2,
             "two sites: the second on a thread"
         );
+        // Costs and accounting in query order, the threaded site's too.
+        assert_eq!(out, [2, 2, 2]);
+        let sites: Vec<usize> = runs.iter().map(|r| r.site).collect();
+        assert_eq!(sites, [0, 0, 1]);
     }
 
     #[test]
     fn a_site_panic_reaches_the_caller_with_its_own_payload() {
         let (aug, chain) = setup();
-        let queries: Vec<SiteQueryRef<'_>> = chain.queries.iter().map(SiteQuery::as_ref).collect();
         let caught = std::panic::catch_unwind(|| {
             run_sites(
-                &queries,
+                chain.queries.iter().map(SiteQuery::as_ref),
                 ExecutionMode::Parallel,
                 &mut ScratchDijkstra::new(),
-                |q, scratch| {
+                &mut Vec::new(),
+                |_| {},
+                |q, scratch, out| {
                     assert_eq!(q.site, 0, "site {} kernel failed", q.site);
-                    forward_matrix(&aug[q.site], q.sources, q.targets, scratch)
+                    let m = forward_matrix(&aug[q.site], q.sources, q.targets, scratch);
+                    out.extend_from_slice(m.costs());
                 },
             )
         });

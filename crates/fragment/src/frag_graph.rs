@@ -17,6 +17,9 @@ pub struct FragmentationGraph {
     /// Sorted `(i, j)` pairs with `i < j`, one per non-empty DS.
     links: Vec<(FragmentId, FragmentId)>,
     adj: Vec<Vec<FragmentId>>,
+    /// Whether the links form a forest, decided once in
+    /// [`FragmentationGraph::new`].
+    acyclic: bool,
 }
 
 impl FragmentationGraph {
@@ -36,7 +39,14 @@ impl FragmentationGraph {
             adj[a].push(b);
             adj[b].push(a);
         }
-        FragmentationGraph { n, links, adj }
+        let mut uf = UnionFind::new(n);
+        let acyclic = links.iter().all(|&(a, b)| uf.union(a, b));
+        FragmentationGraph {
+            n,
+            links,
+            adj,
+            acyclic,
+        }
     }
 
     /// Number of fragments (nodes of G').
@@ -57,8 +67,7 @@ impl FragmentationGraph {
     /// "Loosely connected": the undirected fragmentation graph is a forest.
     /// This is the paper's precondition for the unique-chain property.
     pub fn is_acyclic(&self) -> bool {
-        let mut uf = UnionFind::new(self.n);
-        self.links.iter().all(|&(a, b)| uf.union(a, b))
+        self.acyclic
     }
 
     /// All simple paths (chains of fragments) from `from` to `to`,
@@ -130,7 +139,7 @@ impl FragmentationGraph {
     /// The unique chain between two fragments if the graph is a forest and
     /// they are connected; `None` otherwise. BFS parent-chasing, O(V+E).
     pub fn unique_chain(&self, from: FragmentId, to: FragmentId) -> Option<Vec<FragmentId>> {
-        if !self.is_acyclic() {
+        if !self.acyclic {
             return None;
         }
         if from == to {

@@ -155,13 +155,11 @@ pub(crate) fn process_batch(
     };
 
     // Group the remaining misses by fragment pair. The sharing itself
-    // is order-independent (the batch kernel caches chain plans per
-    // fragment pair for the whole call and reads interior segments
-    // from the snapshot's per-site memos); the sort makes same-pair
-    // queries evaluate back-to-back while their interior relations are
-    // CPU-cache-hot, and makes a
-    // batch's evaluation order independent of client arrival
-    // interleaving.
+    // is order-independent (chain sets come from the planner's table,
+    // interior segments from the snapshot's per-site memos); the sort
+    // makes same-pair queries evaluate back-to-back while their interior
+    // relations are CPU-cache-hot, and makes a batch's evaluation order
+    // independent of client arrival interleaving.
     let planner = snap.planner();
     // Workload recorder: sampled per *request* (not per distinct slot —
     // hot duplicates are exactly the signal), one vertex pair and one
@@ -246,7 +244,7 @@ pub(crate) fn process_batch(
             if let Some(a) = a {
                 if let Some(cache) = &shared.cache {
                     let r = &distinct[slot];
-                    cache.insert(epoch, (r.source, r.target), a.clone());
+                    cache.insert(epoch, (r.source, r.target), &a);
                 }
                 answers_by_slot[slot] = Some(a);
             }

@@ -20,12 +20,18 @@
 //! [`SHARDS`] small mutexes, so concurrent workers rarely contend, and
 //! every critical section is a single hash-map probe or insert — the
 //! shard's map is the only thing that runs its hasher over the key.
+//!
+//! An entry keeps what a later reader is owed — the cost and the winning
+//! chain, which is the planner's own `Arc` — and nothing of how it was
+//! evaluated: a hit did no site work, so it answers with default
+//! [`QueryStats`].
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use ds_closure::QueryAnswer;
-use ds_graph::NodeId;
+use ds_closure::{QueryAnswer, QueryStats};
+use ds_fragment::FragmentId;
+use ds_graph::{Cost, NodeId};
 
 /// Shard count (power of two). 32 shards keep contention negligible for
 /// any plausible worker pool while costing ~one cache line of mutexes.
@@ -44,10 +50,13 @@ fn shard_of(key: (NodeId, NodeId)) -> usize {
     (h >> (u64::BITS - SHARD_BITS)) as usize
 }
 
+/// A cached answer: its cost and best chain.
+type Entry = (Option<Cost>, Option<Arc<[FragmentId]>>);
+
 struct Shard {
     /// The epoch whose answers this shard currently holds.
     epoch: u64,
-    map: HashMap<(NodeId, NodeId), QueryAnswer>,
+    map: HashMap<(NodeId, NodeId), Entry>,
 }
 
 /// A sharded `(query, epoch) -> answer` map, dropped wholesale (lazily,
@@ -85,8 +94,9 @@ impl AnswerCache {
         &self.shards[shard_of(key)]
     }
 
-    /// The answer cached for `key` at `epoch`, if any. A shard left over
-    /// from an older epoch is cleared on first contact with a newer one.
+    /// The answer cached for `key` at `epoch`, if any, with the default
+    /// stats of work not done. A shard left over from an older epoch is
+    /// cleared on first contact with a newer one.
     pub fn get(&self, epoch: u64, key: (NodeId, NodeId)) -> Option<QueryAnswer> {
         let mut shard = ds_fault::lock_unpoisoned(self.shard(key));
         if shard.epoch != epoch {
@@ -98,14 +108,20 @@ impl AnswerCache {
             // contents must not see the newer answers.
             return None;
         }
-        shard.map.get(&key).cloned()
+        let (cost, best_chain) = shard.map.get(&key)?;
+        Some(QueryAnswer {
+            cost: *cost,
+            best_chain: best_chain.clone(),
+            stats: QueryStats::default(),
+        })
     }
 
-    /// Record an answer evaluated at `epoch`. Ignored if the shard has
+    /// Record an answer evaluated at `epoch`, copying its cost and
+    /// sharing its chain only if admitted. Ignored if the shard has
     /// already moved past that epoch (a reader racing a publication) or
     /// is at its per-epoch capacity (the cache is bounded; overwriting
     /// an existing key is always admitted).
-    pub fn insert(&self, epoch: u64, key: (NodeId, NodeId), answer: QueryAnswer) {
+    pub fn insert(&self, epoch: u64, key: (NodeId, NodeId), answer: &QueryAnswer) {
         let mut shard = ds_fault::lock_unpoisoned(self.shard(key));
         if shard.epoch < epoch {
             shard.map.clear();
@@ -114,7 +130,9 @@ impl AnswerCache {
         if shard.epoch == epoch
             && (shard.map.len() < self.per_shard || shard.map.contains_key(&key))
         {
-            shard.map.insert(key, answer);
+            shard
+                .map
+                .insert(key, (answer.cost, answer.best_chain.clone()));
         }
     }
 }
@@ -122,7 +140,6 @@ impl AnswerCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ds_closure::QueryStats;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -136,16 +153,53 @@ mod tests {
         }
     }
 
+    /// A hit gives back what the evaluation found — the cost and the very
+    /// chain, shared — and none of the work it did.
+    #[test]
+    fn a_hit_returns_the_evaluated_cost_and_chain_with_default_stats() {
+        let cache = AnswerCache::new(1024);
+        let chain: Arc<[FragmentId]> = Arc::from([2, 0, 1]);
+        let evaluated = QueryAnswer {
+            cost: Some(11),
+            best_chain: Some(Arc::clone(&chain)),
+            stats: QueryStats {
+                chains_evaluated: 3,
+                site_queries: 4,
+                tuples_shipped: 5,
+                enumerated: true,
+                ..QueryStats::default()
+            },
+        };
+        cache.insert(0, (n(1), n(2)), &evaluated);
+        let hit = cache.get(0, (n(1), n(2))).unwrap();
+        assert_eq!(hit.cost, Some(11));
+        assert!(Arc::ptr_eq(hit.best_chain.as_ref().unwrap(), &chain));
+        let QueryStats {
+            chains_evaluated,
+            site_queries,
+            tuples_shipped,
+            max_site_busy,
+            total_site_busy,
+            enumerated,
+        } = hit.stats;
+        assert_eq!((chains_evaluated, site_queries, tuples_shipped), (0, 0, 0));
+        assert!(max_site_busy.is_zero() && total_site_busy.is_zero() && !enumerated);
+        // An unreachable answer is cached as one.
+        cache.insert(0, (n(2), n(1)), &QueryAnswer::unreachable());
+        let miss = cache.get(0, (n(2), n(1))).unwrap();
+        assert_eq!((miss.cost, miss.best_chain), (None, None));
+    }
+
     #[test]
     fn hit_within_an_epoch_miss_across() {
         let cache = AnswerCache::new(1024);
         assert!(cache.get(0, (n(1), n(2))).is_none(), "cold");
-        cache.insert(0, (n(1), n(2)), answer(7));
+        cache.insert(0, (n(1), n(2)), &answer(7));
         assert_eq!(cache.get(0, (n(1), n(2))).unwrap().cost, Some(7));
         // Epoch moved: the old answer is gone, not served.
         assert!(cache.get(1, (n(1), n(2))).is_none());
         // And the shard has been repurposed for the new epoch.
-        cache.insert(1, (n(1), n(2)), answer(5));
+        cache.insert(1, (n(1), n(2)), &answer(5));
         assert_eq!(cache.get(1, (n(1), n(2))).unwrap().cost, Some(5));
     }
 
@@ -157,7 +211,7 @@ mod tests {
     fn full_shards_stop_admitting_within_an_epoch() {
         let cache = AnswerCache::new(SHARDS); // one entry per shard
         for i in 0..200u32 {
-            cache.insert(0, (n(i), n(i + 1)), answer(i as u64));
+            cache.insert(0, (n(i), n(i + 1)), &answer(i as u64));
         }
         let cached = (0..200u32)
             .filter(|&i| cache.get(0, (n(i), n(i + 1))).is_some())
@@ -168,10 +222,10 @@ mod tests {
         let hit = (0..200u32)
             .find(|&i| cache.get(0, (n(i), n(i + 1))).is_some())
             .unwrap();
-        cache.insert(0, (n(hit), n(hit + 1)), answer(999));
+        cache.insert(0, (n(hit), n(hit + 1)), &answer(999));
         assert_eq!(cache.get(0, (n(hit), n(hit + 1))).unwrap().cost, Some(999));
         // A new epoch clears the shards and admits fresh entries again.
-        cache.insert(1, (n(500), n(501)), answer(1));
+        cache.insert(1, (n(500), n(501)), &answer(1));
         assert_eq!(cache.get(1, (n(500), n(501))).unwrap().cost, Some(1));
     }
 
@@ -207,8 +261,8 @@ mod tests {
     #[test]
     fn stale_reader_cannot_poison_a_newer_epoch() {
         let cache = AnswerCache::new(1024);
-        cache.insert(3, (n(1), n(2)), answer(9)); // shard now at epoch 3
-        cache.insert(2, (n(1), n(2)), answer(1)); // stale insert: dropped
+        cache.insert(3, (n(1), n(2)), &answer(9)); // shard now at epoch 3
+        cache.insert(2, (n(1), n(2)), &answer(1)); // stale insert: dropped
         assert_eq!(cache.get(3, (n(1), n(2))).unwrap().cost, Some(9));
         // A stale reader gets a miss, never the newer answer.
         assert!(cache.get(2, (n(1), n(2))).is_none());

@@ -384,18 +384,19 @@ fn batch_stats_amortization_exact_counts() {
             s.amortization()
         );
 
-        // The interior segment outlives the batch that evaluated it: a
-        // later single query plans afresh but sweeps its two endpoints
-        // only — amortization 1 / (1 + 2 + 1).
+        // The plan and the interior segment outlive the batch that
+        // evaluated them: a later single query reads both and runs its two
+        // endpoint subqueries only — amortization (1 + 1) / (1 + 1 + 2).
         let single = sys.query_batch(&[QueryRequest::new(n(0), n(6))]);
-        assert_eq!(single.stats.plans_computed, 1, "{name}");
-        assert_eq!(single.stats.plans_reused, 0, "{name}");
+        assert_eq!(single.stats.plans_computed, 0, "{name}");
+        assert_eq!(single.stats.plans_reused, 1, "{name}");
         assert_eq!(single.stats.segments_computed, 2, "{name}");
         assert_eq!(single.stats.segments_reused, 1, "{name}");
-        assert_eq!(single.stats.amortization(), 0.25, "{name}");
+        assert_eq!(single.stats.amortization(), 0.5, "{name}");
 
         // An update to the middle fragment empties that site's memo; the
-        // next query evaluates the interior segment again.
+        // next query evaluates the interior segment again. Node sets did
+        // not change, so its plan is still the one enumerated above.
         sys.update(&NetworkUpdate::Insert {
             edge: Edge::new(n(2), n(4), 5),
             owner: 1,
@@ -403,6 +404,7 @@ fn batch_stats_amortization_exact_counts() {
         .unwrap();
         let after = sys.query_batch(&[QueryRequest::new(n(0), n(6))]);
         assert_eq!(after.answers[0].cost, Some(6), "{name}");
+        assert_eq!(after.stats.plans_computed, 0, "{name}");
         assert_eq!(after.stats.segments_computed, 3, "{name}");
         assert_eq!(after.stats.segments_reused, 0, "{name}");
 
