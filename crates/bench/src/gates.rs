@@ -23,6 +23,27 @@ pub fn exact_count(what: &str, expected: u64, counted: u64) -> Result<(), String
     }
 }
 
+/// Every acknowledged write was logged exactly once, and group commit
+/// folded at least two records into one fsync somewhere in the run.
+pub fn group_commit(
+    what: &str,
+    acknowledged: u64,
+    records: u64,
+    commits: u64,
+) -> Result<(), String> {
+    if records != acknowledged {
+        Err(format!(
+            "{what}: {records} WAL records for {acknowledged} acknowledged writes"
+        ))
+    } else if commits >= records {
+        Err(format!(
+            "{what}: {commits} group commits for {records} records, none folded two"
+        ))
+    } else {
+        Ok(())
+    }
+}
+
 /// What one full-closure materialization ran, beside the shape of the
 /// fragmentation it ran on.
 #[derive(Clone, Debug)]
@@ -126,6 +147,18 @@ mod tests {
             let want = format!("reach/dijkstra/sweeps: counted {doctored}, expected exactly 64");
             assert_eq!(failure, Err(want));
         }
+    }
+
+    #[test]
+    fn group_commit_needs_every_write_logged_once_and_one_fold() {
+        assert_eq!(group_commit("wal/seed-1", 1920, 1920, 700), Ok(()));
+        // A write acknowledged but not logged, one logged twice, and a
+        // run in which every record paid its own fsync.
+        let lost = group_commit("wal/seed-1", 1920, 1919, 700);
+        assert!(lost.is_err_and(|e| e.contains("1919 WAL records for 1920 acknowledged")));
+        assert!(group_commit("wal/seed-1", 1920, 1921, 700).is_err());
+        let unfolded = group_commit("wal/seed-1", 1920, 1920, 1920);
+        assert!(unfolded.is_err_and(|e| e.contains("1920 group commits for 1920 records")));
     }
 
     #[test]

@@ -182,8 +182,8 @@ pub trait TcEngine {
 
     /// Per-phase timing of the pre-processing that deployed this engine
     /// (the paper's dominant cost): local sweeps, skeleton closure, table
-    /// assembly. After a fallback full recompute, reflects the latest
-    /// recompute.
+    /// assembly. After a maintenance fallback, reflects that fallback's
+    /// precompute (whose local sweeps cover the stale fragments only).
     fn precompute_stats(&self) -> PrecomputeStats;
 
     /// An immutable, `Send + Sync` snapshot of this engine's current

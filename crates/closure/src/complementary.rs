@@ -36,6 +36,17 @@
 //!    materialized eagerly; they are stitched on demand from the
 //!    skeleton hops and the fragment-local parent trees of step 1.
 //!
+//! Step 1's output is kept per fragment, behind its own `Arc`: the
+//! skeleton edges its sweeps realize (and, with paths, their parent
+//! trees). An effective edit marks *stale* every fragment whose node set
+//! holds both of its endpoints — the sweeps run on the induced subgraph of
+//! the global graph, so each such fragment sees the edge, not only its
+//! owner. A maintenance fallback ([`crate::updates`]) then re-sweeps the
+//! stale fragments alone, re-closes the skeleton and re-assembles the
+//! tables; a site whose table comes out unchanged keeps its `Arc`. The
+//! build is the same routine with every fragment stale: there is one
+//! precompute path.
+//!
 //! Exactness: every global edge belongs to exactly one fragment and both
 //! its endpoints lie in that fragment's node set, so any global shortest
 //! path between border nodes decomposes at its border-node visits into
@@ -76,7 +87,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ds_fragment::Fragmentation;
+use ds_fragment::{FragmentId, Fragmentation};
 use ds_graph::{
     dijkstra, Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, SubgraphView, INFINITE_COST,
 };
@@ -150,15 +161,91 @@ struct FragTrees {
     parents: Vec<Vec<u32>>,
 }
 
+impl FragTrees {
+    fn memory_bytes(&self) -> usize {
+        let ids = std::mem::size_of::<NodeId>();
+        let trees: usize = self.parents.iter().map(|p| p.capacity()).sum();
+        self.view.graph().memory_bytes()
+            + (self.view.len() + self.borders.capacity()) * ids
+            + trees * std::mem::size_of::<u32>()
+    }
+}
+
+/// One fragment's local-sweep output, kept until an edit changes the
+/// fragment's induced subgraph: the skeleton edges its sweeps realize
+/// and, when paths are stored, the parent trees they left.
+#[derive(Clone, Debug, Default)]
+struct LocalSweeps {
+    edges: Vec<SkelEdge>,
+    trees: Option<FragTrees>,
+}
+
+impl LocalSweeps {
+    fn memory_bytes(&self) -> usize {
+        self.edges.capacity() * std::mem::size_of::<SkelEdge>()
+            + self.trees.as_ref().map_or(0, FragTrees::memory_bytes)
+    }
+}
+
+/// What the fragmentation's node sets fix — and no update changes a node
+/// set — derived once by [`ComplementaryInfo::compute`] and shared by
+/// every epoch of the lineage.
+#[derive(Clone, Debug)]
+struct Layout {
+    /// Every border node, ascending; index = skeleton id.
+    borders: Vec<NodeId>,
+    /// Per site, the groups of borders whose pairs get a tuple (see
+    /// `site_border_sets`).
+    groups: Vec<Vec<Vec<NodeId>>>,
+    /// Per site, the skeleton id of each border of its table, in table
+    /// order.
+    at: Vec<Vec<usize>>,
+    /// Per skeleton node, the skeleton nodes its closure sweep must
+    /// settle: its partners in some site group — the pairs the tables
+    /// store.
+    targets: Vec<Vec<u32>>,
+}
+
+impl Layout {
+    fn new(frag: &Fragmentation, scope: ComplementaryScope) -> Self {
+        let (groups, borders) = site_border_sets(frag, scope);
+        let mut target_sets: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); borders.len()];
+        for group in groups.iter().flatten() {
+            let idx: Vec<u32> = group.iter().map(|v| position(&borders, v) as u32).collect();
+            for &u in &idx {
+                let partners = idx.iter().filter(|&&v| v != u);
+                target_sets[u as usize].extend(partners);
+            }
+        }
+        let at = (groups.iter())
+            .map(|g| {
+                (table_borders(g).iter())
+                    .map(|v| position(&borders, v))
+                    .collect()
+            })
+            .collect();
+        Layout {
+            borders,
+            groups,
+            at,
+            targets: target_sets
+                .into_iter()
+                .map(|s| s.into_iter().collect())
+                .collect(),
+        }
+    }
+}
+
 /// Lazy path storage for the skeleton strategy: shortcut routes are
 /// stitched from skeleton hops and fragment-local parent trees on
 /// demand. `overrides` holds routes replaced by update maintenance
 /// (which must not consult the stale build-time trees).
 #[derive(Clone, Debug)]
 struct SkeletonPaths {
-    /// Sorted global border ids; index = skeleton id.
-    borders: Vec<NodeId>,
-    frags: Vec<FragTrees>,
+    /// The border list (index = skeleton id).
+    layout: Arc<Layout>,
+    /// Per fragment, the sweeps whose trees expand its skeleton hops.
+    frags: Vec<Arc<LocalSweeps>>,
     edges: Vec<SkelEdge>,
     /// `via[s][t]` — index into `edges` of the skeleton edge that settles
     /// `t` in the closure sweep rooted at `s` (`u32::MAX` = none).
@@ -171,8 +258,9 @@ impl SkeletonPaths {
         if let Some(p) = self.overrides.get(&(u, v)) {
             return Some(p.clone());
         }
-        let su = self.borders.binary_search(&u).ok()?;
-        let sv = self.borders.binary_search(&v).ok()?;
+        let borders = &self.layout.borders;
+        let su = borders.binary_search(&u).ok()?;
+        let sv = borders.binary_search(&v).ok()?;
         if su == sv {
             // Self-pairs are never stored as shortcuts; answer exactly
             // like the eager (global-sweep) store does.
@@ -195,9 +283,10 @@ impl SkeletonPaths {
         // Expand each hop inside its providing fragment.
         let mut out = vec![u];
         for e in hops {
-            let ft = &self.frags[e.frag as usize];
-            let src_global = self.borders[e.src as usize];
-            let dst_global = self.borders[e.dst as usize];
+            let ft = (self.frags[e.frag as usize].trees.as_ref())
+                .expect("a fragment that realizes a skeleton edge kept its trees");
+            let src_global = borders[e.src as usize];
+            let dst_global = borders[e.dst as usize];
             let bi = ft
                 .borders
                 .binary_search(&src_global)
@@ -275,13 +364,7 @@ impl BorderTable {
     /// borders covers every pair; several — one per adjacent
     /// disconnection set — leave the cross-set pairs out.
     fn for_groups(groups: &[Vec<NodeId>]) -> Self {
-        let borders: Vec<NodeId> = match groups {
-            [all] => all.clone(),
-            _ => (groups.iter().flatten().copied())
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .collect(),
-        };
+        let borders = table_borders(groups);
         let nb = borders.len();
         let mut costs = vec![INFINITE_COST; nb * nb];
         for i in 0..nb {
@@ -358,32 +441,32 @@ impl BorderTable {
 }
 
 /// The precomputed complementary information: one [`BorderTable`] per
-/// site.
+/// site, plus what a fallback needs to redo only part of the precompute.
 ///
 /// Every table lives behind its own [`Arc`], which the site's evaluation
-/// state holds too. Cloning the whole structure (the serve writer's
-/// per-epoch copy-on-write publication) costs one refcount bump per site,
-/// and update maintenance — which goes through [`Arc::make_mut`] —
-/// detaches only the tables it actually changes. Untouched sites stay
-/// pointer-shared with every previous epoch (asserted by the
-/// structural-sharing property in `tests/properties.rs`).
+/// state holds too; so does every fragment's local-sweep output. Cloning
+/// the whole structure (the serve writer's per-epoch copy-on-write
+/// publication) costs a few refcount bumps per site, and update
+/// maintenance — which goes through [`Arc::make_mut`], or replaces a
+/// table only when its entries changed — detaches only the tables it
+/// actually changes. Untouched sites stay pointer-shared with every
+/// previous epoch (asserted by the structural-sharing property in
+/// `tests/properties.rs`).
 #[derive(Clone, Debug)]
 pub struct ComplementaryInfo {
     tables: Vec<Arc<BorderTable>>,
+    /// Per fragment, the output of its latest local sweeps; `None` while
+    /// the fragment is *stale* — an edit changed its induced subgraph
+    /// since (or it was never swept).
+    local: Vec<Option<Arc<LocalSweeps>>>,
+    layout: Arc<Layout>,
     /// Concrete global paths backing each shortcut (for route
     /// reconstruction), when requested. One shared block: path lookups
     /// are read-mostly, and maintenance detaches it at most once per
     /// epoch via `Arc::make_mut`.
     paths: Option<Arc<PathData>>,
-    /// Number of distinct border nodes.
-    border_count: usize,
+    store_paths: bool,
     stats: PrecomputeStats,
-}
-
-/// Output of the local-sweep phase for one fragment.
-struct LocalSweepOut {
-    edges: Vec<SkelEdge>,
-    trees: Option<FragTrees>,
 }
 
 /// Run the local border sweeps of one fragment: from each border node,
@@ -396,7 +479,7 @@ fn local_sweeps_for_fragment(
     borders: &[NodeId],
     store_trees: bool,
     scratch: &mut ScratchDijkstra,
-) -> LocalSweepOut {
+) -> LocalSweeps {
     // The fragment's border nodes: its node set ∩ the global border set
     // (both sorted).
     let nodes = frag.fragment(f).nodes();
@@ -406,10 +489,7 @@ fn local_sweeps_for_fragment(
         .filter(|v| borders.binary_search(v).is_ok())
         .collect();
     if fborders.is_empty() {
-        return LocalSweepOut {
-            edges: Vec::new(),
-            trees: None,
-        };
+        return LocalSweeps::default();
     }
     let view = SubgraphView::induced(graph, nodes);
     let local_borders: Vec<NodeId> = fborders
@@ -467,26 +547,30 @@ fn local_sweeps_for_fragment(
         borders: fborders,
         parents,
     });
-    LocalSweepOut { edges, trees }
+    LocalSweeps { edges, trees }
 }
 
-/// Close the skeleton graph: Dijkstra per skeleton node over adjacency
-/// lists that remember the realizing edge index. `targets[s]` lists the
-/// skeleton nodes whose distance from `s` the shortcut tables actually
-/// need (the borders sharing a site group with `s`); each sweep stops as
-/// soon as all of them are settled. Returns the distance matrix and,
-/// when requested, the `via` edge matrix for path stitching — rows are
-/// final for every settled node, which includes every needed pair and
-/// every intermediate skeleton hop on their paths.
+/// Close the skeleton graph: Dijkstra per skeleton node over `edges`
+/// (sorted by source), remembering the realizing edge index.
+/// `targets[s]` lists the skeleton nodes whose distance from `s` the
+/// shortcut tables actually need (the borders sharing a site group with
+/// `s`); each sweep stops as soon as all of them are settled. Returns the
+/// distance matrix and, when requested, the `via` edge matrix for path
+/// stitching — rows are final for every settled node, which includes
+/// every needed pair and every intermediate skeleton hop on their paths.
 fn close_skeleton(
     border_count: usize,
     edges: &[SkelEdge],
     targets: &[Vec<u32>],
     want_via: bool,
 ) -> (Vec<Vec<Cost>>, Vec<Vec<u32>>) {
-    let mut adj: Vec<Vec<(u32, Cost, u32)>> = vec![Vec::new(); border_count];
-    for (i, e) in edges.iter().enumerate() {
-        adj[e.src as usize].push((e.dst, e.cost, i as u32));
+    // `edges` is sorted by source: a node's out-edges are one range.
+    let mut offsets = vec![0usize; border_count + 1];
+    for e in edges {
+        offsets[e.src as usize + 1] += 1;
+    }
+    for i in 0..border_count {
+        offsets[i + 1] += offsets[i];
     }
     let mut dist_matrix = Vec::with_capacity(border_count);
     let mut via_matrix = Vec::with_capacity(if want_via { border_count } else { 0 });
@@ -526,12 +610,13 @@ fn close_skeleton(
                     break;
                 }
             }
-            for &(t, w, idx) in &adj[v as usize] {
-                let nd = d + w;
-                if nd < dist[t as usize] {
-                    dist[t as usize] = nd;
-                    via[t as usize] = idx;
-                    heap.push(std::cmp::Reverse((nd, t)));
+            let (lo, hi) = (offsets[v as usize], offsets[v as usize + 1]);
+            for (idx, e) in (lo..hi).zip(&edges[lo..hi]) {
+                let nd = d + e.cost;
+                if nd < dist[e.dst as usize] {
+                    dist[e.dst as usize] = nd;
+                    via[e.dst as usize] = idx as u32;
+                    heap.push(std::cmp::Reverse((nd, e.dst)));
                 }
             }
         }
@@ -553,15 +638,26 @@ fn position(borders: &[NodeId], v: &NodeId) -> usize {
     borders.binary_search(v).expect("a border of the list")
 }
 
+/// The borders of a site's table: the union of its groups, ascending.
+fn table_borders(groups: &[Vec<NodeId>]) -> Vec<NodeId> {
+    match groups {
+        [all] => all.clone(),
+        _ => (groups.iter().flatten().copied())
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect(),
+    }
+}
+
 /// The assemble phase of either strategy: per site, the table over the
 /// union of its border groups, each ordered pair of each group filled
 /// from `dist`, which is asked by position in `all_borders` (sorted).
-fn assemble_tables(
-    site_groups: &[Vec<Vec<NodeId>>],
-    all_borders: &[NodeId],
-    dist: impl Fn(usize, usize) -> Cost,
-) -> Vec<Arc<BorderTable>> {
-    let tables = site_groups.iter().map(|groups| {
+fn assemble_tables<'a>(
+    site_groups: &'a [Vec<Vec<NodeId>>],
+    all_borders: &'a [NodeId],
+    dist: impl Fn(usize, usize) -> Cost + 'a,
+) -> impl Iterator<Item = BorderTable> + 'a {
+    site_groups.iter().map(move |groups| {
         let mut table = BorderTable::for_groups(groups);
         for group in groups {
             // Per member: where it sits in the table, and in `all_borders`.
@@ -575,9 +671,8 @@ fn assemble_tables(
                 }
             }
         }
-        Arc::new(table)
-    });
-    tables.collect()
+        table
+    })
 }
 
 impl ComplementaryInfo {
@@ -594,29 +689,62 @@ impl ComplementaryInfo {
         scope: ComplementaryScope,
         store_paths: bool,
     ) -> Self {
-        let (per_site_borders, borders) = site_border_sets(frag, scope);
+        let mut comp = ComplementaryInfo::unswept(frag, scope, store_paths);
+        comp.refresh(graph, frag, &mut ScratchDijkstra::new());
+        comp
+    }
 
-        // Phase 1: fragment-local border sweeps.
+    /// No table and no sweep yet: every fragment stale.
+    fn unswept(frag: &Fragmentation, scope: ComplementaryScope, store_paths: bool) -> Self {
+        let n = frag.fragment_count();
+        ComplementaryInfo {
+            tables: Vec::new(),
+            local: vec![None; n],
+            layout: Arc::new(Layout::new(frag, scope)),
+            paths: None,
+            store_paths,
+            stats: PrecomputeStats::default(),
+        }
+    }
+
+    /// The precompute over the stale fragments: re-sweep each locally
+    /// (phase 1), close the skeleton of every fragment's kept sweeps
+    /// (phase 2) and assemble every table (phase 3), rebuilding the lazy
+    /// path structure as a build does. A site whose table comes out as it
+    /// was keeps its `Arc`; returns the sites whose table changed (every
+    /// site on the first call). The sweeps run on `scratch`.
+    pub(crate) fn refresh(
+        &mut self,
+        graph: &CsrGraph,
+        frag: &Fragmentation,
+        scratch: &mut ScratchDijkstra,
+    ) -> Vec<FragmentId> {
+        let layout = Arc::clone(&self.layout);
+
+        // Phase 1: fragment-local border sweeps, stale fragments only.
         let t0 = Instant::now();
-        let mut scratch = ScratchDijkstra::new();
-        let mut skel_edges: Vec<SkelEdge> = Vec::new();
-        let mut frag_trees: Vec<FragTrees> = Vec::new();
-        for f in 0..frag.fragment_count() {
-            let mut out =
-                local_sweeps_for_fragment(graph, frag, f, &borders, store_paths, &mut scratch);
-            skel_edges.append(&mut out.edges);
-            if store_paths {
-                frag_trees.push(out.trees.take().unwrap_or_else(|| FragTrees {
-                    view: SubgraphView::induced(graph, &[]),
-                    borders: Vec::new(),
-                    parents: Vec::new(),
-                }));
-            }
+        let mut local = Vec::with_capacity(self.local.len());
+        for (f, kept) in self.local.iter_mut().enumerate() {
+            let swept = kept.get_or_insert_with(|| {
+                let out = local_sweeps_for_fragment(
+                    graph,
+                    frag,
+                    f,
+                    &layout.borders,
+                    self.store_paths,
+                    scratch,
+                );
+                Arc::new(out)
+            });
+            local.push(Arc::clone(swept));
         }
         // Every fragment containing both endpoints realizes a direct
         // border-border edge (induced subgraphs overlap on borders), so
         // parallel skeleton edges are common: keep only the cheapest per
         // (src, dst) — the sort makes the choice deterministic.
+        let mut skel_edges: Vec<SkelEdge> = (local.iter())
+            .flat_map(|l| l.edges.iter().copied())
+            .collect();
         skel_edges.sort_by_key(|e| (e.src, e.dst, e.cost, e.frag));
         skel_edges.dedup_by_key(|e| (e.src, e.dst));
         let local_sweeps_ns = t0.elapsed().as_nanos() as u64;
@@ -624,65 +752,71 @@ impl ComplementaryInfo {
         // Phase 2: close the border skeleton. Each closure sweep needs
         // only the source's group partners — the pairs the tables store.
         let t1 = Instant::now();
-        let mut target_sets: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); borders.len()];
-        for groups in &per_site_borders {
-            for group in groups {
-                let idx: Vec<u32> = group.iter().map(|v| position(&borders, v) as u32).collect();
-                for &u in &idx {
-                    for &v in &idx {
-                        if u != v {
-                            target_sets[u as usize].insert(v);
-                        }
-                    }
-                }
-            }
-        }
-        let closure_targets: Vec<Vec<u32>> = target_sets
-            .into_iter()
-            .map(|s| s.into_iter().collect())
-            .collect();
-        let (dist_matrix, via) =
-            close_skeleton(borders.len(), &skel_edges, &closure_targets, store_paths);
+        let (dist_matrix, via) = close_skeleton(
+            layout.borders.len(),
+            &skel_edges,
+            &layout.targets,
+            self.store_paths,
+        );
         let skeleton_close_ns = t1.elapsed().as_nanos() as u64;
 
         // Phase 3: assemble the per-site tables from the closed skeleton.
         let t2 = Instant::now();
-        let tables = assemble_tables(&per_site_borders, &borders, |u, v| dist_matrix[u][v]);
+        let mut changed = Vec::new();
+        let tables = assemble_tables(&layout.groups, &layout.borders, |u, v| dist_matrix[u][v]);
+        for (f, table) in tables.enumerate() {
+            match self.tables.get_mut(f) {
+                Some(kept) if **kept == table => continue,
+                Some(kept) => *kept = Arc::new(table),
+                None => self.tables.push(Arc::new(table)),
+            }
+            changed.push(f);
+        }
         let assemble_ns = t2.elapsed().as_nanos() as u64;
 
-        let border_count = borders.len();
-        let paths = store_paths.then(|| {
+        self.paths = self.store_paths.then(|| {
             Arc::new(PathData::Lazy(SkeletonPaths {
-                borders,
-                frags: frag_trees,
+                layout,
+                frags: local,
                 edges: skel_edges,
                 via,
                 overrides: HashMap::new(),
             }))
         });
-        ComplementaryInfo {
-            tables,
-            paths,
-            border_count,
-            stats: PrecomputeStats {
-                strategy: PrecomputeStrategy::Skeleton,
-                local_sweeps_ns,
-                skeleton_close_ns,
-                assemble_ns,
-            },
+        self.stats = PrecomputeStats {
+            strategy: PrecomputeStrategy::Skeleton,
+            local_sweeps_ns,
+            skeleton_close_ns,
+            assemble_ns,
+        };
+        changed
+    }
+
+    /// Mark stale every fragment an effective edit between `u` and `v`
+    /// reaches: each whose node set holds both endpoints, because its
+    /// local sweeps ran on the induced subgraph of the global graph —
+    /// which holds the edge whichever fragment owns it.
+    pub(crate) fn mark_stale(&mut self, frag: &Fragmentation, u: NodeId, v: NodeId) {
+        for f in frag.fragments() {
+            if f.contains_node(u) && f.contains_node(v) {
+                self.local[f.id()] = None;
+            }
         }
     }
 
     /// The reference precompute: one whole-graph Dijkstra per border
     /// node, paths materialized eagerly. Produces tables identical to
-    /// [`ComplementaryInfo::compute`]; kept for equivalence tests.
+    /// [`ComplementaryInfo::compute`]; kept for equivalence tests. It
+    /// keeps no local sweeps, so every fragment stays stale.
     pub fn compute_global_sweep(
         graph: &CsrGraph,
         frag: &Fragmentation,
         scope: ComplementaryScope,
         store_paths: bool,
     ) -> Self {
-        let (per_site_borders, border_list) = site_border_sets(frag, scope);
+        let mut comp = ComplementaryInfo::unswept(frag, scope, store_paths);
+        let layout = Arc::clone(&comp.layout);
+        let border_list = &layout.borders;
 
         // One global Dijkstra per border node, reused across all sets the
         // node appears in.
@@ -694,32 +828,28 @@ impl ComplementaryInfo {
         let local_sweeps_ns = t0.elapsed().as_nanos() as u64;
 
         let t2 = Instant::now();
-        let tables = assemble_tables(&per_site_borders, &border_list, |u, v| {
+        let tables = assemble_tables(&layout.groups, border_list, |u, v| {
             dist_from[u].cost(border_list[v]).unwrap_or(INFINITE_COST)
         });
-        let paths = store_paths.then(|| {
+        comp.tables = tables.map(Arc::new).collect();
+        comp.paths = store_paths.then(|| {
             let mut paths = HashMap::new();
-            for e in tables.iter().flat_map(|t| t.edges()) {
+            for e in comp.tables.iter().flat_map(|t| t.edges()) {
                 paths.entry((e.src, e.dst)).or_insert_with(|| {
-                    let from = position(&border_list, &e.src);
+                    let from = position(border_list, &e.src);
                     dist_from[from].path_to(e.dst).expect("cost is finite")
                 });
             }
             Arc::new(PathData::Eager(paths))
         });
         let assemble_ns = t2.elapsed().as_nanos() as u64;
-
-        ComplementaryInfo {
-            tables,
-            paths,
-            border_count: border_list.len(),
-            stats: PrecomputeStats {
-                strategy: PrecomputeStrategy::GlobalSweep,
-                local_sweeps_ns,
-                skeleton_close_ns: 0,
-                assemble_ns,
-            },
-        }
+        comp.stats = PrecomputeStats {
+            strategy: PrecomputeStrategy::GlobalSweep,
+            local_sweeps_ns,
+            skeleton_close_ns: 0,
+            assemble_ns,
+        };
+        comp
     }
 
     /// Site `f`'s table, behind the handle its [`crate::local::Site`]
@@ -736,8 +866,9 @@ impl ComplementaryInfo {
         self.tables[f].edges()
     }
 
-    /// A deep copy that shares nothing with `self`: every per-site table
-    /// (and the path store) gets a fresh allocation. This is what a full
+    /// A deep copy that shares nothing with `self`: every per-site table,
+    /// every fragment's kept sweeps and the path store get a fresh
+    /// allocation. This is what a full
     /// per-epoch snapshot copy used to cost before structural sharing —
     /// kept as the baseline of the publication-cost bench, and useful to
     /// detach a snapshot from a shared lineage entirely.
@@ -748,8 +879,12 @@ impl ComplementaryInfo {
                 .iter()
                 .map(|t| Arc::new((**t).clone()))
                 .collect(),
+            local: (self.local.iter())
+                .map(|l| l.as_ref().map(|l| Arc::new((**l).clone())))
+                .collect(),
+            layout: Arc::new((*self.layout).clone()),
             paths: self.paths.as_ref().map(|p| Arc::new((**p).clone())),
-            border_count: self.border_count,
+            store_paths: self.store_paths,
             stats: self.stats,
         }
     }
@@ -769,7 +904,13 @@ impl ComplementaryInfo {
 
     /// Number of distinct border nodes.
     pub fn border_count(&self) -> usize {
-        self.border_count
+        self.layout.borders.len()
+    }
+
+    /// Every border node, ascending: the order the repair rule's border
+    /// distances are kept in (see [`ComplementaryInfo::refine`]).
+    pub(crate) fn borders(&self) -> &[NodeId] {
+        &self.layout.borders
     }
 
     /// Total shortcut tuples across all sites (the paper's "pre-computed
@@ -778,10 +919,18 @@ impl ComplementaryInfo {
         self.tables.iter().map(|t| t.pair_count()).sum()
     }
 
-    /// Heap bytes held by the tables (the stored paths, when kept, are
-    /// not counted).
+    /// Heap bytes held by the tables.
     pub fn table_bytes(&self) -> usize {
         self.tables.iter().map(|t| t.memory_bytes()).sum()
+    }
+
+    /// Heap bytes held: the tables plus every fragment's kept local
+    /// sweeps (their skeleton edges, and the parent trees with their
+    /// subgraph views when paths are stored). The lazy path structure's
+    /// skeleton hops and overrides are not counted.
+    pub fn memory_bytes(&self) -> usize {
+        let swept = self.local.iter().flatten().map(|l| l.memory_bytes());
+        self.table_bytes() + swept.sum::<usize>()
     }
 
     /// Per-phase timing of the precompute that built these tables.
@@ -790,24 +939,25 @@ impl ComplementaryInfo {
     }
 
     /// Apply a refinement to every ordered border pair the scope covers,
-    /// stored or not: `f(u, v, cost)` (`INFINITE_COST` = no tuple yet)
-    /// returns the new cost (plus, when paths are stored, the new
-    /// concrete path) or `None` to keep the entry. Returns per-site
-    /// counts of entries that changed. Used by incremental insert
-    /// maintenance (`dist' = min(dist, dist(a,u) + c + dist(v,b))`) — a
-    /// pair the new connection joins for the first time gets its tuple at
-    /// every site holding both borders.
+    /// stored or not: `f((i, u), (j, v), cost)` — `i` and `j` the
+    /// positions of `u` and `v` in [`ComplementaryInfo::borders`],
+    /// `INFINITE_COST` = no tuple yet — returns the new cost (plus, when
+    /// paths are stored, the new concrete path) or `None` to keep the
+    /// entry. Returns per-site counts of entries that changed. Used by
+    /// incremental insert maintenance (`dist' = min(dist, dist(a,u) + c +
+    /// dist(v,b))`) — a pair the new connection joins for the first time
+    /// gets its tuple at every site holding both borders.
     ///
     /// Sites with no changed entry keep their shared table untouched —
     /// `Arc::make_mut` detaches only the tables this refinement writes.
-    pub fn refine(
+    pub(crate) fn refine(
         &mut self,
-        f: impl Fn(NodeId, NodeId, Cost) -> Option<(Cost, Option<Vec<NodeId>>)>,
+        f: impl Fn((usize, NodeId), (usize, NodeId), Cost) -> Option<(Cost, Option<Vec<NodeId>>)>,
     ) -> Vec<usize> {
         let mut changed = vec![0usize; self.tables.len()];
         let mut updates: Vec<(usize, Cost, Option<Vec<NodeId>>)> = Vec::new();
         for (site, changed_slot) in changed.iter_mut().enumerate() {
-            let table = &self.tables[site];
+            let (table, at) = (&self.tables[site], &self.layout.at[site]);
             let nb = table.borders.len();
             updates.clear();
             for (i, &u) in table.borders.iter().enumerate() {
@@ -817,7 +967,7 @@ impl ComplementaryInfo {
                         continue;
                     }
                     let cost = table.costs[slot];
-                    if let Some((new_cost, new_path)) = f(u, v, cost) {
+                    if let Some((new_cost, new_path)) = f((at[i], u), (at[j], v), cost) {
                         debug_assert!(new_cost <= cost, "insertions only shorten paths");
                         if new_cost != cost {
                             updates.push((slot, new_cost, new_path));
@@ -840,6 +990,16 @@ impl ComplementaryInfo {
         changed
     }
 
+    /// Every row of every table, site by site: its border `u`, the
+    /// position of `u` in [`ComplementaryInfo::borders`], the positions
+    /// of the table's borders (its column order), and the row's costs.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (NodeId, usize, &[usize], &[Cost])> + '_ {
+        (self.tables.iter().zip(&self.layout.at)).flat_map(|(table, at)| {
+            (table.borders.iter().zip(at).enumerate())
+                .map(move |(i, (&u, &gi))| (u, gi, &at[..], table.row(i)))
+        })
+    }
+
     /// Re-derive every tuple rooted at one of `sources` from the
     /// post-update `graph` (deletion repair: distances may have grown).
     ///
@@ -847,7 +1007,7 @@ impl ComplementaryInfo {
     /// site holding it; sources iterate in sorted order and the sweep
     /// state is reused. Returns per-site counts of tuples changed, or the
     /// first border pair that became unreachable — the caller must then
-    /// fall back to a full recompute. All table writes are deferred until
+    /// fall back ([`crate::updates`]). All table writes are deferred until
     /// every sweep succeeded, so on `Err` the tables are untouched and
     /// untouched sites keep their shared (`Arc`) tables in every case.
     pub fn repair_sources(

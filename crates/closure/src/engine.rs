@@ -155,7 +155,7 @@ mod tests {
         let mut scratch = ScratchDijkstra::new();
         let a = engine.shortest_path(n(17), n(17), &mut scratch);
         assert_eq!(a.cost, Some(0));
-        assert!(engine.connected(n(17), n(17), &mut scratch));
+        assert!(engine.connected(n(17), n(17)));
     }
 
     /// The steady-state `query_batch` path performs zero O(V) heap
@@ -294,7 +294,7 @@ mod tests {
         let mut scratch = ScratchDijkstra::new();
         let a = engine.shortest_path(n(0), n(4), &mut scratch);
         assert_eq!(a.cost, None);
-        assert!(!engine.connected(n(0), n(4), &mut scratch));
+        assert!(!engine.connected(n(0), n(4)));
     }
 
     #[test]

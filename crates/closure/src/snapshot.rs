@@ -6,7 +6,8 @@
 //! [`EngineSnapshot::build`] takes the [`Fragmentation`], the symmetry
 //! flag and the [`EngineConfig`] (exactly what a durable checkpoint
 //! stores) and derives the closure graph, the complementary information,
-//! the sites, the planner and the reachability index.
+//! the sites and the planner — and, for the first `connected` that asks,
+//! the reachability index.
 //!
 //! The paper's phase-one independence is a statement about *data*: query
 //! evaluation only ever reads the precomputed complementary information,
@@ -36,9 +37,9 @@
 //! ([`crate::complementary::BorderTable`]) is one allocation that the
 //! `Site` and [`ComplementaryInfo`] both point to. The whole-graph pieces
 //! (global graph, fragmentation, planner, reachability index) have an
-//! `Arc` each. Cloning a snapshot therefore costs O(sites) refcount
-//! bumps, not a deep copy: that is what makes the serve writer's
-//! per-epoch publication cheap. [`EngineSnapshot::maintain`] preserves
+//! `Arc` each (the fragmentation one per fragment as well). Cloning a
+//! snapshot therefore costs O(sites) refcount bumps, not a deep copy:
+//! that is what makes the serve writer's per-epoch publication cheap. [`EngineSnapshot::maintain`] preserves
 //! the sharing — it replaces exactly one `Arc<Site>` per site an update
 //! touched (and, through [`std::sync::Arc::make_mut`], the table of a
 //! site whose entries changed) and leaves every other site
@@ -56,7 +57,7 @@
 //! evaluator [`crate::executor::run_chain`], benches — and builds it on
 //! first use, inside the `Arc`-shared site.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ds_fragment::{Fragment, FragmentId, Fragmentation};
 use ds_graph::{Cost, CsrGraph, NodeId, ReachIndex, ScratchDijkstra};
@@ -94,13 +95,13 @@ pub struct EngineSnapshot {
     sites: Vec<Arc<Site>>,
     planner: Arc<Planner>,
     /// SCC/chain reachability index over the global closure graph, the
-    /// fast path behind [`EngineSnapshot::connected`]. `None` when the
-    /// last update could have changed reachability (*stale*) —
-    /// `connected` then falls back to the shortest-path machinery until
-    /// [`EngineSnapshot::ensure_reach`] rebuilds it. Arc-shared across
-    /// epochs like every other component: a kept index costs one
+    /// answer behind [`EngineSnapshot::connected`]: built by the first
+    /// reader that asks (Tarjan plus the chain DP, no Dijkstra), once per
+    /// epoch. An update keeps a built index when it provably left
+    /// reachability alone and empties the slot otherwise. Arc-shared
+    /// across epochs like every other component: a kept index costs one
     /// refcount bump per publication.
-    reach: Option<Arc<ReachIndex>>,
+    reach: OnceLock<Arc<ReachIndex>>,
 }
 
 /// What one [`EngineSnapshot::maintain_cow`] call replaced: the update
@@ -115,15 +116,15 @@ pub struct CowMaintenance {
     /// `shortcut_sites` too.
     pub owner: Option<FragmentId>,
     /// Sites whose complementary table (and hence [`Site`]) was replaced
-    /// — every site after a fallback full recompute.
+    /// — after a fallback too, only those whose table changed.
     pub shortcut_sites: Vec<FragmentId>,
     /// Union of `owner` and `shortcut_sites`, sorted: the sites whose
     /// [`Site`] is *not* shared with the pre-update snapshot. Every
     /// other site remains `Arc::ptr_eq` with it.
     pub touched_sites: Vec<FragmentId>,
-    /// Whether the reachability index survived this update. `false`
-    /// means the index was dropped as stale; `connected` falls back
-    /// until [`EngineSnapshot::ensure_reach`] rebuilds it.
+    /// Whether a built reachability index survived this update. `false`
+    /// means there was none, or it was dropped as stale; the next
+    /// `connected` builds it afresh.
     pub reach_kept: bool,
 }
 
@@ -133,9 +134,10 @@ pub struct CowMaintenance {
 pub struct SnapshotBytes {
     /// The global closure graph.
     pub graph: usize,
-    /// The complementary tables: per site the border list and the dense
-    /// border matrix, counted once although the site and
-    /// [`ComplementaryInfo`] both point to it.
+    /// The complementary information: per site the border list and the
+    /// dense border matrix, counted once although the site and
+    /// [`ComplementaryInfo`] both point to it, plus every fragment's kept
+    /// local sweeps ([`ComplementaryInfo::memory_bytes`]).
     pub complementary: usize,
     /// Per site: the fragment's own graph (and transpose), node list,
     /// access-set slots and — once asked for — the augmented graph.
@@ -147,7 +149,7 @@ pub struct SnapshotBytes {
     pub access_sets: usize,
     /// Per site: the interior segment relations evaluated so far.
     pub segment_memos: usize,
-    /// The reachability index, when present.
+    /// The reachability index, once a reader has built it.
     pub reach_index: usize,
     /// The planner's class index and chain table, the chain sets filled
     /// so far included ([`Planner::memory_bytes`]).
@@ -180,9 +182,9 @@ impl EngineSnapshot {
     /// derive the closure graph ([`Fragmentation::closure_graph`];
     /// `symmetric` declares that each fragment tuple stands for both
     /// travel directions), compute the complementary information (the
-    /// paper's pre-processing phase), then the planner, the per-site
-    /// evaluation state (each over its table, in place) and the
-    /// reachability index.
+    /// paper's pre-processing phase), then the planner and the per-site
+    /// evaluation state (each over its table, in place). The reachability
+    /// index waits for the first [`EngineSnapshot::connected`].
     pub fn build(frag: Fragmentation, symmetric: bool, cfg: EngineConfig) -> Self {
         let graph = frag.closure_graph(symmetric);
         let comp = ComplementaryInfo::compute(&graph, &frag, cfg.scope, cfg.store_paths);
@@ -196,7 +198,6 @@ impl EngineSnapshot {
         let sites = (frag.fragments().iter())
             .map(|f| Arc::new(build_site(&planner, f, symmetric, &comp, &mut scratch)))
             .collect();
-        let reach = Some(Arc::new(ReachIndex::build(&graph)));
         EngineSnapshot {
             graph: Arc::new(graph),
             frag: Arc::new(frag),
@@ -205,13 +206,14 @@ impl EngineSnapshot {
             comp,
             sites,
             planner,
-            reach,
+            reach: OnceLock::new(),
         }
     }
 
     /// A deep copy that shares **nothing** with `self`: every component —
     /// global graph, fragmentation, planner, every site and its
-    /// complementary table — gets a fresh allocation (a site and the
+    /// complementary table, a built reachability index — gets a fresh
+    /// allocation (a site and the
     /// copy's [`ComplementaryInfo`] share the copied table, as they do
     /// here). The copy's planner starts with an empty chain table, so no
     /// chain is shared with this lineage's answers.
@@ -226,6 +228,10 @@ impl EngineSnapshot {
         let sites = (self.sites.iter().enumerate())
             .map(|(f, s)| Arc::new(s.unshared_clone(Arc::clone(comp.table(f)))))
             .collect();
+        let reach = OnceLock::new();
+        if let Some(r) = self.reach.get() {
+            let _ = reach.set(Arc::new((**r).clone()));
+        }
         EngineSnapshot {
             graph: Arc::new((*self.graph).clone()),
             frag: Arc::new((*self.frag).clone()),
@@ -234,7 +240,7 @@ impl EngineSnapshot {
             comp,
             sites,
             planner: Arc::new(self.planner.unshared_clone()),
-            reach: self.reach.as_ref().map(|r| Arc::new((**r).clone())),
+            reach,
         }
     }
 
@@ -309,8 +315,8 @@ impl EngineSnapshot {
     pub fn memory_bytes(&self) -> SnapshotBytes {
         let mut bytes = SnapshotBytes {
             graph: self.graph.memory_bytes(),
-            complementary: self.comp.table_bytes(),
-            reach_index: self.reach.as_ref().map_or(0, |r| r.memory_bytes()),
+            complementary: self.comp.memory_bytes(),
+            reach_index: self.reach.get().map_or(0, |r| r.memory_bytes()),
             planner: self.planner.memory_bytes(),
             ..SnapshotBytes::default()
         };
@@ -334,28 +340,39 @@ impl EngineSnapshot {
         &self.planner
     }
 
-    /// The reachability index, when fresh. `None` means
-    /// [`EngineSnapshot::connected`] currently falls back to the
-    /// shortest-path machinery (the index is stale after an update that
-    /// could have changed reachability).
-    pub fn reach_index(&self) -> Option<&ReachIndex> {
-        self.reach.as_deref()
+    /// The reachability index, built on this call if no reader of this
+    /// epoch has built it yet (linear in the graph; concurrent first
+    /// readers wait for one build).
+    pub fn reach_index(&self) -> &ReachIndex {
+        self.reach
+            .get_or_init(|| Arc::new(ReachIndex::build(&self.graph)))
     }
 
-    /// The shared handle behind the reachability index (for the
+    /// The shared handle behind the reachability index, if built (for the
     /// structural-sharing property tests: a kept index stays
     /// `Arc::ptr_eq` across epochs).
     pub fn reach_handle(&self) -> Option<&Arc<ReachIndex>> {
-        self.reach.as_ref()
+        self.reach.get()
     }
 
-    /// Rebuild the reachability index if it is stale (linear in the
-    /// graph). Owners call this eagerly after updates — the `System`
-    /// facade per update, the serve writer once per write batch before
-    /// publishing — so readers never pay the rebuild.
-    pub fn ensure_reach(&mut self) {
-        if self.reach.is_none() {
-            self.reach = Some(Arc::new(ReachIndex::build(&self.graph)));
+    /// Build the reachability index now unless it is built — what the
+    /// first [`EngineSnapshot::connected`] would do, for a caller that
+    /// wants to time the build or take it off a reader's path.
+    pub fn ensure_reach(&self) {
+        self.reach_index();
+    }
+
+    /// Take `other`'s built reachability index into this snapshot's
+    /// empty slot when both answer for the same closure graph
+    /// (`Arc::ptr_eq`): the index is a function of the graph alone. A
+    /// writer that maintains a private copy of the snapshot its readers
+    /// build the index in calls this before each update, so an update
+    /// that leaves reachability alone keeps the readers' index.
+    pub fn adopt_reach(&self, other: &EngineSnapshot) {
+        if let Some(r) = other.reach.get() {
+            if Arc::ptr_eq(&self.graph, &other.graph) {
+                let _ = self.reach.set(Arc::clone(r));
+            }
         }
     }
 
@@ -383,20 +400,16 @@ impl EngineSnapshot {
 
     /// Connection query — "is `x` connected to `y`?".
     ///
-    /// Answered by the SCC/chain reachability index when it is present
-    /// and fresh — one component comparison plus at most one binary
-    /// search, no Dijkstra sweep, `scratch` untouched. Falls back to
-    /// the shortest-path machinery when the index is stale.
-    pub fn connected(&self, x: NodeId, y: NodeId, scratch: &mut ScratchDijkstra) -> bool {
+    /// Answered by the SCC/chain reachability index — one component
+    /// comparison plus at most one binary search, no Dijkstra sweep. The
+    /// first call of an epoch builds the index ([`EngineSnapshot::reach_index`]).
+    /// A node outside the graph reaches nothing but itself.
+    pub fn connected(&self, x: NodeId, y: NodeId) -> bool {
         if x == y {
             return true;
         }
-        if let Some(reach) = &self.reach {
-            if x.index() < reach.node_count() && y.index() < reach.node_count() {
-                return reach.reaches(x, y);
-            }
-        }
-        self.shortest_path(x, y, scratch).cost.is_some()
+        let reach = self.reach_index();
+        x.index() < reach.node_count() && y.index() < reach.node_count() && reach.reaches(x, y)
     }
 
     /// Answer many shortest-path requests on `scratch`, amortizing chain
@@ -557,24 +570,23 @@ impl EngineSnapshot {
             &mut self.graph,
             &mut self.frag,
             self.symmetric,
-            &self.cfg,
             &mut self.comp,
             update,
             scratch,
         )?;
-        // Keep-vs-drop for the reachability index, decided *after* the
-        // maintenance succeeded (an erring update leaves it untouched),
-        // while `self.reach` still holds the pre-update index — the
-        // rules of [`ConnectivityEffect`]:
-        let keep = match m.connectivity {
+        // Keep-vs-drop for a built reachability index, decided *after*
+        // the maintenance succeeded (an erring update leaves it
+        // untouched), while `self.reach` still holds the pre-update index
+        // — the rules of [`ConnectivityEffect`]:
+        let keep = self.reach.get().is_some_and(|r| match m.connectivity {
             ConnectivityEffect::Unchanged => true,
-            ConnectivityEffect::Inserted { src, dst } => self.reach.as_ref().is_some_and(|r| {
+            ConnectivityEffect::Inserted { src, dst } => {
                 r.reaches(src, dst) && (!self.symmetric || src == dst || r.reaches(dst, src))
-            }),
+            }
             ConnectivityEffect::Removed { parallel_remains } => parallel_remains,
-        };
+        });
         if !keep {
-            self.reach = None;
+            self.reach = OnceLock::new();
         }
         // Nothing at all after a no-op removal.
         let sites: std::collections::BTreeSet<FragmentId> =
@@ -732,34 +744,44 @@ pub(crate) mod tests {
         }
     }
 
+    /// The first `connected` of an epoch builds the index — `connected`
+    /// takes no scratch, so it cannot sweep — and every later one reads
+    /// the same `Arc`.
     #[test]
     fn connected_answers_from_the_index_without_sweeps() {
         let (g, snap) = snapshot();
         let csr = g.closure_graph();
-        let mut scratch = ScratchDijkstra::new();
-        assert!(snap.reach_index().is_some(), "index built by default");
-        let sweeps_before = scratch.stats().sweeps;
+        assert!(
+            snap.reach_handle().is_none(),
+            "build leaves the index to readers"
+        );
+        assert_eq!(snap.memory_bytes().reach_index, 0);
         for x in 0..40u32 {
             for y in 0..40u32 {
-                let got = snap.connected(n(x), n(y), &mut scratch);
+                let got = snap.connected(n(x), n(y));
                 let want = x == y || baseline::shortest_path_cost(&csr, n(x), n(y)).is_some();
                 assert_eq!(got, want, "connected({x}, {y})");
             }
         }
-        assert_eq!(
-            scratch.stats().sweeps,
-            sweeps_before,
-            "the index path must never run a Dijkstra sweep"
+        let built = Arc::clone(snap.reach_handle().expect("built by the first connected"));
+        assert!(snap.memory_bytes().reach_index > 0);
+        assert!(!snap.connected(n(0), n(40)), "a node outside the graph");
+        snap.ensure_reach();
+        assert!(
+            Arc::ptr_eq(&built, snap.reach_handle().unwrap()),
+            "built once"
         );
+        assert!(Arc::ptr_eq(&built, snap.clone().reach_handle().unwrap()));
     }
 
-    /// An update that could have changed reachability leaves the index
-    /// stale until its owner rebuilds it; `connected` meanwhile answers
-    /// through the shortest-path machinery.
+    /// An update that could have changed reachability empties the index
+    /// slot; the next `connected` builds the successor's index, which
+    /// answers the updated network.
     #[test]
     fn a_stale_index_falls_back_and_stays_correct() {
         let (_, mut snap) = snapshot();
         let mut scratch = ScratchDijkstra::new();
+        snap.ensure_reach();
         let e = snap.fragmentation().fragment(0).edges()[0];
         let remove = NetworkUpdate::Remove {
             src: e.src,
@@ -767,44 +789,78 @@ pub(crate) mod tests {
             owner: 0,
         };
         assert!(!snap.maintain_cow(&remove, &mut scratch).unwrap().reach_kept);
-        assert!(snap.reach_index().is_none());
-        let before = scratch.stats().sweeps;
-        assert!(snap.connected(n(0), n(39), &mut scratch));
-        assert!(scratch.stats().sweeps > before, "fallback path sweeps");
+        assert!(snap.reach_handle().is_none());
+        assert!(snap.connected(n(0), n(39)));
+        assert!(snap.reach_handle().is_some(), "rebuilt on demand");
     }
 
     #[test]
     fn redundant_insert_keeps_the_index_shared() {
         let (_, mut snap) = snapshot();
         let mut scratch = ScratchDijkstra::new();
+        snap.ensure_reach();
         let before = Arc::clone(snap.reach_handle().unwrap());
         // The grid is connected, so any insert between existing nodes is
         // inside the reachability relation: the index must survive —
         // pointer-shared, not rebuilt.
         let f0 = snap.fragmentation().fragment(0).clone();
         let (a, b) = (f0.nodes()[0], *f0.nodes().last().unwrap());
-        let cow = snap
-            .maintain_cow(
-                &NetworkUpdate::Insert {
-                    edge: ds_graph::Edge::new(a, b, 1),
-                    owner: 0,
-                },
-                &mut scratch,
-            )
-            .unwrap();
+        let insert = NetworkUpdate::Insert {
+            edge: ds_graph::Edge::new(a, b, 1),
+            owner: 0,
+        };
+        let cow = snap.maintain_cow(&insert, &mut scratch).unwrap();
         assert!(cow.reach_kept);
         assert!(
             Arc::ptr_eq(&before, snap.reach_handle().unwrap()),
             "kept index must stay pointer-shared with the previous epoch"
         );
+        // An index nobody built is not built by an update either.
+        let (_, mut unbuilt) = snapshot();
+        assert!(
+            !unbuilt
+                .maintain_cow(&insert, &mut scratch)
+                .unwrap()
+                .reach_kept
+        );
+        assert!(unbuilt.reach_handle().is_none());
+    }
+
+    /// A copy taken before a reader built the index adopts it while both
+    /// hold the same graph, and only then.
+    #[test]
+    fn a_copy_adopts_an_index_built_over_its_graph() {
+        let (_, published) = snapshot();
+        let mut working = published.clone();
+        let (_, other) = snapshot();
+        other.ensure_reach();
+        working.adopt_reach(&other);
+        assert!(working.reach_handle().is_none(), "another graph's index");
+        published.ensure_reach();
+        working.adopt_reach(&published);
+        let built = published.reach_handle().unwrap();
+        assert!(Arc::ptr_eq(built, working.reach_handle().unwrap()));
+        // Once the copy's graph moved on, the published index is not its.
+        let e = working.fragmentation().fragment(0).edges()[0];
+        let remove = NetworkUpdate::Remove {
+            src: e.src,
+            dst: e.dst,
+            owner: 0,
+        };
+        working
+            .maintain_cow(&remove, &mut ScratchDijkstra::new())
+            .unwrap();
+        working.adopt_reach(&published);
+        assert!(working.reach_handle().is_none(), "a stale index adopted");
     }
 
     #[test]
     fn removal_without_parallel_drops_the_index_until_rebuilt() {
         let (_, mut snap) = snapshot();
         let mut scratch = ScratchDijkstra::new();
+        snap.ensure_reach();
         // Remove a real grid edge with no parallel connection: the index
-        // is dropped as stale; connected falls back (and stays exact).
+        // is dropped as stale, and the next reader rebuilds it.
         let f0 = snap.fragmentation().fragment(0).clone();
         let e = f0.edges()[0];
         let cow = snap
@@ -818,27 +874,48 @@ pub(crate) mod tests {
             )
             .unwrap();
         assert!(!cow.reach_kept);
-        assert!(snap.reach_index().is_none(), "stale index dropped");
-        for (x, y) in [(0u32, 39u32), (5, 17), (39, 0)] {
-            assert_eq!(
-                snap.connected(n(x), n(y), &mut scratch),
-                baseline::shortest_path_cost(snap.graph(), n(x), n(y)).is_some(),
-                "fallback connected({x}, {y})"
-            );
-        }
-        snap.ensure_reach();
-        assert!(snap.reach_index().is_some(), "rebuild on demand");
-        let sweeps = scratch.stats().sweeps;
+        assert!(snap.reach_handle().is_none(), "stale index dropped");
         for x in 0..40u32 {
             for y in 0..40u32 {
                 assert_eq!(
-                    snap.connected(n(x), n(y), &mut scratch),
-                    baseline::shortest_path_cost(snap.graph(), n(x), n(y)).is_some(),
+                    snap.connected(n(x), n(y)),
+                    x == y || baseline::shortest_path_cost(snap.graph(), n(x), n(y)).is_some(),
                     "rebuilt connected({x}, {y})"
                 );
             }
         }
-        assert_eq!(scratch.stats().sweeps, sweeps, "rebuilt index: no sweeps");
+        assert!(snap.reach_handle().is_some(), "rebuilt on demand");
+    }
+
+    /// Right after a delete that cuts the network in two, the successor's
+    /// first `connected` builds an index over the cut graph.
+    #[test]
+    fn a_delete_that_cuts_reachability_is_answered_by_a_fresh_index() {
+        // Path 0-1-2-3-4 in two fragments sharing node 2.
+        let unit = |pairs: &[(u32, u32)]| -> Vec<ds_graph::Edge> {
+            (pairs.iter())
+                .map(|&(a, b)| ds_graph::Edge::unit(n(a), n(b)))
+                .collect()
+        };
+        let frag = Fragmentation::new(
+            5,
+            vec![unit(&[(0, 1), (1, 2)]), unit(&[(2, 3), (3, 4)])],
+            vec![vec![], vec![]],
+        );
+        let mut snap = EngineSnapshot::build(frag, true, EngineConfig::default());
+        assert!(snap.connected(n(0), n(4)));
+        let cut = NetworkUpdate::Remove {
+            src: n(3),
+            dst: n(4),
+            owner: 1,
+        };
+        let cow = snap
+            .maintain_cow(&cut, &mut ScratchDijkstra::new())
+            .unwrap();
+        assert!(!cow.report.full_recompute && !cow.reach_kept, "{cow:?}");
+        assert!(snap.reach_handle().is_none());
+        assert!(!snap.connected(n(0), n(4)) && !snap.connected(n(4), n(3)));
+        assert!(snap.connected(n(0), n(3)) && snap.connected(n(4), n(4)));
     }
 
     /// A general graph in four center-grown fragments whose fragmentation
@@ -1074,9 +1151,10 @@ pub(crate) mod tests {
     fn memory_bytes_count_a_shared_table_once() {
         let (_, snap, requests) = cyclic_snapshot();
         snap.query_batch(&requests, &mut ScratchDijkstra::new());
+        assert!(snap.connected(n(0), n(1)));
         let bytes = snap.memory_bytes();
         let mut walked = snap.graph().memory_bytes()
-            + snap.reach_index().unwrap().memory_bytes()
+            + snap.reach_index().memory_bytes()
             + snap.planner().memory_bytes();
         let mut border_index = 0;
         for f in 0..snap.site_count() {
@@ -1088,8 +1166,10 @@ pub(crate) mod tests {
             border_index += table.borders().len()
                 * (std::mem::size_of::<NodeId>() + std::mem::size_of::<(u32, Cost)>());
         }
-        assert_eq!(bytes.total(), walked);
-        assert_eq!(bytes.complementary, snap.complementary().table_bytes());
+        let kept_sweeps = snap.complementary().memory_bytes() - snap.complementary().table_bytes();
+        assert!(kept_sweeps > 0, "the local sweeps are retained");
+        assert_eq!(bytes.total(), walked + kept_sweeps);
+        assert_eq!(bytes.complementary, snap.complementary().memory_bytes());
         assert_eq!(bytes.border_matrices, border_index);
         assert!(bytes.segment_memos > 0 && bytes.complementary > bytes.border_matrices);
     }

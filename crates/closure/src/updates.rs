@@ -9,16 +9,16 @@
 //! insertions and deletions:
 //!
 //! * **Insertions** add a connection, which can only *decrease* global
-//!   distances, and any improved shortest path uses the new edge; so two
-//!   Dijkstra runs — one on the reverse graph from the new edge's source,
-//!   one forward from its target — refresh every entry of every site's
-//!   table: `dist'(a,b) = min(dist(a,b), dist(a,u) + c + dist(v,b))`,
+//!   distances, and any improved shortest path uses the new edge; so the
+//!   distances between its endpoints and the border nodes — the only
+//!   ones the tables are compared against — refresh every entry of every
+//!   site's table: `dist'(a,b) = min(dist(a,b), dist(a,u) + c + dist(v,b))`,
 //!   "no tuple" counting as infinite — so a border pair the new
 //!   connection joins for the first time (a disconnecting deletion had
 //!   dropped its tuple, or a one-way network never had one) gets its
 //!   tuple at every site holding both borders. Stored shortcut paths are
-//!   patched from the same two sweeps (`path(a,u) ++ path(v,b)`), so
-//!   inserts never recompute in full.
+//!   patched from the same sweeps' trees (`path(a,u) ++ path(v,b)`), so
+//!   inserts never fall back.
 //! * **Deletions** can increase distances, which per-pair minima cannot
 //!   repair locally — but only for shortcuts whose shortest path *used*
 //!   the deleted edge. The **deletion repair rule**: a shortcut `(a, b)`
@@ -26,12 +26,23 @@
 //!   pre-deletion distances, `dist(a,u) + c + dist(v,b) == dist(a,b)`
 //!   (any shortest path through the edge achieves exactly that sum, and
 //!   the stored cost *is* `dist(a,b)`). The engine detects the affected
-//!   border sources with two Dijkstra sweeps per removed direction, then
+//!   border sources from the same endpoint-to-border distances, then
 //!   re-runs Dijkstra on the post-deletion graph only from those sources.
 //!
+//! Those distances come from one sweep per endpoint on the caller's
+//! scratch, stopped once every border node is settled, and copied out at
+//! the borders: on a symmetric network the closure graph is its own
+//! transpose, so an interior edit costs two sweeps in all (plus one per
+//! affected source on a delete); a one-way network sweeps `dist(·, u)`
+//! on one transpose of the graph. The closure graph itself is edited —
+//! the update's entries added or dropped — not re-derived from the
+//! fragments.
+//!
 //! The repair stays within the incremental regime unless one of two
-//! fallback conditions holds, in which case the complementary information
-//! is recomputed in full and the report says why
+//! fallback conditions holds, in which case the stale fragments (those
+//! whose node set holds both endpoints of some edit since their last
+//! sweep) are re-swept, the skeleton re-closed and the tables
+//! re-assembled ([`crate::complementary`]), and the report says why
 //! ([`UpdateReport::fallback_reason`]):
 //!
 //! * [`FallbackReason::DisconnectionSetCrossing`] — the deleted edge
@@ -54,14 +65,13 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use ds_fragment::{FragmentId, Fragmentation};
-use ds_graph::{dijkstra, Cost, CsrGraph, NodeId, ScratchDijkstra};
+use ds_graph::{Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
 
 use crate::api::{apply_edit, validate, NetworkUpdate};
 use crate::complementary::ComplementaryInfo;
-use crate::engine::EngineConfig;
 use crate::error::ClosureError;
 
-/// Why an update fell back to a full complementary recompute.
+/// Why an update fell back to re-sweeping the stale fragments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FallbackReason {
     /// The deleted edge connects two border nodes — it lies in a
@@ -80,12 +90,14 @@ pub struct UpdateReport {
     pub shortcuts_improved: usize,
     /// Shortcut tuples whose cost was repaired upward (deletion repair).
     pub shortcuts_repaired: usize,
-    /// Whether the engine had to fall back to a full recompute.
+    /// Whether the engine had to fall back: re-sweep the stale fragments,
+    /// re-close the skeleton and re-assemble the tables.
     pub full_recompute: bool,
     /// Why the fallback happened; `None` on the incremental path
     /// (invariant: `full_recompute == fallback_reason.is_some()`).
     pub fallback_reason: Option<FallbackReason>,
     /// Sites whose state (fragment edges or shortcut table) changed —
+    /// the owner, whose edges changed, plus every site whose table did:
     /// the sites a distributed deployment would have to ship a delta to.
     pub sites_touched: usize,
     /// Shortcut tuples in the touched sites' refreshed tables: the
@@ -123,7 +135,7 @@ pub struct UpdateBatchReport {
 }
 
 impl UpdateBatchReport {
-    /// Updates that fell back to a full recompute.
+    /// Updates that fell back.
     pub fn full_recomputes(&self) -> usize {
         self.reports.iter().filter(|r| r.full_recompute).count()
     }
@@ -178,7 +190,7 @@ pub enum ConnectivityEffect {
 #[derive(Clone, Debug)]
 pub struct Maintenance {
     pub report: UpdateReport,
-    /// Sites whose shortcut tables changed (all sites after a fallback).
+    /// Sites whose shortcut tables changed.
     pub shortcut_sites: Vec<FragmentId>,
     /// The fragment whose edge set changed; `None` for a no-op removal.
     pub owner: Option<FragmentId>,
@@ -197,12 +209,14 @@ impl Maintenance {
         }
     }
 
-    fn incremental(
+    /// An effective update: the owner's site is touched whatever else
+    /// changed, and the sites in `shortcut_sites` ship their tables.
+    fn effective(
         comp: &ComplementaryInfo,
         owner: FragmentId,
         shortcut_sites: Vec<FragmentId>,
-        improved: usize,
-        repaired: usize,
+        (improved, repaired): (usize, usize),
+        fallback_reason: Option<FallbackReason>,
     ) -> Self {
         let mut touched: BTreeSet<FragmentId> = shortcut_sites.iter().copied().collect();
         touched.insert(owner);
@@ -211,8 +225,8 @@ impl Maintenance {
             report: UpdateReport {
                 shortcuts_improved: improved,
                 shortcuts_repaired: repaired,
-                full_recompute: false,
-                fallback_reason: None,
+                full_recompute: fallback_reason.is_some(),
+                fallback_reason,
                 sites_touched: touched.len(),
                 tuples_shipped,
             },
@@ -224,22 +238,22 @@ impl Maintenance {
 }
 
 /// The maintenance path: apply the structural edit
-/// ([`crate::api::apply_edit`]), derive the closure graph of the edited
-/// relation, then keep `comp` exact — incrementally when possible, by
-/// full recompute otherwise. The caller passes its retained state,
-/// including a persistent `scratch` that the deletion repair sweeps reuse.
+/// ([`crate::api::apply_edit`]), edit the closure graph by the entries
+/// the update added or dropped, then keep `comp` exact — incrementally
+/// when possible, by a fallback that re-sweeps only the stale fragments
+/// otherwise. The caller passes its retained state, including a
+/// persistent `scratch` that every sweep of the update runs on.
 ///
 /// `graph` and `frag` are owned through [`Arc`] handles: a caller whose
 /// state is shared with published snapshots (the serve writer's working
 /// copy) pays a copy only for the pieces an update actually replaces —
-/// the derived global graph gets a fresh `Arc`, the fragmentation is
-/// detached via [`Arc::make_mut`] once per shared epoch, and `comp`
-/// detaches per-site tables internally the same way.
+/// the edited global graph gets a fresh `Arc`, the fragmentation is
+/// detached via [`Arc::make_mut`] once per shared epoch, and `comp` detaches
+/// per-site tables internally the same way.
 pub fn maintain(
     graph: &mut Arc<CsrGraph>,
     frag: &mut Arc<Fragmentation>,
     symmetric: bool,
-    cfg: &EngineConfig,
     comp: &mut ComplementaryInfo,
     update: &NetworkUpdate,
     scratch: &mut ScratchDijkstra,
@@ -247,37 +261,41 @@ pub fn maintain(
     // Refused against the shared fragmentation, before anything is
     // detached: an invalid update clones nothing.
     validate(frag, update)?;
-    // What the deletion repair rule needs of the relation as it was: the
-    // connections about to go, as directed edges of the global closure
-    // graph (deduplicated — parallel edges of equal cost need one sweep,
-    // not two).
-    let removed: BTreeSet<(NodeId, NodeId, Cost)> = match *update {
-        NetworkUpdate::Insert { .. } => BTreeSet::new(),
-        NetworkUpdate::Remove { src, dst, owner } => (frag.fragment(owner).edges().iter())
-            .filter(|e| e.connects(src, dst, symmetric))
-            .flat_map(|e| {
-                let back = (symmetric && !e.is_loop()).then_some((e.dst, e.src, e.cost));
-                std::iter::once((e.src, e.dst, e.cost)).chain(back)
-            })
-            .collect(),
+    // The closure-graph entries the update adds or drops: one per tuple
+    // and direction. A removal drops every matching tuple of its owner
+    // and no other fragment's, so an identical tuple another fragment
+    // owns keeps its entries.
+    let (added, removed): (Vec<Edge>, Vec<Edge>) = match *update {
+        NetworkUpdate::Insert { edge, .. } => (directions(&edge, symmetric).collect(), Vec::new()),
+        NetworkUpdate::Remove { src, dst, owner } => {
+            let owned = frag.fragment(owner).edges().iter();
+            let gone = owned.filter(|e| e.connects(src, dst, symmetric));
+            (
+                Vec::new(),
+                gone.flat_map(|e| directions(e, symmetric)).collect(),
+            )
+        }
     };
     if !apply_edit(Arc::make_mut(frag), symmetric, update)? {
         return Ok(Maintenance::noop());
     }
-    let before = std::mem::replace(graph, Arc::new(frag.closure_graph(symmetric)));
+    let before = std::mem::replace(graph, Arc::new(graph.edited(&added, &removed)));
+    let keep_parents = comp.has_paths();
     match *update {
         NetworkUpdate::Insert { edge, owner } => {
-            let rev = graph.reversed();
-            let mut per_site = improve(comp, graph, &rev, edge.src, edge.dst, edge.cost);
-            if symmetric && !edge.is_loop() {
-                let second = improve(comp, graph, &rev, edge.dst, edge.src, edge.cost);
-                for (a, b) in per_site.iter_mut().zip(second) {
-                    *a += b;
-                }
-            }
+            comp.mark_stale(frag, edge.src, edge.dst);
+            let sweeps = EndpointSweeps::run(
+                graph,
+                symmetric,
+                &added,
+                comp.borders(),
+                keep_parents,
+                scratch,
+            );
+            let per_site = improve(comp, &sweeps, &added);
             let improved = per_site.iter().sum();
             let shortcut_sites = nonzero_sites(&per_site);
-            let mut m = Maintenance::incremental(comp, owner, shortcut_sites, improved, 0);
+            let mut m = Maintenance::effective(comp, owner, shortcut_sites, (improved, 0), None);
             m.connectivity = ConnectivityEffect::Inserted {
                 src: edge.src,
                 dst: edge.dst,
@@ -285,6 +303,7 @@ pub fn maintain(
             Ok(m)
         }
         NetworkUpdate::Remove { src, dst, owner } => {
+            comp.mark_stale(frag, src, dst);
             // Reachability fact: does the post-update graph still carry
             // every removed direction through a parallel connection?
             let still = |a: NodeId, b: NodeId| graph.out_targets(a).contains(&b);
@@ -292,28 +311,41 @@ pub fn maintain(
                 parallel_remains: still(src, dst) && (!symmetric || src == dst || still(dst, src)),
             };
             let mut m = if is_border(frag, src) && is_border(frag, dst) {
-                full_recompute(
+                fallback(
                     graph,
                     frag,
-                    cfg,
                     comp,
                     owner,
                     FallbackReason::DisconnectionSetCrossing,
+                    scratch,
                 )
             } else {
                 // Affected-set detection runs on the *pre-deletion* graph:
                 // the repair rule compares against the stored (old)
                 // distances.
-                let affected = affected_sources(&before, comp, frag.fragment_count(), &removed);
+                let sweeps = EndpointSweeps::run(
+                    &before,
+                    symmetric,
+                    &removed,
+                    comp.borders(),
+                    false,
+                    scratch,
+                );
+                let affected = affected_sources(comp, &sweeps, &removed);
                 match comp.repair_sources(graph, &affected, scratch) {
                     Ok(per_site) => {
                         let repaired = per_site.iter().sum();
                         let shortcut_sites = nonzero_sites(&per_site);
-                        Maintenance::incremental(comp, owner, shortcut_sites, 0, repaired)
+                        Maintenance::effective(comp, owner, shortcut_sites, (0, repaired), None)
                     }
-                    Err(_) => {
-                        full_recompute(graph, frag, cfg, comp, owner, FallbackReason::Disconnected)
-                    }
+                    Err(_) => fallback(
+                        graph,
+                        frag,
+                        comp,
+                        owner,
+                        FallbackReason::Disconnected,
+                        scratch,
+                    ),
                 }
             };
             m.connectivity = connectivity;
@@ -322,36 +354,146 @@ pub fn maintain(
     }
 }
 
-/// Lower every table entry `(a, b)` — a missing tuple counting as
-/// infinite — to `min(cost, dist(a, u) + c + dist(v, b))` after inserting
-/// `u -> v` with cost `c`: exact because improved paths must use the new
-/// edge. When paths are stored, the improved path is spliced from the
-/// same sweeps.
-fn improve(
-    comp: &mut ComplementaryInfo,
-    graph: &CsrGraph,
-    rev: &CsrGraph,
-    u: NodeId,
-    v: NodeId,
-    c: Cost,
-) -> Vec<usize> {
-    let to_u = dijkstra::single_source(rev, u);
-    let from_v = dijkstra::single_source(graph, v);
-    let store = comp.has_paths();
-    comp.refine(|a, b, cost| {
-        let (Some(a_u), Some(v_b)) = (to_u.cost(a), from_v.cost(b)) else {
-            return None;
+/// The closure-graph entries of one tuple: itself, plus its reverse on a
+/// symmetric network (a loop once).
+fn directions(e: &Edge, symmetric: bool) -> impl Iterator<Item = Edge> {
+    let back = (symmetric && !e.is_loop()).then(|| e.reversed());
+    std::iter::once(*e).chain(back)
+}
+
+/// One node's distances to or from every border node, in the order of
+/// [`ComplementaryInfo::borders`] (`INFINITE_COST` = unreachable), copied
+/// out of one sweep on the caller's scratch — the repair rule compares
+/// table entries against these and nothing else — plus, when paths are
+/// stored, the sweep's parent tree.
+struct BorderDistances {
+    costs: Vec<Cost>,
+    parents: Option<Vec<u32>>,
+}
+
+impl BorderDistances {
+    fn sweep(
+        scratch: &mut ScratchDijkstra,
+        g: &CsrGraph,
+        x: NodeId,
+        borders: &[NodeId],
+        keep_parents: bool,
+    ) -> Self {
+        scratch.sweep_to_targets(g, &[(x, 0)], borders);
+        BorderDistances {
+            costs: (borders.iter())
+                .map(|&b| scratch.cost(b).unwrap_or(INFINITE_COST))
+                .collect(),
+            parents: keep_parents.then(|| scratch.snapshot_parents(g.node_count())),
+        }
+    }
+
+    /// The tree path from `w` back to the sweep's root, `w` first. For a
+    /// `to` sweep (run on the transpose, or on a symmetric graph) that is
+    /// the network path `w -> root`; for a `from` sweep, reversed, the
+    /// path `root -> w`.
+    fn walk(&self, w: NodeId) -> Vec<NodeId> {
+        let parents = self
+            .parents
+            .as_ref()
+            .expect("parents kept when paths are stored");
+        let mut path = vec![w];
+        let mut cur = w;
+        while parents[cur.index()] != u32::MAX {
+            cur = NodeId(parents[cur.index()]);
+            path.push(cur);
+        }
+        path
+    }
+}
+
+/// The sweeps one update's repair rule reads: for each directed entry
+/// `u -> v` it adds or drops, `dist(·, u)` and `dist(v, ·)` at every
+/// border. A symmetric closure graph is its own transpose, so one sweep
+/// per distinct endpoint serves both directions; a one-way graph sweeps
+/// `to` on one transpose of the graph.
+struct EndpointSweeps {
+    from: Vec<(NodeId, BorderDistances)>,
+    /// Empty on a symmetric network: `from` serves.
+    to: Vec<(NodeId, BorderDistances)>,
+}
+
+impl EndpointSweeps {
+    fn run(
+        graph: &CsrGraph,
+        symmetric: bool,
+        entries: &[Edge],
+        borders: &[NodeId],
+        keep_parents: bool,
+        scratch: &mut ScratchDijkstra,
+    ) -> Self {
+        let mut sweep_each = |g: &CsrGraph, mut nodes: Vec<NodeId>| {
+            nodes.sort_unstable();
+            nodes.dedup();
+            (nodes.into_iter())
+                .map(|x| {
+                    (
+                        x,
+                        BorderDistances::sweep(scratch, g, x, borders, keep_parents),
+                    )
+                })
+                .collect()
         };
-        let cand = a_u + c + v_b;
+        let (sources, targets) = entries.iter().map(|e| (e.src, e.dst)).unzip();
+        if symmetric {
+            let endpoints = [sources, targets].concat();
+            EndpointSweeps {
+                from: sweep_each(graph, endpoints),
+                to: Vec::new(),
+            }
+        } else {
+            EndpointSweeps {
+                from: sweep_each(graph, targets),
+                to: sweep_each(&graph.reversed(), sources),
+            }
+        }
+    }
+
+    fn find(sweeps: &[(NodeId, BorderDistances)], x: NodeId) -> &BorderDistances {
+        let at = sweeps.iter().position(|(y, _)| *y == x);
+        &sweeps[at.expect("an endpoint of the update")].1
+    }
+
+    /// `dist(v, b)` for every border `b`.
+    fn from(&self, v: NodeId) -> &BorderDistances {
+        Self::find(&self.from, v)
+    }
+
+    /// `dist(b, u)` for every border `b`.
+    fn to(&self, u: NodeId) -> &BorderDistances {
+        if self.to.is_empty() {
+            self.from(u)
+        } else {
+            Self::find(&self.to, u)
+        }
+    }
+}
+
+/// Lower every table entry `(a, b)` — a missing tuple counting as
+/// infinite — to `min(cost, dist(a, u) + c + dist(v, b))` over the
+/// inserted entries `u -> v` of cost `c`: exact because improved paths
+/// must use a new edge. When paths are stored, the improved path is
+/// spliced from the same sweeps' trees: `path(a, u) ++ path(v, b)`.
+fn improve(comp: &mut ComplementaryInfo, sweeps: &EndpointSweeps, added: &[Edge]) -> Vec<usize> {
+    let store = comp.has_paths();
+    let entries: Vec<_> = (added.iter())
+        .map(|e| (sweeps.to(e.src), e.cost, sweeps.from(e.dst)))
+        .collect();
+    comp.refine(|(i, a), (j, b), cost| {
+        let (cand, (to_u, _, from_v)) = (entries.iter())
+            .map(|entry| (entry.0.costs[i] + entry.1 + entry.2.costs[j], entry))
+            .min_by_key(|&(cand, _)| cand)?;
         if cand >= cost {
             return None;
         }
         let path = store.then(|| {
-            // `to_u` runs on the reversed graph, so its path u..a reads
-            // backwards; flip it to a..u and append v..b.
-            let mut p = to_u.path_to(a).expect("cost is finite");
-            p.reverse();
-            p.extend(from_v.path_to(b).expect("cost is finite"));
+            let mut p = to_u.walk(a);
+            p.extend(from_v.walk(b).into_iter().rev());
             p
         });
         Some((cand, path))
@@ -359,29 +501,31 @@ fn improve(
 }
 
 /// Border sources whose shortcuts could have routed through a removed
-/// edge (the deletion repair rule, evaluated on pre-deletion distances).
+/// entry (the deletion repair rule, evaluated on pre-deletion distances).
 fn affected_sources(
-    graph: &CsrGraph,
     comp: &ComplementaryInfo,
-    site_count: usize,
-    removed: &BTreeSet<(NodeId, NodeId, Cost)>,
+    sweeps: &EndpointSweeps,
+    removed: &[Edge],
 ) -> BTreeSet<NodeId> {
-    let rev = graph.reversed();
+    // Parallel entries of equal cost need one test, not two.
+    let distinct: BTreeSet<(NodeId, NodeId, Cost)> =
+        removed.iter().map(|e| (e.src, e.dst, e.cost)).collect();
+    let tests: Vec<_> = (distinct.into_iter())
+        .map(|(u, v, c)| (sweeps.to(u), c, sweeps.from(v)))
+        .collect();
     let mut out = BTreeSet::new();
-    for &(u, v, c) in removed {
-        let to_u = dijkstra::single_source(&rev, u);
-        let from_v = dijkstra::single_source(graph, v);
-        for site in 0..site_count {
-            for e in comp.shortcuts(site) {
-                if out.contains(&e.src) {
-                    continue;
-                }
-                if let (Some(a_u), Some(v_b)) = (to_u.cost(e.src), from_v.cost(e.dst)) {
-                    if a_u + c + v_b == e.cost {
-                        out.insert(e.src);
-                    }
-                }
-            }
+    for (a, i, columns, row) in comp.rows() {
+        if out.contains(&a) {
+            continue;
+        }
+        let uses_removed = |&(to_u, c, from_v): &(&BorderDistances, Cost, &BorderDistances)| {
+            let through = to_u.costs[i] + c;
+            (columns.iter().zip(row)).any(|(&j, &cost)| {
+                j != i && cost < INFINITE_COST && through + from_v.costs[j] == cost
+            })
+        };
+        if tests.iter().any(uses_removed) {
+            out.insert(a);
         }
     }
     out
@@ -405,39 +549,29 @@ fn is_border(frag: &Fragmentation, v: NodeId) -> bool {
     frag.fragments_of_node(v).len() >= 2
 }
 
-fn full_recompute(
+/// Outside the repair rule's regime: re-sweep the stale fragments,
+/// re-close the skeleton and re-assemble the tables
+/// ([`ComplementaryInfo::refresh`]). The sites whose table changed ship
+/// it; the owner is touched whether or not its own table did.
+fn fallback(
     graph: &CsrGraph,
     frag: &Fragmentation,
-    cfg: &EngineConfig,
     comp: &mut ComplementaryInfo,
     owner: FragmentId,
     reason: FallbackReason,
+    scratch: &mut ScratchDijkstra,
 ) -> Maintenance {
-    *comp = ComplementaryInfo::compute(graph, frag, cfg.scope, cfg.store_paths);
-    let shortcut_sites: Vec<FragmentId> = (0..frag.fragment_count()).collect();
-    let tuples_shipped = tuples_at(comp, &shortcut_sites);
-    Maintenance {
-        report: UpdateReport {
-            shortcuts_improved: 0,
-            shortcuts_repaired: 0,
-            full_recompute: true,
-            fallback_reason: Some(reason),
-            sites_touched: shortcut_sites.len(),
-            tuples_shipped,
-        },
-        shortcut_sites,
-        owner: Some(owner),
-        connectivity: ConnectivityEffect::Unchanged,
-    }
+    let shortcut_sites = comp.refresh(graph, frag, scratch);
+    Maintenance::effective(comp, owner, shortcut_sites, (0, 0), Some(reason))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline;
+    use crate::engine::EngineConfig;
     use crate::snapshot::tests::grid_snapshot;
     use crate::snapshot::EngineSnapshot;
-    use ds_graph::Edge;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)

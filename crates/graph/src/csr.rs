@@ -180,12 +180,103 @@ impl CsrGraph {
         })
     }
 
-    /// The graph with every edge reversed (same coordinates).
+    /// The graph with every edge reversed (same coordinates): in-degrees
+    /// counted over `targets`, then every edge scattered to its target's
+    /// row in one pass — no intermediate edge list.
     pub fn reversed(&self) -> CsrGraph {
-        let edges: Vec<Edge> = self.edges().map(|e| e.reversed()).collect();
-        let mut g = CsrGraph::from_edges(self.node_count(), &edges);
-        g.coords = self.coords.clone();
-        g
+        let n = self.node_count();
+        let mut offsets = vec![0u32; n + 1];
+        for t in &self.targets {
+            offsets[t.index() + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        let mut targets = vec![NodeId(0); self.targets.len()];
+        let mut costs = vec![0 as Cost; self.costs.len()];
+        for v in self.nodes() {
+            for (t, c) in self.neighbors(v) {
+                let slot = &mut cursor[t.index()];
+                targets[*slot as usize] = v;
+                costs[*slot as usize] = c;
+                *slot += 1;
+            }
+        }
+        CsrGraph {
+            offsets,
+            targets,
+            costs,
+            coords: self.coords.clone(),
+        }
+    }
+
+    /// This graph with one entry dropped per edge of `remove` (matched on
+    /// source, target and cost, so a parallel twin survives) and every
+    /// edge of `add` appended to its source's row. Rows no edit touches
+    /// are copied wholesale: O(V + E) memory traffic, no sort.
+    ///
+    /// # Panics
+    /// Panics if an edge of `add` references a node outside the graph.
+    pub fn edited(&self, add: &[Edge], remove: &[Edge]) -> CsrGraph {
+        let n = self.node_count();
+        assert!(
+            add.iter().all(|e| e.src.index() < n && e.dst.index() < n),
+            "edge references out-of-range node"
+        );
+        let mut rows: Vec<NodeId> = add.iter().chain(remove).map(|e| e.src).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let len = self.edge_count() + add.len();
+        let mut out = CsrGraph {
+            offsets: Vec::with_capacity(n + 1),
+            targets: Vec::with_capacity(len),
+            costs: Vec::with_capacity(len),
+            coords: self.coords.clone(),
+        };
+        let mut next = 0;
+        for &v in &rows {
+            out.copy_rows(self, next, v.index());
+            out.offsets.push(out.targets.len() as u32);
+            let mut drop: Vec<(NodeId, Cost)> = (remove.iter())
+                .filter(|e| e.src == v)
+                .map(|e| (e.dst, e.cost))
+                .collect();
+            for (t, c) in self.neighbors(v) {
+                match drop.iter().position(|&d| d == (t, c)) {
+                    Some(i) => {
+                        drop.swap_remove(i);
+                    }
+                    None => {
+                        out.targets.push(t);
+                        out.costs.push(c);
+                    }
+                }
+            }
+            debug_assert!(
+                drop.is_empty(),
+                "removed edges {drop:?} of {v} not in the graph"
+            );
+            for e in add.iter().filter(|e| e.src == v) {
+                out.targets.push(e.dst);
+                out.costs.push(e.cost);
+            }
+            next = v.index() + 1;
+        }
+        out.copy_rows(self, next, n);
+        out.offsets.push(out.targets.len() as u32);
+        out
+    }
+
+    /// Append the rows `from..to` of `src` unchanged, their offsets
+    /// shifted to where they land here.
+    fn copy_rows(&mut self, src: &CsrGraph, from: usize, to: usize) {
+        let (lo, hi) = (src.offsets[from] as usize, src.offsets[to] as usize);
+        let shift = (self.targets.len() as u32).wrapping_sub(lo as u32);
+        let moved = src.offsets[from..to].iter().map(|o| o.wrapping_add(shift));
+        self.offsets.extend(moved);
+        self.targets.extend_from_slice(&src.targets[lo..hi]);
+        self.costs.extend_from_slice(&src.costs[lo..hi]);
     }
 
     /// Node coordinates, if attached.
@@ -266,13 +357,61 @@ mod tests {
         );
     }
 
+    fn sorted_edges(g: &CsrGraph) -> Vec<(NodeId, NodeId, Cost)> {
+        let mut out: Vec<_> = g.edges().map(|e| (e.src, e.dst, e.cost)).collect();
+        out.sort_unstable();
+        out
+    }
+
     #[test]
     fn reversed_flips_all_edges() {
         let g = path_graph();
         let r = g.reversed();
         assert_eq!(r.edge_count(), g.edge_count());
         assert_eq!(r.out_degree(NodeId(1)), 2); // two reversed parallel edges
-        assert_eq!(r.reversed().edges().count(), g.edges().count());
+        assert_eq!(r.out_degree(NodeId(0)), 0);
+        let flipped: Vec<Edge> = g.edges().map(|e| e.reversed()).collect();
+        assert_eq!(r, CsrGraph::from_edges(4, &flipped), "rows in source order");
+        assert_eq!(r.reversed(), g, "the transpose of the transpose");
+        let coords = vec![Coord::new(1.0, 2.0); 4];
+        let with = g.with_coords(coords.clone()).unwrap().reversed();
+        assert_eq!(with.coords(), Some(&coords[..]));
+    }
+
+    #[test]
+    fn edited_drops_one_entry_per_removal_and_appends_inserts() {
+        // Parallel 0 -> 1 edges of cost 1 and 10, plus a twin of the cheap one.
+        let mut edges: Vec<Edge> = path_graph().edges().collect();
+        edges.push(Edge::new(NodeId(0), NodeId(1), 1));
+        let g = CsrGraph::from_edges(4, &edges);
+        let remove = [
+            Edge::new(NodeId(0), NodeId(1), 1),
+            Edge::new(NodeId(2), NodeId(3), 3),
+        ];
+        let add = [
+            Edge::new(NodeId(3), NodeId(0), 4),
+            Edge::new(NodeId(0), NodeId(2), 2),
+        ];
+        let got = g.edited(&add, &remove);
+        let mut want: Vec<Edge> = vec![
+            Edge::new(NodeId(0), NodeId(1), 1), // the twin survives
+            Edge::new(NodeId(0), NodeId(1), 10),
+            Edge::new(NodeId(1), NodeId(2), 2),
+        ];
+        want.extend(add);
+        assert_eq!(
+            sorted_edges(&got),
+            sorted_edges(&CsrGraph::from_edges(4, &want))
+        );
+        assert_eq!(
+            got.out_targets(NodeId(0)),
+            [NodeId(1), NodeId(1), NodeId(2)]
+        );
+        assert_eq!(got.out_degree(NodeId(2)), 0);
+        // No edit at all is a copy, and undoing an edit restores the rows.
+        assert_eq!(g.edited(&[], &[]), g);
+        let back = got.edited(&remove, &add);
+        assert_eq!(sorted_edges(&back), sorted_edges(&g));
     }
 
     #[test]

@@ -604,7 +604,7 @@ mod tests {
             server.query(n(x), n(y)).unwrap();
         }
         let before = server.stats();
-        assert!(before.reach_index_fresh, "index published from the start");
+        assert!(!before.reach_index_built, "no reader has asked yet");
         for &(x, y) in &pairs {
             assert_eq!(
                 server.connected(n(x), n(y)).unwrap(),
@@ -613,6 +613,7 @@ mod tests {
             );
         }
         let stats = server.shutdown();
+        assert!(stats.reach_index_built, "the first connected built it");
         assert_eq!(
             stats.reach_fast_path - before.reach_fast_path,
             2,
@@ -629,15 +630,18 @@ mod tests {
         );
     }
 
-    /// The writer rebuilds the reachability index once per publication:
-    /// after an invalidating update, the *published* snapshot's index is
-    /// already fresh, so readers never see a stale-index epoch.
+    /// The writer builds no reachability index: after an invalidating
+    /// update the published epoch's slot is empty, and its first
+    /// `connected` builds an index over the post-update network — on the
+    /// fast path, never through the pool.
     #[test]
     fn writer_republishes_a_fresh_reach_index() {
         let (_, snap) = snapshot();
         let f0 = snap.fragmentation().fragment(0).clone();
         let e = f0.edges()[0];
         let server = Server::start(snap, ServeConfig::with_workers(1));
+        assert!(server.connected(n(0), n(39)).unwrap());
+        assert!(server.stats().reach_index_built);
         server
             .update(&NetworkUpdate::Remove {
                 src: e.src,
@@ -648,8 +652,8 @@ mod tests {
         assert_eq!(server.epoch(), 1);
         let snap_now = server.snapshot();
         assert!(
-            snap_now.reach_index().is_some(),
-            "published epoch carries a rebuilt index"
+            snap_now.reach_handle().is_none() && !server.stats().reach_index_built,
+            "published epoch leaves the index to its readers"
         );
         // And it answers the post-update network.
         for (x, y) in [(0u32, 39u32), (e.src.0, e.dst.0)] {
@@ -659,7 +663,47 @@ mod tests {
                 "connected({x}, {y}) after removal"
             );
         }
-        server.shutdown();
+        let stats = server.shutdown();
+        assert!(stats.reach_index_built);
+        assert_eq!((stats.reach_fast_path, stats.evaluated), (3, 0));
+    }
+
+    /// An index a reader built in the published epoch survives a write
+    /// that leaves reachability alone, although the writer maintains its
+    /// own copy: a parallel insert and a chord inside the connected grid
+    /// each publish an epoch that shares the readers' index.
+    #[test]
+    fn a_redundant_write_keeps_the_readers_index() {
+        let (_, snap) = snapshot();
+        let f0 = snap.fragmentation().fragment(0).clone();
+        let e = f0.edges()[0];
+        let (a, b) = (f0.nodes()[0], *f0.nodes().last().unwrap());
+        let server = Server::start(snap, ServeConfig::with_workers(1));
+        assert!(server.connected(n(0), n(39)).unwrap());
+        let built = Arc::clone(server.snapshot().reach_handle().unwrap());
+        let updates = [
+            NetworkUpdate::Insert {
+                edge: Edge::new(e.src, e.dst, e.cost + 1),
+                owner: 0,
+            },
+            NetworkUpdate::Insert {
+                edge: Edge::new(a, b, 100),
+                owner: 0,
+            },
+        ];
+        for (epoch, update) in (1..).zip(&updates) {
+            server.update(update).unwrap();
+            assert_eq!(server.epoch(), epoch, "{update:?} is effective");
+            assert!(server.stats().reach_index_built, "{update:?}");
+            let kept = server.snapshot();
+            assert!(
+                Arc::ptr_eq(&built, kept.reach_handle().unwrap()),
+                "{update:?} keeps the readers' index"
+            );
+        }
+        assert!(server.connected(n(0), n(39)).unwrap());
+        let stats = server.shutdown();
+        assert_eq!((stats.reach_fast_path, stats.evaluated), (2, 0));
     }
 
     /// Load shedding: with the workers frozen, submissions beyond the
@@ -975,6 +1019,14 @@ mod tests {
         for (component, bytes) in held.components() {
             let gauge = match component {
                 "segment_memos" => continue, // checked above, under its own name
+                "reach_index" => {
+                    // Sampled at the publication; the `connected` after it
+                    // built the index.
+                    assert!(bytes > 0);
+                    let gauge = snap_metrics.gauge("serve_snapshot_reach_index_bytes");
+                    assert_eq!(gauge, Some(0));
+                    continue;
+                }
                 c => format!("serve_snapshot_{c}_bytes"),
             };
             assert_eq!(snap_metrics.gauge(&gauge), Some(bytes as u64), "{gauge}");

@@ -518,52 +518,50 @@ impl Server {
     /// Connection query — "is `x` connected to `y`?".
     ///
     /// Answered on the calling thread from the published snapshot's
-    /// SCC/chain reachability index when it is fresh — no queue slot, no
-    /// worker dispatch, no Dijkstra sweep, and never a cached
-    /// shortest-path answer (the fast path does not touch the answer
-    /// cache at all). Falls back to a full shortest-path query through
-    /// the pool when the index is disabled or stale.
+    /// SCC/chain reachability index — no queue slot, no worker dispatch,
+    /// no Dijkstra sweep, and never a cached shortest-path answer (the
+    /// fast path does not touch the answer cache at all). The epoch's
+    /// first `connected` builds the index on its caller's thread. A node
+    /// outside the graph goes through the pool as a shortest-path query.
     pub fn connected(&self, x: NodeId, y: NodeId) -> Result<bool, ServeError> {
         if x == y {
             return Ok(true);
         }
         let (epoch, snap) = self.shared.published.current();
-        if let Some(reach) = snap.reach_index() {
-            if x.index() < reach.node_count() && y.index() < reach.node_count() {
-                self.shared.metrics.reach_fast_path.inc();
-                let connected = reach.reaches(x, y);
-                if let Some(obs) = &self.shared.obs {
-                    // One marker span, no latency sample: nothing was
-                    // queued.
-                    let tracer = obs.tracer();
-                    let trace = tracer.mint();
-                    tracer.finish(RequestTrace {
-                        trace,
-                        source: x.index() as u64,
-                        target: y.index() as u64,
-                        epoch,
-                        total_ns: 0,
-                        outcome: if connected {
-                            TraceOutcome::Answered
-                        } else {
-                            TraceOutcome::Unreachable
-                        },
-                        spans: vec![SpanRecord {
-                            trace,
-                            stage: Stage::ReachIndex,
-                            start_ns: tracer.now_ns(),
-                            dur_ns: 0,
-                        }],
-                    });
-                    let w = obs.workload();
-                    if w.should_sample() {
-                        w.record_vertex_pair(x.index() as u64, y.index() as u64);
-                    }
-                }
-                return Ok(connected);
+        let reach = snap.reach_index();
+        if x.index() >= reach.node_count() || y.index() >= reach.node_count() {
+            return Ok(self.query(x, y)?.answer.cost.is_some());
+        }
+        self.shared.metrics.reach_fast_path.inc();
+        let connected = reach.reaches(x, y);
+        if let Some(obs) = &self.shared.obs {
+            // One marker span, no latency sample: nothing was queued.
+            let tracer = obs.tracer();
+            let trace = tracer.mint();
+            tracer.finish(RequestTrace {
+                trace,
+                source: x.index() as u64,
+                target: y.index() as u64,
+                epoch,
+                total_ns: 0,
+                outcome: if connected {
+                    TraceOutcome::Answered
+                } else {
+                    TraceOutcome::Unreachable
+                },
+                spans: vec![SpanRecord {
+                    trace,
+                    stage: Stage::ReachIndex,
+                    start_ns: tracer.now_ns(),
+                    dur_ns: 0,
+                }],
+            });
+            let w = obs.workload();
+            if w.should_sample() {
+                w.record_vertex_pair(x.index() as u64, y.index() as u64);
             }
         }
-        Ok(self.query(x, y)?.answer.cost.is_some())
+        Ok(connected)
     }
 
     /// Admit a batch of requests as one job without blocking: `Ok` hands
@@ -774,7 +772,7 @@ impl Server {
             cache_hits: m.cache_hits.get(),
             cache_misses: m.cache_misses.get(),
             reach_fast_path: m.reach_fast_path.get(),
-            reach_index_fresh: snap.reach_index().is_some(),
+            reach_index_built: snap.reach_handle().is_some(),
             batch,
             queue_depth: shared.queue.depth(),
             queue_high_water: shared.queue.high_water(),
@@ -785,6 +783,9 @@ impl Server {
             elapsed: shared.started.elapsed(),
             busy,
             writer_busy: Duration::from_nanos(m.writer_busy_ns.get()),
+            writer_append: Duration::from_nanos(m.writer_append_ns.get()),
+            writer_maintain: Duration::from_nanos(m.writer_maintain_ns.get()),
+            writer_publish: Duration::from_nanos(m.writer_publish_ns.get()),
             scratch,
             latency: LatencySummary {
                 count: hist.count(),

@@ -63,10 +63,10 @@ pub struct ServeStats {
     /// `connected` calls answered by the published snapshot's SCC/chain
     /// reachability index — no queue, no worker, no Dijkstra sweep.
     pub reach_fast_path: u64,
-    /// Whether the published snapshot currently carries a fresh
-    /// reachability index (false = disabled, or the writer has not yet
-    /// republished after an invalidating update).
-    pub reach_index_fresh: bool,
+    /// Whether the published snapshot's reachability index is built —
+    /// by a `connected` on this epoch, or kept from an earlier one by
+    /// updates that left reachability alone.
+    pub reach_index_built: bool,
     /// Aggregated plan/segment amortization across every micro-batch.
     pub batch: BatchStats,
     /// Jobs waiting in the submission queue right now.
@@ -92,11 +92,19 @@ pub struct ServeStats {
     pub elapsed: Duration,
     /// Per-worker evaluation time (index = worker id).
     pub busy: Vec<Duration>,
-    /// Writer-thread time spent on maintenance + publication. Since
-    /// structural sharing, publication itself is O(sites) refcount bumps;
-    /// the dominant cost is the incremental maintenance, which detaches
-    /// only the touched sites' tables from the published epoch.
+    /// Writer-thread time per batch, from draining the batch to
+    /// acknowledging it: the WAL append, the maintenance and the
+    /// publication below, plus the fault hook and the reply hand-off.
     pub writer_busy: Duration,
+    /// Writer time in WAL group commits (the buffered write and its
+    /// fsync); zero without durability.
+    pub writer_append: Duration,
+    /// Writer time maintaining the working copy, update by update
+    /// (`EngineSnapshot::maintain`).
+    pub writer_maintain: Duration,
+    /// Writer time publishing: one O(sites) copy-on-write clone per
+    /// batch that applied anything.
+    pub writer_publish: Duration,
     /// Merged per-worker scratch-kernel reuse counters.
     pub scratch: ScratchStats,
     /// Request latency (submit → reply) percentiles.
@@ -187,7 +195,8 @@ impl std::fmt::Display for ServeStats {
     /// One-line summary, like `MaterializeStats`:
     /// `epoch 2 (4 workers, inline): 150 requests (120 evaluated, 20
     /// coalesced, 10 cached), 2 updates, p50 8.1us p99 40.2us, balance
-    /// 1.10, 140 worker wakes/150 jobs, 145 reply parks`, with
+    /// 1.10, 140 worker wakes/150 jobs, 145 reply parks`, with the WAL
+    /// counts, the writer's per-update stage means and the
     /// degrade/restart/shed markers appended only when non-zero.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -225,6 +234,17 @@ impl std::fmt::Display for ServeStats {
                 f,
                 ", wal {} records/{} commits/{} checkpoints",
                 self.wal_records, self.wal_commits, self.checkpoints
+            )?;
+        }
+        if self.updates > 0 {
+            let per_update = |d: Duration| d.as_secs_f64() * 1e6 / self.updates as f64;
+            write!(
+                f,
+                ", writer {:.1}us/update (append {:.1}, maintain {:.1}, publish {:.1})",
+                per_update(self.writer_busy),
+                per_update(self.writer_append),
+                per_update(self.writer_maintain),
+                per_update(self.writer_publish),
             )?;
         }
         if self.wal_failures > 0 {
@@ -279,6 +299,9 @@ pub(crate) struct Metrics {
     pub(crate) wal_failures: Counter,
     pub(crate) checkpoints: Counter,
     pub(crate) writer_busy_ns: Counter,
+    pub(crate) writer_append_ns: Counter,
+    pub(crate) writer_maintain_ns: Counter,
+    pub(crate) writer_publish_ns: Counter,
     /// Submit → reply, one sample per answered request.
     pub(crate) request_latency: HistogramHandle,
     pub(crate) epoch: Gauge,
@@ -327,6 +350,9 @@ impl Metrics {
             wal_failures: r.counter_cell("serve_wal_failures"),
             checkpoints: r.counter_cell("serve_checkpoints"),
             writer_busy_ns: r.counter_cell("serve_writer_busy_ns"),
+            writer_append_ns: r.counter_cell("serve_writer_append_ns"),
+            writer_maintain_ns: r.counter_cell("serve_writer_maintain_ns"),
+            writer_publish_ns: r.counter_cell("serve_writer_publish_ns"),
             request_latency: r.histogram_cell("request_latency_ns"),
             epoch: r.gauge("serve_epoch"),
             queue_depth: r.gauge("serve_queue_depth"),

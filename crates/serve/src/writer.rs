@@ -26,18 +26,31 @@ pub(crate) struct WriteJob {
     pub reply: ReplySender<Result<ServedUpdate, ClosureError>>,
 }
 
+/// What one [`apply_and_publish`] did: the per-update maintenance
+/// outcomes, and the time the maintenance and the publication took.
+struct Applied {
+    outcomes: Vec<Result<UpdateReport, ClosureError>>,
+    maintain: Duration,
+    publish: Duration,
+}
+
 /// Apply `updates` in order to `working` and, if any was effective,
 /// publish the result once. The writer's batches and the WAL redo both
 /// go through here, so an applied update and a publication are each
-/// counted at one site. Returns the per-update maintenance outcomes and
-/// the time the publication took.
+/// counted at one site.
 fn apply_and_publish(
     shared: &Shared,
     working: &mut EngineSnapshot,
     scratch: &mut ScratchDijkstra,
     epoch: &mut u64,
     updates: &[NetworkUpdate],
-) -> (Vec<Result<UpdateReport, ClosureError>>, Duration) {
+) -> Applied {
+    let maintain_t = Instant::now();
+    // Readers build the reachability index in the published copy's
+    // slot, not in `working`'s. While `working` still holds the
+    // published graph, take that index along, so the keep rules of
+    // `maintain` decide whether it survives this batch.
+    working.adopt_reach(&shared.published.current().1);
     let mut applied = 0u64;
     let outcomes: Vec<_> = updates
         .iter()
@@ -55,17 +68,16 @@ fn apply_and_publish(
             outcome
         })
         .collect();
+    let maintain = maintain_t.elapsed();
     let publish_t = Instant::now();
     if applied > 0 {
         *epoch += applied;
-        // One reachability-index rebuild per publication, not per
-        // update: every update this batch that could have changed
-        // reachability dropped the working copy's index; rebuilding
-        // here amortizes the linear cost across the whole batch and
-        // publishes the epoch with `connected` already sweep-free.
-        working.ensure_reach();
-        // Copy-on-write publication: readers on the previous Arc
-        // finish undisturbed; new micro-batches pick up this epoch.
+        // No reachability index is built here: an update that could
+        // have changed reachability emptied the working copy's slot, and
+        // the epoch's first `connected` builds it — readers that never
+        // ask never pay. Copy-on-write publication: readers on the
+        // previous Arc finish undisturbed; new micro-batches pick up
+        // this epoch.
         // The clone is O(sites) — every component of the working
         // snapshot is Arc-shared, and the maintenance above already
         // detached exactly the sites it touched, so this publication
@@ -76,7 +88,11 @@ fn apply_and_publish(
         shared.publish(*epoch, working.clone());
         shared.metrics.updates.add(applied);
     }
-    (outcomes, publish_t.elapsed())
+    Applied {
+        outcomes,
+        maintain,
+        publish: publish_t.elapsed(),
+    }
 }
 
 /// The single writer: drain pending updates (bounded), apply the shared
@@ -126,6 +142,7 @@ pub(crate) fn writer_loop(
         // injected `Panic` at a disk fault point unwinds here instead —
         // the supervisor respawns the writer and redoes any durable
         // suffix, see `redo_wal_suffix`.)
+        let append_t = Instant::now();
         let wal_range = match &shared.store {
             Some(store) => match lock_unpoisoned(store).append_batch(epoch, &updates) {
                 Ok(first) => {
@@ -144,9 +161,9 @@ pub(crate) fn writer_loop(
             },
             None => None,
         };
+        let append = append_t.elapsed();
         let before = epoch;
-        let (outcomes, publish) =
-            apply_and_publish(shared, &mut working, &mut scratch, &mut epoch, &updates);
+        let applied = apply_and_publish(shared, &mut working, &mut scratch, &mut epoch, &updates);
         if let Some(last) = wal_range {
             // The published state now reflects every logged record up to
             // `last` (no-ops and per-update errors included — replay
@@ -156,13 +173,16 @@ pub(crate) fn writer_loop(
         }
         let busy = t0.elapsed();
         m.writer_busy_ns.add(busy.as_nanos() as u64);
+        m.writer_append_ns.add(append.as_nanos() as u64);
+        m.writer_maintain_ns.add(applied.maintain.as_nanos() as u64);
+        m.writer_publish_ns.add(applied.publish.as_nanos() as u64);
         if let (Some(obs), true) = (&shared.obs, epoch > before) {
             // One writer trace per publication: maintenance and
             // publication spans land in the trace ring (never in the
             // request latency histogram — that is reads only).
             let tracer = obs.tracer();
             let trace = tracer.mint();
-            let (busy_ns, publish_ns) = (busy.as_nanos() as u64, publish.as_nanos() as u64);
+            let (busy_ns, publish_ns) = (busy.as_nanos() as u64, applied.publish.as_nanos() as u64);
             let end_ns = tracer.now_ns();
             tracer.finish(RequestTrace {
                 trace,
@@ -187,7 +207,7 @@ pub(crate) fn writer_loop(
                 ],
             });
         }
-        for (job, outcome) in jobs.into_iter().zip(outcomes) {
+        for (job, outcome) in jobs.into_iter().zip(applied.outcomes) {
             shared.reply(
                 &job.reply,
                 outcome.map(|report| ServedUpdate { report, epoch }),

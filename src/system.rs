@@ -535,10 +535,11 @@ impl TcEngine for System {
         self.engine.shortest_path(x, y, &mut self.scratch)
     }
 
-    /// Answered by the engine's reachability index when it is fresh
-    /// (SCC/chain, no Dijkstra sweep).
+    /// Answered by the engine's reachability index (SCC/chain, no
+    /// Dijkstra sweep), which the first call after a build or an
+    /// invalidating update builds.
     fn connected(&mut self, x: NodeId, y: NodeId) -> bool {
-        self.engine.connected(x, y, &mut self.scratch)
+        self.engine.connected(x, y)
     }
 
     fn route(&mut self, x: NodeId, y: NodeId) -> Result<Option<Route>, ClosureError> {
@@ -546,12 +547,7 @@ impl TcEngine for System {
     }
 
     fn update(&mut self, update: &NetworkUpdate) -> Result<UpdateReport, ClosureError> {
-        let report = self.engine.maintain(update, &mut self.scratch)?;
-        // Eager per-update rebuild: there is no publication boundary to
-        // amortize across here, and a fresh index keeps `connected`
-        // sweep-free immediately after the update.
-        self.engine.ensure_reach();
-        Ok(report)
+        self.engine.maintain(update, &mut self.scratch)
     }
 
     fn precompute_stats(&self) -> PrecomputeStats {

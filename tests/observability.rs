@@ -146,12 +146,17 @@ fn counts(stats: &ServeStats) -> [(&'static str, u64); 19] {
 
 fn assert_stats_match_registry(stats: &ServeStats, registry: &MetricsSnapshot, when: &str) {
     // The two hand-off counters depend on who got to the queue or the
-    // reply slot first, so they stay out of `counts` (which armed and
-    // disarmed twins must agree on) — but the two views still read them
-    // from the same cells.
+    // reply slot first, and the writer's stage times on the clock, so they
+    // stay out of `counts` (which armed and disarmed twins must agree on)
+    // — but the two views still read them from the same cells.
+    let ns = |d: std::time::Duration| d.as_nanos() as u64;
     let handoff = [
         ("serve_handoff_wakes", stats.handoff_wakes),
         ("serve_reply_parks", stats.reply_parks),
+        ("serve_writer_busy_ns", ns(stats.writer_busy)),
+        ("serve_writer_append_ns", ns(stats.writer_append)),
+        ("serve_writer_maintain_ns", ns(stats.writer_maintain)),
+        ("serve_writer_publish_ns", ns(stats.writer_publish)),
     ];
     for (name, value) in counts(stats).into_iter().chain(handoff) {
         assert_eq!(registry.counter(name), Some(value), "{when}: {name}");
@@ -353,6 +358,16 @@ fn stats_and_registry_agree_field_by_field() {
     let stats = server.stats();
     assert!(stats.cache_hits > 0 && stats.coalesced > 0 && stats.reach_fast_path == 3);
     assert_eq!((stats.updates, stats.wal_commits), (3, 3));
+    let stages = [
+        stats.writer_append,
+        stats.writer_maintain,
+        stats.writer_publish,
+    ];
+    assert!(stages.iter().all(|d| !d.is_zero()), "{stats}");
+    assert!(
+        stages.iter().sum::<std::time::Duration>() <= stats.writer_busy,
+        "{stats}"
+    );
     assert_stats_match_registry(&stats, &obs.snapshot(), "after the mixed run");
 
     // The doomed update is refused to its caller but durable; the next

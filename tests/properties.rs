@@ -317,6 +317,11 @@ fn maintained_engine_equals_rebuilt_from_scratch() {
                     bridges[family] += pending.is_some() as usize;
                     let report = sys.update(&update).unwrap();
                     assert_eq!(
+                        edge_multiset(sys.engine().graph()),
+                        edge_multiset(&sys.fragmentation().closure_graph(true)),
+                        "seed {seed} case {case}: the edited closure graph"
+                    );
+                    assert_eq!(
                         report.full_recompute,
                         report.fallback_reason.is_some(),
                         "seed {seed} case {case}: report invariant ({report:?})"
@@ -388,13 +393,15 @@ fn maintained_engine_equals_rebuilt_from_scratch() {
 /// (whose index is built fresh, never maintained) — exhaustively over
 /// all node pairs, for every generator × {linear, center} fragmenter ×
 /// backend. This pins the keep/drop/rebuild rules of
-/// `ConnectivityEffect`: a stale index kept alive by a wrong rule shows
-/// up here as a connectivity answer diverging from the oracle.
+/// `ConnectivityEffect`: the index is built before every update, and an
+/// index an update kept is checked against the edited graph at once, so
+/// a stale index kept alive by a wrong rule shows up here as a
+/// connectivity answer diverging from the oracle.
 #[test]
 fn reachability_index_equals_dijkstra_connected() {
     use discset::gen::output::expand_connections;
 
-    let mut case = 0u64;
+    let (mut case, mut kept) = (0u64, 0usize);
     for seed in 0..6u64 {
         let g = update_network(seed);
         for fragmenter in [
@@ -426,8 +433,26 @@ fn reachability_index_equals_dijkstra_connected() {
                     else {
                         continue;
                     };
+                    // Built before every update, so each one is maintained
+                    // against a built index and the keep rules decide.
+                    sys.engine().ensure_reach();
                     sys.update(&update).unwrap();
                     applied += 1;
+                    // A kept index must still answer for the edited graph.
+                    let engine = sys.engine();
+                    if engine.reach_handle().is_some() {
+                        kept += 1;
+                        for x in 0..g.nodes as u32 {
+                            for y in 0..g.nodes as u32 {
+                                let (x, y) = (NodeId(x), NodeId(y));
+                                assert_eq!(
+                                    engine.connected(x, y),
+                                    x == y || baseline::reachable(engine.graph(), x, y),
+                                    "case {case}: index kept across {update:?}, {x}->{y}"
+                                );
+                            }
+                        }
+                    }
                 }
                 assert!(applied >= 20, "case {case}: not enough applicable updates");
 
@@ -465,6 +490,7 @@ fn reachability_index_equals_dijkstra_connected() {
             }
         }
     }
+    assert!(kept > 0, "no update kept a built index");
 }
 
 /// Pure-insert sequences never fall back to a full recompute, on either
@@ -522,19 +548,53 @@ fn pure_insert_sequences_never_recompute() {
     }
 }
 
+/// The edges of a graph as a sorted multiset.
+fn edge_multiset(g: &CsrGraph) -> Vec<(NodeId, NodeId, u64)> {
+    let mut edges: Vec<_> = g.edges().map(|e| (e.src, e.dst, e.cost)).collect();
+    edges.sort_unstable();
+    edges
+}
+
+/// One time in six, an exact copy of some fragment's tuple, inserted by a
+/// fragment holding both its endpoints — another fragment when one does,
+/// so identical tuples with different owners are common.
+fn arb_twin(
+    rng: &mut StdRng,
+    frag: &discset::fragment::Fragmentation,
+) -> Option<discset::NetworkUpdate> {
+    if rng.gen_index(6) > 0 {
+        return None;
+    }
+    let from = frag.fragment(rng.gen_index(frag.fragment_count()));
+    let edge = *from.edges().get(rng.gen_index(from.edges().len().max(1)))?;
+    let holds = |f: &&discset::fragment::Fragment| {
+        f.id() != from.id() && f.contains_node(edge.src) && f.contains_node(edge.dst)
+    };
+    let owner = frag
+        .fragments()
+        .iter()
+        .find(holds)
+        .map_or(from.id(), |f| f.id());
+    Some(discset::NetworkUpdate::Insert { edge, owner })
+}
+
 /// One definition of "effective": for every update the generator draws —
 /// bridges deleted and put back, removals that match nothing, inserts the
-/// rule refuses — on symmetric and one-way networks under both scopes,
-/// the structural edit rule says the edge set changed exactly when
-/// maintenance reports an effective update, both refuse the same updates,
-/// and the relation the rule folds is the relation the engine holds. The
-/// serve writer counts epochs by the report, recovery by the rule.
+/// rule refuses, twins of existing tuples — on symmetric and one-way
+/// networks under both scopes, the structural edit rule says the edge set
+/// changed exactly when maintenance reports an effective update, both
+/// refuse the same updates, and the relation the rule folds is the
+/// relation the engine holds. The serve writer counts epochs by the
+/// report, recovery by the rule. After every update, the closure graph
+/// maintenance edited equals the one the relation derives, as an edge
+/// multiset: a removal drops one entry per tuple its owner held, and a
+/// twin another fragment owns keeps its own.
 #[test]
 fn the_edit_rule_and_maintenance_agree_on_effective() {
     use discset::closure::api::apply_edit;
 
     let mut scratch = ScratchDijkstra::new();
-    let (mut effective, mut noops, mut refused) = (0, 0, 0);
+    let (mut effective, mut noops, mut refused, mut twins) = (0, 0, 0, 0);
     for seed in 0..8u64 {
         let g = update_network(seed);
         let frag = linear_sweep(
@@ -556,7 +616,14 @@ fn the_edit_rule_and_maintenance_agree_on_effective() {
         let mut rng = StdRng::seed_from_u64(0xEFFEC7 ^ seed);
         let mut pending = None;
         for step in 0..40 {
-            let Some(u) = arb_update_or_dud(&mut rng, &folded, symmetric, &mut pending) else {
+            let twin = pending
+                .is_none()
+                .then(|| arb_twin(&mut rng, &folded))
+                .flatten();
+            twins += twin.is_some() as usize;
+            let Some(u) =
+                twin.or_else(|| arb_update_or_dud(&mut rng, &folded, symmetric, &mut pending))
+            else {
                 continue;
             };
             let label = format!("seed {seed} step {step} {u:?}");
@@ -587,12 +654,47 @@ fn the_edit_rule_and_maintenance_agree_on_effective() {
                     ours.id()
                 );
             }
+            assert_eq!(
+                edge_multiset(engine.graph()),
+                edge_multiset(&folded.closure_graph(symmetric)),
+                "{label}: the edited closure graph"
+            );
         }
     }
     assert!(
-        effective > 100 && noops > 10 && refused > 10,
-        "{effective} effective, {noops} no-ops, {refused} refused"
+        effective > 100 && noops > 10 && refused > 10 && twins > 20,
+        "{effective} effective, {noops} no-ops, {refused} refused, {twins} twins"
     );
+}
+
+/// The transpose holds every edge flipped, parallel edges and loops
+/// included, on one-way graphs (the one transpose a one-way update still
+/// takes), and transposing twice gives the graph back.
+#[test]
+fn the_transpose_flips_every_edge() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x7A5 ^ seed);
+        let n = 1 + rng.gen_index(30);
+        let edges: Vec<Edge> = (0..rng.gen_index(4 * n))
+            .map(|_| {
+                let (a, b) = (rng.gen_index(n) as u32, rng.gen_index(n) as u32);
+                Edge::new(NodeId(a), NodeId(b), rng.gen_index(5) as u64)
+            })
+            .collect();
+        let g = CsrGraph::from_edges(n, &edges);
+        let flipped: Vec<Edge> = edges.iter().map(|e| e.reversed()).collect();
+        let t = g.reversed();
+        assert_eq!(
+            edge_multiset(&t),
+            edge_multiset(&CsrGraph::from_edges(n, &flipped)),
+            "seed {seed}"
+        );
+        assert_eq!(
+            edge_multiset(&t.reversed()),
+            edge_multiset(&g),
+            "seed {seed}"
+        );
+    }
 }
 
 /// The skeleton-overlay precompute (fragment-local sweeps + border

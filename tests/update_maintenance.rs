@@ -108,10 +108,13 @@ fn bridge_deletion_disconnects_and_falls_back() {
             Some(FallbackReason::Disconnected),
             "{name}"
         );
+        // The owner, whose table lost (2,4) and (4,2): sites 0 and 2 hold
+        // one border each, so their tables cannot change.
         assert_eq!(
-            report.sites_touched, 3,
-            "{name}: fallback reships all sites"
+            report.sites_touched, 1,
+            "{name}: the owner plus the sites whose table changed"
         );
+        assert_eq!(report.tuples_shipped, 0, "{name}: site 1 has none left");
         assert!(!sys.connected(n(0), n(6)), "{name}: disconnected after");
         assert!(sys.connected(n(0), n(3)), "{name}: left half intact");
         assert!(sys.connected(n(4), n(6)), "{name}: right half intact");
@@ -204,6 +207,160 @@ fn an_insert_restores_a_border_pair_at_every_site_holding_it() {
                 }
             }
         }
+    }
+}
+
+/// A 9 x 3 unit grid cut into three fragments by columns: 0..=3, 3..=6
+/// and 6..=8 (node `r * 9 + c`). Columns 3 and 6 are the borders; the
+/// vertical edges of column 3 belong to fragment 1, yet both their
+/// endpoints lie in fragment 0's node set too. One-way networks keep the
+/// rightward and downward directions only.
+fn column_grid() -> Vec<Vec<Edge>> {
+    let mut sets = vec![Vec::new(); 3];
+    for r in 0..3u32 {
+        for c in 0..9u32 {
+            let owner = (c / 3).min(2) as usize;
+            if c + 1 < 9 {
+                sets[owner].push(Edge::unit(n(r * 9 + c), n(r * 9 + c + 1)));
+            }
+            if r + 1 < 3 {
+                sets[owner].push(Edge::unit(n(r * 9 + c), n((r + 1) * 9 + c)));
+            }
+        }
+    }
+    sets
+}
+
+fn deploy_columns(fragments: &[Vec<Edge>], symmetric: bool) -> System {
+    let frag = Fragmentation::new(27, fragments.to_vec(), vec![vec![]; fragments.len()]);
+    System::builder()
+        .network(27, fragments.concat())
+        .symmetric(symmetric)
+        .fragmenter(Fragmenter::Prebuilt(frag))
+        .build()
+        .unwrap()
+}
+
+/// Every site's table equals a precompute on the system's current
+/// relation, entry for entry.
+fn assert_tables_rebuilt(sys: &System, symmetric: bool, label: &str) {
+    let now: Vec<Vec<Edge>> = (sys.fragmentation().fragments().iter())
+        .map(|f| f.edges().to_vec())
+        .collect();
+    let fresh = deploy_columns(&now, symmetric);
+    let (kept, rebuilt) = (sys.engine().complementary(), fresh.engine().complementary());
+    for f in 0..now.len() {
+        assert_eq!(kept.table(f), rebuilt.table(f), "{label}: site {f}");
+    }
+}
+
+/// A fallback re-sweeps every fragment whose node set holds both
+/// endpoints of an edit since its last sweep — not only the edit's owner:
+/// each fragment's local sweeps ran on the induced subgraph of the global
+/// graph, which holds the edge whoever owns it.
+///
+/// Fragment 1 inserts `X = 3 -> 21` (column 3, top to bottom, cost 1):
+/// incremental, and fragment 0 holds both endpoints. Fragment 0 inserts a
+/// costly twin `Y` of the vertical `12 -> 21` and deletes it again — a
+/// crossing delete elsewhere, whose fallback re-sweeps fragment 0, which
+/// now sees `X`. Deleting `X` must then re-sweep fragment 0 as well: a
+/// rule that marks only the owner leaves fragment 0's skeleton edge
+/// `3 -> 21` of cost 1 in place, and the `(3, 21)` entries wrong.
+#[test]
+fn a_fallback_resweeps_every_fragment_holding_both_endpoints() {
+    let x = Edge::new(n(3), n(21), 1);
+    let y = Edge::new(n(12), n(21), 7);
+    let steps = [
+        (NetworkUpdate::Insert { edge: x, owner: 1 }, false),
+        (NetworkUpdate::Insert { edge: y, owner: 0 }, false),
+        (
+            NetworkUpdate::Remove {
+                src: y.src,
+                dst: y.dst,
+                owner: 0,
+            },
+            true,
+        ),
+        (
+            NetworkUpdate::Remove {
+                src: x.src,
+                dst: x.dst,
+                owner: 1,
+            },
+            true,
+        ),
+    ];
+    for symmetric in [true, false] {
+        let mut sys = deploy_columns(&column_grid(), symmetric);
+        for (step, (update, falls_back)) in steps.iter().enumerate() {
+            let label = format!("symmetric={symmetric} step {step} {update:?}");
+            let report = sys.update(update).unwrap();
+            assert!(report.effective(), "{label}");
+            assert_eq!(report.full_recompute, *falls_back, "{label}: {report:?}");
+            if *falls_back {
+                assert_eq!(
+                    report.fallback_reason,
+                    Some(FallbackReason::DisconnectionSetCrossing),
+                    "{label}"
+                );
+            }
+            assert_tables_rebuilt(&sys, symmetric, &label);
+        }
+        assert_eq!(
+            sys.shortest_path(n(3), n(21)).cost,
+            Some(2),
+            "symmetric={symmetric}"
+        );
+    }
+}
+
+/// A fallback that changes no table still changed the network: it is
+/// effective, touches its owner (whose edges changed) and ships nothing,
+/// and every table — with every site but the owner's — stays the `Arc`
+/// the previous epoch holds.
+#[test]
+fn a_fallback_that_changes_no_table_touches_only_its_owner() {
+    use discset::graph::ScratchDijkstra;
+    use std::sync::Arc;
+
+    for symmetric in [true, false] {
+        let mut fragments = column_grid();
+        // A costly twin of the vertical 12 -> 21, owned by fragment 0:
+        // deleting it falls back (both endpoints are borders) and changes
+        // no distance.
+        fragments[0].push(Edge::new(n(12), n(21), 7));
+        let sys = deploy_columns(&fragments, symmetric);
+        let before = sys.engine().clone();
+        let mut after = before.clone();
+        let cow = after
+            .maintain_cow(
+                &NetworkUpdate::Remove {
+                    src: n(12),
+                    dst: n(21),
+                    owner: 0,
+                },
+                &mut ScratchDijkstra::new(),
+            )
+            .unwrap();
+        let label = format!("symmetric={symmetric}: {cow:?}");
+        assert!(
+            cow.report.full_recompute && cow.report.effective(),
+            "{label}"
+        );
+        assert_eq!(cow.report.sites_touched, 1, "{label}");
+        assert_eq!(cow.report.tuples_shipped, 0, "{label}");
+        assert!(cow.shortcut_sites.is_empty(), "{label}");
+        assert_eq!(cow.touched_sites, [0], "{label}");
+        for f in 0..3 {
+            let (was, now) = (before.complementary(), after.complementary());
+            assert!(
+                Arc::ptr_eq(was.table(f), now.table(f)),
+                "{label}: table {f}"
+            );
+            let site_shared = Arc::ptr_eq(before.site_handle(f), after.site_handle(f));
+            assert_eq!(site_shared, f != 0, "{label}: site {f}");
+        }
+        assert_eq!(after.fragmentation().fragment(0).edge_count(), 15);
     }
 }
 
