@@ -1,8 +1,8 @@
 //! The one bench of the workspace: the checks that `BENCHMARK.json`
 //! cannot make, because they are exact counts or ratios of two arms of
 //! one run. Timings, throughput and per-layer costs are the
-//! benchmark's (`examples/benchmark`); nothing here reports an absolute
-//! time.
+//! benchmark's (`examples/benchmark`); the only absolute times here are
+//! the reported, ungated write-cost rows below.
 //!
 //! Exits non-zero if (see `ds_bench::gates` for the checks themselves)
 //!
@@ -21,9 +21,11 @@
 //!   `ScratchStats`: a warm interior delete, or its re-insert, runs
 //!   anything but exactly 2 sweeps (one per endpoint: the closure graph
 //!   is its own transpose) or grows the scratch; or a crossing delete
-//!   between two border nodes of the shared column re-sweeps anything
-//!   but the borders of the two fragments whose node sets hold both
-//!   endpoints — exactly 9 (3 + 6);
+//!   between two border nodes of the shared column sweeps anything but
+//!   its 2 endpoints on the pre-delete graph and the borders of the two
+//!   fragments whose node sets hold both endpoints — exactly 11
+//!   (2 + 3 + 6) — or closes the skeleton from anything but the 4 of 6
+//!   sources whose shortest routes the deleted edge carries;
 //! * **publication** — the structurally shared per-epoch clone is less
 //!   than 5x cheaper than `EngineSnapshot::unshared_clone` after one
 //!   update's worth of touched sites, on any seed;
@@ -42,9 +44,14 @@
 //! Reported, not gated: `wal-on-over-wal-off-throughput` (the same write
 //! path without a log over with it, best of three interleaved rounds; a
 //! cheaper `maintain` speeds the log-off arm, so the ratio falls by
-//! construction, and it swings with the shared disk) and
+//! construction, and it swings with the shared disk),
 //! `obs-armed-over-disarmed` (a 95/5 read/write mix with a live `ds_obs`
-//! bundle over the same mix without).
+//! bundle over the same mix without) and the `write-mixed-*-ns` rows:
+//! `maintain`'s wall time per write on `serve_mixed_durable`'s graph and
+//! write streams (the benchmark's pinned sizes and write-stream rule, one
+//! thread, the previous epoch retained), per class — interior or
+//! crossing, delete or re-insert; the row's median is the class median —
+//! and the mean over every write.
 //!
 //! Writes `BENCH_gates.json` (repo root): one row per count or ratio,
 //! min / median / max over the seeds, plus the runner's `nproc`.
@@ -56,6 +63,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use discset::{Fragmenter, System};
 use ds_bench::gates::{
     closure_sweeps, exact_count, group_commit, no_sweeps, ratio_floor, worst_ratio, ClosureSweeps,
     Pair,
@@ -65,10 +73,11 @@ use ds_closure::api::{NetworkUpdate, QueryRequest};
 use ds_closure::local::ROW_NODES;
 use ds_closure::{EngineConfig, EngineSnapshot};
 use ds_fragment::center::{center_based, CenterConfig};
+use ds_fragment::linear::LinearConfig;
 use ds_fragment::{semantic, CrossingPolicy, Fragment, Fragmentation};
 use ds_gen::{
-    generate_general, generate_scale, generate_transportation, GeneralConfig, ScaleConfig,
-    TransportationConfig,
+    generate_ellipse, generate_general, generate_scale, generate_transportation, EllipseConfig,
+    GeneralConfig, ScaleConfig, TransportationConfig,
 };
 use ds_graph::{Edge, NodeId, ScratchDijkstra, ScratchStats};
 use ds_obs::Observability;
@@ -216,23 +225,35 @@ fn reach_index(bench: &mut Bench) -> (Vec<DijkstraPass>, Vec<Pair>) {
 
 /// What the write path swept on the stale-rule fixture, read from the
 /// caller's scratch: per interior toggle (delete, re-insert), then one
-/// crossing delete beside the count the staleness rule predicts for it.
+/// crossing delete beside the count the staleness rule predicts for it,
+/// and the skeleton sources its fallback closed.
 struct WriteSweeps {
     interior_delete: ScratchStats,
     reinsert: ScratchStats,
     crossing_delete: u64,
     crossing_expected: u64,
+    closed_sources: u64,
+    borders: u64,
 }
+
+/// The skeleton sources a crossing delete of the fixture's twin `X`
+/// closes: `3` and `21` themselves, and `6` and `24`, whose shortest
+/// routes to `21` and `3` tie through `X`. `12` and `15` reach every
+/// partner more cheaply.
+const CROSSING_CLOSED_SOURCES: u64 = 4;
 
 /// A 9 x 3 unit grid cut into three fragments by columns — 0..=3, 3..=6
 /// and 6..=8, so columns 3 and 6 are the borders (3 + 3 nodes) — plus a
 /// chord of cost 1000 between two interior nodes of the middle fragment,
 /// which no shortest path uses. The chord is deleted and re-inserted
-/// twice (the second round is the one counted, warm), then a vertical
-/// edge of column 3 — owned by the middle fragment, both its endpoints
-/// borders held by the first fragment too — is deleted from a fresh
-/// copy: a disconnection-set crossing whose fallback re-sweeps exactly
-/// the two fragments whose node sets hold both endpoints.
+/// twice (the second round is the one counted, warm). Then, on a fresh
+/// copy, the middle fragment inserts `X = 3 - 21` of cost 2 — a twin of
+/// column 3's path `3 - 12 - 21`, between two borders the first fragment
+/// holds too — and deletes it again: a disconnection-set crossing. Its
+/// fallback sweeps each endpoint once on the pre-delete graph, re-sweeps
+/// exactly the two fragments whose node sets hold both endpoints, and
+/// closes the skeleton only from the sources whose shortest routes `X`
+/// carries.
 fn write_sweeps() -> WriteSweeps {
     let (w, h) = (9u32, 3u32);
     let id = |c: u32, r: u32| NodeId(r * w + c);
@@ -280,18 +301,26 @@ fn write_sweeps() -> WriteSweeps {
         reinsert = counted(&insert, &mut snap);
     }
 
-    let (a, b) = (id(3, 0), id(3, 1));
+    let twin = Edge::new(id(3, 0), id(3, 2), 2);
     let frag = built.fragmentation();
     let border = |v: &NodeId| frag.fragments_of_node(*v).len() >= 2;
-    let crossing_expected = (frag.fragments().iter())
-        .filter(|f| f.contains_node(a) && f.contains_node(b))
+    let stale_borders: u64 = (frag.fragments().iter())
+        .filter(|f| f.contains_node(twin.src) && f.contains_node(twin.dst))
         .map(|f| f.nodes().iter().filter(|v| border(v)).count() as u64)
         .sum();
     let mut snap = built.clone();
+    snap.maintain(
+        &NetworkUpdate::Insert {
+            edge: twin,
+            owner: 1,
+        },
+        &mut scratch,
+    )
+    .expect("twin inside fragment 1");
     let before = scratch.stats().sweeps;
     let crossing = NetworkUpdate::Remove {
-        src: a,
-        dst: b,
+        src: twin.src,
+        dst: twin.dst,
         owner: 1,
     };
     let report = snap
@@ -302,8 +331,107 @@ fn write_sweeps() -> WriteSweeps {
         interior_delete,
         reinsert,
         crossing_delete: scratch.stats().sweeps - before,
-        crossing_expected,
+        crossing_expected: 2 + stale_borders,
+        closed_sources: snap.precompute_stats().sources_closed as u64,
+        borders: snap.complementary().border_count() as u64,
     }
+}
+
+/// `serve_mixed_durable`'s deployment as the end-to-end benchmark pins
+/// it (`examples/benchmark/src/pinned.rs`): a 600-node ellipse graph,
+/// ten linear fragments, two writers.
+const MIXED_GRAPH_SEED: u64 = 1993 ^ 0xE111_95E0;
+const MIXED_FRAGMENTS: usize = 10;
+const MIXED_WRITERS: usize = 2;
+/// One write pair in this many is a crossing edge's delete and
+/// re-insert.
+const MIXED_CROSSING_EVERY_PAIRS: usize = 10;
+/// Writes timed, alternating between the writers.
+const MIXED_WRITES: usize = 8000;
+
+/// One writer's edges under the benchmark's write-stream rule: the
+/// delete and re-insert of the first interior fragment edge whose delete
+/// stays incremental, and of the first crossing edge whose delete falls
+/// back — each without a parallel twin in its fragment, in fragment and
+/// edge order, disjoint across writers.
+fn mixed_write_streams(snap: &EngineSnapshot) -> Vec<[[NetworkUpdate; 2]; 2]> {
+    let frag = snap.fragmentation();
+    let border = |v: NodeId| frag.fragments_of_node(v).len() >= 2;
+    let mut scratch = ScratchDijkstra::new();
+    let mut pairs: [Vec<[NetworkUpdate; 2]>; 2] = Default::default();
+    for f in frag.fragments() {
+        for e in f.edges() {
+            let crossing = border(e.src) && border(e.dst);
+            let found = &mut pairs[usize::from(crossing)];
+            let twins = (f.edges().iter())
+                .filter(|x| x.connects(e.src, e.dst, snap.is_symmetric()))
+                .count();
+            if e.is_loop() || found.len() == MIXED_WRITERS || twins != 1 {
+                continue;
+            }
+            let owner = f.id();
+            let remove = NetworkUpdate::Remove {
+                src: e.src,
+                dst: e.dst,
+                owner,
+            };
+            let probed = snap.clone().maintain(&remove, &mut scratch);
+            if probed.is_ok_and(|report| report.full_recompute == crossing) {
+                found.push([remove, NetworkUpdate::Insert { edge: *e, owner }]);
+            }
+        }
+    }
+    let [safe, cross] = pairs;
+    assert!(cross.len() == MIXED_WRITERS && safe.len() == MIXED_WRITERS);
+    safe.into_iter().zip(cross).map(|(s, c)| [s, c]).collect()
+}
+
+/// The four write classes of the mixed streams: interior or crossing,
+/// delete or re-insert.
+const WRITE_CLASSES: [&str; 4] = [
+    "write-mixed-interior-delete-ns",
+    "write-mixed-interior-insert-ns",
+    "write-mixed-crossing-delete-ns",
+    "write-mixed-crossing-insert-ns",
+];
+
+/// `maintain`'s wall time per write on `serve_mixed_durable`'s streams,
+/// by class (in `WRITE_CLASSES` order): one thread, one scratch, the
+/// previous epoch retained as the serve writer's readers retain it.
+fn mixed_write_costs() -> [Vec<f64>; 4] {
+    let g = generate_ellipse(
+        &EllipseConfig {
+            nodes: 600,
+            target_edges: 1800,
+            c2: 0.15,
+            a: 500.0,
+            b: 22.0,
+            ..EllipseConfig::default()
+        },
+        MIXED_GRAPH_SEED,
+    );
+    let linear = Fragmenter::Linear(LinearConfig {
+        fragments: MIXED_FRAGMENTS,
+        ..LinearConfig::default()
+    });
+    let sys = System::builder().graph(&g).fragmenter(linear).build();
+    let mut working = sys.expect("the ellipse deploys").engine().clone();
+    let streams = mixed_write_streams(&working);
+    let mut scratch = ScratchDijkstra::new();
+    let mut retained = working.clone();
+    let mut costs: [Vec<f64>; 4] = Default::default();
+    for step in 0..MIXED_WRITES {
+        let (writer, own) = (step % MIXED_WRITERS, step / MIXED_WRITERS);
+        let crossing = (own / 2) % MIXED_CROSSING_EVERY_PAIRS == MIXED_CROSSING_EVERY_PAIRS - 1;
+        let update = streams[writer][usize::from(crossing)][own % 2];
+        let t = Instant::now();
+        let report = working.maintain(&update, &mut scratch).expect("valid");
+        costs[2 * usize::from(crossing) + own % 2].push(t.elapsed().as_nanos() as f64);
+        assert_eq!(report.full_recompute, crossing && own % 2 == 0);
+        // Publish: the next write detaches what it changes from here.
+        let _previous = std::mem::replace(&mut retained, working.clone());
+    }
+    costs
 }
 
 /// The full closure of the benchmark's transportation graph by the
@@ -683,29 +811,66 @@ fn main() {
     report.ratio_row("reach-dijkstra-over-index", &reach, Some(FLOOR_REACH_INDEX));
 
     let writes = write_sweeps();
+    let crossing_what = format!(
+        "2 endpoint sweeps on the pre-delete graph + {} local re-sweeps, one per border of \
+         the 2 stale fragments",
+        writes.crossing_expected - 2
+    );
+    let closed_what = format!("of the fixture's {} borders", writes.borders);
+    assert!(CROSSING_CLOSED_SOURCES < writes.borders);
     let rows = [
         (
             "write-interior-delete-sweeps",
             2,
             writes.interior_delete.sweeps,
+            "one per endpoint",
         ),
-        ("write-reinsert-sweeps", 2, writes.reinsert.sweeps),
+        (
+            "write-reinsert-sweeps",
+            2,
+            writes.reinsert.sweeps,
+            "one per endpoint",
+        ),
         (
             "write-warm-grows",
             0,
             writes.interior_delete.grows + writes.reinsert.grows,
+            "scratch growths",
         ),
         (
             "write-crossing-delete-sweeps",
             writes.crossing_expected,
             writes.crossing_delete,
+            &crossing_what,
+        ),
+        (
+            "write-crossing-closed-sources",
+            CROSSING_CLOSED_SOURCES,
+            writes.closed_sources,
+            &closed_what,
         ),
     ];
-    for (row, expected, counted) in rows {
+    for (row, expected, counted, what) in rows {
         report.rows.record(row, &[counted as f64]);
-        println!("{row}: {counted} (expected {expected})");
+        println!("{row}: {counted} (expected {expected}: {what})");
         report.check(exact_count(row, expected, counted));
     }
+
+    // Reported, not gated: what `maintain` costs per write class on the
+    // mixed workload's streams.
+    let costs = mixed_write_costs();
+    for (row, samples) in WRITE_CLASSES.iter().zip(&costs) {
+        let r = report.rows.record(row, samples);
+        println!(
+            "{row}: median {:.1} us over {} writes",
+            r.median_ns / 1e3,
+            samples.len()
+        );
+    }
+    let all: Vec<f64> = costs.concat();
+    let mean = all.iter().sum::<f64>() / all.len() as f64;
+    report.rows.record("write-mixed-mean-ns", &[mean]);
+    println!("write-mixed-mean-ns: {:.1} us per write", mean / 1e3);
 
     let (closures, materialized) = materialize(&mut bench);
     let sweeps: Vec<f64> = closures

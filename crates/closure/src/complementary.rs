@@ -42,10 +42,11 @@
 //! holds both of its endpoints — the sweeps run on the induced subgraph of
 //! the global graph, so each such fragment sees the edge, not only its
 //! owner. A maintenance fallback ([`crate::updates`]) then re-sweeps the
-//! stale fragments alone, re-closes the skeleton and re-assembles the
-//! tables; a site whose table comes out unchanged keeps its `Arc`. The
-//! build is the same routine with every fragment stale: there is one
-//! precompute path.
+//! stale fragments alone, re-closes the skeleton from the sources the
+//! deletion affects and rewrites their rows; a site whose table comes out
+//! unchanged keeps its `Arc`. The build is the same routine with every
+//! fragment stale and every source affected: there is one precompute
+//! path.
 //!
 //! Exactness: every global edge belongs to exactly one fragment and both
 //! its endpoints lie in that fragment's node set, so any global shortest
@@ -87,7 +88,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ds_fragment::{FragmentId, Fragmentation};
+use ds_fragment::Fragmentation;
 use ds_graph::{
     dijkstra, Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, SubgraphView, INFINITE_COST,
 };
@@ -114,7 +115,8 @@ pub enum PrecomputeStrategy {
     GlobalSweep,
 }
 
-/// Per-phase wall-time accounting of one precompute, exposed through
+/// Per-phase wall-time accounting of one precompute — the build, or the
+/// last maintenance fallback that redid part of it — exposed through
 /// `TcEngine::precompute_stats` so benches and tests can assert where
 /// build time goes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -125,8 +127,13 @@ pub struct PrecomputeStats {
     pub local_sweeps_ns: u64,
     /// Time closing the border-skeleton graph (0 on the reference path).
     pub skeleton_close_ns: u64,
-    /// Time assembling the per-site shortcut tables.
+    /// Time writing the closed rows into the per-site shortcut tables
+    /// (and, on a fallback with stored paths, their routes).
     pub assemble_ns: u64,
+    /// Skeleton sources the skeleton was closed from: every border on a
+    /// build, the sources the deleted edge could have carried on a
+    /// fallback (0 on the reference path).
+    pub sources_closed: usize,
 }
 
 impl PrecomputeStats {
@@ -266,44 +273,60 @@ impl SkeletonPaths {
             // like the eager (global-sweep) store does.
             return None;
         }
-        // Walk the closure tree rooted at `su` back from `sv`, collecting
-        // the skeleton hops in reverse.
-        let mut hops: Vec<&SkelEdge> = Vec::new();
-        let mut cur = sv;
-        while cur != su {
-            let idx = self.via[su][cur];
-            if idx == u32::MAX {
-                return None; // unreachable
-            }
-            let e = &self.edges[idx as usize];
-            hops.push(e);
-            cur = e.src as usize;
-        }
-        hops.reverse();
-        // Expand each hop inside its providing fragment.
-        let mut out = vec![u];
-        for e in hops {
-            let ft = (self.frags[e.frag as usize].trees.as_ref())
-                .expect("a fragment that realizes a skeleton edge kept its trees");
-            let src_global = borders[e.src as usize];
-            let dst_global = borders[e.dst as usize];
-            let bi = ft
-                .borders
-                .binary_search(&src_global)
-                .expect("skeleton edge source is a border of its fragment");
-            let tree = &ft.parents[bi];
-            let src_local = ft.view.local_of(src_global).expect("border in view");
-            let mut lc = ft.view.local_of(dst_global).expect("border in view");
-            let mut seg = Vec::new();
-            while lc != src_local {
-                seg.push(ft.view.global_of(lc));
-                lc = NodeId(tree[lc.index()]);
-            }
-            seg.reverse();
-            out.extend(seg);
-        }
-        Some(out)
+        stitch(borders, &self.frags, &self.edges, &self.via[su], su, sv)
     }
+}
+
+/// The route from skeleton node `su` to `sv` along the closure sweep
+/// rooted at `su` (`via`, its row of realizing edge indices into
+/// `edges`), each skeleton hop expanded inside its providing fragment
+/// from that fragment's local parent trees. `None` when `sv` was not
+/// reached.
+fn stitch(
+    borders: &[NodeId],
+    frags: &[Arc<LocalSweeps>],
+    edges: &[SkelEdge],
+    via: &[u32],
+    su: usize,
+    sv: usize,
+) -> Option<Vec<NodeId>> {
+    // Walk the closure tree back from `sv`, collecting the skeleton hops
+    // in reverse.
+    let mut hops: Vec<&SkelEdge> = Vec::new();
+    let mut cur = sv;
+    while cur != su {
+        let idx = via[cur];
+        if idx == u32::MAX {
+            return None; // unreachable
+        }
+        let e = &edges[idx as usize];
+        hops.push(e);
+        cur = e.src as usize;
+    }
+    hops.reverse();
+    // Expand each hop inside its providing fragment.
+    let mut out = vec![borders[su]];
+    for e in hops {
+        let ft = (frags[e.frag as usize].trees.as_ref())
+            .expect("a fragment that realizes a skeleton edge kept its trees");
+        let src_global = borders[e.src as usize];
+        let dst_global = borders[e.dst as usize];
+        let bi = ft
+            .borders
+            .binary_search(&src_global)
+            .expect("skeleton edge source is a border of its fragment");
+        let tree = &ft.parents[bi];
+        let src_local = ft.view.local_of(src_global).expect("border in view");
+        let mut lc = ft.view.local_of(dst_global).expect("border in view");
+        let mut seg = Vec::new();
+        while lc != src_local {
+            seg.push(ft.view.global_of(lc));
+            lc = NodeId(tree[lc.index()]);
+        }
+        seg.reverse();
+        out.extend(seg);
+    }
+    Some(out)
 }
 
 /// Concrete routes backing the shortcut tuples, when requested.
@@ -370,20 +393,22 @@ impl BorderTable {
         for i in 0..nb {
             costs[i * nb + i] = 0;
         }
+        let mut in_scope = Vec::new();
+        if groups.len() > 1 {
+            in_scope = vec![false; nb * nb];
+            for group in groups {
+                let at: Vec<usize> = group.iter().map(|v| position(&borders, v)).collect();
+                for &i in &at {
+                    for &j in at.iter().filter(|&&j| j != i) {
+                        in_scope[i * nb + j] = true;
+                    }
+                }
+            }
+        }
         BorderTable {
             borders,
             costs,
-            in_scope: vec![false; if groups.len() > 1 { nb * nb } else { 0 }],
-        }
-    }
-
-    /// Store `cost` for the pair of the `i`-th and `j`-th border — which
-    /// is what puts the pair in scope, connected or not.
-    fn store(&mut self, i: usize, j: usize, cost: Cost) {
-        let slot = i * self.borders.len() + j;
-        self.costs[slot] = cost;
-        if let Some(covered) = self.in_scope.get_mut(slot) {
-            *covered = true;
+            in_scope,
         }
     }
 
@@ -391,9 +416,10 @@ impl BorderTable {
     #[cfg(test)]
     pub(crate) fn from_edges(borders: Vec<NodeId>, tuples: &[Edge]) -> Self {
         let mut table = BorderTable::for_groups(&[borders]);
+        let nb = table.borders.len();
         for e in tuples {
             let at = |v| position(&table.borders, v);
-            table.store(at(&e.src), at(&e.dst), e.cost);
+            table.costs[at(&e.src) * nb + at(&e.dst)] = e.cost;
         }
         table
     }
@@ -550,20 +576,22 @@ fn local_sweeps_for_fragment(
     LocalSweeps { edges, trees }
 }
 
-/// Close the skeleton graph: Dijkstra per skeleton node over `edges`
-/// (sorted by source), remembering the realizing edge index.
+/// Close the skeleton graph from each of `sources`: Dijkstra over
+/// `edges` (sorted by source), remembering the realizing edge index.
 /// `targets[s]` lists the skeleton nodes whose distance from `s` the
 /// shortcut tables actually need (the borders sharing a site group with
-/// `s`); each sweep stops as soon as all of them are settled. Returns the
-/// distance matrix and, when requested, the `via` edge matrix for path
-/// stitching — rows are final for every settled node, which includes
-/// every needed pair and every intermediate skeleton hop on their paths.
+/// `s`); each sweep stops as soon as all of them are settled. Returns,
+/// per source in order, its distance row and, when requested, its `via`
+/// row for path stitching (empty otherwise) — final for every settled
+/// node, which includes every needed pair and every intermediate
+/// skeleton hop on their paths.
 fn close_skeleton(
     border_count: usize,
     edges: &[SkelEdge],
     targets: &[Vec<u32>],
+    sources: &[usize],
     want_via: bool,
-) -> (Vec<Vec<Cost>>, Vec<Vec<u32>>) {
+) -> Vec<(Vec<Cost>, Vec<u32>)> {
     // `edges` is sorted by source: a node's out-edges are one range.
     let mut offsets = vec![0usize; border_count + 1];
     for e in edges {
@@ -572,12 +600,11 @@ fn close_skeleton(
     for i in 0..border_count {
         offsets[i + 1] += offsets[i];
     }
-    let mut dist_matrix = Vec::with_capacity(border_count);
-    let mut via_matrix = Vec::with_capacity(if want_via { border_count } else { 0 });
+    let mut rows = Vec::with_capacity(sources.len());
     let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(Cost, u32)>> =
         std::collections::BinaryHeap::new();
     let mut is_target = vec![false; border_count];
-    for s in 0..border_count {
+    for &s in sources {
         let mut remaining = 0usize;
         for &t in &targets[s] {
             if t as usize != s && !is_target[t as usize] {
@@ -585,17 +612,14 @@ fn close_skeleton(
                 remaining += 1;
             }
         }
+        let mut dist = vec![INFINITE_COST; border_count];
+        let mut via = vec![u32::MAX; border_count];
         if remaining == 0 {
             // No table pair needs this source (e.g. singleton
             // disconnection sets): skip the sweep entirely.
-            dist_matrix.push(vec![INFINITE_COST; border_count]);
-            if want_via {
-                via_matrix.push(vec![u32::MAX; border_count]);
-            }
+            rows.push((dist, if want_via { via } else { Vec::new() }));
             continue;
         }
-        let mut dist = vec![INFINITE_COST; border_count];
-        let mut via = vec![u32::MAX; border_count];
         dist[s] = 0;
         heap.clear();
         heap.push(std::cmp::Reverse((0, s as u32)));
@@ -625,12 +649,9 @@ fn close_skeleton(
         for &t in &targets[s] {
             is_target[t as usize] = false;
         }
-        dist_matrix.push(dist);
-        if want_via {
-            via_matrix.push(via);
-        }
+        rows.push((dist, if want_via { via } else { Vec::new() }));
     }
-    (dist_matrix, via_matrix)
+    rows
 }
 
 /// Where `v` sits in the ascending border list `borders`.
@@ -649,30 +670,56 @@ fn table_borders(groups: &[Vec<NodeId>]) -> Vec<NodeId> {
     }
 }
 
-/// The assemble phase of either strategy: per site, the table over the
-/// union of its border groups, each ordered pair of each group filled
-/// from `dist`, which is asked by position in `all_borders` (sorted).
-fn assemble_tables<'a>(
-    site_groups: &'a [Vec<Vec<NodeId>>],
-    all_borders: &'a [NodeId],
-    dist: impl Fn(usize, usize) -> Cost + 'a,
-) -> impl Iterator<Item = BorderTable> + 'a {
-    site_groups.iter().map(move |groups| {
-        let mut table = BorderTable::for_groups(groups);
-        for group in groups {
-            // Per member: where it sits in the table, and in `all_borders`.
-            let at: Vec<(usize, usize)> = group
-                .iter()
-                .map(|v| (position(&table.borders, v), position(all_borders, v)))
-                .collect();
-            for &(i, gi) in &at {
-                for &(j, gj) in at.iter().filter(|&&(j, _)| j != i) {
-                    table.store(i, j, dist(gi, gj));
-                }
+/// Write the distances `dist` from skeleton node `s` (indexed by
+/// skeleton id) into `s`'s row at every site holding it, in-scope
+/// columns only. A table is detached (`Arc::make_mut`) only when an
+/// entry differs, so a site whose row comes out as it was keeps its
+/// shared table; the differing entries are added to `changed`, per site.
+fn write_row(
+    tables: &mut [Arc<BorderTable>],
+    layout: &Layout,
+    s: usize,
+    dist: &[Cost],
+    changed: &mut [usize],
+) {
+    for (site, at) in layout.at.iter().enumerate() {
+        let Ok(i) = at.binary_search(&s) else {
+            continue;
+        };
+        let nb = at.len();
+        let stale = |table: &BorderTable, j: usize| {
+            let slot = i * nb + j;
+            j != i && table.covers(slot) && table.costs[slot] != dist[at[j]]
+        };
+        if !(0..nb).any(|j| stale(&tables[site], j)) {
+            continue;
+        }
+        let table = Arc::make_mut(&mut tables[site]);
+        for j in 0..nb {
+            if stale(table, j) {
+                table.costs[i * nb + j] = dist[at[j]];
+                changed[site] += 1;
             }
         }
-        table
-    })
+    }
+}
+
+/// The positions in `at` (a table's borders, by skeleton id) whose
+/// distance in `dist` is finite, into `out`.
+fn reached(at: &[usize], dist: &[Cost], out: &mut Vec<usize>) {
+    out.clear();
+    out.extend((0..at.len()).filter(|&k| dist[at[k]] < INFINITE_COST));
+}
+
+/// One directed entry `u -> v` of cost `cost` that an update adds or
+/// drops, with the distances the repair rule reads for it, indexed like
+/// [`ComplementaryInfo::borders`] (`INFINITE_COST` = unreachable):
+/// `to[s] = dist(s, u)` and `from[s] = dist(v, s)`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Through<'a> {
+    pub(crate) to: &'a [Cost],
+    pub(crate) cost: Cost,
+    pub(crate) from: &'a [Cost],
 }
 
 impl ComplementaryInfo {
@@ -690,36 +737,56 @@ impl ComplementaryInfo {
         store_paths: bool,
     ) -> Self {
         let mut comp = ComplementaryInfo::unswept(frag, scope, store_paths);
-        comp.refresh(graph, frag, &mut ScratchDijkstra::new());
+        let every: Vec<usize> = (0..comp.border_count()).collect();
+        comp.refresh(graph, frag, &every, &mut ScratchDijkstra::new());
         comp
     }
 
-    /// No table and no sweep yet: every fragment stale.
+    /// No tuple and no sweep yet: every table empty, every fragment
+    /// stale.
     fn unswept(frag: &Fragmentation, scope: ComplementaryScope, store_paths: bool) -> Self {
-        let n = frag.fragment_count();
+        let layout = Layout::new(frag, scope);
         ComplementaryInfo {
-            tables: Vec::new(),
-            local: vec![None; n],
-            layout: Arc::new(Layout::new(frag, scope)),
+            tables: (layout.groups.iter())
+                .map(|groups| Arc::new(BorderTable::for_groups(groups)))
+                .collect(),
+            local: vec![None; frag.fragment_count()],
+            layout: Arc::new(layout),
             paths: None,
             store_paths,
             stats: PrecomputeStats::default(),
         }
     }
 
-    /// The precompute over the stale fragments: re-sweep each locally
-    /// (phase 1), close the skeleton of every fragment's kept sweeps
-    /// (phase 2) and assemble every table (phase 3), rebuilding the lazy
-    /// path structure as a build does. A site whose table comes out as it
-    /// was keeps its `Arc`; returns the sites whose table changed (every
-    /// site on the first call). The sweeps run on `scratch`.
+    /// The precompute for `sources` (skeleton ids, ascending): re-sweep
+    /// the stale fragments locally (phase 1), close the skeleton of every
+    /// fragment's kept sweeps from each source (phase 2) and rewrite the
+    /// sources' rows at every site holding them (phase 3). Closing nothing
+    /// sweeps nothing: stale fragments stay stale until a refresh needs
+    /// them.
+    ///
+    /// Exact whenever every other row already holds its global distances
+    /// — a build (every source), and a deletion that re-closes the
+    /// sources the repair rule names. With paths, closing every source
+    /// builds the lazy path structure afresh; closing some writes their
+    /// routes as overrides, as [`ComplementaryInfo::repair_sources`]
+    /// does. A site whose table comes out as it was keeps its `Arc`;
+    /// returns per-site counts of the entries that changed. The sweeps
+    /// run on `scratch`.
     pub(crate) fn refresh(
         &mut self,
         graph: &CsrGraph,
         frag: &Fragmentation,
+        sources: &[usize],
         scratch: &mut ScratchDijkstra,
-    ) -> Vec<FragmentId> {
+    ) -> Vec<usize> {
         let layout = Arc::clone(&self.layout);
+        let mut changed = vec![0usize; self.tables.len()];
+        let every = sources.len() == layout.borders.len();
+        if !every && sources.is_empty() {
+            self.stats = PrecomputeStats::default();
+            return changed;
+        }
 
         // Phase 1: fragment-local border sweeps, stale fragments only.
         let t0 = Instant::now();
@@ -749,45 +816,51 @@ impl ComplementaryInfo {
         skel_edges.dedup_by_key(|e| (e.src, e.dst));
         let local_sweeps_ns = t0.elapsed().as_nanos() as u64;
 
-        // Phase 2: close the border skeleton. Each closure sweep needs
-        // only the source's group partners — the pairs the tables store.
+        // Phase 2: close the border skeleton from the sources. Each
+        // closure sweep needs only the source's group partners — the
+        // pairs the tables store.
         let t1 = Instant::now();
-        let (dist_matrix, via) = close_skeleton(
+        let closed = close_skeleton(
             layout.borders.len(),
             &skel_edges,
             &layout.targets,
+            sources,
             self.store_paths,
         );
         let skeleton_close_ns = t1.elapsed().as_nanos() as u64;
 
-        // Phase 3: assemble the per-site tables from the closed skeleton.
+        // Phase 3: rewrite the sources' rows from the closed skeleton.
         let t2 = Instant::now();
-        let mut changed = Vec::new();
-        let tables = assemble_tables(&layout.groups, &layout.borders, |u, v| dist_matrix[u][v]);
-        for (f, table) in tables.enumerate() {
-            match self.tables.get_mut(f) {
-                Some(kept) if **kept == table => continue,
-                Some(kept) => *kept = Arc::new(table),
-                None => self.tables.push(Arc::new(table)),
-            }
-            changed.push(f);
+        for (&s, (dist, _)) in sources.iter().zip(&closed) {
+            write_row(&mut self.tables, &layout, s, dist, &mut changed);
         }
-        let assemble_ns = t2.elapsed().as_nanos() as u64;
-
-        self.paths = self.store_paths.then(|| {
-            Arc::new(PathData::Lazy(SkeletonPaths {
-                layout,
+        if self.store_paths && every {
+            self.paths = Some(Arc::new(PathData::Lazy(SkeletonPaths {
+                layout: Arc::clone(&layout),
                 frags: local,
                 edges: skel_edges,
-                via,
+                via: closed.into_iter().map(|(_, via)| via).collect(),
                 overrides: HashMap::new(),
-            }))
-        });
+            })));
+        } else if let Some(data) = self.paths.as_mut() {
+            // Every stored pair of a source is one of its targets.
+            let data = Arc::make_mut(data);
+            for (&s, (dist, via)) in sources.iter().zip(&closed) {
+                for t in layout.targets[s].iter().map(|&t| t as usize) {
+                    if dist[t] < INFINITE_COST {
+                        let route = stitch(&layout.borders, &local, &skel_edges, via, s, t)
+                            .expect("a settled target has a route");
+                        data.set(layout.borders[s], layout.borders[t], route);
+                    }
+                }
+            }
+        }
         self.stats = PrecomputeStats {
             strategy: PrecomputeStrategy::Skeleton,
             local_sweeps_ns,
             skeleton_close_ns,
-            assemble_ns,
+            assemble_ns: t2.elapsed().as_nanos() as u64,
+            sources_closed: sources.len(),
         };
         changed
     }
@@ -828,10 +901,13 @@ impl ComplementaryInfo {
         let local_sweeps_ns = t0.elapsed().as_nanos() as u64;
 
         let t2 = Instant::now();
-        let tables = assemble_tables(&layout.groups, border_list, |u, v| {
-            dist_from[u].cost(border_list[v]).unwrap_or(INFINITE_COST)
-        });
-        comp.tables = tables.map(Arc::new).collect();
+        let mut changed = vec![0usize; comp.tables.len()];
+        for (s, from) in dist_from.iter().enumerate() {
+            let dist: Vec<Cost> = (border_list.iter())
+                .map(|&b| from.cost(b).unwrap_or(INFINITE_COST))
+                .collect();
+            write_row(&mut comp.tables, &layout, s, &dist, &mut changed);
+        }
         comp.paths = store_paths.then(|| {
             let mut paths = HashMap::new();
             for e in comp.tables.iter().flat_map(|t| t.edges()) {
@@ -846,8 +922,8 @@ impl ComplementaryInfo {
         comp.stats = PrecomputeStats {
             strategy: PrecomputeStrategy::GlobalSweep,
             local_sweeps_ns,
-            skeleton_close_ns: 0,
             assemble_ns,
+            ..PrecomputeStats::default()
         };
         comp
     }
@@ -908,7 +984,8 @@ impl ComplementaryInfo {
     }
 
     /// Every border node, ascending: the order the repair rule's border
-    /// distances are kept in (see [`ComplementaryInfo::refine`]).
+    /// distances are kept in (see [`Through`]); a border's position here
+    /// is its skeleton id.
     pub(crate) fn borders(&self) -> &[NodeId] {
         &self.layout.borders
     }
@@ -933,75 +1010,100 @@ impl ComplementaryInfo {
         self.table_bytes() + swept.sum::<usize>()
     }
 
-    /// Per-phase timing of the precompute that built these tables.
+    /// Per-phase timing of the precompute that built these tables, or of
+    /// the last maintenance fallback that redid part of it.
     pub fn precompute_stats(&self) -> PrecomputeStats {
         self.stats
     }
 
-    /// Apply a refinement to every ordered border pair the scope covers,
-    /// stored or not: `f((i, u), (j, v), cost)` — `i` and `j` the
-    /// positions of `u` and `v` in [`ComplementaryInfo::borders`],
-    /// `INFINITE_COST` = no tuple yet — returns the new cost (plus, when
-    /// paths are stored, the new concrete path) or `None` to keep the
-    /// entry. Returns per-site counts of entries that changed. Used by
-    /// incremental insert maintenance (`dist' = min(dist, dist(a,u) + c +
-    /// dist(v,b))`) — a pair the new connection joins for the first time
-    /// gets its tuple at every site holding both borders.
+    /// Insert maintenance: lower every in-scope entry `(a, b)` of every
+    /// table — a missing tuple counting as infinite — to
+    /// `min(cost, to[a] + c + from[b])` over the inserted `entries`, so a
+    /// pair the new connection joins for the first time gets its tuple at
+    /// every site holding both borders. One row/column loop per site and
+    /// entry visits only the rows whose border reaches `u` and the
+    /// columns `v` reaches: an insert whose endpoints reach no border
+    /// reads no table. When paths are stored, `splice(k, a, b)` is the
+    /// route of a pair lowered through `entries[k]`.
     ///
-    /// Sites with no changed entry keep their shared table untouched —
-    /// `Arc::make_mut` detaches only the tables this refinement writes.
-    pub(crate) fn refine(
+    /// Returns per-site counts of the entries lowered; a site with none
+    /// keeps its shared table — `Arc::make_mut` detaches only the tables
+    /// this writes.
+    pub(crate) fn lower_through(
         &mut self,
-        f: impl Fn((usize, NodeId), (usize, NodeId), Cost) -> Option<(Cost, Option<Vec<NodeId>>)>,
+        entries: &[Through<'_>],
+        splice: impl Fn(usize, NodeId, NodeId) -> Vec<NodeId>,
     ) -> Vec<usize> {
         let mut changed = vec![0usize; self.tables.len()];
-        let mut updates: Vec<(usize, Cost, Option<Vec<NodeId>>)> = Vec::new();
-        for (site, changed_slot) in changed.iter_mut().enumerate() {
-            let (table, at) = (&self.tables[site], &self.layout.at[site]);
-            let nb = table.borders.len();
-            updates.clear();
-            for (i, &u) in table.borders.iter().enumerate() {
-                for (j, &v) in table.borders.iter().enumerate() {
-                    let slot = i * nb + j;
-                    if i == j || !table.covers(slot) {
-                        continue;
-                    }
-                    let cost = table.costs[slot];
-                    if let Some((new_cost, new_path)) = f((at[i], u), (at[j], v), cost) {
-                        debug_assert!(new_cost <= cost, "insertions only shorten paths");
-                        if new_cost != cost {
-                            updates.push((slot, new_cost, new_path));
+        let (mut rows, mut cols, mut lowered) = (Vec::new(), Vec::new(), Vec::new());
+        for (site, at) in self.layout.at.iter().enumerate() {
+            let (table, nb) = (&self.tables[site], at.len());
+            lowered.clear();
+            for (k, e) in entries.iter().enumerate() {
+                reached(at, e.to, &mut rows);
+                reached(at, e.from, &mut cols);
+                for &i in &rows {
+                    let through = e.to[at[i]] + e.cost;
+                    for &j in &cols {
+                        let (slot, cand) = (i * nb + j, through + e.from[at[j]]);
+                        if j != i && cand < table.costs[slot] && table.covers(slot) {
+                            lowered.push((slot, cand, k));
                         }
                     }
                 }
             }
-            if updates.is_empty() {
+            if lowered.is_empty() {
                 continue;
             }
-            *changed_slot = updates.len();
+            // Both directions of a symmetric insert can lower one entry:
+            // the cheaper wins.
+            lowered.sort_unstable();
+            lowered.dedup_by_key(|&mut (slot, _, _)| slot);
+            changed[site] = lowered.len();
             let table = Arc::make_mut(&mut self.tables[site]);
-            for (slot, new_cost, new_path) in updates.drain(..) {
-                if let (Some(data), Some(p)) = (self.paths.as_mut(), new_path) {
-                    Arc::make_mut(data).set(table.borders[slot / nb], table.borders[slot % nb], p);
+            let mut paths = self.paths.as_mut().map(Arc::make_mut);
+            for &(slot, cost, k) in &lowered {
+                table.costs[slot] = cost;
+                if let Some(data) = paths.as_deref_mut() {
+                    let (a, b) = (table.borders[slot / nb], table.borders[slot % nb]);
+                    data.set(a, b, splice(k, a, b));
                 }
-                table.costs[slot] = new_cost;
             }
         }
         changed
     }
 
-    /// Every row of every table, site by site: its border `u`, the
-    /// position of `u` in [`ComplementaryInfo::borders`], the positions
-    /// of the table's borders (its column order), and the row's costs.
-    pub(crate) fn rows(&self) -> impl Iterator<Item = (NodeId, usize, &[usize], &[Cost])> + '_ {
-        (self.tables.iter().zip(&self.layout.at)).flat_map(|(table, at)| {
-            (table.borders.iter().zip(at).enumerate())
-                .map(move |(i, (&u, &gi))| (u, gi, &at[..], table.row(i)))
-        })
+    /// Deletion detection, the repair rule over the pre-deletion tables:
+    /// the borders (skeleton ids, ascending) with a stored tuple `(a, b)`
+    /// that one of the removed `entries` could carry —
+    /// `to[a] + c + from[b] == cost`. The row/column loop of
+    /// [`ComplementaryInfo::lower_through`]: rows whose border does not
+    /// reach `u`, and columns `v` does not reach, are never read.
+    pub(crate) fn sources_through(&self, entries: &[Through<'_>]) -> Vec<usize> {
+        let mut affected = vec![false; self.layout.borders.len()];
+        let (mut rows, mut cols) = (Vec::new(), Vec::new());
+        for (table, at) in self.tables.iter().zip(&self.layout.at) {
+            for e in entries {
+                reached(at, e.from, &mut cols);
+                if cols.is_empty() {
+                    continue;
+                }
+                reached(at, e.to, &mut rows);
+                for &i in &rows {
+                    let (through, row) = (e.to[at[i]] + e.cost, table.row(i));
+                    affected[at[i]] = affected[at[i]]
+                        || cols.iter().any(|&j| {
+                            j != i && row[j] < INFINITE_COST && through + e.from[at[j]] == row[j]
+                        });
+                }
+            }
+        }
+        (0..affected.len()).filter(|&s| affected[s]).collect()
     }
 
-    /// Re-derive every tuple rooted at one of `sources` from the
-    /// post-update `graph` (deletion repair: distances may have grown).
+    /// Re-derive every tuple rooted at one of `sources` (skeleton ids,
+    /// ascending) from the post-update `graph` (deletion repair:
+    /// distances may have grown).
     ///
     /// One scratch sweep per source, read by that source's row at every
     /// site holding it; sources iterate in sorted order and the sweep
@@ -1010,10 +1112,10 @@ impl ComplementaryInfo {
     /// fall back ([`crate::updates`]). All table writes are deferred until
     /// every sweep succeeded, so on `Err` the tables are untouched and
     /// untouched sites keep their shared (`Arc`) tables in every case.
-    pub fn repair_sources(
+    pub(crate) fn repair_sources(
         &mut self,
         graph: &CsrGraph,
-        sources: &BTreeSet<NodeId>,
+        sources: &[usize],
         scratch: &mut ScratchDijkstra,
     ) -> Result<Vec<usize>, (NodeId, NodeId)> {
         let mut changed = vec![0usize; self.tables.len()];
@@ -1023,7 +1125,7 @@ impl ComplementaryInfo {
         // The same (u, v) route backs every site storing that pair; one
         // replacement path per pair is enough.
         let mut path_seen: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-        for &s in sources {
+        for s in sources.iter().map(|&s| self.layout.borders[s]) {
             scratch.sweep(graph, &[(s, 0)]);
             for (site, table) in self.tables.iter().enumerate() {
                 let Ok(i) = table.borders.binary_search(&s) else {

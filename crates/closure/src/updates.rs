@@ -34,25 +34,32 @@
 //! the borders: on a symmetric network the closure graph is its own
 //! transpose, so an interior edit costs two sweeps in all (plus one per
 //! affected source on a delete); a one-way network sweeps `dist(·, u)`
-//! on one transpose of the graph. The closure graph itself is edited —
-//! the update's entries added or dropped — not re-derived from the
+//! on one transpose of the graph. Both rules scan the tables row by row
+//! and column by column, skipping every row whose border does not reach
+//! `u` and every column `v` does not reach: an edit whose endpoints reach
+//! no border reads no table. The closure graph itself is edited — the
+//! update's entries added or dropped — not re-derived from the
 //! fragments.
 //!
-//! The repair stays within the incremental regime unless one of two
-//! fallback conditions holds, in which case the stale fragments (those
-//! whose node set holds both endpoints of some edit since their last
-//! sweep) are re-swept, the skeleton re-closed and the tables
-//! re-assembled ([`crate::complementary`]), and the report says why
+//! Every deletion detects its affected sources the same way. Two cases
+//! then take the fallback instead of one global sweep per source: the
+//! stale fragments (those whose node set holds both endpoints of some
+//! edit since their last sweep) are re-swept, the border skeleton is
+//! re-closed from the affected sources only, and only their rows are
+//! rewritten ([`crate::complementary`]; nothing is re-swept when no
+//! source is affected). The report says why
 //! ([`UpdateReport::fallback_reason`]):
 //!
 //! * [`FallbackReason::DisconnectionSetCrossing`] — the deleted edge
-//!   joins two border nodes (it lies *in* a disconnection-set crossing),
-//!   so it may itself support shortcut pairs whose set membership the
-//!   per-source repair cannot re-derive.
+//!   joins two border nodes (it lies *in* a disconnection-set crossing).
+//!   Nothing forces this: the repair rule and the per-source sweeps are
+//!   exact for such an edge too. A crossing delete takes the skeleton
+//!   path by choice, and the report names it, because the end-to-end
+//!   benchmark picks its crossing write streams by that report.
 //! * [`FallbackReason::Disconnected`] — the deletion made a previously
-//!   reachable border pair unreachable (e.g. a bridge edge); shortcut
-//!   tuples must then be *dropped*, not re-costed, which is the
-//!   recompute's job.
+//!   reachable border pair unreachable (e.g. a bridge edge): a per-source
+//!   sweep found a stored pair it no longer reaches, and the re-closed
+//!   rows drop its tuple.
 //!
 //! [`maintain`] is the one maintenance path: the `System` facade and the
 //! serve writer both reach it through `EngineSnapshot::maintain_cow`, so
@@ -68,14 +75,16 @@ use ds_fragment::{FragmentId, Fragmentation};
 use ds_graph::{Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
 
 use crate::api::{apply_edit, validate, NetworkUpdate};
-use crate::complementary::ComplementaryInfo;
+use crate::complementary::{ComplementaryInfo, Through};
 use crate::error::ClosureError;
 
-/// Why an update fell back to re-sweeping the stale fragments.
+/// Why a deletion took the fallback: re-sweep the stale fragments and
+/// re-close the skeleton from the affected sources.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FallbackReason {
     /// The deleted edge connects two border nodes — it lies in a
-    /// disconnection-set crossing, outside the repair rule's regime.
+    /// disconnection-set crossing. Crossing deletes always take the
+    /// fallback (see the module docs for why).
     DisconnectionSetCrossing,
     /// The deletion disconnected a previously reachable border pair
     /// (e.g. a bridge edge between fragments' borders).
@@ -88,10 +97,13 @@ pub struct UpdateReport {
     /// Shortcut tuples whose cost improved, or that the insert added
     /// (insert maintenance).
     pub shortcuts_improved: usize,
-    /// Shortcut tuples whose cost was repaired upward (deletion repair).
+    /// Shortcut tuples whose cost was repaired upward, or that the
+    /// deletion dropped (deletion repair, fallback included).
     pub shortcuts_repaired: usize,
-    /// Whether the engine had to fall back: re-sweep the stale fragments,
-    /// re-close the skeleton and re-assemble the tables.
+    /// Whether the deletion took the fallback: re-sweep the stale
+    /// fragments, re-close the border skeleton from the sources the
+    /// repair rule found affected and rewrite their rows — instead of one
+    /// global sweep per affected source.
     pub full_recompute: bool,
     /// Why the fallback happened; `None` on the incremental path
     /// (invariant: `full_recompute == fallback_reason.is_some()`).
@@ -239,10 +251,11 @@ impl Maintenance {
 
 /// The maintenance path: apply the structural edit
 /// ([`crate::api::apply_edit`]), edit the closure graph by the entries
-/// the update added or dropped, then keep `comp` exact — incrementally
-/// when possible, by a fallback that re-sweeps only the stale fragments
-/// otherwise. The caller passes its retained state, including a
-/// persistent `scratch` that every sweep of the update runs on.
+/// the update added or dropped, then keep `comp` exact — by per-source
+/// sweeps, or by a fallback that re-sweeps only the stale fragments and
+/// re-closes the skeleton only from the affected sources. The caller
+/// passes its retained state, including a persistent `scratch` that
+/// every sweep of the update runs on.
 ///
 /// `graph` and `frag` are owned through [`Arc`] handles: a caller whose
 /// state is shared with published snapshots (the serve writer's working
@@ -310,43 +323,27 @@ pub fn maintain(
             let connectivity = ConnectivityEffect::Removed {
                 parallel_remains: still(src, dst) && (!symmetric || src == dst || still(dst, src)),
             };
-            let mut m = if is_border(frag, src) && is_border(frag, dst) {
-                fallback(
-                    graph,
-                    frag,
-                    comp,
-                    owner,
-                    FallbackReason::DisconnectionSetCrossing,
-                    scratch,
-                )
+            // Affected-set detection runs on the *pre-deletion* graph: the
+            // repair rule compares against the stored (old) distances.
+            let sweeps =
+                EndpointSweeps::run(&before, symmetric, &removed, comp.borders(), false, scratch);
+            let affected = affected_sources(comp, &sweeps, &removed);
+            // A crossing delete re-closes the skeleton without trying the
+            // per-source sweeps; an interior one falls back to it only when
+            // a stored pair became unreachable.
+            let repaired = if is_border(frag, src) && is_border(frag, dst) {
+                Err(FallbackReason::DisconnectionSetCrossing)
             } else {
-                // Affected-set detection runs on the *pre-deletion* graph:
-                // the repair rule compares against the stored (old)
-                // distances.
-                let sweeps = EndpointSweeps::run(
-                    &before,
-                    symmetric,
-                    &removed,
-                    comp.borders(),
-                    false,
-                    scratch,
-                );
-                let affected = affected_sources(comp, &sweeps, &removed);
-                match comp.repair_sources(graph, &affected, scratch) {
-                    Ok(per_site) => {
-                        let repaired = per_site.iter().sum();
-                        let shortcut_sites = nonzero_sites(&per_site);
-                        Maintenance::effective(comp, owner, shortcut_sites, (0, repaired), None)
-                    }
-                    Err(_) => fallback(
-                        graph,
-                        frag,
-                        comp,
-                        owner,
-                        FallbackReason::Disconnected,
-                        scratch,
-                    ),
+                (comp.repair_sources(graph, &affected, scratch))
+                    .map_err(|_| FallbackReason::Disconnected)
+            };
+            let mut m = match repaired {
+                Ok(per_site) => {
+                    let repaired = per_site.iter().sum();
+                    let shortcut_sites = nonzero_sites(&per_site);
+                    Maintenance::effective(comp, owner, shortcut_sites, (0, repaired), None)
                 }
+                Err(reason) => fallback(graph, frag, comp, owner, &affected, reason, scratch),
             };
             m.connectivity = connectivity;
             Ok(m)
@@ -472,6 +469,15 @@ impl EndpointSweeps {
             Self::find(&self.to, u)
         }
     }
+
+    /// What the repair rule reads for the entry `u -> v` of cost `cost`.
+    fn through(&self, u: NodeId, cost: Cost, v: NodeId) -> Through<'_> {
+        Through {
+            to: &self.to(u).costs,
+            cost,
+            from: &self.from(v).costs,
+        }
+    }
 }
 
 /// Lower every table entry `(a, b)` — a missing tuple counting as
@@ -480,55 +486,31 @@ impl EndpointSweeps {
 /// must use a new edge. When paths are stored, the improved path is
 /// spliced from the same sweeps' trees: `path(a, u) ++ path(v, b)`.
 fn improve(comp: &mut ComplementaryInfo, sweeps: &EndpointSweeps, added: &[Edge]) -> Vec<usize> {
-    let store = comp.has_paths();
-    let entries: Vec<_> = (added.iter())
-        .map(|e| (sweeps.to(e.src), e.cost, sweeps.from(e.dst)))
+    let entries: Vec<Through> = (added.iter())
+        .map(|e| sweeps.through(e.src, e.cost, e.dst))
         .collect();
-    comp.refine(|(i, a), (j, b), cost| {
-        let (cand, (to_u, _, from_v)) = (entries.iter())
-            .map(|entry| (entry.0.costs[i] + entry.1 + entry.2.costs[j], entry))
-            .min_by_key(|&(cand, _)| cand)?;
-        if cand >= cost {
-            return None;
-        }
-        let path = store.then(|| {
-            let mut p = to_u.walk(a);
-            p.extend(from_v.walk(b).into_iter().rev());
-            p
-        });
-        Some((cand, path))
+    comp.lower_through(&entries, |k, a, b| {
+        let mut path = sweeps.to(added[k].src).walk(a);
+        path.extend(sweeps.from(added[k].dst).walk(b).into_iter().rev());
+        path
     })
 }
 
-/// Border sources whose shortcuts could have routed through a removed
-/// entry (the deletion repair rule, evaluated on pre-deletion distances).
+/// Border sources (skeleton ids, ascending) whose shortcuts could have
+/// routed through a removed entry (the deletion repair rule, evaluated
+/// on pre-deletion distances).
 fn affected_sources(
     comp: &ComplementaryInfo,
     sweeps: &EndpointSweeps,
     removed: &[Edge],
-) -> BTreeSet<NodeId> {
+) -> Vec<usize> {
     // Parallel entries of equal cost need one test, not two.
     let distinct: BTreeSet<(NodeId, NodeId, Cost)> =
         removed.iter().map(|e| (e.src, e.dst, e.cost)).collect();
-    let tests: Vec<_> = (distinct.into_iter())
-        .map(|(u, v, c)| (sweeps.to(u), c, sweeps.from(v)))
+    let entries: Vec<Through> = (distinct.into_iter())
+        .map(|(u, v, cost)| sweeps.through(u, cost, v))
         .collect();
-    let mut out = BTreeSet::new();
-    for (a, i, columns, row) in comp.rows() {
-        if out.contains(&a) {
-            continue;
-        }
-        let uses_removed = |&(to_u, c, from_v): &(&BorderDistances, Cost, &BorderDistances)| {
-            let through = to_u.costs[i] + c;
-            (columns.iter().zip(row)).any(|(&j, &cost)| {
-                j != i && cost < INFINITE_COST && through + from_v.costs[j] == cost
-            })
-        };
-        if tests.iter().any(uses_removed) {
-            out.insert(a);
-        }
-    }
-    out
+    comp.sources_through(&entries)
 }
 
 /// Tuples stored at `sites`: what shipping their tables would carry.
@@ -549,8 +531,8 @@ fn is_border(frag: &Fragmentation, v: NodeId) -> bool {
     frag.fragments_of_node(v).len() >= 2
 }
 
-/// Outside the repair rule's regime: re-sweep the stale fragments,
-/// re-close the skeleton and re-assemble the tables
+/// The fallback: re-close the skeleton from the `affected` sources over
+/// the re-swept stale fragments and rewrite their rows
 /// ([`ComplementaryInfo::refresh`]). The sites whose table changed ship
 /// it; the owner is touched whether or not its own table did.
 fn fallback(
@@ -558,11 +540,14 @@ fn fallback(
     frag: &Fragmentation,
     comp: &mut ComplementaryInfo,
     owner: FragmentId,
+    affected: &[usize],
     reason: FallbackReason,
     scratch: &mut ScratchDijkstra,
 ) -> Maintenance {
-    let shortcut_sites = comp.refresh(graph, frag, scratch);
-    Maintenance::effective(comp, owner, shortcut_sites, (0, 0), Some(reason))
+    let per_site = comp.refresh(graph, frag, affected, scratch);
+    let repaired = per_site.iter().sum();
+    let shortcut_sites = nonzero_sites(&per_site);
+    Maintenance::effective(comp, owner, shortcut_sites, (0, repaired), Some(reason))
 }
 
 #[cfg(test)]
@@ -741,6 +726,18 @@ mod tests {
         assert_eq!(total, route.cost);
     }
 
+    /// Every connected pair of a sample answers a real route of optimal
+    /// cost.
+    fn routes_everywhere(engine: &EngineSnapshot, scratch: &mut ScratchDijkstra) {
+        for x in (0..32).step_by(3) {
+            for y in (0..32).step_by(5) {
+                if x != y && baseline::shortest_path_cost(engine.graph(), n(x), n(y)).is_some() {
+                    routes_real(engine, scratch, n(x), n(y));
+                }
+            }
+        }
+    }
+
     #[test]
     fn updates_with_stored_paths_keep_routes_real() {
         let (mut engine, mut scratch) = build_with(EngineConfig {
@@ -763,6 +760,95 @@ mod tests {
         consistent(&report);
         routes_real(&engine, &mut scratch, n(0), n(31));
         check_all(&engine, &mut scratch);
+
+        // A crossing delete: a cheap edge between two borders of fragment
+        // 0 carries shortcuts until it is deleted again; the fallback
+        // writes the routes of the sources it re-closed as overrides, and
+        // every other route stays real.
+        let frag = engine.fragmentation().clone();
+        let borders: Vec<NodeId> = (frag.fragment(0).nodes().iter().copied())
+            .filter(|&v| is_border(&frag, v))
+            .collect();
+        let (a, b) = (borders[0], *borders.last().unwrap());
+        let report = engine
+            .maintain(&insert(Edge::new(a, b, 1), 0), &mut scratch)
+            .unwrap();
+        assert!(report.shortcuts_improved > 0, "{report:?}");
+        routes_everywhere(&engine, &mut scratch);
+        let report = engine.maintain(&remove(a, b, 0), &mut scratch).unwrap();
+        consistent(&report);
+        assert_eq!(
+            report.fallback_reason,
+            Some(FallbackReason::DisconnectionSetCrossing)
+        );
+        routes_everywhere(&engine, &mut scratch);
+        check_all(&engine, &mut scratch);
+
+        // A disconnecting delete: cut a border down to one edge towards a
+        // non-border node, then delete that edge too.
+        let frag = engine.fragmentation().clone();
+        let owned = |v: NodeId| {
+            (frag.fragments().iter())
+                .flat_map(move |f| f.edges().iter().map(move |e| (f.id(), *e)))
+                .filter(move |(_, e)| e.src == v || e.dst == v)
+        };
+        let interior_end = |e: &Edge, v: NodeId| {
+            let other = if e.src == v { e.dst } else { e.src };
+            !is_border(&frag, other)
+        };
+        let border = (0..32)
+            .map(n)
+            .find(|&v| is_border(&frag, v) && owned(v).any(|(_, e)| interior_end(&e, v)))
+            .expect("a border with an interior neighbour");
+        let mut cuts: Vec<(FragmentId, Edge)> = owned(border).collect();
+        let last = cuts
+            .iter()
+            .position(|(_, e)| interior_end(e, border))
+            .expect("found above");
+        let last = cuts.remove(last);
+        for (owner, e) in cuts {
+            engine
+                .maintain(&remove(e.src, e.dst, owner), &mut scratch)
+                .unwrap();
+        }
+        let report = engine
+            .maintain(&remove(last.1.src, last.1.dst, last.0), &mut scratch)
+            .unwrap();
+        consistent(&report);
+        assert_eq!(report.fallback_reason, Some(FallbackReason::Disconnected));
+        routes_everywhere(&engine, &mut scratch);
+        check_all(&engine, &mut scratch);
+    }
+
+    /// An insert whose endpoints reach no border changes no table and
+    /// detaches none: fragment 0 holds a component `{5, 6, 7}` apart from
+    /// its borders `0` and `3`.
+    #[test]
+    fn an_insert_that_reaches_no_border_leaves_every_table_shared() {
+        let e = |a: u32, b: u32| Edge::unit(n(a), n(b));
+        for symmetric in [true, false] {
+            let frag = Fragmentation::new(
+                8,
+                vec![
+                    vec![e(0, 1), e(1, 2), e(2, 3), e(5, 6), e(6, 7)],
+                    vec![e(3, 4), e(4, 0)],
+                ],
+                vec![Vec::new(); 2],
+            );
+            let before = EngineSnapshot::build(frag, symmetric, EngineConfig::default());
+            assert!(before.complementary().pair_count() > 0);
+            let mut after = before.clone();
+            let cow = after
+                .maintain_cow(&insert(e(5, 7), 0), &mut ScratchDijkstra::new())
+                .unwrap();
+            assert_eq!(cow.report.shortcuts_improved, 0, "symmetric={symmetric}");
+            assert!(cow.shortcut_sites.is_empty(), "symmetric={symmetric}");
+            assert_eq!(cow.touched_sites, [0], "symmetric={symmetric}");
+            for f in 0..2 {
+                let (was, now) = (before.complementary(), after.complementary());
+                assert!(Arc::ptr_eq(was.table(f), now.table(f)), "table {f}");
+            }
+        }
     }
 
     #[test]

@@ -785,6 +785,8 @@ impl Server {
             writer_busy: Duration::from_nanos(m.writer_busy_ns.get()),
             writer_append: Duration::from_nanos(m.writer_append_ns.get()),
             writer_maintain: Duration::from_nanos(m.writer_maintain_ns.get()),
+            writer_fallbacks: m.writer_fallbacks.get(),
+            writer_fallback: Duration::from_nanos(m.writer_fallback_ns.get()),
             writer_publish: Duration::from_nanos(m.writer_publish_ns.get()),
             scratch,
             latency: LatencySummary {

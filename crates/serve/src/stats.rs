@@ -102,6 +102,12 @@ pub struct ServeStats {
     /// Writer time maintaining the working copy, update by update
     /// (`EngineSnapshot::maintain`).
     pub writer_maintain: Duration,
+    /// Updates whose maintenance took the fallback
+    /// (`UpdateReport::full_recompute`): a crossing or disconnecting
+    /// delete that re-closed the border skeleton.
+    pub writer_fallbacks: u64,
+    /// The part of [`ServeStats::writer_maintain`] those updates took.
+    pub writer_fallback: Duration,
     /// Writer time publishing: one O(sites) copy-on-write clone per
     /// batch that applied anything.
     pub writer_publish: Duration,
@@ -238,12 +244,21 @@ impl std::fmt::Display for ServeStats {
         }
         if self.updates > 0 {
             let per_update = |d: Duration| d.as_secs_f64() * 1e6 / self.updates as f64;
+            let maintain = self.writer_maintain.as_secs_f64();
+            let fallback_share = if maintain > 0.0 {
+                100.0 * self.writer_fallback.as_secs_f64() / maintain
+            } else {
+                0.0
+            };
             write!(
                 f,
-                ", writer {:.1}us/update (append {:.1}, maintain {:.1}, publish {:.1})",
+                ", writer {:.1}us/update (append {:.1}, maintain {:.1} of which {:.0} % in {} \
+                 fallbacks, publish {:.1})",
                 per_update(self.writer_busy),
                 per_update(self.writer_append),
                 per_update(self.writer_maintain),
+                fallback_share,
+                self.writer_fallbacks,
                 per_update(self.writer_publish),
             )?;
         }
@@ -301,6 +316,8 @@ pub(crate) struct Metrics {
     pub(crate) writer_busy_ns: Counter,
     pub(crate) writer_append_ns: Counter,
     pub(crate) writer_maintain_ns: Counter,
+    pub(crate) writer_fallbacks: Counter,
+    pub(crate) writer_fallback_ns: Counter,
     pub(crate) writer_publish_ns: Counter,
     /// Submit → reply, one sample per answered request.
     pub(crate) request_latency: HistogramHandle,
@@ -352,6 +369,8 @@ impl Metrics {
             writer_busy_ns: r.counter_cell("serve_writer_busy_ns"),
             writer_append_ns: r.counter_cell("serve_writer_append_ns"),
             writer_maintain_ns: r.counter_cell("serve_writer_maintain_ns"),
+            writer_fallbacks: r.counter_cell("serve_writer_fallbacks"),
+            writer_fallback_ns: r.counter_cell("serve_writer_fallback_ns"),
             writer_publish_ns: r.counter_cell("serve_writer_publish_ns"),
             request_latency: r.histogram_cell("request_latency_ns"),
             epoch: r.gauge("serve_epoch"),

@@ -27,10 +27,14 @@ pub(crate) struct WriteJob {
 }
 
 /// What one [`apply_and_publish`] did: the per-update maintenance
-/// outcomes, and the time the maintenance and the publication took.
+/// outcomes, and the time the maintenance and the publication took —
+/// with the updates that took the maintenance fallback, and their share
+/// of the maintenance time, apart.
 struct Applied {
     outcomes: Vec<Result<UpdateReport, ClosureError>>,
     maintain: Duration,
+    fallbacks: u64,
+    fallback: Duration,
     publish: Duration,
 }
 
@@ -52,10 +56,16 @@ fn apply_and_publish(
     // `maintain` decide whether it survives this batch.
     working.adopt_reach(&shared.published.current().1);
     let mut applied = 0u64;
+    let (mut fallbacks, mut fallback) = (0u64, Duration::ZERO);
     let outcomes: Vec<_> = updates
         .iter()
         .map(|update| {
+            let t = Instant::now();
             let outcome = working.maintain(update, scratch);
+            if matches!(&outcome, Ok(r) if r.full_recompute) {
+                fallbacks += 1;
+                fallback += t.elapsed();
+            }
             // Validation precedes mutation in the maintenance path, so
             // the working copy is unchanged on Err and exact on Ok. A
             // structural no-op (e.g. removing a connection that does not
@@ -91,6 +101,8 @@ fn apply_and_publish(
     Applied {
         outcomes,
         maintain,
+        fallbacks,
+        fallback,
         publish: publish_t.elapsed(),
     }
 }
@@ -152,6 +164,9 @@ pub(crate) fn writer_loop(
                     Some(first + n - 1)
                 }
                 Err(_) => {
+                    // The refused batch still cost the writer its append.
+                    m.writer_append_ns.add(append_t.elapsed().as_nanos() as u64);
+                    m.writer_busy_ns.add(t0.elapsed().as_nanos() as u64);
                     m.wal_failures.inc();
                     for job in jobs {
                         shared.reply(&job.reply, Err(ClosureError::DurabilityFailed));
@@ -175,6 +190,8 @@ pub(crate) fn writer_loop(
         m.writer_busy_ns.add(busy.as_nanos() as u64);
         m.writer_append_ns.add(append.as_nanos() as u64);
         m.writer_maintain_ns.add(applied.maintain.as_nanos() as u64);
+        m.writer_fallbacks.add(applied.fallbacks);
+        m.writer_fallback_ns.add(applied.fallback.as_nanos() as u64);
         m.writer_publish_ns.add(applied.publish.as_nanos() as u64);
         if let (Some(obs), true) = (&shared.obs, epoch > before) {
             // One writer trace per publication: maintenance and

@@ -120,7 +120,7 @@ fn system(backend: Backend) -> System {
 
 /// Every event count of [`ServeStats`], under the name the registry
 /// exports it by.
-fn counts(stats: &ServeStats) -> [(&'static str, u64); 19] {
+fn counts(stats: &ServeStats) -> [(&'static str, u64); 20] {
     [
         ("serve_requests", stats.requests),
         ("serve_jobs", stats.jobs),
@@ -135,6 +135,7 @@ fn counts(stats: &ServeStats) -> [(&'static str, u64); 19] {
         ("serve_deadline_cancelled", stats.deadline_cancelled),
         ("serve_updates", stats.updates),
         ("serve_publications", stats.publications),
+        ("serve_writer_fallbacks", stats.writer_fallbacks),
         ("serve_wal_records", stats.wal_records),
         ("serve_wal_commits", stats.wal_commits),
         ("serve_wal_failures", stats.wal_failures),
@@ -156,6 +157,7 @@ fn assert_stats_match_registry(stats: &ServeStats, registry: &MetricsSnapshot, w
         ("serve_writer_busy_ns", ns(stats.writer_busy)),
         ("serve_writer_append_ns", ns(stats.writer_append)),
         ("serve_writer_maintain_ns", ns(stats.writer_maintain)),
+        ("serve_writer_fallback_ns", ns(stats.writer_fallback)),
         ("serve_writer_publish_ns", ns(stats.writer_publish)),
     ];
     for (name, value) in counts(stats).into_iter().chain(handoff) {
@@ -333,16 +335,35 @@ fn stats_and_registry_agree_field_by_field() {
     cfg.obs = Some(Arc::clone(&obs));
     let server = system(Backend::Inline).serve_with(cfg);
 
-    let f0 = server.snapshot().fragmentation().fragment(0).clone();
+    let frag = server.snapshot().fragmentation().clone();
+    let f0 = frag.fragment(0).clone();
     let insert = |i: usize| NetworkUpdate::Insert {
         edge: Edge::new(f0.nodes()[0], f0.nodes()[2 + i], 1),
         owner: 0,
     };
+    // A cheap edge between two borders of fragment 0, inserted and then
+    // deleted: the delete crosses a disconnection set and falls back.
+    let borders: Vec<NodeId> = (f0.nodes().iter().copied())
+        .filter(|&v| frag.fragments_of_node(v).len() >= 2)
+        .collect();
+    let crossing = Edge::new(borders[0], *borders.last().expect("borders"), 1);
+    let updates = [
+        NetworkUpdate::Insert {
+            edge: crossing,
+            owner: 0,
+        },
+        insert(1),
+        NetworkUpdate::Remove {
+            src: crossing.src,
+            dst: crossing.dst,
+            owner: 0,
+        },
+    ];
     // Mixed run: a repeated pair (cache hits), one job carrying a
     // duplicate (coalescing), scattered pairs, `connected` through the
-    // reach index, three updates.
+    // reach index, three updates, the last of them a fallback.
     let mut rng = 0xA61EEu64;
-    for round in 0..3 {
+    for update in &updates {
         for _ in 0..10 {
             let (x, y) = (n(splitmix(&mut rng), nodes), n(splitmix(&mut rng), nodes));
             server.query(x, y).expect("healthy pool");
@@ -353,7 +374,7 @@ fn stats_and_registry_agree_field_by_field() {
         let twice = QueryRequest::new(n(1, nodes), n(34, nodes));
         server.query_batch(&[twice, twice]).expect("healthy pool");
         assert!(server.connected(n(0, nodes), n(35, nodes)).expect("index"));
-        server.update(&insert(round)).expect("valid insert");
+        server.update(update).expect("valid update");
     }
     let stats = server.stats();
     assert!(stats.cache_hits > 0 && stats.coalesced > 0 && stats.reach_fast_path == 3);
@@ -366,6 +387,11 @@ fn stats_and_registry_agree_field_by_field() {
     assert!(stages.iter().all(|d| !d.is_zero()), "{stats}");
     assert!(
         stages.iter().sum::<std::time::Duration>() <= stats.writer_busy,
+        "{stats}"
+    );
+    assert_eq!(stats.writer_fallbacks, 1, "{stats}");
+    assert!(
+        !stats.writer_fallback.is_zero() && stats.writer_fallback <= stats.writer_maintain,
         "{stats}"
     );
     assert_stats_match_registry(&stats, &obs.snapshot(), "after the mixed run");
@@ -387,5 +413,41 @@ fn stats_and_registry_agree_field_by_field() {
     let stats = server.shutdown();
     let recovered = discset::recover(&dir).expect("recover");
     assert_eq!(recovered.epoch, stats.epoch);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A write the log refuses still cost the writer its batch: after only
+/// refused writes, both the busy and the append time count it, and the
+/// two views still agree.
+#[test]
+fn a_refused_append_counts_its_writer_time() {
+    let dir = std::env::temp_dir().join(format!("discset-obs-refused-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let obs = Observability::armed();
+    let plan = FaultPlan::new()
+        .fail_at(FaultPoint::WalAppend, 1)
+        .fail_at(FaultPoint::WalAppend, 2);
+    let mut cfg = ServeConfig::with_workers(1);
+    cfg.durability = Some(DurabilityConfig::at(&dir));
+    cfg.fault = Some(Arc::new(plan));
+    cfg.obs = Some(Arc::clone(&obs));
+    let server = system(Backend::Inline).serve_with(cfg);
+    let f0 = server.snapshot().fragmentation().fragment(0).clone();
+    let insert = NetworkUpdate::Insert {
+        edge: Edge::new(f0.nodes()[0], f0.nodes()[2], 1),
+        owner: 0,
+    };
+    for _ in 0..2 {
+        assert!(matches!(
+            server.update(&insert),
+            Err(ClosureError::DurabilityFailed)
+        ));
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.updates, stats.wal_failures), (0, 2), "{stats}");
+    assert!(!stats.writer_busy.is_zero(), "{stats}");
+    assert!(!stats.writer_append.is_zero(), "{stats}");
+    assert!(stats.writer_append <= stats.writer_busy, "{stats}");
+    assert_stats_match_registry(&stats, &obs.snapshot(), "after refused writes");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -364,6 +364,61 @@ fn a_fallback_that_changes_no_table_touches_only_its_owner() {
     }
 }
 
+/// A crossing delete re-closes the skeleton only from the sources the
+/// repair rule names and rewrites only their rows: every site outside
+/// `touched_sites` stays the `Arc` the previous epoch holds, and every
+/// table equals a rebuild entry for entry. Deleting the vertical
+/// `3 -> 12` of column 3 also lengthens rows neither endpoint owns — on
+/// the symmetric grid `21 -> 3` goes from 2 to 4 — so closing only the
+/// deleted edge's endpoints leaves a wrong entry behind.
+#[test]
+fn a_crossing_delete_rewrites_only_the_rows_it_affects() {
+    use discset::graph::ScratchDijkstra;
+    use std::sync::Arc;
+
+    for symmetric in [true, false] {
+        let sys = deploy_columns(&column_grid(), symmetric);
+        let before = sys.engine().clone();
+        let mut after = before.clone();
+        let cow = after
+            .maintain_cow(
+                &NetworkUpdate::Remove {
+                    src: n(3),
+                    dst: n(12),
+                    owner: 1,
+                },
+                &mut ScratchDijkstra::new(),
+            )
+            .unwrap();
+        let label = format!("symmetric={symmetric}: {cow:?}");
+        assert_eq!(
+            cow.report.fallback_reason,
+            Some(FallbackReason::DisconnectionSetCrossing),
+            "{label}"
+        );
+        assert_eq!(cow.touched_sites, [0, 1], "{label}");
+        for f in 0..3 {
+            let shared = Arc::ptr_eq(before.site_handle(f), after.site_handle(f));
+            assert_eq!(shared, !cow.touched_sites.contains(&f), "{label}: site {f}");
+            if shared {
+                let (was, now) = (before.complementary(), after.complementary());
+                assert!(Arc::ptr_eq(was.table(f), now.table(f)), "{label}: {f}");
+            }
+        }
+        let now: Vec<Vec<Edge>> = (after.fragmentation().fragments().iter())
+            .map(|f| f.edges().to_vec())
+            .collect();
+        let fresh = deploy_columns(&now, symmetric);
+        for f in 0..3 {
+            assert_eq!(
+                after.complementary().table(f),
+                fresh.engine().complementary().table(f),
+                "{label}: site {f}"
+            );
+        }
+    }
+}
+
 #[test]
 fn disconnection_set_crossing_deletion_falls_back() {
     // Fragment 1 connects border 2 to border 4 both via node 3 and via a
