@@ -18,14 +18,16 @@
 //!   per query or keeps a row;
 //! * **write sweeps** — on a fixed symmetric fixture (a 9 x 3 grid cut
 //!   into three fragments by columns), read from the caller's
-//!   `ScratchStats`: a warm interior delete, or its re-insert, runs
-//!   anything but exactly 2 sweeps (one per endpoint: the closure graph
-//!   is its own transpose) or grows the scratch; or a crossing delete
-//!   between two border nodes of the shared column sweeps anything but
-//!   its 2 endpoints on the pre-delete graph and the borders of the two
-//!   fragments whose node sets hold both endpoints — exactly 11
-//!   (2 + 3 + 6) — or closes the skeleton from anything but the 4 of 6
-//!   sources whose shortest routes the deleted edge carries;
+//!   `ScratchStats`: a warm interior delete that affects no source, or
+//!   its re-insert, runs anything but exactly 2 sweeps (one per endpoint:
+//!   the closure graph is its own transpose) or grows the scratch; or a
+//!   delete that affects some sources sweeps anything but its 2
+//!   endpoints on the pre-delete graph and the borders of the fragments
+//!   whose node sets hold both endpoints, or closes the skeleton from
+//!   anything but the sources whose shortest routes the deleted edge
+//!   carries — for a crossing delete between two border nodes of the
+//!   shared column, exactly 11 (2 + 3 + 6) sweeps and 4 of 6 sources; for
+//!   an interior one, 5 (2 + 3) and 4;
 //! * **publication** — the structurally shared per-epoch clone is less
 //!   than 5x cheaper than `EngineSnapshot::unshared_clone` after one
 //!   update's worth of touched sites, on any seed;
@@ -223,16 +225,22 @@ fn reach_index(bench: &mut Bench) -> (Vec<DijkstraPass>, Vec<Pair>) {
     (passes, pairs)
 }
 
+/// What one delete that affects some sources swept, beside the count the
+/// staleness rule predicts for it, and the skeleton sources it closed.
+struct AffectedDelete {
+    sweeps: u64,
+    expected: u64,
+    closed_sources: u64,
+}
+
 /// What the write path swept on the stale-rule fixture, read from the
 /// caller's scratch: per interior toggle (delete, re-insert), then one
-/// crossing delete beside the count the staleness rule predicts for it,
-/// and the skeleton sources its fallback closed.
+/// crossing and one interior delete that affect some sources.
 struct WriteSweeps {
     interior_delete: ScratchStats,
     reinsert: ScratchStats,
-    crossing_delete: u64,
-    crossing_expected: u64,
-    closed_sources: u64,
+    crossing: AffectedDelete,
+    interior: AffectedDelete,
     borders: u64,
 }
 
@@ -242,17 +250,29 @@ struct WriteSweeps {
 /// partner more cheaply.
 const CROSSING_CLOSED_SOURCES: u64 = 4;
 
+/// The skeleton sources an interior delete of the fixture's chord
+/// `Y = 2 - 21` closes: `3` and `21`, whose distance 2 ties through
+/// `3 - 2 - 21`; `6`, whose route `6 - 5 - 4 - 3 - 2 - 21` ties with its
+/// distance 5 to `21`; and `24`, whose route to `3` ties the same way.
+/// `12` and `15` reach every partner more cheaply. The delete re-sweeps
+/// only fragment 0 (the one node set holding `2`), whose 3 borders are
+/// fewer than the 4 sources: one whole-graph sweep per source would make
+/// it 2 + 4.
+const INTERIOR_CLOSED_SOURCES: u64 = 4;
+
 /// A 9 x 3 unit grid cut into three fragments by columns — 0..=3, 3..=6
 /// and 6..=8, so columns 3 and 6 are the borders (3 + 3 nodes) — plus a
 /// chord of cost 1000 between two interior nodes of the middle fragment,
 /// which no shortest path uses. The chord is deleted and re-inserted
-/// twice (the second round is the one counted, warm). Then, on a fresh
-/// copy, the middle fragment inserts `X = 3 - 21` of cost 2 — a twin of
-/// column 3's path `3 - 12 - 21`, between two borders the first fragment
-/// holds too — and deletes it again: a disconnection-set crossing. Its
-/// fallback sweeps each endpoint once on the pre-delete graph, re-sweeps
-/// exactly the two fragments whose node sets hold both endpoints, and
-/// closes the skeleton only from the sources whose shortest routes `X`
+/// twice (the second round is the one counted, warm). Then, each on a
+/// fresh copy, two edges that tie with shortest routes are inserted and
+/// deleted again. The middle fragment's `X = 3 - 21` of cost 2 — a twin
+/// of column 3's path `3 - 12 - 21`, between two borders the first
+/// fragment holds too — is a disconnection-set crossing. The first
+/// fragment's `Y = 2 - 21` of cost 1 has an interior endpoint. Each
+/// delete sweeps its endpoints once on the pre-delete graph, re-sweeps
+/// exactly the fragments whose node sets hold both endpoints, and closes
+/// the skeleton only from the sources whose shortest routes the edge
 /// carries.
 fn write_sweeps() -> WriteSweeps {
     let (w, h) = (9u32, 3u32);
@@ -301,39 +321,39 @@ fn write_sweeps() -> WriteSweeps {
         reinsert = counted(&insert, &mut snap);
     }
 
-    let twin = Edge::new(id(3, 0), id(3, 2), 2);
     let frag = built.fragmentation();
     let border = |v: &NodeId| frag.fragments_of_node(*v).len() >= 2;
-    let stale_borders: u64 = (frag.fragments().iter())
-        .filter(|f| f.contains_node(twin.src) && f.contains_node(twin.dst))
-        .map(|f| f.nodes().iter().filter(|v| border(v)).count() as u64)
-        .sum();
-    let mut snap = built.clone();
-    snap.maintain(
-        &NetworkUpdate::Insert {
-            edge: twin,
-            owner: 1,
-        },
-        &mut scratch,
-    )
-    .expect("twin inside fragment 1");
-    let before = scratch.stats().sweeps;
-    let crossing = NetworkUpdate::Remove {
-        src: twin.src,
-        dst: twin.dst,
-        owner: 1,
+    let mut affected_delete = |edge: Edge, owner: usize| {
+        let stale_borders: u64 = (frag.fragments().iter())
+            .filter(|f| f.contains_node(edge.src) && f.contains_node(edge.dst))
+            .map(|f| f.nodes().iter().filter(|v| border(v)).count() as u64)
+            .sum();
+        let mut snap = built.clone();
+        let insert = NetworkUpdate::Insert { edge, owner };
+        snap.maintain(&insert, &mut scratch).expect("valid insert");
+        let before = scratch.stats().sweeps;
+        let delete = NetworkUpdate::Remove {
+            src: edge.src,
+            dst: edge.dst,
+            owner,
+        };
+        let report = snap.maintain(&delete, &mut scratch).expect("valid delete");
+        let crossing = border(&edge.src) && border(&edge.dst);
+        assert_eq!(report.full_recompute, crossing, "{report:?}");
+        AffectedDelete {
+            sweeps: scratch.stats().sweeps - before,
+            expected: 2 + stale_borders,
+            closed_sources: snap.precompute_stats().sources_closed as u64,
+        }
     };
-    let report = snap
-        .maintain(&crossing, &mut scratch)
-        .expect("valid delete");
-    assert!(report.full_recompute, "{report:?}");
+    let crossing = affected_delete(Edge::new(id(3, 0), id(3, 2), 2), 1);
+    let interior = affected_delete(Edge::new(id(2, 0), id(3, 2), 1), 0);
     WriteSweeps {
         interior_delete,
         reinsert,
-        crossing_delete: scratch.stats().sweeps - before,
-        crossing_expected: 2 + stale_borders,
-        closed_sources: snap.precompute_stats().sources_closed as u64,
-        borders: snap.complementary().border_count() as u64,
+        crossing,
+        interior,
+        borders: built.complementary().border_count() as u64,
     }
 }
 
@@ -811,13 +831,18 @@ fn main() {
     report.ratio_row("reach-dijkstra-over-index", &reach, Some(FLOOR_REACH_INDEX));
 
     let writes = write_sweeps();
-    let crossing_what = format!(
-        "2 endpoint sweeps on the pre-delete graph + {} local re-sweeps, one per border of \
-         the 2 stale fragments",
-        writes.crossing_expected - 2
-    );
+    let resweeps = |d: &AffectedDelete, stale: usize| {
+        format!(
+            "2 endpoint sweeps on the pre-delete graph + {} local re-sweeps, one per border of \
+             the {stale} stale fragment(s)",
+            d.expected - 2
+        )
+    };
+    let (crossing_what, interior_what) =
+        (resweeps(&writes.crossing, 2), resweeps(&writes.interior, 1));
     let closed_what = format!("of the fixture's {} borders", writes.borders);
-    assert!(CROSSING_CLOSED_SOURCES < writes.borders);
+    assert!(CROSSING_CLOSED_SOURCES.max(INTERIOR_CLOSED_SOURCES) < writes.borders);
+    assert_ne!(writes.interior.expected, 2 + INTERIOR_CLOSED_SOURCES);
     let rows = [
         (
             "write-interior-delete-sweeps",
@@ -839,14 +864,26 @@ fn main() {
         ),
         (
             "write-crossing-delete-sweeps",
-            writes.crossing_expected,
-            writes.crossing_delete,
+            writes.crossing.expected,
+            writes.crossing.sweeps,
             &crossing_what,
         ),
         (
             "write-crossing-closed-sources",
             CROSSING_CLOSED_SOURCES,
-            writes.closed_sources,
+            writes.crossing.closed_sources,
+            &closed_what,
+        ),
+        (
+            "write-interior-affected-delete-sweeps",
+            writes.interior.expected,
+            writes.interior.sweeps,
+            &interior_what,
+        ),
+        (
+            "write-interior-closed-sources",
+            INTERIOR_CLOSED_SOURCES,
+            writes.interior.closed_sources,
             &closed_what,
         ),
     ];

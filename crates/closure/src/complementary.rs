@@ -34,19 +34,22 @@
 //!    node, yielding **exact** global border-to-border distances.
 //! 3. **Lazy paths** — when paths are requested, shortcut routes are not
 //!    materialized eagerly; they are stitched on demand from the
-//!    skeleton hops and the fragment-local parent trees of step 1.
+//!    skeleton hops and the fragment-local parent trees of step 1. One
+//!    store serves every route: maintenance writes the routes it changes
+//!    into the same store as overrides, and the reference writes all of
+//!    its routes there.
 //!
 //! Step 1's output is kept per fragment, behind its own `Arc`: the
 //! skeleton edges its sweeps realize (and, with paths, their parent
 //! trees). An effective edit marks *stale* every fragment whose node set
 //! holds both of its endpoints — the sweeps run on the induced subgraph of
 //! the global graph, so each such fragment sees the edge, not only its
-//! owner. A maintenance fallback ([`crate::updates`]) then re-sweeps the
-//! stale fragments alone, re-closes the skeleton from the sources the
-//! deletion affects and rewrites their rows; a site whose table comes out
-//! unchanged keeps its `Arc`. The build is the same routine with every
-//! fragment stale and every source affected: there is one precompute
-//! path.
+//! owner. Every deletion ([`crate::updates`]) then re-sweeps the stale
+//! fragments alone — only when some source is affected — re-closes the
+//! skeleton from the sources the deletion affects and rewrites their rows;
+//! a site whose table comes out unchanged keeps its `Arc`. The build is
+//! the same routine with every fragment stale and every source affected:
+//! there is one precompute path, and one deletion repair.
 //!
 //! Exactness: every global edge belongs to exactly one fragment and both
 //! its endpoints lie in that fragment's node set, so any global shortest
@@ -116,7 +119,7 @@ pub enum PrecomputeStrategy {
 }
 
 /// Per-phase wall-time accounting of one precompute — the build, or the
-/// last maintenance fallback that redid part of it — exposed through
+/// last deletion's refresh that redid part of it — exposed through
 /// `TcEngine::precompute_stats` so benches and tests can assert where
 /// build time goes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -128,11 +131,11 @@ pub struct PrecomputeStats {
     /// Time closing the border-skeleton graph (0 on the reference path).
     pub skeleton_close_ns: u64,
     /// Time writing the closed rows into the per-site shortcut tables
-    /// (and, on a fallback with stored paths, their routes).
+    /// (and, on a deletion's refresh with stored paths, their routes).
     pub assemble_ns: u64,
     /// Skeleton sources the skeleton was closed from: every border on a
     /// build, the sources the deleted edge could have carried on a
-    /// fallback (0 on the reference path).
+    /// deletion's refresh (0 on the reference path).
     pub sources_closed: usize,
 }
 
@@ -243,10 +246,11 @@ impl Layout {
     }
 }
 
-/// Lazy path storage for the skeleton strategy: shortcut routes are
-/// stitched from skeleton hops and fragment-local parent trees on
-/// demand. `overrides` holds routes replaced by update maintenance
-/// (which must not consult the stale build-time trees).
+/// The route store: shortcut routes are stitched from skeleton hops and
+/// fragment-local parent trees on demand. `overrides` holds routes
+/// written since (by update maintenance, which must not consult the
+/// stale build-time trees, or by the global-sweep reference, which keeps
+/// no skeleton hops and writes every route there).
 #[derive(Clone, Debug)]
 struct SkeletonPaths {
     /// The border list (index = skeleton id).
@@ -255,7 +259,8 @@ struct SkeletonPaths {
     frags: Vec<Arc<LocalSweeps>>,
     edges: Vec<SkelEdge>,
     /// `via[s][t]` — index into `edges` of the skeleton edge that settles
-    /// `t` in the closure sweep rooted at `s` (`u32::MAX` = none).
+    /// `t` in the closure sweep rooted at `s` (`u32::MAX` = none). Empty
+    /// when there are no skeleton hops.
     via: Vec<Vec<u32>>,
     overrides: HashMap<(NodeId, NodeId), Vec<NodeId>>,
 }
@@ -269,11 +274,10 @@ impl SkeletonPaths {
         let su = borders.binary_search(&u).ok()?;
         let sv = borders.binary_search(&v).ok()?;
         if su == sv {
-            // Self-pairs are never stored as shortcuts; answer exactly
-            // like the eager (global-sweep) store does.
+            // Self-pairs are never stored as shortcuts.
             return None;
         }
-        stitch(borders, &self.frags, &self.edges, &self.via[su], su, sv)
+        stitch(borders, &self.frags, &self.edges, self.via.get(su)?, su, sv)
     }
 }
 
@@ -327,35 +331,6 @@ fn stitch(
         out.extend(seg);
     }
     Some(out)
-}
-
-/// Concrete routes backing the shortcut tuples, when requested.
-#[derive(Clone, Debug)]
-enum PathData {
-    /// Every route materialized eagerly (global-sweep reference).
-    Eager(HashMap<(NodeId, NodeId), Vec<NodeId>>),
-    /// Routes stitched lazily from the skeleton (default).
-    Lazy(SkeletonPaths),
-}
-
-impl PathData {
-    fn get(&self, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
-        match self {
-            PathData::Eager(map) => map.get(&(u, v)).cloned(),
-            PathData::Lazy(skel) => skel.stitch(u, v),
-        }
-    }
-
-    fn set(&mut self, u: NodeId, v: NodeId, path: Vec<NodeId>) {
-        match self {
-            PathData::Eager(map) => {
-                map.insert((u, v), path);
-            }
-            PathData::Lazy(skel) => {
-                skel.overrides.insert((u, v), path);
-            }
-        }
-    }
 }
 
 /// One site's complementary information in its only stored form: the
@@ -467,7 +442,8 @@ impl BorderTable {
 }
 
 /// The precomputed complementary information: one [`BorderTable`] per
-/// site, plus what a fallback needs to redo only part of the precompute.
+/// site, plus what a deletion's refresh needs to redo only part of the
+/// precompute.
 ///
 /// Every table lives behind its own [`Arc`], which the site's evaluation
 /// state holds too; so does every fragment's local-sweep output. Cloning
@@ -490,7 +466,7 @@ pub struct ComplementaryInfo {
     /// reconstruction), when requested. One shared block: path lookups
     /// are read-mostly, and maintenance detaches it at most once per
     /// epoch via `Arc::make_mut`.
-    paths: Option<Arc<PathData>>,
+    paths: Option<Arc<SkeletonPaths>>,
     store_paths: bool,
     stats: PrecomputeStats,
 }
@@ -675,13 +651,16 @@ fn table_borders(groups: &[Vec<NodeId>]) -> Vec<NodeId> {
 /// columns only. A table is detached (`Arc::make_mut`) only when an
 /// entry differs, so a site whose row comes out as it was keeps its
 /// shared table; the differing entries are added to `changed`, per site.
+/// Returns whether a stored tuple was dropped: its pair became
+/// unreachable.
 fn write_row(
     tables: &mut [Arc<BorderTable>],
     layout: &Layout,
     s: usize,
     dist: &[Cost],
     changed: &mut [usize],
-) {
+) -> bool {
+    let mut dropped = false;
     for (site, at) in layout.at.iter().enumerate() {
         let Ok(i) = at.binary_search(&s) else {
             continue;
@@ -697,11 +676,13 @@ fn write_row(
         let table = Arc::make_mut(&mut tables[site]);
         for j in 0..nb {
             if stale(table, j) {
+                dropped |= dist[at[j]] == INFINITE_COST;
                 table.costs[i * nb + j] = dist[at[j]];
                 changed[site] += 1;
             }
         }
     }
+    dropped
 }
 
 /// The positions in `at` (a table's borders, by skeleton id) whose
@@ -767,25 +748,26 @@ impl ComplementaryInfo {
     ///
     /// Exact whenever every other row already holds its global distances
     /// — a build (every source), and a deletion that re-closes the
-    /// sources the repair rule names. With paths, closing every source
-    /// builds the lazy path structure afresh; closing some writes their
-    /// routes as overrides, as [`ComplementaryInfo::repair_sources`]
-    /// does. A site whose table comes out as it was keeps its `Arc`;
-    /// returns per-site counts of the entries that changed. The sweeps
-    /// run on `scratch`.
+    /// sources the repair rule names (the one deletion repair,
+    /// [`crate::updates`]). With paths, closing every source builds the
+    /// route store afresh; closing some writes their routes as overrides.
+    /// A site whose table comes out as it was keeps its `Arc`. Returns
+    /// per-site counts of the entries that changed, and whether a stored
+    /// tuple was dropped (its pair became unreachable). The stats are
+    /// this refresh's, unless it closed nothing. The sweeps run on
+    /// `scratch`.
     pub(crate) fn refresh(
         &mut self,
         graph: &CsrGraph,
         frag: &Fragmentation,
         sources: &[usize],
         scratch: &mut ScratchDijkstra,
-    ) -> Vec<usize> {
+    ) -> (Vec<usize>, bool) {
         let layout = Arc::clone(&self.layout);
         let mut changed = vec![0usize; self.tables.len()];
         let every = sources.len() == layout.borders.len();
         if !every && sources.is_empty() {
-            self.stats = PrecomputeStats::default();
-            return changed;
+            return (changed, false);
         }
 
         // Phase 1: fragment-local border sweeps, stale fragments only.
@@ -831,17 +813,18 @@ impl ComplementaryInfo {
 
         // Phase 3: rewrite the sources' rows from the closed skeleton.
         let t2 = Instant::now();
+        let mut dropped = false;
         for (&s, (dist, _)) in sources.iter().zip(&closed) {
-            write_row(&mut self.tables, &layout, s, dist, &mut changed);
+            dropped |= write_row(&mut self.tables, &layout, s, dist, &mut changed);
         }
         if self.store_paths && every {
-            self.paths = Some(Arc::new(PathData::Lazy(SkeletonPaths {
+            self.paths = Some(Arc::new(SkeletonPaths {
                 layout: Arc::clone(&layout),
                 frags: local,
                 edges: skel_edges,
                 via: closed.into_iter().map(|(_, via)| via).collect(),
                 overrides: HashMap::new(),
-            })));
+            }));
         } else if let Some(data) = self.paths.as_mut() {
             // Every stored pair of a source is one of its targets.
             let data = Arc::make_mut(data);
@@ -850,7 +833,8 @@ impl ComplementaryInfo {
                     if dist[t] < INFINITE_COST {
                         let route = stitch(&layout.borders, &local, &skel_edges, via, s, t)
                             .expect("a settled target has a route");
-                        data.set(layout.borders[s], layout.borders[t], route);
+                        data.overrides
+                            .insert((layout.borders[s], layout.borders[t]), route);
                     }
                 }
             }
@@ -862,7 +846,7 @@ impl ComplementaryInfo {
             assemble_ns: t2.elapsed().as_nanos() as u64,
             sources_closed: sources.len(),
         };
-        changed
+        (changed, dropped)
     }
 
     /// Mark stale every fragment an effective edit between `u` and `v`
@@ -878,7 +862,8 @@ impl ComplementaryInfo {
     }
 
     /// The reference precompute: one whole-graph Dijkstra per border
-    /// node, paths materialized eagerly. Produces tables identical to
+    /// node, every route written eagerly as an override of a store with
+    /// no skeleton hops. Produces tables identical to
     /// [`ComplementaryInfo::compute`]; kept for equivalence tests. It
     /// keeps no local sweeps, so every fragment stays stale.
     pub fn compute_global_sweep(
@@ -909,14 +894,20 @@ impl ComplementaryInfo {
             write_row(&mut comp.tables, &layout, s, &dist, &mut changed);
         }
         comp.paths = store_paths.then(|| {
-            let mut paths = HashMap::new();
+            let mut overrides = HashMap::new();
             for e in comp.tables.iter().flat_map(|t| t.edges()) {
-                paths.entry((e.src, e.dst)).or_insert_with(|| {
+                overrides.entry((e.src, e.dst)).or_insert_with(|| {
                     let from = position(border_list, &e.src);
                     dist_from[from].path_to(e.dst).expect("cost is finite")
                 });
             }
-            Arc::new(PathData::Eager(paths))
+            Arc::new(SkeletonPaths {
+                layout: Arc::clone(&layout),
+                frags: Vec::new(),
+                edges: Vec::new(),
+                via: Vec::new(),
+                overrides,
+            })
         });
         let assemble_ns = t2.elapsed().as_nanos() as u64;
         comp.stats = PrecomputeStats {
@@ -970,7 +961,7 @@ impl ComplementaryInfo {
     /// the fragment-local parent trees (unless update maintenance has
     /// overridden it).
     pub fn path(&self, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
-        self.paths.as_ref()?.get(u, v)
+        self.paths.as_ref()?.stitch(u, v)
     }
 
     /// Whether concrete paths were stored.
@@ -1011,7 +1002,8 @@ impl ComplementaryInfo {
     }
 
     /// Per-phase timing of the precompute that built these tables, or of
-    /// the last maintenance fallback that redid part of it.
+    /// the last deletion whose refresh closed a source (one that closes
+    /// none leaves it as it was).
     pub fn precompute_stats(&self) -> PrecomputeStats {
         self.stats
     }
@@ -1066,7 +1058,7 @@ impl ComplementaryInfo {
                 table.costs[slot] = cost;
                 if let Some(data) = paths.as_deref_mut() {
                     let (a, b) = (table.borders[slot / nb], table.borders[slot % nb]);
-                    data.set(a, b, splice(k, a, b));
+                    data.overrides.insert((a, b), splice(k, a, b));
                 }
             }
         }
@@ -1099,70 +1091,6 @@ impl ComplementaryInfo {
             }
         }
         (0..affected.len()).filter(|&s| affected[s]).collect()
-    }
-
-    /// Re-derive every tuple rooted at one of `sources` (skeleton ids,
-    /// ascending) from the post-update `graph` (deletion repair:
-    /// distances may have grown).
-    ///
-    /// One scratch sweep per source, read by that source's row at every
-    /// site holding it; sources iterate in sorted order and the sweep
-    /// state is reused. Returns per-site counts of tuples changed, or the
-    /// first border pair that became unreachable — the caller must then
-    /// fall back ([`crate::updates`]). All table writes are deferred until
-    /// every sweep succeeded, so on `Err` the tables are untouched and
-    /// untouched sites keep their shared (`Arc`) tables in every case.
-    pub(crate) fn repair_sources(
-        &mut self,
-        graph: &CsrGraph,
-        sources: &[usize],
-        scratch: &mut ScratchDijkstra,
-    ) -> Result<Vec<usize>, (NodeId, NodeId)> {
-        let mut changed = vec![0usize; self.tables.len()];
-        let store = self.paths.is_some();
-        let mut cost_changes: Vec<(usize, usize, Cost)> = Vec::new();
-        let mut path_changes: Vec<(NodeId, NodeId, Vec<NodeId>)> = Vec::new();
-        // The same (u, v) route backs every site storing that pair; one
-        // replacement path per pair is enough.
-        let mut path_seen: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-        for s in sources.iter().map(|&s| self.layout.borders[s]) {
-            scratch.sweep(graph, &[(s, 0)]);
-            for (site, table) in self.tables.iter().enumerate() {
-                let Ok(i) = table.borders.binary_search(&s) else {
-                    continue;
-                };
-                for (j, (&dst, &old)) in table.borders.iter().zip(table.row(i)).enumerate() {
-                    if j == i || old == INFINITE_COST {
-                        continue;
-                    }
-                    let Some(cost) = scratch.cost(dst) else {
-                        return Err((s, dst));
-                    };
-                    if cost != old {
-                        cost_changes.push((site, i * table.borders.len() + j, cost));
-                    }
-                    if store && path_seen.insert((s, dst)) {
-                        // Even when the cost is unchanged, the stored path may
-                        // have used the deleted connection (it was *a* shortest
-                        // path); replace it with a currently valid one.
-                        path_changes.push((s, dst, scratch.path_to(dst).expect("cost is finite")));
-                    }
-                }
-            }
-        }
-        for (site, slot, cost) in cost_changes {
-            Arc::make_mut(&mut self.tables[site]).costs[slot] = cost;
-            changed[site] += 1;
-        }
-        if let Some(data) = self.paths.as_mut() {
-            if !path_changes.is_empty() {
-                let data = Arc::make_mut(data);
-                for (u, v, p) in path_changes {
-                    data.set(u, v, p);
-                }
-            }
-        }
-        Ok(changed)
     }
 }
 

@@ -37,7 +37,8 @@
 //! ([`crate::complementary::BorderTable`]) is one allocation that the
 //! `Site` and [`ComplementaryInfo`] both point to. The whole-graph pieces
 //! (global graph, fragmentation, planner, reachability index) have an
-//! `Arc` each (the fragmentation one per fragment as well). Cloning a
+//! `Arc` each; an update detaches the fragmentation once per shared
+//! epoch ([`std::sync::Arc::make_mut`]). Cloning a
 //! snapshot therefore costs O(sites) refcount bumps, not a deep copy:
 //! that is what makes the serve writer's per-epoch publication cheap. [`EngineSnapshot::maintain`] preserves
 //! the sharing — it replaces exactly one `Arc<Site>` per site an update
@@ -116,7 +117,7 @@ pub struct CowMaintenance {
     /// `shortcut_sites` too.
     pub owner: Option<FragmentId>,
     /// Sites whose complementary table (and hence [`Site`]) was replaced
-    /// — after a fallback too, only those whose table changed.
+    /// — after any delete too, only those whose table changed.
     pub shortcut_sites: Vec<FragmentId>,
     /// Union of `owner` and `shortcut_sites`, sorted: the sites whose
     /// [`Site`] is *not* shared with the pre-update snapshot. Every

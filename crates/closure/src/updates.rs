@@ -18,7 +18,7 @@
 //!   dropped its tuple, or a one-way network never had one) gets its
 //!   tuple at every site holding both borders. Stored shortcut paths are
 //!   patched from the same sweeps' trees (`path(a,u) ++ path(v,b)`), so
-//!   inserts never fall back.
+//!   an insert re-closes nothing.
 //! * **Deletions** can increase distances, which per-pair minima cannot
 //!   repair locally — but only for shortcuts whose shortest path *used*
 //!   the deleted edge. The **deletion repair rule**: a shortcut `(a, b)`
@@ -26,40 +26,37 @@
 //!   pre-deletion distances, `dist(a,u) + c + dist(v,b) == dist(a,b)`
 //!   (any shortest path through the edge achieves exactly that sum, and
 //!   the stored cost *is* `dist(a,b)`). The engine detects the affected
-//!   border sources from the same endpoint-to-border distances, then
-//!   re-runs Dijkstra on the post-deletion graph only from those sources.
+//!   border sources from the same endpoint-to-border distances.
 //!
 //! Those distances come from one sweep per endpoint on the caller's
 //! scratch, stopped once every border node is settled, and copied out at
 //! the borders: on a symmetric network the closure graph is its own
-//! transpose, so an interior edit costs two sweeps in all (plus one per
-//! affected source on a delete); a one-way network sweeps `dist(·, u)`
-//! on one transpose of the graph. Both rules scan the tables row by row
-//! and column by column, skipping every row whose border does not reach
-//! `u` and every column `v` does not reach: an edit whose endpoints reach
-//! no border reads no table. The closure graph itself is edited — the
-//! update's entries added or dropped — not re-derived from the
-//! fragments.
+//! transpose, so an edit's endpoints cost two sweeps in all; a one-way
+//! network sweeps `dist(·, u)` on one transpose of the graph. Both rules
+//! scan the tables row by row and column by column, skipping every row
+//! whose border does not reach `u` and every column `v` does not reach:
+//! an edit whose endpoints reach no border reads no table. The closure
+//! graph itself is edited — the update's entries added or dropped — not
+//! re-derived from the fragments.
 //!
-//! Every deletion detects its affected sources the same way. Two cases
-//! then take the fallback instead of one global sweep per source: the
-//! stale fragments (those whose node set holds both endpoints of some
-//! edit since their last sweep) are re-swept, the border skeleton is
-//! re-closed from the affected sources only, and only their rows are
-//! rewritten ([`crate::complementary`]; nothing is re-swept when no
-//! source is affected). The report says why
-//! ([`UpdateReport::fallback_reason`]):
+//! There is one deletion repair, whatever edge is deleted: the two
+//! endpoint sweeps on the pre-deletion graph, the repair rule, then
+//! `ComplementaryInfo::refresh` from the affected sources — the stale
+//! fragments (those whose node set holds both endpoints of some edit
+//! since their last sweep) are re-swept, the border skeleton is re-closed
+//! from the affected sources only, and only their rows are rewritten
+//! ([`crate::complementary`]). A deletion that affects no source sweeps
+//! nothing more. [`UpdateReport::fallback_reason`] only labels the edge:
 //!
 //! * [`FallbackReason::DisconnectionSetCrossing`] — the deleted edge
-//!   joins two border nodes (it lies *in* a disconnection-set crossing).
-//!   Nothing forces this: the repair rule and the per-source sweeps are
-//!   exact for such an edge too. A crossing delete takes the skeleton
-//!   path by choice, and the report names it, because the end-to-end
-//!   benchmark picks its crossing write streams by that report.
-//! * [`FallbackReason::Disconnected`] — the deletion made a previously
-//!   reachable border pair unreachable (e.g. a bridge edge): a per-source
-//!   sweep found a stored pair it no longer reaches, and the re-closed
-//!   rows drop its tuple.
+//!   joins two border nodes (it lies *in* a disconnection-set crossing);
+//! * [`FallbackReason::Disconnected`] — otherwise, when the deletion made
+//!   a previously reachable border pair unreachable (e.g. a bridge edge):
+//!   the re-closed rows dropped its tuple.
+//!
+//! The labels, and [`UpdateReport::full_recompute`] beside them, stay
+//! because the frozen end-to-end benchmark picks its write streams by
+//! them; they can go with its next version.
 //!
 //! [`maintain`] is the one maintenance path: the `System` facade and the
 //! serve writer both reach it through `EngineSnapshot::maintain_cow`, so
@@ -78,16 +75,17 @@ use crate::api::{apply_edit, validate, NetworkUpdate};
 use crate::complementary::{ComplementaryInfo, Through};
 use crate::error::ClosureError;
 
-/// Why a deletion took the fallback: re-sweep the stale fragments and
-/// re-close the skeleton from the affected sources.
+/// A label for a deletion's edge. Every deletion takes the same repair
+/// (see the module docs); the label is kept because the end-to-end
+/// benchmark picks its write streams by it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FallbackReason {
     /// The deleted edge connects two border nodes — it lies in a
-    /// disconnection-set crossing. Crossing deletes always take the
-    /// fallback (see the module docs for why).
+    /// disconnection-set crossing.
     DisconnectionSetCrossing,
     /// The deletion disconnected a previously reachable border pair
-    /// (e.g. a bridge edge between fragments' borders).
+    /// (e.g. a bridge edge between fragments' borders) and dropped its
+    /// tuple.
     Disconnected,
 }
 
@@ -98,15 +96,16 @@ pub struct UpdateReport {
     /// (insert maintenance).
     pub shortcuts_improved: usize,
     /// Shortcut tuples whose cost was repaired upward, or that the
-    /// deletion dropped (deletion repair, fallback included).
+    /// deletion dropped.
     pub shortcuts_repaired: usize,
-    /// Whether the deletion took the fallback: re-sweep the stale
-    /// fragments, re-close the border skeleton from the sources the
-    /// repair rule found affected and rewrite their rows — instead of one
-    /// global sweep per affected source.
+    /// Whether the deletion is labelled (`fallback_reason` is `Some`): a
+    /// crossing or disconnecting delete. A label only — every deletion
+    /// takes the one repair — kept because the end-to-end benchmark picks
+    /// its write streams by it.
     pub full_recompute: bool,
-    /// Why the fallback happened; `None` on the incremental path
-    /// (invariant: `full_recompute == fallback_reason.is_some()`).
+    /// The deletion's label; `None` for an insert and an interior delete
+    /// that disconnects nothing (invariant:
+    /// `full_recompute == fallback_reason.is_some()`).
     pub fallback_reason: Option<FallbackReason>,
     /// Sites whose state (fragment edges or shortcut table) changed —
     /// the owner, whose edges changed, plus every site whose table did:
@@ -147,7 +146,7 @@ pub struct UpdateBatchReport {
 }
 
 impl UpdateBatchReport {
-    /// Updates that fell back.
+    /// Updates labelled `full_recompute`.
     pub fn full_recomputes(&self) -> usize {
         self.reports.iter().filter(|r| r.full_recompute).count()
     }
@@ -162,8 +161,8 @@ impl UpdateBatchReport {
         self.reports.iter().map(|r| r.sites_touched).sum()
     }
 
-    /// Fraction of updates that stayed incremental (1.0 when none fell
-    /// back; 1.0 for an empty batch).
+    /// Fraction of updates without a `full_recompute` label (1.0 for an
+    /// empty batch).
     pub fn incremental_fraction(&self) -> f64 {
         if self.reports.is_empty() {
             return 1.0;
@@ -251,11 +250,11 @@ impl Maintenance {
 
 /// The maintenance path: apply the structural edit
 /// ([`crate::api::apply_edit`]), edit the closure graph by the entries
-/// the update added or dropped, then keep `comp` exact — by per-source
-/// sweeps, or by a fallback that re-sweeps only the stale fragments and
-/// re-closes the skeleton only from the affected sources. The caller
-/// passes its retained state, including a persistent `scratch` that
-/// every sweep of the update runs on.
+/// the update added or dropped, then keep `comp` exact — an insert by
+/// lowering entries through the new edge, a delete by re-closing the
+/// skeleton from the sources the repair rule names, over re-swept stale
+/// fragments. The caller passes its retained state, including a
+/// persistent `scratch` that every sweep of the update runs on.
 ///
 /// `graph` and `frag` are owned through [`Arc`] handles: a caller whose
 /// state is shared with published snapshots (the serve writer's working
@@ -328,23 +327,16 @@ pub fn maintain(
             let sweeps =
                 EndpointSweeps::run(&before, symmetric, &removed, comp.borders(), false, scratch);
             let affected = affected_sources(comp, &sweeps, &removed);
-            // A crossing delete re-closes the skeleton without trying the
-            // per-source sweeps; an interior one falls back to it only when
-            // a stored pair became unreachable.
-            let repaired = if is_border(frag, src) && is_border(frag, dst) {
-                Err(FallbackReason::DisconnectionSetCrossing)
+            let (per_site, dropped) = comp.refresh(graph, frag, &affected, scratch);
+            // The edge's topology decides the label only.
+            let reason = if is_border(frag, src) && is_border(frag, dst) {
+                Some(FallbackReason::DisconnectionSetCrossing)
             } else {
-                (comp.repair_sources(graph, &affected, scratch))
-                    .map_err(|_| FallbackReason::Disconnected)
+                dropped.then_some(FallbackReason::Disconnected)
             };
-            let mut m = match repaired {
-                Ok(per_site) => {
-                    let repaired = per_site.iter().sum();
-                    let shortcut_sites = nonzero_sites(&per_site);
-                    Maintenance::effective(comp, owner, shortcut_sites, (0, repaired), None)
-                }
-                Err(reason) => fallback(graph, frag, comp, owner, &affected, reason, scratch),
-            };
+            let repaired = per_site.iter().sum();
+            let shortcut_sites = nonzero_sites(&per_site);
+            let mut m = Maintenance::effective(comp, owner, shortcut_sites, (0, repaired), reason);
             m.connectivity = connectivity;
             Ok(m)
         }
@@ -531,25 +523,6 @@ fn is_border(frag: &Fragmentation, v: NodeId) -> bool {
     frag.fragments_of_node(v).len() >= 2
 }
 
-/// The fallback: re-close the skeleton from the `affected` sources over
-/// the re-swept stale fragments and rewrite their rows
-/// ([`ComplementaryInfo::refresh`]). The sites whose table changed ship
-/// it; the owner is touched whether or not its own table did.
-fn fallback(
-    graph: &CsrGraph,
-    frag: &Fragmentation,
-    comp: &mut ComplementaryInfo,
-    owner: FragmentId,
-    affected: &[usize],
-    reason: FallbackReason,
-    scratch: &mut ScratchDijkstra,
-) -> Maintenance {
-    let per_site = comp.refresh(graph, frag, affected, scratch);
-    let repaired = per_site.iter().sum();
-    let shortcut_sites = nonzero_sites(&per_site);
-    Maintenance::effective(comp, owner, shortcut_sites, (0, repaired), Some(reason))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,8 +634,8 @@ mod tests {
     fn remove_interior_edge_repairs_incrementally() {
         let (mut engine, mut scratch) = build();
         // Pick a fragment-0 edge with at least one non-border endpoint:
-        // its deletion stays within the repair rule's regime (the grid is
-        // 2-edge-connected, so nothing disconnects either).
+        // its deletion is not a crossing, and the grid is 2-edge-connected,
+        // so nothing disconnects either — it carries no label.
         let frag = engine.fragmentation().clone();
         let e = *frag
             .fragment(0)
@@ -685,7 +658,7 @@ mod tests {
     fn remove_connection_stays_exact() {
         let (mut engine, mut scratch) = build();
         // Remove a real in-fragment connection (whichever comes first —
-        // incremental or fallback, answers must stay exact).
+        // labelled or not, answers must stay exact).
         let e = engine.fragmentation().fragment(0).edges()[0];
         let report = engine
             .maintain(&remove(e.src, e.dst, 0), &mut scratch)
@@ -762,7 +735,7 @@ mod tests {
         check_all(&engine, &mut scratch);
 
         // A crossing delete: a cheap edge between two borders of fragment
-        // 0 carries shortcuts until it is deleted again; the fallback
+        // 0 carries shortcuts until it is deleted again; the repair
         // writes the routes of the sources it re-closed as overrides, and
         // every other route stays real.
         let frag = engine.fragmentation().clone();

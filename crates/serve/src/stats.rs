@@ -102,9 +102,10 @@ pub struct ServeStats {
     /// Writer time maintaining the working copy, update by update
     /// (`EngineSnapshot::maintain`).
     pub writer_maintain: Duration,
-    /// Updates whose maintenance took the fallback
-    /// (`UpdateReport::full_recompute`): a crossing or disconnecting
-    /// delete that re-closed the border skeleton.
+    /// Updates labelled `UpdateReport::full_recompute`: a crossing or
+    /// disconnecting delete. Every delete takes the same repair (it
+    /// re-closes the border skeleton from the sources it affects); the
+    /// label splits out the deletes that usually affect many.
     pub writer_fallbacks: u64,
     /// The part of [`ServeStats::writer_maintain`] those updates took.
     pub writer_fallback: Duration,

@@ -28,8 +28,8 @@ pub(crate) struct WriteJob {
 
 /// What one [`apply_and_publish`] did: the per-update maintenance
 /// outcomes, and the time the maintenance and the publication took —
-/// with the updates that took the maintenance fallback, and their share
-/// of the maintenance time, apart.
+/// with the updates labelled `full_recompute` (crossing or disconnecting
+/// deletes), and their share of the maintenance time, apart.
 struct Applied {
     outcomes: Vec<Result<UpdateReport, ClosureError>>,
     maintain: Duration,

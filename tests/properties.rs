@@ -268,7 +268,9 @@ fn all_backends_match_baseline_on_random_workloads() {
 /// Update-equivalence: an engine maintained through ≥ 20 random mixed
 /// inserts/deletes answers every `shortest_path`/`connected` query
 /// identically to an engine rebuilt from scratch on the final graph —
-/// for every generator × fragmenter × backend.
+/// for every generator × fragmenter × backend, and once more with stored
+/// paths, where every sampled reachable pair's `route` must be a real
+/// path of the Dijkstra cost.
 #[test]
 fn maintained_engine_equals_rebuilt_from_scratch() {
     use discset::gen::output::expand_connections;
@@ -294,13 +296,22 @@ fn maintained_engine_equals_rebuilt_from_scratch() {
                 policy: discset::fragment::CrossingPolicy::LowerBlock,
             });
         }
+        let inputs = [
+            (Backend::Inline, false),
+            (Backend::SiteThreads, false),
+            (Backend::Inline, true),
+        ];
         for (family, fragmenter) in fragmenters.into_iter().enumerate() {
-            for backend in [Backend::Inline, Backend::SiteThreads] {
+            for (backend, store_paths) in inputs {
                 case += 1;
                 let mut rng = StdRng::seed_from_u64(0xA11CE ^ case);
                 let mut sys = System::builder()
                     .graph(&g)
                     .fragmenter(fragmenter.clone())
+                    .config(EngineConfig {
+                        store_paths,
+                        ..EngineConfig::default()
+                    })
                     .backend(backend)
                     .build()
                     .unwrap();
@@ -376,6 +387,13 @@ fn maintained_engine_equals_rebuilt_from_scratch() {
                         x == y || want.is_some(),
                         "seed {seed} case {case}: connected {x}->{y}"
                     );
+                    if store_paths && x != y && want.is_some() {
+                        let label = format!("seed {seed} case {case}: route {x}->{y}");
+                        let r = sys.route(x, y).unwrap().expect(&label);
+                        assert_eq!(Some(r.cost), want, "{label}");
+                        assert_eq!((r.nodes[0], r.nodes[r.nodes.len() - 1]), (x, y));
+                        assert_real_path(&csr, &r.nodes, r.cost, &label);
+                    }
                 }
             }
         }
@@ -384,6 +402,20 @@ fn maintained_engine_equals_rebuilt_from_scratch() {
         bridges[0] > 0 && bridges[1] > 0,
         "a bridge deleted and put back under linear and center fragmenters: {bridges:?}"
     );
+}
+
+/// The hops of `nodes` are edges of `csr`, and their cheapest costs add
+/// up to `cost`.
+fn assert_real_path(csr: &CsrGraph, nodes: &[NodeId], cost: u64, label: &str) {
+    let mut total = 0;
+    for hop in nodes.windows(2) {
+        let step = (csr.neighbors(hop[0]))
+            .filter(|&(t, _)| t == hop[1])
+            .map(|(_, c)| c)
+            .min();
+        total += step.unwrap_or_else(|| panic!("{label}: no edge {} -> {}", hop[0], hop[1]));
+    }
+    assert_eq!(total, cost, "{label}: route cost");
 }
 
 /// Reachability-index equivalence: `connected` answered through the

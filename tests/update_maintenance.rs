@@ -1,6 +1,6 @@
 //! Update maintenance contracts, pinned on hand-built topologies:
 //! adversarial deletions (bridges, disconnection-set crossings, last
-//! parallel edges) must fall back with the right reason and stay exact,
+//! parallel edges) must carry the right label and stay exact,
 //! and the `UpdateReport` / `BatchStats` accounting must produce *exact*
 //! counts on a 3-fragment line graph — on both backends.
 
@@ -254,15 +254,15 @@ fn assert_tables_rebuilt(sys: &System, symmetric: bool, label: &str) {
     }
 }
 
-/// A fallback re-sweeps every fragment whose node set holds both
-/// endpoints of an edit since its last sweep — not only the edit's owner:
-/// each fragment's local sweeps ran on the induced subgraph of the global
-/// graph, which holds the edge whoever owns it.
+/// A delete that affects some source re-sweeps every fragment whose node
+/// set holds both endpoints of an edit since its last sweep — not only
+/// the edit's owner: each fragment's local sweeps ran on the induced
+/// subgraph of the global graph, which holds the edge whoever owns it.
 ///
 /// Fragment 1 inserts `X = 3 -> 21` (column 3, top to bottom, cost 1):
 /// incremental, and fragment 0 holds both endpoints. Fragment 0 inserts a
 /// costly twin `Y` of the vertical `12 -> 21` and deletes it again — a
-/// crossing delete elsewhere, whose fallback re-sweeps fragment 0, which
+/// crossing delete elsewhere, whose repair re-sweeps fragment 0, which
 /// now sees `X`. Deleting `X` must then re-sweep fragment 0 as well: a
 /// rule that marks only the owner leaves fragment 0's skeleton edge
 /// `3 -> 21` of cost 1 in place, and the `(3, 21)` entries wrong.
@@ -314,7 +314,7 @@ fn a_fallback_resweeps_every_fragment_holding_both_endpoints() {
     }
 }
 
-/// A fallback that changes no table still changed the network: it is
+/// A crossing delete that changes no table still changed the network: it is
 /// effective, touches its owner (whose edges changed) and ships nothing,
 /// and every table — with every site but the owner's — stays the `Arc`
 /// the previous epoch holds.
@@ -361,6 +361,36 @@ fn a_fallback_that_changes_no_table_touches_only_its_owner() {
             assert_eq!(site_shared, f != 0, "{label}: site {f}");
         }
         assert_eq!(after.fragmentation().fragment(0).edge_count(), 15);
+    }
+}
+
+/// A delete that affects no source closes nothing, so it leaves the
+/// precompute stats as the build wrote them: a costly chord `3 - 21` of
+/// column 3, inserted and deleted again, carries no shortest route.
+#[test]
+fn a_delete_that_closes_no_source_keeps_the_precompute_stats() {
+    for symmetric in [true, false] {
+        let mut sys = deploy_columns(&column_grid(), symmetric);
+        let built = sys.engine().precompute_stats();
+        assert!(built.sources_closed > 0 && built.total_ns() > 0);
+        let chord = Edge::new(n(3), n(21), 1000);
+        let updates = [
+            NetworkUpdate::Insert {
+                edge: chord,
+                owner: 1,
+            },
+            NetworkUpdate::Remove {
+                src: chord.src,
+                dst: chord.dst,
+                owner: 1,
+            },
+        ];
+        for update in &updates {
+            let report = sys.update(update).unwrap();
+            let label = format!("symmetric={symmetric} {update:?}: {report:?}");
+            assert_eq!(report.shortcuts_repaired, 0, "{label}");
+            assert_eq!(sys.engine().precompute_stats(), built, "{label}");
+        }
     }
 }
 
