@@ -18,16 +18,18 @@
 //!   per query or keeps a row;
 //! * **write sweeps** — on a fixed symmetric fixture (a 9 x 3 grid cut
 //!   into three fragments by columns), read from the caller's
-//!   `ScratchStats`: a warm interior delete that affects no source, or
-//!   its re-insert, runs anything but exactly 2 sweeps (one per endpoint:
-//!   the closure graph is its own transpose) or grows the scratch; or a
-//!   delete that affects some sources sweeps anything but its 2
-//!   endpoints on the pre-delete graph and the borders of the fragments
-//!   whose node sets hold both endpoints, or closes the skeleton from
-//!   anything but the sources whose shortest routes the deleted edge
-//!   carries — for a crossing delete between two border nodes of the
-//!   shared column, exactly 11 (2 + 3 + 6) sweeps and 4 of 6 sources; for
-//!   an interior one, 5 (2 + 3) and 4;
+//!   `ScratchStats`: a warm interior delete that affects no pair, or its
+//!   re-insert, runs anything but exactly 4 sweeps (per endpoint, one of
+//!   its cell and one of the kept skeleton: the closure graph is its own
+//!   transpose) or grows the scratch; a crossing insert runs anything
+//!   but its 2 endpoint skeleton sweeps or re-sweeps a fragment; or a
+//!   delete that affects some pairs sweeps anything but its endpoints
+//!   (a skeleton sweep each, after a cell sweep for a non-border one),
+//!   the borders of its fragment when it changed one of the fragment's
+//!   local-sweep edges, and one re-close per root of the affected pairs'
+//!   cover — for a crossing delete between two border nodes of the
+//!   shared column, exactly 4 (2 + 0 + 2) sweeps and 2 roots; for an
+//!   interior one, 8 (3 + 3 + 2) and 2;
 //! * **publication** — the structurally shared per-epoch clone is less
 //!   than 5x cheaper than `EngineSnapshot::unshared_clone` after one
 //!   update's worth of touched sites, on any seed;
@@ -225,55 +227,82 @@ fn reach_index(bench: &mut Bench) -> (Vec<DijkstraPass>, Vec<Pair>) {
     (passes, pairs)
 }
 
-/// What one delete that affects some sources swept, beside the count the
-/// staleness rule predicts for it, and the skeleton sources it closed.
+/// What one delete that affects some sources swept, beside what the
+/// write rule predicts for it: its endpoint sweeps (a skeleton sweep per
+/// endpoint, after a cell sweep unless it is a border), the local
+/// re-sweeps of a fragment whose local-sweep edge it changed, and one
+/// re-close per skeleton source it closed from.
 struct AffectedDelete {
     sweeps: u64,
-    expected: u64,
+    endpoint_sweeps: u64,
+    local_resweeps: u64,
     closed_sources: u64,
 }
 
-/// What the write path swept on the stale-rule fixture, read from the
-/// caller's scratch: per interior toggle (delete, re-insert), then one
-/// crossing and one interior delete that affect some sources.
+impl AffectedDelete {
+    fn expected(&self) -> u64 {
+        self.endpoint_sweeps + self.local_resweeps + self.closed_sources
+    }
+
+    fn what(&self) -> String {
+        format!(
+            "{} endpoint sweeps + {} local re-sweeps + {} re-closes, one per root of the \
+             affected pairs' cover",
+            self.endpoint_sweeps, self.local_resweeps, self.closed_sources
+        )
+    }
+}
+
+/// What the write path swept on the write-rule fixture, read from the
+/// caller's scratch: per interior toggle (delete, re-insert), one
+/// crossing insert, then one crossing and one interior delete that
+/// affect some sources.
 struct WriteSweeps {
     interior_delete: ScratchStats,
     reinsert: ScratchStats,
+    crossing_insert: u64,
+    /// Fragments the crossing insert re-swept.
+    crossing_insert_resweeps: u64,
     crossing: AffectedDelete,
     interior: AffectedDelete,
     borders: u64,
 }
 
 /// The skeleton sources a crossing delete of the fixture's twin `X`
-/// closes: `3` and `21` themselves, and `6` and `24`, whose shortest
-/// routes to `21` and `3` tie through `X`. `12` and `15` reach every
-/// partner more cheaply.
-const CROSSING_CLOSED_SOURCES: u64 = 4;
+/// re-closes from. The pairs it affects are `3 - 21` themselves, `6 - 21`
+/// and `24 - 3`, whose shortest routes tie through `X`, each in both
+/// directions (`12` and `15` reach every partner more cheaply). On a
+/// symmetric network one sweep serves a pair both ways, so the re-close
+/// sweeps from a cover of the pairs: `3` (to `21` and `24`) and `21` (to
+/// `6`).
+const CROSSING_CLOSED_SOURCES: u64 = 2;
 
 /// The skeleton sources an interior delete of the fixture's chord
-/// `Y = 2 - 21` closes: `3` and `21`, whose distance 2 ties through
-/// `3 - 2 - 21`; `6`, whose route `6 - 5 - 4 - 3 - 2 - 21` ties with its
-/// distance 5 to `21`; and `24`, whose route to `3` ties the same way.
-/// `12` and `15` reach every partner more cheaply. The delete re-sweeps
-/// only fragment 0 (the one node set holding `2`), whose 3 borders are
-/// fewer than the 4 sources: one whole-graph sweep per source would make
-/// it 2 + 4.
-const INTERIOR_CLOSED_SOURCES: u64 = 4;
+/// `Y = 2 - 21` re-closes from. The pairs it affects are `3 - 21`, whose
+/// distance 2 ties through `3 - 2 - 21`; `6 - 21`, whose route
+/// `6 - 5 - 4 - 3 - 2 - 21` ties with its distance 5; and `24 - 3`, whose
+/// route ties the same way — covered, like `X`'s, by `3` and `21`.
+const INTERIOR_CLOSED_SOURCES: u64 = 2;
 
 /// A 9 x 3 unit grid cut into three fragments by columns — 0..=3, 3..=6
 /// and 6..=8, so columns 3 and 6 are the borders (3 + 3 nodes) — plus a
 /// chord of cost 1000 between two interior nodes of the middle fragment,
 /// which no shortest path uses. The chord is deleted and re-inserted
-/// twice (the second round is the one counted, warm). Then, each on a
-/// fresh copy, two edges that tie with shortest routes are inserted and
-/// deleted again. The middle fragment's `X = 3 - 21` of cost 2 — a twin
-/// of column 3's path `3 - 12 - 21`, between two borders the first
-/// fragment holds too — is a disconnection-set crossing. The first
-/// fragment's `Y = 2 - 21` of cost 1 has an interior endpoint. Each
-/// delete sweeps its endpoints once on the pre-delete graph, re-sweeps
-/// exactly the fragments whose node sets hold both endpoints, and closes
-/// the skeleton only from the sources whose shortest routes the edge
-/// carries.
+/// twice (the second round is the one counted, warm): each write sweeps
+/// each endpoint's cell and the skeleton from the borders it touches,
+/// and re-sweeps nothing, because the chord realizes none of fragment 1's
+/// local-sweep edges. Then, each on a fresh copy, two edges that tie with
+/// shortest routes are inserted and deleted again. The middle fragment's
+/// `X = 3 - 21` of cost 2 — a twin of column 3's path `3 - 12 - 21`,
+/// between two borders the first fragment holds too — is a
+/// disconnection-set crossing: a skeleton edge of its own, so its insert
+/// and delete sweep the skeleton from its 2 endpoints and re-sweep no
+/// fragment. The first fragment's `Y = 2 - 21` of cost 1 has an interior
+/// endpoint and realizes fragment 0's local-sweep edge `3 -> 21` (cost 2
+/// beside 4 around `3 - 2 - 11 - 20 - 21`), so its delete also re-sweeps
+/// fragment 0's 3 borders. Each delete re-closes the skeleton only for
+/// the pairs whose shortest routes the edge carries, one sweep per root
+/// of their cover.
 fn write_sweeps() -> WriteSweeps {
     let (w, h) = (9u32, 3u32);
     let id = |c: u32, r: u32| NodeId(r * w + c);
@@ -323,11 +352,32 @@ fn write_sweeps() -> WriteSweeps {
 
     let frag = built.fragmentation();
     let border = |v: &NodeId| frag.fragments_of_node(*v).len() >= 2;
+    let resweeps = |was: &EngineSnapshot, now: &EngineSnapshot| {
+        let (was, now) = (was.complementary(), now.complementary());
+        (0..frag.fragment_count())
+            .filter(|&f| !Arc::ptr_eq(was.local_sweeps(f), now.local_sweeps(f)))
+            .count() as u64
+    };
+    let x = Edge::new(id(3, 0), id(3, 2), 2);
+    let mut inserted = built.clone();
+    let before = scratch.stats().sweeps;
+    let x_insert = NetworkUpdate::Insert { edge: x, owner: 1 };
+    inserted
+        .maintain(&x_insert, &mut scratch)
+        .expect("valid insert");
+    let crossing_insert = scratch.stats().sweeps - before;
+    let crossing_insert_resweeps = resweeps(&built, &inserted);
+
     let mut affected_delete = |edge: Edge, owner: usize| {
-        let stale_borders: u64 = (frag.fragments().iter())
-            .filter(|f| f.contains_node(edge.src) && f.contains_node(edge.dst))
-            .map(|f| f.nodes().iter().filter(|v| border(v)).count() as u64)
-            .sum();
+        // One skeleton sweep per endpoint, after a sweep of its cell
+        // unless it is a border; an interior edge that realizes a
+        // local-sweep edge re-sweeps its fragment's borders.
+        let endpoints = [edge.src, edge.dst].into_iter();
+        let endpoint_sweeps: u64 = endpoints.map(|v| 1 + u64::from(!border(&v))).sum();
+        let interior = !(border(&edge.src) && border(&edge.dst));
+        let local_resweeps = (frag.fragment(owner).nodes().iter())
+            .filter(|v| interior && border(v))
+            .count() as u64;
         let mut snap = built.clone();
         let insert = NetworkUpdate::Insert { edge, owner };
         snap.maintain(&insert, &mut scratch).expect("valid insert");
@@ -338,19 +388,21 @@ fn write_sweeps() -> WriteSweeps {
             owner,
         };
         let report = snap.maintain(&delete, &mut scratch).expect("valid delete");
-        let crossing = border(&edge.src) && border(&edge.dst);
-        assert_eq!(report.full_recompute, crossing, "{report:?}");
+        assert_eq!(report.full_recompute, !interior, "{report:?}");
         AffectedDelete {
             sweeps: scratch.stats().sweeps - before,
-            expected: 2 + stale_borders,
+            endpoint_sweeps,
+            local_resweeps,
             closed_sources: snap.precompute_stats().sources_closed as u64,
         }
     };
-    let crossing = affected_delete(Edge::new(id(3, 0), id(3, 2), 2), 1);
+    let crossing = affected_delete(x, 1);
     let interior = affected_delete(Edge::new(id(2, 0), id(3, 2), 1), 0);
     WriteSweeps {
         interior_delete,
         reinsert,
+        crossing_insert,
+        crossing_insert_resweeps,
         crossing,
         interior,
         borders: built.complementary().border_count() as u64,
@@ -831,31 +883,18 @@ fn main() {
     report.ratio_row("reach-dijkstra-over-index", &reach, Some(FLOOR_REACH_INDEX));
 
     let writes = write_sweeps();
-    let resweeps = |d: &AffectedDelete, stale: usize| {
-        format!(
-            "2 endpoint sweeps on the pre-delete graph + {} local re-sweeps, one per border of \
-             the {stale} stale fragment(s)",
-            d.expected - 2
-        )
-    };
-    let (crossing_what, interior_what) =
-        (resweeps(&writes.crossing, 2), resweeps(&writes.interior, 1));
+    let (crossing_what, interior_what) = (writes.crossing.what(), writes.interior.what());
     let closed_what = format!("of the fixture's {} borders", writes.borders);
     assert!(CROSSING_CLOSED_SOURCES.max(INTERIOR_CLOSED_SOURCES) < writes.borders);
-    assert_ne!(writes.interior.expected, 2 + INTERIOR_CLOSED_SOURCES);
+    let toggle = "a cell and a skeleton sweep per endpoint, no local re-sweep";
     let rows = [
         (
             "write-interior-delete-sweeps",
-            2,
+            4,
             writes.interior_delete.sweeps,
-            "one per endpoint",
+            toggle,
         ),
-        (
-            "write-reinsert-sweeps",
-            2,
-            writes.reinsert.sweeps,
-            "one per endpoint",
-        ),
+        ("write-reinsert-sweeps", 4, writes.reinsert.sweeps, toggle),
         (
             "write-warm-grows",
             0,
@@ -863,8 +902,14 @@ fn main() {
             "scratch growths",
         ),
         (
+            "write-crossing-insert-sweeps",
+            2,
+            writes.crossing_insert,
+            "a skeleton sweep per border endpoint, no local re-sweep",
+        ),
+        (
             "write-crossing-delete-sweeps",
-            writes.crossing.expected,
+            writes.crossing.expected(),
             writes.crossing.sweeps,
             &crossing_what,
         ),
@@ -876,7 +921,7 @@ fn main() {
         ),
         (
             "write-interior-affected-delete-sweeps",
-            writes.interior.expected,
+            writes.interior.expected(),
             writes.interior.sweeps,
             &interior_what,
         ),
@@ -887,6 +932,9 @@ fn main() {
             &closed_what,
         ),
     ];
+    let stale = "write-crossing-insert re-swept fragments";
+    println!("{stale}: {}", writes.crossing_insert_resweeps);
+    report.check(exact_count(stale, 0, writes.crossing_insert_resweeps));
     for (row, expected, counted, what) in rows {
         report.rows.record(row, &[counted as f64]);
         println!("{row}: {counted} (expected {expected}: {what})");

@@ -182,8 +182,8 @@ pub trait TcEngine {
 
     /// Per-phase timing of the pre-processing that deployed this engine
     /// (the paper's dominant cost): local sweeps, skeleton closure, table
-    /// assembly. After a deletion that re-closed some sources, reflects
-    /// that refresh (whose local sweeps cover the stale fragments only).
+    /// assembly. After a deletion that re-closed some pairs, reflects
+    /// that re-close (its local-sweep phase is the skeleton patch).
     fn precompute_stats(&self) -> PrecomputeStats;
 
     /// An immutable, `Send + Sync` snapshot of this engine's current

@@ -26,12 +26,15 @@
 //! instead:
 //!
 //! 1. **Local sweeps** — per fragment, one Dijkstra *per border node of
-//!    that fragment* over the fragment's induced subgraph only, with
-//!    early exit once the fragment's other border nodes are settled.
-//! 2. **Skeleton closure** — a tiny border-skeleton graph (one node per
-//!    border city, one edge per locally connected border pair, weighted
-//!    with the local distance) is closed with Dijkstra per skeleton
-//!    node, yielding **exact** global border-to-border distances.
+//!    that fragment*, seeded at the border's interior neighbours and
+//!    absorbed by the fragment's borders: the cheapest path between two
+//!    of its borders whose interior is the fragment's own interior.
+//! 2. **The kept skeleton** — one [`CsrGraph`] over skeleton ids (a
+//!    border's position in the border list) with the cheapest edge per
+//!    ordered border pair among two kinds: a connection between two
+//!    borders, as it stands, and a fragment's local-sweep distance. It
+//!    is closed with one [`ScratchDijkstra`] sweep per skeleton node,
+//!    yielding **exact** global border-to-border distances, and kept.
 //! 3. **Lazy paths** — when paths are requested, shortcut routes are not
 //!    materialized eagerly; they are stitched on demand from the
 //!    skeleton hops and the fragment-local parent trees of step 1. One
@@ -39,28 +42,39 @@
 //!    into the same store as overrides, and the reference writes all of
 //!    its routes there.
 //!
-//! Step 1's output is kept per fragment, behind its own `Arc`: the
-//! skeleton edges its sweeps realize (and, with paths, their parent
-//! trees). An effective edit marks *stale* every fragment whose node set
-//! holds both of its endpoints — the sweeps run on the induced subgraph of
-//! the global graph, so each such fragment sees the edge, not only its
-//! owner. Every deletion ([`crate::updates`]) then re-sweeps the stale
-//! fragments alone — only when some source is affected — re-closes the
-//! skeleton from the sources the deletion affects and rewrites their rows;
-//! a site whose table comes out unchanged keeps its `Arc`. The build is
-//! the same routine with every fragment stale and every source affected:
-//! there is one precompute path, and one deletion repair.
-//!
-//! Exactness: every global edge belongs to exactly one fragment and both
-//! its endpoints lie in that fragment's node set, so any global shortest
-//! path between border nodes decomposes at its border-node visits into
-//! segments that each stay inside one fragment's induced subgraph — and
-//! each segment is dominated by a skeleton edge of that fragment. A
-//! border pair disconnected *locally* but connected globally is simply
-//! served by the skeleton closure through other fragments; no global
-//! re-sweep is ever needed, and the resulting shortcut tables are
-//! bit-identical to the global-sweep reference (asserted per-tuple by
+//! Exactness: a global shortest path between two borders splits at its
+//! border visits into segments, each either one connection between two
+//! borders — a skeleton edge as it stands — or a run through non-border
+//! nodes. A non-border node lies in exactly one fragment, and so does
+//! every edge touching it, so such a run stays inside one fragment's
+//! interior and is dominated by that fragment's local-sweep edge. A
+//! border pair disconnected *locally* but connected globally is served by
+//! the skeleton closure through other fragments; no global re-sweep is
+//! ever needed, and the resulting shortcut tables are bit-identical to
+//! the global-sweep reference (asserted per-tuple by
 //! `tests/properties.rs`).
+//!
+//! ## Maintenance patches the kept skeleton
+//!
+//! Every fragment's local-sweep output is kept behind its own `Arc`, and
+//! the skeleton is edited, never re-gathered ([`crate::updates`]):
+//!
+//! * a *crossing* edit — both endpoints borders — changes one skeleton
+//!   edge: the pair's cheapest connection or local-sweep edge is
+//!   re-derived, and no fragment is re-swept;
+//! * any other edit has a non-border endpoint, whose *cell* — the nodes
+//!   it reaches without entering a border — lies inside its fragment.
+//!   The fragment is *stale*, and re-swept, only when the edit changes
+//!   one of its local-sweep edges: over the borders of the two endpoint
+//!   cells, the fragment-level form of the repair rule (an edit whose
+//!   cell touches no border re-sweeps nothing).
+//!
+//! Every skeleton sweep runs on the caller's [`ScratchDijkstra`] over the
+//! kept skeleton (a one-way network's transpose of it for distances *to*
+//! a node): the build's closure, a deletion's re-close — from each
+//! affected source, stopped once its *affected* partners settle — and
+//! the repair rules' endpoint distances. A site whose table comes out
+//! unchanged keeps its `Arc`.
 //!
 //! Two scopes are provided:
 //! * [`ComplementaryScope::PerDisconnectionSet`] — exactly the paper's
@@ -91,7 +105,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ds_fragment::Fragmentation;
+use ds_fragment::{FragmentId, Fragmentation};
 use ds_graph::{
     dijkstra, Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, SubgraphView, INFINITE_COST,
 };
@@ -119,23 +133,24 @@ pub enum PrecomputeStrategy {
 }
 
 /// Per-phase wall-time accounting of one precompute — the build, or the
-/// last deletion's refresh that redid part of it — exposed through
+/// last deletion's re-close that redid part of it — exposed through
 /// `TcEngine::precompute_stats` so benches and tests can assert where
 /// build time goes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PrecomputeStats {
     pub strategy: PrecomputeStrategy,
-    /// Time in the per-fragment local border sweeps (for the global-sweep
-    /// reference: the whole-graph sweeps).
+    /// Time in the per-fragment local border sweeps and the skeleton
+    /// they give (for the global-sweep reference: the whole-graph sweeps;
+    /// on a deletion: patching the kept skeleton).
     pub local_sweeps_ns: u64,
     /// Time closing the border-skeleton graph (0 on the reference path).
     pub skeleton_close_ns: u64,
     /// Time writing the closed rows into the per-site shortcut tables
-    /// (and, on a deletion's refresh with stored paths, their routes).
+    /// (and, on a deletion's re-close with stored paths, their routes).
     pub assemble_ns: u64,
     /// Skeleton sources the skeleton was closed from: every border on a
     /// build, the sources the deleted edge could have carried on a
-    /// deletion's refresh (0 on the reference path).
+    /// deletion's re-close (0 on the reference path).
     pub sources_closed: usize,
 }
 
@@ -146,15 +161,14 @@ impl PrecomputeStats {
     }
 }
 
-/// One directed edge of the border-skeleton graph: a locally realized
-/// border-to-border distance, remembering which fragment realizes it.
+/// One skeleton edge a fragment's local sweeps realize: the cheapest
+/// path from border `src` to border `dst` (skeleton ids) through the
+/// fragment's interior.
 #[derive(Clone, Copy, Debug)]
 struct SkelEdge {
-    /// Skeleton (border-list) indices.
     src: u32,
     dst: u32,
     cost: Cost,
-    frag: u32,
 }
 
 /// The per-fragment leftovers of the local-sweep phase that lazy path
@@ -166,8 +180,9 @@ struct FragTrees {
     /// Sorted global ids of this fragment's border nodes; parallel to
     /// `parents`.
     borders: Vec<NodeId>,
-    /// `parents[i]` is the local-id parent tree of the sweep rooted at
-    /// `borders[i]` (`u32::MAX` = root / unreached).
+    /// `parents[i]` is the local-id parent tree of the sweep from
+    /// `borders[i]` (`u32::MAX` = one of its seeds, the border's interior
+    /// neighbours, or unreached).
     parents: Vec<Vec<u32>>,
 }
 
@@ -181,11 +196,12 @@ impl FragTrees {
     }
 }
 
-/// One fragment's local-sweep output, kept until an edit changes the
-/// fragment's induced subgraph: the skeleton edges its sweeps realize
-/// and, when paths are stored, the parent trees they left.
+/// One fragment's local-sweep output, kept until an edit changes one of
+/// its edges: the skeleton edges its interior realizes, sorted by
+/// (source, target), and, when paths are stored, the parent trees its
+/// sweeps left.
 #[derive(Clone, Debug, Default)]
-struct LocalSweeps {
+pub struct LocalSweeps {
     edges: Vec<SkelEdge>,
     trees: Option<FragTrees>,
 }
@@ -194,6 +210,19 @@ impl LocalSweeps {
     fn memory_bytes(&self) -> usize {
         self.edges.capacity() * std::mem::size_of::<SkelEdge>()
             + self.trees.as_ref().map_or(0, FragTrees::memory_bytes)
+    }
+
+    /// The cost this fragment's interior realizes from skeleton node `s`
+    /// to `t` ([`INFINITE_COST`] if none).
+    fn cost(&self, s: usize, t: usize) -> Cost {
+        let key = (s as u32, t as u32);
+        (self.edges.binary_search_by_key(&key, |e| (e.src, e.dst)))
+            .map_or(INFINITE_COST, |k| self.edges[k].cost)
+    }
+
+    /// Number of skeleton edges the fragment's interior realizes.
+    pub fn edge_count(&self) -> usize {
+        self.edges.len()
     }
 }
 
@@ -210,22 +239,27 @@ struct Layout {
     /// Per site, the skeleton id of each border of its table, in table
     /// order.
     at: Vec<Vec<usize>>,
-    /// Per skeleton node, the skeleton nodes its closure sweep must
-    /// settle: its partners in some site group — the pairs the tables
-    /// store.
-    targets: Vec<Vec<u32>>,
+    /// Per skeleton node, the skeleton nodes (ascending) its closure
+    /// sweep must settle: its partners in some site group — the pairs the
+    /// tables store.
+    targets: Vec<Vec<NodeId>>,
 }
 
 impl Layout {
     fn new(frag: &Fragmentation, scope: ComplementaryScope) -> Self {
         let (groups, borders) = site_border_sets(frag, scope);
-        let mut target_sets: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); borders.len()];
+        let mut targets: Vec<Vec<NodeId>> = vec![Vec::new(); borders.len()];
         for group in groups.iter().flatten() {
-            let idx: Vec<u32> = group.iter().map(|v| position(&borders, v) as u32).collect();
+            let idx: Vec<NodeId> = (group.iter())
+                .map(|v| NodeId::from_index(position(&borders, v)))
+                .collect();
             for &u in &idx {
-                let partners = idx.iter().filter(|&&v| v != u);
-                target_sets[u as usize].extend(partners);
+                targets[u.index()].extend(idx.iter().filter(|&&v| v != u));
             }
+        }
+        for partners in &mut targets {
+            partners.sort_unstable();
+            partners.dedup();
         }
         let at = (groups.iter())
             .map(|g| {
@@ -238,29 +272,74 @@ impl Layout {
             borders,
             groups,
             at,
-            targets: target_sets
-                .into_iter()
-                .map(|s| s.into_iter().collect())
-                .collect(),
+            targets,
         }
     }
 }
 
-/// The route store: shortcut routes are stitched from skeleton hops and
-/// fragment-local parent trees on demand. `overrides` holds routes
-/// written since (by update maintenance, which must not consult the
-/// stale build-time trees, or by the global-sweep reference, which keeps
-/// no skeleton hops and writes every route there).
+/// What expands a skeleton hop into network nodes: the skeleton a tree
+/// was swept over and the fragment sweeps behind its interior edges.
+#[derive(Clone, Debug)]
+struct Hops {
+    layout: Arc<Layout>,
+    skeleton: Arc<CsrGraph>,
+    frags: Vec<Arc<LocalSweeps>>,
+}
+
+impl Hops {
+    /// Append the network nodes of the skeleton hop `p -> t` after `p`:
+    /// the interior of the fragment path that realizes it, then `t` — or
+    /// `t` alone when a connection between the two borders does.
+    fn expand(&self, p: usize, t: usize, out: &mut Vec<NodeId>) {
+        let borders = &self.layout.borders;
+        let cost = entry(&self.skeleton, p, t).expect("a tree hop is a skeleton edge");
+        let Some(sweeps) = self.frags.iter().find(|f| f.cost(p, t) == cost) else {
+            out.push(borders[t]);
+            return;
+        };
+        let ft = (sweeps.trees.as_ref()).expect("a fragment realizing a hop kept its trees");
+        let tree = &ft.parents[position(&ft.borders, &borders[p])];
+        let mut lc = ft.view.local_of(borders[t]).expect("border in view");
+        let from = out.len();
+        loop {
+            out.push(ft.view.global_of(lc));
+            match tree[lc.index()] {
+                u32::MAX => break, // an interior neighbour of `p`
+                up => lc = NodeId(up),
+            }
+        }
+        out[from..].reverse();
+    }
+
+    /// The network path from the root of the skeleton tree `parents` to
+    /// `w`, which the tree reached.
+    fn route_to(&self, parents: &[u32], w: usize) -> Vec<NodeId> {
+        let mut hops = Vec::new();
+        let mut cur = w;
+        while parents[cur] != u32::MAX {
+            let up = parents[cur] as usize;
+            hops.push((up, cur));
+            cur = up;
+        }
+        let mut out = vec![self.layout.borders[cur]];
+        for &(p, t) in hops.iter().rev() {
+            self.expand(p, t, &mut out);
+        }
+        out
+    }
+}
+
+/// The route store: shortcut routes are stitched from the build's
+/// skeleton closure trees on demand. `overrides` holds routes written
+/// since (by update maintenance, which must not consult the build-time
+/// trees, or by the global-sweep reference, which keeps no trees and
+/// writes every route there).
 #[derive(Clone, Debug)]
 struct SkeletonPaths {
-    /// The border list (index = skeleton id).
-    layout: Arc<Layout>,
-    /// Per fragment, the sweeps whose trees expand its skeleton hops.
-    frags: Vec<Arc<LocalSweeps>>,
-    edges: Vec<SkelEdge>,
-    /// `via[s][t]` — index into `edges` of the skeleton edge that settles
-    /// `t` in the closure sweep rooted at `s` (`u32::MAX` = none). Empty
-    /// when there are no skeleton hops.
+    /// The build's skeleton and fragment sweeps.
+    hops: Hops,
+    /// `via[s]` — the parent tree of the build's closure sweep from
+    /// skeleton node `s`; empty when no pair needed it.
     via: Vec<Vec<u32>>,
     overrides: HashMap<(NodeId, NodeId), Vec<NodeId>>,
 }
@@ -270,67 +349,16 @@ impl SkeletonPaths {
         if let Some(p) = self.overrides.get(&(u, v)) {
             return Some(p.clone());
         }
-        let borders = &self.layout.borders;
+        let borders = &self.hops.layout.borders;
         let su = borders.binary_search(&u).ok()?;
         let sv = borders.binary_search(&v).ok()?;
-        if su == sv {
-            // Self-pairs are never stored as shortcuts.
+        let parents = self.via.get(su).filter(|p| !p.is_empty())?;
+        // Self-pairs are never stored; an unreached node has no parent.
+        if su == sv || parents[sv] == u32::MAX {
             return None;
         }
-        stitch(borders, &self.frags, &self.edges, self.via.get(su)?, su, sv)
+        Some(self.hops.route_to(parents, sv))
     }
-}
-
-/// The route from skeleton node `su` to `sv` along the closure sweep
-/// rooted at `su` (`via`, its row of realizing edge indices into
-/// `edges`), each skeleton hop expanded inside its providing fragment
-/// from that fragment's local parent trees. `None` when `sv` was not
-/// reached.
-fn stitch(
-    borders: &[NodeId],
-    frags: &[Arc<LocalSweeps>],
-    edges: &[SkelEdge],
-    via: &[u32],
-    su: usize,
-    sv: usize,
-) -> Option<Vec<NodeId>> {
-    // Walk the closure tree back from `sv`, collecting the skeleton hops
-    // in reverse.
-    let mut hops: Vec<&SkelEdge> = Vec::new();
-    let mut cur = sv;
-    while cur != su {
-        let idx = via[cur];
-        if idx == u32::MAX {
-            return None; // unreachable
-        }
-        let e = &edges[idx as usize];
-        hops.push(e);
-        cur = e.src as usize;
-    }
-    hops.reverse();
-    // Expand each hop inside its providing fragment.
-    let mut out = vec![borders[su]];
-    for e in hops {
-        let ft = (frags[e.frag as usize].trees.as_ref())
-            .expect("a fragment that realizes a skeleton edge kept its trees");
-        let src_global = borders[e.src as usize];
-        let dst_global = borders[e.dst as usize];
-        let bi = ft
-            .borders
-            .binary_search(&src_global)
-            .expect("skeleton edge source is a border of its fragment");
-        let tree = &ft.parents[bi];
-        let src_local = ft.view.local_of(src_global).expect("border in view");
-        let mut lc = ft.view.local_of(dst_global).expect("border in view");
-        let mut seg = Vec::new();
-        while lc != src_local {
-            seg.push(ft.view.global_of(lc));
-            lc = NodeId(tree[lc.index()]);
-        }
-        seg.reverse();
-        out.extend(seg);
-    }
-    Some(out)
 }
 
 /// One site's complementary information in its only stored form: the
@@ -442,25 +470,30 @@ impl BorderTable {
 }
 
 /// The precomputed complementary information: one [`BorderTable`] per
-/// site, plus what a deletion's refresh needs to redo only part of the
-/// precompute.
+/// site, plus the kept skeleton and local sweeps that update maintenance
+/// patches instead of redoing the precompute.
 ///
 /// Every table lives behind its own [`Arc`], which the site's evaluation
-/// state holds too; so does every fragment's local-sweep output. Cloning
-/// the whole structure (the serve writer's per-epoch copy-on-write
-/// publication) costs a few refcount bumps per site, and update
-/// maintenance — which goes through [`Arc::make_mut`], or replaces a
-/// table only when its entries changed — detaches only the tables it
+/// state holds too; so do every fragment's local-sweep output and the
+/// skeleton. Cloning the whole structure (the serve writer's per-epoch
+/// copy-on-write publication) costs a few refcount bumps per site, and
+/// update maintenance — which goes through [`Arc::make_mut`], or replaces
+/// a table only when its entries changed — detaches only the tables it
 /// actually changes. Untouched sites stay pointer-shared with every
 /// previous epoch (asserted by the structural-sharing property in
 /// `tests/properties.rs`).
 #[derive(Clone, Debug)]
 pub struct ComplementaryInfo {
     tables: Vec<Arc<BorderTable>>,
-    /// Per fragment, the output of its latest local sweeps; `None` while
-    /// the fragment is *stale* — an edit changed its induced subgraph
-    /// since (or it was never swept).
-    local: Vec<Option<Arc<LocalSweeps>>>,
+    /// Per fragment, the output of its latest local sweeps.
+    local: Vec<Arc<LocalSweeps>>,
+    /// The border skeleton over skeleton ids: per ordered border pair,
+    /// the cheapest of their connections and of the fragments' local-sweep
+    /// edges (one entry per pair).
+    skeleton: Arc<CsrGraph>,
+    /// The skeleton's transpose: made by the first write of a one-way
+    /// network, and edited with the skeleton since.
+    transpose: Option<Arc<CsrGraph>>,
     layout: Arc<Layout>,
     /// Concrete global paths backing each shortcut (for route
     /// reconstruction), when requested. One shared block: path lookups
@@ -472,8 +505,10 @@ pub struct ComplementaryInfo {
 }
 
 /// Run the local border sweeps of one fragment: from each border node,
-/// Dijkstra over the fragment's induced subgraph with early exit once
-/// the fragment's other border nodes are settled.
+/// Dijkstra over the fragment's induced subgraph seeded at the border's
+/// non-border neighbours and absorbed by every border of the fragment —
+/// the paths through the fragment's interior. A connection between two
+/// borders is a skeleton edge of its own, so it is left to the skeleton.
 fn local_sweeps_for_fragment(
     graph: &CsrGraph,
     frag: &Fragmentation,
@@ -500,43 +535,30 @@ fn local_sweeps_for_fragment(
         .collect();
     let skel_ids: Vec<u32> = fborders
         .iter()
-        .map(|b| borders.binary_search(b).expect("border") as u32)
+        .map(|b| position(borders, b) as u32)
         .collect();
     let mut edges = Vec::new();
     let mut parents = Vec::new();
-    let mut targets: Vec<NodeId> = Vec::with_capacity(local_borders.len());
-    for (bi, _) in fborders.iter().enumerate() {
-        // The other borders absorb: a local path through another border
-        // contributes nothing the skeleton closure cannot compose, so
-        // sweeps stop there. This keeps the sweeps shallow *and* the
-        // skeleton sparse — only interior-adjacent border pairs become
-        // skeleton edges.
-        targets.clear();
-        targets.extend(
-            local_borders
-                .iter()
-                .enumerate()
-                .filter(|&(ti, _)| ti != bi)
-                .map(|(_, &t)| t),
+    let mut seeds: Vec<(NodeId, Cost)> = Vec::new();
+    for (bi, &b) in local_borders.iter().enumerate() {
+        seeds.clear();
+        seeds.extend(
+            (view.graph().neighbors(b)).filter(|(x, _)| local_borders.binary_search(x).is_err()),
         );
-        if targets.is_empty() {
-            // A lone border node yields no pairs and no skeleton edges.
+        if seeds.is_empty() {
+            // No interior neighbour: no path through the interior.
             if store_trees {
                 parents.push(vec![u32::MAX; view.len()]);
             }
             continue;
         }
-        scratch.sweep_to_targets_absorbing(view.graph(), &[(local_borders[bi], 0)], &targets);
+        scratch.sweep_to_targets_absorbing(view.graph(), &seeds, &local_borders);
         for (ti, &t) in local_borders.iter().enumerate() {
-            if ti == bi {
-                continue;
-            }
-            if let Some(cost) = scratch.cost(t) {
+            if let Some(cost) = scratch.cost(t).filter(|_| ti != bi) {
                 edges.push(SkelEdge {
                     src: skel_ids[bi],
                     dst: skel_ids[ti],
                     cost,
-                    frag: f as u32,
                 });
             }
         }
@@ -550,84 +572,6 @@ fn local_sweeps_for_fragment(
         parents,
     });
     LocalSweeps { edges, trees }
-}
-
-/// Close the skeleton graph from each of `sources`: Dijkstra over
-/// `edges` (sorted by source), remembering the realizing edge index.
-/// `targets[s]` lists the skeleton nodes whose distance from `s` the
-/// shortcut tables actually need (the borders sharing a site group with
-/// `s`); each sweep stops as soon as all of them are settled. Returns,
-/// per source in order, its distance row and, when requested, its `via`
-/// row for path stitching (empty otherwise) — final for every settled
-/// node, which includes every needed pair and every intermediate
-/// skeleton hop on their paths.
-fn close_skeleton(
-    border_count: usize,
-    edges: &[SkelEdge],
-    targets: &[Vec<u32>],
-    sources: &[usize],
-    want_via: bool,
-) -> Vec<(Vec<Cost>, Vec<u32>)> {
-    // `edges` is sorted by source: a node's out-edges are one range.
-    let mut offsets = vec![0usize; border_count + 1];
-    for e in edges {
-        offsets[e.src as usize + 1] += 1;
-    }
-    for i in 0..border_count {
-        offsets[i + 1] += offsets[i];
-    }
-    let mut rows = Vec::with_capacity(sources.len());
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(Cost, u32)>> =
-        std::collections::BinaryHeap::new();
-    let mut is_target = vec![false; border_count];
-    for &s in sources {
-        let mut remaining = 0usize;
-        for &t in &targets[s] {
-            if t as usize != s && !is_target[t as usize] {
-                is_target[t as usize] = true;
-                remaining += 1;
-            }
-        }
-        let mut dist = vec![INFINITE_COST; border_count];
-        let mut via = vec![u32::MAX; border_count];
-        if remaining == 0 {
-            // No table pair needs this source (e.g. singleton
-            // disconnection sets): skip the sweep entirely.
-            rows.push((dist, if want_via { via } else { Vec::new() }));
-            continue;
-        }
-        dist[s] = 0;
-        heap.clear();
-        heap.push(std::cmp::Reverse((0, s as u32)));
-        while let Some(std::cmp::Reverse((d, v))) = heap.pop() {
-            if d > dist[v as usize] {
-                continue;
-            }
-            if is_target[v as usize] {
-                is_target[v as usize] = false;
-                remaining -= 1;
-                if remaining == 0 {
-                    break;
-                }
-            }
-            let (lo, hi) = (offsets[v as usize], offsets[v as usize + 1]);
-            for (idx, e) in (lo..hi).zip(&edges[lo..hi]) {
-                let nd = d + e.cost;
-                if nd < dist[e.dst as usize] {
-                    dist[e.dst as usize] = nd;
-                    via[e.dst as usize] = idx as u32;
-                    heap.push(std::cmp::Reverse((nd, e.dst)));
-                }
-            }
-        }
-        // Unsettled targets are unreachable; clear their marks for the
-        // next source.
-        for &t in &targets[s] {
-            is_target[t as usize] = false;
-        }
-        rows.push((dist, if want_via { via } else { Vec::new() }));
-    }
-    rows
 }
 
 /// Where `v` sits in the ascending border list `borders`.
@@ -646,18 +590,25 @@ fn table_borders(groups: &[Vec<NodeId>]) -> Vec<NodeId> {
     }
 }
 
-/// Write the distances `dist` from skeleton node `s` (indexed by
-/// skeleton id) into `s`'s row at every site holding it, in-scope
-/// columns only. A table is detached (`Arc::make_mut`) only when an
-/// entry differs, so a site whose row comes out as it was keeps its
-/// shared table; the differing entries are added to `changed`, per site.
-/// Returns whether a stored tuple was dropped: its pair became
-/// unreachable.
+/// The cost of the skeleton entry `s -> t`, if there is one.
+fn entry(skeleton: &CsrGraph, s: usize, t: usize) -> Option<Cost> {
+    (skeleton.neighbors(NodeId::from_index(s)))
+        .find(|&(x, _)| x.index() == t)
+        .map(|(_, c)| c)
+}
+
+/// Write the distances `new` gives from skeleton node `s` (by skeleton
+/// id; `None` = leave the entry as it is) into `s`'s row at every site
+/// holding it, in-scope columns only. A table is detached
+/// (`Arc::make_mut`) only when an entry differs, so a site whose row
+/// comes out as it was keeps its shared table; the differing entries are
+/// added to `changed`, per site. Returns whether a stored tuple was
+/// dropped: its pair became unreachable.
 fn write_row(
     tables: &mut [Arc<BorderTable>],
     layout: &Layout,
     s: usize,
-    dist: &[Cost],
+    new: impl Fn(usize) -> Option<Cost>,
     changed: &mut [usize],
 ) -> bool {
     let mut dropped = false;
@@ -668,16 +619,20 @@ fn write_row(
         let nb = at.len();
         let stale = |table: &BorderTable, j: usize| {
             let slot = i * nb + j;
-            j != i && table.covers(slot) && table.costs[slot] != dist[at[j]]
+            let covered = j != i && table.covers(slot);
+            covered
+                .then(|| new(at[j]))
+                .flatten()
+                .filter(|&c| c != table.costs[slot])
         };
-        if !(0..nb).any(|j| stale(&tables[site], j)) {
+        if !(0..nb).any(|j| stale(&tables[site], j).is_some()) {
             continue;
         }
         let table = Arc::make_mut(&mut tables[site]);
         for j in 0..nb {
-            if stale(table, j) {
-                dropped |= dist[at[j]] == INFINITE_COST;
-                table.costs[i * nb + j] = dist[at[j]];
+            if let Some(cost) = stale(table, j) {
+                dropped |= cost == INFINITE_COST;
+                table.costs[i * nb + j] = cost;
                 changed[site] += 1;
             }
         }
@@ -685,16 +640,26 @@ fn write_row(
     dropped
 }
 
-/// The positions in `at` (a table's borders, by skeleton id) whose
-/// distance in `dist` is finite, into `out`.
-fn reached(at: &[usize], dist: &[Cost], out: &mut Vec<usize>) {
-    out.clear();
-    out.extend((0..at.len()).filter(|&k| dist[at[k]] < INFINITE_COST));
+/// The rows of `table` (over the borders `at`, by skeleton id) whose
+/// border reaches the entry `e`, with their positions; `cols` is set to
+/// `e.from` in table order ([`INFINITE_COST`] where `v` does not reach
+/// the column's border, which no sum through the entry then matches or
+/// beats).
+fn rows_through<'t>(
+    table: &'t BorderTable,
+    at: &'t [usize],
+    e: &'t Through<'_>,
+    cols: &mut Vec<Cost>,
+) -> impl Iterator<Item = (usize, &'t [Cost])> + 't {
+    cols.clear();
+    cols.extend(at.iter().map(|&s| e.from[s]));
+    let rows = table.costs.chunks(at.len().max(1)).enumerate();
+    rows.filter(move |&(i, _)| e.to[at[i]] < INFINITE_COST)
 }
 
 /// One directed entry `u -> v` of cost `cost` that an update adds or
-/// drops, with the distances the repair rule reads for it, indexed like
-/// [`ComplementaryInfo::borders`] (`INFINITE_COST` = unreachable):
+/// drops, with the distances the repair rule reads for it, indexed by
+/// skeleton id (`INFINITE_COST` = unreachable):
 /// `to[s] = dist(s, u)` and `from[s] = dist(v, s)`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Through<'a> {
@@ -703,13 +668,27 @@ pub(crate) struct Through<'a> {
     pub(crate) from: &'a [Cost],
 }
 
+/// Pairs of skeleton nodes, per source: a skeleton id and its partners
+/// (skeleton ids, ascending) — the pairs a deletion affects, or an insert
+/// lowered.
+pub(crate) type Affected = Vec<(usize, Vec<NodeId>)>;
+
+/// What [`ComplementaryInfo::close_pairs`] swept: every pair's distance
+/// as (source, partner, cost), sorted; the roots swept from, with their
+/// partners; and, when paths are stored, each root's tree.
+struct Closed {
+    pairs: Vec<(usize, NodeId, Cost)>,
+    roots: Affected,
+    via: Vec<Vec<u32>>,
+}
+
 impl ComplementaryInfo {
     /// Precompute the complementary information for a fragmentation over
     /// `graph` (the directed closure graph) with the skeleton-overlay
     /// strategy (see the module docs).
     ///
     /// `store_paths` additionally retains the fragment-local parent trees
-    /// and skeleton hop structure so full routes can be reconstructed
+    /// and the skeleton closure trees so full routes can be reconstructed
     /// later (lazily, per request).
     pub fn compute(
         graph: &CsrGraph,
@@ -717,21 +696,96 @@ impl ComplementaryInfo {
         scope: ComplementaryScope,
         store_paths: bool,
     ) -> Self {
-        let mut comp = ComplementaryInfo::unswept(frag, scope, store_paths);
-        let every: Vec<usize> = (0..comp.border_count()).collect();
-        comp.refresh(graph, frag, &every, &mut ScratchDijkstra::new());
+        let (layout, mut scratch) = (Layout::new(frag, scope), ScratchDijkstra::new());
+        let t0 = Instant::now();
+        let mut comp = ComplementaryInfo::swept(graph, frag, layout, store_paths, &mut scratch);
+        let local_sweeps_ns = t0.elapsed().as_nanos() as u64;
+
+        // Close the skeleton from every border: each sweep needs only the
+        // source's group partners — the pairs the tables store, which
+        // every in-scope column of its rows is one of.
+        let layout = Arc::clone(&comp.layout);
+        let nb = layout.borders.len();
+        let (mut skeleton_close_ns, mut assemble_ns) = (0, 0);
+        let mut via = Vec::new();
+        let mut changed = vec![0usize; comp.tables.len()];
+        for (s, targets) in layout.targets.iter().enumerate() {
+            if targets.is_empty() {
+                // No table pair needs this source (e.g. singleton
+                // disconnection sets): no sweep.
+                via.extend(store_paths.then(Vec::new));
+                continue;
+            }
+            let t1 = Instant::now();
+            scratch.sweep_to_targets(&comp.skeleton, &[(NodeId::from_index(s), 0)], targets);
+            via.extend(store_paths.then(|| scratch.snapshot_parents(nb)));
+            let t2 = Instant::now();
+            let reached = |t| Some(scratch.cost(NodeId::from_index(t)).unwrap_or(INFINITE_COST));
+            write_row(&mut comp.tables, &layout, s, reached, &mut changed);
+            skeleton_close_ns += (t2 - t1).as_nanos() as u64;
+            assemble_ns += t2.elapsed().as_nanos() as u64;
+        }
+        let t3 = Instant::now();
+        comp.paths = store_paths.then(|| {
+            Arc::new(SkeletonPaths {
+                hops: comp.hops(),
+                via,
+                overrides: HashMap::new(),
+            })
+        });
+        comp.stats = PrecomputeStats {
+            strategy: PrecomputeStrategy::Skeleton,
+            local_sweeps_ns,
+            skeleton_close_ns,
+            assemble_ns: assemble_ns + t3.elapsed().as_nanos() as u64,
+            sources_closed: nb,
+        };
         comp
     }
 
-    /// No tuple and no sweep yet: every table empty, every fragment
-    /// stale.
-    fn unswept(frag: &Fragmentation, scope: ComplementaryScope, store_paths: bool) -> Self {
-        let layout = Layout::new(frag, scope);
+    /// No tuple yet, every fragment swept and the skeleton assembled: the
+    /// connections between two borders and every fragment's local-sweep
+    /// edges, the cheapest per ordered pair.
+    fn swept(
+        graph: &CsrGraph,
+        frag: &Fragmentation,
+        layout: Layout,
+        store_paths: bool,
+        scratch: &mut ScratchDijkstra,
+    ) -> Self {
+        let borders = &layout.borders;
+        let local: Vec<Arc<LocalSweeps>> = (0..frag.fragment_count())
+            .map(|f| {
+                let out = local_sweeps_for_fragment(graph, frag, f, borders, store_paths, scratch);
+                Arc::new(out)
+            })
+            .collect();
+        let mut edges = Vec::new();
+        for (s, &b) in borders.iter().enumerate() {
+            for (x, cost) in graph.neighbors(b).filter(|&(x, _)| x != b) {
+                if let Ok(t) = borders.binary_search(&x) {
+                    edges.push(Edge::new(
+                        NodeId::from_index(s),
+                        NodeId::from_index(t),
+                        cost,
+                    ));
+                }
+            }
+        }
+        for e in local.iter().flat_map(|l| &l.edges) {
+            edges.push(Edge::new(NodeId(e.src), NodeId(e.dst), e.cost));
+        }
+        // The fragments' edges come in sorted runs, which a merge sort
+        // takes in one pass each.
+        edges.sort();
+        edges.dedup_by_key(|e| (e.src, e.dst));
         ComplementaryInfo {
             tables: (layout.groups.iter())
                 .map(|groups| Arc::new(BorderTable::for_groups(groups)))
                 .collect(),
-            local: vec![None; frag.fragment_count()],
+            local,
+            skeleton: Arc::new(CsrGraph::from_edges(borders.len(), &edges)),
+            transpose: None,
             layout: Arc::new(layout),
             paths: None,
             store_paths,
@@ -739,140 +793,220 @@ impl ComplementaryInfo {
         }
     }
 
-    /// The precompute for `sources` (skeleton ids, ascending): re-sweep
-    /// the stale fragments locally (phase 1), close the skeleton of every
-    /// fragment's kept sweeps from each source (phase 2) and rewrite the
-    /// sources' rows at every site holding them (phase 3). Closing nothing
-    /// sweeps nothing: stale fragments stay stale until a refresh needs
-    /// them.
-    ///
-    /// Exact whenever every other row already holds its global distances
-    /// — a build (every source), and a deletion that re-closes the
-    /// sources the repair rule names (the one deletion repair,
-    /// [`crate::updates`]). With paths, closing every source builds the
-    /// route store afresh; closing some writes their routes as overrides.
-    /// A site whose table comes out as it was keeps its `Arc`. Returns
-    /// per-site counts of the entries that changed, and whether a stored
-    /// tuple was dropped (its pair became unreachable). The stats are
-    /// this refresh's, unless it closed nothing. The sweeps run on
-    /// `scratch`.
-    pub(crate) fn refresh(
+    /// The current skeleton and fragment sweeps, for expanding hops.
+    fn hops(&self) -> Hops {
+        Hops {
+            layout: Arc::clone(&self.layout),
+            skeleton: Arc::clone(&self.skeleton),
+            frags: self.local.clone(),
+        }
+    }
+
+    /// The skeleton a sweep for distances *from* a node runs on
+    /// (`backward` false), or its transpose, for distances *to* one —
+    /// made on first use. A symmetric network's skeleton is its own
+    /// transpose: its callers never ask for the transpose.
+    pub(crate) fn skeleton_for(&mut self, backward: bool) -> &CsrGraph {
+        if !backward {
+            return &self.skeleton;
+        }
+        let skeleton = &self.skeleton;
+        self.transpose
+            .get_or_insert_with(|| Arc::new(skeleton.reversed()))
+    }
+
+    /// The cost fragment `f`'s interior realizes from skeleton node `s` to
+    /// `t` ([`INFINITE_COST`] if none): what the fragment-level repair
+    /// rule compares an edit's candidates against.
+    pub(crate) fn interior_cost(&self, f: FragmentId, s: usize, t: usize) -> Cost {
+        self.local[f].cost(s, t)
+    }
+
+    /// Bring the kept skeleton up to date with `graph` after an edit:
+    /// re-sweep the fragment `stale` names, if any, then re-derive every
+    /// skeleton pair its sweeps realized before or realize now, and every
+    /// pair in `crossing` (skeleton ids of an edited connection between
+    /// two borders) — the cheapest of the pair's connections in `graph`
+    /// and of every fragment's local-sweep edges. The skeleton (and its
+    /// transpose, if made) is edited only where a pair's cost changed.
+    pub(crate) fn patch(
         &mut self,
         graph: &CsrGraph,
         frag: &Fragmentation,
-        sources: &[usize],
+        stale: Option<FragmentId>,
+        crossing: &[(usize, usize)],
         scratch: &mut ScratchDijkstra,
-    ) -> (Vec<usize>, bool) {
-        let layout = Arc::clone(&self.layout);
-        let mut changed = vec![0usize; self.tables.len()];
-        let every = sources.len() == layout.borders.len();
-        if !every && sources.is_empty() {
-            return (changed, false);
+    ) {
+        let borders = &self.layout.borders;
+        let mut pairs: Vec<(usize, usize)> = crossing.to_vec();
+        if let Some(f) = stale {
+            let fresh =
+                local_sweeps_for_fragment(graph, frag, f, borders, self.store_paths, scratch);
+            let old = std::mem::replace(&mut self.local[f], Arc::new(fresh));
+            let realized = old.edges.iter().chain(&self.local[f].edges);
+            pairs.extend(realized.map(|e| (e.src as usize, e.dst as usize)));
         }
-
-        // Phase 1: fragment-local border sweeps, stale fragments only.
-        let t0 = Instant::now();
-        let mut local = Vec::with_capacity(self.local.len());
-        for (f, kept) in self.local.iter_mut().enumerate() {
-            let swept = kept.get_or_insert_with(|| {
-                let out = local_sweeps_for_fragment(
-                    graph,
-                    frag,
-                    f,
-                    &layout.borders,
-                    self.store_paths,
-                    scratch,
-                );
-                Arc::new(out)
-            });
-            local.push(Arc::clone(swept));
-        }
-        // Every fragment containing both endpoints realizes a direct
-        // border-border edge (induced subgraphs overlap on borders), so
-        // parallel skeleton edges are common: keep only the cheapest per
-        // (src, dst) — the sort makes the choice deterministic.
-        let mut skel_edges: Vec<SkelEdge> = (local.iter())
-            .flat_map(|l| l.edges.iter().copied())
-            .collect();
-        skel_edges.sort_by_key(|e| (e.src, e.dst, e.cost, e.frag));
-        skel_edges.dedup_by_key(|e| (e.src, e.dst));
-        let local_sweeps_ns = t0.elapsed().as_nanos() as u64;
-
-        // Phase 2: close the border skeleton from the sources. Each
-        // closure sweep needs only the source's group partners — the
-        // pairs the tables store.
-        let t1 = Instant::now();
-        let closed = close_skeleton(
-            layout.borders.len(),
-            &skel_edges,
-            &layout.targets,
-            sources,
-            self.store_paths,
-        );
-        let skeleton_close_ns = t1.elapsed().as_nanos() as u64;
-
-        // Phase 3: rewrite the sources' rows from the closed skeleton.
-        let t2 = Instant::now();
-        let mut dropped = false;
-        for (&s, (dist, _)) in sources.iter().zip(&closed) {
-            dropped |= write_row(&mut self.tables, &layout, s, dist, &mut changed);
-        }
-        if self.store_paths && every {
-            self.paths = Some(Arc::new(SkeletonPaths {
-                layout: Arc::clone(&layout),
-                frags: local,
-                edges: skel_edges,
-                via: closed.into_iter().map(|(_, via)| via).collect(),
-                overrides: HashMap::new(),
-            }));
-        } else if let Some(data) = self.paths.as_mut() {
-            // Every stored pair of a source is one of its targets.
-            let data = Arc::make_mut(data);
-            for (&s, (dist, via)) in sources.iter().zip(&closed) {
-                for t in layout.targets[s].iter().map(|&t| t as usize) {
-                    if dist[t] < INFINITE_COST {
-                        let route = stitch(&layout.borders, &local, &skel_edges, via, s, t)
-                            .expect("a settled target has a route");
-                        data.overrides
-                            .insert((layout.borders[s], layout.borders[t]), route);
-                    }
-                }
+        pairs.sort_unstable();
+        pairs.dedup();
+        let (mut add, mut remove) = (Vec::new(), Vec::new());
+        for (s, t) in pairs {
+            let direct = (graph.neighbors(borders[s]))
+                .filter(|&(x, _)| x == borders[t])
+                .map(|(_, c)| c);
+            let interior = self.local.iter().map(|l| l.cost(s, t));
+            let want = direct.chain(interior).min().filter(|&c| c < INFINITE_COST);
+            let kept = entry(&self.skeleton, s, t);
+            if kept != want {
+                let at = |cost| Edge::new(NodeId::from_index(s), NodeId::from_index(t), cost);
+                remove.extend(kept.map(at));
+                add.extend(want.map(at));
             }
         }
+        if add.is_empty() && remove.is_empty() {
+            return;
+        }
+        self.skeleton = Arc::new(self.skeleton.edited(&add, &remove));
+        if let Some(transpose) = self.transpose.as_mut() {
+            let back = |edges: &[Edge]| edges.iter().map(Edge::reversed).collect::<Vec<_>>();
+            *transpose = Arc::new(transpose.edited(&back(&add), &back(&remove)));
+        }
+    }
+
+    /// A deletion's re-close over the patched skeleton: the affected
+    /// pairs' distances ([`ComplementaryInfo::close_pairs`]) are written
+    /// into their entries at every site holding them — every other pair
+    /// kept its shortest path and keeps its cost — and, with paths, their
+    /// routes as overrides. A site whose table comes out as it was keeps
+    /// its `Arc`. Returns per-site counts of the entries that changed,
+    /// and whether a stored tuple was dropped (its pair became
+    /// unreachable). Closing nothing leaves the stats alone; otherwise
+    /// they are this re-close's, `patch_ns` the skeleton patch before it.
+    pub(crate) fn reclose(
+        &mut self,
+        affected: &Affected,
+        symmetric: bool,
+        patch_ns: u64,
+        scratch: &mut ScratchDijkstra,
+    ) -> (Vec<usize>, bool) {
+        let mut changed = vec![0usize; self.tables.len()];
+        if affected.is_empty() {
+            return (changed, false);
+        }
+        let t1 = Instant::now();
+        let closed = self.close_pairs(affected, symmetric, scratch);
+        let skeleton_close_ns = t1.elapsed().as_nanos() as u64;
+
+        let t2 = Instant::now();
+        let layout = Arc::clone(&self.layout);
+        let mut dropped = false;
+        for row in closed.pairs.chunk_by(|a, b| a.0 == b.0) {
+            let new = |t| {
+                let k = row.binary_search_by_key(&t, |c| c.1.index());
+                k.ok().map(|k| row[k].2)
+            };
+            dropped |= write_row(&mut self.tables, &layout, row[0].0, new, &mut changed);
+        }
+        self.write_routes(&closed, symmetric);
         self.stats = PrecomputeStats {
             strategy: PrecomputeStrategy::Skeleton,
-            local_sweeps_ns,
+            local_sweeps_ns: patch_ns,
             skeleton_close_ns,
             assemble_ns: t2.elapsed().as_nanos() as u64,
-            sources_closed: sources.len(),
+            sources_closed: closed.roots.len(),
         };
         (changed, dropped)
     }
 
-    /// Mark stale every fragment an effective edit between `u` and `v`
-    /// reaches: each whose node set holds both endpoints, because its
-    /// local sweeps ran on the induced subgraph of the global graph —
-    /// which holds the edge whichever fragment owns it.
-    pub(crate) fn mark_stale(&mut self, frag: &Fragmentation, u: NodeId, v: NodeId) {
-        for f in frag.fragments() {
-            if f.contains_node(u) && f.contains_node(v) {
-                self.local[f.id()] = None;
+    /// With paths stored, write the routes of `pairs` — an insert's
+    /// lowered pairs — as overrides, from sweeps of the patched skeleton
+    /// ([`ComplementaryInfo::close_pairs`]).
+    pub(crate) fn reroute(
+        &mut self,
+        pairs: &Affected,
+        symmetric: bool,
+        scratch: &mut ScratchDijkstra,
+    ) {
+        if self.paths.is_some() && !pairs.is_empty() {
+            let closed = self.close_pairs(pairs, symmetric, scratch);
+            self.write_routes(&closed, symmetric);
+        }
+    }
+
+    /// The current distances of `pairs` (grouped by source): from each
+    /// source one skeleton sweep, stopped once its partners settle. On a
+    /// `symmetric` network every pair comes with its reverse, of the same
+    /// distance, so the sweeps run from a cover of the pairs instead (see
+    /// `cover`).
+    fn close_pairs(
+        &self,
+        pairs: &Affected,
+        symmetric: bool,
+        scratch: &mut ScratchDijkstra,
+    ) -> Closed {
+        let nb = self.border_count();
+        let roots = if symmetric {
+            cover(pairs, nb)
+        } else {
+            pairs.clone()
+        };
+        let mut closed = Closed {
+            pairs: Vec::new(),
+            via: Vec::new(),
+            roots,
+        };
+        for (r, partners) in &closed.roots {
+            scratch.sweep_to_targets(&self.skeleton, &[(NodeId::from_index(*r), 0)], partners);
+            for (&t, cost) in partners.iter().zip(costs_at(scratch, partners)) {
+                closed.pairs.push((*r, t, cost));
+                if symmetric {
+                    closed.pairs.push((t.index(), NodeId::from_index(*r), cost));
+                }
+            }
+            (closed.via).extend(self.store_paths.then(|| scratch.snapshot_parents(nb)));
+        }
+        closed.pairs.sort_unstable();
+        closed
+    }
+
+    /// Write the route of every pair `closed` reached as an override
+    /// (and its reverse's, reversed, on a `symmetric` network), if paths
+    /// are stored.
+    fn write_routes(&mut self, closed: &Closed, symmetric: bool) {
+        let hops = self.paths.is_some().then(|| self.hops());
+        let (Some(hops), Some(data)) = (hops, self.paths.as_mut()) else {
+            return;
+        };
+        let data = Arc::make_mut(data);
+        let border = |s: usize| hops.layout.borders[s];
+        for ((r, partners), parents) in closed.roots.iter().zip(&closed.via) {
+            for t in partners.iter().map(|t| t.index()) {
+                if parents[t] == u32::MAX {
+                    continue; // unreachable: no tuple, no route
+                }
+                let route = hops.route_to(parents, t);
+                if symmetric {
+                    let back = route.iter().rev().copied().collect();
+                    data.overrides.insert((border(t), border(*r)), back);
+                }
+                data.overrides.insert((border(*r), border(t)), route);
             }
         }
     }
 
     /// The reference precompute: one whole-graph Dijkstra per border
     /// node, every route written eagerly as an override of a store with
-    /// no skeleton hops. Produces tables identical to
+    /// no closure trees. Produces tables identical to
     /// [`ComplementaryInfo::compute`]; kept for equivalence tests. It
-    /// keeps no local sweeps, so every fragment stays stale.
+    /// derives the same kept skeleton (outside its timing), so it
+    /// maintains like any other.
     pub fn compute_global_sweep(
         graph: &CsrGraph,
         frag: &Fragmentation,
         scope: ComplementaryScope,
         store_paths: bool,
     ) -> Self {
-        let mut comp = ComplementaryInfo::unswept(frag, scope, store_paths);
+        let (layout, mut scratch) = (Layout::new(frag, scope), ScratchDijkstra::new());
+        let mut comp = ComplementaryInfo::swept(graph, frag, layout, store_paths, &mut scratch);
         let layout = Arc::clone(&comp.layout);
         let border_list = &layout.borders;
 
@@ -891,7 +1025,13 @@ impl ComplementaryInfo {
             let dist: Vec<Cost> = (border_list.iter())
                 .map(|&b| from.cost(b).unwrap_or(INFINITE_COST))
                 .collect();
-            write_row(&mut comp.tables, &layout, s, &dist, &mut changed);
+            write_row(
+                &mut comp.tables,
+                &layout,
+                s,
+                |t| Some(dist[t]),
+                &mut changed,
+            );
         }
         comp.paths = store_paths.then(|| {
             let mut overrides = HashMap::new();
@@ -902,9 +1042,7 @@ impl ComplementaryInfo {
                 });
             }
             Arc::new(SkeletonPaths {
-                layout: Arc::clone(&layout),
-                frags: Vec::new(),
-                edges: Vec::new(),
+                hops: comp.hops(),
                 via: Vec::new(),
                 overrides,
             })
@@ -927,6 +1065,24 @@ impl ComplementaryInfo {
         &self.tables[f]
     }
 
+    /// Fragment `f`'s kept local-sweep output. An update that leaves it
+    /// `Arc::ptr_eq` with the previous epoch's did not re-sweep the
+    /// fragment.
+    pub fn local_sweeps(&self, f: usize) -> &Arc<LocalSweeps> {
+        &self.local[f]
+    }
+
+    /// The kept skeleton's edges over global border ids, one per ordered
+    /// pair, sorted: what a precompute of the current network derives.
+    pub fn skeleton_edges(&self) -> Vec<Edge> {
+        let borders = &self.layout.borders;
+        let mut edges: Vec<Edge> = (self.skeleton.edges())
+            .map(|e| Edge::new(borders[e.src.index()], borders[e.dst.index()], e.cost))
+            .collect();
+        edges.sort_unstable();
+        edges
+    }
+
     /// The tuples stored at site `f` as shortcut edges
     /// `(u, v, global_dist)`, in (row, column) order of its table.
     pub fn shortcuts(&self, f: usize) -> impl Iterator<Item = Edge> + '_ {
@@ -934,12 +1090,13 @@ impl ComplementaryInfo {
     }
 
     /// A deep copy that shares nothing with `self`: every per-site table,
-    /// every fragment's kept sweeps and the path store get a fresh
-    /// allocation. This is what a full
-    /// per-epoch snapshot copy used to cost before structural sharing —
-    /// kept as the baseline of the publication-cost bench, and useful to
-    /// detach a snapshot from a shared lineage entirely.
+    /// every fragment's kept sweeps, the skeleton and the path store get
+    /// a fresh allocation. This is what a full per-epoch snapshot copy
+    /// used to cost before structural sharing — kept as the baseline of
+    /// the publication-cost bench, and useful to detach a snapshot from a
+    /// shared lineage entirely.
     pub fn unshared_clone(&self) -> Self {
+        let deep = |g: &Arc<CsrGraph>| Arc::new((**g).clone());
         ComplementaryInfo {
             tables: self
                 .tables
@@ -947,8 +1104,10 @@ impl ComplementaryInfo {
                 .map(|t| Arc::new((**t).clone()))
                 .collect(),
             local: (self.local.iter())
-                .map(|l| l.as_ref().map(|l| Arc::new((**l).clone())))
+                .map(|l| Arc::new((**l).clone()))
                 .collect(),
+            skeleton: deep(&self.skeleton),
+            transpose: self.transpose.as_ref().map(deep),
             layout: Arc::new((*self.layout).clone()),
             paths: self.paths.as_ref().map(|p| Arc::new((**p).clone())),
             store_paths: self.store_paths,
@@ -958,8 +1117,8 @@ impl ComplementaryInfo {
 
     /// The concrete path behind shortcut `(u, v)`, if paths were stored.
     /// With the skeleton strategy the route is stitched on demand from
-    /// the fragment-local parent trees (unless update maintenance has
-    /// overridden it).
+    /// the build's closure and fragment-local parent trees (unless update
+    /// maintenance has overridden it).
     pub fn path(&self, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
         self.paths.as_ref()?.stitch(u, v)
     }
@@ -974,11 +1133,11 @@ impl ComplementaryInfo {
         self.layout.borders.len()
     }
 
-    /// Every border node, ascending: the order the repair rule's border
-    /// distances are kept in (see [`Through`]); a border's position here
-    /// is its skeleton id.
-    pub(crate) fn borders(&self) -> &[NodeId] {
-        &self.layout.borders
+    /// The skeleton id of `v`, if it is a border: its position among
+    /// every border node, ascending — the order the repair rule's border
+    /// distances are kept in (see [`Through`]).
+    pub(crate) fn skeleton_id(&self, v: NodeId) -> Option<usize> {
+        self.layout.borders.binary_search(&v).ok()
     }
 
     /// Total shortcut tuples across all sites (the paper's "pre-computed
@@ -992,17 +1151,20 @@ impl ComplementaryInfo {
         self.tables.iter().map(|t| t.memory_bytes()).sum()
     }
 
-    /// Heap bytes held: the tables plus every fragment's kept local
-    /// sweeps (their skeleton edges, and the parent trees with their
-    /// subgraph views when paths are stored). The lazy path structure's
-    /// skeleton hops and overrides are not counted.
+    /// Heap bytes held: the tables, the kept skeleton (and its transpose)
+    /// plus every fragment's kept local sweeps (their skeleton edges, and
+    /// the parent trees with their subgraph views when paths are stored).
+    /// The lazy path structure's closure trees and overrides are not
+    /// counted.
     pub fn memory_bytes(&self) -> usize {
-        let swept = self.local.iter().flatten().map(|l| l.memory_bytes());
-        self.table_bytes() + swept.sum::<usize>()
+        let swept = self.local.iter().map(|l| l.memory_bytes());
+        let skeleton =
+            self.skeleton.memory_bytes() + self.transpose.as_ref().map_or(0, |t| t.memory_bytes());
+        self.table_bytes() + skeleton + swept.sum::<usize>()
     }
 
     /// Per-phase timing of the precompute that built these tables, or of
-    /// the last deletion whose refresh closed a source (one that closes
+    /// the last deletion whose re-close closed a source (one that closes
     /// none leaves it as it was).
     pub fn precompute_stats(&self) -> PrecomputeStats {
         self.stats
@@ -1012,34 +1174,28 @@ impl ComplementaryInfo {
     /// table — a missing tuple counting as infinite — to
     /// `min(cost, to[a] + c + from[b])` over the inserted `entries`, so a
     /// pair the new connection joins for the first time gets its tuple at
-    /// every site holding both borders. One row/column loop per site and
-    /// entry visits only the rows whose border reaches `u` and the
-    /// columns `v` reaches: an insert whose endpoints reach no border
-    /// reads no table. When paths are stored, `splice(k, a, b)` is the
-    /// route of a pair lowered through `entries[k]`.
+    /// every site holding both borders. One dense row loop per site and
+    /// entry visits only the rows whose border reaches `u`: an insert
+    /// whose endpoints reach no border reads no table row.
     ///
-    /// Returns per-site counts of the entries lowered; a site with none
-    /// keeps its shared table — `Arc::make_mut` detaches only the tables
-    /// this writes.
-    pub(crate) fn lower_through(
-        &mut self,
-        entries: &[Through<'_>],
-        splice: impl Fn(usize, NodeId, NodeId) -> Vec<NodeId>,
-    ) -> Vec<usize> {
+    /// Returns per-site counts of the entries lowered — a site with none
+    /// keeps its shared table: `Arc::make_mut` detaches only the tables
+    /// this writes — and, when paths are stored, the pairs lowered, whose
+    /// routes [`ComplementaryInfo::reroute`] writes once the skeleton is
+    /// patched.
+    pub(crate) fn lower_through(&mut self, entries: &[Through<'_>]) -> (Vec<usize>, Affected) {
         let mut changed = vec![0usize; self.tables.len()];
-        let (mut rows, mut cols, mut lowered) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut cols, mut lowered, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
         for (site, at) in self.layout.at.iter().enumerate() {
             let (table, nb) = (&self.tables[site], at.len());
             lowered.clear();
-            for (k, e) in entries.iter().enumerate() {
-                reached(at, e.to, &mut rows);
-                reached(at, e.from, &mut cols);
-                for &i in &rows {
+            for e in entries {
+                for (i, row) in rows_through(table, at, e, &mut cols) {
                     let through = e.to[at[i]] + e.cost;
-                    for &j in &cols {
-                        let (slot, cand) = (i * nb + j, through + e.from[at[j]]);
-                        if j != i && cand < table.costs[slot] && table.covers(slot) {
-                            lowered.push((slot, cand, k));
+                    for (j, (&kept, &from)) in row.iter().zip(&cols).enumerate() {
+                        let (slot, cand) = (i * nb + j, through + from);
+                        if cand < kept && j != i && table.covers(slot) {
+                            lowered.push((slot, cand));
                         }
                     }
                 }
@@ -1050,48 +1206,88 @@ impl ComplementaryInfo {
             // Both directions of a symmetric insert can lower one entry:
             // the cheaper wins.
             lowered.sort_unstable();
-            lowered.dedup_by_key(|&mut (slot, _, _)| slot);
+            lowered.dedup_by_key(|&mut (slot, _)| slot);
             changed[site] = lowered.len();
             let table = Arc::make_mut(&mut self.tables[site]);
-            let mut paths = self.paths.as_mut().map(Arc::make_mut);
-            for &(slot, cost, k) in &lowered {
+            for &(slot, cost) in &lowered {
                 table.costs[slot] = cost;
-                if let Some(data) = paths.as_deref_mut() {
-                    let (a, b) = (table.borders[slot / nb], table.borders[slot % nb]);
-                    data.overrides.insert((a, b), splice(k, a, b));
-                }
+            }
+            if self.paths.is_some() {
+                pairs.extend(
+                    lowered
+                        .iter()
+                        .map(|&(slot, _)| (at[slot / nb], at[slot % nb])),
+                );
             }
         }
-        changed
+        (changed, group(pairs))
     }
 
     /// Deletion detection, the repair rule over the pre-deletion tables:
-    /// the borders (skeleton ids, ascending) with a stored tuple `(a, b)`
-    /// that one of the removed `entries` could carry —
-    /// `to[a] + c + from[b] == cost`. The row/column loop of
-    /// [`ComplementaryInfo::lower_through`]: rows whose border does not
-    /// reach `u`, and columns `v` does not reach, are never read.
-    pub(crate) fn sources_through(&self, entries: &[Through<'_>]) -> Vec<usize> {
-        let mut affected = vec![false; self.layout.borders.len()];
-        let (mut rows, mut cols) = (Vec::new(), Vec::new());
+    /// the stored tuples `(a, b)` that one of the removed `entries` could
+    /// carry — `to[a] + c + from[b] == cost` — grouped by source. The
+    /// row loop of [`ComplementaryInfo::lower_through`]: rows whose
+    /// border does not reach `u` are never read.
+    pub(crate) fn pairs_through(&self, entries: &[Through<'_>]) -> Affected {
+        let (mut pairs, mut cols) = (Vec::new(), Vec::new());
         for (table, at) in self.tables.iter().zip(&self.layout.at) {
             for e in entries {
-                reached(at, e.from, &mut cols);
-                if cols.is_empty() {
-                    continue;
-                }
-                reached(at, e.to, &mut rows);
-                for &i in &rows {
-                    let (through, row) = (e.to[at[i]] + e.cost, table.row(i));
-                    affected[at[i]] = affected[at[i]]
-                        || cols.iter().any(|&j| {
-                            j != i && row[j] < INFINITE_COST && through + e.from[at[j]] == row[j]
+                for (i, row) in rows_through(table, at, e, &mut cols) {
+                    let through = e.to[at[i]] + e.cost;
+                    let carried =
+                        (row.iter().zip(&cols).enumerate()).filter(|&(j, (&kept, &from))| {
+                            through + from == kept && j != i && kept < INFINITE_COST
                         });
+                    pairs.extend(carried.map(|(j, _)| (at[i], at[j])));
                 }
             }
         }
-        (0..affected.len()).filter(|&s| affected[s]).collect()
+        group(pairs)
     }
+}
+
+/// `pairs` of skeleton ids, deduplicated and grouped by source.
+fn group(mut pairs: Vec<(usize, usize)>) -> Affected {
+    pairs.sort_unstable();
+    pairs.dedup();
+    let mut grouped: Affected = Vec::new();
+    for (s, t) in pairs {
+        let t = NodeId::from_index(t);
+        match grouped.last_mut() {
+            Some((last, partners)) if *last == s => partners.push(t),
+            _ => grouped.push((s, vec![t])),
+        }
+    }
+    grouped
+}
+
+/// A cover of the symmetric pair set `affected` (over `nb` skeleton
+/// nodes): roots, each with the partners no root before it took, so that
+/// every pair has one endpoint among the roots and the other among its
+/// targets. Greedy by partner count, ties by skeleton id.
+fn cover(affected: &Affected, nb: usize) -> Affected {
+    let mut order: Vec<&(usize, Vec<NodeId>)> = affected.iter().collect();
+    order.sort_by_key(|(s, partners)| (std::cmp::Reverse(partners.len()), *s));
+    let mut root = vec![false; nb];
+    let mut roots = Vec::new();
+    for (s, partners) in order {
+        let targets: Vec<NodeId> = (partners.iter().copied())
+            .filter(|t| !root[t.index()])
+            .collect();
+        if !targets.is_empty() {
+            root[*s] = true;
+            roots.push((*s, targets));
+        }
+    }
+    roots
+}
+
+/// The costs the latest sweep on `scratch` reached `targets` at
+/// ([`INFINITE_COST`] where it did not).
+fn costs_at(scratch: &ScratchDijkstra, targets: &[NodeId]) -> Vec<Cost> {
+    (targets.iter())
+        .map(|&t| scratch.cost(t).unwrap_or(INFINITE_COST))
+        .collect()
 }
 
 /// For each site, the groups of border nodes whose pairs get shortcuts:
@@ -1280,6 +1476,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A cover of a symmetric pair set puts one endpoint of every pair
+    /// among the roots and the other among that root's targets, and takes
+    /// no pair twice.
+    #[test]
+    fn a_cover_takes_every_pair_once() {
+        let ids = |v: &[usize]| v.iter().map(|&i| NodeId::from_index(i)).collect::<Vec<_>>();
+        // A star 3 - {21, 24}, a pair 6 - 21, and a triangle 0 - 1 - 2.
+        let affected: Affected = vec![
+            (0, ids(&[1, 2])),
+            (1, ids(&[0, 2])),
+            (2, ids(&[0, 1])),
+            (3, ids(&[21, 24])),
+            (6, ids(&[21])),
+            (21, ids(&[3, 6])),
+            (24, ids(&[3])),
+        ];
+        let roots = cover(&affected, 25);
+        let mut taken: Vec<(usize, usize)> = (roots.iter())
+            .flat_map(|&(r, ref ts)| ts.iter().map(move |t| (r.min(t.index()), r.max(t.index()))))
+            .collect();
+        taken.sort_unstable();
+        let want = [(0, 1), (0, 2), (1, 2), (3, 21), (3, 24), (6, 21)];
+        assert_eq!(taken, want);
+        assert_eq!(roots.len(), 4, "{roots:?}");
     }
 
     #[test]

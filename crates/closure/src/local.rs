@@ -247,6 +247,32 @@ impl Site {
         self.table.borders().iter().copied()
     }
 
+    /// Sweep the *cell* of `x`, a node of this fragment that is no
+    /// border: the nodes `x` reaches — or, `backward`, that reach `x` —
+    /// without entering a border. Every edge touching a non-border node
+    /// is the fragment's own, so the fragment's graph (or its transpose)
+    /// holds the whole cell. Returns the borders the cell touches (global
+    /// ids) at their cell distances.
+    pub(crate) fn sweep_cell(
+        &self,
+        x: NodeId,
+        backward: bool,
+        scratch: &mut ScratchDijkstra,
+    ) -> Vec<(NodeId, Cost)> {
+        let g = match &self.transpose {
+            Some(transpose) if backward => transpose,
+            _ => &self.local,
+        };
+        let at = self
+            .nodes
+            .binary_search(&x)
+            .expect("a node of the fragment");
+        scratch.sweep_blocked(g, &[(NodeId::from_index(at), 0)], &self.borders);
+        (self.borders.iter())
+            .filter_map(|&b| Some((self.nodes[b.index()], scratch.cost(b)?)))
+            .collect()
+    }
+
     /// The site's augmented graph, built by `build` if nothing asked for
     /// it before. Every snapshot sharing this site describes the same
     /// fragment and table, so whichever builds first builds for all.

@@ -572,6 +572,7 @@ impl EngineSnapshot {
             &mut self.frag,
             self.symmetric,
             &mut self.comp,
+            &self.sites,
             update,
             scratch,
         )?;

@@ -16,9 +16,8 @@
 //!   "no tuple" counting as infinite — so a border pair the new
 //!   connection joins for the first time (a disconnecting deletion had
 //!   dropped its tuple, or a one-way network never had one) gets its
-//!   tuple at every site holding both borders. Stored shortcut paths are
-//!   patched from the same sweeps' trees (`path(a,u) ++ path(v,b)`), so
-//!   an insert re-closes nothing.
+//!   tuple at every site holding both borders. With stored paths, the
+//!   lowered pairs' routes come from sweeps of the patched skeleton.
 //! * **Deletions** can increase distances, which per-pair minima cannot
 //!   repair locally — but only for shortcuts whose shortest path *used*
 //!   the deleted edge. The **deletion repair rule**: a shortcut `(a, b)`
@@ -26,33 +25,47 @@
 //!   pre-deletion distances, `dist(a,u) + c + dist(v,b) == dist(a,b)`
 //!   (any shortest path through the edge achieves exactly that sum, and
 //!   the stored cost *is* `dist(a,b)`). The engine detects the affected
-//!   border sources from the same endpoint-to-border distances.
+//!   pairs from the same endpoint-to-border distances.
 //!
-//! Those distances come from one sweep per endpoint on the caller's
-//! scratch, stopped once every border node is settled, and copied out at
-//! the borders: on a symmetric network the closure graph is its own
-//! transpose, so an edit's endpoints cost two sweeps in all; a one-way
-//! network sweeps `dist(·, u)` on one transpose of the graph. Both rules
-//! scan the tables row by row and column by column, skipping every row
-//! whose border does not reach `u` and every column `v` does not reach:
-//! an edit whose endpoints reach no border reads no table. The closure
-//! graph itself is edited — the update's entries added or dropped — not
+//! Those distances come from the kept border skeleton
+//! ([`crate::complementary`]), one sweep per endpoint on the caller's
+//! scratch: a border endpoint seeds the skeleton sweep itself; any other
+//! endpoint first sweeps its *cell* — the nodes it reaches without
+//! entering a border, all inside its fragment — on its site's own graph,
+//! blocked at the borders, and seeds the skeleton sweep with the borders
+//! of its cell at their cell distances. On a symmetric network the
+//! skeleton is its own transpose, so an edit's endpoints cost one such
+//! sweep each; a one-way network sweeps `dist(·, u)` on the skeleton's
+//! transpose and the cell on its site's transpose (a cell's in-edges are
+//! its fragment's too). The distances are the *pre-edit* ones: an insert
+//! lowers through them (a shortest path uses a new entry at most once),
+//! and a deletion compares against them. Both rules scan the tables row
+//! by row, skipping every row whose border does not reach `u`: an edit
+//! whose endpoints reach no border reads no table row. The closure graph
+//! itself is edited — the update's entries added or dropped — not
 //! re-derived from the fragments.
 //!
-//! There is one deletion repair, whatever edge is deleted: the two
-//! endpoint sweeps on the pre-deletion graph, the repair rule, then
-//! `ComplementaryInfo::refresh` from the affected sources — the stale
-//! fragments (those whose node set holds both endpoints of some edit
-//! since their last sweep) are re-swept, the border skeleton is re-closed
-//! from the affected sources only, and only their rows are rewritten
-//! ([`crate::complementary`]). A deletion that affects no source sweeps
-//! nothing more. [`UpdateReport::fallback_reason`] only labels the edge:
+//! Then the kept skeleton is patched: a crossing edit (both endpoints
+//! borders) re-derives one skeleton edge; any other edit re-sweeps its
+//! fragment only when it changes one of the fragment's local-sweep edges
+//! — over the borders of the endpoints' cells, `cell(b, u) + c +
+//! cell(v, b')` beats the edge (insert) or equals it (delete) — so an
+//! edit whose cell touches no border re-sweeps nothing.
+//!
+//! There is one deletion repair, whatever edge is deleted: the endpoint
+//! distances on the pre-deletion skeleton, the repair rule — which names
+//! the affected *pairs* — the skeleton patch, then
+//! `ComplementaryInfo::reclose`: one skeleton sweep per affected source
+//! (on a symmetric network, per root of a cover of the pairs), stopped
+//! once its affected partners settle, rewriting those pairs only. A
+//! deletion that affects no pair sweeps nothing more.
+//! [`UpdateReport::fallback_reason`] only labels the edge:
 //!
 //! * [`FallbackReason::DisconnectionSetCrossing`] — the deleted edge
 //!   joins two border nodes (it lies *in* a disconnection-set crossing);
 //! * [`FallbackReason::Disconnected`] — otherwise, when the deletion made
 //!   a previously reachable border pair unreachable (e.g. a bridge edge):
-//!   the re-closed rows dropped its tuple.
+//!   the re-closed pairs dropped its tuple.
 //!
 //! The labels, and [`UpdateReport::full_recompute`] beside them, stay
 //! because the frozen end-to-end benchmark picks its write streams by
@@ -67,13 +80,15 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::Instant;
 
 use ds_fragment::{FragmentId, Fragmentation};
 use ds_graph::{Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
 
 use crate::api::{apply_edit, validate, NetworkUpdate};
-use crate::complementary::{ComplementaryInfo, Through};
+use crate::complementary::{Affected, ComplementaryInfo, Through};
 use crate::error::ClosureError;
+use crate::local::Site;
 
 /// A label for a deletion's edge. Every deletion takes the same repair
 /// (see the module docs); the label is kept because the end-to-end
@@ -252,8 +267,9 @@ impl Maintenance {
 /// ([`crate::api::apply_edit`]), edit the closure graph by the entries
 /// the update added or dropped, then keep `comp` exact — an insert by
 /// lowering entries through the new edge, a delete by re-closing the
-/// skeleton from the sources the repair rule names, over re-swept stale
-/// fragments. The caller passes its retained state, including a
+/// skeleton from the sources the repair rule names — and patch its kept
+/// skeleton. `sites` are the pre-update sites, whose graphs hold the
+/// endpoints' cells. The caller passes its retained state, including a
 /// persistent `scratch` that every sweep of the update runs on.
 ///
 /// `graph` and `frag` are owned through [`Arc`] handles: a caller whose
@@ -267,6 +283,7 @@ pub fn maintain(
     frag: &mut Arc<Fragmentation>,
     symmetric: bool,
     comp: &mut ComplementaryInfo,
+    sites: &[Arc<Site>],
     update: &NetworkUpdate,
     scratch: &mut ScratchDijkstra,
 ) -> Result<Maintenance, ClosureError> {
@@ -291,20 +308,18 @@ pub fn maintain(
     if !apply_edit(Arc::make_mut(frag), symmetric, update)? {
         return Ok(Maintenance::noop());
     }
-    let before = std::mem::replace(graph, Arc::new(graph.edited(&added, &removed)));
-    let keep_parents = comp.has_paths();
+    *graph = Arc::new(graph.edited(&added, &removed));
+    // Every non-border endpoint lies in the owner alone.
+    let (NetworkUpdate::Insert { owner, .. } | NetworkUpdate::Remove { owner, .. }) = *update;
+    let site = &sites[owner];
     match *update {
         NetworkUpdate::Insert { edge, owner } => {
-            comp.mark_stale(frag, edge.src, edge.dst);
-            let sweeps = EndpointSweeps::run(
-                graph,
-                symmetric,
-                &added,
-                comp.borders(),
-                keep_parents,
-                scratch,
-            );
-            let per_site = improve(comp, &sweeps, &added);
+            let ends = Endpoints::run(comp, site, symmetric, &added, scratch);
+            let (per_site, lowered) = improve(comp, &ends, &added);
+            let (stale, crossing) = skeleton_edits(comp, owner, &ends, &added, Edit::Insert);
+            comp.patch(graph, frag, stale, &crossing, scratch);
+            // The patched skeleton holds the lowered pairs' new routes.
+            comp.reroute(&lowered, symmetric, scratch);
             let improved = per_site.iter().sum();
             let shortcut_sites = nonzero_sites(&per_site);
             let mut m = Maintenance::effective(comp, owner, shortcut_sites, (improved, 0), None);
@@ -315,21 +330,24 @@ pub fn maintain(
             Ok(m)
         }
         NetworkUpdate::Remove { src, dst, owner } => {
-            comp.mark_stale(frag, src, dst);
             // Reachability fact: does the post-update graph still carry
             // every removed direction through a parallel connection?
             let still = |a: NodeId, b: NodeId| graph.out_targets(a).contains(&b);
             let connectivity = ConnectivityEffect::Removed {
                 parallel_remains: still(src, dst) && (!symmetric || src == dst || still(dst, src)),
             };
-            // Affected-set detection runs on the *pre-deletion* graph: the
-            // repair rule compares against the stored (old) distances.
-            let sweeps =
-                EndpointSweeps::run(&before, symmetric, &removed, comp.borders(), false, scratch);
-            let affected = affected_sources(comp, &sweeps, &removed);
-            let (per_site, dropped) = comp.refresh(graph, frag, &affected, scratch);
+            // Affected-pair detection reads the *pre-deletion* distances:
+            // the repair rule compares against the stored (old) ones.
+            let ends = Endpoints::run(comp, site, symmetric, &removed, scratch);
+            let affected = affected_pairs(comp, &ends, &removed);
+            let t = Instant::now();
+            let (stale, crossing) = skeleton_edits(comp, owner, &ends, &removed, Edit::Remove);
+            comp.patch(graph, frag, stale, &crossing, scratch);
+            let patch_ns = t.elapsed().as_nanos() as u64;
+            let (per_site, dropped) = comp.reclose(&affected, symmetric, patch_ns, scratch);
             // The edge's topology decides the label only.
-            let reason = if is_border(frag, src) && is_border(frag, dst) {
+            let border = |v| comp.skeleton_id(v).is_some();
+            let reason = if border(src) && border(dst) {
                 Some(FallbackReason::DisconnectionSetCrossing)
             } else {
                 dropped.then_some(FallbackReason::Disconnected)
@@ -350,111 +368,146 @@ fn directions(e: &Edge, symmetric: bool) -> impl Iterator<Item = Edge> {
     std::iter::once(*e).chain(back)
 }
 
-/// One node's distances to or from every border node, in the order of
-/// [`ComplementaryInfo::borders`] (`INFINITE_COST` = unreachable), copied
-/// out of one sweep on the caller's scratch — the repair rule compares
-/// table entries against these and nothing else — plus, when paths are
-/// stored, the sweep's parent tree.
-struct BorderDistances {
-    costs: Vec<Cost>,
-    parents: Option<Vec<u32>>,
+/// What an edit does to the network: the fragment-level repair rule asks
+/// a different question of each.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Edit {
+    Insert,
+    Remove,
 }
 
-impl BorderDistances {
-    fn sweep(
-        scratch: &mut ScratchDijkstra,
-        g: &CsrGraph,
-        x: NodeId,
-        borders: &[NodeId],
-        keep_parents: bool,
-    ) -> Self {
-        scratch.sweep_to_targets(g, &[(x, 0)], borders);
-        BorderDistances {
-            costs: (borders.iter())
-                .map(|&b| scratch.cost(b).unwrap_or(INFINITE_COST))
-                .collect(),
-            parents: keep_parents.then(|| scratch.snapshot_parents(g.node_count())),
+/// What the edit of `entries` (owned by `owner`) asks of the kept
+/// skeleton: the skeleton pairs of its entries between two borders, to
+/// re-derive, and the owner when it is stale — when an entry with a
+/// non-border endpoint changes one of the owner's local-sweep edges
+/// `b -> b'`: over the borders of the endpoint cells, `cell(b, u) + c +
+/// cell(v, b')` beats the edge (insert) or equals it (delete), both on
+/// the pre-edit cells. An entry whose cells touch no border changes none.
+fn skeleton_edits(
+    comp: &ComplementaryInfo,
+    owner: FragmentId,
+    ends: &Endpoints,
+    entries: &[Edge],
+    edit: Edit,
+) -> (Option<FragmentId>, Vec<(usize, usize)>) {
+    let mut crossing = Vec::new();
+    let mut stale = false;
+    for e in entries {
+        if let (Some(u), Some(v)) = (comp.skeleton_id(e.src), comp.skeleton_id(e.dst)) {
+            crossing.extend((u != v).then_some((u, v)));
+            continue;
         }
+        let (back, fwd) = (&ends.to(e.src).seeds, &ends.from(e.dst).seeds);
+        stale = stale
+            || back.iter().any(|&(b, to)| {
+                fwd.iter().any(|&(b2, from)| {
+                    let (kept, cand) = (comp.interior_cost(owner, b, b2), to + e.cost + from);
+                    b != b2
+                        && match edit {
+                            Edit::Insert => cand < kept,
+                            Edit::Remove => cand == kept,
+                        }
+                })
+            });
     }
+    (stale.then_some(owner), crossing)
+}
 
-    /// The tree path from `w` back to the sweep's root, `w` first. For a
-    /// `to` sweep (run on the transpose, or on a symmetric graph) that is
-    /// the network path `w -> root`; for a `from` sweep, reversed, the
-    /// path `root -> w`.
-    fn walk(&self, w: NodeId) -> Vec<NodeId> {
-        let parents = self
-            .parents
-            .as_ref()
-            .expect("parents kept when paths are stored");
-        let mut path = vec![w];
-        let mut cur = w;
-        while parents[cur.index()] != u32::MAX {
-            cur = NodeId(parents[cur.index()]);
-            path.push(cur);
+/// One endpoint's distances to or from every border node, by skeleton id
+/// (`INFINITE_COST` = unreachable), copied out of one skeleton sweep on
+/// the caller's scratch — the repair rule compares table entries against
+/// these and nothing else.
+struct Reach {
+    /// The skeleton sweep's seeds: a border endpoint itself at 0, or the
+    /// borders of the endpoint's cell at their cell distances.
+    seeds: Vec<(usize, Cost)>,
+    costs: Vec<Cost>,
+}
+
+impl Reach {
+    /// The distances from `x` — or, `backward`, to it — at every border.
+    fn sweep(
+        comp: &mut ComplementaryInfo,
+        site: &Site,
+        x: NodeId,
+        backward: bool,
+        scratch: &mut ScratchDijkstra,
+    ) -> Self {
+        let seeds: Vec<(usize, Cost)> = match comp.skeleton_id(x) {
+            Some(s) => vec![(s, 0)],
+            None => (site.sweep_cell(x, backward, scratch).into_iter())
+                .map(|(b, cost)| (comp.skeleton_id(b).expect("a border"), cost))
+                .collect(),
+        };
+        let mut costs = vec![INFINITE_COST; comp.border_count()];
+        if !seeds.is_empty() {
+            let starts: Vec<(NodeId, Cost)> = (seeds.iter())
+                .map(|&(s, cost)| (NodeId::from_index(s), cost))
+                .collect();
+            scratch.sweep(comp.skeleton_for(backward), &starts);
+            for (s, cost) in costs.iter_mut().enumerate() {
+                *cost = scratch.cost(NodeId::from_index(s)).unwrap_or(INFINITE_COST);
+            }
         }
-        path
+        Reach { seeds, costs }
     }
 }
 
 /// The sweeps one update's repair rule reads: for each directed entry
 /// `u -> v` it adds or drops, `dist(·, u)` and `dist(v, ·)` at every
-/// border. A symmetric closure graph is its own transpose, so one sweep
-/// per distinct endpoint serves both directions; a one-way graph sweeps
-/// `to` on one transpose of the graph.
-struct EndpointSweeps {
-    from: Vec<(NodeId, BorderDistances)>,
+/// border. A symmetric network's skeleton and sites are their own
+/// transposes, so one sweep per distinct endpoint serves both
+/// directions; a one-way network sweeps `to` on the transposes.
+struct Endpoints {
+    from: Vec<(NodeId, Reach)>,
     /// Empty on a symmetric network: `from` serves.
-    to: Vec<(NodeId, BorderDistances)>,
+    to: Vec<(NodeId, Reach)>,
 }
 
-impl EndpointSweeps {
+impl Endpoints {
     fn run(
-        graph: &CsrGraph,
+        comp: &mut ComplementaryInfo,
+        site: &Site,
         symmetric: bool,
         entries: &[Edge],
-        borders: &[NodeId],
-        keep_parents: bool,
         scratch: &mut ScratchDijkstra,
     ) -> Self {
-        let mut sweep_each = |g: &CsrGraph, mut nodes: Vec<NodeId>| {
+        let mut sweep_each = |mut nodes: Vec<NodeId>, backward: bool| {
             nodes.sort_unstable();
             nodes.dedup();
             (nodes.into_iter())
                 .map(|x| {
-                    (
-                        x,
-                        BorderDistances::sweep(scratch, g, x, borders, keep_parents),
-                    )
+                    let reach = Reach::sweep(comp, site, x, backward, scratch);
+                    (x, reach)
                 })
                 .collect()
         };
         let (sources, targets) = entries.iter().map(|e| (e.src, e.dst)).unzip();
         if symmetric {
-            let endpoints = [sources, targets].concat();
-            EndpointSweeps {
-                from: sweep_each(graph, endpoints),
+            Endpoints {
+                from: sweep_each([sources, targets].concat(), false),
                 to: Vec::new(),
             }
         } else {
-            EndpointSweeps {
-                from: sweep_each(graph, targets),
-                to: sweep_each(&graph.reversed(), sources),
+            Endpoints {
+                from: sweep_each(targets, false),
+                to: sweep_each(sources, true),
             }
         }
     }
 
-    fn find(sweeps: &[(NodeId, BorderDistances)], x: NodeId) -> &BorderDistances {
+    fn find(sweeps: &[(NodeId, Reach)], x: NodeId) -> &Reach {
         let at = sweeps.iter().position(|(y, _)| *y == x);
         &sweeps[at.expect("an endpoint of the update")].1
     }
 
     /// `dist(v, b)` for every border `b`.
-    fn from(&self, v: NodeId) -> &BorderDistances {
+    fn from(&self, v: NodeId) -> &Reach {
         Self::find(&self.from, v)
     }
 
     /// `dist(b, u)` for every border `b`.
-    fn to(&self, u: NodeId) -> &BorderDistances {
+    fn to(&self, u: NodeId) -> &Reach {
         if self.to.is_empty() {
             self.from(u)
         } else {
@@ -462,47 +515,46 @@ impl EndpointSweeps {
         }
     }
 
-    /// What the repair rule reads for the entry `u -> v` of cost `cost`.
-    fn through(&self, u: NodeId, cost: Cost, v: NodeId) -> Through<'_> {
-        Through {
-            to: &self.to(u).costs,
+    /// What the repair rule reads for the entry `u -> v` of cost `cost`;
+    /// `None` when no border reaches `u` or none is reached from `v` — the
+    /// entry lies on no table pair's path.
+    fn through(&self, u: NodeId, cost: Cost, v: NodeId) -> Option<Through<'_>> {
+        let (to, from) = (self.to(u), self.from(v));
+        (!to.seeds.is_empty() && !from.seeds.is_empty()).then_some(Through {
+            to: &to.costs,
             cost,
-            from: &self.from(v).costs,
-        }
+            from: &from.costs,
+        })
     }
 }
 
 /// Lower every table entry `(a, b)` — a missing tuple counting as
 /// infinite — to `min(cost, dist(a, u) + c + dist(v, b))` over the
 /// inserted entries `u -> v` of cost `c`: exact because improved paths
-/// must use a new edge. When paths are stored, the improved path is
-/// spliced from the same sweeps' trees: `path(a, u) ++ path(v, b)`.
-fn improve(comp: &mut ComplementaryInfo, sweeps: &EndpointSweeps, added: &[Edge]) -> Vec<usize> {
+/// must use a new edge. Returns the per-site counts and, when paths are
+/// stored, the lowered pairs.
+fn improve(
+    comp: &mut ComplementaryInfo,
+    ends: &Endpoints,
+    added: &[Edge],
+) -> (Vec<usize>, Affected) {
     let entries: Vec<Through> = (added.iter())
-        .map(|e| sweeps.through(e.src, e.cost, e.dst))
+        .filter_map(|e| ends.through(e.src, e.cost, e.dst))
         .collect();
-    comp.lower_through(&entries, |k, a, b| {
-        let mut path = sweeps.to(added[k].src).walk(a);
-        path.extend(sweeps.from(added[k].dst).walk(b).into_iter().rev());
-        path
-    })
+    comp.lower_through(&entries)
 }
 
-/// Border sources (skeleton ids, ascending) whose shortcuts could have
-/// routed through a removed entry (the deletion repair rule, evaluated
-/// on pre-deletion distances).
-fn affected_sources(
-    comp: &ComplementaryInfo,
-    sweeps: &EndpointSweeps,
-    removed: &[Edge],
-) -> Vec<usize> {
+/// The stored pairs whose shortest routes could have used a removed
+/// entry (the deletion repair rule, evaluated on pre-deletion distances),
+/// grouped by source.
+fn affected_pairs(comp: &ComplementaryInfo, ends: &Endpoints, removed: &[Edge]) -> Affected {
     // Parallel entries of equal cost need one test, not two.
     let distinct: BTreeSet<(NodeId, NodeId, Cost)> =
         removed.iter().map(|e| (e.src, e.dst, e.cost)).collect();
     let entries: Vec<Through> = (distinct.into_iter())
-        .map(|(u, v, cost)| sweeps.through(u, cost, v))
+        .filter_map(|(u, v, cost)| ends.through(u, cost, v))
         .collect();
-    comp.sources_through(&entries)
+    comp.pairs_through(&entries)
 }
 
 /// Tuples stored at `sites`: what shipping their tables would carry.
@@ -519,10 +571,6 @@ fn nonzero_sites(per_site: &[usize]) -> Vec<FragmentId> {
         .collect()
 }
 
-fn is_border(frag: &Fragmentation, v: NodeId) -> bool {
-    frag.fragments_of_node(v).len() >= 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,6 +581,10 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
+    }
+
+    fn is_border(frag: &Fragmentation, v: NodeId) -> bool {
+        frag.fragments_of_node(v).len() >= 2
     }
 
     fn build_with(cfg: EngineConfig) -> (EngineSnapshot, ScratchDijkstra) {
@@ -820,7 +872,48 @@ mod tests {
             for f in 0..2 {
                 let (was, now) = (before.complementary(), after.complementary());
                 assert!(Arc::ptr_eq(was.table(f), now.table(f)), "table {f}");
+                // The cells of 5 and 7 touch no border: nothing re-swept.
+                let kept = Arc::ptr_eq(was.local_sweeps(f), now.local_sweeps(f));
+                assert!(kept, "symmetric={symmetric}: fragment {f}");
             }
+        }
+    }
+
+    /// A crossing insert — both endpoints borders — is a skeleton edge of
+    /// its own: it re-sweeps no fragment, edits the one skeleton pair it
+    /// joins, and leaves the tables exact; its delete puts the skeleton
+    /// back the way the build derived it.
+    #[test]
+    fn a_crossing_edit_edits_one_skeleton_pair_and_resweeps_nothing() {
+        for symmetric in [true, false] {
+            let frag = build().0.fragmentation().clone();
+            let built = EngineSnapshot::build(frag.clone(), symmetric, EngineConfig::default());
+            let borders: Vec<NodeId> = (frag.fragment(0).nodes().iter().copied())
+                .filter(|&v| is_border(&frag, v))
+                .collect();
+            let (a, b) = (borders[0], *borders.last().unwrap());
+            let mut engine = built.clone();
+            let mut scratch = ScratchDijkstra::new();
+            let report = engine
+                .maintain(&insert(Edge::new(a, b, 1), 0), &mut scratch)
+                .unwrap();
+            assert!(report.shortcuts_improved > 0, "{report:?}");
+            let (was, now) = (built.complementary(), engine.complementary());
+            for f in 0..frag.fragment_count() {
+                let kept = Arc::ptr_eq(was.local_sweeps(f), now.local_sweeps(f));
+                assert!(kept, "symmetric={symmetric}: fragment {f} re-swept");
+            }
+            let edited: Vec<Edge> = (now.skeleton_edges().into_iter())
+                .filter(|e| !was.skeleton_edges().contains(e))
+                .collect();
+            let mut want = vec![Edge::new(a, b, 1)];
+            want.extend(symmetric.then(|| Edge::new(b, a, 1)));
+            assert_eq!(edited, want, "symmetric={symmetric}");
+            check_all(&engine, &mut scratch);
+            engine.maintain(&remove(a, b, 0), &mut scratch).unwrap();
+            let now = engine.complementary();
+            assert_eq!(now.skeleton_edges(), was.skeleton_edges());
+            check_all(&engine, &mut scratch);
         }
     }
 

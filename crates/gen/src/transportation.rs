@@ -54,12 +54,18 @@ pub fn generate_transportation(cfg: &TransportationConfig, seed: u64) -> Generat
     // geometrically closest cross pairs become the connecting edges —
     // border cities sit on facing edges of the two patches, as in a real
     // transportation network.
+    let mut pairs = Vec::new();
     for (a, b, k) in cfg.links() {
         assert!(
             a < cfg.clusters && b < cfg.clusters && a != b,
             "bad link ({a},{b})"
         );
-        connections.extend(closest_cross_pairs(&coords, m, a, b, k, cfg.unit_costs));
+        closest_cross_pairs(&coords, m, (a, b), k, &mut pairs);
+        let link = pairs.iter().map(|&(d, i, j)| {
+            let cost = connection_cost(d, cfg.unit_costs);
+            Edge::new(NodeId(i as u32), NodeId(j as u32), cost)
+        });
+        connections.extend(link);
     }
 
     GeneratedGraph {
@@ -71,37 +77,45 @@ pub fn generate_transportation(cfg: &TransportationConfig, seed: u64) -> Generat
     }
 }
 
-/// The `k` closest (by Euclidean distance) node pairs between cluster `a`
-/// and cluster `b`, as connection edges. Pairs are distinct; endpoints may
-/// repeat (one border city can anchor several links, as Fig. 3 shows).
+/// A cross pair `(distance, i, j)`: node `i` of one cluster, node `j` of
+/// the other.
+type CrossPair = (f64, usize, usize);
+
+/// The order links pick their pairs in: by distance, ties by `(i, j)` —
+/// the order a stable sort by distance leaves pairs pushed in `(i, j)`
+/// order in.
+fn by_distance(x: &CrossPair, y: &CrossPair) -> std::cmp::Ordering {
+    let d = x.0.partial_cmp(&y.0).expect("distances are finite");
+    d.then((x.1, x.2).cmp(&(y.1, y.2)))
+}
+
+/// The `k` closest (by Euclidean distance) node pairs between clusters
+/// `a` and `b`, in `by_distance` order, into `pairs` (whose allocation
+/// the links share). Pairs are distinct; endpoints may repeat (one
+/// border city can anchor several links, as Fig. 3 shows). The `k`
+/// smallest are selected, not sorted out of all `m²` pairs.
 fn closest_cross_pairs(
     coords: &[Coord],
     nodes_per_cluster: usize,
-    a: usize,
-    b: usize,
+    (a, b): (usize, usize),
     k: usize,
-    unit_costs: bool,
-) -> Vec<Edge> {
+    pairs: &mut Vec<CrossPair>,
+) {
     let range_a = (a * nodes_per_cluster)..((a + 1) * nodes_per_cluster);
     let range_b = (b * nodes_per_cluster)..((b + 1) * nodes_per_cluster);
-    let mut pairs: Vec<(f64, usize, usize)> = Vec::with_capacity(range_a.len() * range_b.len());
+    pairs.clear();
     for i in range_a {
         for j in range_b.clone() {
             pairs.push((coords[i].distance(&coords[j]), i, j));
         }
     }
-    pairs.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("distances are finite"));
-    pairs
-        .into_iter()
-        .take(k)
-        .map(|(d, i, j)| {
-            Edge::new(
-                NodeId(i as u32),
-                NodeId(j as u32),
-                connection_cost(d, unit_costs),
-            )
-        })
-        .collect()
+    if k < pairs.len() {
+        if k > 0 {
+            pairs.select_nth_unstable_by(k - 1, by_distance);
+        }
+        pairs.truncate(k);
+    }
+    pairs.sort_unstable_by(by_distance);
 }
 
 #[cfg(test)]
@@ -234,6 +248,63 @@ mod tests {
             if labels[e.src.index()] != labels[e.dst.index()] {
                 let d = g.coords[e.src.index()].distance(&g.coords[e.dst.index()]);
                 assert!(d < cfg.cluster_extent + cfg.cluster_gap);
+            }
+        }
+    }
+
+    /// Every link's pairs, by selection, equal the `k` first of a stable
+    /// sort of all its cross pairs by distance — on the pinned 12 x 100
+    /// graph, on Table 1's over several seeds, and on coordinates with
+    /// ties (a grid, where many pairs share a distance).
+    #[test]
+    fn selected_pairs_equal_the_full_sort() {
+        let reference = |coords: &[Coord], m: usize, (a, b): (usize, usize), k: usize| {
+            let mut all: Vec<CrossPair> = Vec::new();
+            for i in (a * m)..((a + 1) * m) {
+                for j in (b * m)..((b + 1) * m) {
+                    all.push((coords[i].distance(&coords[j]), i, j));
+                }
+            }
+            all.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap());
+            all.truncate(k);
+            all
+        };
+        let pinned = TransportationConfig {
+            clusters: 12,
+            nodes_per_cluster: 100,
+            target_edges_per_cluster: 400,
+            ..TransportationConfig::default()
+        };
+        let mut cases: Vec<(TransportationConfig, Vec<Coord>)> = Vec::new();
+        for seed in [1993, 0, 1, 2, 3, 4] {
+            for cfg in [pinned.clone(), TransportationConfig::table1()] {
+                let coords = generate_transportation(&cfg, seed).coords;
+                cases.push((cfg, coords));
+            }
+        }
+        // Ties: two 5 x 5 unit grids side by side.
+        let grid: Vec<Coord> = (0..2)
+            .flat_map(|c| (0..25).map(move |i| Coord::new((c * 6 + i % 5) as f64, (i / 5) as f64)))
+            .collect();
+        let ties = TransportationConfig {
+            clusters: 2,
+            ..TransportationConfig::table1()
+        };
+        cases.push((ties, grid));
+        let mut pairs = Vec::new();
+        for (cfg, coords) in &cases {
+            let m = cfg.nodes_per_cluster;
+            for (a, b, k) in cfg
+                .links()
+                .into_iter()
+                .chain([(0, 1, 0), (0, 1, 7), (0, 1, m * m)])
+            {
+                closest_cross_pairs(coords, m, (a, b), k, &mut pairs);
+                assert_eq!(
+                    pairs,
+                    reference(coords, m, (a, b), k),
+                    "link ({a}, {b}) k={k}"
+                );
             }
         }
     }

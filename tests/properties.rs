@@ -404,6 +404,220 @@ fn maintained_engine_equals_rebuilt_from_scratch() {
     );
 }
 
+/// The column grid of `tests/update_maintenance.rs` — a 9 x 3 grid cut
+/// into three fragments by columns 0..=3, 3..=6 and 6..=8, so columns 3
+/// and 6 are the borders — with two additions: fragment 2's node set also
+/// holds `3` and `21` (seeds), so a connection between them is held by
+/// all three fragments; and fragment 1 holds a component `{27, 28, 29}`
+/// apart from every border, its tuple `27 - 28` included. One-way
+/// networks keep the rightward and downward directions only.
+fn crossing_fixture() -> discset::fragment::Fragmentation {
+    let mut sets = vec![Vec::new(); 3];
+    for r in 0..3u32 {
+        for c in 0..9u32 {
+            let owner = (c / 3).min(2) as usize;
+            if c + 1 < 9 {
+                sets[owner].push(Edge::unit(NodeId(r * 9 + c), NodeId(r * 9 + c + 1)));
+            }
+            if r + 1 < 3 {
+                sets[owner].push(Edge::unit(NodeId(r * 9 + c), NodeId((r + 1) * 9 + c)));
+            }
+        }
+    }
+    sets[1].push(Edge::new(NodeId(27), NodeId(28), 2));
+    let seeds = vec![vec![], vec![NodeId(29)], vec![NodeId(3), NodeId(21)]];
+    discset::fragment::Fragmentation::new(30, sets, seeds)
+}
+
+/// An update weighted toward connections between two borders: inserts
+/// and deletes of them, twins of one inserted by another fragment that
+/// holds both endpoints; otherwise an insert or delete with a non-border
+/// endpoint, or one inside `apart` — nodes of fragment `apart_owner`
+/// whose cells touch no border.
+fn arb_crossing_update(
+    rng: &mut StdRng,
+    frag: &discset::fragment::Fragmentation,
+    (apart, apart_owner): (&[NodeId], usize),
+) -> Option<discset::NetworkUpdate> {
+    use discset::NetworkUpdate::{Insert, Remove};
+    let border = |v: NodeId| frag.fragments_of_node(v).len() >= 2;
+    let pick = |rng: &mut StdRng, nodes: &[NodeId]| nodes[rng.gen_index(nodes.len())];
+    let owned = |keep: &dyn Fn(&Edge) -> bool| -> Vec<(usize, Edge)> {
+        (frag.fragments().iter())
+            .flat_map(|f| f.edges().iter().map(move |e| (f.id(), *e)))
+            .filter(|(_, e)| keep(e))
+            .collect()
+    };
+    let crossing = |e: &Edge| border(e.src) && border(e.dst);
+    let cost = 1 + rng.gen_index(6) as u64;
+    let owner = rng.gen_index(frag.fragment_count());
+    let nodes = frag.fragment(owner).nodes();
+    let borders: Vec<NodeId> = nodes.iter().copied().filter(|&v| border(v)).collect();
+    match rng.gen_index(10) {
+        0..=2 if borders.len() >= 2 => {
+            let (a, b) = (pick(rng, &borders), pick(rng, &borders));
+            let edge = Edge::new(a, b, cost);
+            (a != b).then_some(Insert { edge, owner })
+        }
+        3..=5 => {
+            let cut = owned(&crossing);
+            let (owner, e) = *cut.get(rng.gen_index(cut.len().max(1)))?;
+            Some(Remove {
+                src: e.src,
+                dst: e.dst,
+                owner,
+            })
+        }
+        6 => {
+            let cut = owned(&crossing);
+            let (from, edge) = *cut.get(rng.gen_index(cut.len().max(1)))?;
+            let other = (frag.fragments().iter()).find(|f| {
+                f.id() != from && f.contains_node(edge.src) && f.contains_node(edge.dst)
+            })?;
+            Some(Insert {
+                edge,
+                owner: other.id(),
+            })
+        }
+        7 => {
+            let (a, b) = (pick(rng, nodes), pick(rng, nodes));
+            let edge = Edge::new(a, b, cost);
+            (!border(a) || !border(b)).then_some(Insert { edge, owner })
+        }
+        8 => {
+            let inner = owned(&|e: &Edge| !crossing(e));
+            let (owner, e) = *inner.get(rng.gen_index(inner.len().max(1)))?;
+            Some(Remove {
+                src: e.src,
+                dst: e.dst,
+                owner,
+            })
+        }
+        _ if apart.len() >= 2 => {
+            let (a, b) = (pick(rng, apart), pick(rng, apart));
+            Some(if rng.gen_index(2) == 0 {
+                Insert {
+                    edge: Edge::new(a, b, cost),
+                    owner: apart_owner,
+                }
+            } else {
+                Remove {
+                    src: a,
+                    dst: b,
+                    owner: apart_owner,
+                }
+            })
+        }
+        _ => None,
+    }
+}
+
+/// Crossing edits in maintenance streams: on the crossing fixture and on
+/// the update networks, symmetric and one-way, with stored paths and
+/// without, a stream weighted toward inserts and deletes between two
+/// borders — connections three fragments hold, twins another fragment
+/// owns — beside interior edits and edits in a component whose cells
+/// touch no border. After every update the kept skeleton equals the one
+/// a rebuild derives (the cheapest entry per ordered border pair), every
+/// table equals the rebuild's, and sampled routes are real paths of the
+/// Dijkstra cost. An edit between two borders re-sweeps no fragment, and
+/// neither does one whose cells touch no border: every fragment's kept
+/// local sweeps stay the `Arc` the previous epoch holds.
+#[test]
+fn crossing_edit_streams_keep_the_skeleton_a_rebuild_derives() {
+    let mut scratch = ScratchDijkstra::new();
+    let (mut crossing, mut third, mut twins, mut apart_edits) = (0, 0, 0, 0);
+    let mut networks = vec![(crossing_fixture(), vec![NodeId(27), NodeId(28), NodeId(29)])];
+    for seed in 0..3u64 {
+        let g = update_network(seed);
+        let config = LinearConfig {
+            fragments: 3,
+            ..Default::default()
+        };
+        let frag = linear_sweep(&g.edge_list(), &config).unwrap().fragmentation;
+        networks.push((frag, Vec::new()));
+    }
+    for (case, (frag, apart)) in networks.iter().enumerate() {
+        for (symmetric, store_paths) in [(true, false), (true, true), (false, false), (false, true)]
+        {
+            let cfg = EngineConfig {
+                store_paths,
+                ..EngineConfig::default()
+            };
+            let mut engine = EngineSnapshot::build(frag.clone(), symmetric, cfg.clone());
+            let mut rng = StdRng::seed_from_u64(0xC2055 ^ case as u64);
+            for step in 0..40 {
+                let Some(u) = arb_crossing_update(&mut rng, engine.fragmentation(), (apart, 1))
+                else {
+                    continue;
+                };
+                let label = format!(
+                    "case {case} symmetric={symmetric} paths={store_paths} step {step} {u:?}"
+                );
+                let (src, dst) = match u {
+                    discset::NetworkUpdate::Insert { edge, .. } => (edge.src, edge.dst),
+                    discset::NetworkUpdate::Remove { src, dst, .. } => (src, dst),
+                };
+                let holders = |v: NodeId| engine.fragmentation().fragments_of_node(v);
+                let is_crossing = holders(src).len() >= 2 && holders(dst).len() >= 2;
+                let is_apart = apart.contains(&src) && apart.contains(&dst);
+                let held = (engine.fragmentation().fragments().iter())
+                    .filter(|f| f.contains_node(src) && f.contains_node(dst))
+                    .count();
+                let twin = matches!(u, discset::NetworkUpdate::Insert { edge, owner }
+                    if (engine.fragmentation().fragments().iter()).any(|f| f.id() != owner && f.edges().contains(&edge)));
+                let before = engine.clone();
+                let report = engine.maintain(&u, &mut scratch).expect(&label);
+                if report.effective() {
+                    crossing += is_crossing as usize;
+                    third += (is_crossing && held >= 3) as usize;
+                    twins += (is_crossing && twin) as usize;
+                    apart_edits += is_apart as usize;
+                }
+                let (was, now) = (before.complementary(), engine.complementary());
+                if is_crossing || is_apart {
+                    for f in 0..frag.fragment_count() {
+                        assert!(
+                            std::sync::Arc::ptr_eq(was.local_sweeps(f), now.local_sweeps(f)),
+                            "{label}: fragment {f} re-swept"
+                        );
+                    }
+                }
+                let rebuilt =
+                    EngineSnapshot::build(engine.fragmentation().clone(), symmetric, cfg.clone());
+                let fresh = rebuilt.complementary();
+                assert_eq!(
+                    now.skeleton_edges(),
+                    fresh.skeleton_edges(),
+                    "{label}: skeleton"
+                );
+                for f in 0..frag.fragment_count() {
+                    assert_eq!(now.table(f), fresh.table(f), "{label}: site {f}'s table");
+                }
+                let csr = engine.graph().clone();
+                for _ in 0..6 {
+                    let x = NodeId(rng.gen_index(csr.node_count()) as u32);
+                    let y = NodeId(rng.gen_index(csr.node_count()) as u32);
+                    let want = baseline::shortest_path_cost(&csr, x, y);
+                    let got = engine.shortest_path(x, y, &mut scratch).cost;
+                    assert_eq!(got, want, "{label}: {x}->{y}");
+                    if store_paths && x != y && want.is_some() {
+                        let r = engine.route(x, y, &mut scratch).unwrap().expect(&label);
+                        assert_eq!(Some(r.cost), want, "{label}: route {x}->{y}");
+                        assert_eq!((r.nodes[0], r.nodes[r.nodes.len() - 1]), (x, y));
+                        assert_real_path(&csr, &r.nodes, r.cost, &label);
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        crossing > 300 && third > 15 && twins > 30 && apart_edits > 5,
+        "{crossing} crossing edits, {third} held by three fragments, {twins} twins, \
+         {apart_edits} apart from every border"
+    );
+}
+
 /// The hops of `nodes` are edges of `csr`, and their cheapest costs add
 /// up to `cost`.
 fn assert_real_path(csr: &CsrGraph, nodes: &[NodeId], cost: u64, label: &str) {
@@ -700,8 +914,9 @@ fn the_edit_rule_and_maintenance_agree_on_effective() {
 }
 
 /// The transpose holds every edge flipped, parallel edges and loops
-/// included, on one-way graphs (the one transpose a one-way update still
-/// takes), and transposing twice gives the graph back.
+/// included, on one-way graphs (the skeleton transpose a one-way
+/// network's first write makes), and transposing twice gives the graph
+/// back.
 #[test]
 fn the_transpose_flips_every_edge() {
     for seed in 0..CASES {

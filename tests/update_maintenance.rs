@@ -254,18 +254,17 @@ fn assert_tables_rebuilt(sys: &System, symmetric: bool, label: &str) {
     }
 }
 
-/// A delete that affects some source re-sweeps every fragment whose node
-/// set holds both endpoints of an edit since its last sweep — not only
-/// the edit's owner: each fragment's local sweeps ran on the induced
-/// subgraph of the global graph, which holds the edge whoever owns it.
-///
-/// Fragment 1 inserts `X = 3 -> 21` (column 3, top to bottom, cost 1):
-/// incremental, and fragment 0 holds both endpoints. Fragment 0 inserts a
-/// costly twin `Y` of the vertical `12 -> 21` and deletes it again — a
-/// crossing delete elsewhere, whose repair re-sweeps fragment 0, which
-/// now sees `X`. Deleting `X` must then re-sweep fragment 0 as well: a
-/// rule that marks only the owner leaves fragment 0's skeleton edge
-/// `3 -> 21` of cost 1 in place, and the `(3, 21)` entries wrong.
+/// Crossing edits between borders that two fragments hold keep every
+/// table equal to a rebuild's. Fragment 1 inserts `X = 3 -> 21` (column
+/// 3, top to bottom, cost 1), whose endpoints fragment 0 holds too: a
+/// skeleton edge of its own, patched in without re-sweeping either
+/// fragment. Fragment 0 inserts a costly twin `Y` of the vertical
+/// `12 -> 21` and deletes it again. Deleting `X` must then re-derive the
+/// skeleton pair `3 -> 21` from what remains — the fragments' interior
+/// paths and the connections between the two borders: a patch that left
+/// `X`'s skeleton edge of cost 1 in place leaves the `(3, 21)` entries
+/// wrong. (The test's name is the staleness rule it pinned before the
+/// skeleton was kept.)
 #[test]
 fn a_fallback_resweeps_every_fragment_holding_both_endpoints() {
     let x = Edge::new(n(3), n(21), 1);
