@@ -40,6 +40,10 @@
 //!   one `ScratchDijkstra` sweep of the whole graph per source writing
 //!   the same relation, both on one thread, on any seed — "thin
 //!   disconnection sets pay";
+//! * **kernel** — on the same graph, one reused `ScratchDijkstra` sweep
+//!   per source (the indexed 4-ary heap every layer runs on) is less
+//!   than 1.3x faster than the one-shot lazy-heap `multi_source` it is
+//!   tested against, on any seed;
 //! * **wal** — in a pure write path (16 closed-loop updaters) with
 //!   fsync'd group commits, the log holds anything but one record per
 //!   acknowledged write, or no group commit folded two records, in any
@@ -83,6 +87,7 @@ use ds_gen::{
     generate_ellipse, generate_general, generate_scale, generate_transportation, EllipseConfig,
     GeneralConfig, ScaleConfig, TransportationConfig,
 };
+use ds_graph::dijkstra::multi_source;
 use ds_graph::{Edge, NodeId, ScratchDijkstra, ScratchStats};
 use ds_obs::Observability;
 use ds_relation::bulk::{MaterializeConfig, MaterializeEngine};
@@ -97,6 +102,7 @@ const SEEDS: [u64; 3] = [1, 2, 3];
 const FLOOR_REACH_INDEX: f64 = 5.0;
 const FLOOR_PUBLICATION: f64 = 5.0;
 const FLOOR_MATERIALIZE: f64 = 2.0;
+const FLOOR_KERNEL: f64 = 1.3;
 /// Closed-loop clients of the serve pairs, over `WORKERS` pool workers,
 /// each thinking `THINK` between its `OPS_PER_CLIENT` operations.
 const CLIENTS: usize = 16;
@@ -506,27 +512,73 @@ fn mixed_write_costs() -> [Vec<f64>; 4] {
     costs
 }
 
+/// The benchmark's transportation graph (12 clusters of 100 nodes),
+/// fragmented by cluster.
+fn pinned_transportation(seed: u64) -> Fragmentation {
+    let clusters = 12usize;
+    let g = generate_transportation(
+        &TransportationConfig {
+            clusters,
+            nodes_per_cluster: 100,
+            target_edges_per_cluster: 400,
+            ..TransportationConfig::default()
+        },
+        seed,
+    );
+    let labels = g.cluster_of.clone().expect("labelled");
+    let policy = CrossingPolicy::LowerBlock;
+    semantic::by_labels(g.nodes, &g.connections, &labels, clusters, policy)
+        .expect("label fragmentation")
+}
+
+/// The sweep kernel against its reference: one sweep per source of the
+/// pinned transportation graph by the one-shot lazy-heap
+/// `dijkstra::multi_source`, over the same by one reused
+/// `ScratchDijkstra` (the two compared once, outside the timing), best
+/// of `ROUNDS` interleaved passes each. Returns the per-seed (reference
+/// over kernel) pairs.
+fn kernel() -> Vec<Pair> {
+    let measured = SEEDS.iter().map(|&seed| {
+        let g = pinned_transportation(seed).closure_graph(true);
+        let mut scratch = ScratchDijkstra::new();
+        for s in g.nodes() {
+            let reference = multi_source(&g, &[(s, 0)]);
+            scratch.sweep(&g, &[(s, 0)]);
+            let agree = g.nodes().all(|v| scratch.cost(v) == reference.cost(v));
+            assert!(
+                agree,
+                "seed {seed}: the kernel and its reference differ from {s:?}"
+            );
+        }
+        let (reference_ns, kernel_ns) = interleaved(|which, _| {
+            let t = Instant::now();
+            for s in g.nodes() {
+                if which == 0 {
+                    std::hint::black_box(multi_source(&g, &[(s, 0)]));
+                } else {
+                    scratch.sweep(&g, &[(s, 0)]);
+                    std::hint::black_box(scratch.cost(s));
+                }
+            }
+            t.elapsed()
+        });
+        Pair {
+            seed,
+            numerator_ns: reference_ns,
+            denominator_ns: kernel_ns,
+        }
+    });
+    measured.collect()
+}
+
 /// The full closure of the benchmark's transportation graph by the
 /// disconnection set approach against one sweep of the whole graph per
 /// source, both on one thread and both writing the sorted relation (the
 /// two are compared once, outside the timing). Returns what each seed's
 /// run swept and the per-seed (Dijkstra over bulk) pairs.
 fn materialize(bench: &mut Bench) -> (Vec<ClosureSweeps>, Vec<Pair>) {
-    let clusters = 12usize;
     let measured = SEEDS.iter().map(|&seed| {
-        let g = generate_transportation(
-            &TransportationConfig {
-                clusters,
-                nodes_per_cluster: 100,
-                target_edges_per_cluster: 400,
-                ..TransportationConfig::default()
-            },
-            seed,
-        );
-        let labels = g.cluster_of.clone().expect("labelled");
-        let policy = CrossingPolicy::LowerBlock;
-        let frag = semantic::by_labels(g.nodes, &g.connections, &labels, clusters, policy)
-            .expect("label fragmentation");
+        let frag = pinned_transportation(seed);
         let engine =
             MaterializeEngine::from_fragmentation(&frag, true, MaterializeConfig::with_threads(1));
         let partition = engine.partition();
@@ -556,7 +608,7 @@ fn materialize(bench: &mut Bench) -> (Vec<ClosureSweeps>, Vec<Pair>) {
             .filter(|&v| partition.fragments_of(v).len() >= 2);
         let counts = ClosureSweeps {
             what: format!("materialize/seed-{seed}"),
-            nodes: g.nodes,
+            nodes: frag.node_count(),
             borders: borders.count(),
             isolated: union.nodes().filter(|&v| union.out_degree(v) == 0).count(),
             phases: stats.rounds,
@@ -969,6 +1021,9 @@ fn main() {
     }
     let floor = Some(FLOOR_MATERIALIZE);
     report.ratio_row("materialize-dijkstra-over-bulk", &materialized, floor);
+    let kernels = kernel();
+    let floor = Some(FLOOR_KERNEL);
+    report.ratio_row("sweep-reference-over-kernel", &kernels, floor);
 
     let deployments: Vec<Deployment> = SEEDS.iter().map(|&s| deployment(s)).collect();
     let published: Vec<Pair> = deployments

@@ -1,4 +1,4 @@
-//! Dijkstra shortest paths (binary heap, non-negative integer costs).
+//! Dijkstra shortest paths (non-negative integer costs).
 //!
 //! Used as: the per-fragment local evaluator (any "suitable
 //! single-processor algorithm" may be chosen per §2.1), the global
@@ -9,12 +9,16 @@
 //!
 //! * the one-shot functions [`single_source`] / [`multi_source`] /
 //!   [`point_to_point`], which return an owned [`ShortestPaths`] tree —
-//!   convenient, but each call allocates O(V);
+//!   convenient, but each call allocates O(V). They keep the textbook
+//!   lazy-deletion binary heap on purpose: they are the independent
+//!   reference the scratch kernel is tested against (and the oracle of
+//!   the global baseline);
 //! * the reusable [`ScratchDijkstra`] kernel, whose generation-stamped
-//!   arrays and heap persist across sweeps. Hot paths (per-query site
-//!   subqueries, batch evaluation, update repair sweeps, the skeleton
-//!   precompute) hold one scratch and run allocation-free in the steady
-//!   state; [`ScratchStats`] counts reuse so tests can assert it.
+//!   arrays and indexed 4-ary heap persist across sweeps. Hot paths
+//!   (per-query site subqueries, batch evaluation, update repair sweeps,
+//!   the skeleton precompute, bulk materialization) hold one scratch and
+//!   run allocation-free in the steady state; [`ScratchStats`] counts
+//!   reuse so tests can assert it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -105,28 +109,48 @@ enum Targets {
     Block,
 }
 
-/// A reusable Dijkstra kernel: generation-stamped `dist`/`parent` arrays
-/// plus a persistent binary heap.
+/// Children per slot of [`ScratchDijkstra`]'s heap: half the depth of a
+/// binary heap, and a slot's children sit side by side in memory.
+const ARITY: usize = 4;
+
+/// A reusable Dijkstra kernel: generation-stamped per-node state (cost,
+/// parent, heap slot) plus a persistent indexed 4-ary heap.
 ///
 /// Resetting between sweeps costs O(1) — the generation counter is bumped
-/// and stale entries are simply ignored — so a scratch held across many
-/// sweeps performs zero heap allocations once its arrays have grown to
-/// the largest graph seen. [`ScratchDijkstra::sweep_to_targets`] adds a
-/// target-set early exit: the sweep stops as soon as every target node is
-/// settled, which is what fragment-local border sweeps and site
-/// subqueries need.
+/// and entries of older generations are simply ignored — so a scratch
+/// held across many sweeps performs zero heap allocations once its arrays
+/// have grown to the largest graph seen. The heap holds each reached,
+/// unsettled node once, keyed by its `dist` alone: a cheaper path moves
+/// the node up in place (decrease-key), so nothing stale is ever popped.
+/// Among equal-cost nodes the settle order is the heap's, so parent trees
+/// may pick any of several equal-cost paths; costs never depend on it.
+/// [`ScratchDijkstra::sweep_to_targets`] adds a target-set early exit:
+/// the sweep stops as soon as every target node is settled, which is what
+/// fragment-local border sweeps and site subqueries need.
 #[derive(Clone, Debug, Default)]
 pub struct ScratchDijkstra {
-    dist: Vec<Cost>,
-    parent: Vec<u32>,
-    /// `dist[v]`/`parent[v]` are valid iff `stamp[v] == generation`.
-    stamp: Vec<u32>,
+    /// Per node, read and written together on every relaxation.
+    mark: Vec<Mark>,
     /// Target membership for the current sweep (same stamping scheme;
     /// cleared to 0 as each target settles).
     target_stamp: Vec<u32>,
     generation: u32,
-    heap: BinaryHeap<Reverse<(Cost, u32)>>,
+    /// Queued nodes, a 4-ary min-heap on `dist`. Each slot carries a copy
+    /// of its node's `dist`, so a sift compares within this array.
+    heap: Vec<(Cost, u32)>,
     stats: ScratchStats,
+}
+
+/// A node's state in one sweep: `dist` and `parent` are valid iff
+/// `stamp == generation`, `pos` only while the node is queued.
+#[derive(Clone, Copy, Debug, Default)]
+struct Mark {
+    dist: Cost,
+    stamp: u32,
+    /// Slot in the heap while the node is queued.
+    pos: u32,
+    /// Predecessor on the cheapest path found, `u32::MAX` for a seed.
+    parent: u32,
 }
 
 impl ScratchDijkstra {
@@ -141,22 +165,105 @@ impl ScratchDijkstra {
 
     /// Grow the arrays to cover `n` nodes and start a new generation.
     fn prepare(&mut self, n: usize) {
-        if self.dist.len() < n {
-            self.dist.resize(n, 0);
-            self.parent.resize(n, u32::MAX);
-            self.stamp.resize(n, 0);
+        if self.mark.len() < n {
+            self.mark.resize(n, Mark::default());
             self.target_stamp.resize(n, 0);
             self.stats.grows += 1;
         }
         if self.generation == u32::MAX {
             // Generation wrap: clear the stamps once, then restart.
-            self.stamp.fill(0);
+            self.mark.fill(Mark::default());
             self.target_stamp.fill(0);
             self.generation = 0;
         }
         self.generation += 1;
         self.heap.clear();
         self.stats.sweeps += 1;
+    }
+
+    /// Offer `v` the cost `d` through `parent`. The common case — `v`
+    /// already holds a cost no dearer — is one compare inlined into the
+    /// caller's arc loop; anything else goes to [`Self::improve`].
+    #[inline(always)]
+    fn relax(&mut self, v: u32, d: Cost, parent: u32, gen: u32) {
+        let mark = &self.mark[v as usize];
+        if mark.stamp != gen || d < mark.dist {
+            self.improve(v, d, parent, gen);
+        }
+    }
+
+    /// Give `v` the cost `d` through `parent`: queue it when this
+    /// generation first reaches it, else move it up in place. A settled
+    /// node is never offered less than its cost (costs are non-negative),
+    /// so a node whose cost falls is always queued.
+    fn improve(&mut self, v: u32, d: Cost, parent: u32, gen: u32) {
+        let mark = &mut self.mark[v as usize];
+        let slot = if mark.stamp != gen {
+            mark.stamp = gen;
+            self.heap.push((d, v));
+            self.heap.len() - 1
+        } else {
+            mark.pos as usize
+        };
+        mark.dist = d;
+        mark.parent = parent;
+        self.sift_up(v, d, slot);
+    }
+
+    /// Move `v` (cost `d`), whose slot is `i`, up past every dearer
+    /// ancestor.
+    #[inline]
+    fn sift_up(&mut self, v: u32, d: Cost, mut i: usize) {
+        while i > 0 {
+            let up = (i - 1) / ARITY;
+            let (ud, u) = self.heap[up];
+            if ud <= d {
+                break;
+            }
+            self.heap[i] = (ud, u);
+            self.mark[u as usize].pos = i as u32;
+            i = up;
+        }
+        self.heap[i] = (d, v);
+        self.mark[v as usize].pos = i as u32;
+    }
+
+    /// Settle the cheapest queued node: take it off the heap, refill the
+    /// root with the last slot and sift that down.
+    #[inline]
+    fn pop(&mut self) -> Option<(Cost, u32)> {
+        let top = *self.heap.first()?;
+        let (d, last) = self.heap.pop().expect("the heap is not empty");
+        let n = self.heap.len();
+        if n == 0 {
+            return Some(top);
+        }
+        let mut i = 0;
+        loop {
+            let first = ARITY * i + 1;
+            if first >= n {
+                break;
+            }
+            let children = &self.heap[first..n.min(first + ARITY)];
+            let mut child = first;
+            let mut child_d = children[0].0;
+            for (c, &(cd, _)) in children.iter().enumerate().skip(1) {
+                if cd < child_d {
+                    child = first + c;
+                    child_d = cd;
+                }
+            }
+            if child_d >= d {
+                break;
+            }
+            let (_, u) = self.heap[child];
+            self.heap[i] = (child_d, u);
+            self.mark[u as usize].pos = i as u32;
+            i = child;
+        }
+        self.heap[i] = (d, last);
+        self.mark[last as usize].pos = i as u32;
+        Some(top)
     }
 
     /// Full sweep from the `(node, initial_cost)` seed frontier.
@@ -214,19 +321,10 @@ impl ScratchDijkstra {
             }
         }
         for &(s, c) in seeds {
-            let si = s.index();
-            if self.stamp[si] != gen || c < self.dist[si] {
-                self.stamp[si] = gen;
-                self.dist[si] = c;
-                self.parent[si] = u32::MAX;
-                self.heap.push(Reverse((c, s.0)));
-            }
+            self.relax(s.0, c, u32::MAX, gen);
         }
-        while let Some(Reverse((d, v))) = self.heap.pop() {
+        while let Some((d, v)) = self.pop() {
             let vi = v as usize;
-            if d > self.dist[vi] {
-                continue; // stale heap entry
-            }
             if has_targets && self.target_stamp[vi] == gen {
                 self.target_stamp[vi] = 0;
                 remaining -= 1;
@@ -238,14 +336,7 @@ impl ScratchDijkstra {
                 }
             }
             for (t, w) in g.neighbors(NodeId(v)) {
-                let ti = t.index();
-                let nd = d + w;
-                if self.stamp[ti] != gen || nd < self.dist[ti] {
-                    self.stamp[ti] = gen;
-                    self.dist[ti] = nd;
-                    self.parent[ti] = v;
-                    self.heap.push(Reverse((nd, t.0)));
-                }
+                self.relax(t.0, d + w, v, gen);
             }
         }
     }
@@ -267,32 +358,20 @@ impl ScratchDijkstra {
     ) -> Option<Cost> {
         self.prepare(g.node_count());
         let gen = self.generation;
-        self.stamp[src.index()] = gen;
-        self.dist[src.index()] = 0;
-        self.parent[src.index()] = u32::MAX;
-        self.heap.push(Reverse((0, src.0)));
-        while let Some(Reverse((d, v))) = self.heap.pop() {
+        self.relax(src.0, 0, u32::MAX, gen);
+        while let Some((d, v)) = self.pop() {
             if d >= bound {
                 return None; // nothing left on the heap is cheaper
             }
             if v == dst.0 {
                 return Some(d);
             }
-            if d > self.dist[v as usize] {
-                continue; // stale heap entry
-            }
             for (t, w) in g.neighbors(NodeId(v)) {
-                let ti = t.index();
                 let nd = d + w;
                 if nd >= bound || blocked(t) {
                     continue;
                 }
-                if self.stamp[ti] != gen || nd < self.dist[ti] {
-                    self.stamp[ti] = gen;
-                    self.dist[ti] = nd;
-                    self.parent[ti] = v;
-                    self.heap.push(Reverse((nd, t.0)));
-                }
+                self.relax(t.0, nd, v, gen);
             }
         }
         None
@@ -301,8 +380,8 @@ impl ScratchDijkstra {
     /// Cost to `v` in the latest sweep, or `None` if unreached.
     pub fn cost(&self, v: NodeId) -> Option<Cost> {
         let i = v.index();
-        (i < self.dist.len() && self.stamp[i] == self.generation && self.dist[i] < INFINITE_COST)
-            .then(|| self.dist[i])
+        let mark = self.mark.get(i)?;
+        (mark.stamp == self.generation && mark.dist < INFINITE_COST).then_some(mark.dist)
     }
 
     /// Path from the nearest seed to `v` in the latest sweep. Only valid
@@ -313,7 +392,7 @@ impl ScratchDijkstra {
         let mut path = vec![v];
         let mut cur = v;
         loop {
-            let p = self.parent[cur.index()];
+            let p = self.mark[cur.index()].parent;
             if p == u32::MAX {
                 break;
             }
@@ -330,12 +409,9 @@ impl ScratchDijkstra {
     /// every parent points at a node settled earlier.
     pub fn snapshot_parents(&self, n: usize) -> Vec<u32> {
         (0..n)
-            .map(|i| {
-                if i < self.stamp.len() && self.stamp[i] == self.generation {
-                    self.parent[i]
-                } else {
-                    u32::MAX
-                }
+            .map(|i| match self.mark.get(i) {
+                Some(m) if m.stamp == self.generation => m.parent,
+                _ => u32::MAX,
             })
             .collect()
     }
@@ -354,7 +430,10 @@ pub fn single_source(g: &CsrGraph, src: NodeId) -> ShortestPaths {
 ///
 /// Deliberately a direct implementation rather than a throwaway
 /// [`ScratchDijkstra`]: the one-shot form allocates exactly the two
-/// arrays the returned tree owns.
+/// arrays the returned tree owns, and its lazy-deletion binary heap
+/// shares no code with the scratch kernel's indexed heap — it is the
+/// reference that kernel is tested against, so a bug in one cannot hide
+/// behind the other.
 pub fn multi_source(g: &CsrGraph, seeds: &[(NodeId, Cost)]) -> ShortestPaths {
     let n = g.node_count();
     let mut dist = vec![INFINITE_COST; n];
@@ -630,6 +709,185 @@ mod tests {
         assert_eq!(scratch.cost(NodeId(3)), Some(4));
         assert_eq!(scratch.stats().sweeps, 5);
         assert_eq!(scratch.stats().grows, 1);
+    }
+
+    /// SplitMix64: the seeded stream behind the differential tests.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn node(&mut self, n: usize) -> NodeId {
+            NodeId::from_index(self.below(n))
+        }
+
+        fn subset(&mut self, n: usize, from: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
+            let picked = (0..n).map(NodeId::from_index).filter(|&v| from(v));
+            picked.filter(|_| self.below(3) == 0).collect()
+        }
+    }
+
+    /// A random graph with zero-cost and parallel edges and self-loops,
+    /// and the bound `split` of its seed region: a node below `split`
+    /// has edges only to nodes below it, so whatever lies above is
+    /// unreachable from a seed drawn below.
+    fn random_graph(mix: &mut Mix) -> (CsrGraph, usize) {
+        let n = 1 + mix.below(40);
+        let split = 1 + mix.below(n);
+        let mut edges = Vec::new();
+        for _ in 0..mix.below(4 * n + 1) {
+            let a = mix.node(n);
+            let b = mix.node(if a.index() < split { split } else { n });
+            let cost = |mix: &mut Mix| {
+                if mix.below(3) == 0 {
+                    0
+                } else {
+                    mix.below(9) as Cost
+                }
+            };
+            edges.push(Edge::new(a, b, cost(mix)));
+            if mix.below(6) == 0 {
+                edges.push(Edge::new(a, b, cost(mix)));
+            }
+            if mix.below(12) == 0 {
+                edges.push(Edge::new(a, a, cost(mix)));
+            }
+        }
+        (CsrGraph::from_edges(n, &edges), split)
+    }
+
+    /// `g` without the edges `keep` refuses.
+    fn filtered(g: &CsrGraph, keep: impl Fn(&Edge) -> bool) -> CsrGraph {
+        let edges: Vec<Edge> = g.edges().filter(|e| keep(e)).collect();
+        CsrGraph::from_edges(g.node_count(), &edges)
+    }
+
+    /// `v`'s parent chain in the latest sweep is a real path of its
+    /// cost: it starts at a seed at that seed's cost, every step is an
+    /// edge that adds exactly its cost, and no step leaves a node of
+    /// `unexpanded`. The snapshot agrees with the chain.
+    fn assert_chain(
+        g: &CsrGraph,
+        scratch: &ScratchDijkstra,
+        seeds: &[(NodeId, Cost)],
+        v: NodeId,
+        unexpanded: &[NodeId],
+    ) {
+        let path = scratch.path_to(v).expect("reached");
+        let cost = |u: NodeId| scratch.cost(u).expect("on a chain, so reached");
+        let seed_cost = seeds.iter().filter(|&&(s, _)| s == path[0]);
+        assert_eq!(seed_cost.map(|&(_, c)| c).min(), Some(cost(path[0])));
+        for step in path.windows(2) {
+            let (a, b) = (step[0], step[1]);
+            assert!(!unexpanded.contains(&a), "{a:?} was expanded on {path:?}");
+            let edge = g
+                .neighbors(a)
+                .any(|(t, w)| t == b && cost(a) + w == cost(b));
+            assert!(
+                edge,
+                "no edge {a:?} -> {b:?} of the step's cost on {path:?}"
+            );
+        }
+        let parents = scratch.snapshot_parents(g.node_count());
+        let parent = path.len().checked_sub(2).map_or(u32::MAX, |i| path[i].0);
+        assert_eq!(parents[v.index()], parent);
+    }
+
+    /// Every mode of one scratch against the lazy-heap reference
+    /// [`multi_source`] on a graph edited to mean the same thing: an
+    /// absorbed or blocked node loses its out-edges, a node a point sweep
+    /// keeps clear of loses its in-edges.
+    fn check_every_mode(scratch: &mut ScratchDijkstra, mix: &mut Mix) {
+        let (g, split) = random_graph(mix);
+        let n = g.node_count();
+        let mut seeds: Vec<(NodeId, Cost)> = (0..1 + mix.below(3))
+            .map(|_| (mix.node(split), mix.below(5) as Cost))
+            .collect();
+        if mix.below(4) == 0 {
+            seeds.push((seeds[0].0, mix.below(5) as Cost)); // a duplicate seed
+        }
+        let nodes = || (0..n).map(NodeId::from_index);
+        let is_seed = |v: NodeId| seeds.iter().any(|&(s, _)| s == v);
+
+        scratch.sweep(&g, &seeds);
+        let reference = multi_source(&g, &seeds);
+        for v in nodes() {
+            assert_eq!(scratch.cost(v), reference.cost(v), "sweep, {v:?}");
+            if reference.cost(v).is_some() {
+                assert_chain(&g, scratch, &seeds, v, &[]);
+            }
+        }
+
+        let targets = mix.subset(n, |_| true);
+        scratch.sweep_to_targets(&g, &seeds, &targets);
+        for &t in &targets {
+            assert_eq!(scratch.cost(t), reference.cost(t), "targets, {t:?}");
+            if reference.cost(t).is_some() {
+                assert_chain(&g, scratch, &seeds, t, &[]);
+            }
+        }
+
+        let stops = mix.subset(n, |v| !is_seed(v));
+        let cut = filtered(&g, |e| !stops.contains(&e.src));
+        let reference = multi_source(&cut, &seeds);
+        scratch.sweep_to_targets_absorbing(&g, &seeds, &stops);
+        for &t in &stops {
+            assert_eq!(scratch.cost(t), reference.cost(t), "absorbing, {t:?}");
+            if reference.cost(t).is_some() {
+                assert_chain(&g, scratch, &seeds, t, &stops);
+            }
+        }
+        scratch.sweep_blocked(&g, &seeds, &stops);
+        for v in nodes() {
+            assert_eq!(scratch.cost(v), reference.cost(v), "blocked, {v:?}");
+            if reference.cost(v).is_some() {
+                assert_chain(&g, scratch, &seeds, v, &stops);
+            }
+        }
+
+        let (src, dst) = (mix.node(n), mix.node(n));
+        let avoid = mix.subset(n, |_| true);
+        let bound = [INFINITE_COST, mix.below(12) as Cost][mix.below(2)];
+        let clear = filtered(&g, |e| !avoid.contains(&e.dst));
+        let reference = multi_source(&clear, &[(src, 0)]).cost(dst);
+        assert_eq!(
+            scratch.sweep_point_bounded(&g, src, dst, bound, |v| avoid.contains(&v)),
+            reference.filter(|&c| c < bound),
+            "point {src:?} -> {dst:?} below {bound}"
+        );
+    }
+
+    #[test]
+    fn every_scratch_mode_equals_the_lazy_heap_reference() {
+        let mut mix = Mix(0x5EED);
+        let mut scratch = ScratchDijkstra::new();
+        for _ in 0..400 {
+            check_every_mode(&mut scratch, &mut mix);
+        }
+        assert_eq!(scratch.stats().sweeps, 400 * 5);
+    }
+
+    /// A wrap restarts the generation at 1, which the first sweeps of
+    /// this scratch stamped too: every slot they left (cost, parent,
+    /// heap position, target mark) must stay invisible after the wrap.
+    #[test]
+    fn a_generation_wrap_leaves_no_stale_slot_visible() {
+        let mut mix = Mix(0x3A9);
+        let mut scratch = ScratchDijkstra::new();
+        for _ in 0..20 {
+            check_every_mode(&mut scratch, &mut mix);
+        }
+        scratch.generation = u32::MAX - 7;
+        for _ in 0..20 {
+            check_every_mode(&mut scratch, &mut mix);
+        }
+        assert!(scratch.generation < 100, "the generation wrapped");
     }
 
     #[test]

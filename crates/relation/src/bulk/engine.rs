@@ -9,7 +9,9 @@
 //! row(s)[d] = min( local_F(s, d),  min over borders b of  local_F(s, b) + row(b)[d] )
 //! ```
 //!
-//! where `local_F` is one Dijkstra sweep over `F`'s own edges and
+//! where `local_F` is one Dijkstra sweep over `F`'s own edges that
+//! stops at `F`'s borders — the cheapest paths through `F`'s interior
+//! only, since every path that reaches a border is the fold's — and
 //! `row(b)` one sweep of the union graph from `b`. A run is two flat
 //! task lists, each pulled off one atomic counter by scoped workers that
 //! own their scratch:
@@ -20,10 +22,10 @@
 //! 2. **Sources**, in per-fragment blocks. A fragment is *joined* when it
 //!    has more requested interior sources than borders that are not
 //!    requested themselves — only then do the border rows save sweeps.
-//!    A joined source is one fragment sweep plus a min-plus fold over
-//!    its access relation `(s, b, local_F(s, b))`, pruned to the
-//!    non-dominated borders; the sources of any other fragment sweep the
-//!    union graph directly.
+//!    A joined source is one fragment sweep, blocked at the fragment's
+//!    borders, plus a min-plus fold over its access relation
+//!    `(s, b, local_F(s, b))`, pruned to the non-dominated borders; the
+//!    sources of any other fragment sweep the union graph directly.
 //!
 //! When no fragment folds a border row the two lists run as one phase.
 //! Every step is label-setting: there is no fixpoint, no exchange round
@@ -124,22 +126,26 @@ pub struct MaterializeStats {
     /// Sweeps of the union graph: one per border row and one per source
     /// of a fragment that was not joined.
     pub network_sweeps: usize,
-    /// Sweeps of one fragment's own edges: one per joined source.
+    /// Sweeps of one fragment's own edges, blocked at its borders: one
+    /// per joined source.
     pub fragment_sweeps: usize,
     /// `(source, border, cost)` access tuples folded with a border row —
     /// §2.1's "very small relations", after dominated borders are
     /// dropped.
     pub exchanged_tuples: usize,
-    /// Result tuples `(s, d)`, `d ≠ s`, of joined sources whose cost the
-    /// fragment sweep alone decided.
+    /// Result tuples `(s, d)`, `d ≠ s`, of joined sources whose cost a
+    /// path through the fragment's interior alone decided: the fragment
+    /// sweep reached `d` (a border of it included) without entering a
+    /// border first, and no path through a border was cheaper.
     pub kept_local: usize,
     /// Busy time per worker thread; [`MaterializeStats::balance_ratio`]
     /// says whether the threads finished together.
     pub busy: Vec<Duration>,
-    /// Aggregate closure counters: `tuples_generated` is arcs scanned by
-    /// the sweeps plus candidates offered by the folds, `iterations`
-    /// repeats `rounds`, `delta_sizes` holds the result tuples written
-    /// per phase.
+    /// Aggregate closure counters: `tuples_generated` is the arcs the
+    /// sweeps scanned (those of the nodes they expanded: a fragment
+    /// sweep's borders are settled, never expanded) plus the candidates
+    /// the folds offered, `iterations` repeats `rounds`, `delta_sizes`
+    /// holds the result tuples written per phase.
     pub tc: TcStats,
 }
 
@@ -200,7 +206,7 @@ struct LocalGraph {
     nodes: Vec<NodeId>,
     graph: CsrGraph,
     /// Local ids of the fragment's borders.
-    borders: Vec<u32>,
+    borders: Vec<NodeId>,
 }
 
 impl LocalGraph {
@@ -225,7 +231,7 @@ impl LocalGraph {
             borders: partition
                 .borders(fragment)
                 .iter()
-                .map(|&b| local(b).0)
+                .map(|&b| local(b))
                 .collect(),
             nodes,
         }
@@ -667,8 +673,8 @@ impl MaterializeEngine {
     }
 
     /// Build interior source `s`'s row in `scratch.acc` from one sweep of
-    /// its fragment and a fold over its non-dominated reached borders;
-    /// returns the closed walk through `s`.
+    /// its fragment's interior and a fold over its non-dominated reached
+    /// borders; returns the closed walk through `s`.
     fn joined_row(
         &self,
         fragment: usize,
@@ -688,7 +694,7 @@ impl MaterializeEngine {
         let Ok(at) = local.nodes.binary_search(&s) else {
             return INFINITE_COST;
         };
-        dijkstra.sweep(&local.graph, &[(NodeId::from_index(at), 0)]);
+        dijkstra.sweep_blocked(&local.graph, &[(NodeId::from_index(at), 0)], &local.borders);
         out.fragment_sweeps += 1;
         let swept = |lv: usize| dijkstra.cost(NodeId::from_index(lv));
         for (lv, v) in local.nodes.iter().enumerate() {
@@ -697,14 +703,21 @@ impl MaterializeEngine {
                 out.generated += local.graph.out_degree(NodeId::from_index(lv));
             }
         }
+        // A reached border was settled, not expanded: none of its arcs
+        // were scanned.
+        for &lb in &local.borders {
+            if swept(lb.index()).is_some() {
+                out.generated -= local.graph.out_degree(lb);
+            }
+        }
 
         // The access relation, cheapest first; border b is dominated when
         // a kept b' reaches it no dearer than the fragment does, since
         // then every path through b is matched by one through b'.
         access.clear();
         access.extend(local.borders.iter().filter_map(|&lb| {
-            let row = table.row_of[local.nodes[lb as usize].index()];
-            swept(lb as usize).map(|c| (c, row))
+            let row = table.row_of[local.nodes[lb.index()].index()];
+            swept(lb.index()).map(|c| (c, row))
         }));
         access.sort_unstable();
         let mut kept = 0;
@@ -801,6 +814,11 @@ mod tests {
         // Each interior source reaches its own fragment's two other
         // nodes at the local cost.
         assert_eq!(stats.kept_local, 8);
+        // Border 2's row scans all 8 arcs; each source's fragment sweep
+        // scans the 3 arcs of its fragment's two interior nodes (border
+        // 2 is settled, not expanded), and its fold offers 2's 5 reached
+        // nodes.
+        assert_eq!(stats.tc.tuples_generated, 8 + 4 * (3 + 5));
     }
 
     #[test]

@@ -59,7 +59,7 @@ fn main() {
     );
     println!(
         "  {} access tuples joined with a border row ({:.1} per fragment sweep); \
-         the fragment sweep alone decided {} of {} tuples",
+         a path through the interior alone decided {} of {} tuples",
         stats.exchanged_tuples,
         stats.exchanged_tuples as f64 / stats.fragment_sweeps.max(1) as f64,
         stats.kept_local,

@@ -457,10 +457,15 @@ impl System {
 
     /// Materialize the full transitive closure of this system's
     /// fragmented relation as one bulk operation, by the disconnection
-    /// set approach: one sweep of the whole graph per border node, one
-    /// sweep of its own fragment per interior source, joined through the
-    /// border rows on scoped worker threads (see `ds_relation::bulk`,
-    /// re-exported as `discset::relation::bulk`).
+    /// set approach: one sweep of the whole graph per border node a
+    /// joined fragment or the request needs, then per interior source of
+    /// a *joined* fragment (one with more requested interior sources
+    /// than unrequested borders) one sweep of its fragment's interior,
+    /// stopped at the fragment's borders and joined through their rows;
+    /// the sources of any other fragment sweep the whole graph. Tasks
+    /// run on scoped worker threads (see `ds_relation::bulk`,
+    /// re-exported as `discset::relation::bulk`). In a full closure
+    /// every fragment with an interior source is joined.
     ///
     /// The result is tuple-identical to running the sequential
     /// semi-naive closure on the whole relation: every minimum-cost
