@@ -44,39 +44,6 @@ pub fn group_commit(
     }
 }
 
-/// What one full-closure materialization ran, beside the shape of the
-/// fragmentation it ran on.
-#[derive(Clone, Debug)]
-pub struct ClosureSweeps {
-    /// The run, for the failure message.
-    pub what: String,
-    pub nodes: usize,
-    /// Nodes in two or more fragments.
-    pub borders: usize,
-    /// Nodes no connection touches.
-    pub isolated: usize,
-    pub phases: usize,
-    pub network_sweeps: usize,
-    pub fragment_sweeps: usize,
-}
-
-/// A full closure sweeps the whole graph once per border and one
-/// fragment once per other non-isolated node, in two phases — no sweep
-/// more, none less.
-pub fn closure_sweeps(run: &ClosureSweeps) -> Result<(), String> {
-    let interior = run.nodes - run.borders - run.isolated;
-    let expected = (2, run.borders, interior);
-    let ran = (run.phases, run.network_sweeps, run.fragment_sweeps);
-    if ran == expected {
-        Ok(())
-    } else {
-        Err(format!(
-            "{}: (phases, network sweeps, fragment sweeps) = {ran:?}, expected {expected:?}",
-            run.what
-        ))
-    }
-}
-
 /// Two arms of one paired measurement (same run, same seed, same
 /// machine); the gate is on `numerator_ns / denominator_ns`.
 #[derive(Clone, Copy, Debug)]
@@ -159,43 +126,6 @@ mod tests {
         assert!(group_commit("wal/seed-1", 1920, 1921, 700).is_err());
         let unfolded = group_commit("wal/seed-1", 1920, 1920, 1920);
         assert!(unfolded.is_err_and(|e| e.contains("1920 group commits for 1920 records")));
-    }
-
-    #[test]
-    fn closure_sweeps_is_exact_in_every_count() {
-        let measured = ClosureSweeps {
-            what: "closure/seed-1".to_string(),
-            nodes: 1200,
-            borders: 17,
-            isolated: 1,
-            phases: 2,
-            network_sweeps: 17,
-            fragment_sweeps: 1182,
-        };
-        assert_eq!(closure_sweeps(&measured), Ok(()));
-        // One border swept twice, one source swept over the whole graph
-        // instead of its fragment, or a third phase.
-        let doctored = [
-            ClosureSweeps {
-                network_sweeps: 18,
-                ..measured.clone()
-            },
-            ClosureSweeps {
-                network_sweeps: 18,
-                fragment_sweeps: 1181,
-                ..measured.clone()
-            },
-            ClosureSweeps {
-                phases: 3,
-                ..measured.clone()
-            },
-        ];
-        for run in &doctored {
-            let failure = closure_sweeps(run);
-            assert!(
-                failure.is_err_and(|e| e.contains("closure/seed-1") && e.contains("(2, 17, 1182)"))
-            );
-        }
     }
 
     #[test]

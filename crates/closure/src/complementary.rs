@@ -1133,6 +1133,47 @@ impl ComplementaryInfo {
         self.layout.borders.len()
     }
 
+    /// The kept skeleton over skeleton ids — the graph the materializer's
+    /// hub is the closure of. A write that leaves the handle
+    /// `Arc::ptr_eq` with its predecessor's left every border distance
+    /// alone.
+    pub fn skeleton(&self) -> &Arc<CsrGraph> {
+        &self.skeleton
+    }
+
+    /// The kept skeleton less every edge that some table holds a cheaper
+    /// cost for. A table entry is the cost of a real path between its
+    /// two borders, which the skeleton realizes too, so the closure is
+    /// the same over fewer edges: the graph the hub is closed over.
+    pub(crate) fn tight_skeleton(&self) -> CsrGraph {
+        // Per border, the sites holding it and its position in each.
+        let mut held: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.border_count()];
+        for (f, ids) in self.layout.at.iter().enumerate() {
+            for (i, &id) in ids.iter().enumerate() {
+                held[id].push((f, i));
+            }
+        }
+        let shorter = |e: &Edge| {
+            let (u, v) = (&held[e.src.index()], &held[e.dst.index()]);
+            u.iter().any(|&(f, i)| {
+                let row = self.tables[f].row(i);
+                v.iter().any(|&(g, j)| g == f && row[j] < e.cost)
+            })
+        };
+        let edges: Vec<Edge> = self.skeleton.edges().filter(|e| !shorter(e)).collect();
+        CsrGraph::from_edges(self.border_count(), &edges)
+    }
+
+    /// Every border node, ascending: skeleton id `i` is `borders()[i]`.
+    pub(crate) fn borders(&self) -> &[NodeId] {
+        &self.layout.borders
+    }
+
+    /// The skeleton ids of site `f`'s borders, in the order of its table.
+    pub(crate) fn skeleton_ids(&self, f: FragmentId) -> &[usize] {
+        &self.layout.at[f]
+    }
+
     /// The skeleton id of `v`, if it is a border: its position among
     /// every border node, ascending — the order the repair rule's border
     /// distances are kept in (see [`Through`]).

@@ -56,6 +56,7 @@
 pub mod api;
 pub mod assemble;
 pub mod baseline;
+pub mod bulk;
 pub mod complementary;
 pub mod engine;
 pub mod error;

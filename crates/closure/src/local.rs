@@ -96,7 +96,7 @@ pub fn augmented_graph(
 }
 
 /// `(position in the site's border list, local cost)`.
-type AccessEntry = (u32, Cost);
+pub(crate) type AccessEntry = (u32, Cost);
 
 /// The largest fragment whose site keeps border-free rows (see the
 /// module docs). Every fragment of the benchmark's workloads is below
@@ -147,6 +147,8 @@ pub struct Site {
     /// Per local node, the borders that reach it last — directed networks
     /// only; on a symmetric one these are `entries`.
     exits: Vec<OnceLock<Box<[AccessEntry]>>>,
+    /// Set once [`Site::fill_exits`] filled every node's exit set.
+    exits_filled: OnceLock<()>,
     /// Per local node that is no border, the local costs from it to every
     /// local node over paths whose interior touches no border
     /// ([`INFINITE_COST`] where there is none); only the entries of
@@ -203,6 +205,7 @@ impl Site {
             own: (0..borders.len() as u32).map(|i| (i, 0)).collect(),
             entries: vec![OnceLock::new(); nodes.len()],
             exits: vec![OnceLock::new(); if symmetric { 0 } else { nodes.len() }],
+            exits_filled: OnceLock::new(),
             rows: vec![OnceLock::new(); rows],
             augmented: OnceLock::new(),
             memo: SiteMemo::new(neighbors),
@@ -329,7 +332,7 @@ impl Site {
     /// no border — the only nodes a border-free path can join. A border
     /// is found in the (short) border list and never looked up among the
     /// fragment's nodes.
-    fn access(
+    pub(crate) fn access(
         &self,
         v: NodeId,
         forward: bool,
@@ -367,12 +370,20 @@ impl Site {
             _ => &self.local,
         };
         scratch.sweep_to_targets_absorbing(g, &[(v, 0)], &self.borders);
-        let mut reached: Vec<AccessEntry> = self
+        let reached = self
             .borders
             .iter()
             .enumerate()
             .filter_map(|(i, &b)| Some((i as u32, scratch.cost(b)?)))
             .collect();
+        self.prune(reached, forward)
+    }
+
+    /// The access set of a node from the borders it reaches (`forward`)
+    /// or is reached from, each at its local cost: cheapest first, each
+    /// kept only if no kept one already offers it at most as cheaply
+    /// through `D`.
+    fn prune(&self, mut reached: Vec<AccessEntry>, forward: bool) -> Box<[AccessEntry]> {
         reached.sort_unstable_by_key(|&(i, cost)| (cost, i));
         let (nb, dist) = (self.borders.len(), self.dist());
         let mut kept: Vec<AccessEntry> = Vec::new();
@@ -410,12 +421,142 @@ impl Site {
     }
 
     /// The border-free row of `s`: one sweep of the fragment's own graph
-    /// from `s` in which the borders are blocked.
+    /// from `s` in which the borders are blocked. The borders it settles
+    /// are the ones `s` reaches first, so the sweep fills `s`'s access
+    /// set too if nothing did before.
     fn border_free_row(&self, s: NodeId, scratch: &mut ScratchDijkstra) -> Box<[Cost]> {
         scratch.sweep_blocked(&self.local, &[(s, 0)], &self.borders);
+        if self.entries[s.index()].get().is_none() {
+            let reached = (self.borders.iter().enumerate())
+                .filter_map(|(i, &b)| Some((i as u32, scratch.cost(b)?)))
+                .collect();
+            let _ = self.entries[s.index()].set(self.prune(reached, true));
+        }
         (0..self.nodes.len())
             .map(|v| scratch.cost(NodeId::from_index(v)).unwrap_or(INFINITE_COST))
             .collect()
+    }
+
+    // --- what a materialization reads ----------------------------------
+
+    /// The fragment's nodes, ascending: local id `i` is `nodes()[i]`.
+    pub(crate) fn nodes(&self) -> &[NodeId] {
+        &self.nodes
+    }
+
+    /// The local id of `v`, if `v` is a node of the fragment.
+    pub(crate) fn local_id(&self, v: NodeId) -> Option<NodeId> {
+        self.nodes.binary_search(&v).ok().map(NodeId::from_index)
+    }
+
+    /// Whether the node with local id `v` is a border.
+    pub(crate) fn is_border(&self, v: NodeId) -> bool {
+        self.borders.binary_search(&v).is_ok()
+    }
+
+    /// The exit set of the local node `v` — the borders that reach it
+    /// last — if it is filled (see [`Site::fill_exits`]).
+    pub(crate) fn exit_set(&self, v: NodeId) -> Option<&[AccessEntry]> {
+        self.exit_slots()[v.index()].get().map(|set| &**set)
+    }
+
+    /// Where the exit sets live: a symmetric network leaves a node by
+    /// the borders it enters by.
+    fn exit_slots(&self) -> &[OnceLock<Box<[AccessEntry]>>] {
+        match self.transpose {
+            Some(_) => &self.exits,
+            None => &self.entries,
+        }
+    }
+
+    /// Whether [`Site::fill_exits`] ran.
+    pub(crate) fn exits_filled(&self) -> bool {
+        self.exits_filled.get().is_some()
+    }
+
+    /// Fill every node's exit set unless that was done before: one
+    /// sweep per border — reaching `v` from border `b` without crossing
+    /// another border is leaving `v` by `b` — or, when fewer sets are
+    /// missing than the site has borders, one sweep per missing set. A
+    /// slot filled before keeps its set, which is the one this fill
+    /// computes. Returns the sweeps run.
+    pub(crate) fn fill_exits(&self, scratch: &mut ScratchDijkstra) -> usize {
+        // A symmetric site keeps one family of sets, pruned as entering.
+        let (slots, forward) = (self.exit_slots(), self.transpose.is_none());
+        let mut swept = 0;
+        self.exits_filled.get_or_init(|| {
+            let (n, nb) = (self.nodes.len(), self.borders.len());
+            let missing: Vec<usize> = (0..n)
+                .filter(|&v| slots[v].get().is_none() && !self.is_border(NodeId::from_index(v)))
+                .collect();
+            if missing.len() <= nb {
+                for v in missing {
+                    let v = NodeId::from_index(v);
+                    let _ = slots[v.index()].set(self.sweep_access(v, forward, scratch));
+                    swept += 1;
+                }
+                return;
+            }
+            let mut reached = vec![INFINITE_COST; n * nb];
+            let mut seeds = Vec::new();
+            for (i, &b) in self.borders.iter().enumerate() {
+                // The border's own edges start the sweep; it is blocked
+                // like every other border, so no path runs through it.
+                seeds.clear();
+                seeds.extend(self.local.neighbors(b));
+                scratch.sweep_blocked(&self.local, &seeds, &self.borders);
+                swept += 1;
+                for v in 0..n {
+                    if let Some(cost) = scratch.cost(NodeId::from_index(v)) {
+                        reached[v * nb + i] = cost;
+                    }
+                }
+            }
+            for (v, slot) in slots.iter().enumerate() {
+                if self.is_border(NodeId::from_index(v)) {
+                    continue;
+                }
+                let row = &reached[v * nb..][..nb];
+                let set = (0..nb as u32).zip(row.iter().copied());
+                let set = set.filter(|&(_, cost)| cost < INFINITE_COST).collect();
+                let _ = slot.set(self.prune(set, forward));
+            }
+        });
+        swept
+    }
+
+    /// The border-free row of the non-border local node `s` (see the
+    /// module docs): the site's, filled on first use, or in a fragment
+    /// of more than [`ROW_NODES`] nodes swept into `buf`.
+    pub(crate) fn border_free_row_of<'a>(
+        &'a self,
+        s: NodeId,
+        scratch: &mut ScratchDijkstra,
+        buf: &'a mut Vec<Cost>,
+    ) -> &'a [Cost] {
+        match self.rows.get(s.index()) {
+            Some(slot) => slot.get_or_init(|| self.border_free_row(s, scratch)),
+            None => {
+                *buf = self.border_free_row(s, scratch).into_vec();
+                buf
+            }
+        }
+    }
+
+    /// Fill the border-free row of the non-border local node `s` unless
+    /// it is filled or the site keeps none (a fragment of more than
+    /// [`ROW_NODES`] nodes).
+    pub(crate) fn fill_border_free_row(&self, s: NodeId, scratch: &mut ScratchDijkstra) {
+        if let Some(slot) = self.rows.get(s.index()) {
+            slot.get_or_init(|| self.border_free_row(s, scratch));
+        }
+    }
+
+    /// The edges into the local node `v`, as `(global tail, cost)`.
+    pub(crate) fn in_edges(&self, v: NodeId) -> impl Iterator<Item = (NodeId, Cost)> + '_ {
+        let g = self.transpose.as_ref().unwrap_or(&self.local);
+        g.neighbors(v)
+            .map(|(x, cost)| (self.nodes[x.index()], cost))
     }
 }
 
@@ -810,6 +951,39 @@ mod tests {
         );
         let (site, _, _) = sample(true, &every_pair(&[(13, 10, 1)], true));
         assert_eq!(site.access(n(12), true, &mut scratch).0, &[(1, 2)]);
+    }
+
+    /// The exit fill — one sweep per border — writes for every node
+    /// exactly the set a per-node sweep computes, once; with fewer sets
+    /// missing than borders it sweeps once per missing set instead.
+    #[test]
+    fn the_exit_fill_writes_the_sets_per_node_sweeps_would() {
+        let complete = [(10, 13, 6), (10, 15, 9), (13, 15, 4)];
+        let cheap = [(13, 10, 1), (10, 13, 6)];
+        for (symmetric, table) in [(true, &complete[..]), (false, &complete), (false, &cheap)] {
+            let label = format!("symmetric={symmetric} {table:?}");
+            let shortcuts = every_pair(table, symmetric);
+            let [(filled, _, nodes), (swept, _, _), (partial, _, _)] =
+                [(); 3].map(|()| sample(symmetric, &shortcuts));
+            let (mut bulk, mut per_node) = (ScratchDijkstra::new(), ScratchDijkstra::new());
+            assert!(!filled.exits_filled());
+            assert_eq!(filled.fill_exits(&mut bulk), 3, "{label}: one per border");
+            assert!(filled.exits_filled());
+            assert_eq!(filled.fill_exits(&mut bulk), 0, "{label}: once");
+            partial.access(n(11), false, &mut per_node);
+            partial.access(n(12), false, &mut per_node);
+            assert_eq!(partial.fill_exits(&mut bulk), 2, "{label}: 2 of 4 missing");
+            for (lv, &v) in nodes.iter().enumerate() {
+                let lv = NodeId::from_index(lv);
+                let (want, inner) = swept.access(v, false, &mut per_node);
+                let got = filled.exit_set(lv);
+                match inner {
+                    Some(_) => assert_eq!(got, Some(want), "{label}: {v}"),
+                    None => assert!(filled.is_border(lv) && got.is_none()),
+                }
+                assert_eq!(partial.exit_set(lv), got, "{label}: {v}");
+            }
+        }
     }
 
     /// A symmetric fragment is its own transpose and its border matrix

@@ -63,7 +63,11 @@ use std::sync::{Arc, OnceLock};
 use ds_fragment::{Fragment, FragmentId, Fragmentation};
 use ds_graph::{Cost, CsrGraph, NodeId, ReachIndex, ScratchDijkstra};
 
+use ds_relation::bulk::{MaterializeConfig, MaterializeError, MaterializeStats};
+use ds_relation::{PathTuple, Relation};
+
 use crate::api::{best_route, run_batch, BatchAnswer, NetworkUpdate, QueryRequest, SiteEvaluator};
+use crate::bulk::Hub;
 use crate::complementary::{ComplementaryInfo, PrecomputeStats};
 use crate::engine::{EngineConfig, QueryAnswer, QueryStats, Route};
 use crate::error::ClosureError;
@@ -103,6 +107,11 @@ pub struct EngineSnapshot {
     /// across epochs like every other component: a kept index costs one
     /// refcount bump per publication.
     reach: OnceLock<Arc<ReachIndex>>,
+    /// The closure of the kept border skeleton ([`Hub`]), what
+    /// [`EngineSnapshot::materialize`] folds every source through: built
+    /// by the first materialization of an epoch, kept by a write that
+    /// leaves the skeleton `Arc` as it was, dropped by any other.
+    hub: OnceLock<Arc<Hub>>,
 }
 
 /// What one [`EngineSnapshot::maintain_cow`] call replaced: the update
@@ -155,11 +164,13 @@ pub struct SnapshotBytes {
     /// The planner's class index and chain table, the chain sets filled
     /// so far included ([`Planner::memory_bytes`]).
     pub planner: usize,
+    /// The materializer's hub, once a materialization has built it.
+    pub hub: usize,
 }
 
 impl SnapshotBytes {
     /// Every component with its name, in declaration order.
-    pub fn components(&self) -> [(&'static str, usize); 8] {
+    pub fn components(&self) -> [(&'static str, usize); 9] {
         [
             ("graph", self.graph),
             ("complementary", self.complementary),
@@ -169,6 +180,7 @@ impl SnapshotBytes {
             ("segment_memos", self.segment_memos),
             ("reach_index", self.reach_index),
             ("planner", self.planner),
+            ("hub", self.hub),
         ]
     }
 
@@ -208,6 +220,7 @@ impl EngineSnapshot {
             sites,
             planner,
             reach: OnceLock::new(),
+            hub: OnceLock::new(),
         }
     }
 
@@ -229,9 +242,12 @@ impl EngineSnapshot {
         let sites = (self.sites.iter().enumerate())
             .map(|(f, s)| Arc::new(s.unshared_clone(Arc::clone(comp.table(f)))))
             .collect();
-        let reach = OnceLock::new();
+        let (reach, hub) = (OnceLock::new(), OnceLock::new());
         if let Some(r) = self.reach.get() {
             let _ = reach.set(Arc::new((**r).clone()));
+        }
+        if let Some(h) = self.hub.get() {
+            let _ = hub.set(Arc::new((**h).clone()));
         }
         EngineSnapshot {
             graph: Arc::new((*self.graph).clone()),
@@ -242,6 +258,7 @@ impl EngineSnapshot {
             sites,
             planner: Arc::new(self.planner.unshared_clone()),
             reach,
+            hub,
         }
     }
 
@@ -319,6 +336,7 @@ impl EngineSnapshot {
             complementary: self.comp.memory_bytes(),
             reach_index: self.reach.get().map_or(0, |r| r.memory_bytes()),
             planner: self.planner.memory_bytes(),
+            hub: self.hub.get().map_or(0, |h| h.memory_bytes()),
             ..SnapshotBytes::default()
         };
         for site in &self.sites {
@@ -375,6 +393,40 @@ impl EngineSnapshot {
                 let _ = self.reach.set(Arc::clone(r));
             }
         }
+    }
+
+    /// The shared handle behind the materializer's hub, if a
+    /// materialization of this epoch built it (a kept hub stays
+    /// `Arc::ptr_eq` across epochs).
+    pub fn hub_handle(&self) -> Option<&Arc<Hub>> {
+        self.hub.get()
+    }
+
+    /// Fill the empty hub slot; `false` when a concurrent caller filled
+    /// it first (with the same hub: it is a function of the skeleton).
+    pub(crate) fn set_hub(&self, hub: Arc<Hub>) -> bool {
+        self.hub.set(hub).is_ok()
+    }
+
+    /// Materialize the transitive closure — every minimum-cost
+    /// `(src, dst, cost)` path tuple from [`MaterializeConfig::sources`]
+    /// (all nodes when `None`), sorted — from the epoch's complementary
+    /// information ([`crate::bulk`]): one min-plus fold per source
+    /// through the hub, the sites' access and exit sets and border-free
+    /// rows. The first call of an epoch builds the hub and fills the
+    /// sites' exit sets on its own workers; a later call sweeps nothing.
+    /// The result is tuple-identical to
+    /// [`ds_relation::tc::seminaive_closure`] over the fragments' union.
+    ///
+    /// Errors with [`MaterializeError::WorkerPanicked`] when a task
+    /// panics or an injected fault kills it; every worker has joined by
+    /// then, and what the run left in the epoch is exact, so a retry
+    /// finishes the job.
+    pub fn materialize(
+        &self,
+        config: &MaterializeConfig,
+    ) -> Result<(Relation<PathTuple>, MaterializeStats), MaterializeError> {
+        crate::bulk::engine::materialize(self, config)
     }
 
     /// Per-phase timing of the precompute that built (or last rebuilt)
@@ -567,6 +619,7 @@ impl EngineSnapshot {
         update: &NetworkUpdate,
         scratch: &mut ScratchDijkstra,
     ) -> Result<CowMaintenance, ClosureError> {
+        let skeleton = Arc::clone(self.comp.skeleton());
         let m = crate::updates::maintain(
             &mut self.graph,
             &mut self.frag,
@@ -589,6 +642,11 @@ impl EngineSnapshot {
         });
         if !keep {
             self.reach = OnceLock::new();
+        }
+        // The hub is the skeleton's closure: it holds while the skeleton
+        // does.
+        if !Arc::ptr_eq(&skeleton, self.comp.skeleton()) {
+            self.hub = OnceLock::new();
         }
         // Nothing at all after a no-op removal.
         let sites: std::collections::BTreeSet<FragmentId> =

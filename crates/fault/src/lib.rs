@@ -56,7 +56,7 @@ pub enum FaultPoint {
     ServeWorker { worker: usize },
     /// The serve writer about to publish an epoch.
     ServeWriter,
-    /// A bulk materialize worker about to run one fragment round.
+    /// A bulk materialize worker about to run one task of a fragment.
     BulkWorker { fragment: usize },
     /// The durable store about to append a group-committed WAL batch.
     WalAppend,

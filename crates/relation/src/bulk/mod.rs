@@ -1,36 +1,24 @@
-//! Bulk materialization of the transitive closure over a *fragmented*
-//! relation — the disconnection set approach of the source paper, run to
-//! completion instead of per query.
+//! The fragmented relation as the sequential oracle sees it, and the
+//! vocabulary of a bulk materialization run.
 //!
-//! The paper's §2.1 observation is that fragmenting `R` by a
-//! disconnection-set partition turns one big recursive query into many
-//! small ones that "execute independently on the fragments, without need
-//! for communication": a path that leaves a fragment crosses one of its
-//! border nodes, so the closure from an interior source is its fragment's
-//! local closure joined with the rows of those few borders. This module
-//! family is that pipeline:
+//! §2.1: "R is partitioned into n fragments R_i, each stored at a
+//! different computer or processor". [`partition`] lifts a
+//! [`ds_fragment::Fragmentation`] into per-fragment relations
+//! ([`FragmentPartition`]) whose union is exactly the relation the
+//! closure engine answers for — the input [`crate::tc::seminaive_closure`]
+//! runs on whenever a materialized relation is checked.
 //!
-//! - [`partition`] — split the edge relation by a
-//!   [`ds_fragment::Fragmentation`] and precompute the border structure
-//!   ([`FragmentPartition`]).
-//! - [`engine`] — sweep the union graph once per border, then every
-//!   fragment once per interior source, and fold each source's small
-//!   access relation `(source, border, cost)` with the border rows
-//!   ([`MaterializeEngine`]). Two flat task lists on scoped threads; no
-//!   rounds, no fixpoint, nothing kept between runs.
-//!
-//! The result is **tuple-identical** to running
-//! [`crate::tc::seminaive_closure`] on the union of all fragments — the
-//! property tests enforce this across every generator × fragmenter
-//! combination, symmetric and directed, full and keyhole — at the cost of
-//! `borders` sweeps of the whole graph and one sweep of a *fragment* per
-//! remaining source. The thinner the disconnection sets, the closer that
-//! is to fragment-sized work throughout.
+//! The materialization itself reads the epoch's complementary
+//! information and lives beside the engine
+//! (`ds_closure::EngineSnapshot::materialize`); [`run`] holds what one
+//! run takes and reports ([`MaterializeConfig`], [`MaterializeStats`],
+//! [`MaterializeError`]).
 //!
 //! ```
 //! use ds_fragment::Fragmentation;
 //! use ds_graph::{Edge, NodeId};
-//! use ds_relation::bulk::{MaterializeConfig, MaterializeEngine};
+//! use ds_relation::bulk::FragmentPartition;
+//! use ds_relation::tc::seminaive_closure;
 //!
 //! // Path 0-1-2-3 split at node 2 (DS = {2}).
 //! let frag = Fragmentation::new(
@@ -41,17 +29,14 @@
 //!     ],
 //!     vec![vec![], vec![]],
 //! );
-//! let engine = MaterializeEngine::from_fragmentation(&frag, true, MaterializeConfig::default());
-//! let (closure, stats) = engine.materialize().unwrap();
+//! let partition = FragmentPartition::new(&frag, true);
+//! assert_eq!(partition.borders(0), &[NodeId(2)]);
+//! let (closure, _) = seminaive_closure(&partition.union_relation(), None);
 //! assert_eq!(closure.cost_of(NodeId(0), NodeId(3)), Some(3));
-//! // One sweep of the whole graph (from border 2), one fragment sweep
-//! // for each of 0, 1 and 3, each folded with the border's row.
-//! assert_eq!((stats.network_sweeps, stats.fragment_sweeps), (1, 3));
-//! assert!(stats.exchanged_tuples > 0);
 //! ```
 
-pub mod engine;
 pub mod partition;
+pub mod run;
 
-pub use engine::{MaterializeConfig, MaterializeEngine, MaterializeError, MaterializeStats};
 pub use partition::FragmentPartition;
+pub use run::{MaterializeConfig, MaterializeError, MaterializeStats};

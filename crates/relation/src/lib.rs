@@ -14,9 +14,9 @@
 //! * [`tc`] — naive and semi-naive transitive closure as join programs,
 //!   with iteration and tuple statistics (the measures behind the paper's
 //!   speed-up arguments);
-//! * [`bulk`] — materialization by the disconnection set approach: one
-//!   sweep of the whole graph per border node, one sweep of its own
-//!   fragment per interior source, joined through the border rows.
+//! * [`bulk`] — the fragmented relation as the sequential oracle sees
+//!   it ([`bulk::FragmentPartition`]), and what a bulk materialization
+//!   run takes and reports.
 //!
 //! ```
 //! use ds_relation::tuple::PathTuple;
@@ -39,7 +39,7 @@ pub mod stats;
 pub mod tc;
 pub mod tuple;
 
-pub use bulk::{MaterializeConfig, MaterializeEngine, MaterializeError, MaterializeStats};
+pub use bulk::{MaterializeConfig, MaterializeError, MaterializeStats};
 pub use relation::Relation;
 pub use stats::TcStats;
 pub use tuple::PathTuple;

@@ -4,9 +4,9 @@
 //! the number of iterations to the fixpoint ("given by the maximum
 //! diameter of the graph", §2.1) and the size of intermediate results
 //! ("the size of intermediate results depends on the connectivity",
-//! §2.2). The bulk materializer reports the same frame — its phases as
-//! iterations, arcs scanned plus fold candidates as generated tuples —
-//! inside [`crate::bulk::MaterializeStats`].
+//! §2.2). The bulk materializer reports the same frame — its one round
+//! as the iteration, its fold candidates as generated tuples — inside
+//! [`crate::bulk::MaterializeStats`].
 
 use std::fmt;
 

@@ -23,6 +23,6 @@ pub use ds_closure::{
 };
 pub use ds_durability::{recover, DurabilityConfig, DurabilityError, DurableStore, Recovered};
 pub use ds_obs::{MetricsSnapshot, Observability, RequestTrace, TraceId};
-pub use ds_relation::bulk::{MaterializeConfig, MaterializeEngine, MaterializeStats};
+pub use ds_relation::bulk::{MaterializeConfig, MaterializeStats};
 pub use ds_serve::{ServeConfig, ServeStats, ServedAnswer, ServedBatch, ServedUpdate, Server};
 pub use system::{Backend, Fragmenter, System, SystemBuilder, SystemError};

@@ -41,7 +41,7 @@ use ds_fragment::{semantic, CrossingPolicy, FragError, Fragmentation};
 use ds_gen::GeneratedGraph;
 use ds_graph::{Coord, Edge, EdgeList, NodeId, ScratchDijkstra};
 use ds_obs::{MetricsSnapshot, Observability};
-use ds_relation::bulk::{MaterializeConfig, MaterializeEngine, MaterializeError, MaterializeStats};
+use ds_relation::bulk::{MaterializeConfig, MaterializeError, MaterializeStats};
 use ds_relation::{PathTuple, Relation};
 
 /// Where phase one's site subqueries run — the facade's spelling of
@@ -457,15 +457,16 @@ impl System {
 
     /// Materialize the full transitive closure of this system's
     /// fragmented relation as one bulk operation, by the disconnection
-    /// set approach: one sweep of the whole graph per border node a
-    /// joined fragment or the request needs, then per interior source of
-    /// a *joined* fragment (one with more requested interior sources
-    /// than unrequested borders) one sweep of its fragment's interior,
-    /// stopped at the fragment's borders and joined through their rows;
-    /// the sources of any other fragment sweep the whole graph. Tasks
-    /// run on scoped worker threads (see `ds_relation::bulk`,
-    /// re-exported as `discset::relation::bulk`). In a full closure
-    /// every fragment with an interior source is joined.
+    /// set approach, from the engine's epoch
+    /// ([`EngineSnapshot::materialize`], see `ds_closure::bulk`): every
+    /// source folds its access set through the epoch's *hub* — the
+    /// closure of the border skeleton — and every destination leaves
+    /// through its exit set; a destination in the source's own fragment
+    /// also reads the source's border-free row. The first call of an
+    /// epoch builds the hub (one skeleton sweep per border) and fills the
+    /// sites' exit sets (at most one fragment sweep per border of a
+    /// site), as tasks on scoped worker threads; a later call sweeps
+    /// nothing.
     ///
     /// The result is tuple-identical to running the sequential
     /// semi-naive closure on the whole relation: every minimum-cost
@@ -473,7 +474,7 @@ impl System {
     ///
     /// The only error is [`MaterializeError::WorkerPanicked`]: a worker
     /// panicked (or an injected fault killed it); every thread has
-    /// joined, and a retry starts from nothing.
+    /// joined, and a retry finishes from what the run left.
     pub fn materialize(&self) -> Result<(Relation<PathTuple>, MaterializeStats), MaterializeError> {
         self.materialize_with(MaterializeConfig::default())
     }
@@ -487,12 +488,7 @@ impl System {
         if config.obs.is_none() {
             config.obs = self.obs.clone();
         }
-        MaterializeEngine::from_fragmentation(
-            self.engine.fragmentation(),
-            self.engine.is_symmetric(),
-            config,
-        )
-        .materialize()
+        self.engine.materialize(&config)
     }
 
     /// The observability bundle this system was built with, if any.

@@ -34,10 +34,11 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use discset::closure::{baseline, ClosureError};
+use discset::closure::{EngineConfig, EngineSnapshot};
 use discset::fragment::linear::{linear_sweep, LinearConfig};
 use discset::gen::deterministic::grid;
 use discset::graph::{Edge, NodeId};
-use discset::relation::bulk::{MaterializeConfig, MaterializeEngine, MaterializeError};
+use discset::relation::bulk::{FragmentPartition, MaterializeConfig, MaterializeError};
 use discset::relation::tc;
 use discset::serve::{
     FaultPlan, FaultPoint, FaultScenario, FaultUniverse, ServeConfig, ServeError,
@@ -262,9 +263,11 @@ fn serve_chaos_seed_sweep() {
 // ----------------------------------------------------------------- bulk
 
 /// One bulk-tier scenario: a worker dies (panic or silent exit) on one
-/// fragment of the 3-way grid partition. The run must abort with the
-/// typed error and clean joins; a retry on the same engine (the rule is
-/// one-shot) must converge to the exact semi-naive closure.
+/// fragment of the 3-way grid partition, on a cold epoch (seeds 0-2: the
+/// hub unbuilt, the sites' exit sets empty) or a warm one. The run must
+/// abort with the typed error and clean joins; a retry on the same
+/// snapshot (the rule is one-shot) must give the exact semi-naive
+/// closure.
 fn bulk_chaos(seed: u64) {
     let g = grid(9, 4);
     let frag = linear_sweep(
@@ -287,29 +290,31 @@ fn bulk_chaos(seed: u64) {
     // Even seeds exercise the thread pool, odd seeds the inline driver:
     // the isolation contract is mode-independent.
     let threads = if seed.is_multiple_of(2) { 2 } else { 1 };
-    let engine = MaterializeEngine::from_fragmentation(
-        &frag,
-        true,
-        MaterializeConfig {
-            threads,
-            fault: Some(Arc::new(plan)),
-            ..Default::default()
-        },
-    );
+    let snap = EngineSnapshot::build(frag.clone(), true, EngineConfig::default());
+    if seed >= 3 {
+        snap.materialize(&MaterializeConfig::with_threads(threads))
+            .expect("unarmed");
+    }
+    let config = MaterializeConfig {
+        threads,
+        fault: Some(Arc::new(plan)),
+        ..Default::default()
+    };
 
-    let err = engine.materialize().expect_err("armed run must abort");
+    let err = snap.materialize(&config).expect_err("armed run must abort");
     assert_eq!(
         err,
         MaterializeError::WorkerPanicked { fragment },
         "seed {seed}"
     );
 
-    // Clean joins + one-shot rule: the same engine retries to the exact
-    // fixpoint.
-    let (bulk, _) = engine
-        .materialize()
+    // Clean joins + one-shot rule: the same snapshot retries to the exact
+    // closure.
+    let (bulk, _) = snap
+        .materialize(&config)
         .unwrap_or_else(|e| panic!("seed {seed}: retry after abort failed: {e}"));
-    let (seq, _) = tc::seminaive_closure(&engine.partition().union_relation(), None);
+    let union = FragmentPartition::new(&frag, true).union_relation();
+    let (seq, _) = tc::seminaive_closure(&union, None);
     assert_eq!(bulk.rows(), seq.rows(), "seed {seed}: retry diverged");
 }
 

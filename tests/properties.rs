@@ -1679,17 +1679,17 @@ fn seminaive_equals_naive() {
     }
 }
 
-/// Closure-strategy equivalence: naive iteration, semi-naive iteration,
-/// smart squaring and the disconnection-set bulk engine all materialize
-/// the *identical* relation — tuple for tuple — across generators ×
-/// {linear, center} fragmenters × {symmetric, directed} × {full, keyhole
-/// of 1, keyhole of ~n/3} × thread counts, so both plan branches (joined
-/// through the borders / swept directly) run on every combination. And the
-/// materialized tuples are true distances: on sampled pairs they equal
-/// the per-query engine's `query_batch` answers.
+/// Closure-strategy equivalence: naive iteration, semi-naive iteration
+/// and the epoch's materialization all give the *identical* relation —
+/// tuple for tuple — across generators × {linear, center} fragmenters ×
+/// {symmetric, directed} × {full, keyhole of 1, keyhole of ~n/3} × thread
+/// counts, on a cold epoch (hub unbuilt, site memos empty) and on a warm
+/// one, whose repeated call sweeps nothing. And the materialized tuples
+/// are true distances: on sampled pairs they equal the per-query
+/// engine's `query_batch` answers.
 #[test]
 fn all_closure_strategies_materialize_the_same_relation() {
-    use discset::relation::bulk::{FragmentPartition, MaterializeConfig, MaterializeEngine};
+    use discset::relation::bulk::{FragmentPartition, MaterializeConfig};
 
     for seed in 0..6u64 {
         let g = if seed % 2 == 0 {
@@ -1741,9 +1741,7 @@ fn all_closure_strategies_materialize_the_same_relation() {
         ];
         for (family, frag) in fragmentations {
             let label = format!("seed {seed} {family}");
-            // Full closure, a keyhole of one source (every fragment
-            // swept directly) and one of ~n/3 (some fragments joined
-            // through their borders, some not).
+            // Full closure, a keyhole of one source and one of ~n/3.
             let mut rng = StdRng::seed_from_u64(0xB01C ^ seed);
             let mut pick = |k: usize| -> Option<Vec<NodeId>> {
                 Some(
@@ -1755,8 +1753,10 @@ fn all_closure_strategies_materialize_the_same_relation() {
             let selections = [None, pick(1), pick(g.nodes / 3)];
             let mut seminaive = None;
             for symmetric in [true, false] {
-                let partition = FragmentPartition::new(&frag, symmetric);
-                let union = partition.union_relation();
+                let union = FragmentPartition::new(&frag, symmetric).union_relation();
+                let build =
+                    || EngineSnapshot::build(frag.clone(), symmetric, EngineConfig::default());
+                let warm = build();
                 for sources in &selections {
                     let label = format!(
                         "{label} symmetric={symmetric} sources={:?}",
@@ -1768,30 +1768,25 @@ fn all_closure_strategies_materialize_the_same_relation() {
                         assert_eq!(expected.rows(), naive.rows(), "{label}: naive");
                     }
                     for threads in [1usize, 2, 3] {
-                        let engine = MaterializeEngine::new(
-                            partition.clone(),
-                            MaterializeConfig {
-                                threads,
-                                sources: sources.clone(),
-                                ..Default::default()
-                            },
-                        );
-                        let (bulk, stats) = engine.materialize().unwrap();
-                        assert_eq!(
-                            bulk.rows(),
-                            expected.rows(),
-                            "{label}: bulk with {threads} threads"
-                        );
-                        assert_eq!(stats.tc.result_tuples, expected.len(), "{label}");
-                        assert!(stats.rounds <= 2, "{label}: {stats}");
-                        match sources.as_ref().map(Vec::len) {
-                            None => assert!(stats.fragment_sweeps > 0, "{label}: {stats}"),
-                            Some(1) => assert!(
-                                stats.network_sweeps + stats.fragment_sweeps <= 1,
-                                "{label}: {stats}"
-                            ),
-                            Some(_) => {}
+                        let config = MaterializeConfig {
+                            threads,
+                            sources: sources.clone(),
+                            ..Default::default()
+                        };
+                        let runs = [build().materialize(&config), warm.materialize(&config)];
+                        for (epoch, run) in ["cold", "warm"].into_iter().zip(runs) {
+                            let (bulk, stats) = run.unwrap();
+                            let label = format!("{label}: {epoch} with {threads} threads");
+                            assert_eq!(bulk.rows(), expected.rows(), "{label}");
+                            assert_eq!(stats.tc.result_tuples, expected.len(), "{label}");
+                            assert!(stats.rounds <= 1, "{label}: {stats}");
+                            assert_eq!(stats.network_sweeps, 0, "{label}");
                         }
+                        // The same call again reads what the epoch holds.
+                        let (_, again) = warm.materialize(&config).unwrap();
+                        let swept = (again.hub_sweeps, again.fragment_sweeps);
+                        assert_eq!(swept, (0, 0), "{label}: {again}");
+                        assert!(again.rounds == 0 || warm.hub_handle().is_some());
                     }
                     if sources.is_none() && symmetric == g.symmetric {
                         seminaive = Some(expected);

@@ -655,3 +655,80 @@ fn batch_stats_amortization_exact_counts() {
         assert!(empty.answers.is_empty(), "{name}");
     }
 }
+
+/// The epoch's materialization follows every write, on a symmetric and
+/// a one-way network: the column grid plus a pendant node 27 behind
+/// node 8, through interior, crossing and disconnecting writes and their
+/// undoing. After each write the relation equals semi-naive closure of
+/// the edited relation, and a hub built before the write is carried
+/// exactly when the write left the kept skeleton's `Arc` alone —
+/// otherwise the next materialization builds it afresh.
+#[test]
+fn materialize_follows_every_write_and_keeps_the_hub_only_with_the_skeleton() {
+    use discset::closure::{EngineConfig, EngineSnapshot};
+    use discset::relation::bulk::FragmentPartition;
+    use discset::relation::tc::seminaive_closure;
+    use discset::MaterializeConfig;
+    use std::sync::Arc;
+
+    let insert = |src, dst, cost, owner| NetworkUpdate::Insert {
+        edge: Edge::new(n(src), n(dst), cost),
+        owner,
+    };
+    let remove = |src, dst, owner| NetworkUpdate::Remove {
+        src: n(src),
+        dst: n(dst),
+        owner,
+    };
+    let writes = [
+        // Interior: a costly twin of 4 - 5 changes no distance.
+        insert(4, 5, 50, 1),
+        remove(4, 5, 1),
+        // The twin's delete took 4 - 5 as well; put it back.
+        insert(4, 5, 1, 1),
+        // Interior: 4 - 23 shortens border pairs (3 -> 24 and more).
+        insert(4, 23, 1, 1),
+        remove(4, 23, 1),
+        // Crossing: both endpoints are borders of fragments 0 and 1.
+        insert(3, 21, 1, 1),
+        remove(3, 21, 1),
+        // Disconnecting: the pendant's only edge, then back.
+        remove(8, 27, 2),
+        insert(8, 27, 3, 2),
+    ];
+    for symmetric in [true, false] {
+        let mut fragments = column_grid();
+        fragments[2].push(Edge::new(n(8), n(27), 3));
+        let frag = Fragmentation::new(28, fragments, vec![vec![]; 3]);
+        let mut snap = EngineSnapshot::build(frag, symmetric, EngineConfig::default());
+        let mut scratch = discset::graph::ScratchDijkstra::new();
+        let full = MaterializeConfig::with_threads(2);
+        let (mut kept, mut dropped) = (0, 0);
+        for (i, write) in writes.iter().enumerate() {
+            let label = format!("symmetric={symmetric} write {i} {write:?}");
+            snap.materialize(&full).unwrap();
+            let hub = Arc::clone(snap.hub_handle().expect("built by materialize"));
+            let skeleton = Arc::clone(snap.complementary().skeleton());
+            snap.maintain_cow(write, &mut scratch).unwrap();
+            let same = Arc::ptr_eq(&skeleton, snap.complementary().skeleton());
+            match snap.hub_handle() {
+                Some(now) => assert!(same && Arc::ptr_eq(now, &hub), "{label}"),
+                None => assert!(!same, "{label}: dropped with the skeleton intact"),
+            }
+            if same {
+                kept += 1;
+            } else {
+                dropped += 1;
+            }
+            let (bulk, stats) = snap.materialize(&full).unwrap();
+            assert_eq!(stats.hub_built, !same, "{label}");
+            let union = FragmentPartition::new(snap.fragmentation(), symmetric).union_relation();
+            let (want, _) = seminaive_closure(&union, None);
+            assert_eq!(bulk.rows(), want.rows(), "{label}");
+        }
+        assert!(
+            kept > 0 && dropped > 0,
+            "symmetric={symmetric}: {kept} kept, {dropped} dropped"
+        );
+    }
+}
