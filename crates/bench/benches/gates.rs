@@ -47,6 +47,11 @@
 //!   per source (the indexed 4-ary heap every layer runs on) is less
 //!   than 1.3x faster than the one-shot lazy-heap `multi_source` it is
 //!   tested against, on any seed;
+//! * **scores** — on the same graph, the center-based status scores by
+//!   one whole-graph BFS per node (`center::status_scores_reference`) are
+//!   less than 5x slower than `center::status_scores`, the bit-parallel
+//!   kernel that runs 64 sources per BFS pass, on any seed; the two
+//!   (compared once, outside the timing) must agree bit for bit;
 //! * **wal** — in a pure write path (16 closed-loop updaters) with
 //!   fsync'd group commits, the log holds anything but one record per
 //!   acknowledged write, or no group commit folded two records, in any
@@ -82,12 +87,12 @@ use ds_bench::harness::{write_json, Bench};
 use ds_closure::api::{NetworkUpdate, QueryRequest};
 use ds_closure::local::ROW_NODES;
 use ds_closure::{EngineConfig, EngineSnapshot};
-use ds_fragment::center::{center_based, CenterConfig};
+use ds_fragment::center::{center_based, status_scores, status_scores_reference, CenterConfig};
 use ds_fragment::linear::LinearConfig;
 use ds_fragment::{semantic, CrossingPolicy, Fragment, Fragmentation};
 use ds_gen::{
     generate_ellipse, generate_general, generate_scale, generate_transportation, EllipseConfig,
-    GeneralConfig, ScaleConfig, TransportationConfig,
+    GeneralConfig, GeneratedGraph, ScaleConfig, TransportationConfig,
 };
 use ds_graph::dijkstra::multi_source;
 use ds_graph::{Edge, NodeId, ScratchDijkstra, ScratchStats};
@@ -105,6 +110,7 @@ const FLOOR_REACH_INDEX: f64 = 5.0;
 const FLOOR_PUBLICATION: f64 = 5.0;
 const FLOOR_MATERIALIZE: f64 = 2.0;
 const FLOOR_KERNEL: f64 = 1.3;
+const FLOOR_SCORES: f64 = 5.0;
 /// Closed-loop clients of the serve pairs, over `WORKERS` pool workers,
 /// each thinking `THINK` between its `OPS_PER_CLIENT` operations.
 const CLIENTS: usize = 16;
@@ -514,23 +520,25 @@ fn mixed_write_costs() -> [Vec<f64>; 4] {
     costs
 }
 
-/// The benchmark's transportation graph (12 clusters of 100 nodes),
-/// fragmented by cluster.
-fn pinned_transportation(seed: u64) -> Fragmentation {
-    let clusters = 12usize;
-    let g = generate_transportation(
+/// The benchmark's transportation graph (12 clusters of 100 nodes).
+fn transportation(seed: u64) -> GeneratedGraph {
+    generate_transportation(
         &TransportationConfig {
-            clusters,
+            clusters: 12,
             nodes_per_cluster: 100,
             target_edges_per_cluster: 400,
             ..TransportationConfig::default()
         },
         seed,
-    );
+    )
+}
+
+/// The benchmark's transportation graph, fragmented by cluster.
+fn pinned_transportation(seed: u64) -> Fragmentation {
+    let g = transportation(seed);
     let labels = g.cluster_of.clone().expect("labelled");
     let policy = CrossingPolicy::LowerBlock;
-    semantic::by_labels(g.nodes, &g.connections, &labels, clusters, policy)
-        .expect("label fragmentation")
+    semantic::by_labels(g.nodes, &g.connections, &labels, 12, policy).expect("label fragmentation")
 }
 
 /// The sweep kernel against its reference: one sweep per source of the
@@ -562,6 +570,40 @@ fn kernel() -> Vec<Pair> {
                     std::hint::black_box(scratch.cost(s));
                 }
             }
+            t.elapsed()
+        });
+        Pair {
+            seed,
+            numerator_ns: reference_ns,
+            denominator_ns: kernel_ns,
+        }
+    });
+    measured.collect()
+}
+
+/// The status-score kernel against its reference on the pinned
+/// transportation graph: the center-based scores by one whole-graph BFS
+/// per node, over the same by the bit-parallel kernel (the two compared
+/// once, outside the timing), best of `ROUNDS` interleaved passes each.
+/// Returns the per-seed (reference over kernel) pairs.
+fn scores() -> Vec<Pair> {
+    let cfg = CenterConfig::default();
+    let measured = SEEDS.iter().map(|&seed| {
+        let edges = transportation(seed).edge_list();
+        let score = |which: usize| {
+            let arm = [status_scores_reference, status_scores][which];
+            arm(&edges, cfg.alpha, cfg.depth)
+        };
+        let (reference, kernel) = (score(0), score(1));
+        let agree = (reference.iter().zip(&kernel))
+            .all(|(r, k)| r.0 == k.0 && r.1.to_bits() == k.1.to_bits());
+        assert!(
+            agree && reference.len() == kernel.len(),
+            "seed {seed}: the status-score kernel and its reference differ"
+        );
+        let (reference_ns, kernel_ns) = interleaved(|which, _| {
+            let t = Instant::now();
+            std::hint::black_box(score(which));
             t.elapsed()
         });
         Pair {
@@ -1111,6 +1153,9 @@ fn main() {
     let kernels = kernel();
     let floor = Some(FLOOR_KERNEL);
     report.ratio_row("sweep-reference-over-kernel", &kernels, floor);
+    let scored = scores();
+    let floor = Some(FLOOR_SCORES);
+    report.ratio_row("scores-reference-over-kernel", &scored, floor);
 
     let deployments: Vec<Deployment> = SEEDS.iter().map(|&s| deployment(s)).collect();
     let published: Vec<Pair> = deployments

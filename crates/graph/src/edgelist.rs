@@ -5,8 +5,6 @@
 //! fragments `E_k`. [`EdgeList`] is that working set, with the incidence
 //! index the inner loops need.
 
-use std::collections::BTreeSet;
-
 use crate::types::{Coord, Cost, Edge, NodeId};
 use crate::CsrGraph;
 
@@ -120,15 +118,14 @@ impl EdgeList {
     pub fn take_incident_to(&mut self, frontier: impl IntoIterator<Item = NodeId>) -> Vec<u32> {
         let mut taken = Vec::new();
         for v in frontier {
-            // Collect first: take() mutates `alive` which the filter reads.
-            let ids: Vec<u32> = self.alive_incident(v).collect();
-            for i in ids {
+            for &i in &self.incidence[v.index()] {
                 if self.alive[i as usize] {
-                    self.take(i);
+                    self.alive[i as usize] = false;
                     taken.push(i);
                 }
             }
         }
+        self.alive_count -= taken.len();
         taken
     }
 
@@ -143,12 +140,15 @@ impl EdgeList {
 
     /// Endpoints of all alive edges (each node once, sorted).
     pub fn alive_nodes(&self) -> Vec<NodeId> {
-        let mut set = BTreeSet::new();
+        let mut endpoint = vec![false; self.node_count];
         for (_, e) in self.alive_edges() {
-            set.insert(e.src);
-            set.insert(e.dst);
+            endpoint[e.src.index()] = true;
+            endpoint[e.dst.index()] = true;
         }
-        set.into_iter().collect()
+        (0..self.node_count)
+            .filter(|&v| endpoint[v])
+            .map(NodeId::from_index)
+            .collect()
     }
 
     /// The alive node with the smallest key under `key` — used to re-seed

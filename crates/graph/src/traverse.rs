@@ -6,6 +6,12 @@
 //! transitive closure ("the number of iterations required before reaching
 //! a fixpoint is given by the maximum diameter of the graph", §2.1) and as
 //! the workload proxy of the center-based algorithm (§3.1).
+//!
+//! The center-based algorithm's status score needs, for every node, the
+//! grade sums of the nodes 1, 2 and 3 hops away. [`grade_sums_within`]
+//! computes them for all nodes with one bit-parallel BFS per 64 sources,
+//! stopped at the score's depth; [`grade_sums_by_distance`], one
+//! whole-graph BFS per source, is the reference it is tested against.
 
 use std::collections::VecDeque;
 
@@ -128,6 +134,9 @@ pub fn diameter_double_sweep(g: &CsrGraph, seed: NodeId) -> u32 {
 
 /// Sum of grades of nodes at exactly `d` hops from `i`, for d = 1..=depth:
 /// the Σ nb(j, d) terms of the center-based status score (§3.1).
+///
+/// One whole-graph BFS from `i`: the reference [`grade_sums_within`] is
+/// tested against.
 pub fn grade_sums_by_distance(g: &CsrGraph, i: NodeId, depth: u32) -> Vec<u64> {
     let dist = hop_distances(g, i);
     let mut sums = vec![0u64; depth as usize];
@@ -136,6 +145,88 @@ pub fn grade_sums_by_distance(g: &CsrGraph, i: NodeId, depth: u32) -> Vec<u64> {
         if d >= 1 && d <= depth {
             sums[(d - 1) as usize] += g.out_degree(v) as u64;
         }
+    }
+    sums
+}
+
+/// [`grade_sums_by_distance`] of every node at once, row-major: the sums
+/// of node `i` at 1..=`depth` hops are
+/// `sums[i * depth..(i + 1) * depth]`.
+///
+/// A multi-source BFS in the style of Then et al., "The More the Merrier"
+/// (VLDB 2015): 64 sources run at once as the bits of one `u64` per node,
+/// only the nodes on a level's frontier are expanded, the search stops at
+/// `depth`, and between batches only the words the batch touched are
+/// cleared. A batch therefore costs the arcs out of the union of its 64
+/// balls of radius `depth - 1`, and the whole kernel is linear in the
+/// node count when the degree is bounded.
+pub fn grade_sums_within(g: &CsrGraph, depth: u32) -> Vec<u64> {
+    let n = g.node_count();
+    let depth = depth as usize;
+    let mut sums = vec![0u64; n * depth];
+    if depth == 0 {
+        return sums;
+    }
+    // Per node, the batch's sources that have reached it (`seen`), and
+    // those that reached it on the current level (`level`) and the next.
+    let mut seen = vec![0u64; n];
+    let mut level = vec![0u64; n];
+    let mut next = vec![0u64; n];
+    let mut frontier: Vec<NodeId> = Vec::new();
+    let mut next_frontier: Vec<NodeId> = Vec::new();
+    // Every node `seen` holds bits for, cleared when the batch ends.
+    let mut touched: Vec<NodeId> = Vec::new();
+    for first in (0..n).step_by(64) {
+        let batch = first..n.min(first + 64);
+        for (bit, s) in batch.clone().enumerate() {
+            seen[s] = 1 << bit;
+            level[s] = 1 << bit;
+            frontier.push(NodeId::from_index(s));
+        }
+        touched.extend_from_slice(&frontier);
+        for d in 0..depth {
+            for &v in &frontier {
+                let bits = std::mem::take(&mut level[v.index()]);
+                for &t in g.out_targets(v) {
+                    let fresh = bits & !seen[t.index()];
+                    if fresh != 0 {
+                        if next[t.index()] == 0 {
+                            next_frontier.push(t);
+                        }
+                        seen[t.index()] |= fresh;
+                        next[t.index()] |= fresh;
+                    }
+                }
+            }
+            let mut level_sums = [0u64; 64];
+            for &t in &next_frontier {
+                let grade = g.out_degree(t) as u64;
+                let mut bits = next[t.index()];
+                while bits != 0 {
+                    level_sums[bits.trailing_zeros() as usize] += grade;
+                    bits &= bits - 1;
+                }
+            }
+            for (s, &sum) in batch.clone().zip(&level_sums) {
+                sums[s * depth + d] = sum;
+            }
+            touched.extend_from_slice(&next_frontier);
+            frontier.clear();
+            std::mem::swap(&mut frontier, &mut next_frontier);
+            std::mem::swap(&mut level, &mut next);
+            if frontier.is_empty() {
+                break;
+            }
+        }
+        // The last level was never expanded: its bits are still set.
+        for &v in &frontier {
+            level[v.index()] = 0;
+        }
+        frontier.clear();
+        for &v in &touched {
+            seen[v.index()] = 0;
+        }
+        touched.clear();
     }
     sums
 }
@@ -219,5 +310,59 @@ mod tests {
         // d=3 -> node 3 (grade 1).
         let sums = grade_sums_by_distance(&g, NodeId(0), 3);
         assert_eq!(sums, vec![2, 2, 1]);
+        let all = grade_sums_within(&g, 3);
+        assert_eq!(&all[..3], &[2, 2, 1]);
+        assert_eq!(&all[12..], &[0, 0, 0], "the isolated node reaches nothing");
+    }
+
+    #[test]
+    fn batched_grade_sums_equal_the_one_source_reference() {
+        // Deterministic xorshift over sparse random digraphs of 1 to 200
+        // nodes (one to four batches, and exactly one and two full ones):
+        // self-loops, parallel arcs, isolated nodes and one-way arcs.
+        let mut state = 0x2545f4914f6cdd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let sizes = [1usize, 2, 63, 64, 65, 127, 128, 129, 200];
+        for trial in 0..400usize {
+            let nodes = match trial % 4 {
+                0 => sizes[(trial / 4) % sizes.len()],
+                _ => 1 + (next() % 200) as usize,
+            };
+            // Arcs only among the first `wired` nodes: the rest stay
+            // isolated.
+            let wired = 1 + (next() % nodes as u64);
+            let mut edges = Vec::new();
+            for _ in 0..next() % (3 * wired + 1) {
+                let a = NodeId((next() % wired) as u32);
+                let b = match next() % 8 {
+                    0 => a,
+                    _ => NodeId((next() % wired) as u32),
+                };
+                edges.push(Edge::unit(a, b));
+                match next() % 4 {
+                    0 => edges.push(Edge::unit(a, b)),
+                    1 | 2 => edges.push(Edge::unit(b, a)),
+                    _ => {}
+                }
+            }
+            let g = CsrGraph::from_edges(nodes, &edges);
+            let depth = (trial % 6) as u32;
+            let all = grade_sums_within(&g, depth);
+            assert_eq!(all.len(), nodes * depth as usize);
+            for v in g.nodes() {
+                let d = depth as usize;
+                assert_eq!(
+                    &all[v.index() * d..(v.index() + 1) * d],
+                    &grade_sums_by_distance(&g, v, depth)[..],
+                    "trial {trial}: {nodes} nodes, {} arcs, depth {depth}, node {v:?}",
+                    edges.len()
+                );
+            }
+        }
     }
 }
