@@ -59,7 +59,9 @@
 //!
 //! Reported, not gated: `materialize-cold-ns` and `materialize-warm-ns`
 //! (the first call of a fresh epoch, built outside the timing, and a
-//! later one), `wal-on-over-wal-off-throughput` (the same write
+//! later one, both on one thread), `materialize-warm-one-over-two-threads`
+//! (a warm call on one thread over the same call on two: above 1 when
+//! the second worker helps), `wal-on-over-wal-off-throughput` (the same write
 //! path without a log over with it, best of three interleaved rounds; a
 //! cheaper `maintain` speeds the log-off arm, so the ratio falls by
 //! construction, and it swings with the shared disk),
@@ -632,9 +634,11 @@ struct Materialized {
     cold: MaterializeStats,
     warm: MaterializeStats,
     /// Median wall time of a cold call (a fresh epoch, built outside the
-    /// timing) and of a warm one.
+    /// timing) and of a warm one, on one thread, and of a warm call on
+    /// two.
     cold_ns: f64,
     warm_ns: f64,
+    warm_two_ns: f64,
 }
 
 /// The full closure of the benchmark's transportation graph from the
@@ -696,6 +700,12 @@ fn materialize(bench: &mut Bench) -> (Vec<Materialized>, Vec<Pair>) {
                 snap.materialize(&config)
             })
             .median_ns;
+        let two = MaterializeConfig::with_threads(2);
+        let warm_two_ns = bench
+            .run(&format!("materialize/bulk-two-threads/seed-{seed}"), || {
+                snap.materialize(&two)
+            })
+            .median_ns;
         let dijkstra_ns = bench
             .run(&format!("materialize/dijkstra/seed-{seed}"), || {
                 per_source(&mut scratch)
@@ -710,6 +720,7 @@ fn materialize(bench: &mut Bench) -> (Vec<Materialized>, Vec<Pair>) {
             warm,
             cold_ns: cold_ns[cold_ns.len() / 2],
             warm_ns,
+            warm_two_ns,
         };
         let pair = Pair {
             seed,
@@ -1134,7 +1145,8 @@ fn main() {
         }
         println!(
             "materialize/seed-{}: cold {} skeleton + {} fragment sweeps (B = {}, {} fills + \
-             {} rows expected), warm {warm_sweeps}; cold {:.2} ms, warm {:.2} ms",
+             {} rows expected), warm {warm_sweeps}; cold {:.2} ms, warm {:.2} ms, \
+             warm on two threads {:.2} ms",
             run.seed,
             cold.hub_sweeps,
             cold.fragment_sweeps,
@@ -1142,7 +1154,8 @@ fn main() {
             run.fill,
             run.interior,
             run.cold_ns / 1e6,
-            run.warm_ns / 1e6
+            run.warm_ns / 1e6,
+            run.warm_two_ns / 1e6
         );
     }
     for (row, values) in &samples {
@@ -1150,6 +1163,14 @@ fn main() {
     }
     let floor = Some(FLOOR_MATERIALIZE);
     report.ratio_row("materialize-dijkstra-over-bulk", &materialized, floor);
+    let threads: Vec<Pair> = (closures.iter())
+        .map(|run| Pair {
+            seed: run.seed,
+            numerator_ns: run.warm_ns,
+            denominator_ns: run.warm_two_ns,
+        })
+        .collect();
+    report.ratio_row("materialize-warm-one-over-two-threads", &threads, None);
     let kernels = kernel();
     let floor = Some(FLOOR_KERNEL);
     report.ratio_row("sweep-reference-over-kernel", &kernels, floor);

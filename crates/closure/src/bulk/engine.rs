@@ -1,23 +1,25 @@
 //! The materializer: the formula of [`super`] as two flat task lists,
-//! each pulled off one atomic counter by scoped workers that own their
-//! scratch (the caller is worker 0, so one thread spawns nothing).
+//! pulled off one queue by scoped workers that own their scratch. The
+//! caller is worker 0 and starts at once; a spawned worker takes what is
+//! left when it starts, so no worker waits for another.
 //!
 //! 1. **Epoch state**, only what the epoch lacks: the hub's rows, in
 //!    blocks of skeleton sweeps, and per site whose exit sets no call
 //!    filled the border-free rows of its requested sources, then its
 //!    missing exit sets (`Site::fill_exits`).
-//! 2. **Sources**, in per-fragment blocks (a border in the block of its
-//!    first fragment): `r_s`, every destination through its exit set,
-//!    the source's own fragment through its border-free row, and the
-//!    closed walk `(s, s)` through the edges into `s`.
+//! 2. **Sources**, in blocks of node ids, each at its home site: `r_s`,
+//!    every destination through its exit set, the source's own fragment
+//!    through its border-free row, and the closed walk `(s, s)` through
+//!    the edges into `s`. A block writes its rows in `(src, dst)` order
+//!    into its own slice of the one output vector (`node_count` slots
+//!    per source); after the join one move per block closes the gaps.
 //!
-//! A warm call has no first list. Rows are written in `(src, dst)` order
-//! and concatenated, so the output does not depend on the thread count.
+//! A warm call has no first list, and no output depends on the threads.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ds_fragment::FragmentId;
@@ -33,15 +35,12 @@ use crate::snapshot::EngineSnapshot;
 const BLOCK: usize = 8;
 
 /// One task of the epoch-state list.
-enum Prep<'a> {
+enum Prep {
     /// Sweep the skeleton from each of these skeleton ids.
     HubRows(Range<usize>),
-    /// Fill what one site lacks: the border-free rows of its requested
-    /// sources, then every node's exit set.
-    Site {
-        fragment: FragmentId,
-        sources: &'a [NodeId],
-    },
+    /// Fill what one site lacks: the border-free rows of the requested
+    /// sources it is home to, then every node's exit set.
+    Site(FragmentId),
 }
 
 /// What one epoch-state task produced.
@@ -50,17 +49,11 @@ enum Prepared {
     Filled { sweeps: usize },
 }
 
-/// One block of a fragment's requested sources.
-struct Sources<'a> {
-    fragment: FragmentId,
-    sources: &'a [NodeId],
-}
-
-/// What one source block produced: its rows in `(src, dst)` order and
-/// its share of the counters.
+/// What one source block wrote — its first `rows` slots — and its share
+/// of the counters.
 #[derive(Default)]
 struct Rows {
-    tuples: Vec<PathTuple>,
+    rows: usize,
     sweeps: usize,
     exchanged: usize,
     generated: usize,
@@ -91,63 +84,62 @@ pub(crate) fn materialize(
     snap: &EngineSnapshot,
     config: &MaterializeConfig,
 ) -> Result<(Relation<PathTuple>, MaterializeStats), MaterializeError> {
-    let (graph, planner) = (snap.graph(), snap.planner());
+    let (graph, n) = (snap.graph(), snap.graph().node_count());
     let mut stats = MaterializeStats {
         fragments: snap.site_count(),
         ..Default::default()
     };
-    // Requested sources with an edge out — a path has one — per home
-    // fragment.
-    let mut requested = vec![config.sources.is_none(); graph.node_count()];
+    // Requested sources with an edge out — a path has one — in id order.
+    let mut requested = vec![config.sources.is_none(); n];
     for s in config.sources.iter().flatten() {
         if let Some(slot) = requested.get_mut(s.index()) {
             *slot = true;
         }
     }
-    let mut homes: Vec<Vec<NodeId>> = vec![Vec::new(); snap.site_count()];
-    for v in graph.nodes() {
-        if requested[v.index()] && graph.out_degree(v) > 0 {
-            homes[planner.fragments_of(v)[0]].push(v);
-        }
-    }
-    let tasks: Vec<Sources> = (homes.iter().enumerate())
-        .flat_map(|(fragment, list)| {
-            (list.chunks(BLOCK)).map(move |sources| Sources { fragment, sources })
-        })
+    let sources: Vec<NodeId> = (graph.nodes())
+        .filter(|&v| requested[v.index()] && graph.out_degree(v) > 0)
         .collect();
 
     let mut rows = Vec::new();
-    if !tasks.is_empty() {
-        prepare(snap, config, &homes, &mut stats)?;
+    if !sources.is_empty() {
+        prepare(snap, config, &sources, &mut stats)?;
         let exits = exits(snap);
+        // A source has at most `n` rows: a task owns `n` slots per source.
+        rows = vec![PathTuple::new(NodeId(0), NodeId(0), 0); sources.len() * n];
+        let tasks: Vec<_> = (sources.chunks(BLOCK))
+            .zip(rows.chunks_mut(BLOCK * n))
+            .collect();
         let done = run_tasks(
             config.workers(),
-            &tasks,
-            |task| task.fragment,
+            tasks,
             || Worker {
                 dijkstra: ScratchDijkstra::new(),
                 r: vec![INFINITE_COST; snap.complementary().border_count()],
-                acc: vec![INFINITE_COST; graph.node_count()],
+                acc: vec![INFINITE_COST; n],
                 free: Vec::new(),
             },
-            |task, worker| source_rows(snap, config, &exits, task, worker),
-            &mut stats.busy,
+            |(sources, out), worker, at| {
+                source_rows(snap, config, &exits, sources, out, worker, at)
+            },
+            &mut stats,
         )?;
-        // Every source's row is one run of one task's output: order the
-        // runs by source and concatenate.
-        let mut runs: Vec<&[PathTuple]> = (done.iter())
-            .flat_map(|out| out.tuples.chunk_by(|a, b| a.src == b.src))
-            .collect();
-        runs.sort_unstable_by_key(|run| run[0].src);
-        rows.reserve_exact(runs.iter().map(|run| run.len()).sum());
-        for run in runs {
-            rows.extend_from_slice(run);
-        }
-        for out in &done {
+        // Move every task's rows up behind the previous task's.
+        let mut len = 0;
+        for (i, out) in done.iter().enumerate() {
+            let start = i * BLOCK * n;
+            rows.copy_within(start..start + out.rows, len);
+            len += out.rows;
             stats.fragment_sweeps += out.sweeps;
             stats.exchanged_tuples += out.exchanged;
             stats.kept_local += out.kept_local;
             stats.tc.tuples_generated += out.generated;
+        }
+        rows.truncate(len);
+        // At most half empty, the buffer keeps its slack, as a vector grown
+        // by pushes may: shrunk, it would leave a hole a little smaller than
+        // the next call's buffer, which the allocator cannot reuse.
+        if rows.capacity() > 2 * len {
+            rows.shrink_to_fit();
         }
         stats.rounds = 1;
         stats.tc.delta_sizes.push(rows.len());
@@ -168,10 +160,10 @@ pub(crate) fn materialize(
 fn prepare(
     snap: &EngineSnapshot,
     config: &MaterializeConfig,
-    homes: &[Vec<NodeId>],
+    sources: &[NodeId],
     stats: &mut MaterializeStats,
 ) -> Result<(), MaterializeError> {
-    let comp = snap.complementary();
+    let (comp, planner) = (snap.complementary(), snap.planner());
     let nb = comp.border_count();
     let build_hub = snap.hub_handle().is_none();
     let mut sites: Vec<FragmentId> = (0..snap.site_count())
@@ -180,12 +172,7 @@ fn prepare(
     // A site is one task of many sweeps, a hub block a few: the largest
     // go first, so the workers finish together.
     sites.sort_by_key(|&f| std::cmp::Reverse(snap.site_handle(f).nodes().len()));
-    let mut tasks: Vec<Prep> = (sites.into_iter())
-        .map(|fragment| Prep::Site {
-            fragment,
-            sources: &homes[fragment],
-        })
-        .collect();
+    let mut tasks: Vec<Prep> = sites.into_iter().map(Prep::Site).collect();
     if build_hub {
         let blocks = (0..nb).step_by(BLOCK);
         tasks.extend(blocks.map(|i| Prep::HubRows(i..nb.min(i + BLOCK))));
@@ -194,21 +181,18 @@ fn prepare(
         return Ok(());
     }
     let skeleton = build_hub.then(|| comp.tight_skeleton());
-    let fragment_of = |task: &Prep| match *task {
-        Prep::HubRows(ref ids) => snap.planner().fragments_of(comp.borders()[ids.start])[0],
-        Prep::Site { fragment, .. } => fragment,
-    };
+    let home = |s: NodeId| planner.fragments_of(s)[0];
     let done = run_tasks(
         config.workers(),
-        &tasks,
-        fragment_of,
+        tasks,
         ScratchDijkstra::new,
-        |task, scratch| match *task {
-            Prep::HubRows(ref ids) => {
+        |task, scratch, at| match task {
+            Prep::HubRows(ids) => {
+                *at = home(comp.borders()[ids.start]);
                 let skeleton = skeleton.as_ref().expect("hub rows only for a hub to build");
                 let start = Instant::now();
                 let mut costs = Vec::with_capacity(ids.len() * nb);
-                for s in ids.clone() {
+                for s in ids {
                     scratch.sweep(skeleton, &[(NodeId::from_index(s), 0)]);
                     let reached = |t| scratch.cost(NodeId::from_index(t));
                     costs.extend((0..nb).map(|t| reached(t).unwrap_or(INFINITE_COST)));
@@ -216,13 +200,14 @@ fn prepare(
                 let time = start.elapsed();
                 Some(Prepared::HubRows { costs, time })
             }
-            Prep::Site { fragment, sources } => {
+            Prep::Site(fragment) => {
+                *at = fragment;
                 if config.fault_fires(fragment) {
                     return None;
                 }
                 let site = snap.site_handle(fragment);
                 let swept = scratch.stats().sweeps;
-                for &s in sources {
+                for &s in sources.iter().filter(|&&s| home(s) == fragment) {
                     let local = site.local_id(s).expect("a source of its home fragment");
                     if !site.is_border(local) {
                         site.fill_border_free_row(local, scratch);
@@ -233,7 +218,7 @@ fn prepare(
                 Some(Prepared::Filled { sweeps })
             }
         },
-        &mut stats.busy,
+        stats,
     )?;
     // The hub's blocks come last, in skeleton-id order.
     let mut costs = Vec::with_capacity(if build_hub { nb * nb } else { 0 });
@@ -284,21 +269,22 @@ fn exits(snap: &EngineSnapshot) -> Exits {
     exits
 }
 
-/// The rows of one block of sources; `None` when an injected fault
-/// kills the task.
+/// The rows of one block of sources, written compactly from the start of
+/// `out`; `None` when an injected fault kills the task. The fault point
+/// fires once per fragment the block touches, at its first source there,
+/// and `at` names the fragment of the source being worked on.
 fn source_rows(
     snap: &EngineSnapshot,
     config: &MaterializeConfig,
     exits: &Exits,
-    task: &Sources,
+    sources: &[NodeId],
+    out: &mut [PathTuple],
     worker: &mut Worker,
+    at: &mut FragmentId,
 ) -> Option<Rows> {
-    if config.fault_fires(task.fragment) {
-        return None;
-    }
     let (comp, planner) = (snap.complementary(), snap.planner());
     let hub = snap.hub_handle().expect("built by the first list");
-    let site = snap.site_handle(task.fragment);
+    let home = |s: NodeId| planner.fragments_of(s)[0];
     let Worker {
         dijkstra,
         r,
@@ -306,8 +292,13 @@ fn source_rows(
         free,
     } = worker;
     let swept = dijkstra.stats().sweeps;
-    let mut out = Rows::default();
-    for &s in task.sources {
+    let mut done = Rows::default();
+    for (i, &s) in sources.iter().enumerate() {
+        *at = home(s);
+        if sources[..i].iter().all(|&p| home(p) != *at) && config.fault_fires(*at) {
+            return None;
+        }
+        let site = snap.site_handle(*at);
         let local = site.local_id(s).expect("a source of its home fragment");
         let border = site.is_border(local);
 
@@ -316,15 +307,15 @@ fn source_rows(
             hub.row(comp.skeleton_id(s).expect("a border"))
         } else {
             let (access, _) = site.access(s, true, dijkstra);
-            let ids = comp.skeleton_ids(task.fragment);
+            let ids = comp.skeleton_ids(*at);
             r.fill(INFINITE_COST);
             for &(b, reach) in access {
                 for (best, &h) in r.iter_mut().zip(hub.row(ids[b as usize])) {
                     *best = (*best).min(reach + h);
                 }
             }
-            out.exchanged += access.len();
-            out.generated += access.len() * r.len();
+            done.exchanged += access.len();
+            done.generated += access.len() * r.len();
             r.as_slice()
         };
 
@@ -336,8 +327,8 @@ fn source_rows(
                 .min()
                 .unwrap_or(INFINITE_COST);
         }
-        out.exchanged += exits.entries.len();
-        out.generated += exits.entries.len();
+        done.exchanged += exits.entries.len();
+        done.generated += exits.entries.len();
 
         // The source's own fragment, along paths that touch no border.
         if !border {
@@ -346,10 +337,10 @@ fn source_rows(
                 let best = &mut acc[d.index()];
                 if cost <= *best && cost < INFINITE_COST {
                     *best = cost;
-                    out.kept_local += usize::from(d != s);
+                    done.kept_local += usize::from(d != s);
                 }
             }
-            out.generated += row.len();
+            done.generated += row.len();
         }
 
         // Paths have length ≥ 1: `(s, s)` is the cheapest closed walk,
@@ -364,53 +355,50 @@ fn source_rows(
         }
         acc[s.index()] = cycle;
 
-        out.tuples.reserve(acc.len());
-        for (d, &cost) in acc.iter().enumerate() {
-            if cost < INFINITE_COST {
-                out.tuples
-                    .push(PathTuple::new(s, NodeId::from_index(d), cost));
-            }
+        let row = (acc.iter().enumerate())
+            .filter(|&(_, &cost)| cost < INFINITE_COST)
+            .map(|(d, &cost)| PathTuple::new(s, NodeId::from_index(d), cost));
+        for (slot, tuple) in out[done.rows..].iter_mut().zip(row) {
+            *slot = tuple;
+            done.rows += 1;
         }
     }
-    out.sweeps = (dijkstra.stats().sweeps - swept) as usize;
-    Some(out)
+    done.sweeps = (dijkstra.stats().sweeps - swept) as usize;
+    Some(done)
 }
 
-/// Run one flat task list on up to `threads` scoped workers pulling
-/// indexes off one counter, each with the state `init` gives it, until
-/// the list runs out or a task fails — returns `None` (its fault fired)
-/// or panics — which stops the counter; the run then fails with the
-/// lowest failed task's fragment once every worker has joined. Outputs
-/// come back in task order; `busy[i]` grows by worker `i`'s time.
-fn run_tasks<T: Sync, S, O: Send>(
+/// Run one flat task list on up to `threads` scoped workers, each with
+/// the state `init` gives it, pulling tasks off one queue until it runs
+/// out or a task fails — returns `None` (its fault fired) or panics —
+/// which stops the queue; the run then fails with the lowest fragment a
+/// failed task was in (`run` names it through its third argument) once
+/// every worker has joined. The caller is worker 0 and starts at once; a
+/// spawned worker takes what is left when it starts. Outputs come back in
+/// task order; worker `i` adds its time to `stats.busy[i]` and its task
+/// count to `stats.tasks[i]`.
+fn run_tasks<T: Send, S, O: Send>(
     threads: usize,
-    tasks: &[T],
-    fragment_of: impl Fn(&T) -> FragmentId + Sync,
+    tasks: Vec<T>,
     init: impl Fn() -> S + Sync,
-    run: impl Fn(&T, &mut S) -> Option<O> + Sync,
-    busy: &mut Vec<Duration>,
+    run: impl Fn(T, &mut S, &mut FragmentId) -> Option<O> + Sync,
+    stats: &mut MaterializeStats,
 ) -> Result<Vec<O>, MaterializeError> {
-    let workers = threads.clamp(1, tasks.len().max(1));
-    let next = AtomicUsize::new(0);
+    let count = tasks.len();
+    let workers = threads.clamp(1, count.max(1));
+    let queue = Mutex::new(tasks.into_iter().enumerate());
+    let take = || queue.lock().expect("nothing panics holding it").next();
     let failed = AtomicUsize::new(usize::MAX);
-    // Workers meet at a gate before they start: the scheduler puts a
-    // thread woken from a wait on an idle core at once, where a newly
-    // created one can sit behind its sibling until the next balancing
-    // tick — longer than a whole list.
-    let gate = Barrier::new(workers);
     let worker = || {
-        gate.wait();
         let start = Instant::now();
         let mut state = init();
         let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(task) = tasks.get(i) else { break };
-            match catch_unwind(AssertUnwindSafe(|| run(task, &mut state))) {
+        while let Some((i, task)) = take() {
+            let mut at = usize::MAX;
+            match catch_unwind(AssertUnwindSafe(|| run(task, &mut state, &mut at))) {
                 Ok(Some(out)) => done.push((i, out)),
                 Ok(None) | Err(_) => {
-                    next.store(tasks.len(), Ordering::Relaxed);
-                    failed.fetch_min(fragment_of(task), Ordering::Relaxed);
+                    failed.fetch_min(at, Ordering::Relaxed);
+                    while take().is_some() {}
                     break;
                 }
             }
@@ -426,17 +414,19 @@ fn run_tasks<T: Sync, S, O: Send>(
         );
         results
     });
-    let fragment = failed.into_inner();
-    if fragment != usize::MAX {
-        return Err(MaterializeError::WorkerPanicked { fragment });
+    if stats.busy.len() < results.len() {
+        stats.busy.resize(results.len(), Duration::ZERO);
+        stats.tasks.resize(results.len(), 0);
     }
-    if busy.len() < results.len() {
-        busy.resize(results.len(), Duration::ZERO);
-    }
-    let mut done = Vec::with_capacity(tasks.len());
-    for (slot, (outputs, elapsed)) in busy.iter_mut().zip(results) {
-        *slot += elapsed;
+    let mut done = Vec::with_capacity(count);
+    for (i, (outputs, elapsed)) in results.into_iter().enumerate() {
+        stats.busy[i] += elapsed;
+        stats.tasks[i] += outputs.len();
         done.extend(outputs);
+    }
+    if done.len() < count {
+        let fragment = failed.into_inner();
+        return Err(MaterializeError::WorkerPanicked { fragment });
     }
     done.sort_unstable_by_key(|&(i, _)| i);
     Ok(done.into_iter().map(|(_, out)| out).collect())
@@ -699,6 +689,13 @@ mod tests {
         assert_eq!(single.threads, 1);
         assert_eq!(pooled.threads, 3);
         assert_eq!(pooled.busy.len(), 3, "busy time is per worker thread");
+        // 3 site fills and 1 hub block, then 1 block of the 7 sources.
+        assert_eq!(
+            (single.tasks.as_slice(), single.helper_tasks()),
+            (&[5][..], 0)
+        );
+        assert_eq!(pooled.tasks.len(), 3);
+        assert_eq!(pooled.tasks.iter().sum::<usize>(), 5);
         assert_eq!(single.tc, pooled.tc, "the counters are the formula's");
         assert_eq!(single.fragment_sweeps, pooled.fragment_sweeps);
     }
@@ -722,10 +719,17 @@ mod tests {
         assert!(line.contains("hub built (1 skeleton sweeps"), "{line}");
         assert!(line.contains("0 + 4 sweeps"), "{line}");
         assert!(line.contains("exchanged"), "{line}");
+        assert!(line.contains(&format!("tasks {:?}", stats.tasks)), "{line}");
+        assert_eq!(
+            stats.tasks.iter().sum::<usize>(),
+            4,
+            "2 site fills, 1 hub block, 1 source block"
+        );
         assert!(!line.contains('\n'));
         assert!(stats.balance_ratio() >= 1.0);
         let (_, warm) = snap.materialize(&MaterializeConfig::default()).unwrap();
         assert!(warm.to_string().contains("hub kept (0 skeleton sweeps"));
+        assert!(warm.to_string().contains("tasks [1]"), "1 source block");
     }
 
     /// A worker panic mid-task must come back as a typed error with
@@ -771,8 +775,64 @@ mod tests {
         assert!(!closure.is_empty());
     }
 
-    /// The fault point fires on a warm call too: once per source task,
-    /// whatever the epoch already holds.
+    /// A source task is a block of ids and may span fragments: the fault
+    /// point fires once for every fragment a task touches, and a failed
+    /// task reports the fragment it was in — here fragment 1, whose
+    /// sources all sit in a block that starts in fragment 0.
+    #[test]
+    fn a_fault_in_a_fragment_that_starts_no_task_is_reported_with_that_fragment() {
+        // Path 0-…-11: fragment 0 holds 0..=4, fragment 1 holds 4..=6 and
+        // fragment 2 holds 6..=11, so the blocks are 0..=7 and 8..=11.
+        let frag = Fragmentation::new(
+            12,
+            vec![
+                edges(&[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]),
+                edges(&[(4, 5, 1), (5, 6, 1)]),
+                edges(&[(6, 7, 1), (7, 8, 1), (8, 9, 1), (9, 10, 1), (10, 11, 1)]),
+            ],
+            vec![vec![]; 3],
+        );
+        let armed = |threads, plan: FaultPlan| MaterializeConfig {
+            threads,
+            fault: Some(Arc::new(plan)),
+            ..Default::default()
+        };
+        for threads in [1, 2] {
+            let point = FaultPoint::BulkWorker { fragment: 1 };
+            for plan in [
+                FaultPlan::new().fail_at(point, 1),
+                FaultPlan::new().panic_at(point, 1),
+            ] {
+                let snap = snapshot(&frag, true);
+                snap.materialize(&MaterializeConfig::with_threads(threads))
+                    .unwrap();
+                assert_eq!(
+                    snap.materialize(&armed(threads, plan)).unwrap_err(),
+                    MaterializeError::WorkerPanicked { fragment: 1 },
+                    "threads {threads}"
+                );
+                let (retried, stats) = snap.materialize(&armed(threads, FaultPlan::new())).unwrap();
+                assert_eq!(stats.tc.result_tuples, retried.len());
+            }
+            // Fragment 0 lies in one block, which fires its point once;
+            // fragment 2 lies in both, which fire it once each.
+            let snap = snapshot(&frag, true);
+            snap.materialize(&MaterializeConfig::with_threads(threads))
+                .unwrap();
+            let second =
+                |fragment| FaultPlan::new().fail_at(FaultPoint::BulkWorker { fragment }, 2);
+            snap.materialize(&armed(threads, second(0))).unwrap();
+            assert_eq!(
+                snap.materialize(&armed(threads, second(2))).unwrap_err(),
+                MaterializeError::WorkerPanicked { fragment: 2 },
+                "threads {threads}"
+            );
+        }
+        assert_matches_seminaive(&frag, true, MaterializeConfig::with_threads(2));
+    }
+
+    /// The fault point fires on a warm call too: once per fragment of a
+    /// source task, whatever the epoch already holds.
     #[test]
     fn a_warm_call_fires_the_fault_point() {
         let snap = snapshot(&path_split(), true);

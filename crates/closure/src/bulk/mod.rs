@@ -33,9 +33,10 @@
 //! site's exit sets (at most one blocked sweep per border of the site,
 //! none for a node whose border-free row the call sweeps anyway on a
 //! symmetric network), as tasks on the call's own workers; every later
-//! call of the epoch sweeps nothing. The result is tuple-identical to
-//! [`ds_relation::tc::seminaive_closure`] over the union of the
-//! fragments.
+//! call of the epoch sweeps nothing. The sources run in blocks of node
+//! ids, each writing its rows once, in place, into the vector that
+//! becomes the result — tuple-identical to
+//! [`ds_relation::tc::seminaive_closure`] over the fragments' union.
 //!
 //! The hub is per-epoch state, held by the snapshot like the
 //! reachability index: [`crate::EngineSnapshot::maintain_cow`] keeps a

@@ -413,9 +413,10 @@ impl EngineSnapshot {
     /// (all nodes when `None`), sorted — from the epoch's complementary
     /// information ([`crate::bulk`]): one min-plus fold per source
     /// through the hub, the sites' access and exit sets and border-free
-    /// rows. The first call of an epoch builds the hub and fills the
-    /// sites' exit sets on its own workers; a later call sweeps nothing.
-    /// The result is tuple-identical to
+    /// rows, in blocks of node ids whose rows are written once, in place,
+    /// into the returned relation. The first call of an epoch builds the
+    /// hub and fills the sites' exit sets on its own workers; a later
+    /// call sweeps nothing. The result is tuple-identical to
     /// [`ds_relation::tc::seminaive_closure`] over the fragments' union.
     ///
     /// Errors with [`MaterializeError::WorkerPanicked`] when a task

@@ -19,7 +19,10 @@ use crate::stats::TcStats;
 pub struct MaterializeConfig {
     /// Worker threads. `0` (the default) means `available_parallelism`;
     /// a phase never uses more workers than it has tasks, and `1` runs
-    /// the same loop inline, without spawning.
+    /// the same loop inline, without spawning. The calling thread is one
+    /// of them and starts at once; a spawned worker takes the tasks left
+    /// when it starts (none, when the caller has emptied the queue by
+    /// then: [`MaterializeStats::tasks`] says).
     pub threads: usize,
     /// Restrict the closure to paths starting in this set (the §2.1
     /// keyhole selection). `None` materializes the full closure.
@@ -125,6 +128,9 @@ pub struct MaterializeStats {
     /// Busy time per worker thread; [`MaterializeStats::balance_ratio`]
     /// says whether the threads finished together.
     pub busy: Vec<Duration>,
+    /// Tasks each worker thread took, beside its `busy` time: a worker
+    /// that took none started after the others had emptied the queue.
+    pub tasks: Vec<usize>,
     /// Aggregate closure counters: `tuples_generated` is the candidates
     /// the folds offered (the product of each access set with the hub,
     /// one per exit entry, one per border-free row entry),
@@ -150,9 +156,16 @@ impl MaterializeStats {
             ("materialize_kept_local", self.kept_local),
             ("materialize_result_tuples", self.tc.result_tuples),
             ("materialize_generated_tuples", self.tc.tuples_generated),
+            ("materialize_helper_tasks", self.helper_tasks()),
         ] {
             registry.gauge(name).set(value as u64);
         }
+    }
+
+    /// Tasks taken by the workers other than the calling thread — 0 when
+    /// the second worker did not help.
+    pub fn helper_tasks(&self) -> usize {
+        self.tasks.iter().skip(1).sum()
     }
 
     /// Max over mean busy time of the worker threads — 1.0 is a
@@ -166,12 +179,12 @@ impl MaterializeStats {
 impl fmt::Display for MaterializeStats {
     /// One-line summary, e.g. `4 fragments / 2 threads: 1 rounds, hub
     /// built (17 skeleton sweeps, 0.04 ms), 0 + 58 sweeps, 3021 exchanged
-    /// (412 kept local), balance 1.03; 1 iters, ...`.
+    /// (412 kept local), balance 1.03, tasks [20, 19]; 1 iters, ...`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let hub = if self.hub_built { "built" } else { "kept" };
         write!(
             f,
-            "{} fragments / {} threads: {} rounds, hub {hub} ({} skeleton sweeps, {:.2} ms), {} + {} sweeps, {} exchanged ({} kept local), balance {:.2}; {}",
+            "{} fragments / {} threads: {} rounds, hub {hub} ({} skeleton sweeps, {:.2} ms), {} + {} sweeps, {} exchanged ({} kept local), balance {:.2}, tasks {:?}; {}",
             self.fragments,
             self.threads,
             self.rounds,
@@ -182,6 +195,7 @@ impl fmt::Display for MaterializeStats {
             self.exchanged_tuples,
             self.kept_local,
             self.balance_ratio(),
+            self.tasks,
             self.tc
         )
     }

@@ -465,8 +465,10 @@ impl System {
     /// also reads the source's border-free row. The first call of an
     /// epoch builds the hub (one skeleton sweep per border) and fills the
     /// sites' exit sets (at most one fragment sweep per border of a
-    /// site), as tasks on scoped worker threads; a later call sweeps
-    /// nothing.
+    /// site); a later call sweeps nothing. Both run as tasks on scoped
+    /// worker threads: the caller starts at once, a spawned worker
+    /// takes what is left when it starts, and every source's row is
+    /// written once, straight into the returned relation.
     ///
     /// The result is tuple-identical to running the sequential
     /// semi-naive closure on the whole relation: every minimum-cost
@@ -765,6 +767,7 @@ mod tests {
         let snap = sys.observe();
         assert_eq!(snap.counter("serve_requests"), Some(1), "{snap:?}");
         assert!(snap.gauge("materialize_result_tuples").unwrap() > 0);
+        assert!(snap.gauge("materialize_helper_tasks").is_some());
         assert!(!obs.tracer().recent(16).is_empty());
 
         // Disarmed facade: empty snapshot, nothing recorded anywhere.

@@ -1682,14 +1682,16 @@ fn seminaive_equals_naive() {
 /// Closure-strategy equivalence: naive iteration, semi-naive iteration
 /// and the epoch's materialization all give the *identical* relation —
 /// tuple for tuple — across generators × {linear, center} fragmenters ×
-/// {symmetric, directed} × {full, keyhole of 1, keyhole of ~n/3} × thread
-/// counts, on a cold epoch (hub unbuilt, site memos empty) and on a warm
-/// one, whose repeated call sweeps nothing. And the materialized tuples
-/// are true distances: on sampled pairs they equal the per-query
-/// engine's `query_batch` answers.
+/// {symmetric, directed} × {full, keyhole of 1, keyhole of ~n/3, keyholes
+/// of 7, 8, 9 and 17 around the source block, with a duplicate and an
+/// id outside the graph} × thread counts, on a cold epoch (hub unbuilt,
+/// site memos empty) and on a warm one, whose repeated call sweeps
+/// nothing; the fold and sweep counters do not depend on the thread
+/// count. And the materialized tuples are true distances: on sampled
+/// pairs they equal the per-query engine's `query_batch` answers.
 #[test]
 fn all_closure_strategies_materialize_the_same_relation() {
-    use discset::relation::bulk::{FragmentPartition, MaterializeConfig};
+    use discset::relation::bulk::{FragmentPartition, MaterializeConfig, MaterializeStats};
 
     for seed in 0..6u64 {
         let g = if seed % 2 == 0 {
@@ -1750,7 +1752,20 @@ fn all_closure_strategies_materialize_the_same_relation() {
                         .collect(),
                 )
             };
-            let selections = [None, pick(1), pick(g.nodes / 3)];
+            let mut selections = vec![None, pick(1), pick(g.nodes / 3)];
+            // Keyholes around the source block of 8 (one short, one full,
+            // one over, two and one over): distinct ids in shuffled order,
+            // so several fragments, each with a duplicate and an id
+            // outside the graph.
+            let mut order: Vec<u32> = (0..g.nodes as u32).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_index(i + 1));
+            }
+            for k in [7, 8, 9, 17] {
+                let mut keyhole: Vec<NodeId> = order[..k].iter().map(|&v| NodeId(v)).collect();
+                keyhole.extend([keyhole[k / 2], NodeId(g.nodes as u32 + 3)]);
+                selections.push(Some(keyhole));
+            }
             let mut seminaive = None;
             for symmetric in [true, false] {
                 let union = FragmentPartition::new(&frag, symmetric).union_relation();
@@ -1767,6 +1782,14 @@ fn all_closure_strategies_materialize_the_same_relation() {
                         let (naive, _) = tc::naive_closure(&union, None);
                         assert_eq!(expected.rows(), naive.rows(), "{label}: naive");
                     }
+                    // The counters are the formula's: per source, whatever
+                    // the thread count.
+                    let counters = |s: &MaterializeStats| {
+                        let t = &s.tc;
+                        let folds = (s.exchanged_tuples, s.kept_local, t.tuples_generated);
+                        (folds, s.fragment_sweeps, s.hub_sweeps)
+                    };
+                    let mut counted = Vec::new();
                     for threads in [1usize, 2, 3] {
                         let config = MaterializeConfig {
                             threads,
@@ -1777,6 +1800,9 @@ fn all_closure_strategies_materialize_the_same_relation() {
                         for (epoch, run) in ["cold", "warm"].into_iter().zip(runs) {
                             let (bulk, stats) = run.unwrap();
                             let label = format!("{label}: {epoch} with {threads} threads");
+                            if epoch == "cold" {
+                                counted.push(counters(&stats));
+                            }
                             assert_eq!(bulk.rows(), expected.rows(), "{label}");
                             assert_eq!(stats.tc.result_tuples, expected.len(), "{label}");
                             assert!(stats.rounds <= 1, "{label}: {stats}");
@@ -1787,6 +1813,16 @@ fn all_closure_strategies_materialize_the_same_relation() {
                         let swept = (again.hub_sweeps, again.fragment_sweeps);
                         assert_eq!(swept, (0, 0), "{label}: {again}");
                         assert!(again.rounds == 0 || warm.hub_handle().is_some());
+                        counted.push(counters(&again));
+                    }
+                    // Cold, warm; cold, warm; … for threads 1, 2 and 3.
+                    for (i, c) in counted.iter().enumerate().skip(2) {
+                        assert_eq!(
+                            *c,
+                            counted[i % 2],
+                            "{label}: counters at {} threads",
+                            1 + i / 2
+                        );
                     }
                     if sources.is_none() && symmetric == g.symmetric {
                         seminaive = Some(expected);
