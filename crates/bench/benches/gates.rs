@@ -38,11 +38,12 @@
 //!   anything but one sweep of the border skeleton per border (the hub)
 //!   and one fragment sweep per other non-isolated node (its border-free
 //!   row, which fills its exit set too) plus the fill of the exit sets no
-//!   row filled; the second call of the epoch sweeps at all; either call
-//!   sweeps the whole graph; or a warm call is less than 2x faster than
-//!   one `ScratchDijkstra` sweep of the whole graph per source writing
-//!   the same relation, both on one thread, on any seed — "thin
-//!   disconnection sets pay";
+//!   row filled, or folds anything but one border row per border (every
+//!   border is a source); the second call of the epoch sweeps at all or
+//!   folds a border row; either call sweeps the whole graph; or a warm
+//!   call is less than 2x faster than one `ScratchDijkstra` sweep of the
+//!   whole graph per source writing the same relation, both on one
+//!   thread, on any seed — "thin disconnection sets pay";
 //! * **kernel** — on the same graph, one reused `ScratchDijkstra` sweep
 //!   per source (the indexed 4-ary heap every layer runs on) is less
 //!   than 1.3x faster than the one-shot lazy-heap `multi_source` it is
@@ -1125,6 +1126,16 @@ fn main() {
                 cold.fragment_sweeps as f64,
             ),
             ("materialize-warm-sweeps", Some(0), warm_sweeps as f64),
+            (
+                "materialize-cold-border-rows",
+                Some(run.borders),
+                cold.border_rows as f64,
+            ),
+            (
+                "materialize-warm-border-rows",
+                Some(0),
+                warm.border_rows as f64,
+            ),
             (
                 "materialize-network-sweeps",
                 Some(0),

@@ -1,25 +1,32 @@
-//! The materializer: the formula of [`super`] as two flat task lists,
+//! The materializer: the formula of [`super`] as flat task lists,
 //! pulled off one queue by scoped workers that own their scratch. The
 //! caller is worker 0 and starts at once; a spawned worker takes what is
 //! left when it starts, so no worker waits for another.
 //!
 //! 1. **Epoch state**, only what the epoch lacks: the hub's rows, in
 //!    blocks of skeleton sweeps, and per site whose exit sets no call
-//!    filled the border-free rows of its requested sources, then its
-//!    missing exit sets (`Site::fill_exits`).
-//! 2. **Sources**, in blocks of node ids, each at its home site: `r_s`,
-//!    every destination through its exit set, the source's own fragment
-//!    through its border-free row, and the closed walk `(s, s)` through
-//!    the edges into `s`. A block writes its rows in `(src, dst)` order
-//!    into its own slice of the one output vector (`node_count` slots
-//!    per source); after the join one move per block closes the gaps.
+//!    filled, or that lacks a requested source's access set, the
+//!    border-free rows of its requested sources, then its missing exit
+//!    sets (`Site::fill_exits`).
+//! 2. **Border rows**, only the ones the sources read and the epoch
+//!    lacks, in blocks of skeleton ids: each folds its hub row into
+//!    every node's exit set, gathered once for the list. A call publishes
+//!    them when the whole list ran.
+//! 3. **Sources**, in blocks of node ids, each at its home site: its
+//!    access set folded with the border rows (a border copies its own),
+//!    the source's own fragment through its border-free row, and the
+//!    closed walk `(s, s)` through the edges into `s`. A block writes its
+//!    rows in `(src, dst)` order into its own slice of the one output
+//!    vector (`node_count` slots per source); after the join one move per
+//!    block closes the gaps.
 //!
-//! A warm call has no first list, and no output depends on the threads.
+//! A warm call has neither of the first two lists, and no output depends
+//! on the threads.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ds_fragment::FragmentId;
@@ -30,23 +37,37 @@ use ds_relation::{PathTuple, Relation};
 use super::Hub;
 use crate::snapshot::EngineSnapshot;
 
-/// Sources (or hub rows) per task: small enough that the workers finish
-/// together, large enough that pulling a task costs nothing.
+/// Sources (or hub or border rows) per task: small enough that the
+/// workers finish together, large enough that pulling a task costs
+/// nothing.
 const BLOCK: usize = 8;
 
-/// One task of the epoch-state list.
-enum Prep {
+/// One task of the epoch-state lists.
+enum Prep<'a> {
     /// Sweep the skeleton from each of these skeleton ids.
     HubRows(Range<usize>),
-    /// Fill what one site lacks: the border-free rows of the requested
-    /// sources it is home to, then every node's exit set.
+    /// Fill what one site lacks: the border-free rows and access sets of
+    /// the requested sources it is home to, then every node's exit set.
     Site(FragmentId),
+    /// Fold the hub into the exit sets for each of these skeleton ids.
+    BorderRows(&'a [usize]),
 }
 
 /// What one epoch-state task produced.
-enum Prepared {
-    HubRows { costs: Vec<Cost>, time: Duration },
-    Filled { sweeps: usize },
+enum Prepared<'a> {
+    HubRows {
+        costs: Vec<Cost>,
+        time: Duration,
+    },
+    Filled {
+        sweeps: usize,
+    },
+    /// The rows of `ids`, each folded over `entries` exit entries.
+    BorderRows {
+        ids: &'a [usize],
+        rows: Vec<Box<[Cost]>>,
+        entries: usize,
+    },
 }
 
 /// What one source block wrote — its first `rows` slots — and its share
@@ -63,8 +84,6 @@ struct Rows {
 /// What a source worker owns for the length of the call.
 struct Worker {
     dijkstra: ScratchDijkstra,
-    /// `r_s`, by skeleton id.
-    r: Vec<Cost>,
     /// The row being built, by global node id.
     acc: Vec<Cost>,
     /// A border-free row swept for a fragment that keeps none.
@@ -72,7 +91,8 @@ struct Worker {
 }
 
 /// Every node's exit set over skeleton ids — a border's is itself at
-/// cost 0 — gathered once per call from the sites' memos.
+/// cost 0 — gathered from the sites' memos by a call that fills border
+/// rows.
 struct Exits {
     /// `entries[at[v]..at[v + 1]]` is node `v`'s set.
     at: Vec<usize>,
@@ -103,7 +123,6 @@ pub(crate) fn materialize(
     let mut rows = Vec::new();
     if !sources.is_empty() {
         prepare(snap, config, &sources, &mut stats)?;
-        let exits = exits(snap);
         // A source has at most `n` rows: a task owns `n` slots per source.
         rows = vec![PathTuple::new(NodeId(0), NodeId(0), 0); sources.len() * n];
         let tasks: Vec<_> = (sources.chunks(BLOCK))
@@ -114,13 +133,10 @@ pub(crate) fn materialize(
             tasks,
             || Worker {
                 dijkstra: ScratchDijkstra::new(),
-                r: vec![INFINITE_COST; snap.complementary().border_count()],
                 acc: vec![INFINITE_COST; n],
                 free: Vec::new(),
             },
-            |(sources, out), worker, at| {
-                source_rows(snap, config, &exits, sources, out, worker, at)
-            },
+            |(sources, out), worker, at| source_rows(snap, config, sources, out, worker, at),
             &mut stats,
         )?;
         // Move every task's rows up behind the previous task's.
@@ -153,10 +169,13 @@ pub(crate) fn materialize(
     Ok((Relation::from_rows("tc", rows), stats))
 }
 
-/// Build what the epoch lacks: the hub, and at every site whose exit
-/// sets no call filled before the border-free rows of its requested
-/// sources — each row sweep fills its source's access set too — then the
-/// exit sets still missing.
+/// Build what the epoch lacks for `sources`. First the hub, and at every
+/// site whose exit sets no call filled before, or that lacks a source's
+/// access set, the border-free rows of its requested sources — each row
+/// sweep fills its source's access set too — then the sets still
+/// missing. Then the border rows the sources read that no call filled:
+/// the borders in their access sets and the border sources themselves.
+/// A warm call reads each source's access set once and runs no list.
 fn prepare(
     snap: &EngineSnapshot,
     config: &MaterializeConfig,
@@ -165,63 +184,145 @@ fn prepare(
 ) -> Result<(), MaterializeError> {
     let (comp, planner) = (snap.complementary(), snap.planner());
     let nb = comp.border_count();
-    let build_hub = snap.hub_handle().is_none();
-    let mut sites: Vec<FragmentId> = (0..snap.site_count())
-        .filter(|&f| !snap.site_handle(f).exits_filled())
+    let home = |s: NodeId| planner.fragments_of(s)[0];
+    // Mark the border rows `s` reads, by skeleton id: its own, or those
+    // of the borders in its access set — `false` when that is unfilled.
+    let note = |s: NodeId, read: &mut [bool]| {
+        let site = snap.site_handle(home(s));
+        let local = site.local_id(s).expect("a source of its home fragment");
+        if site.is_border(local) {
+            read[comp.skeleton_id(s).expect("a border")] = true;
+            return true;
+        }
+        let Some(access) = site.access_set(local) else {
+            return false;
+        };
+        let ids = comp.skeleton_ids(home(s));
+        for &(b, _) in access {
+            read[ids[b as usize]] = true;
+        }
+        true
+    };
+    let mut read = vec![false; nb];
+    let mut lacking: Vec<bool> = (0..snap.site_count())
+        .map(|f| !snap.site_handle(f).exits_filled())
         .collect();
+    for &s in sources {
+        if !note(s, &mut read) {
+            lacking[home(s)] = true;
+        }
+    }
+    let mut sites: Vec<FragmentId> = (0..lacking.len()).filter(|&f| lacking[f]).collect();
     // A site is one task of many sweeps, a hub block a few: the largest
     // go first, so the workers finish together.
     sites.sort_by_key(|&f| std::cmp::Reverse(snap.site_handle(f).nodes().len()));
     let mut tasks: Vec<Prep> = sites.into_iter().map(Prep::Site).collect();
+    let build_hub = snap.hub_handle().is_none();
     if build_hub {
         let blocks = (0..nb).step_by(BLOCK);
         tasks.extend(blocks.map(|i| Prep::HubRows(i..nb.min(i + BLOCK))));
     }
-    if tasks.is_empty() {
-        return Ok(());
-    }
     let skeleton = build_hub.then(|| comp.tight_skeleton());
-    let home = |s: NodeId| planner.fragments_of(s)[0];
-    let done = run_tasks(
-        config.workers(),
-        tasks,
-        ScratchDijkstra::new,
-        |task, scratch, at| match task {
-            Prep::HubRows(ids) => {
-                *at = home(comp.borders()[ids.start]);
-                let skeleton = skeleton.as_ref().expect("hub rows only for a hub to build");
-                let start = Instant::now();
-                let mut costs = Vec::with_capacity(ids.len() * nb);
-                for s in ids {
-                    scratch.sweep(skeleton, &[(NodeId::from_index(s), 0)]);
-                    let reached = |t| scratch.cost(NodeId::from_index(t));
-                    costs.extend((0..nb).map(|t| reached(t).unwrap_or(INFINITE_COST)));
-                }
-                let time = start.elapsed();
-                Some(Prepared::HubRows { costs, time })
+    // Gathered once the first list ran, for the second.
+    let exits: OnceLock<Exits> = OnceLock::new();
+    let run = |task, scratch: &mut ScratchDijkstra, at: &mut FragmentId| match task {
+        Prep::HubRows(ids) => {
+            *at = home(comp.borders()[ids.start]);
+            let skeleton = skeleton.as_ref().expect("hub rows only for a hub to build");
+            let start = Instant::now();
+            let mut costs = Vec::with_capacity(ids.len() * nb);
+            for s in ids {
+                scratch.sweep(skeleton, &[(NodeId::from_index(s), 0)]);
+                let reached = |t| scratch.cost(NodeId::from_index(t));
+                costs.extend((0..nb).map(|t| reached(t).unwrap_or(INFINITE_COST)));
             }
-            Prep::Site(fragment) => {
-                *at = fragment;
-                if config.fault_fires(fragment) {
+            let time = start.elapsed();
+            Some(Prepared::HubRows { costs, time })
+        }
+        Prep::Site(fragment) => {
+            *at = fragment;
+            if config.fault_fires(fragment) {
+                return None;
+            }
+            let site = snap.site_handle(fragment);
+            let unfilled = !site.exits_filled();
+            let swept = scratch.stats().sweeps;
+            let mine = (sources.iter())
+                .filter(|&&s| home(s) == fragment)
+                .map(|&s| (s, site.local_id(s).expect("a source of its home fragment")))
+                .filter(|&(_, local)| !site.is_border(local));
+            for (_, local) in mine.clone() {
+                if unfilled || site.access_set(local).is_none() {
+                    site.fill_border_free_row(local, scratch);
+                }
+            }
+            site.fill_exits(scratch);
+            // What no row sweep and no exit set filled: the access sets
+            // of a one-way site, or of one that keeps no rows.
+            for (s, _) in mine {
+                site.access(s, true, scratch);
+            }
+            let sweeps = (scratch.stats().sweeps - swept) as usize;
+            Some(Prepared::Filled { sweeps })
+        }
+        Prep::BorderRows(ids) => {
+            let exits = exits.get().expect("gathered before the border rows");
+            let hub = snap.hub_handle().expect("built by the first list");
+            let mut rows = Vec::with_capacity(ids.len());
+            for (i, &b) in ids.iter().enumerate() {
+                *at = home(comp.borders()[b]);
+                let first = ids[..i].iter().all(|&p| home(comp.borders()[p]) != *at);
+                if first && config.fault_fires(*at) {
                     return None;
                 }
-                let site = snap.site_handle(fragment);
-                let swept = scratch.stats().sweeps;
-                for &s in sources.iter().filter(|&&s| home(s) == fragment) {
-                    let local = site.local_id(s).expect("a source of its home fragment");
-                    if !site.is_border(local) {
-                        site.fill_border_free_row(local, scratch);
-                    }
-                }
-                site.fill_exits(scratch);
-                let sweeps = (scratch.stats().sweeps - swept) as usize;
-                Some(Prepared::Filled { sweeps })
+                let h = hub.row(b);
+                let row = exits.at.windows(2).map(|w| {
+                    let set = &exits.entries[w[0]..w[1]];
+                    (set.iter()).fold(INFINITE_COST, |best, &(b, leave)| {
+                        best.min(h[b as usize] + leave)
+                    })
+                });
+                rows.push(row.collect());
             }
-        },
-        stats,
-    )?;
-    // The hub's blocks come last, in skeleton-id order.
-    let mut costs = Vec::with_capacity(if build_hub { nb * nb } else { 0 });
+            let entries = exits.entries.len();
+            Some(Prepared::BorderRows { ids, rows, entries })
+        }
+    };
+
+    if !tasks.is_empty() {
+        let done = run_tasks(config.workers(), tasks, ScratchDijkstra::new, run, stats)?;
+        let costs = absorb(snap, done, stats);
+        if build_hub {
+            stats.hub_sweeps = nb;
+            // A concurrent call may have built the same hub first.
+            stats.hub_built = snap.set_hub(Arc::new(Hub::from_rows(nb, costs)));
+        }
+        for &s in sources {
+            let filled = note(s, &mut read);
+            assert!(filled, "the first list fills every source's access set");
+        }
+    }
+
+    let kept = snap.border_rows();
+    let missing: Vec<usize> = (0..nb)
+        .filter(|&b| read[b] && kept.row(b).is_none())
+        .collect();
+    if missing.is_empty() {
+        return Ok(());
+    }
+    let _ = exits.set(gather_exits(snap));
+    let tasks = missing.chunks(BLOCK).map(Prep::BorderRows).collect();
+    // Published once every block ran: a failed list publishes none.
+    let done = run_tasks(config.workers(), tasks, ScratchDijkstra::new, run, stats)?;
+    absorb(snap, done, stats);
+    Ok(())
+}
+
+/// Count what an epoch-state list did, publish its border rows, and
+/// return its hub rows, in task order (skeleton-id order: the hub's
+/// blocks come last).
+fn absorb(snap: &EngineSnapshot, done: Vec<Prepared>, stats: &mut MaterializeStats) -> Vec<Cost> {
+    let mut costs = Vec::new();
     for out in done {
         match out {
             Prepared::HubRows { costs: rows, time } => {
@@ -229,18 +330,21 @@ fn prepare(
                 stats.hub_time += time;
             }
             Prepared::Filled { sweeps } => stats.fragment_sweeps += sweeps,
+            Prepared::BorderRows { ids, rows, entries } => {
+                for (&b, row) in ids.iter().zip(rows) {
+                    stats.exchanged_tuples += entries;
+                    stats.tc.tuples_generated += entries;
+                    // A concurrent call may have filled it first.
+                    stats.border_rows += usize::from(snap.border_rows().set(b, row));
+                }
+            }
         }
     }
-    if build_hub {
-        stats.hub_sweeps = nb;
-        // A concurrent call may have built the same hub first.
-        stats.hub_built = snap.set_hub(Arc::new(Hub::from_rows(nb, costs)));
-    }
-    Ok(())
+    costs
 }
 
 /// Every node's exit set, gathered from the filled sites.
-fn exits(snap: &EngineSnapshot) -> Exits {
+fn gather_exits(snap: &EngineSnapshot) -> Exits {
     let (comp, planner) = (snap.complementary(), snap.planner());
     let n = snap.graph().node_count();
     let mut exits = Exits {
@@ -276,21 +380,20 @@ fn exits(snap: &EngineSnapshot) -> Exits {
 fn source_rows(
     snap: &EngineSnapshot,
     config: &MaterializeConfig,
-    exits: &Exits,
     sources: &[NodeId],
     out: &mut [PathTuple],
     worker: &mut Worker,
     at: &mut FragmentId,
 ) -> Option<Rows> {
-    let (comp, planner) = (snap.complementary(), snap.planner());
-    let hub = snap.hub_handle().expect("built by the first list");
+    let (comp, planner, kept) = (snap.complementary(), snap.planner(), snap.border_rows());
     let home = |s: NodeId| planner.fragments_of(s)[0];
     let Worker {
         dijkstra,
-        r,
         acc,
         free,
     } = worker;
+    let n = acc.len();
+    let row_of = |b: usize| kept.row(b).expect("filled by the second list");
     let swept = dijkstra.stats().sweeps;
     let mut done = Rows::default();
     for (i, &s) in sources.iter().enumerate() {
@@ -302,33 +405,33 @@ fn source_rows(
         let local = site.local_id(s).expect("a source of its home fragment");
         let border = site.is_border(local);
 
-        // r_s = access(s) ⊗ H; a border takes its own hub row.
-        let r: &[Cost] = if border {
-            hub.row(comp.skeleton_id(s).expect("a border"))
+        // access(s) ⊗ R: a border takes its own row.
+        if border {
+            acc.copy_from_slice(row_of(comp.skeleton_id(s).expect("a border")));
+            done.exchanged += 1;
+            done.generated += n;
         } else {
-            let (access, _) = site.access(s, true, dijkstra);
+            let access = site.access_set(local).expect("filled by the first list");
             let ids = comp.skeleton_ids(*at);
-            r.fill(INFINITE_COST);
-            for &(b, reach) in access {
-                for (best, &h) in r.iter_mut().zip(hub.row(ids[b as usize])) {
-                    *best = (*best).min(reach + h);
+            let mut folded = access
+                .iter()
+                .map(|&(b, reach)| (row_of(ids[b as usize]), reach));
+            match folded.next() {
+                Some((row, reach)) => {
+                    for (best, &cost) in acc.iter_mut().zip(row) {
+                        *best = reach + cost;
+                    }
+                }
+                None => acc.fill(INFINITE_COST),
+            }
+            for (row, reach) in folded {
+                for (best, &cost) in acc.iter_mut().zip(row) {
+                    *best = (*best).min(reach + cost);
                 }
             }
             done.exchanged += access.len();
-            done.generated += access.len() * r.len();
-            r.as_slice()
-        };
-
-        // Every destination leaves its last border through its exit set.
-        for (d, best) in acc.iter_mut().enumerate() {
-            let set = &exits.entries[exits.at[d]..exits.at[d + 1]];
-            *best = (set.iter())
-                .map(|&(b, leave)| r[b as usize] + leave)
-                .min()
-                .unwrap_or(INFINITE_COST);
+            done.generated += access.len() * n;
         }
-        done.exchanged += exits.entries.len();
-        done.generated += exits.entries.len();
 
         // The source's own fragment, along paths that touch no border.
         if !border {
@@ -491,6 +594,21 @@ mod tests {
         stats
     }
 
+    /// Path 0-…-11: fragment 0 holds 0..=4, fragment 1 holds 4..=6 and
+    /// fragment 2 holds 6..=11, so the borders are 4 and 6 and the source
+    /// blocks 0..=7 and 8..=11.
+    fn path_12() -> Fragmentation {
+        Fragmentation::new(
+            12,
+            vec![
+                edges(&[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]),
+                edges(&[(4, 5, 1), (5, 6, 1)]),
+                edges(&[(6, 7, 1), (7, 8, 1), (8, 9, 1), (9, 10, 1), (10, 11, 1)]),
+            ],
+            vec![vec![]; 3],
+        )
+    }
+
     #[test]
     fn split_path_matches_sequential_seminaive() {
         let stats = assert_matches_seminaive(&path_split(), true, MaterializeConfig::default());
@@ -502,16 +620,17 @@ mod tests {
         assert_eq!(stats.hub_sweeps, 1);
         assert_eq!((stats.network_sweeps, stats.fragment_sweeps), (0, 4));
         // Every node has one exit entry (border 2, or 2 itself), folded
-        // for each of the 5 sources; each interior source folds its one
-        // access entry besides.
-        assert_eq!(stats.exchanged_tuples, 5 * 5 + 4);
+        // into the one border row; each of the 5 sources folds that row
+        // once: the interior ones through their one access entry.
+        assert_eq!(stats.border_rows, 1);
+        assert_eq!(stats.exchanged_tuples, 5 + 5);
         assert_eq!(stats.tc.delta_sizes, [25]);
         // Each interior source reaches its own fragment's two other
         // nodes at the local cost.
         assert_eq!(stats.kept_local, 8);
-        // Per interior source: 1 x 1 hub entries, 5 exit entries and a
-        // row of 3; border 2 folds the 5 exit entries only.
-        assert_eq!(stats.tc.tuples_generated, 4 * (1 + 5 + 3) + 5);
+        // The row's 5 exit entries; per source the row's 5 costs, and per
+        // interior source a border-free row of 3.
+        assert_eq!(stats.tc.tuples_generated, 5 + 5 * 5 + 4 * 3);
     }
 
     #[test]
@@ -543,11 +662,12 @@ mod tests {
         let stats = assert_matches_seminaive(&frag, true, MaterializeConfig::default());
         assert_eq!((stats.hub_sweeps, stats.fragment_sweeps), (2, 3));
         assert_eq!(stats.kept_local, 4, "4 -> 0, 5 -> 1, 2 -> 0 and 2 -> 1");
-        // Border 1 is dominated for source 4 (border 0 reaches it at 2,
-        // the fragment at 9 - 1 = 8), border 0 for source 5; source 2
-        // folds both. Every source folds the 6 exit entries: one for
-        // each of 4, 5 and the borders, two for 2.
-        assert_eq!(stats.exchanged_tuples, 4 + 5 * 6);
+        // Both border rows fold the 6 exit entries: one for each of 4, 5
+        // and the borders, two for 2. Border 1 is dominated for source 4
+        // (border 0 reaches it at 2, the fragment at 9 - 1 = 8), border 0
+        // for source 5; source 2 folds both rows, a border its own.
+        assert_eq!(stats.border_rows, 2);
+        assert_eq!(stats.exchanged_tuples, 2 * 6 + 4 + 2);
         let snap = snapshot(&frag, true);
         let (closure, _) = snap.materialize(&MaterializeConfig::default()).unwrap();
         assert_eq!(closure.cost_of(n(4), n(1)), Some(3), "4-0-2-1 beats 4-1");
@@ -577,9 +697,12 @@ mod tests {
         let hub = Arc::clone(snap.hub_handle().expect("built by the first call"));
         assert_eq!(hub.border_count(), 1);
         assert_eq!(snap.memory_bytes().hub, hub.memory_bytes());
+        assert_eq!((stats.border_rows, snap.border_rows().filled()), (1, 1));
+        assert_eq!(snap.memory_bytes().border_rows, 5 * size_of::<Cost>());
         for config in [MaterializeConfig::with_threads(2), with_sources(&[3, 2])] {
             let (warm, stats) = snap.materialize(&config).unwrap();
             assert!(!stats.hub_built);
+            assert_eq!(stats.border_rows, 0, "{stats}");
             let swept = (
                 stats.hub_sweeps,
                 stats.network_sweeps,
@@ -594,6 +717,44 @@ mod tests {
             assert_eq!(warm.rows(), expected.copied().collect::<Vec<_>>());
             assert!(Arc::ptr_eq(&hub, snap.hub_handle().unwrap()));
         }
+    }
+
+    /// A border row is `dist(b, ·)`: 0 at `b` itself, the closure's cost
+    /// at every other node `b` reaches, `INFINITE_COST` elsewhere — on
+    /// symmetric and one-way networks alike.
+    #[test]
+    fn border_rows_are_the_distances_from_each_border() {
+        for symmetric in [true, false] {
+            let snap = snapshot(&path_12(), symmetric);
+            let (closure, stats) = snap.materialize(&MaterializeConfig::default()).unwrap();
+            // Borders 4 and 6; on the one-way path both have an edge out.
+            assert_eq!(stats.border_rows, 2);
+            for (b, &border) in snap.complementary().borders().iter().enumerate() {
+                let row = snap.border_rows().row(b).expect("a source's own row");
+                assert_eq!(row[border.index()], 0);
+                for (d, &cost) in row.iter().enumerate().filter(|&(d, _)| d != border.index()) {
+                    let expected = closure.cost_of(border, n(d as u32));
+                    assert_eq!(expected.unwrap_or(INFINITE_COST), cost, "{border:?} -> {d}");
+                }
+            }
+        }
+    }
+
+    /// A call fills only the border rows its sources read: the borders
+    /// in their access sets and the border sources themselves.
+    #[test]
+    fn a_keyhole_fills_the_rows_it_reads() {
+        let snap = snapshot(&path_12(), true);
+        let (_, stats) = snap.materialize(&with_sources(&[0, 1])).unwrap();
+        assert_eq!(stats.border_rows, 1, "both reach border 4 only");
+        assert!(snap.border_rows().row(0).is_some() && snap.border_rows().row(1).is_none());
+        let (_, stats) = snap.materialize(&with_sources(&[1, 5])).unwrap();
+        assert_eq!(stats.border_rows, 1, "5 reaches border 6 too");
+        assert_matches_seminaive(&path_12(), true, with_sources(&[1, 5]));
+        // The full closure sweeps its other sources' border-free rows and
+        // reads no row the keyholes left out.
+        let (_, stats) = snap.materialize(&MaterializeConfig::default()).unwrap();
+        assert_eq!((stats.border_rows, stats.hub_sweeps), (0, 0), "{stats}");
     }
 
     /// Paths have length ≥ 1: `(s, s)` is the cheapest closed walk
@@ -689,15 +850,17 @@ mod tests {
         assert_eq!(single.threads, 1);
         assert_eq!(pooled.threads, 3);
         assert_eq!(pooled.busy.len(), 3, "busy time is per worker thread");
-        // 3 site fills and 1 hub block, then 1 block of the 7 sources.
+        // 3 site fills and 1 hub block, 1 block of the 3 border rows,
+        // then 1 block of the 7 sources.
         assert_eq!(
             (single.tasks.as_slice(), single.helper_tasks()),
-            (&[5][..], 0)
+            (&[6][..], 0)
         );
         assert_eq!(pooled.tasks.len(), 3);
-        assert_eq!(pooled.tasks.iter().sum::<usize>(), 5);
+        assert_eq!(pooled.tasks.iter().sum::<usize>(), 6);
         assert_eq!(single.tc, pooled.tc, "the counters are the formula's");
         assert_eq!(single.fragment_sweeps, pooled.fragment_sweeps);
+        assert_eq!((single.border_rows, pooled.border_rows), (3, 3));
     }
 
     #[test]
@@ -717,18 +880,20 @@ mod tests {
         let line = stats.to_string();
         assert!(line.contains("rounds"), "{line}");
         assert!(line.contains("hub built (1 skeleton sweeps"), "{line}");
+        assert!(line.contains("1 border rows"), "{line}");
         assert!(line.contains("0 + 4 sweeps"), "{line}");
         assert!(line.contains("exchanged"), "{line}");
         assert!(line.contains(&format!("tasks {:?}", stats.tasks)), "{line}");
         assert_eq!(
             stats.tasks.iter().sum::<usize>(),
-            4,
-            "2 site fills, 1 hub block, 1 source block"
+            5,
+            "2 site fills, 1 hub block, 1 border-row block, 1 source block"
         );
         assert!(!line.contains('\n'));
         assert!(stats.balance_ratio() >= 1.0);
         let (_, warm) = snap.materialize(&MaterializeConfig::default()).unwrap();
         assert!(warm.to_string().contains("hub kept (0 skeleton sweeps"));
+        assert!(warm.to_string().contains("0 border rows"));
         assert!(warm.to_string().contains("tasks [1]"), "1 source block");
     }
 
@@ -781,17 +946,7 @@ mod tests {
     /// sources all sit in a block that starts in fragment 0.
     #[test]
     fn a_fault_in_a_fragment_that_starts_no_task_is_reported_with_that_fragment() {
-        // Path 0-…-11: fragment 0 holds 0..=4, fragment 1 holds 4..=6 and
-        // fragment 2 holds 6..=11, so the blocks are 0..=7 and 8..=11.
-        let frag = Fragmentation::new(
-            12,
-            vec![
-                edges(&[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]),
-                edges(&[(4, 5, 1), (5, 6, 1)]),
-                edges(&[(6, 7, 1), (7, 8, 1), (8, 9, 1), (9, 10, 1), (10, 11, 1)]),
-            ],
-            vec![vec![]; 3],
-        );
+        let frag = path_12();
         let armed = |threads, plan: FaultPlan| MaterializeConfig {
             threads,
             fault: Some(Arc::new(plan)),
@@ -829,6 +984,38 @@ mod tests {
             );
         }
         assert_matches_seminaive(&frag, true, MaterializeConfig::with_threads(2));
+    }
+
+    /// A border-row block fires the fault point like a source block, and
+    /// a call publishes its rows only once the whole list ran: a failed
+    /// call leaves no row behind, and the retry fills them all.
+    #[test]
+    fn a_fault_in_a_border_row_block_publishes_no_row() {
+        for threads in [1, 2] {
+            // Fragment 1's site fill fires first; the one row block (rows
+            // of border 4, home 0, then border 6, home 1) fires second,
+            // after it folded border 4's row.
+            let point = FaultPoint::BulkWorker { fragment: 1 };
+            let snap = snapshot(&path_12(), true);
+            let config = MaterializeConfig {
+                threads,
+                fault: Some(Arc::new(FaultPlan::new().fail_at(point, 2))),
+                ..Default::default()
+            };
+            assert_eq!(
+                snap.materialize(&config).unwrap_err(),
+                MaterializeError::WorkerPanicked { fragment: 1 }
+            );
+            assert!(snap.hub_handle().is_some(), "the first list ran");
+            assert_eq!(snap.border_rows().filled(), 0, "threads {threads}");
+            assert_eq!(snap.memory_bytes().border_rows, 0);
+            let (retried, stats) = snap.materialize(&config).unwrap();
+            assert_eq!(stats.border_rows, 2);
+            let (fresh, _) = (snapshot(&path_12(), true))
+                .materialize(&MaterializeConfig::default())
+                .unwrap();
+            assert_eq!(retried.rows(), fresh.rows());
+        }
     }
 
     /// The fault point fires on a warm call too: once per fragment of a

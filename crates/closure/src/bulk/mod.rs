@@ -20,30 +20,40 @@
 //!   edges a table beats (`ComplementaryInfo::tight_skeleton`).
 //!
 //! A path from `s` that touches a border enters its first one through
-//! `s`'s access set and leaves its last one through `d`'s exit set, so
+//! `s`'s access set and leaves its last one through `d`'s exit set.
+//! Min-plus is associative, so the epoch folds the hub into the exit
+//! sets once, border by border, and every source reads the result:
 //!
 //! ```text
-//! r_s      = access(s) ⊗ H                 (a border source: its hub row)
-//! row(s)[d] = min over b' in exit(d) of  r_s[b'] + exit(d)[b']
-//!             and, when d shares s's fragment, its border-free row
+//! R[b][d]   = min over b' in exit(d) of  H[b][b'] + exit(d)[b']
+//!             (a border row: dist(b, ·), 0 at b itself)
+//! row(s)    = access(s) ⊗ R               (a border source: its own row)
+//!             and, over s's fragment, its border-free row
 //! ```
 //!
 //! in the min-plus sense. [`engine`] runs it: the first call of an epoch
 //! builds the hub (one sweep of the skeleton per border) and fills every
 //! site's exit sets (at most one blocked sweep per border of the site,
 //! none for a node whose border-free row the call sweeps anyway on a
-//! symmetric network), as tasks on the call's own workers; every later
-//! call of the epoch sweeps nothing. The sources run in blocks of node
-//! ids, each writing its rows once, in place, into the vector that
-//! becomes the result — tuple-identical to
+//! symmetric network), then the [`BorderRows`] its sources read — the
+//! borders in their access sets, and the border sources themselves —
+//! as tasks on the call's own workers. A later call folds nothing the
+//! epoch already holds: a warm call sweeps nothing and gathers no exit
+//! set, and a source is |access(s)| passes over kept rows. The sources
+//! run in blocks of node ids, each writing its rows once, in place, into
+//! the vector that becomes the result — tuple-identical to
 //! [`ds_relation::tc::seminaive_closure`] over the fragments' union.
 //!
-//! The hub is per-epoch state, held by the snapshot like the
-//! reachability index: [`crate::EngineSnapshot::maintain_cow`] keeps a
-//! built hub across a write that leaves the skeleton `Arc` as it was and
-//! empties the slot after any other.
+//! The hub and the border rows are per-epoch state, held by the snapshot
+//! like the reachability index: [`crate::EngineSnapshot::maintain_cow`]
+//! keeps a built hub across a write that leaves the skeleton `Arc` as it
+//! was and empties the slot after any other; it empties the border rows
+//! after every write that replaced a site, since an exit set may have
+//! changed with it.
 
 pub mod engine;
+
+use std::sync::OnceLock;
 
 use ds_graph::Cost;
 
@@ -77,5 +87,46 @@ impl Hub {
     /// Heap bytes held.
     pub fn memory_bytes(&self) -> usize {
         self.costs.capacity() * std::mem::size_of::<Cost>()
+    }
+}
+
+/// The hub folded into the exit sets: per skeleton id `b`, once a
+/// materialization needed it, `dist(b, ·)` over every node of the
+/// network — 0 at `b` itself, `INFINITE_COST` where no path runs. A
+/// non-border node `x` reaches `d` at the cheapest `reach + row(b)[d]`
+/// over `(b, reach)` in its access set, or along its border-free row.
+#[derive(Clone, Debug, Default)]
+pub struct BorderRows {
+    rows: Box<[OnceLock<Box<[Cost]>>]>,
+}
+
+impl BorderRows {
+    /// `borders` empty slots.
+    pub(crate) fn new(borders: usize) -> Self {
+        BorderRows {
+            rows: (0..borders).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The row of the border with skeleton id `b`, if a call filled it.
+    pub fn row(&self, b: usize) -> Option<&[Cost]> {
+        self.rows.get(b)?.get().map(|row| &**row)
+    }
+
+    /// Fill the empty slot of `b`; `false` when a concurrent call filled
+    /// it first (with the same row: it is a function of the epoch).
+    pub(crate) fn set(&self, b: usize, row: Box<[Cost]>) -> bool {
+        self.rows[b].set(row).is_ok()
+    }
+
+    /// Rows filled so far.
+    pub fn filled(&self) -> usize {
+        self.rows.iter().filter(|slot| slot.get().is_some()).count()
+    }
+
+    /// Heap bytes of the filled rows.
+    pub fn memory_bytes(&self) -> usize {
+        let rows = self.rows.iter().filter_map(OnceLock::get);
+        rows.map(|row| std::mem::size_of_val(&**row)).sum()
     }
 }

@@ -454,6 +454,12 @@ impl Site {
         self.borders.binary_search(&v).is_ok()
     }
 
+    /// The access set of the non-border local node `v` — the borders it
+    /// reaches first — if something filled it.
+    pub(crate) fn access_set(&self, v: NodeId) -> Option<&[AccessEntry]> {
+        self.entries[v.index()].get().map(|set| &**set)
+    }
+
     /// The exit set of the local node `v` — the borders that reach it
     /// last — if it is filled (see [`Site::fill_exits`]).
     pub(crate) fn exit_set(&self, v: NodeId) -> Option<&[AccessEntry]> {

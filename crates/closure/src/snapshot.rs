@@ -67,7 +67,7 @@ use ds_relation::bulk::{MaterializeConfig, MaterializeError, MaterializeStats};
 use ds_relation::{PathTuple, Relation};
 
 use crate::api::{best_route, run_batch, BatchAnswer, NetworkUpdate, QueryRequest, SiteEvaluator};
-use crate::bulk::Hub;
+use crate::bulk::{BorderRows, Hub};
 use crate::complementary::{ComplementaryInfo, PrecomputeStats};
 use crate::engine::{EngineConfig, QueryAnswer, QueryStats, Route};
 use crate::error::ClosureError;
@@ -112,6 +112,11 @@ pub struct EngineSnapshot {
     /// by the first materialization of an epoch, kept by a write that
     /// leaves the skeleton `Arc` as it was, dropped by any other.
     hub: OnceLock<Arc<Hub>>,
+    /// The hub folded into the exit sets ([`BorderRows`]), what a
+    /// materialized source reads: each row filled by the first
+    /// materialization of the epoch that needs it, shared by the clones
+    /// of this epoch, emptied by every write that replaces a site.
+    border_rows: Arc<BorderRows>,
 }
 
 /// What one [`EngineSnapshot::maintain_cow`] call replaced: the update
@@ -166,11 +171,13 @@ pub struct SnapshotBytes {
     pub planner: usize,
     /// The materializer's hub, once a materialization has built it.
     pub hub: usize,
+    /// The materializer's border rows filled so far.
+    pub border_rows: usize,
 }
 
 impl SnapshotBytes {
     /// Every component with its name, in declaration order.
-    pub fn components(&self) -> [(&'static str, usize); 9] {
+    pub fn components(&self) -> [(&'static str, usize); 10] {
         [
             ("graph", self.graph),
             ("complementary", self.complementary),
@@ -181,6 +188,7 @@ impl SnapshotBytes {
             ("reach_index", self.reach_index),
             ("planner", self.planner),
             ("hub", self.hub),
+            ("border_rows", self.border_rows),
         ]
     }
 
@@ -211,6 +219,7 @@ impl EngineSnapshot {
         let sites = (frag.fragments().iter())
             .map(|f| Arc::new(build_site(&planner, f, symmetric, &comp, &mut scratch)))
             .collect();
+        let border_rows = Arc::new(BorderRows::new(comp.border_count()));
         EngineSnapshot {
             graph: Arc::new(graph),
             frag: Arc::new(frag),
@@ -221,12 +230,14 @@ impl EngineSnapshot {
             planner,
             reach: OnceLock::new(),
             hub: OnceLock::new(),
+            border_rows,
         }
     }
 
     /// A deep copy that shares **nothing** with `self`: every component —
     /// global graph, fragmentation, planner, every site and its
-    /// complementary table, a built reachability index — gets a fresh
+    /// complementary table, a built reachability index, the
+    /// materializer's hub and border rows — gets a fresh
     /// allocation (a site and the
     /// copy's [`ComplementaryInfo`] share the copied table, as they do
     /// here). The copy's planner starts with an empty chain table, so no
@@ -259,6 +270,7 @@ impl EngineSnapshot {
             planner: Arc::new(self.planner.unshared_clone()),
             reach,
             hub,
+            border_rows: Arc::new((*self.border_rows).clone()),
         }
     }
 
@@ -337,6 +349,7 @@ impl EngineSnapshot {
             reach_index: self.reach.get().map_or(0, |r| r.memory_bytes()),
             planner: self.planner.memory_bytes(),
             hub: self.hub.get().map_or(0, |h| h.memory_bytes()),
+            border_rows: self.border_rows.memory_bytes(),
             ..SnapshotBytes::default()
         };
         for site in &self.sites {
@@ -408,15 +421,22 @@ impl EngineSnapshot {
         self.hub.set(hub).is_ok()
     }
 
+    /// The materializer's border rows: the ones a materialization of
+    /// this epoch filled, by skeleton id.
+    pub fn border_rows(&self) -> &BorderRows {
+        &self.border_rows
+    }
+
     /// Materialize the transitive closure — every minimum-cost
     /// `(src, dst, cost)` path tuple from [`MaterializeConfig::sources`]
     /// (all nodes when `None`), sorted — from the epoch's complementary
-    /// information ([`crate::bulk`]): one min-plus fold per source
-    /// through the hub, the sites' access and exit sets and border-free
-    /// rows, in blocks of node ids whose rows are written once, in place,
+    /// information ([`crate::bulk`]): one min-plus fold per source of
+    /// its access set with the epoch's border rows, plus its border-free
+    /// row, in blocks of node ids whose rows are written once, in place,
     /// into the returned relation. The first call of an epoch builds the
-    /// hub and fills the sites' exit sets on its own workers; a later
-    /// call sweeps nothing. The result is tuple-identical to
+    /// hub, fills the sites' exit sets and then the border rows its
+    /// sources read, on its own workers; a later call folds nothing the
+    /// epoch already holds. The result is tuple-identical to
     /// [`ds_relation::tc::seminaive_closure`] over the fragments' union.
     ///
     /// Errors with [`MaterializeError::WorkerPanicked`] when a task
@@ -652,6 +672,11 @@ impl EngineSnapshot {
         // Nothing at all after a no-op removal.
         let sites: std::collections::BTreeSet<FragmentId> =
             m.shortcut_sites.iter().copied().chain(m.owner).collect();
+        // A border row folds every site's exit sets: a replaced site may
+        // have changed some.
+        if !sites.is_empty() {
+            self.border_rows = Arc::new(BorderRows::new(self.comp.border_count()));
+        }
         for &f in &sites {
             // A touched site starts over — new graph or new table, no
             // access set, an empty memo; every other site stays the

@@ -117,9 +117,15 @@ pub struct MaterializeStats {
     pub hub_sweeps: usize,
     /// Wall time of the hub build (0 when it was already built).
     pub hub_time: Duration,
-    /// Access and exit entries folded with the hub — §2.1's "very small
-    /// relations": per source its access set, plus the exit set of every
-    /// destination it was folded for.
+    /// Border rows this call filled — the hub row of a border folded
+    /// into every node's exit set, kept by the epoch: the borders in the
+    /// requested sources' access sets and the border sources that no
+    /// earlier call of the epoch filled. 0 on a warm call.
+    pub border_rows: usize,
+    /// Entries the folds read — §2.1's "very small relations": per
+    /// border row filled, every node's exit entries, and per source the
+    /// border rows it folds (its access set; a border source its own
+    /// row).
     pub exchanged_tuples: usize,
     /// Result tuples `(s, d)`, `d ≠ s`, whose cost a path through the
     /// interior of `s`'s fragment alone decided: the border-free row of
@@ -132,8 +138,9 @@ pub struct MaterializeStats {
     /// that took none started after the others had emptied the queue.
     pub tasks: Vec<usize>,
     /// Aggregate closure counters: `tuples_generated` is the candidates
-    /// the folds offered (the product of each access set with the hub,
-    /// one per exit entry, one per border-free row entry),
+    /// the folds offered (one per exit entry of each border row filled,
+    /// one per node for each border row a source folds, one per
+    /// border-free row entry),
     /// `iterations` repeats `rounds`, `delta_sizes` holds the result
     /// tuples written.
     pub tc: TcStats,
@@ -152,6 +159,7 @@ impl MaterializeStats {
             ("materialize_network_sweeps", self.network_sweeps),
             ("materialize_fragment_sweeps", self.fragment_sweeps),
             ("materialize_hub_sweeps", self.hub_sweeps),
+            ("materialize_border_rows", self.border_rows),
             ("materialize_exchanged_tuples", self.exchanged_tuples),
             ("materialize_kept_local", self.kept_local),
             ("materialize_result_tuples", self.tc.result_tuples),
@@ -178,18 +186,20 @@ impl MaterializeStats {
 
 impl fmt::Display for MaterializeStats {
     /// One-line summary, e.g. `4 fragments / 2 threads: 1 rounds, hub
-    /// built (17 skeleton sweeps, 0.04 ms), 0 + 58 sweeps, 3021 exchanged
-    /// (412 kept local), balance 1.03, tasks [20, 19]; 1 iters, ...`.
+    /// built (17 skeleton sweeps, 0.04 ms), 17 border rows, 0 + 58
+    /// sweeps, 3021 exchanged (412 kept local), balance 1.03, tasks
+    /// [22, 21]; 1 iters, ...`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let hub = if self.hub_built { "built" } else { "kept" };
         write!(
             f,
-            "{} fragments / {} threads: {} rounds, hub {hub} ({} skeleton sweeps, {:.2} ms), {} + {} sweeps, {} exchanged ({} kept local), balance {:.2}, tasks {:?}; {}",
+            "{} fragments / {} threads: {} rounds, hub {hub} ({} skeleton sweeps, {:.2} ms), {} border rows, {} + {} sweeps, {} exchanged ({} kept local), balance {:.2}, tasks {:?}; {}",
             self.fragments,
             self.threads,
             self.rounds,
             self.hub_sweeps,
             self.hub_time.as_secs_f64() * 1e3,
+            self.border_rows,
             self.network_sweeps,
             self.fragment_sweeps,
             self.exchanged_tuples,

@@ -459,13 +459,14 @@ impl System {
     /// fragmented relation as one bulk operation, by the disconnection
     /// set approach, from the engine's epoch
     /// ([`EngineSnapshot::materialize`], see `ds_closure::bulk`): every
-    /// source folds its access set through the epoch's *hub* — the
-    /// closure of the border skeleton — and every destination leaves
-    /// through its exit set; a destination in the source's own fragment
-    /// also reads the source's border-free row. The first call of an
-    /// epoch builds the hub (one skeleton sweep per border) and fills the
-    /// sites' exit sets (at most one fragment sweep per border of a
-    /// site); a later call sweeps nothing. Both run as tasks on scoped
+    /// source folds its access set with the epoch's *border rows* — the
+    /// closure of the border skeleton (the hub) folded into every
+    /// destination's exit set, one row per border; a destination in the
+    /// source's own fragment also reads the source's border-free row.
+    /// The first call of an epoch builds the hub (one skeleton sweep per
+    /// border), fills the sites' exit sets (at most one fragment sweep
+    /// per border of a site) and then the border rows its sources read;
+    /// a later call folds nothing the epoch already holds. All run as tasks on scoped
     /// worker threads: the caller starts at once, a spawned worker
     /// takes what is left when it starts, and every source's row is
     /// written once, straight into the returned relation.
@@ -768,6 +769,10 @@ mod tests {
         assert_eq!(snap.counter("serve_requests"), Some(1), "{snap:?}");
         assert!(snap.gauge("materialize_result_tuples").unwrap() > 0);
         assert!(snap.gauge("materialize_helper_tasks").is_some());
+        assert!(
+            snap.gauge("materialize_border_rows").unwrap() > 0,
+            "a cold call"
+        );
         assert!(!obs.tracer().recent(16).is_empty());
 
         // Disarmed facade: empty snapshot, nothing recorded anywhere.

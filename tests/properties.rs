@@ -1787,7 +1787,7 @@ fn all_closure_strategies_materialize_the_same_relation() {
                     let counters = |s: &MaterializeStats| {
                         let t = &s.tc;
                         let folds = (s.exchanged_tuples, s.kept_local, t.tuples_generated);
-                        (folds, s.fragment_sweeps, s.hub_sweeps)
+                        (folds, s.fragment_sweeps, s.hub_sweeps, s.border_rows)
                     };
                     let mut counted = Vec::new();
                     for threads in [1usize, 2, 3] {
@@ -1812,6 +1812,7 @@ fn all_closure_strategies_materialize_the_same_relation() {
                         let (_, again) = warm.materialize(&config).unwrap();
                         let swept = (again.hub_sweeps, again.fragment_sweeps);
                         assert_eq!(swept, (0, 0), "{label}: {again}");
+                        assert_eq!(again.border_rows, 0, "{label}: {again}");
                         assert!(again.rounds == 0 || warm.hub_handle().is_some());
                         counted.push(counters(&again));
                     }
@@ -1860,6 +1861,72 @@ fn all_closure_strategies_materialize_the_same_relation() {
                 );
             }
         }
+    }
+}
+
+/// Two materializations of different keyholes on one cold epoch at once
+/// fill the hub, the sites' exit sets and the border rows side by side:
+/// both give the semi-naive closure of their sources, and a third call
+/// over both keyholes then fills no row and sweeps nothing.
+#[test]
+fn concurrent_cold_keyholes_share_one_epoch() {
+    use discset::relation::bulk::{FragmentPartition, MaterializeConfig};
+
+    for seed in 0..4u64 {
+        let g = generate_transportation(
+            &TransportationConfig {
+                clusters: 4,
+                nodes_per_cluster: 12,
+                target_edges_per_cluster: 26,
+                ..TransportationConfig::default()
+            },
+            seed,
+        );
+        let frag = linear_sweep(
+            &g.edge_list(),
+            &LinearConfig {
+                fragments: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+        .fragmentation;
+        let union = FragmentPartition::new(&frag, true).union_relation();
+        let snap = EngineSnapshot::build(frag, true, EngineConfig::default());
+        let keyholes: [Vec<NodeId>; 2] = [
+            (0..g.nodes as u32).step_by(3).map(NodeId).collect(),
+            (1..g.nodes as u32).step_by(4).map(NodeId).collect(),
+        ];
+        std::thread::scope(|scope| {
+            let calls: Vec<_> = (keyholes.iter().enumerate())
+                .map(|(i, sources)| {
+                    let snap = &snap;
+                    scope.spawn(move || {
+                        let config = MaterializeConfig {
+                            threads: 1 + i,
+                            sources: Some(sources.clone()),
+                            ..Default::default()
+                        };
+                        snap.materialize(&config).unwrap().0
+                    })
+                })
+                .collect();
+            for (call, sources) in calls.into_iter().zip(&keyholes) {
+                let (want, _) = tc::seminaive_closure(&union, Some(sources));
+                assert_eq!(call.join().unwrap().rows(), want.rows(), "seed {seed}");
+            }
+        });
+        let both: Vec<NodeId> = keyholes.concat();
+        let config = MaterializeConfig {
+            sources: Some(both.clone()),
+            ..MaterializeConfig::with_threads(2)
+        };
+        let (bulk, stats) = snap.materialize(&config).unwrap();
+        let (want, _) = tc::seminaive_closure(&union, Some(&both));
+        assert_eq!(bulk.rows(), want.rows(), "seed {seed}");
+        let swept = stats.hub_sweeps + stats.network_sweeps + stats.fragment_sweeps;
+        assert_eq!((stats.border_rows, swept), (0, 0), "seed {seed}: {stats}");
+        assert!(snap.border_rows().filled() > 0);
     }
 }
 

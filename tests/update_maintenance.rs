@@ -709,7 +709,8 @@ fn materialize_follows_every_write_and_keeps_the_hub_only_with_the_skeleton() {
             snap.materialize(&full).unwrap();
             let hub = Arc::clone(snap.hub_handle().expect("built by materialize"));
             let skeleton = Arc::clone(snap.complementary().skeleton());
-            snap.maintain_cow(write, &mut scratch).unwrap();
+            assert!(snap.border_rows().filled() > 0, "{label}");
+            let cow = snap.maintain_cow(write, &mut scratch).unwrap();
             let same = Arc::ptr_eq(&skeleton, snap.complementary().skeleton());
             match snap.hub_handle() {
                 Some(now) => assert!(same && Arc::ptr_eq(now, &hub), "{label}"),
@@ -720,8 +721,16 @@ fn materialize_follows_every_write_and_keeps_the_hub_only_with_the_skeleton() {
             } else {
                 dropped += 1;
             }
+            // The border rows fold every site's exit sets: a write that
+            // replaced a site empties them, and the next call refills.
+            let replaced = !cow.touched_sites.is_empty();
+            assert!(replaced, "{label}: every write here changes a fragment");
+            assert_eq!(snap.border_rows().filled(), 0, "{label}");
+            assert_eq!(snap.memory_bytes().border_rows, 0, "{label}");
             let (bulk, stats) = snap.materialize(&full).unwrap();
             assert_eq!(stats.hub_built, !same, "{label}");
+            assert!(stats.border_rows > 0, "{label}: {stats}");
+            assert_eq!(stats.border_rows, snap.border_rows().filled(), "{label}");
             let union = FragmentPartition::new(snap.fragmentation(), symmetric).union_relation();
             let (want, _) = seminaive_closure(&union, None);
             assert_eq!(bulk.rows(), want.rows(), "{label}");
