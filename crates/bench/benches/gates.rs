@@ -72,7 +72,13 @@
 //! write streams (the benchmark's pinned sizes and write-stream rule, one
 //! thread, the previous epoch retained), per class — interior or
 //! crossing, delete or re-insert; the row's median is the class median —
-//! and the mean over every write.
+//! and the mean over every write. Also reported only, because they
+//! depend on the scheduler: `serve-closed-wakes-per-job` and
+//! `serve-closed-parks-per-job`, from a closed-loop hammer shaped like
+//! the benchmark's closed phase (2 clients x 8 reads in flight on 2
+//! workers, 20,000 reads each) — the worker wakes and reply parks over
+//! the jobs served, i.e. how often either side of the hand-off was still
+//! asleep after its yield window.
 //!
 //! Writes `BENCH_gates.json` (repo root): one row per count or ratio,
 //! min / median / max over the seeds, plus the runner's `nproc`.
@@ -81,6 +87,7 @@
 //! cargo bench -p ds-bench --bench gates
 //! ```
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -122,6 +129,12 @@ const OPS_PER_CLIENT: usize = 120;
 const THINK: Duration = Duration::from_micros(600);
 /// Interleaved rounds per seed of a serve pair (best of each arm).
 const ROUNDS: usize = 3;
+/// The hand-off hammer, shaped like the benchmark's closed phase: this
+/// many clients, each keeping `HANDOFF_IN_FLIGHT` reads outstanding,
+/// on as many workers, zero think time, `HANDOFF_READS` reads each.
+const HANDOFF_CLIENTS: usize = 2;
+const HANDOFF_IN_FLIGHT: usize = 8;
+const HANDOFF_READS: usize = 20_000;
 
 /// Warm sweeps on the cyclic general graph (center-grown fragments, fat
 /// borders, ~9 chains per query): a warm batch of 64 requests, then each
@@ -816,6 +829,18 @@ fn deployment(seed: u64) -> Deployment {
     }
 }
 
+impl Deployment {
+    /// A read of the serve mixes: 70 % a hot route, the rest uniform.
+    fn read(&self, rng: &mut StdRng) -> QueryRequest {
+        if rng.gen_index(100) < 70 {
+            self.hot[rng.gen_index(self.hot.len())]
+        } else {
+            let mut any = || NodeId(rng.gen_index(self.nodes) as u32);
+            QueryRequest::new(any(), any())
+        }
+    }
+}
+
 /// Shared publication against the deep copy it replaced, on a working
 /// snapshot one update past its published predecessor (which pins the
 /// sharing, as in the serve writer).
@@ -887,12 +912,7 @@ fn closed_loop(
                             acknowledged += server.update(&toggle[writes % 2]).is_ok() as u64;
                             writes += 1;
                         } else {
-                            let r = if rng.gen_index(100) < 70 {
-                                d.hot[rng.gen_index(d.hot.len())]
-                            } else {
-                                let mut any = || NodeId(rng.gen_index(d.nodes) as u32);
-                                QueryRequest::new(any(), any())
-                            };
+                            let r = d.read(&mut rng);
                             server.query(r.source, r.target).expect("healthy pool");
                         }
                         std::thread::sleep(THINK);
@@ -975,6 +995,41 @@ fn obs(d: &Deployment) -> Pair {
         numerator_ns: armed_ns,
         denominator_ns: disarmed_ns,
     }
+}
+
+/// The hand-off hammer: `HANDOFF_CLIENTS` clients with
+/// `HANDOFF_IN_FLIGHT` reads in flight each (`Server::submit`, replies
+/// awaited in send order) on `HANDOFF_CLIENTS` workers; the server's
+/// stats at shutdown, whose wake and park counts say how often either
+/// side of the hand-off was asleep.
+fn handoff(d: &Deployment) -> ServeStats {
+    let server = Server::start(
+        d.snapshot.clone(),
+        ServeConfig::with_workers(HANDOFF_CLIENTS),
+    );
+    std::thread::scope(|s| {
+        for client in 0..HANDOFF_CLIENTS {
+            let server = &server;
+            s.spawn(move || {
+                let mut rng =
+                    StdRng::seed_from_u64(0x4A9D0FF ^ (client as u64) << 3 ^ d.seed << 17);
+                let mut in_flight = VecDeque::with_capacity(HANDOFF_IN_FLIGHT);
+                for _ in 0..HANDOFF_READS {
+                    let r = d.read(&mut rng);
+                    let pending = server.submit(&[r]).expect("16 reads cannot fill the queue");
+                    in_flight.push_back(pending);
+                    if in_flight.len() == HANDOFF_IN_FLIGHT {
+                        let oldest = in_flight.pop_front().expect("non-empty");
+                        oldest.wait().expect("healthy pool");
+                    }
+                }
+                for pending in in_flight {
+                    pending.wait().expect("healthy pool");
+                }
+            });
+        }
+    });
+    server.shutdown()
 }
 
 /// The rows of `BENCH_gates.json` and the checks that failed.
@@ -1216,6 +1271,20 @@ fn main() {
     }
     let traced: Vec<Pair> = deployments.iter().map(obs).collect();
     report.ratio_row("obs-armed-over-disarmed", &traced, None);
+
+    // Reported, not gated: how often the closed-loop hand-off found the
+    // other side asleep depends on the scheduler.
+    let handed: Vec<ServeStats> = deployments.iter().map(handoff).collect();
+    let per_job = |count: fn(&ServeStats) -> u64| -> Vec<f64> {
+        (handed.iter())
+            .map(|st| count(st) as f64 / st.jobs as f64)
+            .collect()
+    };
+    let wakes = per_job(|st| st.handoff_wakes);
+    let parks = per_job(|st| st.reply_parks);
+    report.rows.record("serve-closed-wakes-per-job", &wakes);
+    report.rows.record("serve-closed-parks-per-job", &parks);
+    println!("serve-closed-wakes-per-job: {wakes:.3?} by seed; serve-closed-parks-per-job: {parks:.3?} by seed");
 
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     report.rows.record("nproc", &[nproc as f64]);

@@ -11,7 +11,20 @@
 //! resolves its in-flight requests to a typed error instead of a hang.
 //! Reads ([`PendingBatch`]) and writes (`Server::update`) wait on the
 //! same type.
+//!
+//! Both sides of a hand-off wait in two steps: a short [`yield_window`]
+//! first, then a park. A waiting client and a worker that found the
+//! queue empty each give their vCPU away up to [`YIELD_WINDOW`] times,
+//! re-checking after each yield, before they park. With more threads
+//! than vCPUs the yield hands the CPU to the thread that is about to
+//! produce what the waiter needs, and the waiter then finds it without
+//! a system call. On an idle core a yield returns at once and finds
+//! nothing, so each wait that ends in a park halves the thread's next
+//! window (16, 8, 4, 2, 1, 0) and each wait that finds its item
+//! restores it: a thread that keeps parking stops yielding after five
+//! waits, and one that keeps finding keeps the whole window.
 
+use std::cell::Cell;
 use std::sync::{Arc, Condvar, Mutex};
 
 use ds_closure::ClosureError;
@@ -21,6 +34,40 @@ use ds_obs::Counter;
 use crate::server::ServedBatch;
 #[allow(unused_imports)] // doc links
 use crate::server::Server;
+
+/// Most yields a waiter makes, re-checking after each, before it parks:
+/// the same window for a worker facing an empty queue and a client
+/// facing an open reply slot.
+pub(crate) const YIELD_WINDOW: usize = 16;
+
+thread_local! {
+    /// This thread's next window. A wait that ends in a park halves it —
+    /// the peer was idle, and on an idle core every yield finds nothing
+    /// — and a wait that finds its item restores it to [`YIELD_WINDOW`].
+    static WINDOW: Cell<usize> = const { Cell::new(YIELD_WINDOW) };
+}
+
+/// Check `ready` once, then up to this thread's window more times, each
+/// after `std::thread::yield_now` (`sched_yield`) rather than a spin, so
+/// the producer can have this vCPU. The first `Some` ends the window;
+/// `None` means the caller should park.
+pub(crate) fn yield_window<T>(mut ready: impl FnMut() -> Option<T>) -> Option<T> {
+    let window = WINDOW.get();
+    let mut found = ready();
+    for _ in 0..window {
+        if found.is_some() {
+            break;
+        }
+        std::thread::yield_now();
+        found = ready();
+    }
+    WINDOW.set(if found.is_some() {
+        YIELD_WINDOW
+    } else {
+        window / 2
+    });
+    found
+}
 
 struct SlotState<T> {
     value: Option<T>,
@@ -106,9 +153,14 @@ impl<T> Drop for ReplySender<T> {
 
 impl<T> ReplyReceiver<T> {
     /// Block until the sender replies (`Some`) or goes away without
-    /// replying (`None`).
+    /// replying (`None`): within the [`yield_window`] if the reply comes
+    /// that soon, else parked on the condition variable.
     pub fn wait(self) -> Option<T> {
-        let mut state = lock_unpoisoned(&self.0.state);
+        let closed = yield_window(|| {
+            let state = lock_unpoisoned(&self.0.state);
+            state.closed.then_some(state)
+        });
+        let mut state = closed.unwrap_or_else(|| lock_unpoisoned(&self.0.state));
         while !state.closed {
             state.parked = true;
             state = wait_unpoisoned(&self.0.ready, state);
@@ -163,10 +215,50 @@ impl std::fmt::Debug for PendingBatch {
 mod tests {
     use super::*;
 
+    /// Wait for the receiver to finish its yield window and park (a
+    /// window that never ended would trip the caller's watchdog).
     fn until_parked<T>(tx: &ReplySender<T>) {
         while !tx.receiver_parked() {
             std::thread::yield_now();
         }
+    }
+
+    /// A fresh thread re-checks after each of `YIELD_WINDOW` yields;
+    /// every wait that ends in a park halves its next window down to a
+    /// single check, and one find restores the whole window and ends it.
+    #[test]
+    fn a_parked_wait_halves_the_window_and_a_find_restores_it() {
+        std::thread::spawn(|| {
+            let mut windows = Vec::new();
+            for _ in 0..7 {
+                let mut checks = 0;
+                let nothing = yield_window(|| -> Option<()> {
+                    checks += 1;
+                    None
+                });
+                assert_eq!(nothing, None);
+                windows.push(checks - 1);
+            }
+            assert_eq!(windows, [YIELD_WINDOW, 8, 4, 2, 1, 0, 0]);
+            assert_eq!(yield_window(|| Some(7)), Some(7), "found at once");
+            let mut checks = 0;
+            let third = yield_window(|| {
+                checks += 1;
+                (checks == 3).then_some(())
+            });
+            assert_eq!((third, checks), (Some(()), 3), "the first find ends it");
+            let mut checks = 0;
+            assert_eq!(
+                yield_window(|| -> Option<()> {
+                    checks += 1;
+                    None
+                }),
+                None
+            );
+            assert_eq!(checks, 1 + YIELD_WINDOW, "a find restored the window");
+        })
+        .join()
+        .unwrap();
     }
 
     /// A reply that is there before the client looks wakes nobody.
@@ -183,15 +275,17 @@ mod tests {
     /// park counted, by the time the client has its value.
     #[test]
     fn wait_then_send_counts_one_park() {
-        let parks = Counter::new();
-        let (tx, rx) = reply_slot();
-        let waiter = {
-            let parks = parks.clone();
-            std::thread::spawn(move || (rx.wait(), parks.get()))
-        };
-        until_parked(&tx);
-        assert!(tx.send(9u32, &parks));
-        assert_eq!(waiter.join().unwrap(), (Some(9), 1));
+        crate::tests::with_watchdog("slot park", 60, || {
+            let parks = Counter::new();
+            let (tx, rx) = reply_slot();
+            let waiter = {
+                let parks = parks.clone();
+                std::thread::spawn(move || (rx.wait(), parks.get()))
+            };
+            until_parked(&tx);
+            assert!(tx.send(9u32, &parks));
+            assert_eq!(waiter.join().unwrap(), (Some(9), 1));
+        });
     }
 
     /// The slot holds one reply: a second `send` is refused and changes
@@ -209,22 +303,24 @@ mod tests {
     /// not — empty-handed, which a read reports as `WorkerFailed`.
     #[test]
     fn a_dropped_sender_releases_the_waiter() {
-        let (tx, rx) = reply_slot::<u32>();
-        drop(tx);
-        assert_eq!(rx.wait(), None, "gone before the client looked");
+        crate::tests::with_watchdog("slot drop", 60, || {
+            let (tx, rx) = reply_slot::<u32>();
+            drop(tx);
+            assert_eq!(rx.wait(), None, "gone before the client looked");
 
-        let (tx, rx) = reply_slot::<u32>();
-        let waiter = std::thread::spawn(move || rx.wait());
-        until_parked(&tx);
-        drop(tx);
-        assert_eq!(waiter.join().unwrap(), None, "gone while it was parked");
+            let (tx, rx) = reply_slot::<u32>();
+            let waiter = std::thread::spawn(move || rx.wait());
+            until_parked(&tx);
+            drop(tx);
+            assert_eq!(waiter.join().unwrap(), None, "gone while it was parked");
 
-        let (tx, rx) = reply_slot();
-        drop(tx);
-        assert!(matches!(
-            PendingBatch::queued(rx).wait(),
-            Err(ClosureError::WorkerFailed)
-        ));
+            let (tx, rx) = reply_slot();
+            drop(tx);
+            assert!(matches!(
+                PendingBatch::queued(rx).wait(),
+                Err(ClosureError::WorkerFailed)
+            ));
+        });
     }
 
     /// A client that stopped caring does not trouble the sender.

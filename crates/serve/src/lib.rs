@@ -53,14 +53,25 @@
 //!   state (the Dijkstra scratch, batch buffers) is worker-owned; the
 //!   publication slot is consulted with one atomic load per micro-batch
 //!   and its mutex touched only when the epoch actually moved.
-//! * **A hand-off wakes only sleepers.** A request crosses to a worker
-//!   through the bounded queue and comes back through a one-shot reply
-//!   slot (one allocation; updates wait on the same type). Both touch
-//!   their condition variable — a `futex` system call — only when the
-//!   other side is actually parked, so with the pool busy a request
-//!   costs two short mutex sections and no system call.
-//!   [`ServeStats::handoff_wakes`] and [`ServeStats::reply_parks`]
-//!   count the times somebody was asleep.
+//! * **A hand-off yields before it sleeps.** A request crosses to a
+//!   worker through the bounded queue and comes back through a one-shot
+//!   reply slot (one allocation; updates wait on the same type). A
+//!   worker that finds the queue empty, and a client whose reply is not
+//!   there yet, first give their vCPU away with `std::thread::yield_now`
+//!   up to 16 times, re-checking after each, and only then park. With
+//!   more threads than vCPUs (the benchmark runs 2 clients and 2 workers
+//!   on 2) the yield runs the thread that is about to produce the work,
+//!   so the waiter finds it with no `futex` call and no wake-up; a spin
+//!   would hold the vCPU that thread needs. On an idle core a yield
+//!   returns at once and finds nothing, so each wait that ends in a park
+//!   halves the thread's next window and each wait that finds its item
+//!   restores it: a paced sequential client costs the same CPU per
+//!   request as with no window at all, where a fixed window of 16 cost
+//!   13–27 µs more. A side touches its condition variable only when the
+//!   other is actually parked. [`ServeStats::handoff_wakes`] and
+//!   [`ServeStats::reply_parks`] count the times somebody was asleep:
+//!   on `serve_read_spread` about 5 % of jobs wake a worker and 0.3 %
+//!   of replies a client, against 75 % and 28 % before the window.
 //! * **Micro-batching.** A worker drains everything pending (bounded by
 //!   [`ServeConfig::batch_max`]) in one lock acquisition, coalesces
 //!   identical requests (single-flight), sorts the distinct cache misses
@@ -501,6 +512,78 @@ mod tests {
                 stats.requests
             );
             assert!(stats.handoff_wakes <= stats.jobs && stats.reply_parks <= stats.jobs);
+        });
+    }
+
+    /// A worker pins the epoch it evaluated on, and drops that pin when
+    /// its yield window ends in a park: once both workers sleep, an
+    /// epoch a write superseded is held by nobody.
+    #[test]
+    fn an_idle_pool_pins_no_superseded_epoch() {
+        let (_, snap) = snapshot();
+        let f0 = snap.fragmentation().fragment(0).clone();
+        let (a, b) = (f0.nodes()[0], *f0.nodes().last().unwrap());
+        with_watchdog("idle pin", 60, move || {
+            let server = Server::start(snap, ServeConfig::with_workers(2));
+            let first = Arc::downgrade(&server.snapshot());
+            assert_eq!(server.query(n(0), n(39)).unwrap().epoch, 0);
+            let update = NetworkUpdate::Insert {
+                edge: Edge::new(a, b, 1),
+                owner: 0,
+            };
+            assert_eq!(server.update(&update).unwrap().epoch, 1);
+            while server.parked_workers() < 2 {
+                std::thread::yield_now();
+            }
+            assert!(
+                first.upgrade().is_none(),
+                "a parked worker still pins epoch 0"
+            );
+            server.shutdown();
+        });
+    }
+
+    /// The yield window always ends: an idle pool parks every worker,
+    /// and so does a paused one with jobs queued behind the pause.
+    #[test]
+    fn an_idle_or_paused_pool_parks_every_worker() {
+        let (_, snap) = snapshot();
+        with_watchdog("window ends", 60, move || {
+            let server = Server::start(snap, ServeConfig::with_workers(3));
+            while server.parked_workers() < 3 {
+                std::thread::yield_now();
+            }
+            server.pause_workers();
+            let pending: Vec<_> = (0..4u32)
+                .map(|i| server.submit(&[QueryRequest::new(n(i), n(39))]).unwrap())
+                .collect();
+            while server.parked_workers() < 3 {
+                std::thread::yield_now();
+            }
+            server.unpause_workers();
+            for p in pending {
+                assert!(p.wait().unwrap().answers[0].cost.is_some());
+            }
+            server.shutdown();
+        });
+    }
+
+    /// A shutdown may close the queue while a worker is inside its yield
+    /// window: 200 start / submit / shutdown cycles, none may hang, and
+    /// every admitted job is answered.
+    #[test]
+    fn a_shutdown_inside_a_yield_window_never_hangs() {
+        let (_, snap) = snapshot();
+        with_watchdog("shutdown cycles", 120, move || {
+            for cycle in 0..200u32 {
+                let server = Server::start(snap.clone(), ServeConfig::with_workers(2));
+                let pending = server
+                    .submit(&[QueryRequest::new(n(cycle % 40), n(39))])
+                    .unwrap();
+                let stats = server.shutdown();
+                assert!(pending.wait().unwrap().answers[0].cost.is_some());
+                assert_eq!(stats.requests, 1, "cycle {cycle}");
+            }
         });
     }
 

@@ -19,7 +19,7 @@ use ds_obs::{Observability, RequestTrace, SpanRecord, Stage, TraceId, TraceOutco
 
 use crate::batch::{close_failed_traces, process_batch};
 use crate::cache::AnswerCache;
-use crate::handoff::{reply_slot, PendingBatch, ReplySender};
+use crate::handoff::{reply_slot, yield_window, PendingBatch, ReplySender};
 use crate::queue::{BoundedQueue, PushError};
 use crate::stats::{add_batch_stats, LatencySummary, Metrics, ServeStats};
 use crate::writer::{redo_wal_suffix, writer_loop, WriteJob};
@@ -895,13 +895,13 @@ fn worker_loop(shared: &Shared, id: usize) {
     let mut scratch = ScratchDijkstra::new();
     let mut cached: Option<(u64, Arc<EngineSnapshot>)> = None;
     loop {
-        let jobs = match shared.queue.try_pop_batch(shared.batch_max) {
+        let jobs = match yield_window(|| shared.queue.try_pop_batch(shared.batch_max)) {
             Some(jobs) => jobs,
             None => {
-                // About to block idle: release the pinned snapshot so a
-                // publication arriving now is not kept alive by
-                // sleeping workers — only in-flight evaluation pins an
-                // epoch.
+                // About to block idle (the yield window found nothing):
+                // release the pinned snapshot so a publication arriving
+                // now is not kept alive by sleeping workers — only
+                // in-flight evaluation pins an epoch.
                 cached = None;
                 let jobs = shared.queue.pop_batch(shared.batch_max);
                 if jobs.is_empty() {

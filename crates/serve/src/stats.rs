@@ -76,13 +76,15 @@ pub struct ServeStats {
     /// The configured queue capacity (the shedding threshold).
     pub queue_capacity: usize,
     /// Admissions that had to wake a parked worker (a `futex` call each;
-    /// the others found the pool busy and cost the queue's mutex alone).
-    /// Read beside `jobs`: near `jobs` the workers idle between
-    /// requests, near 0 the pool is saturated.
+    /// the others found every worker busy or inside its yield window and
+    /// cost the queue's mutex alone). Read beside `jobs`: near `jobs`
+    /// the workers idle between requests, near 0 work reaches them
+    /// before they park.
     pub handoff_wakes: u64,
     /// Replies — to reads and to updates — that had to wake their waiter
-    /// because it had parked before the reply arrived; the others were
-    /// already there when the client looked.
+    /// because it had parked (after its yield window) before the reply
+    /// arrived; the others were there when the client looked or arrived
+    /// while it was still yielding.
     pub reply_parks: u64,
     /// Submissions shed because the queue was at capacity (each rejected
     /// admission attempt counts once; a blocking wrapper that backs off
