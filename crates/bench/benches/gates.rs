@@ -30,6 +30,11 @@
 //!   cover — for a crossing delete between two border nodes of the
 //!   shared column, exactly 4 (2 + 0 + 2) sweeps and 2 roots; for an
 //!   interior one, 8 (3 + 3 + 2) and 2;
+//! * **route sweeps** — on the same grid, a warm route between interior
+//!   nodes of the two outer fragments runs anything but its endpoints'
+//!   two cell sweeps, one sweep of the kept skeleton and one sweep of a
+//!   fragment's interior per hop through one (a run of non-border nodes
+//!   between two borders of the route), or grows the scratch;
 //! * **publication** — the structurally shared per-epoch clone is less
 //!   than 5x cheaper than `EngineSnapshot::unshared_clone` after one
 //!   update's worth of touched sites, on any seed;
@@ -314,10 +319,69 @@ const CROSSING_CLOSED_SOURCES: u64 = 2;
 /// route ties the same way — covered, like `X`'s, by `3` and `21`.
 const INTERIOR_CLOSED_SOURCES: u64 = 2;
 
+/// The node in column `c`, row `r` of the 9 x 3 column grid.
+fn grid_id(c: u32, r: u32) -> NodeId {
+    NodeId(r * 9 + c)
+}
+
 /// A 9 x 3 unit grid cut into three fragments by columns — 0..=3, 3..=6
-/// and 6..=8, so columns 3 and 6 are the borders (3 + 3 nodes) — plus a
-/// chord of cost 1000 between two interior nodes of the middle fragment,
-/// which no shortest path uses. The chord is deleted and re-inserted
+/// and 6..=8, so columns 3 and 6 are the borders (3 + 3 nodes) — the
+/// fixture of the write and route rows.
+fn column_grid() -> Fragmentation {
+    let (w, h) = (9u32, 3u32);
+    let owner = |c: u32| (c / 3).min(2) as usize;
+    let mut sets = vec![Vec::new(); 3];
+    for r in 0..h {
+        for c in 0..w {
+            if c + 1 < w {
+                sets[owner(c)].push(Edge::unit(grid_id(c, r), grid_id(c + 1, r)));
+            }
+            if r + 1 < h {
+                sets[owner(c)].push(Edge::unit(grid_id(c, r), grid_id(c, r + 1)));
+            }
+        }
+    }
+    Fragmentation::new((w * h) as usize, sets, vec![Vec::new(); 3])
+}
+
+/// What one warm route across the column grid swept, read from the
+/// caller's scratch, beside the hops of it that ran through a
+/// fragment's interior.
+struct RouteSweeps {
+    swept: ScratchStats,
+    interior_hops: u64,
+}
+
+/// A route from corner `0` to the opposite corner `26`, interior nodes
+/// of the outer fragments, on a scratch an identical route warmed. It
+/// sweeps each endpoint's cell, the kept skeleton once, and the interior
+/// of a fragment once per hop between two borders that runs through
+/// non-border nodes: a run of them between two borders on the route.
+fn route_sweeps() -> RouteSweeps {
+    let snap = EngineSnapshot::build(column_grid(), true, EngineConfig::default());
+    let mut scratch = ScratchDijkstra::new();
+    let (x, y) = (grid_id(0, 0), grid_id(8, 2));
+    snap.route(x, y, &mut scratch).expect("nodes of the grid");
+    let before = scratch.stats();
+    let route = snap.route(x, y, &mut scratch).expect("nodes of the grid");
+    let after = scratch.stats();
+    let nodes = route.expect("the grid is connected").nodes;
+    let border = |v: &NodeId| snap.fragmentation().fragments_of_node(*v).len() >= 2;
+    let interior_hops = (1..nodes.len())
+        .filter(|&i| border(&nodes[i - 1]) && !border(&nodes[i]))
+        .filter(|&i| nodes[i..].iter().any(border))
+        .count() as u64;
+    RouteSweeps {
+        swept: ScratchStats {
+            sweeps: after.sweeps - before.sweeps,
+            grows: after.grows - before.grows,
+        },
+        interior_hops,
+    }
+}
+
+/// The column grid plus a chord of cost 1000 between two interior nodes
+/// of the middle fragment, which no shortest path uses. The chord is deleted and re-inserted
 /// twice (the second round is the one counted, warm): each write sweeps
 /// each endpoint's cell and the skeleton from the borders it touches,
 /// and re-sweeps nothing, because the chord realizes none of fragment 1's
@@ -334,22 +398,8 @@ const INTERIOR_CLOSED_SOURCES: u64 = 2;
 /// the pairs whose shortest routes the edge carries, one sweep per root
 /// of their cover.
 fn write_sweeps() -> WriteSweeps {
-    let (w, h) = (9u32, 3u32);
-    let id = |c: u32, r: u32| NodeId(r * w + c);
-    let owner = |c: u32| (c / 3).min(2) as usize;
-    let mut sets = vec![Vec::new(); 3];
-    for r in 0..h {
-        for c in 0..w {
-            if c + 1 < w {
-                sets[owner(c)].push(Edge::unit(id(c, r), id(c + 1, r)));
-            }
-            if r + 1 < h {
-                sets[owner(c)].push(Edge::unit(id(c, r), id(c, r + 1)));
-            }
-        }
-    }
-    let frag = Fragmentation::new((w * h) as usize, sets, vec![Vec::new(); 3]);
-    let built = EngineSnapshot::build(frag, true, EngineConfig::default());
+    let id = grid_id;
+    let built = EngineSnapshot::build(column_grid(), true, EngineConfig::default());
     let mut scratch = ScratchDijkstra::new();
     let chord = Edge::new(id(4, 0), id(5, 2), 1000);
     let insert = NetworkUpdate::Insert {
@@ -1140,6 +1190,27 @@ fn main() {
     let stale = "write-crossing-insert re-swept fragments";
     println!("{stale}: {}", writes.crossing_insert_resweeps);
     report.check(exact_count(stale, 0, writes.crossing_insert_resweeps));
+    for (row, expected, counted, what) in rows {
+        report.rows.record(row, &[counted as f64]);
+        println!("{row}: {counted} (expected {expected}: {what})");
+        report.check(exact_count(row, expected, counted));
+    }
+    let route = route_sweeps();
+    let hops = route.interior_hops;
+    let rows = [
+        (
+            "route-sweeps",
+            3 + hops,
+            route.swept.sweeps,
+            format!("2 endpoint cells + 1 skeleton sweep + {hops} interior hops"),
+        ),
+        (
+            "route-warm-grows",
+            0,
+            route.swept.grows,
+            "scratch growths".to_string(),
+        ),
+    ];
     for (row, expected, counted, what) in rows {
         report.rows.record(row, &[counted as f64]);
         println!("{row}: {counted} (expected {expected}: {what})");

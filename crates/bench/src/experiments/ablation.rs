@@ -103,7 +103,7 @@ pub fn complementary_scope(seed: u64) -> Vec<ScopeRow> {
     ]
     .into_iter()
     .map(|scope| {
-        let comp = ComplementaryInfo::compute(&csr, &frag, scope, false);
+        let comp = ComplementaryInfo::compute(&csr, &frag, scope);
         let engine = EngineSnapshot::build(
             frag.clone(),
             true,

@@ -172,9 +172,9 @@ pub trait TcEngine {
     /// Connection query — "is `x` connected to `y`?".
     fn connected(&mut self, x: NodeId, y: NodeId) -> bool;
 
-    /// Reconstruct the full cheapest route. Engines built without stored
-    /// shortcut paths (`EngineConfig::store_paths`) return
-    /// [`ClosureError::RoutesNotEnabled`].
+    /// Reconstruct the full cheapest route (see
+    /// [`crate::EngineSnapshot::route`]). Errs when an endpoint is in no
+    /// fragment; `Ok(None)` when `y` is unreachable.
     fn route(&mut self, x: NodeId, y: NodeId) -> Result<Option<Route>, ClosureError>;
 
     /// Apply a network update, keeping answers exact afterwards.
@@ -409,40 +409,12 @@ fn one_query<E: SiteEvaluator>(
         on.bstats.plans_reused += 1;
     }
     on.qstats.enumerated = set.enumerated;
-    let best = evaluate_chains(eval, &set.chains, (x, y), on, buf, false)?;
+    let best = evaluate_chains(eval, &set.chains, (x, y), on, buf)?;
     Some(QueryAnswer {
-        cost: best.as_ref().map(|b| b.cost),
-        best_chain: best.map(|b| Arc::clone(&set.chains[b.chain])),
+        cost: best.map(|(cost, _)| cost),
+        best_chain: best.map(|(_, i)| Arc::clone(&set.chains[i])),
         stats: std::mem::take(on.qstats),
     })
-}
-
-/// `(cost, fragment chain, waypoints)` of a cheapest route.
-pub(crate) type RoutePlan = (Cost, Arc<[FragmentId]>, Vec<NodeId>);
-
-/// The cheapest route's cost, fragment chain and waypoints
-/// `x, w1, …, wk, y` — `wi` is the node of `DS(chain[i-1], chain[i])` the
-/// path crosses (the paper's border cities), so leg `i` of the waypoints
-/// runs at site `chain[i]`; neighbouring waypoints coincide when an
-/// endpoint is itself a border node. Errs when an endpoint is in no
-/// fragment; `Ok(None)` when `y` is unreachable.
-pub(crate) fn best_route<E: SiteEvaluator>(
-    planner: &Planner,
-    eval: &mut E,
-    (x, y): (NodeId, NodeId),
-) -> Result<Option<RoutePlan>, ClosureError> {
-    let (set, _) = planner.chain_set(x, y)?;
-    let mut on = Evaluation {
-        planner,
-        qstats: &mut QueryStats::default(),
-        bstats: &mut BatchStats::default(),
-        trace: None,
-        deadline: None,
-    };
-    let best = BUFFERS
-        .with_borrow_mut(|buf| evaluate_chains(eval, &set.chains, (x, y), &mut on, buf, true))
-        .expect("no deadline, no cancellation");
-    Ok(best.map(|b| (b.cost, Arc::clone(&set.chains[b.chain]), b.waypoints)))
 }
 
 fn expired(deadline: Option<Instant>) -> bool {
@@ -456,15 +428,6 @@ struct Evaluation<'a> {
     bstats: &'a mut BatchStats,
     trace: Option<&'a mut EvalTrace>,
     deadline: Option<Instant>,
-}
-
-/// The cheapest chain of one evaluation.
-struct BestChain {
-    cost: Cost,
-    /// Index into the evaluated chain set.
-    chain: usize,
-    /// `x, w1, …, wk, y`; empty unless asked for.
-    waypoints: Vec<NodeId>,
 }
 
 thread_local! {
@@ -517,17 +480,16 @@ struct Job {
 }
 
 /// Evaluate one query over its fragment chains: the one place a best
-/// chain is chosen. `None` is a deadline cancellation; `Some(None)` means
-/// no chain connects `x` to `y`. Among equally cheap chains the first in
-/// `chains` wins.
+/// chain is chosen, as its cost and its index in `chains`. `None` is a
+/// deadline cancellation; `Some(None)` means no chain connects `x` to
+/// `y`. Among equally cheap chains the first in `chains` wins.
 fn evaluate_chains<E: SiteEvaluator>(
     eval: &mut E,
     chains: &[Arc<[FragmentId]>],
     (x, y): (NodeId, NodeId),
     on: &mut Evaluation<'_>,
     buf: &mut Buffers,
-    want_waypoints: bool,
-) -> Option<Option<BestChain>> {
+) -> Option<Option<(Cost, usize)>> {
     let planner = on.planner;
     let Buffers {
         legs,
@@ -648,8 +610,8 @@ fn evaluate_chains<E: SiteEvaluator>(
             .expect("every chain end was given a leg");
         leg.costs.clone()
     };
-    // A chain's cost if below `bound`, and on request its junctions.
-    let mut fold = |c: &[FragmentId], bound: Cost, junctions: Option<&mut Vec<usize>>| {
+    // A chain's cost if below `bound`.
+    let mut fold = |c: &[FragmentId], bound: Cost| {
         if c.len() == 1 {
             let cost = costs[leg(true, c[0], c[0]).start];
             return (cost < bound).then_some(cost);
@@ -659,7 +621,6 @@ fn evaluate_chains<E: SiteEvaluator>(
             c.windows(3).map(memo),
             &costs[leg(false, c[c.len() - 1], c[c.len() - 2])],
             bound,
-            junctions,
             fold_buf,
         )
     };
@@ -672,7 +633,7 @@ fn evaluate_chains<E: SiteEvaluator>(
         on.qstats.chains_evaluated += 1;
         // Only a chain strictly cheaper than the best so far replaces it.
         let bound = best.map_or(INFINITE_COST, |(b, _)| b);
-        if let Some(cost) = fold(c, bound, None) {
+        if let Some(cost) = fold(c, bound) {
             best = Some((cost, i));
         }
         if let (Some(tr), Some(t0)) = (on.trace.as_deref_mut(), t0) {
@@ -682,26 +643,7 @@ fn evaluate_chains<E: SiteEvaluator>(
             });
         }
     }
-    Some(best.map(|(cost, chain)| {
-        let mut waypoints = Vec::new();
-        if want_waypoints {
-            let c = &chains[chain];
-            let mut junctions = Vec::new();
-            fold(c, INFINITE_COST, Some(&mut junctions));
-            waypoints.push(x);
-            waypoints.extend(
-                c.windows(2)
-                    .zip(&junctions)
-                    .map(|(w, &j)| planner.ds_between(w[0], w[1])[j]),
-            );
-            waypoints.push(y);
-        }
-        BestChain {
-            cost,
-            chain,
-            waypoints,
-        }
-    }))
+    Some(best)
 }
 
 #[cfg(test)]
@@ -906,30 +848,6 @@ mod tests {
                 assert_eq!(a.cost, want, "symmetric={symmetric} {r:?}");
             }
         }
-    }
-
-    #[test]
-    fn route_waypoints_are_the_junctions_of_the_best_chain() {
-        let frag = three_fragment_path();
-        let planner = Planner::new(&frag, 16, 8, None);
-        let mut eval = counting_eval(&frag, true);
-        let (cost, chain, waypoints) = best_route(&planner, &mut eval, (n(0), n(6)))
-            .unwrap()
-            .unwrap();
-        assert_eq!((cost, &chain[..]), (6, &[0, 1, 2][..]));
-        assert_eq!(waypoints, vec![n(0), n(2), n(4), n(6)]);
-        // An endpoint on a border is its own junction: one waypoint per
-        // site boundary all the same, so legs and sites stay aligned.
-        let (_, chain, waypoints) = best_route(&planner, &mut eval, (n(2), n(5)))
-            .unwrap()
-            .unwrap();
-        assert_eq!(&chain[..], [0, 1, 2]);
-        assert_eq!(waypoints, vec![n(2), n(2), n(4), n(5)]);
-        let (_, chain, waypoints) = best_route(&planner, &mut eval, (n(0), n(1)))
-            .unwrap()
-            .unwrap();
-        assert_eq!((&chain[..], waypoints), (&[0][..], vec![n(0), n(1)]));
-        assert!(best_route(&planner, &mut eval, (n(0), n(9))).is_err());
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! a single source, so the min-plus fold of those relations is a row
 //! vector (the costs from `x` to the first junction) carried through each
 //! interior relation's matrix and met with the column vector of costs
-//! from the last junction to `y` — [`fold_chain`], which can also report
-//! the junction nodes that achieve the minimum (for route
-//! reconstruction).
+//! from the last junction to `y` — [`fold_chain`].
 
 use ds_graph::{Cost, NodeId, INFINITE_COST};
 use ds_relation::join::compose_min_plus;
@@ -23,11 +21,6 @@ pub struct FoldBuffers {
     at: Vec<Cost>,
     /// The same at the next junction, while it is being relaxed.
     next: Vec<Cost>,
-    /// Per interior and exit position, back to back: the entry position
-    /// that reached it cheapest. Only kept when the crossing is asked for.
-    entered: Vec<usize>,
-    /// Where each interior's positions start in `entered`.
-    blocks: Vec<usize>,
 }
 
 /// Fold one chain for one `(x, y)`: `start[j]` is the cost from `x` to
@@ -38,26 +31,14 @@ pub struct FoldBuffers {
 /// path already at `bound` is dropped where it stands, and a caller that
 /// passes the best cost found so far pays little for the chains that
 /// cannot beat it. [`INFINITE_COST`] bounds nothing.
-///
-/// With `junctions`, also reports which node of each junction (by
-/// position in its disconnection set, first junction first) the cheapest
-/// path crosses; among equally cheap crossings the lowest position wins.
 pub fn fold_chain<'m>(
     start: &[Cost],
     interiors: impl IntoIterator<Item = &'m SegmentMatrix>,
     end: &[Cost],
     bound: Cost,
-    junctions: Option<&mut Vec<usize>>,
     buf: &mut FoldBuffers,
 ) -> Option<Cost> {
-    let FoldBuffers {
-        at,
-        next,
-        entered,
-        blocks,
-    } = buf;
-    entered.clear();
-    blocks.clear();
+    let FoldBuffers { at, next } = buf;
     // Until the first interior is folded, the costs at the junction are
     // `start` itself.
     let mut folded = false;
@@ -66,23 +47,13 @@ pub fn fold_chain<'m>(
         debug_assert_eq!(m.rows(), so_far.len());
         next.clear();
         next.resize(m.cols(), INFINITE_COST);
-        let from = entered.len();
-        if junctions.is_some() {
-            blocks.push(from);
-            entered.resize(from + m.cols(), 0);
-        }
         for (i, &cost) in so_far.iter().enumerate() {
             if cost >= bound {
                 continue;
             }
             for (j, &step) in m.row(i).iter().enumerate() {
                 // Both terms are at most INFINITE_COST: the sum cannot wrap.
-                if cost + step < next[j] {
-                    next[j] = cost + step;
-                    if let Some(f) = entered.get_mut(from + j) {
-                        *f = i;
-                    }
-                }
+                next[j] = next[j].min(cost + step);
             }
         }
         std::mem::swap(at, next);
@@ -90,26 +61,8 @@ pub fn fold_chain<'m>(
     }
     let so_far: &[Cost] = if folded { at } else { start };
     debug_assert_eq!(so_far.len(), end.len());
-    let (mut best, mut exit) = (bound, 0);
-    for (j, (&cost, &rest)) in so_far.iter().zip(end).enumerate() {
-        if cost + rest < best {
-            (best, exit) = (cost + rest, j);
-        }
-    }
-    if best >= bound {
-        return None;
-    }
-    if let Some(out) = junctions {
-        // Walk the crossings back from the exit, last interior first.
-        out.clear();
-        out.push(exit);
-        for &from in blocks.iter().rev() {
-            exit = entered[from + exit];
-            out.push(exit);
-        }
-        out.reverse();
-    }
-    Some(best)
+    let best = (so_far.iter().zip(end)).fold(bound, |best, (&cost, &rest)| best.min(cost + rest));
+    (best < bound).then_some(best)
 }
 
 /// Fold the chain's segment relations by hash joins into an end-to-end
@@ -167,19 +120,10 @@ mod tests {
         let s1 = seg("s1", &[(0, 5, 1), (0, 6, 2)]);
         let s2 = seg("s2", &[(5, 9, 10), (6, 9, 3)]);
         assert_eq!(chain_cost_refs(&[&s1, &s2], n(0), n(9)), Some(5));
-        let mut junctions = Vec::new();
         assert_eq!(
-            fold_chain(
-                &[1, 2],
-                [],
-                &[10, 3],
-                INFINITE_COST,
-                Some(&mut junctions),
-                &mut buf
-            ),
+            fold_chain(&[1, 2], [], &[10, 3], INFINITE_COST, &mut buf),
             Some(5)
         );
-        assert_eq!(junctions, vec![1], "crosses the second junction node");
     }
 
     #[test]
@@ -194,7 +138,6 @@ mod tests {
                 [],
                 &[INFINITE_COST, 1],
                 INFINITE_COST,
-                None,
                 &mut FoldBuffers::default()
             ),
             None
@@ -212,91 +155,17 @@ mod tests {
         let start = matrix(&rows1, &[0], &[1, 2]);
         let interior = matrix(&rows2, &[1, 2], &[3, 4]);
         let end = matrix(&rows3, &[3, 4], &[9]);
-        let (mut junctions, mut buf) = (Vec::new(), FoldBuffers::default());
-        assert_eq!(
-            fold_chain(
-                start.costs(),
-                [&interior],
-                end.costs(),
-                INFINITE_COST,
-                Some(&mut junctions),
-                &mut buf
-            ),
-            joined
-        );
-        assert_eq!(junctions, vec![0, 0], "via node 1, then node 3");
-        let mut fold = |bound| {
-            fold_chain(
-                start.costs(),
-                [&interior],
-                end.costs(),
-                bound,
-                None,
-                &mut buf,
-            )
-        };
-        assert_eq!(
-            fold(INFINITE_COST),
-            joined,
-            "asking for the crossing changes no cost"
-        );
+        let mut buf = FoldBuffers::default();
+        let mut fold = |bound| fold_chain(start.costs(), [&interior], end.costs(), bound, &mut buf);
+        assert_eq!(fold(INFINITE_COST), joined);
         assert_eq!(fold(5), joined, "a bound above the cost changes nothing");
         assert_eq!(fold(4), None, "the cost must be strictly below the bound");
-    }
-
-    #[test]
-    fn junctions_walk_back_through_every_interior() {
-        let rows1 = [(0, 1, 1), (0, 2, 5)];
-        let rows2 = [(1, 3, 5), (1, 4, 1), (2, 3, 1), (2, 4, 9)];
-        let rows3 = [(3, 5, 1), (4, 5, 1), (3, 6, 1), (4, 6, 7)];
-        let rows4 = [(5, 9, 10), (6, 9, 1)];
-        let segs = [&rows1[..], &rows2, &rows3, &rows4].map(|r| seg("s", r));
-        let joined = chain_cost_refs(&segs.each_ref(), n(0), n(9));
-        assert_eq!(joined, Some(8));
-        let start = matrix(&rows1, &[0], &[1, 2]);
-        let second = matrix(&rows2, &[1, 2], &[3, 4]);
-        let third = matrix(&rows3, &[3, 4], &[5, 6]);
-        let end = matrix(&rows4, &[5, 6], &[9]);
-        let (mut junctions, mut buf) = (Vec::new(), FoldBuffers::default());
-        for _ in 0..2 {
-            let cost = fold_chain(
-                start.costs(),
-                [&second, &third],
-                end.costs(),
-                INFINITE_COST,
-                Some(&mut junctions),
-                &mut buf,
-            );
-            assert_eq!(cost, joined);
-            // 0-1-3-6-9 and 0-2-3-6-9 both cost 8: node 1 comes first.
-            assert_eq!(junctions, vec![0, 0, 1], "via 1, 3 and 6");
-        }
-    }
-
-    #[test]
-    fn equal_crossings_take_the_lowest_position() {
-        let mut junctions = Vec::new();
-        assert_eq!(
-            fold_chain(
-                &[2, 1, 2],
-                [],
-                &[1, 2, 1],
-                INFINITE_COST,
-                Some(&mut junctions),
-                &mut FoldBuffers::default()
-            ),
-            Some(3)
-        );
-        assert_eq!(junctions, vec![0]);
     }
 
     #[test]
     fn empty_segment_list() {
         assert_eq!(chain_cost_refs(&[], n(0), n(1)), None);
         let mut buf = FoldBuffers::default();
-        assert_eq!(
-            fold_chain(&[], [], &[], INFINITE_COST, None, &mut buf),
-            None
-        );
+        assert_eq!(fold_chain(&[], [], &[], INFINITE_COST, &mut buf), None);
     }
 }

@@ -322,7 +322,12 @@ fn prepare(
 /// return its hub rows, in task order (skeleton-id order: the hub's
 /// blocks come last).
 fn absorb(snap: &EngineSnapshot, done: Vec<Prepared>, stats: &mut MaterializeStats) -> Vec<Cost> {
-    let mut costs = Vec::new();
+    // The hub keeps this vector: allocated to its size, it holds no slack.
+    let hub_costs = (done.iter()).map(|out| match out {
+        Prepared::HubRows { costs, .. } => costs.len(),
+        _ => 0,
+    });
+    let mut costs = Vec::with_capacity(hub_costs.sum());
     for out in done {
         match out {
             Prepared::HubRows { costs: rows, time } => {
@@ -696,7 +701,11 @@ mod tests {
         assert!(stats.hub_built);
         let hub = Arc::clone(snap.hub_handle().expect("built by the first call"));
         assert_eq!(hub.border_count(), 1);
-        assert_eq!(snap.memory_bytes().hub, hub.memory_bytes());
+        assert_eq!(
+            snap.memory_bytes().hub,
+            size_of::<Cost>(),
+            "B² costs, no slack"
+        );
         assert_eq!((stats.border_rows, snap.border_rows().filled()), (1, 1));
         assert_eq!(snap.memory_bytes().border_rows, 5 * size_of::<Cost>());
         for config in [MaterializeConfig::with_threads(2), with_sources(&[3, 2])] {

@@ -35,12 +35,12 @@
 //!    borders, as it stands, and a fragment's local-sweep distance. It
 //!    is closed with one [`ScratchDijkstra`] sweep per skeleton node,
 //!    yielding **exact** global border-to-border distances, and kept.
-//! 3. **Lazy paths** — when paths are requested, shortcut routes are not
-//!    materialized eagerly; they are stitched on demand from the
-//!    skeleton hops and the fragment-local parent trees of step 1. One
-//!    store serves every route: maintenance writes the routes it changes
-//!    into the same store as overrides, and the reference writes all of
-//!    its routes there.
+//! 3. **No stored paths** — a route is read off the kept skeleton when
+//!    it is asked for ([`crate::EngineSnapshot::route`]): one sweep of
+//!    the skeleton between the endpoints' cells, and one point sweep of
+//!    a fragment's interior per skeleton hop that fragment realizes.
+//!    Nothing here keeps a tree or a route, so no write has one to
+//!    maintain.
 //!
 //! Exactness: a global shortest path between two borders splits at its
 //! border visits into segments, each either one connection between two
@@ -101,7 +101,7 @@
 //! is written at every site holding both borders, so each site keeps
 //! exactly the tuples a from-scratch precompute would give it.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -145,8 +145,7 @@ pub struct PrecomputeStats {
     pub local_sweeps_ns: u64,
     /// Time closing the border-skeleton graph (0 on the reference path).
     pub skeleton_close_ns: u64,
-    /// Time writing the closed rows into the per-site shortcut tables
-    /// (and, on a deletion's re-close with stored paths, their routes).
+    /// Time writing the closed rows into the per-site shortcut tables.
     pub assemble_ns: u64,
     /// Skeleton sources the skeleton was closed from: every border on a
     /// build, the sources the deleted edge could have carried on a
@@ -171,45 +170,17 @@ struct SkelEdge {
     cost: Cost,
 }
 
-/// The per-fragment leftovers of the local-sweep phase that lazy path
-/// stitching needs: the induced subgraph view, the fragment's border
-/// nodes (sorted), and one parent tree per border source.
-#[derive(Clone, Debug)]
-struct FragTrees {
-    view: SubgraphView,
-    /// Sorted global ids of this fragment's border nodes; parallel to
-    /// `parents`.
-    borders: Vec<NodeId>,
-    /// `parents[i]` is the local-id parent tree of the sweep from
-    /// `borders[i]` (`u32::MAX` = one of its seeds, the border's interior
-    /// neighbours, or unreached).
-    parents: Vec<Vec<u32>>,
-}
-
-impl FragTrees {
-    fn memory_bytes(&self) -> usize {
-        let ids = std::mem::size_of::<NodeId>();
-        let trees: usize = self.parents.iter().map(|p| p.capacity()).sum();
-        self.view.graph().memory_bytes()
-            + (self.view.len() + self.borders.capacity()) * ids
-            + trees * std::mem::size_of::<u32>()
-    }
-}
-
 /// One fragment's local-sweep output, kept until an edit changes one of
 /// its edges: the skeleton edges its interior realizes, sorted by
-/// (source, target), and, when paths are stored, the parent trees its
-/// sweeps left.
+/// (source, target).
 #[derive(Clone, Debug, Default)]
 pub struct LocalSweeps {
     edges: Vec<SkelEdge>,
-    trees: Option<FragTrees>,
 }
 
 impl LocalSweeps {
     fn memory_bytes(&self) -> usize {
         self.edges.capacity() * std::mem::size_of::<SkelEdge>()
-            + self.trees.as_ref().map_or(0, FragTrees::memory_bytes)
     }
 
     /// The cost this fragment's interior realizes from skeleton node `s`
@@ -274,90 +245,6 @@ impl Layout {
             at,
             targets,
         }
-    }
-}
-
-/// What expands a skeleton hop into network nodes: the skeleton a tree
-/// was swept over and the fragment sweeps behind its interior edges.
-#[derive(Clone, Debug)]
-struct Hops {
-    layout: Arc<Layout>,
-    skeleton: Arc<CsrGraph>,
-    frags: Vec<Arc<LocalSweeps>>,
-}
-
-impl Hops {
-    /// Append the network nodes of the skeleton hop `p -> t` after `p`:
-    /// the interior of the fragment path that realizes it, then `t` — or
-    /// `t` alone when a connection between the two borders does.
-    fn expand(&self, p: usize, t: usize, out: &mut Vec<NodeId>) {
-        let borders = &self.layout.borders;
-        let cost = entry(&self.skeleton, p, t).expect("a tree hop is a skeleton edge");
-        let Some(sweeps) = self.frags.iter().find(|f| f.cost(p, t) == cost) else {
-            out.push(borders[t]);
-            return;
-        };
-        let ft = (sweeps.trees.as_ref()).expect("a fragment realizing a hop kept its trees");
-        let tree = &ft.parents[position(&ft.borders, &borders[p])];
-        let mut lc = ft.view.local_of(borders[t]).expect("border in view");
-        let from = out.len();
-        loop {
-            out.push(ft.view.global_of(lc));
-            match tree[lc.index()] {
-                u32::MAX => break, // an interior neighbour of `p`
-                up => lc = NodeId(up),
-            }
-        }
-        out[from..].reverse();
-    }
-
-    /// The network path from the root of the skeleton tree `parents` to
-    /// `w`, which the tree reached.
-    fn route_to(&self, parents: &[u32], w: usize) -> Vec<NodeId> {
-        let mut hops = Vec::new();
-        let mut cur = w;
-        while parents[cur] != u32::MAX {
-            let up = parents[cur] as usize;
-            hops.push((up, cur));
-            cur = up;
-        }
-        let mut out = vec![self.layout.borders[cur]];
-        for &(p, t) in hops.iter().rev() {
-            self.expand(p, t, &mut out);
-        }
-        out
-    }
-}
-
-/// The route store: shortcut routes are stitched from the build's
-/// skeleton closure trees on demand. `overrides` holds routes written
-/// since (by update maintenance, which must not consult the build-time
-/// trees, or by the global-sweep reference, which keeps no trees and
-/// writes every route there).
-#[derive(Clone, Debug)]
-struct SkeletonPaths {
-    /// The build's skeleton and fragment sweeps.
-    hops: Hops,
-    /// `via[s]` — the parent tree of the build's closure sweep from
-    /// skeleton node `s`; empty when no pair needed it.
-    via: Vec<Vec<u32>>,
-    overrides: HashMap<(NodeId, NodeId), Vec<NodeId>>,
-}
-
-impl SkeletonPaths {
-    fn stitch(&self, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
-        if let Some(p) = self.overrides.get(&(u, v)) {
-            return Some(p.clone());
-        }
-        let borders = &self.hops.layout.borders;
-        let su = borders.binary_search(&u).ok()?;
-        let sv = borders.binary_search(&v).ok()?;
-        let parents = self.via.get(su).filter(|p| !p.is_empty())?;
-        // Self-pairs are never stored; an unreached node has no parent.
-        if su == sv || parents[sv] == u32::MAX {
-            return None;
-        }
-        Some(self.hops.route_to(parents, sv))
     }
 }
 
@@ -495,12 +382,6 @@ pub struct ComplementaryInfo {
     /// network, and edited with the skeleton since.
     transpose: Option<Arc<CsrGraph>>,
     layout: Arc<Layout>,
-    /// Concrete global paths backing each shortcut (for route
-    /// reconstruction), when requested. One shared block: path lookups
-    /// are read-mostly, and maintenance detaches it at most once per
-    /// epoch via `Arc::make_mut`.
-    paths: Option<Arc<SkeletonPaths>>,
-    store_paths: bool,
     stats: PrecomputeStats,
 }
 
@@ -514,7 +395,6 @@ fn local_sweeps_for_fragment(
     frag: &Fragmentation,
     f: usize,
     borders: &[NodeId],
-    store_trees: bool,
     scratch: &mut ScratchDijkstra,
 ) -> LocalSweeps {
     // The fragment's border nodes: its node set ∩ the global border set
@@ -538,7 +418,6 @@ fn local_sweeps_for_fragment(
         .map(|b| position(borders, b) as u32)
         .collect();
     let mut edges = Vec::new();
-    let mut parents = Vec::new();
     let mut seeds: Vec<(NodeId, Cost)> = Vec::new();
     for (bi, &b) in local_borders.iter().enumerate() {
         seeds.clear();
@@ -546,11 +425,7 @@ fn local_sweeps_for_fragment(
             (view.graph().neighbors(b)).filter(|(x, _)| local_borders.binary_search(x).is_err()),
         );
         if seeds.is_empty() {
-            // No interior neighbour: no path through the interior.
-            if store_trees {
-                parents.push(vec![u32::MAX; view.len()]);
-            }
-            continue;
+            continue; // no interior neighbour: no path through the interior
         }
         scratch.sweep_to_targets_absorbing(view.graph(), &seeds, &local_borders);
         for (ti, &t) in local_borders.iter().enumerate() {
@@ -562,16 +437,8 @@ fn local_sweeps_for_fragment(
                 });
             }
         }
-        if store_trees {
-            parents.push(scratch.snapshot_parents(view.len()));
-        }
     }
-    let trees = store_trees.then_some(FragTrees {
-        view,
-        borders: fborders,
-        parents,
-    });
-    LocalSweeps { edges, trees }
+    LocalSweeps { edges }
 }
 
 /// Where `v` sits in the ascending border list `borders`.
@@ -674,71 +541,49 @@ pub(crate) struct Through<'a> {
 pub(crate) type Affected = Vec<(usize, Vec<NodeId>)>;
 
 /// What [`ComplementaryInfo::close_pairs`] swept: every pair's distance
-/// as (source, partner, cost), sorted; the roots swept from, with their
-/// partners; and, when paths are stored, each root's tree.
+/// as (source, partner, cost), sorted, and the roots swept from, with
+/// their partners.
 struct Closed {
     pairs: Vec<(usize, NodeId, Cost)>,
     roots: Affected,
-    via: Vec<Vec<u32>>,
 }
 
 impl ComplementaryInfo {
     /// Precompute the complementary information for a fragmentation over
     /// `graph` (the directed closure graph) with the skeleton-overlay
     /// strategy (see the module docs).
-    ///
-    /// `store_paths` additionally retains the fragment-local parent trees
-    /// and the skeleton closure trees so full routes can be reconstructed
-    /// later (lazily, per request).
-    pub fn compute(
-        graph: &CsrGraph,
-        frag: &Fragmentation,
-        scope: ComplementaryScope,
-        store_paths: bool,
-    ) -> Self {
+    pub fn compute(graph: &CsrGraph, frag: &Fragmentation, scope: ComplementaryScope) -> Self {
         let (layout, mut scratch) = (Layout::new(frag, scope), ScratchDijkstra::new());
         let t0 = Instant::now();
-        let mut comp = ComplementaryInfo::swept(graph, frag, layout, store_paths, &mut scratch);
+        let mut comp = ComplementaryInfo::swept(graph, frag, layout, &mut scratch);
         let local_sweeps_ns = t0.elapsed().as_nanos() as u64;
 
         // Close the skeleton from every border: each sweep needs only the
         // source's group partners — the pairs the tables store, which
         // every in-scope column of its rows is one of.
         let layout = Arc::clone(&comp.layout);
-        let nb = layout.borders.len();
         let (mut skeleton_close_ns, mut assemble_ns) = (0, 0);
-        let mut via = Vec::new();
         let mut changed = vec![0usize; comp.tables.len()];
         for (s, targets) in layout.targets.iter().enumerate() {
             if targets.is_empty() {
                 // No table pair needs this source (e.g. singleton
                 // disconnection sets): no sweep.
-                via.extend(store_paths.then(Vec::new));
                 continue;
             }
             let t1 = Instant::now();
             scratch.sweep_to_targets(&comp.skeleton, &[(NodeId::from_index(s), 0)], targets);
-            via.extend(store_paths.then(|| scratch.snapshot_parents(nb)));
             let t2 = Instant::now();
             let reached = |t| Some(scratch.cost(NodeId::from_index(t)).unwrap_or(INFINITE_COST));
             write_row(&mut comp.tables, &layout, s, reached, &mut changed);
             skeleton_close_ns += (t2 - t1).as_nanos() as u64;
             assemble_ns += t2.elapsed().as_nanos() as u64;
         }
-        let t3 = Instant::now();
-        comp.paths = store_paths.then(|| {
-            Arc::new(SkeletonPaths {
-                hops: comp.hops(),
-                via,
-                overrides: HashMap::new(),
-            })
-        });
         comp.stats = PrecomputeStats {
             strategy: PrecomputeStrategy::Skeleton,
             local_sweeps_ns,
             skeleton_close_ns,
-            assemble_ns: assemble_ns + t3.elapsed().as_nanos() as u64,
-            sources_closed: nb,
+            assemble_ns,
+            sources_closed: layout.borders.len(),
         };
         comp
     }
@@ -750,15 +595,11 @@ impl ComplementaryInfo {
         graph: &CsrGraph,
         frag: &Fragmentation,
         layout: Layout,
-        store_paths: bool,
         scratch: &mut ScratchDijkstra,
     ) -> Self {
         let borders = &layout.borders;
         let local: Vec<Arc<LocalSweeps>> = (0..frag.fragment_count())
-            .map(|f| {
-                let out = local_sweeps_for_fragment(graph, frag, f, borders, store_paths, scratch);
-                Arc::new(out)
-            })
+            .map(|f| Arc::new(local_sweeps_for_fragment(graph, frag, f, borders, scratch)))
             .collect();
         let mut edges = Vec::new();
         for (s, &b) in borders.iter().enumerate() {
@@ -787,18 +628,7 @@ impl ComplementaryInfo {
             skeleton: Arc::new(CsrGraph::from_edges(borders.len(), &edges)),
             transpose: None,
             layout: Arc::new(layout),
-            paths: None,
-            store_paths,
             stats: PrecomputeStats::default(),
-        }
-    }
-
-    /// The current skeleton and fragment sweeps, for expanding hops.
-    fn hops(&self) -> Hops {
-        Hops {
-            layout: Arc::clone(&self.layout),
-            skeleton: Arc::clone(&self.skeleton),
-            frags: self.local.clone(),
         }
     }
 
@@ -840,8 +670,7 @@ impl ComplementaryInfo {
         let borders = &self.layout.borders;
         let mut pairs: Vec<(usize, usize)> = crossing.to_vec();
         if let Some(f) = stale {
-            let fresh =
-                local_sweeps_for_fragment(graph, frag, f, borders, self.store_paths, scratch);
+            let fresh = local_sweeps_for_fragment(graph, frag, f, borders, scratch);
             let old = std::mem::replace(&mut self.local[f], Arc::new(fresh));
             let realized = old.edges.iter().chain(&self.local[f].edges);
             pairs.extend(realized.map(|e| (e.src as usize, e.dst as usize)));
@@ -875,12 +704,12 @@ impl ComplementaryInfo {
     /// A deletion's re-close over the patched skeleton: the affected
     /// pairs' distances ([`ComplementaryInfo::close_pairs`]) are written
     /// into their entries at every site holding them — every other pair
-    /// kept its shortest path and keeps its cost — and, with paths, their
-    /// routes as overrides. A site whose table comes out as it was keeps
-    /// its `Arc`. Returns per-site counts of the entries that changed,
-    /// and whether a stored tuple was dropped (its pair became
-    /// unreachable). Closing nothing leaves the stats alone; otherwise
-    /// they are this re-close's, `patch_ns` the skeleton patch before it.
+    /// kept its shortest path and keeps its cost. A site whose table
+    /// comes out as it was keeps its `Arc`. Returns per-site counts of
+    /// the entries that changed, and whether a stored tuple was dropped
+    /// (its pair became unreachable). Closing nothing leaves the stats
+    /// alone; otherwise they are this re-close's, `patch_ns` the
+    /// skeleton patch before it.
     pub(crate) fn reclose(
         &mut self,
         affected: &Affected,
@@ -906,7 +735,6 @@ impl ComplementaryInfo {
             };
             dropped |= write_row(&mut self.tables, &layout, row[0].0, new, &mut changed);
         }
-        self.write_routes(&closed, symmetric);
         self.stats = PrecomputeStats {
             strategy: PrecomputeStrategy::Skeleton,
             local_sweeps_ns: patch_ns,
@@ -915,21 +743,6 @@ impl ComplementaryInfo {
             sources_closed: closed.roots.len(),
         };
         (changed, dropped)
-    }
-
-    /// With paths stored, write the routes of `pairs` — an insert's
-    /// lowered pairs — as overrides, from sweeps of the patched skeleton
-    /// ([`ComplementaryInfo::close_pairs`]).
-    pub(crate) fn reroute(
-        &mut self,
-        pairs: &Affected,
-        symmetric: bool,
-        scratch: &mut ScratchDijkstra,
-    ) {
-        if self.paths.is_some() && !pairs.is_empty() {
-            let closed = self.close_pairs(pairs, symmetric, scratch);
-            self.write_routes(&closed, symmetric);
-        }
     }
 
     /// The current distances of `pairs` (grouped by source): from each
@@ -943,15 +756,13 @@ impl ComplementaryInfo {
         symmetric: bool,
         scratch: &mut ScratchDijkstra,
     ) -> Closed {
-        let nb = self.border_count();
         let roots = if symmetric {
-            cover(pairs, nb)
+            cover(pairs, self.border_count())
         } else {
             pairs.clone()
         };
         let mut closed = Closed {
             pairs: Vec::new(),
-            via: Vec::new(),
             roots,
         };
         for (r, partners) in &closed.roots {
@@ -962,51 +773,22 @@ impl ComplementaryInfo {
                     closed.pairs.push((t.index(), NodeId::from_index(*r), cost));
                 }
             }
-            (closed.via).extend(self.store_paths.then(|| scratch.snapshot_parents(nb)));
         }
         closed.pairs.sort_unstable();
         closed
     }
 
-    /// Write the route of every pair `closed` reached as an override
-    /// (and its reverse's, reversed, on a `symmetric` network), if paths
-    /// are stored.
-    fn write_routes(&mut self, closed: &Closed, symmetric: bool) {
-        let hops = self.paths.is_some().then(|| self.hops());
-        let (Some(hops), Some(data)) = (hops, self.paths.as_mut()) else {
-            return;
-        };
-        let data = Arc::make_mut(data);
-        let border = |s: usize| hops.layout.borders[s];
-        for ((r, partners), parents) in closed.roots.iter().zip(&closed.via) {
-            for t in partners.iter().map(|t| t.index()) {
-                if parents[t] == u32::MAX {
-                    continue; // unreachable: no tuple, no route
-                }
-                let route = hops.route_to(parents, t);
-                if symmetric {
-                    let back = route.iter().rev().copied().collect();
-                    data.overrides.insert((border(t), border(*r)), back);
-                }
-                data.overrides.insert((border(*r), border(t)), route);
-            }
-        }
-    }
-
     /// The reference precompute: one whole-graph Dijkstra per border
-    /// node, every route written eagerly as an override of a store with
-    /// no closure trees. Produces tables identical to
-    /// [`ComplementaryInfo::compute`]; kept for equivalence tests. It
-    /// derives the same kept skeleton (outside its timing), so it
-    /// maintains like any other.
+    /// node. Produces tables identical to [`ComplementaryInfo::compute`];
+    /// kept for equivalence tests. It derives the same kept skeleton
+    /// (outside its timing), so it maintains like any other.
     pub fn compute_global_sweep(
         graph: &CsrGraph,
         frag: &Fragmentation,
         scope: ComplementaryScope,
-        store_paths: bool,
     ) -> Self {
         let (layout, mut scratch) = (Layout::new(frag, scope), ScratchDijkstra::new());
-        let mut comp = ComplementaryInfo::swept(graph, frag, layout, store_paths, &mut scratch);
+        let mut comp = ComplementaryInfo::swept(graph, frag, layout, &mut scratch);
         let layout = Arc::clone(&comp.layout);
         let border_list = &layout.borders;
 
@@ -1033,20 +815,6 @@ impl ComplementaryInfo {
                 &mut changed,
             );
         }
-        comp.paths = store_paths.then(|| {
-            let mut overrides = HashMap::new();
-            for e in comp.tables.iter().flat_map(|t| t.edges()) {
-                overrides.entry((e.src, e.dst)).or_insert_with(|| {
-                    let from = position(border_list, &e.src);
-                    dist_from[from].path_to(e.dst).expect("cost is finite")
-                });
-            }
-            Arc::new(SkeletonPaths {
-                hops: comp.hops(),
-                via: Vec::new(),
-                overrides,
-            })
-        });
         let assemble_ns = t2.elapsed().as_nanos() as u64;
         comp.stats = PrecomputeStats {
             strategy: PrecomputeStrategy::GlobalSweep,
@@ -1090,8 +858,8 @@ impl ComplementaryInfo {
     }
 
     /// A deep copy that shares nothing with `self`: every per-site table,
-    /// every fragment's kept sweeps, the skeleton and the path store get
-    /// a fresh allocation. This is what a full per-epoch snapshot copy
+    /// every fragment's kept sweeps and the skeleton get a fresh
+    /// allocation. This is what a full per-epoch snapshot copy
     /// used to cost before structural sharing — kept as the baseline of
     /// the publication-cost bench, and useful to detach a snapshot from a
     /// shared lineage entirely.
@@ -1109,23 +877,8 @@ impl ComplementaryInfo {
             skeleton: deep(&self.skeleton),
             transpose: self.transpose.as_ref().map(deep),
             layout: Arc::new((*self.layout).clone()),
-            paths: self.paths.as_ref().map(|p| Arc::new((**p).clone())),
-            store_paths: self.store_paths,
             stats: self.stats,
         }
-    }
-
-    /// The concrete path behind shortcut `(u, v)`, if paths were stored.
-    /// With the skeleton strategy the route is stitched on demand from
-    /// the build's closure and fragment-local parent trees (unless update
-    /// maintenance has overridden it).
-    pub fn path(&self, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
-        self.paths.as_ref()?.stitch(u, v)
-    }
-
-    /// Whether concrete paths were stored.
-    pub fn has_paths(&self) -> bool {
-        self.paths.is_some()
     }
 
     /// Number of distinct border nodes.
@@ -1193,10 +946,7 @@ impl ComplementaryInfo {
     }
 
     /// Heap bytes held: the tables, the kept skeleton (and its transpose)
-    /// plus every fragment's kept local sweeps (their skeleton edges, and
-    /// the parent trees with their subgraph views when paths are stored).
-    /// The lazy path structure's closure trees and overrides are not
-    /// counted.
+    /// plus every fragment's kept local sweeps (their skeleton edges).
     pub fn memory_bytes(&self) -> usize {
         let swept = self.local.iter().map(|l| l.memory_bytes());
         let skeleton =
@@ -1221,12 +971,10 @@ impl ComplementaryInfo {
     ///
     /// Returns per-site counts of the entries lowered — a site with none
     /// keeps its shared table: `Arc::make_mut` detaches only the tables
-    /// this writes — and, when paths are stored, the pairs lowered, whose
-    /// routes [`ComplementaryInfo::reroute`] writes once the skeleton is
-    /// patched.
-    pub(crate) fn lower_through(&mut self, entries: &[Through<'_>]) -> (Vec<usize>, Affected) {
+    /// this writes.
+    pub(crate) fn lower_through(&mut self, entries: &[Through<'_>]) -> Vec<usize> {
         let mut changed = vec![0usize; self.tables.len()];
-        let (mut cols, mut lowered, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut cols, mut lowered) = (Vec::new(), Vec::new());
         for (site, at) in self.layout.at.iter().enumerate() {
             let (table, nb) = (&self.tables[site], at.len());
             lowered.clear();
@@ -1253,15 +1001,8 @@ impl ComplementaryInfo {
             for &(slot, cost) in &lowered {
                 table.costs[slot] = cost;
             }
-            if self.paths.is_some() {
-                pairs.extend(
-                    lowered
-                        .iter()
-                        .map(|&(slot, _)| (at[slot / nb], at[slot % nb])),
-                );
-            }
         }
-        (changed, group(pairs))
+        changed
     }
 
     /// Deletion detection, the repair rule over the pre-deletion tables:
@@ -1392,8 +1133,7 @@ mod tests {
     #[test]
     fn single_border_node_yields_no_pairs() {
         let (g, frag) = setup();
-        let comp =
-            ComplementaryInfo::compute(&g, &frag, ComplementaryScope::PerDisconnectionSet, false);
+        let comp = ComplementaryInfo::compute(&g, &frag, ComplementaryScope::PerDisconnectionSet);
         assert_eq!(comp.border_count(), 1);
         assert_eq!(comp.pair_count(), 0, "a singleton DS has no pairs");
         assert_eq!(comp.shortcuts(0).count(), 0);
@@ -1419,8 +1159,7 @@ mod tests {
             vec![vec![], vec![]],
         );
         let csr = g.closure_graph();
-        let comp =
-            ComplementaryInfo::compute(&csr, &frag, ComplementaryScope::PerDisconnectionSet, true);
+        let comp = ComplementaryInfo::compute(&csr, &frag, ComplementaryScope::PerDisconnectionSet);
         assert_eq!(comp.border_count(), 2);
         // Pairs (0,3) and (3,0) at both sites.
         assert_eq!(comp.pair_count(), 4);
@@ -1429,10 +1168,6 @@ mod tests {
             .find(|e| e.src == NodeId(0) && e.dst == NodeId(3))
             .unwrap();
         assert_eq!(shortcut.cost, 3, "global distance around the cycle");
-        let p = comp.path(NodeId(0), NodeId(3)).unwrap();
-        assert_eq!(p.len(), 4, "3 hops = 4 nodes");
-        assert_eq!(p[0], NodeId(0));
-        assert_eq!(p[3], NodeId(3));
     }
 
     #[test]
@@ -1462,10 +1197,9 @@ mod tests {
             ],
             vec![vec![], vec![], vec![]],
         );
-        let per_ds =
-            ComplementaryInfo::compute(&g, &frag, ComplementaryScope::PerDisconnectionSet, false);
+        let per_ds = ComplementaryInfo::compute(&g, &frag, ComplementaryScope::PerDisconnectionSet);
         let per_border =
-            ComplementaryInfo::compute(&g, &frag, ComplementaryScope::PerFragmentBorder, false);
+            ComplementaryInfo::compute(&g, &frag, ComplementaryScope::PerFragmentBorder);
         let has_cross = |c: &ComplementaryInfo| {
             c.shortcuts(0)
                 .any(|e| e.src == NodeId(2) && e.dst == NodeId(4))
@@ -1477,8 +1211,12 @@ mod tests {
         );
     }
 
+    /// The skeleton tables equal the global-sweep reference, and the
+    /// route the kept skeleton gives for every stored pair is a real
+    /// path of the pair's cost.
     #[test]
     fn skeleton_matches_global_sweep_tables_and_paths() {
+        use crate::{EngineConfig, EngineSnapshot};
         let g = ds_gen::generate_transportation(&ds_gen::TransportationConfig::table1(), 5);
         let frag = ds_fragment::semantic::by_labels(
             g.nodes,
@@ -1489,19 +1227,25 @@ mod tests {
         )
         .unwrap();
         let csr = g.closure_graph();
+        let mut scratch = ScratchDijkstra::new();
         for scope in [
             ComplementaryScope::PerDisconnectionSet,
             ComplementaryScope::PerFragmentBorder,
         ] {
-            let skel = ComplementaryInfo::compute(&csr, &frag, scope, true);
-            let glob = ComplementaryInfo::compute_global_sweep(&csr, &frag, scope, true);
+            let skel = ComplementaryInfo::compute(&csr, &frag, scope);
+            let glob = ComplementaryInfo::compute_global_sweep(&csr, &frag, scope);
             assert_eq!(skel.border_count(), glob.border_count(), "{scope:?}");
             assert_eq!(skel.pair_count(), glob.pair_count(), "{scope:?}");
+            let cfg = EngineConfig {
+                scope,
+                ..EngineConfig::default()
+            };
+            let snap = EngineSnapshot::build(frag.clone(), g.symmetric, cfg);
             for f in 0..frag.fragment_count() {
                 assert_eq!(skel.table(f), glob.table(f), "{scope:?} site {f}");
-                // Stitched paths are real paths of the right cost.
                 for e in skel.shortcuts(f) {
-                    let p = skel.path(e.src, e.dst).expect("path stored");
+                    let route = snap.route(e.src, e.dst, &mut scratch).unwrap();
+                    let p = route.expect("a stored pair is connected").nodes;
                     assert_eq!(*p.first().unwrap(), e.src);
                     assert_eq!(*p.last().unwrap(), e.dst);
                     let mut total = 0;
@@ -1513,7 +1257,7 @@ mod tests {
                             .min()
                             .unwrap_or_else(|| panic!("{:?}->{:?} not an edge", hop[0], hop[1]));
                     }
-                    assert_eq!(total, e.cost, "{scope:?} stitched path cost");
+                    assert_eq!(total, e.cost, "{scope:?} route cost");
                 }
             }
         }
@@ -1548,18 +1292,14 @@ mod tests {
     #[test]
     fn precompute_stats_report_phases() {
         let (g, frag) = setup();
-        let skel = ComplementaryInfo::compute(&g, &frag, ComplementaryScope::default(), false);
+        let skel = ComplementaryInfo::compute(&g, &frag, ComplementaryScope::default());
         assert_eq!(
             skel.precompute_stats().strategy,
             PrecomputeStrategy::Skeleton
         );
         assert!(skel.precompute_stats().total_ns() > 0);
-        let glob = ComplementaryInfo::compute_global_sweep(
-            &g,
-            &frag,
-            ComplementaryScope::default(),
-            false,
-        );
+        let glob =
+            ComplementaryInfo::compute_global_sweep(&g, &frag, ComplementaryScope::default());
         assert_eq!(
             glob.precompute_stats().strategy,
             PrecomputeStrategy::GlobalSweep
@@ -1575,8 +1315,7 @@ mod tests {
         let e12 = vec![GEdge::unit(NodeId(1), NodeId(2))];
         let g = CsrGraph::from_edges(4, &[e01[0], e12[0]]);
         let frag = Fragmentation::new(4, vec![e01, e12], vec![vec![NodeId(3)], vec![NodeId(3)]]);
-        let comp =
-            ComplementaryInfo::compute(&g, &frag, ComplementaryScope::PerFragmentBorder, false);
+        let comp = ComplementaryInfo::compute(&g, &frag, ComplementaryScope::PerFragmentBorder);
         // Border nodes are 1 and 3; only pairs with finite global distance
         // are stored; 1 and 3 are mutually unreachable.
         assert_eq!(comp.border_count(), 2);

@@ -16,9 +16,6 @@ use crate::executor::ExecutionMode;
 pub struct EngineConfig {
     /// Which border pairs get complementary shortcuts.
     pub scope: ComplementaryScope,
-    /// Keep one concrete path per shortcut, enabling
-    /// [`crate::snapshot::EngineSnapshot::route`].
-    pub store_paths: bool,
     /// Chain enumeration caps for cyclic fragmentation graphs.
     pub max_chains: usize,
     pub max_chain_len: usize,
@@ -35,7 +32,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             scope: ComplementaryScope::default(),
-            store_paths: false,
             max_chains: 64,
             max_chain_len: 16,
             mode: ExecutionMode::Sequential,
@@ -100,9 +96,11 @@ pub struct Route {
     pub cost: Cost,
     /// Every node of the path, source to destination.
     pub nodes: Vec<NodeId>,
-    /// The fragment chain used.
+    /// The fragments the path's hops belong to, in order, each once per
+    /// visit.
     pub chain: Vec<FragmentId>,
-    /// The border cities crossed (junction nodes of the assembly).
+    /// The border cities where the path changes fragment: one between
+    /// each two neighbours of `chain`.
     pub waypoints: Vec<NodeId>,
 }
 
@@ -111,7 +109,6 @@ mod tests {
     use super::*;
     use crate::api::QueryRequest;
     use crate::baseline;
-    use crate::error::ClosureError;
     use crate::snapshot::tests::grid_snapshot;
     use crate::snapshot::EngineSnapshot;
     use ds_gen::deterministic::two_triangles_bridge;
@@ -235,10 +232,7 @@ mod tests {
 
     #[test]
     fn route_reconstruction_is_a_real_path() {
-        let (g, engine) = grid_engine(EngineConfig {
-            store_paths: true,
-            ..EngineConfig::default()
-        });
+        let (g, engine) = grid_engine(EngineConfig::default());
         let csr = g.closure_graph();
         let route = engine
             .route(n(0), n(39), &mut ScratchDijkstra::new())
@@ -265,17 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn route_requires_store_paths() {
-        let (_, engine) = grid_engine(EngineConfig::default());
-        assert_eq!(
-            engine
-                .route(n(0), n(5), &mut ScratchDijkstra::new())
-                .unwrap_err(),
-            ClosureError::RoutesNotEnabled
-        );
-    }
-
-    #[test]
     fn unreachable_is_none_not_error() {
         // Two disconnected triangles fragmented apart.
         let g = two_triangles_bridge();
@@ -295,6 +278,17 @@ mod tests {
         let a = engine.shortest_path(n(0), n(4), &mut scratch);
         assert_eq!(a.cost, None);
         assert!(!engine.connected(n(0), n(4)));
+        assert_eq!(engine.route(n(0), n(4), &mut scratch), Ok(None));
+        // A node in no fragment is an error, not an unreachable answer.
+        assert_eq!(
+            engine.route(n(0), n(6), &mut scratch),
+            Err(crate::error::ClosureError::NodeNotInAnyFragment(n(6)))
+        );
+        let stay = engine.route(n(4), n(4), &mut scratch).unwrap().unwrap();
+        assert_eq!(
+            (stay.cost, stay.nodes, stay.chain),
+            (0, vec![n(4)], vec![1])
+        );
     }
 
     #[test]

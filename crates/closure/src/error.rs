@@ -12,9 +12,6 @@ pub enum ClosureError {
     /// fragmentations produced by this workspace's algorithms, which seed
     /// every node somewhere).
     NodeNotInAnyFragment(NodeId),
-    /// Route reconstruction was requested but the engine was built without
-    /// shortcut path storage (`EngineConfig::store_paths`).
-    RoutesNotEnabled,
     /// The serve worker evaluating this request's micro-batch panicked.
     /// The request was not answered; the worker has been respawned and a
     /// retry will be served normally.
@@ -44,12 +41,6 @@ impl fmt::Display for ClosureError {
         match self {
             ClosureError::NodeNotInAnyFragment(v) => {
                 write!(f, "node {v} belongs to no fragment")
-            }
-            ClosureError::RoutesNotEnabled => {
-                write!(
-                    f,
-                    "route reconstruction requires EngineConfig::store_paths = true"
-                )
             }
             ClosureError::WorkerFailed => {
                 write!(f, "serve worker panicked while evaluating this batch")
@@ -87,9 +78,6 @@ mod tests {
         assert!(ClosureError::NodeNotInAnyFragment(NodeId(3))
             .to_string()
             .contains('3'));
-        assert!(ClosureError::RoutesNotEnabled
-            .to_string()
-            .contains("store_paths"));
         assert!(ClosureError::WorkerFailed.to_string().contains("worker"));
         assert!(ClosureError::DeadlineExceeded {
             waited: Duration::from_millis(5)

@@ -156,7 +156,7 @@ pub struct Site {
     /// [`ROW_NODES`] nodes.
     rows: Vec<OnceLock<Box<[Cost]>>>,
     /// The augmented graph over global ids, for whoever still sweeps it
-    /// (route expansion, the reference evaluator, benches).
+    /// (the reference evaluator, benches).
     augmented: OnceLock<Arc<CsrGraph>>,
     /// The interior segment relations evaluated so far at this site.
     memo: SiteMemo,
@@ -234,9 +234,8 @@ impl Site {
         &self.memo
     }
 
-    /// Whether the fragment itself connects `p -> q` at `cost` — what
-    /// tells a real hop of a path over the augmented graph from a
-    /// shortcut hop.
+    /// Whether the fragment itself connects `p -> q` at `cost` — which
+    /// fragment a route's connection between two borders belongs to.
     pub fn has_edge(&self, p: NodeId, q: NodeId, cost: Cost) -> bool {
         let local = |v| self.nodes.binary_search(&v).map(NodeId::from_index);
         let (Ok(p), Ok(q)) = (local(p), local(q)) else {
@@ -274,6 +273,38 @@ impl Site {
         (self.borders.iter())
             .filter_map(|&b| Some((self.nodes[b.index()], scratch.cost(b)?)))
             .collect()
+    }
+
+    /// The cost and the path, over global ids, that the latest sweep of
+    /// this site's graph (or its transpose) on `scratch` found from its
+    /// seeds to `v`, if it reached that node of the fragment.
+    pub(crate) fn swept_path(
+        &self,
+        v: NodeId,
+        scratch: &ScratchDijkstra,
+    ) -> Option<(Cost, Vec<NodeId>)> {
+        let at = self.local_id(v)?;
+        let path = scratch.path_to(at)?;
+        let global = path.iter().map(|u| self.nodes[u.index()]).collect();
+        Some((scratch.cost(at)?, global))
+    }
+
+    /// The cheapest path from the border `from` to the border `to`
+    /// through the fragment's interior — the paths the complementary
+    /// precompute's local sweeps measure: one point sweep from `from`
+    /// that enters no other border on the way, stopped once `to`
+    /// settles. Returns the path over global ids, if the interior joins
+    /// the two.
+    pub(crate) fn interior_path(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        scratch: &mut ScratchDijkstra,
+    ) -> Option<Vec<NodeId>> {
+        let (s, t) = (self.local_id(from)?, self.local_id(to)?);
+        let blocked = |v: NodeId| v != t && self.is_border(v);
+        scratch.sweep_point_bounded(&self.local, s, t, INFINITE_COST, blocked)?;
+        self.swept_path(to, scratch).map(|(_, path)| path)
     }
 
     /// The site's augmented graph, built by `build` if nothing asked for

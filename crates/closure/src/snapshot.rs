@@ -54,9 +54,9 @@
 //! sets ([`crate::local`]), so neither [`EngineSnapshot::build`] nor
 //! [`EngineSnapshot::maintain_cow`] lays the shortcut clique over a
 //! fragment. [`EngineSnapshot::augmented_handle`] hands the augmented
-//! graph out to those who sweep it — route expansion, the reference
-//! evaluator [`crate::executor::run_chain`], benches — and builds it on
-//! first use, inside the `Arc`-shared site.
+//! graph out to those who sweep it — the reference evaluator
+//! [`crate::executor::run_chain`], benches — and builds it on first use,
+//! inside the `Arc`-shared site.
 
 use std::sync::{Arc, OnceLock};
 
@@ -66,7 +66,7 @@ use ds_graph::{Cost, CsrGraph, NodeId, ReachIndex, ScratchDijkstra};
 use ds_relation::bulk::{MaterializeConfig, MaterializeError, MaterializeStats};
 use ds_relation::{PathTuple, Relation};
 
-use crate::api::{best_route, run_batch, BatchAnswer, NetworkUpdate, QueryRequest, SiteEvaluator};
+use crate::api::{run_batch, BatchAnswer, NetworkUpdate, QueryRequest, SiteEvaluator};
 use crate::bulk::{BorderRows, Hub};
 use crate::complementary::{ComplementaryInfo, PrecomputeStats};
 use crate::engine::{EngineConfig, QueryAnswer, QueryStats, Route};
@@ -143,6 +143,17 @@ pub struct CowMaintenance {
     pub reach_kept: bool,
 }
 
+/// One end of a route: the endpoint's fragment, `None` for a border, and
+/// the borders it enters or leaves the skeleton by.
+struct RouteEnd {
+    site: Option<FragmentId>,
+    borders: Vec<RouteBorder>,
+}
+
+/// A border a route end touches: its skeleton id, its cost from or to
+/// the endpoint, and the path between the two, in travel order.
+type RouteBorder = (usize, Cost, Vec<NodeId>);
+
 /// What [`EngineSnapshot::memory_bytes`] reports: heap bytes per
 /// component of one epoch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -208,7 +219,7 @@ impl EngineSnapshot {
     /// index waits for the first [`EngineSnapshot::connected`].
     pub fn build(frag: Fragmentation, symmetric: bool, cfg: EngineConfig) -> Self {
         let graph = frag.closure_graph(symmetric);
-        let comp = ComplementaryInfo::compute(&graph, &frag, cfg.scope, cfg.store_paths);
+        let comp = ComplementaryInfo::compute(&graph, &frag, cfg.scope);
         let planner = Arc::new(Planner::new(
             &frag,
             cfg.max_chains,
@@ -323,8 +334,8 @@ impl EngineSnapshot {
 
     /// The shared handle behind site `f`'s augmented graph (fragment
     /// edges plus one edge per stored shortcut, over global node ids).
-    /// Queries do not sweep it, so it is built on the first call — by
-    /// route expansion, by the reference evaluator
+    /// Neither queries nor routes sweep it, so it is built on the first
+    /// call — by the reference evaluator
     /// ([`crate::executor::run_chain`]) or by a bench — inside the shared
     /// [`Site`]: untouched sites keep returning the same `Arc` across
     /// epochs.
@@ -528,86 +539,167 @@ impl EngineSnapshot {
         crate::api::run_batch_bounded(&self.planner, &mut eval, requests, traces, sink, deadlines)
     }
 
-    /// Reconstruct the full cheapest route. Requires
-    /// [`EngineConfig::store_paths`].
+    /// A cheapest route from `x` to `y`, read at request time off what
+    /// every epoch keeps — no path is stored anywhere:
+    ///
+    /// 1. a non-border `x` sweeps its cell — its site's graph, blocked at
+    ///    the borders — for its costs to its fragment's borders, and for
+    ///    the border-free path when `y` is a non-border node of the same
+    ///    fragment; a border `x` enters the skeleton itself, at 0;
+    /// 2. a non-border `y` sweeps its cell backward (on the site's
+    ///    transpose on a one-way network) for the borders that reach it;
+    /// 3. one multi-source sweep of the kept skeleton
+    ///    ([`ComplementaryInfo::skeleton`]) from `x`'s borders at their
+    ///    costs, stopped once `y`'s borders settle;
+    /// 4. each skeleton hop is a connection between its two borders of
+    ///    its cost, or one point sweep of the interior of the fragment
+    ///    that realizes it.
+    ///
+    /// The skeleton's distances are global, so the route is exact under
+    /// either [`crate::ComplementaryScope`] and any chain cap. Where the
+    /// capped chain evaluator is not — a cyclic fragmentation under
+    /// `PerDisconnectionSet`, or more chains than `max_chains` — `route`
+    /// may beat [`EngineSnapshot::shortest_path`]. [`Route::chain`] lists
+    /// the fragments the route's hops belong to and [`Route::waypoints`]
+    /// the borders where it changes fragment. Errs when an endpoint is
+    /// in no fragment; `Ok(None)` when `y` is unreachable.
     pub fn route(
         &self,
         x: NodeId,
         y: NodeId,
         scratch: &mut ScratchDijkstra,
     ) -> Result<Option<Route>, ClosureError> {
-        if !self.comp.has_paths() {
-            return Err(ClosureError::RoutesNotEnabled);
-        }
         if x == y {
+            let chain = self.planner.fragments_of(x).first().map(|&f| vec![f]);
             return Ok(Some(Route {
                 cost: 0,
                 nodes: vec![x],
-                chain: self
-                    .planner
-                    .fragments_of(x)
-                    .first()
-                    .map(|&f| vec![f])
-                    .unwrap_or_default(),
-                waypoints: vec![x],
+                chain: chain.unwrap_or_default(),
+                waypoints: Vec::new(),
             }));
         }
-        let Some((cost, chain, mut waypoints)) =
-            best_route(&self.planner, &mut self.evaluator(scratch), (x, y))?
-        else {
+        let from = self.route_end(x, false, scratch)?;
+        // The border-free path, read before the next sweep replaces x's.
+        let mut best = from.site.and_then(|f| {
+            let (cost, path) = self.sites[f].swept_path(y, scratch)?;
+            Some((cost, vec![(f, path)]))
+        });
+        let to = self.route_end(y, true, scratch)?;
+        if !from.borders.is_empty() && !to.borders.is_empty() {
+            let at = |&(s, cost, _): &RouteBorder| (NodeId::from_index(s), cost);
+            let seeds: Vec<(NodeId, Cost)> = from.borders.iter().map(at).collect();
+            let exits: Vec<NodeId> = to.borders.iter().map(|e| at(e).0).collect();
+            scratch.sweep_to_targets(self.comp.skeleton(), &seeds, &exits);
+            let reached = (to.borders.iter())
+                .filter_map(|exit| Some((scratch.cost(at(exit).0)? + exit.1, exit)))
+                .min_by_key(|&(cost, _)| cost);
+            if let Some((cost, exit)) = reached.filter(|r| best.as_ref().is_none_or(|b| r.0 < b.0))
+            {
+                best = Some((cost, self.skeleton_legs(&from, (exit, to.site), scratch)));
+            }
+        }
+        let Some((cost, legs)) = best else {
             return Ok(None);
         };
-
-        // Expand each junction-to-junction leg within its site, on the
-        // same scratch the chain evaluation used.
-        // waypoints = [x, w1, …, y]; leg k runs at site chain[k].
-        debug_assert_eq!(waypoints.len(), chain.len() + 1);
-        let mut nodes = vec![x];
-        for (k, leg) in waypoints.windows(2).enumerate() {
-            let expanded = self.expand_leg(chain[k], leg[0], leg[1], scratch);
-            nodes.extend_from_slice(&expanded[1..]);
+        // Each leg's path starts where the one before it ended.
+        let (mut nodes, mut hops) = (vec![x], Vec::new());
+        for (f, path) in legs {
+            hops.extend(std::iter::repeat_n(f, path.len() - 1));
+            nodes.extend_from_slice(&path[1..]);
         }
-        // An endpoint that is itself a border node was its own junction.
-        waypoints.dedup();
+        let mut chain = hops.clone();
+        chain.dedup();
+        let waypoints = (1..hops.len())
+            .filter(|&i| hops[i - 1] != hops[i])
+            .map(|i| nodes[i])
+            .collect();
         Ok(Some(Route {
             cost,
             nodes,
-            chain: chain.to_vec(),
+            chain,
             waypoints,
         }))
     }
 
-    /// Expand one leg `a -> b` at `site` into real graph nodes, splicing
-    /// complementary shortcut hops with their stored global paths.
-    fn expand_leg(
+    /// One end of a route (see [`EngineSnapshot::route`]): a border is
+    /// its own skeleton node at 0; any other node sweeps its cell, and
+    /// each border the cell touches comes with its cost and the path
+    /// between it and `v` — from `v` on the way out, to `v` on the way
+    /// in (`backward`).
+    fn route_end(
         &self,
-        site: FragmentId,
-        a: NodeId,
-        b: NodeId,
+        v: NodeId,
+        backward: bool,
         scratch: &mut ScratchDijkstra,
-    ) -> Vec<NodeId> {
-        if a == b {
-            return vec![a];
+    ) -> Result<RouteEnd, ClosureError> {
+        if let Some(s) = self.comp.skeleton_id(v) {
+            let borders = vec![(s, 0, vec![v])];
+            return Ok(RouteEnd {
+                site: None,
+                borders,
+            });
         }
-        scratch.sweep_to_targets(self.augmented_handle(site), &[(a, 0)], &[b]);
-        let local = scratch
-            .path_to(b)
-            .expect("assembly proved this leg reachable at this site");
-        let mut out = vec![a];
-        for hop in local.windows(2) {
-            let (p, q) = (hop[0], hop[1]);
-            let hop_cost = scratch.cost(q).expect("on path") - scratch.cost(p).expect("on path");
-            if self.sites[site].has_edge(p, q, hop_cost) {
-                out.push(q);
-            } else {
-                let shortcut = self
-                    .comp
-                    .path(p, q)
-                    .expect("non-fragment hop must be a stored shortcut");
-                out.extend_from_slice(&shortcut[1..]);
+        // A node that is no border lies in one fragment only.
+        let &[f] = self.planner.fragments_of(v) else {
+            return Err(ClosureError::NodeNotInAnyFragment(v));
+        };
+        let site = &self.sites[f];
+        let cell = site.sweep_cell(v, backward, scratch);
+        let borders = (cell.into_iter())
+            .map(|(b, cost)| {
+                let (_, mut path) = site.swept_path(b, scratch).expect("the cell reached it");
+                if backward {
+                    path.reverse();
+                }
+                let s = self.comp.skeleton_id(b).expect("a border");
+                (s, cost, path)
+            })
+            .collect();
+        Ok(RouteEnd {
+            site: Some(f),
+            borders,
+        })
+    }
+
+    /// The legs of a route through the skeleton that the latest skeleton
+    /// sweep on `scratch` left: from the border of `from` it entered at,
+    /// hop by hop, to `exit` and on to the route's end (in fragment `to`,
+    /// unless the end is that border) — each as its fragment and path.
+    fn skeleton_legs(
+        &self,
+        from: &RouteEnd,
+        (exit, to): (&RouteBorder, Option<FragmentId>),
+        scratch: &mut ScratchDijkstra,
+    ) -> Vec<(FragmentId, Vec<NodeId>)> {
+        let at = scratch
+            .path_to(NodeId::from_index(exit.0))
+            .expect("reached");
+        let cost = |v: NodeId| scratch.cost(v).expect("on the path");
+        let hops: Vec<(usize, usize, Cost)> = (at.windows(2))
+            .map(|w| (w[0].index(), w[1].index(), cost(w[1]) - cost(w[0])))
+            .collect();
+        let entry = from.borders.iter().find(|e| e.0 == at[0].index());
+        let head = &entry.expect("a seed of the sweep").2;
+        let mut legs: Vec<_> = from.site.map(|f| (f, head.clone())).into_iter().collect();
+        let borders = self.comp.borders();
+        for (p, t, cost) in hops {
+            let (bp, bt) = (borders[p], borders[t]);
+            let holders = self.planner.fragments_of(bp);
+            // A connection between the two borders, as it stands...
+            let holding = |f: &&FragmentId| self.sites[**f].has_edge(bp, bt, cost);
+            if let Some(&f) = holders.iter().find(holding) {
+                legs.push((f, vec![bp, bt]));
+                continue;
             }
+            // ...or a path through the interior of a fragment holding both.
+            let realizing = |f: &&FragmentId| self.comp.interior_cost(**f, p, t) == cost;
+            let &f = (holders.iter().find(realizing))
+                .expect("a skeleton edge is a connection or an interior path");
+            let interior = self.sites[f].interior_path(bp, bt, scratch);
+            legs.push((f, interior.expect("the interior realizes the hop")));
         }
-        out
+        legs.extend(to.map(|f| (f, exit.2.clone())));
+        legs
     }
 
     // --- maintenance (exclusive owner only) ----------------------------
@@ -1007,6 +1099,10 @@ pub(crate) mod tests {
     /// A general graph in four center-grown fragments whose fragmentation
     /// graph has a cycle: queries have several chains each.
     fn cyclic_snapshot() -> (CsrGraph, EngineSnapshot, Vec<QueryRequest>) {
+        cyclic_snapshot_with(EngineConfig::default())
+    }
+
+    fn cyclic_snapshot_with(cfg: EngineConfig) -> (CsrGraph, EngineSnapshot, Vec<QueryRequest>) {
         use ds_fragment::center::{center_based, CenterConfig};
         use ds_gen::{generate_general, GeneralConfig};
         let g = generate_general(
@@ -1028,11 +1124,45 @@ pub(crate) mod tests {
         .fragmentation;
         assert!(!frag.fragmentation_graph().is_acyclic());
         let csr = g.closure_graph();
-        let snap = EngineSnapshot::build(frag, true, EngineConfig::default());
+        let snap = EngineSnapshot::build(frag, true, cfg);
         let requests = (0..64u32)
             .map(|i| QueryRequest::new(n((i * 7) % 80), n((i * 13 + 5) % 80)))
             .collect();
         (csr, snap, requests)
+    }
+
+    /// Under the paper's scope on a cyclic fragmentation, with one chain
+    /// per query, the chain evaluator misses some shortest paths; a route
+    /// misses none: the skeleton it is read off holds global distances.
+    #[test]
+    fn routes_are_exact_where_the_capped_chain_evaluator_is_not() {
+        let (csr, snap, _) = cyclic_snapshot_with(EngineConfig {
+            scope: crate::ComplementaryScope::PerDisconnectionSet,
+            max_chains: 1,
+            ..EngineConfig::default()
+        });
+        let mut scratch = ScratchDijkstra::new();
+        let mut missed = 0;
+        let held: Vec<NodeId> = (0..80)
+            .map(n)
+            .filter(|&v| !snap.planner().fragments_of(v).is_empty())
+            .collect();
+        for (&x, &y) in held.iter().flat_map(|x| held.iter().map(move |y| (x, y))) {
+            let want = baseline::shortest_path_cost(&csr, x, y);
+            missed += usize::from(snap.shortest_path(x, y, &mut scratch).cost != want);
+            let route = snap.route(x, y, &mut scratch).unwrap();
+            assert_eq!(route.as_ref().map(|r| r.cost), want, "{x}->{y}");
+            let Some(route) = route else { continue };
+            let hop = |w: &[NodeId]| {
+                let costs = csr.neighbors(w[0]).filter(|&(t, _)| t == w[1]);
+                costs.map(|(_, c)| c).min().expect("a real edge")
+            };
+            let total: Cost = route.nodes.windows(2).map(hop).sum();
+            assert_eq!((route.nodes[0], *route.nodes.last().unwrap()), (x, y));
+            assert_eq!(total, route.cost, "{x}->{y}: {:?}", route.nodes);
+            assert_eq!(route.waypoints.len() + 1, route.chain.len().max(1));
+        }
+        assert!(missed > 0, "the capped evaluator is exact here");
     }
 
     /// Once the memos, the endpoints' access sets and the border-free
@@ -1137,16 +1267,12 @@ pub(crate) mod tests {
         }
     }
 
-    /// Nothing on the build, publication or query path lays the shortcut
-    /// clique over a fragment: a site's augmented graph exists only once
-    /// somebody asks for it — route expansion, or `augmented_handle`.
+    /// Nothing on the build, publication, query or route path lays the
+    /// shortcut clique over a fragment: a site's augmented graph exists
+    /// only once somebody asks for it through `augmented_handle`.
     #[test]
     fn the_augmented_graph_is_built_only_on_demand() {
-        let cfg = EngineConfig {
-            store_paths: true,
-            ..Default::default()
-        };
-        let (_, mut snap) = grid_snapshot(10, 4, cfg);
+        let (_, mut snap) = grid_snapshot(10, 4, EngineConfig::default());
         let built = |snap: &EngineSnapshot| -> Vec<bool> {
             (0..snap.site_count())
                 .map(|f| snap.site_handle(f).augmented_is_built())
@@ -1170,16 +1296,15 @@ pub(crate) mod tests {
         assert!(batch.stats.segments_computed > 0);
         assert_eq!(built(&snap), [false; 4], "after a query_batch");
 
-        // A route expands its legs over the augmented graphs of the sites
-        // on its chain, and of those only.
+        // A route reads the kept skeleton and the sites' own graphs.
         let route = snap.route(n(0), n(39), &mut scratch).unwrap().unwrap();
         assert_eq!(
             Some(route.cost),
             baseline::shortest_path_cost(snap.graph(), n(0), n(39))
         );
-        let on_chain: Vec<bool> = (0..4).map(|f| route.chain.contains(&f)).collect();
-        assert_eq!(built(&snap), on_chain, "after route");
-        // The handle builds the rest — once, for every epoch sharing the
+        assert_eq!(route.chain, [0, 1, 2, 3]);
+        assert_eq!(built(&snap), [false; 4], "after route");
+        // The handle builds them — once, for every epoch sharing the
         // site.
         let successor = snap.clone();
         for f in 0..4 {

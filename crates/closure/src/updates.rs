@@ -16,8 +16,7 @@
 //!   "no tuple" counting as infinite — so a border pair the new
 //!   connection joins for the first time (a disconnecting deletion had
 //!   dropped its tuple, or a one-way network never had one) gets its
-//!   tuple at every site holding both borders. With stored paths, the
-//!   lowered pairs' routes come from sweeps of the patched skeleton.
+//!   tuple at every site holding both borders.
 //! * **Deletions** can increase distances, which per-pair minima cannot
 //!   repair locally — but only for shortcuts whose shortest path *used*
 //!   the deleted edge. The **deletion repair rule**: a shortcut `(a, b)`
@@ -315,11 +314,9 @@ pub fn maintain(
     match *update {
         NetworkUpdate::Insert { edge, owner } => {
             let ends = Endpoints::run(comp, site, symmetric, &added, scratch);
-            let (per_site, lowered) = improve(comp, &ends, &added);
+            let per_site = improve(comp, &ends, &added);
             let (stale, crossing) = skeleton_edits(comp, owner, &ends, &added, Edit::Insert);
             comp.patch(graph, frag, stale, &crossing, scratch);
-            // The patched skeleton holds the lowered pairs' new routes.
-            comp.reroute(&lowered, symmetric, scratch);
             let improved = per_site.iter().sum();
             let shortcut_sites = nonzero_sites(&per_site);
             let mut m = Maintenance::effective(comp, owner, shortcut_sites, (improved, 0), None);
@@ -531,13 +528,8 @@ impl Endpoints {
 /// Lower every table entry `(a, b)` — a missing tuple counting as
 /// infinite — to `min(cost, dist(a, u) + c + dist(v, b))` over the
 /// inserted entries `u -> v` of cost `c`: exact because improved paths
-/// must use a new edge. Returns the per-site counts and, when paths are
-/// stored, the lowered pairs.
-fn improve(
-    comp: &mut ComplementaryInfo,
-    ends: &Endpoints,
-    added: &[Edge],
-) -> (Vec<usize>, Affected) {
+/// must use a new edge. Returns the per-site counts.
+fn improve(comp: &mut ComplementaryInfo, ends: &Endpoints, added: &[Edge]) -> Vec<usize> {
     let entries: Vec<Through> = (added.iter())
         .filter_map(|e| ends.through(e.src, e.cost, e.dst))
         .collect();
@@ -587,12 +579,11 @@ mod tests {
         frag.fragments_of_node(v).len() >= 2
     }
 
-    fn build_with(cfg: EngineConfig) -> (EngineSnapshot, ScratchDijkstra) {
-        (grid_snapshot(8, 4, cfg).1, ScratchDijkstra::new())
-    }
-
     fn build() -> (EngineSnapshot, ScratchDijkstra) {
-        build_with(EngineConfig::default())
+        (
+            grid_snapshot(8, 4, EngineConfig::default()).1,
+            ScratchDijkstra::new(),
+        )
     }
 
     fn insert(edge: Edge, owner: FragmentId) -> NetworkUpdate {
@@ -763,33 +754,27 @@ mod tests {
         }
     }
 
+    /// Routes are read off each epoch's kept skeleton, so every write —
+    /// an in-fragment shortcut and its delete, a crossing insert and
+    /// delete, a disconnecting delete — leaves them real and optimal.
     #[test]
     fn updates_with_stored_paths_keep_routes_real() {
-        let (mut engine, mut scratch) = build_with(EngineConfig {
-            store_paths: true,
-            ..EngineConfig::default()
-        });
+        let (mut engine, mut scratch) = build();
         let (a, b) = far_pair(&engine);
         let report = engine
             .maintain(&insert(Edge::new(a, b, 1), 0), &mut scratch)
             .unwrap();
-        assert!(
-            !report.full_recompute,
-            "insert maintenance patches stored paths incrementally"
-        );
+        assert!(!report.full_recompute, "{report:?}");
         routes_real(&engine, &mut scratch, n(0), n(31));
 
-        // Now delete the shortcut edge again: stored paths that used it
-        // must be repaired too.
+        // Now delete the shortcut edge again.
         let report = engine.maintain(&remove(a, b, 0), &mut scratch).unwrap();
         consistent(&report);
         routes_real(&engine, &mut scratch, n(0), n(31));
         check_all(&engine, &mut scratch);
 
         // A crossing delete: a cheap edge between two borders of fragment
-        // 0 carries shortcuts until it is deleted again; the repair
-        // writes the routes of the sources it re-closed as overrides, and
-        // every other route stays real.
+        // 0 carries shortcuts until it is deleted again.
         let frag = engine.fragmentation().clone();
         let borders: Vec<NodeId> = (frag.fragment(0).nodes().iter().copied())
             .filter(|&v| is_border(&frag, v))

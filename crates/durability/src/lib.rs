@@ -369,7 +369,9 @@ fn encode_checkpoint(snapshot: &EngineSnapshot, lsn: u64, epoch: u64) -> Vec<u8>
     put_u64(&mut payload, epoch);
     payload.push(u8::from(snapshot.is_symmetric()));
     payload.push(scope_tag(cfg.scope));
-    payload.push(u8::from(cfg.store_paths));
+    // A slot `DSCKPT01` reserves (once `store_paths`): written as 0,
+    // skipped when read.
+    payload.push(0);
     put_u64(&mut payload, cfg.max_chains as u64);
     put_u64(&mut payload, cfg.max_chain_len as u64);
     payload.push(mode_tag(cfg.mode));
@@ -383,7 +385,7 @@ fn encode_checkpoint(snapshot: &EngineSnapshot, lsn: u64, epoch: u64) -> Vec<u8>
             put_u64(&mut payload, 0);
         }
     }
-    // Two slots `DSCKPT01` reserves (once `precompute_threads` and
+    // Two more slots `DSCKPT01` reserves (once `precompute_threads` and
     // `reach_index`): written as 1 / true, skipped when read.
     put_u64(&mut payload, 1);
     payload.push(1);
@@ -425,7 +427,7 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<CheckpointImage> {
     let epoch = c.u64()?;
     let symmetric = c.u8()? != 0;
     let scope = scope_from(c.u8()?)?;
-    let store_paths = c.u8()? != 0;
+    c.u8()?; // the reserved slot after the scope (see `encode_checkpoint`)
     let max_chains = usize::try_from(c.u64()?).ok()?;
     let max_chain_len = usize::try_from(c.u64()?).ok()?;
     let mode = mode_from(c.u8()?)?;
@@ -436,7 +438,7 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<CheckpointImage> {
     } else {
         None
     };
-    // The two reserved slots (see `encode_checkpoint`).
+    // The two later reserved slots (see `encode_checkpoint`).
     c.u64()?;
     c.u8()?;
     let node_count = usize::try_from(c.u64()?).ok()?;
@@ -471,7 +473,6 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<CheckpointImage> {
         symmetric,
         cfg: EngineConfig {
             scope,
-            store_paths,
             max_chains,
             max_chain_len,
             mode,
@@ -1112,6 +1113,31 @@ mod tests {
         }
         assert!(decode_checkpoint(&bytes[..bytes.len() - 1]).is_none());
         assert!(decode_checkpoint(b"").is_none());
+    }
+
+    /// The byte after the scope once said whether routes were on; a
+    /// checkpoint written with it at 1 recovers to the same state, and
+    /// the rebuilt engine answers `route` like every engine does.
+    #[test]
+    fn a_checkpoint_with_the_old_routes_byte_set_recovers() {
+        let snap = small_snapshot();
+        let mut bytes = encode_checkpoint(&snap, 42, 7);
+        // Magic, LSN, epoch, symmetry flag and scope come first.
+        let slot = CKPT_MAGIC.len() + 8 + 8 + 1 + 1;
+        assert_eq!(bytes[slot], 0, "written as 0");
+        bytes[slot] = 1;
+        let end = bytes.len() - 4;
+        let crc = crc32(&bytes[CKPT_MAGIC.len()..end]);
+        bytes[end..].copy_from_slice(&crc.to_le_bytes());
+        let img = decode_checkpoint(&bytes).expect("the slot is skipped");
+        assert_eq!(img.difference(&snap, 7), None);
+        let rebuilt = EngineSnapshot::build(img.frag, img.symmetric, img.cfg);
+        let route = (rebuilt.route(n(0), n(5), &mut ScratchDijkstra::new()))
+            .expect("both endpoints in a fragment")
+            .expect("connected");
+        assert_eq!(route.cost, 5);
+        assert_eq!(route.nodes, (0..6).map(n).collect::<Vec<_>>());
+        assert_eq!((route.chain, route.waypoints), (vec![0, 1], vec![n(2)]));
     }
 
     #[test]

@@ -402,19 +402,6 @@ impl ScratchDijkstra {
         path.reverse();
         Some(path)
     }
-
-    /// Snapshot the parent pointers of the latest sweep over nodes
-    /// `0..n` (`u32::MAX` for seeds and unreached nodes). Parent chains
-    /// of settled nodes are final even after an early-exited sweep —
-    /// every parent points at a node settled earlier.
-    pub fn snapshot_parents(&self, n: usize) -> Vec<u32> {
-        (0..n)
-            .map(|i| match self.mark.get(i) {
-                Some(m) if m.stamp == self.generation => m.parent,
-                _ => u32::MAX,
-            })
-            .collect()
-    }
 }
 
 /// Dijkstra from a single source over the whole graph.
@@ -771,7 +758,7 @@ mod tests {
     /// `v`'s parent chain in the latest sweep is a real path of its
     /// cost: it starts at a seed at that seed's cost, every step is an
     /// edge that adds exactly its cost, and no step leaves a node of
-    /// `unexpanded`. The snapshot agrees with the chain.
+    /// `unexpanded`.
     fn assert_chain(
         g: &CsrGraph,
         scratch: &ScratchDijkstra,
@@ -794,9 +781,6 @@ mod tests {
                 "no edge {a:?} -> {b:?} of the step's cost on {path:?}"
             );
         }
-        let parents = scratch.snapshot_parents(g.node_count());
-        let parent = path.len().checked_sub(2).map_or(u32::MAX, |i| path[i].0);
-        assert_eq!(parents[v.index()], parent);
     }
 
     /// Every mode of one scratch against the lazy-heap reference
@@ -901,6 +885,6 @@ mod tests {
         assert_eq!(scratch.stats().grows, 1, "smaller graph reuses arrays");
         // Entries of the bigger graph's generation are invisible now.
         assert_eq!(scratch.cost(NodeId(3)), None);
-        assert_eq!(scratch.snapshot_parents(2), vec![u32::MAX, 0]);
+        assert_eq!(scratch.path_to(NodeId(1)), Some(vec![NodeId(0), NodeId(1)]));
     }
 }

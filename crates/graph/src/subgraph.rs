@@ -54,11 +54,6 @@ impl SubgraphView {
         self.globals.is_empty()
     }
 
-    /// Global id of a local node.
-    pub fn global_of(&self, local: NodeId) -> NodeId {
-        self.globals[local.index()]
-    }
-
     /// Local id of a global node, if it is in the view.
     pub fn local_of(&self, global: NodeId) -> Option<NodeId> {
         self.globals
@@ -100,7 +95,7 @@ mod tests {
         assert_eq!(view.graph().node_count(), 3);
         // Edges 1-2 and 2-3 in both directions; 0-1 and 3-4 are cut.
         assert_eq!(view.graph().edge_count(), 4);
-        assert_eq!(view.global_of(n(0)), n(1));
+        assert_eq!(view.globals()[0], n(1));
         assert_eq!(view.local_of(n(3)), Some(n(2)));
         assert_eq!(view.local_of(n(4)), None);
     }

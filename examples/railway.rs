@@ -15,7 +15,6 @@
 //! ```
 
 use discset::closure::baseline;
-use discset::closure::engine::EngineConfig;
 use discset::fragment::CrossingPolicy;
 use discset::gen::output::expand_connections;
 use discset::graph::{CsrGraph, Edge, NodeId};
@@ -121,10 +120,6 @@ fn main() {
             policy: CrossingPolicy::LowerBlock,
         })
         .backend(Backend::Inline)
-        .config(EngineConfig {
-            store_paths: true,
-            ..EngineConfig::default()
-        })
         .build()
         .expect("network is non-empty");
 
@@ -148,7 +143,7 @@ fn main() {
     let (ams, mil) = (id_of("Amsterdam"), id_of("Milan"));
     let route = sys
         .route(ams, mil)
-        .expect("routes enabled")
+        .expect("both cities in a fragment")
         .expect("connected");
     println!("\nAmsterdam -> Milan: {} km", route.cost);
     println!(

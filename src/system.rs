@@ -253,9 +253,9 @@ impl SystemBuilder {
         self
     }
 
-    /// Engine tuning: complementary scope, stored paths, chain caps,
-    /// PHE hub, and — unless [`SystemBuilder::backend`] names one — the
-    /// phase-one execution mode.
+    /// Engine tuning: complementary scope, chain caps, PHE hub, and —
+    /// unless [`SystemBuilder::backend`] names one — the phase-one
+    /// execution mode.
     pub fn config(mut self, config: EngineConfig) -> Self {
         self.config = config;
         self

@@ -7,7 +7,6 @@
 //! (on a one-way network the two directions are different questions).
 
 use discset::closure::baseline;
-use discset::closure::engine::EngineConfig;
 use discset::fragment::center::CenterConfig;
 use discset::fragment::linear::LinearConfig;
 use discset::fragment::CrossingPolicy;
@@ -123,10 +122,6 @@ fn directed_networks_match_forward_dijkstra_both_ways() {
                     .graph(&g)
                     .fragmenter(fragmenter.clone())
                     .backend(backend)
-                    .config(EngineConfig {
-                        store_paths: true,
-                        ..EngineConfig::default()
-                    })
                     .build()
                     .unwrap();
                 if sys.fragmentation().fragmentation_graph().is_acyclic() {

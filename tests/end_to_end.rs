@@ -247,10 +247,6 @@ fn routes_are_real_paths_across_fragmenters() {
             .graph(&g)
             .fragmenter(Fragmenter::Prebuilt(frag))
             .backend(Backend::Inline)
-            .config(EngineConfig {
-                store_paths: true,
-                ..EngineConfig::default()
-            })
             .build()
             .unwrap();
         for (x, y) in [(0u32, 35u32), (2, 30), (14, 20)] {

@@ -268,9 +268,8 @@ fn all_backends_match_baseline_on_random_workloads() {
 /// Update-equivalence: an engine maintained through ≥ 20 random mixed
 /// inserts/deletes answers every `shortest_path`/`connected` query
 /// identically to an engine rebuilt from scratch on the final graph —
-/// for every generator × fragmenter × backend, and once more with stored
-/// paths, where every sampled reachable pair's `route` must be a real
-/// path of the Dijkstra cost.
+/// for every generator × fragmenter × backend — and every sampled
+/// reachable pair's `route` is a real path of the Dijkstra cost.
 #[test]
 fn maintained_engine_equals_rebuilt_from_scratch() {
     use discset::gen::output::expand_connections;
@@ -296,22 +295,13 @@ fn maintained_engine_equals_rebuilt_from_scratch() {
                 policy: discset::fragment::CrossingPolicy::LowerBlock,
             });
         }
-        let inputs = [
-            (Backend::Inline, false),
-            (Backend::SiteThreads, false),
-            (Backend::Inline, true),
-        ];
         for (family, fragmenter) in fragmenters.into_iter().enumerate() {
-            for (backend, store_paths) in inputs {
+            for backend in [Backend::Inline, Backend::SiteThreads] {
                 case += 1;
                 let mut rng = StdRng::seed_from_u64(0xA11CE ^ case);
                 let mut sys = System::builder()
                     .graph(&g)
                     .fragmenter(fragmenter.clone())
-                    .config(EngineConfig {
-                        store_paths,
-                        ..EngineConfig::default()
-                    })
                     .backend(backend)
                     .build()
                     .unwrap();
@@ -387,7 +377,7 @@ fn maintained_engine_equals_rebuilt_from_scratch() {
                         x == y || want.is_some(),
                         "seed {seed} case {case}: connected {x}->{y}"
                     );
-                    if store_paths && x != y && want.is_some() {
+                    if x != y && want.is_some() {
                         let label = format!("seed {seed} case {case}: route {x}->{y}");
                         let r = sys.route(x, y).unwrap().expect(&label);
                         assert_eq!(Some(r.cost), want, "{label}");
@@ -513,8 +503,8 @@ fn arb_crossing_update(
 }
 
 /// Crossing edits in maintenance streams: on the crossing fixture and on
-/// the update networks, symmetric and one-way, with stored paths and
-/// without, a stream weighted toward inserts and deletes between two
+/// the update networks, symmetric and one-way, a stream weighted toward
+/// inserts and deletes between two
 /// borders — connections three fragments hold, twins another fragment
 /// owns — beside interior edits and edits in a component whose cells
 /// touch no border. After every update the kept skeleton equals the one
@@ -538,22 +528,16 @@ fn crossing_edit_streams_keep_the_skeleton_a_rebuild_derives() {
         networks.push((frag, Vec::new()));
     }
     for (case, (frag, apart)) in networks.iter().enumerate() {
-        for (symmetric, store_paths) in [(true, false), (true, true), (false, false), (false, true)]
-        {
-            let cfg = EngineConfig {
-                store_paths,
-                ..EngineConfig::default()
-            };
+        for symmetric in [true, false] {
+            let cfg = EngineConfig::default();
             let mut engine = EngineSnapshot::build(frag.clone(), symmetric, cfg.clone());
             let mut rng = StdRng::seed_from_u64(0xC2055 ^ case as u64);
-            for step in 0..40 {
+            for step in 0..120 {
                 let Some(u) = arb_crossing_update(&mut rng, engine.fragmentation(), (apart, 1))
                 else {
                     continue;
                 };
-                let label = format!(
-                    "case {case} symmetric={symmetric} paths={store_paths} step {step} {u:?}"
-                );
+                let label = format!("case {case} symmetric={symmetric} step {step} {u:?}");
                 let (src, dst) = match u {
                     discset::NetworkUpdate::Insert { edge, .. } => (edge.src, edge.dst),
                     discset::NetworkUpdate::Remove { src, dst, .. } => (src, dst),
@@ -601,7 +585,7 @@ fn crossing_edit_streams_keep_the_skeleton_a_rebuild_derives() {
                     let want = baseline::shortest_path_cost(&csr, x, y);
                     let got = engine.shortest_path(x, y, &mut scratch).cost;
                     assert_eq!(got, want, "{label}: {x}->{y}");
-                    if store_paths && x != y && want.is_some() {
+                    if x != y && want.is_some() {
                         let r = engine.route(x, y, &mut scratch).unwrap().expect(&label);
                         assert_eq!(Some(r.cost), want, "{label}: route {x}->{y}");
                         assert_eq!((r.nodes[0], r.nodes[r.nodes.len() - 1]), (x, y));
@@ -959,8 +943,8 @@ fn skeleton_precompute_equals_global_sweep() {
             ComplementaryScope::PerDisconnectionSet,
             ComplementaryScope::PerFragmentBorder,
         ] {
-            let skel = ComplementaryInfo::compute(csr, frag, scope, false);
-            let glob = ComplementaryInfo::compute_global_sweep(csr, frag, scope, false);
+            let skel = ComplementaryInfo::compute(csr, frag, scope);
+            let glob = ComplementaryInfo::compute_global_sweep(csr, frag, scope);
             assert_eq!(
                 skel.border_count(),
                 glob.border_count(),
@@ -1620,7 +1604,6 @@ fn shortcut_costs_are_global_distances() {
             &csr,
             &frag,
             discset::closure::ComplementaryScope::PerFragmentBorder,
-            false,
         );
         for f in 0..frag.fragment_count() {
             for e in comp.shortcuts(f) {
@@ -1816,6 +1799,11 @@ fn all_closure_strategies_materialize_the_same_relation() {
                         assert!(again.rounds == 0 || warm.hub_handle().is_some());
                         counted.push(counters(&again));
                     }
+                    // The first call built the hub: B² costs, no slack.
+                    let nb = warm.complementary().border_count();
+                    let cost = std::mem::size_of::<discset::graph::Cost>();
+                    let hub = warm.hub_handle().map(|_| warm.memory_bytes().hub);
+                    assert!(hub.is_none_or(|bytes| bytes == nb * nb * cost), "{label}");
                     // Cold, warm; cold, warm; … for threads 1, 2 and 3.
                     for (i, c) in counted.iter().enumerate().skip(2) {
                         assert_eq!(
