@@ -58,6 +58,12 @@
 //!   less than 5x slower than `center::status_scores`, the bit-parallel
 //!   kernel that runs 64 sources per BFS pass, on any seed; the two
 //!   (compared once, outside the timing) must agree bit for bit;
+//! * **generate** — the pinned transportation config (12 clusters of 100
+//!   nodes) generated by the reference recipe
+//!   (`generate_transportation_reference`: one `exp` per node pair in the
+//!   draw pass, every cross pair of a link listed and sorted) is less
+//!   than 1.8x slower than by `generate_transportation`, on any seed;
+//!   the two graphs (compared once, outside the timing) must be equal;
 //! * **wal** — in a pure write path (16 closed-loop updaters) with
 //!   fsync'd group commits, the log holds anything but one record per
 //!   acknowledged write, or no group commit folded two records, in any
@@ -105,6 +111,7 @@ use ds_closure::{EngineConfig, EngineSnapshot};
 use ds_fragment::center::{center_based, status_scores, status_scores_reference, CenterConfig};
 use ds_fragment::linear::LinearConfig;
 use ds_fragment::{semantic, CrossingPolicy, Fragment, Fragmentation};
+use ds_gen::transportation::generate_transportation_reference;
 use ds_gen::{
     generate_ellipse, generate_general, generate_scale, generate_transportation, EllipseConfig,
     GeneralConfig, GeneratedGraph, ScaleConfig, TransportationConfig,
@@ -126,6 +133,9 @@ const FLOOR_PUBLICATION: f64 = 5.0;
 const FLOOR_MATERIALIZE: f64 = 2.0;
 const FLOOR_KERNEL: f64 = 1.3;
 const FLOOR_SCORES: f64 = 5.0;
+const FLOOR_GENERATE: f64 = 1.8;
+/// Graphs generated per timed pass of the generator pair.
+const GENERATIONS: usize = 10;
 /// Closed-loop clients of the serve pairs, over `WORKERS` pool workers,
 /// each thinking `THINK` between its `OPS_PER_CLIENT` operations.
 const CLIENTS: usize = 16;
@@ -586,17 +596,19 @@ fn mixed_write_costs() -> [Vec<f64>; 4] {
     costs
 }
 
-/// The benchmark's transportation graph (12 clusters of 100 nodes).
+/// The benchmark's transportation config (12 clusters of 100 nodes).
+fn transportation_config() -> TransportationConfig {
+    TransportationConfig {
+        clusters: 12,
+        nodes_per_cluster: 100,
+        target_edges_per_cluster: 400,
+        ..TransportationConfig::default()
+    }
+}
+
+/// The benchmark's transportation graph.
 fn transportation(seed: u64) -> GeneratedGraph {
-    generate_transportation(
-        &TransportationConfig {
-            clusters: 12,
-            nodes_per_cluster: 100,
-            target_edges_per_cluster: 400,
-            ..TransportationConfig::default()
-        },
-        seed,
-    )
+    generate_transportation(&transportation_config(), seed)
 }
 
 /// The benchmark's transportation graph, fragmented by cluster.
@@ -670,6 +682,36 @@ fn scores() -> Vec<Pair> {
         let (reference_ns, kernel_ns) = interleaved(|which, _| {
             let t = Instant::now();
             std::hint::black_box(score(which));
+            t.elapsed()
+        });
+        Pair {
+            seed,
+            numerator_ns: reference_ns,
+            denominator_ns: kernel_ns,
+        }
+    });
+    measured.collect()
+}
+
+/// The generator against its reference recipe on the pinned
+/// transportation config: `GENERATIONS` graphs by
+/// `generate_transportation_reference` over as many by
+/// `generate_transportation` (the two graphs compared once, outside the
+/// timing), best of `ROUNDS` interleaved passes each. Returns the
+/// per-seed (reference over kernel) pairs.
+fn generate() -> Vec<Pair> {
+    let cfg = transportation_config();
+    let measured = SEEDS.iter().map(|&seed| {
+        let arms = [generate_transportation_reference, generate_transportation];
+        assert!(
+            arms[0](&cfg, seed) == arms[1](&cfg, seed),
+            "seed {seed}: the generator and its reference differ"
+        );
+        let (reference_ns, kernel_ns) = interleaved(|which, _| {
+            let t = Instant::now();
+            for _ in 0..GENERATIONS {
+                std::hint::black_box(arms[which](&cfg, seed));
+            }
             t.elapsed()
         });
         Pair {
@@ -1314,6 +1356,9 @@ fn main() {
     let scored = scores();
     let floor = Some(FLOOR_SCORES);
     report.ratio_row("scores-reference-over-kernel", &scored, floor);
+    let generated = generate();
+    let floor = Some(FLOOR_GENERATE);
+    report.ratio_row("generate-over-reference", &generated, floor);
 
     let deployments: Vec<Deployment> = SEEDS.iter().map(|&s| deployment(s)).collect();
     let published: Vec<Pair> = deployments

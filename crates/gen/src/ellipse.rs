@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::EllipseConfig;
-use crate::general::draw_edges;
+use crate::general::{draw_edges, Draw};
 use crate::output::GeneratedGraph;
 use crate::probability::calibrate_c1;
 use crate::spatial::uniform_ellipse;
@@ -15,10 +15,15 @@ use crate::spatial::uniform_ellipse;
 /// Generate an elongated random graph whose node cloud fills an ellipse
 /// with semi-axes `a` (x) and `b` (y).
 pub fn generate_ellipse(cfg: &EllipseConfig, seed: u64) -> GeneratedGraph {
+    ellipse_with(cfg, seed, draw_edges)
+}
+
+/// [`generate_ellipse`] drawing its edges with `draw`.
+pub(crate) fn ellipse_with(cfg: &EllipseConfig, seed: u64, draw: Draw) -> GeneratedGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let coords = uniform_ellipse(&mut rng, cfg.nodes, cfg.a, cfg.b);
     let c1 = calibrate_c1(&coords, cfg.c2, cfg.target_edges);
-    let connections = draw_edges(&mut rng, &coords, c1, cfg.c2, cfg.unit_costs, 0);
+    let connections = draw(&mut rng, &coords, c1, cfg.c2, cfg.unit_costs, 0);
     GeneratedGraph {
         nodes: cfg.nodes,
         connections,

@@ -9,14 +9,23 @@ use crate::output::GeneratedGraph;
 use crate::probability::{calibrate_c1, edge_probability};
 use crate::spatial::uniform_square;
 
+/// The signature of [`draw_edges`] and [`draw_edges_reference`], so the
+/// generators can run either.
+pub(crate) type Draw = fn(&mut StdRng, &[Coord], f64, f64, bool, u32) -> Vec<Edge>;
+
 /// Generate a general random graph per the paper's recipe: coordinates
 /// first, then one Bernoulli draw per node pair with
 /// `P(p,q) = (c1/n²)·e^(−c2·d(p,q))`.
 pub fn generate_general(cfg: &GeneralConfig, seed: u64) -> GeneratedGraph {
+    general_with(cfg, seed, draw_edges)
+}
+
+/// [`generate_general`] drawing its edges with `draw`.
+pub(crate) fn general_with(cfg: &GeneralConfig, seed: u64, draw: Draw) -> GeneratedGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let coords = uniform_square(&mut rng, cfg.nodes, 0.0, 0.0, cfg.extent);
     let c1 = effective_c1(cfg, &coords);
-    let connections = draw_edges(&mut rng, &coords, c1, cfg.c2, cfg.unit_costs, 0);
+    let connections = draw(&mut rng, &coords, c1, cfg.c2, cfg.unit_costs, 0);
     GeneratedGraph {
         nodes: cfg.nodes,
         connections,
@@ -36,11 +45,68 @@ pub fn effective_c1(cfg: &GeneralConfig, coords: &[Coord]) -> f64 {
     }
 }
 
+/// Relative slack of [`draw_edges`]' rejection bound: far above the few
+/// roundings on either side of the comparison (each at most 2⁻⁵³), far
+/// below any probability a draw can tell apart (draws are multiples of
+/// 2⁻⁵³).
+const BOUND_MARGIN: f64 = 1.0 / (1u64 << 40) as f64;
+
 /// One Bernoulli draw per unordered pair; the resulting connection carries
 /// the rounded Euclidean distance as cost (or 1 in unit mode).
 /// `id_offset` shifts node ids, so cluster generators can reuse this for
 /// each patch.
+///
+/// Draws the same edges as [`draw_edges_reference`], bit for bit: one
+/// `rng.gen::<f64>()` per pair in `(i, j)` order, and a pair is accepted
+/// when the draw `u` is below [`edge_probability`]. Most pairs are
+/// rejected without evaluating `exp`: for `x = c2·d ≥ 0`,
+/// `e^x ≥ 1 + x + x²/2`, so `P ≤ (c1/n²) / (1 + x + x²/2)`, and a pair
+/// whose `u · (1 + x + x²/2)` reaches `(c1/n²)·(1 + 2⁻⁴⁰)` is certainly
+/// rejected. The margin covers the rounding of both sides (the bound's
+/// few operations and `exp`'s last bit). Where `exp` underflows, `x` is
+/// above 700 and the bound exceeds `P` by hundreds of orders of
+/// magnitude; a draw is 0 or at least 2⁻⁵³, so a subnormal `c1/n²`
+/// cannot be misjudged either. Any other pair — and every pair when
+/// `c2 < 0` (or NaN), where the bound does not hold — is decided by
+/// `edge_probability` itself. Nothing is cached: memory stays
+/// O(edges), not O(pairs).
 pub fn draw_edges(
+    rng: &mut StdRng,
+    coords: &[Coord],
+    c1: f64,
+    c2: f64,
+    unit_costs: bool,
+    id_offset: u32,
+) -> Vec<Edge> {
+    let n = coords.len();
+    let bounded = c2 >= 0.0;
+    let ceiling = c1 / (n as f64 * n as f64) * (1.0 + BOUND_MARGIN);
+    let mut edges = Vec::new();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let d = coords[i].distance(&coords[j]);
+            let u = rng.gen::<f64>();
+            if bounded {
+                let x = c2 * d;
+                if u * (1.0 + x + 0.5 * x * x) >= ceiling {
+                    continue;
+                }
+            }
+            if u < edge_probability(c1, c2, n, d) {
+                edges.push(Edge::new(
+                    NodeId(id_offset + i as u32),
+                    NodeId(id_offset + j as u32),
+                    connection_cost(d, unit_costs),
+                ));
+            }
+        }
+    }
+    edges
+}
+
+/// [`draw_edges`] as the paper states it: `edge_probability` (one `exp`)
+/// for every pair. The reference the kernel is tested and timed against.
+pub fn draw_edges_reference(
     rng: &mut StdRng,
     coords: &[Coord],
     c1: f64,

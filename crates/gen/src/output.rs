@@ -14,7 +14,7 @@ use ds_graph::{Coord, CsrGraph, Edge, EdgeList};
 /// ([`GeneratedGraph::edge_list`]), matching the paper's counting, and the
 /// incidence tests in Figs. 4/7 are direction-agnostic anyway
 /// (`x ∈ V_k ∨ y ∈ V_k`).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GeneratedGraph {
     /// Number of nodes.
     pub nodes: usize,

@@ -24,6 +24,9 @@ pub fn edge_probability(c1: f64, c2: f64, n: usize, d: f64) -> f64 {
 /// changing c1 we could influence the number of edges" knob while letting
 /// experiments state edge counts directly (the tables report averages like
 /// 429 and 279.5). Returns 0 when no pair exists.
+///
+/// One `sqrt` and one `exp` per pair, summed in `(i, j)` order: the sum,
+/// and so `c1`, is the same bit for bit on every call.
 pub fn calibrate_c1(coords: &[Coord], c2: f64, target_edges: usize) -> f64 {
     let n = coords.len();
     if n < 2 {

@@ -6,20 +6,51 @@
 //! first used to generate the required number of fragments. Then, these
 //! fragments were connected following the requirements given by the user."
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use ds_graph::{Coord, Edge, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::TransportationConfig;
-use crate::general::{connection_cost, draw_edges};
+use crate::general::{connection_cost, draw_edges, draw_edges_reference, Draw};
 use crate::output::GeneratedGraph;
 use crate::probability::calibrate_c1;
 use crate::spatial::{cluster_origins, uniform_square};
+
+/// The signature of [`closest_cross_pairs`] and
+/// [`closest_cross_pairs_reference`].
+type Link = fn(&[Coord], usize, (usize, usize), usize, &mut Vec<CrossPair>);
 
 /// Generate a transportation graph. Node ids are laid out cluster by
 /// cluster: cluster `c` owns ids `c·m .. (c+1)·m` where `m` is
 /// `nodes_per_cluster`. The returned `cluster_of` records that.
 pub fn generate_transportation(cfg: &TransportationConfig, seed: u64) -> GeneratedGraph {
+    transportation_with(cfg, seed, draw_edges, closest_cross_pairs)
+}
+
+/// [`generate_transportation`] by the reference recipe
+/// ([`draw_edges_reference`], [`closest_cross_pairs_reference`]): the
+/// same graph, bit for bit, for the tests and the gates bench to hold
+/// the kernels to.
+pub fn generate_transportation_reference(cfg: &TransportationConfig, seed: u64) -> GeneratedGraph {
+    transportation_with(
+        cfg,
+        seed,
+        draw_edges_reference,
+        closest_cross_pairs_reference,
+    )
+}
+
+/// [`generate_transportation`] drawing each cluster with `draw` and
+/// picking each link's pairs with `link`.
+fn transportation_with(
+    cfg: &TransportationConfig,
+    seed: u64,
+    draw: Draw,
+    link: Link,
+) -> GeneratedGraph {
     assert!(cfg.clusters > 0, "need at least one cluster");
     assert!(
         cfg.nodes_per_cluster > 1,
@@ -38,7 +69,7 @@ pub fn generate_transportation(cfg: &TransportationConfig, seed: u64) -> Generat
     for (c, &(x0, y0)) in origins.iter().enumerate() {
         let patch = uniform_square(&mut rng, m, x0, y0, cfg.cluster_extent);
         let c1 = calibrate_c1(&patch, cfg.c2, cfg.target_edges_per_cluster);
-        connections.extend(draw_edges(
+        connections.extend(draw(
             &mut rng,
             &patch,
             c1,
@@ -60,7 +91,7 @@ pub fn generate_transportation(cfg: &TransportationConfig, seed: u64) -> Generat
             a < cfg.clusters && b < cfg.clusters && a != b,
             "bad link ({a},{b})"
         );
-        closest_cross_pairs(&coords, m, (a, b), k, &mut pairs);
+        link(&coords, m, (a, b), k, &mut pairs);
         let link = pairs.iter().map(|&(d, i, j)| {
             let cost = connection_cost(d, cfg.unit_costs);
             Edge::new(NodeId(i as u32), NodeId(j as u32), cost)
@@ -79,22 +110,130 @@ pub fn generate_transportation(cfg: &TransportationConfig, seed: u64) -> Generat
 
 /// A cross pair `(distance, i, j)`: node `i` of one cluster, node `j` of
 /// the other.
-type CrossPair = (f64, usize, usize);
+pub type CrossPair = (f64, usize, usize);
 
 /// The order links pick their pairs in: by distance, ties by `(i, j)` —
 /// the order a stable sort by distance leaves pairs pushed in `(i, j)`
 /// order in.
-fn by_distance(x: &CrossPair, y: &CrossPair) -> std::cmp::Ordering {
+fn by_distance(x: &CrossPair, y: &CrossPair) -> Ordering {
     let d = x.0.partial_cmp(&y.0).expect("distances are finite");
     d.then((x.1, x.2).cmp(&(y.1, y.2)))
 }
 
+/// A [`CrossPair`] ordered by [`by_distance`], so a max-heap of them
+/// keeps its worst on top.
+struct Ranked(CrossPair);
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        by_distance(&self.0, &other.0)
+    }
+}
+
+/// `1 − 2⁻⁵⁰`: [`closest_cross_pairs`] stops a walk once `|Δx|` shrunk by
+/// this exceeds the `k`-th best distance. The computed distance of a
+/// pair is at least `|Δx|·(1 − 2⁻⁵¹)` (three roundings of at most 2⁻⁵³
+/// each), so such a pair is strictly farther, and cannot win a tie.
+const SHRINK: f64 = 1.0 - 1.0 / (1u64 << 50) as f64;
+
+/// Below this `k`-th best distance no walk stops early: a `|Δx|` that
+/// small could square into the subnormal range, where the relative
+/// bound behind [`SHRINK`] does not hold. Just above `√MIN_POSITIVE`
+/// (2⁻⁵¹¹ ≈ 1.49e-154).
+const PRUNE_FROM: f64 = 1.5e-154;
+
 /// The `k` closest (by Euclidean distance) node pairs between clusters
 /// `a` and `b`, in `by_distance` order, into `pairs` (whose allocation
 /// the links share). Pairs are distinct; endpoints may repeat (one
-/// border city can anchor several links, as Fig. 3 shows). The `k`
-/// smallest are selected, not sorted out of all `m²` pairs.
-fn closest_cross_pairs(
+/// border city can anchor several links, as Fig. 3 shows).
+///
+/// The same pairs as [`closest_cross_pairs_reference`], without listing
+/// all `m²`: `b`'s nodes are sorted by x, and from each node of `a` the
+/// scan walks outward from its x position in both directions, offering
+/// each pair to a max-heap of the `k` best. A direction stops once
+/// `|Δx|·(1 − 2⁻⁵⁰)` exceeds the heap's worst distance: a computed
+/// distance is at least `|Δx|·(1 − 2⁻⁵¹)`, so that pair and every pair
+/// further out is strictly farther. A pair tied with the worst is never
+/// skipped, so the `(i, j)` tie-break decides as in the
+/// reference. Memory is O(m + k).
+pub fn closest_cross_pairs(
+    coords: &[Coord],
+    nodes_per_cluster: usize,
+    (a, b): (usize, usize),
+    k: usize,
+    pairs: &mut Vec<CrossPair>,
+) {
+    let m = nodes_per_cluster;
+    pairs.clear();
+    if k == 0 {
+        return;
+    }
+    let mut by_x: Vec<(f64, usize)> = ((b * m)..((b + 1) * m)).map(|j| (coords[j].x, j)).collect();
+    by_x.sort_unstable_by(|p, q| p.0.total_cmp(&q.0));
+    let mut best: BinaryHeap<Ranked> = BinaryHeap::with_capacity(k.min(m * m));
+    // Once the heap is full: the worst distance kept, which a pair must
+    // not exceed to enter.
+    let mut limit = f64::INFINITY;
+    for i in (a * m)..((a + 1) * m) {
+        let xi = coords[i].x;
+        // Offers pair (i, j); false once j, and every node further out
+        // in its direction, is too far.
+        let mut offer = |&(xj, j): &(f64, usize)| {
+            if (xj - xi).abs() * SHRINK > limit {
+                return false;
+            }
+            let pair = (coords[i].distance(&coords[j]), i, j);
+            if best.len() < k {
+                best.push(Ranked(pair));
+            } else {
+                let mut worst = best.peek_mut().expect("k > 0");
+                if by_distance(&pair, &worst.0) == Ordering::Less {
+                    *worst = Ranked(pair);
+                }
+            }
+            if best.len() == k {
+                let worst = best.peek().expect("k > 0").0 .0;
+                limit = if worst >= PRUNE_FROM {
+                    worst
+                } else {
+                    f64::INFINITY
+                };
+            }
+            true
+        };
+        let split = by_x.partition_point(|&(xj, _)| xj < xi);
+        for j in &by_x[split..] {
+            if !offer(j) {
+                break;
+            }
+        }
+        for j in by_x[..split].iter().rev() {
+            if !offer(j) {
+                break;
+            }
+        }
+    }
+    pairs.extend(best.into_sorted_vec().into_iter().map(|r| r.0));
+}
+
+/// [`closest_cross_pairs`] by listing all `m²` cross pairs, selecting the
+/// `k` smallest and sorting them: the reference the scan is tested and
+/// timed against.
+pub fn closest_cross_pairs_reference(
     coords: &[Coord],
     nodes_per_cluster: usize,
     (a, b): (usize, usize),
@@ -252,10 +391,12 @@ mod tests {
         }
     }
 
-    /// Every link's pairs, by selection, equal the `k` first of a stable
-    /// sort of all its cross pairs by distance — on the pinned 12 x 100
-    /// graph, on Table 1's over several seeds, and on coordinates with
-    /// ties (a grid, where many pairs share a distance).
+    /// Every link's pairs, by the scan and by the reference's selection,
+    /// equal the `k` first of a stable sort of all its cross pairs by
+    /// distance — on the pinned 12 x 100 graph (ring links too), on
+    /// Table 1's over several seeds, and on coordinates full of ties
+    /// (two grids side by side or interleaved, some points coincident),
+    /// both ways round, for every `k` up to 40 and up to all pairs.
     #[test]
     fn selected_pairs_equal_the_full_sort() {
         let reference = |coords: &[Coord], m: usize, (a, b): (usize, usize), k: usize| {
@@ -275,36 +416,41 @@ mod tests {
             target_edges_per_cluster: 400,
             ..TransportationConfig::default()
         };
-        let mut cases: Vec<(TransportationConfig, Vec<Coord>)> = Vec::new();
+        // (nodes per cluster, coordinates, links)
+        type Links = Vec<(usize, usize, usize)>;
+        let mut cases: Vec<(usize, Vec<Coord>, Links)> = Vec::new();
         for seed in [1993, 0, 1, 2, 3, 4] {
-            for cfg in [pinned.clone(), TransportationConfig::table1()] {
+            let ring = TransportationConfig {
+                topology: ClusterTopology::Ring,
+                ..pinned.clone()
+            };
+            for cfg in [ring, TransportationConfig::table1()] {
+                let m = cfg.nodes_per_cluster;
                 let coords = generate_transportation(&cfg, seed).coords;
-                cases.push((cfg, coords));
+                let mut links = cfg.links();
+                links.extend([(0, 1, 0), (0, 1, 7), (0, 1, m * m)]);
+                cases.push((m, coords, links));
             }
         }
-        // Ties: two 5 x 5 unit grids side by side.
-        let grid: Vec<Coord> = (0..2)
-            .flat_map(|c| (0..25).map(move |i| Coord::new((c * 6 + i % 5) as f64, (i / 5) as f64)))
-            .collect();
-        let ties = TransportationConfig {
-            clusters: 2,
-            ..TransportationConfig::table1()
-        };
-        cases.push((ties, grid));
+        let grids: [fn(usize, usize) -> Coord; 3] = [
+            |c, i| Coord::new((c * 6 + i % 5) as f64, (i / 5) as f64),
+            |c, i| Coord::new((2 * (i % 5) + c) as f64, (i / 5) as f64),
+            |c, i| Coord::new((i % 3) as f64, (c + i / 3 % 2) as f64),
+        ];
+        for grid in grids {
+            let coords = (0..2).flat_map(|c| (0..25).map(move |i| grid(c, i)));
+            let ks = (0..=40).chain([624, 625, 626]);
+            let links = ks.flat_map(|k| [(0, 1, k), (1, 0, k)]).collect();
+            cases.push((25, coords.collect(), links));
+        }
         let mut pairs = Vec::new();
-        for (cfg, coords) in &cases {
-            let m = cfg.nodes_per_cluster;
-            for (a, b, k) in cfg
-                .links()
-                .into_iter()
-                .chain([(0, 1, 0), (0, 1, 7), (0, 1, m * m)])
-            {
-                closest_cross_pairs(coords, m, (a, b), k, &mut pairs);
-                assert_eq!(
-                    pairs,
-                    reference(coords, m, (a, b), k),
-                    "link ({a}, {b}) k={k}"
-                );
+        for (m, coords, links) in &cases {
+            for &(a, b, k) in links {
+                let sorted = reference(coords, *m, (a, b), k);
+                for pick in [closest_cross_pairs, closest_cross_pairs_reference] {
+                    pick(coords, *m, (a, b), k, &mut pairs);
+                    assert_eq!(pairs, sorted, "link ({a}, {b}) k={k}");
+                }
             }
         }
     }
