@@ -2,7 +2,7 @@
 //! cannot make, because they are exact counts or ratios of two arms of
 //! one run. Timings, throughput and per-layer costs are the
 //! benchmark's (`examples/benchmark`); the only absolute times here are
-//! the reported, ungated write-cost rows below.
+//! the reported, ungated write-cost and build-cost rows below.
 //!
 //! Exits non-zero if (see `ds_bench::gates` for the checks themselves)
 //!
@@ -78,12 +78,16 @@
 //! cheaper `maintain` speeds the log-off arm, so the ratio falls by
 //! construction, and it swings with the shared disk),
 //! `obs-armed-over-disarmed` (a 95/5 read/write mix with a live `ds_obs`
-//! bundle over the same mix without) and the `write-mixed-*-ns` rows:
+//! bundle over the same mix without), the `write-mixed-*-ns` rows:
 //! `maintain`'s wall time per write on `serve_mixed_durable`'s graph and
 //! write streams (the benchmark's pinned sizes and write-stream rule, one
 //! thread, the previous epoch retained), per class — interior or
 //! crossing, delete or re-insert; the row's median is the class median —
-//! and the mean over every write. Also reported only, because they
+//! and the mean over every write; and the `build-ns-*` rows:
+//! `EngineSnapshot::build`'s wall time on one thread for the
+//! benchmark's three deployments (`transport`, `ellipse`, `general`:
+//! its graphs, fragmenters and engine configs), the median over 40
+//! builds each. Also reported only, because they
 //! depend on the scheduler: `serve-closed-wakes-per-job` and
 //! `serve-closed-parks-per-job`, from a closed-loop hammer shaped like
 //! the benchmark's closed phase (2 clients x 8 reads in flight on 2
@@ -109,7 +113,7 @@ use ds_closure::api::{NetworkUpdate, QueryRequest};
 use ds_closure::local::ROW_NODES;
 use ds_closure::{EngineConfig, EngineSnapshot};
 use ds_fragment::center::{center_based, status_scores, status_scores_reference, CenterConfig};
-use ds_fragment::linear::LinearConfig;
+use ds_fragment::linear::{linear_sweep, LinearConfig};
 use ds_fragment::{semantic, CrossingPolicy, Fragment, Fragmentation};
 use ds_gen::transportation::generate_transportation_reference;
 use ds_gen::{
@@ -157,29 +161,7 @@ const HANDOFF_READS: usize = 20_000;
 /// warm part ran.
 fn warm_sweeps() -> (usize, u64) {
     let nodes = 300u32;
-    let g = generate_general(
-        &GeneralConfig {
-            nodes: nodes as usize,
-            target_edges: 900,
-            c2: 0.15,
-            ..GeneralConfig::default()
-        },
-        1,
-    );
-    let frag = center_based(
-        &g.edge_list(),
-        &CenterConfig {
-            fragments: 4,
-            ..CenterConfig::default()
-        },
-    )
-    .expect("center-based fragmentation")
-    .fragmentation;
-    let config = EngineConfig {
-        max_chains: 8,
-        max_chain_len: 5,
-        ..EngineConfig::default()
-    };
+    let (frag, config) = general_deployment(1);
     let snapshot = EngineSnapshot::build(frag, true, config);
     let frag = snapshot.fragmentation();
     assert!(!frag.fragmentation_graph().is_acyclic());
@@ -561,17 +543,7 @@ const WRITE_CLASSES: [&str; 4] = [
 /// by class (in `WRITE_CLASSES` order): one thread, one scratch, the
 /// previous epoch retained as the serve writer's readers retain it.
 fn mixed_write_costs() -> [Vec<f64>; 4] {
-    let g = generate_ellipse(
-        &EllipseConfig {
-            nodes: 600,
-            target_edges: 1800,
-            c2: 0.15,
-            a: 500.0,
-            b: 22.0,
-            ..EllipseConfig::default()
-        },
-        MIXED_GRAPH_SEED,
-    );
+    let g = mixed_graph();
     let linear = Fragmenter::Linear(LinearConfig {
         fragments: MIXED_FRAGMENTS,
         ..LinearConfig::default()
@@ -594,6 +566,84 @@ fn mixed_write_costs() -> [Vec<f64>; 4] {
         let _previous = std::mem::replace(&mut retained, working.clone());
     }
     costs
+}
+
+/// `serve_mixed_durable`'s graph: the benchmark's 600-node ellipse.
+fn mixed_graph() -> GeneratedGraph {
+    generate_ellipse(
+        &EllipseConfig {
+            nodes: 600,
+            target_edges: 1800,
+            c2: 0.15,
+            a: 500.0,
+            b: 22.0,
+            ..EllipseConfig::default()
+        },
+        MIXED_GRAPH_SEED,
+    )
+}
+
+/// The benchmark's graph seed, and builds timed per deployment of the
+/// `build-ns-*` rows.
+const BENCHMARK_GRAPH_SEED: u64 = 1993;
+const BUILDS: usize = 40;
+
+/// `EngineSnapshot::build`'s wall time on one thread, `BUILDS` builds
+/// each (after one untimed), for the benchmark's three deployments as
+/// `examples/benchmark/src/workload.rs` makes them: the transportation
+/// graph by its labels, the ellipse by ten linear fragments, the general
+/// graph by four center-grown ones with the chain caps. Each build gets
+/// a clone of the fragmentation made outside the timing.
+fn build_costs() -> [(&'static str, Vec<f64>); 3] {
+    let linear = LinearConfig {
+        fragments: MIXED_FRAGMENTS,
+        ..LinearConfig::default()
+    };
+    let ellipse = linear_sweep(&mixed_graph().edge_list(), &linear).expect("coords");
+    let default = EngineConfig::default();
+    let transport = pinned_transportation(BENCHMARK_GRAPH_SEED);
+    let (general, capped) = general_deployment(BENCHMARK_GRAPH_SEED ^ 0x6E4E_7A10);
+    [
+        ("build-ns-transport", transport, default.clone()),
+        ("build-ns-ellipse", ellipse.fragmentation, default),
+        ("build-ns-general", general, capped),
+    ]
+    .map(|(row, frag, cfg)| {
+        let mut samples: Vec<f64> = (0..=BUILDS)
+            .map(|_| {
+                let (frag, cfg) = (frag.clone(), cfg.clone());
+                let t = Instant::now();
+                let _snapshot = EngineSnapshot::build(frag, true, cfg);
+                t.elapsed().as_nanos() as f64
+            })
+            .collect();
+        samples.remove(0); // the untimed warm-up
+        (row, samples)
+    })
+}
+
+/// `offline_general`'s deployment on the general graph of `seed`: 300
+/// nodes, four center-grown fragments (a cyclic fragmentation graph with
+/// fat borders) and the chain caps.
+fn general_deployment(seed: u64) -> (Fragmentation, EngineConfig) {
+    let general = GeneralConfig {
+        nodes: 300,
+        target_edges: 900,
+        c2: 0.15,
+        ..GeneralConfig::default()
+    };
+    let center = CenterConfig {
+        fragments: 4,
+        ..CenterConfig::default()
+    };
+    let g = generate_general(&general, seed);
+    let frag = center_based(&g.edge_list(), &center).expect("center growth");
+    let capped = EngineConfig {
+        max_chains: 8,
+        max_chain_len: 5,
+        ..EngineConfig::default()
+    };
+    (frag.fragmentation, capped)
 }
 
 /// The benchmark's transportation config (12 clusters of 100 nodes).
@@ -1274,6 +1324,17 @@ fn main() {
     let mean = all.iter().sum::<f64>() / all.len() as f64;
     report.rows.record("write-mixed-mean-ns", &[mean]);
     println!("write-mixed-mean-ns: {:.1} us per write", mean / 1e3);
+
+    // Reported, not gated: what one build of each benchmark deployment
+    // costs.
+    for (row, samples) in build_costs() {
+        let r = report.rows.record(row, &samples);
+        println!(
+            "{row}: median {:.2} ms over {} builds",
+            r.median_ns / 1e6,
+            samples.len()
+        );
+    }
 
     let (closures, materialized) = materialize(&mut bench);
     // Per row, the seeds' values; a row with an expected count is gated

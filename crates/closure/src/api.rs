@@ -652,6 +652,7 @@ mod tests {
     use crate::executor::{run_chain, ExecutionMode};
     use crate::local::{augmented_graph, forward_matrix};
     use crate::planner::tests::{four_fragment_ring, three_fragment_path};
+    use ds_fragment::Membership;
     use ds_graph::{CsrGraph, ScratchDijkstra};
 
     fn n(i: u32) -> NodeId {
@@ -739,7 +740,7 @@ mod tests {
     #[test]
     fn batch_planner_caches_chain_sets() {
         let frag = three_fragment_path();
-        let planner = Planner::new(&frag, 16, 8, None);
+        let planner = Planner::new(Membership::new(&frag), 16, 8, None);
         let (set, filled) = planner.chain_set(n(0), n(6)).unwrap();
         assert_eq!(set.chains, vec![Arc::from([0, 1, 2])]);
         assert!(filled, "first plan computes");
@@ -774,7 +775,7 @@ mod tests {
     #[test]
     fn interior_segments_are_evaluated_once_and_outlive_the_batch() {
         let frag = three_fragment_path();
-        let planner = Planner::new(&frag, 16, 8, None);
+        let planner = Planner::new(Membership::new(&frag), 16, 8, None);
         let mut eval = counting_eval(&frag, true);
         // Three cross-chain queries share the one interior subquery of the
         // length-3 chain: 1 interior + 2 endpoints x 3 queries = 7 evals,
@@ -806,7 +807,7 @@ mod tests {
     fn endpoint_sweeps_are_shared_by_every_chain_through_the_site() {
         for symmetric in [true, false] {
             let frag = four_fragment_ring();
-            let planner = Planner::new(&frag, 16, 8, None);
+            let planner = Planner::new(Membership::new(&frag), 16, 8, None);
             let mut eval = counting_eval(&frag, symmetric);
             // 1 is in fragments 0 and 1, 4 in fragment 2 only: chains
             // [0,1,2], [0,3,2], [1,2] and [1,0,3,2].
@@ -853,7 +854,7 @@ mod tests {
     #[test]
     fn batch_same_node_and_unknown_node() {
         let frag = Fragmentation::new(3, vec![edges(&[(0, 1)])], vec![vec![]]);
-        let planner = Planner::new(&frag, 16, 8, None);
+        let planner = Planner::new(Membership::new(&frag), 16, 8, None);
         let mut eval = counting_eval(&frag, true);
         let requests = vec![QueryRequest::new(n(1), n(1)), QueryRequest::new(n(0), n(2))];
         let batch = run_batch(&planner, &mut eval, &requests);
@@ -867,7 +868,7 @@ mod tests {
     #[test]
     fn an_expired_deadline_cancels_before_any_site_work() {
         let frag = three_fragment_path();
-        let planner = Planner::new(&frag, 16, 8, None);
+        let planner = Planner::new(Membership::new(&frag), 16, 8, None);
         let mut eval = counting_eval(&frag, true);
         let requests = vec![QueryRequest::new(n(0), n(6)), QueryRequest::new(n(1), n(5))];
         let bounded = run_batch_bounded(
@@ -886,7 +887,7 @@ mod tests {
     #[test]
     fn traced_batch_matches_untraced_and_times_chains() {
         let frag = three_fragment_path();
-        let planner = Planner::new(&frag, 16, 8, None);
+        let planner = Planner::new(Membership::new(&frag), 16, 8, None);
         let requests: Vec<QueryRequest> = [(0, 6), (1, 5), (3, 3)]
             .iter()
             .map(|&(a, b)| (n(a), n(b)).into())

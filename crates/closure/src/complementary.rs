@@ -28,7 +28,12 @@
 //! 1. **Local sweeps** — per fragment, one Dijkstra *per border node of
 //!    that fragment*, seeded at the border's interior neighbours and
 //!    absorbed by the fragment's borders: the cheapest path between two
-//!    of its borders whose interior is the fragment's own interior.
+//!    of its borders whose interior is the fragment's own interior. They
+//!    run on the fragment's own graph ([`LocalGraph`]), the very one its
+//!    [`crate::local::Site`] evaluates on, built once per version of the
+//!    fragment. A connection between two of its borders that another
+//!    fragment owns is not in it; an absorbing sweep never relaxes an
+//!    edge out of a border, so the sweeps cannot tell.
 //! 2. **The kept skeleton** — one [`CsrGraph`] over skeleton ids (a
 //!    border's position in the border list) with the cheapest edge per
 //!    ordered border pair among two kinds: a connection between two
@@ -101,14 +106,13 @@
 //! is written at every site holding both borders, so each site keeps
 //! exactly the tuples a from-scratch precompute would give it.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ds_fragment::{FragmentId, Fragmentation};
-use ds_graph::{
-    dijkstra, Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, SubgraphView, INFINITE_COST,
-};
+use ds_fragment::{FragmentId, Fragmentation, Membership};
+use ds_graph::{dijkstra, Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
+
+use crate::local::LocalGraph;
 
 /// Which border pairs get a precomputed shortcut.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -198,8 +202,8 @@ impl LocalSweeps {
 }
 
 /// What the fragmentation's node sets fix — and no update changes a node
-/// set — derived once by [`ComplementaryInfo::compute`] and shared by
-/// every epoch of the lineage.
+/// set — derived once per build from its [`Membership`] table and shared
+/// by every epoch of the lineage.
 #[derive(Clone, Debug)]
 struct Layout {
     /// Every border node, ascending; index = skeleton id.
@@ -217,8 +221,8 @@ struct Layout {
 }
 
 impl Layout {
-    fn new(frag: &Fragmentation, scope: ComplementaryScope) -> Self {
-        let (groups, borders) = site_border_sets(frag, scope);
+    fn new(frag: &Fragmentation, membership: &Membership, scope: ComplementaryScope) -> Self {
+        let (groups, borders) = site_border_sets(frag, membership, scope);
         let mut targets: Vec<Vec<NodeId>> = vec![Vec::new(); borders.len()];
         for group in groups.iter().flatten() {
             let idx: Vec<NodeId> = (group.iter())
@@ -385,54 +389,34 @@ pub struct ComplementaryInfo {
     stats: PrecomputeStats,
 }
 
-/// Run the local border sweeps of one fragment: from each border node,
-/// Dijkstra over the fragment's induced subgraph seeded at the border's
-/// non-border neighbours and absorbed by every border of the fragment —
-/// the paths through the fragment's interior. A connection between two
-/// borders is a skeleton edge of its own, so it is left to the skeleton.
+/// Run the local border sweeps of one fragment, whose own graph is
+/// `local` and whose borders have the skeleton ids `ids` (ascending):
+/// from each border, Dijkstra seeded at the border's non-border
+/// neighbours and absorbed by every border of the fragment — the paths
+/// through the fragment's interior. A connection between two borders is
+/// a skeleton edge of its own, so it is left to the skeleton.
 fn local_sweeps_for_fragment(
-    graph: &CsrGraph,
-    frag: &Fragmentation,
-    f: usize,
+    local: &LocalGraph,
+    ids: &[usize],
     borders: &[NodeId],
     scratch: &mut ScratchDijkstra,
 ) -> LocalSweeps {
-    // The fragment's border nodes: its node set ∩ the global border set
-    // (both sorted).
-    let nodes = frag.fragment(f).nodes();
-    let fborders: Vec<NodeId> = nodes
-        .iter()
-        .copied()
-        .filter(|v| borders.binary_search(v).is_ok())
-        .collect();
-    if fborders.is_empty() {
-        return LocalSweeps::default();
-    }
-    let view = SubgraphView::induced(graph, nodes);
-    let local_borders: Vec<NodeId> = fborders
-        .iter()
-        .map(|&b| view.local_of(b).expect("border is a fragment node"))
-        .collect();
-    let skel_ids: Vec<u32> = fborders
-        .iter()
-        .map(|b| position(borders, b) as u32)
-        .collect();
-    let mut edges = Vec::new();
-    let mut seeds: Vec<(NodeId, Cost)> = Vec::new();
+    // Ascending like the skeleton ids, since local ids keep the order.
+    let local_of = |&s: &usize| local.local_id(borders[s]).expect("a fragment node");
+    let local_borders: Vec<NodeId> = ids.iter().map(local_of).collect();
+    let (graph, mut edges, mut seeds) = (&local.local, Vec::new(), Vec::new());
     for (bi, &b) in local_borders.iter().enumerate() {
         seeds.clear();
-        seeds.extend(
-            (view.graph().neighbors(b)).filter(|(x, _)| local_borders.binary_search(x).is_err()),
-        );
+        seeds.extend((graph.neighbors(b)).filter(|(x, _)| local_borders.binary_search(x).is_err()));
         if seeds.is_empty() {
             continue; // no interior neighbour: no path through the interior
         }
-        scratch.sweep_to_targets_absorbing(view.graph(), &seeds, &local_borders);
+        scratch.sweep_to_targets_absorbing(graph, &seeds, &local_borders);
         for (ti, &t) in local_borders.iter().enumerate() {
             if let Some(cost) = scratch.cost(t).filter(|_| ti != bi) {
                 edges.push(SkelEdge {
-                    src: skel_ids[bi],
-                    dst: skel_ids[ti],
+                    src: ids[bi] as u32,
+                    dst: ids[ti] as u32,
                     cost,
                 });
             }
@@ -448,13 +432,10 @@ fn position(borders: &[NodeId], v: &NodeId) -> usize {
 
 /// The borders of a site's table: the union of its groups, ascending.
 fn table_borders(groups: &[Vec<NodeId>]) -> Vec<NodeId> {
-    match groups {
-        [all] => all.clone(),
-        _ => (groups.iter().flatten().copied())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect(),
-    }
+    let mut all = groups.concat();
+    all.sort_unstable();
+    all.dedup();
+    all
 }
 
 /// The cost of the skeleton entry `s -> t`, if there is one.
@@ -549,13 +530,28 @@ struct Closed {
 }
 
 impl ComplementaryInfo {
-    /// Precompute the complementary information for a fragmentation over
-    /// `graph` (the directed closure graph) with the skeleton-overlay
-    /// strategy (see the module docs).
-    pub fn compute(graph: &CsrGraph, frag: &Fragmentation, scope: ComplementaryScope) -> Self {
-        let (layout, mut scratch) = (Layout::new(frag, scope), ScratchDijkstra::new());
+    /// Precompute the complementary information for a fragmentation
+    /// (`symmetric`: each tuple stands for both travel directions) with
+    /// the skeleton-overlay strategy (see the module docs).
+    pub fn compute(frag: &Fragmentation, symmetric: bool, scope: ComplementaryScope) -> Self {
+        let (graph, locals) = (frag.closure_graph(symmetric), local_graphs(frag, symmetric));
+        ComplementaryInfo::compute_with(&graph, frag, &Membership::new(frag), &locals, scope)
+    }
+
+    /// [`ComplementaryInfo::compute`] from what a build has already made:
+    /// `graph`, the directed closure graph, the fragmentation's
+    /// membership table and every fragment's own graph (`locals`, by
+    /// fragment id).
+    pub(crate) fn compute_with(
+        graph: &CsrGraph,
+        frag: &Fragmentation,
+        membership: &Membership,
+        locals: &[Arc<LocalGraph>],
+        scope: ComplementaryScope,
+    ) -> Self {
+        let (layout, mut scratch) = (Layout::new(frag, membership, scope), ScratchDijkstra::new());
         let t0 = Instant::now();
-        let mut comp = ComplementaryInfo::swept(graph, frag, layout, &mut scratch);
+        let mut comp = ComplementaryInfo::swept(graph, locals, layout, &mut scratch);
         let local_sweeps_ns = t0.elapsed().as_nanos() as u64;
 
         // Close the skeleton from every border: each sweep needs only the
@@ -593,13 +589,13 @@ impl ComplementaryInfo {
     /// edges, the cheapest per ordered pair.
     fn swept(
         graph: &CsrGraph,
-        frag: &Fragmentation,
+        locals: &[Arc<LocalGraph>],
         layout: Layout,
         scratch: &mut ScratchDijkstra,
     ) -> Self {
         let borders = &layout.borders;
-        let local: Vec<Arc<LocalSweeps>> = (0..frag.fragment_count())
-            .map(|f| Arc::new(local_sweeps_for_fragment(graph, frag, f, borders, scratch)))
+        let local: Vec<Arc<LocalSweeps>> = (locals.iter().zip(&layout.at))
+            .map(|(g, ids)| Arc::new(local_sweeps_for_fragment(g, ids, borders, scratch)))
             .collect();
         let mut edges = Vec::new();
         for (s, &b) in borders.iter().enumerate() {
@@ -653,7 +649,8 @@ impl ComplementaryInfo {
     }
 
     /// Bring the kept skeleton up to date with `graph` after an edit:
-    /// re-sweep the fragment `stale` names, if any, then re-derive every
+    /// re-sweep the fragment `stale` names, if any, over its edited own
+    /// graph, then re-derive every
     /// skeleton pair its sweeps realized before or realize now, and every
     /// pair in `crossing` (skeleton ids of an edited connection between
     /// two borders) — the cheapest of the pair's connections in `graph`
@@ -662,15 +659,14 @@ impl ComplementaryInfo {
     pub(crate) fn patch(
         &mut self,
         graph: &CsrGraph,
-        frag: &Fragmentation,
-        stale: Option<FragmentId>,
+        stale: Option<(FragmentId, &LocalGraph)>,
         crossing: &[(usize, usize)],
         scratch: &mut ScratchDijkstra,
     ) {
         let borders = &self.layout.borders;
         let mut pairs: Vec<(usize, usize)> = crossing.to_vec();
-        if let Some(f) = stale {
-            let fresh = local_sweeps_for_fragment(graph, frag, f, borders, scratch);
+        if let Some((f, local)) = stale {
+            let fresh = local_sweeps_for_fragment(local, &self.layout.at[f], borders, scratch);
             let old = std::mem::replace(&mut self.local[f], Arc::new(fresh));
             let realized = old.edges.iter().chain(&self.local[f].edges);
             pairs.extend(realized.map(|e| (e.src as usize, e.dst as usize)));
@@ -783,12 +779,14 @@ impl ComplementaryInfo {
     /// kept for equivalence tests. It derives the same kept skeleton
     /// (outside its timing), so it maintains like any other.
     pub fn compute_global_sweep(
-        graph: &CsrGraph,
         frag: &Fragmentation,
+        symmetric: bool,
         scope: ComplementaryScope,
     ) -> Self {
-        let (layout, mut scratch) = (Layout::new(frag, scope), ScratchDijkstra::new());
-        let mut comp = ComplementaryInfo::swept(graph, frag, layout, &mut scratch);
+        let (graph, locals) = (frag.closure_graph(symmetric), local_graphs(frag, symmetric));
+        let layout = Layout::new(frag, &Membership::new(frag), scope);
+        let mut scratch = ScratchDijkstra::new();
+        let mut comp = ComplementaryInfo::swept(&graph, &locals, layout, &mut scratch);
         let layout = Arc::clone(&comp.layout);
         let border_list = &layout.borders;
 
@@ -797,7 +795,7 @@ impl ComplementaryInfo {
         let t0 = Instant::now();
         let dist_from: Vec<dijkstra::ShortestPaths> = border_list
             .iter()
-            .map(|&b| dijkstra::single_source(graph, b))
+            .map(|&b| dijkstra::single_source(&graph, b))
             .collect();
         let local_sweeps_ns = t0.elapsed().as_nanos() as u64;
 
@@ -1072,68 +1070,68 @@ fn costs_at(scratch: &ScratchDijkstra, targets: &[NodeId]) -> Vec<Cost> {
         .collect()
 }
 
+/// Every fragment's own graph, by fragment id.
+pub(crate) fn local_graphs(frag: &Fragmentation, symmetric: bool) -> Vec<Arc<LocalGraph>> {
+    (frag.fragments().iter())
+        .map(|f| Arc::new(LocalGraph::new(f, symmetric)))
+        .collect()
+}
+
 /// For each site, the groups of border nodes whose pairs get shortcuts:
 /// one group per adjacent DS (paper scope) or a single group of all the
 /// fragment's border nodes (fragment scope) — and all border nodes,
 /// ascending.
 fn site_border_sets(
     frag: &Fragmentation,
+    membership: &Membership,
     scope: ComplementaryScope,
 ) -> (Vec<Vec<Vec<NodeId>>>, Vec<NodeId>) {
-    let n = frag.fragment_count();
-    let mut out: Vec<Vec<Vec<NodeId>>> = vec![Vec::new(); n];
-    let ds = frag.disconnection_sets();
+    let mut out: Vec<Vec<Vec<NodeId>>> = vec![Vec::new(); frag.fragment_count()];
     match scope {
         ComplementaryScope::PerDisconnectionSet => {
-            for (&(i, j), nodes) in &ds {
+            for ((i, j), nodes) in membership.disconnection_sets() {
                 out[i].push(nodes.clone());
-                out[j].push(nodes.clone());
+                out[j].push(nodes);
             }
         }
         ComplementaryScope::PerFragmentBorder => {
-            let mut border_of: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); n];
-            for (&(i, j), nodes) in &ds {
-                border_of[i].extend(nodes.iter().copied());
-                border_of[j].extend(nodes.iter().copied());
-            }
-            for (site, set) in border_of.into_iter().enumerate() {
+            for (groups, f) in out.iter_mut().zip(frag.fragments()) {
+                let set: Vec<NodeId> = (f.nodes().iter().copied())
+                    .filter(|&v| membership.is_border(v))
+                    .collect();
                 if !set.is_empty() {
-                    out[site].push(set.into_iter().collect());
+                    groups.push(set);
                 }
             }
         }
     }
-    let all: BTreeSet<NodeId> = ds.into_values().flatten().collect();
-    (out, all.into_iter().collect())
+    (out, membership.borders())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ds_gen::deterministic::path;
     use ds_graph::Edge as GEdge;
 
     /// Path 0-1-2-3-4 fragmented [0-1,1-2] / [2-3,3-4]: border node 2.
-    fn setup() -> (CsrGraph, Fragmentation) {
-        let g = path(5);
+    fn setup() -> Fragmentation {
         let edges = |pairs: &[(u32, u32)]| -> Vec<GEdge> {
             pairs
                 .iter()
                 .map(|&(a, b)| GEdge::unit(NodeId(a), NodeId(b)))
                 .collect()
         };
-        let frag = Fragmentation::new(
+        Fragmentation::new(
             5,
             vec![edges(&[(0, 1), (1, 2)]), edges(&[(2, 3), (3, 4)])],
             vec![vec![], vec![]],
-        );
-        (g.closure_graph(), frag)
+        )
     }
 
     #[test]
     fn single_border_node_yields_no_pairs() {
-        let (g, frag) = setup();
-        let comp = ComplementaryInfo::compute(&g, &frag, ComplementaryScope::PerDisconnectionSet);
+        let frag = setup();
+        let comp = ComplementaryInfo::compute(&frag, true, ComplementaryScope::PerDisconnectionSet);
         assert_eq!(comp.border_count(), 1);
         assert_eq!(comp.pair_count(), 0, "a singleton DS has no pairs");
         assert_eq!(comp.shortcuts(0).count(), 0);
@@ -1143,7 +1141,6 @@ mod tests {
     #[test]
     fn two_border_nodes_get_global_distances() {
         // Cycle of 6 split into two halves sharing nodes 0 and 3.
-        let g = ds_gen::deterministic::cycle(6);
         let edges = |pairs: &[(u32, u32)]| -> Vec<GEdge> {
             pairs
                 .iter()
@@ -1158,8 +1155,7 @@ mod tests {
             ],
             vec![vec![], vec![]],
         );
-        let csr = g.closure_graph();
-        let comp = ComplementaryInfo::compute(&csr, &frag, ComplementaryScope::PerDisconnectionSet);
+        let comp = ComplementaryInfo::compute(&frag, true, ComplementaryScope::PerDisconnectionSet);
         assert_eq!(comp.border_count(), 2);
         // Pairs (0,3) and (3,0) at both sites.
         assert_eq!(comp.pair_count(), 4);
@@ -1186,8 +1182,6 @@ mod tests {
                 })
                 .collect()
         };
-        let all = edges(&[(0, 2), (2, 3), (3, 4), (4, 0), (2, 4)]);
-        let g = CsrGraph::from_edges(5, &all);
         let frag = Fragmentation::new(
             5,
             vec![
@@ -1197,9 +1191,10 @@ mod tests {
             ],
             vec![vec![], vec![], vec![]],
         );
-        let per_ds = ComplementaryInfo::compute(&g, &frag, ComplementaryScope::PerDisconnectionSet);
+        let per_ds =
+            ComplementaryInfo::compute(&frag, false, ComplementaryScope::PerDisconnectionSet);
         let per_border =
-            ComplementaryInfo::compute(&g, &frag, ComplementaryScope::PerFragmentBorder);
+            ComplementaryInfo::compute(&frag, false, ComplementaryScope::PerFragmentBorder);
         let has_cross = |c: &ComplementaryInfo| {
             c.shortcuts(0)
                 .any(|e| e.src == NodeId(2) && e.dst == NodeId(4))
@@ -1232,8 +1227,8 @@ mod tests {
             ComplementaryScope::PerDisconnectionSet,
             ComplementaryScope::PerFragmentBorder,
         ] {
-            let skel = ComplementaryInfo::compute(&csr, &frag, scope);
-            let glob = ComplementaryInfo::compute_global_sweep(&csr, &frag, scope);
+            let skel = ComplementaryInfo::compute(&frag, g.symmetric, scope);
+            let glob = ComplementaryInfo::compute_global_sweep(&frag, g.symmetric, scope);
             assert_eq!(skel.border_count(), glob.border_count(), "{scope:?}");
             assert_eq!(skel.pair_count(), glob.pair_count(), "{scope:?}");
             let cfg = EngineConfig {
@@ -1258,6 +1253,75 @@ mod tests {
                             .unwrap_or_else(|| panic!("{:?}->{:?} not an edge", hop[0], hop[1]));
                     }
                     assert_eq!(total, e.cost, "{scope:?} route cost");
+                }
+            }
+        }
+    }
+
+    /// The local sweeps' graph as it used to be derived: the closure
+    /// graph's induced subgraph on the fragment's nodes — every edge
+    /// between two of them, whichever fragment owns it.
+    fn induced(graph: &CsrGraph, nodes: &[NodeId]) -> LocalGraph {
+        let inside = |v: &NodeId| nodes.binary_search(v).is_ok();
+        let edges: Vec<GEdge> = (graph.edges())
+            .filter(|e| inside(&e.src) && inside(&e.dst))
+            .collect();
+        LocalGraph::new(&ds_fragment::Fragment::new(0, edges, nodes), false)
+    }
+
+    /// Every fragment's local sweeps over its own graph equal the sweeps
+    /// over the induced view, which also holds the connections between
+    /// two of its borders that another fragment owns: an absorbing sweep
+    /// never relaxes an edge out of a border. Symmetric and one-way, on
+    /// a fixture built for that case and on labelled transportation
+    /// graphs.
+    #[test]
+    fn local_sweeps_on_the_own_graph_equal_the_induced_view_sweeps() {
+        // Fragment 0 is the path 0-1-2-3 with a spur 1-4; fragment 1
+        // owns 3-5-0 and the direct connection 0-3 between two borders
+        // of fragment 0.
+        let e = |a, b, c| GEdge::new(NodeId(a), NodeId(b), c);
+        let fixture = Fragmentation::new(
+            6,
+            vec![
+                vec![e(0, 1, 1), e(1, 2, 1), e(2, 3, 1), e(1, 4, 2)],
+                vec![e(0, 3, 1), e(3, 5, 2), e(5, 0, 2)],
+            ],
+            vec![vec![], vec![]],
+        );
+        let mut cases = vec![("fixture", fixture)];
+        for seed in 0..4 {
+            let g = ds_gen::generate_transportation(&ds_gen::TransportationConfig::table1(), seed);
+            let labels = g.cluster_of.as_ref().unwrap();
+            let policy = ds_fragment::CrossingPolicy::LowerBlock;
+            let frag = ds_fragment::semantic::by_labels(g.nodes, &g.connections, labels, 4, policy);
+            cases.push(("transportation", frag.unwrap()));
+        }
+        let mut scratch = ScratchDijkstra::new();
+        for (name, frag) in &cases {
+            for symmetric in [true, false] {
+                let graph = frag.closure_graph(symmetric);
+                let scope = ComplementaryScope::PerFragmentBorder;
+                let layout = Layout::new(frag, &Membership::new(frag), scope);
+                for f in frag.fragments() {
+                    let (ids, borders) = (&layout.at[f.id()], &layout.borders);
+                    let mut sweep = |g: &LocalGraph| {
+                        let swept = local_sweeps_for_fragment(g, ids, borders, &mut scratch);
+                        (swept.edges.iter())
+                            .map(|e| (e.src, e.dst, e.cost))
+                            .collect::<Vec<_>>()
+                    };
+                    let own = LocalGraph::new(f, symmetric);
+                    let view = induced(&graph, f.nodes());
+                    let what = format!("{name} symmetric {symmetric} fragment {}", f.id());
+                    assert_eq!(sweep(&own), sweep(&view), "{what}");
+                    if *name == "fixture" && f.id() == 0 {
+                        let (own, view) = (own.local.edge_count(), view.local.edge_count());
+                        assert!(view > own, "{what}: the view holds fragment 1's 0-3");
+                        // 0 -> 3 through 1 and 2, and back when symmetric.
+                        let realized = sweep(&LocalGraph::new(f, symmetric)).len();
+                        assert_eq!(realized, 1 + usize::from(symmetric), "{what}");
+                    }
                 }
             }
         }
@@ -1291,15 +1355,15 @@ mod tests {
 
     #[test]
     fn precompute_stats_report_phases() {
-        let (g, frag) = setup();
-        let skel = ComplementaryInfo::compute(&g, &frag, ComplementaryScope::default());
+        let frag = setup();
+        let skel = ComplementaryInfo::compute(&frag, true, ComplementaryScope::default());
         assert_eq!(
             skel.precompute_stats().strategy,
             PrecomputeStrategy::Skeleton
         );
         assert!(skel.precompute_stats().total_ns() > 0);
         let glob =
-            ComplementaryInfo::compute_global_sweep(&g, &frag, ComplementaryScope::default());
+            ComplementaryInfo::compute_global_sweep(&frag, true, ComplementaryScope::default());
         assert_eq!(
             glob.precompute_stats().strategy,
             PrecomputeStrategy::GlobalSweep
@@ -1313,9 +1377,8 @@ mod tests {
         // Add node 3 shared but unreachable: fragments [0->1, 3 seeded].
         let e01 = vec![GEdge::unit(NodeId(0), NodeId(1))];
         let e12 = vec![GEdge::unit(NodeId(1), NodeId(2))];
-        let g = CsrGraph::from_edges(4, &[e01[0], e12[0]]);
         let frag = Fragmentation::new(4, vec![e01, e12], vec![vec![NodeId(3)], vec![NodeId(3)]]);
-        let comp = ComplementaryInfo::compute(&g, &frag, ComplementaryScope::PerFragmentBorder);
+        let comp = ComplementaryInfo::compute(&frag, false, ComplementaryScope::PerFragmentBorder);
         // Border nodes are 1 and 3; only pairs with finite global distance
         // are stored; 1 and 3 are mutually unreachable.
         assert_eq!(comp.border_count(), 2);

@@ -69,7 +69,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use ds_fragment::FragmentId;
+use ds_fragment::{Fragment, FragmentId};
 use ds_graph::{Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
 use ds_relation::{PathTuple, Relation};
 
@@ -122,17 +122,45 @@ pub struct SiteBytes {
     pub segment_memo: usize,
 }
 
+/// A fragment's own graph over local ids, no shortcuts: built once per
+/// version of the fragment's tuples and shared, behind an `Arc`, by the
+/// complementary precompute's local sweeps and the fragment's [`Site`].
+#[derive(Clone, Debug)]
+pub struct LocalGraph {
+    /// The fragment's nodes, ascending; a node's position is its local id.
+    pub(crate) nodes: Vec<NodeId>,
+    /// The fragment's edges over local ids (and their reverses on a
+    /// symmetric network).
+    pub(crate) local: CsrGraph,
+    /// `local` reversed — directed networks only; a symmetric fragment is
+    /// its own transpose.
+    pub(crate) transpose: Option<CsrGraph>,
+}
+
+impl LocalGraph {
+    /// The graph of fragment `f`.
+    pub fn new(f: &Fragment, symmetric: bool) -> Self {
+        let local = f.relabeled_graph(symmetric);
+        LocalGraph {
+            nodes: f.nodes().to_vec(),
+            transpose: (!symmetric).then(|| local.reversed()),
+            local,
+        }
+    }
+
+    /// The local id of `v`, if `v` is a node of the fragment.
+    pub(crate) fn local_id(&self, v: NodeId) -> Option<NodeId> {
+        self.nodes.binary_search(&v).ok().map(NodeId::from_index)
+    }
+}
+
 /// One site's evaluation state for one epoch (see the module docs).
 /// Every array is sized by the fragment, not by the network.
 #[derive(Clone, Debug)]
 pub struct Site {
-    /// The fragment's nodes, ascending; a node's position is its local id.
-    nodes: Vec<NodeId>,
-    /// The fragment's edges over local ids, no shortcuts.
-    local: CsrGraph,
-    /// `local` reversed — directed networks only; a symmetric fragment is
-    /// its own transpose.
-    transpose: Option<CsrGraph>,
+    /// The fragment's own graph, shared with whatever else swept this
+    /// version of the fragment.
+    pub(crate) graph: Arc<LocalGraph>,
     /// Local ids of the border nodes, ascending (hence ascending globally).
     borders: Vec<NodeId>,
     /// The complementary table, shared with `ComplementaryInfo`: `D` as
@@ -163,53 +191,32 @@ pub struct Site {
 }
 
 impl Site {
-    /// Build the site of a fragment with node set `nodes` (ascending) and
-    /// tuples `fragment_edges`, adjacent to the fragments `neighbors`,
-    /// whose border nodes and complementary distances are `table`.
-    /// `scratch` is swept only when the table leaves a border pair out
-    /// (see the module docs).
+    /// Build the site of the fragment whose own graph is `graph`,
+    /// adjacent to the fragments `neighbors`, whose border nodes and
+    /// complementary distances are `table`. `scratch` is swept only when
+    /// the table leaves a border pair out (see the module docs).
     pub fn build(
-        nodes: &[NodeId],
-        fragment_edges: &[Edge],
-        symmetric: bool,
+        graph: Arc<LocalGraph>,
         table: Arc<BorderTable>,
         neighbors: &[FragmentId],
         scratch: &mut ScratchDijkstra,
     ) -> Self {
-        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]));
-        let local_of = |v: NodeId| {
-            let i = nodes.binary_search(&v).expect("edge endpoint in fragment");
-            NodeId::from_index(i)
-        };
-        let mut edges = Vec::with_capacity(fragment_edges.len() * 2);
-        for e in fragment_edges {
-            let e = Edge::new(local_of(e.src), local_of(e.dst), e.cost);
-            edges.push(e);
-            if symmetric && !e.is_loop() {
-                edges.push(e.reversed());
-            }
-        }
-        let local = CsrGraph::from_edges(nodes.len(), &edges);
-        let transpose = (!symmetric).then(|| local.reversed());
-
-        let borders: Vec<NodeId> = table.borders().iter().map(|&b| local_of(b)).collect();
-        let rows = if nodes.len() <= ROW_NODES {
-            nodes.len()
-        } else {
-            0
-        };
+        let borders: Vec<NodeId> = (table.borders().iter())
+            .map(|&b| graph.local_id(b).expect("a border of the fragment"))
+            .collect();
+        let n = graph.nodes.len();
+        let rows = if n <= ROW_NODES { n } else { 0 };
+        let directed = graph.transpose.is_some();
         Site {
-            nodes: nodes.to_vec(),
-            transpose,
-            closed: closed_matrix(&local, &borders, &table, scratch),
+            closed: closed_matrix(&graph.local, &borders, &table, scratch),
             own: (0..borders.len() as u32).map(|i| (i, 0)).collect(),
-            entries: vec![OnceLock::new(); nodes.len()],
-            exits: vec![OnceLock::new(); if symmetric { 0 } else { nodes.len() }],
+            entries: vec![OnceLock::new(); n],
+            exits: vec![OnceLock::new(); if directed { n } else { 0 }],
             exits_filled: OnceLock::new(),
             rows: vec![OnceLock::new(); rows],
             augmented: OnceLock::new(),
             memo: SiteMemo::new(neighbors),
-            local,
+            graph,
             borders,
             table,
         }
@@ -237,11 +244,10 @@ impl Site {
     /// Whether the fragment itself connects `p -> q` at `cost` — which
     /// fragment a route's connection between two borders belongs to.
     pub fn has_edge(&self, p: NodeId, q: NodeId, cost: Cost) -> bool {
-        let local = |v| self.nodes.binary_search(&v).map(NodeId::from_index);
-        let (Ok(p), Ok(q)) = (local(p), local(q)) else {
+        let (Some(p), Some(q)) = (self.local_id(p), self.local_id(q)) else {
             return false;
         };
-        self.local.neighbors(p).any(|hop| hop == (q, cost))
+        self.graph.local.neighbors(p).any(|hop| hop == (q, cost))
     }
 
     /// The site's border nodes (global ids, ascending).
@@ -261,17 +267,14 @@ impl Site {
         backward: bool,
         scratch: &mut ScratchDijkstra,
     ) -> Vec<(NodeId, Cost)> {
-        let g = match &self.transpose {
+        let g = match &self.graph.transpose {
             Some(transpose) if backward => transpose,
-            _ => &self.local,
+            _ => &self.graph.local,
         };
-        let at = self
-            .nodes
-            .binary_search(&x)
-            .expect("a node of the fragment");
-        scratch.sweep_blocked(g, &[(NodeId::from_index(at), 0)], &self.borders);
+        let at = self.local_id(x).expect("a node of the fragment");
+        scratch.sweep_blocked(g, &[(at, 0)], &self.borders);
         (self.borders.iter())
-            .filter_map(|&b| Some((self.nodes[b.index()], scratch.cost(b)?)))
+            .filter_map(|&b| Some((self.graph.nodes[b.index()], scratch.cost(b)?)))
             .collect()
     }
 
@@ -285,7 +288,7 @@ impl Site {
     ) -> Option<(Cost, Vec<NodeId>)> {
         let at = self.local_id(v)?;
         let path = scratch.path_to(at)?;
-        let global = path.iter().map(|u| self.nodes[u.index()]).collect();
+        let global = path.iter().map(|u| self.graph.nodes[u.index()]).collect();
         Some((scratch.cost(at)?, global))
     }
 
@@ -303,7 +306,7 @@ impl Site {
     ) -> Option<Vec<NodeId>> {
         let (s, t) = (self.local_id(from)?, self.local_id(to)?);
         let blocked = |v: NodeId| v != t && self.is_border(v);
-        scratch.sweep_point_bounded(&self.local, s, t, INFINITE_COST, blocked)?;
+        scratch.sweep_point_bounded(&self.graph.local, s, t, INFINITE_COST, blocked)?;
         self.swept_path(to, scratch).map(|(_, path)| path)
     }
 
@@ -323,6 +326,7 @@ impl Site {
     /// built) included, over `table` — the caller's copy of this site's.
     pub(crate) fn unshared_clone(&self, table: Arc<BorderTable>) -> Self {
         let mut site = Site {
+            graph: Arc::new((*self.graph).clone()),
             table,
             ..self.clone()
         };
@@ -341,10 +345,14 @@ impl Site {
             .flat_map(|s| s.iter().filter_map(OnceLock::get));
         let rows = self.rows.iter().filter_map(OnceLock::get);
         SiteBytes {
-            graph: self.local.memory_bytes()
-                + self.transpose.as_ref().map_or(0, CsrGraph::memory_bytes)
+            graph: self.graph.local.memory_bytes()
+                + self
+                    .graph
+                    .transpose
+                    .as_ref()
+                    .map_or(0, CsrGraph::memory_bytes)
+                + size_of_val(&self.graph.nodes[..])
                 + self.augmented.get().map_or(0, |g| g.memory_bytes())
-                + size_of_val(&self.nodes[..])
                 + slots.iter().map(|s| size_of_val(&s[..])).sum::<usize>()
                 + size_of_val(&self.rows[..]),
             border_matrix: self
@@ -372,14 +380,11 @@ impl Site {
         if let Ok(b) = self.table.borders().binary_search(&v) {
             return (&self.own[b..=b], None);
         }
-        let local = self
-            .nodes
-            .binary_search(&v)
-            .expect("a site is asked about its own fragment's nodes");
-        let forward = forward || self.transpose.is_none();
+        let local_id = (self.local_id(v)).expect("a site is asked about its own fragment's nodes");
+        let forward = forward || self.graph.transpose.is_none();
         let slots = if forward { &self.entries } else { &self.exits };
-        let local_id = NodeId::from_index(local);
-        let set = slots[local].get_or_init(|| self.sweep_access(local_id, forward, scratch));
+        let set =
+            slots[local_id.index()].get_or_init(|| self.sweep_access(local_id, forward, scratch));
         (set, Some(local_id))
     }
 
@@ -396,9 +401,9 @@ impl Site {
         if self.borders.is_empty() {
             return Box::default();
         }
-        let g = match &self.transpose {
+        let g = match &self.graph.transpose {
             Some(t) if !forward => t,
-            _ => &self.local,
+            _ => &self.graph.local,
         };
         scratch.sweep_to_targets_absorbing(g, &[(v, 0)], &self.borders);
         let reached = self
@@ -445,7 +450,7 @@ impl Site {
     ) -> Cost {
         let Some(slot) = self.rows.get(s.index()) else {
             let blocked = |v: NodeId| self.borders.binary_search(&v).is_ok();
-            let direct = scratch.sweep_point_bounded(&self.local, s, t, bound, blocked);
+            let direct = scratch.sweep_point_bounded(&self.graph.local, s, t, bound, blocked);
             return direct.unwrap_or(INFINITE_COST);
         };
         slot.get_or_init(|| self.border_free_row(s, scratch))[t.index()]
@@ -456,14 +461,14 @@ impl Site {
     /// are the ones `s` reaches first, so the sweep fills `s`'s access
     /// set too if nothing did before.
     fn border_free_row(&self, s: NodeId, scratch: &mut ScratchDijkstra) -> Box<[Cost]> {
-        scratch.sweep_blocked(&self.local, &[(s, 0)], &self.borders);
+        scratch.sweep_blocked(&self.graph.local, &[(s, 0)], &self.borders);
         if self.entries[s.index()].get().is_none() {
             let reached = (self.borders.iter().enumerate())
                 .filter_map(|(i, &b)| Some((i as u32, scratch.cost(b)?)))
                 .collect();
             let _ = self.entries[s.index()].set(self.prune(reached, true));
         }
-        (0..self.nodes.len())
+        (0..self.graph.nodes.len())
             .map(|v| scratch.cost(NodeId::from_index(v)).unwrap_or(INFINITE_COST))
             .collect()
     }
@@ -472,12 +477,12 @@ impl Site {
 
     /// The fragment's nodes, ascending: local id `i` is `nodes()[i]`.
     pub(crate) fn nodes(&self) -> &[NodeId] {
-        &self.nodes
+        &self.graph.nodes
     }
 
     /// The local id of `v`, if `v` is a node of the fragment.
     pub(crate) fn local_id(&self, v: NodeId) -> Option<NodeId> {
-        self.nodes.binary_search(&v).ok().map(NodeId::from_index)
+        self.graph.local_id(v)
     }
 
     /// Whether the node with local id `v` is a border.
@@ -500,7 +505,7 @@ impl Site {
     /// Where the exit sets live: a symmetric network leaves a node by
     /// the borders it enters by.
     fn exit_slots(&self) -> &[OnceLock<Box<[AccessEntry]>>] {
-        match self.transpose {
+        match self.graph.transpose {
             Some(_) => &self.exits,
             None => &self.entries,
         }
@@ -519,10 +524,10 @@ impl Site {
     /// computes. Returns the sweeps run.
     pub(crate) fn fill_exits(&self, scratch: &mut ScratchDijkstra) -> usize {
         // A symmetric site keeps one family of sets, pruned as entering.
-        let (slots, forward) = (self.exit_slots(), self.transpose.is_none());
+        let (slots, forward) = (self.exit_slots(), self.graph.transpose.is_none());
         let mut swept = 0;
         self.exits_filled.get_or_init(|| {
-            let (n, nb) = (self.nodes.len(), self.borders.len());
+            let (n, nb) = (self.graph.nodes.len(), self.borders.len());
             let missing: Vec<usize> = (0..n)
                 .filter(|&v| slots[v].get().is_none() && !self.is_border(NodeId::from_index(v)))
                 .collect();
@@ -540,8 +545,8 @@ impl Site {
                 // The border's own edges start the sweep; it is blocked
                 // like every other border, so no path runs through it.
                 seeds.clear();
-                seeds.extend(self.local.neighbors(b));
-                scratch.sweep_blocked(&self.local, &seeds, &self.borders);
+                seeds.extend(self.graph.local.neighbors(b));
+                scratch.sweep_blocked(&self.graph.local, &seeds, &self.borders);
                 swept += 1;
                 for v in 0..n {
                     if let Some(cost) = scratch.cost(NodeId::from_index(v)) {
@@ -591,9 +596,9 @@ impl Site {
 
     /// The edges into the local node `v`, as `(global tail, cost)`.
     pub(crate) fn in_edges(&self, v: NodeId) -> impl Iterator<Item = (NodeId, Cost)> + '_ {
-        let g = self.transpose.as_ref().unwrap_or(&self.local);
+        let g = self.graph.transpose.as_ref().unwrap_or(&self.graph.local);
         g.neighbors(v)
-            .map(|(x, cost)| (self.nodes[x.index()], cost))
+            .map(|(x, cost)| (self.graph.nodes[x.index()], cost))
     }
 }
 
@@ -861,9 +866,10 @@ mod tests {
         ];
         let table = BorderTable::from_edges(vec![n(10), n(13), n(15)], shortcuts);
         let site = Site::build(
-            &nodes,
-            &edges,
-            symmetric,
+            Arc::new(LocalGraph::new(
+                &Fragment::new(0, edges.clone(), &nodes),
+                symmetric,
+            )),
             Arc::new(table),
             &[],
             &mut ScratchDijkstra::new(),
@@ -976,7 +982,7 @@ mod tests {
         // (cost 4) is no better than through 13 (2 + 1): dropped.
         let cheap = [(13, 10, 1), (10, 13, 6)];
         let (site, _, _) = sample(false, &every_pair(&cheap, false));
-        assert!(site.transpose.is_some());
+        assert!(site.graph.transpose.is_some());
         // Directed: 12 reaches only 13 going forward; going backward (who
         // reaches 12 last) it is 10 alone.
         assert_eq!(site.access(n(12), true, &mut scratch).0, &[(1, 2)]);
@@ -1030,7 +1036,7 @@ mod tests {
     fn symmetric_site_is_its_own_transpose() {
         let complete = [(10, 13, 6), (10, 15, 9), (13, 15, 4)];
         let (site, _, _) = sample(true, &every_pair(&complete, true));
-        assert!(site.transpose.is_none() && site.exits.is_empty());
+        assert!(site.graph.transpose.is_none() && site.exits.is_empty());
         let mut scratch = ScratchDijkstra::new();
         let entering = site.access(n(12), true, &mut scratch).0;
         assert!(std::ptr::eq(
@@ -1039,7 +1045,7 @@ mod tests {
         ));
         assert_eq!(scratch.stats().sweeps, 1);
         let (directed, _, _) = sample(false, &every_pair(&complete, true));
-        assert!(directed.transpose.is_some());
+        assert!(directed.graph.transpose.is_some());
         assert_eq!(directed.exits.len(), directed.entries.len());
     }
 
@@ -1090,7 +1096,11 @@ mod tests {
         let shortcuts = every_pair(&[(0, last, 5)], true);
         let table = BorderTable::from_edges(vec![n(0), n(last)], &shortcuts);
         let mut scratch = ScratchDijkstra::new();
-        let site = Site::build(&nodes, &edges, true, Arc::new(table), &[], &mut scratch);
+        let graph = Arc::new(LocalGraph::new(
+            &Fragment::new(0, edges.clone(), &nodes),
+            true,
+        ));
+        let site = Site::build(graph, Arc::new(table), &[], &mut scratch);
         assert!(site.rows.is_empty());
         let aug = augmented_graph(nodes.len(), &edges, true, shortcuts.iter().copied());
         // Around the ends (10 + 5 + 9), along the path (10), from and to

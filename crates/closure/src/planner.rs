@@ -15,10 +15,10 @@
 //! once per pair of sets for the life of the fragmentation: a table of
 //! [`ChainSet`] slots, filled on first use ([`Planner::chain_set`]).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
-use ds_fragment::{FragmentId, Fragmentation, FragmentationGraph};
+use ds_fragment::{FragmentId, FragmentationGraph, Membership};
 use ds_graph::NodeId;
 
 use crate::error::ClosureError;
@@ -85,11 +85,8 @@ pub struct ChainSet {
 /// Planner over a fixed fragmentation.
 #[derive(Clone, Debug)]
 pub struct Planner {
-    /// Per node, the index into `classes` of its fragment set.
-    class_of: Vec<u32>,
-    /// The distinct fragment sets nodes belong to, each ascending;
-    /// `classes[0]` is the empty set (a node in no fragment).
-    classes: Vec<Vec<FragmentId>>,
+    /// Per node, its fragment set's class.
+    membership: Membership,
     frag_graph: FragmentationGraph,
     ds: BTreeMap<(FragmentId, FragmentId), Vec<NodeId>>,
     max_chains: usize,
@@ -100,7 +97,7 @@ pub struct Planner {
     /// `a` to class `b` are `chain_table[a][b]`, enumerated by the first
     /// query that asks for them. A source class's slots are allocated by
     /// the first query from it, so the table grows with the classes
-    /// queries start from, not with `classes.len()²` up front.
+    /// queries start from, not with the class count squared up front.
     chain_table: Box<[ChainRow]>,
 }
 
@@ -126,47 +123,29 @@ impl ChainSet {
 }
 
 impl Planner {
-    /// Build a planner. `max_chains`/`max_chain_len` cap the enumeration
-    /// on cyclic fragmentation graphs; `hub` switches on PHE routing.
+    /// Build a planner over a fragmentation's membership table.
+    /// `max_chains`/`max_chain_len` cap the enumeration on cyclic
+    /// fragmentation graphs; `hub` switches on PHE routing.
     pub fn new(
-        frag: &Fragmentation,
+        membership: Membership,
         max_chains: usize,
         max_chain_len: usize,
         hub: Option<FragmentId>,
     ) -> Self {
-        let mut members: Vec<Vec<FragmentId>> = vec![Vec::new(); frag.node_count()];
-        for f in frag.fragments() {
-            for &v in f.nodes() {
-                members[v.index()].push(f.id());
-            }
-        }
-        let mut classes = vec![Vec::new()];
-        let mut index: HashMap<Vec<FragmentId>, u32> = HashMap::from([(Vec::new(), 0)]);
-        let class_of = members
-            .into_iter()
-            .map(|set| {
-                *index.entry(set).or_insert_with_key(|set| {
-                    classes.push(set.clone());
-                    (classes.len() - 1) as u32
-                })
-            })
-            .collect();
-        let chain_table = unfilled(classes.len());
         Planner {
-            class_of,
-            classes,
-            frag_graph: frag.fragmentation_graph(),
-            ds: frag.disconnection_sets(),
+            chain_table: unfilled(membership.class_count()),
+            frag_graph: membership.fragmentation_graph(),
+            ds: membership.disconnection_sets(),
+            membership,
             max_chains,
             max_chain_len,
             hub,
-            chain_table,
         }
     }
 
     /// Fragments containing a node, ascending.
     pub fn fragments_of(&self, v: NodeId) -> &[FragmentId] {
-        &self.classes[self.membership_class(v) as usize]
+        self.membership.fragments_of(v)
     }
 
     /// An id for the fragment *set* of `v`: two nodes get the same id
@@ -174,7 +153,7 @@ impl Planner {
     /// sets — which depend only on the endpoints' fragment sets — are
     /// kept under a pair of ids.
     pub fn membership_class(&self, v: NodeId) -> u32 {
-        self.class_of.get(v.index()).copied().unwrap_or(0)
+        self.membership.class_of(v)
     }
 
     /// The disconnection set between two fragments (empty if none).
@@ -215,11 +194,13 @@ impl Planner {
                 return Err(ClosureError::NodeNotInAnyFragment(v));
             }
         }
-        let row = self.chain_table[cx as usize].get_or_init(|| unfilled(self.classes.len()));
+        let classes = self.membership.class_count();
+        let row = self.chain_table[cx as usize].get_or_init(|| unfilled(classes));
         let mut filled = false;
         let set = row[cy as usize].get_or_init(|| {
             filled = true;
-            self.chain_sets(&self.classes[cx as usize], &self.classes[cy as usize])
+            let class = |c| self.membership.class(c);
+            self.chain_sets(class(cx), class(cy))
         });
         Ok((set, filled))
     }
@@ -239,19 +220,15 @@ impl Planner {
             .sum()
     }
 
-    /// Heap bytes held by the node → class index, the classes and the
-    /// chain table (its slots and the chain sets filled so far). The
-    /// fragmentation graph and the disconnection sets are not counted.
+    /// Heap bytes held by the membership table and the chain table (its
+    /// slots and the chain sets filled so far). The fragmentation graph
+    /// and the disconnection sets are not counted.
     pub fn memory_bytes(&self) -> usize {
-        use std::mem::{size_of, size_of_val};
-        let classes = self.classes.iter();
+        use std::mem::size_of_val;
         let sets = self
             .chain_rows()
             .flat_map(|row| row.iter().filter_map(OnceLock::get));
-        size_of_val(&self.class_of[..])
-            + classes
-                .map(|c| size_of::<Vec<FragmentId>>() + size_of_val(&c[..]))
-                .sum::<usize>()
+        self.membership.memory_bytes()
             + size_of_val(&self.chain_table[..])
             + self.chain_rows().map(size_of_val).sum::<usize>()
             + sets.map(ChainSet::memory_bytes).sum::<usize>()
@@ -261,14 +238,13 @@ impl Planner {
     /// the copy's own queries enumerate their chains again.
     pub(crate) fn unshared_clone(&self) -> Self {
         Planner {
-            class_of: self.class_of.clone(),
-            classes: self.classes.clone(),
+            membership: self.membership.clone(),
             frag_graph: self.frag_graph.clone(),
             ds: self.ds.clone(),
             max_chains: self.max_chains,
             max_chain_len: self.max_chain_len,
             hub: self.hub,
-            chain_table: unfilled(self.classes.len()),
+            chain_table: unfilled(self.membership.class_count()),
         }
     }
 
@@ -397,6 +373,7 @@ fn hub_chains(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use ds_fragment::Fragmentation;
     use ds_graph::Edge;
 
     fn edges(pairs: &[(u32, u32)]) -> Vec<Edge> {
@@ -422,7 +399,7 @@ pub(crate) mod tests {
     #[test]
     fn same_fragment_plan_is_single_site() {
         let frag = three_fragment_path();
-        let p = Planner::new(&frag, 16, 8, None);
+        let p = Planner::new(Membership::new(&frag), 16, 8, None);
         let plan = p.plan(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(plan.chains.len(), 1);
         assert_eq!(plan.chains[0].fragments, vec![0]);
@@ -440,7 +417,7 @@ pub(crate) mod tests {
     #[test]
     fn cross_chain_plan_has_one_query_per_site() {
         let frag = three_fragment_path();
-        let p = Planner::new(&frag, 16, 8, None);
+        let p = Planner::new(Membership::new(&frag), 16, 8, None);
         let plan = p.plan(NodeId(0), NodeId(6)).unwrap();
         assert_eq!(plan.chains.len(), 1);
         let chain = &plan.chains[0];
@@ -458,7 +435,7 @@ pub(crate) mod tests {
         // Node 2 belongs to fragments 0 and 1: plans from it consider
         // both starting fragments.
         let frag = three_fragment_path();
-        let p = Planner::new(&frag, 16, 8, None);
+        let p = Planner::new(Membership::new(&frag), 16, 8, None);
         let plan = p.plan(NodeId(2), NodeId(6)).unwrap();
         assert!(plan.chains.len() >= 2);
         let lens: BTreeSet<usize> = plan.chains.iter().map(|c| c.fragments.len()).collect();
@@ -501,7 +478,7 @@ pub(crate) mod tests {
         // Query across the ring.
         let frag = four_fragment_ring();
         assert!(!frag.fragmentation_graph().is_acyclic());
-        let p = Planner::new(&frag, 16, 8, None);
+        let p = Planner::new(Membership::new(&frag), 16, 8, None);
         let plan = p.plan(NodeId(1), NodeId(4)).unwrap();
         assert!(plan.enumerated);
         assert!(plan.chains.len() >= 2, "both ways around the ring");
@@ -520,7 +497,7 @@ pub(crate) mod tests {
                 .collect(),
             vec![vec![], vec![], vec![]],
         );
-        let p = Planner::new(&frag2, 16, 8, None);
+        let p = Planner::new(Membership::new(&frag2), 16, 8, None);
         assert_eq!(
             p.plan(NodeId(7), NodeId(0)).unwrap_err(),
             ClosureError::NodeNotInAnyFragment(NodeId(7))
@@ -529,7 +506,7 @@ pub(crate) mod tests {
 
     #[test]
     fn hub_routing_limits_chain_length() {
-        let p = Planner::new(&hub_star(), 16, 8, Some(3));
+        let p = Planner::new(Membership::new(&hub_star()), 16, 8, Some(3));
         let plan = p.plan(NodeId(0), NodeId(7)).unwrap();
         assert!(!plan.chains.is_empty());
         for c in &plan.chains {
@@ -547,7 +524,7 @@ pub(crate) mod tests {
             vec![edges(&[(0, 1)]), edges(&[(2, 3)])],
             vec![vec![], vec![]],
         );
-        let p = Planner::new(&frag, 16, 8, None);
+        let p = Planner::new(Membership::new(&frag), 16, 8, None);
         let plan = p.plan(NodeId(0), NodeId(3)).unwrap();
         assert!(plan.chains.is_empty());
     }
@@ -561,11 +538,19 @@ pub(crate) mod tests {
         let cases = [
             (
                 "acyclic",
-                Planner::new(&three_fragment_path(), 16, 8, None),
+                Planner::new(Membership::new(&three_fragment_path()), 16, 8, None),
                 7,
             ),
-            ("ring", Planner::new(&four_fragment_ring(), 16, 8, None), 8),
-            ("hub", Planner::new(&hub_star(), 16, 8, Some(3)), 9),
+            (
+                "ring",
+                Planner::new(Membership::new(&four_fragment_ring()), 16, 8, None),
+                8,
+            ),
+            (
+                "hub",
+                Planner::new(Membership::new(&hub_star()), 16, 8, Some(3)),
+                9,
+            ),
         ];
         for (name, p, count) in cases {
             // Nodes in no fragment have no class to plan from.
@@ -605,8 +590,8 @@ pub(crate) mod tests {
     #[test]
     fn the_chain_table_grows_with_the_classes_queries_start_from() {
         use std::mem::size_of;
-        let p = Planner::new(&four_fragment_ring(), 16, 8, None);
-        let classes = p.classes.len();
+        let p = Planner::new(Membership::new(&four_fragment_ring()), 16, 8, None);
+        let classes = p.membership.class_count();
         let empty = p.memory_bytes();
         assert_eq!(p.chain_rows().count(), 0);
         let (set, _) = p.chain_set(n(1), n(4)).unwrap();
@@ -629,7 +614,7 @@ pub(crate) mod tests {
     #[test]
     fn racing_chain_set_fills_agree() {
         for _ in 0..50 {
-            let p = Planner::new(&four_fragment_ring(), 16, 8, None);
+            let p = Planner::new(Membership::new(&four_fragment_ring()), 16, 8, None);
             let barrier = std::sync::Barrier::new(2);
             let seen: Vec<(usize, bool)> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..2)

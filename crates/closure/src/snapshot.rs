@@ -60,7 +60,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use ds_fragment::{Fragment, FragmentId, Fragmentation};
+use ds_fragment::{FragmentId, Fragmentation, Membership};
 use ds_graph::{Cost, CsrGraph, NodeId, ReachIndex, ScratchDijkstra};
 
 use ds_relation::bulk::{MaterializeConfig, MaterializeError, MaterializeStats};
@@ -68,11 +68,11 @@ use ds_relation::{PathTuple, Relation};
 
 use crate::api::{run_batch, BatchAnswer, NetworkUpdate, QueryRequest, SiteEvaluator};
 use crate::bulk::{BorderRows, Hub};
-use crate::complementary::{ComplementaryInfo, PrecomputeStats};
+use crate::complementary::{local_graphs, ComplementaryInfo, PrecomputeStats};
 use crate::engine::{EngineConfig, QueryAnswer, QueryStats, Route};
 use crate::error::ClosureError;
 use crate::executor::{run_sites, ExecutionMode};
-use crate::local::{augmented_graph, border_matrix_with, Site};
+use crate::local::{augmented_graph, border_matrix_with, LocalGraph, Site};
 use crate::memo::SiteMemo;
 use crate::planner::{Planner, SiteQueryRef};
 use crate::updates::{ConnectivityEffect, UpdateReport};
@@ -177,7 +177,7 @@ pub struct SnapshotBytes {
     pub segment_memos: usize,
     /// The reachability index, once a reader has built it.
     pub reach_index: usize,
-    /// The planner's class index and chain table, the chain sets filled
+    /// The planner's membership table and chain table, the chain sets filled
     /// so far included ([`Planner::memory_bytes`]).
     pub planner: usize,
     /// The materializer's hub, once a materialization has built it.
@@ -219,16 +219,14 @@ impl EngineSnapshot {
     /// index waits for the first [`EngineSnapshot::connected`].
     pub fn build(frag: Fragmentation, symmetric: bool, cfg: EngineConfig) -> Self {
         let graph = frag.closure_graph(symmetric);
-        let comp = ComplementaryInfo::compute(&graph, &frag, cfg.scope);
-        let planner = Arc::new(Planner::new(
-            &frag,
-            cfg.max_chains,
-            cfg.max_chain_len,
-            cfg.hub,
-        ));
+        let membership = Membership::new(&frag);
+        let locals = local_graphs(&frag, symmetric);
+        let comp = ComplementaryInfo::compute_with(&graph, &frag, &membership, &locals, cfg.scope);
+        let (chains, chain_len) = (cfg.max_chains, cfg.max_chain_len);
+        let planner = Arc::new(Planner::new(membership, chains, chain_len, cfg.hub));
         let mut scratch = ScratchDijkstra::new();
-        let sites = (frag.fragments().iter())
-            .map(|f| Arc::new(build_site(&planner, f, symmetric, &comp, &mut scratch)))
+        let sites = (locals.into_iter().enumerate())
+            .map(|(f, local)| Arc::new(build_site(&planner, f, local, &comp, &mut scratch)))
             .collect();
         let border_rows = Arc::new(BorderRows::new(comp.border_count()));
         EngineSnapshot {
@@ -772,14 +770,13 @@ impl EngineSnapshot {
         for &f in &sites {
             // A touched site starts over — new graph or new table, no
             // access set, an empty memo; every other site stays the
-            // `Arc` the pre-update snapshot holds.
-            self.sites[f] = Arc::new(build_site(
-                &self.planner,
-                self.frag.fragment(f),
-                self.symmetric,
-                &self.comp,
-                scratch,
-            ));
+            // `Arc` the pre-update snapshot holds. Only the owner's
+            // graph is new.
+            let local = match &m.owner_graph {
+                Some(g) if m.owner == Some(f) => Arc::clone(g),
+                _ => Arc::clone(&self.sites[f].graph),
+            };
+            self.sites[f] = Arc::new(build_site(&self.planner, f, local, &self.comp, scratch));
         }
         Ok(CowMaintenance {
             report: m.report,
@@ -791,22 +788,17 @@ impl EngineSnapshot {
     }
 }
 
-/// The site of fragment `f`, over the table `comp` holds for it.
+/// The site of fragment `f` over its own graph `local` and the table
+/// `comp` holds for it.
 fn build_site(
     planner: &Planner,
-    f: &Fragment,
-    symmetric: bool,
+    f: FragmentId,
+    local: Arc<LocalGraph>,
     comp: &ComplementaryInfo,
     scratch: &mut ScratchDijkstra,
 ) -> Site {
-    Site::build(
-        f.nodes(),
-        f.edges(),
-        symmetric,
-        Arc::clone(comp.table(f.id())),
-        planner.fragmentation_graph().neighbors(f.id()),
-        scratch,
-    )
+    let neighbors = planner.fragmentation_graph().neighbors(f);
+    Site::build(local, Arc::clone(comp.table(f)), neighbors, scratch)
 }
 
 /// Site evaluation over a snapshot: subqueries run on the calling thread

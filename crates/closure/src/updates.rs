@@ -87,7 +87,7 @@ use ds_graph::{Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
 use crate::api::{apply_edit, validate, NetworkUpdate};
 use crate::complementary::{Affected, ComplementaryInfo, Through};
 use crate::error::ClosureError;
-use crate::local::Site;
+use crate::local::{LocalGraph, Site};
 
 /// A label for a deletion's edge. Every deletion takes the same repair
 /// (see the module docs); the label is kept because the end-to-end
@@ -219,6 +219,8 @@ pub struct Maintenance {
     pub shortcut_sites: Vec<FragmentId>,
     /// The fragment whose edge set changed; `None` for a no-op removal.
     pub owner: Option<FragmentId>,
+    /// The owner's graph over its edited tuples, for its rebuilt site.
+    pub owner_graph: Option<Arc<LocalGraph>>,
     /// The structural connectivity facts of this update (for
     /// reachability-index maintenance).
     pub connectivity: ConnectivityEffect,
@@ -230,6 +232,7 @@ impl Maintenance {
             report: UpdateReport::noop(),
             shortcut_sites: Vec::new(),
             owner: None,
+            owner_graph: None,
             connectivity: ConnectivityEffect::Unchanged,
         }
     }
@@ -239,6 +242,7 @@ impl Maintenance {
     fn effective(
         comp: &ComplementaryInfo,
         owner: FragmentId,
+        owner_graph: Arc<LocalGraph>,
         shortcut_sites: Vec<FragmentId>,
         (improved, repaired): (usize, usize),
         fallback_reason: Option<FallbackReason>,
@@ -257,6 +261,7 @@ impl Maintenance {
             },
             shortcut_sites,
             owner: Some(owner),
+            owner_graph: Some(owner_graph),
             connectivity: ConnectivityEffect::Unchanged,
         }
     }
@@ -311,15 +316,18 @@ pub fn maintain(
     // Every non-border endpoint lies in the owner alone.
     let (NetworkUpdate::Insert { owner, .. } | NetworkUpdate::Remove { owner, .. }) = *update;
     let site = &sites[owner];
+    // The owner's edited graph: its stale re-sweep and new site share it.
+    let local = Arc::new(LocalGraph::new(frag.fragment(owner), symmetric));
     match *update {
         NetworkUpdate::Insert { edge, owner } => {
             let ends = Endpoints::run(comp, site, symmetric, &added, scratch);
             let per_site = improve(comp, &ends, &added);
             let (stale, crossing) = skeleton_edits(comp, owner, &ends, &added, Edit::Insert);
-            comp.patch(graph, frag, stale, &crossing, scratch);
+            comp.patch(graph, stale.then_some((owner, &*local)), &crossing, scratch);
             let improved = per_site.iter().sum();
             let shortcut_sites = nonzero_sites(&per_site);
-            let mut m = Maintenance::effective(comp, owner, shortcut_sites, (improved, 0), None);
+            let mut m =
+                Maintenance::effective(comp, owner, local, shortcut_sites, (improved, 0), None);
             m.connectivity = ConnectivityEffect::Inserted {
                 src: edge.src,
                 dst: edge.dst,
@@ -339,7 +347,7 @@ pub fn maintain(
             let affected = affected_pairs(comp, &ends, &removed);
             let t = Instant::now();
             let (stale, crossing) = skeleton_edits(comp, owner, &ends, &removed, Edit::Remove);
-            comp.patch(graph, frag, stale, &crossing, scratch);
+            comp.patch(graph, stale.then_some((owner, &*local)), &crossing, scratch);
             let patch_ns = t.elapsed().as_nanos() as u64;
             let (per_site, dropped) = comp.reclose(&affected, symmetric, patch_ns, scratch);
             // The edge's topology decides the label only.
@@ -351,7 +359,8 @@ pub fn maintain(
             };
             let repaired = per_site.iter().sum();
             let shortcut_sites = nonzero_sites(&per_site);
-            let mut m = Maintenance::effective(comp, owner, shortcut_sites, (0, repaired), reason);
+            let mut m =
+                Maintenance::effective(comp, owner, local, shortcut_sites, (0, repaired), reason);
             m.connectivity = connectivity;
             Ok(m)
         }
@@ -375,7 +384,7 @@ enum Edit {
 
 /// What the edit of `entries` (owned by `owner`) asks of the kept
 /// skeleton: the skeleton pairs of its entries between two borders, to
-/// re-derive, and the owner when it is stale — when an entry with a
+/// re-derive, and whether the owner is stale — whether an entry with a
 /// non-border endpoint changes one of the owner's local-sweep edges
 /// `b -> b'`: over the borders of the endpoint cells, `cell(b, u) + c +
 /// cell(v, b')` beats the edge (insert) or equals it (delete), both on
@@ -386,7 +395,7 @@ fn skeleton_edits(
     ends: &Endpoints,
     entries: &[Edge],
     edit: Edit,
-) -> (Option<FragmentId>, Vec<(usize, usize)>) {
+) -> (bool, Vec<(usize, usize)>) {
     let mut crossing = Vec::new();
     let mut stale = false;
     for e in entries {
@@ -407,7 +416,7 @@ fn skeleton_edits(
                 })
             });
     }
-    (stale.then_some(owner), crossing)
+    (stale, crossing)
 }
 
 /// One endpoint's distances to or from every border node, by skeleton id

@@ -10,9 +10,9 @@
 //! "no redundant computation" property); nodes on fragment borders are
 //! *shared*, and those shared nodes are the disconnection sets.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap};
 
-use ds_graph::{BitSet, CsrGraph, Edge, NodeId};
+use ds_graph::{CsrGraph, Edge, NodeId};
 
 use crate::error::FragError;
 use crate::frag_graph::FragmentationGraph;
@@ -34,16 +34,12 @@ pub struct Fragment {
 impl Fragment {
     /// Build a fragment; the node set is the edge endpoints plus `seeds`.
     pub fn new(id: FragmentId, edges: Vec<Edge>, seeds: &[NodeId]) -> Self {
-        let mut set: BTreeSet<NodeId> = seeds.iter().copied().collect();
-        for e in &edges {
-            set.insert(e.src);
-            set.insert(e.dst);
-        }
-        Fragment {
-            id,
-            edges,
-            nodes: set.into_iter().collect(),
-        }
+        let mut nodes = Vec::with_capacity(seeds.len() + 2 * edges.len());
+        nodes.extend_from_slice(seeds);
+        nodes.extend(edges.iter().flat_map(|e| [e.src, e.dst]));
+        nodes.sort_unstable();
+        nodes.dedup();
+        Fragment { id, edges, nodes }
     }
 
     /// Fragment id.
@@ -109,31 +105,30 @@ impl Fragment {
         CsrGraph::from_edges(node_count, &edges)
     }
 
+    /// The fragment's own graph over local ids — a node's id is its
+    /// position in [`Fragment::nodes`] — with each tuple's reverse on
+    /// `symmetric` networks (loops once).
+    pub fn relabeled_graph(&self, symmetric: bool) -> CsrGraph {
+        let local_of = |v| NodeId::from_index(self.nodes.binary_search(&v).expect("a node"));
+        let mut edges = Vec::with_capacity(self.edges.len() * 2);
+        for e in &self.edges {
+            let e = Edge::new(local_of(e.src), local_of(e.dst), e.cost);
+            edges.push(e);
+            if symmetric && !e.is_loop() {
+                edges.push(e.reversed());
+            }
+        }
+        CsrGraph::from_edges(self.nodes.len(), &edges)
+    }
+
     /// Diameter of this fragment in hops (symmetric view), the iteration
     /// bound of the paper's recursive subqueries: "if the graph is
     /// fragmented in n fragments of equal size, the diameter of each
     /// subgraph is highly reduced" (§2.1).
     ///
-    /// Computed on a relabeled local graph so cost is O(|V_i|·|E_i|).
+    /// Computed on the relabeled graph so cost is O(|V_i|·|E_i|).
     pub fn diameter(&self) -> u32 {
-        if self.nodes.is_empty() {
-            return 0;
-        }
-        // Relabel to a dense local id space.
-        let mut local_of = BTreeMap::new();
-        for (i, &v) in self.nodes.iter().enumerate() {
-            local_of.insert(v, NodeId::from_index(i));
-        }
-        let mut edges = Vec::with_capacity(self.edges.len() * 2);
-        for e in &self.edges {
-            let (s, d) = (local_of[&e.src], local_of[&e.dst]);
-            edges.push(Edge::new(s, d, e.cost));
-            if s != d {
-                edges.push(Edge::new(d, s, e.cost));
-            }
-        }
-        let g = CsrGraph::from_edges(self.nodes.len(), &edges);
-        ds_graph::traverse::diameter(&g)
+        ds_graph::traverse::diameter(&self.relabeled_graph(true))
     }
 }
 
@@ -248,58 +243,159 @@ impl Fragmentation {
     /// The disconnection sets `DS_ij = V_i ∩ V_j` for `i < j`, non-empty
     /// only. Node lists are sorted.
     pub fn disconnection_sets(&self) -> BTreeMap<(FragmentId, FragmentId), Vec<NodeId>> {
-        // One pass over nodes per fragment into per-node membership lists,
-        // then pairwise expansion — O(Σ|V_i| + Σ borders²) instead of
-        // O(fragments² · nodes).
-        let mut members: Vec<Vec<FragmentId>> = vec![Vec::new(); self.node_count];
-        for f in &self.fragments {
-            for &v in f.nodes() {
-                members[v.index()].push(f.id());
-            }
-        }
-        let mut ds: BTreeMap<(FragmentId, FragmentId), Vec<NodeId>> = BTreeMap::new();
-        for (v, frs) in members.iter().enumerate() {
-            if frs.len() < 2 {
-                continue;
-            }
-            for a in 0..frs.len() {
-                for b in (a + 1)..frs.len() {
-                    let key = (frs[a].min(frs[b]), frs[a].max(frs[b]));
-                    ds.entry(key).or_default().push(NodeId::from_index(v));
-                }
-            }
-        }
-        ds
+        Membership::new(self).disconnection_sets()
     }
 
     /// The fragmentation graph G' (§2.1): one node per fragment, one edge
     /// per non-empty disconnection set.
     pub fn fragmentation_graph(&self) -> FragmentationGraph {
-        FragmentationGraph::new(
-            self.fragment_count(),
-            self.disconnection_sets().keys().copied().collect(),
-        )
+        Membership::new(self).fragmentation_graph()
     }
 
     /// Quality metrics (the columns of Tables 1–3).
     pub fn metrics(&self) -> FragmentationMetrics {
         FragmentationMetrics::compute(self)
     }
+}
 
-    /// Membership bitset per fragment — used by the closure engine to
-    /// locate query endpoints quickly.
-    pub fn node_membership(&self) -> Vec<BitSet> {
-        self.fragments
-            .iter()
-            .map(|f| {
-                let mut bs = BitSet::new(self.node_count);
-                for &v in f.nodes() {
-                    bs.insert(v.index());
+/// Which fragments hold each node, as one table: per node, the index of
+/// its fragment set among the distinct sets (membership classes), each
+/// set ascending. Class 0 is the empty set (a node in no fragment); the
+/// others are numbered in order of their first node. The disconnection
+/// sets, the fragmentation graph, the border list and a query
+/// endpoint's fragments are all read off it.
+#[derive(Clone, Debug)]
+pub struct Membership {
+    fragment_count: usize,
+    /// Per node, its class.
+    class_of: Vec<u32>,
+    /// Class `c`'s fragments are `members[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
+    members: Vec<FragmentId>,
+}
+
+impl Membership {
+    /// The table of `frag`'s node sets.
+    pub fn new(frag: &Fragmentation) -> Self {
+        let (n, fragments) = (frag.node_count(), frag.fragments());
+        // Per node its fragments, ascending: a counting sort by node.
+        let mut at = vec![0u32; n + 1];
+        for &v in fragments.iter().flat_map(Fragment::nodes) {
+            at[v.index() + 1] += 1;
+        }
+        for v in 0..n {
+            at[v + 1] += at[v];
+        }
+        let (mut held, mut next) = (vec![0; at[n] as usize], at.clone());
+        for f in fragments {
+            for &v in f.nodes() {
+                held[next[v.index()] as usize] = f.id();
+                next[v.index()] += 1;
+            }
+        }
+        let mut table = Membership {
+            fragment_count: fragments.len(),
+            class_of: Vec::with_capacity(n),
+            starts: vec![0, 0],
+            members: Vec::new(),
+        };
+        // Most nodes lie in one fragment: their class is found by
+        // fragment id (0: none yet), the rest by their set.
+        let mut single = vec![0; fragments.len()];
+        let mut multi: HashMap<&[FragmentId], u32> = HashMap::new();
+        for v in 0..n {
+            let set = &held[at[v] as usize..at[v + 1] as usize];
+            let class = match *set {
+                [] => 0,
+                [f] if single[f] > 0 => single[f],
+                [f] => {
+                    single[f] = table.push(set);
+                    single[f]
                 }
-                bs
-            })
+                _ => *multi.entry(set).or_insert_with(|| table.push(set)),
+            };
+            table.class_of.push(class);
+        }
+        table
+    }
+
+    /// Add a class holding `set`; returns its index.
+    fn push(&mut self, set: &[FragmentId]) -> u32 {
+        self.members.extend_from_slice(set);
+        self.starts.push(self.members.len() as u32);
+        (self.starts.len() - 2) as u32
+    }
+
+    /// The membership class of `v` (0 for a node in no fragment, or out
+    /// of range): two nodes share a class exactly when
+    /// [`Membership::fragments_of`] agrees on them.
+    pub fn class_of(&self, v: NodeId) -> u32 {
+        self.class_of.get(v.index()).copied().unwrap_or(0)
+    }
+
+    /// Number of classes, the empty one included.
+    pub fn class_count(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The fragments of class `c`, ascending.
+    pub fn class(&self, c: u32) -> &[FragmentId] {
+        let c = c as usize;
+        &self.members[self.starts[c] as usize..self.starts[c + 1] as usize]
+    }
+
+    /// The fragments holding `v`, ascending.
+    pub fn fragments_of(&self, v: NodeId) -> &[FragmentId] {
+        self.class(self.class_of(v))
+    }
+
+    /// Whether `v` lies in two fragments or more.
+    pub fn is_border(&self, v: NodeId) -> bool {
+        self.fragments_of(v).len() >= 2
+    }
+
+    /// Every border node, ascending.
+    pub fn borders(&self) -> Vec<NodeId> {
+        (0..self.class_of.len())
+            .map(NodeId::from_index)
+            .filter(|&v| self.is_border(v))
             .collect()
     }
+
+    /// The disconnection sets `DS_ij = V_i ∩ V_j` for `i < j`, non-empty
+    /// only. Node lists are sorted.
+    pub fn disconnection_sets(&self) -> BTreeMap<(FragmentId, FragmentId), Vec<NodeId>> {
+        let mut ds: BTreeMap<_, Vec<NodeId>> = BTreeMap::new();
+        for v in self.borders() {
+            for pair in pairs(self.fragments_of(v)) {
+                ds.entry(pair).or_default().push(v);
+            }
+        }
+        ds
+    }
+
+    /// The fragmentation graph G' (§2.1): one node per fragment, one edge
+    /// per non-empty disconnection set — read off the classes, not the
+    /// nodes.
+    pub fn fragmentation_graph(&self) -> FragmentationGraph {
+        let classes = 0..self.class_count() as u32;
+        let links = classes.flat_map(|c| pairs(self.class(c))).collect();
+        FragmentationGraph::new(self.fragment_count, links)
+    }
+
+    /// Heap bytes held.
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.class_of[..])
+            + size_of_val(&self.starts[..])
+            + size_of_val(&self.members[..])
+    }
+}
+
+/// The pairs `(a, b)`, `a < b`, of an ascending fragment set.
+fn pairs(set: &[FragmentId]) -> impl Iterator<Item = (FragmentId, FragmentId)> + '_ {
+    let after = |k: usize| set[k + 1..].iter();
+    (set.iter().enumerate()).flat_map(move |(k, &a)| after(k).map(move |&b| (a, b)))
 }
 
 #[cfg(test)]
@@ -328,6 +424,23 @@ mod tests {
         assert_eq!(f.nodes(), &[NodeId(0), NodeId(1), NodeId(7)]);
         assert!(f.contains_node(NodeId(7)));
         assert!(!f.contains_node(NodeId(2)));
+    }
+
+    /// The node set is what an ordered set of the edge endpoints and the
+    /// seeds gives: duplicates, loops and unsorted seeds included.
+    #[test]
+    fn nodes_equal_the_ordered_set_of_endpoints_and_seeds() {
+        for case in 0..24u32 {
+            let at = |k: u32| NodeId((k * 7919 + case * 31) % (5 + case));
+            let edges: Vec<Edge> = (0..3 * case)
+                .map(|k| Edge::new(at(2 * k), at(2 * k + 1), 1 + u64::from(k)))
+                .collect();
+            let seeds: Vec<NodeId> = (0..case % 4).map(|k| at(100 + k)).collect();
+            let mut set: std::collections::BTreeSet<NodeId> = seeds.iter().copied().collect();
+            set.extend(edges.iter().flat_map(|e| [e.src, e.dst]));
+            let f = Fragment::new(0, edges, &seeds);
+            assert!(f.nodes().iter().eq(&set), "case {case}");
+        }
     }
 
     #[test]
@@ -397,14 +510,6 @@ mod tests {
         for key in [(0, 1), (0, 2), (1, 2)] {
             assert_eq!(ds[&key], vec![NodeId(0)], "DS{key:?}");
         }
-    }
-
-    #[test]
-    fn membership_bitsets() {
-        let frag = path_split();
-        let m = frag.node_membership();
-        assert!(m[0].contains(2) && m[1].contains(2));
-        assert!(m[0].contains(0) && !m[1].contains(0));
     }
 
     #[test]

@@ -48,6 +48,6 @@ pub mod semantic;
 
 pub use error::FragError;
 pub use frag_graph::FragmentationGraph;
-pub use fragmentation::{Fragment, FragmentId, Fragmentation};
+pub use fragmentation::{Fragment, FragmentId, Fragmentation, Membership};
 pub use metrics::FragmentationMetrics;
 pub use policy::CrossingPolicy;

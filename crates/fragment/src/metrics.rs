@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::fragmentation::Fragmentation;
+use crate::fragmentation::{Fragmentation, Membership};
 
 /// Summary statistics of one fragmentation.
 #[derive(Clone, Debug, PartialEq)]
@@ -39,13 +39,9 @@ impl FragmentationMetrics {
             .iter()
             .map(|f| f.edge_count() as f64)
             .collect();
-        let ds = frag.disconnection_sets();
+        let membership = Membership::new(frag);
+        let ds = membership.disconnection_sets();
         let ds_sizes: Vec<f64> = ds.values().map(|v| v.len() as f64).collect();
-
-        let mut border = std::collections::BTreeSet::new();
-        for nodes in ds.values() {
-            border.extend(nodes.iter().copied());
-        }
 
         FragmentationMetrics {
             fragment_count: sizes.len(),
@@ -54,8 +50,8 @@ impl FragmentationMetrics {
             dev_fragment_edges: mean_abs_dev(&sizes),
             avg_ds_nodes: mean(&ds_sizes),
             dev_ds_nodes: mean_abs_dev(&ds_sizes),
-            loosely_connected: frag.fragmentation_graph().is_acyclic(),
-            border_nodes: border.len(),
+            loosely_connected: membership.fragmentation_graph().is_acyclic(),
+            border_nodes: membership.borders().len(),
         }
     }
 }

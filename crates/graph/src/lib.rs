@@ -36,7 +36,6 @@ pub mod error;
 pub mod matrix;
 pub mod reach;
 pub mod scc;
-pub mod subgraph;
 pub mod traverse;
 pub mod types;
 pub mod unionfind;
@@ -49,6 +48,5 @@ pub use error::GraphError;
 pub use matrix::AdjacencyMatrix;
 pub use reach::ReachIndex;
 pub use scc::Condensation;
-pub use subgraph::SubgraphView;
 pub use types::{Coord, Cost, Edge, NodeId, INFINITE_COST};
 pub use unionfind::UnionFind;

@@ -143,6 +143,92 @@ fn disconnection_sets_are_intersections() {
     }
 }
 
+/// The one membership table every node-set derivation reads equals the
+/// brute force over the fragments' node sets: the disconnection sets
+/// and the fragmentation graph are the non-empty pairwise
+/// intersections, and the planner's membership classes group the nodes
+/// by the fragments holding them (class 0 the empty set, the others
+/// numbered by first node) — for seeded outputs of all four fragmenters,
+/// and for a node in three fragments beside a node in none.
+#[test]
+fn the_membership_table_reproduces_pairwise_intersections() {
+    use discset::closure::planner::Planner;
+    use discset::fragment::bond_energy::{bond_energy, BondEnergyConfig};
+    use discset::fragment::{semantic, CrossingPolicy, Fragmentation, Membership};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    fn assert_membership(frag: &Fragmentation, label: &str) {
+        let sets: Vec<BTreeSet<NodeId>> = (frag.fragments().iter())
+            .map(|f| f.nodes().iter().copied().collect())
+            .collect();
+        let mut ds = BTreeMap::new();
+        for i in 0..sets.len() {
+            for j in i + 1..sets.len() {
+                let both: Vec<NodeId> = sets[i].intersection(&sets[j]).copied().collect();
+                if !both.is_empty() {
+                    ds.insert((i, j), both);
+                }
+            }
+        }
+        assert_eq!(frag.disconnection_sets(), ds, "{label}: DS");
+        let links: Vec<(usize, usize)> = ds.keys().copied().collect();
+        assert_eq!(frag.fragmentation_graph().links(), links, "{label}: G'");
+        let planner = Planner::new(Membership::new(frag), 16, 8, None);
+        let mut classes: BTreeMap<Vec<usize>, u32> = BTreeMap::from([(Vec::new(), 0)]);
+        for v in (0..frag.node_count()).map(NodeId::from_index) {
+            let holders: Vec<usize> = (0..sets.len()).filter(|&f| sets[f].contains(&v)).collect();
+            assert_eq!(planner.fragments_of(v), holders, "{label}: {v}");
+            let next = classes.len() as u32;
+            let class = *classes.entry(holders).or_insert(next);
+            assert_eq!(planner.membership_class(v), class, "{label}: class of {v}");
+        }
+    }
+
+    for seed in 0..6 {
+        let g = generate_transportation(
+            &TransportationConfig {
+                clusters: 3,
+                nodes_per_cluster: 10,
+                target_edges_per_cluster: 25,
+                ..TransportationConfig::default()
+            },
+            seed,
+        );
+        let el = g.edge_list();
+        let lin = linear_sweep(&el, &LinearConfig::default());
+        assert_membership(&lin.unwrap().fragmentation, &format!("seed {seed} linear"));
+        let cen = center_based(
+            &el,
+            &CenterConfig {
+                fragments: 3,
+                ..Default::default()
+            },
+        );
+        assert_membership(&cen.unwrap().fragmentation, &format!("seed {seed} center"));
+        let bea = BondEnergyConfig {
+            max_restarts: Some(4),
+            ..BondEnergyConfig::default()
+        };
+        let bea = bond_energy(&el, &bea).unwrap().fragmentation;
+        assert_membership(&bea, &format!("seed {seed} bond energy"));
+        let labels = g.cluster_of.as_ref().unwrap();
+        let policy = CrossingPolicy::LowerBlock;
+        let sem = semantic::by_labels(g.nodes, &g.connections, labels, 3, policy).unwrap();
+        assert_membership(&sem, &format!("seed {seed} semantic"));
+    }
+    // Node 0 in three fragments, node 5 in none.
+    let star = Fragmentation::new(
+        6,
+        (1..4)
+            .map(|i| vec![Edge::unit(NodeId(0), NodeId(i))])
+            .collect(),
+        vec![vec![], vec![NodeId(4)], vec![]],
+    );
+    assert_eq!(Membership::new(&star).fragments_of(NodeId(0)), [0, 1, 2]);
+    assert!(Membership::new(&star).fragments_of(NodeId(5)).is_empty());
+    assert_membership(&star, "star");
+}
+
 /// The crown jewel: disconnection-set answers equal global Dijkstra.
 #[test]
 fn engine_matches_global_dijkstra() {
@@ -938,13 +1024,13 @@ fn skeleton_precompute_equals_global_sweep() {
     use discset::closure::{ComplementaryInfo, ComplementaryScope};
     use discset::fragment::Fragmentation;
 
-    fn assert_equal(csr: &CsrGraph, frag: &Fragmentation, label: &str) {
+    fn assert_equal(frag: &Fragmentation, symmetric: bool, label: &str) {
         for scope in [
             ComplementaryScope::PerDisconnectionSet,
             ComplementaryScope::PerFragmentBorder,
         ] {
-            let skel = ComplementaryInfo::compute(csr, frag, scope);
-            let glob = ComplementaryInfo::compute_global_sweep(csr, frag, scope);
+            let skel = ComplementaryInfo::compute(frag, symmetric, scope);
+            let glob = ComplementaryInfo::compute_global_sweep(frag, symmetric, scope);
             assert_eq!(
                 skel.border_count(),
                 glob.border_count(),
@@ -986,7 +1072,6 @@ fn skeleton_precompute_equals_global_sweep() {
                 seed,
             )
         };
-        let csr = g.closure_graph();
         let el = g.edge_list();
         let lin = linear_sweep(
             &el,
@@ -997,7 +1082,7 @@ fn skeleton_precompute_equals_global_sweep() {
         )
         .unwrap()
         .fragmentation;
-        assert_equal(&csr, &lin, &format!("seed {seed} linear"));
+        assert_equal(&lin, g.symmetric, &format!("seed {seed} linear"));
         let cen = center_based(
             &el,
             &CenterConfig {
@@ -1007,7 +1092,7 @@ fn skeleton_precompute_equals_global_sweep() {
         )
         .unwrap()
         .fragmentation;
-        assert_equal(&csr, &cen, &format!("seed {seed} center"));
+        assert_equal(&cen, g.symmetric, &format!("seed {seed} center"));
         if let Some(labels) = &g.cluster_of {
             let sem = discset::fragment::semantic::by_labels(
                 g.nodes,
@@ -1017,7 +1102,7 @@ fn skeleton_precompute_equals_global_sweep() {
                 discset::fragment::CrossingPolicy::LowerBlock,
             )
             .unwrap();
-            assert_equal(&csr, &sem, &format!("seed {seed} semantic"));
+            assert_equal(&sem, g.symmetric, &format!("seed {seed} semantic"));
         }
     }
 
@@ -1051,7 +1136,8 @@ fn skeleton_precompute_equals_global_sweep() {
         !tri.fragmentation_graph().is_acyclic(),
         "triangle fragmentation graph is cyclic"
     );
-    assert_equal(&csr, &tri, "triangle");
+    // Each fragment holds both directions of its connections.
+    assert_equal(&tri, false, "triangle");
     // And the deployed engine still answers exactly on it.
     let engine = EngineSnapshot::build(tri, true, EngineConfig::default());
     let mut scratch = ScratchDijkstra::new();
@@ -1601,8 +1687,8 @@ fn shortcut_costs_are_global_distances() {
         .fragmentation;
         let csr = closure_graph(n, &conns);
         let comp = discset::closure::ComplementaryInfo::compute(
-            &csr,
             &frag,
+            true,
             discset::closure::ComplementaryScope::PerFragmentBorder,
         );
         for f in 0..frag.fragment_count() {
