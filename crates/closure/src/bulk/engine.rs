@@ -3,9 +3,10 @@
 //! caller is worker 0 and starts at once; a spawned worker takes what is
 //! left when it starts, so no worker waits for another.
 //!
-//! 1. **Epoch state**, only what the epoch lacks: the hub's rows, in
-//!    blocks of skeleton sweeps, and per site whose exit sets no call
-//!    filled, or that lacks a requested source's access set, the
+//! 1. **Epoch state**, only what the epoch lacks: the hub, closed by one
+//!    task ([`Hub::close`]) when a write that changed the skeleton
+//!    dropped the one the build made, and per site whose exit sets no
+//!    call filled, or that lacks a requested source's access set, the
 //!    border-free rows of its requested sources, then its missing exit
 //!    sets (`Site::fill_exits`).
 //! 2. **Border rows**, only the ones the sources read and the epoch
@@ -23,7 +24,6 @@
 //! A warm call has neither of the first two lists, and no output depends
 //! on the threads.
 
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -37,15 +37,15 @@ use ds_relation::{PathTuple, Relation};
 use super::Hub;
 use crate::snapshot::EngineSnapshot;
 
-/// Sources (or hub or border rows) per task: small enough that the
+/// Sources (or border rows) per task: small enough that the
 /// workers finish together, large enough that pulling a task costs
 /// nothing.
 const BLOCK: usize = 8;
 
 /// One task of the epoch-state lists.
 enum Prep<'a> {
-    /// Sweep the skeleton from each of these skeleton ids.
-    HubRows(Range<usize>),
+    /// Close the skeleton into the hub.
+    Hub,
     /// Fill what one site lacks: the border-free rows and access sets of
     /// the requested sources it is home to, then every node's exit set.
     Site(FragmentId),
@@ -55,8 +55,8 @@ enum Prep<'a> {
 
 /// What one epoch-state task produced.
 enum Prepared<'a> {
-    HubRows {
-        costs: Vec<Cost>,
+    Hub {
+        hub: Hub,
         time: Duration,
     },
     Filled {
@@ -169,13 +169,14 @@ pub(crate) fn materialize(
     Ok((Relation::from_rows("tc", rows), stats))
 }
 
-/// Build what the epoch lacks for `sources`. First the hub, and at every
-/// site whose exit sets no call filled before, or that lacks a source's
-/// access set, the border-free rows of its requested sources — each row
-/// sweep fills its source's access set too — then the sets still
-/// missing. Then the border rows the sources read that no call filled:
-/// the borders in their access sets and the border sources themselves.
-/// A warm call reads each source's access set once and runs no list.
+/// Build what the epoch lacks for `sources`. First the hub, if a write
+/// dropped it, and at every site whose exit sets no call filled before,
+/// or that lacks a source's access set, the border-free rows of its
+/// requested sources — each row sweep fills its source's access set too
+/// — then the sets still missing. Then the border rows the sources read
+/// that no call filled: the borders in their access sets and the border
+/// sources themselves. A warm call reads each source's access set once
+/// and runs no list.
 fn prepare(
     snap: &EngineSnapshot,
     config: &MaterializeConfig,
@@ -213,31 +214,22 @@ fn prepare(
         }
     }
     let mut sites: Vec<FragmentId> = (0..lacking.len()).filter(|&f| lacking[f]).collect();
-    // A site is one task of many sweeps, a hub block a few: the largest
-    // go first, so the workers finish together.
+    // The largest tasks go first, so the workers finish together: the
+    // hub's close, then the sites by size.
     sites.sort_by_key(|&f| std::cmp::Reverse(snap.site_handle(f).nodes().len()));
-    let mut tasks: Vec<Prep> = sites.into_iter().map(Prep::Site).collect();
-    let build_hub = snap.hub_handle().is_none();
-    if build_hub {
-        let blocks = (0..nb).step_by(BLOCK);
-        tasks.extend(blocks.map(|i| Prep::HubRows(i..nb.min(i + BLOCK))));
-    }
-    let skeleton = build_hub.then(|| comp.tight_skeleton());
+    let hub = snap.hub_handle().is_none().then_some(Prep::Hub);
+    let tasks: Vec<Prep> = hub
+        .into_iter()
+        .chain(sites.into_iter().map(Prep::Site))
+        .collect();
     // Gathered once the first list ran, for the second.
     let exits: OnceLock<Exits> = OnceLock::new();
     let run = |task, scratch: &mut ScratchDijkstra, at: &mut FragmentId| match task {
-        Prep::HubRows(ids) => {
-            *at = home(comp.borders()[ids.start]);
-            let skeleton = skeleton.as_ref().expect("hub rows only for a hub to build");
+        Prep::Hub => {
             let start = Instant::now();
-            let mut costs = Vec::with_capacity(ids.len() * nb);
-            for s in ids {
-                scratch.sweep(skeleton, &[(NodeId::from_index(s), 0)]);
-                let reached = |t| scratch.cost(NodeId::from_index(t));
-                costs.extend((0..nb).map(|t| reached(t).unwrap_or(INFINITE_COST)));
-            }
+            let hub = Hub::close(comp.skeleton());
             let time = start.elapsed();
-            Some(Prepared::HubRows { costs, time })
+            Some(Prepared::Hub { hub, time })
         }
         Prep::Site(fragment) => {
             *at = fragment;
@@ -291,11 +283,9 @@ fn prepare(
 
     if !tasks.is_empty() {
         let done = run_tasks(config.workers(), tasks, ScratchDijkstra::new, run, stats)?;
-        let costs = absorb(snap, done, stats);
-        if build_hub {
-            stats.hub_sweeps = nb;
-            // A concurrent call may have built the same hub first.
-            stats.hub_built = snap.set_hub(Arc::new(Hub::from_rows(nb, costs)));
+        if let Some(hub) = absorb(snap, done, stats) {
+            // A concurrent call may have closed the same hub first.
+            stats.hub_built = snap.set_hub(Arc::new(hub));
         }
         for &s in sources {
             let filled = note(s, &mut read);
@@ -319,19 +309,13 @@ fn prepare(
 }
 
 /// Count what an epoch-state list did, publish its border rows, and
-/// return its hub rows, in task order (skeleton-id order: the hub's
-/// blocks come last).
-fn absorb(snap: &EngineSnapshot, done: Vec<Prepared>, stats: &mut MaterializeStats) -> Vec<Cost> {
-    // The hub keeps this vector: allocated to its size, it holds no slack.
-    let hub_costs = (done.iter()).map(|out| match out {
-        Prepared::HubRows { costs, .. } => costs.len(),
-        _ => 0,
-    });
-    let mut costs = Vec::with_capacity(hub_costs.sum());
+/// return the hub it closed, if it closed one.
+fn absorb(snap: &EngineSnapshot, done: Vec<Prepared>, stats: &mut MaterializeStats) -> Option<Hub> {
+    let mut closed = None;
     for out in done {
         match out {
-            Prepared::HubRows { costs: rows, time } => {
-                costs.extend(rows);
+            Prepared::Hub { hub, time } => {
+                closed = Some(hub);
                 stats.hub_time += time;
             }
             Prepared::Filled { sweeps } => stats.fragment_sweeps += sweeps,
@@ -345,7 +329,7 @@ fn absorb(snap: &EngineSnapshot, done: Vec<Prepared>, stats: &mut MaterializeSta
             }
         }
     }
-    costs
+    closed
 }
 
 /// Every node's exit set, gathered from the filled sites.
@@ -618,11 +602,9 @@ mod tests {
     fn split_path_matches_sequential_seminaive() {
         let stats = assert_matches_seminaive(&path_split(), true, MaterializeConfig::default());
         assert_eq!(stats.rounds, 1, "no exchange round");
-        assert!(stats.hub_built);
-        // One skeleton sweep for the one border, and a border-free row
-        // per interior source, which fills its exit set too: no fill
-        // sweep is left to run.
-        assert_eq!(stats.hub_sweeps, 1);
+        assert!(!stats.hub_built, "the build made the hub");
+        // A border-free row per interior source, which fills its exit set
+        // too: no fill sweep is left to run.
         assert_eq!((stats.network_sweeps, stats.fragment_sweeps), (0, 4));
         // Every node has one exit entry (border 2, or 2 itself), folded
         // into the one border row; each of the 5 sources folds that row
@@ -644,7 +626,7 @@ mod tests {
         // On a one-way network a row gives its source's access set, not
         // its exit set: a row for each of 0, 1 and 3 (the sink 4 is no
         // source), and per fragment one fill sweep from border 2.
-        assert_eq!((stats.hub_sweeps, stats.network_sweeps), (1, 0));
+        assert_eq!(stats.network_sweeps, 0);
         assert_eq!(stats.fragment_sweeps, 3 + 2);
     }
 
@@ -665,7 +647,7 @@ mod tests {
             vec![vec![], vec![]],
         );
         let stats = assert_matches_seminaive(&frag, true, MaterializeConfig::default());
-        assert_eq!((stats.hub_sweeps, stats.fragment_sweeps), (2, 3));
+        assert_eq!(stats.fragment_sweeps, 3);
         assert_eq!(stats.kept_local, 4, "4 -> 0, 5 -> 1, 2 -> 0 and 2 -> 1");
         // Both border rows fold the 6 exit entries: one for each of 4, 5
         // and the borders, two for 2. Border 1 is dominated for source 4
@@ -689,35 +671,30 @@ mod tests {
         assert!(closure.rows().iter().all(|t| t.src == n(0)));
     }
 
-    /// The first call of an epoch builds the hub and fills every site's
-    /// exit sets; the second sweeps nothing and reads the same hub. A
-    /// keyhole call after a full one adds nothing either.
+    /// The build makes the hub; the first call of an epoch fills every
+    /// site's exit sets, the second sweeps nothing, and both read the
+    /// build's hub. A keyhole call after a full one adds nothing either.
     #[test]
     fn a_warm_call_sweeps_nothing() {
         let snap = snapshot(&path_split(), true);
-        assert!(snap.hub_handle().is_none());
-        assert_eq!(snap.memory_bytes().hub, 0);
-        let (cold, stats) = snap.materialize(&MaterializeConfig::default()).unwrap();
-        assert!(stats.hub_built);
-        let hub = Arc::clone(snap.hub_handle().expect("built by the first call"));
+        let hub = Arc::clone(snap.hub_handle().expect("made by the build"));
         assert_eq!(hub.border_count(), 1);
         assert_eq!(
             snap.memory_bytes().hub,
             size_of::<Cost>(),
             "B² costs, no slack"
         );
+        let (cold, stats) = snap.materialize(&MaterializeConfig::default()).unwrap();
+        assert!(!stats.hub_built);
+        assert!(Arc::ptr_eq(&hub, snap.hub_handle().unwrap()));
         assert_eq!((stats.border_rows, snap.border_rows().filled()), (1, 1));
         assert_eq!(snap.memory_bytes().border_rows, 5 * size_of::<Cost>());
         for config in [MaterializeConfig::with_threads(2), with_sources(&[3, 2])] {
             let (warm, stats) = snap.materialize(&config).unwrap();
             assert!(!stats.hub_built);
             assert_eq!(stats.border_rows, 0, "{stats}");
-            let swept = (
-                stats.hub_sweeps,
-                stats.network_sweeps,
-                stats.fragment_sweeps,
-            );
-            assert_eq!(swept, (0, 0, 0), "{stats}");
+            let swept = (stats.network_sweeps, stats.fragment_sweeps);
+            assert_eq!(swept, (0, 0), "{stats}");
             assert_eq!(stats.hub_time, Duration::ZERO);
             let expected = cold
                 .rows()
@@ -763,7 +740,8 @@ mod tests {
         // The full closure sweeps its other sources' border-free rows and
         // reads no row the keyholes left out.
         let (_, stats) = snap.materialize(&MaterializeConfig::default()).unwrap();
-        assert_eq!((stats.border_rows, stats.hub_sweeps), (0, 0), "{stats}");
+        assert_eq!(stats.border_rows, 0, "{stats}");
+        assert!(!stats.hub_built, "{stats}");
     }
 
     /// Paths have length ≥ 1: `(s, s)` is the cheapest closed walk
@@ -829,7 +807,7 @@ mod tests {
         let (closure, stats) = snap.materialize(&with_sources(&[])).unwrap();
         assert!(closure.is_empty());
         assert_eq!((stats.rounds, stats.network_sweeps), (0, 0));
-        assert!(snap.hub_handle().is_none(), "an empty run builds nothing");
+        assert_eq!(snap.border_rows().filled(), 0, "an empty run fills nothing");
         assert_matches_seminaive(&frag, true, MaterializeConfig::default());
     }
 
@@ -839,7 +817,7 @@ mod tests {
         let stats = assert_matches_seminaive(&frag, true, MaterializeConfig::default());
         assert_eq!(stats.exchanged_tuples, 0);
         assert_eq!(stats.rounds, 1);
-        assert_eq!(stats.hub_sweeps, 0, "no border, an empty hub");
+        assert!(!stats.hub_built, "no border: the build made an empty hub");
         assert_eq!((stats.network_sweeps, stats.fragment_sweeps), (0, 3));
     }
 
@@ -859,14 +837,14 @@ mod tests {
         assert_eq!(single.threads, 1);
         assert_eq!(pooled.threads, 3);
         assert_eq!(pooled.busy.len(), 3, "busy time is per worker thread");
-        // 3 site fills and 1 hub block, 1 block of the 3 border rows,
-        // then 1 block of the 7 sources.
+        // 3 site fills, 1 block of the 3 border rows, then 1 block of
+        // the 7 sources.
         assert_eq!(
             (single.tasks.as_slice(), single.helper_tasks()),
-            (&[6][..], 0)
+            (&[5][..], 0)
         );
         assert_eq!(pooled.tasks.len(), 3);
-        assert_eq!(pooled.tasks.iter().sum::<usize>(), 6);
+        assert_eq!(pooled.tasks.iter().sum::<usize>(), 5);
         assert_eq!(single.tc, pooled.tc, "the counters are the formula's");
         assert_eq!(single.fragment_sweeps, pooled.fragment_sweeps);
         assert_eq!((single.border_rows, pooled.border_rows), (3, 3));
@@ -888,22 +866,46 @@ mod tests {
         let (_, stats) = snap.materialize(&MaterializeConfig::default()).unwrap();
         let line = stats.to_string();
         assert!(line.contains("rounds"), "{line}");
-        assert!(line.contains("hub built (1 skeleton sweeps"), "{line}");
+        assert!(line.contains("hub kept (0.00 ms)"), "{line}");
         assert!(line.contains("1 border rows"), "{line}");
         assert!(line.contains("0 + 4 sweeps"), "{line}");
         assert!(line.contains("exchanged"), "{line}");
         assert!(line.contains(&format!("tasks {:?}", stats.tasks)), "{line}");
         assert_eq!(
             stats.tasks.iter().sum::<usize>(),
-            5,
-            "2 site fills, 1 hub block, 1 border-row block, 1 source block"
+            4,
+            "2 site fills, 1 border-row block, 1 source block"
         );
         assert!(!line.contains('\n'));
         assert!(stats.balance_ratio() >= 1.0);
         let (_, warm) = snap.materialize(&MaterializeConfig::default()).unwrap();
-        assert!(warm.to_string().contains("hub kept (0 skeleton sweeps"));
         assert!(warm.to_string().contains("0 border rows"));
         assert!(warm.to_string().contains("tasks [1]"), "1 source block");
+    }
+
+    /// A write that changes the skeleton drops the build's hub, and the
+    /// next call closes it again — one task of its first list — equal to
+    /// a fresh build's. A warm call then keeps it.
+    #[test]
+    fn a_skeleton_change_closes_the_hub_once() {
+        // A connection 4 - 6 beats the interior path 4 - 5 - 6.
+        let mut snap = snapshot(&path_12(), true);
+        let shortcut = crate::api::NetworkUpdate::Insert {
+            edge: Edge::new(n(4), n(6), 1),
+            owner: 1,
+        };
+        let mut scratch = ScratchDijkstra::new();
+        snap.maintain(&shortcut, &mut scratch).unwrap();
+        assert!(snap.hub_handle().is_none(), "the skeleton changed");
+        let (_, stats) = snap.materialize(&MaterializeConfig::default()).unwrap();
+        assert!(stats.hub_built, "{stats}");
+        assert!(stats.to_string().contains("hub closed ("), "{stats}");
+        assert_eq!(stats.tasks.iter().sum::<usize>(), 1 + 3 + 1 + 2, "{stats}");
+        let fresh = snapshot(snap.fragmentation(), true);
+        assert_eq!(snap.hub_handle(), fresh.hub_handle());
+        assert_eq!(snap.hub_handle().unwrap().row(0), [0, 1]);
+        let (_, warm) = snap.materialize(&MaterializeConfig::default()).unwrap();
+        assert!(!warm.hub_built && warm.hub_time == Duration::ZERO, "{warm}");
     }
 
     /// A worker panic mid-task must come back as a typed error with
@@ -1015,7 +1017,7 @@ mod tests {
                 snap.materialize(&config).unwrap_err(),
                 MaterializeError::WorkerPanicked { fragment: 1 }
             );
-            assert!(snap.hub_handle().is_some(), "the first list ran");
+            assert!(snap.hub_handle().is_some(), "made by the build");
             assert_eq!(snap.border_rows().filled(), 0, "threads {threads}");
             assert_eq!(snap.memory_bytes().border_rows, 0);
             let (retried, stats) = snap.materialize(&config).unwrap();

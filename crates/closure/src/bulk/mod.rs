@@ -14,10 +14,10 @@
 //!   nodes along paths that touch no border;
 //! * the [`Hub`]: the B×B closure of the border skeleton
 //!   ([`crate::ComplementaryInfo::skeleton`]), B the number of borders —
-//!   every global border-to-border distance. Under the default scope
-//!   each site's complementary table is the hub restricted to that
-//!   site's borders, so the hub is closed over the skeleton less the
-//!   edges a table beats (`ComplementaryInfo::tight_skeleton`).
+//!   every global border-to-border distance. It is the build's product:
+//!   the precompute closes the skeleton once, densely ([`Hub::close`]),
+//!   gathers every site's complementary table from it, and the snapshot
+//!   keeps it for the epoch.
 //!
 //! A path from `s` that touches a border enters its first one through
 //! `s`'s access set and leaves its last one through `d`'s exit set.
@@ -32,22 +32,23 @@
 //! ```
 //!
 //! in the min-plus sense. [`engine`] runs it: the first call of an epoch
-//! builds the hub (one sweep of the skeleton per border) and fills every
-//! site's exit sets (at most one blocked sweep per border of the site,
-//! none for a node whose border-free row the call sweeps anyway on a
-//! symmetric network), then the [`BorderRows`] its sources read — the
-//! borders in their access sets, and the border sources themselves —
-//! as tasks on the call's own workers. A later call folds nothing the
-//! epoch already holds: a warm call sweeps nothing and gathers no exit
-//! set, and a source is |access(s)| passes over kept rows. The sources
+//! fills every site's exit sets (at most one blocked sweep per border of
+//! the site, none for a node whose border-free row the call sweeps
+//! anyway on a symmetric network), then the [`BorderRows`] its sources
+//! read — the borders in their access sets, and the border sources
+//! themselves — as tasks on the call's own workers. It closes the hub
+//! only when a write that changed the skeleton emptied the slot: one
+//! task, beside the site fills. A later call folds nothing the epoch
+//! already holds: a warm call sweeps nothing and gathers no exit set,
+//! and a source is |access(s)| passes over kept rows. The sources
 //! run in blocks of node ids, each writing its rows once, in place, into
 //! the vector that becomes the result — tuple-identical to
 //! [`ds_relation::tc::seminaive_closure`] over the fragments' union.
 //!
 //! The hub and the border rows are per-epoch state, held by the snapshot
 //! like the reachability index: [`crate::EngineSnapshot::maintain_cow`]
-//! keeps a built hub across a write that leaves the skeleton `Arc` as it
-//! was and empties the slot after any other; it empties the border rows
+//! keeps the hub across a write that leaves the skeleton `Arc` as it was
+//! and empties the slot after any other; it empties the border rows
 //! after every write that replaced a site, since an exit set may have
 //! changed with it.
 
@@ -55,7 +56,7 @@ pub mod engine;
 
 use std::sync::OnceLock;
 
-use ds_graph::Cost;
+use ds_graph::{Cost, CsrGraph, INFINITE_COST};
 
 /// The closure of the border skeleton: the global shortest distance
 /// between every ordered pair of borders, over skeleton ids (a border's
@@ -72,6 +73,59 @@ impl Hub {
     pub(crate) fn from_rows(borders: usize, costs: Vec<Cost>) -> Self {
         debug_assert_eq!(costs.len(), borders * borders);
         Hub { borders, costs }
+    }
+
+    /// The closure of `skeleton` (over skeleton ids): one dense min-plus
+    /// pass (Floyd–Warshall) over its B×B matrix. Iteration `k` relaxes
+    /// every row `i` that reaches `k` by `k`'s own row — a row that does
+    /// not is skipped, and since a finite cost plus [`INFINITE_COST`]
+    /// (`Cost::MAX / 4`) cannot overflow, no entry leaves `[0, INF]`. A
+    /// symmetric matrix (equal to its transpose) closes on its upper
+    /// triangle: iteration `k` reads column `k` out of it and row `i`
+    /// relaxes only the columns `j > i`; the lower triangle is mirrored
+    /// at the end.
+    pub fn close(skeleton: &CsrGraph) -> Self {
+        let nb = skeleton.node_count();
+        let mut costs = vec![INFINITE_COST; nb * nb];
+        for e in skeleton.edges() {
+            let slot = &mut costs[e.src.index() * nb + e.dst.index()];
+            *slot = (*slot).min(e.cost);
+        }
+        for i in 0..nb {
+            costs[i * nb + i] = 0;
+        }
+        let symmetric = (0..nb).all(|i| (0..i).all(|j| costs[i * nb + j] == costs[j * nb + i]));
+        // Row `k` — on a symmetric matrix read as column `k`, the same
+        // costs — which iteration `k` leaves as it is (its diagonal is 0).
+        let mut via = vec![INFINITE_COST; nb];
+        for k in 0..nb {
+            if symmetric {
+                for (j, cost) in via.iter_mut().enumerate() {
+                    *cost = costs[j.min(k) * nb + j.max(k)];
+                }
+            } else {
+                via.copy_from_slice(&costs[k * nb..][..nb]);
+            }
+            for i in 0..nb {
+                let to = if symmetric { via[i] } else { costs[i * nb + k] };
+                if to == INFINITE_COST {
+                    continue;
+                }
+                let from = if symmetric { i + 1 } else { 0 };
+                let row = &mut costs[i * nb + from..(i + 1) * nb];
+                for (best, &rest) in row.iter_mut().zip(&via[from..]) {
+                    *best = (*best).min(to + rest);
+                }
+            }
+        }
+        if symmetric {
+            for i in 0..nb {
+                for j in 0..i {
+                    costs[i * nb + j] = costs[j * nb + i];
+                }
+            }
+        }
+        Hub { borders: nb, costs }
     }
 
     /// Number of borders (B).

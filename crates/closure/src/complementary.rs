@@ -38,8 +38,11 @@
 //!    border's position in the border list) with the cheapest edge per
 //!    ordered border pair among two kinds: a connection between two
 //!    borders, as it stands, and a fragment's local-sweep distance. It
-//!    is closed with one [`ScratchDijkstra`] sweep per skeleton node,
-//!    yielding **exact** global border-to-border distances, and kept.
+//!    is kept, and closed once by one dense min-plus pass over its B×B
+//!    matrix ([`Hub::close`], Floyd–Warshall on the upper triangle when
+//!    the matrix is symmetric), yielding **exact** global
+//!    border-to-border distances: the [`Hub`], which every site's table
+//!    is gathered from and the snapshot keeps for the materializer.
 //! 3. **No stored paths** — a route is read off the kept skeleton when
 //!    it is asked for ([`crate::EngineSnapshot::route`]): one sweep of
 //!    the skeleton between the endpoints' cells, and one point sweep of
@@ -76,10 +79,9 @@
 //!
 //! Every skeleton sweep runs on the caller's [`ScratchDijkstra`] over the
 //! kept skeleton (a one-way network's transpose of it for distances *to*
-//! a node): the build's closure, a deletion's re-close — from each
-//! affected source, stopped once its *affected* partners settle — and
-//! the repair rules' endpoint distances. A site whose table comes out
-//! unchanged keeps its `Arc`.
+//! a node): a deletion's re-close — from each affected source, stopped
+//! once its *affected* partners settle — and the repair rules' endpoint
+//! distances. A site whose table comes out unchanged keeps its `Arc`.
 //!
 //! Two scopes are provided:
 //! * [`ComplementaryScope::PerDisconnectionSet`] — exactly the paper's
@@ -112,6 +114,7 @@ use std::time::Instant;
 use ds_fragment::{FragmentId, Fragmentation, Membership};
 use ds_graph::{dijkstra, Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
 
+use crate::bulk::Hub;
 use crate::local::LocalGraph;
 
 /// Which border pairs get a precomputed shortcut.
@@ -147,7 +150,9 @@ pub struct PrecomputeStats {
     /// they give (for the global-sweep reference: the whole-graph sweeps;
     /// on a deletion: patching the kept skeleton).
     pub local_sweeps_ns: u64,
-    /// Time closing the border-skeleton graph (0 on the reference path).
+    /// Time closing the border skeleton: the build's dense close into
+    /// the hub, a deletion's partial re-close sweeps (0 on the reference
+    /// path).
     pub skeleton_close_ns: u64,
     /// Time writing the closed rows into the per-site shortcut tables.
     pub assemble_ns: u64,
@@ -214,28 +219,11 @@ struct Layout {
     /// Per site, the skeleton id of each border of its table, in table
     /// order.
     at: Vec<Vec<usize>>,
-    /// Per skeleton node, the skeleton nodes (ascending) its closure
-    /// sweep must settle: its partners in some site group — the pairs the
-    /// tables store.
-    targets: Vec<Vec<NodeId>>,
 }
 
 impl Layout {
     fn new(frag: &Fragmentation, membership: &Membership, scope: ComplementaryScope) -> Self {
         let (groups, borders) = site_border_sets(frag, membership, scope);
-        let mut targets: Vec<Vec<NodeId>> = vec![Vec::new(); borders.len()];
-        for group in groups.iter().flatten() {
-            let idx: Vec<NodeId> = (group.iter())
-                .map(|v| NodeId::from_index(position(&borders, v)))
-                .collect();
-            for &u in &idx {
-                targets[u.index()].extend(idx.iter().filter(|&&v| v != u));
-            }
-        }
-        for partners in &mut targets {
-            partners.sort_unstable();
-            partners.dedup();
-        }
         let at = (groups.iter())
             .map(|g| {
                 (table_borders(g).iter())
@@ -247,7 +235,6 @@ impl Layout {
             borders,
             groups,
             at,
-            targets,
         }
     }
 }
@@ -535,53 +522,52 @@ impl ComplementaryInfo {
     /// the skeleton-overlay strategy (see the module docs).
     pub fn compute(frag: &Fragmentation, symmetric: bool, scope: ComplementaryScope) -> Self {
         let (graph, locals) = (frag.closure_graph(symmetric), local_graphs(frag, symmetric));
-        ComplementaryInfo::compute_with(&graph, frag, &Membership::new(frag), &locals, scope)
+        ComplementaryInfo::compute_with(&graph, frag, &Membership::new(frag), &locals, scope).0
     }
 
     /// [`ComplementaryInfo::compute`] from what a build has already made:
     /// `graph`, the directed closure graph, the fragmentation's
     /// membership table and every fragment's own graph (`locals`, by
-    /// fragment id).
+    /// fragment id) — and the [`Hub`] the tables were gathered from.
     pub(crate) fn compute_with(
         graph: &CsrGraph,
         frag: &Fragmentation,
         membership: &Membership,
         locals: &[Arc<LocalGraph>],
         scope: ComplementaryScope,
-    ) -> Self {
+    ) -> (Self, Hub) {
         let (layout, mut scratch) = (Layout::new(frag, membership, scope), ScratchDijkstra::new());
         let t0 = Instant::now();
         let mut comp = ComplementaryInfo::swept(graph, locals, layout, &mut scratch);
-        let local_sweeps_ns = t0.elapsed().as_nanos() as u64;
-
-        // Close the skeleton from every border: each sweep needs only the
-        // source's group partners — the pairs the tables store, which
-        // every in-scope column of its rows is one of.
-        let layout = Arc::clone(&comp.layout);
-        let (mut skeleton_close_ns, mut assemble_ns) = (0, 0);
-        let mut changed = vec![0usize; comp.tables.len()];
-        for (s, targets) in layout.targets.iter().enumerate() {
-            if targets.is_empty() {
-                // No table pair needs this source (e.g. singleton
-                // disconnection sets): no sweep.
-                continue;
-            }
-            let t1 = Instant::now();
-            scratch.sweep_to_targets(&comp.skeleton, &[(NodeId::from_index(s), 0)], targets);
-            let t2 = Instant::now();
-            let reached = |t| Some(scratch.cost(NodeId::from_index(t)).unwrap_or(INFINITE_COST));
-            write_row(&mut comp.tables, &layout, s, reached, &mut changed);
-            skeleton_close_ns += (t2 - t1).as_nanos() as u64;
-            assemble_ns += t2.elapsed().as_nanos() as u64;
-        }
+        let t1 = Instant::now();
+        let hub = Hub::close(&comp.skeleton);
+        let t2 = Instant::now();
+        comp.gather(&hub);
         comp.stats = PrecomputeStats {
             strategy: PrecomputeStrategy::Skeleton,
-            local_sweeps_ns,
-            skeleton_close_ns,
-            assemble_ns,
-            sources_closed: layout.borders.len(),
+            local_sweeps_ns: (t1 - t0).as_nanos() as u64,
+            skeleton_close_ns: (t2 - t1).as_nanos() as u64,
+            assemble_ns: t2.elapsed().as_nanos() as u64,
+            sources_closed: comp.border_count(),
         };
-        comp
+        (comp, hub)
+    }
+
+    /// Write every in-scope pair of every table from `hub`, the closure
+    /// of the skeleton.
+    fn gather(&mut self, hub: &Hub) {
+        for (table, at) in self.tables.iter_mut().zip(&self.layout.at) {
+            let (table, nb) = (Arc::make_mut(table), at.len());
+            for (i, &s) in at.iter().enumerate() {
+                let row = hub.row(s);
+                for (j, &t) in at.iter().enumerate() {
+                    let slot = i * nb + j;
+                    if j != i && table.covers(slot) {
+                        table.costs[slot] = row[t];
+                    }
+                }
+            }
+        }
     }
 
     /// No tuple yet, every fragment swept and the skeleton assembled: the
@@ -800,19 +786,11 @@ impl ComplementaryInfo {
         let local_sweeps_ns = t0.elapsed().as_nanos() as u64;
 
         let t2 = Instant::now();
-        let mut changed = vec![0usize; comp.tables.len()];
-        for (s, from) in dist_from.iter().enumerate() {
-            let dist: Vec<Cost> = (border_list.iter())
-                .map(|&b| from.cost(b).unwrap_or(INFINITE_COST))
-                .collect();
-            write_row(
-                &mut comp.tables,
-                &layout,
-                s,
-                |t| Some(dist[t]),
-                &mut changed,
-            );
-        }
+        let dist = (dist_from.iter())
+            .flat_map(|from| border_list.iter().map(|&b| from.cost(b)))
+            .map(|cost| cost.unwrap_or(INFINITE_COST));
+        let nb = border_list.len();
+        comp.gather(&Hub::from_rows(nb, dist.collect()));
         let assemble_ns = t2.elapsed().as_nanos() as u64;
         comp.stats = PrecomputeStats {
             strategy: PrecomputeStrategy::GlobalSweep,
@@ -884,35 +862,11 @@ impl ComplementaryInfo {
         self.layout.borders.len()
     }
 
-    /// The kept skeleton over skeleton ids — the graph the materializer's
-    /// hub is the closure of. A write that leaves the handle
-    /// `Arc::ptr_eq` with its predecessor's left every border distance
-    /// alone.
+    /// The kept skeleton over skeleton ids — the graph the [`Hub`] is the
+    /// closure of. A write that leaves the handle `Arc::ptr_eq` with its
+    /// predecessor's left every border distance alone.
     pub fn skeleton(&self) -> &Arc<CsrGraph> {
         &self.skeleton
-    }
-
-    /// The kept skeleton less every edge that some table holds a cheaper
-    /// cost for. A table entry is the cost of a real path between its
-    /// two borders, which the skeleton realizes too, so the closure is
-    /// the same over fewer edges: the graph the hub is closed over.
-    pub(crate) fn tight_skeleton(&self) -> CsrGraph {
-        // Per border, the sites holding it and its position in each.
-        let mut held: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.border_count()];
-        for (f, ids) in self.layout.at.iter().enumerate() {
-            for (i, &id) in ids.iter().enumerate() {
-                held[id].push((f, i));
-            }
-        }
-        let shorter = |e: &Edge| {
-            let (u, v) = (&held[e.src.index()], &held[e.dst.index()]);
-            u.iter().any(|&(f, i)| {
-                let row = self.tables[f].row(i);
-                v.iter().any(|&(g, j)| g == f && row[j] < e.cost)
-            })
-        };
-        let edges: Vec<Edge> = self.skeleton.edges().filter(|e| !shorter(e)).collect();
-        CsrGraph::from_edges(self.border_count(), &edges)
     }
 
     /// Every border node, ascending: skeleton id `i` is `borders()[i]`.

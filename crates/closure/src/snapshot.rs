@@ -108,9 +108,10 @@ pub struct EngineSnapshot {
     /// refcount bump per publication.
     reach: OnceLock<Arc<ReachIndex>>,
     /// The closure of the kept border skeleton ([`Hub`]), what
-    /// [`EngineSnapshot::materialize`] folds every source through: built
-    /// by the first materialization of an epoch, kept by a write that
-    /// leaves the skeleton `Arc` as it was, dropped by any other.
+    /// [`EngineSnapshot::materialize`] folds every source through: made
+    /// by the build, kept by a write that leaves the skeleton `Arc` as it
+    /// was, dropped by any other and closed again by the next
+    /// materialization.
     hub: OnceLock<Arc<Hub>>,
     /// The hub folded into the exit sets ([`BorderRows`]), what a
     /// materialized source reads: each row filled by the first
@@ -180,7 +181,8 @@ pub struct SnapshotBytes {
     /// The planner's membership table and chain table, the chain sets filled
     /// so far included ([`Planner::memory_bytes`]).
     pub planner: usize,
-    /// The materializer's hub, once a materialization has built it.
+    /// The hub: made by the build, and after a write that dropped it by
+    /// the next materialization.
     pub hub: usize,
     /// The materializer's border rows filled so far.
     pub border_rows: usize,
@@ -214,14 +216,16 @@ impl EngineSnapshot {
     /// derive the closure graph ([`Fragmentation::closure_graph`];
     /// `symmetric` declares that each fragment tuple stands for both
     /// travel directions), compute the complementary information (the
-    /// paper's pre-processing phase), then the planner and the per-site
-    /// evaluation state (each over its table, in place). The reachability
-    /// index waits for the first [`EngineSnapshot::connected`].
+    /// paper's pre-processing phase, whose skeleton closure is the epoch's
+    /// [`Hub`]), then the planner and the per-site evaluation state (each
+    /// over its table, in place). The reachability index waits for the
+    /// first [`EngineSnapshot::connected`].
     pub fn build(frag: Fragmentation, symmetric: bool, cfg: EngineConfig) -> Self {
         let graph = frag.closure_graph(symmetric);
         let membership = Membership::new(&frag);
         let locals = local_graphs(&frag, symmetric);
-        let comp = ComplementaryInfo::compute_with(&graph, &frag, &membership, &locals, cfg.scope);
+        let (comp, hub) =
+            ComplementaryInfo::compute_with(&graph, &frag, &membership, &locals, cfg.scope);
         let (chains, chain_len) = (cfg.max_chains, cfg.max_chain_len);
         let planner = Arc::new(Planner::new(membership, chains, chain_len, cfg.hub));
         let mut scratch = ScratchDijkstra::new();
@@ -238,7 +242,7 @@ impl EngineSnapshot {
             sites,
             planner,
             reach: OnceLock::new(),
-            hub: OnceLock::new(),
+            hub: OnceLock::from(Arc::new(hub)),
             border_rows,
         }
     }
@@ -417,8 +421,8 @@ impl EngineSnapshot {
         }
     }
 
-    /// The shared handle behind the materializer's hub, if a
-    /// materialization of this epoch built it (a kept hub stays
+    /// The shared handle behind the hub, unless a write dropped it and no
+    /// materialization has closed it since (a kept hub stays
     /// `Arc::ptr_eq` across epochs).
     pub fn hub_handle(&self) -> Option<&Arc<Hub>> {
         self.hub.get()
@@ -442,11 +446,12 @@ impl EngineSnapshot {
     /// information ([`crate::bulk`]): one min-plus fold per source of
     /// its access set with the epoch's border rows, plus its border-free
     /// row, in blocks of node ids whose rows are written once, in place,
-    /// into the returned relation. The first call of an epoch builds the
-    /// hub, fills the sites' exit sets and then the border rows its
-    /// sources read, on its own workers; a later call folds nothing the
-    /// epoch already holds. The result is tuple-identical to
-    /// [`ds_relation::tc::seminaive_closure`] over the fragments' union.
+    /// into the returned relation. The first call of an epoch fills the
+    /// sites' exit sets and then the border rows its sources read, on its
+    /// own workers, and closes the hub if a write dropped it; a later
+    /// call folds nothing the epoch already holds. The result is
+    /// tuple-identical to [`ds_relation::tc::seminaive_closure`] over the
+    /// fragments' union.
     ///
     /// Errors with [`MaterializeError::WorkerPanicked`] when a task
     /// panics or an injected fault kills it; every worker has joined by
@@ -1358,7 +1363,8 @@ pub(crate) mod tests {
         let bytes = snap.memory_bytes();
         let mut walked = snap.graph().memory_bytes()
             + snap.reach_index().memory_bytes()
-            + snap.planner().memory_bytes();
+            + snap.planner().memory_bytes()
+            + snap.hub_handle().expect("made by the build").memory_bytes();
         let mut border_index = 0;
         for f in 0..snap.site_count() {
             let (site, table) = (snap.site_handle(f), snap.complementary().table(f));

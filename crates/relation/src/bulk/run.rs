@@ -110,12 +110,10 @@ pub struct MaterializeStats {
     /// before), and the border-free rows and access sets of sources no
     /// earlier call or query of the epoch left behind.
     pub fragment_sweeps: usize,
-    /// Whether this call built the epoch's hub.
+    /// Whether this call closed the epoch's hub: only when a write that
+    /// changed the border skeleton dropped the one the build made.
     pub hub_built: bool,
-    /// Sweeps of the border skeleton that built the hub: one per border
-    /// when `hub_built`, else 0.
-    pub hub_sweeps: usize,
-    /// Wall time of the hub build (0 when it was already built).
+    /// Wall time of the hub's close (0 when the epoch held the hub).
     pub hub_time: Duration,
     /// Border rows this call filled — the hub row of a border folded
     /// into every node's exit set, kept by the epoch: the borders in the
@@ -158,7 +156,6 @@ impl MaterializeStats {
             ("materialize_rounds", self.rounds),
             ("materialize_network_sweeps", self.network_sweeps),
             ("materialize_fragment_sweeps", self.fragment_sweeps),
-            ("materialize_hub_sweeps", self.hub_sweeps),
             ("materialize_border_rows", self.border_rows),
             ("materialize_exchanged_tuples", self.exchanged_tuples),
             ("materialize_kept_local", self.kept_local),
@@ -186,18 +183,16 @@ impl MaterializeStats {
 
 impl fmt::Display for MaterializeStats {
     /// One-line summary, e.g. `4 fragments / 2 threads: 1 rounds, hub
-    /// built (17 skeleton sweeps, 0.04 ms), 17 border rows, 0 + 58
-    /// sweeps, 3021 exchanged (412 kept local), balance 1.03, tasks
-    /// [22, 21]; 1 iters, ...`.
+    /// kept (0.00 ms), 17 border rows, 0 + 58 sweeps, 3021 exchanged
+    /// (412 kept local), balance 1.03, tasks [22, 21]; 1 iters, ...`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let hub = if self.hub_built { "built" } else { "kept" };
+        let hub = if self.hub_built { "closed" } else { "kept" };
         write!(
             f,
-            "{} fragments / {} threads: {} rounds, hub {hub} ({} skeleton sweeps, {:.2} ms), {} border rows, {} + {} sweeps, {} exchanged ({} kept local), balance {:.2}, tasks {:?}; {}",
+            "{} fragments / {} threads: {} rounds, hub {hub} ({:.2} ms), {} border rows, {} + {} sweeps, {} exchanged ({} kept local), balance {:.2}, tasks {:?}; {}",
             self.fragments,
             self.threads,
             self.rounds,
-            self.hub_sweeps,
             self.hub_time.as_secs_f64() * 1e3,
             self.border_rows,
             self.network_sweeps,

@@ -1,9 +1,9 @@
 //! Materialize the full transitive closure of a fragmented network in
 //! bulk — the paper's parallel strategy run to completion instead of
-//! per query — from the engine's epoch: the first call builds the hub
-//! (the closure of the border skeleton), fills the sites' exit sets and
-//! folds the hub into them once per border (the border rows); a second
-//! call sweeps nothing and fills no row. Both are compared against the
+//! per query — from the engine's epoch: the build made the hub (the
+//! closure of the border skeleton); the first call fills the sites' exit
+//! sets and folds the hub into them once per border (the border rows); a
+//! second call sweeps nothing and fills no row. Both are compared against the
 //! sequential semi-naive baseline tuple for tuple, and spot-checked
 //! against the per-query engine.
 //!
@@ -51,7 +51,8 @@ fn main() {
         .expect("system deploys");
 
     // Bulk-materialize the closure through the facade, twice: the first
-    // call of the epoch builds what the second reads.
+    // call of the epoch builds what the second reads, over the hub the
+    // build made.
     let borders = sys.engine().complementary().border_count();
     println!("\nmaterialization by the disconnection set approach ({borders} borders):");
     let mut runs = Vec::new();
@@ -62,10 +63,8 @@ fn main() {
         println!("  {call}: {} tuples in {bulk_time:?}", closure.len());
         println!("    {stats}");
         println!(
-            "    hub {}: {} skeleton sweeps, {} border rows filled; {} sweeps of one fragment, \
-             {} of the whole graph",
-            if stats.hub_built { "built" } else { "kept" },
-            stats.hub_sweeps,
+            "    hub {}: {} border rows filled; {} sweeps of one fragment, {} of the whole graph",
+            if stats.hub_built { "closed" } else { "kept" },
             stats.border_rows,
             stats.fragment_sweeps,
             stats.network_sweeps
@@ -81,10 +80,10 @@ fn main() {
     }
     let (closure, cold) = &runs[0];
     let (again, warm) = &runs[1];
-    assert!(cold.hub_built && cold.hub_sweeps == borders);
+    assert!(!cold.hub_built, "the build made the hub");
     assert_eq!(cold.border_rows, borders, "every border is a source");
     assert_eq!(
-        warm.hub_sweeps + warm.fragment_sweeps + warm.border_rows,
+        warm.fragment_sweeps + warm.border_rows,
         0,
         "a warm call sweeps or fills a row"
     );

@@ -463,10 +463,11 @@ impl System {
     /// closure of the border skeleton (the hub) folded into every
     /// destination's exit set, one row per border; a destination in the
     /// source's own fragment also reads the source's border-free row.
-    /// The first call of an epoch builds the hub (one skeleton sweep per
-    /// border), fills the sites' exit sets (at most one fragment sweep
-    /// per border of a site) and then the border rows its sources read;
-    /// a later call folds nothing the epoch already holds. All run as tasks on scoped
+    /// The build made the hub; the first call of an epoch fills the
+    /// sites' exit sets (at most one fragment sweep per border of a site)
+    /// and then the border rows its sources read, and closes the hub
+    /// again only after a write that changed the border skeleton; a later
+    /// call folds nothing the epoch already holds. All run as tasks on scoped
     /// worker threads: the caller starts at once, a spawned worker
     /// takes what is left when it starts, and every source's row is
     /// written once, straight into the returned relation.

@@ -264,7 +264,7 @@ fn serve_chaos_seed_sweep() {
 
 /// One bulk-tier scenario: a worker dies (panic or silent exit) on one
 /// fragment of the 3-way grid partition, on a cold epoch (seeds 0-2: the
-/// hub unbuilt, the sites' exit sets empty) or a warm one. The run must
+/// sites' exit sets and the border rows empty) or a warm one. The run must
 /// abort with the typed error and clean joins; a retry on the same
 /// snapshot (the rule is one-shot) must give the exact semi-naive
 /// closure.

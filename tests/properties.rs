@@ -1154,6 +1154,143 @@ fn skeleton_precompute_equals_global_sweep() {
     }
 }
 
+/// The build's hub is the closure of the kept skeleton: entry for entry
+/// what one `ScratchDijkstra::sweep` per border over `comp.skeleton()`
+/// reaches (`INFINITE_COST` where it reaches nothing) — over seeded
+/// linear, center, bond-energy and semantic fragmentations, on symmetric
+/// and one-way networks, a one-way fixture with unreachable border pairs
+/// and graphs with no border and with one.
+#[test]
+fn the_build_hub_equals_one_sweep_per_border() {
+    use discset::fragment::bond_energy::{bond_energy, BondEnergyConfig};
+    use discset::fragment::{semantic, CrossingPolicy, Fragmentation};
+    use discset::graph::INFINITE_COST;
+
+    /// Check the hub of a build of `frag`; returns its borders and the
+    /// ordered border pairs no path joins.
+    fn assert_hub(frag: &Fragmentation, symmetric: bool, label: &str) -> (usize, usize) {
+        let snap = EngineSnapshot::build(frag.clone(), symmetric, EngineConfig::default());
+        let skeleton = snap.complementary().skeleton();
+        let hub = snap.hub_handle().expect("made by the build");
+        let nb = snap.complementary().border_count();
+        assert_eq!(
+            (hub.border_count(), skeleton.node_count()),
+            (nb, nb),
+            "{label}"
+        );
+        let mut scratch = ScratchDijkstra::new();
+        let mut unreachable = 0;
+        for s in skeleton.nodes() {
+            scratch.sweep(skeleton, &[(s, 0)]);
+            let swept: Vec<u64> = (skeleton.nodes())
+                .map(|t| scratch.cost(t).unwrap_or(INFINITE_COST))
+                .collect();
+            assert_eq!(hub.row(s.index()), swept, "{label}: row {s:?}");
+            unreachable += swept.iter().filter(|&&c| c == INFINITE_COST).count();
+        }
+        (nb, unreachable)
+    }
+
+    let (mut one_way_unreachable, mut closed) = (0, std::collections::BTreeSet::new());
+    for seed in 0..6u64 {
+        let g = if seed % 2 == 0 {
+            generate_general(
+                &GeneralConfig {
+                    nodes: 30,
+                    target_edges: 70,
+                    ..Default::default()
+                },
+                seed,
+            )
+        } else {
+            generate_transportation(
+                &TransportationConfig {
+                    clusters: 3,
+                    nodes_per_cluster: 10,
+                    target_edges_per_cluster: 25,
+                    ..TransportationConfig::default()
+                },
+                seed,
+            )
+        };
+        let el = g.edge_list();
+        let three = LinearConfig {
+            fragments: 3,
+            ..Default::default()
+        };
+        let center = CenterConfig {
+            fragments: 3,
+            ..Default::default()
+        };
+        let bea = BondEnergyConfig {
+            max_restarts: Some(4),
+            ..BondEnergyConfig::default()
+        };
+        let mut fragmentations = vec![
+            ("linear", linear_sweep(&el, &three).unwrap().fragmentation),
+            ("center", center_based(&el, &center).unwrap().fragmentation),
+            ("bond energy", bond_energy(&el, &bea).unwrap().fragmentation),
+        ];
+        if let Some(labels) = &g.cluster_of {
+            let policy = CrossingPolicy::LowerBlock;
+            let sem = semantic::by_labels(g.nodes, &g.connections, labels, 3, policy);
+            fragmentations.push(("semantic", sem.unwrap()));
+        }
+        for (family, frag) in &fragmentations {
+            for symmetric in [true, false] {
+                let label = format!("seed {seed} {family} symmetric={symmetric}");
+                let (nb, unreachable) = assert_hub(frag, symmetric, &label);
+                if nb > 1 {
+                    closed.insert(*family);
+                }
+                if !symmetric {
+                    one_way_unreachable += unreachable;
+                }
+            }
+        }
+    }
+    assert_eq!(
+        closed.len(),
+        4,
+        "every family closed a skeleton: {closed:?}"
+    );
+    assert!(
+        one_way_unreachable > 0,
+        "a one-way border pair no path joins"
+    );
+
+    let unit = |pairs: &[(u32, u32)]| -> Vec<Edge> {
+        (pairs.iter())
+            .map(|&(a, b)| Edge::unit(NodeId(a), NodeId(b)))
+            .collect()
+    };
+    // One way along 0 -> 1 -> 2 -> 3 -> 4: borders 1, 2 and 3, each
+    // reaching only the ones after it.
+    let chain = Fragmentation::new(
+        5,
+        vec![
+            unit(&[(0, 1)]),
+            unit(&[(1, 2)]),
+            unit(&[(2, 3)]),
+            unit(&[(3, 4)]),
+        ],
+        vec![vec![]; 4],
+    );
+    assert_eq!(assert_hub(&chain, false, "one-way chain"), (3, 3));
+    assert_eq!(assert_hub(&chain, true, "two-way chain"), (3, 0));
+    // One fragment: no border, an empty hub; two split at node 2: one.
+    let whole = Fragmentation::new(3, vec![unit(&[(0, 1), (1, 2)])], vec![vec![]]);
+    let split = Fragmentation::new(
+        5,
+        vec![unit(&[(0, 1), (1, 2)]), unit(&[(2, 3), (3, 4)])],
+        vec![vec![]; 2],
+    );
+    for symmetric in [true, false] {
+        assert_eq!(assert_hub(&whole, symmetric, "no border"), (0, 0));
+        assert_eq!(assert_hub(&split, symmetric, "one border"), (1, 0));
+    }
+}
+
 /// One reader-thread observation: query endpoints, served cost, epoch.
 type EpochObservation = (NodeId, NodeId, Option<u64>, u64);
 
@@ -1753,8 +1890,8 @@ fn seminaive_equals_naive() {
 /// tuple for tuple — across generators × {linear, center} fragmenters ×
 /// {symmetric, directed} × {full, keyhole of 1, keyhole of ~n/3, keyholes
 /// of 7, 8, 9 and 17 around the source block, with a duplicate and an
-/// id outside the graph} × thread counts, on a cold epoch (hub unbuilt,
-/// site memos empty) and on a warm one, whose repeated call sweeps
+/// id outside the graph} × thread counts, on a cold epoch (site memos
+/// and border rows empty, the hub the build made) and on a warm one, whose repeated call sweeps
 /// nothing; the fold and sweep counters do not depend on the thread
 /// count. And the materialized tuples are true distances: on sampled
 /// pairs they equal the per-query engine's `query_batch` answers.
@@ -1856,7 +1993,7 @@ fn all_closure_strategies_materialize_the_same_relation() {
                     let counters = |s: &MaterializeStats| {
                         let t = &s.tc;
                         let folds = (s.exchanged_tuples, s.kept_local, t.tuples_generated);
-                        (folds, s.fragment_sweeps, s.hub_sweeps, s.border_rows)
+                        (folds, s.fragment_sweeps, s.hub_built, s.border_rows)
                     };
                     let mut counted = Vec::new();
                     for threads in [1usize, 2, 3] {
@@ -1879,17 +2016,16 @@ fn all_closure_strategies_materialize_the_same_relation() {
                         }
                         // The same call again reads what the epoch holds.
                         let (_, again) = warm.materialize(&config).unwrap();
-                        let swept = (again.hub_sweeps, again.fragment_sweeps);
-                        assert_eq!(swept, (0, 0), "{label}: {again}");
+                        let swept = (again.hub_built, again.fragment_sweeps);
+                        assert_eq!(swept, (false, 0), "{label}: {again}");
                         assert_eq!(again.border_rows, 0, "{label}: {again}");
                         assert!(again.rounds == 0 || warm.hub_handle().is_some());
                         counted.push(counters(&again));
                     }
-                    // The first call built the hub: B² costs, no slack.
+                    // The build made the hub: B² costs, no slack.
                     let nb = warm.complementary().border_count();
                     let cost = std::mem::size_of::<discset::graph::Cost>();
-                    let hub = warm.hub_handle().map(|_| warm.memory_bytes().hub);
-                    assert!(hub.is_none_or(|bytes| bytes == nb * nb * cost), "{label}");
+                    assert_eq!(warm.memory_bytes().hub, nb * nb * cost, "{label}");
                     // Cold, warm; cold, warm; … for threads 1, 2 and 3.
                     for (i, c) in counted.iter().enumerate().skip(2) {
                         assert_eq!(
@@ -1939,7 +2075,7 @@ fn all_closure_strategies_materialize_the_same_relation() {
 }
 
 /// Two materializations of different keyholes on one cold epoch at once
-/// fill the hub, the sites' exit sets and the border rows side by side:
+/// fill the sites' exit sets and the border rows side by side:
 /// both give the semi-naive closure of their sources, and a third call
 /// over both keyholes then fills no row and sweeps nothing.
 #[test]
@@ -1998,7 +2134,7 @@ fn concurrent_cold_keyholes_share_one_epoch() {
         let (bulk, stats) = snap.materialize(&config).unwrap();
         let (want, _) = tc::seminaive_closure(&union, Some(&both));
         assert_eq!(bulk.rows(), want.rows(), "seed {seed}");
-        let swept = stats.hub_sweeps + stats.network_sweeps + stats.fragment_sweeps;
+        let swept = stats.network_sweeps + stats.fragment_sweeps;
         assert_eq!((stats.border_rows, swept), (0, 0), "seed {seed}: {stats}");
         assert!(snap.border_rows().filled() > 0);
     }

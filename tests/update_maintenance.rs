@@ -659,10 +659,11 @@ fn batch_stats_amortization_exact_counts() {
 /// The epoch's materialization follows every write, on a symmetric and
 /// a one-way network: the column grid plus a pendant node 27 behind
 /// node 8, through interior, crossing and disconnecting writes and their
-/// undoing. After each write the relation equals semi-naive closure of
-/// the edited relation, and a hub built before the write is carried
-/// exactly when the write left the kept skeleton's `Arc` alone —
-/// otherwise the next materialization builds it afresh.
+/// undoing. A fresh epoch holds the hub the build made. After each write
+/// the relation equals semi-naive closure of the edited relation, and the
+/// hub is carried exactly when the write left the kept skeleton's `Arc`
+/// alone — otherwise the write empties the slot and the next
+/// materialization refills it — equal either way to a fresh build's.
 #[test]
 fn materialize_follows_every_write_and_keeps_the_hub_only_with_the_skeleton() {
     use discset::closure::{EngineConfig, EngineSnapshot};
@@ -701,13 +702,14 @@ fn materialize_follows_every_write_and_keeps_the_hub_only_with_the_skeleton() {
         fragments[2].push(Edge::new(n(8), n(27), 3));
         let frag = Fragmentation::new(28, fragments, vec![vec![]; 3]);
         let mut snap = EngineSnapshot::build(frag, symmetric, EngineConfig::default());
+        assert!(snap.hub_handle().is_some(), "a fresh epoch holds the hub");
         let mut scratch = discset::graph::ScratchDijkstra::new();
         let full = MaterializeConfig::with_threads(2);
         let (mut kept, mut dropped) = (0, 0);
         for (i, write) in writes.iter().enumerate() {
             let label = format!("symmetric={symmetric} write {i} {write:?}");
             snap.materialize(&full).unwrap();
-            let hub = Arc::clone(snap.hub_handle().expect("built by materialize"));
+            let hub = Arc::clone(snap.hub_handle().expect("made by the build or materialize"));
             let skeleton = Arc::clone(snap.complementary().skeleton());
             assert!(snap.border_rows().filled() > 0, "{label}");
             let cow = snap.maintain_cow(write, &mut scratch).unwrap();
@@ -729,6 +731,12 @@ fn materialize_follows_every_write_and_keeps_the_hub_only_with_the_skeleton() {
             assert_eq!(snap.memory_bytes().border_rows, 0, "{label}");
             let (bulk, stats) = snap.materialize(&full).unwrap();
             assert_eq!(stats.hub_built, !same, "{label}");
+            let fresh = EngineSnapshot::build(
+                snap.fragmentation().clone(),
+                symmetric,
+                EngineConfig::default(),
+            );
+            assert_eq!(snap.hub_handle(), fresh.hub_handle(), "{label}");
             assert!(stats.border_rows > 0, "{label}: {stats}");
             assert_eq!(stats.border_rows, snap.border_rows().filled(), "{label}");
             let union = FragmentPartition::new(snap.fragmentation(), symmetric).union_relation();
