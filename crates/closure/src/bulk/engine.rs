@@ -3,12 +3,11 @@
 //! caller is worker 0 and starts at once; a spawned worker takes what is
 //! left when it starts, so no worker waits for another.
 //!
-//! 1. **Epoch state**, only what the epoch lacks: the hub, closed by one
-//!    task ([`Hub::close`]) when a write that changed the skeleton
-//!    dropped the one the build made, and per site whose exit sets no
-//!    call filled, or that lacks a requested source's access set, the
-//!    border-free rows of its requested sources, then its missing exit
-//!    sets (`Site::fill_exits`).
+//! 1. **Epoch state**, only what the epoch lacks: per site whose exit
+//!    sets no call filled, or that lacks a requested source's access set,
+//!    the border-free rows of its requested sources, then its missing
+//!    exit sets (`Site::fill_exits`). The hub is never among them: every
+//!    epoch holds it exact ([`crate::ComplementaryInfo::hub`]).
 //! 2. **Border rows**, only the ones the sources read and the epoch
 //!    lacks, in blocks of skeleton ids: each folds its hub row into
 //!    every node's exit set, gathered once for the list. A call publishes
@@ -26,7 +25,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ds_fragment::FragmentId;
@@ -34,7 +33,6 @@ use ds_graph::{Cost, NodeId, ScratchDijkstra, INFINITE_COST};
 use ds_relation::bulk::{MaterializeConfig, MaterializeError, MaterializeStats};
 use ds_relation::{PathTuple, Relation};
 
-use super::Hub;
 use crate::snapshot::EngineSnapshot;
 
 /// Sources (or border rows) per task: small enough that the
@@ -44,8 +42,6 @@ const BLOCK: usize = 8;
 
 /// One task of the epoch-state lists.
 enum Prep<'a> {
-    /// Close the skeleton into the hub.
-    Hub,
     /// Fill what one site lacks: the border-free rows and access sets of
     /// the requested sources it is home to, then every node's exit set.
     Site(FragmentId),
@@ -55,10 +51,6 @@ enum Prep<'a> {
 
 /// What one epoch-state task produced.
 enum Prepared<'a> {
-    Hub {
-        hub: Hub,
-        time: Duration,
-    },
     Filled {
         sweeps: usize,
     },
@@ -169,9 +161,9 @@ pub(crate) fn materialize(
     Ok((Relation::from_rows("tc", rows), stats))
 }
 
-/// Build what the epoch lacks for `sources`. First the hub, if a write
-/// dropped it, and at every site whose exit sets no call filled before,
-/// or that lacks a source's access set, the border-free rows of its
+/// Build what the epoch lacks for `sources`. First, at every site whose
+/// exit sets no call filled before, or that lacks a source's access set,
+/// the border-free rows of its
 /// requested sources — each row sweep fills its source's access set too
 /// — then the sets still missing. Then the border rows the sources read
 /// that no call filled: the borders in their access sets and the border
@@ -214,23 +206,12 @@ fn prepare(
         }
     }
     let mut sites: Vec<FragmentId> = (0..lacking.len()).filter(|&f| lacking[f]).collect();
-    // The largest tasks go first, so the workers finish together: the
-    // hub's close, then the sites by size.
+    // The largest tasks go first, so the workers finish together.
     sites.sort_by_key(|&f| std::cmp::Reverse(snap.site_handle(f).nodes().len()));
-    let hub = snap.hub_handle().is_none().then_some(Prep::Hub);
-    let tasks: Vec<Prep> = hub
-        .into_iter()
-        .chain(sites.into_iter().map(Prep::Site))
-        .collect();
+    let tasks: Vec<Prep> = sites.into_iter().map(Prep::Site).collect();
     // Gathered once the first list ran, for the second.
     let exits: OnceLock<Exits> = OnceLock::new();
     let run = |task, scratch: &mut ScratchDijkstra, at: &mut FragmentId| match task {
-        Prep::Hub => {
-            let start = Instant::now();
-            let hub = Hub::close(comp.skeleton());
-            let time = start.elapsed();
-            Some(Prepared::Hub { hub, time })
-        }
         Prep::Site(fragment) => {
             *at = fragment;
             if config.fault_fires(fragment) {
@@ -259,7 +240,7 @@ fn prepare(
         }
         Prep::BorderRows(ids) => {
             let exits = exits.get().expect("gathered before the border rows");
-            let hub = snap.hub_handle().expect("built by the first list");
+            let hub = snap.hub_handle();
             let mut rows = Vec::with_capacity(ids.len());
             for (i, &b) in ids.iter().enumerate() {
                 *at = home(comp.borders()[b]);
@@ -283,10 +264,7 @@ fn prepare(
 
     if !tasks.is_empty() {
         let done = run_tasks(config.workers(), tasks, ScratchDijkstra::new, run, stats)?;
-        if let Some(hub) = absorb(snap, done, stats) {
-            // A concurrent call may have closed the same hub first.
-            stats.hub_built = snap.set_hub(Arc::new(hub));
-        }
+        absorb(snap, done, stats);
         for &s in sources {
             let filled = note(s, &mut read);
             assert!(filled, "the first list fills every source's access set");
@@ -308,16 +286,10 @@ fn prepare(
     Ok(())
 }
 
-/// Count what an epoch-state list did, publish its border rows, and
-/// return the hub it closed, if it closed one.
-fn absorb(snap: &EngineSnapshot, done: Vec<Prepared>, stats: &mut MaterializeStats) -> Option<Hub> {
-    let mut closed = None;
+/// Count what an epoch-state list did and publish its border rows.
+fn absorb(snap: &EngineSnapshot, done: Vec<Prepared>, stats: &mut MaterializeStats) {
     for out in done {
         match out {
-            Prepared::Hub { hub, time } => {
-                closed = Some(hub);
-                stats.hub_time += time;
-            }
             Prepared::Filled { sweeps } => stats.fragment_sweeps += sweeps,
             Prepared::BorderRows { ids, rows, entries } => {
                 for (&b, row) in ids.iter().zip(rows) {
@@ -329,7 +301,6 @@ fn absorb(snap: &EngineSnapshot, done: Vec<Prepared>, stats: &mut MaterializeSta
             }
         }
     }
-    closed
 }
 
 /// Every node's exit set, gathered from the filled sites.
@@ -533,6 +504,7 @@ mod tests {
     use ds_graph::Edge;
     use ds_relation::bulk::FragmentPartition;
     use ds_relation::tc;
+    use std::sync::Arc;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -602,7 +574,6 @@ mod tests {
     fn split_path_matches_sequential_seminaive() {
         let stats = assert_matches_seminaive(&path_split(), true, MaterializeConfig::default());
         assert_eq!(stats.rounds, 1, "no exchange round");
-        assert!(!stats.hub_built, "the build made the hub");
         // A border-free row per interior source, which fills its exit set
         // too: no fill sweep is left to run.
         assert_eq!((stats.network_sweeps, stats.fragment_sweeps), (0, 4));
@@ -677,7 +648,7 @@ mod tests {
     #[test]
     fn a_warm_call_sweeps_nothing() {
         let snap = snapshot(&path_split(), true);
-        let hub = Arc::clone(snap.hub_handle().expect("made by the build"));
+        let hub = Arc::clone(snap.hub_handle());
         assert_eq!(hub.border_count(), 1);
         assert_eq!(
             snap.memory_bytes().hub,
@@ -685,23 +656,20 @@ mod tests {
             "B² costs, no slack"
         );
         let (cold, stats) = snap.materialize(&MaterializeConfig::default()).unwrap();
-        assert!(!stats.hub_built);
-        assert!(Arc::ptr_eq(&hub, snap.hub_handle().unwrap()));
+        assert!(Arc::ptr_eq(&hub, snap.hub_handle()));
         assert_eq!((stats.border_rows, snap.border_rows().filled()), (1, 1));
         assert_eq!(snap.memory_bytes().border_rows, 5 * size_of::<Cost>());
         for config in [MaterializeConfig::with_threads(2), with_sources(&[3, 2])] {
             let (warm, stats) = snap.materialize(&config).unwrap();
-            assert!(!stats.hub_built);
             assert_eq!(stats.border_rows, 0, "{stats}");
             let swept = (stats.network_sweeps, stats.fragment_sweeps);
             assert_eq!(swept, (0, 0), "{stats}");
-            assert_eq!(stats.hub_time, Duration::ZERO);
             let expected = cold
                 .rows()
                 .iter()
                 .filter(|t| config.sources.as_ref().is_none_or(|s| s.contains(&t.src)));
             assert_eq!(warm.rows(), expected.copied().collect::<Vec<_>>());
-            assert!(Arc::ptr_eq(&hub, snap.hub_handle().unwrap()));
+            assert!(Arc::ptr_eq(&hub, snap.hub_handle()));
         }
     }
 
@@ -741,7 +709,6 @@ mod tests {
         // reads no row the keyholes left out.
         let (_, stats) = snap.materialize(&MaterializeConfig::default()).unwrap();
         assert_eq!(stats.border_rows, 0, "{stats}");
-        assert!(!stats.hub_built, "{stats}");
     }
 
     /// Paths have length ≥ 1: `(s, s)` is the cheapest closed walk
@@ -817,7 +784,8 @@ mod tests {
         let stats = assert_matches_seminaive(&frag, true, MaterializeConfig::default());
         assert_eq!(stats.exchanged_tuples, 0);
         assert_eq!(stats.rounds, 1);
-        assert!(!stats.hub_built, "no border: the build made an empty hub");
+        let borders = snapshot(&frag, true).hub_handle().border_count();
+        assert_eq!(borders, 0, "no border: an empty hub");
         assert_eq!((stats.network_sweeps, stats.fragment_sweeps), (0, 3));
     }
 
@@ -866,7 +834,7 @@ mod tests {
         let (_, stats) = snap.materialize(&MaterializeConfig::default()).unwrap();
         let line = stats.to_string();
         assert!(line.contains("rounds"), "{line}");
-        assert!(line.contains("hub kept (0.00 ms)"), "{line}");
+        assert!(!line.contains("hub"), "{line}");
         assert!(line.contains("1 border rows"), "{line}");
         assert!(line.contains("0 + 4 sweeps"), "{line}");
         assert!(line.contains("exchanged"), "{line}");
@@ -883,29 +851,30 @@ mod tests {
         assert!(warm.to_string().contains("tasks [1]"), "1 source block");
     }
 
-    /// A write that changes the skeleton drops the build's hub, and the
-    /// next call closes it again — one task of its first list — equal to
-    /// a fresh build's. A warm call then keeps it.
+    /// A write keeps the hub exact, so a call after one closes nothing:
+    /// after a crossing insert that shortens a border pair, its first
+    /// list is the site fills alone, and the hub it folds is a fresh
+    /// build's.
     #[test]
-    fn a_skeleton_change_closes_the_hub_once() {
+    fn a_call_after_a_crossing_write_closes_no_hub() {
         // A connection 4 - 6 beats the interior path 4 - 5 - 6.
         let mut snap = snapshot(&path_12(), true);
+        let built = Arc::clone(snap.hub_handle());
         let shortcut = crate::api::NetworkUpdate::Insert {
             edge: Edge::new(n(4), n(6), 1),
             owner: 1,
         };
         let mut scratch = ScratchDijkstra::new();
         snap.maintain(&shortcut, &mut scratch).unwrap();
-        assert!(snap.hub_handle().is_none(), "the skeleton changed");
+        assert!(!Arc::ptr_eq(&built, snap.hub_handle()), "4 - 6 got cheaper");
+        let kept = Arc::clone(snap.hub_handle());
         let (_, stats) = snap.materialize(&MaterializeConfig::default()).unwrap();
-        assert!(stats.hub_built, "{stats}");
-        assert!(stats.to_string().contains("hub closed ("), "{stats}");
-        assert_eq!(stats.tasks.iter().sum::<usize>(), 1 + 3 + 1 + 2, "{stats}");
+        // 3 site fills, 1 block of the 2 border rows, 2 source blocks.
+        assert_eq!(stats.tasks.iter().sum::<usize>(), 3 + 1 + 2, "{stats}");
+        assert!(Arc::ptr_eq(&kept, snap.hub_handle()), "{stats}");
         let fresh = snapshot(snap.fragmentation(), true);
         assert_eq!(snap.hub_handle(), fresh.hub_handle());
-        assert_eq!(snap.hub_handle().unwrap().row(0), [0, 1]);
-        let (_, warm) = snap.materialize(&MaterializeConfig::default()).unwrap();
-        assert!(!warm.hub_built && warm.hub_time == Duration::ZERO, "{warm}");
+        assert_eq!(snap.hub_handle().row(0), [0, 1]);
     }
 
     /// A worker panic mid-task must come back as a typed error with
@@ -1017,7 +986,6 @@ mod tests {
                 snap.materialize(&config).unwrap_err(),
                 MaterializeError::WorkerPanicked { fragment: 1 }
             );
-            assert!(snap.hub_handle().is_some(), "made by the build");
             assert_eq!(snap.border_rows().filled(), 0, "threads {threads}");
             assert_eq!(snap.memory_bytes().border_rows, 0);
             let (retried, stats) = snap.materialize(&config).unwrap();

@@ -14,10 +14,11 @@
 //!   nodes along paths that touch no border;
 //! * the [`Hub`]: the B×B closure of the border skeleton
 //!   ([`crate::ComplementaryInfo::skeleton`]), B the number of borders —
-//!   every global border-to-border distance. It is the build's product:
-//!   the precompute closes the skeleton once, densely ([`Hub::close`]),
-//!   gathers every site's complementary table from it, and the snapshot
-//!   keeps it for the epoch.
+//!   every global border-to-border distance. It is complementary
+//!   information ([`crate::ComplementaryInfo::hub`]): the precompute
+//!   closes the skeleton once, densely ([`Hub::close`]), and gathers
+//!   every site's table from it, and every write keeps it exact, so every
+//!   epoch holds it.
 //!
 //! A path from `s` that touches a border enters its first one through
 //! `s`'s access set and leaves its last one through `d`'s exit set.
@@ -36,21 +37,18 @@
 //! the site, none for a node whose border-free row the call sweeps
 //! anyway on a symmetric network), then the [`BorderRows`] its sources
 //! read — the borders in their access sets, and the border sources
-//! themselves — as tasks on the call's own workers. It closes the hub
-//! only when a write that changed the skeleton emptied the slot: one
-//! task, beside the site fills. A later call folds nothing the epoch
-//! already holds: a warm call sweeps nothing and gathers no exit set,
-//! and a source is |access(s)| passes over kept rows. The sources
-//! run in blocks of node ids, each writing its rows once, in place, into
+//! themselves — as tasks on the call's own workers. It closes no hub: the
+//! epoch's is exact. A later call folds nothing the epoch already holds:
+//! a warm call sweeps nothing and gathers no exit set, and a source is
+//! |access(s)| passes over kept rows. The sources run in blocks of node
+//! ids, each writing its rows once, in place, into
 //! the vector that becomes the result — tuple-identical to
 //! [`ds_relation::tc::seminaive_closure`] over the fragments' union.
 //!
-//! The hub and the border rows are per-epoch state, held by the snapshot
-//! like the reachability index: [`crate::EngineSnapshot::maintain_cow`]
-//! keeps the hub across a write that leaves the skeleton `Arc` as it was
-//! and empties the slot after any other; it empties the border rows
-//! after every write that replaced a site, since an exit set may have
-//! changed with it.
+//! The border rows are per-epoch state, held by the snapshot like the
+//! reachability index: [`crate::EngineSnapshot::maintain_cow`] empties
+//! them after every write that replaced a site, since an exit set may
+//! have changed with it.
 
 pub mod engine;
 
@@ -136,6 +134,16 @@ impl Hub {
     /// The distances from the border with skeleton id `i`.
     pub fn row(&self, i: usize) -> &[Cost] {
         &self.costs[i * self.borders..][..self.borders]
+    }
+
+    /// The whole matrix, row-major: slot `i * B + j` is `dist(i, j)`.
+    pub(crate) fn costs(&self) -> &[Cost] {
+        &self.costs
+    }
+
+    /// The matrix, for the writes that keep it the closure.
+    pub(crate) fn costs_mut(&mut self) -> &mut [Cost] {
+        &mut self.costs
     }
 
     /// Heap bytes held.

@@ -41,8 +41,9 @@
 //!    is kept, and closed once by one dense min-plus pass over its B×B
 //!    matrix ([`Hub::close`], Floyd–Warshall on the upper triangle when
 //!    the matrix is symmetric), yielding **exact** global
-//!    border-to-border distances: the [`Hub`], which every site's table
-//!    is gathered from and the snapshot keeps for the materializer.
+//!    border-to-border distances: the [`Hub`]. It is kept too, as the one
+//!    copy of every such distance: every site's table is gathered from
+//!    it, the materializer folds it, and no write drops it.
 //! 3. **No stored paths** — a route is read off the kept skeleton when
 //!    it is asked for ([`crate::EngineSnapshot::route`]): one sweep of
 //!    the skeleton between the endpoints' cells, and one point sweep of
@@ -62,7 +63,7 @@
 //! the global-sweep reference (asserted per-tuple by
 //! `tests/properties.rs`).
 //!
-//! ## Maintenance patches the kept skeleton
+//! ## Maintenance keeps the hub exact and patches the kept skeleton
 //!
 //! Every fragment's local-sweep output is kept behind its own `Arc`, and
 //! the skeleton is edited, never re-gathered ([`crate::updates`]):
@@ -77,11 +78,17 @@
 //!   cells, the fragment-level form of the repair rule (an edit whose
 //!   cell touches no border re-sweeps nothing).
 //!
-//! Every skeleton sweep runs on the caller's [`ScratchDijkstra`] over the
-//! kept skeleton (a one-way network's transpose of it for distances *to*
-//! a node): a deletion's re-close — from each affected source, stopped
-//! once its *affected* partners settle — and the repair rules' endpoint
-//! distances. A site whose table comes out unchanged keeps its `Arc`.
+//! The hub is repaired by one rule, and the tables never on their own.
+//! The rule reads an edit's endpoint distances off the pre-edit hub (a
+//! border's row or column; any other endpoint's cell borders, each
+//! folded with its row or column); an insert lowers the hub entries a
+//! new entry shortens; a deletion names the hub pairs the deleted entry
+//! could carry and re-closes them by sweeps of the patched skeleton on
+//! the caller's [`ScratchDijkstra`] — from each affected source, stopped
+//! once its *affected* partners settle. Then every table holding a
+//! changed hub row is gathered again. A table whose entries come out as
+//! they were keeps its `Arc`, and a write that changes no hub entry
+//! keeps the shared hub.
 //!
 //! Two scopes are provided:
 //! * [`ComplementaryScope::PerDisconnectionSet`] — exactly the paper's
@@ -154,11 +161,14 @@ pub struct PrecomputeStats {
     /// the hub, a deletion's partial re-close sweeps (0 on the reference
     /// path).
     pub skeleton_close_ns: u64,
-    /// Time writing the closed rows into the per-site shortcut tables.
+    /// Time gathering the per-site shortcut tables from the hub (on a
+    /// deletion, after writing the re-closed pairs into it).
     pub assemble_ns: u64,
     /// Skeleton sources the skeleton was closed from: every border on a
-    /// build, the sources the deleted edge could have carried on a
-    /// deletion's re-close (0 on the reference path).
+    /// build, on a deletion's re-close the roots it swept from — the
+    /// sources of the hub pairs the deleted edge could have carried, or
+    /// on a symmetric network the roots of their cover (0 on the
+    /// reference path).
     pub sources_closed: usize,
 }
 
@@ -243,9 +253,10 @@ impl Layout {
 /// fragment's border nodes — as the fragmentation defines them, so a lone
 /// border has a 1x1 table and a fragment without borders an empty one —
 /// and the global shortest distances between them as a dense matrix.
-/// [`ComplementaryInfo`] fills it, update maintenance rewrites its
-/// entries, and the site ([`crate::local::Site`]) evaluates its
-/// subqueries from the very same allocation.
+/// [`ComplementaryInfo`] gathers it from the [`Hub`], again after every
+/// write that changes a hub row it holds, and the site
+/// ([`crate::local::Site`]) evaluates its subqueries from the very same
+/// allocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BorderTable {
     /// The border nodes (global ids), ascending.
@@ -256,9 +267,7 @@ pub struct BorderTable {
     /// Row-major like `costs`: the pairs the scope stores a tuple for.
     /// Empty when that is every pair — always on
     /// [`ComplementaryScope::PerFragmentBorder`]. An entry outside the
-    /// scope stays `INFINITE_COST` for good: whatever maintenance wrote
-    /// there would have to be kept a global distance by every later
-    /// deletion repair, which only looks at stored tuples.
+    /// scope stays `INFINITE_COST` for good: the gather skips it.
     in_scope: Vec<bool>,
 }
 
@@ -347,16 +356,17 @@ impl BorderTable {
     }
 }
 
-/// The precomputed complementary information: one [`BorderTable`] per
-/// site, plus the kept skeleton and local sweeps that update maintenance
-/// patches instead of redoing the precompute.
+/// The precomputed complementary information: the [`Hub`] — every
+/// global border-to-border distance — and one [`BorderTable`] per site
+/// gathered from it, plus the kept skeleton and local sweeps that update
+/// maintenance patches instead of redoing the precompute.
 ///
 /// Every table lives behind its own [`Arc`], which the site's evaluation
-/// state holds too; so do every fragment's local-sweep output and the
-/// skeleton. Cloning the whole structure (the serve writer's per-epoch
-/// copy-on-write publication) costs a few refcount bumps per site, and
-/// update maintenance — which goes through [`Arc::make_mut`], or replaces
-/// a table only when its entries changed — detaches only the tables it
+/// state holds too; so do the hub, every fragment's local-sweep output
+/// and the skeleton. Cloning the whole structure (the serve writer's
+/// per-epoch copy-on-write publication) costs a few refcount bumps per
+/// site, and update maintenance — which goes through [`Arc::make_mut`]
+/// only when an entry changes — detaches only the hub and the tables it
 /// actually changes. Untouched sites stay pointer-shared with every
 /// previous epoch (asserted by the structural-sharing property in
 /// `tests/properties.rs`).
@@ -369,9 +379,9 @@ pub struct ComplementaryInfo {
     /// the cheapest of their connections and of the fragments' local-sweep
     /// edges (one entry per pair).
     skeleton: Arc<CsrGraph>,
-    /// The skeleton's transpose: made by the first write of a one-way
-    /// network, and edited with the skeleton since.
-    transpose: Option<Arc<CsrGraph>>,
+    /// The closure of the skeleton, which every table entry is gathered
+    /// from: closed by the build, kept exact by every write.
+    hub: Arc<Hub>,
     layout: Arc<Layout>,
     stats: PrecomputeStats,
 }
@@ -412,6 +422,41 @@ fn local_sweeps_for_fragment(
     LocalSweeps { edges }
 }
 
+/// Every fragment swept and the skeleton assembled from `graph`'s
+/// connections between two borders and the fragments' local-sweep edges,
+/// the cheapest per ordered pair.
+fn sweep_skeleton(
+    graph: &CsrGraph,
+    locals: &[Arc<LocalGraph>],
+    layout: &Layout,
+    scratch: &mut ScratchDijkstra,
+) -> (Vec<Arc<LocalSweeps>>, CsrGraph) {
+    let borders = &layout.borders;
+    let local: Vec<Arc<LocalSweeps>> = (locals.iter().zip(&layout.at))
+        .map(|(g, ids)| Arc::new(local_sweeps_for_fragment(g, ids, borders, scratch)))
+        .collect();
+    let mut edges = Vec::new();
+    for (s, &b) in borders.iter().enumerate() {
+        for (x, cost) in graph.neighbors(b).filter(|&(x, _)| x != b) {
+            if let Ok(t) = borders.binary_search(&x) {
+                edges.push(Edge::new(
+                    NodeId::from_index(s),
+                    NodeId::from_index(t),
+                    cost,
+                ));
+            }
+        }
+    }
+    for e in local.iter().flat_map(|l| &l.edges) {
+        edges.push(Edge::new(NodeId(e.src), NodeId(e.dst), e.cost));
+    }
+    // The fragments' edges come in sorted runs, which a merge sort
+    // takes in one pass each.
+    edges.sort();
+    edges.dedup_by_key(|e| (e.src, e.dst));
+    (local, CsrGraph::from_edges(borders.len(), &edges))
+}
+
 /// Where `v` sits in the ascending border list `borders`.
 fn position(borders: &[NodeId], v: &NodeId) -> usize {
     borders.binary_search(v).expect("a border of the list")
@@ -432,89 +477,24 @@ fn entry(skeleton: &CsrGraph, s: usize, t: usize) -> Option<Cost> {
         .map(|(_, c)| c)
 }
 
-/// Write the distances `new` gives from skeleton node `s` (by skeleton
-/// id; `None` = leave the entry as it is) into `s`'s row at every site
-/// holding it, in-scope columns only. A table is detached
-/// (`Arc::make_mut`) only when an entry differs, so a site whose row
-/// comes out as it was keeps its shared table; the differing entries are
-/// added to `changed`, per site. Returns whether a stored tuple was
-/// dropped: its pair became unreachable.
-fn write_row(
-    tables: &mut [Arc<BorderTable>],
-    layout: &Layout,
-    s: usize,
-    new: impl Fn(usize) -> Option<Cost>,
-    changed: &mut [usize],
-) -> bool {
-    let mut dropped = false;
-    for (site, at) in layout.at.iter().enumerate() {
-        let Ok(i) = at.binary_search(&s) else {
-            continue;
-        };
-        let nb = at.len();
-        let stale = |table: &BorderTable, j: usize| {
-            let slot = i * nb + j;
-            let covered = j != i && table.covers(slot);
-            covered
-                .then(|| new(at[j]))
-                .flatten()
-                .filter(|&c| c != table.costs[slot])
-        };
-        if !(0..nb).any(|j| stale(&tables[site], j).is_some()) {
-            continue;
-        }
-        let table = Arc::make_mut(&mut tables[site]);
-        for j in 0..nb {
-            if let Some(cost) = stale(table, j) {
-                dropped |= cost == INFINITE_COST;
-                table.costs[i * nb + j] = cost;
-                changed[site] += 1;
-            }
-        }
-    }
-    dropped
-}
-
-/// The rows of `table` (over the borders `at`, by skeleton id) whose
-/// border reaches the entry `e`, with their positions; `cols` is set to
-/// `e.from` in table order ([`INFINITE_COST`] where `v` does not reach
-/// the column's border, which no sum through the entry then matches or
-/// beats).
-fn rows_through<'t>(
-    table: &'t BorderTable,
-    at: &'t [usize],
-    e: &'t Through<'_>,
-    cols: &mut Vec<Cost>,
-) -> impl Iterator<Item = (usize, &'t [Cost])> + 't {
-    cols.clear();
-    cols.extend(at.iter().map(|&s| e.from[s]));
-    let rows = table.costs.chunks(at.len().max(1)).enumerate();
-    rows.filter(move |&(i, _)| e.to[at[i]] < INFINITE_COST)
-}
-
 /// One directed entry `u -> v` of cost `cost` that an update adds or
 /// drops, with the distances the repair rule reads for it, indexed by
 /// skeleton id (`INFINITE_COST` = unreachable):
-/// `to[s] = dist(s, u)` and `from[s] = dist(v, s)`.
+/// `to[s] = dist(s, u)` and `from[s] = dist(v, s)`, the cheapest
+/// `c' + H[s'][s]` over `v`'s entry borders `(s', c')` in `enter`: the
+/// borders `v` reaches first (itself at 0 if it is one), by skeleton id
+/// and cost from `v`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Through<'a> {
     pub(crate) to: &'a [Cost],
     pub(crate) cost: Cost,
     pub(crate) from: &'a [Cost],
+    pub(crate) enter: &'a [(usize, Cost)],
 }
 
 /// Pairs of skeleton nodes, per source: a skeleton id and its partners
-/// (skeleton ids, ascending) — the pairs a deletion affects, or an insert
-/// lowered.
+/// (skeleton ids, ascending) — the pairs a deletion affects.
 pub(crate) type Affected = Vec<(usize, Vec<NodeId>)>;
-
-/// What [`ComplementaryInfo::close_pairs`] swept: every pair's distance
-/// as (source, partner, cost), sorted, and the roots swept from, with
-/// their partners.
-struct Closed {
-    pairs: Vec<(usize, NodeId, Cost)>,
-    roots: Affected,
-}
 
 impl ComplementaryInfo {
     /// Precompute the complementary information for a fragmentation
@@ -522,27 +502,27 @@ impl ComplementaryInfo {
     /// the skeleton-overlay strategy (see the module docs).
     pub fn compute(frag: &Fragmentation, symmetric: bool, scope: ComplementaryScope) -> Self {
         let (graph, locals) = (frag.closure_graph(symmetric), local_graphs(frag, symmetric));
-        ComplementaryInfo::compute_with(&graph, frag, &Membership::new(frag), &locals, scope).0
+        ComplementaryInfo::compute_with(&graph, frag, &Membership::new(frag), &locals, scope)
     }
 
     /// [`ComplementaryInfo::compute`] from what a build has already made:
     /// `graph`, the directed closure graph, the fragmentation's
     /// membership table and every fragment's own graph (`locals`, by
-    /// fragment id) — and the [`Hub`] the tables were gathered from.
+    /// fragment id).
     pub(crate) fn compute_with(
         graph: &CsrGraph,
         frag: &Fragmentation,
         membership: &Membership,
         locals: &[Arc<LocalGraph>],
         scope: ComplementaryScope,
-    ) -> (Self, Hub) {
+    ) -> Self {
         let (layout, mut scratch) = (Layout::new(frag, membership, scope), ScratchDijkstra::new());
         let t0 = Instant::now();
-        let mut comp = ComplementaryInfo::swept(graph, locals, layout, &mut scratch);
+        let (local, skeleton) = sweep_skeleton(graph, locals, &layout, &mut scratch);
         let t1 = Instant::now();
-        let hub = Hub::close(&comp.skeleton);
+        let hub = Hub::close(&skeleton);
         let t2 = Instant::now();
-        comp.gather(&hub);
+        let mut comp = ComplementaryInfo::gathered(layout, local, skeleton, hub);
         comp.stats = PrecomputeStats {
             strategy: PrecomputeStrategy::Skeleton,
             local_sweeps_ns: (t1 - t0).as_nanos() as u64,
@@ -550,81 +530,67 @@ impl ComplementaryInfo {
             assemble_ns: t2.elapsed().as_nanos() as u64,
             sources_closed: comp.border_count(),
         };
-        (comp, hub)
+        comp
     }
 
-    /// Write every in-scope pair of every table from `hub`, the closure
-    /// of the skeleton.
-    fn gather(&mut self, hub: &Hub) {
-        for (table, at) in self.tables.iter_mut().zip(&self.layout.at) {
-            let (table, nb) = (Arc::make_mut(table), at.len());
-            for (i, &s) in at.iter().enumerate() {
-                let row = hub.row(s);
-                for (j, &t) in at.iter().enumerate() {
-                    let slot = i * nb + j;
-                    if j != i && table.covers(slot) {
-                        table.costs[slot] = row[t];
-                    }
-                }
-            }
-        }
-    }
-
-    /// No tuple yet, every fragment swept and the skeleton assembled: the
-    /// connections between two borders and every fragment's local-sweep
-    /// edges, the cheapest per ordered pair.
-    fn swept(
-        graph: &CsrGraph,
-        locals: &[Arc<LocalGraph>],
+    /// The information over the kept `local` sweeps and `skeleton`, whose
+    /// closure is `hub`: every table gathered from the hub.
+    fn gathered(
         layout: Layout,
-        scratch: &mut ScratchDijkstra,
+        local: Vec<Arc<LocalSweeps>>,
+        skeleton: CsrGraph,
+        hub: Hub,
     ) -> Self {
-        let borders = &layout.borders;
-        let local: Vec<Arc<LocalSweeps>> = (locals.iter().zip(&layout.at))
-            .map(|(g, ids)| Arc::new(local_sweeps_for_fragment(g, ids, borders, scratch)))
-            .collect();
-        let mut edges = Vec::new();
-        for (s, &b) in borders.iter().enumerate() {
-            for (x, cost) in graph.neighbors(b).filter(|&(x, _)| x != b) {
-                if let Ok(t) = borders.binary_search(&x) {
-                    edges.push(Edge::new(
-                        NodeId::from_index(s),
-                        NodeId::from_index(t),
-                        cost,
-                    ));
-                }
-            }
-        }
-        for e in local.iter().flat_map(|l| &l.edges) {
-            edges.push(Edge::new(NodeId(e.src), NodeId(e.dst), e.cost));
-        }
-        // The fragments' edges come in sorted runs, which a merge sort
-        // takes in one pass each.
-        edges.sort();
-        edges.dedup_by_key(|e| (e.src, e.dst));
-        ComplementaryInfo {
+        let mut comp = ComplementaryInfo {
             tables: (layout.groups.iter())
                 .map(|groups| Arc::new(BorderTable::for_groups(groups)))
                 .collect(),
             local,
-            skeleton: Arc::new(CsrGraph::from_edges(borders.len(), &edges)),
-            transpose: None,
+            skeleton: Arc::new(skeleton),
+            hub: Arc::new(hub),
             layout: Arc::new(layout),
             stats: PrecomputeStats::default(),
-        }
+        };
+        comp.regather(&vec![true; comp.border_count()]);
+        comp
     }
 
-    /// The skeleton a sweep for distances *from* a node runs on
-    /// (`backward` false), or its transpose, for distances *to* one —
-    /// made on first use. A symmetric network's skeleton is its own
-    /// transpose: its callers never ask for the transpose.
-    pub(crate) fn skeleton_for(&mut self, backward: bool) -> &CsrGraph {
-        if !backward {
-            return &self.skeleton;
+    /// Write the hub rows `rows` marks (by skeleton id) into every table
+    /// holding them, in-scope entries only, comparing first: a table whose
+    /// entries come out as they were keeps its `Arc`, since
+    /// `Arc::make_mut` detaches only one that changes. Returns per-site
+    /// counts of the entries that changed, and whether a stored tuple was
+    /// dropped: an entry went from finite to [`INFINITE_COST`].
+    fn regather(&mut self, rows: &[bool]) -> (Vec<usize>, bool) {
+        let (hub, mut dropped) = (&self.hub, false);
+        let mut changed = vec![0usize; self.tables.len()];
+        for ((table, at), count) in self
+            .tables
+            .iter_mut()
+            .zip(&self.layout.at)
+            .zip(&mut changed)
+        {
+            let (nb, mut writes) = (at.len(), Vec::new());
+            for (i, &s) in at.iter().enumerate().filter(|&(_, &s)| rows[s]) {
+                let (row, kept) = (hub.row(s), table.row(i));
+                // The diagonal is 0 in both.
+                for (j, (&t, &kept)) in at.iter().zip(kept).enumerate() {
+                    if kept != row[t] && table.covers(i * nb + j) {
+                        writes.push((i * nb + j, row[t]));
+                    }
+                }
+            }
+            if writes.is_empty() {
+                continue;
+            }
+            *count = writes.len();
+            let table = Arc::make_mut(table);
+            for (slot, cost) in writes {
+                dropped |= cost == INFINITE_COST;
+                table.costs[slot] = cost;
+            }
         }
-        let skeleton = &self.skeleton;
-        self.transpose
-            .get_or_insert_with(|| Arc::new(skeleton.reversed()))
+        (changed, dropped)
     }
 
     /// The cost fragment `f`'s interior realizes from skeleton node `s` to
@@ -640,8 +606,8 @@ impl ComplementaryInfo {
     /// skeleton pair its sweeps realized before or realize now, and every
     /// pair in `crossing` (skeleton ids of an edited connection between
     /// two borders) — the cheapest of the pair's connections in `graph`
-    /// and of every fragment's local-sweep edges. The skeleton (and its
-    /// transpose, if made) is edited only where a pair's cost changed.
+    /// and of every fragment's local-sweep edges. The skeleton is edited
+    /// only where a pair's cost changed.
     pub(crate) fn patch(
         &mut self,
         graph: &CsrGraph,
@@ -677,21 +643,16 @@ impl ComplementaryInfo {
             return;
         }
         self.skeleton = Arc::new(self.skeleton.edited(&add, &remove));
-        if let Some(transpose) = self.transpose.as_mut() {
-            let back = |edges: &[Edge]| edges.iter().map(Edge::reversed).collect::<Vec<_>>();
-            *transpose = Arc::new(transpose.edited(&back(&add), &back(&remove)));
-        }
     }
 
     /// A deletion's re-close over the patched skeleton: the affected
     /// pairs' distances ([`ComplementaryInfo::close_pairs`]) are written
-    /// into their entries at every site holding them — every other pair
-    /// kept its shortest path and keeps its cost. A site whose table
-    /// comes out as it was keeps its `Arc`. Returns per-site counts of
-    /// the entries that changed, and whether a stored tuple was dropped
-    /// (its pair became unreachable). Closing nothing leaves the stats
-    /// alone; otherwise they are this re-close's, `patch_ns` the
-    /// skeleton patch before it.
+    /// into the hub — every other pair kept its shortest path and keeps
+    /// its cost — and the tables holding a changed row are re-gathered.
+    /// Returns per-site counts of the table entries that changed, and
+    /// whether a stored tuple was dropped (its pair became unreachable).
+    /// Closing nothing leaves the stats alone; otherwise they are this
+    /// re-close's, `patch_ns` the skeleton patch before it.
     pub(crate) fn reclose(
         &mut self,
         affected: &Affected,
@@ -699,36 +660,27 @@ impl ComplementaryInfo {
         patch_ns: u64,
         scratch: &mut ScratchDijkstra,
     ) -> (Vec<usize>, bool) {
-        let mut changed = vec![0usize; self.tables.len()];
         if affected.is_empty() {
-            return (changed, false);
+            return (vec![0; self.tables.len()], false);
         }
         let t1 = Instant::now();
-        let closed = self.close_pairs(affected, symmetric, scratch);
+        let (closed, roots) = self.close_pairs(affected, symmetric, scratch);
         let skeleton_close_ns = t1.elapsed().as_nanos() as u64;
-
         let t2 = Instant::now();
-        let layout = Arc::clone(&self.layout);
-        let mut dropped = false;
-        for row in closed.pairs.chunk_by(|a, b| a.0 == b.0) {
-            let new = |t| {
-                let k = row.binary_search_by_key(&t, |c| c.1.index());
-                k.ok().map(|k| row[k].2)
-            };
-            dropped |= write_row(&mut self.tables, &layout, row[0].0, new, &mut changed);
-        }
+        let out = self.rewrite(closed);
         self.stats = PrecomputeStats {
             strategy: PrecomputeStrategy::Skeleton,
             local_sweeps_ns: patch_ns,
             skeleton_close_ns,
             assemble_ns: t2.elapsed().as_nanos() as u64,
-            sources_closed: closed.roots.len(),
+            sources_closed: roots,
         };
-        (changed, dropped)
+        out
     }
 
-    /// The current distances of `pairs` (grouped by source): from each
-    /// source one skeleton sweep, stopped once its partners settle. On a
+    /// The current distances of `pairs` (grouped by source), as hub
+    /// writes (slot, cost): from each source one skeleton sweep, stopped
+    /// once its partners settle — and the number of sweeps. On a
     /// `symmetric` network every pair comes with its reverse, of the same
     /// distance, so the sweeps run from a cover of the pairs instead (see
     /// `cover`).
@@ -737,27 +689,44 @@ impl ComplementaryInfo {
         pairs: &Affected,
         symmetric: bool,
         scratch: &mut ScratchDijkstra,
-    ) -> Closed {
+    ) -> (Vec<(usize, Cost)>, usize) {
+        let nb = self.border_count();
         let roots = if symmetric {
-            cover(pairs, self.border_count())
+            cover(pairs, nb)
         } else {
             pairs.clone()
         };
-        let mut closed = Closed {
-            pairs: Vec::new(),
-            roots,
-        };
-        for (r, partners) in &closed.roots {
+        let mut closed = Vec::new();
+        for (r, partners) in &roots {
             scratch.sweep_to_targets(&self.skeleton, &[(NodeId::from_index(*r), 0)], partners);
-            for (&t, cost) in partners.iter().zip(costs_at(scratch, partners)) {
-                closed.pairs.push((*r, t, cost));
+            for &t in partners {
+                let (t, cost) = (t.index(), scratch.cost(t).unwrap_or(INFINITE_COST));
+                closed.push((r * nb + t, cost));
                 if symmetric {
-                    closed.pairs.push((t.index(), NodeId::from_index(*r), cost));
+                    closed.push((t * nb + r, cost));
                 }
             }
         }
-        closed.pairs.sort_unstable();
-        closed
+        (closed, roots.len())
+    }
+
+    /// Write `writes` (hub slot, cost) into the hub, the cheapest per
+    /// slot, detaching it only when an entry changes, and re-gather the
+    /// tables holding a changed row (see `regather`).
+    fn rewrite(&mut self, mut writes: Vec<(usize, Cost)>) -> (Vec<usize>, bool) {
+        let nb = self.border_count();
+        writes.sort_unstable();
+        writes.dedup_by_key(|&mut (slot, _)| slot);
+        writes.retain(|&(slot, cost)| self.hub.costs()[slot] != cost);
+        let mut rows = vec![false; nb];
+        if !writes.is_empty() {
+            let hub = Arc::make_mut(&mut self.hub).costs_mut();
+            for (slot, cost) in writes {
+                hub[slot] = cost;
+                rows[slot / nb] = true;
+            }
+        }
+        self.regather(&rows)
     }
 
     /// The reference precompute: one whole-graph Dijkstra per border
@@ -771,9 +740,8 @@ impl ComplementaryInfo {
     ) -> Self {
         let (graph, locals) = (frag.closure_graph(symmetric), local_graphs(frag, symmetric));
         let layout = Layout::new(frag, &Membership::new(frag), scope);
-        let mut scratch = ScratchDijkstra::new();
-        let mut comp = ComplementaryInfo::swept(&graph, &locals, layout, &mut scratch);
-        let layout = Arc::clone(&comp.layout);
+        let (local, skeleton) =
+            sweep_skeleton(&graph, &locals, &layout, &mut ScratchDijkstra::new());
         let border_list = &layout.borders;
 
         // One global Dijkstra per border node, reused across all sets the
@@ -789,8 +757,8 @@ impl ComplementaryInfo {
         let dist = (dist_from.iter())
             .flat_map(|from| border_list.iter().map(|&b| from.cost(b)))
             .map(|cost| cost.unwrap_or(INFINITE_COST));
-        let nb = border_list.len();
-        comp.gather(&Hub::from_rows(nb, dist.collect()));
+        let hub = Hub::from_rows(border_list.len(), dist.collect());
+        let mut comp = ComplementaryInfo::gathered(layout, local, skeleton, hub);
         let assemble_ns = t2.elapsed().as_nanos() as u64;
         comp.stats = PrecomputeStats {
             strategy: PrecomputeStrategy::GlobalSweep,
@@ -834,13 +802,12 @@ impl ComplementaryInfo {
     }
 
     /// A deep copy that shares nothing with `self`: every per-site table,
-    /// every fragment's kept sweeps and the skeleton get a fresh
+    /// every fragment's kept sweeps, the skeleton and the hub get a fresh
     /// allocation. This is what a full per-epoch snapshot copy
     /// used to cost before structural sharing — kept as the baseline of
     /// the publication-cost bench, and useful to detach a snapshot from a
     /// shared lineage entirely.
     pub fn unshared_clone(&self) -> Self {
-        let deep = |g: &Arc<CsrGraph>| Arc::new((**g).clone());
         ComplementaryInfo {
             tables: self
                 .tables
@@ -850,8 +817,8 @@ impl ComplementaryInfo {
             local: (self.local.iter())
                 .map(|l| Arc::new((**l).clone()))
                 .collect(),
-            skeleton: deep(&self.skeleton),
-            transpose: self.transpose.as_ref().map(deep),
+            skeleton: Arc::new((*self.skeleton).clone()),
+            hub: Arc::new((*self.hub).clone()),
             layout: Arc::new((*self.layout).clone()),
             stats: self.stats,
         }
@@ -867,6 +834,14 @@ impl ComplementaryInfo {
     /// predecessor's left every border distance alone.
     pub fn skeleton(&self) -> &Arc<CsrGraph> {
         &self.skeleton
+    }
+
+    /// The [`Hub`]: every global border-to-border distance, which every
+    /// table entry is gathered from. A write leaves the handle
+    /// `Arc::ptr_eq` with its predecessor's exactly when it changed no
+    /// entry.
+    pub fn hub(&self) -> &Arc<Hub> {
+        &self.hub
     }
 
     /// Every border node, ascending: skeleton id `i` is `borders()[i]`.
@@ -897,13 +872,12 @@ impl ComplementaryInfo {
         self.tables.iter().map(|t| t.memory_bytes()).sum()
     }
 
-    /// Heap bytes held: the tables, the kept skeleton (and its transpose)
-    /// plus every fragment's kept local sweeps (their skeleton edges).
+    /// Heap bytes held but the hub's (counted apart, as
+    /// `SnapshotBytes::hub`): the tables, the kept skeleton plus every
+    /// fragment's kept local sweeps (their skeleton edges).
     pub fn memory_bytes(&self) -> usize {
         let swept = self.local.iter().map(|l| l.memory_bytes());
-        let skeleton =
-            self.skeleton.memory_bytes() + self.transpose.as_ref().map_or(0, |t| t.memory_bytes());
-        self.table_bytes() + skeleton + swept.sum::<usize>()
+        self.table_bytes() + self.skeleton.memory_bytes() + swept.sum::<usize>()
     }
 
     /// Per-phase timing of the precompute that built these tables, or of
@@ -913,70 +887,64 @@ impl ComplementaryInfo {
         self.stats
     }
 
-    /// Insert maintenance: lower every in-scope entry `(a, b)` of every
-    /// table — a missing tuple counting as infinite — to
-    /// `min(cost, to[a] + c + from[b])` over the inserted `entries`, so a
-    /// pair the new connection joins for the first time gets its tuple at
-    /// every site holding both borders. One dense row loop per site and
-    /// entry visits only the rows whose border reaches `u`: an insert
-    /// whose endpoints reach no border reads no table row.
+    /// Insert maintenance: lower every hub entry `(a, b)` to
+    /// `min(H[a][b], to[a] + c + from[b])` over the inserted `entries`,
+    /// and re-gather the tables holding a lowered row, so a pair the new
+    /// connection joins for the first time gets its tuple at every site
+    /// holding both borders. Only the rows the entry can lower are read
+    /// (see `candidate_rows`): an insert whose endpoints reach no border,
+    /// or that shortens no border's way to `v`, reads none.
     ///
-    /// Returns per-site counts of the entries lowered — a site with none
-    /// keeps its shared table: `Arc::make_mut` detaches only the tables
-    /// this writes.
-    pub(crate) fn lower_through(&mut self, entries: &[Through<'_>]) -> Vec<usize> {
-        let mut changed = vec![0usize; self.tables.len()];
-        let (mut cols, mut lowered) = (Vec::new(), Vec::new());
-        for (site, at) in self.layout.at.iter().enumerate() {
-            let (table, nb) = (&self.tables[site], at.len());
-            lowered.clear();
-            for e in entries {
-                for (i, row) in rows_through(table, at, e, &mut cols) {
-                    let through = e.to[at[i]] + e.cost;
-                    for (j, (&kept, &from)) in row.iter().zip(&cols).enumerate() {
-                        let (slot, cand) = (i * nb + j, through + from);
-                        if cand < kept && j != i && table.covers(slot) {
-                            lowered.push((slot, cand));
-                        }
+    /// Returns per-site counts of the table entries lowered — a site with
+    /// none keeps its shared table, and an insert that lowers no hub
+    /// entry keeps the shared hub.
+    pub(crate) fn lower(&mut self, entries: &[Through<'_>]) -> Vec<usize> {
+        let (nb, mut lowered) = (self.border_count(), Vec::new());
+        for e in entries {
+            for (a, row, through) in self.candidate_rows(e) {
+                for (b, (&kept, &from)) in row.iter().zip(e.from).enumerate() {
+                    if through + from < kept {
+                        lowered.push((a * nb + b, through + from));
                     }
                 }
             }
-            if lowered.is_empty() {
-                continue;
-            }
-            // Both directions of a symmetric insert can lower one entry:
-            // the cheaper wins.
-            lowered.sort_unstable();
-            lowered.dedup_by_key(|&mut (slot, _)| slot);
-            changed[site] = lowered.len();
-            let table = Arc::make_mut(&mut self.tables[site]);
-            for &(slot, cost) in &lowered {
-                table.costs[slot] = cost;
-            }
         }
-        changed
+        self.rewrite(lowered).0
     }
 
-    /// Deletion detection, the repair rule over the pre-deletion tables:
-    /// the stored tuples `(a, b)` that one of the removed `entries` could
-    /// carry — `to[a] + c + from[b] == cost` — grouped by source. The
-    /// row loop of [`ComplementaryInfo::lower_through`]: rows whose
-    /// border does not reach `u` are never read.
-    pub(crate) fn pairs_through(&self, entries: &[Through<'_>]) -> Affected {
-        let (mut pairs, mut cols) = (Vec::new(), Vec::new());
-        for (table, at) in self.tables.iter().zip(&self.layout.at) {
-            for e in entries {
-                for (i, row) in rows_through(table, at, e, &mut cols) {
-                    let through = e.to[at[i]] + e.cost;
-                    let carried =
-                        (row.iter().zip(&cols).enumerate()).filter(|&(j, (&kept, &from))| {
-                            through + from == kept && j != i && kept < INFINITE_COST
-                        });
-                    pairs.extend(carried.map(|(j, _)| (at[i], at[j])));
+    /// Deletion detection, the repair rule over the pre-deletion hub:
+    /// the pairs `(a, b)`, `a != b`, that one of the removed `entries`
+    /// could carry — `to[a] + c + from[b] == H[a][b]`, finite — grouped
+    /// by source.
+    pub(crate) fn affected(&self, entries: &[Through<'_>]) -> Affected {
+        let mut carried = Vec::new();
+        for e in entries {
+            for (a, row, through) in self.candidate_rows(e) {
+                for (b, (&kept, &from)) in row.iter().zip(e.from).enumerate() {
+                    if through + from == kept && kept < INFINITE_COST && b != a {
+                        carried.push((a, b));
+                    }
                 }
             }
         }
-        group(pairs)
+        group(carried)
+    }
+
+    /// The hub rows `a` the entry `e` can lower or carry a pair of, each
+    /// with `a` and `to[a] + c`, its cost to `v` through `e`. Its border
+    /// must reach `u`; and a path through `e` to any border leaves `v` by
+    /// an entry border `s`, its prefix to `s` a path through `e` too, so
+    /// a row whose `to[a] + c + cost(v, s)` exceeds `H[a][s]` for every
+    /// such `s` has no pair the entry lowers or carries.
+    fn candidate_rows<'s>(
+        &'s self,
+        e: &'s Through<'_>,
+    ) -> impl Iterator<Item = (usize, &'s [Cost], Cost)> + 's {
+        let reach = (e.to.iter().enumerate()).filter(|&(_, &to)| to < INFINITE_COST);
+        let rows = reach.map(|(a, &to)| (a, self.hub.row(a), to + e.cost));
+        rows.filter(|&(_, row, through)| {
+            (e.enter.iter()).any(|&(s, leave)| through + leave <= row[s])
+        })
     }
 }
 
@@ -1014,14 +982,6 @@ fn cover(affected: &Affected, nb: usize) -> Affected {
         }
     }
     roots
-}
-
-/// The costs the latest sweep on `scratch` reached `targets` at
-/// ([`INFINITE_COST`] where it did not).
-fn costs_at(scratch: &ScratchDijkstra, targets: &[NodeId]) -> Vec<Cost> {
-    (targets.iter())
-        .map(|&t| scratch.cost(t).unwrap_or(INFINITE_COST))
-        .collect()
 }
 
 /// Every fragment's own graph, by fragment id.

@@ -107,12 +107,6 @@ pub struct EngineSnapshot {
     /// across epochs like every other component: a kept index costs one
     /// refcount bump per publication.
     reach: OnceLock<Arc<ReachIndex>>,
-    /// The closure of the kept border skeleton ([`Hub`]), what
-    /// [`EngineSnapshot::materialize`] folds every source through: made
-    /// by the build, kept by a write that leaves the skeleton `Arc` as it
-    /// was, dropped by any other and closed again by the next
-    /// materialization.
-    hub: OnceLock<Arc<Hub>>,
     /// The hub folded into the exit sets ([`BorderRows`]), what a
     /// materialized source reads: each row filled by the first
     /// materialization of the epoch that needs it, shared by the clones
@@ -181,8 +175,7 @@ pub struct SnapshotBytes {
     /// The planner's membership table and chain table, the chain sets filled
     /// so far included ([`Planner::memory_bytes`]).
     pub planner: usize,
-    /// The hub: made by the build, and after a write that dropped it by
-    /// the next materialization.
+    /// The hub ([`ComplementaryInfo::hub`]): B² costs.
     pub hub: usize,
     /// The materializer's border rows filled so far.
     pub border_rows: usize,
@@ -224,8 +217,7 @@ impl EngineSnapshot {
         let graph = frag.closure_graph(symmetric);
         let membership = Membership::new(&frag);
         let locals = local_graphs(&frag, symmetric);
-        let (comp, hub) =
-            ComplementaryInfo::compute_with(&graph, &frag, &membership, &locals, cfg.scope);
+        let comp = ComplementaryInfo::compute_with(&graph, &frag, &membership, &locals, cfg.scope);
         let (chains, chain_len) = (cfg.max_chains, cfg.max_chain_len);
         let planner = Arc::new(Planner::new(membership, chains, chain_len, cfg.hub));
         let mut scratch = ScratchDijkstra::new();
@@ -242,15 +234,14 @@ impl EngineSnapshot {
             sites,
             planner,
             reach: OnceLock::new(),
-            hub: OnceLock::from(Arc::new(hub)),
             border_rows,
         }
     }
 
     /// A deep copy that shares **nothing** with `self`: every component —
     /// global graph, fragmentation, planner, every site and its
-    /// complementary table, a built reachability index, the
-    /// materializer's hub and border rows — gets a fresh
+    /// complementary table and the hub, a built reachability index, the
+    /// materializer's border rows — gets a fresh
     /// allocation (a site and the
     /// copy's [`ComplementaryInfo`] share the copied table, as they do
     /// here). The copy's planner starts with an empty chain table, so no
@@ -266,12 +257,9 @@ impl EngineSnapshot {
         let sites = (self.sites.iter().enumerate())
             .map(|(f, s)| Arc::new(s.unshared_clone(Arc::clone(comp.table(f)))))
             .collect();
-        let (reach, hub) = (OnceLock::new(), OnceLock::new());
+        let reach = OnceLock::new();
         if let Some(r) = self.reach.get() {
             let _ = reach.set(Arc::new((**r).clone()));
-        }
-        if let Some(h) = self.hub.get() {
-            let _ = hub.set(Arc::new((**h).clone()));
         }
         EngineSnapshot {
             graph: Arc::new((*self.graph).clone()),
@@ -282,7 +270,6 @@ impl EngineSnapshot {
             sites,
             planner: Arc::new(self.planner.unshared_clone()),
             reach,
-            hub,
             border_rows: Arc::new((*self.border_rows).clone()),
         }
     }
@@ -361,7 +348,7 @@ impl EngineSnapshot {
             complementary: self.comp.memory_bytes(),
             reach_index: self.reach.get().map_or(0, |r| r.memory_bytes()),
             planner: self.planner.memory_bytes(),
-            hub: self.hub.get().map_or(0, |h| h.memory_bytes()),
+            hub: self.comp.hub().memory_bytes(),
             border_rows: self.border_rows.memory_bytes(),
             ..SnapshotBytes::default()
         };
@@ -421,17 +408,12 @@ impl EngineSnapshot {
         }
     }
 
-    /// The shared handle behind the hub, unless a write dropped it and no
-    /// materialization has closed it since (a kept hub stays
-    /// `Arc::ptr_eq` across epochs).
-    pub fn hub_handle(&self) -> Option<&Arc<Hub>> {
-        self.hub.get()
-    }
-
-    /// Fill the empty hub slot; `false` when a concurrent caller filled
-    /// it first (with the same hub: it is a function of the skeleton).
-    pub(crate) fn set_hub(&self, hub: Arc<Hub>) -> bool {
-        self.hub.set(hub).is_ok()
+    /// The shared handle behind the hub ([`ComplementaryInfo::hub`]),
+    /// which every epoch holds: made by the build and kept exact by every
+    /// write, it stays `Arc::ptr_eq` across a write that changed none of
+    /// its entries.
+    pub fn hub_handle(&self) -> &Arc<Hub> {
+        self.comp.hub()
     }
 
     /// The materializer's border rows: the ones a materialization of
@@ -448,8 +430,8 @@ impl EngineSnapshot {
     /// row, in blocks of node ids whose rows are written once, in place,
     /// into the returned relation. The first call of an epoch fills the
     /// sites' exit sets and then the border rows its sources read, on its
-    /// own workers, and closes the hub if a write dropped it; a later
-    /// call folds nothing the epoch already holds. The result is
+    /// own workers, folding the hub the epoch holds — it closes nothing;
+    /// a later call folds nothing the epoch already holds. The result is
     /// tuple-identical to [`ds_relation::tc::seminaive_closure`] over the
     /// fragments' union.
     ///
@@ -735,7 +717,6 @@ impl EngineSnapshot {
         update: &NetworkUpdate,
         scratch: &mut ScratchDijkstra,
     ) -> Result<CowMaintenance, ClosureError> {
-        let skeleton = Arc::clone(self.comp.skeleton());
         let m = crate::updates::maintain(
             &mut self.graph,
             &mut self.frag,
@@ -758,11 +739,6 @@ impl EngineSnapshot {
         });
         if !keep {
             self.reach = OnceLock::new();
-        }
-        // The hub is the skeleton's closure: it holds while the skeleton
-        // does.
-        if !Arc::ptr_eq(&skeleton, self.comp.skeleton()) {
-            self.hub = OnceLock::new();
         }
         // Nothing at all after a no-op removal.
         let sites: std::collections::BTreeSet<FragmentId> =
@@ -1364,7 +1340,7 @@ pub(crate) mod tests {
         let mut walked = snap.graph().memory_bytes()
             + snap.reach_index().memory_bytes()
             + snap.planner().memory_bytes()
-            + snap.hub_handle().expect("made by the build").memory_bytes();
+            + snap.hub_handle().memory_bytes();
         let mut border_index = 0;
         for f in 0..snap.site_count() {
             let (site, table) = (snap.site_handle(f), snap.complementary().table(f));

@@ -8,41 +8,46 @@
 //! This module makes that treatment concrete — and *incremental* for both
 //! insertions and deletions:
 //!
+//! Both rules act on one structure, the hub `H`
+//! ([`crate::ComplementaryInfo::hub`]): every global border-to-border
+//! distance, which every site's table is gathered from.
+//!
 //! * **Insertions** add a connection, which can only *decrease* global
 //!   distances, and any improved shortest path uses the new edge; so the
-//!   distances between its endpoints and the border nodes — the only
-//!   ones the tables are compared against — refresh every entry of every
-//!   site's table: `dist'(a,b) = min(dist(a,b), dist(a,u) + c + dist(v,b))`,
-//!   "no tuple" counting as infinite — so a border pair the new
+//!   distances between its endpoints and the border nodes refresh every
+//!   hub entry: `H'[a][b] = min(H[a][b], dist(a,u) + c + dist(v,b))`,
+//!   "no path" counting as infinite — so a border pair the new
 //!   connection joins for the first time (a disconnecting deletion had
 //!   dropped its tuple, or a one-way network never had one) gets its
 //!   tuple at every site holding both borders.
 //! * **Deletions** can increase distances, which per-pair minima cannot
-//!   repair locally — but only for shortcuts whose shortest path *used*
-//!   the deleted edge. The **deletion repair rule**: a shortcut `(a, b)`
-//!   is affected by removing `u -> v` with cost `c` iff, over the
-//!   pre-deletion distances, `dist(a,u) + c + dist(v,b) == dist(a,b)`
-//!   (any shortest path through the edge achieves exactly that sum, and
-//!   the stored cost *is* `dist(a,b)`). The engine detects the affected
-//!   pairs from the same endpoint-to-border distances.
+//!   repair locally — but only for pairs whose shortest path *used* the
+//!   deleted edge. The **deletion repair rule**: a hub pair `(a, b)` is
+//!   affected by removing `u -> v` with cost `c` iff, over the
+//!   pre-deletion distances, `dist(a,u) + c + dist(v,b) == H[a][b]` (any
+//!   shortest path through the edge achieves exactly that sum). The
+//!   engine detects the affected pairs from the same endpoint-to-border
+//!   distances.
 //!
-//! Those distances come from the kept border skeleton
-//! ([`crate::complementary`]), one sweep per endpoint on the caller's
-//! scratch: a border endpoint seeds the skeleton sweep itself; any other
-//! endpoint first sweeps its *cell* — the nodes it reaches without
-//! entering a border, all inside its fragment — on its site's own graph,
-//! blocked at the borders, and seeds the skeleton sweep with the borders
-//! of its cell at their cell distances. On a symmetric network the
-//! skeleton is its own transpose, so an edit's endpoints cost one such
-//! sweep each; a one-way network sweeps `dist(·, u)` on the skeleton's
-//! transpose and the cell on its site's transpose (a cell's in-edges are
-//! its fragment's too). The distances are the *pre-edit* ones: an insert
+//! Those distances are read off the pre-edit hub, with no skeleton
+//! sweep: a border endpoint's are its hub row (`dist(v, ·)`) or column
+//! (`dist(·, u)`); any other endpoint first sweeps its *cell* — the
+//! nodes it reaches without entering a border, all inside its fragment —
+//! on its site's own graph, blocked at the borders, and takes the
+//! cheapest of its cell's borders, each at its cell distance plus that
+//! border's row or column. On a symmetric network the hub and the sites
+//! are their own transposes, so an edit's endpoints cost one cell sweep
+//! each, a border none; a one-way network sweeps `dist(·, u)`'s cell on
+//! its site's transpose (a cell's in-edges are its fragment's too) and
+//! reads hub columns. The distances are the *pre-edit* ones: an insert
 //! lowers through them (a shortest path uses a new entry at most once),
-//! and a deletion compares against them. Both rules scan the tables row
-//! by row, skipping every row whose border does not reach `u`: an edit
-//! whose endpoints reach no border reads no table row. The closure graph
-//! itself is edited — the update's entries added or dropped — not
-//! re-derived from the fragments.
+//! and a deletion compares against them. Both rules scan only the hub
+//! rows whose border reaches `u`: an edit whose endpoints reach no
+//! border reads no row. Then every table holding a changed hub row is
+//! gathered again, comparing entries, and the per-site counts of the
+//! report are the entries that changed. The closure graph itself is
+//! edited — the update's entries added or dropped — not re-derived from
+//! the fragments.
 //!
 //! Then the kept skeleton is patched: a crossing edit (both endpoints
 //! borders) re-derives one skeleton edge; any other edit re-sweeps its
@@ -52,19 +57,20 @@
 //! edit whose cell touches no border re-sweeps nothing.
 //!
 //! There is one deletion repair, whatever edge is deleted: the endpoint
-//! distances on the pre-deletion skeleton, the repair rule — which names
-//! the affected *pairs* — the skeleton patch, then
-//! `ComplementaryInfo::reclose`: one skeleton sweep per affected source
-//! (on a symmetric network, per root of a cover of the pairs), stopped
-//! once its affected partners settle, rewriting those pairs only. A
-//! deletion that affects no pair sweeps nothing more.
+//! distances off the pre-deletion hub, the repair rule — which names the
+//! affected hub *pairs* — the skeleton patch, then
+//! `ComplementaryInfo::reclose`: one sweep of the patched skeleton per
+//! affected source (on a symmetric network, per root of a cover of the
+//! pairs), stopped once its affected partners settle, writing those
+//! pairs into the hub. A deletion that affects no pair sweeps nothing
+//! more.
 //! [`UpdateReport::fallback_reason`] only labels the edge:
 //!
 //! * [`FallbackReason::DisconnectionSetCrossing`] — the deleted edge
 //!   joins two border nodes (it lies *in* a disconnection-set crossing);
 //! * [`FallbackReason::Disconnected`] — otherwise, when the deletion made
 //!   a previously reachable border pair unreachable (e.g. a bridge edge):
-//!   the re-closed pairs dropped its tuple.
+//!   a stored table entry went from finite to infinite.
 //!
 //! The labels, and [`UpdateReport::full_recompute`] beside them, stay
 //! because the frozen end-to-end benchmark picks its write streams by
@@ -269,10 +275,10 @@ impl Maintenance {
 
 /// The maintenance path: apply the structural edit
 /// ([`crate::api::apply_edit`]), edit the closure graph by the entries
-/// the update added or dropped, then keep `comp` exact — an insert by
-/// lowering entries through the new edge, a delete by re-closing the
-/// skeleton from the sources the repair rule names — and patch its kept
-/// skeleton. `sites` are the pre-update sites, whose graphs hold the
+/// the update added or dropped, then keep `comp`'s hub exact — an insert
+/// by lowering entries through the new edge, a delete by re-closing the
+/// pairs the repair rule names over the patched skeleton — and its tables
+/// gathered from it. `sites` are the pre-update sites, whose graphs hold the
 /// endpoints' cells. The caller passes its retained state, including a
 /// persistent `scratch` that every sweep of the update runs on.
 ///
@@ -420,20 +426,24 @@ fn skeleton_edits(
 }
 
 /// One endpoint's distances to or from every border node, by skeleton id
-/// (`INFINITE_COST` = unreachable), copied out of one skeleton sweep on
-/// the caller's scratch — the repair rule compares table entries against
-/// these and nothing else.
+/// (`INFINITE_COST` = unreachable), read off the pre-edit hub — the
+/// repair rule compares hub entries against these and nothing else.
 struct Reach {
-    /// The skeleton sweep's seeds: a border endpoint itself at 0, or the
-    /// borders of the endpoint's cell at their cell distances.
+    /// The borders the endpoint enters or leaves the skeleton by: a
+    /// border endpoint itself at 0, or the borders of its cell at their
+    /// cell distances.
     seeds: Vec<(usize, Cost)>,
     costs: Vec<Cost>,
 }
 
 impl Reach {
-    /// The distances from `x` — or, `backward`, to it — at every border.
-    fn sweep(
-        comp: &mut ComplementaryInfo,
+    /// The distances from `x` — or, `backward`, to it — at every border:
+    /// `dist(x, t) = min over seeds (b, c) of c + H[b][t]`, and
+    /// `dist(t, x) = min of H[t][b] + c`. A border's are its hub row or
+    /// column; any other endpoint first sweeps its cell on `site`'s graph
+    /// (its transpose, `backward` on a one-way network) on `scratch`.
+    fn read(
+        comp: &ComplementaryInfo,
         site: &Site,
         x: NodeId,
         backward: bool,
@@ -445,25 +455,27 @@ impl Reach {
                 .map(|(b, cost)| (comp.skeleton_id(b).expect("a border"), cost))
                 .collect(),
         };
+        let hub = comp.hub();
         let mut costs = vec![INFINITE_COST; comp.border_count()];
-        if !seeds.is_empty() {
-            let starts: Vec<(NodeId, Cost)> = (seeds.iter())
-                .map(|&(s, cost)| (NodeId::from_index(s), cost))
-                .collect();
-            scratch.sweep(comp.skeleton_for(backward), &starts);
-            for (s, cost) in costs.iter_mut().enumerate() {
-                *cost = scratch.cost(NodeId::from_index(s)).unwrap_or(INFINITE_COST);
+        for &(b, c) in &seeds {
+            for (t, cost) in costs.iter_mut().enumerate() {
+                let h = if backward {
+                    hub.row(t)[b]
+                } else {
+                    hub.row(b)[t]
+                };
+                *cost = (*cost).min(c + h);
             }
         }
         Reach { seeds, costs }
     }
 }
 
-/// The sweeps one update's repair rule reads: for each directed entry
+/// The distances one update's repair rule reads: for each directed entry
 /// `u -> v` it adds or drops, `dist(·, u)` and `dist(v, ·)` at every
-/// border. A symmetric network's skeleton and sites are their own
-/// transposes, so one sweep per distinct endpoint serves both
-/// directions; a one-way network sweeps `to` on the transposes.
+/// border. A symmetric network's hub and sites are their own transposes,
+/// so one read per distinct endpoint serves both directions; a one-way
+/// network reads `to` off the hub's columns and the sites' transposes.
 struct Endpoints {
     from: Vec<(NodeId, Reach)>,
     /// Empty on a symmetric network: `from` serves.
@@ -472,32 +484,29 @@ struct Endpoints {
 
 impl Endpoints {
     fn run(
-        comp: &mut ComplementaryInfo,
+        comp: &ComplementaryInfo,
         site: &Site,
         symmetric: bool,
         entries: &[Edge],
         scratch: &mut ScratchDijkstra,
     ) -> Self {
-        let mut sweep_each = |mut nodes: Vec<NodeId>, backward: bool| {
+        let mut read_each = |mut nodes: Vec<NodeId>, backward: bool| {
             nodes.sort_unstable();
             nodes.dedup();
             (nodes.into_iter())
-                .map(|x| {
-                    let reach = Reach::sweep(comp, site, x, backward, scratch);
-                    (x, reach)
-                })
+                .map(|x| (x, Reach::read(comp, site, x, backward, scratch)))
                 .collect()
         };
         let (sources, targets) = entries.iter().map(|e| (e.src, e.dst)).unzip();
         if symmetric {
             Endpoints {
-                from: sweep_each([sources, targets].concat(), false),
+                from: read_each([sources, targets].concat(), false),
                 to: Vec::new(),
             }
         } else {
             Endpoints {
-                from: sweep_each(targets, false),
-                to: sweep_each(sources, true),
+                from: read_each(targets, false),
+                to: read_each(sources, true),
             }
         }
     }
@@ -530,23 +539,24 @@ impl Endpoints {
             to: &to.costs,
             cost,
             from: &from.costs,
+            enter: &from.seeds,
         })
     }
 }
 
-/// Lower every table entry `(a, b)` — a missing tuple counting as
-/// infinite — to `min(cost, dist(a, u) + c + dist(v, b))` over the
-/// inserted entries `u -> v` of cost `c`: exact because improved paths
-/// must use a new edge. Returns the per-site counts.
+/// Lower every hub entry `(a, b)` — no path counting as infinite — to
+/// `min(cost, dist(a, u) + c + dist(v, b))` over the inserted entries
+/// `u -> v` of cost `c`: exact because improved paths must use a new
+/// edge, and once. Returns the per-site counts of table entries lowered.
 fn improve(comp: &mut ComplementaryInfo, ends: &Endpoints, added: &[Edge]) -> Vec<usize> {
     let entries: Vec<Through> = (added.iter())
         .filter_map(|e| ends.through(e.src, e.cost, e.dst))
         .collect();
-    comp.lower_through(&entries)
+    comp.lower(&entries)
 }
 
-/// The stored pairs whose shortest routes could have used a removed
-/// entry (the deletion repair rule, evaluated on pre-deletion distances),
+/// The border pairs whose shortest routes could have used a removed
+/// entry (the deletion repair rule, evaluated on the pre-deletion hub),
 /// grouped by source.
 fn affected_pairs(comp: &ComplementaryInfo, ends: &Endpoints, removed: &[Edge]) -> Affected {
     // Parallel entries of equal cost need one test, not two.
@@ -555,7 +565,7 @@ fn affected_pairs(comp: &ComplementaryInfo, ends: &Endpoints, removed: &[Edge]) 
     let entries: Vec<Through> = (distinct.into_iter())
         .filter_map(|(u, v, cost)| ends.through(u, cost, v))
         .collect();
-    comp.pairs_through(&entries)
+    comp.affected(&entries)
 }
 
 /// Tuples stored at `sites`: what shipping their tables would carry.

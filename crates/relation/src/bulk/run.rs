@@ -110,11 +110,6 @@ pub struct MaterializeStats {
     /// before), and the border-free rows and access sets of sources no
     /// earlier call or query of the epoch left behind.
     pub fragment_sweeps: usize,
-    /// Whether this call closed the epoch's hub: only when a write that
-    /// changed the border skeleton dropped the one the build made.
-    pub hub_built: bool,
-    /// Wall time of the hub's close (0 when the epoch held the hub).
-    pub hub_time: Duration,
     /// Border rows this call filled — the hub row of a border folded
     /// into every node's exit set, kept by the epoch: the borders in the
     /// requested sources' access sets and the border sources that no
@@ -182,18 +177,16 @@ impl MaterializeStats {
 }
 
 impl fmt::Display for MaterializeStats {
-    /// One-line summary, e.g. `4 fragments / 2 threads: 1 rounds, hub
-    /// kept (0.00 ms), 17 border rows, 0 + 58 sweeps, 3021 exchanged
-    /// (412 kept local), balance 1.03, tasks [22, 21]; 1 iters, ...`.
+    /// One-line summary, e.g. `4 fragments / 2 threads: 1 rounds, 17
+    /// border rows, 0 + 58 sweeps, 3021 exchanged (412 kept local),
+    /// balance 1.03, tasks [22, 21]; 1 iters, ...`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let hub = if self.hub_built { "closed" } else { "kept" };
         write!(
             f,
-            "{} fragments / {} threads: {} rounds, hub {hub} ({:.2} ms), {} border rows, {} + {} sweeps, {} exchanged ({} kept local), balance {:.2}, tasks {:?}; {}",
+            "{} fragments / {} threads: {} rounds, {} border rows, {} + {} sweeps, {} exchanged ({} kept local), balance {:.2}, tasks {:?}; {}",
             self.fragments,
             self.threads,
             self.rounds,
-            self.hub_time.as_secs_f64() * 1e3,
             self.border_rows,
             self.network_sweeps,
             self.fragment_sweeps,

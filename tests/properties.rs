@@ -594,16 +594,25 @@ fn arb_crossing_update(
 /// borders — connections three fragments hold, twins another fragment
 /// owns — beside interior edits and edits in a component whose cells
 /// touch no border. After every update the kept skeleton equals the one
-/// a rebuild derives (the cheapest entry per ordered border pair), every
-/// table equals the rebuild's, and sampled routes are real paths of the
-/// Dijkstra cost. An edit between two borders re-sweeps no fragment, and
-/// neither does one whose cells touch no border: every fragment's kept
-/// local sweeps stay the `Arc` the previous epoch holds.
+/// a rebuild derives (the cheapest entry per ordered border pair), the
+/// hub equals the rebuild's entry for entry, every table is that hub
+/// restricted to its in-scope pairs and equals the rebuild's, and
+/// sampled routes are real paths of the Dijkstra cost. An edit between
+/// two borders re-sweeps no fragment, and neither does one whose cells
+/// touch no border: every fragment's kept local sweeps stay the `Arc`
+/// the previous epoch holds. One network runs again under the paper's
+/// scope, whose tables leave the cross-set pairs out.
 #[test]
 fn crossing_edit_streams_keep_the_skeleton_a_rebuild_derives() {
+    use discset::closure::ComplementaryScope;
     let mut scratch = ScratchDijkstra::new();
     let (mut crossing, mut third, mut twins, mut apart_edits) = (0, 0, 0, 0);
-    let mut networks = vec![(crossing_fixture(), vec![NodeId(27), NodeId(28), NodeId(29)])];
+    let scope = ComplementaryScope::PerFragmentBorder;
+    let mut networks = vec![(
+        crossing_fixture(),
+        vec![NodeId(27), NodeId(28), NodeId(29)],
+        scope,
+    )];
     for seed in 0..3u64 {
         let g = update_network(seed);
         let config = LinearConfig {
@@ -611,11 +620,20 @@ fn crossing_edit_streams_keep_the_skeleton_a_rebuild_derives() {
             ..Default::default()
         };
         let frag = linear_sweep(&g.edge_list(), &config).unwrap().fragmentation;
-        networks.push((frag, Vec::new()));
+        networks.push((frag, Vec::new(), scope));
     }
-    for (case, (frag, apart)) in networks.iter().enumerate() {
+    let paper = (
+        networks[1].0.clone(),
+        Vec::new(),
+        ComplementaryScope::PerDisconnectionSet,
+    );
+    networks.push(paper);
+    for (case, (frag, apart, scope)) in networks.iter().enumerate() {
         for symmetric in [true, false] {
-            let cfg = EngineConfig::default();
+            let cfg = EngineConfig {
+                scope: *scope,
+                ..EngineConfig::default()
+            };
             let mut engine = EngineSnapshot::build(frag.clone(), symmetric, cfg.clone());
             let mut rng = StdRng::seed_from_u64(0xC2055 ^ case as u64);
             for step in 0..120 {
@@ -661,6 +679,8 @@ fn crossing_edit_streams_keep_the_skeleton_a_rebuild_derives() {
                     fresh.skeleton_edges(),
                     "{label}: skeleton"
                 );
+                assert_eq!(engine.hub_handle(), rebuilt.hub_handle(), "{label}: hub");
+                assert_tables_gather_the_hub(&engine, &label);
                 for f in 0..frag.fragment_count() {
                     assert_eq!(now.table(f), fresh.table(f), "{label}: site {f}'s table");
                 }
@@ -686,6 +706,40 @@ fn crossing_edit_streams_keep_the_skeleton_a_rebuild_derives() {
         "{crossing} crossing edits, {third} held by three fragments, {twins} twins, \
          {apart_edits} apart from every border"
     );
+}
+
+/// Every entry of every table of `engine` is its hub's entry for the
+/// pair where the scope stores one — every pair under
+/// `PerFragmentBorder`, under `PerDisconnectionSet` a pair another
+/// fragment holds both borders of — and no tuple elsewhere.
+fn assert_tables_gather_the_hub(engine: &EngineSnapshot, label: &str) {
+    use discset::closure::ComplementaryScope;
+    use discset::graph::INFINITE_COST;
+    let frag = engine.fragmentation();
+    let holders = |v: NodeId| frag.fragments_of_node(v);
+    let borders: Vec<NodeId> = (0..frag.node_count())
+        .map(|v| NodeId(v as u32))
+        .filter(|&v| holders(v).len() >= 2)
+        .collect();
+    let id = |v: &NodeId| borders.binary_search(v).expect("a border");
+    let hub = engine.hub_handle();
+    let every_pair = engine.config().scope == ComplementaryScope::PerFragmentBorder;
+    for f in 0..frag.fragment_count() {
+        let table = engine.complementary().table(f);
+        for (i, u) in table.borders().iter().enumerate() {
+            for (j, v) in table.borders().iter().enumerate().filter(|&(j, _)| j != i) {
+                let shared = holders(*u)
+                    .iter()
+                    .any(|&g| g != f && holders(*v).contains(&g));
+                let want = if every_pair || shared {
+                    hub.row(id(u))[id(v)]
+                } else {
+                    INFINITE_COST
+                };
+                assert_eq!(table.row(i)[j], want, "{label}: site {f}'s {u} -> {v}");
+            }
+        }
+    }
 }
 
 /// The hops of `nodes` are edges of `csr`, and their cheapest costs add
@@ -1171,7 +1225,7 @@ fn the_build_hub_equals_one_sweep_per_border() {
     fn assert_hub(frag: &Fragmentation, symmetric: bool, label: &str) -> (usize, usize) {
         let snap = EngineSnapshot::build(frag.clone(), symmetric, EngineConfig::default());
         let skeleton = snap.complementary().skeleton();
-        let hub = snap.hub_handle().expect("made by the build");
+        let hub = snap.hub_handle();
         let nb = snap.complementary().border_count();
         assert_eq!(
             (hub.border_count(), skeleton.node_count()),
@@ -1993,7 +2047,7 @@ fn all_closure_strategies_materialize_the_same_relation() {
                     let counters = |s: &MaterializeStats| {
                         let t = &s.tc;
                         let folds = (s.exchanged_tuples, s.kept_local, t.tuples_generated);
-                        (folds, s.fragment_sweeps, s.hub_built, s.border_rows)
+                        (folds, s.fragment_sweeps, s.border_rows)
                     };
                     let mut counted = Vec::new();
                     for threads in [1usize, 2, 3] {
@@ -2016,10 +2070,8 @@ fn all_closure_strategies_materialize_the_same_relation() {
                         }
                         // The same call again reads what the epoch holds.
                         let (_, again) = warm.materialize(&config).unwrap();
-                        let swept = (again.hub_built, again.fragment_sweeps);
-                        assert_eq!(swept, (false, 0), "{label}: {again}");
+                        assert_eq!(again.fragment_sweeps, 0, "{label}: {again}");
                         assert_eq!(again.border_rows, 0, "{label}: {again}");
-                        assert!(again.rounds == 0 || warm.hub_handle().is_some());
                         counted.push(counters(&again));
                     }
                     // The build made the hub: B² costs, no slack.

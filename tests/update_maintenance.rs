@@ -659,13 +659,12 @@ fn batch_stats_amortization_exact_counts() {
 /// The epoch's materialization follows every write, on a symmetric and
 /// a one-way network: the column grid plus a pendant node 27 behind
 /// node 8, through interior, crossing and disconnecting writes and their
-/// undoing. A fresh epoch holds the hub the build made. After each write
-/// the relation equals semi-naive closure of the edited relation, and the
-/// hub is carried exactly when the write left the kept skeleton's `Arc`
-/// alone — otherwise the write empties the slot and the next
-/// materialization refills it — equal either way to a fresh build's.
+/// undoing. Every epoch holds the hub. After each write the relation
+/// equals semi-naive closure of the edited relation, the hub equals a
+/// fresh build's, and it is the previous epoch's `Arc` exactly when the
+/// write changed none of its entries.
 #[test]
-fn materialize_follows_every_write_and_keeps_the_hub_only_with_the_skeleton() {
+fn materialize_follows_every_write_and_every_epoch_holds_the_exact_hub() {
     use discset::closure::{EngineConfig, EngineSnapshot};
     use discset::relation::bulk::FragmentPartition;
     use discset::relation::tc::seminaive_closure;
@@ -702,26 +701,28 @@ fn materialize_follows_every_write_and_keeps_the_hub_only_with_the_skeleton() {
         fragments[2].push(Edge::new(n(8), n(27), 3));
         let frag = Fragmentation::new(28, fragments, vec![vec![]; 3]);
         let mut snap = EngineSnapshot::build(frag, symmetric, EngineConfig::default());
-        assert!(snap.hub_handle().is_some(), "a fresh epoch holds the hub");
         let mut scratch = discset::graph::ScratchDijkstra::new();
         let full = MaterializeConfig::with_threads(2);
-        let (mut kept, mut dropped) = (0, 0);
+        let (mut kept, mut changed) = (0, 0);
         for (i, write) in writes.iter().enumerate() {
             let label = format!("symmetric={symmetric} write {i} {write:?}");
             snap.materialize(&full).unwrap();
-            let hub = Arc::clone(snap.hub_handle().expect("made by the build or materialize"));
-            let skeleton = Arc::clone(snap.complementary().skeleton());
+            let hub = Arc::clone(snap.hub_handle());
             assert!(snap.border_rows().filled() > 0, "{label}");
             let cow = snap.maintain_cow(write, &mut scratch).unwrap();
-            let same = Arc::ptr_eq(&skeleton, snap.complementary().skeleton());
-            match snap.hub_handle() {
-                Some(now) => assert!(same && Arc::ptr_eq(now, &hub), "{label}"),
-                None => assert!(!same, "{label}: dropped with the skeleton intact"),
-            }
+            let now = Arc::clone(snap.hub_handle());
+            let fresh = EngineSnapshot::build(
+                snap.fragmentation().clone(),
+                symmetric,
+                EngineConfig::default(),
+            );
+            assert_eq!(now, *fresh.hub_handle(), "{label}");
+            let same = *hub == *now;
+            assert_eq!(Arc::ptr_eq(&hub, &now), same, "{label}");
             if same {
                 kept += 1;
             } else {
-                dropped += 1;
+                changed += 1;
             }
             // The border rows fold every site's exit sets: a write that
             // replaced a site empties them, and the next call refills.
@@ -730,13 +731,7 @@ fn materialize_follows_every_write_and_keeps_the_hub_only_with_the_skeleton() {
             assert_eq!(snap.border_rows().filled(), 0, "{label}");
             assert_eq!(snap.memory_bytes().border_rows, 0, "{label}");
             let (bulk, stats) = snap.materialize(&full).unwrap();
-            assert_eq!(stats.hub_built, !same, "{label}");
-            let fresh = EngineSnapshot::build(
-                snap.fragmentation().clone(),
-                symmetric,
-                EngineConfig::default(),
-            );
-            assert_eq!(snap.hub_handle(), fresh.hub_handle(), "{label}");
+            assert!(Arc::ptr_eq(&now, snap.hub_handle()), "{label}: closed");
             assert!(stats.border_rows > 0, "{label}: {stats}");
             assert_eq!(stats.border_rows, snap.border_rows().filled(), "{label}");
             let union = FragmentPartition::new(snap.fragmentation(), symmetric).union_relation();
@@ -744,8 +739,8 @@ fn materialize_follows_every_write_and_keeps_the_hub_only_with_the_skeleton() {
             assert_eq!(bulk.rows(), want.rows(), "{label}");
         }
         assert!(
-            kept > 0 && dropped > 0,
-            "symmetric={symmetric}: {kept} kept, {dropped} dropped"
+            kept > 0 && changed > 0,
+            "symmetric={symmetric}: {kept} kept, {changed} changed"
         );
     }
 }
