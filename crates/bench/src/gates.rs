@@ -23,6 +23,17 @@ pub fn exact_count(what: &str, expected: u64, counted: u64) -> Result<(), String
     }
 }
 
+/// `what` must have counted at most `ceiling`.
+pub fn at_most(what: &str, ceiling: u64, counted: u64) -> Result<(), String> {
+    if counted <= ceiling {
+        Ok(())
+    } else {
+        Err(format!(
+            "{what}: counted {counted}, at most {ceiling} allowed"
+        ))
+    }
+}
+
 /// Every acknowledged write was logged exactly once, and group commit
 /// folded at least two records into one fsync somewhere in the run.
 pub fn group_commit(
@@ -114,6 +125,15 @@ mod tests {
             let want = format!("reach/dijkstra/sweeps: counted {doctored}, expected exactly 64");
             assert_eq!(failure, Err(want));
         }
+    }
+
+    #[test]
+    fn at_most_holds_the_ceiling_and_fails_one_over() {
+        assert_eq!(at_most("bytes-general-hub", 85_264, 85_264), Ok(()));
+        assert_eq!(at_most("write-crossing-gather-compares", 30, 0), Ok(()));
+        let failure = at_most("bytes-general-hub", 85_264, 85_265);
+        let want = "bytes-general-hub: counted 85265, at most 85264 allowed";
+        assert_eq!(failure, Err(want.to_string()));
     }
 
     #[test]

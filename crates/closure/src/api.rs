@@ -49,6 +49,7 @@ use ds_graph::{Cost, Edge, NodeId, INFINITE_COST};
 use ds_obs::{ChainEval, EvalTrace, TraceId};
 
 use crate::assemble::{self, FoldBuffers};
+use crate::bulk::max_edge_cost;
 use crate::complementary::PrecomputeStats;
 use crate::engine::{QueryAnswer, QueryStats, Route};
 use crate::error::ClosureError;
@@ -242,11 +243,13 @@ pub fn apply_edit(
     }
 }
 
-/// What [`apply_edit`] refuses: an owner that does not exist, or an
-/// insert with an endpoint outside the owner (growing a fragment's node
-/// set would move the disconnection sets — a re-fragmentation, not an
-/// update). Separate so `crate::updates::maintain` can refuse an update
-/// *before* it detaches a shared fragmentation (`Arc::make_mut`).
+/// What [`apply_edit`] refuses: an owner that does not exist, an insert
+/// with an endpoint outside the owner (growing a fragment's node set
+/// would move the disconnection sets — a re-fragmentation, not an
+/// update), or an insert whose cost is over
+/// [`crate::bulk::max_edge_cost`] of the network's node count. Separate
+/// so `crate::updates::maintain` can refuse an update *before* it
+/// detaches a shared fragmentation (`Arc::make_mut`).
 pub(crate) fn validate(frag: &Fragmentation, update: &NetworkUpdate) -> Result<(), ClosureError> {
     match *update {
         NetworkUpdate::Insert { edge, owner } => {
@@ -257,6 +260,11 @@ pub(crate) fn validate(frag: &Fragmentation, update: &NetworkUpdate) -> Result<(
                 if !frag.fragment(owner).contains_node(v) {
                     return Err(ClosureError::NodeNotInAnyFragment(v));
                 }
+            }
+            let limit = max_edge_cost(frag.node_count());
+            if edge.cost > limit {
+                let cost = edge.cost;
+                return Err(ClosureError::EdgeCostOverLimit { cost, limit });
             }
         }
         NetworkUpdate::Remove { src, owner, .. } => {

@@ -10,12 +10,14 @@
 //!    epoch holds it exact ([`crate::ComplementaryInfo::hub`]).
 //! 2. **Border rows**, only the ones the sources read and the epoch
 //!    lacks, in blocks of skeleton ids: each folds its hub row into
-//!    every node's exit set, gathered once for the list. A call publishes
-//!    them when the whole list ran.
+//!    every node's exit set, gathered once for the list, on 32-bit words
+//!    (see [`super`]). A call publishes them when the whole list ran.
 //! 3. **Sources**, in blocks of node ids, each at its home site: its
-//!    access set folded with the border rows (a border copies its own),
-//!    the source's own fragment through its border-free row, and the
-//!    closed walk `(s, s)` through the edges into `s`. A block writes its
+//!    access set folded with the border rows (a border copies its own)
+//!    into a row of words, the source's own fragment through its
+//!    border-free row, and the closed walk `(s, s)` through the edges
+//!    into `s`, which may cost more than a word holds and stays a
+//!    [`Cost`]; the row widens once, into its tuples. A block writes its
 //!    rows in `(src, dst)` order into its own slice of the one output
 //!    vector (`node_count` slots per source); after the join one move per
 //!    block closes the gaps.
@@ -33,6 +35,7 @@ use ds_graph::{Cost, NodeId, ScratchDijkstra, INFINITE_COST};
 use ds_relation::bulk::{MaterializeConfig, MaterializeError, MaterializeStats};
 use ds_relation::{PathTuple, Relation};
 
+use super::{narrow, widen, Word, WORD_INF};
 use crate::snapshot::EngineSnapshot;
 
 /// Sources (or border rows) per task: small enough that the
@@ -57,7 +60,7 @@ enum Prepared<'a> {
     /// The rows of `ids`, each folded over `entries` exit entries.
     BorderRows {
         ids: &'a [usize],
-        rows: Vec<Box<[Cost]>>,
+        rows: Vec<Box<[Word]>>,
         entries: usize,
     },
 }
@@ -76,8 +79,9 @@ struct Rows {
 /// What a source worker owns for the length of the call.
 struct Worker {
     dijkstra: ScratchDijkstra,
-    /// The row being built, by global node id.
-    acc: Vec<Cost>,
+    /// The row being built, by global node id: at or above the word's
+    /// infinity where no path was found.
+    acc: Vec<Word>,
     /// A border-free row swept for a fragment that keeps none.
     free: Vec<Cost>,
 }
@@ -88,7 +92,7 @@ struct Worker {
 struct Exits {
     /// `entries[at[v]..at[v + 1]]` is node `v`'s set.
     at: Vec<usize>,
-    entries: Vec<(u32, Cost)>,
+    entries: Vec<(u32, Word)>,
 }
 
 /// See [`EngineSnapshot::materialize`].
@@ -125,7 +129,7 @@ pub(crate) fn materialize(
             tasks,
             || Worker {
                 dijkstra: ScratchDijkstra::new(),
-                acc: vec![INFINITE_COST; n],
+                acc: vec![WORD_INF; n],
                 free: Vec::new(),
             },
             |(sources, out), worker, at| source_rows(snap, config, sources, out, worker, at),
@@ -248,10 +252,10 @@ fn prepare(
                 if first && config.fault_fires(*at) {
                     return None;
                 }
-                let h = hub.row(b);
+                let h = hub.words(b);
                 let row = exits.at.windows(2).map(|w| {
                     let set = &exits.entries[w[0]..w[1]];
-                    (set.iter()).fold(INFINITE_COST, |best, &(b, leave)| {
+                    (set.iter()).fold(WORD_INF, |best, &(b, leave)| {
                         best.min(h[b as usize] + leave)
                     })
                 });
@@ -320,7 +324,7 @@ fn gather_exits(snap: &EngineSnapshot) -> Exits {
                 let local = site.local_id(v).expect("a node of its fragment");
                 let set = site.exit_set(local).expect("filled");
                 let ids = comp.skeleton_ids(f);
-                let set = set.iter().map(|&(b, cost)| (ids[b as usize] as u32, cost));
+                let set = (set.iter()).map(|&(b, cost)| (ids[b as usize] as u32, narrow(cost)));
                 exits.entries.extend(set);
             }
             _ => {
@@ -353,7 +357,7 @@ fn source_rows(
         free,
     } = worker;
     let n = acc.len();
-    let row_of = |b: usize| kept.row(b).expect("filled by the second list");
+    let row_of = |b: usize| kept.words(b).expect("filled by the second list");
     let swept = dijkstra.stats().sweeps;
     let mut done = Rows::default();
     for (i, &s) in sources.iter().enumerate() {
@@ -375,14 +379,14 @@ fn source_rows(
             let ids = comp.skeleton_ids(*at);
             let mut folded = access
                 .iter()
-                .map(|&(b, reach)| (row_of(ids[b as usize]), reach));
+                .map(|&(b, reach)| (row_of(ids[b as usize]), narrow(reach)));
             match folded.next() {
                 Some((row, reach)) => {
                     for (best, &cost) in acc.iter_mut().zip(row) {
                         *best = reach + cost;
                     }
                 }
-                None => acc.fill(INFINITE_COST),
+                None => acc.fill(WORD_INF),
             }
             for (row, reach) in folded {
                 for (best, &cost) in acc.iter_mut().zip(row) {
@@ -398,8 +402,8 @@ fn source_rows(
             let row = site.border_free_row_of(local, dijkstra, free);
             for (&d, &cost) in site.nodes().iter().zip(row) {
                 let best = &mut acc[d.index()];
-                if cost <= *best && cost < INFINITE_COST {
-                    *best = cost;
+                if cost <= Cost::from(*best) && cost < INFINITE_COST {
+                    *best = narrow(cost);
                     done.kept_local += usize::from(d != s);
                 }
             }
@@ -407,27 +411,42 @@ fn source_rows(
         }
 
         // Paths have length ≥ 1: `(s, s)` is the cheapest closed walk,
-        // over the edges into `s` (`acc[s]` is 0 here).
+        // over the edges into `s` (`acc[s]` is 0 here). A cycle may have
+        // n edges, one more than a distance: it is summed as a `Cost`.
         let mut cycle = INFINITE_COST;
         for &f in planner.fragments_of(s) {
             let site = snap.site_handle(f);
             let at = site.local_id(s).expect("a node of its fragment");
             for (x, cost) in site.in_edges(at) {
-                cycle = cycle.min(acc[x.index()] + cost);
+                cycle = cycle.min(widen(acc[x.index()]) + cost);
             }
         }
-        acc[s.index()] = cycle;
 
-        let row = (acc.iter().enumerate())
-            .filter(|&(_, &cost)| cost < INFINITE_COST)
-            .map(|(d, &cost)| PathTuple::new(s, NodeId::from_index(d), cost));
-        for (slot, tuple) in out[done.rows..].iter_mut().zip(row) {
-            *slot = tuple;
+        let (before, after) = (&acc[..s.index()], &acc[s.index() + 1..]);
+        done.rows += tuples(&mut out[done.rows..], s, 0, before);
+        if cycle < INFINITE_COST {
+            out[done.rows] = PathTuple::new(s, s, cycle);
             done.rows += 1;
         }
+        done.rows += tuples(&mut out[done.rows..], s, s.index() + 1, after);
     }
     done.sweeps = (dijkstra.stats().sweeps - swept) as usize;
     Some(done)
+}
+
+/// Write the finite entries of `words` — the row of `s` from node id
+/// `first` on — as tuples from the start of `out`, widened, and return
+/// how many.
+fn tuples(out: &mut [PathTuple], s: NodeId, first: usize, words: &[Word]) -> usize {
+    let row = (words.iter().enumerate())
+        .filter(|&(_, &word)| word < WORD_INF)
+        .map(|(d, &word)| PathTuple::new(s, NodeId::from_index(first + d), Cost::from(word)));
+    let mut written = 0;
+    for (slot, tuple) in out.iter_mut().zip(row) {
+        *slot = tuple;
+        written += 1;
+    }
+    written
 }
 
 /// Run one flat task list on up to `threads` scoped workers, each with
@@ -650,15 +669,11 @@ mod tests {
         let snap = snapshot(&path_split(), true);
         let hub = Arc::clone(snap.hub_handle());
         assert_eq!(hub.border_count(), 1);
-        assert_eq!(
-            snap.memory_bytes().hub,
-            size_of::<Cost>(),
-            "B² costs, no slack"
-        );
+        assert_eq!(snap.memory_bytes().hub, 4, "B² 32-bit words, no slack");
         let (cold, stats) = snap.materialize(&MaterializeConfig::default()).unwrap();
         assert!(Arc::ptr_eq(&hub, snap.hub_handle()));
         assert_eq!((stats.border_rows, snap.border_rows().filled()), (1, 1));
-        assert_eq!(snap.memory_bytes().border_rows, 5 * size_of::<Cost>());
+        assert_eq!(snap.memory_bytes().border_rows, 5 * 4, "n words");
         for config in [MaterializeConfig::with_threads(2), with_sources(&[3, 2])] {
             let (warm, stats) = snap.materialize(&config).unwrap();
             assert_eq!(stats.border_rows, 0, "{stats}");
@@ -685,6 +700,7 @@ mod tests {
             assert_eq!(stats.border_rows, 2);
             for (b, &border) in snap.complementary().borders().iter().enumerate() {
                 let row = snap.border_rows().row(b).expect("a source's own row");
+                let row: Vec<Cost> = row.collect();
                 assert_eq!(row[border.index()], 0);
                 for (d, &cost) in row.iter().enumerate().filter(|&(d, _)| d != border.index()) {
                     let expected = closure.cost_of(border, n(d as u32));
@@ -874,7 +890,7 @@ mod tests {
         assert!(Arc::ptr_eq(&kept, snap.hub_handle()), "{stats}");
         let fresh = snapshot(snap.fragmentation(), true);
         assert_eq!(snap.hub_handle(), fresh.hub_handle());
-        assert_eq!(snap.hub_handle().row(0), [0, 1]);
+        assert_eq!(snap.hub_handle().row(0).collect::<Vec<_>>(), [0, 1]);
     }
 
     /// A worker panic mid-task must come back as a typed error with

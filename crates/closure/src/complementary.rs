@@ -85,10 +85,12 @@
 //! new entry shortens; a deletion names the hub pairs the deleted entry
 //! could carry and re-closes them by sweeps of the patched skeleton on
 //! the caller's [`ScratchDijkstra`] — from each affected source, stopped
-//! once its *affected* partners settle. Then every table holding a
-//! changed hub row is gathered again. A table whose entries come out as
-//! they were keeps its `Arc`, and a write that changes no hub entry
-//! keeps the shared hub.
+//! once its *affected* partners settle. The rule compares its candidates
+//! in [`Cost`] against the hub's widened words and narrows what it
+//! writes (see [`crate::bulk`]). Then every changed hub entry `(s, t)`
+//! is written into the tables that hold both borders in scope, and no
+//! other table entry is read. A table none of them reaches keeps its
+//! `Arc`, and a write that changes no hub entry keeps the shared hub.
 //!
 //! Two scopes are provided:
 //! * [`ComplementaryScope::PerDisconnectionSet`] — exactly the paper's
@@ -121,7 +123,7 @@ use std::time::Instant;
 use ds_fragment::{FragmentId, Fragmentation, Membership};
 use ds_graph::{dijkstra, Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
 
-use crate::bulk::Hub;
+use crate::bulk::{assert_admitted, narrow, widen, Hub, Word};
 use crate::local::LocalGraph;
 
 /// Which border pairs get a precomputed shortcut.
@@ -229,6 +231,9 @@ struct Layout {
     /// Per site, the skeleton id of each border of its table, in table
     /// order.
     at: Vec<Vec<usize>>,
+    /// Per skeleton id, the sites whose table holds the border, each with
+    /// the border's position in it, by site.
+    holders: Vec<Vec<(FragmentId, usize)>>,
 }
 
 impl Layout {
@@ -240,11 +245,18 @@ impl Layout {
                     .map(|v| position(&borders, v))
                     .collect()
             })
-            .collect();
+            .collect::<Vec<Vec<usize>>>();
+        let mut holders = vec![Vec::new(); borders.len()];
+        for (f, ids) in at.iter().enumerate() {
+            for (i, &s) in ids.iter().enumerate() {
+                holders[s].push((f, i));
+            }
+        }
         Layout {
             borders,
             groups,
             at,
+            holders,
         }
     }
 }
@@ -253,8 +265,9 @@ impl Layout {
 /// fragment's border nodes — as the fragmentation defines them, so a lone
 /// border has a 1x1 table and a fragment without borders an empty one —
 /// and the global shortest distances between them as a dense matrix.
-/// [`ComplementaryInfo`] gathers it from the [`Hub`], again after every
-/// write that changes a hub row it holds, and the site
+/// [`ComplementaryInfo`] gathers it from the [`Hub`], widened to
+/// [`Cost`]s, and writes it again wherever a write changes a hub entry it
+/// holds; the site
 /// ([`crate::local::Site`]) evaluates its subqueries from the very same
 /// allocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -496,11 +509,41 @@ pub(crate) struct Through<'a> {
 /// (skeleton ids, ascending) — the pairs a deletion affects.
 pub(crate) type Affected = Vec<(usize, Vec<NodeId>)>;
 
+/// What one write wrote into the tables.
+#[derive(Clone, Debug)]
+pub(crate) struct Gathered {
+    /// Per site, the table entries that changed.
+    pub(crate) per_site: Vec<usize>,
+    /// Whether a stored tuple was dropped: an entry went from finite to
+    /// [`INFINITE_COST`].
+    pub(crate) dropped: bool,
+    /// Table entries compared with a changed hub entry: its copies at
+    /// the sites holding both of its borders in scope.
+    pub(crate) compared: usize,
+}
+
+impl Gathered {
+    fn none(sites: usize) -> Self {
+        Gathered {
+            per_site: vec![0; sites],
+            dropped: false,
+            compared: 0,
+        }
+    }
+}
+
 impl ComplementaryInfo {
     /// Precompute the complementary information for a fragmentation
     /// (`symmetric`: each tuple stands for both travel directions) with
     /// the skeleton-overlay strategy (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// If an edge costs more than [`crate::bulk::max_edge_cost`] of the
+    /// fragmentation's node count: the hub's words could not hold every
+    /// distance.
     pub fn compute(frag: &Fragmentation, symmetric: bool, scope: ComplementaryScope) -> Self {
+        assert_admitted(frag);
         let (graph, locals) = (frag.closure_graph(symmetric), local_graphs(frag, symmetric));
         ComplementaryInfo::compute_with(&graph, frag, &Membership::new(frag), &locals, scope)
     }
@@ -534,7 +577,8 @@ impl ComplementaryInfo {
     }
 
     /// The information over the kept `local` sweeps and `skeleton`, whose
-    /// closure is `hub`: every table gathered from the hub.
+    /// closure is `hub`: every in-scope entry of every table gathered from
+    /// the hub.
     fn gathered(
         layout: Layout,
         local: Vec<Arc<LocalSweeps>>,
@@ -551,46 +595,49 @@ impl ComplementaryInfo {
             layout: Arc::new(layout),
             stats: PrecomputeStats::default(),
         };
-        comp.regather(&vec![true; comp.border_count()]);
-        comp
-    }
-
-    /// Write the hub rows `rows` marks (by skeleton id) into every table
-    /// holding them, in-scope entries only, comparing first: a table whose
-    /// entries come out as they were keeps its `Arc`, since
-    /// `Arc::make_mut` detaches only one that changes. Returns per-site
-    /// counts of the entries that changed, and whether a stored tuple was
-    /// dropped: an entry went from finite to [`INFINITE_COST`].
-    fn regather(&mut self, rows: &[bool]) -> (Vec<usize>, bool) {
-        let (hub, mut dropped) = (&self.hub, false);
-        let mut changed = vec![0usize; self.tables.len()];
-        for ((table, at), count) in self
-            .tables
-            .iter_mut()
-            .zip(&self.layout.at)
-            .zip(&mut changed)
-        {
-            let (nb, mut writes) = (at.len(), Vec::new());
-            for (i, &s) in at.iter().enumerate().filter(|&(_, &s)| rows[s]) {
-                let (row, kept) = (hub.row(s), table.row(i));
-                // The diagonal is 0 in both.
-                for (j, (&t, &kept)) in at.iter().zip(kept).enumerate() {
-                    if kept != row[t] && table.covers(i * nb + j) {
-                        writes.push((i * nb + j, row[t]));
+        let hub = &comp.hub;
+        for (table, at) in comp.tables.iter_mut().zip(&comp.layout.at) {
+            let (table, nb) = (Arc::make_mut(table), at.len());
+            for (i, &s) in at.iter().enumerate() {
+                let row = hub.words(s);
+                for (j, &t) in at.iter().enumerate() {
+                    if table.covers(i * nb + j) {
+                        table.costs[i * nb + j] = widen(row[t]);
                     }
                 }
             }
-            if writes.is_empty() {
-                continue;
-            }
-            *count = writes.len();
-            let table = Arc::make_mut(table);
-            for (slot, cost) in writes {
-                dropped |= cost == INFINITE_COST;
-                table.costs[slot] = cost;
+        }
+        comp
+    }
+
+    /// Write the changed hub entries `changed` (slot, cost) into the
+    /// tables that hold both of the slot's borders in scope, comparing
+    /// first; no other table entry is read. A table none of them reaches
+    /// keeps its `Arc`, since `Arc::make_mut` detaches only one that
+    /// changes.
+    fn regather(&mut self, changed: &[(usize, Cost)]) -> Gathered {
+        let (nb, holders) = (self.border_count(), &self.layout.holders);
+        let mut out = Gathered::none(self.tables.len());
+        for &(slot, cost) in changed {
+            let (s, t) = (slot / nb, slot % nb);
+            for &(f, i) in &holders[s] {
+                let Some(&(_, j)) = holders[t].iter().find(|&&(g, _)| g == f) else {
+                    continue;
+                };
+                let table = &mut self.tables[f];
+                let entry = i * table.borders.len() + j;
+                if !table.covers(entry) {
+                    continue;
+                }
+                out.compared += 1;
+                if table.costs[entry] != cost {
+                    Arc::make_mut(table).costs[entry] = cost;
+                    out.per_site[f] += 1;
+                    out.dropped |= cost == INFINITE_COST;
+                }
             }
         }
-        (changed, dropped)
+        out
     }
 
     /// The cost fragment `f`'s interior realizes from skeleton node `s` to
@@ -648,20 +695,20 @@ impl ComplementaryInfo {
     /// A deletion's re-close over the patched skeleton: the affected
     /// pairs' distances ([`ComplementaryInfo::close_pairs`]) are written
     /// into the hub — every other pair kept its shortest path and keeps
-    /// its cost — and the tables holding a changed row are re-gathered.
-    /// Returns per-site counts of the table entries that changed, and
-    /// whether a stored tuple was dropped (its pair became unreachable).
-    /// Closing nothing leaves the stats alone; otherwise they are this
-    /// re-close's, `patch_ns` the skeleton patch before it.
+    /// its cost — and the changed entries into the tables holding them.
+    /// Returns what the tables took, a dropped tuple meaning its pair
+    /// became unreachable. Closing nothing leaves the stats alone;
+    /// otherwise they are this re-close's, `patch_ns` the skeleton patch
+    /// before it.
     pub(crate) fn reclose(
         &mut self,
         affected: &Affected,
         symmetric: bool,
         patch_ns: u64,
         scratch: &mut ScratchDijkstra,
-    ) -> (Vec<usize>, bool) {
+    ) -> Gathered {
         if affected.is_empty() {
-            return (vec![0; self.tables.len()], false);
+            return Gathered::none(self.tables.len());
         }
         let t1 = Instant::now();
         let (closed, roots) = self.close_pairs(affected, symmetric, scratch);
@@ -711,33 +758,32 @@ impl ComplementaryInfo {
     }
 
     /// Write `writes` (hub slot, cost) into the hub, the cheapest per
-    /// slot, detaching it only when an entry changes, and re-gather the
-    /// tables holding a changed row (see `regather`).
-    fn rewrite(&mut self, mut writes: Vec<(usize, Cost)>) -> (Vec<usize>, bool) {
-        let nb = self.border_count();
+    /// slot, each narrowed to a word, detaching the hub only when an entry
+    /// changes, and the changed entries into the tables (see `regather`).
+    fn rewrite(&mut self, mut writes: Vec<(usize, Cost)>) -> Gathered {
         writes.sort_unstable();
         writes.dedup_by_key(|&mut (slot, _)| slot);
-        writes.retain(|&(slot, cost)| self.hub.costs()[slot] != cost);
-        let mut rows = vec![false; nb];
+        writes.retain(|&(slot, cost)| widen(self.hub.all_words()[slot]) != cost);
         if !writes.is_empty() {
-            let hub = Arc::make_mut(&mut self.hub).costs_mut();
-            for (slot, cost) in writes {
-                hub[slot] = cost;
-                rows[slot / nb] = true;
+            let hub = Arc::make_mut(&mut self.hub).words_mut();
+            for &(slot, cost) in &writes {
+                hub[slot] = narrow(cost);
             }
         }
-        self.regather(&rows)
+        self.regather(&writes)
     }
 
     /// The reference precompute: one whole-graph Dijkstra per border
     /// node. Produces tables identical to [`ComplementaryInfo::compute`];
     /// kept for equivalence tests. It derives the same kept skeleton
-    /// (outside its timing), so it maintains like any other.
+    /// (outside its timing), so it maintains like any other. Panics on
+    /// the networks [`ComplementaryInfo::compute`] panics on.
     pub fn compute_global_sweep(
         frag: &Fragmentation,
         symmetric: bool,
         scope: ComplementaryScope,
     ) -> Self {
+        assert_admitted(frag);
         let (graph, locals) = (frag.closure_graph(symmetric), local_graphs(frag, symmetric));
         let layout = Layout::new(frag, &Membership::new(frag), scope);
         let (local, skeleton) =
@@ -757,7 +803,7 @@ impl ComplementaryInfo {
         let dist = (dist_from.iter())
             .flat_map(|from| border_list.iter().map(|&b| from.cost(b)))
             .map(|cost| cost.unwrap_or(INFINITE_COST));
-        let hub = Hub::from_rows(border_list.len(), dist.collect());
+        let hub = Hub::from_rows(border_list.len(), dist);
         let mut comp = ComplementaryInfo::gathered(layout, local, skeleton, hub);
         let assemble_ns = t2.elapsed().as_nanos() as u64;
         comp.stats = PrecomputeStats {
@@ -889,27 +935,27 @@ impl ComplementaryInfo {
 
     /// Insert maintenance: lower every hub entry `(a, b)` to
     /// `min(H[a][b], to[a] + c + from[b])` over the inserted `entries`,
-    /// and re-gather the tables holding a lowered row, so a pair the new
-    /// connection joins for the first time gets its tuple at every site
-    /// holding both borders. Only the rows the entry can lower are read
-    /// (see `candidate_rows`): an insert whose endpoints reach no border,
-    /// or that shortens no border's way to `v`, reads none.
+    /// and write each lowered entry into the tables holding it, so a pair
+    /// the new connection joins for the first time gets its tuple at every
+    /// site holding both borders. Only the rows the entry can lower are
+    /// read (see `candidate_rows`): an insert whose endpoints reach no
+    /// border, or that shortens no border's way to `v`, reads none.
     ///
-    /// Returns per-site counts of the table entries lowered — a site with
-    /// none keeps its shared table, and an insert that lowers no hub
-    /// entry keeps the shared hub.
-    pub(crate) fn lower(&mut self, entries: &[Through<'_>]) -> Vec<usize> {
+    /// Returns what the tables took — a site whose table none of the
+    /// lowered entries reaches keeps it shared, and an insert that lowers
+    /// no hub entry keeps the shared hub.
+    pub(crate) fn lower(&mut self, entries: &[Through<'_>]) -> Gathered {
         let (nb, mut lowered) = (self.border_count(), Vec::new());
         for e in entries {
             for (a, row, through) in self.candidate_rows(e) {
                 for (b, (&kept, &from)) in row.iter().zip(e.from).enumerate() {
-                    if through + from < kept {
+                    if through + from < widen(kept) {
                         lowered.push((a * nb + b, through + from));
                     }
                 }
             }
         }
-        self.rewrite(lowered).0
+        self.rewrite(lowered)
     }
 
     /// Deletion detection, the repair rule over the pre-deletion hub:
@@ -921,6 +967,7 @@ impl ComplementaryInfo {
         for e in entries {
             for (a, row, through) in self.candidate_rows(e) {
                 for (b, (&kept, &from)) in row.iter().zip(e.from).enumerate() {
+                    let kept = widen(kept);
                     if through + from == kept && kept < INFINITE_COST && b != a {
                         carried.push((a, b));
                     }
@@ -939,11 +986,11 @@ impl ComplementaryInfo {
     fn candidate_rows<'s>(
         &'s self,
         e: &'s Through<'_>,
-    ) -> impl Iterator<Item = (usize, &'s [Cost], Cost)> + 's {
+    ) -> impl Iterator<Item = (usize, &'s [Word], Cost)> + 's {
         let reach = (e.to.iter().enumerate()).filter(|&(_, &to)| to < INFINITE_COST);
-        let rows = reach.map(|(a, &to)| (a, self.hub.row(a), to + e.cost));
+        let rows = reach.map(|(a, &to)| (a, self.hub.words(a), to + e.cost));
         rows.filter(|&(_, row, through)| {
-            (e.enter.iter()).any(|&(s, leave)| through + leave <= row[s])
+            (e.enter.iter()).any(|&(s, leave)| through + leave <= widen(row[s]))
         })
     }
 }

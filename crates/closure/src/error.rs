@@ -3,7 +3,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use ds_graph::NodeId;
+use ds_graph::{Cost, NodeId};
 
 /// Errors raised when querying or updating the engine.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -34,6 +34,11 @@ pub enum ClosureError {
     /// applied — durability is append-before-apply — and the server
     /// keeps serving reads; a retry goes through the repaired log.
     DurabilityFailed,
+    /// An insert's edge costs more than the network admits: `(n − 1) ·
+    /// cost ≥ u32::MAX / 4` for its `n` nodes, so some distance could
+    /// overflow the 32-bit words the hub and the border rows hold
+    /// ([`crate::bulk::max_edge_cost`] is `limit`). Nothing was applied.
+    EdgeCostOverLimit { cost: Cost, limit: Cost },
 }
 
 impl fmt::Display for ClosureError {
@@ -63,6 +68,12 @@ impl fmt::Display for ClosureError {
                     "write-ahead log refused the append; update not applied — retry"
                 )
             }
+            ClosureError::EdgeCostOverLimit { cost, limit } => {
+                write!(
+                    f,
+                    "edge cost {cost} is over {limit}, the most this network admits"
+                )
+            }
         }
     }
 }
@@ -89,5 +100,7 @@ mod tests {
         assert!(ClosureError::DurabilityFailed
             .to_string()
             .contains("not applied"));
+        let over = ClosureError::EdgeCostOverLimit { cost: 9, limit: 8 };
+        assert!(over.to_string().contains("over 8"));
     }
 }

@@ -67,7 +67,7 @@ use ds_relation::bulk::{MaterializeConfig, MaterializeError, MaterializeStats};
 use ds_relation::{PathTuple, Relation};
 
 use crate::api::{run_batch, BatchAnswer, NetworkUpdate, QueryRequest, SiteEvaluator};
-use crate::bulk::{BorderRows, Hub};
+use crate::bulk::{assert_admitted, BorderRows, Hub};
 use crate::complementary::{local_graphs, ComplementaryInfo, PrecomputeStats};
 use crate::engine::{EngineConfig, QueryAnswer, QueryStats, Route};
 use crate::error::ClosureError;
@@ -175,9 +175,11 @@ pub struct SnapshotBytes {
     /// The planner's membership table and chain table, the chain sets filled
     /// so far included ([`Planner::memory_bytes`]).
     pub planner: usize,
-    /// The hub ([`ComplementaryInfo::hub`]): B² costs.
+    /// The hub ([`ComplementaryInfo::hub`]): B² 32-bit words, 4·B²
+    /// bytes.
     pub hub: usize,
-    /// The materializer's border rows filled so far.
+    /// The materializer's border rows filled so far: n 32-bit words
+    /// each.
     pub border_rows: usize,
 }
 
@@ -213,7 +215,16 @@ impl EngineSnapshot {
     /// [`Hub`]), then the planner and the per-site evaluation state (each
     /// over its table, in place). The reachability index waits for the
     /// first [`EngineSnapshot::connected`].
+    ///
+    /// # Panics
+    ///
+    /// If an edge costs more than [`crate::bulk::max_edge_cost`] of the
+    /// fragmentation's node count — `(n − 1) · c ≥ u32::MAX / 4` — since
+    /// the hub and the border rows hold distances in 32-bit words. The
+    /// builder (`discset::SystemBuilder::build`) and every insert refuse
+    /// such an edge with a typed error instead.
     pub fn build(frag: Fragmentation, symmetric: bool, cfg: EngineConfig) -> Self {
+        assert_admitted(&frag);
         let graph = frag.closure_graph(symmetric);
         let membership = Membership::new(&frag);
         let locals = local_graphs(&frag, symmetric);

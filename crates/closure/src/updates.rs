@@ -43,9 +43,14 @@
 //! lowers through them (a shortest path uses a new entry at most once),
 //! and a deletion compares against them. Both rules scan only the hub
 //! rows whose border reaches `u`: an edit whose endpoints reach no
-//! border reads no row. Then every table holding a changed hub row is
-//! gathered again, comparing entries, and the per-site counts of the
-//! report are the entries that changed. The closure graph itself is
+//! border reads no row. The hub holds 32-bit words ([`crate::bulk`]):
+//! the distances are read widened to [`Cost`], every candidate is
+//! compared in [`Cost`], and what is written is narrowed, exactly, since
+//! an admitted network's distances fit the word
+//! ([`crate::bulk::max_edge_cost`]; an insert over it is refused). Then
+//! each changed hub entry is written into the tables holding both of its
+//! borders, and the per-site counts of the report are the entries that
+//! changed. The closure graph itself is
 //! edited — the update's entries added or dropped — not re-derived from
 //! the fragments.
 //!
@@ -91,7 +96,8 @@ use ds_fragment::{FragmentId, Fragmentation};
 use ds_graph::{Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
 
 use crate::api::{apply_edit, validate, NetworkUpdate};
-use crate::complementary::{Affected, ComplementaryInfo, Through};
+use crate::bulk::widen;
+use crate::complementary::{Affected, ComplementaryInfo, Gathered, Through};
 use crate::error::ClosureError;
 use crate::local::{LocalGraph, Site};
 
@@ -134,6 +140,10 @@ pub struct UpdateReport {
     /// Shortcut tuples in the touched sites' refreshed tables: the
     /// update's communication volume in the paper's accounting.
     pub tuples_shipped: usize,
+    /// Table entries the write compared with a hub entry it changed: the
+    /// entry's copies at the sites holding both of its borders in scope.
+    /// No other table entry is read.
+    pub entries_compared: usize,
 }
 
 impl UpdateReport {
@@ -154,6 +164,7 @@ impl UpdateReport {
             fallback_reason: None,
             sites_touched: 0,
             tuples_shipped: 0,
+            entries_compared: 0,
         }
     }
 }
@@ -244,18 +255,25 @@ impl Maintenance {
     }
 
     /// An effective update: the owner's site is touched whatever else
-    /// changed, and the sites in `shortcut_sites` ship their tables.
+    /// changed, and the sites whose tables `gathered` changed ship them —
+    /// an insert's entries counted improved, a delete's repaired.
     fn effective(
         comp: &ComplementaryInfo,
         owner: FragmentId,
         owner_graph: Arc<LocalGraph>,
-        shortcut_sites: Vec<FragmentId>,
-        (improved, repaired): (usize, usize),
+        gathered: &Gathered,
+        edit: Edit,
         fallback_reason: Option<FallbackReason>,
     ) -> Self {
+        let shortcut_sites = nonzero_sites(&gathered.per_site);
         let mut touched: BTreeSet<FragmentId> = shortcut_sites.iter().copied().collect();
         touched.insert(owner);
         let tuples_shipped = tuples_at(comp, &shortcut_sites);
+        let changed = gathered.per_site.iter().sum();
+        let (improved, repaired) = match edit {
+            Edit::Insert => (changed, 0),
+            Edit::Remove => (0, changed),
+        };
         Maintenance {
             report: UpdateReport {
                 shortcuts_improved: improved,
@@ -264,6 +282,7 @@ impl Maintenance {
                 fallback_reason,
                 sites_touched: touched.len(),
                 tuples_shipped,
+                entries_compared: gathered.compared,
             },
             shortcut_sites,
             owner: Some(owner),
@@ -327,13 +346,10 @@ pub fn maintain(
     match *update {
         NetworkUpdate::Insert { edge, owner } => {
             let ends = Endpoints::run(comp, site, symmetric, &added, scratch);
-            let per_site = improve(comp, &ends, &added);
+            let gathered = improve(comp, &ends, &added);
             let (stale, crossing) = skeleton_edits(comp, owner, &ends, &added, Edit::Insert);
             comp.patch(graph, stale.then_some((owner, &*local)), &crossing, scratch);
-            let improved = per_site.iter().sum();
-            let shortcut_sites = nonzero_sites(&per_site);
-            let mut m =
-                Maintenance::effective(comp, owner, local, shortcut_sites, (improved, 0), None);
+            let mut m = Maintenance::effective(comp, owner, local, &gathered, Edit::Insert, None);
             m.connectivity = ConnectivityEffect::Inserted {
                 src: edge.src,
                 dst: edge.dst,
@@ -355,18 +371,15 @@ pub fn maintain(
             let (stale, crossing) = skeleton_edits(comp, owner, &ends, &removed, Edit::Remove);
             comp.patch(graph, stale.then_some((owner, &*local)), &crossing, scratch);
             let patch_ns = t.elapsed().as_nanos() as u64;
-            let (per_site, dropped) = comp.reclose(&affected, symmetric, patch_ns, scratch);
+            let gathered = comp.reclose(&affected, symmetric, patch_ns, scratch);
             // The edge's topology decides the label only.
             let border = |v| comp.skeleton_id(v).is_some();
             let reason = if border(src) && border(dst) {
                 Some(FallbackReason::DisconnectionSetCrossing)
             } else {
-                dropped.then_some(FallbackReason::Disconnected)
+                gathered.dropped.then_some(FallbackReason::Disconnected)
             };
-            let repaired = per_site.iter().sum();
-            let shortcut_sites = nonzero_sites(&per_site);
-            let mut m =
-                Maintenance::effective(comp, owner, local, shortcut_sites, (0, repaired), reason);
+            let mut m = Maintenance::effective(comp, owner, local, &gathered, Edit::Remove, reason);
             m.connectivity = connectivity;
             Ok(m)
         }
@@ -426,8 +439,9 @@ fn skeleton_edits(
 }
 
 /// One endpoint's distances to or from every border node, by skeleton id
-/// (`INFINITE_COST` = unreachable), read off the pre-edit hub — the
-/// repair rule compares hub entries against these and nothing else.
+/// (`INFINITE_COST` = unreachable), read off the pre-edit hub's widened
+/// words — the repair rule compares hub entries against these and
+/// nothing else.
 struct Reach {
     /// The borders the endpoint enters or leaves the skeleton by: a
     /// border endpoint itself at 0, or the borders of its cell at their
@@ -455,16 +469,16 @@ impl Reach {
                 .map(|(b, cost)| (comp.skeleton_id(b).expect("a border"), cost))
                 .collect(),
         };
-        let hub = comp.hub();
-        let mut costs = vec![INFINITE_COST; comp.border_count()];
+        let (hub, nb) = (comp.hub().all_words(), comp.border_count());
+        let mut costs = vec![INFINITE_COST; nb];
         for &(b, c) in &seeds {
             for (t, cost) in costs.iter_mut().enumerate() {
                 let h = if backward {
-                    hub.row(t)[b]
+                    hub[t * nb + b]
                 } else {
-                    hub.row(b)[t]
+                    hub[b * nb + t]
                 };
-                *cost = (*cost).min(c + h);
+                *cost = (*cost).min(c + widen(h));
             }
         }
         Reach { seeds, costs }
@@ -547,8 +561,8 @@ impl Endpoints {
 /// Lower every hub entry `(a, b)` — no path counting as infinite — to
 /// `min(cost, dist(a, u) + c + dist(v, b))` over the inserted entries
 /// `u -> v` of cost `c`: exact because improved paths must use a new
-/// edge, and once. Returns the per-site counts of table entries lowered.
-fn improve(comp: &mut ComplementaryInfo, ends: &Endpoints, added: &[Edge]) -> Vec<usize> {
+/// edge, and once. Returns what the tables took.
+fn improve(comp: &mut ComplementaryInfo, ends: &Endpoints, added: &[Edge]) -> Gathered {
     let entries: Vec<Through> = (added.iter())
         .filter_map(|e| ends.through(e.src, e.cost, e.dst))
         .collect();

@@ -55,6 +55,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use ds_closure::api::{apply_edit, NetworkUpdate};
+use ds_closure::bulk::cost_over_limit;
 use ds_closure::executor::ExecutionMode;
 use ds_closure::{ComplementaryScope, EngineConfig, EngineSnapshot};
 use ds_fault::{fire_disk, DiskFault, FaultPlan, FaultPoint};
@@ -467,6 +468,12 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<CheckpointImage> {
     if !c.done() {
         return None;
     }
+    let frag = Fragmentation::new(node_count, edge_sets, seeds);
+    // An image holding an edge no build admits is as malformed as a torn
+    // one: building it would panic.
+    if cost_over_limit(&frag).is_some() {
+        return None;
+    }
     Some(CheckpointImage {
         lsn,
         epoch,
@@ -478,7 +485,7 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<CheckpointImage> {
             mode,
             hub,
         },
-        frag: Fragmentation::new(node_count, edge_sets, seeds),
+        frag,
         last_lsn: lsn,
         replayed: 0,
     })
@@ -1113,6 +1120,30 @@ mod tests {
         }
         assert!(decode_checkpoint(&bytes[..bytes.len() - 1]).is_none());
         assert!(decode_checkpoint(b"").is_none());
+    }
+
+    /// A checkpoint whose edge costs more than a network of its size
+    /// admits (one written before the rule, or crafted) does not decode,
+    /// as a malformed one does not: building it would panic. At the
+    /// limit it decodes.
+    #[test]
+    fn a_checkpoint_with_an_edge_over_the_cost_limit_does_not_decode() {
+        let limit = ds_closure::bulk::max_edge_cost(6);
+        let with_last_cost = |cost: u64| {
+            let mut bytes = encode_checkpoint(&small_snapshot(), 42, 7);
+            // The last fragment's last edge ends with its cost, before the CRC.
+            let end = bytes.len() - 4;
+            bytes[end - 8..end].copy_from_slice(&cost.to_le_bytes());
+            let crc = crc32(&bytes[CKPT_MAGIC.len()..end]);
+            bytes[end..].copy_from_slice(&crc.to_le_bytes());
+            decode_checkpoint(&bytes)
+        };
+        let img = with_last_cost(limit).expect("at the limit");
+        assert_eq!(
+            img.frag.fragment(1).edges().last().map(|e| e.cost),
+            Some(limit)
+        );
+        assert!(with_last_cost(limit + 1).is_none());
     }
 
     /// The byte after the scope once said whether routes were on; a

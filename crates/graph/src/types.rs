@@ -48,10 +48,21 @@ impl From<u32> for NodeId {
 /// Costs are non-negative integers. Generators produce scaled, rounded
 /// Euclidean distances; unit costs model plain reachability. Integer costs
 /// keep [`Ord`] total (no NaN hazards) so they can live in binary heaps.
+///
+/// The engine (`ds_closure`) admits a network of `n` nodes only when
+/// every edge cost `c` has `(n − 1) · c < u32::MAX / 4`: its dense
+/// per-epoch matrices of border distances hold 32-bit words, and a
+/// shortest path, being simple, has at most `n − 1` edges, so under this
+/// rule every distance fits one. The builder and every insert refuse an
+/// edge over it with a typed error (`ds_closure::bulk::max_edge_cost`
+/// gives the limit); a `Cost` itself, the answers and the on-disk
+/// formats stay 64-bit.
 pub type Cost = u64;
 
 /// Sentinel for "unreachable". Large enough to never be produced by a real
 /// path, small enough that `INFINITE_COST + any edge cost` cannot wrap.
+/// The engine's 32-bit border distances have an infinity of their own,
+/// `u32::MAX / 4`, which every read widens to this one.
 pub const INFINITE_COST: Cost = Cost::MAX / 4;
 
 /// A point in the plane. The paper assumes "each node has an associated

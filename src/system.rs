@@ -29,6 +29,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use ds_closure::api::{BatchAnswer, NetworkUpdate, QueryRequest, TcEngine};
+use ds_closure::bulk::{cost_over_limit, max_edge_cost};
 use ds_closure::executor::ExecutionMode;
 use ds_closure::{
     ClosureError, EngineConfig, EngineSnapshot, PrecomputeStats, QueryAnswer, Route, UpdateReport,
@@ -39,7 +40,7 @@ use ds_fragment::center::{center_based, CenterConfig};
 use ds_fragment::linear::{linear_sweep, LinearConfig};
 use ds_fragment::{semantic, CrossingPolicy, FragError, Fragmentation};
 use ds_gen::GeneratedGraph;
-use ds_graph::{Coord, Edge, EdgeList, NodeId, ScratchDijkstra};
+use ds_graph::{Coord, Cost, Edge, EdgeList, NodeId, ScratchDijkstra};
 use ds_obs::{MetricsSnapshot, Observability};
 use ds_relation::bulk::{MaterializeConfig, MaterializeError, MaterializeStats};
 use ds_relation::{PathTuple, Relation};
@@ -120,6 +121,11 @@ pub enum SystemError {
     /// The durable store could not be recovered or attached
     /// (`ds_durability`); the string is the underlying error's display.
     Durability(String),
+    /// An edge of the network costs more than it admits: `(n − 1) · cost
+    /// ≥ u32::MAX / 4` for its `n` nodes, so some distance could overflow
+    /// the 32-bit words the engine keeps border distances in
+    /// ([`ds_closure::bulk::max_edge_cost`] is `limit`).
+    EdgeCostOverLimit { cost: Cost, limit: Cost },
 }
 
 impl fmt::Display for SystemError {
@@ -154,6 +160,12 @@ impl fmt::Display for SystemError {
             }
             SystemError::Fragmentation(e) => write!(f, "fragmentation failed: {e}"),
             SystemError::Durability(e) => write!(f, "durable store failed: {e}"),
+            SystemError::EdgeCostOverLimit { cost, limit } => {
+                write!(
+                    f,
+                    "edge cost {cost} is over {limit}, the most this network admits"
+                )
+            }
         }
     }
 }
@@ -316,6 +328,10 @@ impl SystemBuilder {
                 fragmentation: frag.node_count(),
                 nodes: self.nodes,
             });
+        }
+        if let Some(cost) = cost_over_limit(&frag) {
+            let limit = max_edge_cost(frag.node_count());
+            return Err(SystemError::EdgeCostOverLimit { cost, limit });
         }
         if let Some(backend) = self.backend {
             self.config.mode = backend.into();
@@ -940,6 +956,66 @@ mod tests {
                 nodes: 16
             }
         );
+    }
+
+    /// One edge over `max_edge_cost` of the network's node count is
+    /// refused with the typed error, whichever fragmenter placed it; at
+    /// the limit the network builds.
+    #[test]
+    fn an_edge_over_the_cost_limit_is_refused_at_build() {
+        use ds_graph::Edge;
+        let g = grid(4, 2);
+        let limit = max_edge_cost(g.nodes);
+        let with = |cost| {
+            let mut connections = g.connections.clone();
+            connections[3].cost = cost;
+            connections
+        };
+        let linear = || {
+            Fragmenter::Linear(LinearConfig {
+                fragments: 2,
+                ..Default::default()
+            })
+        };
+        let err = System::builder()
+            .graph(&g)
+            .network(g.nodes, with(limit + 1))
+            .fragmenter(linear())
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SystemError::EdgeCostOverLimit {
+                cost: limit + 1,
+                limit
+            }
+        );
+        assert!(err.to_string().contains("over"), "{err}");
+        let mut sys = System::builder()
+            .graph(&g)
+            .network(g.nodes, with(limit))
+            .fragmenter(linear())
+            .build()
+            .expect("at the limit");
+        let e = with(limit)[3];
+        assert_eq!(
+            sys.shortest_path(e.src, e.dst).cost,
+            Some(3),
+            "around the square"
+        );
+        let over = Edge::new(NodeId(0), NodeId(7), Cost::MAX);
+        let frag = Fragmentation::new(
+            g.nodes,
+            vec![g.connections.clone(), vec![over]],
+            vec![vec![]; 2],
+        );
+        let err = System::builder()
+            .graph(&g)
+            .fragmenter(Fragmenter::Prebuilt(frag))
+            .build()
+            .unwrap_err();
+        let cost = Cost::MAX;
+        assert_eq!(err, SystemError::EdgeCostOverLimit { cost, limit });
     }
 
     #[test]

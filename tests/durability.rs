@@ -342,3 +342,76 @@ fn recovery_lands_on_the_state_the_live_server_maintained() {
         "{effective} effective updates, {refused} refused"
     );
 }
+
+/// An insert over the network's cost limit is refused live with the
+/// typed error and leaves the epoch where it was; the log holds it
+/// anyway (every update is logged before it is applied), and recovery
+/// folds it through the same edit rule, so it refuses it too rather
+/// than building a network whose distances could wrap. An insert at
+/// the limit goes through both ways.
+#[test]
+fn an_insert_over_the_cost_limit_is_refused_live_and_on_recovery() {
+    use discset::closure::bulk::max_edge_cost;
+    use discset::closure::ClosureError;
+    let dir = tmpdir("cost-limit");
+    let g = grid(4, 2);
+    let limit = max_edge_cost(g.nodes);
+    let sys = System::builder()
+        .graph(&g)
+        .fragmenter(Fragmenter::Linear(LinearConfig {
+            fragments: 2,
+            ..Default::default()
+        }))
+        .build()
+        .expect("valid grid system");
+    let server = sys.serve_with(ServeConfig {
+        durability: Some(DurabilityConfig::at(&dir)),
+        ..ServeConfig::with_workers(1)
+    });
+    let nodes = server
+        .snapshot()
+        .fragmentation()
+        .fragment(0)
+        .nodes()
+        .to_vec();
+    let (a, b) = (nodes[0], *nodes.last().unwrap());
+    let insert = |cost| NetworkUpdate::Insert {
+        edge: Edge::new(a, b, cost),
+        owner: 0,
+    };
+    let (epoch, before) = (server.epoch(), server.snapshot());
+    let err = server.update(&insert(limit + 1)).unwrap_err();
+    let cost = limit + 1;
+    assert_eq!(err, ClosureError::EdgeCostOverLimit { cost, limit });
+    assert_eq!(server.epoch(), epoch, "a refused insert publishes nothing");
+    let edges =
+        |snap: &discset::closure::EngineSnapshot| snap.fragmentation().fragment(0).edges().to_vec();
+    assert_eq!(edges(&server.snapshot()), edges(&before));
+    let served = server.update(&insert(limit)).expect("at the limit");
+    assert!(served.report.effective());
+    assert_eq!(server.epoch(), epoch + 1);
+    let live = server.snapshot();
+    let stats = server.shutdown();
+    assert_eq!(stats.wal_records, 2, "both inserts are logged");
+
+    let rec = discset::recover(&dir).expect("recovers");
+    assert_eq!((rec.epoch, rec.replayed), (epoch + 1, 2));
+    assert_eq!(edges(&rec.snapshot), edges(&live));
+    let over = |e: &Edge| e.cost > limit;
+    assert!(
+        !edges(&rec.snapshot).iter().any(over),
+        "the over-limit insert was folded"
+    );
+    let mut scratch = ScratchDijkstra::new();
+    for x in 0..g.nodes as u32 {
+        for y in 0..g.nodes as u32 {
+            let (x, y) = (NodeId(x), NodeId(y));
+            assert_eq!(
+                rec.snapshot.shortest_path(x, y, &mut scratch).cost,
+                baseline::shortest_path_cost(rec.snapshot.graph(), x, y),
+                "{x:?} -> {y:?}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -732,7 +732,7 @@ fn assert_tables_gather_the_hub(engine: &EngineSnapshot, label: &str) {
                     .iter()
                     .any(|&g| g != f && holders(*v).contains(&g));
                 let want = if every_pair || shared {
-                    hub.row(id(u))[id(v)]
+                    hub.cost(id(u), id(v))
                 } else {
                     INFINITE_COST
                 };
@@ -1239,7 +1239,8 @@ fn the_build_hub_equals_one_sweep_per_border() {
             let swept: Vec<u64> = (skeleton.nodes())
                 .map(|t| scratch.cost(t).unwrap_or(INFINITE_COST))
                 .collect();
-            assert_eq!(hub.row(s.index()), swept, "{label}: row {s:?}");
+            let row: Vec<u64> = hub.row(s.index()).collect();
+            assert_eq!(row, swept, "{label}: row {s:?}");
             unreachable += swept.iter().filter(|&&c| c == INFINITE_COST).count();
         }
         (nb, unreachable)
@@ -2074,10 +2075,9 @@ fn all_closure_strategies_materialize_the_same_relation() {
                         assert_eq!(again.border_rows, 0, "{label}: {again}");
                         counted.push(counters(&again));
                     }
-                    // The build made the hub: B² costs, no slack.
+                    // The build made the hub: B² 32-bit words, no slack.
                     let nb = warm.complementary().border_count();
-                    let cost = std::mem::size_of::<discset::graph::Cost>();
-                    assert_eq!(warm.memory_bytes().hub, nb * nb * cost, "{label}");
+                    assert_eq!(warm.memory_bytes().hub, nb * nb * 4, "{label}");
                     // Cold, warm; cold, warm; … for threads 1, 2 and 3.
                     for (i, c) in counted.iter().enumerate().skip(2) {
                         assert_eq!(

@@ -515,7 +515,8 @@ fn exact_accounting_on_the_line_graph() {
         assert_eq!(sys.shortest_path(n(0), n(6)).cost, Some(6), "{name}");
 
         // Deleting 3-4 re-routes through 2-8-4: both shortcuts repaired
-        // upward (2 -> 4), only site 1 touched, its 2 tuples reshipped.
+        // upward (2 -> 4), only site 1 touched, its 2 tuples reshipped,
+        // and the two hub entries compared only there.
         let report = sys
             .update(&NetworkUpdate::Remove {
                 src: n(3),
@@ -532,6 +533,7 @@ fn exact_accounting_on_the_line_graph() {
                 fallback_reason: None,
                 sites_touched: 1,
                 tuples_shipped: 2,
+                entries_compared: 2,
             },
             "{name}: delete accounting"
         );
@@ -553,6 +555,7 @@ fn exact_accounting_on_the_line_graph() {
                 fallback_reason: None,
                 sites_touched: 1,
                 tuples_shipped: 2,
+                entries_compared: 2,
             },
             "{name}: insert accounting"
         );
