@@ -69,7 +69,7 @@ pub fn center_growth(seeds: u64) -> Vec<AveragedRow> {
 #[derive(Clone, Debug)]
 pub struct ScopeRow {
     pub scope: String,
-    /// Precomputed shortcut tuples (storage cost).
+    /// Shortcut tuples the scope counts (the paper's storage cost).
     pub shortcut_tuples: usize,
     /// Queries answered identically to the global baseline.
     pub correct: usize,

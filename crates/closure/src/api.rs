@@ -135,9 +135,8 @@ pub enum NetworkUpdate {
     /// direction on symmetric networks. Both endpoints must already
     /// belong to the owner: inserting within a region never changes the
     /// fragmentation's node sets, so the disconnection sets (and with
-    /// them the border pairs each site's table has a slot for) stay
-    /// fixed and only costs can improve, a missing tuple counting as
-    /// infinite.
+    /// them the border pairs of each site and of the hub) stay fixed
+    /// and only costs can improve, a missing path counting as infinite.
     Insert { edge: Edge, owner: FragmentId },
     /// Remove every connection `src -> dst` (and the reverse on symmetric
     /// networks) from fragment `owner`.
@@ -182,13 +181,13 @@ pub trait TcEngine {
     fn update(&mut self, update: &NetworkUpdate) -> Result<UpdateReport, ClosureError>;
 
     /// Per-phase timing of the pre-processing that deployed this engine
-    /// (the paper's dominant cost): local sweeps, skeleton closure, table
+    /// (the paper's dominant cost): local sweeps, skeleton closure,
     /// assembly. After a deletion that re-closed some pairs, reflects
     /// that re-close (its local-sweep phase is the skeleton patch).
     fn precompute_stats(&self) -> PrecomputeStats;
 
     /// An immutable, `Send + Sync` snapshot of this engine's current
-    /// state (tables, per-site evaluation state, planner), ready to be shared
+    /// state (hub, per-site evaluation state, planner), ready to be shared
     /// across reader threads — the input to the `ds_serve` worker pool.
     /// The snapshot is independent of the engine: later updates to either
     /// side do not affect the other.
@@ -224,7 +223,7 @@ pub trait TcEngine {
 /// no-op exactly when this returns `false`) or by `ds_durability::recover`
 /// folding a log into a checkpoint's relation. Everything derived — the
 /// closure graph ([`Fragmentation::closure_graph`]), the complementary
-/// tables, the sites — follows from the edited relation.
+/// information, the sites — follows from the edited relation.
 pub fn apply_edit(
     frag: &mut Fragmentation,
     symmetric: bool,

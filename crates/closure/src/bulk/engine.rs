@@ -9,7 +9,8 @@
 //!    exit sets (`Site::fill_exits`). The hub is never among them: every
 //!    epoch holds it exact ([`crate::ComplementaryInfo::hub`]).
 //! 2. **Border rows**, only the ones the sources read and the epoch
-//!    lacks, in blocks of skeleton ids: each folds its hub row into
+//!    lacks, in blocks of skeleton ids (access and exit entries name
+//!    their border by it): each folds its hub row into
 //!    every node's exit set, gathered once for the list, on 32-bit words
 //!    (see [`super`]). A call publishes them when the whole list ran.
 //! 3. **Sources**, in blocks of node ids, each at its home site: its
@@ -179,7 +180,7 @@ fn prepare(
     sources: &[NodeId],
     stats: &mut MaterializeStats,
 ) -> Result<(), MaterializeError> {
-    let (comp, planner) = (snap.complementary(), snap.planner());
+    let (comp, planner, hub) = (snap.complementary(), snap.planner(), snap.hub_handle());
     let nb = comp.border_count();
     let home = |s: NodeId| planner.fragments_of(s)[0];
     // Mark the border rows `s` reads, by skeleton id: its own, or those
@@ -194,9 +195,8 @@ fn prepare(
         let Some(access) = site.access_set(local) else {
             return false;
         };
-        let ids = comp.skeleton_ids(home(s));
         for &(b, _) in access {
-            read[ids[b as usize]] = true;
+            read[b as usize] = true;
         }
         true
     };
@@ -230,21 +230,20 @@ fn prepare(
                 .filter(|&(_, local)| !site.is_border(local));
             for (_, local) in mine.clone() {
                 if unfilled || site.access_set(local).is_none() {
-                    site.fill_border_free_row(local, scratch);
+                    site.fill_border_free_row(hub, local, scratch);
                 }
             }
-            site.fill_exits(scratch);
+            site.fill_exits(hub, scratch);
             // What no row sweep and no exit set filled: the access sets
             // of a one-way site, or of one that keeps no rows.
             for (s, _) in mine {
-                site.access(s, true, scratch);
+                site.access(hub, s, true, scratch);
             }
             let sweeps = (scratch.stats().sweeps - swept) as usize;
             Some(Prepared::Filled { sweeps })
         }
         Prep::BorderRows(ids) => {
             let exits = exits.get().expect("gathered before the border rows");
-            let hub = snap.hub_handle();
             let mut rows = Vec::with_capacity(ids.len());
             for (i, &b) in ids.iter().enumerate() {
                 *at = home(comp.borders()[b]);
@@ -323,9 +322,9 @@ fn gather_exits(snap: &EngineSnapshot) -> Exits {
                 let site = snap.site_handle(f);
                 let local = site.local_id(v).expect("a node of its fragment");
                 let set = site.exit_set(local).expect("filled");
-                let ids = comp.skeleton_ids(f);
-                let set = (set.iter()).map(|&(b, cost)| (ids[b as usize] as u32, narrow(cost)));
-                exits.entries.extend(set);
+                exits
+                    .entries
+                    .extend(set.iter().map(|&(b, cost)| (b, narrow(cost))));
             }
             _ => {
                 let id = comp.skeleton_id(v).expect("a border");
@@ -376,10 +375,9 @@ fn source_rows(
             done.generated += n;
         } else {
             let access = site.access_set(local).expect("filled by the first list");
-            let ids = comp.skeleton_ids(*at);
             let mut folded = access
                 .iter()
-                .map(|&(b, reach)| (row_of(ids[b as usize]), narrow(reach)));
+                .map(|&(b, reach)| (row_of(b as usize), narrow(reach)));
             match folded.next() {
                 Some((row, reach)) => {
                     for (best, &cost) in acc.iter_mut().zip(row) {
@@ -399,7 +397,7 @@ fn source_rows(
 
         // The source's own fragment, along paths that touch no border.
         if !border {
-            let row = site.border_free_row_of(local, dijkstra, free);
+            let row = site.border_free_row_of(snap.hub_handle(), local, dijkstra, free);
             for (&d, &cost) in site.nodes().iter().zip(row) {
                 let best = &mut acc[d.index()];
                 if cost <= Cost::from(*best) && cost < INFINITE_COST {

@@ -4,7 +4,7 @@
 //! §2.1 keeps complementary information so that each fragment finishes
 //! its part "without need for communication", and a materialization is
 //! nothing but every query of a source set. Three per-site memos of
-//! [`crate::local::Site`] and one per-epoch table answer all of them:
+//! [`crate::local::Site`] and one per-epoch matrix answer all of them:
 //!
 //! * the *access set* of a source `s` — the borders `s` reaches inside
 //!   its fragment, with their costs;
@@ -16,9 +16,9 @@
 //!   ([`crate::ComplementaryInfo::skeleton`]), B the number of borders —
 //!   every global border-to-border distance. It is complementary
 //!   information ([`crate::ComplementaryInfo::hub`]): the precompute
-//!   closes the skeleton once, densely ([`Hub::close`]), and gathers
-//!   every site's table from it, and every write keeps it exact, so every
-//!   epoch holds it.
+//!   closes the skeleton once, densely ([`Hub::close`]), every site's
+//!   subqueries read it, and every write keeps it exact, so every epoch
+//!   holds it.
 //!
 //! A path from `s` that touches a border enters its first one through
 //! `s`'s access set and leaves its last one through `d`'s exit set.

@@ -42,8 +42,9 @@
 //!    matrix ([`Hub::close`], Floyd–Warshall on the upper triangle when
 //!    the matrix is symmetric), yielding **exact** global
 //!    border-to-border distances: the [`Hub`]. It is kept too, as the one
-//!    copy of every such distance: every site's table is gathered from
-//!    it, the materializer folds it, and no write drops it.
+//!    copy of every such distance: every site reads it through its
+//!    borders' skeleton ids, the materializer folds it, and no write
+//!    drops it.
 //! 3. **No stored paths** — a route is read off the kept skeleton when
 //!    it is asked for ([`crate::EngineSnapshot::route`]): one sweep of
 //!    the skeleton between the endpoints' cells, and one point sweep of
@@ -59,9 +60,8 @@
 //! interior and is dominated by that fragment's local-sweep edge. A
 //! border pair disconnected *locally* but connected globally is served by
 //! the skeleton closure through other fragments; no global re-sweep is
-//! ever needed, and the resulting shortcut tables are bit-identical to
-//! the global-sweep reference (asserted per-tuple by
-//! `tests/properties.rs`).
+//! ever needed, and the resulting hub is bit-identical to the
+//! global-sweep reference (asserted per-tuple by `tests/properties.rs`).
 //!
 //! ## Maintenance keeps the hub exact and patches the kept skeleton
 //!
@@ -78,44 +78,36 @@
 //!   cells, the fragment-level form of the repair rule (an edit whose
 //!   cell touches no border re-sweeps nothing).
 //!
-//! The hub is repaired by one rule, and the tables never on their own.
-//! The rule reads an edit's endpoint distances off the pre-edit hub (a
-//! border's row or column; any other endpoint's cell borders, each
-//! folded with its row or column); an insert lowers the hub entries a
-//! new entry shortens; a deletion names the hub pairs the deleted entry
-//! could carry and re-closes them by sweeps of the patched skeleton on
-//! the caller's [`ScratchDijkstra`] — from each affected source, stopped
-//! once its *affected* partners settle. The rule compares its candidates
-//! in [`Cost`] against the hub's widened words and narrows what it
-//! writes (see [`crate::bulk`]). Then every changed hub entry `(s, t)`
-//! is written into the tables that hold both borders in scope, and no
-//! other table entry is read. A table none of them reaches keeps its
-//! `Arc`, and a write that changes no hub entry keeps the shared hub.
+//! The hub is repaired by one rule. The rule reads an edit's endpoint
+//! distances off the pre-edit hub (a border's row or column; any other
+//! endpoint's cell borders, each folded with its row or column); an
+//! insert lowers the hub entries a new entry shortens; a deletion names
+//! the hub pairs the deleted entry could carry and re-closes them by
+//! sweeps of the patched skeleton on the caller's [`ScratchDijkstra`] —
+//! from each affected source, stopped once its *affected* partners
+//! settle. The rule compares its candidates in [`Cost`] against the
+//! hub's widened words and narrows what it writes (see [`crate::bulk`]).
+//! A write that changes no hub entry keeps the shared hub; every site
+//! holding both borders of a changed entry is rebuilt, since its access
+//! sets and memos read every pair of its borders.
 //!
-//! Two scopes are provided:
+//! ## The counting rule
+//!
+//! A site stores nothing of its own: its subqueries read `H` restricted
+//! to its borders ([`crate::local::Site`]), so every pair of its borders
+//! is there and every site agrees with the global state by construction.
+//! [`ComplementaryScope`] is the paper's rule for what a site *counts* as
+//! its complementary information — the tuples [`ComplementaryInfo::shortcuts`]
+//! lists, [`ComplementaryInfo::pair_count`] sums and an update report
+//! ships — the finite `H` entries over the scope's pairs:
+//!
 //! * [`ComplementaryScope::PerDisconnectionSet`] — exactly the paper's
-//!   rule: pairs within each `DS_ij`. Exact when the fragmentation graph
-//!   is loosely connected (acyclic), the paper's stated assumption.
+//!   rule: pairs within each `DS_ij` adjacent to the site;
 //! * [`ComplementaryScope::PerFragmentBorder`] — pairs over *all* border
-//!   nodes of each fragment. A strict superset that stays exact on
-//!   *cyclic* fragmentation graphs too (an excursion out of a fragment can
-//!   then return through a different disconnection set; covering all
-//!   border pairs of the fragment closes that hole). This is the default,
-//!   and the extra storage is measured in the `ablation-crossing`
-//!   experiments.
+//!   nodes of the site, a strict superset (the default; the difference
+//!   is measured in the `ablation-crossing` experiments).
 //!
-//! ## One dense table per site
-//!
-//! What a site stores is a [`BorderTable`]: its fragment's border nodes
-//! and a row-major cost matrix over them (diagonal 0, `INFINITE_COST`
-//! where there is no tuple) — the form a site evaluates its subqueries
-//! from, so [`crate::local::Site`] reads the same allocation in place.
-//! The tuple view ([`ComplementaryInfo::shortcuts`]) is derived from it.
-//! Because the slot of a pair exists whether or not a tuple does, insert
-//! maintenance can *add* a tuple: a pair a disconnecting deletion dropped
-//! (or a one-way network never joined) and a later insertion reconnects
-//! is written at every site holding both borders, so each site keeps
-//! exactly the tuples a from-scratch precompute would give it.
+//! Answers are exact under either scope, on any fragmentation.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -123,22 +115,22 @@ use std::time::Instant;
 use ds_fragment::{FragmentId, Fragmentation, Membership};
 use ds_graph::{dijkstra, Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
 
-use crate::bulk::{assert_admitted, narrow, widen, Hub, Word};
+use crate::bulk::{assert_admitted, narrow, widen, Hub, Word, WORD_INF};
 use crate::local::LocalGraph;
 
-/// Which border pairs get a precomputed shortcut.
+/// Which border pairs a site counts a shortcut for (the counting rule of
+/// the module docs). Every site reads every pair of its borders off the
+/// hub whatever the scope, so answers are exact under both.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ComplementaryScope {
-    /// Pairs within each disconnection set (the paper's rule; exact for
-    /// loosely connected fragmentations).
+    /// Pairs within each disconnection set (the paper's rule).
     PerDisconnectionSet,
-    /// All border-node pairs of each fragment (exact for any
-    /// fragmentation).
+    /// All border-node pairs of each fragment.
     #[default]
     PerFragmentBorder,
 }
 
-/// Which precompute algorithm produced the tables.
+/// Which precompute algorithm produced the hub.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PrecomputeStrategy {
     /// Fragment-local sweeps + border-skeleton closure (the default).
@@ -163,8 +155,9 @@ pub struct PrecomputeStats {
     /// the hub, a deletion's partial re-close sweeps (0 on the reference
     /// path).
     pub skeleton_close_ns: u64,
-    /// Time gathering the per-site shortcut tables from the hub (on a
-    /// deletion, after writing the re-closed pairs into it).
+    /// Time assembling the information around the hub (on a deletion,
+    /// writing the re-closed pairs into it and finding the sites they
+    /// reach).
     pub assemble_ns: u64,
     /// Skeleton sources the skeleton was closed from: every border on a
     /// build, on a deletion's re-close the roots it swept from — the
@@ -225,175 +218,77 @@ impl LocalSweeps {
 struct Layout {
     /// Every border node, ascending; index = skeleton id.
     borders: Vec<NodeId>,
-    /// Per site, the groups of borders whose pairs get a tuple (see
-    /// `site_border_sets`).
-    groups: Vec<Vec<Vec<NodeId>>>,
-    /// Per site, the skeleton id of each border of its table, in table
-    /// order.
+    /// Per site, the skeleton ids of its borders, ascending.
     at: Vec<Vec<usize>>,
-    /// Per skeleton id, the sites whose table holds the border, each with
-    /// the border's position in it, by site.
-    holders: Vec<Vec<(FragmentId, usize)>>,
+    /// Per site, the groups of its borders (skeleton ids, ascending)
+    /// whose pairs the scope counts (see `site_border_sets`).
+    groups: Vec<Vec<Vec<usize>>>,
+    /// Per skeleton id, the sites holding the border, ascending.
+    holders: Vec<Vec<FragmentId>>,
 }
 
 impl Layout {
     fn new(frag: &Fragmentation, membership: &Membership, scope: ComplementaryScope) -> Self {
         let (groups, borders) = site_border_sets(frag, membership, scope);
-        let at = (groups.iter())
+        let groups: Vec<Vec<Vec<usize>>> = (groups.iter())
             .map(|g| {
-                (table_borders(g).iter())
-                    .map(|v| position(&borders, v))
+                (g.iter())
+                    .map(|set| set.iter().map(|v| position(&borders, v)).collect())
                     .collect()
             })
-            .collect::<Vec<Vec<usize>>>();
+            .collect();
+        // A site's borders: the union of its groups.
+        let at: Vec<Vec<usize>> = (groups.iter())
+            .map(|g| {
+                let mut all = g.concat();
+                all.sort_unstable();
+                all.dedup();
+                all
+            })
+            .collect();
         let mut holders = vec![Vec::new(); borders.len()];
         for (f, ids) in at.iter().enumerate() {
-            for (i, &s) in ids.iter().enumerate() {
-                holders[s].push((f, i));
+            for &s in ids {
+                holders[s].push(f);
             }
         }
         Layout {
             borders,
-            groups,
             at,
+            groups,
             holders,
         }
     }
-}
 
-/// One site's complementary information in its only stored form: the
-/// fragment's border nodes — as the fragmentation defines them, so a lone
-/// border has a 1x1 table and a fragment without borders an empty one —
-/// and the global shortest distances between them as a dense matrix.
-/// [`ComplementaryInfo`] gathers it from the [`Hub`], widened to
-/// [`Cost`]s, and writes it again wherever a write changes a hub entry it
-/// holds; the site
-/// ([`crate::local::Site`]) evaluates its subqueries from the very same
-/// allocation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BorderTable {
-    /// The border nodes (global ids), ascending.
-    borders: Vec<NodeId>,
-    /// Row-major over `borders`: diagonal 0, [`INFINITE_COST`] where no
-    /// tuple is stored.
-    costs: Vec<Cost>,
-    /// Row-major like `costs`: the pairs the scope stores a tuple for.
-    /// Empty when that is every pair — always on
-    /// [`ComplementaryScope::PerFragmentBorder`]. An entry outside the
-    /// scope stays `INFINITE_COST` for good: the gather skips it.
-    in_scope: Vec<bool>,
-}
-
-impl BorderTable {
-    /// The table, no tuple stored yet, of a site whose scope is the pairs
-    /// within each of `groups` (each ascending): one group of all its
-    /// borders covers every pair; several — one per adjacent
-    /// disconnection set — leave the cross-set pairs out.
-    fn for_groups(groups: &[Vec<NodeId>]) -> Self {
-        let borders = table_borders(groups);
-        let nb = borders.len();
-        let mut costs = vec![INFINITE_COST; nb * nb];
-        for i in 0..nb {
-            costs[i * nb + i] = 0;
-        }
-        let mut in_scope = Vec::new();
-        if groups.len() > 1 {
-            in_scope = vec![false; nb * nb];
-            for group in groups {
-                let at: Vec<usize> = group.iter().map(|v| position(&borders, v)).collect();
-                for &i in &at {
-                    for &j in at.iter().filter(|&&j| j != i) {
-                        in_scope[i * nb + j] = true;
-                    }
-                }
-            }
-        }
-        BorderTable {
-            borders,
-            costs,
-            in_scope,
-        }
-    }
-
-    /// A table over `borders` (ascending) holding exactly `tuples`.
-    #[cfg(test)]
-    pub(crate) fn from_edges(borders: Vec<NodeId>, tuples: &[Edge]) -> Self {
-        let mut table = BorderTable::for_groups(&[borders]);
-        let nb = table.borders.len();
-        for e in tuples {
-            let at = |v| position(&table.borders, v);
-            table.costs[at(&e.src) * nb + at(&e.dst)] = e.cost;
-        }
-        table
-    }
-
-    /// The border nodes (global ids), ascending.
-    pub fn borders(&self) -> &[NodeId] {
-        &self.borders
-    }
-
-    /// The whole matrix, row-major.
-    pub fn costs(&self) -> &[Cost] {
-        &self.costs
-    }
-
-    /// The distances from the `i`-th border.
-    pub fn row(&self, i: usize) -> &[Cost] {
-        let nb = self.borders.len();
-        &self.costs[i * nb..(i + 1) * nb]
-    }
-
-    /// The stored tuples as shortcut edges, in (row, column) order.
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.borders.iter().enumerate().flat_map(move |(i, &u)| {
-            (self.borders.iter().zip(self.row(i)).enumerate())
-                .filter(move |&(j, (_, &cost))| j != i && cost < INFINITE_COST)
-                .map(move |(_, (&v, &cost))| Edge::new(u, v, cost))
-        })
-    }
-
-    /// Number of stored tuples.
-    pub fn pair_count(&self) -> usize {
-        self.edges().count()
-    }
-
-    /// Heap bytes held.
-    pub fn memory_bytes(&self) -> usize {
-        self.borders.capacity() * std::mem::size_of::<NodeId>()
-            + self.costs.capacity() * std::mem::size_of::<Cost>()
-            + self.in_scope.capacity()
-    }
-
-    fn covers(&self, slot: usize) -> bool {
-        self.in_scope.get(slot).copied().unwrap_or(true)
+    /// Whether site `f`'s scope counts the pair of its borders `s`, `t`
+    /// (skeleton ids): one group is every pair.
+    fn counts(&self, f: FragmentId, s: usize, t: usize) -> bool {
+        let groups = &self.groups[f];
+        let holds = |g: &[usize]| g.binary_search(&s).is_ok() && g.binary_search(&t).is_ok();
+        groups.len() == 1 || groups.iter().any(|g| holds(g))
     }
 }
 
 /// The precomputed complementary information: the [`Hub`] — every
-/// global border-to-border distance — and one [`BorderTable`] per site
-/// gathered from it, plus the kept skeleton and local sweeps that update
-/// maintenance patches instead of redoing the precompute.
+/// global border-to-border distance, which every site reads through its
+/// borders' skeleton ids — plus the kept skeleton and local sweeps that
+/// update maintenance patches instead of redoing the precompute.
 ///
-/// Every table lives behind its own [`Arc`], which the site's evaluation
-/// state holds too; so do the hub, every fragment's local-sweep output
-/// and the skeleton. Cloning the whole structure (the serve writer's
-/// per-epoch copy-on-write publication) costs a few refcount bumps per
-/// site, and update maintenance — which goes through [`Arc::make_mut`]
-/// only when an entry changes — detaches only the hub and the tables it
-/// actually changes. Untouched sites stay pointer-shared with every
-/// previous epoch (asserted by the structural-sharing property in
-/// `tests/properties.rs`).
+/// The hub, every fragment's local-sweep output and the skeleton each
+/// live behind their own [`Arc`]. Cloning the whole structure (the serve
+/// writer's per-epoch copy-on-write publication) costs a few refcount
+/// bumps, and update maintenance — which goes through [`Arc::make_mut`]
+/// only when an entry changes — detaches only what it changes.
 #[derive(Clone, Debug)]
 pub struct ComplementaryInfo {
-    tables: Vec<Arc<BorderTable>>,
     /// Per fragment, the output of its latest local sweeps.
     local: Vec<Arc<LocalSweeps>>,
     /// The border skeleton over skeleton ids: per ordered border pair,
     /// the cheapest of their connections and of the fragments' local-sweep
     /// edges (one entry per pair).
     skeleton: Arc<CsrGraph>,
-    /// The closure of the skeleton, which every table entry is gathered
-    /// from: closed by the build, kept exact by every write.
+    /// The closure of the skeleton, which every site reads: closed by the
+    /// build, kept exact by every write.
     hub: Arc<Hub>,
     layout: Arc<Layout>,
     stats: PrecomputeStats,
@@ -475,14 +370,6 @@ fn position(borders: &[NodeId], v: &NodeId) -> usize {
     borders.binary_search(v).expect("a border of the list")
 }
 
-/// The borders of a site's table: the union of its groups, ascending.
-fn table_borders(groups: &[Vec<NodeId>]) -> Vec<NodeId> {
-    let mut all = groups.concat();
-    all.sort_unstable();
-    all.dedup();
-    all
-}
-
 /// The cost of the skeleton entry `s -> t`, if there is one.
 fn entry(skeleton: &CsrGraph, s: usize, t: usize) -> Option<Cost> {
     (skeleton.neighbors(NodeId::from_index(s)))
@@ -509,27 +396,18 @@ pub(crate) struct Through<'a> {
 /// (skeleton ids, ascending) — the pairs a deletion affects.
 pub(crate) type Affected = Vec<(usize, Vec<NodeId>)>;
 
-/// What one write wrote into the tables.
+/// What one write's changed hub entries mean to the sites.
 #[derive(Clone, Debug)]
-pub(crate) struct Gathered {
-    /// Per site, the table entries that changed.
-    pub(crate) per_site: Vec<usize>,
-    /// Whether a stored tuple was dropped: an entry went from finite to
-    /// [`INFINITE_COST`].
+pub(crate) struct Changes {
+    /// The changed entries each site's scope counts a shortcut for,
+    /// summed over the sites.
+    pub(crate) counted: usize,
+    /// The sites holding both borders of a changed entry, ascending:
+    /// their access sets and memos read it.
+    pub(crate) sites: Vec<FragmentId>,
+    /// Whether a counted shortcut was dropped: an entry went from finite
+    /// to [`INFINITE_COST`].
     pub(crate) dropped: bool,
-    /// Table entries compared with a changed hub entry: its copies at
-    /// the sites holding both of its borders in scope.
-    pub(crate) compared: usize,
-}
-
-impl Gathered {
-    fn none(sites: usize) -> Self {
-        Gathered {
-            per_site: vec![0; sites],
-            dropped: false,
-            compared: 0,
-        }
-    }
 }
 
 impl ComplementaryInfo {
@@ -565,7 +443,7 @@ impl ComplementaryInfo {
         let t1 = Instant::now();
         let hub = Hub::close(&skeleton);
         let t2 = Instant::now();
-        let mut comp = ComplementaryInfo::gathered(layout, local, skeleton, hub);
+        let mut comp = ComplementaryInfo::new(layout, local, skeleton, hub);
         comp.stats = PrecomputeStats {
             strategy: PrecomputeStrategy::Skeleton,
             local_sweeps_ns: (t1 - t0).as_nanos() as u64,
@@ -577,66 +455,42 @@ impl ComplementaryInfo {
     }
 
     /// The information over the kept `local` sweeps and `skeleton`, whose
-    /// closure is `hub`: every in-scope entry of every table gathered from
-    /// the hub.
-    fn gathered(
-        layout: Layout,
-        local: Vec<Arc<LocalSweeps>>,
-        skeleton: CsrGraph,
-        hub: Hub,
-    ) -> Self {
-        let mut comp = ComplementaryInfo {
-            tables: (layout.groups.iter())
-                .map(|groups| Arc::new(BorderTable::for_groups(groups)))
-                .collect(),
+    /// closure is `hub`.
+    fn new(layout: Layout, local: Vec<Arc<LocalSweeps>>, skeleton: CsrGraph, hub: Hub) -> Self {
+        ComplementaryInfo {
             local,
             skeleton: Arc::new(skeleton),
             hub: Arc::new(hub),
             layout: Arc::new(layout),
             stats: PrecomputeStats::default(),
-        };
-        let hub = &comp.hub;
-        for (table, at) in comp.tables.iter_mut().zip(&comp.layout.at) {
-            let (table, nb) = (Arc::make_mut(table), at.len());
-            for (i, &s) in at.iter().enumerate() {
-                let row = hub.words(s);
-                for (j, &t) in at.iter().enumerate() {
-                    if table.covers(i * nb + j) {
-                        table.costs[i * nb + j] = widen(row[t]);
-                    }
-                }
-            }
         }
-        comp
     }
 
-    /// Write the changed hub entries `changed` (slot, cost) into the
-    /// tables that hold both of the slot's borders in scope, comparing
-    /// first; no other table entry is read. A table none of them reaches
-    /// keeps its `Arc`, since `Arc::make_mut` detaches only one that
-    /// changes.
-    fn regather(&mut self, changed: &[(usize, Cost)]) -> Gathered {
-        let (nb, holders) = (self.border_count(), &self.layout.holders);
-        let mut out = Gathered::none(self.tables.len());
+    /// What the changed hub entries `changed` (slot, cost) mean to the
+    /// sites: the ones holding both of a slot's borders, and the entries
+    /// their scopes count.
+    fn changes(&self, changed: &[(usize, Cost)]) -> Changes {
+        let (nb, layout) = (self.border_count(), &*self.layout);
+        let mut held = vec![false; layout.at.len()];
+        let mut out = Changes {
+            counted: 0,
+            sites: Vec::new(),
+            dropped: false,
+        };
         for &(slot, cost) in changed {
             let (s, t) = (slot / nb, slot % nb);
-            for &(f, i) in &holders[s] {
-                let Some(&(_, j)) = holders[t].iter().find(|&&(g, _)| g == f) else {
-                    continue;
-                };
-                let table = &mut self.tables[f];
-                let entry = i * table.borders.len() + j;
-                if !table.covers(entry) {
+            for &f in &layout.holders[s] {
+                if layout.holders[t].binary_search(&f).is_err() {
                     continue;
                 }
-                out.compared += 1;
-                if table.costs[entry] != cost {
-                    Arc::make_mut(table).costs[entry] = cost;
-                    out.per_site[f] += 1;
+                held[f] = true;
+                if layout.counts(f, s, t) {
+                    out.counted += 1;
                     out.dropped |= cost == INFINITE_COST;
                 }
             }
         }
+        out.sites = (0..held.len()).filter(|&f| held[f]).collect();
         out
     }
 
@@ -695,9 +549,8 @@ impl ComplementaryInfo {
     /// A deletion's re-close over the patched skeleton: the affected
     /// pairs' distances ([`ComplementaryInfo::close_pairs`]) are written
     /// into the hub — every other pair kept its shortest path and keeps
-    /// its cost — and the changed entries into the tables holding them.
-    /// Returns what the tables took, a dropped tuple meaning its pair
-    /// became unreachable. Closing nothing leaves the stats alone;
+    /// its cost. Returns what the changed entries mean to the sites, a
+    /// dropped tuple meaning its pair became unreachable. Closing nothing leaves the stats alone;
     /// otherwise they are this re-close's, `patch_ns` the skeleton patch
     /// before it.
     pub(crate) fn reclose(
@@ -706,9 +559,9 @@ impl ComplementaryInfo {
         symmetric: bool,
         patch_ns: u64,
         scratch: &mut ScratchDijkstra,
-    ) -> Gathered {
+    ) -> Changes {
         if affected.is_empty() {
-            return Gathered::none(self.tables.len());
+            return self.changes(&[]);
         }
         let t1 = Instant::now();
         let (closed, roots) = self.close_pairs(affected, symmetric, scratch);
@@ -759,8 +612,8 @@ impl ComplementaryInfo {
 
     /// Write `writes` (hub slot, cost) into the hub, the cheapest per
     /// slot, each narrowed to a word, detaching the hub only when an entry
-    /// changes, and the changed entries into the tables (see `regather`).
-    fn rewrite(&mut self, mut writes: Vec<(usize, Cost)>) -> Gathered {
+    /// changes; returns what the changed entries mean to the sites.
+    fn rewrite(&mut self, mut writes: Vec<(usize, Cost)>) -> Changes {
         writes.sort_unstable();
         writes.dedup_by_key(|&mut (slot, _)| slot);
         writes.retain(|&(slot, cost)| widen(self.hub.all_words()[slot]) != cost);
@@ -770,11 +623,11 @@ impl ComplementaryInfo {
                 hub[slot] = narrow(cost);
             }
         }
-        self.regather(&writes)
+        self.changes(&writes)
     }
 
     /// The reference precompute: one whole-graph Dijkstra per border
-    /// node. Produces tables identical to [`ComplementaryInfo::compute`];
+    /// node. Produces a hub identical to [`ComplementaryInfo::compute`]'s;
     /// kept for equivalence tests. It derives the same kept skeleton
     /// (outside its timing), so it maintains like any other. Panics on
     /// the networks [`ComplementaryInfo::compute`] panics on.
@@ -804,7 +657,7 @@ impl ComplementaryInfo {
             .flat_map(|from| border_list.iter().map(|&b| from.cost(b)))
             .map(|cost| cost.unwrap_or(INFINITE_COST));
         let hub = Hub::from_rows(border_list.len(), dist);
-        let mut comp = ComplementaryInfo::gathered(layout, local, skeleton, hub);
+        let mut comp = ComplementaryInfo::new(layout, local, skeleton, hub);
         let assemble_ns = t2.elapsed().as_nanos() as u64;
         comp.stats = PrecomputeStats {
             strategy: PrecomputeStrategy::GlobalSweep,
@@ -813,14 +666,6 @@ impl ComplementaryInfo {
             ..PrecomputeStats::default()
         };
         comp
-    }
-
-    /// Site `f`'s table, behind the handle its [`crate::local::Site`]
-    /// holds as well. Two `ComplementaryInfo` values that return
-    /// `Arc::ptr_eq` handles for a site physically share that site's
-    /// table (structural sharing across snapshot epochs).
-    pub fn table(&self, f: usize) -> &Arc<BorderTable> {
-        &self.tables[f]
     }
 
     /// Fragment `f`'s kept local-sweep output. An update that leaves it
@@ -841,25 +686,43 @@ impl ComplementaryInfo {
         edges
     }
 
-    /// The tuples stored at site `f` as shortcut edges
-    /// `(u, v, global_dist)`, in (row, column) order of its table.
-    pub fn shortcuts(&self, f: usize) -> impl Iterator<Item = Edge> + '_ {
-        self.tables[f].edges()
+    /// Every finite pair of site `f`'s borders as an edge `(u, v,
+    /// global_dist)`, in (row, column) order over its borders — the view
+    /// its subqueries read off the hub — with the pair's skeleton ids.
+    fn view(&self, f: FragmentId) -> impl Iterator<Item = (Edge, usize, usize)> + '_ {
+        let (ids, borders) = (&self.layout.at[f], &self.layout.borders);
+        ids.iter().flat_map(move |&s| {
+            let row = self.hub.words(s);
+            (ids.iter())
+                .filter(move |&&t| t != s && row[t] < WORD_INF)
+                .map(move |&t| (Edge::new(borders[s], borders[t], widen(row[t])), s, t))
+        })
     }
 
-    /// A deep copy that shares nothing with `self`: every per-site table,
-    /// every fragment's kept sweeps, the skeleton and the hub get a fresh
-    /// allocation. This is what a full per-epoch snapshot copy
-    /// used to cost before structural sharing — kept as the baseline of
-    /// the publication-cost bench, and useful to detach a snapshot from a
-    /// shared lineage entirely.
+    /// Every finite pair of site `f`'s borders as an edge — what its
+    /// augmented graph carries, whatever the scope.
+    pub(crate) fn site_pairs(&self, f: FragmentId) -> impl Iterator<Item = Edge> + '_ {
+        self.view(f).map(|(e, _, _)| e)
+    }
+
+    /// The shortcuts site `f` counts as its complementary information:
+    /// the finite hub entries over its scope's pairs (the counting rule
+    /// of the module docs), as edges `(u, v, global_dist)` in (row,
+    /// column) order over its borders.
+    pub fn shortcuts(&self, f: FragmentId) -> impl Iterator<Item = Edge> + '_ {
+        let layout = &self.layout;
+        (self.view(f))
+            .filter(move |&(_, s, t)| layout.counts(f, s, t))
+            .map(|(e, _, _)| e)
+    }
+
+    /// A deep copy that shares nothing with `self`: every fragment's kept
+    /// sweeps, the skeleton and the hub get a fresh allocation. This is
+    /// what a full per-epoch snapshot copy used to cost before structural
+    /// sharing — kept as the baseline of the publication-cost bench, and
+    /// useful to detach a snapshot from a shared lineage entirely.
     pub fn unshared_clone(&self) -> Self {
         ComplementaryInfo {
-            tables: self
-                .tables
-                .iter()
-                .map(|t| Arc::new((**t).clone()))
-                .collect(),
             local: (self.local.iter())
                 .map(|l| Arc::new((**l).clone()))
                 .collect(),
@@ -883,7 +746,7 @@ impl ComplementaryInfo {
     }
 
     /// The [`Hub`]: every global border-to-border distance, which every
-    /// table entry is gathered from. A write leaves the handle
+    /// site reads. A write leaves the handle
     /// `Arc::ptr_eq` with its predecessor's exactly when it changed no
     /// entry.
     pub fn hub(&self) -> &Arc<Hub> {
@@ -895,9 +758,11 @@ impl ComplementaryInfo {
         &self.layout.borders
     }
 
-    /// The skeleton ids of site `f`'s borders, in the order of its table.
-    pub(crate) fn skeleton_ids(&self, f: FragmentId) -> &[usize] {
-        &self.layout.at[f]
+    /// Site `f`'s borders, ascending, each with its skeleton id.
+    pub(crate) fn site_borders(&self, f: FragmentId) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        self.layout.at[f]
+            .iter()
+            .map(|&s| (self.layout.borders[s], s))
     }
 
     /// The skeleton id of `v`, if it is a border: its position among
@@ -908,25 +773,23 @@ impl ComplementaryInfo {
     }
 
     /// Total shortcut tuples across all sites (the paper's "pre-computed
-    /// information" volume): the finite off-diagonal entries.
+    /// information" volume): [`ComplementaryInfo::shortcuts`] of every
+    /// site.
     pub fn pair_count(&self) -> usize {
-        self.tables.iter().map(|t| t.pair_count()).sum()
-    }
-
-    /// Heap bytes held by the tables.
-    pub fn table_bytes(&self) -> usize {
-        self.tables.iter().map(|t| t.memory_bytes()).sum()
+        (0..self.layout.at.len())
+            .map(|f| self.shortcuts(f).count())
+            .sum()
     }
 
     /// Heap bytes held but the hub's (counted apart, as
-    /// `SnapshotBytes::hub`): the tables, the kept skeleton plus every
-    /// fragment's kept local sweeps (their skeleton edges).
+    /// `SnapshotBytes::hub`): the kept skeleton plus every fragment's
+    /// kept local sweeps (their skeleton edges).
     pub fn memory_bytes(&self) -> usize {
         let swept = self.local.iter().map(|l| l.memory_bytes());
-        self.table_bytes() + self.skeleton.memory_bytes() + swept.sum::<usize>()
+        self.skeleton.memory_bytes() + swept.sum::<usize>()
     }
 
-    /// Per-phase timing of the precompute that built these tables, or of
+    /// Per-phase timing of the precompute that built the hub, or of
     /// the last deletion whose re-close closed a source (one that closes
     /// none leaves it as it was).
     pub fn precompute_stats(&self) -> PrecomputeStats {
@@ -935,16 +798,14 @@ impl ComplementaryInfo {
 
     /// Insert maintenance: lower every hub entry `(a, b)` to
     /// `min(H[a][b], to[a] + c + from[b])` over the inserted `entries`,
-    /// and write each lowered entry into the tables holding it, so a pair
-    /// the new connection joins for the first time gets its tuple at every
-    /// site holding both borders. Only the rows the entry can lower are
-    /// read (see `candidate_rows`): an insert whose endpoints reach no
-    /// border, or that shortens no border's way to `v`, reads none.
+    /// so a pair the new connection joins for the first time gets its
+    /// entry. Only the rows the entry can lower are read (see
+    /// `candidate_rows`): an insert whose endpoints reach no border, or
+    /// that shortens no border's way to `v`, reads none.
     ///
-    /// Returns what the tables took — a site whose table none of the
-    /// lowered entries reaches keeps it shared, and an insert that lowers
-    /// no hub entry keeps the shared hub.
-    pub(crate) fn lower(&mut self, entries: &[Through<'_>]) -> Gathered {
+    /// Returns what the lowered entries mean to the sites; an insert that
+    /// lowers no hub entry keeps the shared hub.
+    pub(crate) fn lower(&mut self, entries: &[Through<'_>]) -> Changes {
         let (nb, mut lowered) = (self.border_count(), Vec::new());
         for e in entries {
             for (a, row, through) in self.candidate_rows(e) {
@@ -1096,7 +957,8 @@ mod tests {
         assert_eq!(comp.border_count(), 1);
         assert_eq!(comp.pair_count(), 0, "a singleton DS has no pairs");
         assert_eq!(comp.shortcuts(0).count(), 0);
-        assert_eq!(comp.table(0).borders(), [NodeId(2)], "still a border");
+        let borders: Vec<(NodeId, usize)> = comp.site_borders(0).collect();
+        assert_eq!(borders, [(NodeId(2), 0)], "still a border");
     }
 
     #[test]
@@ -1167,9 +1029,9 @@ mod tests {
         );
     }
 
-    /// The skeleton tables equal the global-sweep reference, and the
-    /// route the kept skeleton gives for every stored pair is a real
-    /// path of the pair's cost.
+    /// The skeleton hub and shortcuts equal the global-sweep reference,
+    /// and the route the kept skeleton gives for every counted pair is a
+    /// real path of the pair's cost.
     #[test]
     fn skeleton_matches_global_sweep_tables_and_paths() {
         use crate::{EngineConfig, EngineSnapshot};
@@ -1192,13 +1054,15 @@ mod tests {
             let glob = ComplementaryInfo::compute_global_sweep(&frag, g.symmetric, scope);
             assert_eq!(skel.border_count(), glob.border_count(), "{scope:?}");
             assert_eq!(skel.pair_count(), glob.pair_count(), "{scope:?}");
+            assert_eq!(skel.hub(), glob.hub(), "{scope:?}");
             let cfg = EngineConfig {
                 scope,
                 ..EngineConfig::default()
             };
             let snap = EngineSnapshot::build(frag.clone(), g.symmetric, cfg);
             for f in 0..frag.fragment_count() {
-                assert_eq!(skel.table(f), glob.table(f), "{scope:?} site {f}");
+                let (a, b) = (skel.shortcuts(f), glob.shortcuts(f));
+                assert!(a.eq(b), "{scope:?} site {f}");
                 for e in skel.shortcuts(f) {
                     let route = snap.route(e.src, e.dst, &mut scratch).unwrap();
                     let p = route.expect("a stored pair is connected").nodes;

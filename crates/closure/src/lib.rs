@@ -22,7 +22,7 @@
 //!    off the answer — [`assemble`].
 //!
 //! [`EngineSnapshot`] is the pipeline, built from the fragmented relation
-//! alone — the closure graph, the tables, the sites and the planner are
+//! alone — the closure graph, the hub, the sites and the planner are
 //! all derived from it — and queried through `&self` plus a scratch
 //! kernel the caller owns; [`baseline`] holds the centralized algorithms
 //! it is validated against, and [`phe`] implements the Parallel
@@ -70,7 +70,7 @@ pub mod updates;
 
 pub use api::{BatchAnswer, BatchStats, BoundedBatchAnswer, NetworkUpdate, QueryRequest, TcEngine};
 pub use complementary::{
-    BorderTable, ComplementaryInfo, ComplementaryScope, PrecomputeStats, PrecomputeStrategy,
+    ComplementaryInfo, ComplementaryScope, PrecomputeStats, PrecomputeStrategy,
 };
 pub use engine::{EngineConfig, QueryAnswer, QueryStats, Route};
 pub use error::ClosureError;

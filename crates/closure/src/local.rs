@@ -18,12 +18,11 @@
 //!
 //! * the fragment's own graph, in local node ids, without shortcuts (and
 //!   its transpose on directed networks only);
-//! * the site's complementary table ([`BorderTable`]) — its border nodes
-//!   as the fragmentation defines them, so a lone border is still a
-//!   border, with the complementary distances as a dense row-major
-//!   matrix `D` (diagonal 0, [`INFINITE_COST`] where no tuple is stored)
-//!   — behind the very `Arc` [`crate::ComplementaryInfo`] keeps it in:
-//!   the numbers are stored once;
+//! * its border nodes as the fragmentation defines them, so a lone
+//!   border is still a border, each with its skeleton id: the border
+//!   distances `D` are the epoch's [`Hub`] `H` restricted to them,
+//!   `D[b][b'] = H[b][b']`, read in place — the caller passes the hub in,
+//!   and the numbers are stored once, for every site;
 //! * per fragment node, filled on first use, its *access set*: the
 //!   borders it reaches over local edges without crossing another border,
 //!   with those local costs, less the entries another entry dominates
@@ -35,7 +34,9 @@
 //!   never exceed `ROW_NODES²` costs (512 KiB) — about `ROW_NODES` costs
 //!   per fragment node at worst.
 //!
-//! [`border_matrix_with`] then evaluates every subquery algebraically:
+//! Access entries name their border by its skeleton id, so they index
+//! the hub directly. [`border_matrix_with`] then evaluates every
+//! subquery algebraically:
 //! `access(s) ⊗ D ⊗ access⁻¹(t)` in the min-plus sense, a border's access
 //! set being itself at cost 0 — so border → border is a lookup `D[a][b]`,
 //! endpoint → disconnection set a product of a short vector with rows of
@@ -53,16 +54,15 @@
 //! first border `b` over local edges (cost at least `access(s)[b]`),
 //! leaves its last border `b'` likewise, and in between costs at least
 //! `D[b][b']`, provided `D` is the shortest-distance closure of the
-//! augmented graph on the borders. A table that stores every ordered
-//! border pair is that closure as stored (the tuples are global
-//! distances, which no walk through the site can beat). A table with a
-//! pair missing — the [`crate::ComplementaryScope::PerDisconnectionSet`]
-//! scope stores pairs within one disconnection set only; an insertion can
-//! reconnect borders whose tuple a disconnecting deletion dropped — is
-//! closed once, when the site is built, by sweeping the site's augmented
-//! graph from the borders whose row is incomplete. Dropping a dominated
-//! access entry loses nothing because the closure obeys the triangle
-//! inequality.
+//! augmented graph on the borders. `D` is `H` restricted to the site's
+//! borders: global distances, which no walk through the site can beat,
+//! and every pair of them is there — nothing is missing, so nothing is
+//! re-closed, whatever [`crate::ComplementaryScope`] counts. Dropping a
+//! dominated access entry loses nothing because the closure obeys the
+//! triangle inequality. A sum is taken in [`Cost`] over the hub's words
+//! and clamped once per answer: every true distance of an admitted
+//! network lies below the word's infinity ([`crate::bulk`]), so a sum
+//! at or above it has an unreachable term.
 //!
 //! [`forward_matrix`] — plain sweeps over the augmented graph — stays as
 //! the reference the kernel is tested against.
@@ -73,7 +73,7 @@ use ds_fragment::{Fragment, FragmentId};
 use ds_graph::{Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
 use ds_relation::{PathTuple, Relation};
 
-use crate::complementary::BorderTable;
+use crate::bulk::{Hub, WORD_INF};
 use crate::memo::SiteMemo;
 
 /// A site's augmented local graph: fragment edges (symmetric expansion if
@@ -95,7 +95,7 @@ pub fn augmented_graph(
     CsrGraph::from_edges(node_count, &edges)
 }
 
-/// `(position in the site's border list, local cost)`.
+/// `(skeleton id of a border, local cost)`.
 pub(crate) type AccessEntry = (u32, Cost);
 
 /// The largest fragment whose site keeps border-free rows (see the
@@ -111,10 +111,9 @@ pub struct SiteBytes {
     /// The fragment's own graph(s), its node list, the (empty) access-set
     /// slots and, once something asked for it, the augmented graph.
     pub graph: usize,
-    /// The border index and — only where the stored table had to be
-    /// closed — the site's own copy of the matrix. The table itself is
-    /// [`BorderTable::memory_bytes`], held once for site and
-    /// [`crate::ComplementaryInfo`].
+    /// The border index: the borders' local, global and skeleton ids.
+    /// The distances between them are the epoch's hub, held once for
+    /// every site.
     pub border_matrix: usize,
     /// The access sets and border-free rows filled so far.
     pub access_sets: usize,
@@ -161,14 +160,14 @@ pub struct Site {
     /// The fragment's own graph, shared with whatever else swept this
     /// version of the fragment.
     pub(crate) graph: Arc<LocalGraph>,
-    /// Local ids of the border nodes, ascending (hence ascending globally).
+    /// Local ids of the border nodes, ascending (hence ascending globally,
+    /// and in skeleton-id order).
     borders: Vec<NodeId>,
-    /// The complementary table, shared with `ComplementaryInfo`: `D` as
-    /// stored.
-    table: Arc<BorderTable>,
-    /// `D` closed, where the stored table is not its own closure.
-    closed: Option<Vec<Cost>>,
-    /// `own[i] = (i, 0)`: the access set of border `i` is `own[i..=i]`.
+    /// The same borders' global ids: a border is found among them and
+    /// never looked up among the fragment's nodes.
+    global: Vec<NodeId>,
+    /// `own[i] = (skeleton id of border i, 0)`: the access set of border
+    /// `i` is `own[i..=i]`.
     own: Vec<AccessEntry>,
     /// Per local node, the borders it reaches first.
     entries: Vec<OnceLock<Box<[AccessEntry]>>>,
@@ -192,24 +191,24 @@ pub struct Site {
 
 impl Site {
     /// Build the site of the fragment whose own graph is `graph`,
-    /// adjacent to the fragments `neighbors`, whose border nodes and
-    /// complementary distances are `table`. `scratch` is swept only when
-    /// the table leaves a border pair out (see the module docs).
+    /// adjacent to the fragments `neighbors`, whose border nodes, each
+    /// with its skeleton id, are `borders` (ascending).
     pub fn build(
         graph: Arc<LocalGraph>,
-        table: Arc<BorderTable>,
+        borders: impl IntoIterator<Item = (NodeId, usize)>,
         neighbors: &[FragmentId],
-        scratch: &mut ScratchDijkstra,
     ) -> Self {
-        let borders: Vec<NodeId> = (table.borders().iter())
+        let (global, own): (Vec<NodeId>, Vec<AccessEntry>) = (borders.into_iter())
+            .map(|(b, id)| (b, (id as u32, 0)))
+            .unzip();
+        let borders = (global.iter())
             .map(|&b| graph.local_id(b).expect("a border of the fragment"))
             .collect();
         let n = graph.nodes.len();
         let rows = if n <= ROW_NODES { n } else { 0 };
         let directed = graph.transpose.is_some();
         Site {
-            closed: closed_matrix(&graph.local, &borders, &table, scratch),
-            own: (0..borders.len() as u32).map(|i| (i, 0)).collect(),
+            own,
             entries: vec![OnceLock::new(); n],
             exits: vec![OnceLock::new(); if directed { n } else { 0 }],
             exits_filled: OnceLock::new(),
@@ -218,25 +217,13 @@ impl Site {
             memo: SiteMemo::new(neighbors),
             graph,
             borders,
-            table,
+            global,
         }
     }
 
-    /// `D`: the shortest-distance closure of the augmented graph on the
-    /// borders, row-major.
-    fn dist(&self) -> &[Cost] {
-        self.closed.as_deref().unwrap_or(self.table.costs())
-    }
-
-    /// The complementary table this site evaluates from — the same `Arc`
-    /// [`crate::ComplementaryInfo::table`] returns for the site.
-    pub fn table(&self) -> &Arc<BorderTable> {
-        &self.table
-    }
-
     /// The interior segment relations evaluated so far at this site.
-    /// They are valid for exactly this fragment and table, so they live
-    /// (and are replaced) with the site.
+    /// They are valid for exactly this fragment and its borders' hub
+    /// entries, so they live (and are replaced) with the site.
     pub fn memo(&self) -> &SiteMemo {
         &self.memo
     }
@@ -252,7 +239,7 @@ impl Site {
 
     /// The site's border nodes (global ids, ascending).
     pub fn border_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.table.borders().iter().copied()
+        self.global.iter().copied()
     }
 
     /// Sweep the *cell* of `x`, a node of this fragment that is no
@@ -312,7 +299,8 @@ impl Site {
 
     /// The site's augmented graph, built by `build` if nothing asked for
     /// it before. Every snapshot sharing this site describes the same
-    /// fragment and table, so whichever builds first builds for all.
+    /// fragment and border distances, so whichever builds first builds
+    /// for all.
     pub(crate) fn augmented_or_build(&self, build: impl FnOnce() -> CsrGraph) -> &Arc<CsrGraph> {
         self.augmented.get_or_init(|| Arc::new(build()))
     }
@@ -323,11 +311,10 @@ impl Site {
     }
 
     /// A deep copy sharing nothing with `self`, the augmented graph (if
-    /// built) included, over `table` — the caller's copy of this site's.
-    pub(crate) fn unshared_clone(&self, table: Arc<BorderTable>) -> Self {
+    /// built) included.
+    pub(crate) fn unshared_clone(&self) -> Self {
         let mut site = Site {
             graph: Arc::new((*self.graph).clone()),
-            table,
             ..self.clone()
         };
         if let Some(g) = site.augmented.get_mut() {
@@ -338,7 +325,7 @@ impl Site {
 
     /// Heap bytes held, by component.
     pub fn memory_bytes(&self) -> SiteBytes {
-        use std::mem::{size_of, size_of_val};
+        use std::mem::size_of_val;
         let slots = [&self.entries, &self.exits];
         let filled = slots
             .iter()
@@ -355,11 +342,9 @@ impl Site {
                 + self.augmented.get().map_or(0, |g| g.memory_bytes())
                 + slots.iter().map(|s| size_of_val(&s[..])).sum::<usize>()
                 + size_of_val(&self.rows[..]),
-            border_matrix: self
-                .closed
-                .as_ref()
-                .map_or(0, |d| d.len() * size_of::<Cost>())
-                + self.borders.len() * (size_of::<NodeId>() + size_of::<AccessEntry>()),
+            border_matrix: size_of_val(&self.borders[..])
+                + size_of_val(&self.global[..])
+                + size_of_val(&self.own[..]),
             access_sets: filled.map(|set| size_of_val(&**set)).sum::<usize>()
                 + rows.map(|row| size_of_val(&**row)).sum::<usize>(),
             segment_memo: self.memo.memory_bytes(),
@@ -367,33 +352,35 @@ impl Site {
     }
 
     /// The access set of `v`: entering the site at `v` (`forward`) or
-    /// leaving it there. The second value is `v`'s local id when `v` is
-    /// no border — the only nodes a border-free path can join. A border
-    /// is found in the (short) border list and never looked up among the
-    /// fragment's nodes.
+    /// leaving it there, pruned against the epoch's `hub`. The second
+    /// value is `v`'s local id when `v` is no border — the only nodes a
+    /// border-free path can join. A border is found in the (short) border
+    /// list and never looked up among the fragment's nodes.
     pub(crate) fn access(
         &self,
+        hub: &Hub,
         v: NodeId,
         forward: bool,
         scratch: &mut ScratchDijkstra,
     ) -> (&[AccessEntry], Option<NodeId>) {
-        if let Ok(b) = self.table.borders().binary_search(&v) {
+        if let Ok(b) = self.global.binary_search(&v) {
             return (&self.own[b..=b], None);
         }
         let local_id = (self.local_id(v)).expect("a site is asked about its own fragment's nodes");
         let forward = forward || self.graph.transpose.is_none();
         let slots = if forward { &self.entries } else { &self.exits };
-        let set =
-            slots[local_id.index()].get_or_init(|| self.sweep_access(local_id, forward, scratch));
+        let set = slots[local_id.index()]
+            .get_or_init(|| self.sweep_access(hub, local_id, forward, scratch));
         (set, Some(local_id))
     }
 
     /// One absorbing sweep from `v` over the fragment's graph (its
     /// transpose when leaving): the borders reached without crossing
     /// another, cheapest first, each kept only if no kept one already
-    /// offers it at most as cheaply through `D`.
+    /// offers it at most as cheaply through `hub`.
     fn sweep_access(
         &self,
+        hub: &Hub,
         v: NodeId,
         forward: bool,
         scratch: &mut ScratchDijkstra,
@@ -406,27 +393,28 @@ impl Site {
             _ => &self.graph.local,
         };
         scratch.sweep_to_targets_absorbing(g, &[(v, 0)], &self.borders);
-        let reached = self
-            .borders
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &b)| Some((i as u32, scratch.cost(b)?)))
-            .collect();
-        self.prune(reached, forward)
+        self.prune(hub, self.reached(scratch), forward)
+    }
+
+    /// The borders the latest sweep on `scratch` reached, by skeleton id,
+    /// at their costs.
+    fn reached(&self, scratch: &ScratchDijkstra) -> Vec<AccessEntry> {
+        (self.borders.iter().zip(&self.own))
+            .filter_map(|(&b, &(id, _))| Some((id, scratch.cost(b)?)))
+            .collect()
     }
 
     /// The access set of a node from the borders it reaches (`forward`)
     /// or is reached from, each at its local cost: cheapest first, each
     /// kept only if no kept one already offers it at most as cheaply
-    /// through `D`.
-    fn prune(&self, mut reached: Vec<AccessEntry>, forward: bool) -> Box<[AccessEntry]> {
-        reached.sort_unstable_by_key(|&(i, cost)| (cost, i));
-        let (nb, dist) = (self.borders.len(), self.dist());
+    /// through `hub`.
+    fn prune(&self, hub: &Hub, mut reached: Vec<AccessEntry>, forward: bool) -> Box<[AccessEntry]> {
+        reached.sort_unstable_by_key(|&(b, cost)| (cost, b));
         let mut kept: Vec<AccessEntry> = Vec::new();
         for (b, cost) in reached {
             let through = |k: u32| {
                 let (from, to) = if forward { (k, b) } else { (b, k) };
-                dist[from as usize * nb + to as usize]
+                hub.cost(from as usize, to as usize)
             };
             if !kept.iter().any(|&(k, c)| c + through(k) <= cost) {
                 kept.push((b, cost));
@@ -443,6 +431,7 @@ impl Site {
     /// point sweep that stops at `t` or at `bound`.
     fn border_free(
         &self,
+        hub: &Hub,
         s: NodeId,
         t: NodeId,
         bound: Cost,
@@ -453,20 +442,17 @@ impl Site {
             let direct = scratch.sweep_point_bounded(&self.graph.local, s, t, bound, blocked);
             return direct.unwrap_or(INFINITE_COST);
         };
-        slot.get_or_init(|| self.border_free_row(s, scratch))[t.index()]
+        slot.get_or_init(|| self.border_free_row(hub, s, scratch))[t.index()]
     }
 
     /// The border-free row of `s`: one sweep of the fragment's own graph
     /// from `s` in which the borders are blocked. The borders it settles
     /// are the ones `s` reaches first, so the sweep fills `s`'s access
     /// set too if nothing did before.
-    fn border_free_row(&self, s: NodeId, scratch: &mut ScratchDijkstra) -> Box<[Cost]> {
+    fn border_free_row(&self, hub: &Hub, s: NodeId, scratch: &mut ScratchDijkstra) -> Box<[Cost]> {
         scratch.sweep_blocked(&self.graph.local, &[(s, 0)], &self.borders);
         if self.entries[s.index()].get().is_none() {
-            let reached = (self.borders.iter().enumerate())
-                .filter_map(|(i, &b)| Some((i as u32, scratch.cost(b)?)))
-                .collect();
-            let _ = self.entries[s.index()].set(self.prune(reached, true));
+            let _ = self.entries[s.index()].set(self.prune(hub, self.reached(scratch), true));
         }
         (0..self.graph.nodes.len())
             .map(|v| scratch.cost(NodeId::from_index(v)).unwrap_or(INFINITE_COST))
@@ -522,7 +508,7 @@ impl Site {
     /// missing than the site has borders, one sweep per missing set. A
     /// slot filled before keeps its set, which is the one this fill
     /// computes. Returns the sweeps run.
-    pub(crate) fn fill_exits(&self, scratch: &mut ScratchDijkstra) -> usize {
+    pub(crate) fn fill_exits(&self, hub: &Hub, scratch: &mut ScratchDijkstra) -> usize {
         // A symmetric site keeps one family of sets, pruned as entering.
         let (slots, forward) = (self.exit_slots(), self.graph.transpose.is_none());
         let mut swept = 0;
@@ -534,7 +520,7 @@ impl Site {
             if missing.len() <= nb {
                 for v in missing {
                     let v = NodeId::from_index(v);
-                    let _ = slots[v.index()].set(self.sweep_access(v, forward, scratch));
+                    let _ = slots[v.index()].set(self.sweep_access(hub, v, forward, scratch));
                     swept += 1;
                 }
                 return;
@@ -559,9 +545,11 @@ impl Site {
                     continue;
                 }
                 let row = &reached[v * nb..][..nb];
-                let set = (0..nb as u32).zip(row.iter().copied());
-                let set = set.filter(|&(_, cost)| cost < INFINITE_COST).collect();
-                let _ = slot.set(self.prune(set, forward));
+                let set = (self.own.iter().zip(row))
+                    .filter(|&(_, &cost)| cost < INFINITE_COST)
+                    .map(|(&(id, _), &cost)| (id, cost))
+                    .collect();
+                let _ = slot.set(self.prune(hub, set, forward));
             }
         });
         swept
@@ -572,14 +560,15 @@ impl Site {
     /// of more than [`ROW_NODES`] nodes swept into `buf`.
     pub(crate) fn border_free_row_of<'a>(
         &'a self,
+        hub: &Hub,
         s: NodeId,
         scratch: &mut ScratchDijkstra,
         buf: &'a mut Vec<Cost>,
     ) -> &'a [Cost] {
         match self.rows.get(s.index()) {
-            Some(slot) => slot.get_or_init(|| self.border_free_row(s, scratch)),
+            Some(slot) => slot.get_or_init(|| self.border_free_row(hub, s, scratch)),
             None => {
-                *buf = self.border_free_row(s, scratch).into_vec();
+                *buf = self.border_free_row(hub, s, scratch).into_vec();
                 buf
             }
         }
@@ -588,9 +577,9 @@ impl Site {
     /// Fill the border-free row of the non-border local node `s` unless
     /// it is filled or the site keeps none (a fragment of more than
     /// [`ROW_NODES`] nodes).
-    pub(crate) fn fill_border_free_row(&self, s: NodeId, scratch: &mut ScratchDijkstra) {
+    pub(crate) fn fill_border_free_row(&self, hub: &Hub, s: NodeId, scratch: &mut ScratchDijkstra) {
         if let Some(slot) = self.rows.get(s.index()) {
-            slot.get_or_init(|| self.border_free_row(s, scratch));
+            slot.get_or_init(|| self.border_free_row(hub, s, scratch));
         }
     }
 
@@ -600,43 +589,6 @@ impl Site {
         g.neighbors(v)
             .map(|(x, cost)| (self.graph.nodes[x.index()], cost))
     }
-}
-
-/// The shortest-distance closure of a site's augmented graph on its
-/// borders, where `table` is not that as stored: rows that hold every
-/// pair are; the others are swept over the fragment's graph plus the
-/// stored pairs. `None` when nothing was swept or the sweeps found
-/// nothing — the site then reads the table in place.
-fn closed_matrix(
-    local: &CsrGraph,
-    borders: &[NodeId],
-    table: &BorderTable,
-    scratch: &mut ScratchDijkstra,
-) -> Option<Vec<Cost>> {
-    let nb = borders.len();
-    let incomplete: Vec<usize> = (0..nb)
-        .filter(|&i| table.row(i).contains(&INFINITE_COST))
-        .collect();
-    if incomplete.is_empty() {
-        return None;
-    }
-    let mut edges: Vec<Edge> = local.edges().collect();
-    for (i, &a) in borders.iter().enumerate() {
-        for (&b, &cost) in borders.iter().zip(table.row(i)) {
-            if a != b && cost < INFINITE_COST {
-                edges.push(Edge::new(a, b, cost));
-            }
-        }
-    }
-    let augmented = CsrGraph::from_edges(local.node_count(), &edges);
-    let mut closed = table.costs().to_vec();
-    for i in incomplete {
-        scratch.sweep_to_targets(&augmented, &[(borders[i], 0)], borders);
-        for (j, &b) in borders.iter().enumerate() {
-            closed[i * nb + j] = scratch.cost(b).unwrap_or(INFINITE_COST);
-        }
-    }
-    (closed != table.costs()).then_some(closed)
 }
 
 /// The result of one site subquery in dense form: the local shortest
@@ -734,10 +686,10 @@ pub fn forward_matrix(
     }
 }
 
-/// One site subquery, evaluated from what the [`Site`] holds (see the
-/// module docs) and appended to `out` row-major, `sources.len() *
-/// targets.len()` costs: the `(s, t)` entry is the cheapest
-/// `access(s)[b] + D[b][b'] + access⁻¹(t)[b']`, met — for two non-border
+/// One site subquery, evaluated from what the [`Site`] holds and the
+/// epoch's `hub` (see the module docs) and appended to `out` row-major,
+/// `sources.len() * targets.len()` costs: the `(s, t)` entry is the
+/// cheapest `access(s)[b] + H[b][b'] + access⁻¹(t)[b']`, met — for two non-border
 /// nodes only — with the border-free local path: `row(s)[t]`, or in a
 /// fragment of more than [`ROW_NODES`] nodes one point sweep bounded by
 /// that value. `scratch` is otherwise swept only to fill an access set or
@@ -745,27 +697,31 @@ pub fn forward_matrix(
 /// grows. Every node must belong to the site's fragment.
 pub fn border_matrix_with(
     site: &Site,
+    hub: &Hub,
     sources: &[NodeId],
     targets: &[NodeId],
     scratch: &mut ScratchDijkstra,
     out: &mut Vec<Cost>,
 ) {
-    let (nb, dist) = (site.borders.len(), site.dist());
     out.reserve(sources.len() * targets.len());
     for &s in sources {
-        let (entry, s_inner) = site.access(s, true, scratch);
+        let (entry, s_inner) = site.access(hub, s, true, scratch);
         for &t in targets {
-            let (exit, t_inner) = site.access(t, false, scratch);
+            let (exit, t_inner) = site.access(hub, t, false, scratch);
             let mut best = INFINITE_COST;
             for &(b, reach) in entry {
-                let row = &dist[b as usize * nb..][..nb];
+                let row = hub.words(b as usize);
                 for &(b2, leave) in exit {
-                    // Three terms of at most INFINITE_COST: no wrap.
-                    best = best.min(reach + row[b2 as usize] + leave);
+                    // Two local costs and a word, each below the word's
+                    // infinity or at it: no wrap.
+                    best = best.min(reach + Cost::from(row[b2 as usize]) + leave);
                 }
             }
+            if best >= Cost::from(WORD_INF) {
+                best = INFINITE_COST;
+            }
             if let (Some(s), Some(t)) = (s_inner, t_inner) {
-                best = best.min(site.border_free(s, t, best, scratch));
+                best = best.min(site.border_free(hub, s, t, best, scratch));
             }
             out.push(best);
         }
@@ -787,12 +743,13 @@ mod tests {
     /// [`border_matrix_with`] into a fresh buffer, shaped as a matrix.
     fn kernel(
         site: &Site,
+        hub: &Hub,
         sources: &[NodeId],
         targets: &[NodeId],
         scratch: &mut ScratchDijkstra,
     ) -> SegmentMatrix {
         let mut costs = Vec::new();
-        border_matrix_with(site, sources, targets, scratch, &mut costs);
+        border_matrix_with(site, hub, sources, targets, scratch, &mut costs);
         SegmentMatrix::new(sources.len(), targets.len(), costs)
     }
 
@@ -851,10 +808,30 @@ mod tests {
         assert_eq!(rel.cost_of(n(0), n(1)), Some(1));
     }
 
+    /// The hub of a fixture whose borders are `borders`, skeleton ids by
+    /// position: [`Hub::close`] of the distances between them over the
+    /// augmented graph `aug`, as the global closure would give them.
+    fn hub_of(aug: &CsrGraph, borders: &[NodeId]) -> Hub {
+        let m = forward_matrix(aug, borders, borders, &mut ScratchDijkstra::new());
+        let nb = borders.len();
+        let edges: Vec<Edge> = (0..nb * nb)
+            .filter(|&k| k / nb != k % nb && m.costs()[k] < INFINITE_COST)
+            .map(|k| {
+                Edge::new(
+                    NodeId::from_index(k / nb),
+                    NodeId::from_index(k % nb),
+                    m.costs()[k],
+                )
+            })
+            .collect();
+        Hub::close(&CsrGraph::from_edges(nb, &edges))
+    }
+
     /// A fragment over global nodes 10..=16 of a 20-node network:
     /// 10 -2- 11 -2- 12 -2- 13, 11 -1- 14 -1- 12, 15 -3- 16, with borders
-    /// 10, 13, 15 and a table that brings 13 back to 10 from outside.
-    fn sample(symmetric: bool, shortcuts: &[Edge]) -> (Site, CsrGraph, Vec<NodeId>) {
+    /// 10, 13, 15 (skeleton ids 0, 1, 2) and shortcuts that may bring 13
+    /// back to 10 from outside.
+    fn sample(symmetric: bool, shortcuts: &[Edge]) -> (Site, Hub, CsrGraph, Vec<NodeId>) {
         let nodes: Vec<NodeId> = (10..=16).map(n).collect();
         let edges = vec![
             Edge::new(n(10), n(11), 2),
@@ -864,21 +841,17 @@ mod tests {
             Edge::new(n(14), n(12), 1),
             Edge::new(n(15), n(16), 3),
         ];
-        let table = BorderTable::from_edges(vec![n(10), n(13), n(15)], shortcuts);
+        let borders = [n(10), n(13), n(15)];
         let site = Site::build(
             Arc::new(LocalGraph::new(
                 &Fragment::new(0, edges.clone(), &nodes),
                 symmetric,
             )),
-            Arc::new(table),
+            borders.iter().copied().zip(0..),
             &[],
-            &mut ScratchDijkstra::new(),
         );
-        (
-            site,
-            augmented_graph(20, &edges, symmetric, shortcuts.iter().copied()),
-            nodes,
-        )
+        let aug = augmented_graph(20, &edges, symmetric, shortcuts.iter().copied());
+        (site, hub_of(&aug, &borders), aug, nodes)
     }
 
     fn every_pair(v: &[(u32, u32, Cost)], both_ways: bool) -> Vec<Edge> {
@@ -893,7 +866,10 @@ mod tests {
 
     /// Every subquery shape over every node list the fragment has, against
     /// sweeps of the augmented graph.
-    fn assert_kernel_is_exact(site: &Site, aug: &CsrGraph, nodes: &[NodeId], label: &str) {
+    fn assert_kernel_is_exact(
+        (site, hub, aug, nodes): &(Site, Hub, CsrGraph, Vec<NodeId>),
+        label: &str,
+    ) {
         let mut scratch = ScratchDijkstra::new();
         let borders: Vec<NodeId> = site.border_nodes().collect();
         let lists: Vec<&[NodeId]> = nodes
@@ -904,7 +880,7 @@ mod tests {
         for sources in &lists {
             for targets in &lists {
                 assert_eq!(
-                    kernel(site, sources, targets, &mut scratch),
+                    kernel(site, hub, sources, targets, &mut scratch),
                     forward_matrix(aug, sources, targets, &mut scratch),
                     "{label}: {sources:?} -> {targets:?}"
                 );
@@ -914,59 +890,42 @@ mod tests {
 
     #[test]
     fn the_kernel_equals_sweeps_of_the_augmented_graph() {
-        // A complete table (every ordered border pair), the cheap way
-        // from 13 back to 10 leading outside the fragment.
+        // Every ordered border pair joined, the cheap way from 13 back
+        // to 10 leading outside the fragment.
         let complete = [(10, 13, 6), (10, 15, 9), (13, 15, 4)];
-        let (site, aug, nodes) = sample(true, &every_pair(&complete, true));
-        assert_kernel_is_exact(&site, &aug, &nodes, "symmetric");
-        assert_eq!(site.dist()[3..6], [6, 0, 4]);
-        assert!(site.closed.is_none(), "a complete table is read in place");
+        let fixture = sample(true, &every_pair(&complete, true));
+        assert_kernel_is_exact(&fixture, "symmetric");
+        assert!(fixture.1.row(1).eq([6, 0, 4]), "D is the hub's rows");
         // Directed, borders only partly connected: 15 reaches nothing.
         let one_way = [(13, 10, 1), (13, 15, 4), (10, 13, 6), (10, 15, 10)];
-        let (site, aug, nodes) = sample(false, &every_pair(&one_way, false));
-        assert_kernel_is_exact(&site, &aug, &nodes, "directed");
-        assert!(
-            site.closed.is_none(),
-            "sweeps that find nothing leave no copy"
-        );
+        let fixture = sample(false, &every_pair(&one_way, false));
+        assert_kernel_is_exact(&fixture, "directed");
         // A shortcut is no edge of the fragment, and a one-way edge has
         // no way back.
+        let site = &fixture.0;
         assert!(site.has_edge(n(10), n(11), 2) && !site.has_edge(n(11), n(10), 2));
         assert!(!site.has_edge(n(10), n(13), 6) && !site.has_edge(n(10), n(11), 3));
-        // No table at all: the fragment's own paths are all there is.
+        // Only 13 <-> 15 outside, or nothing: the hub holds 10 <-> 13
+        // through the fragment (cost 6), and the kernel reads it as is.
         for symmetric in [true, false] {
-            let (site, aug, nodes) = sample(symmetric, &[]);
-            assert_kernel_is_exact(&site, &aug, &nodes, "no shortcuts");
+            let fixture = sample(symmetric, &every_pair(&[(13, 15, 4)], symmetric));
+            assert_kernel_is_exact(&fixture, "one shortcut");
+            assert_kernel_is_exact(&sample(symmetric, &[]), "no shortcuts");
         }
-    }
-
-    #[test]
-    fn a_table_with_a_pair_missing_is_closed_when_the_site_is_built() {
-        // Only 13 <-> 15 stored: 10 <-> 13 runs through the fragment
-        // (cost 6), and 10 <-> 15 composes the two.
-        let (site, aug, nodes) = sample(true, &every_pair(&[(13, 15, 4)], true));
-        assert_eq!(site.dist(), [0, 6, 10, 6, 0, 4, 10, 4, 0]);
-        assert_eq!(
-            site.table.costs()[1],
-            INFINITE_COST,
-            "the stored table is as it was"
-        );
-        assert_kernel_is_exact(&site, &aug, &nodes, "closed");
-        assert!(!site.augmented_is_built(), "closing builds nothing lasting");
     }
 
     #[test]
     fn access_sets_fill_once_and_drop_dominated_borders() {
         let complete = [(10, 13, 6), (10, 15, 9), (13, 15, 4)];
-        let (site, _, _) = sample(true, &every_pair(&complete, true));
+        let (site, hub, _, _) = sample(true, &every_pair(&complete, true));
         let mut scratch = ScratchDijkstra::new();
         assert_eq!(site.memory_bytes().access_sets, 0);
         // 11 reaches border 10 at 2 and border 13 at 4: neither is
         // cheaper through the other (2 + 6, 4 + 6).
-        let (set, inner) = site.access(n(11), true, &mut scratch);
+        let (set, inner) = site.access(&hub, n(11), true, &mut scratch);
         assert_eq!((set, inner), (&[(0, 2), (1, 4)][..], Some(n(1))));
         assert_eq!(scratch.stats().sweeps, 1);
-        assert_eq!(site.access(n(11), true, &mut scratch).0, set);
+        assert_eq!(site.access(&hub, n(11), true, &mut scratch).0, set);
         assert_eq!(scratch.stats().sweeps, 1, "filled once");
         assert_eq!(
             site.memory_bytes().access_sets,
@@ -974,26 +933,26 @@ mod tests {
         );
         // A border is its own access set, at no sweep.
         assert_eq!(
-            site.access(n(13), true, &mut scratch),
+            site.access(&hub, n(13), true, &mut scratch),
             (&[(1, 0)][..], None)
         );
         assert_eq!(scratch.stats().sweeps, 1);
         // With 13 -> 10 stored at cost 1, reaching 10 from 12 locally
         // (cost 4) is no better than through 13 (2 + 1): dropped.
         let cheap = [(13, 10, 1), (10, 13, 6)];
-        let (site, _, _) = sample(false, &every_pair(&cheap, false));
+        let (site, hub, _, _) = sample(false, &every_pair(&cheap, false));
         assert!(site.graph.transpose.is_some());
         // Directed: 12 reaches only 13 going forward; going backward (who
         // reaches 12 last) it is 10 alone.
-        assert_eq!(site.access(n(12), true, &mut scratch).0, &[(1, 2)]);
-        assert_eq!(site.access(n(12), false, &mut scratch).0, &[(0, 4)]);
+        assert_eq!(site.access(&hub, n(12), true, &mut scratch).0, &[(1, 2)]);
+        assert_eq!(site.access(&hub, n(12), false, &mut scratch).0, &[(0, 4)]);
         assert_eq!(
             site.memory_bytes().access_sets,
             2 * std::mem::size_of::<AccessEntry>(),
             "one entering, one leaving"
         );
-        let (site, _, _) = sample(true, &every_pair(&[(13, 10, 1)], true));
-        assert_eq!(site.access(n(12), true, &mut scratch).0, &[(1, 2)]);
+        let (site, hub, _, _) = sample(true, &every_pair(&[(13, 10, 1)], true));
+        assert_eq!(site.access(&hub, n(12), true, &mut scratch).0, &[(1, 2)]);
     }
 
     /// The exit fill — one sweep per border — writes for every node
@@ -1006,19 +965,27 @@ mod tests {
         for (symmetric, table) in [(true, &complete[..]), (false, &complete), (false, &cheap)] {
             let label = format!("symmetric={symmetric} {table:?}");
             let shortcuts = every_pair(table, symmetric);
-            let [(filled, _, nodes), (swept, _, _), (partial, _, _)] =
+            let [(filled, hub, _, nodes), (swept, _, _, _), (partial, _, _, _)] =
                 [(); 3].map(|()| sample(symmetric, &shortcuts));
             let (mut bulk, mut per_node) = (ScratchDijkstra::new(), ScratchDijkstra::new());
             assert!(!filled.exits_filled());
-            assert_eq!(filled.fill_exits(&mut bulk), 3, "{label}: one per border");
+            assert_eq!(
+                filled.fill_exits(&hub, &mut bulk),
+                3,
+                "{label}: one per border"
+            );
             assert!(filled.exits_filled());
-            assert_eq!(filled.fill_exits(&mut bulk), 0, "{label}: once");
-            partial.access(n(11), false, &mut per_node);
-            partial.access(n(12), false, &mut per_node);
-            assert_eq!(partial.fill_exits(&mut bulk), 2, "{label}: 2 of 4 missing");
+            assert_eq!(filled.fill_exits(&hub, &mut bulk), 0, "{label}: once");
+            partial.access(&hub, n(11), false, &mut per_node);
+            partial.access(&hub, n(12), false, &mut per_node);
+            assert_eq!(
+                partial.fill_exits(&hub, &mut bulk),
+                2,
+                "{label}: 2 of 4 missing"
+            );
             for (lv, &v) in nodes.iter().enumerate() {
                 let lv = NodeId::from_index(lv);
-                let (want, inner) = swept.access(v, false, &mut per_node);
+                let (want, inner) = swept.access(&hub, v, false, &mut per_node);
                 let got = filled.exit_set(lv);
                 match inner {
                     Some(_) => assert_eq!(got, Some(want), "{label}: {v}"),
@@ -1035,16 +1002,16 @@ mod tests {
     #[test]
     fn symmetric_site_is_its_own_transpose() {
         let complete = [(10, 13, 6), (10, 15, 9), (13, 15, 4)];
-        let (site, _, _) = sample(true, &every_pair(&complete, true));
+        let (site, hub, _, _) = sample(true, &every_pair(&complete, true));
         assert!(site.graph.transpose.is_none() && site.exits.is_empty());
         let mut scratch = ScratchDijkstra::new();
-        let entering = site.access(n(12), true, &mut scratch).0;
+        let entering = site.access(&hub, n(12), true, &mut scratch).0;
         assert!(std::ptr::eq(
             entering,
-            site.access(n(12), false, &mut scratch).0
+            site.access(&hub, n(12), false, &mut scratch).0
         ));
         assert_eq!(scratch.stats().sweeps, 1);
-        let (directed, _, _) = sample(false, &every_pair(&complete, true));
+        let (directed, _, _, _) = sample(false, &every_pair(&complete, true));
         assert!(directed.graph.transpose.is_some());
         assert_eq!(directed.exits.len(), directed.entries.len());
     }
@@ -1052,23 +1019,23 @@ mod tests {
     #[test]
     fn a_warm_subquery_sweeps_only_for_a_border_free_pair() {
         let complete = [(10, 13, 6), (10, 15, 9), (13, 15, 4)];
-        let (site, _, nodes) = sample(true, &every_pair(&complete, true));
+        let (site, hub, _, nodes) = sample(true, &every_pair(&complete, true));
         let mut scratch = ScratchDijkstra::new();
         let borders: Vec<NodeId> = site.border_nodes().collect();
         let mut out = Vec::new();
-        border_matrix_with(&site, &nodes, &borders, &mut scratch, &mut out);
+        border_matrix_with(&site, &hub, &nodes, &borders, &mut scratch, &mut out);
         let warm = scratch.stats().sweeps;
         assert_eq!(warm, 4, "one fill per non-border node");
-        border_matrix_with(&site, &nodes, &borders, &mut scratch, &mut out);
-        border_matrix_with(&site, &borders, &nodes, &mut scratch, &mut out);
-        border_matrix_with(&site, &[n(10)], &[n(14)], &mut scratch, &mut out);
+        border_matrix_with(&site, &hub, &nodes, &borders, &mut scratch, &mut out);
+        border_matrix_with(&site, &hub, &borders, &nodes, &mut scratch, &mut out);
+        border_matrix_with(&site, &hub, &[n(10)], &[n(14)], &mut scratch, &mut out);
         assert_eq!(scratch.stats().sweeps, warm, "lookups only");
         assert_eq!(out.len(), 3 * (7 * 3) + 1, "one cost per pair asked");
         let rows = site.memory_bytes().access_sets;
         // Two non-border nodes: the first question from 11 about its own
         // fragment fills 11's border-free row, and every later one reads it.
         assert_eq!(
-            kernel(&site, &[n(11)], &[n(12)], &mut scratch).costs(),
+            kernel(&site, &hub, &[n(11)], &[n(12)], &mut scratch).costs(),
             &[2]
         );
         assert_eq!(scratch.stats().sweeps, warm + 1, "the row of 11");
@@ -1076,7 +1043,7 @@ mod tests {
             site.memory_bytes().access_sets,
             rows + nodes.len() * std::mem::size_of::<Cost>()
         );
-        let m = kernel(&site, &[n(11)], &[n(12), n(14), n(16)], &mut scratch);
+        let m = kernel(&site, &hub, &[n(11)], &[n(12), n(14), n(16)], &mut scratch);
         assert_eq!(m.costs(), &[2, 1, 11], "16 only through borders 13 and 15");
         assert_eq!(scratch.stats().sweeps, warm + 1, "read, not swept");
         // The row stops at the borders: 11 reaches 10 and 13 but nothing
@@ -1094,15 +1061,16 @@ mod tests {
         let nodes: Vec<NodeId> = (0..=last).map(n).collect();
         let edges: Vec<Edge> = (0..last).map(|i| Edge::new(n(i), n(i + 1), 1)).collect();
         let shortcuts = every_pair(&[(0, last, 5)], true);
-        let table = BorderTable::from_edges(vec![n(0), n(last)], &shortcuts);
         let mut scratch = ScratchDijkstra::new();
         let graph = Arc::new(LocalGraph::new(
             &Fragment::new(0, edges.clone(), &nodes),
             true,
         ));
-        let site = Site::build(graph, Arc::new(table), &[], &mut scratch);
+        let borders = [n(0), n(last)];
+        let site = Site::build(graph, borders.iter().copied().zip(0..), &[]);
         assert!(site.rows.is_empty());
         let aug = augmented_graph(nodes.len(), &edges, true, shortcuts.iter().copied());
+        let hub = hub_of(&aug, &borders);
         // Around the ends (10 + 5 + 9), along the path (10), from and to
         // a border, and a node to itself.
         let pairs = [
@@ -1115,7 +1083,7 @@ mod tests {
         let ask = |scratch: &mut ScratchDijkstra| {
             for &(s, t, cost) in &pairs {
                 let (s, t) = (&[n(s)][..], &[n(t)][..]);
-                let m = kernel(&site, s, t, scratch);
+                let m = kernel(&site, &hub, s, t, scratch);
                 assert_eq!(m, forward_matrix(&aug, s, t, &mut ScratchDijkstra::new()));
                 assert_eq!(m.costs(), [cost]);
             }

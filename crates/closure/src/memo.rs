@@ -2,8 +2,8 @@
 //!
 //! The subquery an intermediate site runs for a chain,
 //! `DS(prev, site) -> DS(site, next)`, mentions neither query endpoint:
-//! it depends only on the site's fragment and complementary table — it
-//! is a gather from the site's border matrix
+//! it depends only on the site's fragment and its borders' hub entries —
+//! it is a gather from the hub through the site's borders
 //! ([`crate::local::border_matrix_with`] over two lists of borders). A
 //! [`SiteMemo`] keeps those relations for one site in the shape the fold
 //! reads, one slot per ordered pair of neighbouring fragments, filled the

@@ -12,8 +12,8 @@
 //! The paper's phase-one independence is a statement about *data*: query
 //! evaluation only ever reads the precomputed complementary information,
 //! the per-site evaluation state ([`Site`]: the fragment's own graph, the
-//! dense border matrix, the access sets and border-free rows) and the
-//! planner with its chain table. The mutable pieces — the Dijkstra
+//! border index, the access sets and border-free rows) read against the
+//! epoch's hub, and the planner with its chain table. The mutable pieces — the Dijkstra
 //! scratch, the evaluator's working vectors — are per-*execution* state,
 //! not engine state: the caller owns the scratch, and each thread keeps
 //! its own working vectors (see [`crate::api`]):
@@ -33,25 +33,24 @@
 //! A site is one thing: everything an epoch holds per fragment — its own
 //! graph, the access sets and interior segment relations evaluated so
 //! far, the augmented graph once something asked for it — is one
-//! [`Site`] behind one `Arc`, and the site's complementary table
-//! ([`crate::complementary::BorderTable`]) is one allocation that the
-//! `Site` and [`ComplementaryInfo`] both point to. The whole-graph pieces
+//! [`Site`] behind one `Arc`; its border distances are the epoch's one
+//! [`Hub`], which every site reads and none copies. The whole-graph pieces
 //! (global graph, fragmentation, planner, reachability index) have an
 //! `Arc` each; an update detaches the fragmentation once per shared
 //! epoch ([`std::sync::Arc::make_mut`]). Cloning a
 //! snapshot therefore costs O(sites) refcount bumps, not a deep copy:
 //! that is what makes the serve writer's per-epoch publication cheap. [`EngineSnapshot::maintain`] preserves
 //! the sharing — it replaces exactly one `Arc<Site>` per site an update
-//! touched (and, through [`std::sync::Arc::make_mut`], the table of a
-//! site whose entries changed) and leaves every other site
+//! touched (the owner, and every site holding both borders of a hub
+//! entry the update changed) and leaves every other site
 //! pointer-shared with the previous epoch. `tests/properties.rs` asserts
 //! `Arc::ptr_eq` for untouched sites across consecutive epochs on both
 //! fragmenter families.
 //!
 //! ## No augmented graph on the build or publication path
 //!
-//! A site answers its subqueries from the border matrix and the access
-//! sets ([`crate::local`]), so neither [`EngineSnapshot::build`] nor
+//! A site answers its subqueries from the hub and the access sets
+//! ([`crate::local`]), so neither [`EngineSnapshot::build`] nor
 //! [`EngineSnapshot::maintain_cow`] lays the shortcut clique over a
 //! fragment. [`EngineSnapshot::augmented_handle`] hands the augmented
 //! graph out to those who sweep it — the reference evaluator
@@ -78,8 +77,8 @@ use crate::planner::{Planner, SiteQueryRef};
 use crate::updates::{ConnectivityEffect, UpdateReport};
 
 /// The deployed engine — immutable and shareable: the fragmentation and,
-/// derived from it, the global closure graph, the complementary tables,
-/// the per-site evaluation state and the chain planner.
+/// derived from it, the global closure graph, the complementary
+/// information, the per-site evaluation state and the chain planner.
 ///
 /// A snapshot answers queries through `&self` methods that borrow a
 /// caller-owned scratch kernel; it never locks and never allocates
@@ -94,9 +93,9 @@ pub struct EngineSnapshot {
     cfg: EngineConfig,
     comp: ComplementaryInfo,
     /// Per site, behind its own `Arc`: everything valid for exactly this
-    /// fragment and this complementary table — the fragment's own graph,
-    /// the table (the `Arc` `comp` holds), the access sets and interior
-    /// segment relations evaluated so far (see [`crate::local`]).
+    /// fragment and its borders' hub entries — the fragment's own graph,
+    /// the border index, the access sets and interior segment relations
+    /// evaluated so far (see [`crate::local`]).
     sites: Vec<Arc<Site>>,
     planner: Arc<Planner>,
     /// SCC/chain reachability index over the global closure graph, the
@@ -122,11 +121,10 @@ pub struct EngineSnapshot {
 pub struct CowMaintenance {
     pub report: UpdateReport,
     /// The fragment whose edge set changed (`None` for a no-op removal):
-    /// its [`Site`] was replaced, over the same table unless it is in
-    /// `shortcut_sites` too.
+    /// its [`Site`] was replaced.
     pub owner: Option<FragmentId>,
-    /// Sites whose complementary table (and hence [`Site`]) was replaced
-    /// — after any delete too, only those whose table changed.
+    /// Sites holding both borders of a hub entry the update changed,
+    /// whose [`Site`] was replaced: their access sets and memos read it.
     pub shortcut_sites: Vec<FragmentId>,
     /// Union of `owner` and `shortcut_sites`, sorted: the sites whose
     /// [`Site`] is *not* shared with the pre-update snapshot. Every
@@ -155,16 +153,15 @@ type RouteBorder = (usize, Cost, Vec<NodeId>);
 pub struct SnapshotBytes {
     /// The global closure graph.
     pub graph: usize,
-    /// The complementary information: per site the border list and the
-    /// dense border matrix, counted once although the site and
-    /// [`ComplementaryInfo`] both point to it, plus every fragment's kept
-    /// local sweeps ([`ComplementaryInfo::memory_bytes`]).
+    /// The complementary information but the hub: the kept skeleton and
+    /// every fragment's kept local sweeps
+    /// ([`ComplementaryInfo::memory_bytes`]).
     pub complementary: usize,
     /// Per site: the fragment's own graph (and transpose), node list,
     /// access-set slots and — once asked for — the augmented graph.
     pub site_graphs: usize,
-    /// Per site: the border index, and the site's own closed copy of the
-    /// matrix where the stored table left a border pair out.
+    /// Per site: the border index (local, global and skeleton ids); the
+    /// distances between the borders are the hub's.
     pub border_matrices: usize,
     /// Per site: the access sets and border-free rows filled so far.
     pub access_sets: usize,
@@ -213,7 +210,7 @@ impl EngineSnapshot {
     /// travel directions), compute the complementary information (the
     /// paper's pre-processing phase, whose skeleton closure is the epoch's
     /// [`Hub`]), then the planner and the per-site evaluation state (each
-    /// over its table, in place). The reachability index waits for the
+    /// reading the hub). The reachability index waits for the
     /// first [`EngineSnapshot::connected`].
     ///
     /// # Panics
@@ -231,9 +228,8 @@ impl EngineSnapshot {
         let comp = ComplementaryInfo::compute_with(&graph, &frag, &membership, &locals, cfg.scope);
         let (chains, chain_len) = (cfg.max_chains, cfg.max_chain_len);
         let planner = Arc::new(Planner::new(membership, chains, chain_len, cfg.hub));
-        let mut scratch = ScratchDijkstra::new();
         let sites = (locals.into_iter().enumerate())
-            .map(|(f, local)| Arc::new(build_site(&planner, f, local, &comp, &mut scratch)))
+            .map(|(f, local)| Arc::new(build_site(&planner, f, local, &comp)))
             .collect();
         let border_rows = Arc::new(BorderRows::new(comp.border_count()));
         EngineSnapshot {
@@ -250,13 +246,11 @@ impl EngineSnapshot {
     }
 
     /// A deep copy that shares **nothing** with `self`: every component —
-    /// global graph, fragmentation, planner, every site and its
-    /// complementary table and the hub, a built reachability index, the
-    /// materializer's border rows — gets a fresh
-    /// allocation (a site and the
-    /// copy's [`ComplementaryInfo`] share the copied table, as they do
-    /// here). The copy's planner starts with an empty chain table, so no
-    /// chain is shared with this lineage's answers.
+    /// global graph, fragmentation, planner, every site, the
+    /// complementary information and its hub, a built reachability index,
+    /// the materializer's border rows — gets a fresh allocation. The
+    /// copy's planner starts with an empty chain table, so no chain is
+    /// shared with this lineage's answers.
     ///
     /// This is exactly what a per-epoch publication cost before
     /// structural sharing; the gates bench uses it as the baseline of the
@@ -265,8 +259,8 @@ impl EngineSnapshot {
     /// epoch without pinning another epoch's memory).
     pub fn unshared_clone(&self) -> Self {
         let comp = self.comp.unshared_clone();
-        let sites = (self.sites.iter().enumerate())
-            .map(|(f, s)| Arc::new(s.unshared_clone(Arc::clone(comp.table(f)))))
+        let sites = (self.sites.iter())
+            .map(|s| Arc::new(s.unshared_clone()))
             .collect();
         let reach = OnceLock::new();
         if let Some(r) = self.reach.get() {
@@ -324,8 +318,8 @@ impl EngineSnapshot {
 
     // --- structural-sharing handles ------------------------------------
 
-    /// The shared handle behind site `f`: its own graph, complementary
-    /// table, access sets and segment memo ([`Site::memo`]). Two
+    /// The shared handle behind site `f`: its own graph, border index,
+    /// access sets and segment memo ([`Site::memo`]). Two
     /// snapshots whose handles are `Arc::ptr_eq` physically share all of
     /// it — the structural-sharing contract across epochs.
     pub fn site_handle(&self, f: FragmentId) -> &Arc<Site> {
@@ -333,7 +327,8 @@ impl EngineSnapshot {
     }
 
     /// The shared handle behind site `f`'s augmented graph (fragment
-    /// edges plus one edge per stored shortcut, over global node ids).
+    /// edges plus one edge per finite hub entry between two of its
+    /// borders, whatever the scope, over global node ids).
     /// Neither queries nor routes sweep it, so it is built on the first
     /// call — by the reference evaluator
     /// ([`crate::executor::run_chain`]) or by a bench — inside the shared
@@ -345,7 +340,7 @@ impl EngineSnapshot {
                 self.graph.node_count(),
                 self.frag.fragment(f).edges(),
                 self.symmetric,
-                self.comp.shortcuts(f),
+                self.comp.site_pairs(f),
             )
         })
     }
@@ -457,8 +452,8 @@ impl EngineSnapshot {
         crate::bulk::engine::materialize(self, config)
     }
 
-    /// Per-phase timing of the precompute that built (or last rebuilt)
-    /// the tables this snapshot serves.
+    /// Per-phase timing of the precompute that built (or last re-closed)
+    /// the hub this snapshot serves.
     pub fn precompute_stats(&self) -> PrecomputeStats {
         self.comp.precompute_stats()
     }
@@ -507,6 +502,7 @@ impl EngineSnapshot {
     fn evaluator<'a>(&'a self, scratch: &'a mut ScratchDijkstra) -> SnapshotEval<'a> {
         SnapshotEval {
             sites: &self.sites,
+            hub: self.comp.hub(),
             mode: self.cfg.mode,
             scratch,
         }
@@ -552,10 +548,9 @@ impl EngineSnapshot {
     ///    that realizes it.
     ///
     /// The skeleton's distances are global, so the route is exact under
-    /// either [`crate::ComplementaryScope`] and any chain cap. Where the
-    /// capped chain evaluator is not — a cyclic fragmentation under
-    /// `PerDisconnectionSet`, or more chains than `max_chains` — `route`
-    /// may beat [`EngineSnapshot::shortest_path`]. [`Route::chain`] lists
+    /// any chain cap. Where the capped chain evaluator is not — more
+    /// chains, or longer ones, than the caps let it try — `route` may
+    /// beat [`EngineSnapshot::shortest_path`]. [`Route::chain`] lists
     /// the fragments the route's hops belong to and [`Route::waypoints`]
     /// the borders where it changes fragment. Errs when an endpoint is
     /// in no fragment; `Ok(None)` when `y` is unreachable.
@@ -760,15 +755,15 @@ impl EngineSnapshot {
             self.border_rows = Arc::new(BorderRows::new(self.comp.border_count()));
         }
         for &f in &sites {
-            // A touched site starts over — new graph or new table, no
-            // access set, an empty memo; every other site stays the
-            // `Arc` the pre-update snapshot holds. Only the owner's
-            // graph is new.
+            // A touched site starts over — new graph or new border
+            // distances, no access set, an empty memo; every other site
+            // stays the `Arc` the pre-update snapshot holds. Only the
+            // owner's graph is new.
             let local = match &m.owner_graph {
                 Some(g) if m.owner == Some(f) => Arc::clone(g),
                 _ => Arc::clone(&self.sites[f].graph),
             };
-            self.sites[f] = Arc::new(build_site(&self.planner, f, local, &self.comp, scratch));
+            self.sites[f] = Arc::new(build_site(&self.planner, f, local, &self.comp));
         }
         Ok(CowMaintenance {
             report: m.report,
@@ -780,17 +775,16 @@ impl EngineSnapshot {
     }
 }
 
-/// The site of fragment `f` over its own graph `local` and the table
-/// `comp` holds for it.
+/// The site of fragment `f` over its own graph `local` and its borders
+/// in `comp`.
 fn build_site(
     planner: &Planner,
     f: FragmentId,
     local: Arc<LocalGraph>,
     comp: &ComplementaryInfo,
-    scratch: &mut ScratchDijkstra,
 ) -> Site {
     let neighbors = planner.fragmentation_graph().neighbors(f);
-    Site::build(local, Arc::clone(comp.table(f)), neighbors, scratch)
+    Site::build(local, comp.site_borders(f), neighbors)
 }
 
 /// Site evaluation over a snapshot: subqueries run on the calling thread
@@ -798,6 +792,7 @@ fn build_site(
 /// caller's scratch.
 struct SnapshotEval<'a> {
     sites: &'a [Arc<Site>],
+    hub: &'a Hub,
     mode: ExecutionMode,
     scratch: &'a mut ScratchDijkstra,
 }
@@ -809,7 +804,7 @@ impl SiteEvaluator for SnapshotEval<'_> {
         out: &mut Vec<Cost>,
         stats: &mut QueryStats,
     ) {
-        let sites = self.sites;
+        let (sites, hub) = (self.sites, self.hub);
         run_sites(
             queries,
             self.mode,
@@ -817,7 +812,7 @@ impl SiteEvaluator for SnapshotEval<'_> {
             out,
             |run| stats.record_site_run(run.tuples, run.busy),
             |q, scratch, out| {
-                border_matrix_with(&sites[q.site], q.sources, q.targets, scratch, out)
+                border_matrix_with(&sites[q.site], hub, q.sources, q.targets, scratch, out)
             },
         );
     }
@@ -1115,14 +1110,16 @@ pub(crate) mod tests {
         (csr, snap, requests)
     }
 
-    /// Under the paper's scope on a cyclic fragmentation, with one chain
-    /// per query, the chain evaluator misses some shortest paths; a route
-    /// misses none: the skeleton it is read off holds global distances.
+    /// On a cyclic fragmentation, with one chain of at most two
+    /// fragments per query, the chain evaluator misses some shortest
+    /// paths; a route misses none: the skeleton it is read off holds
+    /// global distances.
     #[test]
     fn routes_are_exact_where_the_capped_chain_evaluator_is_not() {
         let (csr, snap, _) = cyclic_snapshot_with(EngineConfig {
             scope: crate::ComplementaryScope::PerDisconnectionSet,
             max_chains: 1,
+            max_chain_len: 2,
             ..EngineConfig::default()
         });
         let mut scratch = ScratchDijkstra::new();
@@ -1147,6 +1144,95 @@ pub(crate) mod tests {
             assert_eq!(route.waypoints.len() + 1, route.chain.len().max(1));
         }
         assert!(missed > 0, "the capped evaluator is exact here");
+    }
+
+    /// Under the paper's scope on a cyclic fragmentation, with one chain
+    /// per query, every point answer equals Dijkstra's and the
+    /// materialized closure's: each site reads its border distances off
+    /// the hub, which holds every pair of its borders, not only the pairs
+    /// its disconnection sets count.
+    #[test]
+    fn per_ds_point_answers_are_exact_on_a_cyclic_fragmentation() {
+        let (csr, snap, _) = cyclic_snapshot_with(EngineConfig {
+            scope: crate::ComplementaryScope::PerDisconnectionSet,
+            max_chains: 1,
+            ..EngineConfig::default()
+        });
+        let (closure, _) = snap
+            .materialize(&MaterializeConfig::with_threads(1))
+            .expect("no fault plan");
+        let closure: std::collections::HashMap<(NodeId, NodeId), Cost> = (closure.rows().iter())
+            .map(|t| ((t.src, t.dst), t.cost))
+            .collect();
+        let mut scratch = ScratchDijkstra::new();
+        let held: Vec<NodeId> = (0..80)
+            .map(n)
+            .filter(|&v| !snap.planner().fragments_of(v).is_empty())
+            .collect();
+        for (&x, &y) in held.iter().flat_map(|x| held.iter().map(move |y| (x, y))) {
+            let got = snap.shortest_path(x, y, &mut scratch).cost;
+            let want = baseline::shortest_path_cost(&csr, x, y);
+            assert_eq!(got, want, "{x}->{y}: Dijkstra");
+            // The closure holds paths of one edge or more: (x, x) is the
+            // cheapest closed walk, which a point query answers as 0.
+            if x != y {
+                assert_eq!(got, closure.get(&(x, y)).copied(), "{x}->{y}: materialize");
+            }
+        }
+    }
+
+    /// A write rebuilds every site holding both borders of a hub entry it
+    /// changed, whether the site's scope counts the pair or not: a warm
+    /// site's memos read every pair of its borders. In a triangle of
+    /// fragments whose disconnection sets are single borders the paper's
+    /// scope counts no pair, yet the delete of `0 - 3` raises
+    /// `dist(0, 2)` from 4 (through fragments 0 and 2) to 20 (through
+    /// fragment 1), which site 1's memo for the chain `0, 1, 2` holds.
+    #[test]
+    fn a_write_rebuilds_a_site_whose_changed_pair_its_scope_does_not_count() {
+        let e = |a, b, cost| ds_graph::Edge::new(n(a), n(b), cost);
+        let frag = Fragmentation::new(
+            6,
+            vec![
+                vec![e(0, 3, 1), e(3, 1, 1)],
+                vec![e(0, 4, 10), e(4, 2, 10)],
+                vec![e(1, 5, 1), e(5, 2, 1)],
+            ],
+            vec![Vec::new(); 3],
+        );
+        let cfg = EngineConfig {
+            scope: crate::ComplementaryScope::PerDisconnectionSet,
+            ..EngineConfig::default()
+        };
+        let mut snap = EngineSnapshot::build(frag, true, cfg);
+        assert_eq!(snap.complementary().pair_count(), 0);
+        let requests: Vec<QueryRequest> = (0..6)
+            .flat_map(|x| (0..6).map(move |y| QueryRequest::new(n(x), n(y))))
+            .collect();
+        let mut scratch = ScratchDijkstra::new();
+        let mut assert_exact = |snap: &EngineSnapshot, what: &str| {
+            let got = snap.query_batch(&requests, &mut scratch).costs();
+            for (q, got) in requests.iter().zip(got) {
+                let want = baseline::shortest_path_cost(snap.graph(), q.source, q.target);
+                assert_eq!(got, want, "{what}: {}->{}", q.source, q.target);
+            }
+        };
+        assert_exact(&snap, "built");
+        let delete = NetworkUpdate::Remove {
+            src: n(0),
+            dst: n(3),
+            owner: 0,
+        };
+        let cow = snap
+            .maintain_cow(&delete, &mut ScratchDijkstra::new())
+            .unwrap();
+        assert_eq!(cow.report.shortcuts_repaired, 0, "no counted pair changed");
+        assert_eq!(
+            cow.shortcut_sites,
+            [0, 1],
+            "0 - 1 at site 0, 0 - 2 at site 1"
+        );
+        assert_exact(&snap, "after the delete");
     }
 
     /// Once the memos, the endpoints' access sets and the border-free
@@ -1338,10 +1424,9 @@ pub(crate) mod tests {
         );
     }
 
-    /// A site's table is one allocation that the site and the
-    /// complementary information both point to: the breakdown counts it
-    /// once, under `complementary`, and `border_matrices` holds no second
-    /// copy of a matrix the site reads in place.
+    /// Every site reads its border distances off the one hub: the
+    /// breakdown counts it once, under `hub`, and `border_matrices` holds
+    /// only the sites' border indexes, no copy of a distance.
     #[test]
     fn memory_bytes_count_a_shared_table_once() {
         let (_, snap, requests) = cyclic_snapshot();
@@ -1354,15 +1439,13 @@ pub(crate) mod tests {
             + snap.hub_handle().memory_bytes();
         let mut border_index = 0;
         for f in 0..snap.site_count() {
-            let (site, table) = (snap.site_handle(f), snap.complementary().table(f));
-            assert!(Arc::ptr_eq(site.table(), table), "site {f}: one allocation");
+            let site = snap.site_handle(f);
             let s = site.memory_bytes();
-            walked += table.memory_bytes();
             walked += s.graph + s.border_matrix + s.access_sets + s.segment_memo;
-            border_index += table.borders().len()
-                * (std::mem::size_of::<NodeId>() + std::mem::size_of::<(u32, Cost)>());
+            border_index += site.border_nodes().count()
+                * (2 * std::mem::size_of::<NodeId>() + std::mem::size_of::<(u32, Cost)>());
         }
-        let kept_sweeps = snap.complementary().memory_bytes() - snap.complementary().table_bytes();
+        let kept_sweeps = snap.complementary().memory_bytes();
         assert!(kept_sweeps > 0, "the local sweeps are retained");
         assert_eq!(bytes.total(), walked + kept_sweeps);
         assert_eq!(bytes.complementary, snap.complementary().memory_bytes());

@@ -10,7 +10,7 @@
 //!
 //! Both rules act on one structure, the hub `H`
 //! ([`crate::ComplementaryInfo::hub`]): every global border-to-border
-//! distance, which every site's table is gathered from.
+//! distance, which every site reads.
 //!
 //! * **Insertions** add a connection, which can only *decrease* global
 //!   distances, and any improved shortest path uses the new edge; so the
@@ -18,8 +18,7 @@
 //!   hub entry: `H'[a][b] = min(H[a][b], dist(a,u) + c + dist(v,b))`,
 //!   "no path" counting as infinite — so a border pair the new
 //!   connection joins for the first time (a disconnecting deletion had
-//!   dropped its tuple, or a one-way network never had one) gets its
-//!   tuple at every site holding both borders.
+//!   dropped it, or a one-way network never had it) gets its entry.
 //! * **Deletions** can increase distances, which per-pair minima cannot
 //!   repair locally — but only for pairs whose shortest path *used* the
 //!   deleted edge. The **deletion repair rule**: a hub pair `(a, b)` is
@@ -48,9 +47,11 @@
 //! compared in [`Cost`], and what is written is narrowed, exactly, since
 //! an admitted network's distances fit the word
 //! ([`crate::bulk::max_edge_cost`]; an insert over it is refused). Then
-//! each changed hub entry is written into the tables holding both of its
-//! borders, and the per-site counts of the report are the entries that
-//! changed. The closure graph itself is
+//! every site holding both borders of a changed hub entry is rebuilt —
+//! its access sets and memos read every pair of its borders, whatever
+//! the scope — and the per-site counts of the report are the changed
+//! entries each site's scope counts a shortcut for
+//! ([`crate::ComplementaryInfo::shortcuts`]). The closure graph itself is
 //! edited — the update's entries added or dropped — not re-derived from
 //! the fragments.
 //!
@@ -75,7 +76,7 @@
 //!   joins two border nodes (it lies *in* a disconnection-set crossing);
 //! * [`FallbackReason::Disconnected`] — otherwise, when the deletion made
 //!   a previously reachable border pair unreachable (e.g. a bridge edge):
-//!   a stored table entry went from finite to infinite.
+//!   a counted shortcut went from finite to infinite.
 //!
 //! The labels, and [`UpdateReport::full_recompute`] beside them, stay
 //! because the frozen end-to-end benchmark picks its write streams by
@@ -97,7 +98,7 @@ use ds_graph::{Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
 
 use crate::api::{apply_edit, validate, NetworkUpdate};
 use crate::bulk::widen;
-use crate::complementary::{Affected, ComplementaryInfo, Gathered, Through};
+use crate::complementary::{Affected, Changes, ComplementaryInfo, Through};
 use crate::error::ClosureError;
 use crate::local::{LocalGraph, Site};
 
@@ -133,17 +134,15 @@ pub struct UpdateReport {
     /// that disconnects nothing (invariant:
     /// `full_recompute == fallback_reason.is_some()`).
     pub fallback_reason: Option<FallbackReason>,
-    /// Sites whose state (fragment edges or shortcut table) changed —
-    /// the owner, whose edges changed, plus every site whose table did:
-    /// the sites a distributed deployment would have to ship a delta to.
+    /// Sites whose state (fragment edges or border distances) changed —
+    /// the owner, whose edges changed, plus every site holding both
+    /// borders of a changed hub entry: the sites a distributed deployment
+    /// would have to ship a delta to.
     pub sites_touched: usize,
-    /// Shortcut tuples in the touched sites' refreshed tables: the
-    /// update's communication volume in the paper's accounting.
+    /// Shortcut tuples the rebuilt sites count
+    /// ([`crate::ComplementaryInfo::shortcuts`]): the update's
+    /// communication volume in the paper's accounting.
     pub tuples_shipped: usize,
-    /// Table entries the write compared with a hub entry it changed: the
-    /// entry's copies at the sites holding both of its borders in scope.
-    /// No other table entry is read.
-    pub entries_compared: usize,
 }
 
 impl UpdateReport {
@@ -164,7 +163,6 @@ impl UpdateReport {
             fallback_reason: None,
             sites_touched: 0,
             tuples_shipped: 0,
-            entries_compared: 0,
         }
     }
 }
@@ -232,7 +230,7 @@ pub enum ConnectivityEffect {
 #[derive(Clone, Debug)]
 pub struct Maintenance {
     pub report: UpdateReport,
-    /// Sites whose shortcut tables changed.
+    /// Sites holding both borders of a changed hub entry.
     pub shortcut_sites: Vec<FragmentId>,
     /// The fragment whose edge set changed; `None` for a no-op removal.
     pub owner: Option<FragmentId>,
@@ -255,21 +253,23 @@ impl Maintenance {
     }
 
     /// An effective update: the owner's site is touched whatever else
-    /// changed, and the sites whose tables `gathered` changed ship them —
-    /// an insert's entries counted improved, a delete's repaired.
+    /// changed, and the sites `changes` reaches ship their shortcuts — an
+    /// insert's counted entries improved, a delete's repaired.
     fn effective(
         comp: &ComplementaryInfo,
         owner: FragmentId,
         owner_graph: Arc<LocalGraph>,
-        gathered: &Gathered,
+        changes: Changes,
         edit: Edit,
         fallback_reason: Option<FallbackReason>,
     ) -> Self {
-        let shortcut_sites = nonzero_sites(&gathered.per_site);
+        let shortcut_sites = changes.sites;
         let mut touched: BTreeSet<FragmentId> = shortcut_sites.iter().copied().collect();
         touched.insert(owner);
-        let tuples_shipped = tuples_at(comp, &shortcut_sites);
-        let changed = gathered.per_site.iter().sum();
+        let tuples_shipped = (shortcut_sites.iter())
+            .map(|&f| comp.shortcuts(f).count())
+            .sum();
+        let changed = changes.counted;
         let (improved, repaired) = match edit {
             Edit::Insert => (changed, 0),
             Edit::Remove => (0, changed),
@@ -282,7 +282,6 @@ impl Maintenance {
                 fallback_reason,
                 sites_touched: touched.len(),
                 tuples_shipped,
-                entries_compared: gathered.compared,
             },
             shortcut_sites,
             owner: Some(owner),
@@ -296,9 +295,8 @@ impl Maintenance {
 /// ([`crate::api::apply_edit`]), edit the closure graph by the entries
 /// the update added or dropped, then keep `comp`'s hub exact — an insert
 /// by lowering entries through the new edge, a delete by re-closing the
-/// pairs the repair rule names over the patched skeleton — and its tables
-/// gathered from it. `sites` are the pre-update sites, whose graphs hold the
-/// endpoints' cells. The caller passes its retained state, including a
+/// pairs the repair rule names over the patched skeleton. `sites` are the
+/// pre-update sites, whose graphs hold the endpoints' cells. The caller passes its retained state, including a
 /// persistent `scratch` that every sweep of the update runs on.
 ///
 /// `graph` and `frag` are owned through [`Arc`] handles: a caller whose
@@ -306,7 +304,7 @@ impl Maintenance {
 /// copy) pays a copy only for the pieces an update actually replaces —
 /// the edited global graph gets a fresh `Arc`, the fragmentation is
 /// detached via [`Arc::make_mut`] once per shared epoch, and `comp` detaches
-/// per-site tables internally the same way.
+/// the hub the same way when an entry changes.
 pub fn maintain(
     graph: &mut Arc<CsrGraph>,
     frag: &mut Arc<Fragmentation>,
@@ -346,10 +344,10 @@ pub fn maintain(
     match *update {
         NetworkUpdate::Insert { edge, owner } => {
             let ends = Endpoints::run(comp, site, symmetric, &added, scratch);
-            let gathered = improve(comp, &ends, &added);
+            let changes = improve(comp, &ends, &added);
             let (stale, crossing) = skeleton_edits(comp, owner, &ends, &added, Edit::Insert);
             comp.patch(graph, stale.then_some((owner, &*local)), &crossing, scratch);
-            let mut m = Maintenance::effective(comp, owner, local, &gathered, Edit::Insert, None);
+            let mut m = Maintenance::effective(comp, owner, local, changes, Edit::Insert, None);
             m.connectivity = ConnectivityEffect::Inserted {
                 src: edge.src,
                 dst: edge.dst,
@@ -371,15 +369,15 @@ pub fn maintain(
             let (stale, crossing) = skeleton_edits(comp, owner, &ends, &removed, Edit::Remove);
             comp.patch(graph, stale.then_some((owner, &*local)), &crossing, scratch);
             let patch_ns = t.elapsed().as_nanos() as u64;
-            let gathered = comp.reclose(&affected, symmetric, patch_ns, scratch);
+            let changes = comp.reclose(&affected, symmetric, patch_ns, scratch);
             // The edge's topology decides the label only.
             let border = |v| comp.skeleton_id(v).is_some();
             let reason = if border(src) && border(dst) {
                 Some(FallbackReason::DisconnectionSetCrossing)
             } else {
-                gathered.dropped.then_some(FallbackReason::Disconnected)
+                changes.dropped.then_some(FallbackReason::Disconnected)
             };
-            let mut m = Maintenance::effective(comp, owner, local, &gathered, Edit::Remove, reason);
+            let mut m = Maintenance::effective(comp, owner, local, changes, Edit::Remove, reason);
             m.connectivity = connectivity;
             Ok(m)
         }
@@ -546,7 +544,7 @@ impl Endpoints {
 
     /// What the repair rule reads for the entry `u -> v` of cost `cost`;
     /// `None` when no border reaches `u` or none is reached from `v` — the
-    /// entry lies on no table pair's path.
+    /// entry lies on no hub pair's path.
     fn through(&self, u: NodeId, cost: Cost, v: NodeId) -> Option<Through<'_>> {
         let (to, from) = (self.to(u), self.from(v));
         (!to.seeds.is_empty() && !from.seeds.is_empty()).then_some(Through {
@@ -561,8 +559,8 @@ impl Endpoints {
 /// Lower every hub entry `(a, b)` — no path counting as infinite — to
 /// `min(cost, dist(a, u) + c + dist(v, b))` over the inserted entries
 /// `u -> v` of cost `c`: exact because improved paths must use a new
-/// edge, and once. Returns what the tables took.
-fn improve(comp: &mut ComplementaryInfo, ends: &Endpoints, added: &[Edge]) -> Gathered {
+/// edge, and once. Returns what the lowered entries mean to the sites.
+fn improve(comp: &mut ComplementaryInfo, ends: &Endpoints, added: &[Edge]) -> Changes {
     let entries: Vec<Through> = (added.iter())
         .filter_map(|e| ends.through(e.src, e.cost, e.dst))
         .collect();
@@ -580,20 +578,6 @@ fn affected_pairs(comp: &ComplementaryInfo, ends: &Endpoints, removed: &[Edge]) 
         .filter_map(|(u, v, cost)| ends.through(u, cost, v))
         .collect();
     comp.affected(&entries)
-}
-
-/// Tuples stored at `sites`: what shipping their tables would carry.
-fn tuples_at(comp: &ComplementaryInfo, sites: &[FragmentId]) -> usize {
-    sites.iter().map(|&f| comp.table(f).pair_count()).sum()
-}
-
-fn nonzero_sites(per_site: &[usize]) -> Vec<FragmentId> {
-    per_site
-        .iter()
-        .enumerate()
-        .filter(|(_, &n)| n > 0)
-        .map(|(f, _)| f)
-        .collect()
 }
 
 #[cfg(test)]
@@ -863,9 +847,9 @@ mod tests {
         check_all(&engine, &mut scratch);
     }
 
-    /// An insert whose endpoints reach no border changes no table and
-    /// detaches none: fragment 0 holds a component `{5, 6, 7}` apart from
-    /// its borders `0` and `3`.
+    /// An insert whose endpoints reach no border changes no hub entry and
+    /// detaches neither the hub nor another site: fragment 0 holds a
+    /// component `{5, 6, 7}` apart from its borders `0` and `3`.
     #[test]
     fn an_insert_that_reaches_no_border_leaves_every_table_shared() {
         let e = |a: u32, b: u32| Edge::unit(n(a), n(b));
@@ -887,9 +871,10 @@ mod tests {
             assert_eq!(cow.report.shortcuts_improved, 0, "symmetric={symmetric}");
             assert!(cow.shortcut_sites.is_empty(), "symmetric={symmetric}");
             assert_eq!(cow.touched_sites, [0], "symmetric={symmetric}");
+            assert!(Arc::ptr_eq(before.hub_handle(), after.hub_handle()));
+            assert!(Arc::ptr_eq(before.site_handle(1), after.site_handle(1)));
             for f in 0..2 {
                 let (was, now) = (before.complementary(), after.complementary());
-                assert!(Arc::ptr_eq(was.table(f), now.table(f)), "table {f}");
                 // The cells of 5 and 7 touch no border: nothing re-swept.
                 let kept = Arc::ptr_eq(was.local_sweeps(f), now.local_sweeps(f));
                 assert!(kept, "symmetric={symmetric}: fragment {f}");
@@ -899,7 +884,7 @@ mod tests {
 
     /// A crossing insert — both endpoints borders — is a skeleton edge of
     /// its own: it re-sweeps no fragment, edits the one skeleton pair it
-    /// joins, and leaves the tables exact; its delete puts the skeleton
+    /// joins, and leaves the hub exact; its delete puts the skeleton
     /// back the way the build derived it.
     #[test]
     fn a_crossing_edit_edits_one_skeleton_pair_and_resweeps_nothing() {

@@ -18,11 +18,11 @@
 //!   writes the whole batch as one buffered write and one `fdatasync`,
 //!   so the fsync cost amortizes across exactly the batch the writer was
 //!   going to fold anyway.
-//! * **Checkpoints are images of the *inputs*, not the tables.** A
+//! * **Checkpoints are images of the *inputs*, not the precompute.** A
 //!   checkpoint stores the fragmentation (per-fragment edge + node
 //!   lists), the [`EngineConfig`] and the symmetry flag — everything
 //!   [`EngineSnapshot::build`] takes. The closure graph, complementary
-//!   tables and reachability index are **derived on load**, which keeps
+//!   information and reachability index are **derived on load**, which keeps
 //!   checkpoints proportional to the relation, not the precompute.
 //! * **Recovery = newest valid checkpoint + the WAL suffix folded into
 //!   its edge set, then one build.** [`recover`] scans checkpoints

@@ -30,7 +30,7 @@
 //!               publish successor snapshot as epoch N+1 — O(sites)
 //! ```
 //!
-//! * **Snapshot epochs.** The immutable [`EngineSnapshot`] (tables,
+//! * **Snapshot epochs.** The immutable [`EngineSnapshot`] (hub,
 //!   per-site evaluation state, planner — `Send + Sync` by construction,
 //!   asserted at compile time in `ds_closure`) is shared via `Arc` and swapped
 //!   atomically by the single writer. Readers pin the epoch for the
@@ -39,7 +39,7 @@
 //! * **O(touched sites) publication.** A snapshot holds one `Arc<Site>`
 //!   per fragment, so the writer's per-epoch publication clone is
 //!   O(sites) refcount bumps and each epoch physically shares every
-//!   untouched site — graph, table, access sets, memo — with its
+//!   untouched site — graph, border index, access sets, memo — with its
 //!   predecessor (`ds_closure::snapshot` documents the sharing
 //!   contract; the gates bench holds it at ≥ 5x cheaper than a full
 //!   copy).
@@ -395,7 +395,7 @@ mod tests {
         assert_eq!(
             stats.strategy,
             ds_closure::PrecomputeStrategy::Skeleton,
-            "serving skeleton-built tables"
+            "serving a skeleton-built hub"
         );
         assert!(stats.balance_ratio() >= 1.0);
         assert!(stats.throughput_qps() > 0.0);

@@ -121,7 +121,7 @@ pub struct ServeStats {
     /// The served snapshot's site-subquery placement, by its backend
     /// name (`EngineConfig::mode`: "inline" or "site-threads").
     pub backend: &'static str,
-    /// Which precompute strategy built (or last rebuilt) those tables.
+    /// Which precompute strategy built (or last re-closed) the hub.
     pub strategy: PrecomputeStrategy,
     /// Times a worker was respawned by its supervisor after a panic.
     /// Every request of the doomed micro-batch resolved to

@@ -132,7 +132,7 @@ fn main() {
         stats.scratch.grows
     );
     println!(
-        "tables served: {} strategy, built by the {} backend",
+        "hub served: {} strategy, built by the {} backend",
         match stats.strategy {
             discset::PrecomputeStrategy::Skeleton => "skeleton",
             discset::PrecomputeStrategy::GlobalSweep => "global-sweep",

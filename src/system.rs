@@ -47,7 +47,7 @@ use ds_relation::{PathTuple, Relation};
 
 /// Where phase one's site subqueries run — the facade's spelling of
 /// [`EngineConfig::mode`]. Both values run the same evaluator over the
-/// same tables; they differ only in placement.
+/// same hub; they differ only in placement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// Every site subquery on the calling thread

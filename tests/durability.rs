@@ -323,11 +323,15 @@ fn recovery_lands_on_the_state_the_live_server_maintained() {
             "{label}: the records past the checkpoint"
         );
         assert!(!rec.truncated, "{label}");
+        assert_eq!(rec.snapshot.hub_handle(), live.hub_handle(), "{label}: hub");
         for f in 0..live.site_count() {
             assert_eq!(
-                rec.snapshot.complementary().table(f),
-                live.complementary().table(f),
-                "{label}: site {f}'s table"
+                rec.snapshot
+                    .complementary()
+                    .shortcuts(f)
+                    .collect::<Vec<_>>(),
+                live.complementary().shortcuts(f).collect::<Vec<_>>(),
+                "{label}: site {f}'s shortcuts"
             );
             assert_eq!(
                 rec.snapshot.fragmentation().fragment(f).edges(),

@@ -432,15 +432,16 @@ fn maintained_engine_equals_rebuilt_from_scratch() {
                     .backend(Backend::Inline)
                     .build()
                     .unwrap();
-                // Each site holds exactly the tuples a precompute on the
-                // final network gives it.
+                // The hub, and so each site's shortcuts, are exactly what a
+                // precompute on the final network gives.
                 let (kept, rebuilt) =
                     (sys.engine().complementary(), fresh.engine().complementary());
+                assert_eq!(kept.hub(), rebuilt.hub(), "seed {seed} case {case}: hub");
                 for f in 0..sys.fragmentation().fragment_count() {
                     assert_eq!(
-                        kept.table(f),
-                        rebuilt.table(f),
-                        "seed {seed} case {case}: site {f}'s table"
+                        kept.shortcuts(f).collect::<Vec<_>>(),
+                        rebuilt.shortcuts(f).collect::<Vec<_>>(),
+                        "seed {seed} case {case}: site {f}'s shortcuts"
                     );
                 }
                 for _ in 0..40 {
@@ -680,9 +681,15 @@ fn crossing_edit_streams_keep_the_skeleton_a_rebuild_derives() {
                     "{label}: skeleton"
                 );
                 assert_eq!(engine.hub_handle(), rebuilt.hub_handle(), "{label}: hub");
-                assert_tables_gather_the_hub(&engine, &label);
+                assert_shortcuts_count_the_scope(&engine, &label);
                 for f in 0..frag.fragment_count() {
-                    assert_eq!(now.table(f), fresh.table(f), "{label}: site {f}'s table");
+                    let (now, fresh) = (now.shortcuts(f), fresh.shortcuts(f));
+                    let fresh: Vec<Edge> = fresh.collect();
+                    assert_eq!(
+                        now.collect::<Vec<_>>(),
+                        fresh,
+                        "{label}: site {f}'s shortcuts"
+                    );
                 }
                 let csr = engine.graph().clone();
                 for _ in 0..6 {
@@ -712,7 +719,7 @@ fn crossing_edit_streams_keep_the_skeleton_a_rebuild_derives() {
 /// pair where the scope stores one — every pair under
 /// `PerFragmentBorder`, under `PerDisconnectionSet` a pair another
 /// fragment holds both borders of — and no tuple elsewhere.
-fn assert_tables_gather_the_hub(engine: &EngineSnapshot, label: &str) {
+fn assert_shortcuts_count_the_scope(engine: &EngineSnapshot, label: &str) {
     use discset::closure::ComplementaryScope;
     use discset::graph::INFINITE_COST;
     let frag = engine.fragmentation();
@@ -725,20 +732,23 @@ fn assert_tables_gather_the_hub(engine: &EngineSnapshot, label: &str) {
     let hub = engine.hub_handle();
     let every_pair = engine.config().scope == ComplementaryScope::PerFragmentBorder;
     for f in 0..frag.fragment_count() {
-        let table = engine.complementary().table(f);
-        for (i, u) in table.borders().iter().enumerate() {
-            for (j, v) in table.borders().iter().enumerate().filter(|&(j, _)| j != i) {
+        let site: Vec<NodeId> = (frag.fragment(f).nodes().iter().copied())
+            .filter(|&v| holders(v).len() >= 2)
+            .collect();
+        let mut want = Vec::new();
+        for u in &site {
+            for v in site.iter().filter(|&v| v != u) {
                 let shared = holders(*u)
                     .iter()
                     .any(|&g| g != f && holders(*v).contains(&g));
-                let want = if every_pair || shared {
-                    hub.cost(id(u), id(v))
-                } else {
-                    INFINITE_COST
-                };
-                assert_eq!(table.row(i)[j], want, "{label}: site {f}'s {u} -> {v}");
+                let cost = hub.cost(id(u), id(v));
+                if (every_pair || shared) && cost < INFINITE_COST {
+                    want.push(Edge::new(*u, *v, cost));
+                }
             }
         }
+        let got: Vec<Edge> = engine.complementary().shortcuts(f).collect();
+        assert_eq!(got, want, "{label}: site {f}'s shortcuts");
     }
 }
 
@@ -1095,11 +1105,12 @@ fn skeleton_precompute_equals_global_sweep() {
                 glob.pair_count(),
                 "{label} {scope:?}: pair count"
             );
+            assert_eq!(skel.hub(), glob.hub(), "{label} {scope:?}: hub");
             for f in 0..frag.fragment_count() {
                 assert_eq!(
-                    skel.table(f),
-                    glob.table(f),
-                    "{label} {scope:?}: site {f} table"
+                    skel.shortcuts(f).collect::<Vec<_>>(),
+                    glob.shortcuts(f).collect::<Vec<_>>(),
+                    "{label} {scope:?}: site {f} shortcuts"
                 );
             }
         }
@@ -1591,17 +1602,11 @@ fn untouched_sites_stay_arc_shared_across_epochs() {
                         "{label}: site {f} after {update:?} (touched {:?})",
                         m.touched_sites
                     );
-                    // The table is one allocation for the site and the
-                    // complementary information, detached only where an
-                    // entry changed: an owner-only site is rebuilt over
-                    // the table it had.
-                    let table = next.complementary().table(f);
-                    assert!(Arc::ptr_eq(next.site_handle(f).table(), table));
-                    assert_eq!(
-                        Arc::ptr_eq(prev.complementary().table(f), table),
-                        !m.shortcut_sites.contains(&f),
-                        "{label}: site {f}'s table after {update:?}"
-                    );
+                }
+                // A write that changes no hub entry keeps the shared hub
+                // and rebuilds no site but the owner.
+                if Arc::ptr_eq(prev.hub_handle(), next.hub_handle()) {
+                    assert!(m.shortcut_sites.is_empty(), "{label}: {update:?}");
                 }
                 prev = next;
             }
@@ -1621,8 +1626,8 @@ fn untouched_sites_stay_arc_shared_across_epochs() {
 ///   source/target combination — reads from `border_matrix_with` exactly
 ///   what `forward_matrix` sweeps out of the site's augmented graph;
 /// * whole answers equal the reference evaluation (`run_chain` +
-///   `chain_cost_refs` over every planned chain) and, wherever the scope
-///   is exact, the centralized Dijkstra;
+///   `chain_cost_refs` over every planned chain) and the centralized
+///   Dijkstra, under either scope and on a cyclic fragmentation too;
 /// * two readers released together onto empty access sets agree with
 ///   each other and with a reader that had the snapshot to itself.
 ///
@@ -1652,7 +1657,7 @@ fn site_kernel_equals_sweeps_of_the_augmented_graph() {
     }
 
     /// Everything one snapshot must satisfy; returns its answers.
-    fn check(snap: &EngineSnapshot, exact: bool, label: &str) -> Vec<Option<Cost>> {
+    fn check(snap: &EngineSnapshot, label: &str) -> Vec<Option<Cost>> {
         let mut scratch = ScratchDijkstra::new();
         let planner = snap.planner();
         let frag = snap.fragmentation();
@@ -1672,7 +1677,8 @@ fn site_kernel_equals_sweeps_of_the_augmented_graph() {
             for sources in &lists {
                 for targets in &lists {
                     let mut costs = Vec::new();
-                    border_matrix_with(site, sources, targets, &mut scratch, &mut costs);
+                    let hub = snap.hub_handle();
+                    border_matrix_with(site, hub, sources, targets, &mut scratch, &mut costs);
                     assert_eq!(
                         costs,
                         forward_matrix(augmented, sources, targets, &mut scratch).costs(),
@@ -1710,17 +1716,15 @@ fn site_kernel_equals_sweeps_of_the_augmented_graph() {
                     })
                 };
                 assert_eq!(got, reference, "{label}: {x}->{y} against run_chain");
-                if exact {
-                    let want = baseline::shortest_path_cost(snap.graph(), x, y);
-                    assert_eq!(got, want, "{label}: {x}->{y} against Dijkstra");
-                }
+                let want = baseline::shortest_path_cost(snap.graph(), x, y);
+                assert_eq!(got, want, "{label}: {x}->{y} against Dijkstra");
                 answers.push(got);
             }
         }
         answers
     }
 
-    let (mut cyclic, mut single_border, mut unreachable, mut closed) = (0, 0, 0, 0);
+    let (mut cyclic, mut single_border, mut unreachable, mut uncounted) = (0, 0, 0, 0);
     for symmetric in [true, false] {
         let mut rng = StdRng::seed_from_u64(0x517E ^ symmetric as u64);
         let mut g = generate_general(
@@ -1773,7 +1777,6 @@ fn site_kernel_equals_sweeps_of_the_augmented_graph() {
                 ComplementaryScope::PerDisconnectionSet,
             ] {
                 let label = format!("symmetric={symmetric} {family} {scope:?}");
-                let exact = acyclic || scope == ComplementaryScope::PerFragmentBorder;
                 let cfg = EngineConfig {
                     scope,
                     ..EngineConfig::default()
@@ -1783,10 +1786,10 @@ fn site_kernel_equals_sweeps_of_the_augmented_graph() {
                     let site = snap.site_handle(f);
                     let borders = site.border_nodes().count();
                     single_border += (borders == 1) as usize;
-                    // A stored table that leaves a border pair out was
-                    // closed when the site was built.
-                    let stored = snap.complementary().table(f).pair_count();
-                    closed += (stored < borders * borders.saturating_sub(1)) as usize;
+                    // A site whose scope counts fewer than every ordered
+                    // pair of its borders still reads them all.
+                    let counted = snap.complementary().shortcuts(f).count();
+                    uncounted += (counted < borders * borders.saturating_sub(1)) as usize;
                 }
 
                 // Two readers race to fill the access sets (and memos) a
@@ -1818,7 +1821,7 @@ fn site_kernel_equals_sweeps_of_the_augmented_graph() {
                 assert_eq!(raced.segment_memos, solo.segment_memos, "{label}");
                 assert!(raced.access_sets > 0, "{label}");
 
-                let before = check(&snap, exact, &label);
+                let before = check(&snap, &label);
                 unreachable += before.iter().filter(|c| c.is_none()).count();
 
                 // A maintained insert between two nodes of one fragment
@@ -1839,7 +1842,7 @@ fn site_kernel_equals_sweeps_of_the_augmented_graph() {
                     owner,
                 };
                 snap.maintain(&insert, &mut scratch).unwrap();
-                check(&snap, exact, &format!("{label} after {insert:?}"));
+                check(&snap, &format!("{label} after {insert:?}"));
                 assert_eq!(snap.shortest_path(a, b, &mut scratch).cost, Some(1));
 
                 let owner = rng.gen_index(snap.site_count());
@@ -1851,14 +1854,14 @@ fn site_kernel_equals_sweeps_of_the_augmented_graph() {
                     owner,
                 };
                 snap.maintain(&remove, &mut scratch).unwrap();
-                check(&snap, exact, &format!("{label} after {remove:?}"));
+                check(&snap, &format!("{label} after {remove:?}"));
             }
         }
     }
     assert!(cyclic > 0, "a cyclic fragmentation graph was covered");
     assert!(single_border > 0, "a site with a single border node");
     assert!(unreachable > 0, "an unreachable pair");
-    assert!(closed > 0, "a table that leaves a border pair out");
+    assert!(uncounted > 0, "a site whose scope leaves a border pair out");
 }
 
 /// Complementary shortcut costs obey the triangle inequality with the
