@@ -59,17 +59,11 @@ pub fn phe(clusters: usize, nodes_per_cluster: usize, seed: u64) -> Vec<PheRow> 
         &queries,
     ));
 
-    // PHE: hub fragmentation, star-shaped fragmentation graph.
-    let (hub_frag, hub) =
+    // PHE: hub fragmentation, star-shaped fragmentation graph, whose one
+    // chain per pair of fragments runs through the hub.
+    let (hub_frag, _) =
         hub_fragmentation(g.nodes, &g.connections, &labels, clusters).expect("non-empty");
-    let hub_engine = EngineSnapshot::build(
-        hub_frag,
-        true,
-        EngineConfig {
-            hub: Some(hub),
-            ..EngineConfig::default()
-        },
-    );
+    let hub_engine = EngineSnapshot::build(hub_frag, true, EngineConfig::default());
     rows.push(run_mode("PHE hub routing", &hub_engine, &csr, &queries));
 
     rows
@@ -120,5 +114,22 @@ mod tests {
             rows[1].chains,
             rows[0].chains
         );
+    }
+
+    /// The PHE table `repro` prints, at its seed.
+    #[test]
+    fn the_phe_rows_read_3_45_against_1_20_chains() {
+        use crate::table::{f1, f2};
+        let rows: Vec<String> = (phe(6, 15, 1).iter())
+            .map(|r| {
+                let (chains, sites) = (f2(r.chains), f1(r.site_queries));
+                format!("{}: {chains} {sites} {}/{}", r.mode, r.correct, r.queries)
+            })
+            .collect();
+        let want = [
+            "chain enumeration (ring): 3.45 3.0 20/20",
+            "PHE hub routing: 1.20 2.7 20/20",
+        ];
+        assert_eq!(rows, want);
     }
 }

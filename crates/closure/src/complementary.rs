@@ -91,23 +91,17 @@
 //! holding both borders of a changed entry is rebuilt, since its access
 //! sets and memos read every pair of its borders.
 //!
-//! ## The counting rule
+//! ## What a site counts
 //!
 //! A site stores nothing of its own: its subqueries read `H` restricted
 //! to its borders ([`crate::local::Site`]), so every pair of its borders
 //! is there and every site agrees with the global state by construction.
-//! [`ComplementaryScope`] is the paper's rule for what a site *counts* as
-//! its complementary information — the tuples [`ComplementaryInfo::shortcuts`]
-//! lists, [`ComplementaryInfo::pair_count`] sums and an update report
-//! ships — the finite `H` entries over the scope's pairs:
-//!
-//! * [`ComplementaryScope::PerDisconnectionSet`] — exactly the paper's
-//!   rule: pairs within each `DS_ij` adjacent to the site;
-//! * [`ComplementaryScope::PerFragmentBorder`] — pairs over *all* border
-//!   nodes of the site, a strict superset (the default; the difference
-//!   is measured in the `ablation-crossing` experiments).
-//!
-//! Answers are exact under either scope, on any fragmentation.
+//! What a site counts as its complementary information — the tuples
+//! [`ComplementaryInfo::shortcuts`] lists, [`ComplementaryInfo::pair_count`]
+//! sums and an update report ships — is exactly what it reads: the finite
+//! `H` entries over every pair of its border nodes. The paper stores
+//! fewer, the pairs within each `DS_ij` adjacent to the site; that count
+//! is the bench's scope ablation, and no answer depends on it.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -117,18 +111,6 @@ use ds_graph::{dijkstra, Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE
 
 use crate::bulk::{assert_admitted, narrow, widen, Hub, Word, WORD_INF};
 use crate::local::LocalGraph;
-
-/// Which border pairs a site counts a shortcut for (the counting rule of
-/// the module docs). Every site reads every pair of its borders off the
-/// hub whatever the scope, so answers are exact under both.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ComplementaryScope {
-    /// Pairs within each disconnection set (the paper's rule).
-    PerDisconnectionSet,
-    /// All border-node pairs of each fragment.
-    #[default]
-    PerFragmentBorder,
-}
 
 /// Which precompute algorithm produced the hub.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -220,30 +202,20 @@ struct Layout {
     borders: Vec<NodeId>,
     /// Per site, the skeleton ids of its borders, ascending.
     at: Vec<Vec<usize>>,
-    /// Per site, the groups of its borders (skeleton ids, ascending)
-    /// whose pairs the scope counts (see `site_border_sets`).
-    groups: Vec<Vec<Vec<usize>>>,
     /// Per skeleton id, the sites holding the border, ascending.
     holders: Vec<Vec<FragmentId>>,
 }
 
 impl Layout {
-    fn new(frag: &Fragmentation, membership: &Membership, scope: ComplementaryScope) -> Self {
-        let (groups, borders) = site_border_sets(frag, membership, scope);
-        let groups: Vec<Vec<Vec<usize>>> = (groups.iter())
-            .map(|g| {
-                (g.iter())
-                    .map(|set| set.iter().map(|v| position(&borders, v)).collect())
+    fn new(frag: &Fragmentation, membership: &Membership) -> Self {
+        let borders = membership.borders();
+        // Node lists are ascending, and so are their skeleton ids.
+        let at: Vec<Vec<usize>> = (frag.fragments().iter())
+            .map(|f| {
+                (f.nodes().iter())
+                    .filter(|&&v| membership.is_border(v))
+                    .map(|v| position(&borders, v))
                     .collect()
-            })
-            .collect();
-        // A site's borders: the union of its groups.
-        let at: Vec<Vec<usize>> = (groups.iter())
-            .map(|g| {
-                let mut all = g.concat();
-                all.sort_unstable();
-                all.dedup();
-                all
             })
             .collect();
         let mut holders = vec![Vec::new(); borders.len()];
@@ -255,17 +227,8 @@ impl Layout {
         Layout {
             borders,
             at,
-            groups,
             holders,
         }
-    }
-
-    /// Whether site `f`'s scope counts the pair of its borders `s`, `t`
-    /// (skeleton ids): one group is every pair.
-    fn counts(&self, f: FragmentId, s: usize, t: usize) -> bool {
-        let groups = &self.groups[f];
-        let holds = |g: &[usize]| g.binary_search(&s).is_ok() && g.binary_search(&t).is_ok();
-        groups.len() == 1 || groups.iter().any(|g| holds(g))
     }
 }
 
@@ -399,14 +362,14 @@ pub(crate) type Affected = Vec<(usize, Vec<NodeId>)>;
 /// What one write's changed hub entries mean to the sites.
 #[derive(Clone, Debug)]
 pub(crate) struct Changes {
-    /// The changed entries each site's scope counts a shortcut for,
-    /// summed over the sites.
+    /// The changed entries, once per site holding both borders: the
+    /// shortcuts the write changed, summed over the sites.
     pub(crate) counted: usize,
     /// The sites holding both borders of a changed entry, ascending:
     /// their access sets and memos read it.
     pub(crate) sites: Vec<FragmentId>,
-    /// Whether a counted shortcut was dropped: an entry went from finite
-    /// to [`INFINITE_COST`].
+    /// Whether a shortcut was dropped: an entry some site holds went from
+    /// finite to [`INFINITE_COST`].
     pub(crate) dropped: bool,
 }
 
@@ -420,10 +383,10 @@ impl ComplementaryInfo {
     /// If an edge costs more than [`crate::bulk::max_edge_cost`] of the
     /// fragmentation's node count: the hub's words could not hold every
     /// distance.
-    pub fn compute(frag: &Fragmentation, symmetric: bool, scope: ComplementaryScope) -> Self {
+    pub fn compute(frag: &Fragmentation, symmetric: bool) -> Self {
         assert_admitted(frag);
         let (graph, locals) = (frag.closure_graph(symmetric), local_graphs(frag, symmetric));
-        ComplementaryInfo::compute_with(&graph, frag, &Membership::new(frag), &locals, scope)
+        ComplementaryInfo::compute_with(&graph, frag, &Membership::new(frag), &locals)
     }
 
     /// [`ComplementaryInfo::compute`] from what a build has already made:
@@ -435,9 +398,8 @@ impl ComplementaryInfo {
         frag: &Fragmentation,
         membership: &Membership,
         locals: &[Arc<LocalGraph>],
-        scope: ComplementaryScope,
     ) -> Self {
-        let (layout, mut scratch) = (Layout::new(frag, membership, scope), ScratchDijkstra::new());
+        let (layout, mut scratch) = (Layout::new(frag, membership), ScratchDijkstra::new());
         let t0 = Instant::now();
         let (local, skeleton) = sweep_skeleton(graph, locals, &layout, &mut scratch);
         let t1 = Instant::now();
@@ -467,8 +429,8 @@ impl ComplementaryInfo {
     }
 
     /// What the changed hub entries `changed` (slot, cost) mean to the
-    /// sites: the ones holding both of a slot's borders, and the entries
-    /// their scopes count.
+    /// sites: the ones holding both of a slot's borders, each counting
+    /// the entry.
     fn changes(&self, changed: &[(usize, Cost)]) -> Changes {
         let (nb, layout) = (self.border_count(), &*self.layout);
         let mut held = vec![false; layout.at.len()];
@@ -484,10 +446,8 @@ impl ComplementaryInfo {
                     continue;
                 }
                 held[f] = true;
-                if layout.counts(f, s, t) {
-                    out.counted += 1;
-                    out.dropped |= cost == INFINITE_COST;
-                }
+                out.counted += 1;
+                out.dropped |= cost == INFINITE_COST;
             }
         }
         out.sites = (0..held.len()).filter(|&f| held[f]).collect();
@@ -631,14 +591,10 @@ impl ComplementaryInfo {
     /// kept for equivalence tests. It derives the same kept skeleton
     /// (outside its timing), so it maintains like any other. Panics on
     /// the networks [`ComplementaryInfo::compute`] panics on.
-    pub fn compute_global_sweep(
-        frag: &Fragmentation,
-        symmetric: bool,
-        scope: ComplementaryScope,
-    ) -> Self {
+    pub fn compute_global_sweep(frag: &Fragmentation, symmetric: bool) -> Self {
         assert_admitted(frag);
         let (graph, locals) = (frag.closure_graph(symmetric), local_graphs(frag, symmetric));
-        let layout = Layout::new(frag, &Membership::new(frag), scope);
+        let layout = Layout::new(frag, &Membership::new(frag));
         let (local, skeleton) =
             sweep_skeleton(&graph, &locals, &layout, &mut ScratchDijkstra::new());
         let border_list = &layout.borders;
@@ -686,34 +642,18 @@ impl ComplementaryInfo {
         edges
     }
 
-    /// Every finite pair of site `f`'s borders as an edge `(u, v,
-    /// global_dist)`, in (row, column) order over its borders — the view
-    /// its subqueries read off the hub — with the pair's skeleton ids.
-    fn view(&self, f: FragmentId) -> impl Iterator<Item = (Edge, usize, usize)> + '_ {
+    /// The shortcuts site `f` counts as its complementary information —
+    /// the view its subqueries read off the hub and its augmented graph
+    /// carries: every finite pair of its borders as an edge `(u, v,
+    /// global_dist)`, in (row, column) order over its borders.
+    pub fn shortcuts(&self, f: FragmentId) -> impl Iterator<Item = Edge> + '_ {
         let (ids, borders) = (&self.layout.at[f], &self.layout.borders);
         ids.iter().flat_map(move |&s| {
             let row = self.hub.words(s);
             (ids.iter())
                 .filter(move |&&t| t != s && row[t] < WORD_INF)
-                .map(move |&t| (Edge::new(borders[s], borders[t], widen(row[t])), s, t))
+                .map(move |&t| Edge::new(borders[s], borders[t], widen(row[t])))
         })
-    }
-
-    /// Every finite pair of site `f`'s borders as an edge — what its
-    /// augmented graph carries, whatever the scope.
-    pub(crate) fn site_pairs(&self, f: FragmentId) -> impl Iterator<Item = Edge> + '_ {
-        self.view(f).map(|(e, _, _)| e)
-    }
-
-    /// The shortcuts site `f` counts as its complementary information:
-    /// the finite hub entries over its scope's pairs (the counting rule
-    /// of the module docs), as edges `(u, v, global_dist)` in (row,
-    /// column) order over its borders.
-    pub fn shortcuts(&self, f: FragmentId) -> impl Iterator<Item = Edge> + '_ {
-        let layout = &self.layout;
-        (self.view(f))
-            .filter(move |&(_, s, t)| layout.counts(f, s, t))
-            .map(|(e, _, _)| e)
     }
 
     /// A deep copy that shares nothing with `self`: every fragment's kept
@@ -899,37 +839,6 @@ pub(crate) fn local_graphs(frag: &Fragmentation, symmetric: bool) -> Vec<Arc<Loc
         .collect()
 }
 
-/// For each site, the groups of border nodes whose pairs get shortcuts:
-/// one group per adjacent DS (paper scope) or a single group of all the
-/// fragment's border nodes (fragment scope) — and all border nodes,
-/// ascending.
-fn site_border_sets(
-    frag: &Fragmentation,
-    membership: &Membership,
-    scope: ComplementaryScope,
-) -> (Vec<Vec<Vec<NodeId>>>, Vec<NodeId>) {
-    let mut out: Vec<Vec<Vec<NodeId>>> = vec![Vec::new(); frag.fragment_count()];
-    match scope {
-        ComplementaryScope::PerDisconnectionSet => {
-            for ((i, j), nodes) in membership.disconnection_sets() {
-                out[i].push(nodes.clone());
-                out[j].push(nodes);
-            }
-        }
-        ComplementaryScope::PerFragmentBorder => {
-            for (groups, f) in out.iter_mut().zip(frag.fragments()) {
-                let set: Vec<NodeId> = (f.nodes().iter().copied())
-                    .filter(|&v| membership.is_border(v))
-                    .collect();
-                if !set.is_empty() {
-                    groups.push(set);
-                }
-            }
-        }
-    }
-    (out, membership.borders())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -953,9 +862,9 @@ mod tests {
     #[test]
     fn single_border_node_yields_no_pairs() {
         let frag = setup();
-        let comp = ComplementaryInfo::compute(&frag, true, ComplementaryScope::PerDisconnectionSet);
+        let comp = ComplementaryInfo::compute(&frag, true);
         assert_eq!(comp.border_count(), 1);
-        assert_eq!(comp.pair_count(), 0, "a singleton DS has no pairs");
+        assert_eq!(comp.pair_count(), 0, "a single border has no pairs");
         assert_eq!(comp.shortcuts(0).count(), 0);
         let borders: Vec<(NodeId, usize)> = comp.site_borders(0).collect();
         assert_eq!(borders, [(NodeId(2), 0)], "still a border");
@@ -978,7 +887,7 @@ mod tests {
             ],
             vec![vec![], vec![]],
         );
-        let comp = ComplementaryInfo::compute(&frag, true, ComplementaryScope::PerDisconnectionSet);
+        let comp = ComplementaryInfo::compute(&frag, true);
         assert_eq!(comp.border_count(), 2);
         // Pairs (0,3) and (3,0) at both sites.
         assert_eq!(comp.pair_count(), 4);
@@ -991,42 +900,19 @@ mod tests {
 
     #[test]
     fn fragment_border_scope_covers_cross_ds_pairs() {
-        // Three fragments in a triangle of paths: fragment 0 borders both
-        // 1 (node 2) and 2 (node 4). Fragment scope must add the (2,4)
-        // pair at site 0; the per-DS scope must not.
-        let edges = |pairs: &[(u32, u32)]| -> Vec<GEdge> {
-            pairs
-                .iter()
-                .flat_map(|&(a, b)| {
-                    [
-                        GEdge::unit(NodeId(a), NodeId(b)),
-                        GEdge::unit(NodeId(b), NodeId(a)),
-                    ]
-                })
-                .collect()
-        };
-        let frag = Fragmentation::new(
-            5,
-            vec![
-                edges(&[(0, 2), (4, 0)]),
-                edges(&[(2, 3)]),
-                edges(&[(3, 4), (2, 4)]),
-            ],
-            vec![vec![], vec![], vec![]],
+        // Path 0-…-6 in three fragments sharing nodes 2 and 4: site 1's
+        // borders lie in two disconnection sets, {2} and {4}, and it
+        // counts the pair across them at its global distance.
+        let frag = crate::planner::tests::three_fragment_path();
+        let comp = ComplementaryInfo::compute(&frag, true);
+        let pairs: Vec<(NodeId, NodeId, Cost)> = (comp.shortcuts(1))
+            .map(|e| (e.src, e.dst, e.cost))
+            .collect();
+        assert_eq!(
+            pairs,
+            [(NodeId(2), NodeId(4), 2), (NodeId(4), NodeId(2), 2)]
         );
-        let per_ds =
-            ComplementaryInfo::compute(&frag, false, ComplementaryScope::PerDisconnectionSet);
-        let per_border =
-            ComplementaryInfo::compute(&frag, false, ComplementaryScope::PerFragmentBorder);
-        let has_cross = |c: &ComplementaryInfo| {
-            c.shortcuts(0)
-                .any(|e| e.src == NodeId(2) && e.dst == NodeId(4))
-        };
-        assert!(per_border.pair_count() >= per_ds.pair_count());
-        assert!(
-            has_cross(&per_border),
-            "fragment scope covers cross-DS border pairs"
-        );
+        assert_eq!(comp.pair_count(), 2, "sites 0 and 2 hold one border each");
     }
 
     /// The skeleton hub and shortcuts equal the global-sweep reference,
@@ -1046,39 +932,30 @@ mod tests {
         .unwrap();
         let csr = g.closure_graph();
         let mut scratch = ScratchDijkstra::new();
-        for scope in [
-            ComplementaryScope::PerDisconnectionSet,
-            ComplementaryScope::PerFragmentBorder,
-        ] {
-            let skel = ComplementaryInfo::compute(&frag, g.symmetric, scope);
-            let glob = ComplementaryInfo::compute_global_sweep(&frag, g.symmetric, scope);
-            assert_eq!(skel.border_count(), glob.border_count(), "{scope:?}");
-            assert_eq!(skel.pair_count(), glob.pair_count(), "{scope:?}");
-            assert_eq!(skel.hub(), glob.hub(), "{scope:?}");
-            let cfg = EngineConfig {
-                scope,
-                ..EngineConfig::default()
-            };
-            let snap = EngineSnapshot::build(frag.clone(), g.symmetric, cfg);
-            for f in 0..frag.fragment_count() {
-                let (a, b) = (skel.shortcuts(f), glob.shortcuts(f));
-                assert!(a.eq(b), "{scope:?} site {f}");
-                for e in skel.shortcuts(f) {
-                    let route = snap.route(e.src, e.dst, &mut scratch).unwrap();
-                    let p = route.expect("a stored pair is connected").nodes;
-                    assert_eq!(*p.first().unwrap(), e.src);
-                    assert_eq!(*p.last().unwrap(), e.dst);
-                    let mut total = 0;
-                    for hop in p.windows(2) {
-                        total += csr
-                            .neighbors(hop[0])
-                            .filter(|(t, _)| *t == hop[1])
-                            .map(|(_, c)| c)
-                            .min()
-                            .unwrap_or_else(|| panic!("{:?}->{:?} not an edge", hop[0], hop[1]));
-                    }
-                    assert_eq!(total, e.cost, "{scope:?} route cost");
+        let skel = ComplementaryInfo::compute(&frag, g.symmetric);
+        let glob = ComplementaryInfo::compute_global_sweep(&frag, g.symmetric);
+        assert_eq!(skel.border_count(), glob.border_count());
+        assert_eq!(skel.pair_count(), glob.pair_count());
+        assert_eq!(skel.hub(), glob.hub());
+        let snap = EngineSnapshot::build(frag.clone(), g.symmetric, EngineConfig::default());
+        for f in 0..frag.fragment_count() {
+            let (a, b) = (skel.shortcuts(f), glob.shortcuts(f));
+            assert!(a.eq(b), "site {f}");
+            for e in skel.shortcuts(f) {
+                let route = snap.route(e.src, e.dst, &mut scratch).unwrap();
+                let p = route.expect("a stored pair is connected").nodes;
+                assert_eq!(*p.first().unwrap(), e.src);
+                assert_eq!(*p.last().unwrap(), e.dst);
+                let mut total = 0;
+                for hop in p.windows(2) {
+                    total += csr
+                        .neighbors(hop[0])
+                        .filter(|(t, _)| *t == hop[1])
+                        .map(|(_, c)| c)
+                        .min()
+                        .unwrap_or_else(|| panic!("{:?}->{:?} not an edge", hop[0], hop[1]));
                 }
+                assert_eq!(total, e.cost, "route cost");
             }
         }
     }
@@ -1126,8 +1003,7 @@ mod tests {
         for (name, frag) in &cases {
             for symmetric in [true, false] {
                 let graph = frag.closure_graph(symmetric);
-                let scope = ComplementaryScope::PerFragmentBorder;
-                let layout = Layout::new(frag, &Membership::new(frag), scope);
+                let layout = Layout::new(frag, &Membership::new(frag));
                 for f in frag.fragments() {
                     let (ids, borders) = (&layout.at[f.id()], &layout.borders);
                     let mut sweep = |g: &LocalGraph| {
@@ -1181,14 +1057,13 @@ mod tests {
     #[test]
     fn precompute_stats_report_phases() {
         let frag = setup();
-        let skel = ComplementaryInfo::compute(&frag, true, ComplementaryScope::default());
+        let skel = ComplementaryInfo::compute(&frag, true);
         assert_eq!(
             skel.precompute_stats().strategy,
             PrecomputeStrategy::Skeleton
         );
         assert!(skel.precompute_stats().total_ns() > 0);
-        let glob =
-            ComplementaryInfo::compute_global_sweep(&frag, true, ComplementaryScope::default());
+        let glob = ComplementaryInfo::compute_global_sweep(&frag, true);
         assert_eq!(
             glob.precompute_stats().strategy,
             PrecomputeStrategy::GlobalSweep
@@ -1203,7 +1078,7 @@ mod tests {
         let e01 = vec![GEdge::unit(NodeId(0), NodeId(1))];
         let e12 = vec![GEdge::unit(NodeId(1), NodeId(2))];
         let frag = Fragmentation::new(4, vec![e01, e12], vec![vec![NodeId(3)], vec![NodeId(3)]]);
-        let comp = ComplementaryInfo::compute(&frag, false, ComplementaryScope::PerFragmentBorder);
+        let comp = ComplementaryInfo::compute(&frag, false);
         // Border nodes are 1 and 3; only pairs with finite global distance
         // are stored; 1 and 3 are mutually unreachable.
         assert_eq!(comp.border_count(), 2);

@@ -8,14 +8,11 @@ use std::time::Duration;
 use ds_fragment::FragmentId;
 use ds_graph::{Cost, NodeId};
 
-use crate::complementary::ComplementaryScope;
 use crate::executor::ExecutionMode;
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Which border pairs get complementary shortcuts.
-    pub scope: ComplementaryScope,
     /// Chain enumeration caps for cyclic fragmentation graphs.
     pub max_chains: usize,
     pub max_chain_len: usize,
@@ -23,19 +20,14 @@ pub struct EngineConfig {
     /// one scoped thread each (what the facade calls the site-threads
     /// backend). The engine's `backend_name` is derived from it.
     pub mode: ExecutionMode,
-    /// Parallel Hierarchical Evaluation: the mandatory hub fragment, if
-    /// the fragmentation was built with one (see [`crate::phe`]).
-    pub hub: Option<FragmentId>,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            scope: ComplementaryScope::default(),
             max_chains: 64,
             max_chain_len: 16,
             mode: ExecutionMode::Sequential,
-            hub: None,
         }
     }
 }

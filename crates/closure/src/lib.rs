@@ -69,9 +69,7 @@ pub mod snapshot;
 pub mod updates;
 
 pub use api::{BatchAnswer, BatchStats, BoundedBatchAnswer, NetworkUpdate, QueryRequest, TcEngine};
-pub use complementary::{
-    ComplementaryInfo, ComplementaryScope, PrecomputeStats, PrecomputeStrategy,
-};
+pub use complementary::{ComplementaryInfo, PrecomputeStats, PrecomputeStrategy};
 pub use engine::{EngineConfig, QueryAnswer, QueryStats, Route};
 pub use error::ClosureError;
 pub use snapshot::{CowMaintenance, EngineSnapshot, SnapshotBytes};

@@ -57,7 +57,7 @@
 //! augmented graph on the borders. `D` is `H` restricted to the site's
 //! borders: global distances, which no walk through the site can beat,
 //! and every pair of them is there — nothing is missing, so nothing is
-//! re-closed, whatever [`crate::ComplementaryScope`] counts. Dropping a
+//! re-closed. Dropping a
 //! dominated access entry loses nothing because the closure obeys the
 //! triangle inequality. A sum is taken in [`Cost`] over the hub's words
 //! and clamped once per answer: every true distance of an admitted

@@ -11,6 +11,11 @@
 //! to the hub, the fragmentation graph is a star, and any query needs at
 //! most the chain `[cluster, hub, cluster]` — chain enumeration cost
 //! stops depending on the number of fragments.
+//!
+//! PHE is therefore the plain planner on a star fragmentation: a star is
+//! loosely connected, so [`ds_fragment::FragmentationGraph::unique_chain`]
+//! already yields the one chain through the hub, and the engine needs no
+//! setting of its own to route there.
 
 use ds_fragment::{FragError, FragmentId, Fragmentation};
 use ds_graph::{Edge, NodeId};
@@ -100,14 +105,7 @@ mod tests {
         let labels = g.cluster_of.clone().unwrap();
         let (frag, hub) = hub_fragmentation(g.nodes, &g.connections, &labels, 4).unwrap();
         let csr = g.closure_graph();
-        let engine = EngineSnapshot::build(
-            frag,
-            true,
-            EngineConfig {
-                hub: Some(hub),
-                ..EngineConfig::default()
-            },
-        );
+        let engine = EngineSnapshot::build(frag, true, EngineConfig::default());
         let mut scratch = ScratchDijkstra::new();
         for (x, y) in [(0u32, 40u32), (3, 25), (13, 47), (30, 2), (45, 20)] {
             let got = engine.shortest_path(NodeId(x), NodeId(y), &mut scratch);
@@ -115,6 +113,10 @@ mod tests {
             assert_eq!(got.cost, want, "query {x}->{y}");
             if let Some(chain) = &got.best_chain {
                 assert!(chain.len() <= 3, "PHE chains are bounded: {chain:?}");
+                assert!(
+                    chain.len() < 3 || chain[1] == hub,
+                    "through the hub: {chain:?}"
+                );
             }
         }
     }

@@ -91,8 +91,6 @@ pub struct Planner {
     ds: BTreeMap<(FragmentId, FragmentId), Vec<NodeId>>,
     max_chains: usize,
     max_chain_len: usize,
-    /// Mandatory hub for Parallel Hierarchical Evaluation, if configured.
-    hub: Option<FragmentId>,
     /// Per source class, a slot per target class: the chains from class
     /// `a` to class `b` are `chain_table[a][b]`, enumerated by the first
     /// query that asks for them. A source class's slots are allocated by
@@ -125,13 +123,8 @@ impl ChainSet {
 impl Planner {
     /// Build a planner over a fragmentation's membership table.
     /// `max_chains`/`max_chain_len` cap the enumeration on cyclic
-    /// fragmentation graphs; `hub` switches on PHE routing.
-    pub fn new(
-        membership: Membership,
-        max_chains: usize,
-        max_chain_len: usize,
-        hub: Option<FragmentId>,
-    ) -> Self {
+    /// fragmentation graphs.
+    pub fn new(membership: Membership, max_chains: usize, max_chain_len: usize) -> Self {
         Planner {
             chain_table: unfilled(membership.class_count()),
             frag_graph: membership.fragmentation_graph(),
@@ -139,7 +132,6 @@ impl Planner {
             membership,
             max_chains,
             max_chain_len,
-            hub,
         }
     }
 
@@ -243,7 +235,6 @@ impl Planner {
             ds: self.ds.clone(),
             max_chains: self.max_chains,
             max_chain_len: self.max_chain_len,
-            hub: self.hub,
             chain_table: unfilled(self.membership.class_count()),
         }
     }
@@ -257,14 +248,6 @@ impl Planner {
         let mut enumerated = false;
         for &a in fx {
             for &b in fy {
-                if let Some(hub) = self.hub {
-                    // PHE: "a separate fragment that mandatorily has to be
-                    // traversed when going to a non-adjacent fragment."
-                    for chain in hub_chains(a, b, hub, &self.frag_graph) {
-                        fragment_chains.insert(chain);
-                    }
-                    continue;
-                }
                 if a == b {
                     fragment_chains.insert(vec![a]);
                     continue;
@@ -347,29 +330,6 @@ impl Planner {
     }
 }
 
-/// PHE chains between `a` and `b` through mandatory hub `h`:
-/// `[a]` when a == b, `[a, b]` when directly adjacent (one of them may be
-/// the hub itself), else `[a, h, b]`.
-fn hub_chains(
-    a: FragmentId,
-    b: FragmentId,
-    h: FragmentId,
-    fg: &FragmentationGraph,
-) -> Vec<Vec<FragmentId>> {
-    if a == b {
-        return vec![vec![a]];
-    }
-    let adjacent = fg.neighbors(a).contains(&b);
-    let mut out = Vec::new();
-    if adjacent {
-        out.push(vec![a, b]);
-    }
-    if a != h && b != h && fg.neighbors(a).contains(&h) && fg.neighbors(b).contains(&h) {
-        out.push(vec![a, h, b]);
-    }
-    out
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -399,7 +359,7 @@ pub(crate) mod tests {
     #[test]
     fn same_fragment_plan_is_single_site() {
         let frag = three_fragment_path();
-        let p = Planner::new(Membership::new(&frag), 16, 8, None);
+        let p = Planner::new(Membership::new(&frag), 16, 8);
         let plan = p.plan(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(plan.chains.len(), 1);
         assert_eq!(plan.chains[0].fragments, vec![0]);
@@ -417,7 +377,7 @@ pub(crate) mod tests {
     #[test]
     fn cross_chain_plan_has_one_query_per_site() {
         let frag = three_fragment_path();
-        let p = Planner::new(Membership::new(&frag), 16, 8, None);
+        let p = Planner::new(Membership::new(&frag), 16, 8);
         let plan = p.plan(NodeId(0), NodeId(6)).unwrap();
         assert_eq!(plan.chains.len(), 1);
         let chain = &plan.chains[0];
@@ -435,7 +395,7 @@ pub(crate) mod tests {
         // Node 2 belongs to fragments 0 and 1: plans from it consider
         // both starting fragments.
         let frag = three_fragment_path();
-        let p = Planner::new(Membership::new(&frag), 16, 8, None);
+        let p = Planner::new(Membership::new(&frag), 16, 8);
         let plan = p.plan(NodeId(2), NodeId(6)).unwrap();
         assert!(plan.chains.len() >= 2);
         let lens: BTreeSet<usize> = plan.chains.iter().map(|c| c.fragments.len()).collect();
@@ -478,7 +438,7 @@ pub(crate) mod tests {
         // Query across the ring.
         let frag = four_fragment_ring();
         assert!(!frag.fragmentation_graph().is_acyclic());
-        let p = Planner::new(Membership::new(&frag), 16, 8, None);
+        let p = Planner::new(Membership::new(&frag), 16, 8);
         let plan = p.plan(NodeId(1), NodeId(4)).unwrap();
         assert!(plan.enumerated);
         assert!(plan.chains.len() >= 2, "both ways around the ring");
@@ -497,22 +457,42 @@ pub(crate) mod tests {
                 .collect(),
             vec![vec![], vec![], vec![]],
         );
-        let p = Planner::new(Membership::new(&frag2), 16, 8, None);
+        let p = Planner::new(Membership::new(&frag2), 16, 8);
         assert_eq!(
             p.plan(NodeId(7), NodeId(0)).unwrap_err(),
             ClosureError::NodeNotInAnyFragment(NodeId(7))
         );
     }
 
+    /// On a star the plain planner routes as PHE does: every ordered pair
+    /// of fragments gets one chain, unenumerated — `[a]`, `[a, h]`,
+    /// `[h, b]` or `[a, h, b]` through the hub `h`.
     #[test]
     fn hub_routing_limits_chain_length() {
-        let p = Planner::new(Membership::new(&hub_star()), 16, 8, Some(3));
+        let p = Planner::new(Membership::new(&hub_star()), 16, 8);
         let plan = p.plan(NodeId(0), NodeId(7)).unwrap();
         assert!(!plan.chains.is_empty());
         for c in &plan.chains {
             assert!(c.fragments.len() <= 3);
             if c.fragments.len() == 3 {
                 assert_eq!(c.fragments[1], 3, "middle hop must be the hub");
+            }
+        }
+        let h = 3;
+        for a in 0..4 {
+            for b in 0..4 {
+                let chain = if a == b {
+                    vec![a]
+                } else if a == h || b == h {
+                    vec![a, b]
+                } else {
+                    vec![a, h, b]
+                };
+                let want = ChainSet {
+                    chains: vec![Arc::from(chain)],
+                    enumerated: false,
+                };
+                assert_eq!(p.chain_sets(&[a], &[b]), want, "{a} -> {b}");
             }
         }
     }
@@ -524,13 +504,13 @@ pub(crate) mod tests {
             vec![edges(&[(0, 1)]), edges(&[(2, 3)])],
             vec![vec![], vec![]],
         );
-        let p = Planner::new(Membership::new(&frag), 16, 8, None);
+        let p = Planner::new(Membership::new(&frag), 16, 8);
         let plan = p.plan(NodeId(0), NodeId(3)).unwrap();
         assert!(plan.chains.is_empty());
     }
 
     /// Every pair of membership classes, on an acyclic fragmentation, on
-    /// the cyclic ring and under a PHE hub: the table holds exactly what
+    /// the cyclic ring and on a star around a hub: the table holds exactly what
     /// the enumeration yields, fills one slot per class pair on first use
     /// and enumerates nothing after that.
     #[test]
@@ -538,19 +518,15 @@ pub(crate) mod tests {
         let cases = [
             (
                 "acyclic",
-                Planner::new(Membership::new(&three_fragment_path()), 16, 8, None),
+                Planner::new(Membership::new(&three_fragment_path()), 16, 8),
                 7,
             ),
             (
                 "ring",
-                Planner::new(Membership::new(&four_fragment_ring()), 16, 8, None),
+                Planner::new(Membership::new(&four_fragment_ring()), 16, 8),
                 8,
             ),
-            (
-                "hub",
-                Planner::new(Membership::new(&hub_star()), 16, 8, Some(3)),
-                9,
-            ),
+            ("hub", Planner::new(Membership::new(&hub_star()), 16, 8), 9),
         ];
         for (name, p, count) in cases {
             // Nodes in no fragment have no class to plan from.
@@ -590,7 +566,7 @@ pub(crate) mod tests {
     #[test]
     fn the_chain_table_grows_with_the_classes_queries_start_from() {
         use std::mem::size_of;
-        let p = Planner::new(Membership::new(&four_fragment_ring()), 16, 8, None);
+        let p = Planner::new(Membership::new(&four_fragment_ring()), 16, 8);
         let classes = p.membership.class_count();
         let empty = p.memory_bytes();
         assert_eq!(p.chain_rows().count(), 0);
@@ -614,7 +590,7 @@ pub(crate) mod tests {
     #[test]
     fn racing_chain_set_fills_agree() {
         for _ in 0..50 {
-            let p = Planner::new(Membership::new(&four_fragment_ring()), 16, 8, None);
+            let p = Planner::new(Membership::new(&four_fragment_ring()), 16, 8);
             let barrier = std::sync::Barrier::new(2);
             let seen: Vec<(usize, bool)> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..2)

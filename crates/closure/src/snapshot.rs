@@ -225,9 +225,9 @@ impl EngineSnapshot {
         let graph = frag.closure_graph(symmetric);
         let membership = Membership::new(&frag);
         let locals = local_graphs(&frag, symmetric);
-        let comp = ComplementaryInfo::compute_with(&graph, &frag, &membership, &locals, cfg.scope);
+        let comp = ComplementaryInfo::compute_with(&graph, &frag, &membership, &locals);
         let (chains, chain_len) = (cfg.max_chains, cfg.max_chain_len);
-        let planner = Arc::new(Planner::new(membership, chains, chain_len, cfg.hub));
+        let planner = Arc::new(Planner::new(membership, chains, chain_len));
         let sites = (locals.into_iter().enumerate())
             .map(|(f, local)| Arc::new(build_site(&planner, f, local, &comp)))
             .collect();
@@ -328,7 +328,7 @@ impl EngineSnapshot {
 
     /// The shared handle behind site `f`'s augmented graph (fragment
     /// edges plus one edge per finite hub entry between two of its
-    /// borders, whatever the scope, over global node ids).
+    /// borders, over global node ids).
     /// Neither queries nor routes sweep it, so it is built on the first
     /// call — by the reference evaluator
     /// ([`crate::executor::run_chain`]) or by a bench — inside the shared
@@ -340,7 +340,7 @@ impl EngineSnapshot {
                 self.graph.node_count(),
                 self.frag.fragment(f).edges(),
                 self.symmetric,
-                self.comp.site_pairs(f),
+                self.comp.shortcuts(f),
             )
         })
     }
@@ -1117,7 +1117,6 @@ pub(crate) mod tests {
     #[test]
     fn routes_are_exact_where_the_capped_chain_evaluator_is_not() {
         let (csr, snap, _) = cyclic_snapshot_with(EngineConfig {
-            scope: crate::ComplementaryScope::PerDisconnectionSet,
             max_chains: 1,
             max_chain_len: 2,
             ..EngineConfig::default()
@@ -1146,15 +1145,13 @@ pub(crate) mod tests {
         assert!(missed > 0, "the capped evaluator is exact here");
     }
 
-    /// Under the paper's scope on a cyclic fragmentation, with one chain
-    /// per query, every point answer equals Dijkstra's and the
-    /// materialized closure's: each site reads its border distances off
-    /// the hub, which holds every pair of its borders, not only the pairs
-    /// its disconnection sets count.
+    /// On a cyclic fragmentation, with one chain per query, every point
+    /// answer equals Dijkstra's and the materialized closure's: each site
+    /// reads its border distances off the hub, which holds every pair of
+    /// its borders, not only the pairs within its disconnection sets.
     #[test]
-    fn per_ds_point_answers_are_exact_on_a_cyclic_fragmentation() {
+    fn point_answers_are_exact_on_a_cyclic_fragmentation_with_one_chain() {
         let (csr, snap, _) = cyclic_snapshot_with(EngineConfig {
-            scope: crate::ComplementaryScope::PerDisconnectionSet,
             max_chains: 1,
             ..EngineConfig::default()
         });
@@ -1181,15 +1178,15 @@ pub(crate) mod tests {
         }
     }
 
-    /// A write rebuilds every site holding both borders of a hub entry it
-    /// changed, whether the site's scope counts the pair or not: a warm
-    /// site's memos read every pair of its borders. In a triangle of
-    /// fragments whose disconnection sets are single borders the paper's
-    /// scope counts no pair, yet the delete of `0 - 3` raises
-    /// `dist(0, 2)` from 4 (through fragments 0 and 2) to 20 (through
-    /// fragment 1), which site 1's memo for the chain `0, 1, 2` holds.
+    /// A write rebuilds, and its report counts, every site holding both
+    /// borders of a hub entry it changed: a warm site's memos read every
+    /// pair of its borders. In a triangle of fragments whose
+    /// disconnection sets are single borders, the delete of `0 - 3`
+    /// raises `dist(0, 1)` from 2 to 22 and `dist(0, 2)` from 4 (through
+    /// fragments 0 and 2) to 20 (through fragment 1), which site 1's memo
+    /// for the chain `0, 1, 2` holds.
     #[test]
-    fn a_write_rebuilds_a_site_whose_changed_pair_its_scope_does_not_count() {
+    fn a_write_rebuilds_and_counts_every_site_holding_a_changed_pair() {
         let e = |a, b, cost| ds_graph::Edge::new(n(a), n(b), cost);
         let frag = Fragmentation::new(
             6,
@@ -1200,12 +1197,12 @@ pub(crate) mod tests {
             ],
             vec![Vec::new(); 3],
         );
-        let cfg = EngineConfig {
-            scope: crate::ComplementaryScope::PerDisconnectionSet,
-            ..EngineConfig::default()
-        };
-        let mut snap = EngineSnapshot::build(frag, true, cfg);
-        assert_eq!(snap.complementary().pair_count(), 0);
+        let mut snap = EngineSnapshot::build(frag, true, EngineConfig::default());
+        assert_eq!(
+            snap.complementary().pair_count(),
+            6,
+            "one pair each way per site"
+        );
         let requests: Vec<QueryRequest> = (0..6)
             .flat_map(|x| (0..6).map(move |y| QueryRequest::new(n(x), n(y))))
             .collect();
@@ -1226,7 +1223,10 @@ pub(crate) mod tests {
         let cow = snap
             .maintain_cow(&delete, &mut ScratchDijkstra::new())
             .unwrap();
-        assert_eq!(cow.report.shortcuts_repaired, 0, "no counted pair changed");
+        assert_eq!(
+            cow.report.shortcuts_repaired, 4,
+            "0 - 1 at site 0 and 0 - 2 at site 1, each way"
+        );
         assert_eq!(
             cow.shortcut_sites,
             [0, 1],

@@ -48,9 +48,8 @@
 //! an admitted network's distances fit the word
 //! ([`crate::bulk::max_edge_cost`]; an insert over it is refused). Then
 //! every site holding both borders of a changed hub entry is rebuilt —
-//! its access sets and memos read every pair of its borders, whatever
-//! the scope — and the per-site counts of the report are the changed
-//! entries each site's scope counts a shortcut for
+//! its access sets and memos read every pair of its borders — and the
+//! report counts each changed entry once per such site
 //! ([`crate::ComplementaryInfo::shortcuts`]). The closure graph itself is
 //! edited — the update's entries added or dropped — not re-derived from
 //! the fragments.

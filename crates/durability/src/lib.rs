@@ -57,9 +57,9 @@ use std::sync::{Arc, OnceLock};
 use ds_closure::api::{apply_edit, NetworkUpdate};
 use ds_closure::bulk::cost_over_limit;
 use ds_closure::executor::ExecutionMode;
-use ds_closure::{ComplementaryScope, EngineConfig, EngineSnapshot};
+use ds_closure::{EngineConfig, EngineSnapshot};
 use ds_fault::{fire_disk, DiskFault, FaultPlan, FaultPoint};
-use ds_fragment::{FragmentId, Fragmentation};
+use ds_fragment::Fragmentation;
 use ds_graph::{Edge, NodeId};
 
 // ------------------------------------------------------------------ crc
@@ -311,21 +311,6 @@ fn decode_frame(bytes: &[u8]) -> Option<(WalRecord, usize)> {
 
 const CKPT_MAGIC: &[u8; 8] = b"DSCKPT01";
 
-fn scope_tag(scope: ComplementaryScope) -> u8 {
-    match scope {
-        ComplementaryScope::PerDisconnectionSet => 0,
-        ComplementaryScope::PerFragmentBorder => 1,
-    }
-}
-
-fn scope_from(tag: u8) -> Option<ComplementaryScope> {
-    match tag {
-        0 => Some(ComplementaryScope::PerDisconnectionSet),
-        1 => Some(ComplementaryScope::PerFragmentBorder),
-        _ => None,
-    }
-}
-
 fn mode_tag(mode: ExecutionMode) -> u8 {
     match mode {
         ExecutionMode::Sequential => 0,
@@ -369,23 +354,16 @@ fn encode_checkpoint(snapshot: &EngineSnapshot, lsn: u64, epoch: u64) -> Vec<u8>
     put_u64(&mut payload, lsn);
     put_u64(&mut payload, epoch);
     payload.push(u8::from(snapshot.is_symmetric()));
-    payload.push(scope_tag(cfg.scope));
-    // A slot `DSCKPT01` reserves (once `store_paths`): written as 0,
-    // skipped when read.
-    payload.push(0);
+    // Two slots `DSCKPT01` reserves (once the complementary scope and
+    // `store_paths`): written as 1 / 0, skipped when read.
+    payload.extend_from_slice(&[1, 0]);
     put_u64(&mut payload, cfg.max_chains as u64);
     put_u64(&mut payload, cfg.max_chain_len as u64);
     payload.push(mode_tag(cfg.mode));
-    match cfg.hub {
-        Some(h) => {
-            payload.push(1);
-            put_u64(&mut payload, h as u64);
-        }
-        None => {
-            payload.push(0);
-            put_u64(&mut payload, 0);
-        }
-    }
+    // A slot `DSCKPT01` reserves (once the PHE hub, a flag and a
+    // fragment id): written absent, skipped when read.
+    payload.push(0);
+    put_u64(&mut payload, 0);
     // Two more slots `DSCKPT01` reserves (once `precompute_threads` and
     // `reach_index`): written as 1 / true, skipped when read.
     put_u64(&mut payload, 1);
@@ -427,19 +405,16 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<CheckpointImage> {
     let lsn = c.u64()?;
     let epoch = c.u64()?;
     let symmetric = c.u8()? != 0;
-    let scope = scope_from(c.u8()?)?;
-    c.u8()?; // the reserved slot after the scope (see `encode_checkpoint`)
+    // The reserved slots (see `encode_checkpoint`) are skipped: the old
+    // scope and `store_paths` bytes, the hub's flag and id, then
+    // `precompute_threads` and `reach_index`.
+    c.u8()?;
+    c.u8()?;
     let max_chains = usize::try_from(c.u64()?).ok()?;
     let max_chain_len = usize::try_from(c.u64()?).ok()?;
     let mode = mode_from(c.u8()?)?;
-    let hub_present = c.u8()? != 0;
-    let hub_raw = c.u64()?;
-    let hub: Option<FragmentId> = if hub_present {
-        Some(usize::try_from(hub_raw).ok()?)
-    } else {
-        None
-    };
-    // The two later reserved slots (see `encode_checkpoint`).
+    c.u8()?;
+    c.u64()?;
     c.u64()?;
     c.u8()?;
     let node_count = usize::try_from(c.u64()?).ok()?;
@@ -479,11 +454,9 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<CheckpointImage> {
         epoch,
         symmetric,
         cfg: EngineConfig {
-            scope,
             max_chains,
             max_chain_len,
             mode,
-            hub,
         },
         frag,
         last_lsn: lsn,
@@ -1169,6 +1142,43 @@ mod tests {
         assert_eq!(route.cost, 5);
         assert_eq!(route.nodes, (0..6).map(n).collect::<Vec<_>>());
         assert_eq!((route.chain, route.waypoints), (vec![0, 1], vec![n(2)]));
+    }
+
+    /// A checkpoint written under the paper's complementary scope (tag 0)
+    /// and with a PHE hub fragment decodes, the two slots skipped, and
+    /// recovers to an engine whose answers equal Dijkstra's.
+    #[test]
+    fn a_checkpoint_with_the_old_scope_and_hub_slots_recovers() {
+        let snap = small_snapshot();
+        let mut bytes = encode_checkpoint(&snap, 42, 7);
+        // Magic, LSN, epoch and symmetry flag; then the scope, the old
+        // routes byte, both chain caps and the mode; then the hub.
+        let scope = CKPT_MAGIC.len() + 8 + 8 + 1;
+        let hub = scope + 1 + 1 + 8 + 8 + 1;
+        assert_eq!((bytes[scope], bytes[hub]), (1, 0), "written as the default");
+        bytes[scope] = 0;
+        bytes[hub] = 1;
+        bytes[hub + 1..hub + 9].copy_from_slice(&1u64.to_le_bytes());
+        let end = bytes.len() - 4;
+        let crc = crc32(&bytes[CKPT_MAGIC.len()..end]);
+        bytes[end..].copy_from_slice(&crc.to_le_bytes());
+        let img = decode_checkpoint(&bytes).expect("the slots are skipped");
+        assert_eq!(img.difference(&snap, 7), None);
+
+        let dir = tmpdir("old-slots");
+        fs::create_dir_all(&dir).expect("create dir");
+        fs::write(ckpt_path(&dir, 42), &bytes).expect("write checkpoint");
+        let rec = recover(&dir).expect("recover");
+        assert_eq!((rec.epoch, rec.checkpoint_lsn, rec.replayed), (7, 42, 0));
+        let mut scratch = ScratchDijkstra::new();
+        for x in (0..6).map(n) {
+            for y in (0..6).map(n) {
+                let want = ds_closure::baseline::shortest_path_cost(snap.graph(), x, y);
+                let got = rec.snapshot.shortest_path(x, y, &mut scratch).cost;
+                assert_eq!(got, want, "{x}->{y}");
+            }
+        }
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

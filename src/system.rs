@@ -265,7 +265,7 @@ impl SystemBuilder {
         self
     }
 
-    /// Engine tuning: complementary scope, chain caps, PHE hub, and —
+    /// Engine tuning: chain caps and —
     /// unless [`SystemBuilder::backend`] names one — the phase-one
     /// execution mode.
     pub fn config(mut self, config: EngineConfig) -> Self {

@@ -3,7 +3,7 @@
 
 #![allow(dead_code)] // each test crate uses its own part
 
-use discset::closure::{baseline, ComplementaryScope};
+use discset::closure::baseline;
 use discset::fragment::Fragmentation;
 use discset::gen::{
     generate_general, generate_transportation, GeneralConfig, GeneratedGraph, TransportationConfig,
@@ -133,13 +133,8 @@ pub fn arb_update_or_dud(
     })
 }
 
-/// The networks the stream properties cover, by seed (period 8):
-/// symmetric and one-way, under both complementary scopes.
-pub fn stream_case(seed: u64) -> (bool, ComplementaryScope) {
-    let scope = if seed % 8 < 4 {
-        ComplementaryScope::PerFragmentBorder
-    } else {
-        ComplementaryScope::PerDisconnectionSet
-    };
-    (seed % 4 < 2, scope)
+/// Whether the stream properties' network of `seed` is symmetric
+/// (period 4): symmetric and one-way, two seeds each.
+pub fn stream_case(seed: u64) -> bool {
+    seed % 4 < 2
 }

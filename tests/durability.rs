@@ -26,7 +26,7 @@
 mod common;
 
 use common::{arb_update_or_dud, stream_case, update_network};
-use discset::closure::{baseline, EngineConfig};
+use discset::closure::baseline;
 use discset::durability::{checkpoint_paths, wal_paths};
 use discset::fragment::center::CenterConfig;
 use discset::fragment::linear::LinearConfig;
@@ -252,8 +252,8 @@ fn empty_checkpoint_only_and_wal_only_directories() {
 /// Recovery folds inputs where the live writer maintained tables: after
 /// a seeded stream of updates through a durable server — bridges deleted
 /// and put back, removals that match nothing, inserts the server refuses,
-/// on symmetric and one-way networks under both complementary scopes,
-/// across several checkpoints — `recover` arrives at the server's epoch,
+/// on symmetric and one-way networks, across several checkpoints —
+/// `recover` arrives at the server's epoch,
 /// replays exactly the records past the newest checkpoint, and every
 /// site's table equals the live snapshot's entry for entry.
 #[test]
@@ -261,8 +261,8 @@ fn recovery_lands_on_the_state_the_live_server_maintained() {
     const UPDATES: u64 = 30;
     let (mut effective, mut refused) = (0, 0);
     for seed in 0..8u64 {
-        let (symmetric, scope) = stream_case(seed);
-        let label = format!("seed {seed} symmetric={symmetric} {scope:?}");
+        let symmetric = stream_case(seed);
+        let label = format!("seed {seed} symmetric={symmetric}");
         let fragmenter = if seed % 2 == 0 {
             Fragmenter::Linear(LinearConfig {
                 fragments: 3,
@@ -279,10 +279,6 @@ fn recovery_lands_on_the_state_the_live_server_maintained() {
             .graph(&update_network(seed))
             .symmetric(symmetric)
             .fragmenter(fragmenter)
-            .config(EngineConfig {
-                scope,
-                ..EngineConfig::default()
-            })
             .build()
             .expect("valid system");
         let server = sys.serve_with(ServeConfig {

@@ -309,12 +309,11 @@ fn full_closure_equivalence_small_graph() {
 }
 
 #[test]
-fn per_ds_scope_is_exact_on_a_cyclic_fragmentation() {
-    // The paper's per-DS scope counts only the pairs within each DS, but
-    // every site reads all its border pairs off the hub: an excursion
-    // that returns through a different DS is still there, so answers on
-    // a ring of fragments equal the baseline.
-    use discset::closure::ComplementaryScope;
+fn answers_are_exact_on_a_ring_of_fragments() {
+    // Every site reads all its border pairs off the hub, not only the
+    // pairs within one disconnection set: an excursion that returns
+    // through a different DS is still there, so answers on a ring of
+    // fragments equal the baseline.
     let cfg = TransportationConfig {
         clusters: 4,
         nodes_per_cluster: 12,
@@ -334,14 +333,7 @@ fn per_ds_scope_is_exact_on_a_cyclic_fragmentation() {
         )
         .unwrap();
         let csr = g.closure_graph();
-        let engine = EngineSnapshot::build(
-            frag,
-            true,
-            EngineConfig {
-                scope: ComplementaryScope::PerDisconnectionSet,
-                ..EngineConfig::default()
-            },
-        );
+        let engine = EngineSnapshot::build(frag, true, EngineConfig::default());
         let mut scratch = ScratchDijkstra::new();
         for i in 0..16u32 {
             let (x, y) = (NodeId(i * 3 % 48), NodeId((i * 5 + 20) % 48));

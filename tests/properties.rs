@@ -173,7 +173,7 @@ fn the_membership_table_reproduces_pairwise_intersections() {
         assert_eq!(frag.disconnection_sets(), ds, "{label}: DS");
         let links: Vec<(usize, usize)> = ds.keys().copied().collect();
         assert_eq!(frag.fragmentation_graph().links(), links, "{label}: G'");
-        let planner = Planner::new(Membership::new(frag), 16, 8, None);
+        let planner = Planner::new(Membership::new(frag), 16, 8);
         let mut classes: BTreeMap<Vec<usize>, u32> = BTreeMap::from([(Vec::new(), 0)]);
         for v in (0..frag.node_count()).map(NodeId::from_index) {
             let holders: Vec<usize> = (0..sets.len()).filter(|&f| sets[f].contains(&v)).collect();
@@ -597,23 +597,16 @@ fn arb_crossing_update(
 /// touch no border. After every update the kept skeleton equals the one
 /// a rebuild derives (the cheapest entry per ordered border pair), the
 /// hub equals the rebuild's entry for entry, every table is that hub
-/// restricted to its in-scope pairs and equals the rebuild's, and
+/// restricted to its site's border pairs and equals the rebuild's, and
 /// sampled routes are real paths of the Dijkstra cost. An edit between
 /// two borders re-sweeps no fragment, and neither does one whose cells
 /// touch no border: every fragment's kept local sweeps stay the `Arc`
-/// the previous epoch holds. One network runs again under the paper's
-/// scope, whose tables leave the cross-set pairs out.
+/// the previous epoch holds.
 #[test]
 fn crossing_edit_streams_keep_the_skeleton_a_rebuild_derives() {
-    use discset::closure::ComplementaryScope;
     let mut scratch = ScratchDijkstra::new();
     let (mut crossing, mut third, mut twins, mut apart_edits) = (0, 0, 0, 0);
-    let scope = ComplementaryScope::PerFragmentBorder;
-    let mut networks = vec![(
-        crossing_fixture(),
-        vec![NodeId(27), NodeId(28), NodeId(29)],
-        scope,
-    )];
+    let mut networks = vec![(crossing_fixture(), vec![NodeId(27), NodeId(28), NodeId(29)])];
     for seed in 0..3u64 {
         let g = update_network(seed);
         let config = LinearConfig {
@@ -621,21 +614,12 @@ fn crossing_edit_streams_keep_the_skeleton_a_rebuild_derives() {
             ..Default::default()
         };
         let frag = linear_sweep(&g.edge_list(), &config).unwrap().fragmentation;
-        networks.push((frag, Vec::new(), scope));
+        networks.push((frag, Vec::new()));
     }
-    let paper = (
-        networks[1].0.clone(),
-        Vec::new(),
-        ComplementaryScope::PerDisconnectionSet,
-    );
-    networks.push(paper);
-    for (case, (frag, apart, scope)) in networks.iter().enumerate() {
+    for (case, (frag, apart)) in networks.iter().enumerate() {
         for symmetric in [true, false] {
-            let cfg = EngineConfig {
-                scope: *scope,
-                ..EngineConfig::default()
-            };
-            let mut engine = EngineSnapshot::build(frag.clone(), symmetric, cfg.clone());
+            let cfg = EngineConfig::default;
+            let mut engine = EngineSnapshot::build(frag.clone(), symmetric, cfg());
             let mut rng = StdRng::seed_from_u64(0xC2055 ^ case as u64);
             for step in 0..120 {
                 let Some(u) = arb_crossing_update(&mut rng, engine.fragmentation(), (apart, 1))
@@ -673,7 +657,7 @@ fn crossing_edit_streams_keep_the_skeleton_a_rebuild_derives() {
                     }
                 }
                 let rebuilt =
-                    EngineSnapshot::build(engine.fragmentation().clone(), symmetric, cfg.clone());
+                    EngineSnapshot::build(engine.fragmentation().clone(), symmetric, cfg());
                 let fresh = rebuilt.complementary();
                 assert_eq!(
                     now.skeleton_edges(),
@@ -681,7 +665,7 @@ fn crossing_edit_streams_keep_the_skeleton_a_rebuild_derives() {
                     "{label}: skeleton"
                 );
                 assert_eq!(engine.hub_handle(), rebuilt.hub_handle(), "{label}: hub");
-                assert_shortcuts_count_the_scope(&engine, &label);
+                assert_shortcuts_are_the_hub_over_border_pairs(&engine, &label);
                 for f in 0..frag.fragment_count() {
                     let (now, fresh) = (now.shortcuts(f), fresh.shortcuts(f));
                     let fresh: Vec<Edge> = fresh.collect();
@@ -715,12 +699,9 @@ fn crossing_edit_streams_keep_the_skeleton_a_rebuild_derives() {
     );
 }
 
-/// Every entry of every table of `engine` is its hub's entry for the
-/// pair where the scope stores one — every pair under
-/// `PerFragmentBorder`, under `PerDisconnectionSet` a pair another
-/// fragment holds both borders of — and no tuple elsewhere.
-fn assert_shortcuts_count_the_scope(engine: &EngineSnapshot, label: &str) {
-    use discset::closure::ComplementaryScope;
+/// Every table of `engine` is its hub's finite entries over the ordered
+/// pairs of the site's borders, and no tuple elsewhere.
+fn assert_shortcuts_are_the_hub_over_border_pairs(engine: &EngineSnapshot, label: &str) {
     use discset::graph::INFINITE_COST;
     let frag = engine.fragmentation();
     let holders = |v: NodeId| frag.fragments_of_node(v);
@@ -730,7 +711,6 @@ fn assert_shortcuts_count_the_scope(engine: &EngineSnapshot, label: &str) {
         .collect();
     let id = |v: &NodeId| borders.binary_search(v).expect("a border");
     let hub = engine.hub_handle();
-    let every_pair = engine.config().scope == ComplementaryScope::PerFragmentBorder;
     for f in 0..frag.fragment_count() {
         let site: Vec<NodeId> = (frag.fragment(f).nodes().iter().copied())
             .filter(|&v| holders(v).len() >= 2)
@@ -738,11 +718,8 @@ fn assert_shortcuts_count_the_scope(engine: &EngineSnapshot, label: &str) {
         let mut want = Vec::new();
         for u in &site {
             for v in site.iter().filter(|&v| v != u) {
-                let shared = holders(*u)
-                    .iter()
-                    .any(|&g| g != f && holders(*v).contains(&g));
                 let cost = hub.cost(id(u), id(v));
-                if (every_pair || shared) && cost < INFINITE_COST {
+                if cost < INFINITE_COST {
                     want.push(Edge::new(*u, *v, cost));
                 }
             }
@@ -961,7 +938,7 @@ fn arb_twin(
 /// One definition of "effective": for every update the generator draws —
 /// bridges deleted and put back, removals that match nothing, inserts the
 /// rule refuses, twins of existing tuples — on symmetric and one-way
-/// networks under both scopes, the structural edit rule says the edge set
+/// networks, the structural edit rule says the edge set
 /// changed exactly when maintenance reports an effective update, both
 /// refuse the same updates, and the relation the rule folds is the
 /// relation the engine holds. The serve writer counts epochs by the
@@ -986,13 +963,9 @@ fn the_edit_rule_and_maintenance_agree_on_effective() {
         )
         .unwrap()
         .fragmentation;
-        let (symmetric, scope) = stream_case(seed);
-        let cfg = EngineConfig {
-            scope,
-            ..EngineConfig::default()
-        };
+        let symmetric = stream_case(seed);
         let mut folded = frag.clone();
-        let mut engine = EngineSnapshot::build(frag, symmetric, cfg);
+        let mut engine = EngineSnapshot::build(frag, symmetric, EngineConfig::default());
         let mut rng = StdRng::seed_from_u64(0xEFFEC7 ^ seed);
         let mut pending = None;
         for step in 0..40 {
@@ -1081,38 +1054,28 @@ fn the_transpose_flips_every_edge() {
 /// The skeleton-overlay precompute (fragment-local sweeps + border
 /// skeleton closure) produces *identical* complementary information to
 /// the global-sweep reference — same `pair_count`, same per-site
-/// shortcut tables, tuple for tuple — for every generator × fragmenter ×
-/// scope.
+/// shortcut tables, tuple for tuple — for every generator × fragmenter.
 #[test]
 fn skeleton_precompute_equals_global_sweep() {
-    use discset::closure::{ComplementaryInfo, ComplementaryScope};
+    use discset::closure::ComplementaryInfo;
     use discset::fragment::Fragmentation;
 
     fn assert_equal(frag: &Fragmentation, symmetric: bool, label: &str) {
-        for scope in [
-            ComplementaryScope::PerDisconnectionSet,
-            ComplementaryScope::PerFragmentBorder,
-        ] {
-            let skel = ComplementaryInfo::compute(frag, symmetric, scope);
-            let glob = ComplementaryInfo::compute_global_sweep(frag, symmetric, scope);
+        let skel = ComplementaryInfo::compute(frag, symmetric);
+        let glob = ComplementaryInfo::compute_global_sweep(frag, symmetric);
+        assert_eq!(
+            skel.border_count(),
+            glob.border_count(),
+            "{label}: border count"
+        );
+        assert_eq!(skel.pair_count(), glob.pair_count(), "{label}: pair count");
+        assert_eq!(skel.hub(), glob.hub(), "{label}: hub");
+        for f in 0..frag.fragment_count() {
             assert_eq!(
-                skel.border_count(),
-                glob.border_count(),
-                "{label} {scope:?}: border count"
+                skel.shortcuts(f).collect::<Vec<_>>(),
+                glob.shortcuts(f).collect::<Vec<_>>(),
+                "{label}: site {f} shortcuts"
             );
-            assert_eq!(
-                skel.pair_count(),
-                glob.pair_count(),
-                "{label} {scope:?}: pair count"
-            );
-            assert_eq!(skel.hub(), glob.hub(), "{label} {scope:?}: hub");
-            for f in 0..frag.fragment_count() {
-                assert_eq!(
-                    skel.shortcuts(f).collect::<Vec<_>>(),
-                    glob.shortcuts(f).collect::<Vec<_>>(),
-                    "{label} {scope:?}: site {f} shortcuts"
-                );
-            }
         }
     }
 
@@ -1618,8 +1581,8 @@ fn untouched_sites_stay_arc_shared_across_epochs() {
 /// The site kernel against its reference, shape by shape and end to end.
 ///
 /// For {symmetric, one-way} networks × {a hand-made chain of fragments,
-/// an acyclic linear sweep, a cyclic center growth} × both complementary
-/// scopes, before and after a maintained insert and a maintained delete:
+/// an acyclic linear sweep, a cyclic center growth}, before and after a
+/// maintained insert and a maintained delete:
 ///
 /// * every subquery a site can be asked — each fragment node alone, each
 ///   of the site's disconnection sets, all its borders, in every
@@ -1627,7 +1590,7 @@ fn untouched_sites_stay_arc_shared_across_epochs() {
 ///   what `forward_matrix` sweeps out of the site's augmented graph;
 /// * whole answers equal the reference evaluation (`run_chain` +
 ///   `chain_cost_refs` over every planned chain) and the centralized
-///   Dijkstra, under either scope and on a cyclic fragmentation too;
+///   Dijkstra, on a cyclic fragmentation too;
 /// * two readers released together onto empty access sets agree with
 ///   each other and with a reader that had the snapshot to itself.
 ///
@@ -1638,7 +1601,7 @@ fn site_kernel_equals_sweeps_of_the_augmented_graph() {
     use discset::closure::assemble::chain_cost_refs;
     use discset::closure::executor::{run_chain, ExecutionMode};
     use discset::closure::local::{border_matrix_with, forward_matrix};
-    use discset::closure::{ComplementaryScope, EngineSnapshot};
+    use discset::closure::EngineSnapshot;
     use discset::fragment::Fragmentation;
     use discset::graph::{Cost, ScratchDijkstra};
     use discset::NetworkUpdate;
@@ -1724,7 +1687,7 @@ fn site_kernel_equals_sweeps_of_the_augmented_graph() {
         answers
     }
 
-    let (mut cyclic, mut single_border, mut unreachable, mut uncounted) = (0, 0, 0, 0);
+    let (mut cyclic, mut single_border, mut unreachable) = (0, 0, 0);
     for symmetric in [true, false] {
         let mut rng = StdRng::seed_from_u64(0x517E ^ symmetric as u64);
         let mut g = generate_general(
@@ -1772,96 +1735,82 @@ fn site_kernel_equals_sweeps_of_the_augmented_graph() {
         for (family, (n, frag)) in networks {
             let acyclic = frag.fragmentation_graph().is_acyclic();
             cyclic += !acyclic as usize;
-            for scope in [
-                ComplementaryScope::PerFragmentBorder,
-                ComplementaryScope::PerDisconnectionSet,
-            ] {
-                let label = format!("symmetric={symmetric} {family} {scope:?}");
-                let cfg = EngineConfig {
-                    scope,
-                    ..EngineConfig::default()
-                };
-                let mut snap = EngineSnapshot::build(frag.clone(), symmetric, cfg);
-                for f in 0..snap.site_count() {
-                    let site = snap.site_handle(f);
-                    let borders = site.border_nodes().count();
-                    single_border += (borders == 1) as usize;
-                    // A site whose scope counts fewer than every ordered
-                    // pair of its borders still reads them all.
-                    let counted = snap.complementary().shortcuts(f).count();
-                    uncounted += (counted < borders * borders.saturating_sub(1)) as usize;
-                }
-
-                // Two readers race to fill the access sets (and memos) a
-                // third fills alone.
-                let requests: Vec<QueryRequest> = (0..n as u32)
-                    .map(|x| QueryRequest::new(NodeId(x), NodeId((x * 7 + 3) % n as u32)))
-                    .collect();
-                let alone = snap.unshared_clone();
-                let want = alone
-                    .query_batch(&requests, &mut ScratchDijkstra::new())
-                    .costs();
-                let barrier = std::sync::Barrier::new(2);
-                let raced: Vec<Vec<Option<Cost>>> = std::thread::scope(|s| {
-                    let readers: Vec<_> = (0..2)
-                        .map(|_| {
-                            s.spawn(|| {
-                                let mut scratch = ScratchDijkstra::new();
-                                barrier.wait();
-                                snap.query_batch(&requests, &mut scratch).costs()
-                            })
-                        })
-                        .collect();
-                    readers.into_iter().map(|h| h.join().unwrap()).collect()
-                });
-                assert_eq!(raced[0], want, "{label}: first reader");
-                assert_eq!(raced[1], want, "{label}: second reader");
-                let (raced, solo) = (snap.memory_bytes(), alone.memory_bytes());
-                assert_eq!(raced.access_sets, solo.access_sets, "{label}");
-                assert_eq!(raced.segment_memos, solo.segment_memos, "{label}");
-                assert!(raced.access_sets > 0, "{label}");
-
-                let before = check(&snap, &label);
-                unreachable += before.iter().filter(|c| c.is_none()).count();
-
-                // A maintained insert between two nodes of one fragment
-                // the network already connects, then a maintained delete.
-                let mut scratch = ScratchDijkstra::new();
-                let (owner, a, b) = (0..200)
-                    .find_map(|_| {
-                        let owner = rng.gen_index(snap.site_count());
-                        let nodes = snap.fragmentation().fragment(owner).nodes();
-                        let a = nodes[rng.gen_index(nodes.len())];
-                        let b = nodes[rng.gen_index(nodes.len())];
-                        let joined = baseline::shortest_path_cost(snap.graph(), a, b);
-                        (a != b && joined.is_some_and(|c| c > 1)).then_some((owner, a, b))
-                    })
-                    .expect("some fragment holds a connected pair");
-                let insert = NetworkUpdate::Insert {
-                    edge: Edge::new(a, b, 1),
-                    owner,
-                };
-                snap.maintain(&insert, &mut scratch).unwrap();
-                check(&snap, &format!("{label} after {insert:?}"));
-                assert_eq!(snap.shortest_path(a, b, &mut scratch).cost, Some(1));
-
-                let owner = rng.gen_index(snap.site_count());
-                let edges = snap.fragmentation().fragment(owner).edges();
-                let gone = edges[rng.gen_index(edges.len())];
-                let remove = NetworkUpdate::Remove {
-                    src: gone.src,
-                    dst: gone.dst,
-                    owner,
-                };
-                snap.maintain(&remove, &mut scratch).unwrap();
-                check(&snap, &format!("{label} after {remove:?}"));
+            let label = format!("symmetric={symmetric} {family}");
+            let mut snap = EngineSnapshot::build(frag, symmetric, EngineConfig::default());
+            for f in 0..snap.site_count() {
+                let site = snap.site_handle(f);
+                let borders = site.border_nodes().count();
+                single_border += (borders == 1) as usize;
             }
+
+            // Two readers race to fill the access sets (and memos) a
+            // third fills alone.
+            let requests: Vec<QueryRequest> = (0..n as u32)
+                .map(|x| QueryRequest::new(NodeId(x), NodeId((x * 7 + 3) % n as u32)))
+                .collect();
+            let alone = snap.unshared_clone();
+            let want = alone
+                .query_batch(&requests, &mut ScratchDijkstra::new())
+                .costs();
+            let barrier = std::sync::Barrier::new(2);
+            let raced: Vec<Vec<Option<Cost>>> = std::thread::scope(|s| {
+                let readers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let mut scratch = ScratchDijkstra::new();
+                            barrier.wait();
+                            snap.query_batch(&requests, &mut scratch).costs()
+                        })
+                    })
+                    .collect();
+                readers.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert_eq!(raced[0], want, "{label}: first reader");
+            assert_eq!(raced[1], want, "{label}: second reader");
+            let (raced, solo) = (snap.memory_bytes(), alone.memory_bytes());
+            assert_eq!(raced.access_sets, solo.access_sets, "{label}");
+            assert_eq!(raced.segment_memos, solo.segment_memos, "{label}");
+            assert!(raced.access_sets > 0, "{label}");
+
+            let before = check(&snap, &label);
+            unreachable += before.iter().filter(|c| c.is_none()).count();
+
+            // A maintained insert between two nodes of one fragment
+            // the network already connects, then a maintained delete.
+            let mut scratch = ScratchDijkstra::new();
+            let (owner, a, b) = (0..200)
+                .find_map(|_| {
+                    let owner = rng.gen_index(snap.site_count());
+                    let nodes = snap.fragmentation().fragment(owner).nodes();
+                    let a = nodes[rng.gen_index(nodes.len())];
+                    let b = nodes[rng.gen_index(nodes.len())];
+                    let joined = baseline::shortest_path_cost(snap.graph(), a, b);
+                    (a != b && joined.is_some_and(|c| c > 1)).then_some((owner, a, b))
+                })
+                .expect("some fragment holds a connected pair");
+            let insert = NetworkUpdate::Insert {
+                edge: Edge::new(a, b, 1),
+                owner,
+            };
+            snap.maintain(&insert, &mut scratch).unwrap();
+            check(&snap, &format!("{label} after {insert:?}"));
+            assert_eq!(snap.shortest_path(a, b, &mut scratch).cost, Some(1));
+
+            let owner = rng.gen_index(snap.site_count());
+            let edges = snap.fragmentation().fragment(owner).edges();
+            let gone = edges[rng.gen_index(edges.len())];
+            let remove = NetworkUpdate::Remove {
+                src: gone.src,
+                dst: gone.dst,
+                owner,
+            };
+            snap.maintain(&remove, &mut scratch).unwrap();
+            check(&snap, &format!("{label} after {remove:?}"));
         }
     }
     assert!(cyclic > 0, "a cyclic fragmentation graph was covered");
     assert!(single_border > 0, "a site with a single border node");
     assert!(unreachable > 0, "an unreachable pair");
-    assert!(uncounted > 0, "a site whose scope leaves a border pair out");
 }
 
 /// Complementary shortcut costs obey the triangle inequality with the
@@ -1881,11 +1830,7 @@ fn shortcut_costs_are_global_distances() {
         .unwrap()
         .fragmentation;
         let csr = closure_graph(n, &conns);
-        let comp = discset::closure::ComplementaryInfo::compute(
-            &frag,
-            true,
-            discset::closure::ComplementaryScope::PerFragmentBorder,
-        );
+        let comp = discset::closure::ComplementaryInfo::compute(&frag, true);
         for f in 0..frag.fragment_count() {
             for e in comp.shortcuts(f) {
                 assert_eq!(

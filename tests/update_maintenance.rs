@@ -133,23 +133,16 @@ fn bridge_deletion_disconnects_and_falls_back() {
 /// `4 -> 2` starts out as `2 -> 4`, so `1` has never reached `2`; insert
 /// it. Either way `0 -> 3` costs 4 afterwards (it answered `None` before
 /// the tables were dense), and every site's table equals a from-scratch
-/// precompute entry for entry — on both scopes, the paper's leaving the
-/// cross-set pairs `(1, 3)`, `(2, 3)` of site 0 unwritten.
+/// precompute entry for entry.
 #[test]
 fn an_insert_restores_a_border_pair_at_every_site_holding_it() {
-    use discset::closure::{ComplementaryScope, EngineConfig};
-
-    let deploy = |fragments: &[Vec<Edge>], symmetric, scope, backend| {
+    let deploy = |fragments: &[Vec<Edge>], symmetric, backend| {
         let frag = Fragmentation::new(6, fragments.to_vec(), vec![vec![]; fragments.len()]);
         System::builder()
             .network(6, fragments.concat())
             .symmetric(symmetric)
             .fragmenter(Fragmenter::Prebuilt(frag))
             .backend(backend)
-            .config(EngineConfig {
-                scope,
-                ..EngineConfig::default()
-            })
             .build()
             .unwrap()
     };
@@ -158,52 +151,46 @@ fn an_insert_restores_a_border_pair_at_every_site_holding_it() {
         owner: 1,
     };
     for symmetric in [true, false] {
-        for scope in [
-            ComplementaryScope::PerFragmentBorder,
-            ComplementaryScope::PerDisconnectionSet,
-        ] {
-            for backend in [Backend::Inline, Backend::SiteThreads] {
-                let label = format!("symmetric={symmetric} {scope:?} {backend:?}");
-                let through_4 = if symmetric { (4, 2, 1) } else { (2, 4, 1) };
-                let fragments = [
-                    edges(&[(0, 1, 1), (2, 3, 1)]),
-                    edges(&[(1, 4, 1), through_4]),
-                    edges(&[(3, 5, 1)]),
-                ];
-                let mut sys = deploy(&fragments, symmetric, scope, backend);
-                if symmetric {
-                    let gone = NetworkUpdate::Remove {
-                        src: n(4),
-                        dst: n(2),
-                        owner: 1,
-                    };
-                    let report = sys.update(&gone).unwrap();
-                    assert_eq!(
-                        report.fallback_reason,
-                        Some(FallbackReason::Disconnected),
-                        "{label}"
-                    );
-                }
-                assert_eq!(sys.shortest_path(n(0), n(3)).cost, None, "{label}: cut");
-
-                let report = sys.update(&back).unwrap();
-                assert!(!report.full_recompute, "{label}: {report:?}");
-                assert!(report.shortcuts_improved > 0, "{label}: {report:?}");
+        for backend in [Backend::Inline, Backend::SiteThreads] {
+            let label = format!("symmetric={symmetric} {backend:?}");
+            let through_4 = if symmetric { (4, 2, 1) } else { (2, 4, 1) };
+            let fragments = [
+                edges(&[(0, 1, 1), (2, 3, 1)]),
+                edges(&[(1, 4, 1), through_4]),
+                edges(&[(3, 5, 1)]),
+            ];
+            let mut sys = deploy(&fragments, symmetric, backend);
+            if symmetric {
+                let gone = NetworkUpdate::Remove {
+                    src: n(4),
+                    dst: n(2),
+                    owner: 1,
+                };
+                let report = sys.update(&gone).unwrap();
                 assert_eq!(
-                    report.sites_touched, 2,
-                    "{label}: the owner and site 0, which holds both borders"
+                    report.fallback_reason,
+                    Some(FallbackReason::Disconnected),
+                    "{label}"
                 );
-                assert_eq!(sys.shortest_path(n(0), n(3)).cost, Some(4), "{label}");
-                assert_eq!(sys.shortest_path(n(0), n(5)).cost, Some(5), "{label}");
-
-                let now: Vec<Vec<Edge>> = (sys.fragmentation().fragments().iter())
-                    .map(|f| f.edges().to_vec())
-                    .collect();
-                let fresh = deploy(&now, symmetric, scope, Backend::Inline);
-                let (kept, rebuilt) =
-                    (sys.engine().complementary(), fresh.engine().complementary());
-                assert_shortcuts_equal(kept, rebuilt, 3, &label);
             }
+            assert_eq!(sys.shortest_path(n(0), n(3)).cost, None, "{label}: cut");
+
+            let report = sys.update(&back).unwrap();
+            assert!(!report.full_recompute, "{label}: {report:?}");
+            assert!(report.shortcuts_improved > 0, "{label}: {report:?}");
+            assert_eq!(
+                report.sites_touched, 2,
+                "{label}: the owner and site 0, which holds both borders"
+            );
+            assert_eq!(sys.shortest_path(n(0), n(3)).cost, Some(4), "{label}");
+            assert_eq!(sys.shortest_path(n(0), n(5)).cost, Some(5), "{label}");
+
+            let now: Vec<Vec<Edge>> = (sys.fragmentation().fragments().iter())
+                .map(|f| f.edges().to_vec())
+                .collect();
+            let fresh = deploy(&now, symmetric, Backend::Inline);
+            let (kept, rebuilt) = (sys.engine().complementary(), fresh.engine().complementary());
+            assert_shortcuts_equal(kept, rebuilt, 3, &label);
         }
     }
 }
