@@ -13,8 +13,8 @@
 //!   evaluated on its own, every site of its chain working and nothing
 //!   memoized — what a PRISMA-style machine with free threads would get
 //!   from phase one (deterministic, noise-free; taken from the reference
-//!   evaluation `executor::run_chain`, since the engines evaluate a
-//!   chain's interior sites only once per epoch); and
+//!   evaluation `executor::run_chain`, since the engines read a chain's
+//!   interior segments off the hub and ask only its endpoint sites); and
 //! * the measured wall-clock ratio sequential/parallel (noisy on a shared
 //!   host, reported for reference).
 

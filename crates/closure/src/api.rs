@@ -22,16 +22,17 @@
 //!   per distinct start fragment and one to `y` per distinct end
 //!   fragment, shared by every chain through them, then one vector fold
 //!   per chain. The interior relations of the chains mention no
-//!   endpoint; they are read from the per-site, per-epoch [`SiteMemo`]
-//!   and evaluated only when a slot is still empty. A query over chains
-//!   with `s` distinct start and `e` distinct end fragments costs `s + e`
-//!   site subqueries once the memo is warm, however many chains it has
+//!   endpoint: each is the block of the epoch's hub over two
+//!   disconnection sets, which the fold reads in place
+//!   ([`assemble::fold_chain`]), so no site evaluates one. A query over
+//!   chains with `s` distinct start and `e` distinct end fragments costs
+//!   `s + e` site subqueries, cold or warm, however many chains it has
 //!   and however long they are.
 //!
 //! What a subquery costs is the site's business
 //! ([`crate::local::border_matrix_with`]): over a snapshot it is a
-//! product of the endpoint's memoized access set with rows of the site's
-//! border matrix, plus one read of a memoized border-free row for a pair
+//! product of the endpoint's memoized access set with rows of the hub,
+//! plus one read of a memoized border-free row for a pair
 //! of non-border nodes of one fragment — no Dijkstra sweep once those are
 //! filled. The evaluator here neither knows nor cares; its own tests run
 //! it over plain forward sweeps. Nor does it allocate once warm: every
@@ -49,12 +50,10 @@ use ds_graph::{Cost, Edge, NodeId, INFINITE_COST};
 use ds_obs::{ChainEval, EvalTrace, TraceId};
 
 use crate::assemble::{self, FoldBuffers};
-use crate::bulk::max_edge_cost;
+use crate::bulk::{max_edge_cost, Hub};
 use crate::complementary::PrecomputeStats;
 use crate::engine::{QueryAnswer, QueryStats, Route};
 use crate::error::ClosureError;
-use crate::local::SegmentMatrix;
-use crate::memo::SiteMemo;
 use crate::planner::{Planner, SiteQueryRef};
 use crate::snapshot::EngineSnapshot;
 use crate::updates::{UpdateBatchReport, UpdateReport};
@@ -89,10 +88,11 @@ pub struct BatchStats {
     pub plans_computed: usize,
     /// Queries that read a chain set enumerated before.
     pub plans_reused: usize,
-    /// Segment relations evaluated at a site.
+    /// Site subqueries run: one per distinct endpoint site and end of a
+    /// query.
     pub segments_computed: usize,
-    /// Interior segment relations read from the sites' memos (no site
-    /// work).
+    /// Interior segment relations read off the epoch's hub, one per
+    /// intermediate site of every chain folded (no site work).
     pub segments_reused: usize,
 }
 
@@ -113,8 +113,8 @@ impl BatchStats {
 /// Result of a batch: one [`QueryAnswer`] per request, in request order,
 /// plus the batch-level amortization stats. Per-answer [`QueryStats`]
 /// count only the site work actually performed *for that query* — work
-/// served from the planner's chain table or the segment memos shows up
-/// in [`BatchStats`] instead.
+/// served from the planner's chain table or read off the hub shows up in
+/// [`BatchStats`] instead.
 #[derive(Clone, Debug)]
 pub struct BatchAnswer {
     pub answers: Vec<QueryAnswer>,
@@ -206,8 +206,8 @@ pub trait TcEngine {
         Ok(UpdateBatchReport { reports })
     }
 
-    /// Answer many shortest-path requests, amortizing chain planning (and
-    /// interior segment evaluation) across the batch. Semantically
+    /// Answer many shortest-path requests, amortizing chain planning
+    /// across the batch. Semantically
     /// equivalent to calling [`TcEngine::shortest_path`] per request.
     fn query_batch(&mut self, requests: &[QueryRequest]) -> BatchAnswer;
 }
@@ -274,10 +274,10 @@ pub(crate) fn validate(frag: &Fragmentation, update: &NetworkUpdate) -> Result<(
     Ok(())
 }
 
-/// Where the evaluator's site subqueries run: the snapshot runs them on
-/// the calling thread or one scoped thread each
-/// ([`crate::executor::ExecutionMode`]); the evaluator's own tests count
-/// them.
+/// Where the evaluator's site subqueries run, and the hub its folds
+/// read: the snapshot runs them on the calling thread or one scoped
+/// thread each ([`crate::executor::ExecutionMode`]); the evaluator's own
+/// tests count them.
 pub trait SiteEvaluator {
     /// Evaluate independent site subqueries, appending each one's costs —
     /// row-major over its sources and targets — to `out` in order, and
@@ -290,9 +290,8 @@ pub trait SiteEvaluator {
         stats: &mut QueryStats,
     );
 
-    /// The interior-segment memo of `site`, valid for the graph that
-    /// site currently evaluates on.
-    fn memo(&self, site: FragmentId) -> &SiteMemo;
+    /// The epoch's hub, whose blocks are the chains' interior relations.
+    fn hub(&self) -> &Hub;
 }
 
 /// The batch driver without deadlines or tracing: every request is
@@ -343,8 +342,8 @@ pub struct BoundedBatchAnswer {
 /// The driver checks the clock between requests and — inside a request —
 /// before the site subqueries are dispatched and between fragment chains.
 /// A cancelled request yields `None`; work already performed for it
-/// (plans, memoized interior segments) keeps benefiting the remaining
-/// requests. The serve tier threads each job's admission-stamped deadline
+/// (plans, filled access sets) keeps benefiting the remaining requests.
+/// The serve tier threads each job's admission-stamped deadline
 /// through here and resolves `None` slots with
 /// [`ClosureError::DeadlineExceeded`].
 pub fn run_batch_bounded<E: SiteEvaluator>(
@@ -449,13 +448,11 @@ thread_local! {
 struct Buffers {
     /// The chain ends through each endpoint site, deduplicated.
     legs: Vec<Leg>,
-    /// Interior memo slots still empty, `[prev, site, next]`.
-    fills: Vec<[FragmentId; 3]>,
     /// The subqueries' node lists, back to back: `x`, `y`, then each
     /// subquery's own.
     nodes: Vec<NodeId>,
-    /// The subqueries, over ranges of `nodes`: one per endpoint site,
-    /// then one per fill.
+    /// The subqueries, over ranges of `nodes`: one per endpoint site and
+    /// end.
     jobs: Vec<Job>,
     /// The subqueries' costs, back to back in `jobs` order.
     costs: Vec<Cost>,
@@ -499,17 +496,15 @@ fn evaluate_chains<E: SiteEvaluator>(
     let planner = on.planner;
     let Buffers {
         legs,
-        fills,
         nodes,
         jobs,
         costs,
         fold: fold_buf,
     } = buf;
     legs.clear();
-    fills.clear();
     // What depends on the query: one subquery per distinct first
-    // fragment, one per distinct last fragment. What does not: the interior
-    // relations, looked up in (and on first use evaluated into) the memos.
+    // fragment, one per distinct last fragment. What does not: the
+    // interior relations, read off the hub by the fold.
     let mut add_leg = |from_x, site, other| {
         if !(legs.iter()).any(|l| (l.from_x, l.site, l.other) == (from_x, site, other)) {
             legs.push(Leg {
@@ -530,14 +525,7 @@ fn evaluate_chains<E: SiteEvaluator>(
         }
         add_leg(true, first, c[1]);
         add_leg(false, last, c[c.len() - 2]);
-        for w in c.windows(3) {
-            let slot = [w[0], w[1], w[2]];
-            if eval.memo(w[1]).get(w[0], w[2]).is_some() || fills.contains(&slot) {
-                on.bstats.segments_reused += 1;
-            } else {
-                fills.push(slot);
-            }
-        }
+        on.bstats.segments_reused += c.len() - 2;
     }
     // One subquery per site and end, over every leg there; a leg's costs
     // are its nodes' stretch of the subquery's single row (or column).
@@ -573,17 +561,6 @@ fn evaluate_chains<E: SiteEvaluator>(
             targets,
         });
     }
-    for &[prev, site, next] in fills.iter() {
-        let start = nodes.len();
-        nodes.extend_from_slice(planner.ds_between(prev, site));
-        let mid = nodes.len();
-        nodes.extend_from_slice(planner.ds_between(site, next));
-        jobs.push(Job {
-            site,
-            sources: start..mid,
-            targets: mid..nodes.len(),
-        });
-    }
     if expired(on.deadline) {
         return None;
     }
@@ -595,21 +572,8 @@ fn evaluate_chains<E: SiteEvaluator>(
     });
     eval.eval_sites(queries, costs, on.qstats);
     on.bstats.segments_computed += jobs.len();
-    let mut rest = &costs[evaluated..];
-    for (&[prev, site, next], job) in fills.iter().zip(&jobs[jobs.len() - fills.len()..]) {
-        let (rows, cols) = (job.sources.len(), job.targets.len());
-        let (m, later) = rest.split_at(rows * cols);
-        rest = later;
-        eval.memo(site)
-            .fill(prev, next, SegmentMatrix::new(rows, cols, m.to_vec()));
-    }
 
-    let eval: &E = eval;
-    let memo = move |w: &[FragmentId]| {
-        eval.memo(w[1])
-            .get(w[0], w[2])
-            .expect("filled before the fold")
-    };
+    let hub = eval.hub();
     let leg = |from_x, site, other| {
         let leg = (legs.iter())
             .find(|l| (l.from_x, l.site, l.other) == (from_x, site, other))
@@ -624,8 +588,9 @@ fn evaluate_chains<E: SiteEvaluator>(
         }
         assemble::fold_chain(
             &costs[leg(true, c[0], c[1])],
-            c.windows(3).map(memo),
+            c.windows(2).map(|w| planner.ds_skeleton_ids(w[0], w[1])),
             &costs[leg(false, c[c.len() - 1], c[c.len() - 2])],
+            hub,
             bound,
             fold_buf,
         )
@@ -655,6 +620,7 @@ fn evaluate_chains<E: SiteEvaluator>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complementary::ComplementaryInfo;
     use crate::executor::{run_chain, ExecutionMode};
     use crate::local::{augmented_graph, forward_matrix};
     use crate::planner::tests::{four_fragment_ring, three_fragment_path};
@@ -672,12 +638,14 @@ mod tests {
             .collect()
     }
 
-    /// Plain forward sweeps over the fragments' own graphs (no shortcuts),
-    /// counting the subqueries asked for.
+    /// Plain forward sweeps over the sites' augmented graphs, counting
+    /// the subqueries asked for, beside the hub those graphs' shortcuts
+    /// come from.
     struct CountingEval {
         augmented: Vec<Arc<CsrGraph>>,
-        memos: Vec<SiteMemo>,
-        evaluated: usize,
+        hub: Arc<Hub>,
+        /// The sites asked, in order.
+        asked: Vec<FragmentId>,
     }
 
     impl SiteEvaluator for CountingEval {
@@ -689,30 +657,35 @@ mod tests {
         ) {
             let mut scratch = ScratchDijkstra::new();
             for q in queries {
-                self.evaluated += 1;
+                self.asked.push(q.site);
                 stats.site_queries += 1;
-                let m = forward_matrix(&self.augmented[q.site], q.sources, q.targets, &mut scratch);
-                out.extend_from_slice(m.costs());
+                out.extend(forward_matrix(
+                    &self.augmented[q.site],
+                    q.sources,
+                    q.targets,
+                    &mut scratch,
+                ));
             }
         }
 
-        fn memo(&self, site: FragmentId) -> &SiteMemo {
-            &self.memos[site]
+        fn hub(&self) -> &Hub {
+            &self.hub
         }
     }
 
     fn counting_eval(frag: &Fragmentation, symmetric: bool) -> CountingEval {
-        let fg = frag.fragmentation_graph();
+        let comp = ComplementaryInfo::compute(frag, symmetric);
+        let augmented = (frag.fragments().iter())
+            .map(|f| {
+                let shortcuts = comp.shortcuts(f.id());
+                augmented_graph(frag.node_count(), f.edges(), symmetric, shortcuts)
+            })
+            .map(Arc::new)
+            .collect();
         CountingEval {
-            augmented: frag
-                .fragments()
-                .iter()
-                .map(|f| Arc::new(augmented_graph(frag.node_count(), f.edges(), symmetric, [])))
-                .collect(),
-            memos: (0..frag.fragment_count())
-                .map(|f| SiteMemo::new(fg.neighbors(f)))
-                .collect(),
-            evaluated: 0,
+            augmented,
+            hub: Arc::clone(comp.hub()),
+            asked: Vec::new(),
         }
     }
 
@@ -742,7 +715,7 @@ mod tests {
 
     /// Chain sets are the planner's: enumerated once per pair of
     /// endpoint fragment sets, they outlive the batch that enumerated
-    /// them, as the interior segments do.
+    /// them.
     #[test]
     fn batch_planner_caches_chain_sets() {
         let frag = three_fragment_path();
@@ -778,33 +751,35 @@ mod tests {
         assert!(Arc::ptr_eq(best, &set.chains[0]));
     }
 
+    /// Every query of a cold batch on a fresh epoch runs its site
+    /// subqueries at its endpoint sites only: the interior segment of the
+    /// chain `0, 1, 2` is a read of the hub, in every query that crosses
+    /// site 1, and a later batch pays the same.
     #[test]
-    fn interior_segments_are_evaluated_once_and_outlive_the_batch() {
+    fn a_cold_batch_runs_site_subqueries_only_at_endpoint_sites() {
         let frag = three_fragment_path();
         let planner = Planner::new(Membership::new(&frag), 16, 8);
         let mut eval = counting_eval(&frag, true);
-        // Three cross-chain queries share the one interior subquery of the
-        // length-3 chain: 1 interior + 2 endpoints x 3 queries = 7 evals,
-        // not 9.
         let requests: Vec<QueryRequest> = [(0, 6), (1, 5), (0, 5)]
             .iter()
             .map(|&(a, b)| (n(a), n(b)).into())
             .collect();
         let batch = run_batch(&planner, &mut eval, &requests);
         assert_eq!(batch.costs(), vec![Some(6), Some(4), Some(5)]);
-        assert_eq!(eval.evaluated, 7, "interior segment computed once");
-        assert_eq!(batch.answers[0].stats.site_queries, 3);
-        assert_eq!(batch.answers[1].stats.site_queries, 2);
+        assert_eq!(eval.asked, [0, 2, 0, 2, 0, 2], "never site 1");
+        for a in &batch.answers {
+            assert_eq!(a.stats.site_queries, 2);
+        }
         assert_eq!(batch.stats.plans_computed, 1);
         assert_eq!(batch.stats.plans_reused, 2);
-        assert_eq!(batch.stats.segments_computed, 7);
-        assert_eq!(batch.stats.segments_reused, 2);
-        assert!(batch.stats.amortization() > 0.3);
-        // The memo belongs to the sites, not to the batch: a later batch
-        // pays for its two endpoint sweeps only.
+        // One subquery per distinct endpoint leg, one hub read per
+        // interior segment.
+        assert_eq!(batch.stats.segments_computed, 6);
+        assert_eq!(batch.stats.segments_reused, 3);
+        assert_eq!(batch.stats.amortization(), 5.0 / 12.0);
         let again = run_batch(&planner, &mut eval, &requests[..1]);
         assert_eq!(again.costs(), vec![Some(6)]);
-        assert_eq!(eval.evaluated, 9);
+        assert_eq!(eval.asked.len(), 8);
         assert_eq!(again.stats.segments_computed, 2);
         assert_eq!(again.stats.segments_reused, 1);
     }
@@ -829,14 +804,14 @@ mod tests {
                 Some(&[0, 1, 2][..]),
                 "first cheapest chain"
             );
-            // Two sweeps from x (sites 0 and 1), one from y (site 2),
-            // three distinct interior slots — [0,3,2] and [1,0,3,2] cross
-            // site 3 the same way.
-            assert_eq!(eval.evaluated, 6);
-            assert_eq!(a.stats.site_queries, 6);
-            assert_eq!(first.stats.segments_computed, 6);
-            assert_eq!(first.stats.segments_reused, 1);
-            // Warm: only what depends on the query is evaluated.
+            // Two sweeps from x (sites 0 and 1), one from y (site 2); the
+            // four interior segments — sites 1, 3, 0 and 3 — are hub
+            // reads.
+            assert_eq!(eval.asked, [0, 2, 1]);
+            assert_eq!(a.stats.site_queries, 3);
+            assert_eq!(first.stats.segments_computed, 3);
+            assert_eq!(first.stats.segments_reused, 4);
+            // Warm: the same.
             let warm = run_batch(&planner, &mut eval, &req);
             assert_eq!(warm.answers[0].cost, a.cost);
             assert_eq!(warm.answers[0].stats.site_queries, 3);
@@ -887,7 +862,7 @@ mod tests {
         );
         assert!(bounded.answers[0].is_none(), "deadline already passed");
         assert_eq!(bounded.answers[1].as_ref().unwrap().cost, Some(4));
-        assert_eq!(eval.evaluated, 3, "only the second request was evaluated");
+        assert_eq!(eval.asked, [0, 2], "only the second request was evaluated");
     }
 
     #[test]

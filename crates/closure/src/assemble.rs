@@ -3,15 +3,19 @@
 //!
 //! Phase one leaves one small relation per site on the chain. A query has
 //! a single source, so the min-plus fold of those relations is a row
-//! vector (the costs from `x` to the first junction) carried through each
-//! interior relation's matrix and met with the column vector of costs
-//! from the last junction to `y` — [`fold_chain`].
+//! vector (the costs from `x` to the first junction) carried from each
+//! junction to the next and met with the column vector of costs from the
+//! last junction to `y` — [`fold_chain`]. The relation an intermediate
+//! site contributes, `DS(prev, site) -> DS(site, next)`, names no query
+//! endpoint: it is the global distance between two borders, which the
+//! epoch's [`Hub`] holds for every pair, so the fold reads it there, at
+//! the junctions' skeleton ids, and no site evaluates or keeps it.
 
 use ds_graph::{Cost, NodeId, INFINITE_COST};
 use ds_relation::join::compose_min_plus;
 use ds_relation::{PathTuple, Relation};
 
-use crate::local::SegmentMatrix;
+use crate::bulk::{Hub, WORD_INF};
 
 /// The working vectors of [`fold_chain`], kept by the caller: once they
 /// have grown to the widest junction folded, a fold allocates nothing.
@@ -23,46 +27,61 @@ pub struct FoldBuffers {
     next: Vec<Cost>,
 }
 
-/// Fold one chain for one `(x, y)`: `start[j]` is the cost from `x` to
-/// the `j`-th node of the first junction, each interior relation maps the
-/// costs at one junction to the next, and `end[j]` is the cost from the
-/// `j`-th node of the last junction to `y`. Returns the cheapest total
-/// if it is below `bound` — costs only grow along a chain, so a partial
-/// path already at `bound` is dropped where it stands, and a caller that
+/// Fold one chain for one `(x, y)`. `junctions` are the skeleton ids of
+/// the chain's disconnection sets in chain order; `start[j]` is the cost
+/// from `x` to the `j`-th node of the first, the costs at each junction
+/// are carried to the next through `hub`, and `end[j]` is the cost from
+/// the `j`-th node of the last to `y`. Returns the cheapest total if it
+/// is below `bound` — costs only grow along a chain, so a partial path
+/// already at `bound` is dropped where it stands, and a caller that
 /// passes the best cost found so far pays little for the chains that
-/// cannot beat it. [`INFINITE_COST`] bounds nothing.
-pub fn fold_chain<'m>(
+/// cannot beat it. [`INFINITE_COST`] bounds nothing; `None` without a
+/// junction.
+///
+/// Every true distance of an admitted network lies below the hub word's
+/// infinity ([`crate::bulk`]), so a sum at or above it has an
+/// unreachable term: the fold adds the words as they are and drops such a
+/// sum as it drops one at `bound`, as [`crate::local::border_matrix_with`]
+/// clamps once per answer.
+pub fn fold_chain<'j>(
     start: &[Cost],
-    interiors: impl IntoIterator<Item = &'m SegmentMatrix>,
+    junctions: impl IntoIterator<Item = &'j [u32]>,
     end: &[Cost],
+    hub: &Hub,
     bound: Cost,
     buf: &mut FoldBuffers,
 ) -> Option<Cost> {
     let FoldBuffers { at, next } = buf;
-    // Until the first interior is folded, the costs at the junction are
+    let limit = bound.min(Cost::from(WORD_INF));
+    let mut junctions = junctions.into_iter();
+    let mut from = junctions.next()?;
+    debug_assert_eq!(from.len(), start.len());
+    // Until the first hop is folded, the costs at the junction are
     // `start` itself.
     let mut folded = false;
-    for m in interiors {
+    for to in junctions {
         let so_far: &[Cost] = if folded { at } else { start };
-        debug_assert_eq!(m.rows(), so_far.len());
         next.clear();
-        next.resize(m.cols(), INFINITE_COST);
-        for (i, &cost) in so_far.iter().enumerate() {
-            if cost >= bound {
+        next.resize(to.len(), INFINITE_COST);
+        for (&b, &cost) in from.iter().zip(so_far) {
+            if cost >= limit {
                 continue;
             }
-            for (j, &step) in m.row(i).iter().enumerate() {
-                // Both terms are at most INFINITE_COST: the sum cannot wrap.
-                next[j] = next[j].min(cost + step);
+            let row = hub.words(b as usize);
+            for (best, &b2) in next.iter_mut().zip(to) {
+                // A cost below the word's infinity plus a word: no wrap.
+                *best = (*best).min(cost + Cost::from(row[b2 as usize]));
             }
         }
         std::mem::swap(at, next);
         folded = true;
+        from = to;
     }
     let so_far: &[Cost] = if folded { at } else { start };
     debug_assert_eq!(so_far.len(), end.len());
-    let best = (so_far.iter().zip(end)).fold(bound, |best, (&cost, &rest)| best.min(cost + rest));
-    (best < bound).then_some(best)
+    // Both terms are at most INFINITE_COST: the sum cannot wrap.
+    let best = (so_far.iter().zip(end)).fold(INFINITE_COST, |best, (&c, &rest)| best.min(c + rest));
+    (best < limit).then_some(best)
 }
 
 /// Fold the chain's segment relations by hash joins into an end-to-end
@@ -82,8 +101,7 @@ pub fn chain_cost_refs(segments: &[&Relation<PathTuple>], x: NodeId, y: NodeId) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::local::{augmented_graph, forward_matrix};
-    use ds_graph::{Edge, ScratchDijkstra};
+    use ds_graph::{CsrGraph, Edge};
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -98,19 +116,13 @@ mod tests {
         )
     }
 
-    /// The dense form of a relation given as direct edges.
-    fn matrix(rows: &[(u32, u32, u64)], sources: &[u32], targets: &[u32]) -> SegmentMatrix {
-        let edges: Vec<Edge> = rows
-            .iter()
+    /// The hub of `borders` borders joined by the one-way `edges` over
+    /// skeleton ids.
+    fn hub(borders: usize, edges: &[(u32, u32, u64)]) -> Hub {
+        let edges: Vec<Edge> = (edges.iter())
             .map(|&(s, d, c)| Edge::new(n(s), n(d), c))
             .collect();
-        let ids = |v: &[u32]| v.iter().map(|&i| n(i)).collect::<Vec<_>>();
-        forward_matrix(
-            &augmented_graph(10, &edges, false, []),
-            &ids(sources),
-            &ids(targets),
-            &mut ScratchDijkstra::new(),
-        )
+        Hub::close(&CsrGraph::from_edges(borders, &edges))
     }
 
     #[test]
@@ -120,8 +132,10 @@ mod tests {
         let s1 = seg("s1", &[(0, 5, 1), (0, 6, 2)]);
         let s2 = seg("s2", &[(5, 9, 10), (6, 9, 3)]);
         assert_eq!(chain_cost_refs(&[&s1, &s2], n(0), n(9)), Some(5));
+        // One junction: no hub read.
+        let (h, junction) = (hub(2, &[]), &[0, 1][..]);
         assert_eq!(
-            fold_chain(&[1, 2], [], &[10, 3], INFINITE_COST, &mut buf),
+            fold_chain(&[1, 2], [junction], &[10, 3], &h, INFINITE_COST, &mut buf),
             Some(5)
         );
     }
@@ -135,8 +149,9 @@ mod tests {
         assert_eq!(
             fold_chain(
                 &[1, INFINITE_COST],
-                [],
+                [&[0, 1][..]],
                 &[INFINITE_COST, 1],
+                &hub(2, &[]),
                 INFINITE_COST,
                 &mut FoldBuffers::default()
             ),
@@ -144,6 +159,8 @@ mod tests {
         );
     }
 
+    /// The interior relation `{1, 2} -> {3, 4}` is the hub's block over
+    /// the two junctions (skeleton ids 0, 1 and 2, 3).
     #[test]
     fn fold_matches_the_join_on_three_segments() {
         let rows1 = [(0, 1, 2), (0, 2, 1)];
@@ -152,20 +169,46 @@ mod tests {
         let (s1, s2, s3) = (seg("s1", &rows1), seg("s2", &rows2), seg("s3", &rows3));
         let joined = chain_cost_refs(&[&s1, &s2, &s3], n(0), n(9));
         assert_eq!(joined, Some(4)); // 0-1 (2), 1-3 (1), 3-9 (1)
-        let start = matrix(&rows1, &[0], &[1, 2]);
-        let interior = matrix(&rows2, &[1, 2], &[3, 4]);
-        let end = matrix(&rows3, &[3, 4], &[9]);
+        let h = hub(4, &[(0, 2, 1), (1, 2, 5), (1, 3, 1)]);
+        let junctions = [&[0, 1][..], &[2, 3]];
         let mut buf = FoldBuffers::default();
-        let mut fold = |bound| fold_chain(start.costs(), [&interior], end.costs(), bound, &mut buf);
+        let mut fold = |bound| fold_chain(&[2, 1], junctions, &[1, 4], &h, bound, &mut buf);
         assert_eq!(fold(INFINITE_COST), joined);
         assert_eq!(fold(5), joined, "a bound above the cost changes nothing");
         assert_eq!(fold(4), None, "the cost must be strictly below the bound");
+        // No path between the junctions: the word's infinity is no answer.
+        let cut = hub(4, &[]);
+        let far = fold_chain(&[2, 1], junctions, &[1, 4], &cut, INFINITE_COST, &mut buf);
+        assert_eq!(far, None);
+    }
+
+    /// A sum at the word's infinity has an unreachable term: dropped, one
+    /// below it kept.
+    #[test]
+    fn a_sum_at_the_words_infinity_is_no_answer() {
+        let (h, mut buf) = (hub(2, &[(0, 1, 1)]), FoldBuffers::default());
+        let almost = Cost::from(WORD_INF) - 1;
+        let mut fold = |to: u32| {
+            fold_chain(
+                &[almost],
+                [&[0][..], &[to]],
+                &[0],
+                &h,
+                INFINITE_COST,
+                &mut buf,
+            )
+        };
+        assert_eq!(fold(0), Some(almost), "H[0][0] = 0");
+        assert_eq!(fold(1), None, "H[0][1] = 1 reaches the infinity");
     }
 
     #[test]
     fn empty_segment_list() {
         assert_eq!(chain_cost_refs(&[], n(0), n(1)), None);
         let mut buf = FoldBuffers::default();
-        assert_eq!(fold_chain(&[], [], &[], INFINITE_COST, &mut buf), None);
+        assert_eq!(
+            fold_chain(&[], [], &[], &hub(0, &[]), INFINITE_COST, &mut buf),
+            None
+        );
     }
 }

@@ -89,7 +89,7 @@
 //! hub's widened words and narrows what it writes (see [`crate::bulk`]).
 //! A write that changes no hub entry keeps the shared hub; every site
 //! holding both borders of a changed entry is rebuilt, since its access
-//! sets and memos read every pair of its borders.
+//! sets were pruned through every pair of its borders.
 //!
 //! ## What a site counts
 //!
@@ -366,7 +366,7 @@ pub(crate) struct Changes {
     /// shortcuts the write changed, summed over the sites.
     pub(crate) counted: usize,
     /// The sites holding both borders of a changed entry, ascending:
-    /// their access sets and memos read it.
+    /// their access sets were pruned through it.
     pub(crate) sites: Vec<FragmentId>,
     /// Whether a shortcut was dropped: an entry some site holds went from
     /// finite to [`INFINITE_COST`].

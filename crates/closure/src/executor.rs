@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use ds_graph::{Cost, CsrGraph, ScratchDijkstra, INFINITE_COST};
 use ds_relation::{PathTuple, Relation};
 
-use crate::local::{forward_matrix, SegmentMatrix};
+use crate::local::forward_matrix;
 use crate::planner::{ChainPlan, SiteQuery, SiteQueryRef};
 
 /// Sequential or site-parallel phase one.
@@ -160,20 +160,34 @@ pub fn run_chain(
         &mut costs,
         |run| runs.push(run),
         |q, scratch, out| {
-            let m = forward_matrix(&augmented[q.site], q.sources, q.targets, scratch);
-            out.extend_from_slice(m.costs());
+            out.extend(forward_matrix(
+                &augmented[q.site],
+                q.sources,
+                q.targets,
+                scratch,
+            ));
         },
     );
     let mut rest = &costs[..];
     let segments = queries
         .map(|q| {
-            let (rows, cols) = (q.sources.len(), q.targets.len());
-            let (mine, later) = rest.split_at(rows * cols);
+            let (mine, later) = rest.split_at(q.sources.len() * q.targets.len());
             rest = later;
-            SegmentMatrix::new(rows, cols, mine.to_vec()).to_relation(q.sources, q.targets)
+            relation(q, mine)
         })
         .collect();
     (segments, runs)
+}
+
+/// A subquery's costs, row-major, as `(source, target, cost)` tuples,
+/// unreachable pairs dropped.
+fn relation(q: SiteQueryRef<'_>, costs: &[Cost]) -> Relation<PathTuple> {
+    let pairs = (q.sources.iter()).flat_map(|&u| q.targets.iter().map(move |&v| (u, v)));
+    let rows = (pairs.zip(costs))
+        .filter(|&(_, &cost)| cost < INFINITE_COST)
+        .map(|((u, v), &cost)| PathTuple::new(u, v, cost))
+        .collect();
+    Relation::from_rows("border", rows)
 }
 
 #[cfg(test)]
@@ -228,9 +242,7 @@ mod tests {
         let (aug, chain) = setup();
         let queries = || chain.queries.iter().map(SiteQuery::as_ref);
         let kernel = |q: &SiteQueryRef<'_>, scratch: &mut ScratchDijkstra, out: &mut Vec<Cost>| {
-            out.extend_from_slice(
-                forward_matrix(&aug[q.site], q.sources, q.targets, scratch).costs(),
-            )
+            out.extend(forward_matrix(&aug[q.site], q.sources, q.targets, scratch))
         };
         let (mut scratch, mut out, mut runs) = (ScratchDijkstra::new(), Vec::new(), Vec::new());
         let mode = ExecutionMode::Parallel;
@@ -274,8 +286,7 @@ mod tests {
                 |_| {},
                 |q, scratch, out| {
                     assert_eq!(q.site, 0, "site {} kernel failed", q.site);
-                    let m = forward_matrix(&aug[q.site], q.sources, q.targets, scratch);
-                    out.extend_from_slice(m.costs());
+                    out.extend(forward_matrix(&aug[q.site], q.sources, q.targets, scratch));
                 },
             )
         });
@@ -291,5 +302,16 @@ mod tests {
         let (segs, _) = run_chain(&aug, &chain, ExecutionMode::Sequential, &mut scratch);
         assert_eq!(segs[0].cost_of(n(0), n(2)), Some(2));
         assert_eq!(segs[1].cost_of(n(2), n(4)), Some(2));
+        // Site 0 does not reach 4: no tuple.
+        let far = SiteQuery {
+            site: 0,
+            sources: vec![n(0)],
+            targets: vec![n(2), n(4)],
+        };
+        let rel = relation(
+            far.as_ref(),
+            &forward_matrix(&aug[0], &[n(0)], &[n(2), n(4)], &mut scratch),
+        );
+        assert_eq!((rel.len(), rel.cost_of(n(0), n(2))), (1, Some(2)));
     }
 }

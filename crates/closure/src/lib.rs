@@ -12,14 +12,15 @@
 //! 3. **Evaluate locally**, one independent subquery per fragment on the
 //!    chain, with *no communication*: each site computes a very small
 //!    border-to-border distance relation on its fragment augmented with
-//!    its complementary shortcuts — algebraically, from a dense border
-//!    matrix and per-node access sets rather than by sweeping the
-//!    augmented graph ([`local`]; [`executor`] places the subqueries and
-//!    keeps the sweeping reference). The subqueries of the chains'
-//!    interior sites mention no query endpoint and are evaluated once
-//!    per epoch — [`memo`].
-//! 4. **Assemble**: fold the small relations with min-plus joins and read
-//!    off the answer — [`assemble`].
+//!    its complementary shortcuts — algebraically, from the epoch's hub
+//!    and per-node access sets rather than by sweeping the augmented
+//!    graph ([`local`]; [`executor`] places the subqueries and keeps the
+//!    sweeping reference). The subqueries of the chains' interior sites
+//!    mention no query endpoint: their relations are blocks of the hub,
+//!    so only the endpoint sites are asked.
+//! 4. **Assemble**: fold the small relations with min-plus joins, reading
+//!    the interior ones off the hub, and read off the answer —
+//!    [`assemble`].
 //!
 //! [`EngineSnapshot`] is the pipeline, built from the fragmented relation
 //! alone — the closure graph, the hub, the sites and the planner are
@@ -62,7 +63,6 @@ pub mod engine;
 pub mod error;
 pub mod executor;
 pub mod local;
-pub mod memo;
 pub mod phe;
 pub mod planner;
 pub mod snapshot;

@@ -5,9 +5,12 @@
 //! fragment" (§2.1). The disconnection sets act as the selection — the
 //! "keyhole" of §2.2: evaluation starts only from the entry border set
 //! and only the exit border set is reported. The output of one subquery
-//! is a *very small relation* of `(entry, exit, cost)` tuples, held
-//! densely as a [`SegmentMatrix`] over the entry and exit node lists,
-//! ready for the final joins.
+//! is a *very small relation* of `(entry, exit, cost)` tuples, written
+//! densely, row-major over the entry and exit node lists, ready for the
+//! final joins. The engine asks a site only about a query endpoint: the
+//! relation an intermediate site of a chain would ship, between two of
+//! its disconnection sets, is a block of the hub, which the fold reads
+//! in place ([`crate::assemble`]).
 //!
 //! ## What a site holds
 //!
@@ -69,12 +72,10 @@
 
 use std::sync::{Arc, OnceLock};
 
-use ds_fragment::{Fragment, FragmentId};
+use ds_fragment::Fragment;
 use ds_graph::{Cost, CsrGraph, Edge, NodeId, ScratchDijkstra, INFINITE_COST};
-use ds_relation::{PathTuple, Relation};
 
 use crate::bulk::{Hub, WORD_INF};
-use crate::memo::SiteMemo;
 
 /// A site's augmented local graph: fragment edges (symmetric expansion if
 /// the network is symmetric) plus the site's complementary shortcuts.
@@ -117,8 +118,6 @@ pub struct SiteBytes {
     pub border_matrix: usize,
     /// The access sets and border-free rows filled so far.
     pub access_sets: usize,
-    /// The interior segment relations evaluated so far.
-    pub segment_memo: usize,
 }
 
 /// A fragment's own graph over local ids, no shortcuts: built once per
@@ -185,18 +184,15 @@ pub struct Site {
     /// The augmented graph over global ids, for whoever still sweeps it
     /// (the reference evaluator, benches).
     augmented: OnceLock<Arc<CsrGraph>>,
-    /// The interior segment relations evaluated so far at this site.
-    memo: SiteMemo,
 }
 
 impl Site {
-    /// Build the site of the fragment whose own graph is `graph`,
-    /// adjacent to the fragments `neighbors`, whose border nodes, each
-    /// with its skeleton id, are `borders` (ascending).
+    /// Build the site of the fragment whose own graph is `graph` and
+    /// whose border nodes, each with its skeleton id, are `borders`
+    /// (ascending).
     pub fn build(
         graph: Arc<LocalGraph>,
         borders: impl IntoIterator<Item = (NodeId, usize)>,
-        neighbors: &[FragmentId],
     ) -> Self {
         let (global, own): (Vec<NodeId>, Vec<AccessEntry>) = (borders.into_iter())
             .map(|(b, id)| (b, (id as u32, 0)))
@@ -214,18 +210,10 @@ impl Site {
             exits_filled: OnceLock::new(),
             rows: vec![OnceLock::new(); rows],
             augmented: OnceLock::new(),
-            memo: SiteMemo::new(neighbors),
             graph,
             borders,
             global,
         }
-    }
-
-    /// The interior segment relations evaluated so far at this site.
-    /// They are valid for exactly this fragment and its borders' hub
-    /// entries, so they live (and are replaced) with the site.
-    pub fn memo(&self) -> &SiteMemo {
-        &self.memo
     }
 
     /// Whether the fragment itself connects `p -> q` at `cost` — which
@@ -347,7 +335,6 @@ impl Site {
                 + size_of_val(&self.own[..]),
             access_sets: filled.map(|set| size_of_val(&**set)).sum::<usize>()
                 + rows.map(|row| size_of_val(&**row)).sum::<usize>(),
-            segment_memo: self.memo.memory_bytes(),
         }
     }
 
@@ -591,73 +578,9 @@ impl Site {
     }
 }
 
-/// The result of one site subquery in dense form: the local shortest
-/// distance from the `i`-th source to the `j`-th target at
-/// `costs[i * cols + j]`, [`INFINITE_COST`] where there is no path.
-/// Sources and targets are identified by position, so a relation over a
-/// disconnection set is read against the planner's node list for it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SegmentMatrix {
-    rows: usize,
-    cols: usize,
-    costs: Vec<Cost>,
-}
-
-impl SegmentMatrix {
-    /// `rows` x `cols` costs, row-major.
-    pub(crate) fn new(rows: usize, cols: usize, costs: Vec<Cost>) -> Self {
-        debug_assert_eq!(costs.len(), rows * cols);
-        SegmentMatrix { rows, cols, costs }
-    }
-
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// All costs, row-major. A one-source subquery's costs are its row
-    /// vector, a one-target subquery's its column vector.
-    pub fn costs(&self) -> &[Cost] {
-        &self.costs
-    }
-
-    /// The distances from the `i`-th source.
-    pub fn row(&self, i: usize) -> &[Cost] {
-        &self.costs[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Connected (source, target) pairs — the cardinality of the "very
-    /// small relation" a site ships.
-    pub fn tuples(&self) -> usize {
-        self.costs.iter().filter(|&&c| c < INFINITE_COST).count()
-    }
-
-    /// Heap bytes held.
-    pub fn memory_bytes(&self) -> usize {
-        self.costs.capacity() * std::mem::size_of::<Cost>()
-    }
-
-    /// The same result as `(source, target, cost)` tuples, unreachable
-    /// pairs dropped.
-    pub fn to_relation(&self, sources: &[NodeId], targets: &[NodeId]) -> Relation<PathTuple> {
-        let mut rows = Vec::with_capacity(self.costs.len());
-        for (i, &u) in sources.iter().enumerate() {
-            for (&v, &cost) in targets.iter().zip(self.row(i)) {
-                if cost < INFINITE_COST {
-                    rows.push(PathTuple::new(u, v, cost));
-                }
-            }
-        }
-        Relation::from_rows("border", rows)
-    }
-}
-
 /// Evaluate one local subquery — shortest distances from every node of
-/// `sources` to every node of `targets` — with one sweep of `g` per
-/// source. Sweeps early-exit once every target is settled and reuse the
+/// `sources` to every node of `targets`, row-major, [`INFINITE_COST`]
+/// where there is no path — with one sweep of `g` per source. Sweeps early-exit once every target is settled and reuse the
 /// caller's stamped arrays, so the steady state performs no O(V)
 /// allocations.
 ///
@@ -669,7 +592,7 @@ pub fn forward_matrix(
     sources: &[NodeId],
     targets: &[NodeId],
     scratch: &mut ScratchDijkstra,
-) -> SegmentMatrix {
+) -> Vec<Cost> {
     let mut costs = Vec::with_capacity(sources.len() * targets.len());
     for &u in sources {
         scratch.sweep_to_targets(g, &[(u, 0)], targets);
@@ -679,11 +602,7 @@ pub fn forward_matrix(
                 .map(|&v| scratch.cost(v).unwrap_or(INFINITE_COST)),
         );
     }
-    SegmentMatrix {
-        rows: sources.len(),
-        cols: targets.len(),
-        costs,
-    }
+    costs
 }
 
 /// One site subquery, evaluated from what the [`Site`] holds and the
@@ -692,7 +611,10 @@ pub fn forward_matrix(
 /// cheapest `access(s)[b] + H[b][b'] + access⁻¹(t)[b']`, met — for two non-border
 /// nodes only — with the border-free local path: `row(s)[t]`, or in a
 /// fragment of more than [`ROW_NODES`] nodes one point sweep bounded by
-/// that value. `scratch` is otherwise swept only to fill an access set or
+/// that value. The shorter node list is the outer loop, so each of its
+/// nodes' access sets is looked up once and each of the other's once per
+/// outer node: once in all for the evaluator's one-source and one-target
+/// subqueries. `scratch` is otherwise swept only to fill an access set or
 /// a row nothing asked for before, and `out` is the only thing that
 /// grows. Every node must belong to the site's fragment.
 pub fn border_matrix_with(
@@ -703,28 +625,53 @@ pub fn border_matrix_with(
     scratch: &mut ScratchDijkstra,
     out: &mut Vec<Cost>,
 ) {
-    out.reserve(sources.len() * targets.len());
-    for &s in sources {
-        let (entry, s_inner) = site.access(hub, s, true, scratch);
-        for &t in targets {
-            let (exit, t_inner) = site.access(hub, t, false, scratch);
-            let mut best = INFINITE_COST;
-            for &(b, reach) in entry {
-                let row = hub.words(b as usize);
-                for &(b2, leave) in exit {
-                    // Two local costs and a word, each below the word's
-                    // infinity or at it: no wrap.
-                    best = best.min(reach + Cost::from(row[b2 as usize]) + leave);
-                }
-            }
-            if best >= Cost::from(WORD_INF) {
-                best = INFINITE_COST;
-            }
-            if let (Some(s), Some(t)) = (s_inner, t_inner) {
-                best = best.min(site.border_free(hub, s, t, best, scratch));
-            }
-            out.push(best);
+    let (base, cols) = (out.len(), targets.len());
+    out.resize(base + sources.len() * cols, INFINITE_COST);
+    let by_source = sources.len() <= cols;
+    let (outer, inner) = if by_source {
+        (sources, targets)
+    } else {
+        (targets, sources)
+    };
+    for (i, &u) in outer.iter().enumerate() {
+        let fixed = site.access(hub, u, by_source, scratch);
+        for (j, &v) in inner.iter().enumerate() {
+            let other = site.access(hub, v, !by_source, scratch);
+            let (from, to, slot) = if by_source {
+                (fixed, other, i * cols + j)
+            } else {
+                (other, fixed, j * cols + i)
+            };
+            out[base + slot] = pair_cost(site, hub, from, to, scratch);
         }
+    }
+}
+
+/// The cost from the node with access set `entry` to the one with exit
+/// set `exit` (see [`border_matrix_with`]); the second values are their
+/// local ids when they are no borders.
+fn pair_cost(
+    site: &Site,
+    hub: &Hub,
+    (entry, s): (&[AccessEntry], Option<NodeId>),
+    (exit, t): (&[AccessEntry], Option<NodeId>),
+    scratch: &mut ScratchDijkstra,
+) -> Cost {
+    let mut best = INFINITE_COST;
+    for &(b, reach) in entry {
+        let row = hub.words(b as usize);
+        for &(b2, leave) in exit {
+            // Two local costs and a word, each below the word's infinity
+            // or at it: no wrap.
+            best = best.min(reach + Cost::from(row[b2 as usize]) + leave);
+        }
+    }
+    if best >= Cost::from(WORD_INF) {
+        best = INFINITE_COST;
+    }
+    match (s, t) {
+        (Some(s), Some(t)) => best.min(site.border_free(hub, s, t, best, scratch)),
+        _ => best,
     }
 }
 
@@ -737,7 +684,7 @@ mod tests {
     }
 
     fn reach(g: &CsrGraph, u: u32, v: u32) -> Cost {
-        forward_matrix(g, &[n(u)], &[n(v)], &mut ScratchDijkstra::new()).costs()[0]
+        forward_matrix(g, &[n(u)], &[n(v)], &mut ScratchDijkstra::new())[0]
     }
 
     /// [`border_matrix_with`] into a fresh buffer, shaped as a matrix.
@@ -747,10 +694,10 @@ mod tests {
         sources: &[NodeId],
         targets: &[NodeId],
         scratch: &mut ScratchDijkstra,
-    ) -> SegmentMatrix {
+    ) -> Vec<Cost> {
         let mut costs = Vec::new();
         border_matrix_with(site, hub, sources, targets, scratch, &mut costs);
-        SegmentMatrix::new(sources.len(), targets.len(), costs)
+        costs
     }
 
     #[test]
@@ -791,9 +738,7 @@ mod tests {
             &[n(3)],
             &mut ScratchDijkstra::new(),
         );
-        assert_eq!((m.rows(), m.cols()), (2, 1));
-        assert_eq!(m.costs(), &[2, 1]);
-        assert_eq!(m.tuples(), 2);
+        assert_eq!(m, [2, 1], "one column, a row per source");
     }
 
     #[test]
@@ -801,11 +746,7 @@ mod tests {
         let frag = vec![Edge::unit(n(0), n(1))];
         let aug = augmented_graph(3, &frag, false, []);
         let m = forward_matrix(&aug, &[n(0)], &[n(1), n(2)], &mut ScratchDijkstra::new());
-        assert_eq!(m.row(0), &[1, INFINITE_COST]);
-        assert_eq!(m.tuples(), 1);
-        let rel = m.to_relation(&[n(0)], &[n(1), n(2)]);
-        assert_eq!(rel.len(), 1, "node 2 unreachable, no tuple");
-        assert_eq!(rel.cost_of(n(0), n(1)), Some(1));
+        assert_eq!(m, [1, INFINITE_COST]);
     }
 
     /// The hub of a fixture whose borders are `borders`, skeleton ids by
@@ -815,14 +756,8 @@ mod tests {
         let m = forward_matrix(aug, borders, borders, &mut ScratchDijkstra::new());
         let nb = borders.len();
         let edges: Vec<Edge> = (0..nb * nb)
-            .filter(|&k| k / nb != k % nb && m.costs()[k] < INFINITE_COST)
-            .map(|k| {
-                Edge::new(
-                    NodeId::from_index(k / nb),
-                    NodeId::from_index(k % nb),
-                    m.costs()[k],
-                )
-            })
+            .filter(|&k| k / nb != k % nb && m[k] < INFINITE_COST)
+            .map(|k| Edge::new(NodeId::from_index(k / nb), NodeId::from_index(k % nb), m[k]))
             .collect();
         Hub::close(&CsrGraph::from_edges(nb, &edges))
     }
@@ -848,7 +783,6 @@ mod tests {
                 symmetric,
             )),
             borders.iter().copied().zip(0..),
-            &[],
         );
         let aug = augmented_graph(20, &edges, symmetric, shortcuts.iter().copied());
         (site, hub_of(&aug, &borders), aug, nodes)
@@ -1034,17 +968,14 @@ mod tests {
         let rows = site.memory_bytes().access_sets;
         // Two non-border nodes: the first question from 11 about its own
         // fragment fills 11's border-free row, and every later one reads it.
-        assert_eq!(
-            kernel(&site, &hub, &[n(11)], &[n(12)], &mut scratch).costs(),
-            &[2]
-        );
+        assert_eq!(kernel(&site, &hub, &[n(11)], &[n(12)], &mut scratch), &[2]);
         assert_eq!(scratch.stats().sweeps, warm + 1, "the row of 11");
         assert_eq!(
             site.memory_bytes().access_sets,
             rows + nodes.len() * std::mem::size_of::<Cost>()
         );
         let m = kernel(&site, &hub, &[n(11)], &[n(12), n(14), n(16)], &mut scratch);
-        assert_eq!(m.costs(), &[2, 1, 11], "16 only through borders 13 and 15");
+        assert_eq!(m, [2, 1, 11], "16 only through borders 13 and 15");
         assert_eq!(scratch.stats().sweeps, warm + 1, "read, not swept");
         // The row stops at the borders: 11 reaches 10 and 13 but nothing
         // past them, so 15 and 16 are not in it at all.
@@ -1067,7 +998,7 @@ mod tests {
             true,
         ));
         let borders = [n(0), n(last)];
-        let site = Site::build(graph, borders.iter().copied().zip(0..), &[]);
+        let site = Site::build(graph, borders.iter().copied().zip(0..));
         assert!(site.rows.is_empty());
         let aug = augmented_graph(nodes.len(), &edges, true, shortcuts.iter().copied());
         let hub = hub_of(&aug, &borders);
@@ -1085,7 +1016,7 @@ mod tests {
                 let (s, t) = (&[n(s)][..], &[n(t)][..]);
                 let m = kernel(&site, &hub, s, t, scratch);
                 assert_eq!(m, forward_matrix(&aug, s, t, &mut ScratchDijkstra::new()));
-                assert_eq!(m.costs(), [cost]);
+                assert_eq!(m, [cost]);
             }
         };
         ask(&mut scratch); // fills the access sets

@@ -88,7 +88,7 @@ pub struct Planner {
     /// Per node, its fragment set's class.
     membership: Membership,
     frag_graph: FragmentationGraph,
-    ds: BTreeMap<(FragmentId, FragmentId), Vec<NodeId>>,
+    ds: BTreeMap<(FragmentId, FragmentId), Junction>,
     max_chains: usize,
     max_chain_len: usize,
     /// Per source class, a slot per target class: the chains from class
@@ -97,6 +97,15 @@ pub struct Planner {
     /// the first query from it, so the table grows with the classes
     /// queries start from, not with the class count squared up front.
     chain_table: Box<[ChainRow]>,
+}
+
+/// A disconnection set as a chain's junction: its nodes, ascending, and
+/// their skeleton ids — their positions among every border
+/// ([`Membership::borders`], the order the hub is kept in).
+#[derive(Clone, Debug)]
+struct Junction {
+    nodes: Vec<NodeId>,
+    ids: Vec<u32>,
 }
 
 /// A source class's chain slots, one per target class, allocated on
@@ -125,10 +134,18 @@ impl Planner {
     /// `max_chains`/`max_chain_len` cap the enumeration on cyclic
     /// fragmentation graphs.
     pub fn new(membership: Membership, max_chains: usize, max_chain_len: usize) -> Self {
+        let borders = membership.borders();
+        let skeleton_id = |v: &NodeId| borders.binary_search(v).expect("a border") as u32;
+        let ds = (membership.disconnection_sets().into_iter())
+            .map(|(pair, nodes)| {
+                let ids = nodes.iter().map(skeleton_id).collect();
+                (pair, Junction { nodes, ids })
+            })
+            .collect();
         Planner {
             chain_table: unfilled(membership.class_count()),
             frag_graph: membership.fragmentation_graph(),
-            ds: membership.disconnection_sets(),
+            ds,
             membership,
             max_chains,
             max_chain_len,
@@ -150,8 +167,17 @@ impl Planner {
 
     /// The disconnection set between two fragments (empty if none).
     pub fn ds_between(&self, a: FragmentId, b: FragmentId) -> &[NodeId] {
-        let key = (a.min(b), a.max(b));
-        self.ds.get(&key).map(|v| v.as_slice()).unwrap_or(&[])
+        self.junction(a, b).map_or(&[], |j| &j.nodes)
+    }
+
+    /// The skeleton ids of [`Planner::ds_between`]`(a, b)`, in the same
+    /// order: where a chain's junction sits in the hub.
+    pub fn ds_skeleton_ids(&self, a: FragmentId, b: FragmentId) -> &[u32] {
+        self.junction(a, b).map_or(&[], |j| &j.ids)
+    }
+
+    fn junction(&self, a: FragmentId, b: FragmentId) -> Option<&Junction> {
+        self.ds.get(&(a.min(b), a.max(b)))
     }
 
     /// The fragmentation graph the planner navigates.

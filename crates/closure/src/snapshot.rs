@@ -31,10 +31,10 @@
 //! ## Structural sharing
 //!
 //! A site is one thing: everything an epoch holds per fragment — its own
-//! graph, the access sets and interior segment relations evaluated so
-//! far, the augmented graph once something asked for it — is one
-//! [`Site`] behind one `Arc`; its border distances are the epoch's one
-//! [`Hub`], which every site reads and none copies. The whole-graph pieces
+//! graph, the access sets and border-free rows filled so far, the
+//! augmented graph once something asked for it — is one [`Site`] behind
+//! one `Arc`; its border distances are the epoch's one [`Hub`], which
+//! every site and every chain fold reads and none copies. The whole-graph pieces
 //! (global graph, fragmentation, planner, reachability index) have an
 //! `Arc` each; an update detaches the fragmentation once per shared
 //! epoch ([`std::sync::Arc::make_mut`]). Cloning a
@@ -71,8 +71,7 @@ use crate::complementary::{local_graphs, ComplementaryInfo, PrecomputeStats};
 use crate::engine::{EngineConfig, QueryAnswer, QueryStats, Route};
 use crate::error::ClosureError;
 use crate::executor::{run_sites, ExecutionMode};
-use crate::local::{augmented_graph, border_matrix_with, LocalGraph, Site};
-use crate::memo::SiteMemo;
+use crate::local::{augmented_graph, border_matrix_with, Site};
 use crate::planner::{Planner, SiteQueryRef};
 use crate::updates::{ConnectivityEffect, UpdateReport};
 
@@ -94,8 +93,8 @@ pub struct EngineSnapshot {
     comp: ComplementaryInfo,
     /// Per site, behind its own `Arc`: everything valid for exactly this
     /// fragment and its borders' hub entries — the fragment's own graph,
-    /// the border index, the access sets and interior segment relations
-    /// evaluated so far (see [`crate::local`]).
+    /// the border index, the access sets and border-free rows filled so
+    /// far (see [`crate::local`]).
     sites: Vec<Arc<Site>>,
     planner: Arc<Planner>,
     /// SCC/chain reachability index over the global closure graph, the
@@ -124,7 +123,7 @@ pub struct CowMaintenance {
     /// its [`Site`] was replaced.
     pub owner: Option<FragmentId>,
     /// Sites holding both borders of a hub entry the update changed,
-    /// whose [`Site`] was replaced: their access sets and memos read it.
+    /// whose [`Site`] was replaced: their access sets were pruned by it.
     pub shortcut_sites: Vec<FragmentId>,
     /// Union of `owner` and `shortcut_sites`, sorted: the sites whose
     /// [`Site`] is *not* shared with the pre-update snapshot. Every
@@ -165,8 +164,6 @@ pub struct SnapshotBytes {
     pub border_matrices: usize,
     /// Per site: the access sets and border-free rows filled so far.
     pub access_sets: usize,
-    /// Per site: the interior segment relations evaluated so far.
-    pub segment_memos: usize,
     /// The reachability index, once a reader has built it.
     pub reach_index: usize,
     /// The planner's membership table and chain table, the chain sets filled
@@ -182,14 +179,13 @@ pub struct SnapshotBytes {
 
 impl SnapshotBytes {
     /// Every component with its name, in declaration order.
-    pub fn components(&self) -> [(&'static str, usize); 10] {
+    pub fn components(&self) -> [(&'static str, usize); 9] {
         [
             ("graph", self.graph),
             ("complementary", self.complementary),
             ("site_graphs", self.site_graphs),
             ("border_matrices", self.border_matrices),
             ("access_sets", self.access_sets),
-            ("segment_memos", self.segment_memos),
             ("reach_index", self.reach_index),
             ("planner", self.planner),
             ("hub", self.hub),
@@ -229,7 +225,7 @@ impl EngineSnapshot {
         let (chains, chain_len) = (cfg.max_chains, cfg.max_chain_len);
         let planner = Arc::new(Planner::new(membership, chains, chain_len));
         let sites = (locals.into_iter().enumerate())
-            .map(|(f, local)| Arc::new(build_site(&planner, f, local, &comp)))
+            .map(|(f, local)| Arc::new(Site::build(local, comp.site_borders(f))))
             .collect();
         let border_rows = Arc::new(BorderRows::new(comp.border_count()));
         EngineSnapshot {
@@ -319,7 +315,7 @@ impl EngineSnapshot {
     // --- structural-sharing handles ------------------------------------
 
     /// The shared handle behind site `f`: its own graph, border index,
-    /// access sets and segment memo ([`Site::memo`]). Two
+    /// access sets and border-free rows. Two
     /// snapshots whose handles are `Arc::ptr_eq` physically share all of
     /// it — the structural-sharing contract across epochs.
     pub fn site_handle(&self, f: FragmentId) -> &Arc<Site> {
@@ -363,7 +359,6 @@ impl EngineSnapshot {
             bytes.site_graphs += s.graph;
             bytes.border_matrices += s.border_matrix;
             bytes.access_sets += s.access_sets;
-            bytes.segment_memos += s.segment_memo;
         }
         bytes
     }
@@ -489,8 +484,8 @@ impl EngineSnapshot {
     }
 
     /// Answer many shortest-path requests on `scratch`, amortizing chain
-    /// planning across the batch and reading interior segments from this
-    /// epoch's memos (see [`crate::api::run_batch_bounded`]).
+    /// planning across the batch and reading interior segments off this
+    /// epoch's hub (see [`crate::api::run_batch_bounded`]).
     pub fn query_batch(
         &self,
         requests: &[QueryRequest],
@@ -756,14 +751,14 @@ impl EngineSnapshot {
         }
         for &f in &sites {
             // A touched site starts over — new graph or new border
-            // distances, no access set, an empty memo; every other site
-            // stays the `Arc` the pre-update snapshot holds. Only the
-            // owner's graph is new.
+            // distances, no access set, no row; every other site stays
+            // the `Arc` the pre-update snapshot holds. Only the owner's
+            // graph is new.
             let local = match &m.owner_graph {
                 Some(g) if m.owner == Some(f) => Arc::clone(g),
                 _ => Arc::clone(&self.sites[f].graph),
             };
-            self.sites[f] = Arc::new(build_site(&self.planner, f, local, &self.comp));
+            self.sites[f] = Arc::new(Site::build(local, self.comp.site_borders(f)));
         }
         Ok(CowMaintenance {
             report: m.report,
@@ -773,18 +768,6 @@ impl EngineSnapshot {
             reach_kept: keep,
         })
     }
-}
-
-/// The site of fragment `f` over its own graph `local` and its borders
-/// in `comp`.
-fn build_site(
-    planner: &Planner,
-    f: FragmentId,
-    local: Arc<LocalGraph>,
-    comp: &ComplementaryInfo,
-) -> Site {
-    let neighbors = planner.fragmentation_graph().neighbors(f);
-    Site::build(local, comp.site_borders(f), neighbors)
 }
 
 /// Site evaluation over a snapshot: subqueries run on the calling thread
@@ -817,8 +800,8 @@ impl SiteEvaluator for SnapshotEval<'_> {
         );
     }
 
-    fn memo(&self, site: FragmentId) -> &SiteMemo {
-        self.sites[site].memo()
+    fn hub(&self) -> &Hub {
+        self.hub
     }
 }
 
@@ -1179,12 +1162,12 @@ pub(crate) mod tests {
     }
 
     /// A write rebuilds, and its report counts, every site holding both
-    /// borders of a hub entry it changed: a warm site's memos read every
-    /// pair of its borders. In a triangle of fragments whose
-    /// disconnection sets are single borders, the delete of `0 - 3`
-    /// raises `dist(0, 1)` from 2 to 22 and `dist(0, 2)` from 4 (through
-    /// fragments 0 and 2) to 20 (through fragment 1), which site 1's memo
-    /// for the chain `0, 1, 2` holds.
+    /// borders of a hub entry it changed: a warm site's access sets were
+    /// pruned through every pair of its borders. In a triangle of
+    /// fragments whose disconnection sets are single borders, the delete
+    /// of `0 - 3` raises `dist(0, 1)` from 2 to 22 and `dist(0, 2)` from 4
+    /// (through fragments 0 and 2) to 20 (through fragment 1), the hub
+    /// entry the chain `0, 1, 2` reads at site 1.
     #[test]
     fn a_write_rebuilds_and_counts_every_site_holding_a_changed_pair() {
         let e = |a, b, cost| ds_graph::Edge::new(n(a), n(b), cost);
@@ -1235,10 +1218,10 @@ pub(crate) mod tests {
         assert_exact(&snap, "after the delete");
     }
 
-    /// Once the memos, the endpoints' access sets and the border-free
-    /// rows are filled, a query is lookups: no sweep at all, whether its
-    /// endpoints lie in different fragments or are two non-border nodes of
-    /// one fragment.
+    /// Once the endpoints' access sets and the border-free rows are
+    /// filled, a query is lookups: no sweep at all, whether its endpoints
+    /// lie in different fragments or are two non-border nodes of one
+    /// fragment. Cold or warm, a query asks its endpoint sites only.
     #[test]
     fn warm_queries_sweep_only_inside_one_fragment() {
         let (csr, snap, requests) = cyclic_snapshot();
@@ -1249,10 +1232,21 @@ pub(crate) mod tests {
             "the cold batch fills access sets"
         );
         assert!(cold.answers.iter().any(|a| a.stats.chains_evaluated > 2));
-        assert!(snap.memory_bytes().segment_memos > 0);
         assert!(snap.memory_bytes().access_sets > 0);
 
         let planner = snap.planner();
+        let endpoint_sites = |r: &QueryRequest| {
+            planner.fragments_of(r.source).len() + planner.fragments_of(r.target).len()
+        };
+        for (r, a) in requests.iter().zip(&cold.answers) {
+            assert!(a.stats.site_queries <= endpoint_sites(r), "{r:?}: cold");
+        }
+        let cold_queries: usize = cold.answers.iter().map(|a| a.stats.site_queries).sum();
+        assert_eq!(cold.stats.segments_computed, cold_queries);
+        assert!(
+            cold.stats.segments_reused > 0,
+            "interior segments read off the hub"
+        );
         let inside_one_fragment = |r: &QueryRequest| {
             let (fx, fy) = (
                 planner.fragments_of(r.source),
@@ -1274,10 +1268,8 @@ pub(crate) mod tests {
             // A subquery answered by lookup is still a subquery: one from
             // x per fragment x is in, one to y per fragment y is in —
             // whatever the number of chains.
-            let endpoint_sites =
-                planner.fragments_of(r.source).len() + planner.fragments_of(r.target).len();
             assert!(
-                a.stats.site_queries <= endpoint_sites,
+                a.stats.site_queries <= endpoint_sites(r),
                 "{r:?}: {} site queries over {} chains",
                 a.stats.site_queries,
                 a.stats.chains_evaluated
@@ -1363,7 +1355,9 @@ pub(crate) mod tests {
             .map(|i| QueryRequest::new(n(i), n((i * 7 + 3) % 40)))
             .collect();
         let batch = snap.query_batch(&requests, &mut scratch);
-        assert!(batch.stats.segments_computed > 0);
+        let site_queries: usize = batch.answers.iter().map(|a| a.stats.site_queries).sum();
+        assert!(site_queries > 0 && batch.stats.segments_reused > 0);
+        assert_eq!(batch.stats.segments_computed, site_queries);
         assert_eq!(built(&snap), [false; 4], "after a query_batch");
 
         // A route reads the kept skeleton and the sites' own graphs.
@@ -1385,9 +1379,10 @@ pub(crate) mod tests {
         assert_eq!(built(&successor), [true; 4]);
     }
 
-    /// Two readers released together onto a snapshot whose memos are all
-    /// empty evaluate the same slots concurrently: both get the oracle's
-    /// answers, and the memos end up as one reader alone leaves them.
+    /// Two readers released together onto a snapshot whose memos — the
+    /// sites' access sets and border-free rows — are all empty fill the
+    /// same slots concurrently: both get the oracle's answers, and the
+    /// memos end up as one reader alone leaves them.
     #[test]
     fn readers_racing_to_fill_the_memos_agree() {
         let (csr, snap, requests) = cyclic_snapshot();
@@ -1414,14 +1409,11 @@ pub(crate) mod tests {
         assert_eq!(costs[1], want);
         for f in 0..snap.site_count() {
             assert_eq!(
-                snap.site_handle(f).memo().filled(),
-                alone.site_handle(f).memo().filled()
+                snap.site_handle(f).memory_bytes(),
+                alone.site_handle(f).memory_bytes()
             );
         }
-        assert_eq!(
-            snap.memory_bytes().segment_memos,
-            alone.memory_bytes().segment_memos
-        );
+        assert!(snap.memory_bytes().access_sets > 0);
     }
 
     /// Every site reads its border distances off the one hub: the
@@ -1441,7 +1433,7 @@ pub(crate) mod tests {
         for f in 0..snap.site_count() {
             let site = snap.site_handle(f);
             let s = site.memory_bytes();
-            walked += s.graph + s.border_matrix + s.access_sets + s.segment_memo;
+            walked += s.graph + s.border_matrix + s.access_sets;
             border_index += site.border_nodes().count()
                 * (2 * std::mem::size_of::<NodeId>() + std::mem::size_of::<(u32, Cost)>());
         }
@@ -1450,7 +1442,7 @@ pub(crate) mod tests {
         assert_eq!(bytes.total(), walked + kept_sweeps);
         assert_eq!(bytes.complementary, snap.complementary().memory_bytes());
         assert_eq!(bytes.border_matrices, border_index);
-        assert!(bytes.segment_memos > 0 && bytes.complementary > bytes.border_matrices);
+        assert!(bytes.access_sets > 0 && bytes.complementary > bytes.border_matrices);
     }
 
     #[test]
@@ -1458,9 +1450,17 @@ pub(crate) mod tests {
         let (_, snap) = snapshot();
         let mut scratch = ScratchDijkstra::new();
         let before = snap.shortest_path(n(0), n(39), &mut scratch).cost.unwrap();
-        let memo = |snap: &EngineSnapshot, f| snap.site_handle(f).memo().filled();
-        let filled: Vec<usize> = (0..4).map(|f| memo(&snap, f)).collect();
-        assert_eq!(filled, [0, 1, 1, 0], "0 -> 39 crosses sites 1 and 2");
+        let held = |snap: &EngineSnapshot, f| snap.site_handle(f).memory_bytes().access_sets;
+        let filled: Vec<usize> = (0..4).map(|f| held(&snap, f)).collect();
+        assert!(
+            filled[0] > 0 && filled[3] > 0,
+            "0 -> 39 asks its endpoint sites 0 and 3"
+        );
+        assert_eq!(
+            (filled[1], filled[2]),
+            (0, 0),
+            "and reads sites 1 and 2 off the hub"
+        );
         let mut successor = snap.clone();
         let f3 = snap.fragmentation().fragment(3).clone();
         let (a, b) = (f3.nodes()[0], *f3.nodes().last().unwrap());
@@ -1473,22 +1473,22 @@ pub(crate) mod tests {
                 &mut scratch,
             )
             .unwrap();
-        // Copy-on-write, memos included: a touched site starts the new
-        // epoch as a new site with an empty memo, an untouched site is
-        // the very site — memo and all — the predecessor filled.
+        // Copy-on-write, access sets included: a touched site starts the
+        // new epoch as a new site holding none, an untouched site is the
+        // very site — access sets and all — the predecessor filled.
         assert!(cow.touched_sites.contains(&3));
         assert!(!cow.touched_sites.contains(&1), "{:?}", cow.touched_sites);
         for (f, &filled) in filled.iter().enumerate() {
             let shared = Arc::ptr_eq(snap.site_handle(f), successor.site_handle(f));
             assert_eq!(shared, !cow.touched_sites.contains(&f), "site {f}");
             if !shared {
-                assert_eq!(memo(&successor, f), 0, "site {f}");
+                assert_eq!(held(&successor, f), 0, "site {f}");
             }
-            assert_eq!(memo(&snap, f), filled, "site {f}");
+            assert_eq!(held(&snap, f), filled, "site {f}");
         }
         // The published (old) snapshot still answers the pre-update
-        // network — from its own memos, no interior subquery re-run; the
-        // successor reflects the insert.
+        // network off its own hub; the successor reflects the insert.
+        // Both ask the endpoint sites only.
         let again = snap.shortest_path(n(0), n(39), &mut scratch);
         assert_eq!(again.cost, Some(before));
         assert_eq!(again.stats.site_queries, 2);
@@ -1502,11 +1502,6 @@ pub(crate) mod tests {
             after.cost,
             baseline::shortest_path_cost(successor.graph(), n(0), n(39))
         );
-        let refilled = cow
-            .touched_sites
-            .iter()
-            .filter(|&&f| f == 1 || f == 2)
-            .count();
-        assert_eq!(after.stats.site_queries, 2 + refilled);
+        assert_eq!(after.stats.site_queries, 2);
     }
 }

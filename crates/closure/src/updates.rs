@@ -48,7 +48,7 @@
 //! an admitted network's distances fit the word
 //! ([`crate::bulk::max_edge_cost`]; an insert over it is refused). Then
 //! every site holding both borders of a changed hub entry is rebuilt —
-//! its access sets and memos read every pair of its borders — and the
+//! its access sets were pruned through every pair of its borders — and the
 //! report counts each changed entry once per such site
 //! ([`crate::ComplementaryInfo::shortcuts`]). The closure graph itself is
 //! edited — the update's entries added or dropped — not re-derived from

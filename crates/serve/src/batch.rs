@@ -156,9 +156,9 @@ pub(crate) fn process_batch(
 
     // Group the remaining misses by fragment pair. The sharing itself
     // is order-independent (chain sets come from the planner's table,
-    // interior segments from the snapshot's per-site memos); the sort
-    // makes same-pair queries evaluate back-to-back while their interior
-    // relations are CPU-cache-hot, and makes a batch's evaluation order
+    // interior segments from the snapshot's hub); the sort makes
+    // same-pair queries evaluate back-to-back while their hub blocks are
+    // CPU-cache-hot, and makes a batch's evaluation order
     // independent of client arrival interleaving.
     let planner = snap.planner();
     // Workload recorder: sampled per *request* (not per distinct slot —

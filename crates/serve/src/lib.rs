@@ -39,7 +39,7 @@
 //! * **O(touched sites) publication.** A snapshot holds one `Arc<Site>`
 //!   per fragment, so the writer's per-epoch publication clone is
 //!   O(sites) refcount bumps and each epoch physically shares every
-//!   untouched site — graph, border index, access sets, memo — with its
+//!   untouched site — graph, border index, access sets — with its
 //!   predecessor (`ds_closure::snapshot` documents the sharing
 //!   contract; the gates bench holds it at ≥ 5x cheaper than a full
 //!   copy).
@@ -77,8 +77,8 @@
 //!   identical requests (single-flight), sorts the distinct cache misses
 //!   by fragment pair and feeds them to the shared batch kernel
 //!   (`ds_closure::api::run_batch_bounded`), which plans each fragment
-//!   pair once and reads interior chain segments from the sites'
-//!   memos — evaluated once per epoch, shared by all workers. Queue
+//!   pair once and reads interior chain segments off the epoch's hub,
+//!   which every worker shares. Queue
 //!   depth converts directly into amortization — the busier the server,
 //!   the cheaper the average query.
 //! * **Load shedding.** The bounded queue never blocks producers: at
@@ -1081,17 +1081,8 @@ mod tests {
         assert!(snap_metrics.counter("serve_cache_hits").unwrap_or(0) >= 1);
         assert_eq!(snap_metrics.counter("serve_updates"), Some(1));
         assert_eq!(snap_metrics.gauge("serve_epoch"), Some(1));
-        // The update touched fragment 0's side of the chain only: the
-        // published epoch still holds the interior segments the reads
-        // before it evaluated at the far sites, and says how much.
-        let memo_bytes = server.snapshot().memory_bytes().segment_memos as u64;
-        assert!(memo_bytes > 0);
-        assert_eq!(
-            snap_metrics.gauge("serve_segment_memo_bytes"),
-            Some(memo_bytes)
-        );
-        // Likewise the access sets: site 0 was rebuilt and starts with
-        // none, the far sites keep theirs, and the gauge says how much.
+        // The access sets: site 0 was rebuilt and starts with none, the
+        // far sites keep theirs, and the gauge says how much.
         let held = server.snapshot().memory_bytes();
         assert_eq!(
             server.snapshot().site_handle(0).memory_bytes().access_sets,
@@ -1101,7 +1092,6 @@ mod tests {
         assert!(held.access_sets < read_epoch.memory_bytes().access_sets);
         for (component, bytes) in held.components() {
             let gauge = match component {
-                "segment_memos" => continue, // checked above, under its own name
                 "reach_index" => {
                     // Sampled at the publication; the `connected` after it
                     // built the index.

@@ -368,9 +368,9 @@ impl Shared {
     /// made and counted, for the writer and the WAL redo alike.
     pub(crate) fn publish(&self, epoch: u64, snapshot: EngineSnapshot) {
         if self.obs.is_some() {
-            // What the epoch holds, by component (the memos and access
-            // sets are those of the sites left untouched; the touched
-            // ones start empty). A walk of the snapshot, so sampled only
+            // What the epoch holds, by component (the access sets are
+            // those of the sites left untouched; the touched ones start
+            // empty). A walk of the snapshot, so sampled only
             // where a registry can show it.
             let held = snapshot.memory_bytes().components();
             for (gauge, (_, bytes)) in self.metrics.snapshot_bytes.iter().zip(held) {

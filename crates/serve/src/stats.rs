@@ -331,15 +331,6 @@ pub(crate) struct Metrics {
     pub(crate) snapshot_bytes: Vec<Gauge>,
 }
 
-/// The gauge a snapshot memory component is published under.
-fn snapshot_gauge_name(component: &str) -> String {
-    match component {
-        // Published under this name since before the breakdown existed.
-        "segment_memos" => "serve_segment_memo_bytes".to_string(),
-        other => format!("serve_snapshot_{other}_bytes"),
-    }
-}
-
 impl Metrics {
     /// Mint the cells once at server start, from the armed bundle's
     /// registry or — disarmed — from a registry nobody keeps, which
@@ -381,7 +372,7 @@ impl Metrics {
             snapshot_bytes: SnapshotBytes::default()
                 .components()
                 .iter()
-                .map(|(component, _)| r.gauge(&snapshot_gauge_name(component)))
+                .map(|(component, _)| r.gauge(&format!("serve_snapshot_{component}_bytes")))
                 .collect(),
         };
         metrics.epoch.set(epoch);

@@ -66,8 +66,8 @@ fn main() {
             );
 
             // Batch the same chain 16 times: planning amortizes, the
-            // interior segments were memoized by the query above, only
-            // the endpoint subqueries repeat.
+            // interior segments are read off the hub, only the endpoint
+            // subqueries repeat.
             let requests: Vec<QueryRequest> = (0..16u32)
                 .map(|i| {
                     QueryRequest::new(NodeId(i % 5), NodeId((g.nodes - 3 - i as usize % 5) as u32))

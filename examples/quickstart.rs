@@ -60,8 +60,8 @@ fn main() {
         assert!(sys.connected(a, b));
 
         // Batch evaluation: chain planning is computed once per fragment
-        // pair and shared; the interior segment relations were evaluated
-        // (once per epoch) by the query above and are read back.
+        // pair and shared; the interior segment relations are read off
+        // the epoch's hub, so only the endpoint sites run subqueries.
         let requests: Vec<QueryRequest> = (0..8u32)
             .map(|i| QueryRequest::new(NodeId(i), NodeId(47 - i)))
             .collect();

@@ -1492,7 +1492,7 @@ fn concurrent_readers_match_their_epoch_oracle() {
 
 /// Structural sharing across snapshot epochs: after maintaining a cloned
 /// successor snapshot, a site is the predecessor epoch's very site —
-/// `Arc::ptr_eq`: graph, table, access sets, memo — exactly when the
+/// `Arc::ptr_eq`: graph, border index, access sets — exactly when the
 /// update did not touch it, on both fragmenter families (linear sweep and
 /// center growth); and a touched site carries a new table exactly when
 /// its entries changed. This is the invariant that makes the serve
@@ -1588,6 +1588,9 @@ fn untouched_sites_stay_arc_shared_across_epochs() {
 ///   of the site's disconnection sets, all its borders, in every
 ///   source/target combination — reads from `border_matrix_with` exactly
 ///   what `forward_matrix` sweeps out of the site's augmented graph;
+/// * the hub's block over two of a site's disconnection sets, read at
+///   the planner's skeleton ids — the interior segment a chain's fold
+///   reads there — is that same sweep;
 /// * whole answers equal the reference evaluation (`run_chain` +
 ///   `chain_cost_refs` over every planned chain) and the centralized
 ///   Dijkstra, on a cyclic fragmentation too;
@@ -1637,14 +1640,39 @@ fn site_kernel_equals_sweeps_of_the_augmented_graph() {
                     .map(|&g| planner.ds_between(f.id(), g)),
             );
             let augmented = snap.augmented_handle(f.id());
+            let hub = snap.hub_handle();
+            let neighbors = planner.fragmentation_graph().neighbors(f.id());
+            for (&g, &h) in neighbors
+                .iter()
+                .flat_map(|g| neighbors.iter().map(move |h| (g, h)))
+            {
+                let (entering, leaving) = (
+                    planner.ds_skeleton_ids(g, f.id()),
+                    planner.ds_skeleton_ids(f.id(), h),
+                );
+                let block: Vec<Cost> = (entering.iter())
+                    .flat_map(|&b| {
+                        leaving
+                            .iter()
+                            .map(move |&b2| hub.cost(b as usize, b2 as usize))
+                    })
+                    .collect();
+                let (sources, targets) =
+                    (planner.ds_between(g, f.id()), planner.ds_between(f.id(), h));
+                assert_eq!(
+                    block,
+                    forward_matrix(augmented, sources, targets, &mut scratch),
+                    "{label}: the hub block {g} -> {} -> {h}",
+                    f.id()
+                );
+            }
             for sources in &lists {
                 for targets in &lists {
                     let mut costs = Vec::new();
-                    let hub = snap.hub_handle();
                     border_matrix_with(site, hub, sources, targets, &mut scratch, &mut costs);
                     assert_eq!(
                         costs,
-                        forward_matrix(augmented, sources, targets, &mut scratch).costs(),
+                        forward_matrix(augmented, sources, targets, &mut scratch),
                         "{label}: site {} {sources:?} -> {targets:?}",
                         f.id()
                     );
@@ -1743,8 +1771,8 @@ fn site_kernel_equals_sweeps_of_the_augmented_graph() {
                 single_border += (borders == 1) as usize;
             }
 
-            // Two readers race to fill the access sets (and memos) a
-            // third fills alone.
+            // Two readers race to fill the access sets and border-free
+            // rows a third fills alone.
             let requests: Vec<QueryRequest> = (0..n as u32)
                 .map(|x| QueryRequest::new(NodeId(x), NodeId((x * 7 + 3) % n as u32)))
                 .collect();
@@ -1769,7 +1797,6 @@ fn site_kernel_equals_sweeps_of_the_augmented_graph() {
             assert_eq!(raced[1], want, "{label}: second reader");
             let (raced, solo) = (snap.memory_bytes(), alone.memory_bytes());
             assert_eq!(raced.access_sets, solo.access_sets, "{label}");
-            assert_eq!(raced.segment_memos, solo.segment_memos, "{label}");
             assert!(raced.access_sets > 0, "{label}");
 
             let before = check(&snap, &label);

@@ -592,9 +592,10 @@ fn non_fallback_sequences_never_recompute() {
 
 #[test]
 fn batch_stats_amortization_exact_counts() {
-    // Three cross-line queries share one fragment pair and one interior
-    // segment: 1 plan computed + 2 reused, 7 segments computed (3 + 2 +
-    // 2) + 2 reused, amortization (2 + 2) / (3 + 9) = 1/3.
+    // Three cross-line queries share one fragment pair: 1 plan computed
+    // + 2 reused; each runs its two endpoint subqueries and reads its
+    // one interior segment off the hub: 6 segments computed + 3 reused,
+    // amortization (2 + 3) / (3 + 9) = 5/12.
     for mut sys in both_backends(7, three_fragment_line()) {
         let name = sys.backend_name();
         let requests: Vec<QueryRequest> = [(0u32, 6u32), (1, 5), (0, 5)]
@@ -609,17 +610,17 @@ fn batch_stats_amortization_exact_counts() {
         assert_eq!(s.queries, 3, "{name}");
         assert_eq!(s.plans_computed, 1, "{name}");
         assert_eq!(s.plans_reused, 2, "{name}");
-        assert_eq!(s.segments_computed, 7, "{name}");
-        assert_eq!(s.segments_reused, 2, "{name}");
+        assert_eq!(s.segments_computed, 6, "{name}");
+        assert_eq!(s.segments_reused, 3, "{name}");
         assert!(
-            (s.amortization() - 1.0 / 3.0).abs() < 1e-12,
+            (s.amortization() - 5.0 / 12.0).abs() < 1e-12,
             "{name}: amortization {}",
             s.amortization()
         );
 
-        // The plan and the interior segment outlive the batch that
-        // evaluated them: a later single query reads both and runs its two
-        // endpoint subqueries only — amortization (1 + 1) / (1 + 1 + 2).
+        // The plan outlives the batch that enumerated it: a later single
+        // query reads it and the hub and runs its two endpoint subqueries
+        // only — amortization (1 + 1) / (1 + 1 + 2).
         let single = sys.query_batch(&[QueryRequest::new(n(0), n(6))]);
         assert_eq!(single.stats.plans_computed, 0, "{name}");
         assert_eq!(single.stats.plans_reused, 1, "{name}");
@@ -627,9 +628,10 @@ fn batch_stats_amortization_exact_counts() {
         assert_eq!(single.stats.segments_reused, 1, "{name}");
         assert_eq!(single.stats.amortization(), 0.5, "{name}");
 
-        // An update to the middle fragment empties that site's memo; the
-        // next query evaluates the interior segment again. Node sets did
-        // not change, so its plan is still the one enumerated above.
+        // An update to the middle fragment rebuilds that site; the next
+        // query still asks its endpoint sites only and reads the interior
+        // segment off the maintained hub. Node sets did not change, so
+        // its plan is still the one enumerated above.
         sys.update(&NetworkUpdate::Insert {
             edge: Edge::new(n(2), n(4), 5),
             owner: 1,
@@ -638,8 +640,8 @@ fn batch_stats_amortization_exact_counts() {
         let after = sys.query_batch(&[QueryRequest::new(n(0), n(6))]);
         assert_eq!(after.answers[0].cost, Some(6), "{name}");
         assert_eq!(after.stats.plans_computed, 0, "{name}");
-        assert_eq!(after.stats.segments_computed, 3, "{name}");
-        assert_eq!(after.stats.segments_reused, 0, "{name}");
+        assert_eq!(after.stats.segments_computed, 2, "{name}");
+        assert_eq!(after.stats.segments_reused, 1, "{name}");
 
         // An empty batch divides nothing by nothing and reports 0.
         let empty = sys.query_batch(&[]);
